@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race bench benchsmoke clustersmoke crashsmoke daemonsmoke walsmoke profile ci
+.PHONY: all build vet fmtcheck lint test race bench benchsmoke benchcheck clustersmoke crashsmoke daemonsmoke walsmoke profile ci
 
 all: build
 
@@ -15,6 +15,10 @@ all: build
 vet:
 	$(GO) vet ./...
 	$(GO) vet -copylocks -structtag . ./internal/sched/ ./internal/fleet/ ./internal/wire/
+
+# gofmt -l must print nothing (the nested bench module included).
+fmtcheck:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -87,6 +91,14 @@ walsmoke:
 benchsmoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x -count 1 . ./internal/fleet/ ./internal/wal/ ./internal/wire/
 
+# The repo's benchmark lives in the nested module bench/ (its own go.mod,
+# replacing repro with ../), which `go build ./... && go test ./...` at the
+# root never compiles: a signature drift in fleet.Backend, fleet.Persister
+# or the Cluster/Engine surface it drives must fail here, not in the
+# benchmark run. ~15 s. CI runs this on every push.
+benchcheck:
+	cd bench && $(GO) test ./...
+
 # Emits a CPU profile of the heaviest training pipeline (the Figure 4
 # cross-validation grid) for `go tool pprof repro.test cpu.prof`.
 profile:
@@ -94,4 +106,4 @@ profile:
 		-cpuprofile cpu.prof -o repro.test .
 	@echo "wrote cpu.prof (inspect with: go tool pprof repro.test cpu.prof)"
 
-ci: vet lint build test
+ci: fmtcheck vet lint build test benchcheck

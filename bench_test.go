@@ -21,6 +21,7 @@ import (
 	"repro/internal/placement"
 	"repro/internal/wire"
 	"repro/internal/workloads"
+	"repro/internal/xrand"
 )
 
 func BenchmarkTable1(b *testing.B) {
@@ -364,6 +365,32 @@ func BenchmarkAdmitThroughput(b *testing.B) {
 	})
 }
 
+// benchTrained returns an engine for m trained, at the fleet benchmarks'
+// reduced fidelity, for each of the given container sizes, and the
+// predictors it trained.
+func benchTrained(b *testing.B, ctx context.Context, m Machine, sizes ...int) (*Engine, map[int]*Predictor) {
+	b.Helper()
+	eng := New(m,
+		WithCollectConfig(CollectConfig{Trials: 2}),
+		WithTrainConfig(TrainConfig{
+			Seed: 1, Forest: mlearn.ForestConfig{Trees: 20},
+			SelectionTrees: 4, SelectionFolds: 3,
+		}),
+	)
+	ws := append(PaperWorkloads(), workloads.CorpusFrom(10, 3, []string{"flat", "bw", "lat"})...)
+	preds := map[int]*Predictor{}
+	for _, v := range sizes {
+		ds, err := eng.Collect(ctx, ws, v)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if preds[v], err = eng.Train(ctx, ds); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return eng, preds
+}
+
 // benchCluster builds the warm two-machine AMD+Intel cluster the fleet
 // benchmarks share: both engines pre-trained for 16-vCPU containers,
 // machines labeled with distinct failure domains.
@@ -371,21 +398,7 @@ func benchCluster(b *testing.B, ctx context.Context, cfg ClusterConfig) *Cluster
 	b.Helper()
 	cl := NewCluster(cfg)
 	for i, m := range []Machine{machines.AMD(), machines.Intel()} {
-		eng := New(m,
-			WithCollectConfig(CollectConfig{Trials: 2}),
-			WithTrainConfig(TrainConfig{
-				Seed: 1, Forest: mlearn.ForestConfig{Trees: 20},
-				SelectionTrees: 4, SelectionFolds: 3,
-			}),
-		)
-		ws := append(PaperWorkloads(), workloads.CorpusFrom(10, 3, []string{"flat", "bw", "lat"})...)
-		ds, err := eng.Collect(ctx, ws, 16)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eng.Train(ctx, ds); err != nil {
-			b.Fatal(err)
-		}
+		eng, _ := benchTrained(b, ctx, m, 16)
 		if err := cl.Add(fmt.Sprintf("m%d", i), eng, InDomain(fmt.Sprintf("rack-%d", i))); err != nil {
 			b.Fatal(err)
 		}
@@ -428,6 +441,83 @@ func BenchmarkClusterAdmit(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkClusterAdmitResident measures one best-predicted, domain-spread
+// admission on a fleet that looks like a running one: 64 machines (AMD and
+// Intel alternating over 8 racks) packed to the first rejection with a
+// seeded mix of the paper catalog at sizes {8,16,24,32}, thinned to 60 %,
+// then held there — each iteration places the next container of the mix and
+// releases a random resident one. Every admission fans 64 previews out over
+// machines whose free masks moved since the shape was last seen; the
+// two-machine BenchmarkClusterAdmit above cycles one shape over one mask.
+func BenchmarkClusterAdmitResident(b *testing.B) {
+	ctx := context.Background()
+	sizes := []int{8, 16, 24, 32}
+	models := []Machine{machines.AMD(), machines.Intel()}
+	preds := make([]map[int]*Predictor, len(models))
+	for i, m := range models {
+		_, preds[i] = benchTrained(b, ctx, m, sizes...)
+	}
+	cl := NewCluster(ClusterConfig{Policy: RouteBestPredicted, SpreadDomains: true})
+	for i := 0; i < 64; i++ {
+		var opts []Option
+		for _, v := range sizes {
+			opts = append(opts, WithPredictor(v, preds[i%len(models)][v]))
+		}
+		name := fmt.Sprintf("m%d", i)
+		if err := cl.Add(name, New(models[i%len(models)], opts...), InDomain(fmt.Sprintf("rack-%d", i%8))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := xrand.New(1)
+	paper := PaperWorkloads()
+	place := func() (int, error) {
+		a, err := cl.Place(ctx, paper[rng.Intn(len(paper))], sizes[rng.Intn(len(sizes))])
+		if err != nil {
+			return 0, err
+		}
+		return a.ID, nil
+	}
+	var resident []int
+	for {
+		id, err := place()
+		if errors.Is(err, ErrFleetFull) {
+			break
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		resident = append(resident, id)
+	}
+	release := func() {
+		i := rng.Intn(len(resident))
+		if err := cl.Release(ctx, resident[i]); err != nil {
+			b.Fatal(err)
+		}
+		resident[i] = resident[len(resident)-1]
+		resident = resident[:len(resident)-1]
+	}
+	for keep := len(resident) * 6 / 10; len(resident) > keep; {
+		release()
+	}
+	cycle := func() {
+		id, err := place()
+		if err != nil {
+			b.Fatal(err)
+		}
+		resident = append(resident, id)
+		release()
+	}
+	// Untimed: let every machine meet every shape, as a running fleet has.
+	for i := 0; i < 1000; i++ {
+		cycle()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
 	}
 }
 

@@ -24,11 +24,11 @@ import (
 	"syscall"
 
 	"repro/internal/concern"
-	"repro/internal/xrand"
 	"repro/internal/interconnect"
 	"repro/internal/machines"
 	"repro/internal/placement"
 	"repro/internal/topology"
+	"repro/internal/xrand"
 )
 
 type params struct {

@@ -125,6 +125,7 @@ type Event struct {
 }
 
 // ErrSubscriptionClosed is returned by Subscription.Wait after Close.
+//
 //numalint:ignore sentinelwrap in-process subscription sentinel; Wait is never wire-mapped, callers compare against this var directly
 var ErrSubscriptionClosed = errors.New("fleet: event subscription closed")
 
@@ -172,6 +173,7 @@ func (f *Fleet) Subscribe(buf int) *Subscription {
 // number. Callers hold f.mu — that lock is what makes the sequence a total
 // order. The path allocates nothing and never blocks: each ring slot is a
 // value copy, and the wake-up send is non-blocking.
+//
 //numalint:noalloc
 func (f *Fleet) publish(ev Event) {
 	if len(f.subs) == 0 {
@@ -186,6 +188,7 @@ func (f *Fleet) publish(ev Event) {
 
 // push appends ev to the ring, overwriting the oldest buffered event (and
 // counting the drop) when full.
+//
 //numalint:noalloc
 func (s *Subscription) push(ev Event) {
 	s.mu.Lock()

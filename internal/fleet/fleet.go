@@ -18,11 +18,14 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/machines"
 	"repro/internal/migrate"
@@ -150,6 +153,9 @@ type member struct {
 	health  Health
 	misses  int // consecutive missed probes (reset by Heartbeat)
 	tenants int // fleet-registered tenants on this backend
+	// deaths counts transitions to Dead: Place compares it across its
+	// unlocked backend admission to notice a failover (and Revive) between.
+	deaths atomic.Uint32
 }
 
 // utilization returns the fraction of the member's NUMA nodes currently
@@ -296,6 +302,8 @@ type Fleet struct {
 	byName  map[string]*member
 	nextID  int
 	tenants map[int]*tenantRec
+	// occ counts mapped tenants per workload name and member (hostLocked).
+	occ map[string]map[*member]int
 
 	// Event fan-out (see events.go). Both fields are guarded by mu, which
 	// is what gives the published sequence its total order.
@@ -320,6 +328,7 @@ func New(cfg Config) *Fleet {
 		cfg:     cfg,
 		byName:  map[string]*member{},
 		tenants: map[int]*tenantRec{},
+		occ:     map[string]map[*member]int{},
 	}
 }
 
@@ -406,23 +415,41 @@ func (f *Fleet) admissionView(w perfsim.Workload) (mems []*member, occupied map[
 		}
 	}
 	if f.cfg.SpreadDomains {
-		occupied = f.occupiedDomainsLocked(w.Name, -1)
+		occupied = f.occupiedDomainsLocked(w.Name, nil)
 	}
 	return mems, occupied
 }
 
+// hostLocked books delta (+1 or -1) tenants of the named workload on m: the
+// one place a member's tenant count and the occupancy index change, called
+// wherever f.tenants or a tenantRec.mem does. Callers hold f.mu.
+func (f *Fleet) hostLocked(m *member, workload string, delta int) {
+	m.tenants += delta
+	byMem := f.occ[workload]
+	if byMem == nil {
+		byMem = map[*member]int{}
+		f.occ[workload] = byMem
+	}
+	if byMem[m] += delta; byMem[m] == 0 {
+		delete(byMem, m)
+	}
+}
+
 // occupiedDomainsLocked returns the failure domains currently hosting a
-// live tenant of the named workload, skipping the tenant with fleet ID
-// skipID (pass a negative ID to skip nothing — a tenant being moved must
-// not count its own domain as occupied). Tenants stranded on dead
-// machines provide no availability, so they do not occupy a domain: a
-// replacement replica may — should — land in the dead machine's domain
-// on a different box. Callers hold f.mu.
-func (f *Fleet) occupiedDomainsLocked(workload string, skipID int) map[string]bool {
+// live tenant of the named workload other than skip (nil skips nothing — a
+// tenant being moved must not count its own domain as occupied). Tenants
+// stranded on dead machines provide no availability, so they do not occupy
+// a domain: a replacement replica may — should — land in the dead machine's
+// domain on a different box; health is read here, not indexed, so no
+// transition can leave the index behind. Callers hold f.mu.
+func (f *Fleet) occupiedDomainsLocked(workload string, skip *tenantRec) map[string]bool {
 	occ := map[string]bool{}
-	for id, rec := range f.tenants {
-		if id != skipID && rec.w.Name == workload && rec.mem.health != Dead {
-			occ[rec.mem.domain] = true
+	for m, n := range f.occ[workload] {
+		if skip != nil && skip.mem == m && skip.w.Name == workload {
+			n--
+		}
+		if n > 0 && m.health != Dead {
+			occ[m.domain] = true
 		}
 	}
 	return occ
@@ -430,10 +457,10 @@ func (f *Fleet) occupiedDomainsLocked(workload string, skipID int) map[string]bo
 
 // spreadOrder stable-partitions a policy-ranked candidate list so members
 // in failure domains not yet hosting the workload come first; within each
-// partition the policy order is preserved. With occupied nil (spreading
-// disabled) the list is returned unchanged.
+// partition the policy order is preserved. With occupied empty (spreading
+// disabled, or no domain hosts the workload) the list is returned unchanged.
 func spreadOrder(ranked []*member, occupied map[string]bool) []*member {
-	if occupied == nil || len(occupied) == 0 {
+	if len(occupied) == 0 {
 		return ranked
 	}
 	out := make([]*member, 0, len(ranked))
@@ -472,6 +499,7 @@ func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm *
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		deaths := mem.deaths.Load()
 		a, err := mem.b.Place(ctx, w, vcpus)
 		if err != nil {
 			// A cancellation surfacing through the backend is the
@@ -500,13 +528,18 @@ func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm *
 			errs = append(errs, fmt.Errorf("%s: removed during admission", mem.name)) //numalint:ignore sentinelwrap joined under ErrFleetFull, which classifies the chain
 			continue
 		}
-		if mem.health == Dead {
+		if mem.health == Dead || mem.deaths.Load() != deaths {
 			// The machine was declared dead while the admission ran
 			// unlocked: the failover pass that just emptied it never saw
 			// this not-yet-registered tenant, so committing would place a
-			// container on a machine the fleet no longer trusts. Dead
-			// backends receive no calls, so there is nothing to undo here;
-			// the orphaned engine-side record is fenced by Revive.
+			// container on a machine the fleet no longer trusts. A dead
+			// backend receives no calls; Revive fences the orphaned record.
+			// A machine revived since is undone here: its fence ran before
+			// the record existed, or released it already (the backend then
+			// answers unknown container, the outcome wanted).
+			if mem.health != Dead {
+				_ = mem.b.Release(context.WithoutCancel(ctx), a.ID)
+			}
 			f.mu.Unlock()
 			errs = append(errs, fmt.Errorf("%s: declared dead during admission: %w", mem.name, nperr.ErrBackendDown))
 			continue
@@ -514,7 +547,7 @@ func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm *
 		id := f.nextID
 		f.nextID++
 		f.tenants[id] = &tenantRec{mem: mem, engineID: a.ID, w: w, vcpus: vcpus, assign: *a}
-		mem.tenants++
+		f.hostLocked(mem, w.Name, +1)
 		f.admitted++
 		f.publish(Event{Type: EvPlace, ID: id, Backend: mem.name, Workload: w.Name, VCPUs: vcpus})
 		f.persistLocked(Record{Type: RecPlace, ID: id, Backend: mem.name,
@@ -549,12 +582,11 @@ func (f *Fleet) rank(ctx context.Context, w perfsim.Workload, vcpus int) ([]*mem
 	mems, occupied := f.admissionView(w)
 	switch f.cfg.Policy {
 	case LeastLoaded:
-		utils := make(map[*member]float64, len(mems))
-		for _, m := range mems {
-			utils[m] = m.utilization()
+		sc := make([]scored, len(mems))
+		for i, m := range mems {
+			sc[i] = scored{m, m.utilization()}
 		}
-		sort.SliceStable(mems, func(i, j int) bool { return utils[mems[i]] < utils[mems[j]] })
-		return spreadOrder(mems, occupied), nil, nil
+		return spreadOrder(sortScored(sc, mems), occupied), nil, nil
 	case BestPredicted:
 		ranked, errs, err := rankByPreview(ctx, mems, w, vcpus)
 		return spreadOrder(ranked, occupied), errs, err
@@ -563,28 +595,51 @@ func (f *Fleet) rank(ctx context.Context, w perfsim.Workload, vcpus int) ([]*mem
 	}
 }
 
+// scored is a routing candidate and its sort key (negated to rank descending).
+type scored struct {
+	m     *member
+	score float64
+}
+
+// sortScored stable-sorts sc by ascending score into out's backing array.
+func sortScored(sc []scored, out []*member) []*member {
+	slices.SortStableFunc(sc, func(a, b scored) int { return cmp.Compare(a.score, b.score) })
+	out = out[:0]
+	for _, s := range sc {
+		out = append(out, s.m)
+	}
+	return out
+}
+
+// previewErr is one member's failed preview. A fan-out collects one per
+// full machine and drops them when another admits: the text is built lazily.
+type previewErr struct {
+	name string
+	err  error
+}
+
+func (e *previewErr) Error() string { return e.name + ": preview: " + e.err.Error() }
+func (e *previewErr) Unwrap() error { return e.err }
+
 // rankByPreview previews a (w, vcpus) container on every member and
 // returns them by descending predicted performance. Members whose preview
 // fails are excluded and their failures reported; a context cancellation
 // aborts with its error. The input slice is reused.
 func rankByPreview(ctx context.Context, mems []*member, w perfsim.Workload, vcpus int) ([]*member, []error, error) {
 	var errs []error
-	perf := make(map[*member]float64, len(mems))
-	ranked := mems[:0]
+	sc := make([]scored, 0, len(mems))
 	for _, m := range mems {
 		pv, err := m.b.Preview(ctx, w, vcpus)
 		if err != nil {
 			if ctxErr := ctx.Err(); ctxErr != nil {
 				return nil, nil, ctxErr
 			}
-			errs = append(errs, fmt.Errorf("%s: preview: %w", m.name, err))
+			errs = append(errs, &previewErr{m.name, err})
 			continue
 		}
-		perf[m] = pv.PredictedPerf
-		ranked = append(ranked, m)
+		sc = append(sc, scored{m, -pv.PredictedPerf})
 	}
-	sort.SliceStable(ranked, func(i, j int) bool { return perf[ranked[i]] > perf[ranked[j]] })
-	return ranked, errs, nil
+	return sortScored(sc, mems), errs, nil
 }
 
 // Release evicts the container with the given fleet ID from whichever
@@ -609,7 +664,7 @@ func (f *Fleet) Release(ctx context.Context, id int) (err error) {
 		return fmt.Errorf("fleet: releasing container %d: %w", id, nperr.ErrUnknownContainer)
 	}
 	delete(f.tenants, id)
-	rec.mem.tenants--
+	f.hostLocked(rec.mem, rec.w.Name, -1)
 	if rec.mem.health == Dead {
 		f.released++
 		f.publish(Event{Type: EvRelease, ID: id, Backend: rec.mem.name, Workload: rec.w.Name, VCPUs: rec.vcpus})
@@ -624,7 +679,7 @@ func (f *Fleet) Release(ctx context.Context, id int) (err error) {
 	if rerr := mem.b.Release(ctx, engineID); rerr != nil {
 		f.mu.Lock()
 		f.tenants[id] = rec
-		rec.mem.tenants++
+		f.hostLocked(rec.mem, rec.w.Name, +1)
 		f.mu.Unlock()
 		return fmt.Errorf("fleet: releasing container %d from %s: %w", id, mem.name, rerr)
 	}
@@ -809,7 +864,7 @@ func (f *Fleet) moveLocked(ctx context.Context, rep *Report, id int, rec *tenant
 			From: rec.mem.name, To: d.name, Seconds: cost,
 		})
 		rep.TotalSeconds += cost
-		rec.mem.tenants--
+		f.hostLocked(rec.mem, rec.w.Name, -1)
 		f.publish(Event{Type: EvMove, ID: id, Backend: rec.mem.name, Dest: d.name,
 			Workload: rec.w.Name, VCPUs: rec.vcpus, Seconds: cost})
 		f.persistLocked(Record{Type: RecMove, ID: id, Backend: rec.mem.name, Dest: d.name,
@@ -817,7 +872,7 @@ func (f *Fleet) moveLocked(ctx context.Context, rep *Report, id int, rec *tenant
 			Nodes: a.Nodes, BasePerf: a.BasePerf, ProbePerf: a.ProbePerf,
 			Seconds: cost, Failover: failover})
 		rec.mem, rec.engineID, rec.assign = d, a.ID, *a
-		d.tenants++
+		f.hostLocked(d, rec.w.Name, +1)
 		f.moves++
 		f.migrationSeconds += cost
 		return true, nil
@@ -870,19 +925,16 @@ func (f *Fleet) logIntraLocked(m *member, intra *sched.RebalanceReport) {
 // move out (no destination, over budget) before paying for policy
 // ordering. Callers hold f.mu.
 func (f *Fleet) eligibleDestsLocked(src *member, minUtil float64) []*member {
-	var dests []*member
-	utils := map[*member]float64{}
+	var sc []scored
 	for _, d := range f.members {
 		if d == src || !d.accepting() {
 			continue
 		}
 		if u := d.utilization(); u > minUtil {
-			dests = append(dests, d)
-			utils[d] = u
+			sc = append(sc, scored{d, -u})
 		}
 	}
-	sort.SliceStable(dests, func(i, j int) bool { return utils[dests[i]] > utils[dests[j]] })
-	return dests
+	return sortScored(sc, nil)
 }
 
 // orderDestsLocked applies the routing policy's destination order to an
@@ -892,7 +944,7 @@ func (f *Fleet) eligibleDestsLocked(src *member, minUtil float64) []*member {
 // enabled, destinations in domains not hosting the tenant's workload come
 // first (the moving tenant's own record does not count). Callers hold
 // f.mu.
-func (f *Fleet) orderDestsLocked(ctx context.Context, id int, rec *tenantRec, dests []*member) ([]*member, error) {
+func (f *Fleet) orderDestsLocked(ctx context.Context, rec *tenantRec, dests []*member) ([]*member, error) {
 	if f.cfg.Policy == BestPredicted {
 		ranked, _, err := rankByPreview(ctx, dests, rec.w, rec.vcpus)
 		if err != nil {
@@ -901,7 +953,7 @@ func (f *Fleet) orderDestsLocked(ctx context.Context, id int, rec *tenantRec, de
 		dests = ranked
 	}
 	if f.cfg.SpreadDomains {
-		dests = spreadOrder(dests, f.occupiedDomainsLocked(rec.w.Name, id))
+		dests = spreadOrder(dests, f.occupiedDomainsLocked(rec.w.Name, rec))
 	}
 	return dests, nil
 }
@@ -1034,7 +1086,7 @@ func (f *Fleet) Rebalance(ctx context.Context, budgetSeconds float64) (rep *Repo
 			if rep.TotalSeconds+cost > budgetSeconds {
 				continue // a smaller tenant may still fit the budget
 			}
-			if dests, err = f.orderDestsLocked(ctx, id, rec, dests); err != nil {
+			if dests, err = f.orderDestsLocked(ctx, rec, dests); err != nil {
 				return rep, err
 			}
 			if _, err := f.moveLocked(ctx, rep, id, rec, cost, dests, nil, false); err != nil {
@@ -1100,7 +1152,7 @@ func (f *Fleet) Drain(ctx context.Context, name string) (rep *Report, err error)
 		if err != nil {
 			return rep, err
 		}
-		if dests, err = f.orderDestsLocked(ctx, id, rec, dests); err != nil {
+		if dests, err = f.orderDestsLocked(ctx, rec, dests); err != nil {
 			return rep, err
 		}
 		moved, err := f.moveLocked(ctx, rep, id, rec, cost, dests, &destErrs, false)

@@ -31,6 +31,7 @@ type stubBackend struct {
 	tenants    map[int]sched.Assignment
 	placeErr   error // injected Place failure
 	previewErr error // injected Preview failure
+	releaseErr error // injected Release failure
 }
 
 func newStub(m machines.Machine, perf float64) *stubBackend {
@@ -76,6 +77,9 @@ func (s *stubBackend) Place(ctx context.Context, w perfsim.Workload, vcpus int) 
 }
 
 func (s *stubBackend) Release(ctx context.Context, id int) error {
+	if s.releaseErr != nil {
+		return s.releaseErr
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	a, ok := s.tenants[id]

@@ -167,6 +167,7 @@ func (f *Fleet) MissProbe(ctx context.Context, name string) (h Health, rep *Repo
 		f.persistLocked(Record{Type: RecHealth, ID: -1, Backend: name,
 			FromHealth: m.health, ToHealth: Dead, Misses: m.misses})
 		m.health = Dead
+		m.deaths.Add(1)
 		rep, err := f.failoverLocked(ctx, m, f.cfg.Health.failoverBudget())
 		return Dead, rep, err
 	case m.misses >= f.cfg.Health.suspectAfter():
@@ -200,6 +201,7 @@ func (f *Fleet) Fail(ctx context.Context, name string) (rep *Report, err error) 
 	f.persistLocked(Record{Type: RecHealth, ID: -1, Backend: name,
 		FromHealth: m.health, ToHealth: Dead, Misses: f.cfg.Health.deadAfter()})
 	m.health = Dead
+	m.deaths.Add(1)
 	m.misses = f.cfg.Health.deadAfter()
 	return f.failoverLocked(ctx, m, f.cfg.Health.failoverBudget())
 }
@@ -270,7 +272,7 @@ func (f *Fleet) failoverLocked(ctx context.Context, src *member, budgetSeconds f
 			rep.Stranded++ // over budget; a smaller tenant may still fit
 			continue
 		}
-		if dests, err = f.orderDestsLocked(ctx, id, rec, dests); err != nil {
+		if dests, err = f.orderDestsLocked(ctx, rec, dests); err != nil {
 			return rep, err
 		}
 		moved, err := f.moveLocked(ctx, rep, id, rec, cost, dests, &destErrs, true)

@@ -1,0 +1,253 @@
+package fleet
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"repro/internal/machines"
+	"repro/internal/xrand"
+)
+
+// occupancyWalk recomputes the occupancy index from scratch: one pass over
+// the tenant map, counting per (workload name, member). It is the walk the
+// index replaced, kept here as the model the index is checked against.
+func occupancyWalk(f *Fleet) map[string]map[string]int {
+	walk := map[string]map[string]int{}
+	for _, rec := range f.tenants {
+		if walk[rec.w.Name] == nil {
+			walk[rec.w.Name] = map[string]int{}
+		}
+		walk[rec.w.Name][rec.mem.name]++
+	}
+	return walk
+}
+
+// occupiedWalk is occupiedDomainsLocked as it was before the index: every
+// tenant of the workload other than skipID, on a machine that is not dead,
+// occupies its machine's domain.
+func occupiedWalk(f *Fleet, workload string, skipID int) map[string]bool {
+	occ := map[string]bool{}
+	for id, rec := range f.tenants {
+		if id != skipID && rec.w.Name == workload && rec.mem.health != Dead {
+			occ[rec.mem.domain] = true
+		}
+	}
+	return occ
+}
+
+// requireOccupancy asserts, under the fleet lock, that the index equals the
+// walk, that every member's tenant count equals its share of the walk, and
+// that the occupied-domain query answers as the walk does for every
+// workload — with nothing skipped and with each resident tenant skipped.
+func requireOccupancy(t *testing.T, f *Fleet, op string, names []string) {
+	t.Helper()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	index := map[string]map[string]int{}
+	for w, byMem := range f.occ {
+		for m, n := range byMem {
+			if f.byName[m.name] != m {
+				t.Fatalf("after %s: index counts %d tenants of %s on removed member %s", op, n, w, m.name)
+			}
+			if index[w] == nil {
+				index[w] = map[string]int{}
+			}
+			index[w][m.name] = n
+		}
+	}
+	walk := occupancyWalk(f)
+	if !reflect.DeepEqual(index, walk) {
+		t.Fatalf("after %s: index %v, walk over f.tenants %v", op, index, walk)
+	}
+	for _, m := range f.members {
+		n := 0
+		for _, byMem := range walk {
+			n += byMem[m.name]
+		}
+		if m.tenants != n {
+			t.Fatalf("after %s: %s counts %d tenants, the walk finds %d", op, m.name, m.tenants, n)
+		}
+	}
+	for _, w := range names {
+		if got, want := f.occupiedDomainsLocked(w, nil), occupiedWalk(f, w, -1); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %s: occupied(%s) = %v, walk %v", op, w, got, want)
+		}
+		for id, rec := range f.tenants {
+			if got, want := f.occupiedDomainsLocked(w, rec), occupiedWalk(f, w, id); !reflect.DeepEqual(got, want) {
+				t.Fatalf("after %s: occupied(%s, skipping %d on %s) = %v, walk %v", op, w, id, rec.mem.name, got, want)
+			}
+		}
+	}
+}
+
+// occupancyFleet builds six stubs over three racks (two per rack, AMD and
+// Intel alternating, distinct preview scores so BestPredicted has an order).
+func occupancyFleet(t *testing.T, cfg Config) (*Fleet, []*stubBackend, []string) {
+	t.Helper()
+	f := New(cfg)
+	var stubs []*stubBackend
+	var names []string
+	for i := 0; i < 6; i++ {
+		m := machines.AMD()
+		if i%2 == 1 {
+			m = machines.Intel()
+		}
+		stubs = append(stubs, newStub(m, float64(1+i)))
+		names = append(names, fmt.Sprintf("m%d", i))
+		if err := f.Add(names[i], stubs[i], InDomain(fmt.Sprintf("rack-%d", i%3))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return f, stubs, names
+}
+
+// TestOccupancyIndexIsTheWalk drives a randomized trace through every path
+// that maps, unmaps or remaps a tenant — place, release (including a failed
+// backend release that rolls the claim back, and releases of tenants
+// stranded on a dead machine), rebalance, drain/resume, fail, failover and
+// revive, plus removing an empty machine and adding a new one under its
+// name — and checks the index against the from-scratch walk after every
+// operation, under each routing policy. Before the first machine is
+// replaced, the log and a mid-trace snapshot are replayed into fresh
+// fleets, whose indexes must pass the same check and agree with the live
+// one.
+func TestOccupancyIndexIsTheWalk(t *testing.T) {
+	ctx := context.Background()
+	workloadNames := []string{"swaptions", "streamcluster", "canneal", "gcc"}
+	for _, policy := range []Policy{FirstFit, LeastLoaded, BestPredicted} {
+		t.Run(policy.String(), func(t *testing.T) {
+			cfg := Config{Policy: policy, SpreadDomains: true, Health: HealthConfig{FailoverBudgetSeconds: -1}}
+			f, stubs, names := occupancyFleet(t, cfg)
+			p := &memPersister{}
+			f.SetPersister(p)
+			rng := xrand.New(uint64(11 + policy))
+			var live []int
+			drop := func(id int) {
+				for i, l := range live {
+					if l == id {
+						live = append(live[:i], live[i+1:]...)
+						return
+					}
+				}
+			}
+			var snapAt *State
+			counts := map[string]int{}
+			// The last 200 operations also replace machines. Membership is
+			// not logged, so the replay check runs before them, at op 600.
+			for op := 0; op < 800; op++ {
+				if op == 600 {
+					requireReplayedOccupancy(t, f, cfg, snapAt, p.records(), workloadNames)
+				}
+				name := names[rng.Intn(len(names))]
+				var what string
+				switch k := rng.Intn(100); {
+				case k < 45:
+					what = "place"
+					adm, err := f.Place(ctx, testWorkload(t, workloadNames[rng.Intn(len(workloadNames))]), 4)
+					if err == nil {
+						live = append(live, adm.ID)
+					}
+				case k < 70 && len(live) > 0:
+					what = "release"
+					id := live[rng.Intn(len(live))]
+					if err := f.Release(ctx, id); err != nil {
+						t.Fatalf("op %d: release %d: %v", op, id, err)
+					}
+					drop(id)
+				case k < 75 && len(live) > 0:
+					what = "release-rollback"
+					for _, s := range stubs {
+						s.releaseErr = errors.New("backend unreachable")
+					}
+					id := live[rng.Intn(len(live))]
+					err := f.Release(ctx, id)
+					for _, s := range stubs {
+						s.releaseErr = nil
+					}
+					if err == nil {
+						drop(id) // stranded on a dead machine: no backend call to fail
+					} else {
+						counts["rolled back"]++
+					}
+				case k < 80:
+					what = "rebalance"
+					if _, err := f.Rebalance(ctx, 1e9); err != nil {
+						t.Fatalf("op %d: rebalance: %v", op, err)
+					}
+				case k < 85:
+					what = "drain"
+					f.Drain(ctx, name) // a partial drain of a full fleet is a result, not a failure
+				case k < 89:
+					what = "resume"
+					if err := f.Resume(name); err != nil {
+						t.Fatalf("op %d: resume: %v", op, err)
+					}
+				case k < 91:
+					what = "fail"
+					f.Fail(ctx, name) // stranding and already-dead are results too
+				case k < 93:
+					what = "failover"
+					f.Failover(ctx, name, 0)
+				case k < 98 && op >= 600:
+					// A machine is drained and, if that emptied it, replaced
+					// by a new one of the same name: a new member, which
+					// must start with nothing booked to it.
+					i := rng.Intn(len(names))
+					f.Drain(ctx, names[i])
+					if len(stubs[i].Assignments()) != 0 || f.Remove(names[i]) != nil {
+						f.Resume(names[i])
+						continue
+					}
+					what, name = "replace", names[i]
+					stubs[i] = newStub(stubs[i].m, stubs[i].perf)
+					if err := f.Add(name, stubs[i], InDomain(fmt.Sprintf("rack-%d", i%3))); err != nil {
+						t.Fatal(err)
+					}
+				default:
+					what = "revive"
+					f.Revive(ctx, name)
+				}
+				if what == "" {
+					continue
+				}
+				counts[what]++
+				requireOccupancy(t, f, fmt.Sprintf("op %d (%s %s)", op, what, name), workloadNames)
+				if op == 300 {
+					if _, err := f.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+					snapAt = p.snap
+				}
+			}
+			for _, what := range []string{"place", "release", "rolled back", "rebalance", "drain", "resume", "fail", "failover", "revive", "replace"} {
+				if counts[what] == 0 {
+					t.Fatalf("degenerate trace: no %s among %v", what, counts)
+				}
+			}
+
+		})
+	}
+}
+
+// requireReplayedOccupancy replays the log, from scratch and from the
+// snapshot, into fresh fleets: each replayed index must equal its own walk
+// and the live fleet's.
+func requireReplayedOccupancy(t *testing.T, live *Fleet, cfg Config, snap *State, recs []Record, names []string) {
+	t.Helper()
+	live.mu.Lock()
+	want := occupancyWalk(live)
+	live.mu.Unlock()
+	for _, st := range []*State{nil, snap} {
+		twin, _, _ := occupancyFleet(t, cfg)
+		if err := twin.Restore(context.Background(), st, recs, lookupWorkload); err != nil {
+			t.Fatalf("Restore (snapshot %v): %v", st != nil, err)
+		}
+		requireOccupancy(t, twin, fmt.Sprintf("Restore (snapshot %v)", st != nil), names)
+		if got := occupancyWalk(twin); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Restore (snapshot %v): index %v, live fleet %v", st != nil, got, want)
+		}
+	}
+}

@@ -296,6 +296,7 @@ func (f *Fleet) tenantIDsLocked() []int {
 // to the persister. Callers hold f.mu — the same hold that makes the
 // matching publish totally ordered, so log order IS commit order. With no
 // persister attached it is a no-op.
+//
 //numalint:noalloc
 func (f *Fleet) persistLocked(r Record) {
 	if f.persister == nil {

@@ -105,7 +105,7 @@ func (f *Fleet) adoptLocked(ctx context.Context, m *member, id, engineID int, wo
 	}
 	rec := &tenantRec{mem: m, engineID: engineID, w: w, vcpus: vcpus, assign: *a}
 	f.tenants[id] = rec
-	m.tenants++
+	f.hostLocked(m, w.Name, +1)
 	if id >= f.nextID {
 		f.nextID = id + 1
 	}
@@ -166,7 +166,7 @@ func (f *Fleet) applyLocked(ctx context.Context, r *Record, lookup WorkloadLooku
 			return fmt.Errorf("releasing unmapped container %d: %w", r.ID, nperr.ErrLogCorrupt)
 		}
 		delete(f.tenants, r.ID)
-		rec.mem.tenants--
+		f.hostLocked(rec.mem, rec.w.Name, -1)
 		f.released++
 		if rec.mem.health != Dead {
 			if err := rec.mem.b.Release(ctx, rec.engineID); err != nil {
@@ -195,9 +195,9 @@ func (f *Fleet) applyLocked(ctx context.Context, r *Record, lookup WorkloadLooku
 		if err != nil {
 			return fmt.Errorf("adopting moved container %d onto %s: %w", r.ID, d.name, err)
 		}
-		rec.mem.tenants--
+		f.hostLocked(rec.mem, rec.w.Name, -1)
 		rec.mem, rec.engineID, rec.assign = d, r.EngineID, *a
-		d.tenants++
+		f.hostLocked(d, rec.w.Name, +1)
 		f.moves++
 		f.migrationSeconds += r.Seconds
 		if r.Failover {

@@ -127,6 +127,7 @@ func (c *CompiledForest) check(dst, x []float64) error {
 // PredictInto writes the forest's averaged output vector for input x into
 // dst (len dst must be OutDim). It performs no allocations after the
 // (lazy, one-time) interval-table build for single-feature forests.
+//
 //numalint:noalloc
 func (c *CompiledForest) PredictInto(dst, x []float64) error {
 	if err := c.check(dst, x); err != nil {

@@ -10,11 +10,14 @@ package sched
 
 import (
 	"context"
+	"fmt"
 	"maps"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/container"
 	"repro/internal/core"
+	"repro/internal/nperr"
 	"repro/internal/perfsim"
 	"repro/internal/placement"
 	"repro/internal/topology"
@@ -37,6 +40,7 @@ type cowCache[K comparable, V any] struct {
 }
 
 // get is the lock-free hit path: one atomic load, one map probe.
+//
 //numalint:noalloc
 func (c *cowCache[K, V]) get(k K) (V, bool) {
 	if m := c.m.Load(); m != nil {
@@ -63,16 +67,22 @@ func (c *cowCache[K, V]) put(k K, v V) {
 
 // obsKey identifies one cacheable placement observation: the workload, the
 // container size, and the important-placement index the container is
-// observed in. The concrete thread pinning and the noise-free performance
-// model output are deterministic functions of exactly these (the pin source
-// is memoized per placement, perfsim.Prepare per thread assignment), so the
-// prepared observation is shared across every admission of the same shape;
-// only the per-trial noise draw — keyed by container identity — remains
-// per-admission, applied by Prepared.At.
+// observed in. The thread pinning and the noise-free model output are
+// deterministic functions of exactly these, so the prepared observation is
+// shared across every admission of the same shape; only the per-trial noise
+// draw — keyed by container identity — remains, applied by Prepared.At.
+//
+// Here and in shapeKey the workload is keyed by name, so a lookup hashes one
+// short string, not eleven model fields; the entry keeps the full Workload
+// and every hit compares it: namesakes evict each other, never mix.
 type obsKey struct {
-	w  perfsim.Workload
-	v  int
-	pi int
+	name  string
+	v, pi int
+}
+
+type obsEntry struct {
+	w    perfsim.Workload
+	prep perfsim.Prepared
 }
 
 // bestKey identifies one scored free-set search: bestFreeSet is a pure
@@ -87,37 +97,50 @@ type bestKey struct {
 	size int
 }
 
-// prevSlot is one cached Preview decision for a (workload, size, predictor)
-// shape, valid only against the exact free mask it was computed for. get
-// revalidates the mask against the live free set, so each of the mutation
-// points above invalidates every slot the moment it swings s.free.
-type prevSlot struct {
-	free topology.NodeSet
-	pv   Preview
-}
-
-// prevKey identifies a Preview shape. The predictor pointer is the model
+// shapeKey identifies a Preview shape. The predictor pointer is the model
 // fingerprint: predictors are immutable once trained, and retraining swaps
 // the registered pointer, so a stale model can never satisfy a lookup.
-type prevKey struct {
-	w    perfsim.Workload
+type shapeKey struct {
+	name string
 	v    int
 	pred *core.Predictor
+}
+
+// shape is the write-once Preview table of one (workload, size, predictor).
+// The preview observation draws an ID-independent noise stream, so observe +
+// predict is a pure function of the shape, and the class choice depends on
+// the free mask only through its node count (scanBest compares class sizes
+// with free.Len(); a best set exists whenever the size fits). byFree[n] is
+// that choice with n nodes free (class < 0: nothing fits) and the model's
+// prediction there — a few words, not the prediction vector. A mask change
+// costs one index here plus one best-cache lookup; no entry can go stale.
+type shape struct {
+	w        perfsim.Workload
+	basePerf float64
+	byFree   []shapeChoice
+}
+
+type shapeChoice struct {
+	class int
+	perf  float64
 }
 
 // fastPath bundles the scheduler's admission caches. The zero value is
 // ready to use.
 type fastPath struct {
-	obs  cowCache[obsKey, perfsim.Prepared]
-	best cowCache[bestKey, topology.NodeSet]
-	prev cowCache[prevKey, prevSlot]
-	pool sync.Pool // *tenant with reusable prediction vector
+	obs   cowCache[obsKey, *obsEntry]
+	best  cowCache[bestKey, topology.NodeSet]
+	shape cowCache[shapeKey, *shape]
+	pool  sync.Pool // *tenant with reusable prediction vector
 }
 
 func (f *fastPath) init() {
-	f.obs.max = 4096
+	// shape and obs are write-once, bounded by what a fleet can present: one
+	// shape per (workload name, size) — 256 workloads at 8 sizes is ten times
+	// the paper's catalog — and two observations (base, probe) per shape.
+	f.shape.max = 256 * 8
+	f.obs.max = 2 * f.shape.max
 	f.best.max = 8192
-	f.prev.max = 4096
 	f.pool.New = func() any { return new(tenant) }
 }
 
@@ -146,9 +169,9 @@ func (f *fastPath) putTenant(t *tenant) {
 // preparedObs returns the trial-independent observation of workload w in
 // placement imps[pi], computing and caching it on first use.
 func (s *Scheduler) preparedObs(ctx context.Context, w perfsim.Workload, v int, imps []placement.Important, pi int) (perfsim.Prepared, error) {
-	k := obsKey{w: w, v: v, pi: pi}
-	if prep, ok := s.fast.obs.get(k); ok {
-		return prep, nil
+	k := obsKey{name: w.Name, v: v, pi: pi}
+	if e, ok := s.fast.obs.get(k); ok && e.w == w {
+		return e.prep, nil
 	}
 	threads, err := s.pin(ctx, imps[pi].Placement, v)
 	if err != nil {
@@ -158,27 +181,54 @@ func (s *Scheduler) preparedObs(ctx context.Context, w perfsim.Workload, v int, 
 	if err != nil {
 		return perfsim.Prepared{}, err
 	}
-	s.fast.obs.put(k, prep)
+	s.fast.obs.put(k, &obsEntry{w: w, prep: prep})
 	return prep, nil
+}
+
+// previewShape returns the Preview table of (w, v, p), built on first use.
+func (s *Scheduler) previewShape(ctx context.Context, w perfsim.Workload, v int, imps []placement.Important, p *core.Predictor) (*shape, error) {
+	k := shapeKey{name: w.Name, v: v, pred: p}
+	if sh, ok := s.fast.shape.get(k); ok && sh.w == w {
+		return sh, nil
+	}
+	vec := make([]float64, p.NumPlacements)
+	obs, err := s.observePredict(ctx, container.New(0, w, v), imps, p, previewTrial(w, v), vec)
+	if err != nil {
+		return nil, err
+	}
+	goal := s.cfg.goalFrac() * obs[0] * (1 + s.cfg.headroom())
+	sh := &shape{w: w, basePerf: obs[0], byFree: make([]shapeChoice, s.machine.Topo.NumNodes+1)}
+	for n := range sh.byFree {
+		c := scanBest(imps, vec, obs[0], goal, n)
+		sh.byFree[n] = shapeChoice{c, predictedPerf(obs[0], vec, c)}
+	}
+	s.fast.shape.put(k, sh)
+	return sh, nil
+}
+
+// errFull is the rejection of a v-vCPU container by free free nodes. A full
+// machine answers every preview of a fan-out with one and they are dropped
+// whenever another machine admits, so the text is built only when read.
+type errFull struct{ free, v int }
+
+func (e errFull) Unwrap() error { return nperr.ErrMachineFull }
+func (e errFull) Error() string {
+	return fmt.Sprintf("sched: %d free nodes cannot host a %d-vCPU container: %v", e.free, e.v, e.Unwrap())
 }
 
 // bestSet is the cached bestFreeSet: the highest-bandwidth size-node subset
 // of free, resolved as a lookup for masks seen before.
+//
 //numalint:noalloc
 func (s *Scheduler) bestSet(free topology.NodeSet, size int) (topology.NodeSet, bool) {
-	if free.Len() < size {
-		return 0, false
-	}
 	k := bestKey{free: free, size: size}
-	if nodes, ok := s.fast.best.get(k); ok {
-		return nodes, true
-	}
-	nodes, ok := bestFreeSet(s.machine, free, size)
+	nodes, ok := s.fast.best.get(k)
 	if !ok {
-		return 0, false
+		if nodes, ok = bestFreeSet(s.machine, free, size); ok {
+			s.fast.best.put(k, nodes)
+		}
 	}
-	s.fast.best.put(k, nodes)
-	return nodes, true
+	return nodes, ok
 }
 
 // scanBest returns the index rankClasses would rank first among the classes

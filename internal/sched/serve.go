@@ -32,11 +32,11 @@ type ServeConfig struct {
 	// moves a container (zero value = calibrated defaults).
 	Migration migrate.Config
 	// Recompute disables the admission fast path — the prepared-observation
-	// cache, the scored free-set cache, the preview cache and the scratch
-	// pools — so every decision re-runs the full search from scratch. The
-	// fast path is an exact memoization, so Recompute changes throughput
-	// and nothing else; it exists as the frozen reference the parity suite
-	// compares the cached path against, byte for byte.
+	// cache, the scored free-set cache, the preview shape tables and the
+	// scratch pools — so every decision re-runs the full search from
+	// scratch. The fast path is an exact memoization, so Recompute changes
+	// throughput and nothing else; it exists as the frozen reference the
+	// parity suite compares the cached path against, byte for byte.
 	Recompute bool
 }
 
@@ -357,8 +357,7 @@ func (s *Scheduler) Admit(ctx context.Context, w perfsim.Workload, v int) (*Assi
 		choice, nodes, ok := s.chooseFitting(imps, t.vec, obs[0], goal, free)
 		if !ok {
 			s.fast.putTenant(t)
-			return nil, s.discard(c, fmt.Errorf("sched: %d free nodes cannot host a %d-vCPU container: %w",
-				free.Len(), v, nperr.ErrMachineFull))
+			return nil, s.discard(c, errFull{free.Len(), v})
 		}
 		threads, err := s.pin(ctx, placement.Placement{
 			Nodes:         nodes,
@@ -482,54 +481,42 @@ func (s *Scheduler) Preview(ctx context.Context, w perfsim.Workload, v int) (*Pr
 		return nil, fmt.Errorf("sched: predictor has %d placements, machine yields %d for %d vCPUs: %w",
 			p.NumPlacements, len(imps), v, nperr.ErrMachineMismatch)
 	}
-	// The preview observation draws an ID-independent noise stream, so the
-	// whole decision is a pure function of (free mask, workload, size,
-	// predictor): one cached slot per shape, revalidated against the live
-	// mask, turns fleet-wide preview fan-out into lookups. Every free-set
-	// mutation publishes a new mask and thereby invalidates every slot.
+	// The one read of the free mask, at the same point on both paths. A
+	// preview holds no lock, so a commit landing after this load makes the
+	// result stale by that one commit, which the contract allows: previews
+	// are advisory, Admit re-plans against the live mask and claims it by
+	// CAS. Nothing cached depends on the mask except through this value.
 	free := topology.NodeSet(s.free.Load())
-	key := prevKey{w: w, v: v, pred: p}
-	if !s.cfg.Recompute {
-		if slot, ok := s.fast.prev.get(key); ok && slot.free == free {
-			pv := slot.pv
-			return &pv, nil
-		}
-	}
-	c := container.New(0, w, v)
-	var vec []float64
-	var t *tenant
 	if s.cfg.Recompute {
-		vec = make([]float64, p.NumPlacements)
-	} else {
-		t = s.fast.getTenant(p.NumPlacements)
-		defer s.fast.putTenant(t)
-		vec = t.vec
+		c := container.New(0, w, v)
+		vec := make([]float64, p.NumPlacements)
+		obs, err := s.observePredict(ctx, c, imps, p, previewTrial(w, v), vec)
+		c.Unplace()
+		if err != nil {
+			return nil, err
+		}
+		goal := s.cfg.goalFrac() * obs[0] * (1 + s.cfg.headroom())
+		if choice, nodes, ok := s.chooseFitting(imps, vec, obs[0], goal, free); ok {
+			return &Preview{
+				Class: choice, ClassID: imps[choice].ID, Nodes: nodes,
+				BasePerf: obs[0], PredictedPerf: predictedPerf(obs[0], vec, choice),
+			}, nil
+		}
+		return nil, errFull{free.Len(), v}
 	}
-	obs, err := s.observePredict(ctx, c, imps, p, previewTrial(w, v), vec)
-	c.Unplace()
+	sh, err := s.previewShape(ctx, w, v, imps, p)
 	if err != nil {
 		return nil, err
 	}
-	goal := s.cfg.goalFrac() * obs[0] * (1 + s.cfg.headroom())
-	if s.cfg.Recompute {
-		// The reference path reads the mask where the original code did:
-		// after observation. Sequential traces see the same value either
-		// way; the parity suite compares against this ordering.
-		free = topology.NodeSet(s.free.Load())
+	if pick := sh.byFree[free.Len()]; pick.class >= 0 {
+		if nodes, ok := s.bestSet(free, imps[pick.class].Nodes.Len()); ok {
+			return &Preview{
+				Class: pick.class, ClassID: imps[pick.class].ID, Nodes: nodes,
+				BasePerf: sh.basePerf, PredictedPerf: pick.perf,
+			}, nil
+		}
 	}
-	choice, nodes, ok := s.chooseFitting(imps, vec, obs[0], goal, free)
-	if !ok {
-		return nil, fmt.Errorf("sched: %d free nodes cannot host a %d-vCPU container: %w",
-			free.Len(), v, nperr.ErrMachineFull)
-	}
-	pv := Preview{
-		Class: choice, ClassID: imps[choice].ID, Nodes: nodes,
-		BasePerf: obs[0], PredictedPerf: predictedPerf(obs[0], vec, choice),
-	}
-	if !s.cfg.Recompute {
-		s.fast.prev.put(key, prevSlot{free: free, pv: pv})
-	}
-	return &pv, nil
+	return nil, errFull{free.Len(), v}
 }
 
 // chooseFitting walks placement classes in the batch policy's preference
@@ -553,15 +540,12 @@ func (s *Scheduler) chooseFitting(imps []placement.Important, vec []float64, bas
 		}
 		return 0, 0, false
 	}
-	idx := scanBest(imps, vec, basePerf, goal, free.Len())
-	if idx < 0 {
-		return 0, 0, false
+	if idx := scanBest(imps, vec, basePerf, goal, free.Len()); idx >= 0 {
+		if nodes, ok := s.bestSet(free, imps[idx].Nodes.Len()); ok {
+			return idx, nodes, true
+		}
 	}
-	nodes, ok := s.bestSet(free, imps[idx].Nodes.Len())
-	if !ok {
-		return 0, 0, false
-	}
-	return idx, nodes, true
+	return 0, 0, false
 }
 
 // freeUnion returns nodes to the free mask with an atomic union.

@@ -112,6 +112,7 @@ func (r *reader) string() string {
 func (r *reader) done() bool { return !r.bad && r.off == len(r.buf) }
 
 // appendRecord encodes r onto dst (payload only, no frame header).
+//
 //numalint:noalloc
 func appendRecord(dst []byte, r *fleet.Record) ([]byte, error) {
 	var err error
@@ -278,6 +279,7 @@ func decodeState(payload []byte) (*fleet.State, error) {
 }
 
 // appendFrame wraps payload in the length+CRC header onto dst.
+//
 //numalint:noalloc
 func appendFrame(dst, payload []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))

@@ -275,6 +275,7 @@ func decodeSnapshotFrame(body []byte) (*fleet.State, error) {
 // owned buffer. Called under the fleet's lock — no syscalls, no blocking,
 // zero allocations once the buffers are warm. Errors (a record that does
 // not encode, an append after Close) latch and surface on the next Commit.
+//
 //numalint:noalloc
 func (l *Log) Append(r fleet.Record) {
 	l.mu.Lock()

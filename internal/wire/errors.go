@@ -56,13 +56,13 @@ type mapping struct {
 //   - fleet_full next, ahead of the per-member codes it aggregates.
 //   - everything else is mutually exclusive in practice.
 //
-//numalint:errtable repro/internal/nperr
-//
 // Status choices: 503 for no_healthy_backend and log_closed (retryable by
 // the client — the daemon is overloaded or shutting down); capacity and
 // state conflicts are 409 (retrying unchanged is pointless); unknown names
 // are 404; semantically invalid requests 422; log_corrupt is the one 500 —
 // the daemon's durable state is damaged and no request can fix it.
+//
+//numalint:errtable repro/internal/nperr
 var Table = []mapping{
 	{CodeNoHealthyBackend, http.StatusServiceUnavailable, nperr.ErrNoHealthyBackend},
 	{CodeLogCorrupt, http.StatusInternalServerError, nperr.ErrLogCorrupt},

@@ -273,6 +273,7 @@ type Event struct {
 // AppendPlace appends the PlaceResponse JSON for one admission to dst and
 // returns the extended slice. Allocation-free for dst with spare capacity:
 // node IDs are walked straight off the NodeSet bitmask.
+//
 //numalint:noalloc
 func AppendPlace(dst []byte, adm *fleet.Admission) []byte {
 	a := &adm.Assignment
@@ -313,6 +314,7 @@ func AppendPlace(dst []byte, adm *fleet.Admission) []byte {
 // AppendEvent appends one fleet event as a JSON object. Field set varies
 // by type but is a pure function of the event value, so identical event
 // streams encode to identical bytes (the determinism tests rely on this).
+//
 //numalint:noalloc
 func AppendEvent(dst []byte, ev *fleet.Event) []byte {
 	dst = append(dst, `{"seq":`...)
@@ -375,6 +377,7 @@ func AppendEvent(dst []byte, ev *fleet.Event) []byte {
 //	event: <type>\n
 //	data: <AppendEvent JSON>\n
 //	\n
+//
 //numalint:noalloc
 func AppendSSE(dst []byte, ev *fleet.Event) []byte {
 	dst = append(dst, `event: `...)
@@ -386,6 +389,7 @@ func AppendSSE(dst []byte, ev *fleet.Event) []byte {
 
 // AppendDroppedSSE appends the synthetic backpressure frame announcing n
 // events were dropped between the previous frame and the next one.
+//
 //numalint:noalloc
 func AppendDroppedSSE(dst []byte, n uint64) []byte {
 	dst = append(dst, "event: dropped\ndata: {\"dropped\":"...)
