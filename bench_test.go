@@ -444,14 +444,16 @@ func BenchmarkClusterAdmit(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterAdmitResident measures one best-predicted, domain-spread
-// admission on a fleet that looks like a running one: 64 machines (AMD and
-// Intel alternating over 8 racks) packed to the first rejection with a
-// seeded mix of the paper catalog at sizes {8,16,24,32}, thinned to 60 %,
-// then held there — each iteration places the next container of the mix and
-// releases a random resident one. Every admission fans 64 previews out over
-// machines whose free masks moved since the shape was last seen; the
-// two-machine BenchmarkClusterAdmit above cycles one shape over one mask.
+// BenchmarkClusterAdmitResident measures one domain-spread admission on a
+// fleet that looks like a running one, swept over fleet size and routing
+// policy: AMD and Intel machines alternating over 8 racks, packed to the
+// first rejection with a seeded mix of the paper catalog at sizes
+// {8,16,24,32}, thinned to 60 %, then held there — each iteration places the
+// next container of the mix and releases a random resident one. Routing
+// reads every machine's free count and score class but scores only the
+// distinct (class, free count) cells, so the sweep shows what is left that
+// grows with the fleet; the two-machine BenchmarkClusterAdmit above cycles
+// one shape over one mask.
 func BenchmarkClusterAdmitResident(b *testing.B) {
 	ctx := context.Background()
 	sizes := []int{8, 16, 24, 32}
@@ -460,8 +462,19 @@ func BenchmarkClusterAdmitResident(b *testing.B) {
 	for i, m := range models {
 		_, preds[i] = benchTrained(b, ctx, m, sizes...)
 	}
-	cl := NewCluster(ClusterConfig{Policy: RouteBestPredicted, SpreadDomains: true})
-	for i := 0; i < 64; i++ {
+	for _, n := range []int{16, 64, 256, 1024} {
+		for _, policy := range []ClusterPolicy{RouteBestPredicted, RouteLeastLoaded} {
+			b.Run(fmt.Sprintf("machines=%d/%s", n, policy), func(b *testing.B) {
+				benchResident(b, ctx, n, policy, models, preds, sizes)
+			})
+		}
+	}
+}
+
+func benchResident(b *testing.B, ctx context.Context, n int, policy ClusterPolicy,
+	models []Machine, preds []map[int]*Predictor, sizes []int) {
+	cl := NewCluster(ClusterConfig{Policy: policy, SpreadDomains: true})
+	for i := 0; i < n; i++ {
 		var opts []Option
 		for _, v := range sizes {
 			opts = append(opts, WithPredictor(v, preds[i%len(models)][v]))
@@ -510,8 +523,10 @@ func BenchmarkClusterAdmitResident(b *testing.B) {
 		resident = append(resident, id)
 		release()
 	}
-	// Untimed: let every machine meet every shape, as a running fleet has.
-	for i := 0; i < 1000; i++ {
+	// Untimed: let the fleet meet every shape, as a running one has — each
+	// engine fills its own pinning and observation caches, so the warm-up
+	// grows with the fleet.
+	for i := 0; i < 1000+20*n; i++ {
 		cycle()
 	}
 	b.ReportAllocs()

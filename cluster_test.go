@@ -3,6 +3,7 @@ package numaplace
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -315,5 +316,62 @@ func TestClusterFailover(t *testing.T) {
 	}
 	if cl.Len() != 0 {
 		t.Fatalf("%d tenants leaked after failover round-trip", cl.Len())
+	}
+}
+
+// TestClusterAdmitAllocCeiling bounds what one warm admission allocates on
+// a fleet that looks like a running one: 64 machines of two models sharing
+// one predictor each, best-predicted routing with domain spreading, 60 %
+// full. Routing scores the fleet from two score rows and reused scratch, so
+// a place+release cycle allocates what the admission itself keeps (the
+// container, its assignment and pinning, the fleet's record) — not per
+// machine. The preview fan-out this replaced allocated 110 times here.
+func TestClusterAdmitAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the routing scratch is pooled; sync.Pool is lossy under the race detector")
+	}
+	ctx := context.Background()
+	models := []Machine{AMD(), Intel()}
+	cl := NewCluster(ClusterConfig{Policy: RouteBestPredicted, SpreadDomains: true})
+	for i, m := range models {
+		pred, _ := trainedEngine(t, ctx, m, 16).Predictor(16)
+		for j := i; j < 64; j += len(models) {
+			if err := cl.Add(fmt.Sprintf("m%d", j), New(m, WithPredictor(16, pred)), InDomain(fmt.Sprintf("rack-%d", j%8))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	paper := PaperWorkloads()
+	var resident []int
+	for i := 0; ; i++ {
+		a, err := cl.Place(ctx, paper[i%len(paper)], 16)
+		if errors.Is(err, ErrFleetFull) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		resident = append(resident, a.ID)
+	}
+	for i, id := range resident {
+		if i%5 < 2 { // thin to 60 %
+			if err := cl.Release(ctx, id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	wt, _ := WorkloadByName("WTbtree")
+	cycle := func() {
+		a, err := cl.Place(ctx, wt, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Release(ctx, a.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle() // the chosen engine's pinning and observation caches
+	if n := testing.AllocsPerRun(200, cycle); n > 12 {
+		t.Fatalf("a warm 64-machine best-predicted place+release cycle allocates %.1f times, want <= 12", n)
 	}
 }

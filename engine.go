@@ -44,16 +44,20 @@ type Engine struct {
 	serveCfg   ServeConfig
 
 	// The artifact caches are sync.Maps: the serving path reads them on
-	// every admission (placements and the predictor registry once per
-	// Place, pinnings once per commit), so lookups must not serialize on a
-	// mutex. Writes are rare — one per cold enumeration, pinning or
-	// (re)training — and singleflight coordination for enumerations still
-	// runs under mu.
+	// every admission (placements once per Place, pinnings once per
+	// commit), so lookups must not serialize on a mutex. Writes are rare —
+	// one per cold enumeration, pinning or (re)training — and singleflight
+	// coordination for enumerations still runs under mu. The predictor
+	// registry is read more often still (once per Place, and once per
+	// machine per fleet routing decision to name the engine's score class):
+	// it is one immutable list behind an atomic pointer, replaced under mu.
+	// An engine serves a handful of container sizes, and scanning that many
+	// entries costs a fraction of a map probe.
 	mu         sync.Mutex
 	flight     map[uint64]*flightCall
 	placements sync.Map // uint64 -> []Important
 	pinnings   sync.Map // pinKey -> []topology.ThreadID
-	predictors sync.Map // int -> *Predictor
+	predictors atomic.Pointer[[]sizePredictor]
 	scheduler  atomic.Pointer[sched.Scheduler]
 	schedOnce  sync.Once
 
@@ -61,6 +65,12 @@ type Engine struct {
 	placementHits atomic.Int64
 	pinRuns       atomic.Int64
 	pinHits       atomic.Int64
+}
+
+// sizePredictor is one registry entry: the predictor serving a size.
+type sizePredictor struct {
+	vcpus int
+	pred  *Predictor
 }
 
 // flightCall is one in-flight enumeration shared by concurrent callers.
@@ -122,7 +132,7 @@ func WithSeed(seed uint64) Option {
 // size, e.g. one loaded from disk with LoadPredictor. Place and Predict
 // consult the registry.
 func WithPredictor(vcpus int, p *Predictor) Option {
-	return func(e *Engine) { e.predictors.Store(vcpus, p) }
+	return func(e *Engine) { e.setPredictor(vcpus, p) }
 }
 
 // WithCollectConfig sets the ground-truth collection configuration used by
@@ -331,7 +341,7 @@ func (e *Engine) trainWith(ctx context.Context, ds *Dataset, cfg TrainConfig) (*
 	// serving paths: the flat inference representation is otherwise built
 	// lazily, and the first Place/Predict should not pay it.
 	pred.Compile()
-	e.predictors.Store(ds.V, pred)
+	e.setPredictor(ds.V, pred)
 	return pred, nil
 }
 
@@ -340,22 +350,40 @@ func (e *Engine) trainWith(ctx context.Context, ds *Dataset, cfg TrainConfig) (*
 // The predictor is compiled for serving if it was not already.
 func (e *Engine) UsePredictor(vcpus int, p *Predictor) {
 	p.Compile()
-	e.predictors.Store(vcpus, p)
+	e.setPredictor(vcpus, p)
+}
+
+// setPredictor publishes a copy of the registry with p serving vcpus.
+func (e *Engine) setPredictor(vcpus int, p *Predictor) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	next := []sizePredictor{{vcpus, p}}
+	if old := e.predictors.Load(); old != nil {
+		for _, sp := range *old {
+			if sp.vcpus != vcpus {
+				next = append(next, sp)
+			}
+		}
+	}
+	e.predictors.Store(&next)
 }
 
 // Predictor returns the registered predictor for a container size, or
 // false if none has been trained or registered.
 func (e *Engine) Predictor(vcpus int) (*Predictor, bool) {
-	p, ok := e.predictors.Load(vcpus)
-	if !ok {
-		return nil, false
-	}
-	return p.(*Predictor), true
+	p := e.predictorOrNil(vcpus)
+	return p, p != nil
 }
 
 func (e *Engine) predictorOrNil(vcpus int) *core.Predictor {
-	p, _ := e.Predictor(vcpus)
-	return p
+	if reg := e.predictors.Load(); reg != nil {
+		for _, sp := range *reg {
+			if sp.vcpus == vcpus {
+				return sp.pred
+			}
+		}
+	}
+	return nil
 }
 
 // Predict returns the predicted performance vector for a container of the
@@ -422,6 +450,22 @@ func (e *Engine) Place(ctx context.Context, w Workload, vcpus int) (*Assignment,
 // they are repeatable and leave subsequent admissions bit-identical.
 func (e *Engine) Preview(ctx context.Context, w Workload, vcpus int) (*PlacePreview, error) {
 	return e.serving().Preview(ctx, w, vcpus)
+}
+
+// ScoreClass and ScoreRow let a Cluster score every machine of one model
+// from a single row instead of previewing each: engines reporting equal
+// classes for a size answer Preview identically at equal free-node counts,
+// and a class's row holds that answer per count. The class is read per
+// routing decision — a predictor swapped in by Train or UsePredictor changes
+// it on the next one — and ok is false when Preview must be asked instead
+// (no predictor for the size, or ServeConfig.Recompute). See
+// sched.Scheduler.ScoreClass / ScoreRow.
+func (e *Engine) ScoreClass(vcpus int) (class sched.ScoreClass, ok bool) {
+	return e.serving().ScoreClass(vcpus)
+}
+
+func (e *Engine) ScoreRow(ctx context.Context, w Workload, vcpus int, class sched.ScoreClass) ([]sched.Score, error) {
+	return e.serving().ScoreRow(ctx, w, vcpus, class)
 }
 
 // Release evicts a previously placed container and returns its nodes to

@@ -18,11 +18,9 @@
 package fleet
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -36,7 +34,10 @@ import (
 )
 
 // Backend is one machine's serving surface as the fleet sees it,
-// implemented by numaplace.Engine (and by lightweight fakes in tests).
+// implemented by numaplace.Engine (and by lightweight fakes in tests). A
+// Backend that also implements ScoreClasser is scored for BestPredicted
+// routing from its score class's row; any other is asked for a Preview per
+// routing decision.
 type Backend interface {
 	// Machine returns the backend's machine description.
 	Machine() machines.Machine
@@ -147,24 +148,34 @@ func (c Config) drainBelow() float64 {
 type member struct {
 	name    string
 	b       Backend
-	total   int    // NUMA nodes on the machine
-	domain  string // failure-domain label ("" = unlabeled)
+	classer ScoreClasser // b's optional capability, nil without it
+	total   int          // NUMA nodes on the machine
+	domain  string       // failure-domain label ("" = unlabeled)
+	dom     int32        // domain's index in Fleet.domains
 	drained bool
 	health  Health
 	misses  int // consecutive missed probes (reset by Heartbeat)
 	tenants int // fleet-registered tenants on this backend
-	// deaths counts transitions to Dead: Place compares it across its
-	// unlocked backend admission to notice a failover (and Revive) between.
-	deaths atomic.Uint32
+	// fences counts the member's transitions to Dead and its Revives: the
+	// events after which an engine record the fleet does not map may be, or
+	// has been, fenced away. Place and Release compare it across their
+	// unlocked backend call to notice one in between.
+	fences atomic.Uint32
 }
 
 // utilization returns the fraction of the member's NUMA nodes currently
 // allocated. It queries the backend (no Fleet.mu needed).
 func (m *member) utilization() float64 {
-	if m.total == 0 {
+	return utilization(m.b.FreeNodes().Len(), m.total)
+}
+
+// utilization is the allocated fraction of a machine with free of its total
+// nodes unallocated.
+func utilization(free, total int) float64 {
+	if total == 0 {
 		return 0
 	}
-	return 1 - float64(m.b.FreeNodes().Len())/float64(m.total)
+	return 1 - float64(free)/float64(total)
 }
 
 // tenantRec maps one fleet-wide container ID to its current home; the
@@ -304,6 +315,12 @@ type Fleet struct {
 	tenants map[int]*tenantRec
 	// occ counts mapped tenants per workload name and member (hostLocked).
 	occ map[string]map[*member]int
+	// domains interns the failure-domain labels ever added ("" included):
+	// routing marks occupied domains in a slice indexed by member.dom.
+	domains map[string]int32
+	// destScratch is the routing scratch of the passes that hold mu end to
+	// end (destination order of Rebalance, Drain and Failover moves).
+	destScratch routeScratch
 
 	// Event fan-out (see events.go). Both fields are guarded by mu, which
 	// is what gives the published sequence its total order.
@@ -329,6 +346,7 @@ func New(cfg Config) *Fleet {
 		byName:  map[string]*member{},
 		tenants: map[int]*tenantRec{},
 		occ:     map[string]map[*member]int{},
+		domains: map[string]int32{},
 	}
 }
 
@@ -347,7 +365,8 @@ func InDomain(domain string) AddOption {
 
 // Add registers a backend under a unique name. The name is the handle for
 // Drain, Resume, Remove and the health API, and appears in admissions and
-// move records. Backends start healthy.
+// move records. Backends start healthy. Whether b is a ScoreClasser is
+// decided here, once.
 func (f *Fleet) Add(name string, b Backend, opts ...AddOption) error {
 	if name == "" {
 		//numalint:ignore sentinelwrap setup-time misuse by the embedding daemon, never reaches the wire path
@@ -360,9 +379,16 @@ func (f *Fleet) Add(name string, b Backend, opts ...AddOption) error {
 		return fmt.Errorf("fleet: backend %q already added", name)
 	}
 	m := &member{name: name, b: b, total: b.Machine().Topo.NumNodes}
+	m.classer, _ = b.(ScoreClasser)
 	for _, opt := range opts {
 		opt(m)
 	}
+	dom, ok := f.domains[m.domain]
+	if !ok {
+		dom = int32(len(f.domains))
+		f.domains[m.domain] = dom
+	}
+	m.dom = dom
 	f.members = append(f.members, m)
 	f.byName[name] = m
 	return nil
@@ -402,24 +428,6 @@ func (f *Fleet) Len() int {
 // ones; dead machines receive nothing at all. Callers hold f.mu.
 func (m *member) accepting() bool { return !m.drained && m.health == Healthy }
 
-// admissionView snapshots, under one lock acquisition, the members open
-// for admission (in add order) and — when domain spreading is enabled —
-// the failure domains already hosting a tenant of workload w.
-func (f *Fleet) admissionView(w perfsim.Workload) (mems []*member, occupied map[string]bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	mems = make([]*member, 0, len(f.members))
-	for _, m := range f.members {
-		if m.accepting() {
-			mems = append(mems, m)
-		}
-	}
-	if f.cfg.SpreadDomains {
-		occupied = f.occupiedDomainsLocked(w.Name, nil)
-	}
-	return mems, occupied
-}
-
 // hostLocked books delta (+1 or -1) tenants of the named workload on m: the
 // one place a member's tenant count and the occupancy index change, called
 // wherever f.tenants or a tenantRec.mem does. Callers hold f.mu.
@@ -435,49 +443,52 @@ func (f *Fleet) hostLocked(m *member, workload string, delta int) {
 	}
 }
 
-// occupiedDomainsLocked returns the failure domains currently hosting a
-// live tenant of the named workload other than skip (nil skips nothing — a
-// tenant being moved must not count its own domain as occupied). Tenants
-// stranded on dead machines provide no availability, so they do not occupy
-// a domain: a replacement replica may — should — land in the dead machine's
-// domain on a different box; health is read here, not indexed, so no
-// transition can leave the index behind. Callers hold f.mu.
-func (f *Fleet) occupiedDomainsLocked(workload string, skip *tenantRec) map[string]bool {
-	occ := map[string]bool{}
+// markOccupiedLocked marks in s, by member.dom, the failure domains
+// currently hosting a live tenant of the named workload other than skip (nil
+// skips nothing — a tenant being moved must not count its own domain as
+// occupied); without SpreadDomains it marks none. Tenants stranded on dead
+// machines provide no availability, so they do not occupy a domain: a
+// replacement replica may — should — land in the dead machine's domain on a
+// different box; health is read here, not indexed, so no transition can
+// leave the index behind. Callers hold f.mu.
+func (f *Fleet) markOccupiedLocked(s *routeScratch, workload string, skip *tenantRec) {
+	s.spread = false
+	if !f.cfg.SpreadDomains {
+		return
+	}
+	if cap(s.occupied) < len(f.domains) {
+		s.occupied = make([]bool, len(f.domains))
+	}
+	s.occupied = s.occupied[:len(f.domains)]
+	clear(s.occupied)
 	for m, n := range f.occ[workload] {
 		if skip != nil && skip.mem == m && skip.w.Name == workload {
 			n--
 		}
 		if n > 0 && m.health != Dead {
-			occ[m.domain] = true
+			s.occupied[m.dom] = true
+			s.spread = true
 		}
 	}
-	return occ
 }
 
-// spreadOrder stable-partitions a policy-ranked candidate list so members
-// in failure domains not yet hosting the workload come first; within each
-// partition the policy order is preserved. With occupied empty (spreading
-// disabled, or no domain hosts the workload) the list is returned unchanged.
-func spreadOrder(ranked []*member, occupied map[string]bool) []*member {
-	if len(occupied) == 0 {
-		return ranked
-	}
-	out := make([]*member, 0, len(ranked))
-	for _, m := range ranked {
-		if !occupied[m.domain] {
-			out = append(out, m)
+// candidates ranks, in s, the members open for admission per q (add order
+// breaks ties), members in failure domains not yet hosting the workload
+// first when domain spreading is configured. The membership and occupancy
+// view is one lock hold; scoring asks the backends without it. BestPredicted
+// leaves out members whose preview fails (s.rejections reports them); a
+// context cancellation aborts with its error.
+func (f *Fleet) candidates(ctx context.Context, s *routeScratch, q *routeQuery) ([]*member, error) {
+	f.mu.Lock()
+	s.mems = s.mems[:0]
+	for _, m := range f.members {
+		if m.accepting() {
+			s.mems = append(s.mems, m)
 		}
 	}
-	if len(out) == len(ranked) {
-		return ranked
-	}
-	for _, m := range ranked {
-		if occupied[m.domain] {
-			out = append(out, m)
-		}
-	}
-	return out
+	f.markOccupiedLocked(s, q.w.Name, nil)
+	f.mu.Unlock()
+	return s.route(ctx, q)
 }
 
 // Place admits one container of workload w with the given vCPU count onto
@@ -490,16 +501,22 @@ func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm *
 	// LIFO against the per-branch unlocks below, so the order holds). A
 	// durability failure rides along WITH the admission: the in-memory
 	// commit stands either way, and hiding it would leak the container.
-	defer func() { err = f.joinDurable(err) }()
-	cands, errs, err := f.rank(ctx, w, vcpus)
+	s := scratchPool.Get().(*routeScratch)
+	defer func() {
+		scratchPool.Put(s)
+		err = f.joinDurable(err)
+	}()
+	q := routeQuery{by: f.cfg.Policy.scoring(), w: w, vcpus: vcpus}
+	cands, err := f.candidates(ctx, s, &q)
 	if err != nil {
 		return nil, err
 	}
+	var errs []error // per-candidate rejections, in the order tried
 	for _, mem := range cands {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		deaths := mem.deaths.Load()
+		fences := mem.fences.Load()
 		a, err := mem.b.Place(ctx, w, vcpus)
 		if err != nil {
 			// A cancellation surfacing through the backend is the
@@ -528,15 +545,17 @@ func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm *
 			errs = append(errs, fmt.Errorf("%s: removed during admission", mem.name)) //numalint:ignore sentinelwrap joined under ErrFleetFull, which classifies the chain
 			continue
 		}
-		if mem.health == Dead || mem.deaths.Load() != deaths {
+		if mem.health == Dead || mem.fences.Load() != fences {
 			// The machine was declared dead while the admission ran
 			// unlocked: the failover pass that just emptied it never saw
 			// this not-yet-registered tenant, so committing would place a
 			// container on a machine the fleet no longer trusts. A dead
 			// backend receives no calls; Revive fences the orphaned record.
-			// A machine revived since is undone here: its fence ran before
-			// the record existed, or released it already (the backend then
-			// answers unknown container, the outcome wanted).
+			// A machine revived since — after dying in the window, or dead
+			// already when this candidate list was drawn — is undone here:
+			// its fence ran before the record existed, or released it
+			// already (the backend then answers unknown container, the
+			// outcome wanted).
 			if mem.health != Dead {
 				_ = mem.b.Release(context.WithoutCancel(ctx), a.ID)
 			}
@@ -567,79 +586,10 @@ func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm *
 		// treating the fleet as merely full.
 		sentinels = append(sentinels, nperr.ErrNoHealthyBackend)
 	}
+	// Preview failures come first, as a fan-out would have met them.
+	errs = append(s.rejections(ctx, &q), errs...)
 	return nil, fmt.Errorf("fleet: placing %d-vCPU %q: %w", vcpus, w.Name,
 		errors.Join(append(errs, sentinels...)...))
-}
-
-// rank orders the accepting members per the routing policy, then applies
-// the domain-spread preference when configured (machines whose failure
-// domain does not yet host this workload come first, policy order kept
-// within each partition). BestPredicted previews the container on every
-// candidate (sequentially, in add order, so results are deterministic);
-// preview failures exclude the backend and are reported back for the
-// rejection message. A context cancellation aborts with its error.
-func (f *Fleet) rank(ctx context.Context, w perfsim.Workload, vcpus int) ([]*member, []error, error) {
-	mems, occupied := f.admissionView(w)
-	switch f.cfg.Policy {
-	case LeastLoaded:
-		sc := make([]scored, len(mems))
-		for i, m := range mems {
-			sc[i] = scored{m, m.utilization()}
-		}
-		return spreadOrder(sortScored(sc, mems), occupied), nil, nil
-	case BestPredicted:
-		ranked, errs, err := rankByPreview(ctx, mems, w, vcpus)
-		return spreadOrder(ranked, occupied), errs, err
-	default: // FirstFit
-		return spreadOrder(mems, occupied), nil, nil
-	}
-}
-
-// scored is a routing candidate and its sort key (negated to rank descending).
-type scored struct {
-	m     *member
-	score float64
-}
-
-// sortScored stable-sorts sc by ascending score into out's backing array.
-func sortScored(sc []scored, out []*member) []*member {
-	slices.SortStableFunc(sc, func(a, b scored) int { return cmp.Compare(a.score, b.score) })
-	out = out[:0]
-	for _, s := range sc {
-		out = append(out, s.m)
-	}
-	return out
-}
-
-// previewErr is one member's failed preview. A fan-out collects one per
-// full machine and drops them when another admits: the text is built lazily.
-type previewErr struct {
-	name string
-	err  error
-}
-
-func (e *previewErr) Error() string { return e.name + ": preview: " + e.err.Error() }
-func (e *previewErr) Unwrap() error { return e.err }
-
-// rankByPreview previews a (w, vcpus) container on every member and
-// returns them by descending predicted performance. Members whose preview
-// fails are excluded and their failures reported; a context cancellation
-// aborts with its error. The input slice is reused.
-func rankByPreview(ctx context.Context, mems []*member, w perfsim.Workload, vcpus int) ([]*member, []error, error) {
-	var errs []error
-	sc := make([]scored, 0, len(mems))
-	for _, m := range mems {
-		pv, err := m.b.Preview(ctx, w, vcpus)
-		if err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, nil, ctxErr
-			}
-			errs = append(errs, &previewErr{m.name, err})
-			continue
-		}
-		sc = append(sc, scored{m, -pv.PredictedPerf})
-	}
-	return sortScored(sc, mems), errs, nil
 }
 
 // Release evicts the container with the given fleet ID from whichever
@@ -654,7 +604,7 @@ func rankByPreview(ctx context.Context, mems []*member, w perfsim.Workload, vcpu
 // migrate out from under the eviction, and the captured backend/ID pair
 // stays valid. If the backend eviction itself fails (cancellation), the
 // claim is rolled back so the container is not leaked off the fleet's
-// books.
+// books — unless the machine died meanwhile, see below.
 func (f *Fleet) Release(ctx context.Context, id int) (err error) {
 	defer func() { err = f.joinDurable(err) }()
 	f.mu.Lock()
@@ -673,17 +623,23 @@ func (f *Fleet) Release(ctx context.Context, id int) (err error) {
 		f.mu.Unlock()
 		return nil
 	}
-	mem, engineID := rec.mem, rec.engineID
+	mem, engineID, fences := rec.mem, rec.engineID, rec.mem.fences.Load()
 	f.mu.Unlock()
 
-	if rerr := mem.b.Release(ctx, engineID); rerr != nil {
-		f.mu.Lock()
+	rerr := mem.b.Release(ctx, engineID)
+	f.mu.Lock()
+	if rerr != nil && mem.fences.Load() == fences {
 		f.tenants[id] = rec
 		f.hostLocked(rec.mem, rec.w.Name, +1)
 		f.mu.Unlock()
 		return fmt.Errorf("fleet: releasing container %d from %s: %w", id, mem.name, rerr)
 	}
-	f.mu.Lock()
+	// A failed eviction on a machine declared dead since the claim is not
+	// rolled back: the claimed record was unmapped when the failover pass
+	// ran, so nothing moved it, and Revive's fence releases it engine-side
+	// (or already has — the backend then answers unknown container). The
+	// release completes as it does for a tenant stranded on a dead machine;
+	// re-mapping would book a tenant to a record that no longer exists.
 	f.released++
 	f.publish(Event{Type: EvRelease, ID: id, Backend: mem.name, Workload: rec.w.Name, VCPUs: rec.vcpus})
 	f.persistLocked(Record{Type: RecRelease, ID: id, Backend: mem.name,
@@ -923,39 +879,37 @@ func (f *Fleet) logIntraLocked(m *member, intra *sched.RebalanceReport) {
 // filter, as Drain's and Failover's callers do) — busiest first, the
 // consolidation order. It runs no previews, so callers can cheaply rule a
 // move out (no destination, over budget) before paying for policy
-// ordering. Callers hold f.mu.
+// ordering. The result is f.destScratch's and stands until the next call of this or
+// of orderDestsLocked. Callers hold f.mu.
 func (f *Fleet) eligibleDestsLocked(src *member, minUtil float64) []*member {
-	var sc []scored
+	s := &f.destScratch
+	s.mems = s.mems[:0]
 	for _, d := range f.members {
-		if d == src || !d.accepting() {
-			continue
-		}
-		if u := d.utilization(); u > minUtil {
-			sc = append(sc, scored{d, -u})
+		if d != src && d.accepting() {
+			s.mems = append(s.mems, d)
 		}
 	}
-	return sortScored(sc, nil)
+	s.spread = false
+	dests, _ := s.route(context.Background(), &routeQuery{by: busiestFirst, minUtil: minUtil})
+	return dests
 }
 
 // orderDestsLocked applies the routing policy's destination order to an
-// eligible set: BestPredicted previews rec on each candidate and ranks by
-// predicted performance (preview failures excluded); every other policy
+// eligible set: BestPredicted ranks the candidates by rec's predicted
+// performance on each (preview failures excluded); every other policy
 // keeps the busiest-first consolidation order. When domain spreading is
 // enabled, destinations in domains not hosting the tenant's workload come
 // first (the moving tenant's own record does not count). Callers hold
 // f.mu.
 func (f *Fleet) orderDestsLocked(ctx context.Context, rec *tenantRec, dests []*member) ([]*member, error) {
+	s := &f.destScratch
+	s.mems = append(s.mems[:0], dests...)
+	f.markOccupiedLocked(s, rec.w.Name, rec)
+	q := routeQuery{w: rec.w, vcpus: rec.vcpus}
 	if f.cfg.Policy == BestPredicted {
-		ranked, _, err := rankByPreview(ctx, dests, rec.w, rec.vcpus)
-		if err != nil {
-			return nil, err
-		}
-		dests = ranked
+		q.by = bestPredicted
 	}
-	if f.cfg.SpreadDomains {
-		dests = spreadOrder(dests, f.occupiedDomainsLocked(rec.w.Name, rec))
-	}
-	return dests, nil
+	return s.route(ctx, &q)
 }
 
 // tenantsOfLocked returns the fleet IDs currently mapped to m in ascending

@@ -167,7 +167,7 @@ func (f *Fleet) MissProbe(ctx context.Context, name string) (h Health, rep *Repo
 		f.persistLocked(Record{Type: RecHealth, ID: -1, Backend: name,
 			FromHealth: m.health, ToHealth: Dead, Misses: m.misses})
 		m.health = Dead
-		m.deaths.Add(1)
+		m.fences.Add(1)
 		rep, err := f.failoverLocked(ctx, m, f.cfg.Health.failoverBudget())
 		return Dead, rep, err
 	case m.misses >= f.cfg.Health.suspectAfter():
@@ -201,7 +201,7 @@ func (f *Fleet) Fail(ctx context.Context, name string) (rep *Report, err error) 
 	f.persistLocked(Record{Type: RecHealth, ID: -1, Backend: name,
 		FromHealth: m.health, ToHealth: Dead, Misses: f.cfg.Health.deadAfter()})
 	m.health = Dead
-	m.deaths.Add(1)
+	m.fences.Add(1)
 	m.misses = f.cfg.Health.deadAfter()
 	return f.failoverLocked(ctx, m, f.cfg.Health.failoverBudget())
 }
@@ -337,6 +337,7 @@ func (f *Fleet) Revive(ctx context.Context, name string) (fencedOut int, err err
 	// restores health itself.
 	f.persistLocked(Record{Type: RecRevive, ID: -1, Backend: name, Fenced: fenced})
 	m.health = Healthy
+	m.fences.Add(1)
 	m.misses = 0
 	return fenced, nil
 }

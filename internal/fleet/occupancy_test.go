@@ -25,7 +25,20 @@ func occupancyWalk(f *Fleet) map[string]map[string]int {
 	return walk
 }
 
-// occupiedWalk is occupiedDomainsLocked as it was before the index: every
+// occupiedMarks reads markOccupiedLocked's marks back as domain labels.
+func occupiedMarks(f *Fleet, workload string, skip *tenantRec) map[string]bool {
+	var s routeScratch
+	f.markOccupiedLocked(&s, workload, skip)
+	occ := map[string]bool{}
+	for label, dom := range f.domains {
+		if s.spread && s.occupied[dom] {
+			occ[label] = true
+		}
+	}
+	return occ
+}
+
+// occupiedWalk is markOccupiedLocked as it was before the index: every
 // tenant of the workload other than skipID, on a machine that is not dead,
 // occupies its machine's domain.
 func occupiedWalk(f *Fleet, workload string, skipID int) map[string]bool {
@@ -72,11 +85,11 @@ func requireOccupancy(t *testing.T, f *Fleet, op string, names []string) {
 		}
 	}
 	for _, w := range names {
-		if got, want := f.occupiedDomainsLocked(w, nil), occupiedWalk(f, w, -1); !reflect.DeepEqual(got, want) {
+		if got, want := occupiedMarks(f, w, nil), occupiedWalk(f, w, -1); !reflect.DeepEqual(got, want) {
 			t.Fatalf("after %s: occupied(%s) = %v, walk %v", op, w, got, want)
 		}
 		for id, rec := range f.tenants {
-			if got, want := f.occupiedDomainsLocked(w, rec), occupiedWalk(f, w, id); !reflect.DeepEqual(got, want) {
+			if got, want := occupiedMarks(f, w, rec), occupiedWalk(f, w, id); !reflect.DeepEqual(got, want) {
 				t.Fatalf("after %s: occupied(%s, skipping %d on %s) = %v, walk %v", op, w, id, rec.mem.name, got, want)
 			}
 		}

@@ -111,18 +111,36 @@ type shapeKey struct {
 // predict is a pure function of the shape, and the class choice depends on
 // the free mask only through its node count (scanBest compares class sizes
 // with free.Len(); a best set exists whenever the size fits). byFree[n] is
-// that choice with n nodes free (class < 0: nothing fits) and the model's
+// that choice with n nodes free (Class < 0: nothing fits) and the model's
 // prediction there — a few words, not the prediction vector. A mask change
 // costs one index here plus one best-cache lookup; no entry can go stale.
 type shape struct {
 	w        perfsim.Workload
 	basePerf float64
-	byFree   []shapeChoice
+	byFree   []Score
 }
 
-type shapeChoice struct {
-	class int
-	perf  float64
+// Score is one entry of a score row: what a Preview would answer with a
+// given number of nodes free. Class is the index of the placement class
+// Admit would choose, negative when no class fits (the Preview fails with
+// ErrMachineFull); Perf is the model's prediction there, the Preview's
+// PredictedPerf.
+type Score struct {
+	Class int
+	Perf  float64
+}
+
+// ScoreClass identifies everything a score row depends on besides the
+// workload and the container size: the machine's structure, the predictor
+// serving the size (predictors are immutable once trained; retraining swaps
+// the pointer) and the serving goal. It is comparable: two schedulers
+// reporting equal classes for a size answer every Preview of that size alike
+// whenever their free-node counts are equal, so a router may score both from
+// one row.
+type ScoreClass struct {
+	Machine            uint64          // machines.Machine.Fingerprint
+	Predictor          *core.Predictor // serving the size
+	GoalFrac, Headroom float64         // ServeConfig, defaults resolved
 }
 
 // fastPath bundles the scheduler's admission caches. The zero value is
@@ -197,10 +215,10 @@ func (s *Scheduler) previewShape(ctx context.Context, w perfsim.Workload, v int,
 		return nil, err
 	}
 	goal := s.cfg.goalFrac() * obs[0] * (1 + s.cfg.headroom())
-	sh := &shape{w: w, basePerf: obs[0], byFree: make([]shapeChoice, s.machine.Topo.NumNodes+1)}
+	sh := &shape{w: w, basePerf: obs[0], byFree: make([]Score, s.machine.Topo.NumNodes+1)}
 	for n := range sh.byFree {
 		c := scanBest(imps, vec, obs[0], goal, n)
-		sh.byFree[n] = shapeChoice{c, predictedPerf(obs[0], vec, c)}
+		sh.byFree[n] = Score{c, predictedPerf(obs[0], vec, c)}
 	}
 	s.fast.shape.put(k, sh)
 	return sh, nil

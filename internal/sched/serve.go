@@ -122,6 +122,8 @@ type Scheduler struct {
 	// probe placements on every admission).
 	pin func(ctx context.Context, p placement.Placement, v int) ([]topology.ThreadID, error)
 	cfg ServeConfig
+	// fingerprint is the machine's structural fingerprint (ScoreClass).
+	fingerprint uint64
 
 	// structMu serializes the structural passes — Rebalance, Adopt,
 	// ApplyMove — against the sharded admit/release paths: structural
@@ -193,6 +195,8 @@ func NewScheduler(spec *concern.Spec,
 		pred:    pred,
 		pin:     pin,
 		cfg:     cfg,
+
+		fingerprint: spec.Machine.Fingerprint(),
 	}
 	s.free.Store(uint64(topology.FullNodeSet(spec.Machine.Topo.NumNodes)))
 	s.books.tenants = map[int]*tenant{}
@@ -469,17 +473,10 @@ type Preview struct {
 // the estimate may therefore differ marginally from the admitted
 // container's own observation. Failure modes match Admit.
 func (s *Scheduler) Preview(ctx context.Context, w perfsim.Workload, v int) (*Preview, error) {
-	imps, err := s.imps(ctx, v)
+	p := s.pred(v)
+	imps, err := s.previewModel(ctx, v, p)
 	if err != nil {
 		return nil, err
-	}
-	p := s.pred(v)
-	if p == nil {
-		return nil, fmt.Errorf("sched: previewing %d-vCPU container: %w", v, nperr.ErrUntrained)
-	}
-	if p.NumPlacements != len(imps) {
-		return nil, fmt.Errorf("sched: predictor has %d placements, machine yields %d for %d vCPUs: %w",
-			p.NumPlacements, len(imps), v, nperr.ErrMachineMismatch)
 	}
 	// The one read of the free mask, at the same point on both paths. A
 	// preview holds no lock, so a commit landing after this load makes the
@@ -508,15 +505,63 @@ func (s *Scheduler) Preview(ctx context.Context, w perfsim.Workload, v int) (*Pr
 	if err != nil {
 		return nil, err
 	}
-	if pick := sh.byFree[free.Len()]; pick.class >= 0 {
-		if nodes, ok := s.bestSet(free, imps[pick.class].Nodes.Len()); ok {
+	if pick := sh.byFree[free.Len()]; pick.Class >= 0 {
+		if nodes, ok := s.bestSet(free, imps[pick.Class].Nodes.Len()); ok {
 			return &Preview{
-				Class: pick.class, ClassID: imps[pick.class].ID, Nodes: nodes,
-				BasePerf: sh.basePerf, PredictedPerf: pick.perf,
+				Class: pick.Class, ClassID: imps[pick.Class].ID, Nodes: nodes,
+				BasePerf: sh.basePerf, PredictedPerf: pick.Perf,
 			}, nil
 		}
 	}
 	return nil, errFull{free.Len(), v}
+}
+
+// previewModel returns the machine's enumeration for v-vCPU containers once
+// predictor p is known to cover it: the failures every preview of the size
+// shares.
+func (s *Scheduler) previewModel(ctx context.Context, v int, p *core.Predictor) ([]placement.Important, error) {
+	imps, err := s.imps(ctx, v)
+	if err != nil {
+		return nil, err
+	}
+	if p == nil {
+		return nil, fmt.Errorf("sched: previewing %d-vCPU container: %w", v, nperr.ErrUntrained)
+	}
+	if p.NumPlacements != len(imps) {
+		return nil, fmt.Errorf("sched: predictor has %d placements, machine yields %d for %d vCPUs: %w",
+			p.NumPlacements, len(imps), v, nperr.ErrMachineMismatch)
+	}
+	return imps, nil
+}
+
+// ScoreClass returns the score class this scheduler is in for v-vCPU
+// containers right now; it is read per routing decision, so a predictor
+// registered since takes effect on the next one. ok is false when Preview
+// must be asked instead: no predictor covers v (the Preview says so), or the
+// scheduler runs under Recompute and keeps no rows.
+func (s *Scheduler) ScoreClass(v int) (class ScoreClass, ok bool) {
+	p := s.pred(v)
+	if p == nil || s.cfg.Recompute {
+		return ScoreClass{}, false
+	}
+	return ScoreClass{Machine: s.fingerprint, Predictor: p, GoalFrac: s.cfg.goalFrac(), Headroom: s.cfg.headroom()}, true
+}
+
+// ScoreRow returns the score row of (w, v) in class, one this scheduler
+// reported: entry n is what Preview answers with n nodes free, so
+// row[Free().Len()] is this scheduler's Preview and, by ScoreClass's
+// contract, that of every scheduler of the class at its own free count. The
+// row is shared and read-only. An error is the one those Previews return.
+func (s *Scheduler) ScoreRow(ctx context.Context, w perfsim.Workload, v int, class ScoreClass) ([]Score, error) {
+	imps, err := s.previewModel(ctx, v, class.Predictor)
+	if err != nil {
+		return nil, err
+	}
+	sh, err := s.previewShape(ctx, w, v, imps, class.Predictor)
+	if err != nil {
+		return nil, err
+	}
+	return sh.byFree, nil
 }
 
 // chooseFitting walks placement classes in the batch policy's preference
