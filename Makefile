@@ -1,8 +1,15 @@
-# Build / verification entry points. `make ci` mirrors the CI workflow.
+# Build / verification entry points. CI_STEPS is the one list of what CI
+# runs: `make ci` runs every step in order, and the CI workflow runs
+# `make ci`.
 
 GO ?= go
 
-.PHONY: all build vet fmtcheck lint test race bench benchsmoke benchcheck clustersmoke crashsmoke daemonsmoke walsmoke profile ci
+CI_STEPS = fmtcheck vet lint build test race clustersmoke crashsmoke restartsmoke daemonsmoke walsmoke benchsmoke benchcheck
+
+# The packages that carry micro-benchmarks (root plus the wire-facing ones).
+BENCH_PKGS = . ./internal/fleet/ ./internal/wal/ ./internal/wire/
+
+.PHONY: all $(CI_STEPS) bench profile ci
 
 all: build
 
@@ -42,60 +49,53 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Runs the full benchmark suite with fixed -benchtime and emits
-# BENCH_9.json, then applies the gates: Engine warm-cache >= 50x, the
-# compiled-forest serving AND batch paths at 0 allocs/op, every fleet
-# routing policy admitting in < 1 ms with health tracking enabled, one
-# online admission at <= 12 allocs/op with BenchmarkAdmitThroughput
-# scaling beyond one core on multi-core recorders, the wire hot paths at
-# 0 allocs/op (event publish, place-response and SSE encoders), the
-# client->daemon round trip and the live loadgen p99 both under 1 ms,
-# the WAL append at 0 allocs/op with a 10k-record recovery under 100 ms,
-# the era-matched speedup floors (ns/op, bytes/op and allocs/op —
-# against BENCH_8: EnginePlace >= 3x faster) and a > 20% regression
-# check against the previous BENCH_*.json. Override the budget with
-# BENCHTIME=200ms etc.
+# The micro-benchmarks at the default budget, for reading while you work.
+# They gate nothing: allocation ceilings are ordinary tests in `go test
+# ./...`, and timing verdicts come from numabench (`sh bench/run.sh`, see
+# bench/README.md), which compares a change with its parent.
 bench:
-	sh scripts/bench.sh BENCH_9.json
+	$(GO) test -run '^$$' -bench . -benchmem $(BENCH_PKGS)
 
 # Deterministic fleet churn smoke: 200 containers over the AMD+Intel
-# cluster at reduced training fidelity. CI runs this on every push.
+# cluster at reduced training fidelity.
 clustersmoke:
 	$(GO) run ./cmd/clustersim -quick
 
 # Failure-injection smoke: the same churn trace with amd-0 crashing at
 # t=600s — health probes ride the machine to dead, its tenants fail over,
 # and the report must account for every record (deterministic output).
-# CI runs this on every push.
 crashsmoke:
 	$(GO) run ./cmd/clustersim -quick -crash amd-0@600
+
+# Restart scenario smoke: the crash trace with a simulated control-plane
+# crash at t=900s, recovered by replaying the fleet log.
+restartsmoke:
+	$(GO) run ./cmd/clustersim -quick -crash amd-0@600 -restart 900
 
 # Wire-level end-to-end smoke: build numaplaced and loadgen, start the
 # daemon on an ephemeral loopback port at reduced training fidelity,
 # drive it with `loadgen -quick`, and require a clean run (zero request
 # errors, zero dropped event frames) plus a graceful SIGTERM shutdown.
-# CI runs this on every push.
 daemonsmoke:
 	sh scripts/daemonsmoke.sh
 
 # Crash-recovery smoke: a live daemon with -data-dir is loaded, killed
 # with SIGKILL while tenants are resident, and restarted on the same log;
 # /v1/assignments must be byte-identical across the crash and the
-# recovered state must accept a release. CI runs this on every push.
+# recovered state must accept a release.
 walsmoke:
 	sh scripts/walsmoke.sh
 
-# One-iteration pass over every benchmark (root plus the wire-facing
-# packages): catches benchmark rot (setup errors, API drift) without
-# paying for stable timings. CI runs this on every push.
+# One-iteration pass over every benchmark: catches benchmark rot (a missing
+# benchmark, setup errors, API drift) without paying for stable timings.
 benchsmoke:
-	$(GO) test -run '^$$' -bench . -benchtime=1x -count 1 . ./internal/fleet/ ./internal/wal/ ./internal/wire/
+	$(GO) test -run '^$$' -bench . -benchtime=1x -count 1 $(BENCH_PKGS)
 
 # The repo's benchmark lives in the nested module bench/ (its own go.mod,
 # replacing repro with ../), which `go build ./... && go test ./...` at the
 # root never compiles: a signature drift in fleet.Backend, fleet.Persister
 # or the Cluster/Engine surface it drives must fail here, not in the
-# benchmark run. ~15 s. CI runs this on every push.
+# benchmark run. ~15 s.
 benchcheck:
 	cd bench && $(GO) test ./...
 
@@ -106,4 +106,4 @@ profile:
 		-cpuprofile cpu.prof -o repro.test .
 	@echo "wrote cpu.prof (inspect with: go tool pprof repro.test cpu.prof)"
 
-ci: fmtcheck vet lint build test benchcheck
+ci: $(CI_STEPS)

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/client"
+	"repro/internal/concern"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/machines"
@@ -39,9 +40,9 @@ func BenchmarkImportantPlacements(b *testing.B) {
 		v    int
 	}{{"amd-16", machines.AMD(), 16}, {"intel-24", machines.Intel(), 24}} {
 		b.Run(tc.name, func(b *testing.B) {
-			spec := SpecFor(tc.m)
+			spec := concern.FromMachine(tc.m)
 			for i := 0; i < b.N; i++ {
-				if _, err := Placements(spec, tc.v); err != nil {
+				if _, err := placement.Enumerate(spec, tc.v); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -107,7 +108,7 @@ func BenchmarkTable2(b *testing.B) {
 // when the Pareto packing filter is disabled: every balanced feasible
 // packing contributes placements.
 func BenchmarkAblationNoParetoFilter(b *testing.B) {
-	spec := SpecFor(machines.AMD())
+	spec := concern.FromMachine(machines.AMD())
 	scores := spec.Node.FeasibleScores(16)
 	all := placement.AllNodes(spec)
 	b.Run("filtered", func(b *testing.B) {
@@ -149,8 +150,8 @@ func BenchmarkAblationForestSize(b *testing.B) {
 
 // BenchmarkPredictLatency measures the paper's "inference time is
 // negligible (milliseconds)" claim for a trained predictor on the serving
-// hot path: PredictInto through the compiled forest, which must run
-// allocation-free (gated at 0 allocs/op in scripts/bench.sh).
+// hot path: PredictInto through the compiled forest's interval table, which
+// must run allocation-free (mlearn's TestPredictIntoAllocFree holds it to 0).
 func BenchmarkPredictLatency(b *testing.B) {
 	m := machines.Intel()
 	ws := append(workloads.Paper(), workloads.CorpusFrom(20, 7, []string{"flat", "bw", "lat"})...)
@@ -176,13 +177,12 @@ func BenchmarkPredictLatency(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictBatch measures whole-dataset scoring through the
-// compiled forest's tree-outer batch traversal (the cross-validation and
-// evaluation path), reported per dataset pass. The flat PredictDatasetInto
-// path writes into caller-owned feature and prediction blocks and must run
-// allocation-free (gated at 0 allocs/op in scripts/bench.sh, like
-// BenchmarkPredictLatency).
-func BenchmarkPredictBatch(b *testing.B) {
+// BenchmarkPredictDataset measures whole-dataset scoring through the
+// compiled forest's tree-outer traversal (the evaluation path), reported
+// per dataset pass. PredictDatasetInto writes into caller-owned feature and
+// prediction blocks and must run allocation-free (core's
+// TestPredictDatasetIntoAllocFree holds it to 0).
+func BenchmarkPredictDataset(b *testing.B) {
 	m := machines.Intel()
 	ws := append(workloads.Paper(), workloads.CorpusFrom(20, 7, []string{"flat", "bw", "lat"})...)
 	ds, err := core.Collect(m, ws, 24, core.CollectConfig{Trials: 2})
@@ -214,8 +214,7 @@ func BenchmarkPredictBatch(b *testing.B) {
 // BenchmarkEnginePlacements measures the serving layer's memoization: a
 // cold call pays the full enumeration (engine construction included), a
 // warm call is a cache hit returning the caller's copy of the memoized
-// slice. The BENCH_2.json acceptance gate requires warm >= 50x faster
-// than cold.
+// slice (TestEngineConcurrentPlacements asserts the hit through Stats).
 func BenchmarkEnginePlacements(b *testing.B) {
 	ctx := context.Background()
 	b.Run("cold", func(b *testing.B) {
@@ -307,11 +306,10 @@ func BenchmarkEnginePlace(b *testing.B) {
 // pre-trained engine, serial versus parallel: every iteration is a full
 // Place+Release cycle, so the parallel variant exercises the sharded admit
 // path end to end — concurrent observation, CAS node claiming, lock-free
-// cache hits. The bench.sh gate requires the parallel variant to beat the
-// serial per-op time whenever GOMAXPROCS > 1: with the admission lock
-// split, throughput must scale beyond one core instead of serializing on
-// a scheduler-wide mutex. Released nodes return before the next claim, so
-// iterations that lose a claim race retry internally rather than failing.
+// cache hits. With the admission lock split, the parallel variant should
+// beat the serial per-op time whenever GOMAXPROCS > 1. Released nodes return
+// before the next claim, so iterations that lose a claim race retry
+// internally rather than failing.
 func BenchmarkAdmitThroughput(b *testing.B) {
 	ctx := context.Background()
 	eng := New(machines.AMD(),
@@ -577,9 +575,9 @@ func BenchmarkFailover(b *testing.B) {
 // client → real TCP listener → wire server → fleet place, response
 // hand-encoded from a pooled buffer, then the matching release — with one
 // active SSE subscriber draining the event feed in the background (the
-// serving configuration a monitored daemon runs in). The bench.sh gate
-// requires the admission round trip under 1ms; in-process admit is
-// 12-29µs, so this is dominated by the HTTP hop.
+// serving configuration a monitored daemon runs in). In-process admit is
+// 12-29µs, so this is dominated by the HTTP hop; numabench's wire_churn is
+// the measurement of record.
 func BenchmarkWirePlace(b *testing.B) {
 	ctx := context.Background()
 	cl := benchCluster(b, ctx, ClusterConfig{Policy: RouteFirstFit})

@@ -103,7 +103,7 @@ func flagSet(name string) bool {
 	return set
 }
 
-// result is the -json output schema (and the bench.sh parse surface).
+// result is the -json output schema (scripts/daemonsmoke.sh parses it).
 type result struct {
 	N             int     `json:"n"`
 	Workers       int     `json:"workers"`

@@ -22,8 +22,8 @@ import (
 // the concern spec, important-placement enumerations keyed by (machine
 // fingerprint, vCPU count), pinnings, and trained predictors — behind
 // singleflight caches, so concurrent callers share one computation instead
-// of repeating it, and every result is bit-identical to the corresponding
-// free-function pipeline. On top of the batch lifecycle (Placements, Pin,
+// of repeating it, and every result is bit-identical to the uncached
+// pipeline in internal/…. On top of the batch lifecycle (Placements, Pin,
 // Collect, Train, Predict) it serves an incremental admit/evict scheduler:
 // Place, Release and Rebalance.
 //
@@ -114,9 +114,9 @@ type Option func(*Engine)
 // the experiment drivers. The pool is shared process-wide (results are
 // bit-identical at every setting), so this is a convenience spelling of
 // SetParallelism, NOT per-Engine state: the last engine constructed with
-// the option wins, the setting affects every engine and free function,
-// and it outlives the engine. Programs tuning several engines should
-// call SetParallelism once instead. n <= 0 selects GOMAXPROCS.
+// the option wins, the setting affects every engine, and it outlives the
+// engine. Programs tuning several engines should call SetParallelism once
+// instead. n <= 0 selects GOMAXPROCS.
 func WithParallelism(n int) Option {
 	return func(*Engine) { xparallel.SetMaxWorkers(n) }
 }
@@ -186,7 +186,7 @@ func (e *Engine) Spec() *Spec { return e.spec }
 // and later calls hit the cache. The returned slice is the caller's own;
 // its elements are shared and read-only.
 func (e *Engine) Placements(ctx context.Context, vcpus int) ([]Important, error) {
-	imps, err := e.placementsShared(ctx, e.spec, vcpus)
+	imps, err := e.placementsShared(ctx, vcpus)
 	if err != nil {
 		return nil, err
 	}
@@ -195,9 +195,8 @@ func (e *Engine) Placements(ctx context.Context, vcpus int) ([]Important, error)
 	return out, nil
 }
 
-// placementsShared returns the cached enumeration without copying. spec
-// must be this machine's specification (or an equivalent one).
-func (e *Engine) placementsShared(ctx context.Context, spec *Spec, vcpus int) ([]Important, error) {
+// placementsShared returns the cached enumeration without copying.
+func (e *Engine) placementsShared(ctx context.Context, vcpus int) ([]Important, error) {
 	key := xrand.Mix2(e.fp, uint64(vcpus))
 
 	for {
@@ -239,7 +238,7 @@ func (e *Engine) placementsShared(ctx context.Context, spec *Spec, vcpus int) ([
 		e.mu.Unlock()
 
 		e.enumerations.Add(1)
-		c.val, c.err = placement.EnumerateCtx(ctx, spec, vcpus)
+		c.val, c.err = placement.EnumerateCtx(ctx, e.spec, vcpus)
 
 		e.mu.Lock()
 		delete(e.flight, key)
@@ -258,10 +257,6 @@ func (e *Engine) placementsShared(ctx context.Context, spec *Spec, vcpus int) ([
 // memoizing the result per (placement, vCPU count). The returned slice is
 // the caller's own copy.
 func (e *Engine) Pin(ctx context.Context, p Placement, vcpus int) ([]topology.ThreadID, error) {
-	return e.pinFor(ctx, e.spec, p, vcpus)
-}
-
-func (e *Engine) pinFor(ctx context.Context, spec *Spec, p Placement, vcpus int) ([]topology.ThreadID, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -273,7 +268,7 @@ func (e *Engine) pinFor(ctx context.Context, spec *Spec, p Placement, vcpus int)
 		}
 	}
 	e.pinRuns.Add(1)
-	threads, err := placement.Pin(spec, p, vcpus)
+	threads, err := placement.Pin(e.spec, p, vcpus)
 	if err != nil {
 		return nil, err
 	}
@@ -299,15 +294,11 @@ func pinKeyOf(p Placement, vcpus int) (pinKey, bool) {
 // collection honours ctx: cancellation between measurement cells returns
 // ctx.Err() promptly.
 func (e *Engine) Collect(ctx context.Context, ws []Workload, vcpus int) (*Dataset, error) {
-	return e.collectWith(ctx, ws, vcpus, e.collectCfg)
-}
-
-func (e *Engine) collectWith(ctx context.Context, ws []Workload, vcpus int, cfg CollectConfig) (*Dataset, error) {
-	imps, err := e.placementsShared(ctx, e.spec, vcpus)
+	imps, err := e.placementsShared(ctx, vcpus)
 	if err != nil {
 		return nil, err
 	}
-	return core.CollectPrepared(ctx, e.spec, imps, ws, vcpus, cfg)
+	return core.CollectPrepared(ctx, e.spec, imps, ws, vcpus, e.collectCfg)
 }
 
 // Train fits a predictor on the dataset (Step 3) using the Engine's
@@ -322,13 +313,6 @@ func (e *Engine) Train(ctx context.Context, ds *Dataset) (*Predictor, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = e.seed
 	}
-	return e.trainWith(ctx, ds, cfg)
-}
-
-// trainWith trains with cfg exactly as given — no seed defaulting, so the
-// deprecated free-function wrapper reproduces the stateless Train
-// bit-for-bit (including its Seed 0).
-func (e *Engine) trainWith(ctx context.Context, ds *Dataset, cfg TrainConfig) (*Predictor, error) {
 	if ds.Machine.Topo == nil || ds.Machine.IC == nil || ds.Machine.Fingerprint() != e.fp {
 		return nil, fmt.Errorf("numaplace: dataset was not collected on %s: %w",
 			e.machine.Topo.Name, ErrMachineMismatch)
@@ -337,9 +321,8 @@ func (e *Engine) trainWith(ctx context.Context, ds *Dataset, cfg TrainConfig) (*
 	if err != nil {
 		return nil, err
 	}
-	// Compile the forest before the predictor becomes visible to the
-	// serving paths: the flat inference representation is otherwise built
-	// lazily, and the first Place/Predict should not pay it.
+	// Compile before the predictor becomes visible to the serving paths:
+	// the first Place/Predict should not pay the one-time build.
 	pred.Compile()
 	e.setPredictor(ds.V, pred)
 	return pred, nil
@@ -419,14 +402,7 @@ func (e *Engine) serving() *sched.Scheduler {
 	}
 	e.schedOnce.Do(func() {
 		e.scheduler.Store(sched.NewScheduler(e.spec,
-			func(ctx context.Context, v int) ([]Important, error) {
-				return e.placementsShared(ctx, e.spec, v)
-			},
-			e.predictorOrNil,
-			func(ctx context.Context, p Placement, v int) ([]topology.ThreadID, error) {
-				return e.pinFor(ctx, e.spec, p, v)
-			},
-			e.serveCfg))
+			e.placementsShared, e.predictorOrNil, e.Pin, e.serveCfg))
 	})
 	return e.scheduler.Load()
 }
@@ -524,11 +500,7 @@ func (e *Engine) NewPackingExperiment(ctx context.Context, w Workload, vcpus int
 	if pred == nil {
 		pred, _ = e.Predictor(vcpus)
 	}
-	return e.newExperiment(ctx, w, vcpus, pred)
-}
-
-func (e *Engine) newExperiment(ctx context.Context, w Workload, vcpus int, pred *Predictor) (*PackingExperiment, error) {
-	imps, err := e.placementsShared(ctx, e.spec, vcpus)
+	imps, err := e.placementsShared(ctx, vcpus)
 	if err != nil {
 		return nil, err
 	}
@@ -560,121 +532,4 @@ func (e *Engine) Stats() EngineStats {
 		PinRuns:       e.pinRuns.Load(),
 		PinHits:       e.pinHits.Load(),
 	}
-}
-
-// placementsForSpec backs the deprecated free functions: it uses the
-// Engine's caches when the caller's spec is this machine's own derived
-// specification (the overwhelmingly common case) and falls back to a
-// direct, uncached enumeration for hand-modified specs.
-func (e *Engine) placementsForSpec(ctx context.Context, spec *Spec, vcpus int) ([]Important, error) {
-	if e.specUsable(spec) {
-		imps, err := e.placementsShared(ctx, spec, vcpus)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]Important, len(imps))
-		copy(out, imps)
-		return out, nil
-	}
-	return placement.EnumerateCtx(ctx, spec, vcpus)
-}
-
-func (e *Engine) pinForSpec(ctx context.Context, spec *Spec, p Placement, vcpus int) ([]topology.ThreadID, error) {
-	if e.specUsable(spec) {
-		return e.pinFor(ctx, spec, p, vcpus)
-	}
-	return placement.Pin(spec, p, vcpus)
-}
-
-// specUsable reports whether spec is interchangeable with the Engine's own
-// derived specification. The verdict is deliberately NOT memoized by
-// pointer: SpecFor's result is documented as safe to modify, so a spec
-// that was equivalent on one call may be customized before the next —
-// every call re-verifies against the spec's current contents (a handful
-// of integer compares plus pairwise Score probes, trivial next to even a
-// cached enumeration's slice copy).
-func (e *Engine) specUsable(spec *Spec) bool {
-	if spec == e.spec {
-		return true
-	}
-	return specEquivalent(spec, e.spec)
-}
-
-// specEquivalent compares the enumeration-relevant content of two specs.
-// Pareto concerns carry score functions, which cannot be compared as
-// values; instead their Score functions are probed behaviorally on every
-// node pair and on the full node set. Pairwise scores fully determine any
-// additive measure (interconnect.Measure, the only kind FromMachine
-// installs), so for machine-derived specs the comparison is exact; an
-// exotic non-additive custom Score that agrees on all probes is treated
-// as equivalent.
-func specEquivalent(a, b *Spec) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if a.Machine.Topo == nil || a.Machine.IC == nil {
-		return false // hand-built spec without a machine description
-	}
-	if a.Machine.Fingerprint() != b.Machine.Fingerprint() {
-		return false
-	}
-	if (a.Node == nil) != (b.Node == nil) || (a.Node != nil && *a.Node != *b.Node) {
-		return false
-	}
-	if len(a.PerNode) != len(b.PerNode) || len(a.Pareto) != len(b.Pareto) {
-		return false
-	}
-	for i := range a.PerNode {
-		if *a.PerNode[i] != *b.PerNode[i] {
-			return false
-		}
-	}
-	n := b.Machine.Topo.NumNodes
-	for i := range a.Pareto {
-		as, bs := a.Pareto[i].Score, b.Pareto[i].Score
-		if as == nil || bs == nil {
-			return false
-		}
-		if as(topology.FullNodeSet(n)) != bs(topology.FullNodeSet(n)) {
-			return false
-		}
-		for x := 0; x < n; x++ {
-			for y := x + 1; y < n; y++ {
-				s := topology.NewNodeSet(topology.NodeID(x), topology.NodeID(y))
-				if as(s) != bs(s) {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// defaultEngines registers one shared Engine per machine fingerprint for
-// the deprecated free functions, so legacy call sites transparently share
-// the same caches as first-party Engine users.
-var (
-	defaultEngines      sync.Map // uint64 -> *Engine
-	defaultEngineCount  atomic.Int64
-	defaultEngineBounds = int64(64)
-)
-
-// DefaultEngine returns the process-wide shared Engine for the machine,
-// creating it on first use. The deprecated free functions delegate to it.
-// Machines beyond a small registry bound (a safeguard against fingerprint
-// churn from synthetic machine sweeps) get a fresh, unregistered Engine.
-func DefaultEngine(m Machine) *Engine {
-	fp := m.Fingerprint()
-	if v, ok := defaultEngines.Load(fp); ok {
-		return v.(*Engine)
-	}
-	e := New(m)
-	if defaultEngineCount.Load() >= defaultEngineBounds {
-		return e
-	}
-	if v, loaded := defaultEngines.LoadOrStore(fp, e); loaded {
-		return v.(*Engine)
-	}
-	defaultEngineCount.Add(1)
-	return e
 }

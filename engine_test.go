@@ -1,6 +1,7 @@
 package numaplace
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -9,6 +10,8 @@ import (
 	"time"
 
 	"repro/internal/concern"
+	"repro/internal/core"
+	"repro/internal/migrate"
 	"repro/internal/mlearn"
 	"repro/internal/placement"
 	"repro/internal/workloads"
@@ -31,8 +34,7 @@ func numaplaceTestCollect() Option {
 }
 
 // TestEnginePlacementsParity asserts the Engine path returns bit-identical
-// enumerations to the direct pipeline, for every machine and both via the
-// Engine API and via the deprecated free functions.
+// enumerations and pinnings to the direct pipeline, for every machine.
 func TestEnginePlacementsParity(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -50,15 +52,6 @@ func TestEnginePlacementsParity(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: Engine.Placements differs from placement.Enumerate", tc.m.Topo.Name)
-		}
-		// Deprecated wrapper path (shares the default engine's cache).
-		spec := SpecFor(tc.m)
-		got2, err := Placements(spec, tc.v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got2, want) {
-			t.Errorf("%s: free-function Placements differs from placement.Enumerate", tc.m.Topo.Name)
 		}
 		// Pin parity for every important placement.
 		for _, p := range want {
@@ -143,7 +136,7 @@ func TestEngineConcurrentPlacements(t *testing.T) {
 
 // TestEngineCollectTrainParity asserts the Engine's cached-artifact
 // collection and training produce bit-identical results to the stateless
-// pipeline.
+// pipeline in internal/core, called directly.
 func TestEngineCollectTrainParity(t *testing.T) {
 	ctx := context.Background()
 	m := Intel()
@@ -158,7 +151,7 @@ func TestEngineCollectTrainParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantDS, err := Collect(m, ws, 24, CollectConfig{Trials: 2})
+	wantDS, err := core.Collect(m, ws, 24, CollectConfig{Trials: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +163,7 @@ func TestEngineCollectTrainParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPred, err := Train(wantDS, cfg)
+	wantPred, err := core.Train(wantDS, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +181,7 @@ func TestEngineCollectTrainParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("Engine-trained predictor disagrees with free-function path")
+		t.Fatal("Engine-trained predictor disagrees with core.Train")
 	}
 
 	// Train must have registered the predictor for online use.
@@ -321,64 +314,6 @@ func assertEngineUsable(t *testing.T, eng *Engine) {
 	}
 	if _, err := eng.Collect(ctx, PaperWorkloads()[:6], 16); err != nil {
 		t.Fatalf("Collect after cancellation: %v", err)
-	}
-}
-
-// TestHandBuiltSpecWithoutMachine keeps the old stateless contract: the
-// deprecated wrappers must accept a hand-written Spec that carries no
-// machine description (it cannot be routed to a default Engine, whose
-// registry keys on machine fingerprints) and fall back to the direct
-// pipeline instead of panicking.
-func TestHandBuiltSpecWithoutMachine(t *testing.T) {
-	spec := &Spec{
-		Node: &concern.CountConcern{
-			Name: "L3", Count: 4, Capacity: 8, PerNode: 1,
-			AffectsCost: true, InversePossible: true,
-		},
-	}
-	imps, err := Placements(spec, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := placement.Enumerate(spec, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(imps, want) {
-		t.Fatal("machine-less spec path differs from direct enumeration")
-	}
-}
-
-// TestSpecMutatedAfterFirstUse keeps another old stateless contract: a
-// caller may reuse SpecFor's result across calls, customizing it in
-// between — every deprecated-wrapper call must honour the spec's current
-// contents, not a verdict cached on first sight of the pointer.
-func TestSpecMutatedAfterFirstUse(t *testing.T) {
-	m := AMD()
-	spec := SpecFor(m)
-	first, err := Placements(spec, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(first) != 13 {
-		t.Fatalf("canonical spec yields %d placements, want 13", len(first))
-	}
-	// Customize: drop the interconnect concern, as a user studying the
-	// symmetric-machine ablation would.
-	spec.Pareto = nil
-	second, err := Placements(spec, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := placement.Enumerate(spec, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(second, want) {
-		t.Fatal("mutated spec served stale cached enumeration")
-	}
-	if reflect.DeepEqual(second, first) {
-		t.Fatal("dropping the Pareto concern changed nothing — stale cache")
 	}
 }
 
@@ -521,4 +456,116 @@ func TestEngineServing(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestEnginePlaceAllocCeiling bounds what one warm admission allocates on a
+// single engine: a place+release cycle keeps the container, its assignment
+// and its pinning and nothing per cache probe (the admission before the
+// exact-memoised fast path paid about 40).
+func TestEnginePlaceAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not fixed under the race detector")
+	}
+	ctx := context.Background()
+	eng := trainedEngine(t, ctx, AMD(), 16)
+	wt, _ := WorkloadByName("WTbtree")
+	cycle := func() {
+		a, err := eng.Place(ctx, wt, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Release(ctx, a.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle() // the enumeration, pinning and observation caches
+	if n := testing.AllocsPerRun(200, cycle); n > 12 {
+		t.Fatalf("a warm Engine place+release cycle allocates %.1f times, want <= 12", n)
+	}
+}
+
+// TestFacadePipeline exercises the public API end to end on the Intel
+// machine: placements, collection, training, prediction, persistence.
+func TestFacadePipeline(t *testing.T) {
+	ctx := context.Background()
+	eng := New(Intel(),
+		numaplaceTestCollect(),
+		WithTrainConfig(TrainConfig{
+			Seed: 1, Forest: mlearn.ForestConfig{Trees: 20},
+			SelectionTrees: 6, SelectionFolds: 3,
+		}),
+	)
+	placements, err := eng.Placements(ctx, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(placements) != 7 {
+		t.Fatalf("placements = %d, want 7", len(placements))
+	}
+
+	ws := append(PaperWorkloads(), workloads.CorpusFrom(15, 3, []string{"flat", "bw", "lat"})...)
+	ds, err := eng.Collect(ctx, ws, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := eng.Train(ctx, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	wt, ok := WorkloadByName("WTbtree")
+	if !ok {
+		t.Fatal("WTbtree missing")
+	}
+	wi := ds.WorkloadIndex(wt.Name)
+	vec, err := eng.Predict(24, ds.Perf[wi][pred.Base], ds.Perf[wi][pred.Probe])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vec) != 7 {
+		t.Fatalf("vector length %d", len(vec))
+	}
+	// WiredTiger prefers few nodes on Intel (Fig. 1); even this reduced-
+	// fidelity model must not recommend spreading it over 3-4 nodes.
+	best := BestPlacement(vec)
+	if placements[best].Nodes.Len() > 2 {
+		t.Errorf("predicted best placement %s, want 1-2 nodes", placements[best].Nodes)
+	}
+
+	// Persistence round trip through the facade.
+	var buf bytes.Buffer
+	if err := pred.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadPredictor(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := loaded.Predict(ds.Perf[wi][pred.Base], ds.Perf[wi][pred.Probe])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(vec, v2) {
+		t.Fatal("loaded predictor disagrees")
+	}
+}
+
+// TestFacadeMigration exercises the migration surface: the paper's fast
+// mechanism beats default Linux migration by an order of magnitude.
+func TestFacadeMigration(t *testing.T) {
+	ctx := context.Background()
+	eng := New(AMD())
+	wt, _ := WorkloadByName("postgres-tpcc")
+	p := MigrationProfileFor(wt, 16)
+	fast, err := eng.Migrate(ctx, p, MigrateFast, migrate.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	linux, err := eng.Migrate(ctx, p, MigrateDefaultLinux, migrate.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if linux.Seconds/fast.Seconds < 10 {
+		t.Errorf("TPC-C speedup %.1fx, want order of magnitude", linux.Seconds/fast.Seconds)
+	}
 }

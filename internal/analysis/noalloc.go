@@ -1,9 +1,9 @@
-// noalloc guards the zero-alloc hot paths that today are only enforced by
-// runtime allocs/op gates in bench.sh: WAL Append, event publish, the wire
+// noalloc guards the zero-alloc hot paths that are otherwise only enforced
+// by runtime AllocsPerRun tests: WAL Append, event publish, the wire
 // encoders, PredictInto and the admit scratch path. A function annotated
 // //numalint:noalloc is flagged for allocation-forcing constructs so a
-// refactor can't quietly re-introduce garbage that the benchmarks only
-// catch after the fact:
+// refactor can't quietly re-introduce garbage that those tests only catch
+// after the fact:
 //
 //   - calls into fmt (Sprintf/Errorf/… always allocate)
 //   - string concatenation and string<->[]byte/[]rune/int conversions

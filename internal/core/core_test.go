@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/machines"
@@ -336,6 +337,56 @@ func TestSaveLoadCompiledParity(t *testing.T) {
 	for w := range ds.Workloads {
 		if !reflect.DeepEqual(bp[w], p.PredictRow(ds, w)) {
 			t.Fatalf("row %d: batch and per-row predictions differ", w)
+		}
+	}
+}
+
+// TestCompileLeavesNothingForTheFirstPredict asserts Compile builds the
+// form serving reads, not only the SoA arrays: the very first PredictInto
+// on a compiled predictor — the one inside a fresh engine's first
+// admission — allocates nothing. (testing.AllocsPerRun warms its function
+// up first, so the one call is counted by hand the way it counts.)
+func TestCompileLeavesNothingForTheFirstPredict(t *testing.T) {
+	p, err := Train(smallDataset(t, false), fastTrain())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float64, p.NumPlacements)
+	p.Compile()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = p.PredictInto(dst, 1000, 1200)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("first PredictInto after Compile allocates %d times, want 0", n)
+	}
+}
+
+// TestPredictDatasetIntoAllocFree holds whole-dataset scoring into
+// caller-owned blocks (the evaluation path of cmd/trainmodel and Figure 4)
+// to zero allocations once the forest is compiled.
+func TestPredictDatasetIntoAllocFree(t *testing.T) {
+	ds := smallDataset(t, true)
+	for _, v := range []Variant{PerfFeatures, HPEFeatures} {
+		cfg := fastTrain()
+		cfg.Variant = v
+		p, err := Train(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(ds.Workloads)
+		xbuf := make([]float64, n*p.InDim())
+		out := make([]float64, n*p.NumPlacements)
+		if avg := testing.AllocsPerRun(20, func() {
+			if err := p.PredictDatasetInto(out, xbuf, ds, nil); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Fatalf("%s: warm PredictDatasetInto allocates %v per pass, want 0", v, avg)
 		}
 	}
 }

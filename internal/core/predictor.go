@@ -70,13 +70,15 @@ func (p *Predictor) PredictRow(ds *Dataset, w int) []float64 {
 	return p.forest.Predict(features(ds, p, w))
 }
 
-// Compile eagerly builds the forest's flat SoA inference representation
-// (otherwise built lazily on the first prediction), so serving entry
-// points can pay the one-time build off the hot path when they register a
-// predictor. Safe to call repeatedly and on untrained predictors.
+// Compile eagerly builds what serving reads — the forest's flat SoA form
+// and, for the single-feature perf variant, the interval table PredictInto
+// answers from (both otherwise built lazily on the first prediction) — so
+// serving entry points pay the one-time build when they register a
+// predictor, not inside the first admission. Safe to call repeatedly and on
+// untrained predictors.
 func (p *Predictor) Compile() {
 	if p != nil && p.forest != nil {
-		p.forest.Compiled()
+		p.forest.Compiled().Warm()
 	}
 }
 

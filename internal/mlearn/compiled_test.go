@@ -49,7 +49,7 @@ func randomForestCase(t *testing.T, seed uint64, n, inDim, outDim, trees, maxDep
 
 // TestCompiledParity asserts that the compiled SoA representation produces
 // bit-identical outputs to the pointer-tree walk across a grid of random
-// forest configurations, for the single, zero-alloc and batch APIs.
+// forest configurations, for the single, zero-alloc and row-scoring APIs.
 func TestCompiledParity(t *testing.T) {
 	cases := []struct {
 		seed                                    uint64
@@ -74,6 +74,9 @@ func TestCompiledParity(t *testing.T) {
 			t.Fatalf("seed %d: compiled shape %d/%d/%d, forest %d/%d/%d", tc.seed,
 				c.NumTrees(), c.InDim(), c.OutDim(), f.NumTrees(), f.InDim(), f.OutDim())
 		}
+		// The compiled tree-outer walk, before any single prediction has
+		// built an interval table.
+		checkRows(t, f, probes, "SoA rows")
 		dst := make([]float64, f.OutDim())
 		for pi, p := range probes {
 			want := f.predictPointer(p)
@@ -90,53 +93,75 @@ func TestCompiledParity(t *testing.T) {
 				}
 			}
 		}
-		batch, err := f.PredictRows(probes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for pi, p := range probes {
-			want := f.predictPointer(p)
-			for d := range want {
-				if batch[pi][d] != want[d] {
-					t.Fatalf("seed %d probe %d dim %d: batch %v != pointer %v", tc.seed, pi, d, batch[pi][d], want[d])
-				}
-			}
-		}
-		// Single-feature forests additionally serve from the interval
-		// table after the first single prediction; batch must agree.
+		// Single-feature forests serve from the interval table after the
+		// first single prediction; row scoring then reads it too.
 		if f.InDim() == 1 {
 			if st := c.stepT.Load(); st == nil || st.sums == nil {
 				t.Fatalf("seed %d: single-feature forest did not build its interval table", tc.seed)
 			}
-			again, err := f.PredictRows(probes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for pi := range probes {
-				for d := range again[pi] {
-					if again[pi][d] != batch[pi][d] {
-						t.Fatalf("seed %d: table-backed batch diverged at probe %d", tc.seed, pi)
-					}
-				}
+			checkRows(t, f, probes, "table-backed rows")
+		}
+	}
+}
+
+// checkRows scores probes through PredictRowsInto and compares every row
+// with the pointer walk, NaN matching NaN.
+func checkRows(t *testing.T, f *Forest, probes [][]float64, what string) {
+	t.Helper()
+	xs := MatrixFrom(probes)
+	flat := make([]float64, len(probes)*f.OutDim())
+	if err := f.PredictRowsInto(flat, xs, nil); err != nil {
+		t.Fatal(err)
+	}
+	for pi, p := range probes {
+		want := f.predictPointer(p)
+		for d := range want {
+			got := flat[pi*f.OutDim()+d]
+			if got != want[d] && !(math.IsNaN(got) && math.IsNaN(want[d])) {
+				t.Fatalf("%s: probe %d (%v) dim %d: %v != pointer %v", what, pi, p, d, got, want[d])
 			}
 		}
 	}
 }
 
 // TestCompiledParityNonFinite covers the traversal edge inputs: +-Inf fall
-// through to the extreme leaves and NaN (every comparison false) to the
-// rightmost leaf, identically in both representations.
+// through to the extreme leaves, NaN (every comparison false) to the
+// rightmost leaf and an exact split threshold to the left branch,
+// identically in every representation, for single- and multi-feature
+// forests.
 func TestCompiledParityNonFinite(t *testing.T) {
-	f, _ := randomForestCase(t, 11, 40, 1, 5, 20, 0, 1)
-	for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0, -1e308, 1e308} {
-		p := []float64{v}
-		want := f.predictPointer(p)
-		got := f.Predict(p)
-		for d := range want {
-			if got[d] != want[d] && !(math.IsNaN(got[d]) && math.IsNaN(want[d])) {
-				t.Fatalf("x=%v dim %d: compiled %v != pointer %v", v, d, got[d], want[d])
+	for _, inDim := range []int{1, 2, 3, 4} {
+		f, _ := randomForestCase(t, uint64(40+inDim), 30, inDim, 3, 4, 4, 2)
+		c := f.Compiled()
+		var edge [][]float64
+		for _, v := range []float64{0, math.Inf(1), math.Inf(-1), math.NaN(), -1e308, 1e308} {
+			p := make([]float64, inDim)
+			for d := range p {
+				p[d] = v
+			}
+			edge = append(edge, p)
+		}
+		for i, fx := range c.feat {
+			if fx >= 0 {
+				p := make([]float64, inDim)
+				p[fx] = c.thr[i]
+				edge = append(edge, p)
 			}
 		}
+		checkRows(t, f, edge, "SoA rows")
+		dst := make([]float64, f.OutDim())
+		for pi, p := range edge {
+			want := f.predictPointer(p)
+			if err := f.PredictInto(dst, p); err != nil {
+				t.Fatal(err)
+			}
+			for d := range want {
+				if dst[d] != want[d] && !(math.IsNaN(dst[d]) && math.IsNaN(want[d])) {
+					t.Fatalf("inDim %d probe %d (%v) dim %d: PredictInto %v != pointer %v", inDim, pi, p, d, dst[d], want[d])
+				}
+			}
+		}
+		checkRows(t, f, edge, "rows after PredictInto")
 	}
 }
 
@@ -147,12 +172,6 @@ func TestEmptyForestTypedErrors(t *testing.T) {
 	}
 	if err := f.PredictInto(nil, []float64{1}); !errors.Is(err, ErrEmptyForest) {
 		t.Fatalf("PredictInto on empty forest: %v, want ErrEmptyForest", err)
-	}
-	if err := f.PredictBatch(nil, nil); !errors.Is(err, ErrEmptyForest) {
-		t.Fatalf("PredictBatch on empty forest: %v, want ErrEmptyForest", err)
-	}
-	if _, err := f.PredictRows(nil); !errors.Is(err, ErrEmptyForest) {
-		t.Fatalf("PredictRows on empty forest: %v, want ErrEmptyForest", err)
 	}
 	var c *CompiledForest
 	if err := c.PredictInto(nil, nil); !errors.Is(err, ErrEmptyForest) {
@@ -168,9 +187,6 @@ func TestCompiledDimMismatch(t *testing.T) {
 	}
 	if err := f.PredictInto(dst[:1], []float64{1, 2}); !errors.Is(err, ErrDimMismatch) {
 		t.Fatalf("short output buffer: %v, want ErrDimMismatch", err)
-	}
-	if err := f.PredictBatch([][]float64{dst}, [][]float64{{1}, {2}}); !errors.Is(err, ErrDimMismatch) {
-		t.Fatalf("ragged batch: %v, want ErrDimMismatch", err)
 	}
 }
 

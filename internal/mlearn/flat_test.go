@@ -21,54 +21,34 @@ func trainFlatFixture(t *testing.T, inDim int) (Matrix, Matrix, *Forest) {
 	return xm, ym, f
 }
 
-// TestPredictRowsIntoMatchesPredictBatch pins the flat batch walk — both
-// the uncompiled pointer path and the compiled SoA path — to the existing
-// PredictBatch traversal, bit for bit, including a row selection.
-func TestPredictRowsIntoMatchesPredictBatch(t *testing.T) {
+// TestPredictRowsIntoMatchesPointer pins the flat batch walk — both the
+// uncompiled pointer path and the compiled SoA path — to predictPointer per
+// row, bit for bit, including a row selection.
+func TestPredictRowsIntoMatchesPointer(t *testing.T) {
 	for _, inDim := range []int{1, 4} {
 		xm, ym, f := trainFlatFixture(t, inDim)
-		xs := make([][]float64, xm.Rows)
-		want := make([][]float64, xm.Rows)
-		for r := range xs {
-			xs[r] = xm.Row(r)
-			want[r] = make([]float64, ym.Cols)
-		}
-		if err := f.PredictBatch(want, xs); err != nil {
-			t.Fatal(err)
-		}
-
-		// Compiled path (PredictBatch above forced compilation).
-		flat := make([]float64, xm.Rows*ym.Cols)
-		if err := f.PredictRowsInto(flat, xm, nil); err != nil {
-			t.Fatal(err)
-		}
-		for r := range want {
-			for d := range want[r] {
-				if flat[r*ym.Cols+d] != want[r][d] {
-					t.Fatalf("inDim=%d: compiled PredictRowsInto[%d][%d] = %v, want %v",
-						inDim, r, d, flat[r*ym.Cols+d], want[r][d])
-				}
+		for _, path := range []string{"pointer-walk", "compiled"} {
+			if path == "compiled" {
+				f.Compiled()
 			}
-		}
-
-		// Uncompiled pointer path: retrain (fresh, never-compiled forest).
-		f2, err := TrainForestMatrix(xm, ym, nil, ForestConfig{Trees: 12, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sel := []int{3, 0, 7, 7, 19}
-		wantSel := make([]float64, len(sel)*ym.Cols)
-		if err := f.PredictRowsInto(wantSel, xm, sel); err != nil {
-			t.Fatal(err)
-		}
-		gotSel := make([]float64, len(sel)*ym.Cols)
-		if err := f2.PredictRowsInto(gotSel, xm, sel); err != nil {
-			t.Fatal(err)
-		}
-		for i := range wantSel {
-			if gotSel[i] != wantSel[i] {
-				t.Fatalf("inDim=%d: pointer-walk PredictRowsInto differs from compiled at %d: %v vs %v",
-					inDim, i, gotSel[i], wantSel[i])
+			for _, sel := range [][]int{nil, {3, 0, 7, 7, 19}} {
+				n := xm.Rows
+				if sel != nil {
+					n = len(sel)
+				}
+				got := make([]float64, n*ym.Cols)
+				if err := f.PredictRowsInto(got, xm, sel); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < n; i++ {
+					r := rowAt(sel, i)
+					for d, want := range f.predictPointer(xm.Row(r)) {
+						if got[i*ym.Cols+d] != want {
+							t.Fatalf("inDim=%d sel=%v: %s PredictRowsInto row %d dim %d = %v, want %v",
+								inDim, sel, path, r, d, got[i*ym.Cols+d], want)
+						}
+					}
+				}
 			}
 		}
 	}

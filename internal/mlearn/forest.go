@@ -214,34 +214,13 @@ func (f *Forest) PredictInto(dst, x []float64) error {
 	return c.PredictInto(dst, x)
 }
 
-// PredictBatch scores many inputs at once (tree-outer/row-inner traversal;
-// see CompiledForest.PredictBatch). Each dst[r] must have length OutDim.
-func (f *Forest) PredictBatch(dst [][]float64, xs [][]float64) error {
-	c := f.Compiled()
-	if c == nil {
-		return ErrEmptyForest
-	}
-	return c.PredictBatch(dst, xs)
-}
-
-// PredictRows scores every input row in one batch, allocating the output
-// vectors in a single contiguous block.
-func (f *Forest) PredictRows(xs [][]float64) ([][]float64, error) {
-	c := f.Compiled()
-	if c == nil {
-		return nil, ErrEmptyForest
-	}
-	return c.PredictRows(xs)
-}
-
 // PredictRowsInto scores the selected rows (nil = every row) of the flat
 // input matrix into dst (row-major, len nrows*OutDim) without allocating.
 // An already-compiled forest serves the batch through the SoA walk; an
 // uncompiled forest is scored by an equivalent pointer walk instead of
 // paying compilation — the right trade for ephemeral cross-validation
 // forests that are trained once and scored once. Results are bit-identical
-// either way (same traversal, accumulation and division sequence as
-// PredictBatch).
+// either way (same traversal, accumulation and division sequence).
 func (f *Forest) PredictRowsInto(dst []float64, xs Matrix, sel []int) error {
 	if f == nil || len(f.trees) == 0 {
 		return ErrEmptyForest

@@ -81,10 +81,10 @@ func (st *stepTable) row(x float64, outDim int) []float64 {
 	return st.sums[i*outDim : (i+1)*outDim]
 }
 
-// step returns the forest's interval table, building it on first use.
-// Construction is deliberately lazy: the table costs one accumulate walk
-// per interval, which only pays off for forests that serve many
-// single-input predictions (the serving hot path); batch scoring during
+// step returns the forest's interval table, building it on first use. The
+// table costs one accumulate walk per interval, which only pays off for
+// forests that serve many single-input predictions (the admission path), so
+// it is built by the first PredictInto or by Warm; batch scoring during
 // training never triggers it.
 func (c *CompiledForest) step() *stepTable {
 	if st := c.stepT.Load(); st != nil {
@@ -92,4 +92,14 @@ func (c *CompiledForest) step() *stepTable {
 	}
 	c.stepOnce.Do(func() { c.stepT.Store(c.buildStep()) })
 	return c.stepT.Load()
+}
+
+// Warm builds what PredictInto reads — the interval table of a
+// single-feature forest — so that a forest registered for serving does not
+// pay the build inside its first admission. Safe for concurrent callers and
+// on a nil receiver.
+func (c *CompiledForest) Warm() {
+	if c != nil && c.inDim == 1 {
+		c.step()
+	}
 }

@@ -97,6 +97,34 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendAllocFree holds the Persister hot path — Append (called under
+// the fleet lock) plus the group-commit Commit at fsync=none — to zero
+// allocations once the encode buffers are warm, for every record shape: an
+// admission must not pay the garbage collector for durability.
+func TestAppendAllocFree(t *testing.T) {
+	l, _, _, err := Open(Options{Dir: t.TempDir(), Fsync: FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	recs := sampleRecords(4)
+	seq := uint64(0)
+	cycle := func() {
+		for _, r := range recs {
+			seq++
+			r.Seq = seq
+			l.Append(r)
+		}
+		if err := l.Commit(seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Fatalf("warm Append+Commit allocates %.1f times per %d records, want 0", n, len(recs))
+	}
+}
+
 func TestLogRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	want := sampleRecords(25)

@@ -122,8 +122,8 @@ func TestAppendAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkWireAppendPlace is the pooled-encoding gate for the Place
-// response (bench.sh requires 0 allocs/op).
+// BenchmarkWireAppendPlace times the pooled encoding of the Place response
+// (TestAppendAllocFree holds it to 0 allocs).
 func BenchmarkWireAppendPlace(b *testing.B) {
 	adm := sampleAdmission()
 	dst := make([]byte, 0, 4096)
@@ -134,8 +134,8 @@ func BenchmarkWireAppendPlace(b *testing.B) {
 	}
 }
 
-// BenchmarkWireAppendSSE is the pooled-encoding gate for event frames
-// (bench.sh requires 0 allocs/op).
+// BenchmarkWireAppendSSE times the pooled encoding of event frames
+// (TestAppendAllocFree holds it to 0 allocs).
 func BenchmarkWireAppendSSE(b *testing.B) {
 	ev := fleet.Event{Seq: 9, Type: fleet.EvPlace, ID: 2, Backend: "m0", Workload: "gcc", VCPUs: 4}
 	dst := make([]byte, 0, 4096)

@@ -4,8 +4,8 @@
 // pass reports) go through encoding/json on mirror structs declared here.
 // The two hot paths — the Place response and the /v1/events SSE frames —
 // use hand-rolled append-style encoders (strconv.Append*) so a pooled
-// buffer serves the whole request with zero allocations; bench.sh gates
-// AppendPlace and AppendSSE at 0 allocs/op.
+// buffer serves the whole request with zero allocations
+// (TestAppendAllocFree holds AppendPlace and AppendSSE to 0).
 package wire
 
 import (

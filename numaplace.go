@@ -16,17 +16,12 @@
 //	eng.Rebalance(ctx)                           //         re-pack
 //
 // Every Engine method takes a context.Context and is cancellable; failures
-// callers can branch on wrap the sentinel errors in errors.go.
-//
-// The original stateless free functions (Placements, Collect, Train, …)
-// remain as deprecated wrappers delegating to a process-wide default
-// Engine per machine, so existing programs keep working — and silently
-// gain the shared caches. See the examples/ directory for runnable
-// programs and internal/… for the full implementation.
+// callers can branch on wrap the sentinel errors in errors.go. See the
+// examples/ directory for runnable programs and internal/… for the full
+// implementation.
 package numaplace
 
 import (
-	"context"
 	"io"
 
 	"repro/internal/concern"
@@ -36,7 +31,6 @@ import (
 	"repro/internal/perfsim"
 	"repro/internal/placement"
 	"repro/internal/sched"
-	"repro/internal/topology"
 	"repro/internal/workloads"
 	"repro/internal/xparallel"
 )
@@ -78,54 +72,12 @@ func SetParallelism(n int) int { return xparallel.SetMaxWorkers(n) }
 // Spec is a machine's scheduling-concern specification (paper §4).
 type Spec = concern.Spec
 
-// SpecFor derives the concern specification from a machine description.
-// The returned spec is the caller's own fresh derivation (safe to modify);
-// passing it unmodified to the deprecated wrappers below still hits the
-// default Engine's caches, because they recognize specs equivalent to the
-// machine's canonical one.
-//
-// Deprecated: use New(m).Spec(); the Engine derives and retains the spec.
-func SpecFor(m Machine) *Spec { return concern.FromMachine(m) }
-
 // Important is one important placement with its score vector.
 type Important = placement.Important
 
 // Placement is a class of vCPU-to-hardware mappings: a node set plus the
 // sharing degree chosen for each enumerated per-node concern.
 type Placement = placement.Placement
-
-// Placements enumerates the important placements for a container size
-// (paper Algorithms 1-3).
-//
-// Deprecated: use Engine.Placements, which memoizes the enumeration and
-// lets concurrent callers share one computation. This wrapper delegates to
-// the machine's default Engine (results are bit-identical); hand-built
-// specs without a full machine description keep the direct, uncached path.
-func Placements(spec *Spec, vcpus int) ([]Important, error) {
-	if !specHasMachine(spec) {
-		return placement.Enumerate(spec, vcpus)
-	}
-	return DefaultEngine(spec.Machine).placementsForSpec(context.Background(), spec, vcpus)
-}
-
-// Pin materializes a placement into a vCPU-to-hardware-thread assignment.
-//
-// Deprecated: use Engine.Pin, which memoizes pinnings. This wrapper
-// delegates to the machine's default Engine; hand-built specs without a
-// full machine description keep the direct, uncached path.
-func Pin(spec *Spec, p Placement, vcpus int) ([]topology.ThreadID, error) {
-	if !specHasMachine(spec) {
-		return placement.Pin(spec, p, vcpus)
-	}
-	return DefaultEngine(spec.Machine).pinForSpec(context.Background(), spec, p, vcpus)
-}
-
-// specHasMachine reports whether the spec carries a complete machine
-// description (hand-built specs may omit it; the old stateless API
-// accepted them, so the deprecated wrappers must keep working).
-func specHasMachine(spec *Spec) bool {
-	return spec != nil && spec.Machine.Topo != nil && spec.Machine.IC != nil
-}
 
 // Workload is a container's performance-sensitivity descriptor.
 type Workload = perfsim.Workload
@@ -142,35 +94,12 @@ type Dataset = core.Dataset
 // CollectConfig configures ground-truth collection.
 type CollectConfig = core.CollectConfig
 
-// Collect measures every workload in every important placement (Step 3's
-// training runs, on the simulated machine).
-//
-// Deprecated: use Engine.Collect, which is cancellable and reuses the
-// Engine's memoized enumeration. This wrapper delegates to the machine's
-// default Engine.
-func Collect(m Machine, ws []Workload, vcpus int, cfg CollectConfig) (*Dataset, error) {
-	return DefaultEngine(m).collectWith(context.Background(), ws, vcpus, cfg)
-}
-
 // TrainConfig configures predictor training.
 type TrainConfig = core.TrainConfig
 
 // Predictor is the trained performance model (multi-output random forest
 // over two placement observations).
 type Predictor = core.Predictor
-
-// Train fits a predictor, automatically selecting the two input placements.
-//
-// Deprecated: use Engine.Train, which is cancellable and registers the
-// predictor for online placement. This wrapper delegates to the dataset's
-// machine's default Engine (and registers the predictor there too);
-// hand-assembled datasets without a machine description train directly.
-func Train(ds *Dataset, cfg TrainConfig) (*Predictor, error) {
-	if ds.Machine.Topo == nil || ds.Machine.IC == nil {
-		return core.Train(ds, cfg)
-	}
-	return DefaultEngine(ds.Machine).trainWith(context.Background(), ds, cfg)
-}
 
 // LoadPredictor reads a predictor saved with Predictor.Save.
 func LoadPredictor(r io.Reader) (*Predictor, error) { return core.LoadPredictor(r) }
@@ -180,15 +109,6 @@ func BestPlacement(vec []float64) int { return core.BestPlacement(vec) }
 
 // PackingExperiment is the §7 packing study for one machine and workload.
 type PackingExperiment = sched.Experiment
-
-// NewPackingExperiment builds a packing experiment (Figure 5).
-//
-// Deprecated: use Engine.NewPackingExperiment, which reuses the Engine's
-// memoized spec and enumeration and honours a context. This wrapper
-// delegates to the machine's default Engine.
-func NewPackingExperiment(m Machine, w Workload, vcpus int, pred *Predictor) (*PackingExperiment, error) {
-	return DefaultEngine(m).newExperiment(context.Background(), w, vcpus, pred)
-}
 
 // Packing policies (Figure 5).
 const (
@@ -212,10 +132,3 @@ const (
 	MigrateFast         = migrate.Fast
 	MigrateThrottled    = migrate.Throttled
 )
-
-// Migrate simulates one container migration.
-//
-// Deprecated: use Engine.Migrate, which honours a context.
-func Migrate(p MigrationProfile, mech migrate.Mechanism, cfg migrate.Config) (*migrate.Result, error) {
-	return migrate.RunCtx(context.Background(), p, mech, cfg)
-}
