@@ -181,23 +181,28 @@ func run(ctx context.Context, cfg config) error {
 	var wlog *wal.Log
 	recovered := 0
 	if cfg.dataDir != "" {
+		t0 := time.Now()
 		l, st, recs, err := wal.Open(wal.Options{
 			Dir: cfg.dataDir, Fsync: cfg.fsync, Interval: cfg.fsyncInterval,
 		})
 		if err != nil {
 			return fmt.Errorf("opening write-ahead log in %s: %w", cfg.dataDir, err)
 		}
+		opened := time.Since(t0)
 		if err := f.Restore(ctx, st, recs, workloads.ByName); err != nil {
 			l.Close()
 			return fmt.Errorf("replaying write-ahead log in %s: %w", cfg.dataDir, err)
 		}
+		restored := time.Since(t0) - opened
 		wlog = l
 		recovered = len(f.Assignments())
 		f.SetPersister(wlog)
 		defer wlog.Close()
 		head := wlog.Head()
-		fmt.Printf("numaplaced: recovered %d tenants at seq %d (snapshot %d) from %s\n",
-			recovered, head.RecoveredSeq, head.SnapshotSeq, cfg.dataDir)
+		// Recovery time is downtime: say what it cost, per phase.
+		fmt.Printf("numaplaced: recovered %d tenants at seq %d (snapshot %d) from %s: %d records replayed, open %s, restore %s\n",
+			recovered, head.RecoveredSeq, head.SnapshotSeq, cfg.dataDir, head.RecoveredSeq-head.SnapshotSeq,
+			opened.Round(time.Microsecond), restored.Round(time.Microsecond))
 		wcfg.LogHead = func() wire.LogHead {
 			h := wlog.Head()
 			return wire.LogHead{

@@ -257,6 +257,17 @@ func (e *Engine) placementsShared(ctx context.Context, vcpus int) ([]Important, 
 // memoizing the result per (placement, vCPU count). The returned slice is
 // the caller's own copy.
 func (e *Engine) Pin(ctx context.Context, p Placement, vcpus int) ([]topology.ThreadID, error) {
+	threads, err := e.pinShared(ctx, p, vcpus)
+	if err != nil {
+		return nil, err
+	}
+	return append([]topology.ThreadID(nil), threads...), nil
+}
+
+// pinShared returns the memoized pinning itself, shared and read-only. The
+// engine's scheduler pins through it: the container it places keeps its own
+// copy, so a second one per admission or adoption would only be dropped.
+func (e *Engine) pinShared(ctx context.Context, p Placement, vcpus int) ([]topology.ThreadID, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -264,7 +275,7 @@ func (e *Engine) Pin(ctx context.Context, p Placement, vcpus int) ([]topology.Th
 	if ok {
 		if cached, hit := e.pinnings.Load(key); hit {
 			e.pinHits.Add(1)
-			return append([]topology.ThreadID(nil), cached.([]topology.ThreadID)...), nil
+			return cached.([]topology.ThreadID), nil
 		}
 	}
 	e.pinRuns.Add(1)
@@ -275,7 +286,7 @@ func (e *Engine) Pin(ctx context.Context, p Placement, vcpus int) ([]topology.Th
 	if ok {
 		e.pinnings.Store(key, threads)
 	}
-	return append([]topology.ThreadID(nil), threads...), nil
+	return threads, nil
 }
 
 func pinKeyOf(p Placement, vcpus int) (pinKey, bool) {
@@ -402,7 +413,7 @@ func (e *Engine) serving() *sched.Scheduler {
 	}
 	e.schedOnce.Do(func() {
 		e.scheduler.Store(sched.NewScheduler(e.spec,
-			e.placementsShared, e.predictorOrNil, e.Pin, e.serveCfg))
+			e.placementsShared, e.predictorOrNil, e.pinShared, e.serveCfg))
 	})
 	return e.scheduler.Load()
 }

@@ -11,8 +11,9 @@
 // log would diverge — observation noise streams are keyed by engine-local
 // container IDs and failed admissions consume IDs — and would pay the full
 // observation cost per record; replaying the decision through
-// sched.Scheduler.Adopt is deterministic and microsecond-cheap, which is
-// what makes the recovery-time gate (10k events under 100ms) holdable.
+// sched.Scheduler.Adopt is deterministic and microsecond-cheap. What a
+// restart costs per record is measured by numabench's restart_replay
+// workload and budgeted in DESIGN.md ("What a restart costs").
 package fleet
 
 import (

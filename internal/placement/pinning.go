@@ -1,8 +1,9 @@
 package placement
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/concern"
 	"repro/internal/nperr"
@@ -16,10 +17,14 @@ import (
 // Zen-style machines, then L2/SMT). The result is deterministic:
 // lowest-numbered domains and threads are used first, and when a cache
 // group is not fully used, distinct cores are preferred over SMT siblings.
+//
+// A cold pin is what every fresh engine pays once per placement during a
+// recovery replay, so the walk allocates only its result and one node's
+// worth of scratch: each node's thread table is copied into the scratch and
+// regrouped in place, level by level.
 func Pin(spec *concern.Spec, p Placement, v int) ([]topology.ThreadID, error) {
 	t := spec.Machine.Topo
-	nodes := p.Nodes.IDs()
-	n := len(nodes)
+	n := p.Nodes.Len()
 	if n == 0 {
 		return nil, fmt.Errorf("placement: empty node set: %w", nperr.ErrInfeasible)
 	}
@@ -33,112 +38,106 @@ func Pin(spec *concern.Spec, p Placement, v int) ([]topology.ThreadID, error) {
 		return nil, fmt.Errorf("placement: %d per-node scores for %d concerns", len(p.PerNodeScores), len(spec.PerNode))
 	}
 
-	// Build the chain of sharing levels: node count, then each per-node
+	// The chain of sharing levels is the node count, then each per-node
 	// concern score coarse to fine. Each level's score must divide the
 	// next (the balance property, enforced by Enumerate).
-	scores := append([]int{n}, p.PerNodeScores...)
-	for i := 1; i < len(scores); i++ {
-		c := spec.PerNode[i-1]
-		if scores[i]%scores[i-1] != 0 {
+	coarser := n
+	for i, score := range p.PerNodeScores {
+		c := spec.PerNode[i]
+		if score%coarser != 0 {
 			return nil, fmt.Errorf("placement: concern %q score %d not divisible by coarser score %d",
-				c.Name, scores[i], scores[i-1])
+				c.Name, score, coarser)
 		}
-		if v%scores[i] != 0 {
-			return nil, fmt.Errorf("placement: %d vCPUs not divisible by %q score %d", v, c.Name, scores[i])
+		if v%score != 0 {
+			return nil, fmt.Errorf("placement: %d vCPUs not divisible by %q score %d", v, c.Name, score)
 		}
+		coarser = score
 	}
 
-	// domainOf returns the grouping key of a thread at a given level.
-	domainOf := func(level int, th topology.Thread) (topology.DomainID, error) {
-		if level == 0 {
-			return topology.DomainID(th.Node), nil
+	// Node level: the placement's node set *is* the selection, and every
+	// node takes an equal share of the vCPUs.
+	pn := pinner{spec: spec, threads: t.Threads, nodes: n, scores: p.PerNodeScores}
+	out := make([]topology.ThreadID, 0, v)
+	scratch := make([]topology.ThreadID, 0, t.ThreadsPerNode())
+	for rest := p.Nodes; !rest.Empty(); {
+		node := rest.Lowest()
+		rest = rest.Remove(node)
+		scratch = append(scratch[:0], t.Nodes[node].Threads...)
+		var err error
+		if out, err = pn.pick(out, 1, scratch, v/n); err != nil {
+			return nil, err
 		}
-		switch spec.PerNode[level-1].Name {
-		case "L2/SMT":
-			return th.L2, nil
-		case "L3":
-			return th.L3, nil
-		default:
-			return 0, fmt.Errorf("placement: unknown per-node concern %q", spec.PerNode[level-1].Name)
+	}
+	slices.Sort(out)
+	return out, nil
+}
+
+// pinner is the fixed part of one Pin call. Levels count from 1, the first
+// per-node concern; level len(scores)+1 is the leaf.
+type pinner struct {
+	spec    *concern.Spec
+	threads []topology.Thread
+	nodes   int   // the placement's node count: the score above level 1
+	scores  []int // per-node concern scores, coarse to fine
+}
+
+// pick appends want threads chosen from cand, the threads of one domain of
+// the level above, and returns the grown slice. At a concern level it
+// groups cand by that concern's domain, keeps the lowest-numbered
+// (score/coarser score) domains and gives each an equal share; at the leaf
+// it takes distinct cores before SMT siblings. cand is reordered in place.
+func (pn *pinner) pick(out []topology.ThreadID, level int, cand []topology.ThreadID, want int) ([]topology.ThreadID, error) {
+	if level > len(pn.scores) {
+		slices.SortFunc(cand, func(a, b topology.ThreadID) int {
+			return cmp.Or(cmp.Compare(pn.threads[a].SMT, pn.threads[b].SMT), cmp.Compare(a, b))
+		})
+		if want > len(cand) {
+			return nil, fmt.Errorf("placement: need %d threads, domain has %d", want, len(cand))
 		}
+		return append(out, cand[:want]...), nil
 	}
 
-	// Recursively select threads: at each level, group the candidate
-	// threads by domain, keep the first (score[level]/score[level-1])
-	// domains, and recurse into each with an equal share of vCPUs.
-	var pick func(level int, candidates []topology.Thread, want int) ([]topology.ThreadID, error)
-	pick = func(level int, candidates []topology.Thread, want int) ([]topology.ThreadID, error) {
-		if level == len(scores) {
-			// Leaf: pick `want` threads, distinct cores before SMT siblings.
-			sort.Slice(candidates, func(i, j int) bool {
-				if candidates[i].SMT != candidates[j].SMT {
-					return candidates[i].SMT < candidates[j].SMT
-				}
-				return candidates[i].ID < candidates[j].ID
-			})
-			if want > len(candidates) {
-				return nil, fmt.Errorf("placement: need %d threads, domain has %d", want, len(candidates))
-			}
-			ids := make([]topology.ThreadID, want)
-			for i := 0; i < want; i++ {
-				ids[i] = candidates[i].ID
-			}
-			return ids, nil
-		}
-		perParent := scores[level]
-		if level > 0 {
-			perParent = scores[level] / scores[level-1]
-		}
-		byDomain := make(map[topology.DomainID][]topology.Thread)
-		var order []topology.DomainID
-		for _, th := range candidates {
-			d, err := domainOf(level, th)
-			if err != nil {
-				return nil, err
-			}
-			if _, ok := byDomain[d]; !ok {
-				order = append(order, d)
-			}
-			byDomain[d] = append(byDomain[d], th)
-		}
-		sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-		if level == 0 {
-			// Node level: the placement's node set *is* the selection.
-			order = order[:0]
-			for _, id := range nodes {
-				order = append(order, topology.DomainID(id))
-			}
-		} else {
-			if perParent > len(order) {
-				return nil, fmt.Errorf("placement: need %d domains at level %d, have %d", perParent, level, len(order))
-			}
-			order = order[:perParent]
-		}
-		if want%len(order) != 0 {
-			return nil, fmt.Errorf("placement: %d vCPUs not divisible over %d domains", want, len(order))
-		}
-		share := want / len(order)
-		var out []topology.ThreadID
-		for _, d := range order {
-			ids, err := pick(level+1, byDomain[d], share)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, ids...)
-		}
-		return out, nil
+	name := pn.spec.PerNode[level-1].Name
+	if name != "L2/SMT" && name != "L3" && len(cand) > 0 {
+		return nil, fmt.Errorf("placement: unknown per-node concern %q", name)
 	}
-
-	all := make([]topology.Thread, 0, v)
-	for _, node := range nodes {
-		for _, tid := range t.Nodes[node].Threads {
-			all = append(all, t.Threads[tid])
+	domain := func(id topology.ThreadID) topology.DomainID {
+		if name == "L3" {
+			return pn.threads[id].L3
+		}
+		return pn.threads[id].L2
+	}
+	slices.SortStableFunc(cand, func(a, b topology.ThreadID) int {
+		return cmp.Compare(domain(a), domain(b))
+	})
+	// cand is now runs of equal domain, ascending.
+	domains := 0
+	for i, id := range cand {
+		if i == 0 || domain(id) != domain(cand[i-1]) {
+			domains++
 		}
 	}
-	pinned, err := pick(0, all, v)
-	if err != nil {
-		return nil, err
+	coarser := pn.nodes
+	if level > 1 {
+		coarser = pn.scores[level-2]
 	}
-	sort.Slice(pinned, func(i, j int) bool { return pinned[i] < pinned[j] })
-	return pinned, nil
+	keep := pn.scores[level-1] / coarser
+	if keep > domains {
+		return nil, fmt.Errorf("placement: need %d domains at level %d, have %d", keep, level, domains)
+	}
+	if want%keep != 0 {
+		return nil, fmt.Errorf("placement: %d vCPUs not divisible over %d domains", want, keep)
+	}
+	for start, kept := 0, 0; kept < keep; kept++ {
+		end := start + 1
+		for end < len(cand) && domain(cand[end]) == domain(cand[start]) {
+			end++
+		}
+		var err error
+		if out, err = pn.pick(out, level+1, cand[start:end], want/keep); err != nil {
+			return nil, err
+		}
+		start = end
+	}
+	return out, nil
 }

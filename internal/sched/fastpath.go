@@ -175,6 +175,15 @@ func (f *fastPath) getTenant(n int) *tenant {
 	return t
 }
 
+// newTenant returns the tenant an admission or adoption fills: pooled, or
+// freshly allocated under Recompute, which keeps no scratch.
+func (s *Scheduler) newTenant(n int) *tenant {
+	if s.cfg.Recompute {
+		return &tenant{vec: make([]float64, n)}
+	}
+	return s.fast.getTenant(n)
+}
+
 // putTenant recycles a tenant after release or a failed admission. Only the
 // vector's backing array survives; every other field is cleared so a pooled
 // tenant can never leak a container or stale decision into its next use.

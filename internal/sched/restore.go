@@ -61,7 +61,7 @@ func classIndex(imps []placement.Important, classID int) (int, bool) {
 // identity. Records inconsistent with the machine — unknown class,
 // nodes already allocated, duplicate ID — fail with nperr.ErrLogCorrupt;
 // a missing predictor fails with nperr.ErrUntrained like Admit.
-func (s *Scheduler) Adopt(ctx context.Context, r Restore) (*Assignment, error) {
+func (s *Scheduler) Adopt(ctx context.Context, r Restore) (_ *Assignment, err error) {
 	imps, err := s.imps(ctx, r.VCPUs)
 	if err != nil {
 		return nil, err
@@ -79,11 +79,18 @@ func (s *Scheduler) Adopt(ctx context.Context, r Restore) (*Assignment, error) {
 		return nil, fmt.Errorf("sched: adopting container %d: class %d not in the %d-vCPU enumeration: %w",
 			r.ID, r.ClassID, r.VCPUs, nperr.ErrLogCorrupt)
 	}
-	vec := make([]float64, p.NumPlacements)
-	if err := p.PredictInto(vec, r.BasePerf, r.ProbePerf); err != nil {
+	// The tenant and its prediction vector come from the pool Admit and
+	// Release share, so a replay's place/release pairs recycle one tenant;
+	// a record refused from here on hands it straight back.
+	t := s.newTenant(p.NumPlacements)
+	defer func() {
+		if err != nil {
+			s.fast.putTenant(t)
+		}
+	}()
+	if err := p.PredictInto(t.vec, r.BasePerf, r.ProbePerf); err != nil {
 		return nil, fmt.Errorf("sched: adopting container %d: %w", r.ID, err)
 	}
-	goal := s.cfg.goalFrac() * r.BasePerf * (1 + s.cfg.headroom())
 
 	s.structMu.Lock()
 	defer s.structMu.Unlock()
@@ -112,10 +119,9 @@ func (s *Scheduler) Adopt(ctx context.Context, r Restore) (*Assignment, error) {
 		return nil, s.discard(c, err)
 	}
 	s.free.Store(uint64(free.Minus(r.Nodes)))
-	t := &tenant{
-		c: c, class: choice, classID: r.ClassID, nodes: r.Nodes,
-		basePerf: r.BasePerf, probePerf: r.ProbePerf, vec: vec, goal: goal,
-	}
+	t.c, t.class, t.classID, t.nodes = c, choice, r.ClassID, r.Nodes
+	t.basePerf, t.probePerf = r.BasePerf, r.ProbePerf
+	t.goal = s.cfg.goalFrac() * r.BasePerf * (1 + s.cfg.headroom())
 	s.books.Lock()
 	s.books.tenants[r.ID] = t
 	s.insertLive(r.ID)

@@ -7,11 +7,13 @@ import (
 	"testing"
 
 	"repro/internal/concern"
+	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/machines"
 	"repro/internal/mlearn"
 	"repro/internal/nperr"
 	"repro/internal/placement"
+	"repro/internal/topology"
 	"repro/internal/workloads"
 )
 
@@ -228,5 +230,131 @@ func TestApplyMoveReplaysRebalance(t *testing.T) {
 	}
 	if s2.Free() != s1.Free() {
 		t.Fatalf("free sets diverged: %s vs %s", s2.Free(), s1.Free())
+	}
+}
+
+// TestAdoptAllocCeiling bounds what replaying one place/release pair
+// allocates on a warm scheduler: the container, its thread mapping, the
+// returned assignment with its own copy of the threads, and the uncached
+// pin's result and scratch. The tenant and its prediction vector come back
+// from the pool Release fills (an adoption before that paid for both, and
+// some hundred more for the pin).
+func TestAdoptAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not fixed under the race detector")
+	}
+	ctx := context.Background()
+	s1, s2 := twinSchedulers(t, machines.AMD(), 16, ServeConfig{})
+	wt, _ := workloads.ByName("WTbtree")
+	a, err := s1.Admit(ctx, wt, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := restoreOf(a)
+	cycle := func() {
+		if _, err := s2.Adopt(ctx, r); err != nil {
+			t.Fatal(err)
+		}
+		if err := s2.Release(ctx, r.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(200, cycle); n > 6 {
+		t.Fatalf("a warm Adopt+Release cycle allocates %.1f times, want <= 6", n)
+	}
+}
+
+// TestAdoptErrorPathsLeakNothing replays each kind of record Adopt refuses a
+// thousand times over: the books, the free mask and the ID allocator must be
+// exactly as the last good adoption left them, a container made before the
+// refusal must be discarded, and the pooled tenant must go back every time —
+// a thousand refusals draw on the pool's constructor no more than one does.
+func TestAdoptErrorPathsLeakNothing(t *testing.T) {
+	ctx := context.Background()
+	s1, s2 := twinSchedulers(t, machines.AMD(), 16, ServeConfig{})
+	wt, _ := workloads.ByName("WTbtree")
+	a, err := s1.Admit(ctx, wt, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := restoreOf(a)
+	if _, err := s2.Adopt(ctx, good); err != nil {
+		t.Fatal(err)
+	}
+	// A pin that hands back one thread too few makes container.Place refuse
+	// a record every earlier check accepted; shortPin arms it.
+	shortPin := false
+	pin := s2.pin
+	s2.pin = func(ctx context.Context, p placement.Placement, v int) ([]topology.ThreadID, error) {
+		threads, err := pin(ctx, p, v)
+		if shortPin && err == nil {
+			threads = threads[:len(threads)-1]
+		}
+		return threads, err
+	}
+	discarded := 0
+	s2.onDiscard = func(*container.Container) { discarded++ }
+	made := 0
+	s2.fast.pool.New = func() any { made++; return new(tenant) }
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	fresh := func(mut func(*Restore)) Restore {
+		r := good
+		r.ID, r.Nodes = good.ID+100, s2.Free()
+		for r.Nodes.Len() > good.Nodes.Len() {
+			r.Nodes = r.Nodes.Remove(r.Nodes.Lowest())
+		}
+		mut(&r)
+		return r
+	}
+	for _, tc := range []struct {
+		name     string
+		ctx      context.Context
+		r        Restore
+		shortPin bool
+		want     error // nil: any error
+		discards int   // per refusal
+	}{
+		{name: "unpredictable observation", ctx: ctx, r: fresh(func(r *Restore) { r.BasePerf = 0 }), want: nperr.ErrBadObservation},
+		{name: "cancelled context", ctx: cancelled, r: fresh(func(*Restore) {}), want: context.Canceled},
+		{name: "duplicate ID", ctx: ctx, r: good, want: nperr.ErrLogCorrupt},
+		{name: "nodes not free", ctx: ctx, r: fresh(func(r *Restore) { r.Nodes = good.Nodes }), want: nperr.ErrLogCorrupt},
+		{name: "unknown class", ctx: ctx, r: fresh(func(r *Restore) { r.ClassID = 1 << 20 }), want: nperr.ErrLogCorrupt},
+		{name: "pin failure", ctx: ctx, r: fresh(func(r *Restore) { r.Nodes = r.Nodes.Remove(r.Nodes.Lowest()) })},
+		{name: "place failure", ctx: ctx, r: fresh(func(*Restore) {}), shortPin: true, discards: 1},
+	} {
+		books, free, next := s2.Assignments(), s2.Free(), s2.nextID.Load()
+		discarded, made, shortPin = 0, 0, tc.shortPin
+		for i := 0; i < 1000; i++ {
+			_, err := s2.Adopt(tc.ctx, tc.r)
+			if err == nil || (tc.want != nil && !errors.Is(err, tc.want)) {
+				t.Fatalf("%s: Adopt err = %v, want %v", tc.name, err, tc.want)
+			}
+		}
+		shortPin = false
+		if !reflect.DeepEqual(s2.Assignments(), books) || s2.Len() != len(books) {
+			t.Errorf("%s: books changed: %+v, were %+v", tc.name, s2.Assignments(), books)
+		}
+		if s2.Free() != free {
+			t.Errorf("%s: free mask %s, was %s", tc.name, s2.Free(), free)
+		}
+		if got := s2.nextID.Load(); got != next {
+			t.Errorf("%s: nextID %d, was %d", tc.name, got, next)
+		}
+		if discarded != 1000*tc.discards {
+			t.Errorf("%s: %d containers discarded, want %d", tc.name, discarded, 1000*tc.discards)
+		}
+		// A collection empties the pool, so a few draws are fair; one per
+		// refusal is the leak.
+		if !raceEnabled && made > 20 {
+			t.Errorf("%s: 1000 refusals drew %d new tenants from the pool", tc.name, made)
+		}
+	}
+
+	// What was refused left nothing behind: the same record, sound, adopts.
+	if _, err := s2.Adopt(ctx, fresh(func(*Restore) {})); err != nil {
+		t.Fatalf("sound record after the refusals: %v", err)
 	}
 }

@@ -119,7 +119,8 @@ type Scheduler struct {
 	pred func(v int) *core.Predictor
 	// pin materializes a placement into a thread assignment (typically a
 	// serving engine's memoized pinner — Admit re-pins the same base and
-	// probe placements on every admission).
+	// probe placements on every admission). The result may be shared: the
+	// scheduler only reads it.
 	pin func(ctx context.Context, p placement.Placement, v int) ([]topology.ThreadID, error)
 	cfg ServeConfig
 	// fingerprint is the machine's structural fingerprint (ScoreClass).
@@ -330,12 +331,7 @@ func (s *Scheduler) Admit(ctx context.Context, w perfsim.Workload, v int) (*Assi
 	// gap in the ID space, which every iterator tolerates.
 	id := int(s.nextID.Add(1) - 1)
 	c := container.New(id, w, v)
-	var t *tenant
-	if s.cfg.Recompute {
-		t = &tenant{vec: make([]float64, p.NumPlacements)}
-	} else {
-		t = s.fast.getTenant(p.NumPlacements)
-	}
+	t := s.newTenant(p.NumPlacements)
 	obs, err := s.observePredict(ctx, c, imps, p, admitTrial(c.ID()), t.vec)
 	if err != nil {
 		s.fast.putTenant(t)

@@ -201,7 +201,8 @@ func BenchmarkRecovery(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	lookup := func(name string) (perfsim.Workload, bool) { return workloads.ByName(name) }
+	records := 0
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rl, st, recs, err := Open(Options{Dir: dir, Fsync: FsyncNone})
@@ -209,12 +210,14 @@ func BenchmarkRecovery(b *testing.B) {
 			b.Fatal(err)
 		}
 		rf := benchFleet(b)
-		if err := rf.Restore(ctx, st, recs, lookup); err != nil {
+		if err := rf.Restore(ctx, st, recs, workloads.ByName); err != nil {
 			b.Fatal(err)
 		}
 		if rl.Head().RecoveredSeq < 10000 {
 			b.Fatalf("recovered seq %d, want >= 10000", rl.Head().RecoveredSeq)
 		}
+		records += len(recs)
 		rl.Close()
 	}
+	b.ReportMetric(float64(records)/b.Elapsed().Seconds(), "records/s")
 }

@@ -37,6 +37,11 @@ var (
 const (
 	// frameHeader is the fixed per-frame overhead: u32 length + u32 CRC.
 	frameHeader = 8
+	// minRecordPayload is a record's encoding with its three strings empty:
+	// 15 u64 fields, 4 single bytes and 3 length bytes. No record frame is
+	// shorter than frameHeader+minRecordPayload, which bounds how many a
+	// buffer can hold.
+	minRecordPayload = 15*8 + 4 + 3
 	// maxFrame caps a payload's encoded size. Records are ~150 bytes and
 	// snapshots grow with tenant count; 1 MiB bounds both with orders of
 	// magnitude to spare, so any larger length field is torn garbage.
@@ -73,6 +78,10 @@ type reader struct {
 	buf []byte
 	off int
 	bad bool
+	// intern, when set, holds the one copy of each distinct string read so
+	// far: a log names a few dozen backends and workloads tens of thousands
+	// of times. Entries are copies, never views of buf.
+	intern map[string]string
 }
 
 func (r *reader) uint() uint64 {
@@ -103,8 +112,16 @@ func (r *reader) string() string {
 		r.bad = true
 		return ""
 	}
-	s := string(r.buf[r.off : r.off+n])
+	b := r.buf[r.off : r.off+n]
 	r.off += n
+	if r.intern == nil || n == 0 {
+		return string(b)
+	}
+	s, ok := r.intern[string(b)] // the lookup does not allocate the key
+	if !ok {
+		s = string(b)
+		r.intern[s] = s
+	}
 	return s
 }
 
@@ -155,6 +172,12 @@ func appendRecord(dst []byte, r *fleet.Record) ([]byte, error) {
 // corruption, not a torn tail.
 func decodeRecord(payload []byte) (fleet.Record, error) {
 	rd := reader{buf: payload}
+	return rd.record()
+}
+
+// record decodes the payload rd holds, through rd's intern table if it has
+// one.
+func (rd *reader) record() (fleet.Record, error) {
 	var r fleet.Record
 	r.Seq = rd.uint()
 	r.Type = fleet.RecordType(rd.byte())
@@ -293,8 +316,13 @@ func appendFrame(dst, payload []byte) []byte {
 // mismatch ends the scan — everything from there on is a torn tail the
 // caller truncates. A frame whose CRC verifies but whose payload does not
 // decode is corruption and fails with nperr.ErrLogCorrupt (wrapped).
+//
+// The scan allocates once for the records — sized from what buf could hold
+// at most, so a boot-sized log is never regrown — and once per distinct
+// string; no record keeps buf alive.
 func scanFrames(buf []byte) ([]fleet.Record, int, error) {
-	var recs []fleet.Record
+	recs := make([]fleet.Record, 0, len(buf)/(frameHeader+minRecordPayload))
+	rd := reader{intern: map[string]string{}}
 	off := 0
 	for {
 		if off+frameHeader > len(buf) {
@@ -312,7 +340,8 @@ func scanFrames(buf []byte) ([]fleet.Record, int, error) {
 		if crc32.Checksum(payload, castagnoli) != want {
 			return recs, off, nil // damaged frame: treat as tail
 		}
-		r, err := decodeRecord(payload)
+		rd.buf, rd.off, rd.bad = payload, 0, false
+		r, err := rd.record()
 		if err != nil {
 			return recs, off, fmt.Errorf("wal: frame at byte %d: %w", off, err)
 		}

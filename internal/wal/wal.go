@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -161,7 +162,7 @@ func Open(opts Options) (*Log, *fleet.State, []fleet.Record, error) {
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("wal: opening %s: %w", logPath, err)
 	}
-	buf, err := os.ReadFile(logPath)
+	buf, err := readAll(f)
 	if err != nil {
 		f.Close()
 		return nil, nil, nil, fmt.Errorf("wal: reading %s: %w", logPath, err)
@@ -230,6 +231,21 @@ func Open(opts Options) (*Log, *fleet.State, []fleet.Record, error) {
 		go l.flusher()
 	}
 	return l, st, recs, nil
+}
+
+// readAll reads f from its current offset to the end in one buffer sized
+// from the file's length (a file that shrank meanwhile reads short).
+func readAll(f *os.File) ([]byte, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, fi.Size())
+	n, err := io.ReadFull(f, buf)
+	if err != nil && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
+		return nil, err
+	}
+	return buf[:n], nil
 }
 
 // readSnapshot loads and decodes the snapshot file; a missing file is a

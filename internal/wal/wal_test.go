@@ -1,12 +1,16 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/fleet"
 	"repro/internal/nperr"
@@ -468,5 +472,113 @@ func FuzzScanFrames(f *testing.F) {
 				t.Fatalf("record %d does not round-trip: %v", i, err)
 			}
 		}
+		// The pre-sized, interning scan is the naive one: same records,
+		// same valid prefix, same refusal.
+		wantRecs, wantN, wantErr := scanFramesNaive(data)
+		if n != wantN || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("scan = (%d bytes, %v), naive scan = (%d bytes, %v)", n, err, wantN, wantErr)
+		}
+		if len(recs) != len(wantRecs) || (len(recs) > 0 && !reflect.DeepEqual(recs, wantRecs)) {
+			t.Fatalf("scan decoded %d records %+v, naive scan %d %+v", len(recs), recs, len(wantRecs), wantRecs)
+		}
+		assertNoAlias(t, data, recs)
 	})
+}
+
+// scanFramesNaive is scanFrames without its economies — one frame at a
+// time through decodeRecord, every string its own copy, the slice grown by
+// append — and the reference FuzzScanFrames holds it to.
+func scanFramesNaive(buf []byte) ([]fleet.Record, int, error) {
+	var recs []fleet.Record
+	off := 0
+	for {
+		if off+frameHeader > len(buf) {
+			return recs, off, nil
+		}
+		n := int(binary.LittleEndian.Uint32(buf[off:]))
+		if n == 0 || n > maxFrame || off+frameHeader+n > len(buf) {
+			return recs, off, nil
+		}
+		payload := buf[off+frameHeader : off+frameHeader+n]
+		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(buf[off+4:]) {
+			return recs, off, nil
+		}
+		r, err := decodeRecord(payload)
+		if err != nil {
+			return recs, off, fmt.Errorf("wal: frame at byte %d: %w", off, err)
+		}
+		if len(recs) > 0 && r.Seq != recs[len(recs)-1].Seq+1 {
+			return recs, off, fmt.Errorf("wal: frame at byte %d: seq %d follows %d: %w",
+				off, r.Seq, recs[len(recs)-1].Seq, nperr.ErrLogCorrupt)
+		}
+		recs = append(recs, r)
+		off += frameHeader + n
+	}
+}
+
+// assertNoAlias fails if any string of recs points into buf: records
+// outlive the file buffer they were decoded from and must not pin it.
+func assertNoAlias(t *testing.T, buf []byte, recs []fleet.Record) {
+	t.Helper()
+	if len(buf) == 0 {
+		return
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+	hi := lo + uintptr(len(buf))
+	for i := range recs {
+		for _, s := range []string{recs[i].Backend, recs[i].Dest, recs[i].Workload} {
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(s))); len(s) > 0 && p >= lo && p < hi {
+				t.Fatalf("record %d: string %q is a view of the scanned buffer", i, s)
+			}
+		}
+	}
+}
+
+// TestScanCopiesStrings: a scanned record survives its buffer. The strings
+// are interned — equal names share one copy — but that copy is never the
+// buffer's bytes, so overwriting the buffer changes no record.
+func TestScanCopiesStrings(t *testing.T) {
+	want := sampleRecords(64)
+	var buf []byte
+	for i := range want {
+		payload, err := appendRecord(nil, &want[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = appendFrame(buf, payload)
+	}
+	recs, n, err := scanFrames(buf)
+	if err != nil || n != len(buf) || len(recs) != len(want) {
+		t.Fatalf("scan = %d records, %d of %d bytes, %v", len(recs), n, len(buf), err)
+	}
+	assertNoAlias(t, buf, recs)
+	if unsafe.StringData(recs[0].Backend) != unsafe.StringData(recs[4].Backend) {
+		t.Error("equal backend names were not interned to one copy")
+	}
+	for i := range buf {
+		buf[i] = 0xff
+	}
+	if !reflect.DeepEqual(recs, want) {
+		t.Fatal("records changed when the scanned buffer was overwritten")
+	}
+}
+
+// TestOpenAllocCeiling: recovery's scan allocates for what is distinct in
+// the log — the file buffer, one record slice, one copy of each name — and
+// not per record, nor per doubling of the slice. 10 000 records naming three
+// backends and two workloads measure 17; regrowing the slice makes it 35,
+// a string per record 15 000.
+func TestOpenAllocCeiling(t *testing.T) {
+	dir := t.TempDir()
+	writeLog(t, dir, sampleRecords(10000))
+	allocs := testing.AllocsPerRun(5, func() {
+		l, _, recs, err := Open(Options{Dir: dir, Fsync: FsyncNone})
+		if err != nil || len(recs) != 10000 {
+			t.Fatalf("Open = %d records, %v", len(recs), err)
+		}
+		l.Close()
+	})
+	if allocs > 24 {
+		t.Fatalf("Open+Close of a 10 000-record log allocates %v times, want <= 24", allocs)
+	}
 }

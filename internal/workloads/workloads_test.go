@@ -100,6 +100,24 @@ func TestByName(t *testing.T) {
 	if _, ok := ByName("nope"); ok {
 		t.Fatal("ByName found a nonexistent workload")
 	}
+	// The index answers for the whole catalog, and the catalog cannot be
+	// reached through what Paper hands out.
+	ws := Paper()
+	for _, want := range ws {
+		if got, ok := ByName(want.Name); !ok || got != want {
+			t.Fatalf("ByName(%q) = %+v, %v", want.Name, got, ok)
+		}
+	}
+	ws[0].Name, ws[0].BaselineOps = "clobbered", -1
+	if got := Paper()[0]; got.Name != "BLAST" || got.BaselineOps <= 0 {
+		t.Fatalf("Paper()'s slice aliases the catalog: %+v", got)
+	}
+	if got, ok := ByName("BLAST"); !ok || got.BaselineOps <= 0 {
+		t.Fatalf("ByName reads through Paper()'s slice: %+v, %v", got, ok)
+	}
+	if n := testing.AllocsPerRun(100, func() { ByName("WTbtree") }); n != 0 {
+		t.Fatalf("ByName allocates %v times per lookup, want 0", n)
+	}
 }
 
 func TestCorpusDeterministicAndValid(t *testing.T) {
