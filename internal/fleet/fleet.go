@@ -10,17 +10,20 @@
 //
 // Lock ordering: Fleet.mu is acquired before any backend (Engine) lock and
 // backends never call back into the fleet, so the order is one-directional
-// and deadlock-free. Place evaluates routing without holding Fleet.mu
-// across backend calls (admissions on distinct machines proceed in
-// parallel); Rebalance and Drain hold Fleet.mu end to end so a re-packing
-// pass is never interleaved with a half-registered admission — the same
-// atomicity the per-machine scheduler gives its own pass.
+// and deadlock-free. Every mutation other than Place is one Fleet.mu hold
+// covering the backend calls, the map change, the event and the record, so
+// capacity is freed and logged in one hold. Place alone admits on a backend
+// without the lock (admissions on distinct machines proceed in parallel) and
+// registers under it after: capacity is taken before it is logged. Replaying
+// any prefix of the log into fresh engines therefore succeeds.
 package fleet
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -156,10 +159,11 @@ type member struct {
 	health  Health
 	misses  int // consecutive missed probes (reset by Heartbeat)
 	tenants int // fleet-registered tenants on this backend
-	// fences counts the member's transitions to Dead and its Revives: the
-	// events after which an engine record the fleet does not map may be, or
-	// has been, fenced away. Place and Release compare it across their
-	// unlocked backend call to notice one in between.
+	// fences counts the member's transitions into and out of Dead and the
+	// intra-machine moves of records the fleet does not map: the events
+	// after which such a record may be, or has been, fenced away, or is no
+	// longer where its admission said. Place compares it across its unlocked
+	// backend call to notice one in between.
 	fences atomic.Uint32
 }
 
@@ -306,7 +310,7 @@ type Fleet struct {
 	// event and appends its WAL record under the same hold, which is what
 	// makes record order equal commit order. It is the outermost lock of
 	// the hierarchy and must never cover blocking work (Persister.Commit
-	// runs strictly after the unlock — see joinDurable).
+	// runs strictly after the unlock — see durable).
 	//numalint:locks fleet.mu rank=10 noblock
 	mu      sync.Mutex
 	members []*member // add order
@@ -475,9 +479,10 @@ func (f *Fleet) markOccupiedLocked(s *routeScratch, workload string, skip *tenan
 // candidates ranks, in s, the members open for admission per q (add order
 // breaks ties), members in failure domains not yet hosting the workload
 // first when domain spreading is configured. The membership and occupancy
-// view is one lock hold; scoring asks the backends without it. BestPredicted
-// leaves out members whose preview fails (s.rejections reports them); a
-// context cancellation aborts with its error.
+// view is one lock hold (marked in s.mark, so a Place that appends nothing
+// still reports the log's sticky error); scoring asks the backends without
+// it. BestPredicted leaves out members whose preview fails (s.rejections
+// reports them); a context cancellation aborts with its error.
 func (f *Fleet) candidates(ctx context.Context, s *routeScratch, q *routeQuery) ([]*member, error) {
 	f.mu.Lock()
 	s.mems = s.mems[:0]
@@ -487,6 +492,7 @@ func (f *Fleet) candidates(ctx context.Context, s *routeScratch, q *routeQuery) 
 		}
 	}
 	f.markOccupiedLocked(s, q.w.Name, nil)
+	f.markLocked(&s.mark)
 	f.mu.Unlock()
 	return s.route(ctx, q)
 }
@@ -497,15 +503,13 @@ func (f *Fleet) candidates(ctx context.Context, s *routeScratch, q *routeQuery) 
 // (with every backend's rejection joined in) when no backend admits the
 // container.
 func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm *Admission, err error) {
-	// Durability commit runs after the fleet lock is released (defers run
-	// LIFO against the per-branch unlocks below, so the order holds). A
-	// durability failure rides along WITH the admission: the in-memory
-	// commit stands either way, and hiding it would leak the container.
+	// The durability join runs at return, after the per-branch unlocks
+	// below. A durability failure rides along WITH the admission: the
+	// in-memory commit stands either way, and hiding it would leak the
+	// container.
 	s := scratchPool.Get().(*routeScratch)
-	defer func() {
-		scratchPool.Put(s)
-		err = f.joinDurable(err)
-	}()
+	defer scratchPool.Put(s)
+	defer s.mark.join(&err)
 	q := routeQuery{by: f.cfg.Policy.scoring(), w: w, vcpus: vcpus}
 	cands, err := f.candidates(ctx, s, &q)
 	if err != nil {
@@ -555,7 +559,8 @@ func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm *
 			// already when this candidate list was drawn — is undone here:
 			// its fence ran before the record existed, or released it
 			// already (the backend then answers unknown container, the
-			// outcome wanted).
+			// outcome wanted). So is an admission an intra-machine pass
+			// moved meanwhile (logIntraLocked): the nodes in hand are stale.
 			if mem.health != Dead {
 				_ = mem.b.Release(context.WithoutCancel(ctx), a.ID)
 			}
@@ -572,12 +577,14 @@ func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm *
 		f.persistLocked(Record{Type: RecPlace, ID: id, Backend: mem.name,
 			Workload: w.Name, VCPUs: vcpus, EngineID: a.ID, ClassID: a.Class,
 			Nodes: a.Nodes, BasePerf: a.BasePerf, ProbePerf: a.ProbePerf})
+		f.markLocked(&s.mark)
 		f.mu.Unlock()
 		return &Admission{ID: id, Backend: mem.name, Assignment: *a}, nil
 	}
 	f.mu.Lock()
 	f.rejected++
 	f.persistLocked(Record{Type: RecReject, ID: -1, Workload: w.Name, VCPUs: vcpus})
+	f.markLocked(&s.mark)
 	f.mu.Unlock()
 	sentinels := []error{nperr.ErrFleetFull}
 	if len(cands) == 0 {
@@ -598,53 +605,30 @@ func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm *
 // fleet record alone — the dead backend receives no call (its books are
 // fenced when it is revived), so stranded records are never leaked.
 //
-// The mapping is claimed (removed) under the fleet lock before the
-// backend eviction runs: Rebalance, Drain and Failover move only mapped
-// tenants under the same lock, so a claimed container can no longer
-// migrate out from under the eviction, and the captured backend/ID pair
-// stays valid. If the backend eviction itself fails (cancellation), the
-// claim is rolled back so the container is not leaked off the fleet's
-// books — unless the machine died meanwhile, see below.
+// The backend eviction, the unmapping and the record are one hold: no
+// admission can take the freed nodes and be logged ahead of the release that
+// freed them. A failed or cancelled eviction returns with nothing changed.
 func (f *Fleet) Release(ctx context.Context, id int) (err error) {
-	defer func() { err = f.joinDurable(err) }()
+	var d durable
+	defer d.join(&err)
 	f.mu.Lock()
+	defer f.mu.Unlock()
+	defer f.markLocked(&d)
 	rec, ok := f.tenants[id]
 	if !ok {
-		f.mu.Unlock()
 		return fmt.Errorf("fleet: releasing container %d: %w", id, nperr.ErrUnknownContainer)
+	}
+	if rec.mem.health != Dead {
+		if err := rec.mem.b.Release(ctx, rec.engineID); err != nil {
+			return fmt.Errorf("fleet: releasing container %d from %s: %w", id, rec.mem.name, err)
+		}
 	}
 	delete(f.tenants, id)
 	f.hostLocked(rec.mem, rec.w.Name, -1)
-	if rec.mem.health == Dead {
-		f.released++
-		f.publish(Event{Type: EvRelease, ID: id, Backend: rec.mem.name, Workload: rec.w.Name, VCPUs: rec.vcpus})
-		f.persistLocked(Record{Type: RecRelease, ID: id, Backend: rec.mem.name,
-			Workload: rec.w.Name, VCPUs: rec.vcpus})
-		f.mu.Unlock()
-		return nil
-	}
-	mem, engineID, fences := rec.mem, rec.engineID, rec.mem.fences.Load()
-	f.mu.Unlock()
-
-	rerr := mem.b.Release(ctx, engineID)
-	f.mu.Lock()
-	if rerr != nil && mem.fences.Load() == fences {
-		f.tenants[id] = rec
-		f.hostLocked(rec.mem, rec.w.Name, +1)
-		f.mu.Unlock()
-		return fmt.Errorf("fleet: releasing container %d from %s: %w", id, mem.name, rerr)
-	}
-	// A failed eviction on a machine declared dead since the claim is not
-	// rolled back: the claimed record was unmapped when the failover pass
-	// ran, so nothing moved it, and Revive's fence releases it engine-side
-	// (or already has — the backend then answers unknown container). The
-	// release completes as it does for a tenant stranded on a dead machine;
-	// re-mapping would book a tenant to a record that no longer exists.
 	f.released++
-	f.publish(Event{Type: EvRelease, ID: id, Backend: mem.name, Workload: rec.w.Name, VCPUs: rec.vcpus})
-	f.persistLocked(Record{Type: RecRelease, ID: id, Backend: mem.name,
+	f.publish(Event{Type: EvRelease, ID: id, Backend: rec.mem.name, Workload: rec.w.Name, VCPUs: rec.vcpus})
+	f.persistLocked(Record{Type: RecRelease, ID: id, Backend: rec.mem.name,
 		Workload: rec.w.Name, VCPUs: rec.vcpus})
-	f.mu.Unlock()
 	return nil
 }
 
@@ -724,11 +708,6 @@ func (f *Fleet) Stats() Stats {
 	var usedNodes, totalNodes int
 	for _, m := range mems {
 		s := snaps[m]
-		free, used := 0, 0
-		if s.health != Dead {
-			free = m.b.FreeNodes().Len()
-			used = m.total - free
-		}
 		bs := BackendStats{
 			Name:       m.name,
 			Machine:    m.b.Machine().Topo.Name,
@@ -736,12 +715,12 @@ func (f *Fleet) Stats() Stats {
 			Health:     s.health,
 			Draining:   s.drained,
 			Tenants:    s.tenants,
-			FreeNodes:  free,
 			TotalNodes: m.total,
 		}
 		if s.health != Dead {
-			bs.Utilization = 1 - float64(free)/float64(m.total)
-			usedNodes += used
+			bs.FreeNodes = m.b.FreeNodes().Len()
+			bs.Utilization = utilization(bs.FreeNodes, m.total)
+			usedNodes += m.total - bs.FreeNodes
 			totalNodes += m.total
 		}
 		st.Backends = append(st.Backends, bs)
@@ -757,7 +736,7 @@ func (f *Fleet) Stats() Stats {
 		if s.health == Dead {
 			d.Dead++
 		} else {
-			d.FreeNodes += free
+			d.FreeNodes += bs.FreeNodes
 			d.TotalNodes += m.total
 		}
 	}
@@ -767,22 +746,10 @@ func (f *Fleet) Stats() Stats {
 	sort.Strings(domainNames)
 	for _, name := range domainNames {
 		d := domains[name]
-		if d.TotalNodes > 0 {
-			d.Utilization = 1 - float64(d.FreeNodes)/float64(d.TotalNodes)
-		}
+		d.Utilization = utilization(d.FreeNodes, d.TotalNodes)
 		st.Domains = append(st.Domains, *d)
 	}
 	return st
-}
-
-// moveCost returns the simulated fast-mechanism migration time for moving
-// the tenant's memory between machines.
-func (f *Fleet) moveCost(ctx context.Context, rec *tenantRec) (float64, error) {
-	res, err := migrate.RunCtx(ctx, migrate.ProfileFor(rec.w, rec.vcpus), migrate.Fast, f.cfg.Migration)
-	if err != nil {
-		return 0, err
-	}
-	return res.Seconds, nil
 }
 
 // moveLocked migrates the identified tenant from its current backend onto
@@ -793,8 +760,8 @@ func (f *Fleet) moveCost(ctx context.Context, rec *tenantRec) (float64, error) {
 // *destErrs when the caller collects them (Drain and Failover do, so an
 // infra failure — untrained size, pin source down — is distinguishable
 // from a full fleet); a nil destErrs discards them. failover marks moves
-// committed by a failover pass in the durable record (replay reconstructs
-// the FailedOver counter from the flag). Callers hold f.mu.
+// committed by a failover pass, in the FailedOver counter and in the durable
+// record replay reconstructs it from. Callers hold f.mu.
 func (f *Fleet) moveLocked(ctx context.Context, rep *Report, id int, rec *tenantRec, cost float64, dests []*member, destErrs *[]error, failover bool) (bool, error) {
 	for _, d := range dests {
 		a, err := d.b.Place(ctx, rec.w, rec.vcpus)
@@ -808,11 +775,17 @@ func (f *Fleet) moveLocked(ctx context.Context, rep *Report, id int, rec *tenant
 			continue
 		}
 		if rec.mem.health != Dead {
-			if err := rec.mem.b.Release(ctx, rec.engineID); err != nil {
-				// The tenant now runs on both machines' books — unreachable
-				// with a well-behaved backend (the fleet's mapping is the
-				// only release path). Surface it rather than guessing.
-				return false, fmt.Errorf("fleet: moving container %d off %s: %w", id, rec.mem.name, err)
+			// Past the destination's admission the move must not inherit the
+			// request's cancellation (as Place's undo must not). If the source
+			// still cannot let go, the admission is given back: an unmapped,
+			// unlogged record would hold the destination's nodes.
+			undo := context.WithoutCancel(ctx)
+			if err := rec.mem.b.Release(undo, rec.engineID); err != nil {
+				err = fmt.Errorf("fleet: moving container %d off %s: %w", id, rec.mem.name, err)
+				if uerr := d.b.Release(undo, a.ID); uerr != nil {
+					err = errors.Join(err, fmt.Errorf("fleet: undoing its admission on %s: %w", d.name, uerr))
+				}
+				return false, err
 			}
 		}
 		rep.Moves = append(rep.Moves, Move{
@@ -831,6 +804,9 @@ func (f *Fleet) moveLocked(ctx context.Context, rep *Report, id int, rec *tenant
 		f.hostLocked(d, rec.w.Name, +1)
 		f.moves++
 		f.migrationSeconds += cost
+		if failover {
+			f.failedOver++
+		}
 		return true, nil
 	}
 	return false, nil
@@ -843,28 +819,26 @@ func (f *Fleet) moveLocked(ctx context.Context, rep *Report, id int, rec *tenant
 // same single float addition the live pass made. It also refreshes each
 // moved tenant's recorded assignment from the backend's live books — the
 // snapshot a dead machine's tenants later resolve from must show where a
-// container runs NOW, not where it was first admitted. Callers hold f.mu.
+// container runs NOW, not where it was first admitted. A moved record the
+// fleet does not map is an admission in flight whose Place still holds the
+// nodes it was admitted to: it is fenced (Place undoes it) and, since replay
+// could not apply it, not logged. Callers hold f.mu.
 func (f *Fleet) logIntraLocked(m *member, intra *sched.RebalanceReport) {
 	if len(intra.Moves) == 0 {
 		return
 	}
-	type mapped struct {
-		fleetID int
-		rec     *tenantRec
-	}
-	byEngine := make(map[int]mapped, m.tenants)
-	for fid, rec := range f.tenants {
-		if rec.mem == m {
-			byEngine[rec.engineID] = mapped{fid, rec}
-		}
+	byEngine := make(map[int]int, m.tenants) // backend-local ID → fleet ID
+	for id, rec := range f.tenantsOfLocked(m) {
+		byEngine[rec.engineID] = id
 	}
 	for _, mv := range intra.Moves {
-		fleetID := -1
-		if e, ok := byEngine[mv.ID]; ok {
-			fleetID = e.fleetID
-			if a, aok := m.b.Assignment(mv.ID); aok {
-				e.rec.assign = a
-			}
+		fleetID, ok := byEngine[mv.ID]
+		if !ok {
+			m.fences.Add(1)
+			continue
+		}
+		if a, aok := m.b.Assignment(mv.ID); aok {
+			f.tenants[fleetID].assign = a
 		}
 		f.persistLocked(Record{Type: RecIntraMove, ID: fleetID, Backend: m.name,
 			EngineID: mv.ID, ClassID: mv.ToClass, Nodes: mv.ToNodes, Seconds: mv.Seconds})
@@ -912,17 +886,83 @@ func (f *Fleet) orderDestsLocked(ctx context.Context, rec *tenantRec, dests []*m
 	return s.route(ctx, &q)
 }
 
-// tenantsOfLocked returns the fleet IDs currently mapped to m in ascending
-// order. Callers hold f.mu.
-func (f *Fleet) tenantsOfLocked(m *member) []int {
-	ids := make([]int, 0, m.tenants)
-	for id, rec := range f.tenants {
-		if rec.mem == m {
-			ids = append(ids, id)
+// tenantsOfLocked ranges over the tenants currently mapped to m, by fleet
+// ID, in map order. Callers hold f.mu for the whole iteration.
+func (f *Fleet) tenantsOfLocked(m *member) iter.Seq2[int, *tenantRec] {
+	return func(yield func(int, *tenantRec) bool) {
+		for id, rec := range f.tenants {
+			if rec.mem == m && !yield(id, rec) {
+				return
+			}
 		}
 	}
+}
+
+// evacuateLocked is the one per-tenant loop under Rebalance's cross-machine
+// phase, Drain and Failover: it tries to move every tenant of src, in
+// ascending fleet-ID order, onto another accepting machine — each move
+// priced as a fast-mechanism copy of the tenant's memory and committed only
+// if it fits what rep has left of budget (+Inf: unbudgeted). The eligibility
+// filter and the budget check run before the policy ordering, so no preview
+// is spent on a move that can never commit. Destinations are strictly busier
+// machines only, so consolidation goes uphill and terminates — except off a
+// draining or dead source, which must empty wherever room exists. A non-nil
+// destErrs says the pass owes src's emptying: each tenant left behind (no
+// destination, over budget, rejected everywhere) is counted in rep.Stranded
+// and moveLocked collects the rejections there. failover is moveLocked's
+// mark. Callers hold f.mu.
+func (f *Fleet) evacuateLocked(ctx context.Context, rep *Report, src *member, budget float64, destErrs *[]error, failover bool) error {
+	ids := make([]int, 0, src.tenants)
+	for id := range f.tenantsOfLocked(src) {
+		ids = append(ids, id)
+	}
 	sort.Ints(ids)
-	return ids
+	for _, id := range ids {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		rec := f.tenants[id]
+		rep.Examined++
+		minUtil := -1.0 // a negative floor disables the uphill filter
+		if !src.drained && src.health != Dead {
+			minUtil = src.utilization()
+		}
+		moved := false
+		if dests := f.eligibleDestsLocked(src, minUtil); len(dests) > 0 {
+			copied, err := migrate.RunCtx(ctx, migrate.ProfileFor(rec.w, rec.vcpus), migrate.Fast, f.cfg.Migration)
+			if err != nil {
+				return err
+			}
+			if cost := copied.Seconds; rep.TotalSeconds+cost <= budget {
+				if dests, err = f.orderDestsLocked(ctx, rec, dests); err != nil {
+					return err
+				}
+				if moved, err = f.moveLocked(ctx, rep, id, rec, cost, dests, destErrs, failover); err != nil {
+					return err
+				}
+			}
+		}
+		if destErrs != nil && !moved {
+			rep.Stranded++
+		}
+	}
+	return nil
+}
+
+// summarizeLocked publishes and logs the summary of one pass over backend
+// ("" for a fleet-wide one). Passes defer it: whatever was committed shows,
+// error or not, so subscribers see the same partial work the returned report
+// carries. The record is audit-only — every state change was already logged
+// per move. Callers hold f.mu.
+func (f *Fleet) summarizeLocked(ev EventType, rt RecordType, backend string, rep *Report) {
+	intra := 0
+	for _, ip := range rep.Intra {
+		intra += len(ip.Report.Moves)
+	}
+	f.publish(Event{Type: ev, ID: -1, Backend: backend, Moves: len(rep.Moves), Intra: intra,
+		Examined: rep.Examined, Stranded: rep.Stranded, Seconds: rep.TotalSeconds})
+	f.persistLocked(Record{Type: rt, ID: -1, Backend: backend, Moves: len(rep.Moves), Intra: intra,
+		Examined: rep.Examined, Stranded: rep.Stranded, Seconds: rep.TotalSeconds})
 }
 
 // Rebalance runs one fleet-wide re-packing pass under a migration-seconds
@@ -938,24 +978,13 @@ func (f *Fleet) tenantsOfLocked(m *member) []int {
 // On error the report of work already committed is returned alongside the
 // error (migration seconds already spent are never discarded).
 func (f *Fleet) Rebalance(ctx context.Context, budgetSeconds float64) (rep *Report, err error) {
-	defer func() { err = f.joinDurable(err) }()
+	var d durable
+	defer d.join(&err)
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	defer f.markLocked(&d)
 	rep = &Report{BudgetSeconds: budgetSeconds}
-	// The pass summary publishes whatever was committed, error or not —
-	// subscribers watching the stream see the same partial work the
-	// returned report carries. The matching durable summary is audit-only:
-	// every state change was already logged per-move.
-	defer func() {
-		intra := 0
-		for _, ip := range rep.Intra {
-			intra += len(ip.Report.Moves)
-		}
-		f.publish(Event{Type: EvRebalance, ID: -1, Moves: len(rep.Moves), Intra: intra,
-			Examined: rep.Examined, Seconds: rep.TotalSeconds})
-		f.persistLocked(Record{Type: RecRebalance, ID: -1, Moves: len(rep.Moves),
-			Intra: intra, Examined: rep.Examined, Seconds: rep.TotalSeconds})
-	}()
+	defer f.summarizeLocked(EvRebalance, RecRebalance, "", rep)
 
 	// Intra-machine passes, in add order (healthy, accepting machines
 	// only: a suspect machine is left undisturbed until its probes settle,
@@ -1013,39 +1042,8 @@ func (f *Fleet) Rebalance(ctx context.Context, budgetSeconds float64) (rep *Repo
 	sort.SliceStable(sources, func(i, j int) bool { return sources[i].util < sources[j].util })
 
 	for _, src := range sources {
-		for _, id := range f.tenantsOfLocked(src.m) {
-			if err := ctx.Err(); err != nil {
-				return rep, err
-			}
-			rec := f.tenants[id]
-			rep.Examined++
-			// Destinations: strictly busier machines only, so moves
-			// always go uphill and consolidation terminates — except off
-			// a draining or dead source, which must empty wherever room
-			// exists. The cheap eligibility filter and the budget check
-			// both run before the policy ordering, so no preview
-			// observations are spent on a move that can never commit.
-			minUtil := -1.0
-			if !src.m.drained && src.m.health != Dead {
-				minUtil = src.m.utilization()
-			}
-			dests := f.eligibleDestsLocked(src.m, minUtil)
-			if len(dests) == 0 {
-				continue
-			}
-			cost, err := f.moveCost(ctx, rec)
-			if err != nil {
-				return rep, err
-			}
-			if rep.TotalSeconds+cost > budgetSeconds {
-				continue // a smaller tenant may still fit the budget
-			}
-			if dests, err = f.orderDestsLocked(ctx, rec, dests); err != nil {
-				return rep, err
-			}
-			if _, err := f.moveLocked(ctx, rep, id, rec, cost, dests, nil, false); err != nil {
-				return rep, err
-			}
+		if err := f.evacuateLocked(ctx, rep, src.m, budgetSeconds, nil, false); err != nil {
+			return rep, err
 		}
 		if src.m.tenants == 0 && src.m.health != Dead {
 			rep.Drained = append(rep.Drained, src.m.name)
@@ -1062,9 +1060,11 @@ func (f *Fleet) Rebalance(ctx context.Context, budgetSeconds float64) (rep *Repo
 // (Resume reopens it). Draining an unknown backend fails with
 // ErrUnknownBackend.
 func (f *Fleet) Drain(ctx context.Context, name string) (rep *Report, err error) {
-	defer func() { err = f.joinDurable(err) }()
+	var d durable
+	defer d.join(&err)
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	defer f.markLocked(&d)
 	src, ok := f.byName[name]
 	if !ok {
 		return nil, fmt.Errorf("fleet: draining %q: %w", name, nperr.ErrUnknownBackend)
@@ -1081,41 +1081,10 @@ func (f *Fleet) Drain(ctx context.Context, name string) (rep *Report, err error)
 	// crash mid-pass recovers a backend that is already closed.
 	f.persistLocked(Record{Type: RecDrainStart, ID: -1, Backend: name})
 	rep = &Report{}
-	defer func() {
-		f.publish(Event{Type: EvDrain, ID: -1, Backend: name, Moves: len(rep.Moves),
-			Examined: rep.Examined, Stranded: rep.Stranded, Seconds: rep.TotalSeconds})
-		f.persistLocked(Record{Type: RecDrainPass, ID: -1, Backend: name,
-			Moves: len(rep.Moves), Examined: rep.Examined, Stranded: rep.Stranded,
-			Seconds: rep.TotalSeconds})
-	}()
+	defer f.summarizeLocked(EvDrain, RecDrainPass, name, rep)
 	var destErrs []error
-	for _, id := range f.tenantsOfLocked(src) {
-		if err := ctx.Err(); err != nil {
-			return rep, err
-		}
-		rec := f.tenants[id]
-		rep.Examined++
-		// Destinations: every other accepting machine regardless of
-		// utilization (negative minUtil disables the uphill filter).
-		dests := f.eligibleDestsLocked(src, -1)
-		if len(dests) == 0 {
-			rep.Stranded++
-			continue
-		}
-		cost, err := f.moveCost(ctx, rec)
-		if err != nil {
-			return rep, err
-		}
-		if dests, err = f.orderDestsLocked(ctx, rec, dests); err != nil {
-			return rep, err
-		}
-		moved, err := f.moveLocked(ctx, rep, id, rec, cost, dests, &destErrs, false)
-		if err != nil {
-			return rep, err
-		}
-		if !moved {
-			rep.Stranded++
-		}
+	if err := f.evacuateLocked(ctx, rep, src, math.Inf(1), &destErrs, false); err != nil {
+		return rep, err
 	}
 	if rep.Stranded > 0 {
 		// The per-destination rejections ride along so callers can tell
@@ -1130,9 +1099,11 @@ func (f *Fleet) Drain(ctx context.Context, name string) (rep *Report, err error)
 
 // Resume reopens a drained backend for admissions.
 func (f *Fleet) Resume(name string) (err error) {
-	defer func() { err = f.joinDurable(err) }()
+	var d durable
+	defer d.join(&err)
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	defer f.markLocked(&d)
 	m, ok := f.byName[name]
 	if !ok {
 		return fmt.Errorf("fleet: resuming %q: %w", name, nperr.ErrUnknownBackend)

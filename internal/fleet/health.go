@@ -116,15 +116,36 @@ func (f *Fleet) HealthOf(name string) (Health, bool) {
 	return m.health, true
 }
 
+// setHealthLocked moves m to health state to with the given miss count. A
+// change of state is published and logged (a return from Dead by the
+// RecRevive its caller appends), and one into or out of Dead bumps m.fences
+// — so no death or revival can go unnoticed by an admission in flight.
+// Callers hold f.mu.
+func (f *Fleet) setHealthLocked(m *member, to Health, misses int) {
+	if from := m.health; from != to {
+		f.publish(Event{Type: EvHealth, ID: -1, Backend: m.name, FromHealth: from, ToHealth: to})
+		if from != Dead {
+			f.persistLocked(Record{Type: RecHealth, ID: -1, Backend: m.name,
+				FromHealth: from, ToHealth: to, Misses: misses})
+		}
+		if from == Dead || to == Dead {
+			m.fences.Add(1)
+		}
+	}
+	m.health, m.misses = to, misses
+}
+
 // Heartbeat records one answered probe from the named backend: the miss
 // counter resets and a suspect member is restored to Healthy. A dead
 // member stays dead and fails with ErrBackendDown — a machine the fleet
 // has already failed over must be explicitly Revived (which fences its
 // stale state) before it serves again.
 func (f *Fleet) Heartbeat(name string) (h Health, err error) {
-	defer func() { err = f.joinDurable(err) }()
+	var d durable
+	defer d.join(&err)
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	defer f.markLocked(&d)
 	m, ok := f.byName[name]
 	if !ok {
 		return 0, fmt.Errorf("fleet: heartbeat from %q: %w", name, nperr.ErrUnknownBackend)
@@ -132,13 +153,7 @@ func (f *Fleet) Heartbeat(name string) (h Health, err error) {
 	if m.health == Dead {
 		return Dead, fmt.Errorf("fleet: heartbeat from %s: %w (Revive to rejoin)", name, nperr.ErrBackendDown)
 	}
-	m.misses = 0
-	if m.health != Healthy {
-		f.publish(Event{Type: EvHealth, ID: -1, Backend: name, FromHealth: m.health, ToHealth: Healthy})
-		f.persistLocked(Record{Type: RecHealth, ID: -1, Backend: name,
-			FromHealth: m.health, ToHealth: Healthy})
-	}
-	m.health = Healthy
+	f.setHealthLocked(m, Healthy, 0)
 	return Healthy, nil
 }
 
@@ -150,9 +165,11 @@ func (f *Fleet) Heartbeat(name string) (h Health, err error) {
 // error then carries ErrNoHealthyBackend if any tenant was stranded.
 // Missed probes on an already-dead member are no-ops.
 func (f *Fleet) MissProbe(ctx context.Context, name string) (h Health, rep *Report, err error) {
-	defer func() { err = f.joinDurable(err) }()
+	var d durable
+	defer d.join(&err)
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	defer f.markLocked(&d)
 	m, ok := f.byName[name]
 	if !ok {
 		return 0, nil, fmt.Errorf("fleet: missed probe on %q: %w", name, nperr.ErrUnknownBackend)
@@ -163,20 +180,11 @@ func (f *Fleet) MissProbe(ctx context.Context, name string) (h Health, rep *Repo
 	m.misses++
 	switch {
 	case m.misses >= f.cfg.Health.deadAfter():
-		f.publish(Event{Type: EvHealth, ID: -1, Backend: name, FromHealth: m.health, ToHealth: Dead})
-		f.persistLocked(Record{Type: RecHealth, ID: -1, Backend: name,
-			FromHealth: m.health, ToHealth: Dead, Misses: m.misses})
-		m.health = Dead
-		m.fences.Add(1)
+		f.setHealthLocked(m, Dead, m.misses)
 		rep, err := f.failoverLocked(ctx, m, f.cfg.Health.failoverBudget())
 		return Dead, rep, err
 	case m.misses >= f.cfg.Health.suspectAfter():
-		if m.health != Suspect {
-			f.publish(Event{Type: EvHealth, ID: -1, Backend: name, FromHealth: m.health, ToHealth: Suspect})
-			f.persistLocked(Record{Type: RecHealth, ID: -1, Backend: name,
-				FromHealth: m.health, ToHealth: Suspect, Misses: m.misses})
-		}
-		m.health = Suspect
+		f.setHealthLocked(m, Suspect, m.misses)
 	}
 	return m.health, nil, nil
 }
@@ -187,9 +195,11 @@ func (f *Fleet) MissProbe(ctx context.Context, name string) (h Health, rep *Repo
 // backend fails with ErrBackendDown; the partial failover report is
 // returned alongside any error, like Rebalance.
 func (f *Fleet) Fail(ctx context.Context, name string) (rep *Report, err error) {
-	defer func() { err = f.joinDurable(err) }()
+	var d durable
+	defer d.join(&err)
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	defer f.markLocked(&d)
 	m, ok := f.byName[name]
 	if !ok {
 		return nil, fmt.Errorf("fleet: failing %q: %w", name, nperr.ErrUnknownBackend)
@@ -197,12 +207,7 @@ func (f *Fleet) Fail(ctx context.Context, name string) (rep *Report, err error) 
 	if m.health == Dead {
 		return nil, fmt.Errorf("fleet: failing %s: already %w", name, nperr.ErrBackendDown)
 	}
-	f.publish(Event{Type: EvHealth, ID: -1, Backend: name, FromHealth: m.health, ToHealth: Dead})
-	f.persistLocked(Record{Type: RecHealth, ID: -1, Backend: name,
-		FromHealth: m.health, ToHealth: Dead, Misses: f.cfg.Health.deadAfter()})
-	m.health = Dead
-	m.fences.Add(1)
-	m.misses = f.cfg.Health.deadAfter()
+	f.setHealthLocked(m, Dead, f.cfg.Health.deadAfter())
 	return f.failoverLocked(ctx, m, f.cfg.Health.failoverBudget())
 }
 
@@ -212,9 +217,11 @@ func (f *Fleet) Fail(ctx context.Context, name string) (rep *Report, err error) 
 // non-positive budget removes the bound. Failing over a live backend is
 // an error — Drain is the graceful path.
 func (f *Fleet) Failover(ctx context.Context, name string, budgetSeconds float64) (rep *Report, err error) {
-	defer func() { err = f.joinDurable(err) }()
+	var d durable
+	defer d.join(&err)
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	defer f.markLocked(&d)
 	m, ok := f.byName[name]
 	if !ok {
 		return nil, fmt.Errorf("fleet: failover of %q: %w", name, nperr.ErrUnknownBackend)
@@ -231,65 +238,45 @@ func (f *Fleet) Failover(ctx context.Context, name string, budgetSeconds float64
 
 // failoverLocked rehomes every tenant of the dead member src onto the
 // healthy remainder of the fleet, spending at most budgetSeconds of
-// simulated migration time. It reuses Rebalance's costed-move machinery:
-// each move is priced as a fast-mechanism copy and committed only if it
-// fits the remaining budget. Tenants with no admitting destination or no
-// budget left are counted in Report.Stranded, stay mapped to the dead
-// member, and the returned error wraps ErrNoHealthyBackend (plus every
-// destination rejection, for errors.Is) — the partial report always
-// rides along. Callers hold f.mu; src.health is already Dead, so
-// moveLocked skips the unreachable source-side Release.
+// simulated migration time. Tenants evacuateLocked leaves behind stay mapped
+// to the dead member, and the returned error wraps ErrNoHealthyBackend (plus
+// every destination rejection, for errors.Is) — the partial report always
+// rides along. Callers hold f.mu; src.health is already Dead, so moveLocked
+// skips the unreachable source-side Release.
 func (f *Fleet) failoverLocked(ctx context.Context, src *member, budgetSeconds float64) (*Report, error) {
 	rep := &Report{BudgetSeconds: budgetSeconds}
 	f.failovers++
-	defer func() {
-		f.publish(Event{Type: EvFailover, ID: -1, Backend: src.name, Moves: len(rep.Moves),
-			Examined: rep.Examined, Stranded: rep.Stranded, Seconds: rep.TotalSeconds})
-		f.persistLocked(Record{Type: RecFailover, ID: -1, Backend: src.name,
-			Moves: len(rep.Moves), Examined: rep.Examined, Stranded: rep.Stranded,
-			Seconds: rep.TotalSeconds})
-	}()
+	defer f.summarizeLocked(EvFailover, RecFailover, src.name, rep)
 	var destErrs []error
-	for _, id := range f.tenantsOfLocked(src) {
-		if err := ctx.Err(); err != nil {
-			return rep, err
-		}
-		rec := f.tenants[id]
-		rep.Examined++
-		// Any healthy machine will do (negative minUtil disables the
-		// uphill consolidation filter); the cheap checks run before the
-		// policy ordering spends preview observations.
-		dests := f.eligibleDestsLocked(src, -1)
-		if len(dests) == 0 {
-			rep.Stranded++
-			continue
-		}
-		cost, err := f.moveCost(ctx, rec)
-		if err != nil {
-			return rep, err
-		}
-		if rep.TotalSeconds+cost > budgetSeconds {
-			rep.Stranded++ // over budget; a smaller tenant may still fit
-			continue
-		}
-		if dests, err = f.orderDestsLocked(ctx, rec, dests); err != nil {
-			return rep, err
-		}
-		moved, err := f.moveLocked(ctx, rep, id, rec, cost, dests, &destErrs, true)
-		if err != nil {
-			return rep, err
-		}
-		if moved {
-			f.failedOver++
-		} else {
-			rep.Stranded++
-		}
+	if err := f.evacuateLocked(ctx, rep, src, budgetSeconds, &destErrs, true); err != nil {
+		return rep, err
 	}
 	if rep.Stranded > 0 {
 		return rep, fmt.Errorf("fleet: failover of %s: %d of %d tenants stranded: %w",
 			src.name, rep.Stranded, rep.Examined, errors.Join(append(destErrs, nperr.ErrNoHealthyBackend)...))
 	}
 	return rep, nil
+}
+
+// fenceLocked releases every engine-side record on m that the fleet does not
+// map to it and returns how many it released; when a release fails, orphan
+// is its backend-local ID. It is the one fencing pass, run by Revive and
+// re-run by its replay. Callers hold f.mu.
+func (f *Fleet) fenceLocked(ctx context.Context, m *member) (fenced, orphan int, err error) {
+	mapped := map[int]bool{}
+	for _, rec := range f.tenantsOfLocked(m) {
+		mapped[rec.engineID] = true
+	}
+	for _, a := range m.b.Assignments() {
+		if mapped[a.ID] {
+			continue
+		}
+		if err := m.b.Release(ctx, a.ID); err != nil {
+			return fenced, a.ID, err
+		}
+		fenced++
+	}
+	return fenced, 0, nil
 }
 
 // Revive readmits a dead backend once the machine is reachable again. The
@@ -303,9 +290,11 @@ func (f *Fleet) failoverLocked(ctx context.Context, src *member, budgetSeconds f
 // Reviving a live backend is an error; a fencing failure leaves the
 // backend dead so the next Revive retries a clean fence.
 func (f *Fleet) Revive(ctx context.Context, name string) (fencedOut int, err error) {
-	defer func() { err = f.joinDurable(err) }()
+	var d durable
+	defer d.join(&err)
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	defer f.markLocked(&d)
 	m, ok := f.byName[name]
 	if !ok {
 		return 0, fmt.Errorf("fleet: reviving %q: %w", name, nperr.ErrUnknownBackend)
@@ -314,30 +303,15 @@ func (f *Fleet) Revive(ctx context.Context, name string) (fencedOut int, err err
 		//numalint:ignore sentinelwrap precondition on the caller's own state machine; no sentinel class fits "not dead"
 		return 0, fmt.Errorf("fleet: reviving %s: backend is %s, not dead", name, m.health)
 	}
-	mapped := map[int]bool{}
-	for _, rec := range f.tenants {
-		if rec.mem == m {
-			mapped[rec.engineID] = true
-		}
+	fenced, orphan, err := f.fenceLocked(ctx, m)
+	if err != nil {
+		return fenced, fmt.Errorf("fleet: reviving %s: fencing orphan %d: %w", name, orphan, err)
 	}
-	fenced := 0
-	for _, a := range m.b.Assignments() {
-		if mapped[a.ID] {
-			continue
-		}
-		if err := m.b.Release(ctx, a.ID); err != nil {
-			return fenced, fmt.Errorf("fleet: reviving %s: fencing orphan %d: %w", name, a.ID, err)
-		}
-		fenced++
-	}
-	f.publish(Event{Type: EvHealth, ID: -1, Backend: name, FromHealth: Dead, ToHealth: Healthy})
+	f.setHealthLocked(m, Healthy, 0)
 	f.publish(Event{Type: EvRevive, ID: -1, Backend: name, Fenced: fenced})
 	// One record covers both publishes: replay re-runs the fencing pass
 	// against the reconstructed engine books (Fenced kept for audit) and
 	// restores health itself.
 	f.persistLocked(Record{Type: RecRevive, ID: -1, Backend: name, Fenced: fenced})
-	m.health = Healthy
-	m.fences.Add(1)
-	m.misses = 0
 	return fenced, nil
 }

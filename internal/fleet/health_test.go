@@ -162,6 +162,15 @@ func TestFailoverRehomesTenants(t *testing.T) {
 	if st.Backends[0].FreeNodes != 0 || st.Backends[0].Utilization != 0 {
 		t.Fatalf("dead backend stats = %+v, want zeroed capacity", st.Backends[0])
 	}
+	// Nor is a machine without nodes 0/0 utilized.
+	f.Add("z", newStub(machines.Machine{Topo: &topology.Topology{}}, 1), InDomain("nowhere"))
+	st = f.Stats()
+	if z := st.Backends[2]; z.TotalNodes != 0 || z.Utilization != 0 {
+		t.Fatalf("zero-node backend stats = %+v, want utilization 0", z)
+	}
+	if d := st.Domains[1]; d.Domain != "nowhere" || d.Utilization != 0 {
+		t.Fatalf("zero-node domain stats = %+v, want utilization 0", d)
+	}
 }
 
 func TestFailoverStrandsWithoutCapacity(t *testing.T) {

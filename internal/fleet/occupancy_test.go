@@ -117,130 +117,151 @@ func occupancyFleet(t *testing.T, cfg Config) (*Fleet, []*stubBackend, []string)
 	return f, stubs, names
 }
 
-// TestOccupancyIndexIsTheWalk drives a randomized trace through every path
-// that maps, unmaps or remaps a tenant — place, release (including a failed
-// backend release that rolls the claim back, and releases of tenants
+// occupancyTrace is the state of one run of the randomized trace below.
+type occupancyTrace struct {
+	cfg    Config
+	f      *Fleet
+	stubs  []*stubBackend
+	names  []string
+	p      *memPersister
+	snapAt *State // the checkpoint taken after op 300
+}
+
+var occupancyWorkloads = []string{"swaptions", "streamcluster", "canneal", "gcc"}
+
+// runOccupancyTrace drives 800 randomized operations through every path that
+// maps, unmaps or remaps a tenant — place, release (including a failed
+// backend release, which must change nothing, and releases of tenants
 // stranded on a dead machine), rebalance, drain/resume, fail, failover and
-// revive, plus removing an empty machine and adding a new one under its
-// name — and checks the index against the from-scratch walk after every
-// operation, under each routing policy. Before the first machine is
-// replaced, the log and a mid-trace snapshot are replayed into fresh
-// fleets, whose indexes must pass the same check and agree with the live
-// one.
-func TestOccupancyIndexIsTheWalk(t *testing.T) {
+// revive, plus, in the last 200, removing an empty machine and adding a new
+// one under its name (membership is not logged: replay checks stop at op
+// 600). before runs ahead of every operation, after behind every one that
+// did something.
+func runOccupancyTrace(t *testing.T, policy Policy, before func(tr *occupancyTrace, op int), after func(tr *occupancyTrace, op int, what, name string)) {
 	ctx := context.Background()
-	workloadNames := []string{"swaptions", "streamcluster", "canneal", "gcc"}
+	tr := &occupancyTrace{cfg: Config{Policy: policy, SpreadDomains: true, Health: HealthConfig{FailoverBudgetSeconds: -1}}}
+	tr.f, tr.stubs, tr.names = occupancyFleet(t, tr.cfg)
+	f, stubs, names := tr.f, tr.stubs, tr.names
+	tr.p = &memPersister{}
+	f.SetPersister(tr.p)
+	rng := xrand.New(uint64(11 + policy))
+	var live []int
+	drop := func(id int) {
+		for i, l := range live {
+			if l == id {
+				live = append(live[:i], live[i+1:]...)
+				return
+			}
+		}
+	}
+	counts := map[string]int{}
+	for op := 0; op < 800; op++ {
+		before(tr, op)
+		name := names[rng.Intn(len(names))]
+		var what string
+		switch k := rng.Intn(100); {
+		case k < 45:
+			what = "place"
+			adm, err := f.Place(ctx, testWorkload(t, occupancyWorkloads[rng.Intn(len(occupancyWorkloads))]), 4)
+			if err == nil {
+				live = append(live, adm.ID)
+			}
+		case k < 70 && len(live) > 0:
+			what = "release"
+			id := live[rng.Intn(len(live))]
+			if err := f.Release(ctx, id); err != nil {
+				t.Fatalf("op %d: release %d: %v", op, id, err)
+			}
+			drop(id)
+		case k < 75 && len(live) > 0:
+			what = "release-rollback"
+			for _, s := range stubs {
+				s.releaseErr = errors.New("backend unreachable")
+			}
+			id := live[rng.Intn(len(live))]
+			err := f.Release(ctx, id)
+			for _, s := range stubs {
+				s.releaseErr = nil
+			}
+			if err == nil {
+				drop(id) // stranded on a dead machine: no backend call to fail
+			} else {
+				counts["rolled back"]++
+			}
+		case k < 80:
+			what = "rebalance"
+			if _, err := f.Rebalance(ctx, 1e9); err != nil {
+				t.Fatalf("op %d: rebalance: %v", op, err)
+			}
+		case k < 85:
+			what = "drain"
+			f.Drain(ctx, name) // a partial drain of a full fleet is a result, not a failure
+		case k < 89:
+			what = "resume"
+			if err := f.Resume(name); err != nil {
+				t.Fatalf("op %d: resume: %v", op, err)
+			}
+		case k < 91:
+			what = "fail"
+			f.Fail(ctx, name) // stranding and already-dead are results too
+		case k < 93:
+			what = "failover"
+			f.Failover(ctx, name, 0)
+		case k < 98 && op >= 600:
+			// A machine is drained and, if that emptied it, replaced
+			// by a new one of the same name: a new member, which
+			// must start with nothing booked to it.
+			i := rng.Intn(len(names))
+			f.Drain(ctx, names[i])
+			if len(stubs[i].Assignments()) != 0 || f.Remove(names[i]) != nil {
+				f.Resume(names[i])
+				continue
+			}
+			what, name = "replace", names[i]
+			stubs[i] = newStub(stubs[i].m, stubs[i].perf)
+			if err := f.Add(name, stubs[i], InDomain(fmt.Sprintf("rack-%d", i%3))); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			what = "revive"
+			f.Revive(ctx, name)
+		}
+		if what == "" {
+			continue
+		}
+		counts[what]++
+		after(tr, op, what, name)
+		if op == 300 {
+			if _, err := f.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			tr.snapAt = tr.p.snap
+		}
+	}
+	for _, what := range []string{"place", "release", "rolled back", "rebalance", "drain", "resume", "fail", "failover", "revive", "replace"} {
+		if counts[what] == 0 {
+			t.Fatalf("degenerate trace: no %s among %v", what, counts)
+		}
+	}
+}
+
+// TestOccupancyIndexIsTheWalk checks the index against the from-scratch walk
+// after every operation of the trace, under each routing policy. Before the
+// first machine is replaced, the log and a mid-trace snapshot are replayed
+// into fresh fleets, whose indexes must pass the same check and agree with
+// the live one.
+func TestOccupancyIndexIsTheWalk(t *testing.T) {
 	for _, policy := range []Policy{FirstFit, LeastLoaded, BestPredicted} {
 		t.Run(policy.String(), func(t *testing.T) {
-			cfg := Config{Policy: policy, SpreadDomains: true, Health: HealthConfig{FailoverBudgetSeconds: -1}}
-			f, stubs, names := occupancyFleet(t, cfg)
-			p := &memPersister{}
-			f.SetPersister(p)
-			rng := xrand.New(uint64(11 + policy))
-			var live []int
-			drop := func(id int) {
-				for i, l := range live {
-					if l == id {
-						live = append(live[:i], live[i+1:]...)
-						return
+			runOccupancyTrace(t, policy,
+				func(tr *occupancyTrace, op int) {
+					if op == 600 {
+						requireReplayedOccupancy(t, tr.f, tr.cfg, tr.snapAt, tr.p.records(), occupancyWorkloads)
 					}
-				}
-			}
-			var snapAt *State
-			counts := map[string]int{}
-			// The last 200 operations also replace machines. Membership is
-			// not logged, so the replay check runs before them, at op 600.
-			for op := 0; op < 800; op++ {
-				if op == 600 {
-					requireReplayedOccupancy(t, f, cfg, snapAt, p.records(), workloadNames)
-				}
-				name := names[rng.Intn(len(names))]
-				var what string
-				switch k := rng.Intn(100); {
-				case k < 45:
-					what = "place"
-					adm, err := f.Place(ctx, testWorkload(t, workloadNames[rng.Intn(len(workloadNames))]), 4)
-					if err == nil {
-						live = append(live, adm.ID)
-					}
-				case k < 70 && len(live) > 0:
-					what = "release"
-					id := live[rng.Intn(len(live))]
-					if err := f.Release(ctx, id); err != nil {
-						t.Fatalf("op %d: release %d: %v", op, id, err)
-					}
-					drop(id)
-				case k < 75 && len(live) > 0:
-					what = "release-rollback"
-					for _, s := range stubs {
-						s.releaseErr = errors.New("backend unreachable")
-					}
-					id := live[rng.Intn(len(live))]
-					err := f.Release(ctx, id)
-					for _, s := range stubs {
-						s.releaseErr = nil
-					}
-					if err == nil {
-						drop(id) // stranded on a dead machine: no backend call to fail
-					} else {
-						counts["rolled back"]++
-					}
-				case k < 80:
-					what = "rebalance"
-					if _, err := f.Rebalance(ctx, 1e9); err != nil {
-						t.Fatalf("op %d: rebalance: %v", op, err)
-					}
-				case k < 85:
-					what = "drain"
-					f.Drain(ctx, name) // a partial drain of a full fleet is a result, not a failure
-				case k < 89:
-					what = "resume"
-					if err := f.Resume(name); err != nil {
-						t.Fatalf("op %d: resume: %v", op, err)
-					}
-				case k < 91:
-					what = "fail"
-					f.Fail(ctx, name) // stranding and already-dead are results too
-				case k < 93:
-					what = "failover"
-					f.Failover(ctx, name, 0)
-				case k < 98 && op >= 600:
-					// A machine is drained and, if that emptied it, replaced
-					// by a new one of the same name: a new member, which
-					// must start with nothing booked to it.
-					i := rng.Intn(len(names))
-					f.Drain(ctx, names[i])
-					if len(stubs[i].Assignments()) != 0 || f.Remove(names[i]) != nil {
-						f.Resume(names[i])
-						continue
-					}
-					what, name = "replace", names[i]
-					stubs[i] = newStub(stubs[i].m, stubs[i].perf)
-					if err := f.Add(name, stubs[i], InDomain(fmt.Sprintf("rack-%d", i%3))); err != nil {
-						t.Fatal(err)
-					}
-				default:
-					what = "revive"
-					f.Revive(ctx, name)
-				}
-				if what == "" {
-					continue
-				}
-				counts[what]++
-				requireOccupancy(t, f, fmt.Sprintf("op %d (%s %s)", op, what, name), workloadNames)
-				if op == 300 {
-					if _, err := f.Checkpoint(); err != nil {
-						t.Fatal(err)
-					}
-					snapAt = p.snap
-				}
-			}
-			for _, what := range []string{"place", "release", "rolled back", "rebalance", "drain", "resume", "fail", "failover", "revive", "replace"} {
-				if counts[what] == 0 {
-					t.Fatalf("degenerate trace: no %s among %v", what, counts)
-				}
-			}
-
+				},
+				func(tr *occupancyTrace, op int, what, name string) {
+					requireOccupancy(t, tr.f, fmt.Sprintf("op %d (%s %s)", op, what, name), occupancyWorkloads)
+				})
 		})
 	}
 }

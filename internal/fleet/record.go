@@ -308,25 +308,26 @@ func (f *Fleet) persistLocked(r Record) {
 	f.persister.Append(r)
 }
 
-// joinDurable waits for everything appended so far to reach the
-// persister's durability bar (per its fsync policy) and joins any
-// durability failure into err. Mutating methods defer it BEFORE taking
-// Fleet.mu, so it runs after the unlock — Commit may block on an fsync
-// and must never do so under the fleet lock.
-func (f *Fleet) joinDurable(err error) error {
-	f.mu.Lock()
-	p, seq := f.persister, f.walSeq
-	f.mu.Unlock()
-	if p == nil || seq == 0 {
-		return err
+// durable is what a mutating call carries out of its Fleet.mu hold: the
+// persister and the last sequence appended by the time it unlocked. The call
+// defers join BEFORE taking the lock and markLocked right after deferring
+// the unlock, so the mark is the hold's last act and the join runs after the
+// unlock — Commit may block on an fsync and must never do so under the
+// fleet lock.
+type durable struct {
+	p   Persister
+	seq uint64
+}
+
+func (f *Fleet) markLocked(d *durable) { d.p, d.seq = f.persister, f.walSeq }
+
+// join waits for everything appended up to the mark to reach the persister's
+// durability bar (per its fsync policy) and joins any failure into *err.
+func (d *durable) join(err *error) {
+	if d.p == nil || d.seq == 0 {
+		return
 	}
-	cerr := p.Commit(seq)
-	if cerr == nil {
-		return err
+	if cerr := d.p.Commit(d.seq); cerr != nil {
+		*err = errors.Join(*err, fmt.Errorf("fleet: committed state not durable through seq %d: %w", d.seq, cerr))
 	}
-	cerr = fmt.Errorf("fleet: committed state not durable through seq %d: %w", seq, cerr)
-	if err == nil {
-		return cerr
-	}
-	return errors.Join(err, cerr)
 }

@@ -301,6 +301,42 @@ func TestDurabilityErrorRidesAlong(t *testing.T) {
 	}
 }
 
+// TestFailedMoveLeaksNothing: a move admits on the destination before it
+// releases the source. When the source cannot let go, the admission must be
+// given back — otherwise an engine record the fleet neither maps nor logged
+// holds the destination's nodes until that machine next dies and is revived.
+func TestFailedMoveLeaksNothing(t *testing.T) {
+	ctx := context.Background()
+	f, stubs := stubFleet(t, Config{})
+	p := &memPersister{}
+	f.SetPersister(p)
+	for i := 0; i < 2; i++ { // first-fit: both land on a
+		if _, err := f.Place(ctx, testWorkload(t, "swaptions"), 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stubs["a"].releaseErr = errors.New("backend unreachable")
+	_, err := f.Drain(ctx, "a")
+	stubs["a"].releaseErr = nil
+	if err == nil {
+		t.Fatal("Drain off a source that cannot release succeeded")
+	}
+
+	twin, twinStubs := stubFleet(t, Config{})
+	if err := twin.Restore(ctx, nil, p.records(), lookupWorkload); err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	requireFleetEqual(t, f, twin)
+	for i, bs := range f.Stats().Backends {
+		if got := len(stubs[bs.Name].Assignments()); got != bs.Tenants {
+			t.Fatalf("%s holds %d engine records for %d fleet tenants", bs.Name, got, bs.Tenants)
+		}
+		if got, want := twinStubs[bs.Name].FreeNodes(), stubs[bs.Name].FreeNodes(); got != want {
+			t.Fatalf("%s (backend %d): replay leaves nodes %v free, the live engine %v", bs.Name, i, got, want)
+		}
+	}
+}
+
 func TestRecordTaxonomy(t *testing.T) {
 	// Every mutation appends the record its commit point promises; the
 	// record stream is the ground truth walsmoke and recovery build on, so

@@ -144,14 +144,18 @@ func (f *Fleet) applyStateLocked(ctx context.Context, st *State, lookup Workload
 	return nil
 }
 
-// applyLocked replays one record. Callers hold f.mu.
+// applyLocked replays one record; m is the machine it names (only a reject
+// and a rebalance summary name none). Callers hold f.mu.
 func (f *Fleet) applyLocked(ctx context.Context, r *Record, lookup WorkloadLookup) error {
-	switch r.Type {
-	case RecPlace:
-		m, err := f.memberOf(r.Backend)
-		if err != nil {
+	var m *member
+	if r.Type != RecReject && r.Type != RecRebalance {
+		var err error
+		if m, err = f.memberOf(r.Backend); err != nil {
 			return err
 		}
+	}
+	switch r.Type {
+	case RecPlace:
 		if _, err := f.adoptLocked(ctx, m, r.ID, r.EngineID, r.Workload, r.VCPUs, r.ClassID, r, lookup); err != nil {
 			return err
 		}
@@ -224,10 +228,6 @@ func (f *Fleet) applyLocked(ctx context.Context, r *Record, lookup WorkloadLooku
 		f.migrationSeconds += r.Seconds
 
 	case RecHealth:
-		m, err := f.memberOf(r.Backend)
-		if err != nil {
-			return err
-		}
 		m.health, m.misses = r.ToHealth, r.Misses
 
 	case RecFailover:
@@ -237,38 +237,12 @@ func (f *Fleet) applyLocked(ctx context.Context, r *Record, lookup WorkloadLooku
 		// Pass summaries: audit records; every state change was logged
 		// per-move.
 
-	case RecDrainStart:
-		m, err := f.memberOf(r.Backend)
-		if err != nil {
-			return err
-		}
-		m.drained = true
-
-	case RecResume:
-		m, err := f.memberOf(r.Backend)
-		if err != nil {
-			return err
-		}
-		m.drained = false
+	case RecDrainStart, RecResume:
+		m.drained = r.Type == RecDrainStart
 
 	case RecRevive:
-		m, err := f.memberOf(r.Backend)
-		if err != nil {
-			return err
-		}
-		mapped := map[int]bool{}
-		for _, rec := range f.tenants {
-			if rec.mem == m {
-				mapped[rec.engineID] = true
-			}
-		}
-		for _, a := range m.b.Assignments() {
-			if mapped[a.ID] {
-				continue
-			}
-			if err := m.b.Release(ctx, a.ID); err != nil {
-				return fmt.Errorf("re-fencing orphan %d on %s: %w", a.ID, m.name, err)
-			}
+		if _, orphan, err := f.fenceLocked(ctx, m); err != nil {
+			return fmt.Errorf("re-fencing orphan %d on %s: %w", orphan, m.name, err)
 		}
 		m.health = Healthy
 		m.misses = 0

@@ -120,8 +120,9 @@ const linearClasses = 8
 // owns the result until it reuses the scratch.
 type routeScratch struct {
 	mems     []*member
-	occupied []bool // by member.dom: the domain hosts the workload already
-	spread   bool   // some domain does
+	occupied []bool  // by member.dom: the domain hosts the workload already
+	spread   bool    // some domain does
+	mark     durable // of the caller's last hold (Place's durability join)
 
 	cell     []int32 // per candidate: its cell, then its sort bucket
 	cells    []scoreCell

@@ -25,6 +25,7 @@ go build -o "$dir/loadgen" ./cmd/loadgen
 
 # -listen 127.0.0.1:0 picks a free port; the daemon prints the resolved
 # address in its readiness line once the engines finish training.
+: > "$dir/daemon.log" # the poll below may run before the child opens it
 "$dir/numaplaced" -listen 127.0.0.1:0 -quick > "$dir/daemon.log" 2>&1 &
 daemon_pid=$!
 

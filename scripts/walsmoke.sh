@@ -38,6 +38,7 @@ go build -o "$dir/loadgen" ./cmd/loadgen
 # wait for the readiness line. Sets $daemon_pid and $addr.
 start_daemon() {
     logfile="$1"
+    : > "$logfile" # the poll below may run before the child opens it
     "$dir/numaplaced" -listen 127.0.0.1:0 -quick \
         -data-dir "$dir/wal" -fsync always > "$logfile" 2>&1 &
     daemon_pid=$!
@@ -47,7 +48,9 @@ start_daemon() {
         addr="$(sed -n 's|^numaplaced: serving on \(http://[^ ]*\)$|\1|p' "$logfile")"
         [ -n "$addr" ] && break
         if ! kill -0 "$daemon_pid" 2>/dev/null; then
-            echo "FAIL: daemon exited before becoming ready:"
+            # A successor that cannot replay its log says so in one line:
+            # lead with it, the full log follows.
+            echo "FAIL: daemon exited before becoming ready: $(grep -m1 'replaying' "$logfile" || true)"
             cat "$logfile"
             exit 1
         fi
