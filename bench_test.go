@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"repro/client"
@@ -454,23 +455,38 @@ func BenchmarkClusterAdmit(b *testing.B) {
 // one shape over one mask.
 func BenchmarkClusterAdmitResident(b *testing.B) {
 	ctx := context.Background()
-	sizes := []int{8, 16, 24, 32}
-	models := []Machine{machines.AMD(), machines.Intel()}
-	preds := make([]map[int]*Predictor, len(models))
-	for i, m := range models {
-		_, preds[i] = benchTrained(b, ctx, m, sizes...)
-	}
+	sizes, models, preds := benchResidentModels(b, ctx)
 	for _, n := range []int{16, 64, 256, 1024} {
 		for _, policy := range []ClusterPolicy{RouteBestPredicted, RouteLeastLoaded} {
 			b.Run(fmt.Sprintf("machines=%d/%s", n, policy), func(b *testing.B) {
-				benchResident(b, ctx, n, policy, models, preds, sizes)
+				_, cycle := benchResident(b, ctx, n, policy, models, preds, sizes)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					cycle()
+				}
 			})
 		}
 	}
 }
 
+// benchResidentModels trains what the resident fleets are built from: the two
+// machine models and a predictor per model and container size.
+func benchResidentModels(b *testing.B, ctx context.Context) (sizes []int, models []Machine, preds []map[int]*Predictor) {
+	sizes = []int{8, 16, 24, 32}
+	models = []Machine{machines.AMD(), machines.Intel()}
+	preds = make([]map[int]*Predictor, len(models))
+	for i, m := range models {
+		_, preds[i] = benchTrained(b, ctx, m, sizes...)
+	}
+	return sizes, models, preds
+}
+
+// benchResident builds BenchmarkClusterAdmitResident's fleet — packed,
+// thinned to 60 % and warmed — and returns it with the cycle that holds it
+// there: place the next container of the mix, release a random resident one.
 func benchResident(b *testing.B, ctx context.Context, n int, policy ClusterPolicy,
-	models []Machine, preds []map[int]*Predictor, sizes []int) {
+	models []Machine, preds []map[int]*Predictor, sizes []int) (*Cluster, func()) {
 	cl := NewCluster(ClusterConfig{Policy: policy, SpreadDomains: true})
 	for i := 0; i < n; i++ {
 		var opts []Option
@@ -527,10 +543,39 @@ func benchResident(b *testing.B, ctx context.Context, n int, policy ClusterPolic
 	for i := 0; i < 1000+20*n; i++ {
 		cycle()
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cycle()
+	return cl, cycle
+}
+
+// BenchmarkClusterAdmitParallel is the number behind Place's second hold of
+// Fleet.mu (DESIGN.md, "Lock ordering"): the backend admission runs between
+// the two holds, so admissions on different machines overlap. Several
+// goroutines each place the next container of their own seeded mix on the
+// resident fleet and release it again; read it with -cpu 1,2 — the ratio, not
+// either column, is the finding.
+func BenchmarkClusterAdmitParallel(b *testing.B) {
+	ctx := context.Background()
+	sizes, models, preds := benchResidentModels(b, ctx)
+	paper := PaperWorkloads()
+	for _, n := range []int{16, 64} {
+		b.Run(fmt.Sprintf("machines=%d", n), func(b *testing.B) {
+			cl, _ := benchResident(b, ctx, n, RouteBestPredicted, models, preds, sizes)
+			var workers atomic.Uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				rng := xrand.New(1 + workers.Add(1))
+				for pb.Next() {
+					a, err := cl.Place(ctx, paper[rng.Intn(len(paper))], sizes[rng.Intn(len(sizes))])
+					if err == nil {
+						err = cl.Release(ctx, a.ID)
+					}
+					if err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+		})
 	}
 }
 

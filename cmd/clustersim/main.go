@@ -50,7 +50,6 @@ import (
 	"os"
 	"os/signal"
 	"reflect"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -59,6 +58,7 @@ import (
 	"repro"
 	"repro/internal/des"
 	"repro/internal/mlearn"
+	"repro/internal/stats"
 	"repro/internal/wal"
 	"repro/internal/workloads"
 	"repro/internal/xrand"
@@ -363,7 +363,7 @@ func run(ctx context.Context, cfg simConfig, out, errw io.Writer) error {
 		runErr     error
 		remaining  = cfg.n
 		perBackend = map[string]int{}
-		admitWall  []time.Duration
+		admitWall  []float64 // ns
 
 		// Time-weighted fleet utilization.
 		utilArea, peakUtil float64
@@ -393,7 +393,7 @@ func run(ctx context.Context, cfg simConfig, out, errw io.Writer) error {
 			// simulated time or any decision.
 			start := time.Now() //numalint:ignore determinism telemetry: measures real Place latency, never feeds simulated state
 			adm, err := cl.Place(ctx, a.w, cfg.vcpus)
-			admitWall = append(admitWall, time.Since(start)) //numalint:ignore determinism telemetry: measures real Place latency, never feeds simulated state
+			admitWall = append(admitWall, float64(time.Since(start))) //numalint:ignore determinism telemetry: measures real Place latency, never feeds simulated state
 			if err != nil {
 				if errors.Is(err, numaplace.ErrFleetFull) {
 					rejected++
@@ -663,12 +663,11 @@ func run(ctx context.Context, cfg simConfig, out, errw io.Writer) error {
 	// Every Place attempt is timed, rejections included — a rejection
 	// still pays routing and (under best-predicted) preview costs.
 	if len(admitWall) > 0 {
-		sorted := append([]time.Duration(nil), admitWall...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		pct := func(p float64) time.Duration {
+			return time.Duration(stats.Percentile(admitWall, p)).Round(time.Microsecond)
+		}
 		fmt.Fprintf(errw, "place latency (wall): p50 %s, p95 %s, max %s over %d placement attempts\n",
-			sorted[len(sorted)/2].Round(time.Microsecond),
-			sorted[len(sorted)*95/100].Round(time.Microsecond),
-			sorted[len(sorted)-1].Round(time.Microsecond), len(sorted))
+			pct(50), pct(95), pct(100), len(admitWall))
 	}
 	return nil
 }

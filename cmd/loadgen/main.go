@@ -35,7 +35,6 @@ import (
 	"math"
 	"os"
 	"os/signal"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -43,6 +42,7 @@ import (
 
 	"repro/client"
 	"repro/internal/nperr"
+	"repro/internal/stats"
 	"repro/internal/wire"
 	"repro/internal/workloads"
 	"repro/internal/xrand"
@@ -189,7 +189,7 @@ func run(ctx context.Context, addr string, n, workers, vcpus int, seed uint64,
 		admitted, rejected, errCount int64
 		attempts                     int64
 		mu                           sync.Mutex
-		latencies                    []time.Duration
+		latencies                    []float64 // ns per place attempt
 		firstErr                     error
 	)
 	start := time.Now()
@@ -227,7 +227,7 @@ func run(ctx context.Context, addr string, n, workers, vcpus int, seed uint64,
 				defer wg.Done()
 				t0 := time.Now()
 				pr, err := c.Place(ctx, w.Name, vcpus)
-				lat := time.Since(t0)
+				lat := float64(time.Since(t0))
 				mu.Lock()
 				latencies = append(latencies, lat)
 				mu.Unlock()
@@ -277,7 +277,7 @@ func run(ctx context.Context, addr string, n, workers, vcpus int, seed uint64,
 				}
 				return time.Duration(-float64(mean) * math.Log(1-rng.Float64()))
 			}
-			local := make([]time.Duration, 0, n/workers+1)
+			local := make([]float64, 0, n/workers+1)
 			for atomic.AddInt64(&attempts, 1) <= int64(n) {
 				if ctx.Err() != nil {
 					break
@@ -285,7 +285,7 @@ func run(ctx context.Context, addr string, n, workers, vcpus int, seed uint64,
 				w := catalog[rng.Intn(len(catalog))]
 				t0 := time.Now()
 				pr, err := c.Place(ctx, w.Name, vcpus)
-				local = append(local, time.Since(t0))
+				local = append(local, float64(time.Since(t0)))
 				switch {
 				case err == nil:
 					atomic.AddInt64(&admitted, 1)
@@ -340,14 +340,7 @@ func run(ctx context.Context, addr string, n, workers, vcpus int, seed uint64,
 		return fmt.Errorf("interrupted: %w", ctx.Err())
 	}
 
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	pct := func(p float64) time.Duration {
-		if len(latencies) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(latencies)-1))
-		return latencies[i]
-	}
+	pct := func(p float64) int64 { return int64(stats.Percentile(latencies, p)) }
 	total := admitted + rejected
 	res := result{
 		N:             n,
@@ -356,10 +349,11 @@ func run(ctx context.Context, addr string, n, workers, vcpus int, seed uint64,
 		Rejected:      rejected,
 		Errors:        errCount,
 		DurationNs:    elapsed.Nanoseconds(),
-		P50Ns:         pct(0.50).Nanoseconds(),
-		P90Ns:         pct(0.90).Nanoseconds(),
-		P99Ns:         pct(0.99).Nanoseconds(),
-		P999Ns:        pct(0.999).Nanoseconds(),
+		P50Ns:         pct(50),
+		P90Ns:         pct(90),
+		P99Ns:         pct(99),
+		P999Ns:        pct(99.9),
+		MaxNs:         pct(100),
 		EventsSeen:    atomic.LoadInt64(&eventsSeen),
 		EventsDropped: atomic.LoadUint64(&eventsDropped),
 	}
@@ -373,9 +367,6 @@ func run(ctx context.Context, addr string, n, workers, vcpus int, seed uint64,
 		} else {
 			res.LogSeq = head.Seq
 		}
-	}
-	if len(latencies) > 0 {
-		res.MaxNs = latencies[len(latencies)-1].Nanoseconds()
 	}
 	if total > 0 {
 		res.RejectionRate = float64(rejected) / float64(total)

@@ -13,7 +13,6 @@ import (
 	"repro/internal/placement"
 	"repro/internal/sched"
 	"repro/internal/topology"
-	"repro/internal/xparallel"
 	"repro/internal/xrand"
 )
 
@@ -109,17 +108,6 @@ type (
 
 // Option configures an Engine at construction.
 type Option func(*Engine)
-
-// WithParallelism bounds the worker pool used by enumeration, training and
-// the experiment drivers. The pool is shared process-wide (results are
-// bit-identical at every setting), so this is a convenience spelling of
-// SetParallelism, NOT per-Engine state: the last engine constructed with
-// the option wins, the setting affects every engine, and it outlives the
-// engine. Programs tuning several engines should call SetParallelism once
-// instead. n <= 0 selects GOMAXPROCS.
-func WithParallelism(n int) Option {
-	return func(*Engine) { xparallel.SetMaxWorkers(n) }
-}
 
 // WithSeed sets the default RNG seed used when a TrainConfig without a
 // seed is applied (default 1). All stochastic components derive their

@@ -184,15 +184,16 @@ func utilization(free, total int) float64 {
 
 // tenantRec maps one fleet-wide container ID to its current home; the
 // backend-local ID changes every time the container moves machines. The
-// fleet's tenant map is the authoritative record of who runs where: a dead
-// backend's own books are unreachable, so assign keeps the last assignment
-// snapshot for resolving tenants stranded on a dead machine.
+// fleet's tenant map is the authoritative record of who runs where: assign is
+// the backend's assignment as of the last commit, move (cross- or
+// intra-machine) or replay, which is what Assignments and snapshots answer
+// from — a dead backend's own books are unreachable.
 type tenantRec struct {
 	mem      *member
 	engineID int
 	w        perfsim.Workload
 	vcpus    int
-	assign   sched.Assignment // snapshot at admission / last cross-machine move
+	assign   sched.Assignment
 }
 
 // Admission describes one fleet admission.
@@ -633,44 +634,18 @@ func (f *Fleet) Release(ctx context.Context, id int) (err error) {
 }
 
 // Assignments snapshots every container served fleet-wide, in ascending
-// fleet-ID order. Tenants stranded on a dead machine are included with
-// their last recorded assignment — the fleet map is the authoritative
-// record, so a machine death never makes a tenant disappear from the
-// snapshot.
+// fleet-ID order, from the fleet's own books in one hold: the map is the
+// authoritative record, refreshed at every commit, move and replay, so a
+// tenant on a dead machine is listed like any other and none can slip between
+// two looks. The Threads slices are the books' own — read, do not write.
 func (f *Fleet) Assignments() []Admission {
-	// Snapshot the mapping values under the lock (tenantRec fields are
-	// mutated in place by cross-machine moves, so the raw recs must not
-	// be read unlocked).
-	type entry struct {
-		id       int
-		mem      *member
-		engineID int
-		assign   sched.Assignment
-		dead     bool
-	}
 	f.mu.Lock()
-	entries := make([]entry, 0, len(f.tenants))
+	out := make([]Admission, 0, len(f.tenants))
 	for id, rec := range f.tenants {
-		entries = append(entries, entry{id, rec.mem, rec.engineID, rec.assign, rec.mem.health == Dead})
+		out = append(out, Admission{ID: id, Backend: rec.mem.name, Assignment: rec.assign})
 	}
 	f.mu.Unlock()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].id < entries[j].id })
-
-	// Resolve live backend-local assignments without Fleet.mu; dead
-	// backends answer no queries, so their tenants resolve from the
-	// recorded snapshot.
-	out := make([]Admission, 0, len(entries))
-	for _, e := range entries {
-		if e.dead {
-			out = append(out, Admission{ID: e.id, Backend: e.mem.name, Assignment: e.assign})
-			continue
-		}
-		a, ok := e.mem.b.Assignment(e.engineID)
-		if !ok {
-			continue // released or moved concurrently
-		}
-		out = append(out, Admission{ID: e.id, Backend: e.mem.name, Assignment: a})
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 

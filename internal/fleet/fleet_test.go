@@ -32,6 +32,9 @@ type stubBackend struct {
 	placeErr   error // injected Place failure
 	previewErr error // injected Preview failure
 	releaseErr error // injected Release failure
+	// onAssignment, when set, runs at the start of the next Assignment call
+	// (once), outside the stub's lock.
+	onAssignment func()
 }
 
 func newStub(m machines.Machine, perf float64) *stubBackend {
@@ -106,6 +109,10 @@ func (s *stubBackend) Assignments() []sched.Assignment {
 }
 
 func (s *stubBackend) Assignment(id int) (sched.Assignment, bool) {
+	if hook := s.onAssignment; hook != nil {
+		s.onAssignment = nil
+		hook()
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	a, ok := s.tenants[id]
@@ -454,6 +461,33 @@ func TestFleetDrainRemoveResume(t *testing.T) {
 		if err := f.Release(ctx, id); err != nil {
 			t.Fatalf("release %d after drain: %v", id, err)
 		}
+	}
+}
+
+// TestAssignmentsSeeTenantMovedMeanwhile: the listing answers from the
+// fleet's own books in one hold. When it resolved each tenant against its
+// backend after dropping the lock, a tenant moved in between was in neither
+// place it looked and vanished from the listing; the stub drains the machine
+// at exactly that point.
+func TestAssignmentsSeeTenantMovedMeanwhile(t *testing.T) {
+	ctx := context.Background()
+	w := testWorkload(t, "swaptions")
+	f := New(Config{Policy: FirstFit})
+	a, b := newStub(machines.Intel(), 1), newStub(machines.Intel(), 1)
+	f.Add("a", a)
+	f.Add("b", b)
+	adm, err := f.Place(ctx, w, 4)
+	if err != nil || adm.Backend != "a" {
+		t.Fatalf("setup admission: %+v, %v", adm, err)
+	}
+	a.onAssignment = func() {
+		if _, err := f.Drain(ctx, "a"); err != nil {
+			t.Errorf("drain mid-listing: %v", err)
+		}
+	}
+	got := f.Assignments()
+	if len(got) != 1 || got[0].ID != adm.ID {
+		t.Fatalf("Assignments() = %+v, want container %d listed", got, adm.ID)
 	}
 }
 

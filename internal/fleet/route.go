@@ -111,10 +111,6 @@ type exclusion struct {
 	err error
 }
 
-// linearClasses is how many classes a pass finds by scanning before it
-// indexes them: a fleet has a few machine models, but nothing bounds it.
-const linearClasses = 8
-
 // routeScratch is the working set of one pass. The caller fills mems (in
 // tie-break order) and the occupancy marks under Fleet.mu, calls route, and
 // owns the result until it reuses the scratch.
@@ -129,7 +125,6 @@ type routeScratch struct {
 	rank     []int32 // per cell: rank of its score among the distinct scores
 	bucket   []int32
 	classes  []routeClass
-	byKey    map[classKey]int32 // classes past linearClasses
 	excluded []exclusion
 	out      []*member
 }
@@ -162,7 +157,6 @@ func (s *routeScratch) reset() {
 	s.cells = s.cells[:0]
 	s.classes = s.classes[:0]
 	s.excluded = s.excluded[:0]
-	clear(s.byKey)
 }
 
 // score resolves every candidate to a cell (or leaves it out).
@@ -279,26 +273,22 @@ func (cl *routeClass) score(free int, q *routeQuery) (score float64, ok bool) {
 	}
 }
 
-// classOf finds key among the classes of this pass, adding it when it is
-// new: the caller then sizes its cells.
+// classOf finds key among the classes of this pass — a scan: a fleet has a
+// few machine models — adding it when it is new: the caller then sizes its
+// cells.
 //
 //numalint:noalloc
 func (s *routeScratch) classOf(key classKey) (cl *routeClass, fresh bool) {
-	if len(s.classes) <= linearClasses {
-		for i := range s.classes {
-			if s.classes[i].key == key {
-				return &s.classes[i], false
-			}
+	for i := range s.classes {
+		if s.classes[i].key == key {
+			return &s.classes[i], false
 		}
-	} else if i, ok := s.byKey[key]; ok {
-		return &s.classes[i], false
 	}
 	return s.addClass(key), true
 }
 
 // addClass appends a class, keeping the slot's cell buffer of a previous
-// pass for reuse, and starts indexing the classes once there are too many to
-// scan.
+// pass for reuse.
 func (s *routeScratch) addClass(key classKey) *routeClass {
 	n := len(s.classes)
 	if n < cap(s.classes) {
@@ -308,17 +298,6 @@ func (s *routeScratch) addClass(key classKey) *routeClass {
 	}
 	cl := &s.classes[n]
 	cl.key, cl.row = key, nil
-	if n == linearClasses {
-		if s.byKey == nil {
-			s.byKey = map[classKey]int32{}
-		}
-		for i := range s.classes[:n] {
-			s.byKey[s.classes[i].key] = int32(i)
-		}
-	}
-	if n >= linearClasses {
-		s.byKey[key] = int32(n)
-	}
 	return cl
 }
 

@@ -444,14 +444,14 @@ func TestRouteOneRowPerClass(t *testing.T) {
 	}
 }
 
-// TestRouteManyClasses drives the pass past the point where it stops
-// scanning its classes and indexes them: every member its own class, every
-// score distinct.
+// TestRouteManyClasses drives the pass far past the few classes a real fleet
+// has: every member its own class, every score distinct.
 func TestRouteManyClasses(t *testing.T) {
+	const classes = 24
 	ctx := context.Background()
 	f := New(Config{Policy: BestPredicted, SpreadDomains: true})
 	m := machines.Intel()
-	for i := 0; i < 3*linearClasses; i++ {
+	for i := 0; i < classes; i++ {
 		class := &stubClass{token: sched.ScoreClass{Machine: uint64(i + 1)}, m: m,
 			row: []float64{0, float64(i%7 + 1), float64(i + 1), float64(i + 1), float64(i + 1)}}
 		b := &classedStub{rowStub{newStub(m, 0), class.row}, class}
@@ -460,8 +460,8 @@ func TestRouteManyClasses(t *testing.T) {
 		}
 	}
 	w := testWorkload(t, "canneal")
-	for i := 0; i < 3*linearClasses*m.Topo.NumNodes; i++ {
-		if n, err := f.CheckRouting(ctx, w, 4); err != nil || n != 3*linearClasses {
+	for i := 0; i < classes*m.Topo.NumNodes; i++ {
+		if n, err := f.CheckRouting(ctx, w, 4); err != nil || n != classes {
 			t.Fatalf("admission %d: %d classes, err %v", i, n, err)
 		}
 		if _, err := f.Place(ctx, w, 4); err != nil {

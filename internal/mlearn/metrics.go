@@ -1,25 +1,6 @@
 package mlearn
 
-import (
-	"fmt"
-	"math"
-)
-
-// MAE returns the mean absolute error between predicted and actual vectors.
-func MAE(pred, actual [][]float64) float64 {
-	var total float64
-	n := 0
-	for i := range pred {
-		for d := range pred[i] {
-			total += math.Abs(pred[i][d] - actual[i][d])
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return total / float64(n)
-}
+import "math"
 
 // MAPE returns the mean absolute percentage error (in percent) between
 // predicted and actual vectors — the §6 accuracy metric ("the predicted
@@ -82,67 +63,8 @@ func MAPEFlat(pred []float64, actual Matrix, rows []int) float64 {
 	return 100 * total / float64(count)
 }
 
-// MaxAPE returns the worst-case absolute percentage error.
-func MaxAPE(pred, actual [][]float64) float64 {
-	var worst float64
-	for i := range pred {
-		for d := range pred[i] {
-			if actual[i][d] == 0 {
-				continue
-			}
-			if e := 100 * math.Abs(pred[i][d]-actual[i][d]) / math.Abs(actual[i][d]); e > worst {
-				worst = e
-			}
-		}
-	}
-	return worst
-}
-
 // Fold is one cross-validation split: indices of training and test rows.
 type Fold struct {
 	Train []int
 	Test  []int
-}
-
-// LeaveOneGroupOut builds one fold per distinct group label, testing on
-// that group and training on all others. The paper's §6 evaluation is
-// per-application cross-validated this way (related workloads such as the
-// two Spark jobs must share a group label so neither leaks into the
-// other's training set).
-func LeaveOneGroupOut(groups []string) ([]Fold, error) {
-	if len(groups) == 0 {
-		return nil, fmt.Errorf("mlearn: no groups")
-	}
-	order := []string{}
-	byGroup := map[string][]int{}
-	for i, g := range groups {
-		if _, ok := byGroup[g]; !ok {
-			order = append(order, g)
-		}
-		byGroup[g] = append(byGroup[g], i)
-	}
-	if len(order) < 2 {
-		return nil, fmt.Errorf("mlearn: need at least 2 groups, have %d", len(order))
-	}
-	folds := make([]Fold, 0, len(order))
-	for _, g := range order {
-		var f Fold
-		f.Test = append(f.Test, byGroup[g]...)
-		for _, h := range order {
-			if h != g {
-				f.Train = append(f.Train, byGroup[h]...)
-			}
-		}
-		folds = append(folds, f)
-	}
-	return folds, nil
-}
-
-// Rows gathers the given rows of a matrix.
-func Rows(X [][]float64, idx []int) [][]float64 {
-	out := make([][]float64, len(idx))
-	for i, j := range idx {
-		out[i] = X[j]
-	}
-	return out
 }

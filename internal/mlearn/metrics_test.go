@@ -2,85 +2,26 @@ package mlearn
 
 import (
 	"math"
-	"reflect"
 	"testing"
 )
 
 func TestMAEAndMAPE(t *testing.T) {
 	pred := [][]float64{{1, 2}, {3, 4}}
 	actual := [][]float64{{1.1, 1.8}, {3, 5}}
-	wantMAE := (0.1 + 0.2 + 0 + 1) / 4
-	if got := MAE(pred, actual); math.Abs(got-wantMAE) > 1e-12 {
-		t.Errorf("MAE = %v, want %v", got, wantMAE)
-	}
 	wantMAPE := 100 * (0.1/1.1 + 0.2/1.8 + 0.0/3.0 + 1.0/5.0) / 4
 	if got := MAPE(pred, actual); math.Abs(got-wantMAPE) > 1e-9 {
 		t.Errorf("MAPE = %v, want %v", got, wantMAPE)
 	}
-	if got := MaxAPE(pred, actual); math.Abs(got-20) > 1e-9 {
-		t.Errorf("MaxAPE = %v, want 20", got)
-	}
 }
 
 func TestMetricsEdgeCases(t *testing.T) {
-	if MAE(nil, nil) != 0 || MAPE(nil, nil) != 0 || MaxAPE(nil, nil) != 0 {
-		t.Error("empty metrics should be 0")
+	if MAPE(nil, nil) != 0 {
+		t.Error("empty MAPE should be 0")
 	}
 	// Zero actuals are skipped by MAPE.
 	pred := [][]float64{{5, 2}}
 	actual := [][]float64{{0, 2}}
 	if got := MAPE(pred, actual); got != 0 {
 		t.Errorf("MAPE with zero actual = %v, want 0", got)
-	}
-}
-
-func TestLeaveOneGroupOut(t *testing.T) {
-	groups := []string{"a", "a", "b", "c", "b"}
-	folds, err := LeaveOneGroupOut(groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(folds) != 3 {
-		t.Fatalf("got %d folds, want 3", len(folds))
-	}
-	// Fold for group "a" tests rows {0,1} and trains on {2,3,4}.
-	if !reflect.DeepEqual(folds[0].Test, []int{0, 1}) {
-		t.Errorf("fold a test = %v", folds[0].Test)
-	}
-	if !reflect.DeepEqual(folds[0].Train, []int{2, 4, 3}) && !reflect.DeepEqual(folds[0].Train, []int{2, 3, 4}) {
-		t.Errorf("fold a train = %v", folds[0].Train)
-	}
-	// No fold's train and test overlap; union covers everything.
-	for _, f := range folds {
-		seen := map[int]bool{}
-		for _, i := range f.Train {
-			seen[i] = true
-		}
-		for _, i := range f.Test {
-			if seen[i] {
-				t.Fatal("train/test overlap")
-			}
-			seen[i] = true
-		}
-		if len(seen) != len(groups) {
-			t.Fatalf("fold does not cover all rows: %v", f)
-		}
-	}
-}
-
-func TestLeaveOneGroupOutErrors(t *testing.T) {
-	if _, err := LeaveOneGroupOut(nil); err == nil {
-		t.Error("empty groups accepted")
-	}
-	if _, err := LeaveOneGroupOut([]string{"x", "x"}); err == nil {
-		t.Error("single group accepted")
-	}
-}
-
-func TestRows(t *testing.T) {
-	X := [][]float64{{1}, {2}, {3}}
-	got := Rows(X, []int{2, 0})
-	if !reflect.DeepEqual(got, [][]float64{{3}, {1}}) {
-		t.Errorf("Rows = %v", got)
 	}
 }

@@ -59,16 +59,3 @@ func insertSorted(s []int, v int) []int {
 	}
 	return out
 }
-
-// Columns extracts the given feature columns from each row of X.
-func Columns(X [][]float64, features []int) [][]float64 {
-	out := make([][]float64, len(X))
-	for i, row := range X {
-		sub := make([]float64, len(features))
-		for j, f := range features {
-			sub[j] = row[f]
-		}
-		out[i] = sub
-	}
-	return out
-}

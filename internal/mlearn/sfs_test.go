@@ -20,7 +20,12 @@ func TestSFSFindsInformativeFeatures(t *testing.T) {
 	}
 	// eval: negative training error of a depth-4 tree on the subset.
 	eval := func(subset []int) float64 {
-		sub := Columns(X, subset)
+		sub := make([][]float64, len(X))
+		for i, row := range X {
+			for _, f := range subset {
+				sub[i] = append(sub[i], row[f])
+			}
+		}
 		Y := make([][]float64, len(y))
 		for i := range y {
 			Y[i] = []float64{y[i]}
@@ -70,18 +75,6 @@ func TestSFSMaxFeaturesCap(t *testing.T) {
 	got = SFS(4, 0, func(s []int) float64 { return float64(len(s)) })
 	if len(got) != 4 {
 		t.Errorf("SFS with no cap selected %d, want 4", len(got))
-	}
-}
-
-func TestColumns(t *testing.T) {
-	X := [][]float64{{1, 2, 3}, {4, 5, 6}}
-	got := Columns(X, []int{2, 0})
-	want := [][]float64{{3, 1}, {6, 4}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Columns = %v", got)
-	}
-	if got := Columns(X, nil); len(got) != 2 || len(got[0]) != 0 {
-		t.Errorf("empty Columns = %v", got)
 	}
 }
 

@@ -1,21 +1,22 @@
-// The numaplaced HTTP server: thin JSON handlers over a fleet.Fleet.
+// The numaplaced HTTP server: DESIGN.md's "route | body → response | fleet
+// call" table, as code.
 //
-// Request routing uses net/http method patterns; every mutating route
-// bumps an epoch counter that invalidates the pre-marshaled stats
-// snapshot, so GET /v1/stats under a read-heavy load serves a cached
-// []byte. Request bodies and the Place response travel through one pooled
-// buffer per request; /v1/events frames are encoded with the zero-alloc
-// appenders in wire.go.
+// Server.routes is that table. A route with a JSON body is one verb
+// registration — the request DTO as the type parameter, a closure making the
+// fleet call — and a route without one is one query registration; both end in
+// reply, which owns error classification and encoding. A request's body and
+// its response travel through one pooled buffer; /v1/events frames are encoded
+// with the zero-alloc appenders in wire.go.
 package wire
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/fleet"
 	"repro/internal/nperr"
@@ -72,15 +73,8 @@ type Server struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 
-	// epoch counts mutations; statsBuf caches the marshaled stats snapshot
-	// for the epoch it was built at.
-	epoch      atomic.Uint64
-	statsMu    sync.Mutex
-	statsEpoch uint64
-	statsBuf   []byte
-
-	// bufPool recycles per-request scratch buffers (body read + hot-path
-	// response encode).
+	// bufPool recycles per-request scratch buffers (body read + response
+	// encode).
 	bufPool sync.Pool
 }
 
@@ -96,26 +90,9 @@ func NewServer(f *fleet.Fleet, cfg Config) *Server {
 		b := make([]byte, 0, 4096)
 		return &b
 	}
-	s.mux.HandleFunc("POST /v1/place", s.handlePlace)
-	s.mux.HandleFunc("POST /v1/release", s.handleRelease)
-	s.mux.HandleFunc("POST /v1/rebalance", s.handleRebalance)
-	s.mux.HandleFunc("POST /v1/drain", s.handleDrain)
-	s.mux.HandleFunc("POST /v1/resume", s.handleResume)
-	s.mux.HandleFunc("POST /v1/heartbeat", s.handleHeartbeat)
-	s.mux.HandleFunc("POST /v1/missprobe", s.handleMissProbe)
-	s.mux.HandleFunc("POST /v1/fail", s.handleFail)
-	s.mux.HandleFunc("POST /v1/failover", s.handleFailover)
-	s.mux.HandleFunc("POST /v1/revive", s.handleRevive)
-	s.mux.HandleFunc("POST /v1/snapshot", s.handleSnapshot)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("GET /v1/assignments", s.handleAssignments)
-	s.mux.HandleFunc("GET /v1/log/head", s.handleLogHead)
-	s.mux.HandleFunc("GET /v1/health/{backend}", s.handleHealthOf)
-	s.mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		io.WriteString(w, "ok\n")
-	})
-	s.mux.HandleFunc("GET /v1/events", s.handleEvents)
+	for _, rt := range s.routes() {
+		s.mux.HandleFunc(rt.pattern, rt.handler)
+	}
 	return s
 }
 
@@ -131,321 +108,206 @@ func (s *Server) Stop() {
 	s.stopOnce.Do(func() { close(s.stop) })
 }
 
-// readBody drains the request body into a pooled buffer. The returned
-// put function recycles the buffer; data is only valid until then.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (data []byte, put func(), err error) {
-	bp := s.bufPool.Get().(*[]byte)
-	put = func() { *bp = (*bp)[:0]; s.bufPool.Put(bp) }
-	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-	buf := (*bp)[:0]
+// route is one row of the protocol: a "METHOD /path" pattern as
+// http.ServeMux takes it, and what serves it.
+type route struct {
+	pattern string
+	handler http.HandlerFunc
+}
+
+// routes is the whole protocol (TestRoutesDocumented holds DESIGN.md's Routes
+// table to it).
+func (s *Server) routes() []route {
+	f := s.f
+	return []route{
+		{"POST /v1/place", verb(s, func(ctx context.Context, req *PlaceRequest) (any, *fleet.Report, error) {
+			wl, ok := s.cfg.lookup()(req.Workload)
+			if !ok {
+				//numalint:ignore sentinelwrap badRequest carries its code (CodeBadRequest); CodeFor classification is bypassed
+				return nil, nil, badRequest{fmt.Errorf("unknown workload %q", req.Workload)}
+			}
+			adm, err := f.Place(ctx, wl, req.VCPUs)
+			return adm, nil, err
+		})},
+		{"POST /v1/release", verb(s, func(ctx context.Context, req *ReleaseRequest) (any, *fleet.Report, error) {
+			return ReleaseResponse{ID: req.ID}, nil, f.Release(ctx, req.ID)
+		})},
+		{"POST /v1/rebalance", verb(s, func(ctx context.Context, req *RebalanceRequest) (any, *fleet.Report, error) {
+			return pass(f.Rebalance(ctx, req.BudgetSeconds))
+		})},
+		{"POST /v1/drain", verb(s, func(ctx context.Context, req *BackendRequest) (any, *fleet.Report, error) {
+			return pass(f.Drain(ctx, req.Backend))
+		})},
+		{"POST /v1/resume", verb(s, func(ctx context.Context, req *BackendRequest) (any, *fleet.Report, error) {
+			return req, nil, f.Resume(req.Backend)
+		})},
+		{"POST /v1/heartbeat", verb(s, func(ctx context.Context, req *BackendRequest) (any, *fleet.Report, error) {
+			h, err := f.Heartbeat(req.Backend)
+			return HealthResponse{Backend: req.Backend, Health: h.String()}, nil, err
+		})},
+		{"POST /v1/missprobe", verb(s, func(ctx context.Context, req *BackendRequest) (any, *fleet.Report, error) {
+			h, rep, err := f.MissProbe(ctx, req.Backend)
+			return HealthResponse{Backend: req.Backend, Health: h.String(), Report: ReportFrom(rep)}, rep, err
+		})},
+		{"POST /v1/fail", verb(s, func(ctx context.Context, req *BackendRequest) (any, *fleet.Report, error) {
+			return pass(f.Fail(ctx, req.Backend))
+		})},
+		{"POST /v1/failover", verb(s, func(ctx context.Context, req *FailoverRequest) (any, *fleet.Report, error) {
+			return pass(f.Failover(ctx, req.Backend, req.BudgetSeconds))
+		})},
+		{"POST /v1/revive", verb(s, func(ctx context.Context, req *BackendRequest) (any, *fleet.Report, error) {
+			fenced, err := f.Revive(ctx, req.Backend)
+			return ReviveResponse{Backend: req.Backend, Fenced: fenced}, nil, err
+		})},
+		// A forced checkpoint bounds the log tail a future restart must
+		// replay (operators call it before planned maintenance).
+		{"POST /v1/snapshot", query(s, func(*http.Request) (any, error) {
+			if s.cfg.Snapshot == nil {
+				return nil, fmt.Errorf("wire: snapshot: persistence not enabled: %w", nperr.ErrLogClosed)
+			}
+			seq, err := s.cfg.Snapshot()
+			return SnapshotResponse{Seq: seq}, err
+		})},
+		{"GET /v1/stats", query(s, func(*http.Request) (any, error) {
+			return StatsFrom(f.Stats()), nil
+		})},
+		{"GET /v1/assignments", query(s, func(*http.Request) (any, error) {
+			return f.Assignments(), nil
+		})},
+		// The endpoint exists even on an unpersisted daemon so monitors can
+		// probe one URL and branch on the persistent flag instead of
+		// special-casing a 404.
+		{"GET /v1/log/head", query(s, func(*http.Request) (any, error) {
+			if s.cfg.LogHead == nil {
+				return LogHead{Seq: f.WALSeq()}, nil
+			}
+			return s.cfg.LogHead(), nil
+		})},
+		{"GET /v1/health/{backend}", query(s, func(r *http.Request) (any, error) {
+			name := r.PathValue("backend")
+			h, ok := f.HealthOf(name)
+			if !ok {
+				return nil, fmt.Errorf("wire: health of %q: %w", name, nperr.ErrUnknownBackend)
+			}
+			return HealthResponse{Backend: name, Health: h.String()}, nil
+		})},
+		{"GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			io.WriteString(w, "ok\n")
+		}},
+		{"GET /v1/events", s.handleEvents},
+	}
+}
+
+// pass adapts a fleet pass's return: its report is the response when the pass
+// succeeds and rides the error body when it fails partway.
+func pass(rep *fleet.Report, err error) (any, *fleet.Report, error) {
+	return ReportFrom(rep), rep, err
+}
+
+// badRequest marks a request the server could not read, decode or resolve. No
+// nperr sentinel stands behind it, so reply gives it bad_request itself.
+type badRequest struct{ error }
+
+// verb serves a route whose request is the JSON of a Req: the body is read
+// into the request's pooled buffer and decoded, call makes the fleet call —
+// returning the response, or the error with the partial report that rides it
+// — and the reply is encoded into the same buffer.
+func verb[Req any](s *Server, call func(context.Context, *Req) (any, *fleet.Report, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		buf := s.bufPool.Get().(*[]byte)
+		defer s.bufPool.Put(buf)
+		var (
+			req     Req
+			resp    any
+			partial *fleet.Report
+		)
+		err := readJSON(w, r, buf, &req)
+		if err == nil {
+			resp, partial, err = call(r.Context(), &req)
+		}
+		reply(w, buf, resp, partial, err)
+	}
+}
+
+// query serves a route without a request body.
+func query(s *Server, call func(*http.Request) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		buf := s.bufPool.Get().(*[]byte)
+		defer s.bufPool.Put(buf)
+		resp, err := call(r)
+		reply(w, buf, resp, nil, err)
+	}
+}
+
+// readJSON drains the request body into *buf, which keeps what it grew to,
+// and unmarshals it into v; either failure is a bad_request.
+func readJSON(w http.ResponseWriter, r *http.Request, buf *[]byte, v any) error {
+	body := http.MaxBytesReader(w, r.Body, maxBody)
+	b := (*buf)[:0]
 	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
 		}
-		n, rerr := r.Body.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if rerr == io.EOF {
-			*bp = buf
-			return buf, put, nil
+		n, err := body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			break
 		}
-		if rerr != nil {
-			put()
-			return nil, func() {}, rerr
+		if err != nil {
+			return badRequest{fmt.Errorf("reading body: %w", err)}
 		}
 	}
+	*buf = b
+	if err := json.Unmarshal(b, v); err != nil {
+		return badRequest{fmt.Errorf("decoding body: %w", err)}
+	}
+	return nil
 }
 
-// decode unmarshals a request body into v, classifying failures as
-// bad_request.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) (func(), bool) {
-	data, put, err := s.readBody(w, r)
+// reply writes a route's outcome: resp as JSON with 200, or err classified
+// through the sentinel table as the standard error body, with partial — the
+// report of a pass that failed partway — riding along. Admissions are encoded
+// by AppendPlace, the one encoder an admission has, and cost no allocation;
+// everything else is cold and goes through encoding/json.
+func reply(w http.ResponseWriter, buf *[]byte, resp any, partial *fleet.Report, err error) {
+	status := http.StatusOK
 	if err != nil {
-		s.writeError(w, CodeBadRequest, fmt.Errorf("reading body: %w", err), nil)
-		return put, false
+		code, st := CodeFor(err)
+		if errors.As(err, new(badRequest)) {
+			code, st = CodeBadRequest, StatusFor(CodeBadRequest)
+		}
+		status = st
+		resp = ErrorBody{Error: ErrorDetail{
+			Code: code, Status: status, Message: err.Error(), Report: ReportFrom(partial),
+		}}
 	}
-	if err := json.Unmarshal(data, v); err != nil {
-		s.writeError(w, CodeBadRequest, fmt.Errorf("decoding body: %w", err), nil)
-		return put, false
-	}
-	return put, true
-}
-
-// writeJSON emits a cold-path JSON response.
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, `{"error":{"code":"internal","status":500,"message":"encoding response"}}`,
-			http.StatusInternalServerError)
-		return
+	var out []byte
+	switch v := resp.(type) {
+	case *fleet.Admission:
+		out = AppendPlace((*buf)[:0], v)
+		*buf = out
+	case []fleet.Admission:
+		out = append((*buf)[:0], `{"assignments":[`...)
+		for i := range v {
+			if i > 0 {
+				out = append(out, ',')
+			}
+			out = AppendPlace(out, &v[i])
+		}
+		out = append(out, `]}`...)
+		*buf = out
+	default:
+		var merr error
+		if out, merr = json.Marshal(v); merr != nil {
+			http.Error(w, `{"error":{"code":"internal","status":500,"message":"encoding response"}}`,
+				http.StatusInternalServerError)
+			return
+		}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	w.Write(b)
-}
-
-// writeError classifies err through the sentinel table (or uses the forced
-// code if non-empty) and emits the standard error body; rep, when
-// non-nil, is the partial pass report riding along with the failure.
-func (s *Server) writeError(w http.ResponseWriter, forced ErrCode, err error, rep *fleet.Report) {
-	code, status := CodeFor(err)
-	if forced != "" {
-		code, status = forced, StatusFor(forced)
-	}
-	s.writeJSON(w, status, ErrorBody{Error: ErrorDetail{
-		Code: code, Status: status, Message: err.Error(), Report: ReportFrom(rep),
-	}})
-}
-
-// handlePlace is the hot path: pooled body read, fleet admission, and a
-// hand-encoded response reusing the same pooled buffer.
-func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
-	var req PlaceRequest
-	put, ok := s.decode(w, r, &req)
-	defer put()
-	if !ok {
-		return
-	}
-	wl, ok := s.cfg.lookup()(req.Workload)
-	if !ok {
-		//numalint:ignore sentinelwrap code is assigned explicitly (CodeBadRequest); CodeFor classification is bypassed
-		s.writeError(w, CodeBadRequest, fmt.Errorf("unknown workload %q", req.Workload), nil)
-		return
-	}
-	adm, err := s.f.Place(r.Context(), wl, req.VCPUs)
-	s.epoch.Add(1)
-	if err != nil {
-		s.writeError(w, "", err, nil)
-		return
-	}
-	bp := s.bufPool.Get().(*[]byte)
-	out := AppendPlace((*bp)[:0], adm)
-	w.Header().Set("Content-Type", "application/json")
 	w.Write(out)
-	*bp = out[:0]
-	s.bufPool.Put(bp)
-}
-
-func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
-	var req ReleaseRequest
-	put, ok := s.decode(w, r, &req)
-	defer put()
-	if !ok {
-		return
-	}
-	err := s.f.Release(r.Context(), req.ID)
-	s.epoch.Add(1)
-	if err != nil {
-		s.writeError(w, "", err, nil)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, ReleaseResponse{ID: req.ID})
-}
-
-func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
-	var req RebalanceRequest
-	put, ok := s.decode(w, r, &req)
-	defer put()
-	if !ok {
-		return
-	}
-	rep, err := s.f.Rebalance(r.Context(), req.BudgetSeconds)
-	s.epoch.Add(1)
-	if err != nil {
-		s.writeError(w, "", err, rep)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, ReportFrom(rep))
-}
-
-func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
-	var req BackendRequest
-	put, ok := s.decode(w, r, &req)
-	defer put()
-	if !ok {
-		return
-	}
-	rep, err := s.f.Drain(r.Context(), req.Backend)
-	s.epoch.Add(1)
-	if err != nil {
-		s.writeError(w, "", err, rep)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, ReportFrom(rep))
-}
-
-func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
-	var req BackendRequest
-	put, ok := s.decode(w, r, &req)
-	defer put()
-	if !ok {
-		return
-	}
-	err := s.f.Resume(req.Backend)
-	s.epoch.Add(1)
-	if err != nil {
-		s.writeError(w, "", err, nil)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, BackendRequest{Backend: req.Backend})
-}
-
-func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req BackendRequest
-	put, ok := s.decode(w, r, &req)
-	defer put()
-	if !ok {
-		return
-	}
-	h, err := s.f.Heartbeat(req.Backend)
-	s.epoch.Add(1)
-	if err != nil {
-		s.writeError(w, "", err, nil)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, HealthResponse{Backend: req.Backend, Health: h.String()})
-}
-
-func (s *Server) handleMissProbe(w http.ResponseWriter, r *http.Request) {
-	var req BackendRequest
-	put, ok := s.decode(w, r, &req)
-	defer put()
-	if !ok {
-		return
-	}
-	h, rep, err := s.f.MissProbe(r.Context(), req.Backend)
-	s.epoch.Add(1)
-	if err != nil {
-		s.writeError(w, "", err, rep)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, HealthResponse{Backend: req.Backend, Health: h.String(), Report: ReportFrom(rep)})
-}
-
-func (s *Server) handleFail(w http.ResponseWriter, r *http.Request) {
-	var req BackendRequest
-	put, ok := s.decode(w, r, &req)
-	defer put()
-	if !ok {
-		return
-	}
-	rep, err := s.f.Fail(r.Context(), req.Backend)
-	s.epoch.Add(1)
-	if err != nil {
-		s.writeError(w, "", err, rep)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, ReportFrom(rep))
-}
-
-func (s *Server) handleFailover(w http.ResponseWriter, r *http.Request) {
-	var req FailoverRequest
-	put, ok := s.decode(w, r, &req)
-	defer put()
-	if !ok {
-		return
-	}
-	rep, err := s.f.Failover(r.Context(), req.Backend, req.BudgetSeconds)
-	s.epoch.Add(1)
-	if err != nil {
-		s.writeError(w, "", err, rep)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, ReportFrom(rep))
-}
-
-func (s *Server) handleRevive(w http.ResponseWriter, r *http.Request) {
-	var req BackendRequest
-	put, ok := s.decode(w, r, &req)
-	defer put()
-	if !ok {
-		return
-	}
-	fenced, err := s.f.Revive(r.Context(), req.Backend)
-	s.epoch.Add(1)
-	if err != nil {
-		s.writeError(w, "", err, nil)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, ReviveResponse{Backend: req.Backend, Fenced: fenced})
-}
-
-// handleLogHead reports the durability position. The endpoint exists even
-// on an unpersisted daemon so monitors can probe one URL and branch on the
-// persistent flag instead of special-casing a 404.
-func (s *Server) handleLogHead(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.LogHead != nil {
-		s.writeJSON(w, http.StatusOK, s.cfg.LogHead())
-		return
-	}
-	s.writeJSON(w, http.StatusOK, LogHead{Seq: s.f.WALSeq()})
-}
-
-// handleSnapshot forces a checkpoint, bounding the log tail a future
-// restart must replay (operators call it before planned maintenance).
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Snapshot == nil {
-		s.writeError(w, "", fmt.Errorf("wire: snapshot: persistence not enabled: %w", nperr.ErrLogClosed), nil)
-		return
-	}
-	seq, err := s.cfg.Snapshot()
-	if err != nil {
-		s.writeError(w, "", err, nil)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, SnapshotResponse{Seq: seq})
-}
-
-// handleStats serves the epoch-cached stats snapshot: the fleet is only
-// queried and re-marshaled after a mutation, so a stats-polling monitor
-// costs steady-state reads one atomic load and a buffer write.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	e := s.epoch.Load()
-	s.statsMu.Lock()
-	if s.statsBuf == nil || s.statsEpoch != e {
-		b, err := json.Marshal(StatsFrom(s.f.Stats()))
-		if err != nil {
-			s.statsMu.Unlock()
-			s.writeError(w, CodeInternal, err, nil)
-			return
-		}
-		s.statsBuf, s.statsEpoch = b, e
-	}
-	buf := s.statsBuf // replaced wholesale, never mutated: safe to share
-	s.statsMu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(buf)
-}
-
-func (s *Server) handleAssignments(w http.ResponseWriter, r *http.Request) {
-	adms := s.f.Assignments()
-	resp := AssignmentsResponse{Assignments: make([]PlaceResponse, 0, len(adms))}
-	for i := range adms {
-		adm := &adms[i]
-		a := &adm.Assignment
-		nodes := make([]int, 0, a.Nodes.Len())
-		for _, id := range a.Nodes.IDs() {
-			nodes = append(nodes, int(id))
-		}
-		resp.Assignments = append(resp.Assignments, PlaceResponse{
-			ID: adm.ID, Backend: adm.Backend,
-			Assignment: Assignment{
-				ID: a.ID, Workload: a.Workload, VCPUs: a.VCPUs, Class: a.Class,
-				Nodes: nodes, BasePerf: a.BasePerf, ProbePerf: a.ProbePerf,
-				PredictedPerf: a.PredictedPerf,
-			},
-		})
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleHealthOf(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("backend")
-	h, ok := s.f.HealthOf(name)
-	if !ok {
-		s.writeError(w, "", fmt.Errorf("wire: health of %q: %w", name, nperr.ErrUnknownBackend), nil)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, HealthResponse{Backend: name, Health: h.String()})
 }
 
 // handleEvents streams the fleet event feed as Server-Sent Events. Each
@@ -456,8 +318,8 @@ func (s *Server) handleHealthOf(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		//numalint:ignore sentinelwrap code is assigned explicitly (CodeInternal); a non-Flusher writer is a server wiring bug
-		s.writeError(w, CodeInternal, errors.New("wire: response writer cannot stream"), nil)
+		//numalint:ignore sentinelwrap unclassified on purpose (internal): a non-Flusher writer is a server wiring bug
+		reply(w, new([]byte), nil, nil, errors.New("wire: response writer cannot stream"))
 		return
 	}
 	sub := s.f.Subscribe(s.cfg.eventBuffer())

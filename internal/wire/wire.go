@@ -1,11 +1,12 @@
 // Wire DTOs and encoders for the numaplaced protocol.
 //
-// Everything crossing the wire is JSON. Cold paths (stats, assignments,
-// pass reports) go through encoding/json on mirror structs declared here.
-// The two hot paths — the Place response and the /v1/events SSE frames —
-// use hand-rolled append-style encoders (strconv.Append*) so a pooled
-// buffer serves the whole request with zero allocations
-// (TestAppendAllocFree holds AppendPlace and AppendSSE to 0).
+// Everything crossing the wire is JSON. Cold paths (stats, pass reports)
+// go through encoding/json on mirror structs declared here. The two hot
+// paths — an admission (the Place response, and each element of
+// /v1/assignments) and the /v1/events SSE frames — use hand-rolled
+// append-style encoders (strconv.Append*) so a pooled buffer serves the
+// whole request with zero allocations (TestAppendAllocFree holds AppendPlace
+// and AppendSSE to 0).
 package wire
 
 import (
@@ -36,7 +37,8 @@ type Assignment struct {
 	PredictedPerf float64 `json:"predicted_perf"`
 }
 
-// PlaceResponse reports a successful admission.
+// PlaceResponse reports a successful admission. It is the decode side: the
+// server encodes admissions with AppendPlace.
 type PlaceResponse struct {
 	ID         int        `json:"id"` // fleet-wide container handle
 	Backend    string     `json:"backend"`
@@ -200,7 +202,8 @@ func StatsFrom(s fleet.Stats) Stats {
 	return out
 }
 
-// AssignmentsResponse lists every live admission.
+// AssignmentsResponse lists every live admission (decode side, as
+// PlaceResponse is).
 type AssignmentsResponse struct {
 	Assignments []PlaceResponse `json:"assignments"`
 }
