@@ -4,7 +4,7 @@
 
 GO ?= go
 
-CI_STEPS = fmtcheck vet lint build test race clustersmoke crashsmoke restartsmoke daemonsmoke walsmoke benchsmoke benchcheck
+CI_STEPS = fmtcheck vet lint build test race fuzzsmoke clustersmoke crashsmoke restartsmoke daemonsmoke walsmoke benchsmoke benchcheck
 
 # The packages that carry micro-benchmarks (root plus the wire-facing ones).
 BENCH_PKGS = . ./internal/fleet/ ./internal/wal/ ./internal/wire/
@@ -48,6 +48,14 @@ test:
 # package is covered the day it gains a test, with no list to maintain.
 race:
 	$(GO) test -race ./...
+
+# A few seconds of each differential fuzz target on top of its seed corpus
+# (which `test` already runs): the wire recognisers against encoding/json, the
+# log's batch frame scan against a frame-at-a-time one. A finding is written to
+# the package's testdata/fuzz and fails the step.
+fuzzsmoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 5s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzScanFrames$$' -fuzztime 5s ./internal/wal/
 
 # The micro-benchmarks at the default budget, for reading while you work.
 # They gate nothing: allocation ceilings are ordinary tests in `go test

@@ -24,6 +24,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/wire"
@@ -35,7 +36,30 @@ type Client struct {
 	hc      *http.Client
 	retries int
 	backoff time.Duration
+
+	// The two verbs of an admission cycle keep their parsed request for the
+	// Client's life; every other verb parses its own per call.
+	place, release route
+	// bufs recycles the buffers Place responses are read into.
+	bufs sync.Pool
 }
+
+// route is one verb's request, parsed: send clones it per attempt.
+type route struct {
+	method, path string
+	req          *http.Request
+	err          error // base does not parse: reported by each call
+}
+
+func (c *Client) route(method, path string) route {
+	req, err := http.NewRequest(method, c.base+path, nil)
+	return route{method: method, path: path, req: req, err: err}
+}
+
+// jsonContentType is every request's Content-Type value, shared: a transport
+// that wants to change a header clones the request first, as RoundTripper
+// requires.
+var jsonContentType = []string{"application/json"}
 
 // Option configures a Client.
 type Option func(*Client)
@@ -76,6 +100,9 @@ func New(base string, opts ...Option) *Client {
 	for _, o := range opts {
 		o(c)
 	}
+	c.place = c.route(http.MethodPost, "/v1/place")
+	c.release = c.route(http.MethodPost, "/v1/release")
+	c.bufs.New = func() any { return new(bytes.Buffer) }
 	return c
 }
 
@@ -102,7 +129,7 @@ func (e *Error) Unwrap() error { return e.sentinel }
 // the request itself is the problem.
 func retryable(status int) bool { return status >= 500 }
 
-// do runs one request with retry; body may be nil for GETs. The decoded
+// do runs one cold request with retry; body may be nil for GETs. The decoded
 // 2xx body lands in out (skipped when out is nil).
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
 	var payload []byte
@@ -111,6 +138,20 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		if payload, err = json.Marshal(body); err != nil {
 			return fmt.Errorf("client: encoding %s %s: %w", method, path, err)
 		}
+	}
+	rt := c.route(method, path)
+	return c.send(ctx, &rt, payload, out)
+}
+
+// send runs rt with retry, inside http.Client.Do. Each attempt is a shallow
+// copy of the parsed request with its own header map and body — a bytes.Reader
+// under NopCloser, the shape net/http knows to be in memory (it flushes the
+// headers of any other in a write of their own). payload itself is never
+// reused by the Client, since a transport may still read a body after
+// RoundTrip has returned.
+func (c *Client) send(ctx context.Context, rt *route, payload []byte, out any) error {
+	if rt.err != nil {
+		return fmt.Errorf("client: %s %s: %w", rt.method, rt.path, rt.err)
 	}
 	backoff := c.backoff
 	var lastErr error
@@ -121,23 +162,23 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 			}
 			return err
 		}
-		var rd io.Reader
-		if payload != nil {
-			rd = bytes.NewReader(payload)
-		}
-		req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
-		if err != nil {
-			return fmt.Errorf("client: %s %s: %w", method, path, err)
-		}
-		if payload != nil {
-			req.Header.Set("Content-Type", "application/json")
+		req := rt.req.WithContext(ctx)
+		if payload == nil {
+			req.Header = http.Header{}
+		} else {
+			req.Header = http.Header{"Content-Type": jsonContentType}
+			req.ContentLength = int64(len(payload))
+			req.GetBody = func() (io.ReadCloser, error) {
+				return io.NopCloser(bytes.NewReader(payload)), nil
+			}
+			req.Body, _ = req.GetBody()
 		}
 		resp, err := c.hc.Do(req)
 		if err != nil {
 			// Transport failure (refused, reset, broken pipe): retryable.
-			lastErr = fmt.Errorf("client: %s %s: %w", method, path, err)
+			lastErr = fmt.Errorf("client: %s %s: %w", rt.method, rt.path, err)
 		} else {
-			done, err := c.consume(resp, method, path, out)
+			done, err := c.consume(resp, rt.method, rt.path, out)
 			if done {
 				return err
 			}
@@ -165,7 +206,22 @@ func (c *Client) consume(resp *http.Response, method, path string, out any) (don
 		if out == nil {
 			return true, nil
 		}
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		var body io.Reader = resp.Body
+		if pr, ok := out.(*wire.PlaceResponse); ok {
+			// The hot response is read whole into a pooled buffer and
+			// recognised there. What the recogniser declines goes to
+			// encoding/json as every other response does: the bytes read,
+			// then the error that ended them, if one did.
+			buf := c.bufs.Get().(*bytes.Buffer)
+			defer c.bufs.Put(buf)
+			buf.Reset()
+			_, rerr := buf.ReadFrom(resp.Body)
+			if rerr == nil && wire.DecodePlaceResponse(buf.Bytes(), pr) {
+				return true, nil
+			}
+			body = io.MultiReader(buf, errReader{rerr})
+		}
+		if err := json.NewDecoder(body).Decode(out); err != nil {
 			return true, fmt.Errorf("client: decoding %s %s response: %w", method, path, err)
 		}
 		return true, nil
@@ -183,11 +239,22 @@ func (c *Client) consume(resp *http.Response, method, path string, out any) (don
 	return !retryable(resp.StatusCode), werr
 }
 
+// errReader ends a stream with err (io.EOF when nil).
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) {
+	if r.err == nil {
+		return 0, io.EOF
+	}
+	return 0, r.err
+}
+
 // Place admits one container of the named workload and returns its
 // fleet-wide handle and concrete assignment.
 func (c *Client) Place(ctx context.Context, workload string, vcpus int) (*wire.PlaceResponse, error) {
 	var out wire.PlaceResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/place", wire.PlaceRequest{Workload: workload, VCPUs: vcpus}, &out); err != nil {
+	payload := wire.AppendPlaceRequest(make([]byte, 0, len(workload)+32), workload, vcpus)
+	if err := c.send(ctx, &c.place, payload, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -195,7 +262,7 @@ func (c *Client) Place(ctx context.Context, workload string, vcpus int) (*wire.P
 
 // Release evicts a placed container by its fleet-wide ID.
 func (c *Client) Release(ctx context.Context, id int) error {
-	return c.do(ctx, http.MethodPost, "/v1/release", wire.ReleaseRequest{ID: id}, nil)
+	return c.send(ctx, &c.release, wire.AppendRelease(make([]byte, 0, 32), id), nil)
 }
 
 // Rebalance runs one fleet-wide rebalance pass under a migration-seconds

@@ -1,10 +1,14 @@
 package client
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -113,5 +117,126 @@ func TestRetryHonorsContext(t *testing.T) {
 	}
 	if time.Since(start) > time.Second {
 		t.Fatalf("context cancellation ignored: took %v", time.Since(start))
+	}
+}
+
+// TestEitherSpellingDecodesAlike: Place, Release and the event stream read
+// the daemon's own spelling (through the recognisers) and any other valid JSON
+// (through encoding/json) to the same values.
+func TestEitherSpellingDecodesAlike(t *testing.T) {
+	type spelling struct{ place, release, events string }
+	canonical := spelling{
+		place:   `{"id":7,"backend":"m0","assignment":{"id":3,"workload":"gcc","vcpus":16,"class":2,"nodes":[1,4],"base_perf":1.25,"probe_perf":0,"predicted_perf":1e+06}}`,
+		release: `{"id":7}`,
+		events: ": numaplaced event stream\n\n" +
+			"event: place\ndata: {\"seq\":1,\"type\":\"place\",\"id\":7,\"backend\":\"m0\",\"workload\":\"gcc\",\"vcpus\":16}\n\n" +
+			"event: dropped\ndata: {\"dropped\":3}\n\n" +
+			"event: health\ndata: {\"seq\":5,\"type\":\"health\",\"id\":-1,\"backend\":\"m0\",\"from_health\":\"healthy\",\"to_health\":\"dead\"}\n\n",
+	}
+	loose := spelling{
+		place: "{\n  \"assignment\": {\n    \"predicted_perf\": 1000000,\n    \"nodes\": [ 1,\n 4 ],\n    \"pinning\": [[0, 1]],\n" +
+			"    \"class\": 2, \"vcpus\": 16, \"workload\": \"g\\u0063c\", \"id\": 3, \"base_perf\": 1.25, \"probe_perf\": 0.0\n  },\n" +
+			"  \"backend\": \"m\\u0030\",\n  \"trace\": null,\n  \"id\": 7\n}\n",
+		release: "{ \"released\": true, \"id\": 7 }",
+		events: ": numaplaced event stream\r\n\r\n" +
+			"event: place\r\ndata: { \"vcpus\": 16, \"workload\": \"g\\u0063c\", \"backend\": \"m\\u0030\", \"id\": 7, \"extra\": {}, \"type\": \"place\", \"seq\": 1 }\r\n\r\n" +
+			": keep-alive\n\n" +
+			"event: dropped\ndata: { \"dropped\" : 3 }\n\n" +
+			"event: health\ndata: {\"to_health\":\"dead\",\"from_health\":\"h\\u0065althy\",\n" +
+			"data: \"backend\":\"m0\",\"id\":-1,\"type\":\"health\",\"seq\":5}\n\n",
+	}
+	type outcome struct {
+		Place  wire.PlaceResponse
+		Events []Event
+	}
+	run := func(sp spelling) outcome {
+		mux := http.NewServeMux()
+		mux.HandleFunc("POST /v1/place", func(w http.ResponseWriter, r *http.Request) {
+			body, _ := io.ReadAll(r.Body)
+			if got, want := string(body), `{"workload":"gcc","vcpus":16}`; got != want ||
+				r.ContentLength != int64(len(want)) || r.Header.Get("Content-Type") != "application/json" {
+				t.Errorf("place request %q (length %d, %q), want %q", got, r.ContentLength, r.Header.Get("Content-Type"), want)
+			}
+			io.WriteString(w, sp.place)
+		})
+		mux.HandleFunc("POST /v1/release", func(w http.ResponseWriter, r *http.Request) {
+			if body, _ := io.ReadAll(r.Body); string(body) != `{"id":7}` {
+				t.Errorf("release request %q", body)
+			}
+			io.WriteString(w, sp.release)
+		})
+		mux.HandleFunc("GET /v1/events", func(w http.ResponseWriter, r *http.Request) {
+			io.WriteString(w, sp.events)
+		})
+		srv := httptest.NewServer(mux)
+		defer srv.Close()
+		c := New(srv.URL, WithRetries(0))
+		ctx := context.Background()
+		var out outcome
+		pr, err := c.Place(ctx, "gcc", 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Place = *pr
+		if err := c.Release(ctx, pr.ID); err != nil {
+			t.Fatal(err)
+		}
+		es, err := c.Events(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer es.Close()
+		for {
+			ev, err := es.Next()
+			if err == io.EOF {
+				return out
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.Events = append(out.Events, ev)
+		}
+	}
+	want := outcome{
+		Place: wire.PlaceResponse{ID: 7, Backend: "m0", Assignment: wire.Assignment{ID: 3, Workload: "gcc", VCPUs: 16,
+			Class: 2, Nodes: []int{1, 4}, BasePerf: 1.25, PredictedPerf: 1e6}},
+		Events: []Event{
+			{Seq: 1, Type: "place", ID: 7, Backend: "m0", Workload: "gcc", VCPUs: 16},
+			{Type: "dropped", Dropped: 3},
+			{Seq: 5, Type: "health", ID: -1, Backend: "m0", FromHealth: "healthy", ToHealth: "dead"},
+		},
+	}
+	if got := run(canonical); !reflect.DeepEqual(got, want) {
+		t.Errorf("canonical spelling decoded to\n%+v\nwant\n%+v", got, want)
+	}
+	if got := run(loose); !reflect.DeepEqual(got, want) {
+		t.Errorf("loose spelling decoded to\n%+v\nwant\n%+v", got, want)
+	}
+}
+
+// TestEventStreamBoundsALine: a peer that never ends its line fails the
+// stream at the bound instead of growing the line without limit.
+func TestEventStreamBoundsALine(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "data: ")
+		chunk := bytes.Repeat([]byte("x"), 64<<10)
+		for r.Context().Err() == nil {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+	}))
+	defer srv.Close()
+	es, err := New(srv.URL).Events(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer es.Close()
+	_, err = es.Next()
+	if !errors.Is(err, bufio.ErrBufferFull) {
+		t.Fatalf("endless line: %v, want a wrapped bufio.ErrBufferFull", err)
+	}
+	if len(es.long) > maxLine+4096 {
+		t.Fatalf("stream buffered %d bytes of one line, bound is %d", len(es.long), maxLine)
 	}
 }

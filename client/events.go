@@ -3,12 +3,12 @@ package client
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 
 	"repro/internal/wire"
 )
@@ -21,7 +21,15 @@ type Event = wire.Event
 type EventStream struct {
 	body io.ReadCloser
 	br   *bufio.Reader
+
+	// Reused from frame to frame: the frame's data, its event name, and a
+	// line that outgrew br's buffer.
+	data, name, long []byte
 }
+
+// maxLine bounds one line of the stream (the server's own body bound): a peer
+// that never sends a newline fails the stream instead of growing it.
+const maxLine = 1 << 20
 
 // Events opens the daemon's event stream. Events published before the
 // stream opens are not replayed. The stream ends — Next returns an error —
@@ -52,37 +60,56 @@ func (c *Client) Events(ctx context.Context) (*EventStream, error) {
 // wrapped) reports a cleanly closed stream.
 func (s *EventStream) Next() (Event, error) {
 	var ev Event
-	var evType string
-	var data []byte
+	s.data, s.name = s.data[:0], s.name[:0]
 	for {
-		line, err := s.br.ReadString('\n')
+		line, err := s.readLine()
 		if err != nil {
-			if err == io.EOF && line == "" && data == nil && evType == "" {
+			if err == io.EOF && len(line) == 0 && len(s.data) == 0 && len(s.name) == 0 {
 				return ev, io.EOF
 			}
 			return ev, fmt.Errorf("client: reading event stream: %w", err)
 		}
-		line = strings.TrimRight(line, "\r\n")
+		line = bytes.TrimRight(line, "\r\n")
 		switch {
-		case line == "":
-			if data == nil {
+		case len(line) == 0:
+			if len(s.data) == 0 {
 				continue // heartbeat or comment-only frame: keep reading
 			}
-			if err := json.Unmarshal(data, &ev); err != nil {
-				return ev, fmt.Errorf("client: decoding event %q: %w", data, err)
+			if !wire.DecodeEvent(s.data, &ev) {
+				if err := json.Unmarshal(s.data, &ev); err != nil {
+					return ev, fmt.Errorf("client: decoding event %q: %w", s.data, err)
+				}
 			}
 			if ev.Type == "" {
-				ev.Type = evType
+				ev.Type = string(s.name)
 			}
 			return ev, nil
-		case strings.HasPrefix(line, ":"):
+		case line[0] == ':':
 			// comment frame (stream hello)
-		case strings.HasPrefix(line, "event: "):
-			evType = line[len("event: "):]
-		case strings.HasPrefix(line, "data: "):
-			data = append(data, line[len("data: "):]...)
+		case bytes.HasPrefix(line, []byte("event: ")):
+			s.name = append(s.name[:0], line[len("event: "):]...)
+		case bytes.HasPrefix(line, []byte("data: ")):
+			s.data = append(s.data, line[len("data: "):]...)
 		}
 	}
+}
+
+// readLine returns the next line with its terminator, valid until the next
+// call. One that fits br's buffer is a view of it.
+func (s *EventStream) readLine() ([]byte, error) {
+	line, err := s.br.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	s.long = append(s.long[:0], line...)
+	for err == bufio.ErrBufferFull {
+		if len(s.long) > maxLine {
+			return nil, fmt.Errorf("line exceeds %d bytes: %w", maxLine, err)
+		}
+		line, err = s.br.ReadSlice('\n')
+		s.long = append(s.long, line...)
+	}
+	return s.long, err
 }
 
 // Close tears down the stream.

@@ -8,3 +8,11 @@ func RoutePatterns(s *Server) []string {
 	}
 	return out
 }
+
+// The server-side recognisers and the flush interval, for the external tests.
+var (
+	DecodePlaceRequest   = decodePlaceRequest
+	DecodeReleaseRequest = decodeReleaseRequest
+)
+
+const EventFlushEvery = eventFlushEvery

@@ -17,6 +17,7 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/nperr"
@@ -60,6 +61,15 @@ func (c Config) eventBuffer() int {
 
 // maxBody bounds request bodies; every request in the protocol is tiny.
 const maxBody = 1 << 20
+
+// eventFlushEvery is the least time between two flushes of one /v1/events
+// stream: a busy stream costs one write(2) an interval, not one an event. An
+// event on a stream that has been quiet for longer is flushed at once.
+const eventFlushEvery = time.Millisecond
+
+// jsonContentType is every JSON response's Content-Type value, shared:
+// assigned as the header's value slice, it saves Header.Set's allocation.
+var jsonContentType = []string{"application/json"}
 
 // Server serves the numaplaced wire protocol over a fleet.
 type Server struct {
@@ -241,7 +251,9 @@ func query(s *Server, call func(*http.Request) (any, error)) http.HandlerFunc {
 }
 
 // readJSON drains the request body into *buf, which keeps what it grew to,
-// and unmarshals it into v; either failure is a bad_request.
+// and decodes it into v — the two hot requests by their recognisers when the
+// body is plain, everything else by encoding/json; either failure is a
+// bad_request.
 func readJSON(w http.ResponseWriter, r *http.Request, buf *[]byte, v any) error {
 	body := http.MaxBytesReader(w, r.Body, maxBody)
 	b := (*buf)[:0]
@@ -259,6 +271,16 @@ func readJSON(w http.ResponseWriter, r *http.Request, buf *[]byte, v any) error 
 		}
 	}
 	*buf = b
+	switch v := v.(type) {
+	case *PlaceRequest:
+		if decodePlaceRequest(b, v) {
+			return nil
+		}
+	case *ReleaseRequest:
+		if decodeReleaseRequest(b, v) {
+			return nil
+		}
+	}
 	if err := json.Unmarshal(b, v); err != nil {
 		return badRequest{fmt.Errorf("decoding body: %w", err)}
 	}
@@ -268,8 +290,9 @@ func readJSON(w http.ResponseWriter, r *http.Request, buf *[]byte, v any) error 
 // reply writes a route's outcome: resp as JSON with 200, or err classified
 // through the sentinel table as the standard error body, with partial — the
 // report of a pass that failed partway — riding along. Admissions are encoded
-// by AppendPlace, the one encoder an admission has, and cost no allocation;
-// everything else is cold and goes through encoding/json.
+// by AppendPlace, the one encoder an admission has, and releases by
+// AppendRelease; they cost no allocation. Everything else is cold and goes
+// through encoding/json.
 func reply(w http.ResponseWriter, buf *[]byte, resp any, partial *fleet.Report, err error) {
 	status := http.StatusOK
 	if err != nil {
@@ -286,6 +309,9 @@ func reply(w http.ResponseWriter, buf *[]byte, resp any, partial *fleet.Report, 
 	switch v := resp.(type) {
 	case *fleet.Admission:
 		out = AppendPlace((*buf)[:0], v)
+		*buf = out
+	case ReleaseResponse:
+		out = AppendRelease((*buf)[:0], v.ID)
 		*buf = out
 	case []fleet.Admission:
 		out = append((*buf)[:0], `{"assignments":[`...)
@@ -305,7 +331,7 @@ func reply(w http.ResponseWriter, buf *[]byte, resp any, partial *fleet.Report, 
 			return
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	w.Write(out)
 }
@@ -314,7 +340,9 @@ func reply(w http.ResponseWriter, buf *[]byte, resp any, partial *fleet.Report, 
 // stream owns a bounded fleet subscription; when the client reads slower
 // than the fleet publishes, the oldest events are dropped and announced
 // with a synthetic "dropped" frame (the drop happens subscription-side —
-// the fleet's admission path is never throttled by a slow watcher).
+// the fleet's admission path is never throttled by a slow watcher). The
+// stream is flushed at most once per eventFlushEvery, with everything the ring
+// holds by then.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -349,21 +377,38 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 	events := make([]fleet.Event, 64)
 	out := make([]byte, 0, 8192)
+	pace := time.NewTimer(eventFlushEvery)
+	defer pace.Stop()
+	var flushed time.Time // the hello does not count: the first event goes out at once
 	for {
 		if err := sub.Wait(ctx); err != nil {
 			return
 		}
-		n, dropped := sub.Drain(events)
-		out = out[:0]
-		if dropped > 0 {
-			out = AppendDroppedSSE(out, dropped)
+		if wait := eventFlushEvery - time.Since(flushed); wait > 0 {
+			pace.Reset(wait)
+			select {
+			case <-ctx.Done():
+				return
+			case <-pace.C:
+			}
 		}
-		for i := 0; i < n; i++ {
-			out = AppendSSE(out, &events[i])
+		// Until the ring is empty, not one buffer's worth: at one buffer an
+		// interval a busy stream falls behind its ring.
+		out = out[:0]
+		for n := len(events); n == len(events); {
+			var dropped uint64
+			n, dropped = sub.Drain(events)
+			if dropped > 0 {
+				out = AppendDroppedSSE(out, dropped)
+			}
+			for i := 0; i < n; i++ {
+				out = AppendSSE(out, &events[i])
+			}
 		}
 		if _, err := w.Write(out); err != nil {
 			return
 		}
 		flusher.Flush()
+		flushed = time.Now()
 	}
 }

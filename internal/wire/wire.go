@@ -2,15 +2,16 @@
 //
 // Everything crossing the wire is JSON. Cold paths (stats, pass reports)
 // go through encoding/json on mirror structs declared here. The two hot
-// paths — an admission (the Place response, and each element of
-// /v1/assignments) and the /v1/events SSE frames — use hand-rolled
-// append-style encoders (strconv.Append*) so a pooled buffer serves the
-// whole request with zero allocations (TestAppendAllocFree holds AppendPlace
-// and AppendSSE to 0).
+// paths — an admission cycle (the Place and Release requests and responses,
+// and each element of /v1/assignments) and the /v1/events SSE frames — use
+// hand-rolled append-style encoders (strconv.Append*) so a pooled buffer
+// serves the whole request with zero allocations (TestAppendAllocFree holds
+// them to 0), and the recognisers of decode.go on the way in.
 package wire
 
 import (
 	"strconv"
+	"unicode/utf8"
 
 	"repro/internal/fleet"
 	"repro/internal/topology"
@@ -273,6 +274,73 @@ type Event struct {
 	Dropped uint64 `json:"dropped,omitempty"`
 }
 
+// appendString appends s as a JSON string. Where strconv.AppendQuote's
+// spelling is JSON it is kept, byte for byte — printable runes as they are,
+// the two-character escapes, \uXXXX for an unprintable rune of the BMP; where
+// it is not (\x7f, \a, \v, \xff for a byte of invalid UTF-8, \U000e0001)
+// this writes what encoding/json would: \u00XX, U+FFFD, the rune itself.
+//
+//numalint:noalloc
+func appendString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c, r, size := s[i], rune(s[i]), 1
+		raw := c >= 0x20 && c != '"' && c != '\\' && c != 0x7f
+		if c >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(s[i:])
+			raw = r > 0xffff || strconv.IsPrint(r) && (r != utf8.RuneError || size > 1)
+		}
+		if raw {
+			i += size
+			continue
+		}
+		dst = append(dst, s[start:i]...)
+		switch c {
+		case '"', '\\':
+			dst = append(dst, '\\', c)
+		case '\b':
+			dst = append(dst, '\\', 'b')
+		case '\f':
+			dst = append(dst, '\\', 'f')
+		case '\n':
+			dst = append(dst, '\\', 'n')
+		case '\r':
+			dst = append(dst, '\\', 'r')
+		case '\t':
+			dst = append(dst, '\\', 't')
+		default:
+			dst = append(dst, '\\', 'u', hex[r>>12], hex[r>>8&0xf], hex[r>>4&0xf], hex[r&0xf])
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}
+
+// AppendPlaceRequest appends the PlaceRequest JSON.
+//
+//numalint:noalloc
+func AppendPlaceRequest(dst []byte, workload string, vcpus int) []byte {
+	dst = append(dst, `{"workload":`...)
+	dst = appendString(dst, workload)
+	dst = append(dst, `,"vcpus":`...)
+	dst = strconv.AppendInt(dst, int64(vcpus), 10)
+	return append(dst, '}')
+}
+
+// AppendRelease appends {"id":N}, which is both ReleaseRequest and
+// ReleaseResponse.
+//
+//numalint:noalloc
+func AppendRelease(dst []byte, id int) []byte {
+	dst = append(dst, `{"id":`...)
+	dst = strconv.AppendInt(dst, int64(id), 10)
+	return append(dst, '}')
+}
+
 // AppendPlace appends the PlaceResponse JSON for one admission to dst and
 // returns the extended slice. Allocation-free for dst with spare capacity:
 // node IDs are walked straight off the NodeSet bitmask.
@@ -283,11 +351,11 @@ func AppendPlace(dst []byte, adm *fleet.Admission) []byte {
 	dst = append(dst, `{"id":`...)
 	dst = strconv.AppendInt(dst, int64(adm.ID), 10)
 	dst = append(dst, `,"backend":`...)
-	dst = strconv.AppendQuote(dst, adm.Backend)
+	dst = appendString(dst, adm.Backend)
 	dst = append(dst, `,"assignment":{"id":`...)
 	dst = strconv.AppendInt(dst, int64(a.ID), 10)
 	dst = append(dst, `,"workload":`...)
-	dst = strconv.AppendQuote(dst, a.Workload)
+	dst = appendString(dst, a.Workload)
 	dst = append(dst, `,"vcpus":`...)
 	dst = strconv.AppendInt(dst, int64(a.VCPUs), 10)
 	dst = append(dst, `,"class":`...)
@@ -323,20 +391,20 @@ func AppendEvent(dst []byte, ev *fleet.Event) []byte {
 	dst = append(dst, `{"seq":`...)
 	dst = strconv.AppendUint(dst, ev.Seq, 10)
 	dst = append(dst, `,"type":`...)
-	dst = strconv.AppendQuote(dst, ev.Type.String())
+	dst = appendString(dst, ev.Type.String())
 	dst = append(dst, `,"id":`...)
 	dst = strconv.AppendInt(dst, int64(ev.ID), 10)
 	if ev.Backend != "" {
 		dst = append(dst, `,"backend":`...)
-		dst = strconv.AppendQuote(dst, ev.Backend)
+		dst = appendString(dst, ev.Backend)
 	}
 	if ev.Dest != "" {
 		dst = append(dst, `,"dest":`...)
-		dst = strconv.AppendQuote(dst, ev.Dest)
+		dst = appendString(dst, ev.Dest)
 	}
 	if ev.Workload != "" {
 		dst = append(dst, `,"workload":`...)
-		dst = strconv.AppendQuote(dst, ev.Workload)
+		dst = appendString(dst, ev.Workload)
 	}
 	if ev.VCPUs != 0 {
 		dst = append(dst, `,"vcpus":`...)
@@ -344,9 +412,9 @@ func AppendEvent(dst []byte, ev *fleet.Event) []byte {
 	}
 	if ev.Type == fleet.EvHealth {
 		dst = append(dst, `,"from_health":`...)
-		dst = strconv.AppendQuote(dst, ev.FromHealth.String())
+		dst = appendString(dst, ev.FromHealth.String())
 		dst = append(dst, `,"to_health":`...)
-		dst = strconv.AppendQuote(dst, ev.ToHealth.String())
+		dst = appendString(dst, ev.ToHealth.String())
 	}
 	if ev.Moves != 0 {
 		dst = append(dst, `,"moves":`...)
