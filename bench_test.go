@@ -449,10 +449,10 @@ func BenchmarkClusterAdmit(b *testing.B) {
 // first rejection with a seeded mix of the paper catalog at sizes
 // {8,16,24,32}, thinned to 60 %, then held there — each iteration places the
 // next container of the mix and releases a random resident one. Routing
-// reads every machine's free count and score class but scores only the
-// distinct (class, free count) cells, so the sweep shows what is left that
-// grows with the fleet; the two-machine BenchmarkClusterAdmit above cycles
-// one shape over one mask.
+// ranks the non-empty (class, free count) cells of the fleet's index and
+// expands the best, so the sweep shows what is left that grows with the
+// fleet — the engines' own working sets; the two-machine
+// BenchmarkClusterAdmit above cycles one shape over one mask.
 func BenchmarkClusterAdmitResident(b *testing.B) {
 	ctx := context.Background()
 	sizes, models, preds := benchResidentModels(b, ctx)
@@ -537,9 +537,20 @@ func benchResident(b *testing.B, ctx context.Context, n int, policy ClusterPolic
 		resident = append(resident, id)
 		release()
 	}
-	// Untimed: let the fleet meet every shape, as a running one has — each
-	// engine fills its own pinning and observation caches, so the warm-up
-	// grows with the fleet.
+	// Untimed: let every machine meet every shape, as a running fleet has —
+	// each engine fills its own enumeration and observation caches (a Preview
+	// reads, and books nothing), then the cycles its pinning ones — so the
+	// warm-up grows with the fleet and the timed loop does not pay for it.
+	for _, name := range cl.Names() {
+		eng, _ := cl.Engine(name)
+		for _, w := range paper {
+			for _, v := range sizes {
+				if _, err := eng.Preview(ctx, w, v); err != nil && !errors.Is(err, ErrMachineFull) {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
 	for i := 0; i < 1000+20*n; i++ {
 		cycle()
 	}

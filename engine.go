@@ -57,6 +57,9 @@ type Engine struct {
 	placements sync.Map // uint64 -> []Important
 	pinnings   sync.Map // pinKey -> []topology.ThreadID
 	predictors atomic.Pointer[[]sizePredictor]
+	// classEpoch is the counter of the Cluster the engine was added to,
+	// bumped after every store to predictors (NotifyClassChange).
+	classEpoch atomic.Pointer[atomic.Uint64]
 	scheduler  atomic.Pointer[sched.Scheduler]
 	schedOnce  sync.Once
 
@@ -348,6 +351,9 @@ func (e *Engine) setPredictor(vcpus int, p *Predictor) {
 		}
 	}
 	e.predictors.Store(&next)
+	if epoch := e.classEpoch.Load(); epoch != nil {
+		epoch.Add(1)
+	}
 }
 
 // Predictor returns the registered predictor for a container size, or
@@ -438,6 +444,13 @@ func (e *Engine) Preview(ctx context.Context, w Workload, vcpus int) (*PlacePrev
 func (e *Engine) ScoreClass(vcpus int) (class sched.ScoreClass, ok bool) {
 	return e.serving().ScoreClass(vcpus)
 }
+
+// NotifyClassChange registers the counter the engine adds to after every
+// change of what ScoreClass answers — a predictor registered, by Train or
+// UsePredictor — so that a Cluster can keep the class it read instead of
+// asking per decision; nil unregisters. One counter at a time: an engine
+// serves one cluster.
+func (e *Engine) NotifyClassChange(epoch *atomic.Uint64) { e.classEpoch.Store(epoch) }
 
 func (e *Engine) ScoreRow(ctx context.Context, w Workload, vcpus int, class sched.ScoreClass) ([]sched.Score, error) {
 	return e.serving().ScoreRow(ctx, w, vcpus, class)

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"iter"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -41,6 +42,12 @@ import (
 // Backend that also implements ScoreClasser is scored for BestPredicted
 // routing from its score class's row; any other is asked for a Preview per
 // routing decision.
+//
+// A backend added to a fleet is driven only through the fleet; reads are
+// free. The fleet's books — the tenant map, and the routing index's free-node
+// count, re-read from a backend only where the fleet itself called it — know
+// nothing of a Place, Release, Rebalance, Adopt or ApplyMove made on it
+// directly.
 type Backend interface {
 	// Machine returns the backend's machine description.
 	Machine() machines.Machine
@@ -159,6 +166,11 @@ type member struct {
 	health  Health
 	misses  int // consecutive missed probes (reset by Heartbeat)
 	tenants int // fleet-registered tenants on this backend
+	// The routing index's entries for the member (route.go): its position in
+	// Fleet.members, and its backend's free-node count as of the last hold
+	// that called the backend (undefined while dead).
+	pos  int32
+	free int
 	// fences counts the member's transitions into and out of Dead and the
 	// intra-machine moves of records the fleet does not map: the events
 	// after which such a record may be, or has been, fenced away, or is no
@@ -168,10 +180,8 @@ type member struct {
 }
 
 // utilization returns the fraction of the member's NUMA nodes currently
-// allocated. It queries the backend (no Fleet.mu needed).
-func (m *member) utilization() float64 {
-	return utilization(m.b.FreeNodes().Len(), m.total)
-}
+// allocated, by the routing index's count. Callers hold Fleet.mu.
+func (m *member) utilization() float64 { return utilization(m.free, m.total) }
 
 // utilization is the allocated fraction of a machine with free of its total
 // nodes unallocated.
@@ -313,16 +323,20 @@ type Fleet struct {
 	// the hierarchy and must never cover blocking work (Persister.Commit
 	// runs strictly after the unlock — see durable).
 	//numalint:locks fleet.mu rank=10 noblock
-	mu      sync.Mutex
-	members []*member // add order
+	mu sync.Mutex
+	// members is in add order. Add and Remove replace the slice and never
+	// write to it: a routing decision keeps reading the one it saw after the
+	// unlock.
+	members []*member
 	byName  map[string]*member
 	nextID  int
 	tenants map[int]*tenantRec
-	// occ counts mapped tenants per workload name and member (hostLocked).
-	occ map[string]map[*member]int
 	// domains interns the failure-domain labels ever added ("" included):
-	// routing marks occupied domains in a slice indexed by member.dom.
+	// the routing index counts tenants and lists members by member.dom.
 	domains map[string]int32
+	// idx is the routing index (route.go): who accepts, in which (score
+	// class, free count) cell, and which domains host which workload.
+	idx routeIndex
 	// destScratch is the routing scratch of the passes that hold mu end to
 	// end (destination order of Rebalance, Drain and Failover moves).
 	destScratch routeScratch
@@ -346,13 +360,14 @@ type Fleet struct {
 
 // New builds an empty fleet.
 func New(cfg Config) *Fleet {
-	return &Fleet{
+	f := &Fleet{
 		cfg:     cfg,
 		byName:  map[string]*member{},
 		tenants: map[int]*tenantRec{},
-		occ:     map[string]map[*member]int{},
 		domains: map[string]int32{},
 	}
+	f.rebuildIndexLocked()
+	return f
 }
 
 // Policy returns the fleet's routing policy.
@@ -394,12 +409,17 @@ func (f *Fleet) Add(name string, b Backend, opts ...AddOption) error {
 		f.domains[m.domain] = dom
 	}
 	m.dom = dom
-	f.members = append(f.members, m)
+	f.members = append(slices.Clip(f.members), m)
 	f.byName[name] = m
+	if m.classer != nil {
+		m.classer.NotifyClassChange(&f.idx.epoch)
+	}
+	f.rebuildIndexLocked()
 	return nil
 }
 
-// Backend returns the backend registered under name.
+// Backend returns the live backend registered under name — to read. Anything
+// that changes what it holds must go through the fleet (see Backend).
 func (f *Fleet) Backend(name string) (Backend, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -434,68 +454,17 @@ func (f *Fleet) Len() int {
 func (m *member) accepting() bool { return !m.drained && m.health == Healthy }
 
 // hostLocked books delta (+1 or -1) tenants of the named workload on m: the
-// one place a member's tenant count and the occupancy index change, called
-// wherever f.tenants or a tenantRec.mem does. Callers hold f.mu.
+// one place a live fleet's member tenant count and the index's domain
+// occupancy change, called wherever f.tenants or a tenantRec.mem does.
+// Tenants stranded on dead machines provide no availability, so they occupy
+// no domain — a replacement replica may, should, land in the dead machine's
+// domain on a different box; setHealthLocked moves a machine's tenants in and
+// out of the count as it dies and revives. Callers hold f.mu.
 func (f *Fleet) hostLocked(m *member, workload string, delta int) {
 	m.tenants += delta
-	byMem := f.occ[workload]
-	if byMem == nil {
-		byMem = map[*member]int{}
-		f.occ[workload] = byMem
+	if m.health != Dead {
+		f.occLocked(workload)[m.dom] += int32(delta)
 	}
-	if byMem[m] += delta; byMem[m] == 0 {
-		delete(byMem, m)
-	}
-}
-
-// markOccupiedLocked marks in s, by member.dom, the failure domains
-// currently hosting a live tenant of the named workload other than skip (nil
-// skips nothing — a tenant being moved must not count its own domain as
-// occupied); without SpreadDomains it marks none. Tenants stranded on dead
-// machines provide no availability, so they do not occupy a domain: a
-// replacement replica may — should — land in the dead machine's domain on a
-// different box; health is read here, not indexed, so no transition can
-// leave the index behind. Callers hold f.mu.
-func (f *Fleet) markOccupiedLocked(s *routeScratch, workload string, skip *tenantRec) {
-	s.spread = false
-	if !f.cfg.SpreadDomains {
-		return
-	}
-	if cap(s.occupied) < len(f.domains) {
-		s.occupied = make([]bool, len(f.domains))
-	}
-	s.occupied = s.occupied[:len(f.domains)]
-	clear(s.occupied)
-	for m, n := range f.occ[workload] {
-		if skip != nil && skip.mem == m && skip.w.Name == workload {
-			n--
-		}
-		if n > 0 && m.health != Dead {
-			s.occupied[m.dom] = true
-			s.spread = true
-		}
-	}
-}
-
-// candidates ranks, in s, the members open for admission per q (add order
-// breaks ties), members in failure domains not yet hosting the workload
-// first when domain spreading is configured. The membership and occupancy
-// view is one lock hold (marked in s.mark, so a Place that appends nothing
-// still reports the log's sticky error); scoring asks the backends without
-// it. BestPredicted leaves out members whose preview fails (s.rejections
-// reports them); a context cancellation aborts with its error.
-func (f *Fleet) candidates(ctx context.Context, s *routeScratch, q *routeQuery) ([]*member, error) {
-	f.mu.Lock()
-	s.mems = s.mems[:0]
-	for _, m := range f.members {
-		if m.accepting() {
-			s.mems = append(s.mems, m)
-		}
-	}
-	f.markOccupiedLocked(s, q.w.Name, nil)
-	f.markLocked(&s.mark)
-	f.mu.Unlock()
-	return s.route(ctx, q)
 }
 
 // Place admits one container of workload w with the given vCPU count onto
@@ -510,14 +479,23 @@ func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm *
 	// container.
 	s := scratchPool.Get().(*routeScratch)
 	defer scratchPool.Put(s)
+	defer s.forget()
 	defer s.mark.join(&err)
+	// The candidates are one hold's view of the index (marked in s.mark, so
+	// a Place that appends nothing still reports the log's sticky error);
+	// scoring and expanding them asks the backends without the lock.
 	q := routeQuery{by: f.cfg.Policy.scoring(), w: w, vcpus: vcpus}
-	cands, err := f.candidates(ctx, s, &q)
-	if err != nil {
+	f.mu.Lock()
+	f.snapshotLocked(s, &q)
+	f.markLocked(&s.mark)
+	f.mu.Unlock()
+	if err := s.rank(ctx, &q); err != nil {
 		return nil, err
 	}
+	tried := 0
 	var errs []error // per-candidate rejections, in the order tried
-	for _, mem := range cands {
+	for mem := s.next(); mem != nil; mem = s.next() {
+		tried++
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -564,6 +542,7 @@ func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm *
 			// moved meanwhile (logIntraLocked): the nodes in hand are stale.
 			if mem.health != Dead {
 				_ = mem.b.Release(context.WithoutCancel(ctx), a.ID)
+				f.refreeLocked(mem)
 			}
 			f.mu.Unlock()
 			errs = append(errs, fmt.Errorf("%s: declared dead during admission: %w", mem.name, nperr.ErrBackendDown))
@@ -573,6 +552,7 @@ func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm *
 		f.nextID++
 		f.tenants[id] = &tenantRec{mem: mem, engineID: a.ID, w: w, vcpus: vcpus, assign: *a}
 		f.hostLocked(mem, w.Name, +1)
+		f.refreeLocked(mem)
 		f.admitted++
 		f.publish(Event{Type: EvPlace, ID: id, Backend: mem.name, Workload: w.Name, VCPUs: vcpus})
 		f.persistLocked(Record{Type: RecPlace, ID: id, Backend: mem.name,
@@ -588,7 +568,7 @@ func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm *
 	f.markLocked(&s.mark)
 	f.mu.Unlock()
 	sentinels := []error{nperr.ErrFleetFull}
-	if len(cands) == 0 {
+	if tried == 0 {
 		// Nothing was even tried: every machine is dead, suspect or
 		// draining. Callers back off on ErrNoHealthyBackend rather than
 		// treating the fleet as merely full.
@@ -623,6 +603,7 @@ func (f *Fleet) Release(ctx context.Context, id int) (err error) {
 		if err := rec.mem.b.Release(ctx, rec.engineID); err != nil {
 			return fmt.Errorf("fleet: releasing container %d from %s: %w", id, rec.mem.name, err)
 		}
+		f.refreeLocked(rec.mem)
 	}
 	delete(f.tenants, id)
 	f.hostLocked(rec.mem, rec.w.Name, -1)
@@ -655,7 +636,7 @@ func (f *Fleet) Assignments() []Admission {
 // are written off until revived.
 func (f *Fleet) Stats() Stats {
 	f.mu.Lock()
-	mems := append([]*member(nil), f.members...)
+	defer f.mu.Unlock()
 	st := Stats{
 		Tenants:          len(f.tenants),
 		Admitted:         f.admitted,
@@ -666,79 +647,59 @@ func (f *Fleet) Stats() Stats {
 		FailedOver:       f.failedOver,
 		MigrationSeconds: f.migrationSeconds,
 	}
-	type memSnap struct {
-		drained bool
-		health  Health
-		domain  string
-		tenants int
-	}
-	snaps := make(map[*member]memSnap, len(mems))
-	for _, m := range mems {
-		snaps[m] = memSnap{m.drained, m.health, m.domain, m.tenants}
-	}
-	f.mu.Unlock()
-
-	domains := map[string]*DomainStats{}
-	var domainNames []string
+	domains := make([]DomainStats, len(f.domains)) // by member.dom
 	var usedNodes, totalNodes int
-	for _, m := range mems {
-		s := snaps[m]
+	for _, m := range f.members {
 		bs := BackendStats{
 			Name:       m.name,
 			Machine:    m.b.Machine().Topo.Name,
-			Domain:     s.domain,
-			Health:     s.health,
-			Draining:   s.drained,
-			Tenants:    s.tenants,
+			Domain:     m.domain,
+			Health:     m.health,
+			Draining:   m.drained,
+			Tenants:    m.tenants,
 			TotalNodes: m.total,
 		}
-		if s.health != Dead {
-			bs.FreeNodes = m.b.FreeNodes().Len()
-			bs.Utilization = utilization(bs.FreeNodes, m.total)
-			usedNodes += m.total - bs.FreeNodes
-			totalNodes += m.total
-		}
-		st.Backends = append(st.Backends, bs)
-
-		d, ok := domains[s.domain]
-		if !ok {
-			d = &DomainStats{Domain: s.domain}
-			domains[s.domain] = d
-			domainNames = append(domainNames, s.domain)
-		}
+		d := &domains[m.dom]
+		d.Domain = m.domain
 		d.Backends++
-		d.Tenants += s.tenants
-		if s.health == Dead {
+		d.Tenants += m.tenants
+		if m.health == Dead {
 			d.Dead++
 		} else {
-			d.FreeNodes += bs.FreeNodes
+			bs.FreeNodes = m.free
+			bs.Utilization = m.utilization()
+			usedNodes += m.total - m.free
+			totalNodes += m.total
+			d.FreeNodes += m.free
 			d.TotalNodes += m.total
 		}
+		st.Backends = append(st.Backends, bs)
 	}
 	if totalNodes > 0 {
 		st.Utilization = float64(usedNodes) / float64(totalNodes)
 	}
-	sort.Strings(domainNames)
-	for _, name := range domainNames {
-		d := domains[name]
-		d.Utilization = utilization(d.FreeNodes, d.TotalNodes)
-		st.Domains = append(st.Domains, *d)
+	for _, d := range domains {
+		if d.Backends > 0 { // a label outlives the members that carried it
+			d.Utilization = utilization(d.FreeNodes, d.TotalNodes)
+			st.Domains = append(st.Domains, d)
+		}
 	}
+	sort.Slice(st.Domains, func(i, j int) bool { return st.Domains[i].Domain < st.Domains[j].Domain })
 	return st
 }
 
 // moveLocked migrates the identified tenant from its current backend onto
-// the first destination (tried in order) that admits it, remapping the
-// fleet ID and recording the move. A dead source receives no Release call
-// — its books are unreachable and are fenced on Revive; the fleet mapping
-// alone is authoritative. Destination rejections are appended to
-// *destErrs when the caller collects them (Drain and Failover do, so an
+// the first destination (dests, ranked, tried best first) that admits it,
+// remapping the fleet ID and recording the move. A dead source receives no
+// Release call — its books are unreachable and are fenced on Revive; the
+// fleet mapping alone is authoritative. Destination rejections are appended
+// to *destErrs when the caller collects them (Drain and Failover do, so an
 // infra failure — untrained size, pin source down — is distinguishable
 // from a full fleet); a nil destErrs discards them. failover marks moves
 // committed by a failover pass, in the FailedOver counter and in the durable
 // record replay reconstructs it from. Callers hold f.mu.
-func (f *Fleet) moveLocked(ctx context.Context, rep *Report, id int, rec *tenantRec, cost float64, dests []*member, destErrs *[]error, failover bool) (bool, error) {
-	for _, d := range dests {
+func (f *Fleet) moveLocked(ctx context.Context, rep *Report, id int, rec *tenantRec, cost float64, dests *routeScratch, destErrs *[]error, failover bool) (bool, error) {
+	for d := dests.next(); d != nil; d = dests.next() {
 		a, err := d.b.Place(ctx, rec.w, rec.vcpus)
 		if err != nil {
 			if ctxErr := ctx.Err(); ctxErr != nil {
@@ -760,9 +721,12 @@ func (f *Fleet) moveLocked(ctx context.Context, rep *Report, id int, rec *tenant
 				if uerr := d.b.Release(undo, a.ID); uerr != nil {
 					err = errors.Join(err, fmt.Errorf("fleet: undoing its admission on %s: %w", d.name, uerr))
 				}
+				f.refreeLocked(d)
 				return false, err
 			}
+			f.refreeLocked(rec.mem)
 		}
+		f.refreeLocked(d)
 		rep.Moves = append(rep.Moves, Move{
 			ID: id, Workload: rec.w.Name, VCPUs: rec.vcpus,
 			From: rec.mem.name, To: d.name, Seconds: cost,
@@ -802,6 +766,7 @@ func (f *Fleet) logIntraLocked(m *member, intra *sched.RebalanceReport) {
 	if len(intra.Moves) == 0 {
 		return
 	}
+	f.refreeLocked(m)
 	byEngine := make(map[int]int, m.tenants) // backend-local ID → fleet ID
 	for id, rec := range f.tenantsOfLocked(m) {
 		byEngine[rec.engineID] = id
@@ -822,45 +787,6 @@ func (f *Fleet) logIntraLocked(m *member, intra *sched.RebalanceReport) {
 		Moves: len(intra.Moves), Seconds: intra.TotalSeconds})
 }
 
-// eligibleDestsLocked filters the members able to receive a tenant moving
-// off src — every healthy, non-draining member other than src whose
-// utilization strictly exceeds minUtil (a negative minUtil disables the
-// filter, as Drain's and Failover's callers do) — busiest first, the
-// consolidation order. It runs no previews, so callers can cheaply rule a
-// move out (no destination, over budget) before paying for policy
-// ordering. The result is f.destScratch's and stands until the next call of this or
-// of orderDestsLocked. Callers hold f.mu.
-func (f *Fleet) eligibleDestsLocked(src *member, minUtil float64) []*member {
-	s := &f.destScratch
-	s.mems = s.mems[:0]
-	for _, d := range f.members {
-		if d != src && d.accepting() {
-			s.mems = append(s.mems, d)
-		}
-	}
-	s.spread = false
-	dests, _ := s.route(context.Background(), &routeQuery{by: busiestFirst, minUtil: minUtil})
-	return dests
-}
-
-// orderDestsLocked applies the routing policy's destination order to an
-// eligible set: BestPredicted ranks the candidates by rec's predicted
-// performance on each (preview failures excluded); every other policy
-// keeps the busiest-first consolidation order. When domain spreading is
-// enabled, destinations in domains not hosting the tenant's workload come
-// first (the moving tenant's own record does not count). Callers hold
-// f.mu.
-func (f *Fleet) orderDestsLocked(ctx context.Context, rec *tenantRec, dests []*member) ([]*member, error) {
-	s := &f.destScratch
-	s.mems = append(s.mems[:0], dests...)
-	f.markOccupiedLocked(s, rec.w.Name, rec)
-	q := routeQuery{w: rec.w, vcpus: rec.vcpus}
-	if f.cfg.Policy == BestPredicted {
-		q.by = bestPredicted
-	}
-	return s.route(ctx, &q)
-}
-
 // tenantsOfLocked ranges over the tenants currently mapped to m, by fleet
 // ID, in map order. Callers hold f.mu for the whole iteration.
 func (f *Fleet) tenantsOfLocked(m *member) iter.Seq2[int, *tenantRec] {
@@ -877,11 +803,16 @@ func (f *Fleet) tenantsOfLocked(m *member) iter.Seq2[int, *tenantRec] {
 // phase, Drain and Failover: it tries to move every tenant of src, in
 // ascending fleet-ID order, onto another accepting machine — each move
 // priced as a fast-mechanism copy of the tenant's memory and committed only
-// if it fits what rep has left of budget (+Inf: unbudgeted). The eligibility
-// filter and the budget check run before the policy ordering, so no preview
-// is spent on a move that can never commit. Destinations are strictly busier
-// machines only, so consolidation goes uphill and terminates — except off a
-// draining or dead source, which must empty wherever room exists. A non-nil
+// if it fits what rep has left of budget (+Inf: unbudgeted). The destinations
+// are every accepting member other than src, busiest first — under
+// BestPredicted by the tenant's predicted performance on each first (preview
+// failures left out) — those in failure domains not hosting the tenant's
+// workload before the rest when domain spreading is on. The snapshot says
+// whether there is any; the budget is checked before it is ranked, so no
+// preview is spent on a move that can never commit. Destinations are strictly
+// busier machines only, so consolidation goes uphill and terminates — except
+// off a draining or dead source, which must empty wherever room exists (a
+// negative floor disables the uphill filter). A non-nil
 // destErrs says the pass owes src's emptying: each tenant left behind (no
 // destination, over budget, rejected everywhere) is counted in rep.Stranded
 // and moveLocked collects the rejections there. failover is moveLocked's
@@ -892,24 +823,29 @@ func (f *Fleet) evacuateLocked(ctx context.Context, rep *Report, src *member, bu
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
+	dests := &f.destScratch
+	defer dests.forget()
 	for _, id := range ids {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		rec := f.tenants[id]
 		rep.Examined++
-		minUtil := -1.0 // a negative floor disables the uphill filter
+		q := routeQuery{w: rec.w, vcpus: rec.vcpus, moving: rec, minUtil: -1}
+		if f.cfg.Policy == BestPredicted {
+			q.by = bestPredicted
+		}
 		if !src.drained && src.health != Dead {
-			minUtil = src.utilization()
+			q.minUtil = src.utilization()
 		}
 		moved := false
-		if dests := f.eligibleDestsLocked(src, minUtil); len(dests) > 0 {
+		if f.snapshotLocked(dests, &q); len(dests.cells) > 0 {
 			copied, err := migrate.RunCtx(ctx, migrate.ProfileFor(rec.w, rec.vcpus), migrate.Fast, f.cfg.Migration)
 			if err != nil {
 				return err
 			}
 			if cost := copied.Seconds; rep.TotalSeconds+cost <= budget {
-				if dests, err = f.orderDestsLocked(ctx, rec, dests); err != nil {
+				if err := dests.rank(ctx, &q); err != nil {
 					return err
 				}
 				if moved, err = f.moveLocked(ctx, rep, id, rec, cost, dests, destErrs, failover); err != nil {
@@ -1051,6 +987,7 @@ func (f *Fleet) Drain(ctx context.Context, name string) (rep *Report, err error)
 		return nil, fmt.Errorf("fleet: draining %s: %w (use Failover)", name, nperr.ErrBackendDown)
 	}
 	src.drained = true
+	f.relistLocked(src)
 	// The flag set is durable at the point it takes effect — before the
 	// pass's moves, unlike the Subscribe feed's end-of-pass summary — so a
 	// crash mid-pass recovers a backend that is already closed.
@@ -1084,14 +1021,16 @@ func (f *Fleet) Resume(name string) (err error) {
 		return fmt.Errorf("fleet: resuming %q: %w", name, nperr.ErrUnknownBackend)
 	}
 	m.drained = false
+	f.relistLocked(m)
 	f.publish(Event{Type: EvResume, ID: -1, Backend: name})
 	f.persistLocked(Record{Type: RecResume, ID: -1, Backend: name})
 	return nil
 }
 
-// Remove detaches an empty backend from the fleet. Backends still serving
-// tenants fail with ErrBackendNotEmpty (Drain first); unknown names with
-// ErrUnknownBackend.
+// Remove detaches an empty backend from the fleet and lets it go: the
+// routing index is derived anew without it, and it is told to stop reporting
+// class changes. Backends still serving tenants fail with ErrBackendNotEmpty
+// (Drain first); unknown names with ErrUnknownBackend.
 func (f *Fleet) Remove(name string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -1103,11 +1042,10 @@ func (f *Fleet) Remove(name string) error {
 		return fmt.Errorf("fleet: removing %s with %d tenants: %w", name, m.tenants, nperr.ErrBackendNotEmpty)
 	}
 	delete(f.byName, name)
-	for i, mm := range f.members {
-		if mm == m {
-			f.members = append(f.members[:i], f.members[i+1:]...)
-			break
-		}
+	f.members = slices.DeleteFunc(slices.Clone(f.members), func(mm *member) bool { return mm == m })
+	if m.classer != nil {
+		m.classer.NotifyClassChange(nil)
 	}
+	f.rebuildIndexLocked()
 	return nil
 }

@@ -334,6 +334,12 @@ func TestFleetRebalanceConsolidates(t *testing.T) {
 	// Both are below the threshold; a is emptier, so its tenant moves
 	// uphill onto b, after which b (util 0.5) has no busier destination.
 	a, b := newStub(machines.AMD(), 1), newStub(machines.Intel(), 1)
+	// Filler tenant on b before the fleet takes it over (a backend in a
+	// fleet is driven only through the fleet): b shows util 0.25 but holds
+	// no fleet tenants, so it is a destination, not a source.
+	if _, err := b.Place(ctx, w, 4); err != nil {
+		t.Fatal(err)
+	}
 	f.Add("a", a)
 	f.Add("b", b)
 	admA, err := f.Place(ctx, w, 4) // first-fit: lands on a
@@ -342,12 +348,6 @@ func TestFleetRebalanceConsolidates(t *testing.T) {
 	}
 	if admA.Backend != "a" {
 		t.Fatalf("setup admission landed on %s, want a", admA.Backend)
-	}
-	// Filler tenant directly on b (outside the fleet's books): b shows
-	// util 0.25 but holds no fleet tenants, so it is a destination, not a
-	// source.
-	if _, err := b.Place(ctx, w, 4); err != nil {
-		t.Fatal(err)
 	}
 
 	// The expected cost of the cross-machine move is exactly the fast

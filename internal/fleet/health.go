@@ -118,21 +118,33 @@ func (f *Fleet) HealthOf(name string) (Health, bool) {
 
 // setHealthLocked moves m to health state to with the given miss count. A
 // change of state is published and logged (a return from Dead by the
-// RecRevive its caller appends), and one into or out of Dead bumps m.fences
-// — so no death or revival can go unnoticed by an admission in flight.
-// Callers hold f.mu.
+// RecRevive its caller appends) and re-lists m in the routing index — a
+// revived machine's free count is read again here, after its fence; one into
+// or out of Dead bumps m.fences — so no death or revival can go unnoticed by
+// an admission in flight. Callers hold f.mu.
 func (f *Fleet) setHealthLocked(m *member, to Health, misses int) {
-	if from := m.health; from != to {
-		f.publish(Event{Type: EvHealth, ID: -1, Backend: m.name, FromHealth: from, ToHealth: to})
-		if from != Dead {
-			f.persistLocked(Record{Type: RecHealth, ID: -1, Backend: m.name,
-				FromHealth: from, ToHealth: to, Misses: misses})
+	from := m.health
+	m.health, m.misses = to, misses
+	if from == to {
+		return
+	}
+	f.publish(Event{Type: EvHealth, ID: -1, Backend: m.name, FromHealth: from, ToHealth: to})
+	if from != Dead {
+		f.persistLocked(Record{Type: RecHealth, ID: -1, Backend: m.name,
+			FromHealth: from, ToHealth: to, Misses: misses})
+	}
+	if from == Dead || to == Dead {
+		m.fences.Add(1)
+		// Its tenants hold their failure domain only while it is not dead.
+		delta := int32(+1)
+		if to == Dead {
+			delta = -1
 		}
-		if from == Dead || to == Dead {
-			m.fences.Add(1)
+		for _, rec := range f.tenantsOfLocked(m) {
+			f.occLocked(rec.w.Name)[m.dom] += delta
 		}
 	}
-	m.health, m.misses = to, misses
+	f.relistLocked(m)
 }
 
 // Heartbeat records one answered probe from the named backend: the miss

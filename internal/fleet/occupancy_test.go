@@ -8,12 +8,14 @@ import (
 	"testing"
 
 	"repro/internal/machines"
+	"repro/internal/perfsim"
 	"repro/internal/xrand"
 )
 
-// occupancyWalk recomputes the occupancy index from scratch: one pass over
-// the tenant map, counting per (workload name, member). It is the walk the
-// index replaced, kept here as the model the index is checked against.
+// occupancyWalk recounts the fleet's books from scratch: one pass over the
+// tenant map, counting per (workload name, member). It is the walk the
+// occupancy index replaced, kept here as the model the index — merged into the
+// routing index since, and counting per failure domain — is checked against.
 func occupancyWalk(f *Fleet) map[string]map[string]int {
 	walk := map[string]map[string]int{}
 	for _, rec := range f.tenants {
@@ -25,20 +27,22 @@ func occupancyWalk(f *Fleet) map[string]map[string]int {
 	return walk
 }
 
-// occupiedMarks reads markOccupiedLocked's marks back as domain labels.
+// occupiedMarks reads a decision's occupied-domain mask back as domain
+// labels: an admission of the workload, or — skip set — skip's move.
 func occupiedMarks(f *Fleet, workload string, skip *tenantRec) map[string]bool {
 	var s routeScratch
-	f.markOccupiedLocked(&s, workload, skip)
+	q := routeQuery{w: perfsim.Workload{Name: workload}, moving: skip, minUtil: -1}
+	f.snapshotLocked(&s, &q)
 	occ := map[string]bool{}
-	for label, dom := range f.domains {
-		if s.spread && s.occupied[dom] {
-			occ[label] = true
+	for _, m := range f.members {
+		if len(s.occupied) > 0 && hasBit(s.occupied, m.pos) {
+			occ[m.domain] = true
 		}
 	}
 	return occ
 }
 
-// occupiedWalk is markOccupiedLocked as it was before the index: every
+// occupiedWalk is the occupied-domain query as it was before any index: every
 // tenant of the workload other than skipID, on a machine that is not dead,
 // occupies its machine's domain.
 func occupiedWalk(f *Fleet, workload string, skipID int) map[string]bool {
@@ -51,29 +55,55 @@ func occupiedWalk(f *Fleet, workload string, skipID int) map[string]bool {
 	return occ
 }
 
-// requireOccupancy asserts, under the fleet lock, that the index equals the
-// walk, that every member's tenant count equals its share of the walk, and
-// that the occupied-domain query answers as the walk does for every
-// workload — with nothing skipped and with each resident tenant skipped.
+// preferWalk is what a decision's mask says given the walk's occupied domains:
+// those, unless every domain with a member is among them — then no candidate
+// is preferred to another and the decision keeps no mask.
+func preferWalk(f *Fleet, occupied map[string]bool) map[string]bool {
+	for _, m := range f.members {
+		if !occupied[m.domain] {
+			return occupied
+		}
+	}
+	return map[string]bool{}
+}
+
+// requireOccupancy asserts, under the fleet lock, that the index's per-domain
+// counts equal the walk's over machines that are not dead, that every
+// member's tenant count equals its share of the walk, and that the
+// occupied-domain mask answers as the walk does for every workload — for an
+// admission and for the move of each resident tenant of it.
 func requireOccupancy(t *testing.T, f *Fleet, op string, names []string) {
 	t.Helper()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	index := map[string]map[string]int{}
-	for w, byMem := range f.occ {
-		for m, n := range byMem {
-			if f.byName[m.name] != m {
-				t.Fatalf("after %s: index counts %d tenants of %s on removed member %s", op, n, w, m.name)
+	for w, row := range f.idx.occ {
+		if len(row) != len(f.domains) {
+			t.Fatalf("after %s: index counts %s over %d domains, the fleet has %d", op, w, len(row), len(f.domains))
+		}
+		for label, dom := range f.domains {
+			if row[dom] != 0 {
+				if index[w] == nil {
+					index[w] = map[string]int{}
+				}
+				index[w][label] = int(row[dom])
 			}
-			if index[w] == nil {
-				index[w] = map[string]int{}
-			}
-			index[w][m.name] = n
 		}
 	}
 	walk := occupancyWalk(f)
-	if !reflect.DeepEqual(index, walk) {
-		t.Fatalf("after %s: index %v, walk over f.tenants %v", op, index, walk)
+	live := map[string]map[string]int{}
+	for w, byMem := range walk {
+		for name, n := range byMem {
+			if m := f.byName[name]; m.health != Dead {
+				if live[w] == nil {
+					live[w] = map[string]int{}
+				}
+				live[w][m.domain] += n
+			}
+		}
+	}
+	if !reflect.DeepEqual(index, live) {
+		t.Fatalf("after %s: index %v, walk over f.tenants %v", op, index, live)
 	}
 	for _, m := range f.members {
 		n := 0
@@ -85,11 +115,14 @@ func requireOccupancy(t *testing.T, f *Fleet, op string, names []string) {
 		}
 	}
 	for _, w := range names {
-		if got, want := occupiedMarks(f, w, nil), occupiedWalk(f, w, -1); !reflect.DeepEqual(got, want) {
+		if got, want := occupiedMarks(f, w, nil), preferWalk(f, occupiedWalk(f, w, -1)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("after %s: occupied(%s) = %v, walk %v", op, w, got, want)
 		}
 		for id, rec := range f.tenants {
-			if got, want := occupiedMarks(f, w, rec), occupiedWalk(f, w, id); !reflect.DeepEqual(got, want) {
+			if rec.w.Name != w {
+				continue // a move asks about the moving tenant's own workload
+			}
+			if got, want := occupiedMarks(f, w, rec), preferWalk(f, occupiedWalk(f, w, id)); !reflect.DeepEqual(got, want) {
 				t.Fatalf("after %s: occupied(%s, skipping %d on %s) = %v, walk %v", op, w, id, rec.mem.name, got, want)
 			}
 		}
@@ -99,6 +132,16 @@ func requireOccupancy(t *testing.T, f *Fleet, op string, names []string) {
 // occupancyFleet builds six stubs over three racks (two per rack, AMD and
 // Intel alternating, distinct preview scores so BestPredicted has an order).
 func occupancyFleet(t *testing.T, cfg Config) (*Fleet, []*stubBackend, []string) {
+	return wrappedFleet(t, cfg, plainStubs)
+}
+
+// wrapStub is what a trace's fleet adds for its i-th stub.
+type wrapStub func(i int, s *stubBackend) Backend
+
+func plainStubs(_ int, s *stubBackend) Backend { return s }
+
+// wrappedFleet is occupancyFleet with each stub added as wrap makes it.
+func wrappedFleet(t *testing.T, cfg Config, wrap wrapStub) (*Fleet, []*stubBackend, []string) {
 	t.Helper()
 	f := New(cfg)
 	var stubs []*stubBackend
@@ -110,7 +153,7 @@ func occupancyFleet(t *testing.T, cfg Config) (*Fleet, []*stubBackend, []string)
 		}
 		stubs = append(stubs, newStub(m, float64(1+i)))
 		names = append(names, fmt.Sprintf("m%d", i))
-		if err := f.Add(names[i], stubs[i], InDomain(fmt.Sprintf("rack-%d", i%3))); err != nil {
+		if err := f.Add(names[i], wrap(i, stubs[i]), InDomain(fmt.Sprintf("rack-%d", i%3))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -138,9 +181,14 @@ var occupancyWorkloads = []string{"swaptions", "streamcluster", "canneal", "gcc"
 // 600). before runs ahead of every operation, after behind every one that
 // did something.
 func runOccupancyTrace(t *testing.T, policy Policy, before func(tr *occupancyTrace, op int), after func(tr *occupancyTrace, op int, what, name string)) {
+	runWrappedTrace(t, policy, plainStubs, before, after)
+}
+
+// runWrappedTrace is runOccupancyTrace over a fleet of wrapped stubs.
+func runWrappedTrace(t *testing.T, policy Policy, wrap wrapStub, before func(tr *occupancyTrace, op int), after func(tr *occupancyTrace, op int, what, name string)) {
 	ctx := context.Background()
 	tr := &occupancyTrace{cfg: Config{Policy: policy, SpreadDomains: true, Health: HealthConfig{FailoverBudgetSeconds: -1}}}
-	tr.f, tr.stubs, tr.names = occupancyFleet(t, tr.cfg)
+	tr.f, tr.stubs, tr.names = wrappedFleet(t, tr.cfg, wrap)
 	f, stubs, names := tr.f, tr.stubs, tr.names
 	tr.p = &memPersister{}
 	f.SetPersister(tr.p)
@@ -219,7 +267,7 @@ func runOccupancyTrace(t *testing.T, policy Policy, before func(tr *occupancyTra
 			}
 			what, name = "replace", names[i]
 			stubs[i] = newStub(stubs[i].m, stubs[i].perf)
-			if err := f.Add(name, stubs[i], InDomain(fmt.Sprintf("rack-%d", i%3))); err != nil {
+			if err := f.Add(name, wrap(i, stubs[i]), InDomain(fmt.Sprintf("rack-%d", i%3))); err != nil {
 				t.Fatal(err)
 			}
 		default:

@@ -51,6 +51,10 @@ func (f *Fleet) Restore(ctx context.Context, st *State, recs []Record, lookup Wo
 		//numalint:ignore sentinelwrap startup-sequence misuse by the embedding daemon, never reaches the wire path
 		return fmt.Errorf("fleet: restore into a fleet that already served")
 	}
+	// Nothing routes during replay: the records keep member.tenants exact (the
+	// books check reads it) and the routing index is derived once, from what
+	// they leave behind — whether or not they all apply.
+	defer f.rebuildIndexLocked()
 	snapSeq := uint64(0)
 	if st != nil {
 		if err := f.applyStateLocked(ctx, st, lookup); err != nil {
@@ -105,7 +109,7 @@ func (f *Fleet) adoptLocked(ctx context.Context, m *member, id, engineID int, wo
 	}
 	rec := &tenantRec{mem: m, engineID: engineID, w: w, vcpus: vcpus, assign: *a}
 	f.tenants[id] = rec
-	f.hostLocked(m, w.Name, +1)
+	m.tenants++
 	if id >= f.nextID {
 		f.nextID = id + 1
 	}
@@ -170,7 +174,7 @@ func (f *Fleet) applyLocked(ctx context.Context, r *Record, lookup WorkloadLooku
 			return fmt.Errorf("releasing unmapped container %d: %w", r.ID, nperr.ErrLogCorrupt)
 		}
 		delete(f.tenants, r.ID)
-		f.hostLocked(rec.mem, rec.w.Name, -1)
+		rec.mem.tenants--
 		f.released++
 		if rec.mem.health != Dead {
 			if err := rec.mem.b.Release(ctx, rec.engineID); err != nil {
@@ -199,9 +203,9 @@ func (f *Fleet) applyLocked(ctx context.Context, r *Record, lookup WorkloadLooku
 		if err != nil {
 			return fmt.Errorf("adopting moved container %d onto %s: %w", r.ID, d.name, err)
 		}
-		f.hostLocked(rec.mem, rec.w.Name, -1)
+		rec.mem.tenants--
 		rec.mem, rec.engineID, rec.assign = d, r.EngineID, *a
-		f.hostLocked(d, rec.w.Name, +1)
+		d.tenants++
 		f.moves++
 		f.migrationSeconds += r.Seconds
 		if r.Failover {

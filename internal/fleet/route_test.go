@@ -5,20 +5,26 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
+	"reflect"
+	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/machines"
 	"repro/internal/nperr"
 	"repro/internal/perfsim"
 	"repro/internal/sched"
+	"repro/internal/topology"
 	"repro/internal/xrand"
 )
 
-// The oracle: routing as it was before the class pass — preview every
+// The first oracle: routing as it was before the class pass — preview every
 // candidate, stable-sort by score, stable-partition by domain occupancy read
-// off a walk of the tenant map. The pass must return its order and its
+// off a walk of the tenant map. The index must return its order and its
 // rejections for every fleet state.
 
 type oracleScored struct {
@@ -128,15 +134,35 @@ func errorTexts(errs []error) string {
 	return strings.Join(texts, "; ")
 }
 
-// CheckRouting compares the pass with the oracle for an admission of
+// ranked runs one decision against f's index — the snapshot under the lock,
+// the ranking and the expansion without it, as Place does — and returns every
+// candidate in the order next yields them.
+func (f *Fleet) ranked(ctx context.Context, s *routeScratch, q *routeQuery) ([]*member, error) {
+	f.mu.Lock()
+	f.snapshotLocked(s, q)
+	f.mu.Unlock()
+	if err := s.rank(ctx, q); err != nil {
+		return nil, err
+	}
+	var out []*member
+	for m := s.next(); m != nil; m = s.next() {
+		out = append(out, m)
+	}
+	if s.next() != nil {
+		return nil, errors.New("next yields a candidate after its last")
+	}
+	return out, nil
+}
+
+// CheckRouting compares the index with the fan-out oracle for an admission of
 // (w, vcpus) against f's current, quiescent state: the candidate order and
-// the preview rejections. It returns the number of classes the pass met.
+// the preview rejections. It returns the number of classes the decision met.
 // Exported for the tests over real Engines (package fleet_test: this package
 // cannot import the root one).
 func (f *Fleet) CheckRouting(ctx context.Context, w perfsim.Workload, vcpus int) (classes int, err error) {
 	var s routeScratch
 	q := routeQuery{by: f.cfg.Policy.scoring(), w: w, vcpus: vcpus}
-	got, err := f.candidates(ctx, &s, &q)
+	got, err := f.ranked(ctx, &s, &q)
 	if err != nil {
 		return 0, err
 	}
@@ -150,18 +176,476 @@ func (f *Fleet) CheckRouting(ctx context.Context, w perfsim.Workload, vcpus int)
 	return len(s.classes), nil
 }
 
-// checkDestOrder compares both steps of a move's destination order for
-// tenant id with the oracle.
+// moveQuery is the destination query evacuateLocked makes for tenant rec.
+func (f *Fleet) moveQuery(rec *tenantRec, minUtil float64) routeQuery {
+	q := routeQuery{w: rec.w, vcpus: rec.vcpus, moving: rec, minUtil: minUtil}
+	if f.cfg.Policy == BestPredicted {
+		q.by = bestPredicted
+	}
+	return q
+}
+
+// checkDestOrder compares a move's destination order for tenant id with the
+// fan-out oracle.
 func (f *Fleet) checkDestOrder(ctx context.Context, id int, minUtil float64) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	rec := f.tenants[id]
-	dests, err := f.orderDestsLocked(ctx, rec, f.eligibleDestsLocked(rec.mem, minUtil))
+	q := f.moveQuery(rec, minUtil)
+	dests, err := f.ranked(ctx, &routeScratch{}, &q)
 	if err != nil {
 		return err
 	}
 	if g, w := memberNames(dests), memberNames(oracleDests(ctx, f, id, minUtil)); g != w {
 		return fmt.Errorf("moving %d off %s above %.2f: destinations [%s], the oracle orders [%s]", id, rec.mem.name, minUtil, g, w)
+	}
+	return nil
+}
+
+// The second oracle: the per-member sweep the index replaced. Each decision
+// read every candidate's class and free count from its backend, scored each
+// distinct (class, free count) cell once, and emitted the candidates with one
+// counting sort keyed by (domain occupied, score rank). It keeps nothing
+// between decisions, so it cannot be stale: the index is held to it after
+// every operation of a trace.
+
+const busiestFirst = bestPredicted + 1 // descending utilization, above sweepQuery.minUtil only
+
+// sweepQuery is what one pass ranks candidates for.
+type sweepQuery struct {
+	by      scoreBy
+	minUtil float64          // busiestFirst: candidates at or below it are left out
+	w       perfsim.Workload // bestPredicted: the container
+	vcpus   int
+}
+
+// Cell states of a candidate (sweepPass.cell) and of a class's free count
+// (sweepClass.cells) that has no score.
+const (
+	sweepUnseen  = -1 // not scored yet in this pass
+	sweepLeftOut = -2 // not ranked: below the utilization floor, or its preview fails
+)
+
+// sweepClass is one class met in a pass and its cells by free-node count.
+type sweepClass struct {
+	key   classKey
+	row   []sched.Score // bestPredicted; nil when the row could not be had
+	cells []int32       // by free-node count: index into cells, sweepUnseen or sweepLeftOut
+}
+
+// sweepCell is one distinct (class, free count) — or one unclassed
+// candidate — and its score.
+type sweepCell struct {
+	score float64
+	id    int32
+}
+
+// exclusion is a candidate a bestPredicted pass left out: its preview fails.
+// err is nil when the score row said so and no Preview ran.
+type exclusion struct {
+	m   *member
+	err error
+}
+
+// sweepPass is the working set of one pass. The caller fills mems (in
+// tie-break order) and the occupancy marks, calls route, and owns the result
+// until it reuses the pass.
+type sweepPass struct {
+	mems     []*member
+	occupied []bool // by member.dom: the domain hosts the workload already
+	spread   bool   // some domain does
+
+	cell     []int32 // per candidate: its cell, then its sort bucket
+	cells    []sweepCell
+	rank     []int32 // per cell: rank of its score among the distinct scores
+	bucket   []int32
+	classes  []sweepClass
+	excluded []exclusion
+	out      []*member
+}
+
+// route ranks s.mems for q. Only a cancelled ctx fails it.
+func (s *sweepPass) route(ctx context.Context, q *sweepQuery) ([]*member, error) {
+	s.reset()
+	if err := s.score(ctx, q); err != nil {
+		return nil, err
+	}
+	return s.order(), nil
+}
+
+// reset sizes the per-candidate and per-cell buffers for len(s.mems)
+// candidates (there are never more cells than candidates, but for inOrder's
+// one) and forgets the previous pass. All growth happens here and in
+// addClass, so the pass proper allocates nothing once a scratch has met the
+// fleet.
+func (s *sweepPass) reset() {
+	n := len(s.mems) + 1
+	if cap(s.cell) < n {
+		s.cell = make([]int32, n)
+		s.cells = make([]sweepCell, 0, n)
+		s.rank = make([]int32, n)
+		s.bucket = make([]int32, 2*n)
+		s.out = make([]*member, n)
+	}
+	s.cells = s.cells[:0]
+	s.classes = s.classes[:0]
+	s.excluded = s.excluded[:0]
+}
+
+// score resolves every candidate to a cell (or leaves it out).
+func (s *sweepPass) score(ctx context.Context, q *sweepQuery) error {
+	if q.by == inOrder {
+		s.newCell(0)
+	}
+	for i, m := range s.mems {
+		switch q.by {
+		case inOrder:
+			s.cell[i] = 0
+		case bestPredicted:
+			c, err := s.predictedCell(ctx, m, q)
+			if err != nil {
+				return err
+			}
+			s.cell[i] = c
+		default:
+			s.cell[i] = s.loadCell(m, q)
+		}
+	}
+	return nil
+}
+
+func (s *sweepPass) newCell(score float64) int32 {
+	id := int32(len(s.cells))
+	s.cells = append(s.cells, sweepCell{score, id})
+	return id
+}
+
+// loadCell scores m by utilization: a function of its node count (the class)
+// and its free count.
+func (s *sweepPass) loadCell(m *member, q *sweepQuery) int32 {
+	cl, fresh := s.classOf(classKey{total: m.total})
+	if fresh {
+		cl.cells = sweepFill(cl.cells, m.total+1)
+	}
+	return s.classCell(cl, m.b.FreeNodes().Len(), q)
+}
+
+// predictedCell scores m by the performance its predictor promises q's
+// container: from its class's row when it names a class, from its own
+// Preview — a class of one — when it does not. A failing preview leaves m
+// out and notes it for the rejection message.
+func (s *sweepPass) predictedCell(ctx context.Context, m *member, q *sweepQuery) (int32, error) {
+	if m.classer != nil {
+		if class, ok := m.classer.ScoreClass(q.vcpus); ok {
+			cl, fresh := s.classOf(classKey{class: class})
+			if fresh {
+				row, err := m.classer.ScoreRow(ctx, q.w, q.vcpus, class)
+				if err != nil {
+					if ctxErr := ctx.Err(); ctxErr != nil {
+						return 0, ctxErr
+					}
+					row = nil // every preview of the class fails, and says why itself
+				}
+				cl.row, cl.cells = row, sweepFill(cl.cells, len(row))
+			}
+			c := int32(sweepLeftOut)
+			if cl.row != nil {
+				c = s.classCell(cl, m.b.FreeNodes().Len(), q)
+			}
+			if c == sweepLeftOut {
+				s.excluded = append(s.excluded, exclusion{m: m})
+			}
+			return c, nil
+		}
+	}
+	pv, err := m.b.Preview(ctx, q.w, q.vcpus)
+	if err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return 0, ctxErr
+		}
+		s.excluded = append(s.excluded, exclusion{m, err})
+		return sweepLeftOut, nil
+	}
+	return s.newCell(-pv.PredictedPerf), nil
+}
+
+// classCell returns the cell of cl's members with free nodes free, scoring
+// it the first time a pass asks.
+func (s *sweepPass) classCell(cl *sweepClass, free int, q *sweepQuery) int32 {
+	if cl.cells[free] == sweepUnseen {
+		cl.cells[free] = sweepLeftOut
+		if score, ok := cl.score(free, q); ok {
+			cl.cells[free] = s.newCell(score)
+		}
+	}
+	return cl.cells[free]
+}
+
+// score is what q scores a member of cl with free nodes free; ok is false
+// when it is left out.
+func (cl *sweepClass) score(free int, q *sweepQuery) (score float64, ok bool) {
+	switch q.by {
+	case bestPredicted:
+		return -cl.row[free].Perf, cl.row[free].Class >= 0
+	case leastLoaded:
+		return utilization(free, cl.key.total), true
+	default: // busiestFirst
+		u := utilization(free, cl.key.total)
+		return -u, u > q.minUtil
+	}
+}
+
+// classOf finds key among the classes of this pass — a scan: a fleet has a
+// few machine models — adding it when it is new: the caller then sizes its
+// cells.
+func (s *sweepPass) classOf(key classKey) (cl *sweepClass, fresh bool) {
+	for i := range s.classes {
+		if s.classes[i].key == key {
+			return &s.classes[i], false
+		}
+	}
+	return s.addClass(key), true
+}
+
+// addClass appends a class, keeping the slot's cell buffer of a previous
+// pass for reuse.
+func (s *sweepPass) addClass(key classKey) *sweepClass {
+	n := len(s.classes)
+	if n < cap(s.classes) {
+		s.classes = s.classes[:n+1]
+	} else {
+		s.classes = append(s.classes, sweepClass{})
+	}
+	cl := &s.classes[n]
+	cl.key, cl.row = key, nil
+	return cl
+}
+
+// sweepFill returns buf resized to n cells, all sweepUnseen.
+func sweepFill(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		buf = make([]int32, n)
+	}
+	buf = buf[:n]
+	for i := range buf {
+		buf[i] = sweepUnseen
+	}
+	return buf
+}
+
+// order emits the scored candidates: unoccupied domains first, then by
+// ascending score, then in candidate order. The distinct scores are sorted
+// and ranked — equal scores of different cells share a rank, which is what
+// keeps ties in candidate order across classes — and one counting sort over
+// (occupied, rank) does the rest.
+func (s *sweepPass) order() []*member {
+	slices.SortFunc(s.cells, func(a, b sweepCell) int { return cmp.Compare(a.score, b.score) })
+	ranks := int32(0)
+	for i, c := range s.cells {
+		if i > 0 && cmp.Compare(s.cells[i-1].score, c.score) != 0 {
+			ranks++
+		}
+		s.rank[c.id] = ranks
+	}
+	ranks++
+	bucket := s.bucket[:2*ranks]
+	clear(bucket)
+	for i, m := range s.mems {
+		k := s.cell[i]
+		if k < 0 {
+			continue
+		}
+		k = s.rank[k]
+		if s.spread && s.occupied[m.dom] {
+			k += ranks
+		}
+		s.cell[i] = k
+		bucket[k]++
+	}
+	n := int32(0)
+	for k, count := range bucket {
+		bucket[k] = n
+		n += count
+	}
+	out := s.out[:n]
+	for i, m := range s.mems {
+		if k := s.cell[i]; k >= 0 {
+			out[bucket[k]] = m
+			bucket[k]++
+		}
+	}
+	return out
+}
+
+// sweepOccupied marks in s the failure domains the walk finds hosting the
+// workload, tenant skipID apart.
+func sweepOccupied(f *Fleet, s *sweepPass, workload string, skipID int) {
+	s.occupied, s.spread = make([]bool, len(f.domains)), false
+	if !f.cfg.SpreadDomains {
+		return
+	}
+	for label := range occupiedWalk(f, workload, skipID) {
+		s.occupied[f.domains[label]], s.spread = true, true
+	}
+}
+
+// sweepCandidates is the admission order of (w, vcpus) scored by by, and the
+// members a bestPredicted pass left out.
+func sweepCandidates(ctx context.Context, f *Fleet, by scoreBy, w perfsim.Workload, vcpus int) ([]*member, []exclusion) {
+	var s sweepPass
+	for _, m := range f.members {
+		if m.accepting() {
+			s.mems = append(s.mems, m)
+		}
+	}
+	sweepOccupied(f, &s, w.Name, -1)
+	out, _ := s.route(ctx, &sweepQuery{by: by, w: w, vcpus: vcpus})
+	return out, s.excluded
+}
+
+// sweepDests is the destination order of moving tenant id: the eligible
+// members busiest first, then — in that order — by the policy.
+func sweepDests(ctx context.Context, f *Fleet, id int, minUtil float64) []*member {
+	rec := f.tenants[id]
+	var s sweepPass
+	for _, d := range f.members {
+		if d != rec.mem && d.accepting() {
+			s.mems = append(s.mems, d)
+		}
+	}
+	eligible, _ := s.route(ctx, &sweepQuery{by: busiestFirst, minUtil: minUtil})
+	s.mems = append([]*member(nil), eligible...)
+	sweepOccupied(f, &s, rec.w.Name, id)
+	q := sweepQuery{w: rec.w, vcpus: rec.vcpus}
+	if f.cfg.Policy == BestPredicted {
+		q.by = bestPredicted
+	}
+	out, _ := s.route(ctx, &q)
+	return out
+}
+
+// checkIndexIsTheSweep holds f's index, quiescent, to the sweep: every
+// member's accepting flag, free count and class per size view, every cell's
+// member set, the domain sets and occupancy counts — and, for each workload
+// named, the full candidate order of an admission under each scoring and of
+// every resident tenant's move.
+func checkIndexIsTheSweep(ctx context.Context, f *Fleet, workloads []perfsim.Workload, vcpus int) error {
+	for _, w := range workloads {
+		for _, by := range []scoreBy{inOrder, leastLoaded, bestPredicted} {
+			var s routeScratch
+			q := routeQuery{by: by, w: w, vcpus: vcpus}
+			got, err := f.ranked(ctx, &s, &q)
+			if err != nil {
+				return err
+			}
+			want, excluded := sweepCandidates(ctx, f, by, w, vcpus)
+			if g, w := memberNames(got), memberNames(want); g != w {
+				return fmt.Errorf("scoring %d of %s: candidates [%s], the sweep ranks [%s]", by, q.w.Name, g, w)
+			}
+			var left []*member
+			for i, set := range s.excluded {
+				for ; set != 0; set &= set - 1 {
+					left = append(left, s.members[i<<6+bits.TrailingZeros64(set)])
+				}
+			}
+			var wantLeft []*member
+			for _, x := range excluded {
+				wantLeft = append(wantLeft, x.m)
+			}
+			if g, w := memberNames(left), memberNames(wantLeft); g != w {
+				return fmt.Errorf("scoring %d of %s: left out [%s], the sweep leaves out [%s]", by, q.w.Name, g, w)
+			}
+		}
+	}
+	for id, rec := range f.tenants {
+		for _, minUtil := range []float64{-1, 0.25, rec.mem.utilization()} {
+			q := f.moveQuery(rec, minUtil)
+			got, err := f.ranked(ctx, &routeScratch{}, &q)
+			if err != nil {
+				return err
+			}
+			if g, w := memberNames(got), memberNames(sweepDests(ctx, f, id, minUtil)); g != w {
+				return fmt.Errorf("moving %d off %s above %.2f: destinations [%s], the sweep orders [%s]", id, rec.mem.name, minUtil, g, w)
+			}
+		}
+	}
+	return checkIndexEntries(f, vcpus)
+}
+
+// hasBit reports whether member position pos is in set (nil: the empty set).
+func hasBit(set []uint64, pos int32) bool { return set != nil && set[pos>>6]>>(pos&63)&1 == 1 }
+
+// checkIndexEntries recomputes what the index must hold from the members,
+// their backends and the tenant map, entry by entry.
+func checkIndexEntries(f *Fleet, vcpus int) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	ix := &f.idx
+	f.viewLocked(&routeQuery{by: bestPredicted, vcpus: vcpus}) // the size view, as of the last class change
+	if want := (len(f.members) + 63) / 64; ix.words != want {
+		return fmt.Errorf("index sets have %d words, %d members need %d", ix.words, len(f.members), want)
+	}
+	for i, m := range f.members {
+		if int(m.pos) != i {
+			return fmt.Errorf("%s is member %d, the index has it at %d", m.name, i, m.pos)
+		}
+		if m.health != Dead && m.free != m.b.FreeNodes().Len() {
+			return fmt.Errorf("%s: index free count %d, the backend has %d free", m.name, m.free, m.b.FreeNodes().Len())
+		}
+	}
+	for vi := range ix.views {
+		v := &ix.views[vi]
+		for _, m := range f.members {
+			want, key := int32(unlisted), classKey{total: m.total}
+			if m.accepting() {
+				ok := v.vcpus == 0
+				if !ok && m.classer != nil {
+					key.class, ok = m.classer.ScoreClass(v.vcpus)
+				}
+				if want = solo; ok {
+					want = int32(slices.IndexFunc(v.classes, func(c viewClass) bool { return c.key == key }))
+				}
+			}
+			if got := v.classOf[m.pos]; got != want || want == -1 && m.accepting() {
+				return fmt.Errorf("view %d: %s (accepting %v) is filed under %d, its class %+v is %d", v.vcpus, m.name, m.accepting(), got, key, want)
+			}
+			for ci := range v.classes {
+				for free := 0; free <= v.classes[ci].key.total; free++ {
+					in := hasBit(v.classes[ci].cell(free, ix.words), m.pos)
+					if in != (int32(ci) == want && free == m.free) {
+						return fmt.Errorf("view %d: %s (class %d, %d free) in cell (%d, %d): %v", v.vcpus, m.name, want, m.free, ci, free, in)
+					}
+				}
+			}
+			if hasBit(v.solos, m.pos) != (want == solo) {
+				return fmt.Errorf("view %d: %s (class %d) among the solos: %v", v.vcpus, m.name, want, want != solo)
+			}
+		}
+	}
+	for label, dom := range f.domains {
+		for _, m := range f.members {
+			if in := hasBit(ix.domains[dom], m.pos); in != (m.domain == label) {
+				return fmt.Errorf("%s (domain %q) in the set of domain %q: %v", m.name, m.domain, label, in)
+			}
+		}
+	}
+	walk := map[string][]int32{}
+	for _, rec := range f.tenants {
+		if rec.mem.health != Dead {
+			if walk[rec.w.Name] == nil {
+				walk[rec.w.Name] = make([]int32, len(f.domains))
+			}
+			walk[rec.w.Name][rec.mem.dom]++
+		}
+	}
+	for w, row := range ix.occ {
+		if walk[w] == nil {
+			walk[w] = make([]int32, len(f.domains))
+		}
+		if !reflect.DeepEqual(row, walk[w]) {
+			return fmt.Errorf("index counts %v tenants of %s per domain, the walk %v", row, w, walk[w])
+		}
+	}
+	if len(walk) != len(ix.occ) {
+		return fmt.Errorf("index counts %d workloads, the walk %d", len(ix.occ), len(walk))
 	}
 	return nil
 }
@@ -200,6 +684,16 @@ type stubClass struct {
 type classedStub struct {
 	rowStub
 	class *stubClass
+	epoch *atomic.Uint64 // the fleet's, while it is added to one
+}
+
+func (s *classedStub) NotifyClassChange(epoch *atomic.Uint64) { s.epoch = epoch }
+
+// changed is what a test calls after changing what ScoreClass answers.
+func (s *classedStub) changed() {
+	if s.epoch != nil {
+		s.epoch.Add(1)
+	}
 }
 
 func (s *classedStub) Preview(ctx context.Context, w perfsim.Workload, vcpus int) (*sched.Preview, error) {
@@ -249,8 +743,19 @@ type routeFleet struct {
 	f       *Fleet
 	names   []string
 	stubs   []*stubBackend // the plain stub inside each backend
+	classed []*classedStub // the classed stub around it, or nil
 	classes []*stubClass
 	live    []int
+}
+
+// changed fires the notification of stub i, if it is classed, or — i < 0 — of
+// every stub of class.
+func (rf *routeFleet) changed(i int, class *stubClass) {
+	for j, cs := range rf.classed {
+		if cs != nil && (j == i || i < 0 && cs.class == class) {
+			cs.changed()
+		}
+	}
 }
 
 var routeWorkloads = []string{"swaptions", "streamcluster", "canneal"}
@@ -278,6 +783,7 @@ func newRouteFleet(t *testing.T, rng *xrand.SplitMix64, cfg Config, n int, disti
 		}
 		var b Backend
 		var stub *stubBackend
+		var classed *classedStub
 		switch k := rng.Intn(10); {
 		case k < 3 || distinct:
 			stub = newStub(m, perf)
@@ -288,7 +794,8 @@ func newRouteFleet(t *testing.T, rng *xrand.SplitMix64, cfg Config, n int, disti
 		default:
 			class := rf.classes[rng.Intn(len(rf.classes))]
 			stub = newStub(class.m, perf)
-			b = &classedStub{rowStub{stub, class.row}, class}
+			classed = &classedStub{rowStub: rowStub{stub, class.row}, class: class}
+			b = classed
 		}
 		name := fmt.Sprintf("m%d", i)
 		if err := rf.f.Add(name, b, InDomain(domains[rng.Intn(len(domains))])); err != nil {
@@ -296,16 +803,19 @@ func newRouteFleet(t *testing.T, rng *xrand.SplitMix64, cfg Config, n int, disti
 		}
 		rf.names = append(rf.names, name)
 		rf.stubs = append(rf.stubs, stub)
+		rf.classed = append(rf.classed, classed)
 	}
 	return rf
 }
 
 // perturb applies one random operation: admissions and releases move free
 // counts and occupancy, drains, missed probes and failures close and kill
-// members (and run moves), injected errors fail previews.
+// members (and run moves), injected errors fail previews. A stub whose class
+// changes says so, as an engine does.
 func (rf *routeFleet) perturb(t *testing.T, ctx context.Context, rng *xrand.SplitMix64) {
 	f, name := rf.f, rf.names[rng.Intn(len(rf.names))]
-	stub := rf.stubs[rng.Intn(len(rf.stubs))]
+	si := rng.Intn(len(rf.stubs))
+	stub := rf.stubs[si]
 	class := rf.classes[rng.Intn(len(rf.classes))]
 	switch k := rng.Intn(100); {
 	case k < 50:
@@ -333,18 +843,21 @@ func (rf *routeFleet) perturb(t *testing.T, ctx context.Context, rng *xrand.Spli
 		f.Revive(ctx, name)
 	case k < 92:
 		stub.previewErr = fmt.Errorf("observation failed: %w", nperr.ErrUntrained)
+		rf.changed(si, nil)
 	case k < 94:
 		stub.previewErr = nil
+		rf.changed(si, nil)
 	case k < 96:
 		class.rowErr = fmt.Errorf("no row: %w", nperr.ErrMachineMismatch)
 	case k < 98:
 		class.rowErr = nil
 	default:
 		class.decline = !class.decline
+		rf.changed(-1, class)
 	}
 }
 
-// TestRoutePassIsTheFanOut checks the class pass against the preview
+// TestRoutePassIsTheFanOut checks the index against the preview
 // fan-out over random fleet states: every policy, domain spreading on and
 // off, classed and unclassed backends mixed, equal and all-distinct scores,
 // drained, suspect and dead members, failing previews and failing rows — the
@@ -420,10 +933,11 @@ func TestRouteOneRowPerClass(t *testing.T) {
 		{token: sched.ScoreClass{Machine: 1}, m: machines.AMD(), row: []float64{0, 1, 2, 3, 4, 5, 6, 7, 8}},
 		{token: sched.ScoreClass{Machine: 2}, m: machines.Intel(), row: []float64{0, 9, 9, 9, 9}},
 	}
+	var stubs []*classedStub
 	for i := 0; i < 64; i++ {
 		class := classes[i%2]
-		b := &classedStub{rowStub{newStub(class.m, 0), class.row}, class}
-		if err := f.Add(fmt.Sprintf("m%d", i), b); err != nil {
+		stubs = append(stubs, &classedStub{rowStub: rowStub{newStub(class.m, 0), class.row}, class: class})
+		if err := f.Add(fmt.Sprintf("m%d", i), stubs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -439,6 +953,9 @@ func TestRouteOneRowPerClass(t *testing.T) {
 		t.Fatalf("one admission over 64 machines fetched %d and %d rows, want one per class", classes[0].rows, classes[1].rows)
 	}
 	classes[1].decline = true
+	for _, s := range stubs {
+		s.changed()
+	}
 	if n, err := f.CheckRouting(ctx, w, 4); err != nil || n != 1 {
 		t.Fatalf("with one class declining the pass met %d classes (err %v), want 1", n, err)
 	}
@@ -454,7 +971,7 @@ func TestRouteManyClasses(t *testing.T) {
 	for i := 0; i < classes; i++ {
 		class := &stubClass{token: sched.ScoreClass{Machine: uint64(i + 1)}, m: m,
 			row: []float64{0, float64(i%7 + 1), float64(i + 1), float64(i + 1), float64(i + 1)}}
-		b := &classedStub{rowStub{newStub(m, 0), class.row}, class}
+		b := &classedStub{rowStub: rowStub{newStub(m, 0), class.row}, class: class}
 		if err := f.Add(fmt.Sprintf("m%d", i), b, InDomain(fmt.Sprintf("rack-%d", i%3))); err != nil {
 			t.Fatal(err)
 		}
@@ -470,5 +987,272 @@ func TestRouteManyClasses(t *testing.T) {
 	}
 	if _, err := f.Place(ctx, w, 4); !errors.Is(err, nperr.ErrFleetFull) {
 		t.Fatalf("a full fleet answered %v", err)
+	}
+}
+
+// TestRouteIndexIsTheSweep holds the index to the sweep it replaced after
+// every operation of the 800-op trace — place, release (and a release that
+// fails), rebalance, drain and resume, fail, failover and revive, a machine
+// replaced under its name, and a score class declining and returning — over a
+// fleet of two classes of two, one stub with a row of its own and one plain:
+// entry by entry, and the full candidate order of an admission under each
+// scoring and of every resident tenant's move. At op 600 the log, from scratch
+// and from the mid-trace checkpoint, is restored into fresh fleets, whose
+// indexes — built once, after the last record — must pass the same check.
+func TestRouteIndexIsTheSweep(t *testing.T) {
+	ctx := context.Background()
+	ws := []perfsim.Workload{testWorkload(t, "swaptions"), testWorkload(t, "gcc")}
+	for _, policy := range []Policy{FirstFit, LeastLoaded, BestPredicted} {
+		t.Run(policy.String(), func(t *testing.T) {
+			classes := []*stubClass{
+				{token: sched.ScoreClass{Machine: 1}, m: machines.AMD(), row: []float64{0, 0, 3, 3, 5, 5, 5, 7, 7}},
+				{token: sched.ScoreClass{Machine: 2}, m: machines.Intel(), row: []float64{0, 1, 1, 1, 1}},
+			}
+			var classed []*classedStub
+			wrap := func(i int, s *stubBackend) Backend {
+				switch {
+				case i < 4:
+					cs := &classedStub{rowStub: rowStub{s, classes[i%2].row}, class: classes[i%2]}
+					classed = append(classed, cs)
+					return cs
+				case i == 4:
+					return &rowStub{s, []float64{0, 2, 2, 5, 5, 5, 8, 8, 8}}
+				default:
+					return s
+				}
+			}
+			check := func(f *Fleet, when string) {
+				t.Helper()
+				if err := checkIndexIsTheSweep(ctx, f, ws, 4); err != nil {
+					t.Fatalf("%s: %v", when, err)
+				}
+			}
+			checked := 0
+			runWrappedTrace(t, policy, wrap,
+				func(tr *occupancyTrace, op int) {
+					if op != 600 {
+						return
+					}
+					for _, st := range []*State{nil, tr.snapAt} {
+						twin, _, _ := wrappedFleet(t, tr.cfg, wrap)
+						if err := twin.Restore(ctx, st, tr.p.records(), lookupWorkload); err != nil {
+							t.Fatalf("Restore (snapshot %v): %v", st != nil, err)
+						}
+						check(twin, fmt.Sprintf("restored (snapshot %v)", st != nil))
+					}
+				},
+				func(tr *occupancyTrace, op int, what, name string) {
+					if op%37 == 0 {
+						class := classes[op/37%2]
+						class.decline = !class.decline
+						for _, cs := range classed {
+							cs.changed()
+						}
+						what += ", a class change"
+					}
+					check(tr.f, fmt.Sprintf("after op %d (%s %s)", op, what, name))
+					checked++
+				})
+			if checked < 700 {
+				t.Fatalf("checked %d states, want at least 700", checked)
+			}
+		})
+	}
+}
+
+// callCounts is what a countingStub counts.
+type callCounts struct{ scoreClass, scoreRow, freeNodes, preview, place int }
+
+// countingStub is a classedStub that counts the calls a routing decision
+// could make per member.
+type countingStub struct {
+	classedStub
+	calls *callCounts
+}
+
+func (s *countingStub) ScoreClass(vcpus int) (sched.ScoreClass, bool) {
+	s.calls.scoreClass++
+	return s.classedStub.ScoreClass(vcpus)
+}
+
+func (s *countingStub) ScoreRow(ctx context.Context, w perfsim.Workload, vcpus int, class sched.ScoreClass) ([]sched.Score, error) {
+	s.calls.scoreRow++
+	return s.classedStub.ScoreRow(ctx, w, vcpus, class)
+}
+
+func (s *countingStub) FreeNodes() topology.NodeSet {
+	s.calls.freeNodes++
+	return s.classedStub.FreeNodes()
+}
+
+func (s *countingStub) Preview(ctx context.Context, w perfsim.Workload, vcpus int) (*sched.Preview, error) {
+	s.calls.preview++
+	return s.classedStub.Preview(ctx, w, vcpus)
+}
+
+func (s *countingStub) Place(ctx context.Context, w perfsim.Workload, vcpus int) (*sched.Assignment, error) {
+	s.calls.place++
+	return s.classedStub.Place(ctx, w, vcpus)
+}
+
+// TestRouteDecisionIsNotPerMember is the scaling claim as a count: on a warm
+// fleet of 1 024 machines in two classes at half fill, one admission that the
+// first candidate takes calls that candidate — its Place, and the commit's
+// re-read of its free count — and one member per class for the score row. No
+// member is asked its class, its free count or a Preview to be ranked; a
+// decision that sweeps the fleet makes a thousand such calls and fails here
+// without a clock.
+func TestRouteDecisionIsNotPerMember(t *testing.T) {
+	ctx := context.Background()
+	w := testWorkload(t, "swaptions")
+	for _, policy := range []Policy{LeastLoaded, BestPredicted} {
+		t.Run(policy.String(), func(t *testing.T) {
+			classes := []*stubClass{
+				{token: sched.ScoreClass{Machine: 1}, m: machines.AMD(), row: []float64{0, 1, 2, 3, 4, 5, 6, 7, 8}},
+				{token: sched.ScoreClass{Machine: 2}, m: machines.Intel(), row: []float64{0, 2, 4, 6, 8}},
+			}
+			var calls callCounts
+			f := New(Config{Policy: policy, SpreadDomains: true})
+			for i := 0; i < 1024; i++ {
+				class := classes[i%2]
+				b := &countingStub{classedStub{rowStub: rowStub{newStub(class.m, 0), class.row}, class: class}, &calls}
+				if err := f.Add(fmt.Sprintf("m%d", i), b, InDomain(fmt.Sprintf("rack-%d", i%8))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var resident []int
+			for i := 0; i < 3072; i++ { // half of the 6 144 nodes
+				adm, err := f.Place(ctx, w, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resident = append(resident, adm.ID)
+			}
+			for cycle := 0; cycle < 3; cycle++ {
+				if err := f.Release(ctx, resident[cycle*7]); err != nil {
+					t.Fatal(err)
+				}
+				calls = callCounts{}
+				if _, err := f.Place(ctx, w, 4); err != nil {
+					t.Fatal(err)
+				}
+				rows := 0
+				if policy == BestPredicted {
+					rows = len(classes)
+				}
+				if calls.scoreClass != 0 || calls.preview != 0 || calls.place != 1 || calls.freeNodes > 2 || calls.scoreRow != rows {
+					t.Fatalf("cycle %d: one first-try admission over 1024 machines made %+v backend calls, want 0 ScoreClass, 0 Preview, 1 Place, at most 2 FreeNodes, %d ScoreRow", cycle, calls, rows)
+				}
+			}
+		})
+	}
+}
+
+// refersTo reports whether any slot of the scratch, its spare capacity
+// included, still points at m.
+func (s *routeScratch) refersTo(m *member) bool {
+	if slices.Contains(s.members, m) {
+		return true
+	}
+	for _, c := range s.classes[:cap(s.classes)] {
+		if c.rep == m {
+			return true
+		}
+	}
+	return false
+}
+
+// removedBackend builds a fleet of three, routes admissions (pooled scratch)
+// and a drain's moves (the fleet's own scratch) past the middle one, removes
+// it and checks that the index, the scratches and the notification let it go.
+// collected is closed when the removed stub is garbage.
+func removedBackend(t *testing.T, policy Policy) (f *Fleet, collected chan struct{}) {
+	ctx := context.Background()
+	w := testWorkload(t, "swaptions")
+	class := &stubClass{token: sched.ScoreClass{Machine: 1}, m: machines.Intel(), row: []float64{0, 1, 2, 3, 4}}
+	f = New(Config{Policy: policy, SpreadDomains: true})
+	var middle *classedStub
+	for i := 0; i < 3; i++ {
+		var b Backend = &classedStub{rowStub: rowStub{newStub(class.m, 1), class.row}, class: class}
+		if i == 1 {
+			middle = b.(*classedStub)
+		}
+		if i == 2 {
+			b = newStub(class.m, 1) // scored by its Preview: the solo slots too
+		}
+		if err := f.Add(fmt.Sprintf("m%d", i), b, InDomain(fmt.Sprintf("rack-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gone := f.byName["m1"]
+	for i := 0; i < 9; i++ {
+		if _, err := f.Place(ctx, w, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if gone.tenants == 0 {
+		t.Fatal("degenerate setup: nothing was routed to m1")
+	}
+	for id, rec := range f.tenants { // make room for m1's tenants elsewhere
+		if rec.mem != gone {
+			if err := f.Release(ctx, id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if rep, err := f.Drain(ctx, "m1"); err != nil || len(rep.Moves) == 0 {
+		t.Fatalf("drain: %v, report %+v", err, rep)
+	}
+	if err := f.Remove("m1"); err != nil {
+		t.Fatal(err)
+	}
+	if middle.epoch != nil {
+		t.Fatal("Remove left the backend's class-change notification registered")
+	}
+	if slices.Contains(f.members, gone) || f.destScratch.refersTo(gone) {
+		t.Fatal("Remove left the member in the fleet's list or its routing scratch")
+	}
+	for i := 0; i < 4; i++ { // whatever the pool hands out, admission scratches included
+		s := scratchPool.Get().(*routeScratch)
+		if s.refersTo(gone) {
+			t.Fatal("a pooled routing scratch still points at the removed member")
+		}
+		defer scratchPool.Put(s)
+	}
+	if err := checkIndexEntries(f, 4); err != nil {
+		t.Fatalf("after Remove: %v", err)
+	}
+	if _, err := f.Place(ctx, w, 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkIndexIsTheSweep(ctx, f, []perfsim.Workload{w}, 4); err != nil {
+		t.Fatalf("after Remove and one more admission: %v", err)
+	}
+	collected = make(chan struct{})
+	runtime.SetFinalizer(middle.stubBackend, func(*stubBackend) { close(collected) })
+	return f, collected
+}
+
+// TestRemovedBackendIsLetGo checks that Remove leaves nothing pointing at the
+// backend: not the member list, not a cell or a position of the index, not a
+// slot of a routing scratch, not the class-change notification — so the
+// backend, and whatever it caches, can be collected while the fleet lives on.
+func TestRemovedBackendIsLetGo(t *testing.T) {
+	for _, policy := range []Policy{LeastLoaded, BestPredicted} {
+		t.Run(policy.String(), func(t *testing.T) {
+			f, collected := removedBackend(t, policy)
+			deadline := time.After(10 * time.Second)
+			for {
+				runtime.GC()
+				select {
+				case <-collected:
+					runtime.KeepAlive(f)
+					return
+				case <-deadline:
+					t.Fatal("the removed backend is still reachable after Remove")
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+		})
 	}
 }
