@@ -80,28 +80,10 @@ type (
 	SimTimers = fleet.SimTimers
 	// WallTimers schedules monitor ticks on the wall clock.
 	WallTimers = fleet.WallTimers
-	// ClusterEvent is one serving-plane happening (admission, release,
-	// move, health transition, pass summary) from the event feed.
-	ClusterEvent = fleet.Event
-	// ClusterEventType discriminates ClusterEvents.
-	ClusterEventType = fleet.EventType
 	// ClusterSubscription is one bounded subscriber of the event feed:
 	// events buffer in a fixed ring, the oldest dropped (and counted) when
 	// the subscriber falls behind — publishing never blocks admissions.
 	ClusterSubscription = fleet.Subscription
-)
-
-// Event types for ClusterEvent.Type.
-const (
-	EventPlace     = fleet.EvPlace
-	EventRelease   = fleet.EvRelease
-	EventMove      = fleet.EvMove
-	EventHealth    = fleet.EvHealth
-	EventFailover  = fleet.EvFailover
-	EventRebalance = fleet.EvRebalance
-	EventDrain     = fleet.EvDrain
-	EventRevive    = fleet.EvRevive
-	EventResume    = fleet.EvResume
 )
 
 // Routing policies for ClusterConfig.Policy.

@@ -561,7 +561,7 @@ func run(ctx context.Context, cfg simConfig, out, errw io.Writer) error {
 			prevAssign := cl.Assignments()
 			prevStats := cl.Stats()
 			fmt.Fprintf(out, "t=%8.1f  restart: control plane down with %d tenants at seq %d\n",
-				sim.Now(), len(prevAssign), cl.Fleet().WALSeq())
+				sim.Now(), len(prevAssign), cl.Fleet().Seq())
 			if mon != nil {
 				mon.Stop()
 				mon = nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -25,10 +26,10 @@ func eventFleet(t *testing.T) (*Fleet, *stubBackend, *stubBackend) {
 	return f, a, b
 }
 
-func drainAll(s *Subscription) ([]Event, uint64) {
-	var out []Event
+func drainAll(s *Subscription) ([]Record, uint64) {
+	var out []Record
 	var dropped uint64
-	buf := make([]Event, 8)
+	buf := make([]Record, 8)
 	for {
 		n, d := s.Drain(buf)
 		dropped += d
@@ -39,11 +40,14 @@ func drainAll(s *Subscription) ([]Event, uint64) {
 	}
 }
 
-// TestEventStream checks that the serving-plane operations publish the
-// documented event sequence with a totally ordered Seq.
+// TestEventStream pins one example of the feed: the types a short scenario
+// delivers, their fields, and that each frame is the log's record of its Seq
+// (TestFeedIsTheLog checks the whole of that over the randomized trace).
 func TestEventStream(t *testing.T) {
 	ctx := context.Background()
 	f, _, _ := eventFleet(t)
+	p := &memPersister{}
+	f.SetPersister(p)
 	sub := f.Subscribe(64)
 	defer sub.Close()
 
@@ -72,16 +76,20 @@ func TestEventStream(t *testing.T) {
 	}
 	// place, place, release, health(m0 dead), move (failover rehomes a2),
 	// failover summary, health(m0 healthy), revive.
-	wantTypes := []EventType{EvPlace, EvPlace, EvRelease, EvHealth, EvMove, EvFailover, EvHealth, EvRevive}
+	wantTypes := []RecordType{RecPlace, RecPlace, RecRelease, RecHealth, RecMove, RecFailover, RecHealth, RecRevive}
 	if len(evs) != len(wantTypes) {
 		t.Fatalf("got %d events %v, want %d", len(evs), evs, len(wantTypes))
 	}
+	recs := p.records()
 	for i, ev := range evs {
 		if ev.Type != wantTypes[i] {
 			t.Errorf("event %d: type %s, want %s (%+v)", i, ev.Type, wantTypes[i], ev)
 		}
-		if i > 0 && ev.Seq != evs[i-1].Seq+1 {
-			t.Errorf("event %d: seq %d after %d, want contiguous", i, ev.Seq, evs[i-1].Seq)
+		if i > 0 && ev.Seq <= evs[i-1].Seq {
+			t.Errorf("event %d: seq %d after %d, want strictly increasing", i, ev.Seq, evs[i-1].Seq)
+		}
+		if ev.Seq == 0 || ev.Seq > uint64(len(recs)) || recs[ev.Seq-1] != ev {
+			t.Errorf("event %d (%+v) is not the log's record %d", i, ev, ev.Seq)
 		}
 	}
 	if evs[0].ID != a1.ID || evs[0].Backend != "m0" || evs[0].Workload != "gcc" || evs[0].VCPUs != 16 {
@@ -98,14 +106,104 @@ func TestEventStream(t *testing.T) {
 	}
 	// a2 was failed over off the dead m0, whose engine-side record could
 	// not be released; Revive fences that one orphan.
-	if evs[7].Type != EvRevive || evs[7].Fenced != 1 {
+	if evs[7].Type != RecRevive || evs[7].Fenced != 1 {
 		t.Errorf("revive event: %+v", evs[7])
 	}
 }
 
+// TestFeedIsTheLog is the conservation suite of the one commit stream. Over
+// the 800-operation trace under each policy, with a persister and a subscriber
+// attached from the start: the records' Seq are contiguous from 1 and end at
+// Fleet.Seq; what the subscriber drains is the appended records whose type has
+// an event name — same order, same Seq, field for field; and the name table
+// names exactly the nine types a watcher is told about.
+func TestFeedIsTheLog(t *testing.T) {
+	named := map[RecordType]string{RecPlace: "place", RecRelease: "release", RecMove: "move",
+		RecHealth: "health", RecFailover: "failover", RecRebalance: "rebalance", RecDrainPass: "drain",
+		RecRevive: "revive", RecResume: "resume"}
+	for ty := RecordType(0); int(ty) <= len(recordNames); ty++ { // and one past the table
+		if got := ty.EventName(); got != named[ty] {
+			t.Errorf("%s is %q on the feed, want %q", ty, got, named[ty])
+		}
+	}
+	for _, policy := range []Policy{FirstFit, LeastLoaded, BestPredicted} {
+		t.Run(policy.String(), func(t *testing.T) {
+			var tr *occupancyTrace
+			var sub *Subscription
+			var feed []Record
+			drain := func() {
+				evs, dropped := drainAll(sub)
+				if dropped != 0 {
+					t.Fatalf("dropped %d records with a roomy ring", dropped)
+				}
+				feed = append(feed, evs...)
+			}
+			runOccupancyTrace(t, policy,
+				func(run *occupancyTrace, op int) {
+					if op == 0 {
+						tr, sub = run, run.f.Subscribe(1024)
+					}
+				},
+				func(*occupancyTrace, int, string, string) { drain() })
+			drain()
+			sub.Close()
+
+			recs := tr.p.records()
+			var want []Record
+			counts := map[RecordType]int{}
+			for i, r := range recs {
+				if r.Seq != uint64(i+1) {
+					t.Fatalf("record %d has seq %d: not contiguous from 1", i, r.Seq)
+				}
+				counts[r.Type]++
+				if r.Type.EventName() != "" {
+					want = append(want, r)
+				}
+			}
+			if got := tr.f.Seq(); got != uint64(len(recs)) {
+				t.Fatalf("Seq() = %d after %d records", got, len(recs))
+			}
+			// Every type but the intra-machine pair, which a stub never moves.
+			for ty := RecPlace; ty <= RecRevive; ty++ {
+				if counts[ty] == 0 && ty != RecIntraMove && ty != RecIntraPass {
+					t.Errorf("the trace committed no %s record", ty)
+				}
+			}
+			if len(feed) != len(want) {
+				t.Fatalf("the feed delivered %d records, the log holds %d with an event name", len(feed), len(want))
+			}
+			for i := range want {
+				if feed[i] != want[i] {
+					t.Fatalf("frame %d is %+v, the log's %+v", i, feed[i], want[i])
+				}
+			}
+		})
+	}
+}
+
+// TestClosedSubscriptionIsLetGo: Close leaves no pointer to the subscription
+// (and its ring) in the slots of f.subs past its length.
+func TestClosedSubscriptionIsLetGo(t *testing.T) {
+	f, _, _ := eventFleet(t)
+	var subs []*Subscription
+	for i := 0; i < 8; i++ {
+		subs = append(subs, f.Subscribe(4))
+	}
+	for _, s := range subs {
+		s.Close()
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for i, s := range f.subs[:cap(f.subs)] {
+		if s != nil {
+			t.Errorf("slot %d of f.subs still holds a closed subscription", i)
+		}
+	}
+}
+
 // TestEventSlowSubscriberDrop checks the backpressure policy: a
-// subscriber that never drains loses its oldest events (counted), keeps a
-// contiguous most-recent tail, and a fast subscriber on the same fleet is
+// subscriber that never drains loses its oldest events (counted), keeps the
+// most recent tail whole, and a fast subscriber on the same fleet is
 // unaffected.
 func TestEventSlowSubscriberDrop(t *testing.T) {
 	ctx := context.Background()
@@ -139,15 +237,14 @@ func TestEventSlowSubscriberDrop(t *testing.T) {
 	if want := uint64(2*rounds - 4); slowDropped != want {
 		t.Fatalf("slow subscriber dropped %d, want %d", slowDropped, want)
 	}
-	if slowEvs[3].Seq != fastEvs[len(fastEvs)-1].Seq {
-		t.Errorf("slow ring should hold the most recent events: tail seq %d vs %d",
-			slowEvs[3].Seq, fastEvs[len(fastEvs)-1].Seq)
-	}
-	for i := 1; i < len(slowEvs); i++ {
-		if slowEvs[i].Seq != slowEvs[i-1].Seq+1 {
-			t.Errorf("drops must come off the head, not punch holes: seq %d after %d",
-				slowEvs[i].Seq, slowEvs[i-1].Seq)
+	for i, ev := range fastEvs {
+		if i > 0 && ev.Seq <= fastEvs[i-1].Seq {
+			t.Errorf("fast subscriber: seq %d after %d, want strictly increasing", ev.Seq, fastEvs[i-1].Seq)
 		}
+	}
+	if !slices.Equal(slowEvs, fastEvs[len(fastEvs)-4:]) {
+		t.Errorf("drops must come off the head, not punch holes: slow ring %+v, the feed's last four %+v",
+			slowEvs, fastEvs[len(fastEvs)-4:])
 	}
 	if d := slow.Dropped(); d != uint64(2*rounds-4) {
 		t.Errorf("Dropped() = %d, want %d", d, 2*rounds-4)
@@ -161,16 +258,16 @@ func TestEventPublishAllocFree(t *testing.T) {
 	f, _, _ := eventFleet(t)
 	sub := f.Subscribe(8)
 	defer sub.Close()
-	ev := Event{Type: EvPlace, ID: 7, Backend: "m0", Workload: "gcc", VCPUs: 16}
+	ev := Record{Type: RecPlace, ID: 7, Backend: "m0", Workload: "gcc", VCPUs: 16}
 	// Warm the ring into its steady overwrite state.
 	for i := 0; i < 16; i++ {
 		f.mu.Lock()
-		f.publish(ev)
+		f.commitLocked(&ev)
 		f.mu.Unlock()
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		f.mu.Lock()
-		f.publish(ev)
+		f.commitLocked(&ev)
 		f.mu.Unlock()
 	})
 	if allocs != 0 {
@@ -218,13 +315,16 @@ func TestEventAdmitHotPathAllocs(t *testing.T) {
 
 // TestEventStressRace drives concurrent Place/Release/Fail/Revive against
 // multiple subscribers under the race detector and checks conservation:
-// every subscriber's received+dropped equals the published total, and
-// drained sequences are strictly increasing.
+// every subscriber's received+dropped equals the published total — the
+// records the log took whose type the feed carries — and drained sequences
+// are strictly increasing.
 func TestEventStressRace(t *testing.T) {
 	ctx := context.Background()
 	f, _, _ := eventFleet(t)
+	p := &memPersister{}
+	f.SetPersister(p)
 	subs := []*Subscription{f.Subscribe(8), f.Subscribe(64), f.Subscribe(1024)}
-	received := make([][]Event, len(subs))
+	received := make([][]Record, len(subs))
 	droppedTotal := make([]uint64, len(subs))
 
 	var wg sync.WaitGroup
@@ -234,7 +334,7 @@ func TestEventStressRace(t *testing.T) {
 		wg.Add(1)
 		go func(i int, s *Subscription) {
 			defer wg.Done()
-			buf := make([]Event, 16)
+			buf := make([]Record, 16)
 			for {
 				n, d := s.Drain(buf)
 				received[i] = append(received[i], buf[:n]...)
@@ -293,9 +393,12 @@ func TestEventStressRace(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	f.mu.Lock()
-	published := f.eventSeq
-	f.mu.Unlock()
+	var published uint64
+	for _, r := range p.records() {
+		if r.Type.EventName() != "" {
+			published++
+		}
+	}
 	if published == 0 {
 		t.Fatal("no events published")
 	}
@@ -378,12 +481,12 @@ func BenchmarkEventPublish(b *testing.B) {
 	f := New(Config{})
 	sub := f.Subscribe(64)
 	defer sub.Close()
-	ev := Event{Type: EvPlace, ID: 1, Backend: "m0", Workload: "gcc", VCPUs: 16}
+	ev := Record{Type: RecPlace, ID: 1, Backend: "m0", Workload: "gcc", VCPUs: 16}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.mu.Lock()
-		f.publish(ev)
+		f.commitLocked(&ev)
 		f.mu.Unlock()
 	}
 }

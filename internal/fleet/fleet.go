@@ -11,8 +11,8 @@
 // Lock ordering: Fleet.mu is acquired before any backend (Engine) lock and
 // backends never call back into the fleet, so the order is one-directional
 // and deadlock-free. Every mutation other than Place is one Fleet.mu hold
-// covering the backend calls, the map change, the event and the record, so
-// capacity is freed and logged in one hold. Place alone admits on a backend
+// covering the backend calls, the map change and the record, so capacity is
+// freed and logged in one hold. Place alone admits on a backend
 // without the lock (admissions on distinct machines proceed in parallel) and
 // registers under it after: capacity is taken before it is logged. Replaying
 // any prefix of the log into fresh engines therefore succeeds.
@@ -317,11 +317,11 @@ type Stats struct {
 type Fleet struct {
 	cfg Config
 
-	// mu is the fleet's commit-point lock: every mutation publishes its
-	// event and appends its WAL record under the same hold, which is what
-	// makes record order equal commit order. It is the outermost lock of
-	// the hierarchy and must never cover blocking work (Persister.Commit
-	// runs strictly after the unlock — see durable).
+	// mu is the fleet's commit-point lock: every mutation commits its Record
+	// (commitLocked) under the hold that made it, which is what makes
+	// sequence order equal effect order. It is the outermost lock of the
+	// hierarchy and must never cover blocking work (Persister.Commit runs
+	// strictly after the unlock — see durable).
 	//numalint:locks fleet.mu rank=10 noblock
 	mu sync.Mutex
 	// members is in add order. Add and Remove replace the slice and never
@@ -341,17 +341,13 @@ type Fleet struct {
 	// end (destination order of Rebalance, Drain and Failover moves).
 	destScratch routeScratch
 
-	// Event fan-out (see events.go). Both fields are guarded by mu, which
-	// is what gives the published sequence its total order.
-	subs     []*Subscription
-	eventSeq uint64
-
-	// Durability (see record.go). The write-ahead sequence is separate
-	// from eventSeq — events are only sequenced while subscribers exist,
-	// records always — and both are guarded by mu, so record order is
-	// commit order.
+	// The commit stream (record.go, events.go): seq is the number of Records
+	// committed, which commitLocked alone advances; each goes to the persister
+	// if one is attached and, if a watcher is told about its type, into every
+	// subscriber's ring. All three are guarded by mu.
+	seq       uint64
 	persister Persister
-	walSeq    uint64
+	subs      []*Subscription
 
 	admitted, rejected, released, moves int64
 	failovers, failedOver               int64
@@ -554,8 +550,7 @@ func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm *
 		f.hostLocked(mem, w.Name, +1)
 		f.refreeLocked(mem)
 		f.admitted++
-		f.publish(Event{Type: EvPlace, ID: id, Backend: mem.name, Workload: w.Name, VCPUs: vcpus})
-		f.persistLocked(Record{Type: RecPlace, ID: id, Backend: mem.name,
+		f.commitLocked(&Record{Type: RecPlace, ID: id, Backend: mem.name,
 			Workload: w.Name, VCPUs: vcpus, EngineID: a.ID, ClassID: a.Class,
 			Nodes: a.Nodes, BasePerf: a.BasePerf, ProbePerf: a.ProbePerf})
 		f.markLocked(&s.mark)
@@ -564,7 +559,7 @@ func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm *
 	}
 	f.mu.Lock()
 	f.rejected++
-	f.persistLocked(Record{Type: RecReject, ID: -1, Workload: w.Name, VCPUs: vcpus})
+	f.commitLocked(&Record{Type: RecReject, ID: -1, Workload: w.Name, VCPUs: vcpus})
 	f.markLocked(&s.mark)
 	f.mu.Unlock()
 	sentinels := []error{nperr.ErrFleetFull}
@@ -608,8 +603,7 @@ func (f *Fleet) Release(ctx context.Context, id int) (err error) {
 	delete(f.tenants, id)
 	f.hostLocked(rec.mem, rec.w.Name, -1)
 	f.released++
-	f.publish(Event{Type: EvRelease, ID: id, Backend: rec.mem.name, Workload: rec.w.Name, VCPUs: rec.vcpus})
-	f.persistLocked(Record{Type: RecRelease, ID: id, Backend: rec.mem.name,
+	f.commitLocked(&Record{Type: RecRelease, ID: id, Backend: rec.mem.name,
 		Workload: rec.w.Name, VCPUs: rec.vcpus})
 	return nil
 }
@@ -733,9 +727,7 @@ func (f *Fleet) moveLocked(ctx context.Context, rep *Report, id int, rec *tenant
 		})
 		rep.TotalSeconds += cost
 		f.hostLocked(rec.mem, rec.w.Name, -1)
-		f.publish(Event{Type: EvMove, ID: id, Backend: rec.mem.name, Dest: d.name,
-			Workload: rec.w.Name, VCPUs: rec.vcpus, Seconds: cost})
-		f.persistLocked(Record{Type: RecMove, ID: id, Backend: rec.mem.name, Dest: d.name,
+		f.commitLocked(&Record{Type: RecMove, ID: id, Backend: rec.mem.name, Dest: d.name,
 			Workload: rec.w.Name, VCPUs: rec.vcpus, EngineID: a.ID, ClassID: a.Class,
 			Nodes: a.Nodes, BasePerf: a.BasePerf, ProbePerf: a.ProbePerf,
 			Seconds: cost, Failover: failover})
@@ -751,7 +743,7 @@ func (f *Fleet) moveLocked(ctx context.Context, rep *Report, id int, rec *tenant
 	return false, nil
 }
 
-// logIntraLocked appends the durable records of one backend's intra-machine
+// logIntraLocked commits the records of one backend's intra-machine
 // rebalance pass: one RecIntraMove per committed move (the destination
 // class and nodes, replayed via ApplyMove) followed by one RecIntraPass
 // carrying the pass total, so replay reproduces MigrationSeconds with the
@@ -780,10 +772,10 @@ func (f *Fleet) logIntraLocked(m *member, intra *sched.RebalanceReport) {
 		if a, aok := m.b.Assignment(mv.ID); aok {
 			f.tenants[fleetID].assign = a
 		}
-		f.persistLocked(Record{Type: RecIntraMove, ID: fleetID, Backend: m.name,
+		f.commitLocked(&Record{Type: RecIntraMove, ID: fleetID, Backend: m.name,
 			EngineID: mv.ID, ClassID: mv.ToClass, Nodes: mv.ToNodes, Seconds: mv.Seconds})
 	}
-	f.persistLocked(Record{Type: RecIntraPass, ID: -1, Backend: m.name,
+	f.commitLocked(&Record{Type: RecIntraPass, ID: -1, Backend: m.name,
 		Moves: len(intra.Moves), Seconds: intra.TotalSeconds})
 }
 
@@ -860,19 +852,17 @@ func (f *Fleet) evacuateLocked(ctx context.Context, rep *Report, src *member, bu
 	return nil
 }
 
-// summarizeLocked publishes and logs the summary of one pass over backend
+// summarizeLocked commits the summary, of type rt, of one pass over backend
 // ("" for a fleet-wide one). Passes defer it: whatever was committed shows,
 // error or not, so subscribers see the same partial work the returned report
 // carries. The record is audit-only — every state change was already logged
 // per move. Callers hold f.mu.
-func (f *Fleet) summarizeLocked(ev EventType, rt RecordType, backend string, rep *Report) {
+func (f *Fleet) summarizeLocked(rt RecordType, backend string, rep *Report) {
 	intra := 0
 	for _, ip := range rep.Intra {
 		intra += len(ip.Report.Moves)
 	}
-	f.publish(Event{Type: ev, ID: -1, Backend: backend, Moves: len(rep.Moves), Intra: intra,
-		Examined: rep.Examined, Stranded: rep.Stranded, Seconds: rep.TotalSeconds})
-	f.persistLocked(Record{Type: rt, ID: -1, Backend: backend, Moves: len(rep.Moves), Intra: intra,
+	f.commitLocked(&Record{Type: rt, ID: -1, Backend: backend, Moves: len(rep.Moves), Intra: intra,
 		Examined: rep.Examined, Stranded: rep.Stranded, Seconds: rep.TotalSeconds})
 }
 
@@ -895,7 +885,7 @@ func (f *Fleet) Rebalance(ctx context.Context, budgetSeconds float64) (rep *Repo
 	defer f.mu.Unlock()
 	defer f.markLocked(&d)
 	rep = &Report{BudgetSeconds: budgetSeconds}
-	defer f.summarizeLocked(EvRebalance, RecRebalance, "", rep)
+	defer f.summarizeLocked(RecRebalance, "", rep)
 
 	// Intra-machine passes, in add order (healthy, accepting machines
 	// only: a suspect machine is left undisturbed until its probes settle,
@@ -988,12 +978,9 @@ func (f *Fleet) Drain(ctx context.Context, name string) (rep *Report, err error)
 	}
 	src.drained = true
 	f.relistLocked(src)
-	// The flag set is durable at the point it takes effect — before the
-	// pass's moves, unlike the Subscribe feed's end-of-pass summary — so a
-	// crash mid-pass recovers a backend that is already closed.
-	f.persistLocked(Record{Type: RecDrainStart, ID: -1, Backend: name})
+	f.commitLocked(&Record{Type: RecDrainStart, ID: -1, Backend: name})
 	rep = &Report{}
-	defer f.summarizeLocked(EvDrain, RecDrainPass, name, rep)
+	defer f.summarizeLocked(RecDrainPass, name, rep)
 	var destErrs []error
 	if err := f.evacuateLocked(ctx, rep, src, math.Inf(1), &destErrs, false); err != nil {
 		return rep, err
@@ -1022,8 +1009,7 @@ func (f *Fleet) Resume(name string) (err error) {
 	}
 	m.drained = false
 	f.relistLocked(m)
-	f.publish(Event{Type: EvResume, ID: -1, Backend: name})
-	f.persistLocked(Record{Type: RecResume, ID: -1, Backend: name})
+	f.commitLocked(&Record{Type: RecResume, ID: -1, Backend: name})
 	return nil
 }
 

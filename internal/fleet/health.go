@@ -117,8 +117,7 @@ func (f *Fleet) HealthOf(name string) (Health, bool) {
 }
 
 // setHealthLocked moves m to health state to with the given miss count. A
-// change of state is published and logged (a return from Dead by the
-// RecRevive its caller appends) and re-lists m in the routing index — a
+// change of state is committed and re-lists m in the routing index — a
 // revived machine's free count is read again here, after its fence; one into
 // or out of Dead bumps m.fences — so no death or revival can go unnoticed by
 // an admission in flight. Callers hold f.mu.
@@ -128,11 +127,8 @@ func (f *Fleet) setHealthLocked(m *member, to Health, misses int) {
 	if from == to {
 		return
 	}
-	f.publish(Event{Type: EvHealth, ID: -1, Backend: m.name, FromHealth: from, ToHealth: to})
-	if from != Dead {
-		f.persistLocked(Record{Type: RecHealth, ID: -1, Backend: m.name,
-			FromHealth: from, ToHealth: to, Misses: misses})
-	}
+	f.commitLocked(&Record{Type: RecHealth, ID: -1, Backend: m.name,
+		FromHealth: from, ToHealth: to, Misses: misses})
 	if from == Dead || to == Dead {
 		m.fences.Add(1)
 		// Its tenants hold their failure domain only while it is not dead.
@@ -258,7 +254,7 @@ func (f *Fleet) Failover(ctx context.Context, name string, budgetSeconds float64
 func (f *Fleet) failoverLocked(ctx context.Context, src *member, budgetSeconds float64) (*Report, error) {
 	rep := &Report{BudgetSeconds: budgetSeconds}
 	f.failovers++
-	defer f.summarizeLocked(EvFailover, RecFailover, src.name, rep)
+	defer f.summarizeLocked(RecFailover, src.name, rep)
 	var destErrs []error
 	if err := f.evacuateLocked(ctx, rep, src, budgetSeconds, &destErrs, true); err != nil {
 		return rep, err
@@ -319,11 +315,11 @@ func (f *Fleet) Revive(ctx context.Context, name string) (fencedOut int, err err
 	if err != nil {
 		return fenced, fmt.Errorf("fleet: reviving %s: fencing orphan %d: %w", name, orphan, err)
 	}
+	// Replay skips the health record and lets the RecRevive re-run the fencing
+	// pass against the reconstructed engine books (Fenced kept for audit) and
+	// restore health: a log cut between the two leaves the machine dead and
+	// re-revivable, never healthy but unfenced.
 	f.setHealthLocked(m, Healthy, 0)
-	f.publish(Event{Type: EvRevive, ID: -1, Backend: name, Fenced: fenced})
-	// One record covers both publishes: replay re-runs the fencing pass
-	// against the reconstructed engine books (Fenced kept for audit) and
-	// restores health itself.
-	f.persistLocked(Record{Type: RecRevive, ID: -1, Backend: name, Fenced: fenced})
+	f.commitLocked(&Record{Type: RecRevive, ID: -1, Backend: name, Fenced: fenced})
 	return fenced, nil
 }

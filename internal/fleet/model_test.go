@@ -114,7 +114,9 @@ func (m *fleetModel) apply(r Record) error {
 			}
 		}
 	case RecHealth:
-		m.dead[r.Backend] = r.ToHealth == Dead
+		if r.FromHealth != Dead { // a return from Dead is the RecRevive's
+			m.dead[r.Backend] = r.ToHealth == Dead
+		}
 	case RecRevive:
 		m.dead[r.Backend] = false
 		delete(m.orphans, r.Backend)

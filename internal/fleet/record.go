@@ -1,9 +1,8 @@
-// Durable commit records for the fleet: the write-ahead shape of every
-// state mutation the fleet performs. Each mutation that today publishes a
-// Subscribe event also appends a Record (under the same Fleet.mu hold, so
-// the record sequence IS the commit order), plus a handful of WAL-only
-// records for mutations subscribers never needed (rejections, drain-flag
-// sets, per-move intra-machine detail) but recovery does.
+// The fleet's commit stream: every state mutation is one Record, numbered by
+// commitLocked under the Fleet.mu hold that made it, appended to the attached
+// Persister and — for the nine types a watcher is told about — copied into
+// each Subscription ring (events.go). DESIGN.md, "The commit stream", states
+// the invariant once.
 //
 // Records are VALUE logs, not command logs: they carry the committed
 // decision (the chosen class, the concrete nodes, both model inputs), not
@@ -32,18 +31,21 @@ const (
 	// committed assignment (EngineID, ClassID, Nodes, BasePerf, ProbePerf)
 	// so replay adopts without re-observing.
 	RecPlace RecordType = iota
-	// RecReject: one Place found no backend (WAL-only; recovers
+	// RecReject: one Place found no backend (log only; recovers
 	// Stats.Rejected).
 	RecReject
-	// RecRelease: container ID released from Backend.
+	// RecRelease: container ID released from Backend. A release of a tenant
+	// stranded on a dead machine commits too — the fleet record is the
+	// authoritative one, and it is gone.
 	RecRelease
-	// RecMove: container ID migrated from Backend to Dest. Carries the
-	// destination admission's full assignment, plus the Failover flag so
-	// replay reconstructs the FailedOver counter.
+	// RecMove: container ID migrated from Backend to Dest (Seconds of
+	// simulated fast-mechanism copy), by a rebalance, drain or failover
+	// pass. Carries the destination admission's full assignment, plus the
+	// Failover flag so replay reconstructs the FailedOver counter.
 	RecMove
-	// RecIntraMove: one intra-machine rebalance move on Backend (WAL-only
-	// per-move detail; the Subscribe feed only carries pass totals).
-	// EngineID/ClassID/Nodes are the destination placement.
+	// RecIntraMove: one intra-machine rebalance move on Backend (log only:
+	// watchers get pass totals). EngineID/ClassID/Nodes are the destination
+	// placement.
 	RecIntraMove
 	// RecIntraPass: one backend's intra-machine pass total (Seconds),
 	// appended after its RecIntraMoves — replay adds the total to
@@ -52,18 +54,20 @@ const (
 	// RecHealth: Backend transitioned FromHealth → ToHealth; Misses is the
 	// consecutive-miss counter at the transition.
 	RecHealth
-	// RecFailover: summary of one failover pass over Backend's tenants.
+	// RecFailover: summary of one failover pass over Backend's tenants
+	// (Moves rehomed, Stranded left, Seconds spent).
 	RecFailover
-	// RecRebalance: summary of one fleet-wide rebalance pass (audit only;
-	// the per-move records already carry every state change).
+	// RecRebalance: summary of one fleet-wide rebalance pass (Moves
+	// cross-machine, Intra intra-machine, Seconds spent; audit only — the
+	// per-move records already carry every state change).
 	RecRebalance
-	// RecDrainStart: Backend closed for admissions (the drain flag set
-	// point — appended before the pass's moves, unlike the Subscribe
-	// feed's end-of-pass summary).
+	// RecDrainStart: Backend closed for admissions (log only: the flag is
+	// durable where it takes effect, before the pass's moves, so a crash
+	// mid-pass recovers a backend that is already closed).
 	RecDrainStart
-	// RecDrainPass: summary of one drain pass (audit only).
+	// RecDrainPass: summary of one drain pass of Backend (audit only).
 	RecDrainPass
-	// RecResume: Backend reopened for admissions.
+	// RecResume: Backend reopened for admissions after a drain.
 	RecResume
 	// RecRevive: Backend rejoined after death; replay re-runs the fencing
 	// pass against the reconstructed engine books (Fenced is the original
@@ -71,51 +75,61 @@ const (
 	RecRevive
 )
 
-func (t RecordType) String() string {
-	switch t {
-	case RecPlace:
-		return "place"
-	case RecReject:
-		return "reject"
-	case RecRelease:
-		return "release"
-	case RecMove:
-		return "move"
-	case RecIntraMove:
-		return "intra-move"
-	case RecIntraPass:
-		return "intra-pass"
-	case RecHealth:
-		return "health"
-	case RecFailover:
-		return "failover"
-	case RecRebalance:
-		return "rebalance"
-	case RecDrainStart:
-		return "drain-start"
-	case RecDrainPass:
-		return "drain-pass"
-	case RecResume:
-		return "resume"
-	case RecRevive:
-		return "revive"
-	default:
-		return fmt.Sprintf("record(%d)", int(t))
-	}
+// recordNames is the one name table: each type's name in the log and, for
+// the nine a watcher is told about, on the event feed. An empty event name is
+// the feed's filter.
+var recordNames = [...]struct{ log, event string }{
+	RecPlace:      {"place", "place"},
+	RecReject:     {"reject", ""},
+	RecRelease:    {"release", "release"},
+	RecMove:       {"move", "move"},
+	RecIntraMove:  {"intra-move", ""},
+	RecIntraPass:  {"intra-pass", ""},
+	RecHealth:     {"health", "health"},
+	RecFailover:   {"failover", "failover"},
+	RecRebalance:  {"rebalance", "rebalance"},
+	RecDrainStart: {"drain-start", ""},
+	RecDrainPass:  {"drain-pass", "drain"},
+	RecResume:     {"resume", "resume"},
+	RecRevive:     {"revive", "revive"},
 }
 
-// Record is one durable fleet mutation. Like Event it is a flat value
-// struct — no pointers, no slices — so appending is a copy and encoding
-// is a fixed walk; fields beyond Seq/Type are populated per type (see the
-// RecordType docs) and zero otherwise.
+func (t RecordType) String() string {
+	if int(t) < len(recordNames) {
+		return recordNames[t].log
+	}
+	return fmt.Sprintf("record(%d)", int(t))
+}
+
+// EventName returns t's name on the event feed (the SSE event field), ""
+// for a type the feed does not carry.
+func (t RecordType) EventName() string {
+	if int(t) < len(recordNames) {
+		return recordNames[t].event
+	}
+	return ""
+}
+
+// Record is one committed fleet mutation: a flat value struct — no pointers
+// into fleet state, no slices — so appending and buffering are copies, a
+// buffered record stays valid forever and encoding is a fixed walk. Fields
+// beyond Seq/Type are populated per type (see the RecordType docs) and zero
+// otherwise. The event feed encodes all of them but EngineID, ClassID, Nodes,
+// BasePerf, ProbePerf, Misses and Failover.
 type Record struct {
-	// Seq is the write-ahead sequence number, assigned under Fleet.mu:
-	// contiguous, strictly increasing, shared across all record types.
+	// Seq is the fleet's commit count at this record, assigned by
+	// commitLocked: strictly increasing and contiguous across all record
+	// types, the same number in the log and on the event feed.
 	Seq  uint64
 	Type RecordType
+	// FromHealth → ToHealth is a RecHealth transition.
+	FromHealth, ToHealth Health
+	// Failover marks a RecMove committed by a failover pass (replay
+	// increments FailedOver for these).
+	Failover bool
 
-	// ID is the fleet-wide container ID of a container record; -1
-	// otherwise.
+	// ID is the fleet-wide container ID of a container record (RecPlace,
+	// RecRelease, RecMove, RecIntraMove); -1 otherwise.
 	ID int
 	// Backend names the machine the record concerns (source machine for
 	// RecMove; "" for the fleet-wide RecReject/RecRebalance).
@@ -133,19 +147,18 @@ type Record struct {
 	Nodes     topology.NodeSet
 	BasePerf  float64
 	ProbePerf float64
-	// FromHealth → ToHealth and Misses mirror a RecHealth transition.
-	FromHealth, ToHealth Health
-	Misses               int
-	// Pass summaries: Moves/Intra/Examined/Stranded mirror Report; Fenced
-	// is a RecRevive's orphan count.
+	// Misses is the consecutive-miss counter of a RecHealth transition.
+	Misses int
+	// Pass summaries: Moves counts committed cross-machine moves, Intra
+	// intra-machine moves (RecRebalance only), Examined / Stranded mirror
+	// Report; Fenced is a RecRevive's orphan count.
 	Moves, Intra, Examined, Stranded, Fenced int
-	// Failover marks a RecMove committed by a failover pass (replay
-	// increments FailedOver for these).
-	Failover bool
 	// Seconds is simulated migration time: one move's cost for
 	// RecMove/RecIntraMove, the pass total for summaries.
 	Seconds float64
 }
+
+type Event = Record // bench/ names a Drain buffer's element so; goes with ROADMAP item 3's benchmark PR
 
 // Persister is the pluggable durability sink (internal/wal implements it
 // over an fsync'd file pair; tests implement it in memory).
@@ -196,11 +209,11 @@ type MemberState struct {
 }
 
 // State is a point-in-time snapshot of everything the fleet would need to
-// serve again: the tenant map, member flags, counters and the write-ahead
+// serve again: the tenant map, member flags, counters and the commit
 // sequence it covers. Restore(state, nil, …) alone reconstructs the fleet
 // as of Seq; log records with greater sequences replay on top.
 type State struct {
-	// Seq is the last write-ahead sequence covered by this snapshot.
+	// Seq is the last commit sequence (Record.Seq) covered by this snapshot.
 	Seq uint64
 	// NextID is the next fleet-wide container ID.
 	NextID int
@@ -216,24 +229,26 @@ type State struct {
 
 // SetPersister attaches the durability sink. Attach it once, after Add
 // (and after Restore when recovering) and before serving traffic: records
-// are appended only from the attach point on, so anything mutated before
-// it is not durable.
+// are appended only from the attach point on. A fleet that committed k
+// records before attaching starts its log at seq k+1 over no snapshot, which
+// wal.Open rightly refuses as ErrLogCorrupt — such a caller must Checkpoint
+// immediately after attaching.
 func (f *Fleet) SetPersister(p Persister) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.persister = p
 }
 
-// WALSeq returns the last write-ahead sequence assigned (0 before any
-// durable mutation). It advances only while a persister is attached.
-func (f *Fleet) WALSeq() uint64 {
+// Seq returns the fleet's commit count: the sequence number of the last
+// Record committed (0 before any), listener or not.
+func (f *Fleet) Seq() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.walSeq
+	return f.seq
 }
 
 // Checkpoint snapshots the fleet's full state into the attached persister
-// and returns the write-ahead sequence the snapshot covers. It holds
+// and returns the commit sequence the snapshot covers. It holds
 // Fleet.mu across the persister's Snapshot call — admissions wait — which
 // is what lets the persister truncate its log without racing an append.
 // With no persister attached it is a no-op returning the current
@@ -242,18 +257,18 @@ func (f *Fleet) Checkpoint() (uint64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.persister == nil {
-		return f.walSeq, nil
+		return f.seq, nil
 	}
 	if err := f.persister.Snapshot(f.stateLocked()); err != nil {
-		return f.walSeq, fmt.Errorf("fleet: checkpointing at seq %d: %w", f.walSeq, err)
+		return f.seq, fmt.Errorf("fleet: checkpointing at seq %d: %w", f.seq, err)
 	}
-	return f.walSeq, nil
+	return f.seq, nil
 }
 
 // stateLocked builds the snapshot State. Callers hold f.mu.
 func (f *Fleet) stateLocked() State {
 	st := State{
-		Seq:              f.walSeq,
+		Seq:              f.seq,
 		NextID:           f.nextID,
 		Admitted:         f.admitted,
 		Rejected:         f.rejected,
@@ -293,19 +308,26 @@ func (f *Fleet) tenantIDsLocked() []int {
 	return ids
 }
 
-// persistLocked assigns the next write-ahead sequence to r and hands it
-// to the persister. Callers hold f.mu — the same hold that makes the
-// matching publish totally ordered, so log order IS commit order. With no
-// persister attached it is a no-op.
+// commitLocked is the fleet's one commit point and the only place a sequence
+// number is assigned: it numbers rec, appends it to the persister if one is
+// attached, and copies it into every subscriber ring if its type has an event
+// name. Callers hold f.mu — the hold that made the mutation — so sequence
+// order is effect order for the log and the feed alike. It allocates nothing
+// and never blocks.
 //
 //numalint:noalloc
-func (f *Fleet) persistLocked(r Record) {
-	if f.persister == nil {
+func (f *Fleet) commitLocked(rec *Record) {
+	f.seq++
+	rec.Seq = f.seq
+	if f.persister != nil {
+		f.persister.Append(*rec)
+	}
+	if rec.Type.EventName() == "" {
 		return
 	}
-	f.walSeq++
-	r.Seq = f.walSeq
-	f.persister.Append(r)
+	for _, s := range f.subs {
+		s.push(rec)
+	}
 }
 
 // durable is what a mutating call carries out of its Fleet.mu hold: the
@@ -319,7 +341,7 @@ type durable struct {
 	seq uint64
 }
 
-func (f *Fleet) markLocked(d *durable) { d.p, d.seq = f.persister, f.walSeq }
+func (f *Fleet) markLocked(d *durable) { d.p, d.seq = f.persister, f.seq }
 
 // join waits for everything appended up to the mark to reach the persister's
 // durability bar (per its fsync policy) and joins any failure into *err.

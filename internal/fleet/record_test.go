@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -127,7 +128,7 @@ func churn(t *testing.T, ctx context.Context, f *Fleet) {
 }
 
 // requireFleetEqual asserts the externally observable state of two fleets
-// matches exactly: assignments, stats, health, and the write-ahead seq.
+// matches exactly: assignments, stats, health, and the commit seq.
 func requireFleetEqual(t *testing.T, want, got *Fleet) {
 	t.Helper()
 	if w, g := want.Assignments(), got.Assignments(); !reflect.DeepEqual(g, w) {
@@ -143,8 +144,8 @@ func requireFleetEqual(t *testing.T, want, got *Fleet) {
 			t.Fatalf("health of %s diverged: got %s, want %s", name, gh, wh)
 		}
 	}
-	if want.WALSeq() != got.WALSeq() {
-		t.Fatalf("WALSeq diverged: got %d, want %d", got.WALSeq(), want.WALSeq())
+	if want.Seq() != got.Seq() {
+		t.Fatalf("Seq diverged: got %d, want %d", got.Seq(), want.Seq())
 	}
 }
 
@@ -222,8 +223,8 @@ func TestRestoreFromSnapshotAndTail(t *testing.T) {
 	if got := len(asOf.Assignments()); got != 6 {
 		t.Fatalf("snapshot-only tenants = %d, want 6", got)
 	}
-	if asOf.WALSeq() != seq {
-		t.Fatalf("snapshot-only WALSeq = %d, want %d", asOf.WALSeq(), seq)
+	if asOf.Seq() != seq {
+		t.Fatalf("snapshot-only Seq = %d, want %d", asOf.Seq(), seq)
 	}
 }
 
@@ -273,6 +274,59 @@ func TestRestoreRejectsBadLogs(t *testing.T) {
 	twin4.SetPersister(&memPersister{})
 	if err := twin4.Restore(ctx, nil, recs, lookupWorkload); err == nil {
 		t.Error("Restore with persister attached succeeded, want error")
+	}
+	// Served counts commits no log took: here one resume, which maps no
+	// tenant and uses no ID.
+	twin5, _ := stubFleet(t, cfg)
+	if err := twin5.Resume("a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := twin5.Restore(ctx, nil, recs, lookupWorkload); err == nil {
+		t.Error("Restore on a fleet with an un-logged commit succeeded, want error")
+	}
+}
+
+// TestReviveCutBetweenItsRecords: a revival commits its health transition and
+// then its RecRevive. A log cut between the two restores the machine dead —
+// never healthy with its orphans unfenced — and a second Revive finishes the
+// job; the whole log restores it healthy.
+func TestReviveCutBetweenItsRecords(t *testing.T) {
+	ctx := context.Background()
+	cfg := Config{Policy: LeastLoaded, Health: HealthConfig{FailoverBudgetSeconds: -1}}
+	f, _ := stubFleet(t, cfg)
+	p := &memPersister{}
+	f.SetPersister(p)
+	churn(t, ctx, f)
+	recs := p.records()
+	cut := slices.IndexFunc(recs, func(r Record) bool { return r.Type == RecRevive })
+	if cut < 1 || recs[cut-1].Type != RecHealth || recs[cut-1].FromHealth != Dead || recs[cut-1].Backend != recs[cut].Backend {
+		t.Fatalf("churn's revival is not a health record out of Dead then a revive: %+v", recs[max(cut-1, 0):cut+1])
+	}
+	name, fenced := recs[cut].Backend, recs[cut].Fenced
+
+	twin, stubs := stubFleet(t, cfg)
+	if err := twin.Restore(ctx, nil, recs[:cut], lookupWorkload); err != nil {
+		t.Fatalf("Restore through the health record: %v", err)
+	}
+	if h, _ := twin.HealthOf(name); h != Dead {
+		t.Fatalf("%s restored %s from a log cut before its RecRevive, want dead", name, h)
+	}
+	if got, err := twin.Revive(ctx, name); err != nil || got != fenced {
+		t.Fatalf("Revive after the cut fenced %d (%v), the live revival %d", got, err, fenced)
+	}
+
+	whole, wholeStubs := stubFleet(t, cfg)
+	if err := whole.Restore(ctx, nil, recs[:cut+1], lookupWorkload); err != nil {
+		t.Fatalf("Restore through the RecRevive: %v", err)
+	}
+	if h, _ := whole.HealthOf(name); h != Healthy {
+		t.Fatalf("%s restored %s through its RecRevive, want healthy", name, h)
+	}
+	if got, want := twin.Stats(), whole.Stats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("revived after the cut: stats %+v, restored through the RecRevive %+v", got, want)
+	}
+	if got, want := stubs[name].FreeNodes(), wholeStubs[name].FreeNodes(); got != want {
+		t.Fatalf("revived after the cut %s has nodes %v free, restored through the RecRevive %v", name, got, want)
 	}
 }
 
@@ -334,36 +388,5 @@ func TestFailedMoveLeaksNothing(t *testing.T) {
 		if got, want := twinStubs[bs.Name].FreeNodes(), stubs[bs.Name].FreeNodes(); got != want {
 			t.Fatalf("%s (backend %d): replay leaves nodes %v free, the live engine %v", bs.Name, i, got, want)
 		}
-	}
-}
-
-func TestRecordTaxonomy(t *testing.T) {
-	// Every mutation appends the record its commit point promises; the
-	// record stream is the ground truth walsmoke and recovery build on, so
-	// pin the mapping.
-	ctx := context.Background()
-	cfg := Config{Policy: LeastLoaded, Health: HealthConfig{FailoverBudgetSeconds: -1}}
-	f, _ := stubFleet(t, cfg)
-	p := &memPersister{}
-	f.SetPersister(p)
-	churn(t, ctx, f)
-
-	counts := map[RecordType]int{}
-	var lastSeq uint64
-	for _, r := range p.records() {
-		counts[r.Type]++
-		if r.Seq != lastSeq+1 {
-			t.Fatalf("record seq %d follows %d: not contiguous", r.Seq, lastSeq)
-		}
-		lastSeq = r.Seq
-	}
-	for _, want := range []RecordType{RecPlace, RecRelease, RecMove, RecHealth,
-		RecFailover, RecRebalance, RecDrainStart, RecDrainPass, RecResume, RecRevive} {
-		if counts[want] == 0 {
-			t.Errorf("churn produced no %s record", want)
-		}
-	}
-	if f.WALSeq() != lastSeq {
-		t.Fatalf("WALSeq = %d, last record = %d", f.WALSeq(), lastSeq)
 	}
 }

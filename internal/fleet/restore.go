@@ -47,7 +47,7 @@ func (f *Fleet) Restore(ctx context.Context, st *State, recs []Record, lookup Wo
 		//numalint:ignore sentinelwrap startup-sequence misuse by the embedding daemon, never reaches the wire path
 		return fmt.Errorf("fleet: restore with a persister attached (attach it after Restore)")
 	}
-	if len(f.tenants) != 0 || f.nextID != 0 || f.walSeq != 0 {
+	if f.seq != 0 { // any commit, logged or not
 		//numalint:ignore sentinelwrap startup-sequence misuse by the embedding daemon, never reaches the wire path
 		return fmt.Errorf("fleet: restore into a fleet that already served")
 	}
@@ -61,21 +61,21 @@ func (f *Fleet) Restore(ctx context.Context, st *State, recs []Record, lookup Wo
 			return err
 		}
 		snapSeq = st.Seq
-		f.walSeq = st.Seq
+		f.seq = st.Seq
 	}
 	for i := range recs {
 		r := &recs[i]
 		if r.Seq <= snapSeq {
 			continue // pre-snapshot tail the crash left untruncated
 		}
-		if r.Seq != f.walSeq+1 {
+		if r.Seq != f.seq+1 {
 			return fmt.Errorf("fleet: replaying record %d (%s) after seq %d: sequence gap: %w",
-				r.Seq, r.Type, f.walSeq, nperr.ErrLogCorrupt)
+				r.Seq, r.Type, f.seq, nperr.ErrLogCorrupt)
 		}
 		if err := f.applyLocked(ctx, r, lookup); err != nil {
 			return fmt.Errorf("fleet: replaying record %d (%s): %w", r.Seq, r.Type, err)
 		}
-		f.walSeq = r.Seq
+		f.seq = r.Seq
 	}
 	return nil
 }
@@ -232,7 +232,10 @@ func (f *Fleet) applyLocked(ctx context.Context, r *Record, lookup WorkloadLooku
 		f.migrationSeconds += r.Seconds
 
 	case RecHealth:
-		m.health, m.misses = r.ToHealth, r.Misses
+		// A return from Dead is the RecRevive's to make, after its fence.
+		if r.FromHealth != Dead {
+			m.health, m.misses = r.ToHealth, r.Misses
+		}
 
 	case RecFailover:
 		f.failovers++

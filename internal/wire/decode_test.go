@@ -42,8 +42,11 @@ func FuzzWireDecode(f *testing.F) {
 		ID: 7, Workload: "lbm", VCPUs: 16, Class: 3, Nodes: topology.NewNodeSet(1, 4, 6),
 		BasePerf: 1.25, ProbePerf: 1e-7, PredictedPerf: 0.3333333333333333}}
 	f.Add(wire.AppendPlace(nil, &adm))
-	for ty := fleet.EvPlace; ty <= fleet.EvResume; ty++ {
-		ev := fleet.Event{Seq: 9, Type: ty, ID: -1, Backend: "m0", Dest: "m1", Workload: "gcc", VCPUs: 4,
+	for ty := fleet.RecPlace; ty <= fleet.RecRevive; ty++ {
+		if ty.EventName() == "" {
+			continue
+		}
+		ev := fleet.Record{Seq: 9, Type: ty, ID: -1, Backend: "m0", Dest: "m1", Workload: "gcc", VCPUs: 4,
 			ToHealth: fleet.Dead, Moves: 2, Intra: 1, Examined: 3, Stranded: 1, Fenced: 5, Seconds: 2.5e6}
 		f.Add(wire.AppendEvent(nil, &ev))
 	}

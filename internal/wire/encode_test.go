@@ -129,35 +129,35 @@ func TestAppendRequests(t *testing.T) {
 // the right per-type field set.
 func TestAppendEvent(t *testing.T) {
 	cases := []struct {
-		ev   fleet.Event
+		ev   fleet.Record
 		want Event
 	}{
 		{
-			fleet.Event{Seq: 1, Type: fleet.EvPlace, ID: 3, Backend: "m0", Workload: "gcc", VCPUs: 16},
+			fleet.Record{Seq: 1, Type: fleet.RecPlace, ID: 3, Backend: "m0", Workload: "gcc", VCPUs: 16},
 			Event{Seq: 1, Type: "place", ID: 3, Backend: "m0", Workload: "gcc", VCPUs: 16},
 		},
 		{
-			fleet.Event{Seq: 2, Type: fleet.EvHealth, ID: -1, Backend: "m0", FromHealth: fleet.Healthy, ToHealth: fleet.Suspect},
+			fleet.Record{Seq: 2, Type: fleet.RecHealth, ID: -1, Backend: "m0", FromHealth: fleet.Healthy, ToHealth: fleet.Suspect},
 			Event{Seq: 2, Type: "health", ID: -1, Backend: "m0", FromHealth: "healthy", ToHealth: "suspect"},
 		},
 		{
-			fleet.Event{Seq: 3, Type: fleet.EvMove, ID: 5, Backend: "m0", Dest: "m1", Workload: "lbm", VCPUs: 8, Seconds: 2.5},
+			fleet.Record{Seq: 3, Type: fleet.RecMove, ID: 5, Backend: "m0", Dest: "m1", Workload: "lbm", VCPUs: 8, Seconds: 2.5},
 			Event{Seq: 3, Type: "move", ID: 5, Backend: "m0", Dest: "m1", Workload: "lbm", VCPUs: 8, Seconds: 2.5},
 		},
 		{
-			fleet.Event{Seq: 4, Type: fleet.EvFailover, ID: -1, Backend: "m0", Moves: 2, Examined: 3, Stranded: 1, Seconds: 10},
+			fleet.Record{Seq: 4, Type: fleet.RecFailover, ID: -1, Backend: "m0", Moves: 2, Examined: 3, Stranded: 1, Seconds: 10},
 			Event{Seq: 4, Type: "failover", ID: -1, Backend: "m0", Moves: 2, Examined: 3, Stranded: 1, Seconds: 10},
 		},
 		{
-			fleet.Event{Seq: 5, Type: fleet.EvRebalance, ID: -1, Moves: 4, Intra: 2, Examined: 9, Seconds: 1.5},
+			fleet.Record{Seq: 5, Type: fleet.RecRebalance, ID: -1, Moves: 4, Intra: 2, Examined: 9, Seconds: 1.5},
 			Event{Seq: 5, Type: "rebalance", ID: -1, Moves: 4, IntraMoves: 2, Examined: 9, Seconds: 1.5},
 		},
 		{
-			fleet.Event{Seq: 6, Type: fleet.EvRevive, ID: -1, Backend: "m1", Fenced: 3},
+			fleet.Record{Seq: 6, Type: fleet.RecRevive, ID: -1, Backend: "m1", Fenced: 3},
 			Event{Seq: 6, Type: "revive", ID: -1, Backend: "m1", Fenced: 3},
 		},
 		{
-			fleet.Event{Seq: 7, Type: fleet.EvResume, ID: -1, Backend: "m1"},
+			fleet.Record{Seq: 7, Type: fleet.RecResume, ID: -1, Backend: "m1"},
 			Event{Seq: 7, Type: "resume", ID: -1, Backend: "m1"},
 		},
 	}
@@ -176,7 +176,7 @@ func TestAppendEvent(t *testing.T) {
 		}
 	}
 	for _, name := range hostileNames {
-		ev := fleet.Event{Seq: 8, Type: fleet.EvMove, ID: 1, Backend: name, Dest: name, Workload: name}
+		ev := fleet.Record{Seq: 8, Type: fleet.RecMove, ID: 1, Backend: name, Dest: name, Workload: name}
 		b := AppendEvent(nil, &ev)
 		var got Event
 		if err := json.Unmarshal(b, &got); err != nil {
@@ -192,7 +192,7 @@ func TestAppendEvent(t *testing.T) {
 // TestAppendSSEFraming checks the SSE envelope and the synthetic dropped
 // frame.
 func TestAppendSSEFraming(t *testing.T) {
-	ev := fleet.Event{Seq: 9, Type: fleet.EvRelease, ID: 2, Backend: "m0", Workload: "gcc", VCPUs: 4}
+	ev := fleet.Record{Seq: 9, Type: fleet.RecRelease, ID: 2, Backend: "m0", Workload: "gcc", VCPUs: 4}
 	frame := string(AppendSSE(nil, &ev))
 	if want := "event: release\ndata: "; frame[:len(want)] != want {
 		t.Errorf("frame prefix %q, want %q", frame[:len(want)], want)
@@ -210,7 +210,7 @@ func TestAppendSSEFraming(t *testing.T) {
 // pre-sized destination, the hot-path encoders allocate nothing.
 func TestAppendAllocFree(t *testing.T) {
 	adm := sampleAdmission()
-	ev := fleet.Event{Seq: 9, Type: fleet.EvPlace, ID: 2, Backend: "m0", Workload: "gcc", VCPUs: 4}
+	ev := fleet.Record{Seq: 9, Type: fleet.RecPlace, ID: 2, Backend: "m0", Workload: "gcc", VCPUs: 4}
 	dst := make([]byte, 0, 4096)
 	if n := testing.AllocsPerRun(200, func() { _ = AppendPlace(dst, &adm) }); n != 0 {
 		t.Errorf("AppendPlace allocates %.1f/op, want 0", n)
@@ -231,7 +231,7 @@ func TestAppendAllocFree(t *testing.T) {
 func TestDecodeAllocCeiling(t *testing.T) {
 	adm := sampleAdmission()
 	adm.Assignment.Workload = "lbm"
-	ev := fleet.Event{Seq: 9, Type: fleet.EvPlace, ID: 2, Backend: "m0", Workload: "gcc", VCPUs: 4}
+	ev := fleet.Record{Seq: 9, Type: fleet.RecPlace, ID: 2, Backend: "m0", Workload: "gcc", VCPUs: 4}
 	place, frame := AppendPlace(nil, &adm), AppendEvent(nil, &ev)
 	placeReq, releaseReq := AppendPlaceRequest(nil, "gcc", 16), AppendRelease(nil, 42)
 	for _, tc := range []struct {
@@ -283,7 +283,7 @@ func BenchmarkWireDecodePlace(b *testing.B) {
 
 // BenchmarkWireDecodeEvent times the subscriber's recogniser on a place frame.
 func BenchmarkWireDecodeEvent(b *testing.B) {
-	ev := fleet.Event{Seq: 9, Type: fleet.EvPlace, ID: 2, Backend: "m0", Workload: "gcc", VCPUs: 4}
+	ev := fleet.Record{Seq: 9, Type: fleet.RecPlace, ID: 2, Backend: "m0", Workload: "gcc", VCPUs: 4}
 	data := AppendEvent(nil, &ev)
 	var out Event
 	b.ReportAllocs()
@@ -298,7 +298,7 @@ func BenchmarkWireDecodeEvent(b *testing.B) {
 // BenchmarkWireAppendSSE times the pooled encoding of event frames
 // (TestAppendAllocFree holds it to 0 allocs).
 func BenchmarkWireAppendSSE(b *testing.B) {
-	ev := fleet.Event{Seq: 9, Type: fleet.EvPlace, ID: 2, Backend: "m0", Workload: "gcc", VCPUs: 4}
+	ev := fleet.Record{Seq: 9, Type: fleet.RecPlace, ID: 2, Backend: "m0", Workload: "gcc", VCPUs: 4}
 	dst := make([]byte, 0, 4096)
 	b.ReportAllocs()
 	b.ResetTimer()

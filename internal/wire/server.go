@@ -189,7 +189,7 @@ func (s *Server) routes() []route {
 		// special-casing a 404.
 		{"GET /v1/log/head", query(s, func(*http.Request) (any, error) {
 			if s.cfg.LogHead == nil {
-				return LogHead{Seq: f.WALSeq()}, nil
+				return LogHead{Seq: f.Seq()}, nil
 			}
 			return s.cfg.LogHead(), nil
 		})},
@@ -375,7 +375,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	flusher.Flush()
 
-	events := make([]fleet.Event, 64)
+	events := make([]fleet.Record, 64)
 	out := make([]byte, 0, 8192)
 	pace := time.NewTimer(eventFlushEvery)
 	defer pace.Stop()

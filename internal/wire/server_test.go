@@ -323,7 +323,7 @@ func TestWireHealthFlow(t *testing.T) {
 // decoded, in publish order, ending with a clean daemon-side shutdown.
 func TestWireEvents(t *testing.T) {
 	ctx := context.Background()
-	c, _, ws := testDaemon(t, wire.Config{})
+	c, f, ws := testDaemon(t, wire.Config{})
 
 	es, err := c.Events(ctx)
 	if err != nil {
@@ -355,9 +355,14 @@ func TestWireEvents(t *testing.T) {
 		if ev.Type != wantTypes[i] {
 			t.Errorf("event %d: type %q, want %q (%+v)", i, ev.Type, wantTypes[i], ev)
 		}
-		if i > 0 && ev.Seq != got[i-1].Seq+1 {
-			t.Errorf("event %d: seq %d after %d", i, ev.Seq, got[i-1].Seq)
+		if i > 0 && ev.Seq <= got[i-1].Seq {
+			t.Errorf("event %d: seq %d after %d, want strictly increasing", i, ev.Seq, got[i-1].Seq)
 		}
+	}
+	// The feed's number is the fleet's commit count: the failover summary was
+	// the last commit.
+	if last := got[len(got)-1].Seq; last != f.Seq() {
+		t.Errorf("last event seq %d, fleet seq %d", last, f.Seq())
 	}
 	if got[0].ID != pr.ID || got[0].Backend != "m0" || got[0].Workload != "gcc" || got[0].VCPUs != 4 {
 		t.Errorf("place event %+v", got[0])

@@ -382,16 +382,18 @@ func AppendPlace(dst []byte, adm *fleet.Admission) []byte {
 	return dst
 }
 
-// AppendEvent appends one fleet event as a JSON object. Field set varies
-// by type but is a pure function of the event value, so identical event
-// streams encode to identical bytes (the determinism tests rely on this).
+// AppendEvent appends one fleet record as an event-feed JSON object: the
+// fields a watcher is told, not the engine-private ones (EngineID, ClassID,
+// Nodes, BasePerf, ProbePerf, Misses, Failover). Field set varies by type but
+// is a pure function of the record value, so identical streams encode to
+// identical bytes (the determinism tests rely on this).
 //
 //numalint:noalloc
-func AppendEvent(dst []byte, ev *fleet.Event) []byte {
+func AppendEvent(dst []byte, ev *fleet.Record) []byte {
 	dst = append(dst, `{"seq":`...)
 	dst = strconv.AppendUint(dst, ev.Seq, 10)
 	dst = append(dst, `,"type":`...)
-	dst = appendString(dst, ev.Type.String())
+	dst = appendString(dst, ev.Type.EventName())
 	dst = append(dst, `,"id":`...)
 	dst = strconv.AppendInt(dst, int64(ev.ID), 10)
 	if ev.Backend != "" {
@@ -410,7 +412,7 @@ func AppendEvent(dst []byte, ev *fleet.Event) []byte {
 		dst = append(dst, `,"vcpus":`...)
 		dst = strconv.AppendInt(dst, int64(ev.VCPUs), 10)
 	}
-	if ev.Type == fleet.EvHealth {
+	if ev.Type == fleet.RecHealth {
 		dst = append(dst, `,"from_health":`...)
 		dst = appendString(dst, ev.FromHealth.String())
 		dst = append(dst, `,"to_health":`...)
@@ -443,16 +445,16 @@ func AppendEvent(dst []byte, ev *fleet.Event) []byte {
 	return append(dst, '}')
 }
 
-// AppendSSE appends one fleet event as a complete Server-Sent-Events frame:
+// AppendSSE appends one fleet record as a complete Server-Sent-Events frame:
 //
 //	event: <type>\n
 //	data: <AppendEvent JSON>\n
 //	\n
 //
 //numalint:noalloc
-func AppendSSE(dst []byte, ev *fleet.Event) []byte {
+func AppendSSE(dst []byte, ev *fleet.Record) []byte {
 	dst = append(dst, `event: `...)
-	dst = append(dst, ev.Type.String()...)
+	dst = append(dst, ev.Type.EventName()...)
 	dst = append(dst, "\ndata: "...)
 	dst = AppendEvent(dst, ev)
 	return append(dst, "\n\n"...)

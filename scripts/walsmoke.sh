@@ -8,7 +8,10 @@
 # freshly retrained engines and serve the byte-identical assignment set
 # (same IDs, same backends, same NUMA nodes, same predictions), prove the
 # recovered state is live by releasing one recovered tenant over the
-# wire, and still shut down gracefully. CI runs this on every push.
+# wire, and still shut down gracefully. Beside that, the two surfaces of
+# the one commit stream must agree: the last seq a /v1/events watcher saw
+# is /v1/log/head's, and the successor's first frame carries the recovered
+# seq plus one. CI runs this on every push.
 #
 # The kill lands with live tenants resident and an unsnapshotted tail in
 # the log: recovery must come from the appended records alone. The diff
@@ -21,7 +24,9 @@ set -eu
 
 dir="$(mktemp -d)"
 daemon_pid=""
+feed_pid=""
 cleanup() {
+    [ -z "$feed_pid" ] || kill "$feed_pid" 2>/dev/null || true
     if [ -n "$daemon_pid" ] && kill -0 "$daemon_pid" 2>/dev/null; then
         kill -9 "$daemon_pid" 2>/dev/null || true
         wait "$daemon_pid" 2>/dev/null || true
@@ -64,8 +69,27 @@ start_daemon() {
     fi
 }
 
+# watch_feed: stream /v1/events into the named file and wait for the
+# hello, after which the subscription sees every commit. Sets $feed_pid.
+watch_feed() {
+    curl -sN "$addr/v1/events" > "$1" &
+    feed_pid=$!
+    i=0
+    until grep -q 'numaplaced event stream' "$1"; do
+        i=$((i + 1))
+        [ $i -lt 100 ] || { echo "FAIL: no event stream from $addr"; exit 1; }
+        sleep 0.1
+    done
+}
+
+# feed_seq: the seq of the first ($2 = 1) or last ($2 = '$') frame in a feed.
+feed_seq() {
+    sed -n 's/^data: {"seq":\([0-9]*\),.*/\1/p' "$1" | sed -n "$2p"
+}
+
 start_daemon "$dir/daemon1.log"
 echo "daemon ready at $addr (data dir $dir/wal)"
+watch_feed "$dir/feed1"
 
 # Pin tenants that survive until the kill: placed, never released. Two of
 # them — the quick fleet holds four 16-vCPU containers, and the churn pass
@@ -90,6 +114,18 @@ done
 curl -sf "$addr/v1/assignments" > "$dir/before.json"
 curl -sf "$addr/v1/log/head" > "$dir/head-before.json"
 echo "pre-crash: $(cat "$dir/head-before.json")"
+
+# The feed is the log: the watcher's last frame (the churn's last commit is
+# a release — a rejection needs a full fleet, whose holders release after
+# it) carries the log head's seq. 50 ms covers the 1 ms paced flush.
+sleep 0.05
+head_seq="$(sed -n 's/^{"seq":\([0-9]*\),.*/\1/p' "$dir/head-before.json")"
+last_seq="$(feed_seq "$dir/feed1" '$')"
+if [ -z "$head_seq" ] || [ "$last_seq" != "$head_seq" ]; then
+    echo "FAIL: the event feed ends at seq '$last_seq', the log head is at '$head_seq'"
+    exit 1
+fi
+echo "event feed and log head agree at seq $head_seq"
 
 # The crash: SIGKILL, mid-tenancy. No handler runs, nothing is flushed
 # beyond what each acknowledged request already fsynced.
@@ -128,12 +164,26 @@ case "$head" in
 esac
 
 # Recovered state must be live, not a read-only facsimile: releasing a
-# recovered tenant must succeed over the wire.
+# recovered tenant must succeed over the wire — and that release, the
+# successor's first commit, is numbered on from the recovered log.
+watch_feed "$dir/feed2"
 curl -sf -X POST "$addr/v1/release" -d "{\"id\":$release_id}" > /dev/null || {
     echo "FAIL: releasing recovered tenant $release_id"
     exit 1
 }
 echo "released recovered tenant $release_id"
+recovered_seq="$(printf '%s' "$head" | sed -n 's/.*"recovered_seq":\([0-9]*\).*/\1/p')"
+i=0
+until first_seq="$(feed_seq "$dir/feed2" 1)" && [ -n "$first_seq" ]; do
+    i=$((i + 1))
+    [ $i -lt 100 ] || { echo "FAIL: the release reached no event watcher"; exit 1; }
+    sleep 0.1
+done
+if [ "$first_seq" != "$((recovered_seq + 1))" ]; then
+    echo "FAIL: the successor's first frame has seq $first_seq, recovered seq is $recovered_seq"
+    exit 1
+fi
+echo "successor's first frame continues the log at seq $((recovered_seq + 1))"
 
 # And the successor still owes a graceful exit: checkpoint, close, bye.
 kill -TERM "$daemon_pid"

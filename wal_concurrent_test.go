@@ -135,7 +135,7 @@ func TestFleetConcurrentTraceReplays(t *testing.T) {
 	if got, want := twin.Stats(), f.Stats(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored stats %+v, original %+v", got, want)
 	}
-	if got, want := twin.WALSeq(), f.WALSeq(); got != want {
-		t.Fatalf("restored WAL seq %d, original %d", got, want)
+	if got, want := twin.Seq(), f.Seq(); got != want {
+		t.Fatalf("restored seq %d, original %d", got, want)
 	}
 }

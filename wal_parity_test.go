@@ -158,8 +158,8 @@ func TestFleetWALParity(t *testing.T) {
 		}
 		t.Fatalf("record streams differ in length: fast %d, recompute %d", len(fastSink.recs), len(refSink.recs))
 	}
-	if fastF.WALSeq() != refF.WALSeq() {
-		t.Fatalf("WAL sequences diverged: fast %d, recompute %d", fastF.WALSeq(), refF.WALSeq())
+	if fastF.Seq() != refF.Seq() {
+		t.Fatalf("sequences diverged: fast %d, recompute %d", fastF.Seq(), refF.Seq())
 	}
 	if fa, ra := fastF.Assignments(), refF.Assignments(); !reflect.DeepEqual(fa, ra) {
 		t.Fatalf("final assignments diverged:\nfast      %+v\nrecompute %+v", fa, ra)
@@ -189,8 +189,8 @@ func TestFleetWALParity(t *testing.T) {
 	if got, want := restF.Assignments(), fastF.Assignments(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored assignments diverged:\nrestored %+v\noriginal %+v", got, want)
 	}
-	if restF.WALSeq() != fastF.WALSeq() {
-		t.Fatalf("restored WAL seq %d, original %d", restF.WALSeq(), fastF.WALSeq())
+	if restF.Seq() != fastF.Seq() {
+		t.Fatalf("restored seq %d, original %d", restF.Seq(), fastF.Seq())
 	}
 	if got, want := restF.Stats(), fastF.Stats(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored stats %+v, original %+v", got, want)
