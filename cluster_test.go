@@ -371,7 +371,7 @@ func TestClusterAdmitAllocCeiling(t *testing.T) {
 		}
 	}
 	cycle() // the chosen engine's pinning and observation caches
-	if n := testing.AllocsPerRun(200, cycle); n > 12 {
-		t.Fatalf("a warm 64-machine best-predicted place+release cycle allocates %.1f times, want <= 12", n)
+	if n := testing.AllocsPerRun(200, cycle); n > 6 {
+		t.Fatalf("a warm 64-machine best-predicted place+release cycle allocates %.1f times, want <= 6", n)
 	}
 }

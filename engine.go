@@ -439,8 +439,7 @@ func (e *Engine) Preview(ctx context.Context, w Workload, vcpus int) (*PlacePrev
 // and a class's row holds that answer per count. The class is read per
 // routing decision — a predictor swapped in by Train or UsePredictor changes
 // it on the next one — and ok is false when Preview must be asked instead
-// (no predictor for the size, or ServeConfig.Recompute). See
-// sched.Scheduler.ScoreClass / ScoreRow.
+// (no predictor for the size). See sched.Scheduler.ScoreClass / ScoreRow.
 func (e *Engine) ScoreClass(vcpus int) (class sched.ScoreClass, ok bool) {
 	return e.serving().ScoreClass(vcpus)
 }

@@ -479,8 +479,8 @@ func TestEnginePlaceAllocCeiling(t *testing.T) {
 		}
 	}
 	cycle() // the enumeration, pinning and observation caches
-	if n := testing.AllocsPerRun(200, cycle); n > 12 {
-		t.Fatalf("a warm Engine place+release cycle allocates %.1f times, want <= 12", n)
+	if n := testing.AllocsPerRun(200, cycle); n > 4 {
+		t.Fatalf("a warm Engine place+release cycle allocates %.1f times, want <= 4", n)
 	}
 }
 

@@ -28,9 +28,6 @@ type Container struct {
 	// (pinned cpuset) or left to the OS.
 	threads []topology.ThreadID
 	pinned  bool
-
-	// history of reported throughput samples (most recent last).
-	history []float64
 }
 
 // New creates an unplaced container.
@@ -59,8 +56,8 @@ func (c *Container) Place(threads []topology.ThreadID, pinned bool) error {
 
 // Unplace removes the current thread mapping, returning the container to
 // its initial unplaced state. Schedulers call it when an admission fails
-// after the container was already pinned for observation, so a discarded
-// container never keeps claiming hardware threads.
+// after the container was already pinned, so a discarded container never
+// keeps claiming hardware threads.
 func (c *Container) Unplace() {
 	c.threads = nil
 	c.pinned = false
@@ -83,37 +80,12 @@ func (c *Container) Threads() []topology.ThreadID {
 func (c *Container) Pinned() bool { return c.pinned }
 
 // Observe runs the container alone on machine m in its current mapping and
-// records the throughput sample (the paper's "runs the workload in two
+// returns the throughput sample (the paper's "runs the workload in two
 // placements during the first few seconds ... without interrupting the
 // workload"). trial selects the measurement-noise draw.
 func (c *Container) Observe(m machines.Machine, trial int) (float64, error) {
 	if !c.Placed() {
 		return 0, fmt.Errorf("container %d: %w", c.id, nperr.ErrNotPlaced)
 	}
-	perf, err := perfsim.Run(m, c.workload, c.threads, trial)
-	if err != nil {
-		return 0, err
-	}
-	c.history = append(c.history, perf)
-	return perf, nil
-}
-
-// Report records an externally measured throughput sample (used when the
-// container runs co-located and the scheduler simulates tenants together).
-func (c *Container) Report(perf float64) { c.history = append(c.history, perf) }
-
-// LastPerf returns the most recent sample, or 0 if none was reported.
-// Only workloads with Workload.ReportsOnline expose this at runtime; the
-// packing experiments use it for every workload the way the paper uses
-// offline-measured metrics for non-reporting applications.
-func (c *Container) LastPerf() float64 {
-	if len(c.history) == 0 {
-		return 0
-	}
-	return c.history[len(c.history)-1]
-}
-
-// History returns all recorded samples, oldest first.
-func (c *Container) History() []float64 {
-	return append([]float64(nil), c.history...)
+	return perfsim.Run(m, c.workload, c.threads, trial)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/machines"
+	"repro/internal/perfsim"
 	"repro/internal/topology"
 	"repro/internal/workloads"
 )
@@ -42,32 +43,13 @@ func TestObserveRecordsHistory(t *testing.T) {
 	if p1 <= 0 {
 		t.Fatalf("perf %v", p1)
 	}
-	if c.LastPerf() != p1 {
-		t.Fatal("LastPerf mismatch")
+	// The sample is the simulator's run of the current mapping.
+	want, err := perfsim.Run(m, w, c.Threads(), 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	c.Report(123)
-	if c.LastPerf() != 123 {
-		t.Fatal("Report not recorded")
-	}
-	h := c.History()
-	if len(h) != 2 || h[0] != p1 || h[1] != 123 {
-		t.Fatalf("history %v", h)
-	}
-	// History returns a copy.
-	h[0] = -1
-	if c.History()[0] == -1 {
-		t.Fatal("History aliases internal state")
-	}
-}
-
-func TestLastPerfEmpty(t *testing.T) {
-	w, _ := workloads.ByName("gcc")
-	c := New(3, w, 2)
-	if c.LastPerf() != 0 {
-		t.Fatal("LastPerf on empty history")
-	}
-	if c.History() != nil {
-		t.Fatal("History on empty container")
+	if p1 != want {
+		t.Fatalf("Observe(trial 0) = %v, perfsim.Run = %v", p1, want)
 	}
 }
 

@@ -9,6 +9,22 @@ import (
 	"repro/internal/xrand"
 )
 
+// predictPointer is the original pointer-chasing tree walk, kept as the
+// reference implementation for the compiled-parity tests.
+func (f *Forest) predictPointer(x []float64) []float64 {
+	out := make([]float64, f.outDim)
+	for _, t := range f.trees {
+		p := t.leaf(x)
+		for d := range out {
+			out[d] += p[d]
+		}
+	}
+	for d := range out {
+		out[d] /= float64(len(f.trees))
+	}
+	return out
+}
+
 // randomForestCase trains a forest on random data under one configuration
 // and returns it with a set of probe inputs (training points, perturbed
 // points, and out-of-range points).

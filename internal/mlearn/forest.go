@@ -282,22 +282,6 @@ func (f *Forest) Recycle() {
 	f.trees = nil
 }
 
-// predictPointer is the original pointer-chasing tree walk, kept as the
-// reference implementation for the compiled-parity tests.
-func (f *Forest) predictPointer(x []float64) []float64 {
-	out := make([]float64, f.outDim)
-	for _, t := range f.trees {
-		p := t.leaf(x)
-		for d := range out {
-			out[d] += p[d]
-		}
-	}
-	for d := range out {
-		out[d] /= float64(len(f.trees))
-	}
-	return out
-}
-
 // NumTrees returns the ensemble size.
 func (f *Forest) NumTrees() int { return len(f.trees) }
 

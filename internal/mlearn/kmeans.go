@@ -84,7 +84,7 @@ func KMeans(points [][]float64, k int, seed uint64) (*KMeansResult, error) {
 				changed = true
 			}
 		}
-		// Recompute centroids.
+		// Update centroids.
 		counts := make([]int, k)
 		sums := make([][]float64, k)
 		for c := range sums {

@@ -3,9 +3,9 @@
 // observation, free-set scoring — into lookups. Everything here is an exact
 // memoization of a deterministic computation: each cache key captures every
 // input the cached value depends on, so a hit is bit-identical to the
-// recompute and no entry can ever be served stale. ServeConfig.Recompute
-// disables all of it, freezing the original search path as the reference
-// the parity suite compares against.
+// recompute and no entry can ever be served stale. The from-scratch search
+// they memoize lives in reference_test.go as refScheduler, the oracle the
+// parity suite compares the Scheduler against.
 package sched
 
 import (
@@ -15,7 +15,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/nperr"
 	"repro/internal/perfsim"
@@ -175,15 +174,6 @@ func (f *fastPath) getTenant(n int) *tenant {
 	return t
 }
 
-// newTenant returns the tenant an admission or adoption fills: pooled, or
-// freshly allocated under Recompute, which keeps no scratch.
-func (s *Scheduler) newTenant(n int) *tenant {
-	if s.cfg.Recompute {
-		return &tenant{vec: make([]float64, n)}
-	}
-	return s.fast.getTenant(n)
-}
-
 // putTenant recycles a tenant after release or a failed admission. Only the
 // vector's backing array survives; every other field is cleared so a pooled
 // tenant can never leak a container or stale decision into its next use.
@@ -219,7 +209,7 @@ func (s *Scheduler) previewShape(ctx context.Context, w perfsim.Workload, v int,
 		return sh, nil
 	}
 	vec := make([]float64, p.NumPlacements)
-	obs, err := s.observePredict(ctx, container.New(0, w, v), imps, p, previewTrial(w, v), vec)
+	obs, err := s.observePredict(ctx, w, v, imps, p, previewTrial(w, v), vec)
 	if err != nil {
 		return nil, err
 	}

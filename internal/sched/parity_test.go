@@ -3,7 +3,9 @@ package sched
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/concern"
@@ -13,197 +15,329 @@ import (
 	"repro/internal/nperr"
 	"repro/internal/perfsim"
 	"repro/internal/placement"
+	"repro/internal/topology"
 	"repro/internal/workloads"
 	"repro/internal/xrand"
 )
 
-// newParityPair trains one predictor and wraps the same artifacts (spec,
-// enumeration, predictor) in two schedulers: the cached fast path and the
-// frozen Recompute reference. Sharing the artifacts is what reduces every
-// divergence to the admission path itself — the two schedulers consume
-// bit-identical model inputs.
-func newParityPair(t *testing.T, m machines.Machine, cfg ServeConfig, sizes ...int) (fast, ref *Scheduler) {
-	t.Helper()
-	spec := concern.FromMachine(m)
+// parityModel is one machine's trained artifacts (spec, enumeration and
+// predictor per size) that a Scheduler and its refScheduler are built over.
+// Sharing them is what reduces every divergence to the admission path
+// itself — both consume bit-identical model inputs.
+type parityModel struct {
+	spec  *concern.Spec
+	imps  map[int][]placement.Important
+	preds map[int]*core.Predictor
+}
+
+func trainParityModel(tb testing.TB, m machines.Machine, sizes ...int) *parityModel {
+	tb.Helper()
+	pm := &parityModel{spec: concern.FromMachine(m), imps: map[int][]placement.Important{}, preds: map[int]*core.Predictor{}}
 	ws := append(workloads.Paper(), workloads.CorpusFrom(8, 3, []string{"flat", "bw", "lat"})...)
-	imps := map[int][]placement.Important{}
-	preds := map[int]*core.Predictor{}
 	for _, v := range sizes {
 		var err error
-		if imps[v], err = placement.Enumerate(spec, v); err != nil {
-			t.Fatal(err)
+		if pm.imps[v], err = placement.Enumerate(pm.spec, v); err != nil {
+			tb.Fatal(err)
 		}
-		ds, err := core.CollectPrepared(context.Background(), spec, imps[v], ws, v, core.CollectConfig{Trials: 2})
+		ds, err := core.CollectPrepared(context.Background(), pm.spec, pm.imps[v], ws, v, core.CollectConfig{Trials: 2})
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
-		preds[v], err = core.Train(ds, core.TrainConfig{
+		pm.preds[v], err = core.Train(ds, core.TrainConfig{
 			Seed: 1, Forest: mlearn.ForestConfig{Trees: 10},
 			SelectionTrees: 4, SelectionFolds: 3,
 		})
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	build := func(cfg ServeConfig) *Scheduler {
-		return NewScheduler(spec,
-			func(ctx context.Context, v int) ([]placement.Important, error) {
-				if is, ok := imps[v]; ok {
-					return is, nil
-				}
-				return placement.EnumerateCtx(ctx, spec, v)
-			},
-			func(v int) *core.Predictor { return preds[v] },
-			nil,
-			cfg)
-	}
-	refCfg := cfg
-	refCfg.Recompute = true
-	return build(cfg), build(refCfg)
+	return pm
 }
 
-// sameErr fails unless both paths returned the same outcome: both nil, or
-// both the identical error text and the same sentinel under errors.Is (the
-// text alone would not notice a chain that stopped unwrapping).
-func sameErr(t *testing.T, op string, fast, ref error) {
-	t.Helper()
+// pair builds a fresh Scheduler and a fresh refScheduler over the model.
+func (pm *parityModel) pair(cfg ServeConfig) (*Scheduler, *refScheduler) {
+	imps := func(ctx context.Context, v int) ([]placement.Important, error) {
+		if is, ok := pm.imps[v]; ok {
+			return is, nil
+		}
+		return placement.EnumerateCtx(ctx, pm.spec, v)
+	}
+	pred := func(v int) *core.Predictor { return pm.preds[v] }
+	return NewScheduler(pm.spec, imps, pred, nil, cfg), newRefScheduler(pm.spec, imps, pred, cfg)
+}
+
+// newParityPair trains one predictor per size on m and builds a Scheduler
+// and its reference over it.
+func newParityPair(t *testing.T, m machines.Machine, cfg ServeConfig, sizes ...int) (*Scheduler, *refScheduler) {
+	return trainParityModel(t, m, sizes...).pair(cfg)
+}
+
+// paritySentinels are the classes an error must fall in alike on both sides
+// (the text alone would not notice a chain that stopped unwrapping).
+var paritySentinels = []error{
+	nperr.ErrMachineFull, nperr.ErrUntrained, nperr.ErrUnknownContainer,
+	nperr.ErrLogCorrupt, nperr.ErrMachineMismatch, nperr.ErrBadObservation, context.Canceled,
+}
+
+// sameErr reports how two outcomes differ, nil when both are nil or both
+// carry the identical text and the same sentinels under errors.Is.
+func sameErr(got, want error) error {
 	switch {
-	case (fast == nil) != (ref == nil):
-		t.Fatalf("%s: fast err = %v, recompute err = %v", op, fast, ref)
-	case fast != nil && fast.Error() != ref.Error():
-		t.Fatalf("%s: fast err %q, recompute err %q", op, fast, ref)
+	case (got == nil) != (want == nil):
+		return fmt.Errorf("scheduler err = %v, reference err = %v", got, want)
+	case got != nil && got.Error() != want.Error():
+		return fmt.Errorf("scheduler err %q, reference err %q", got, want)
 	}
-	for _, sentinel := range []error{nperr.ErrMachineFull, nperr.ErrUntrained, nperr.ErrUnknownContainer} {
-		if errors.Is(fast, sentinel) != errors.Is(ref, sentinel) {
-			t.Fatalf("%s: errors.Is(%v) differs: fast %v, recompute %v", op, sentinel, fast, ref)
+	for _, sentinel := range paritySentinels {
+		if errors.Is(got, sentinel) != errors.Is(want, sentinel) {
+			return fmt.Errorf("errors.Is(%v) differs: scheduler %v, reference %v", sentinel, got, want)
 		}
 	}
+	return nil
 }
 
-// TestSchedulerParityTrace drives the cached fast path and the frozen
-// recompute path through one identical randomized 500-op trace — admits
-// across several workloads, releases of random live tenants, releases of
-// unknown IDs, previews and rebalance passes — and asserts every returned
-// assignment, preview, report and error is deeply identical, as is the
-// final scheduler state. A third scheduler then adopts the survivors from
-// the fast scheduler's own assignments (the recovery path) and must land
-// on the same books. Run under -race this is also the parity suite's
-// concurrency guard: the fast path's caches fill and hit while the trace
-// churns the free mask through admit/release/rebalance cycles.
-func TestSchedulerParityTrace(t *testing.T) {
-	ctx := context.Background()
-	m := machines.AMD()
-	// GoalFrac 0.5 admits into the smallest classes, so the trace packs
-	// several tenants, fills the machine (exercising the ErrMachineFull
-	// arm on both paths) and leaves holes worth rebalancing into.
-	fast, ref := newParityPair(t, m, ServeConfig{GoalFrac: 0.5}, 16)
+// lockstep drives a Scheduler and its refScheduler through the same
+// operations over the workloads ws at the sizes, tracking the live tenant
+// IDs (identical on both). Each operation runs on both sides and returns a
+// non-nil error naming the first divergence: the outcome, the error text or
+// sentinel, the result, or the free mask after.
+type lockstep struct {
+	s     *Scheduler
+	ref   *refScheduler
+	ws    []perfsim.Workload
+	sizes []int
+	live  []int
+}
 
-	names := []string{"WTbtree", "gcc", "canneal", "streamcluster", "pca"}
+func (l *lockstep) diff(op string, errS, errR error, got, want any) error {
+	if err := sameErr(errS, errR); err != nil {
+		return fmt.Errorf("%s: %v", op, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("%s diverged:\nscheduler %+v\nreference %+v", op, got, want)
+	}
+	if l.s.Free() != l.ref.Free() {
+		return fmt.Errorf("after %s: free masks diverged: scheduler %s, reference %s", op, l.s.Free(), l.ref.Free())
+	}
+	return nil
+}
+
+func (l *lockstep) admit(ctx context.Context, w perfsim.Workload, v int) error {
+	got, errS := l.s.Admit(ctx, w, v)
+	want, errR := l.ref.Admit(ctx, w, v)
+	if got != nil {
+		l.live = append(l.live, got.ID)
+	}
+	return l.diff(fmt.Sprintf("Admit(%s, %d)", w.Name, v), errS, errR, got, want)
+}
+
+func (l *lockstep) preview(ctx context.Context, w perfsim.Workload, v int) (*Preview, error) {
+	got, errS := l.s.Preview(ctx, w, v)
+	want, errR := l.ref.Preview(ctx, w, v)
+	return got, l.diff(fmt.Sprintf("Preview(%s, %d) at %s", w.Name, v, l.s.Free()), errS, errR, got, want)
+}
+
+func (l *lockstep) release(ctx context.Context, id int) error {
+	if i := slices.Index(l.live, id); i >= 0 {
+		l.live = slices.Delete(l.live, i, i+1)
+	}
+	return l.diff(fmt.Sprintf("Release(%d)", id), l.s.Release(ctx, id), l.ref.Release(ctx, id), nil, nil)
+}
+
+// readopt releases live tenant id and adopts its Restore back — how a
+// cross-machine move lands on its destination — and requires the adopted
+// tenant to be the one released.
+func (l *lockstep) readopt(ctx context.Context, id int) error {
+	a, _ := l.s.Assignment(id)
+	if err := l.release(ctx, id); err != nil {
+		return err
+	}
+	r := restoreOf(&a)
+	got, errS := l.s.Adopt(ctx, r)
+	want, errR := l.ref.Adopt(ctx, r)
+	if got != nil {
+		l.live = append(l.live, id)
+	}
+	if err := l.diff(fmt.Sprintf("Adopt(%d)", id), errS, errR, got, want); err != nil {
+		return err
+	}
+	if got == nil || !reflect.DeepEqual(*got, a) {
+		return fmt.Errorf("re-adopted %d differs:\nreleased %+v\nadopted  %+v", id, a, got)
+	}
+	return nil
+}
+
+// moveTo replays a move of live tenant id: arg picks the class and, among
+// the node sets of its size the tenant could use (its own nodes plus the
+// free ones), the set — the class's own nodes when none fits. ok reports
+// whether both sides took it.
+func (l *lockstep) moveTo(ctx context.Context, id, arg int) (ok bool, err error) {
+	a, _ := l.s.Assignment(id)
+	imps, err := l.s.imps(ctx, a.VCPUs)
+	if err != nil {
+		return false, err
+	}
+	imp := imps[arg%len(imps)]
+	var sets []topology.NodeSet
+	l.s.Free().Union(a.Nodes).Subsets(imp.Nodes.Len(), func(s topology.NodeSet) { sets = append(sets, s) })
+	nodes := imp.Nodes
+	if len(sets) > 0 {
+		nodes = sets[arg/len(imps)%len(sets)]
+	}
+	errS := l.s.ApplyMove(ctx, id, imp.ID, nodes)
+	errR := l.ref.ApplyMove(ctx, id, imp.ID, nodes)
+	return errS == nil, l.diff(fmt.Sprintf("ApplyMove(%d, class %d, %s)", id, imp.ID, nodes), errS, errR, nil, nil)
+}
+
+// The operations step applies.
+const (
+	opAdmit = iota
+	opRelease
+	opPreview
+	opRebalance
+	opAdopt
+	opMove
+	numOps
+)
+
+// step applies operation op to both sides. arg picks the workload and size
+// (admit, preview), the tenant (release — one past the live tenants is an
+// unknown ID — re-adopt, move) and the move's target. applied is false when
+// there was no tenant to act on or both sides refused a move.
+func (l *lockstep) step(ctx context.Context, op, arg int) (applied bool, err error) {
+	w, v := l.ws[arg%len(l.ws)], l.sizes[arg/len(l.ws)%len(l.sizes)]
+	switch op {
+	case opAdmit:
+		return true, l.admit(ctx, w, v)
+	case opRelease:
+		if j := arg % (len(l.live) + 1); j < len(l.live) {
+			return true, l.release(ctx, l.live[j])
+		}
+		return true, l.release(ctx, 1<<30)
+	case opPreview:
+		_, err := l.preview(ctx, w, v)
+		return true, err
+	case opRebalance:
+		got, errS := l.s.Rebalance(ctx)
+		want, errR := l.ref.Rebalance(ctx)
+		return true, l.diff("Rebalance", errS, errR, got, want)
+	}
+	if len(l.live) == 0 {
+		return false, nil
+	}
+	id := l.live[arg%len(l.live)]
+	if op == opAdopt {
+		return true, l.readopt(ctx, id)
+	}
+	return l.moveTo(ctx, id, arg/len(l.live))
+}
+
+// weighted draws an operation with the given per-operation weights, which
+// sum to 100.
+func weighted(rng *xrand.SplitMix64, weights [numOps]int) int {
+	k := rng.Intn(100)
+	for op, w := range weights {
+		if k < w {
+			return op
+		}
+		k -= w
+	}
+	return numOps - 1
+}
+
+// same compares the full books: the snapshots, the free masks, and every
+// per-ID lookup against the snapshot.
+func (l *lockstep) same() error {
+	got, want := l.s.Assignments(), l.ref.Assignments()
+	if !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("assignments diverged:\nscheduler %+v\nreference %+v", got, want)
+	}
+	if l.s.Free() != l.ref.Free() {
+		return fmt.Errorf("free masks diverged: scheduler %s, reference %s", l.s.Free(), l.ref.Free())
+	}
+	for _, a := range want {
+		if g, ok := l.s.Assignment(a.ID); !ok || !reflect.DeepEqual(g, a) {
+			return fmt.Errorf("Assignment(%d) = %+v (%v), snapshot %+v", a.ID, g, ok, a)
+		}
+	}
+	return nil
+}
+
+func workloadsNamed(tb testing.TB, names ...string) []perfsim.Workload {
+	tb.Helper()
 	ws := make([]perfsim.Workload, 0, len(names))
 	for _, n := range names {
 		w, ok := workloads.ByName(n)
 		if !ok {
-			t.Fatalf("unknown workload %q", n)
+			tb.Fatalf("unknown workload %q", n)
 		}
 		ws = append(ws, w)
 	}
+	return ws
+}
+
+// TestSchedulerParityTrace drives the Scheduler and the reference through
+// one identical randomized 500-op trace — admits across several workloads,
+// releases of random live tenants and of unknown IDs, previews, rebalance
+// passes, re-adoptions (release, then Adopt the tenant's record back) and
+// replayed moves onto random fitting node sets — and asserts every returned
+// assignment, preview, report, error and free mask is deeply identical, as
+// are the final books. A third scheduler then adopts the survivors (the
+// recovery path) and must land on the same books. Run under -race this is
+// also the parity suite's concurrency guard: the caches fill and hit while
+// the trace churns the free mask through every mutator.
+func TestSchedulerParityTrace(t *testing.T) {
+	ctx := context.Background()
+	model := trainParityModel(t, machines.AMD(), 16)
+	// GoalFrac 0.5 admits into the smallest classes, so the trace packs
+	// several tenants, fills the machine (exercising the ErrMachineFull
+	// arm on both sides) and leaves holes worth rebalancing into.
+	cfg := ServeConfig{GoalFrac: 0.5}
+	s, ref := model.pair(cfg)
+	l := &lockstep{s: s, ref: ref, ws: workloadsNamed(t, "WTbtree", "gcc", "canneal", "streamcluster", "pca"), sizes: []int{16}}
 
 	rng := xrand.New(0x9e3779b97f4a7c15)
-	var live []int // IDs admitted and not yet released (identical on both)
-	admits, releases, previews, rebalances := 0, 0, 0, 0
-	for op := 0; op < 500; op++ {
-		switch k := rng.Intn(100); {
-		case k < 45: // admit
-			admits++
-			w := ws[rng.Intn(len(ws))]
-			af, errF := fast.Admit(ctx, w, 16)
-			ar, errR := ref.Admit(ctx, w, 16)
-			sameErr(t, "Admit", errF, errR)
-			if errF != nil {
-				continue
-			}
-			if !reflect.DeepEqual(af, ar) {
-				t.Fatalf("op %d: Admit(%s) diverged:\nfast      %+v\nrecompute %+v", op, w.Name, af, ar)
-			}
-			live = append(live, af.ID)
-		case k < 72: // release a live tenant
-			releases++
-			if len(live) == 0 {
-				continue
-			}
-			i := rng.Intn(len(live))
-			id := live[i]
-			sameErr(t, "Release", fast.Release(ctx, id), ref.Release(ctx, id))
-			live = append(live[:i], live[i+1:]...)
-		case k < 77: // release an unknown ID: identical typed failure
-			sameErr(t, "Release(unknown)", fast.Release(ctx, 1<<30), ref.Release(ctx, 1<<30))
-		case k < 90: // preview
-			previews++
-			w := ws[rng.Intn(len(ws))]
-			pf, errF := fast.Preview(ctx, w, 16)
-			pr, errR := ref.Preview(ctx, w, 16)
-			sameErr(t, "Preview", errF, errR)
-			if errF == nil && *pf != *pr {
-				t.Fatalf("op %d: Preview(%s) diverged:\nfast      %+v\nrecompute %+v", op, w.Name, pf, pr)
-			}
-		default: // rebalance
-			rebalances++
-			rf, errF := fast.Rebalance(ctx)
-			rr, errR := ref.Rebalance(ctx)
-			sameErr(t, "Rebalance", errF, errR)
-			if !reflect.DeepEqual(rf, rr) {
-				t.Fatalf("op %d: Rebalance diverged:\nfast      %+v\nrecompute %+v", op, rf, rr)
-			}
+	var applied [numOps]int // admit, release, preview, rebalance, adopt, move
+	for i := 0; i < 500; i++ {
+		op := weighted(rng, [numOps]int{42, 26, 12, 8, 6, 6})
+		ok, err := l.step(ctx, op, rng.Intn(1<<16))
+		if err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+		if ok {
+			applied[op]++
 		}
 	}
-	if admits == 0 || releases == 0 || previews == 0 || rebalances == 0 {
-		t.Fatalf("degenerate trace: %d admits, %d releases, %d previews, %d rebalances",
-			admits, releases, previews, rebalances)
+	t.Logf("applied (admit, release, preview, rebalance, adopt, move): %v", applied)
+	if slices.Contains(applied[:], 0) {
+		t.Fatalf("degenerate trace: applied (admit, release, preview, rebalance, adopt, move) %v", applied)
+	}
+	if err := l.same(); err != nil {
+		t.Fatalf("final state: %v", err)
 	}
 
-	// Final state: identical books, identical free mask, per-ID lookups
-	// agree with the snapshot on both paths.
-	fa, ra := fast.Assignments(), ref.Assignments()
-	if !reflect.DeepEqual(fa, ra) {
-		t.Fatalf("final assignments diverged:\nfast      %+v\nrecompute %+v", fa, ra)
-	}
-	if fast.Free() != ref.Free() {
-		t.Fatalf("final free masks diverged: fast %s, recompute %s", fast.Free(), ref.Free())
-	}
-	for _, a := range fa {
-		gf, okF := fast.Assignment(a.ID)
-		gr, okR := ref.Assignment(a.ID)
-		if !okF || !okR || !reflect.DeepEqual(gf, gr) {
-			t.Fatalf("Assignment(%d) diverged: fast %+v (%v), recompute %+v (%v)", a.ID, gf, okF, gr, okR)
-		}
-	}
-
-	// Recovery leg: adopt the fast scheduler's survivors into a fresh
-	// fast-path scheduler from their current assignments — exactly what
-	// the fleet's restore replays — and require identical books. Adopted
-	// tenants must then rebalance identically to the originals.
-	restored, _ := newParityPair(t, m, ServeConfig{GoalFrac: 0.5}, 16)
-	for _, a := range fa {
-		w, ok := workloads.ByName(a.Workload)
-		if !ok {
-			t.Fatalf("assignment names unknown workload %q", a.Workload)
-		}
-		if _, err := restored.Adopt(ctx, Restore{
-			ID: a.ID, Workload: w, VCPUs: a.VCPUs, ClassID: a.Class,
-			Nodes: a.Nodes, BasePerf: a.BasePerf, ProbePerf: a.ProbePerf,
-		}); err != nil {
-			t.Fatalf("Adopt(%d): %v", a.ID, err)
+	// Recovery leg: adopt the survivors into a fresh scheduler from their
+	// current assignments — exactly what the fleet's restore replays — and
+	// require identical books. Adopted tenants must then rebalance
+	// identically to the originals.
+	fa := s.Assignments()
+	restored, _ := model.pair(cfg)
+	for i := range fa {
+		if _, err := restored.Adopt(ctx, restoreOf(&fa[i])); err != nil {
+			t.Fatalf("Adopt(%d): %v", fa[i].ID, err)
 		}
 	}
 	if got := restored.Assignments(); !reflect.DeepEqual(got, fa) {
 		t.Fatalf("restored assignments diverged:\nrestored %+v\noriginal %+v", got, fa)
 	}
-	if restored.Free() != fast.Free() {
-		t.Fatalf("restored free mask %s, original %s", restored.Free(), fast.Free())
+	if restored.Free() != s.Free() {
+		t.Fatalf("restored free mask %s, original %s", restored.Free(), s.Free())
 	}
-	rf, errF := fast.Rebalance(ctx)
+	rf, errF := s.Rebalance(ctx)
 	rr, errR := restored.Rebalance(ctx)
-	sameErr(t, "post-restore Rebalance", errF, errR)
+	if err := sameErr(errR, errF); err != nil {
+		t.Fatalf("post-restore Rebalance: %v", err)
+	}
 	if !reflect.DeepEqual(rf, rr) {
 		t.Fatalf("post-restore Rebalance diverged:\nrestored %+v\noriginal %+v", rr, rf)
 	}
@@ -214,62 +348,34 @@ func TestSchedulerParityTrace(t *testing.T) {
 // that randomized admits, releases and rebalances keep churning, so the
 // free mask moves between two previews of the same shape — the case the
 // shape table exists for. After every operation every shape is previewed
-// on both paths and must agree field for field and error for error.
+// on both sides and must agree field for field and error for error.
 func TestPreviewParityResident(t *testing.T) {
 	ctx := context.Background()
-	residentSizes := []int{8, 16, 24, 32}
-	fast, ref := newParityPair(t, machines.AMD(), ServeConfig{GoalFrac: 0.5}, residentSizes...)
-	paper := workloads.Paper()
+	sizes := []int{8, 16, 24, 32}
+	s, ref := newParityPair(t, machines.AMD(), ServeConfig{GoalFrac: 0.5}, sizes...)
+	l := &lockstep{s: s, ref: ref, ws: workloads.Paper(), sizes: sizes}
 	ops := 300
 	if testing.Short() {
 		ops = 60
 	}
 	rng := xrand.New(7)
-	var live []int
 	masks := map[uint64]bool{}
 	full, fit := 0, 0
-	for op := 0; op < ops; op++ {
-		switch k := rng.Intn(100); {
-		case k < 55 || len(live) == 0:
-			w, v := paper[rng.Intn(len(paper))], residentSizes[rng.Intn(len(residentSizes))]
-			af, errF := fast.Admit(ctx, w, v)
-			ar, errR := ref.Admit(ctx, w, v)
-			sameErr(t, "Admit", errF, errR)
-			if errF == nil {
-				if !reflect.DeepEqual(af, ar) {
-					t.Fatalf("op %d: Admit(%s, %d) diverged:\nfast      %+v\nrecompute %+v", op, w.Name, v, af, ar)
+	for i := 0; i < ops; i++ {
+		if _, err := l.step(ctx, weighted(rng, [numOps]int{55, 37, 0, 8}), rng.Intn(1<<16)); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+		masks[uint64(s.Free())] = true
+		for _, w := range l.ws {
+			for _, v := range sizes {
+				pv, err := l.preview(ctx, w, v)
+				if err != nil {
+					t.Fatalf("op %d: %v", i, err)
 				}
-				live = append(live, af.ID)
-			}
-		case k < 92:
-			i := rng.Intn(len(live))
-			sameErr(t, "Release", fast.Release(ctx, live[i]), ref.Release(ctx, live[i]))
-			live = append(live[:i], live[i+1:]...)
-		default:
-			rf, errF := fast.Rebalance(ctx)
-			rr, errR := ref.Rebalance(ctx)
-			sameErr(t, "Rebalance", errF, errR)
-			if !reflect.DeepEqual(rf, rr) {
-				t.Fatalf("op %d: Rebalance diverged:\nfast      %+v\nrecompute %+v", op, rf, rr)
-			}
-		}
-		if fast.Free() != ref.Free() {
-			t.Fatalf("op %d: free masks diverged: fast %s, recompute %s", op, fast.Free(), ref.Free())
-		}
-		masks[uint64(fast.Free())] = true
-		for _, w := range paper {
-			for _, v := range residentSizes {
-				pf, errF := fast.Preview(ctx, w, v)
-				pr, errR := ref.Preview(ctx, w, v)
-				sameErr(t, "Preview", errF, errR)
-				if errF != nil {
+				if pv == nil {
 					full++
-					continue
-				}
-				fit++
-				if *pf != *pr {
-					t.Fatalf("op %d: Preview(%s, %d) at %s diverged:\nfast      %+v\nrecompute %+v",
-						op, w.Name, v, fast.Free(), pf, pr)
+				} else {
+					fit++
 				}
 			}
 		}
@@ -279,6 +385,122 @@ func TestPreviewParityResident(t *testing.T) {
 			len(masks), ops, full, fit)
 	}
 	t.Logf("%d ops, %d distinct masks, %d fitting and %d rejected previews", ops, len(masks), fit, full)
+}
+
+// TestReferenceCatchesPoisonedCache guards against an oracle that agrees
+// with anything: a scored free-set entry for the live mask overwritten with
+// another node set of the same size, and a prepared observation overwritten
+// with one made from another placement's threads, must each make the next
+// Admit diverge from the reference.
+func TestReferenceCatchesPoisonedCache(t *testing.T) {
+	ctx := context.Background()
+	model := trainParityModel(t, machines.AMD(), 16)
+	cfg := ServeConfig{GoalFrac: 0.5}
+	w, _ := workloads.ByName("WTbtree")
+	imps, p := model.imps[16], model.preds[16]
+	// One tenant resident, so the live mask is not the full one.
+	resident := func() *lockstep {
+		s, ref := model.pair(cfg)
+		l := &lockstep{s: s, ref: ref}
+		if err := l.admit(ctx, w, 16); err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+
+	// The scored free set the next admission will look up: the class size
+	// it will choose, computed as Admit computes it.
+	l := resident()
+	vec := make([]float64, p.NumPlacements)
+	obs, err := l.s.observePredict(ctx, w, 16, imps, p, admitTrial(int(l.s.nextID.Load())), vec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	free := l.s.Free()
+	class := scanBest(imps, vec, obs[0], cfg.goalFrac()*obs[0]*(1+cfg.headroom()), free.Len())
+	if class < 0 {
+		t.Fatal("the next admission fits nowhere")
+	}
+	size := imps[class].Nodes.Len()
+	best, _ := bestFreeSet(model.spec.Machine, free, size)
+	other := best
+	free.Subsets(size, func(s topology.NodeSet) {
+		if other == best {
+			other = s
+		}
+	})
+	if other == best {
+		t.Fatalf("%s has one %d-node subset; nothing to poison with", free, size)
+	}
+	l.s.fast.best.put(bestKey{free: free, size: size}, other)
+	if err := l.admit(ctx, w, 16); err == nil {
+		t.Fatalf("free-set entry (%s, %d) poisoned with %s in place of %s went undetected", free, size, other, best)
+	}
+
+	// The prepared observation of the base placement, replaced by one made
+	// from the first other placement whose sample differs.
+	l = resident()
+	trial := admitTrial(int(l.s.nextID.Load()))
+	truth, err := l.s.preparedObs(ctx, w, 16, imps, p.Base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var poison perfsim.Prepared
+	for j := range imps {
+		threads, err := placement.Pin(model.spec, imps[j].Placement, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if poison, err = perfsim.Prepare(model.spec.Machine, w, threads); err != nil {
+			t.Fatal(err)
+		}
+		if poison.At(trial) != truth.At(trial) {
+			break
+		}
+	}
+	if poison.At(trial) == truth.At(trial) {
+		t.Fatal("every placement observes alike; nothing to poison with")
+	}
+	l.s.fast.obs.put(obsKey{name: w.Name, v: 16, pi: p.Base}, &obsEntry{w: w, prep: poison})
+	if err := l.admit(ctx, w, 16); err == nil {
+		t.Fatal("a prepared observation poisoned with another placement's threads went undetected")
+	}
+}
+
+// FuzzSchedulerParity decodes each input byte into one operation — its
+// residue mod numOps picks admit, release, preview, rebalance, re-adopt or
+// replayed move, the quotient the workload, size, tenant or target — applies
+// it to a fresh Scheduler and a fresh reference, and requires equal results,
+// errors and free masks after every operation and equal books at the end.
+// The predictors are trained once per process.
+func FuzzSchedulerParity(f *testing.F) {
+	sizes := []int{16, 8}
+	model := trainParityModel(f, machines.AMD(), sizes...)
+	ws := workloadsNamed(f, "WTbtree", "gcc", "canneal", "streamcluster", "pca")
+	for _, seed := range [][]byte{
+		{0, 6, 12, 18, 24, 30, 36, 42, 3, 1, 7, 3, 2, 8},
+		{0, 0, 0, 0, 0, 4, 5, 11, 17, 3, 10, 9},
+		{30, 30, 30, 30, 1, 13, 3, 5, 23, 2, 4, 10, 3},
+		{1, 2, 3, 4, 5},
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 64 {
+			ops = ops[:64]
+		}
+		ctx := context.Background()
+		s, ref := model.pair(ServeConfig{GoalFrac: 0.5})
+		l := &lockstep{s: s, ref: ref, ws: ws, sizes: sizes}
+		for i, b := range ops {
+			if _, err := l.step(ctx, int(b)%numOps, int(b)/numOps); err != nil {
+				t.Fatalf("op %d (byte %d): %v", i, b, err)
+			}
+		}
+		if err := l.same(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestPreviewWarmAllocs gates what a mask change costs a warm preview:

@@ -1,0 +1,327 @@
+package sched
+
+import (
+	"context"
+	"fmt"
+	"maps"
+	"slices"
+
+	"repro/internal/concern"
+	"repro/internal/container"
+	"repro/internal/core"
+	"repro/internal/migrate"
+	"repro/internal/nperr"
+	"repro/internal/perfsim"
+	"repro/internal/placement"
+	"repro/internal/topology"
+)
+
+// refScheduler is the test oracle for Scheduler: the serving rule computed
+// from scratch on every call, out of the batch policy's primitives alone —
+// container.Observe (perfsim.Run) in uncached placement.Pin mappings for
+// the two observations, rankClasses and bestFreeSet for the choice,
+// predictedPerf, admitTrial/previewTrial for the noise streams and
+// migrate.RunCtx for move costs. It keeps its own free mask, tenant map and
+// ID counter and shares no cache, pool, scanBest or shape table with the
+// Scheduler, so a cache that served an inexact answer makes the two
+// disagree. Single-threaded: the parity harness drives it in lockstep.
+type refScheduler struct {
+	spec    *concern.Spec
+	imps    func(ctx context.Context, v int) ([]placement.Important, error)
+	pred    func(v int) *core.Predictor
+	cfg     ServeConfig
+	free    topology.NodeSet
+	nextID  int
+	tenants map[int]*tenant
+}
+
+func newRefScheduler(spec *concern.Spec,
+	imps func(ctx context.Context, v int) ([]placement.Important, error),
+	pred func(v int) *core.Predictor, cfg ServeConfig) *refScheduler {
+	return &refScheduler{
+		spec: spec, imps: imps, pred: pred, cfg: cfg,
+		free:    topology.FullNodeSet(spec.Machine.Topo.NumNodes),
+		tenants: map[int]*tenant{},
+	}
+}
+
+func (r *refScheduler) Free() topology.NodeSet { return r.free }
+
+func (r *refScheduler) goal(basePerf float64) float64 {
+	return r.cfg.goalFrac() * basePerf * (1 + r.cfg.headroom())
+}
+
+// model is the checks Admit and Preview share, in the Scheduler's order and
+// with its error text.
+func (r *refScheduler) model(ctx context.Context, v int, verb string) ([]placement.Important, *core.Predictor, error) {
+	imps, err := r.imps(ctx, v)
+	if err != nil {
+		return nil, nil, err
+	}
+	p := r.pred(v)
+	if p == nil {
+		return nil, nil, fmt.Errorf("sched: %s %d-vCPU container: %w", verb, v, nperr.ErrUntrained)
+	}
+	if p.NumPlacements != len(imps) {
+		return nil, nil, fmt.Errorf("sched: predictor has %d placements, machine yields %d for %d vCPUs: %w",
+			p.NumPlacements, len(imps), v, nperr.ErrMachineMismatch)
+	}
+	return imps, p, nil
+}
+
+// observe pins c into the predictor's Base and Probe placements in turn,
+// observes it there and predicts its vector.
+func (r *refScheduler) observe(c *container.Container, imps []placement.Important, p *core.Predictor, trialBase int) ([2]float64, []float64, error) {
+	var obs [2]float64
+	for i, pi := range [2]int{p.Base, p.Probe} {
+		threads, err := placement.Pin(r.spec, imps[pi].Placement, c.VCPUs())
+		if err != nil {
+			return obs, nil, err
+		}
+		if err := c.Place(threads, true); err != nil {
+			return obs, nil, err
+		}
+		if obs[i], err = c.Observe(r.spec.Machine, trialBase+i); err != nil {
+			return obs, nil, err
+		}
+	}
+	vec, err := p.Predict(obs[0], obs[1])
+	return obs, vec, err
+}
+
+// choose walks the full Step 4 ranking for the first class whose node count
+// fits free and scores its free node sets from scratch.
+func (r *refScheduler) choose(imps []placement.Important, vec []float64, basePerf, goal float64, free topology.NodeSet) (int, topology.NodeSet, bool) {
+	for _, idx := range rankClasses(imps, vec, basePerf, goal) {
+		if imps[idx].Nodes.Len() > free.Len() {
+			continue
+		}
+		if nodes, ok := bestFreeSet(r.spec.Machine, free, imps[idx].Nodes.Len()); ok {
+			return idx, nodes, true
+		}
+	}
+	return 0, 0, false
+}
+
+func refFull(free, v int) error {
+	return fmt.Errorf("sched: %d free nodes cannot host a %d-vCPU container: %w", free, v, nperr.ErrMachineFull)
+}
+
+func (r *refScheduler) pin(nodes topology.NodeSet, imp placement.Important, v int) ([]topology.ThreadID, error) {
+	return placement.Pin(r.spec, placement.Placement{Nodes: nodes, PerNodeScores: imp.PerNodeScores}, v)
+}
+
+func (r *refScheduler) Admit(ctx context.Context, w perfsim.Workload, v int) (*Assignment, error) {
+	imps, p, err := r.model(ctx, v, "admitting")
+	if err != nil {
+		return nil, err
+	}
+	id := r.nextID
+	r.nextID++
+	c := container.New(id, w, v)
+	obs, vec, err := r.observe(c, imps, p, admitTrial(id))
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	goal := r.goal(obs[0])
+	choice, nodes, ok := r.choose(imps, vec, obs[0], goal, r.free)
+	if !ok {
+		return nil, refFull(r.free.Len(), v)
+	}
+	threads, err := r.pin(nodes, imps[choice], v)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.Place(threads, true); err != nil {
+		return nil, err
+	}
+	r.free = r.free.Minus(nodes)
+	t := &tenant{c: c, class: choice, classID: imps[choice].ID, nodes: nodes,
+		basePerf: obs[0], probePerf: obs[1], vec: vec, goal: goal}
+	r.tenants[id] = t
+	a := r.assignment(t)
+	return &a, nil
+}
+
+func (r *refScheduler) Preview(ctx context.Context, w perfsim.Workload, v int) (*Preview, error) {
+	imps, p, err := r.model(ctx, v, "previewing")
+	if err != nil {
+		return nil, err
+	}
+	obs, vec, err := r.observe(container.New(0, w, v), imps, p, previewTrial(w, v))
+	if err != nil {
+		return nil, err
+	}
+	choice, nodes, ok := r.choose(imps, vec, obs[0], r.goal(obs[0]), r.free)
+	if !ok {
+		return nil, refFull(r.free.Len(), v)
+	}
+	return &Preview{
+		Class: choice, ClassID: imps[choice].ID, Nodes: nodes,
+		BasePerf: obs[0], PredictedPerf: predictedPerf(obs[0], vec, choice),
+	}, nil
+}
+
+func (r *refScheduler) Release(ctx context.Context, id int) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	t, ok := r.tenants[id]
+	if !ok {
+		return fmt.Errorf("sched: releasing container %d: %w", id, nperr.ErrUnknownContainer)
+	}
+	delete(r.tenants, id)
+	r.free = r.free.Union(t.nodes)
+	return nil
+}
+
+func (r *refScheduler) Rebalance(ctx context.Context) (*RebalanceReport, error) {
+	rep := &RebalanceReport{}
+	for _, id := range slices.Sorted(maps.Keys(r.tenants)) {
+		t := r.tenants[id]
+		if err := ctx.Err(); err != nil {
+			return rep, err
+		}
+		rep.Examined++
+		imps, err := r.imps(ctx, t.c.VCPUs())
+		if err != nil {
+			return rep, err
+		}
+		avail := r.free.Union(t.nodes)
+		choice, nodes, ok := r.choose(imps, t.vec, t.basePerf, t.goal, avail)
+		if !ok {
+			continue
+		}
+		faster := predictedPerf(t.basePerf, t.vec, choice) > predictedPerf(t.basePerf, t.vec, t.class)
+		wider := nodes != t.nodes && choice == t.class &&
+			r.spec.Machine.IC.Measure(nodes) > r.spec.Machine.IC.Measure(t.nodes)
+		if !faster && !wider {
+			continue
+		}
+		threads, err := r.pin(nodes, imps[choice], t.c.VCPUs())
+		if err != nil {
+			return rep, err
+		}
+		prof := migrate.ProfileFor(t.c.Workload(), t.c.VCPUs())
+		if nodes == t.nodes {
+			prof.AnonGB, prof.PageCacheGB = 0, 0
+		}
+		res, err := migrate.RunCtx(ctx, prof, migrate.Fast, r.cfg.Migration)
+		if err != nil {
+			return rep, err
+		}
+		if err := t.c.Place(threads, true); err != nil {
+			return rep, err
+		}
+		rep.Moves = append(rep.Moves, RebalanceMove{
+			ID: id, FromClass: t.classID, ToClass: imps[choice].ID,
+			FromNodes: t.nodes, ToNodes: nodes, Seconds: res.Seconds,
+		})
+		rep.TotalSeconds += res.Seconds
+		r.free = avail.Minus(nodes)
+		t.class, t.classID, t.nodes = choice, imps[choice].ID, nodes
+	}
+	return rep, nil
+}
+
+func (r *refScheduler) Adopt(ctx context.Context, rec Restore) (*Assignment, error) {
+	imps, err := r.imps(ctx, rec.VCPUs)
+	if err != nil {
+		return nil, err
+	}
+	p := r.pred(rec.VCPUs)
+	if p == nil {
+		return nil, fmt.Errorf("sched: adopting %d-vCPU container %d: %w", rec.VCPUs, rec.ID, nperr.ErrUntrained)
+	}
+	if p.NumPlacements != len(imps) {
+		return nil, fmt.Errorf("sched: predictor has %d placements, machine yields %d for %d vCPUs: %w",
+			p.NumPlacements, len(imps), rec.VCPUs, nperr.ErrMachineMismatch)
+	}
+	choice := slices.IndexFunc(imps, func(imp placement.Important) bool { return imp.ID == rec.ClassID })
+	if choice < 0 {
+		return nil, fmt.Errorf("sched: adopting container %d: class %d not in the %d-vCPU enumeration: %w",
+			rec.ID, rec.ClassID, rec.VCPUs, nperr.ErrLogCorrupt)
+	}
+	vec, err := p.Predict(rec.BasePerf, rec.ProbePerf)
+	if err != nil {
+		return nil, fmt.Errorf("sched: adopting container %d: %w", rec.ID, err)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if _, exists := r.tenants[rec.ID]; exists {
+		return nil, fmt.Errorf("sched: adopting container %d: ID already admitted: %w", rec.ID, nperr.ErrLogCorrupt)
+	}
+	if rec.Nodes.Minus(r.free) != 0 {
+		return nil, fmt.Errorf("sched: adopting container %d: nodes %v not free: %w", rec.ID, rec.Nodes, nperr.ErrLogCorrupt)
+	}
+	threads, err := r.pin(rec.Nodes, imps[choice], rec.VCPUs)
+	if err != nil {
+		return nil, err
+	}
+	c := container.New(rec.ID, rec.Workload, rec.VCPUs)
+	if err := c.Place(threads, true); err != nil {
+		return nil, err
+	}
+	r.free = r.free.Minus(rec.Nodes)
+	t := &tenant{c: c, class: choice, classID: rec.ClassID, nodes: rec.Nodes,
+		basePerf: rec.BasePerf, probePerf: rec.ProbePerf, vec: vec, goal: r.goal(rec.BasePerf)}
+	r.tenants[rec.ID] = t
+	r.nextID = max(r.nextID, rec.ID+1)
+	a := r.assignment(t)
+	return &a, nil
+}
+
+func (r *refScheduler) ApplyMove(ctx context.Context, id, classID int, nodes topology.NodeSet) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	t, ok := r.tenants[id]
+	if !ok {
+		return fmt.Errorf("sched: applying move of container %d: %w", id, nperr.ErrUnknownContainer)
+	}
+	imps, err := r.imps(ctx, t.c.VCPUs())
+	if err != nil {
+		return err
+	}
+	choice := slices.IndexFunc(imps, func(imp placement.Important) bool { return imp.ID == classID })
+	if choice < 0 {
+		return fmt.Errorf("sched: applying move of container %d: class %d not in the %d-vCPU enumeration: %w",
+			id, classID, t.c.VCPUs(), nperr.ErrLogCorrupt)
+	}
+	avail := r.free.Union(t.nodes)
+	if nodes.Minus(avail) != 0 {
+		return fmt.Errorf("sched: applying move of container %d: nodes %v not free: %w", id, nodes, nperr.ErrLogCorrupt)
+	}
+	threads, err := r.pin(nodes, imps[choice], t.c.VCPUs())
+	if err != nil {
+		return err
+	}
+	if err := t.c.Place(threads, true); err != nil {
+		return err
+	}
+	r.free = avail.Minus(nodes)
+	t.class, t.classID, t.nodes = choice, classID, nodes
+	return nil
+}
+
+// Assignments returns every tenant's assignment in ascending ID order.
+func (r *refScheduler) Assignments() []Assignment {
+	out := make([]Assignment, 0, len(r.tenants))
+	for _, id := range slices.Sorted(maps.Keys(r.tenants)) {
+		out = append(out, r.assignment(r.tenants[id]))
+	}
+	return out
+}
+
+func (r *refScheduler) assignment(t *tenant) Assignment {
+	return Assignment{
+		ID: t.c.ID(), Workload: t.c.Workload().Name, VCPUs: t.c.VCPUs(),
+		Class: t.classID, Nodes: t.nodes, Threads: t.c.Threads(),
+		BasePerf: t.basePerf, PredictedPerf: predictedPerf(t.basePerf, t.vec, t.class),
+		ProbePerf: t.probePerf,
+	}
+}

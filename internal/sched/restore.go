@@ -82,7 +82,7 @@ func (s *Scheduler) Adopt(ctx context.Context, r Restore) (_ *Assignment, err er
 	// The tenant and its prediction vector come from the pool Admit and
 	// Release share, so a replay's place/release pairs recycle one tenant;
 	// a record refused from here on hands it straight back.
-	t := s.newTenant(p.NumPlacements)
+	t := s.fast.getTenant(p.NumPlacements)
 	defer func() {
 		if err != nil {
 			s.fast.putTenant(t)

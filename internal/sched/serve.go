@@ -31,13 +31,6 @@ type ServeConfig struct {
 	// Migration configures the migration mechanism used when Rebalance
 	// moves a container (zero value = calibrated defaults).
 	Migration migrate.Config
-	// Recompute disables the admission fast path — the prepared-observation
-	// cache, the scored free-set cache, the preview shape tables and the
-	// scratch pools — so every decision re-runs the full search from
-	// scratch. The fast path is an exact memoization, so Recompute changes
-	// throughput and nothing else; it exists as the frozen reference the
-	// parity suite compares the cached path against, byte for byte.
-	Recompute bool
 }
 
 func (c ServeConfig) goalFrac() float64 {
@@ -160,7 +153,7 @@ type Scheduler struct {
 	fast fastPath
 
 	// onDiscard, when set (tests only), receives every container abandoned
-	// by a failed admission after it was pinned for observation.
+	// by a failed admission or adoption.
 	onDiscard func(*container.Container)
 }
 
@@ -289,10 +282,10 @@ func predictedPerf(basePerf float64, vec []float64, class int) float64 {
 	return basePerf / vec[class]
 }
 
-// discard abandons a container whose admission failed after it was pinned
-// for observation: the observation pinning is removed so the discarded
-// container never keeps claiming hardware threads, and err is passed
-// through for the caller's return.
+// discard abandons a container whose admission or adoption failed: any
+// pinning it holds (from a commit that lost the claim race) is removed so
+// the discarded container never keeps claiming hardware threads, and err is
+// passed through for the caller's return.
 func (s *Scheduler) discard(c *container.Container, err error) error {
 	c.Unplace()
 	if s.onDiscard != nil {
@@ -306,8 +299,8 @@ func (s *Scheduler) discard(c *container.Container, err error) error {
 // no predictor covers v, nperr.ErrMachineMismatch when the predictor does
 // not match the machine's enumeration, and nperr.ErrMachineFull when no
 // feasible class fits the free nodes. Every failure after the container was
-// created discards it explicitly: its observation pinning is removed, no
-// tenant is registered, and the free set is untouched.
+// created discards it explicitly: any pinning it holds is removed, no tenant
+// is registered, and the free set is untouched.
 func (s *Scheduler) Admit(ctx context.Context, w perfsim.Workload, v int) (*Assignment, error) {
 	imps, err := s.imps(ctx, v)
 	if err != nil {
@@ -331,8 +324,8 @@ func (s *Scheduler) Admit(ctx context.Context, w perfsim.Workload, v int) (*Assi
 	// gap in the ID space, which every iterator tolerates.
 	id := int(s.nextID.Add(1) - 1)
 	c := container.New(id, w, v)
-	t := s.newTenant(p.NumPlacements)
-	obs, err := s.observePredict(ctx, c, imps, p, admitTrial(c.ID()), t.vec)
+	t := s.fast.getTenant(p.NumPlacements)
+	obs, err := s.observePredict(ctx, w, v, imps, p, admitTrial(id), t.vec)
 	if err != nil {
 		s.fast.putTenant(t)
 		return nil, s.discard(c, err)
@@ -344,8 +337,8 @@ func (s *Scheduler) Admit(ctx context.Context, w perfsim.Workload, v int) (*Assi
 	// planned for — losing the race to a concurrent admission re-plans
 	// against the new mask. Any failure in this phase discards the
 	// container before the free mask or tenant table is touched, so a
-	// half-admitted container can never linger pinned to its probe
-	// placement and a failed admission never perturbs the free set.
+	// half-admitted container can never linger pinned and a failed
+	// admission never perturbs the free set.
 	s.structMu.RLock()
 	defer s.structMu.RUnlock()
 	if err := ctx.Err(); err != nil {
@@ -399,44 +392,27 @@ func previewTrial(w perfsim.Workload, v int) int {
 	return -2 - int(xrand.Mix(xrand.HashString(w.Name), uint64(v))%(1<<30))
 }
 
-// observePredict observes c in the predictor's Base and Probe placements
-// (observation i draws the trialBase+i noise stream) and predicts the full
-// placement vector into vec (len p.NumPlacements, fully overwritten). It
-// reads no mutable scheduler state, so callers run it unlocked and
-// concurrent observations proceed in parallel.
+// observePredict observes a v-vCPU container of workload w in the
+// predictor's Base and Probe placements (observation i draws the
+// trialBase+i noise stream) and predicts the full placement vector into vec
+// (len p.NumPlacements, fully overwritten). It reads no mutable scheduler
+// state, so callers run it unlocked and concurrent observations proceed in
+// parallel.
 //
-// On the fast path the deterministic part of each observation — the thread
-// pinning and the noise-free performance model — comes from the prepared-
-// observation cache, and only the per-trial noise draw runs per admission;
-// the sample is recorded on the container exactly as Observe would. Under
-// Recompute the container is really pinned into both placements and
-// observed from scratch. Both paths produce bit-identical samples:
+// The deterministic part of each observation — the thread pinning and the
+// noise-free performance model — comes from the prepared-observation cache,
+// and only the per-trial noise draw runs per admission: the sample is the
+// one container.Observe would measure in that placement, since
 // perfsim.Prepared.At is Run by construction.
-func (s *Scheduler) observePredict(ctx context.Context, c *container.Container,
+func (s *Scheduler) observePredict(ctx context.Context, w perfsim.Workload, v int,
 	imps []placement.Important, p *core.Predictor, trialBase int, vec []float64) ([2]float64, error) {
 	var obs [2]float64
 	for i, pi := range [2]int{p.Base, p.Probe} {
-		if s.cfg.Recompute {
-			threads, err := s.pin(ctx, imps[pi].Placement, c.VCPUs())
-			if err != nil {
-				return obs, err
-			}
-			if err := c.Place(threads, true); err != nil {
-				return obs, err
-			}
-			perf, err := c.Observe(s.machine, trialBase+i)
-			if err != nil {
-				return obs, err
-			}
-			obs[i] = perf
-			continue
-		}
-		prep, err := s.preparedObs(ctx, c.Workload(), c.VCPUs(), imps, pi)
+		prep, err := s.preparedObs(ctx, w, v, imps, pi)
 		if err != nil {
 			return obs, err
 		}
 		obs[i] = prep.At(trialBase + i)
-		c.Report(obs[i])
 	}
 	if err := p.PredictInto(vec, obs[0], obs[1]); err != nil {
 		return obs, err
@@ -474,29 +450,12 @@ func (s *Scheduler) Preview(ctx context.Context, w perfsim.Workload, v int) (*Pr
 	if err != nil {
 		return nil, err
 	}
-	// The one read of the free mask, at the same point on both paths. A
-	// preview holds no lock, so a commit landing after this load makes the
-	// result stale by that one commit, which the contract allows: previews
-	// are advisory, Admit re-plans against the live mask and claims it by
-	// CAS. Nothing cached depends on the mask except through this value.
+	// The one read of the free mask. A preview holds no lock, so a commit
+	// landing after this load makes the result stale by that one commit,
+	// which the contract allows: previews are advisory, Admit re-plans
+	// against the live mask and claims it by CAS. Nothing cached depends on
+	// the mask except through this value.
 	free := topology.NodeSet(s.free.Load())
-	if s.cfg.Recompute {
-		c := container.New(0, w, v)
-		vec := make([]float64, p.NumPlacements)
-		obs, err := s.observePredict(ctx, c, imps, p, previewTrial(w, v), vec)
-		c.Unplace()
-		if err != nil {
-			return nil, err
-		}
-		goal := s.cfg.goalFrac() * obs[0] * (1 + s.cfg.headroom())
-		if choice, nodes, ok := s.chooseFitting(imps, vec, obs[0], goal, free); ok {
-			return &Preview{
-				Class: choice, ClassID: imps[choice].ID, Nodes: nodes,
-				BasePerf: obs[0], PredictedPerf: predictedPerf(obs[0], vec, choice),
-			}, nil
-		}
-		return nil, errFull{free.Len(), v}
-	}
 	sh, err := s.previewShape(ctx, w, v, imps, p)
 	if err != nil {
 		return nil, err
@@ -532,12 +491,11 @@ func (s *Scheduler) previewModel(ctx context.Context, v int, p *core.Predictor) 
 
 // ScoreClass returns the score class this scheduler is in for v-vCPU
 // containers right now; it is read per routing decision, so a predictor
-// registered since takes effect on the next one. ok is false when Preview
-// must be asked instead: no predictor covers v (the Preview says so), or the
-// scheduler runs under Recompute and keeps no rows.
+// registered since takes effect on the next one. ok is false when no
+// predictor covers v: Preview must be asked instead, and says so.
 func (s *Scheduler) ScoreClass(v int) (class ScoreClass, ok bool) {
 	p := s.pred(v)
-	if p == nil || s.cfg.Recompute {
+	if p == nil {
 		return ScoreClass{}, false
 	}
 	return ScoreClass{Machine: s.fingerprint, Predictor: p, GoalFrac: s.cfg.goalFrac(), Headroom: s.cfg.headroom()}, true
@@ -564,23 +522,11 @@ func (s *Scheduler) ScoreRow(ctx context.Context, w perfsim.Workload, v int, cla
 // order (fewest nodes first, fastest predicted within a node count; classes
 // meeting the goal before best-effort) and returns the first class whose
 // node count fits the free set, together with the best concrete node set.
-// The fast path finds the same class with a single allocation-free scan
-// (the ranking's comparator is a total order, so the first fitting element
-// of the sorted ranking is the minimum fitting candidate) and resolves the
-// concrete node set through the scored free-set cache; Recompute re-sorts
-// and re-scores from scratch.
+// It finds that class with a single allocation-free scan (the ranking's
+// comparator is a total order, so the first fitting element of the sorted
+// ranking is the minimum fitting candidate) and resolves the concrete node
+// set through the scored free-set cache.
 func (s *Scheduler) chooseFitting(imps []placement.Important, vec []float64, basePerf, goal float64, free topology.NodeSet) (int, topology.NodeSet, bool) {
-	if s.cfg.Recompute {
-		for _, idx := range rankClasses(imps, vec, basePerf, goal) {
-			if imps[idx].Nodes.Len() > free.Len() {
-				continue
-			}
-			if nodes, ok := bestFreeSet(s.machine, free, imps[idx].Nodes.Len()); ok {
-				return idx, nodes, true
-			}
-		}
-		return 0, 0, false
-	}
 	if idx := scanBest(imps, vec, basePerf, goal, free.Len()); idx >= 0 {
 		if nodes, ok := s.bestSet(free, imps[idx].Nodes.Len()); ok {
 			return idx, nodes, true

@@ -26,39 +26,39 @@ func (s *recSink) Snapshot(fleet.State) error {
 }
 
 // parityEngines returns two engines on machine m trained for 16-vCPU
-// containers and sharing one predictor: the default cached fast path and
-// the frozen recompute reference. One training per machine keeps the
+// containers and sharing one predictor, the second wrapped so that it shows
+// the fleet nothing but fleet.Backend. One training per machine keeps the
 // model inputs bit-identical across both; everything else (enumeration,
 // pinning) is deterministic per machine.
-func parityEngines(t *testing.T, ctx context.Context, m Machine) (fast, ref *Engine) {
+func parityEngines(t *testing.T, ctx context.Context, m Machine) (classed *Engine, solo fleet.Backend) {
 	t.Helper()
-	fast = trainedEngine(t, ctx, m, 16)
-	p, ok := fast.Predictor(16)
+	classed = trainedEngine(t, ctx, m, 16)
+	p, ok := classed.Predictor(16)
 	if !ok {
 		t.Fatal("trained engine has no 16-vCPU predictor")
 	}
-	ref = New(m, WithServeConfig(ServeConfig{Recompute: true}))
-	ref.UsePredictor(16, p)
-	return fast, ref
+	return classed, struct{ fleet.Backend }{New(m, WithPredictor(16, p))}
 }
 
-// TestFleetWALParity drives two fleets — real engines on the admission
-// fast path versus the frozen recompute path, sharing one trained
-// predictor per machine — through an identical randomized trace of
-// placements, releases and rebalance passes, and asserts the write-ahead
-// record streams they commit are byte-identical under JSON encoding: same
-// routing, same classes, same nodes, same migration costs, same sequence
-// numbers. A third fleet then restores from the fast fleet's record
-// stream alone and must reproduce its books exactly. This is the
-// fleet-level leg of the admission fast-path parity suite: if any cache
-// served a stale or inexact decision, the streams would diverge at the
-// first affected record.
+// TestFleetWALParity drives two fleets sharing one trained predictor per
+// machine through an identical randomized trace of placements, releases and
+// rebalance passes: one of plain engines, which the fleet routes from their
+// score classes' rows, and one of engines wrapped to hide fleet.ScoreClasser,
+// which it routes by asking each machine's own Preview (each a solo). It
+// asserts the write-ahead record streams they commit are byte-identical
+// under JSON encoding: same routing, same classes, same nodes, same
+// migration costs, same sequence numbers. A third fleet then restores from
+// the first fleet's record stream alone and must reproduce its books
+// exactly. If a score row answered other than its members' Previews, the
+// streams would diverge at the first affected routing decision; that each
+// engine's caches answer as the from-scratch search does is the sched
+// parity suite's job.
 func TestFleetWALParity(t *testing.T) {
 	ctx := context.Background()
-	amdFast, amdRef := parityEngines(t, ctx, AMD())
-	intelFast, intelRef := parityEngines(t, ctx, Intel())
+	amdClassed, amdSolo := parityEngines(t, ctx, AMD())
+	intelClassed, intelSolo := parityEngines(t, ctx, Intel())
 
-	build := func(amd, intel *Engine) (*fleet.Fleet, *recSink) {
+	build := func(amd, intel fleet.Backend) (*fleet.Fleet, *recSink) {
 		f := fleet.New(fleet.Config{Policy: fleet.BestPredicted})
 		if err := f.Add("amd-0", amd); err != nil {
 			t.Fatal(err)
@@ -70,8 +70,8 @@ func TestFleetWALParity(t *testing.T) {
 		f.SetPersister(sink)
 		return f, sink
 	}
-	fastF, fastSink := build(amdFast, intelFast)
-	refF, refSink := build(amdRef, intelRef)
+	classedF, classedSink := build(amdClassed, intelClassed)
+	soloF, soloSink := build(amdSolo, intelSolo)
 
 	names := []string{"WTbtree", "gcc", "canneal", "streamcluster"}
 	ws := make([]Workload, 0, len(names))
@@ -83,13 +83,13 @@ func TestFleetWALParity(t *testing.T) {
 		ws = append(ws, w)
 	}
 
-	sameErr := func(op string, fast, ref error) {
+	sameErr := func(op string, classed, solo error) {
 		t.Helper()
 		switch {
-		case (fast == nil) != (ref == nil):
-			t.Fatalf("%s: fast err = %v, recompute err = %v", op, fast, ref)
-		case fast != nil && fast.Error() != ref.Error():
-			t.Fatalf("%s: fast err %q, recompute err %q", op, fast, ref)
+		case (classed == nil) != (solo == nil):
+			t.Fatalf("%s: classed err = %v, solo err = %v", op, classed, solo)
+		case classed != nil && classed.Error() != solo.Error():
+			t.Fatalf("%s: classed err %q, solo err %q", op, classed, solo)
 		}
 	}
 
@@ -100,8 +100,8 @@ func TestFleetWALParity(t *testing.T) {
 		switch k := rng.Intn(100); {
 		case k < 50: // place
 			w := ws[rng.Intn(len(ws))]
-			af, errF := fastF.Place(ctx, w, 16)
-			ar, errR := refF.Place(ctx, w, 16)
+			af, errF := classedF.Place(ctx, w, 16)
+			ar, errR := soloF.Place(ctx, w, 16)
 			sameErr("Place", errF, errR)
 			if errF != nil {
 				if !errors.Is(errF, ErrFleetFull) {
@@ -111,7 +111,7 @@ func TestFleetWALParity(t *testing.T) {
 			}
 			placed++
 			if !reflect.DeepEqual(af, ar) {
-				t.Fatalf("op %d: Place(%s) diverged:\nfast      %+v\nrecompute %+v", op, w.Name, af, ar)
+				t.Fatalf("op %d: Place(%s) diverged:\nclassed %+v\nsolo    %+v", op, w.Name, af, ar)
 			}
 			live = append(live, af.ID)
 		case k < 85: // release
@@ -121,15 +121,15 @@ func TestFleetWALParity(t *testing.T) {
 			released++
 			i := rng.Intn(len(live))
 			id := live[i]
-			sameErr("Release", fastF.Release(ctx, id), refF.Release(ctx, id))
+			sameErr("Release", classedF.Release(ctx, id), soloF.Release(ctx, id))
 			live = append(live[:i], live[i+1:]...)
 		default: // fleet-wide rebalance, generous budget
 			rebalanced++
-			rf, errF := fastF.Rebalance(ctx, 1e6)
-			rr, errR := refF.Rebalance(ctx, 1e6)
+			rf, errF := classedF.Rebalance(ctx, 1e6)
+			rr, errR := soloF.Rebalance(ctx, 1e6)
 			sameErr("Rebalance", errF, errR)
 			if !reflect.DeepEqual(rf, rr) {
-				t.Fatalf("op %d: Rebalance diverged:\nfast      %+v\nrecompute %+v", op, rf, rr)
+				t.Fatalf("op %d: Rebalance diverged:\nclassed %+v\nsolo    %+v", op, rf, rr)
 			}
 		}
 	}
@@ -148,32 +148,32 @@ func TestFleetWALParity(t *testing.T) {
 		}
 		return b
 	}
-	fb, rb := encode(fastSink.recs), encode(refSink.recs)
+	fb, rb := encode(classedSink.recs), encode(soloSink.recs)
 	if !bytes.Equal(fb, rb) {
-		for i := range fastSink.recs {
-			if i >= len(refSink.recs) || !reflect.DeepEqual(fastSink.recs[i], refSink.recs[i]) {
-				t.Fatalf("record streams diverge at %d:\nfast      %+v\nrecompute %+v",
-					i, fastSink.recs[i], refSink.recs[i])
+		for i := range classedSink.recs {
+			if i >= len(soloSink.recs) || !reflect.DeepEqual(classedSink.recs[i], soloSink.recs[i]) {
+				t.Fatalf("record streams diverge at %d:\nclassed %+v\nsolo    %+v",
+					i, classedSink.recs[i], soloSink.recs[i])
 			}
 		}
-		t.Fatalf("record streams differ in length: fast %d, recompute %d", len(fastSink.recs), len(refSink.recs))
+		t.Fatalf("record streams differ in length: classed %d, solo %d", len(classedSink.recs), len(soloSink.recs))
 	}
-	if fastF.Seq() != refF.Seq() {
-		t.Fatalf("sequences diverged: fast %d, recompute %d", fastF.Seq(), refF.Seq())
+	if classedF.Seq() != soloF.Seq() {
+		t.Fatalf("sequences diverged: classed %d, solo %d", classedF.Seq(), soloF.Seq())
 	}
-	if fa, ra := fastF.Assignments(), refF.Assignments(); !reflect.DeepEqual(fa, ra) {
-		t.Fatalf("final assignments diverged:\nfast      %+v\nrecompute %+v", fa, ra)
+	if fa, ra := classedF.Assignments(), soloF.Assignments(); !reflect.DeepEqual(fa, ra) {
+		t.Fatalf("final assignments diverged:\nclassed %+v\nsolo    %+v", fa, ra)
 	}
 
-	// Recovery leg: a fresh fleet (fast path, same shared predictors)
-	// restores from the fast fleet's record stream alone and must land on
+	// Recovery leg: a fresh fleet of plain engines (same shared predictors)
+	// restores from the classed fleet's record stream alone and must land on
 	// the same books, stats and sequence as the fleet that wrote it.
 	amdR := New(AMD())
 	intelR := New(Intel())
-	if p, ok := amdFast.Predictor(16); ok {
+	if p, ok := amdClassed.Predictor(16); ok {
 		amdR.UsePredictor(16, p)
 	}
-	if p, ok := intelFast.Predictor(16); ok {
+	if p, ok := intelClassed.Predictor(16); ok {
 		intelR.UsePredictor(16, p)
 	}
 	restF := fleet.New(fleet.Config{Policy: fleet.BestPredicted})
@@ -183,16 +183,16 @@ func TestFleetWALParity(t *testing.T) {
 	if err := restF.Add("intel-0", intelR); err != nil {
 		t.Fatal(err)
 	}
-	if err := restF.Restore(ctx, nil, fastSink.recs, workloads.ByName); err != nil {
+	if err := restF.Restore(ctx, nil, classedSink.recs, workloads.ByName); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	if got, want := restF.Assignments(), fastF.Assignments(); !reflect.DeepEqual(got, want) {
+	if got, want := restF.Assignments(), classedF.Assignments(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored assignments diverged:\nrestored %+v\noriginal %+v", got, want)
 	}
-	if restF.Seq() != fastF.Seq() {
-		t.Fatalf("restored seq %d, original %d", restF.Seq(), fastF.Seq())
+	if restF.Seq() != classedF.Seq() {
+		t.Fatalf("restored seq %d, original %d", restF.Seq(), classedF.Seq())
 	}
-	if got, want := restF.Stats(), fastF.Stats(); !reflect.DeepEqual(got, want) {
+	if got, want := restF.Stats(), classedF.Stats(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored stats %+v, original %+v", got, want)
 	}
 }
