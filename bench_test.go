@@ -451,7 +451,8 @@ func BenchmarkClusterAdmit(b *testing.B) {
 // next container of the mix and releases a random resident one. Routing
 // ranks the non-empty (class, free count) cells of the fleet's index and
 // expands the best, so the sweep shows what is left that grows with the
-// fleet — the engines' own working sets; the two-machine
+// fleet — each engine's books, free mask, tenant pool and shape table (the
+// rest is its model's shared table set); the two-machine
 // BenchmarkClusterAdmit above cycles one shape over one mask.
 func BenchmarkClusterAdmitResident(b *testing.B) {
 	ctx := context.Background()
@@ -537,10 +538,12 @@ func benchResident(b *testing.B, ctx context.Context, n int, policy ClusterPolic
 		resident = append(resident, id)
 		release()
 	}
-	// Untimed: let every machine meet every shape, as a running fleet has —
-	// each engine fills its own enumeration and observation caches (a Preview
-	// reads, and books nothing), then the cycles its pinning ones — so the
-	// warm-up grows with the fleet and the timed loop does not pay for it.
+	// Untimed: let every machine meet every shape, as a running fleet has. The
+	// enumerations, pinnings, observations and scored free sets fill once per
+	// machine model, in the table set its engines share; what grows with the
+	// fleet is each engine's own shape table, keyed by its predictor, which
+	// the Previews build (they book nothing), and the cycles then touch every
+	// engine's books — so the timed loop pays for neither.
 	for _, name := range cl.Names() {
 		eng, _ := cl.Engine(name)
 		for _, w := range paper {

@@ -2,29 +2,29 @@ package numaplace
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/concern"
 	"repro/internal/core"
 	"repro/internal/migrate"
-	"repro/internal/placement"
 	"repro/internal/sched"
 	"repro/internal/topology"
-	"repro/internal/xrand"
 )
 
 // Engine is the long-lived, concurrency-safe serving layer over the
 // paper's pipeline for one machine. It memoizes the expensive artifacts —
-// the concern spec, important-placement enumerations keyed by (machine
-// fingerprint, vCPU count), pinnings, and trained predictors — behind
-// singleflight caches, so concurrent callers share one computation instead
-// of repeating it, and every result is bit-identical to the uncached
-// pipeline in internal/…. On top of the batch lifecycle (Placements, Pin,
-// Collect, Train, Predict) it serves an incremental admit/evict scheduler:
-// Place, Release and Rebalance.
+// the concern spec, important-placement enumerations, pinnings, and trained
+// predictors — behind singleflight caches, so concurrent callers share one
+// computation instead of repeating it, and every result is bit-identical to
+// the uncached pipeline in internal/…. What depends only on the machine
+// (enumerations, pinnings, and the scheduler's prepared observations and
+// scored free sets) lives in the sched.Tables every engine of the machine's
+// model shares. On top of the batch lifecycle (Placements, Pin, Collect,
+// Train, Predict) it serves an incremental admit/evict scheduler: Place,
+// Release and Rebalance.
 //
 // All methods are safe for concurrent use. Methods returning cached slices
 // hand each caller its own copy of the slice header; the Important values
@@ -36,60 +36,39 @@ type Engine struct {
 	machine Machine
 	fp      uint64
 	spec    *Spec
+	tables  *sched.Tables
+	stats   sched.Stats
 
 	seed       uint64
 	collectCfg CollectConfig
 	trainCfg   TrainConfig
 	serveCfg   ServeConfig
 
-	// The artifact caches are sync.Maps: the serving path reads them on
-	// every admission (placements once per Place, pinnings once per
-	// commit), so lookups must not serialize on a mutex. Writes are rare —
-	// one per cold enumeration, pinning or (re)training — and singleflight
-	// coordination for enumerations still runs under mu. The predictor
-	// registry is read more often still (once per Place, and once per
-	// machine per fleet routing decision to name the engine's score class):
-	// it is one immutable list behind an atomic pointer, replaced under mu.
-	// An engine serves a handful of container sizes, and scanning that many
+	// The predictor registry is read once per Place, and once per machine
+	// per fleet routing decision to name the engine's score class: it is
+	// one immutable list behind an atomic pointer, replaced under mu. An
+	// engine serves a handful of container sizes, and scanning that many
 	// entries costs a fraction of a map probe.
 	mu         sync.Mutex
-	flight     map[uint64]*flightCall
-	placements sync.Map // uint64 -> []Important
-	pinnings   sync.Map // pinKey -> []topology.ThreadID
 	predictors atomic.Pointer[[]sizePredictor]
 	// classEpoch is the counter of the Cluster the engine was added to,
 	// bumped after every store to predictors (NotifyClassChange).
 	classEpoch atomic.Pointer[atomic.Uint64]
-	scheduler  atomic.Pointer[sched.Scheduler]
-	schedOnce  sync.Once
-
-	enumerations  atomic.Int64
-	placementHits atomic.Int64
-	pinRuns       atomic.Int64
-	pinHits       atomic.Int64
+	// scheduler serves Place and the rest of the online lifecycle. Its caches
+	// are the table set's, so building it at New costs its books alone.
+	scheduler *sched.Scheduler
 }
+
+// tableSets holds one sched.Tables per Machine.Fingerprint for the life of
+// the process, so that engines of one model share them and a machine of a
+// model seen before arrives warm. A set names no predictor, so keeping it
+// keeps no trained model alive.
+var tableSets sync.Map // uint64 -> *sched.Tables
 
 // sizePredictor is one registry entry: the predictor serving a size.
 type sizePredictor struct {
 	vcpus int
 	pred  *Predictor
-}
-
-// flightCall is one in-flight enumeration shared by concurrent callers.
-type flightCall struct {
-	done chan struct{}
-	val  []Important
-	err  error
-}
-
-// pinKey identifies one memoized pinning. Placements carry at most a
-// couple of per-node concern scores on every supported machine; larger
-// (hand-built) score lists bypass the cache.
-type pinKey struct {
-	v      int
-	nodes  topology.NodeSet
-	nscore int
-	scores [4]int
 }
 
 // Serving-layer types, re-exported from internal/sched.
@@ -145,26 +124,27 @@ func WithServeConfig(cfg ServeConfig) Option {
 
 // New builds an Engine for the machine. The concern specification is
 // derived immediately (it is cheap); everything expensive is computed
-// lazily, once, on first use.
+// lazily, once per machine model, on first use.
 func New(m Machine, opts ...Option) *Engine {
-	e := &Engine{
-		machine: m,
-		fp:      m.Fingerprint(),
-		seed:    1,
-		flight:  map[uint64]*flightCall{},
-	}
+	e := &Engine{machine: m, fp: m.Fingerprint(), seed: 1}
 	for _, opt := range opts {
 		opt(e)
 	}
 	e.spec = concern.FromMachine(m)
+	t, ok := tableSets.Load(e.fp)
+	if !ok {
+		t, _ = tableSets.LoadOrStore(e.fp, sched.NewTables(e.spec))
+	}
+	e.tables = t.(*sched.Tables)
+	e.scheduler = sched.NewSharedScheduler(e.tables, &e.stats, e.predictorOrNil, e.serveCfg)
 	return e
 }
 
 // Machine returns the machine this Engine serves.
 func (e *Engine) Machine() Machine { return e.machine }
 
-// Fingerprint returns the machine's structural fingerprint (the cache key
-// prefix for this Engine's artifacts).
+// Fingerprint returns the machine's structural fingerprint (the key of the
+// table set this Engine shares with the engines of its machine model).
 func (e *Engine) Fingerprint() uint64 { return e.fp }
 
 // Spec returns the machine's concern specification (Step 1). The returned
@@ -172,123 +152,31 @@ func (e *Engine) Fingerprint() uint64 { return e.fp }
 func (e *Engine) Spec() *Spec { return e.spec }
 
 // Placements returns the machine's important placements for a container
-// size (Step 2). The first call per vCPU count enumerates; concurrent
-// callers of the same key join the in-flight computation (singleflight)
-// and later calls hit the cache. The returned slice is the caller's own;
-// its elements are shared and read-only.
+// size (Step 2). The first call per vCPU count on the machine's model
+// enumerates; concurrent callers of the same size join the in-flight
+// computation (singleflight) and later calls hit the cache. An already
+// cancelled ctx fails even on a hit. The returned slice is the caller's
+// own; its elements are shared and read-only.
 func (e *Engine) Placements(ctx context.Context, vcpus int) ([]Important, error) {
-	imps, err := e.placementsShared(ctx, vcpus)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	imps, err := e.tables.Placements(ctx, vcpus, &e.stats)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Important, len(imps))
-	copy(out, imps)
-	return out, nil
-}
-
-// placementsShared returns the cached enumeration without copying.
-func (e *Engine) placementsShared(ctx context.Context, vcpus int) ([]Important, error) {
-	key := xrand.Mix2(e.fp, uint64(vcpus))
-
-	for {
-		// Lock-free fast path: every admission resolves its enumeration
-		// here, so the cache hit must not serialize on e.mu.
-		if imps, ok := e.placements.Load(key); ok {
-			e.placementHits.Add(1)
-			return imps.([]Important), nil
-		}
-		e.mu.Lock()
-		if imps, ok := e.placements.Load(key); ok {
-			e.mu.Unlock()
-			e.placementHits.Add(1)
-			return imps.([]Important), nil
-		}
-		if c, ok := e.flight[key]; ok {
-			e.mu.Unlock()
-			select {
-			case <-c.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if c.err == nil {
-				e.placementHits.Add(1)
-				return c.val, nil
-			}
-			// The flight leader failed. If it failed because *its* context
-			// was cancelled while ours is still live, retry (and possibly
-			// become the new leader) instead of inheriting a stranger's
-			// cancellation; genuine errors propagate to every waiter.
-			if ctx.Err() == nil &&
-				(errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded)) {
-				continue
-			}
-			return nil, c.err
-		}
-		c := &flightCall{done: make(chan struct{})}
-		e.flight[key] = c
-		e.mu.Unlock()
-
-		e.enumerations.Add(1)
-		c.val, c.err = placement.EnumerateCtx(ctx, e.spec, vcpus)
-
-		e.mu.Lock()
-		delete(e.flight, key)
-		if c.err == nil {
-			e.placements.Store(key, c.val)
-		}
-		e.mu.Unlock()
-		close(c.done)
-		// Failures (including cancellation) are not cached: the next
-		// caller retries the enumeration.
-		return c.val, c.err
-	}
+	return slices.Clone(imps), nil
 }
 
 // Pin materializes a placement into a vCPU-to-hardware-thread assignment,
 // memoizing the result per (placement, vCPU count). The returned slice is
 // the caller's own copy.
 func (e *Engine) Pin(ctx context.Context, p Placement, vcpus int) ([]topology.ThreadID, error) {
-	threads, err := e.pinShared(ctx, p, vcpus)
+	threads, err := e.tables.Pin(ctx, p, vcpus, &e.stats)
 	if err != nil {
 		return nil, err
 	}
-	return append([]topology.ThreadID(nil), threads...), nil
-}
-
-// pinShared returns the memoized pinning itself, shared and read-only. The
-// engine's scheduler pins through it: the container it places keeps its own
-// copy, so a second one per admission or adoption would only be dropped.
-func (e *Engine) pinShared(ctx context.Context, p Placement, vcpus int) ([]topology.ThreadID, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	key, ok := pinKeyOf(p, vcpus)
-	if ok {
-		if cached, hit := e.pinnings.Load(key); hit {
-			e.pinHits.Add(1)
-			return cached.([]topology.ThreadID), nil
-		}
-	}
-	e.pinRuns.Add(1)
-	threads, err := placement.Pin(e.spec, p, vcpus)
-	if err != nil {
-		return nil, err
-	}
-	if ok {
-		e.pinnings.Store(key, threads)
-	}
-	return threads, nil
-}
-
-func pinKeyOf(p Placement, vcpus int) (pinKey, bool) {
-	if len(p.PerNodeScores) > len(pinKey{}.scores) {
-		return pinKey{}, false
-	}
-	k := pinKey{v: vcpus, nodes: p.Nodes, nscore: len(p.PerNodeScores)}
-	for i, s := range p.PerNodeScores {
-		k.scores[i] = s
-	}
-	return k, true
+	return slices.Clone(threads), nil
 }
 
 // Collect measures every workload in every important placement (Step 3's
@@ -296,7 +184,7 @@ func pinKeyOf(p Placement, vcpus int) (pinKey, bool) {
 // collection honours ctx: cancellation between measurement cells returns
 // ctx.Err() promptly.
 func (e *Engine) Collect(ctx context.Context, ws []Workload, vcpus int) (*Dataset, error) {
-	imps, err := e.placementsShared(ctx, vcpus)
+	imps, err := e.tables.Placements(ctx, vcpus, &e.stats)
 	if err != nil {
 		return nil, err
 	}
@@ -398,20 +286,6 @@ func (e *Engine) PredictInto(dst []float64, vcpus int, perfBase, perfProbe float
 	return p.PredictInto(dst, perfBase, perfProbe)
 }
 
-// serving returns the lazily built online scheduler. The built scheduler
-// is read through an atomic pointer so the admission path (Place, Release,
-// Preview) never serializes on e.mu just to find it.
-func (e *Engine) serving() *sched.Scheduler {
-	if s := e.scheduler.Load(); s != nil {
-		return s
-	}
-	e.schedOnce.Do(func() {
-		e.scheduler.Store(sched.NewScheduler(e.spec,
-			e.placementsShared, e.predictorOrNil, e.pinShared, e.serveCfg))
-	})
-	return e.scheduler.Load()
-}
-
 // Place admits one container of workload w with the given vCPU count into
 // the machine: observe it in the predictor's two input placements, predict
 // its full performance vector, and pin it to the cheapest placement class
@@ -419,7 +293,7 @@ func (e *Engine) serving() *sched.Scheduler {
 // ErrUntrained without a predictor for vcpus, and ErrMachineFull when the
 // free nodes cannot host the container.
 func (e *Engine) Place(ctx context.Context, w Workload, vcpus int) (*Assignment, error) {
-	return e.serving().Admit(ctx, w, vcpus)
+	return e.scheduler.Admit(ctx, w, vcpus)
 }
 
 // Preview estimates the admission Place would make for a container of
@@ -430,7 +304,7 @@ func (e *Engine) Place(ctx context.Context, w Workload, vcpus int) (*Assignment,
 // deterministic observation-noise stream from the workload identity, so
 // they are repeatable and leave subsequent admissions bit-identical.
 func (e *Engine) Preview(ctx context.Context, w Workload, vcpus int) (*PlacePreview, error) {
-	return e.serving().Preview(ctx, w, vcpus)
+	return e.scheduler.Preview(ctx, w, vcpus)
 }
 
 // ScoreClass and ScoreRow let a Cluster score every machine of one model
@@ -441,7 +315,7 @@ func (e *Engine) Preview(ctx context.Context, w Workload, vcpus int) (*PlacePrev
 // it on the next one — and ok is false when Preview must be asked instead
 // (no predictor for the size). See sched.Scheduler.ScoreClass / ScoreRow.
 func (e *Engine) ScoreClass(vcpus int) (class sched.ScoreClass, ok bool) {
-	return e.serving().ScoreClass(vcpus)
+	return e.scheduler.ScoreClass(vcpus)
 }
 
 // NotifyClassChange registers the counter the engine adds to after every
@@ -452,26 +326,26 @@ func (e *Engine) ScoreClass(vcpus int) (class sched.ScoreClass, ok bool) {
 func (e *Engine) NotifyClassChange(epoch *atomic.Uint64) { e.classEpoch.Store(epoch) }
 
 func (e *Engine) ScoreRow(ctx context.Context, w Workload, vcpus int, class sched.ScoreClass) ([]sched.Score, error) {
-	return e.serving().ScoreRow(ctx, w, vcpus, class)
+	return e.scheduler.ScoreRow(ctx, w, vcpus, class)
 }
 
 // Release evicts a previously placed container and returns its nodes to
 // the free pool. Unknown IDs fail with ErrUnknownContainer.
 func (e *Engine) Release(ctx context.Context, id int) error {
-	return e.serving().Release(ctx, id)
+	return e.scheduler.Release(ctx, id)
 }
 
 // Rebalance re-plans every admitted container against the nodes freed by
 // departures, migrating (with the paper's fast mechanism, cost-accounted
 // in the report) those that can now run in a strictly better placement.
 func (e *Engine) Rebalance(ctx context.Context) (*RebalanceReport, error) {
-	return e.serving().Rebalance(ctx)
+	return e.scheduler.Rebalance(ctx)
 }
 
 // Assignments returns a snapshot of all currently placed containers in
 // admission order.
 func (e *Engine) Assignments() []Assignment {
-	return e.serving().Assignments()
+	return e.scheduler.Assignments()
 }
 
 // Assignment returns the current assignment of one placed container by
@@ -479,12 +353,12 @@ func (e *Engine) Assignments() []Assignment {
 // cluster layer uses it to resolve individual fleet-wide IDs without
 // snapshotting every tenant.
 func (e *Engine) Assignment(id int) (Assignment, bool) {
-	return e.serving().Assignment(id)
+	return e.scheduler.Assignment(id)
 }
 
 // FreeNodes returns the node set not allocated to any placed container.
 func (e *Engine) FreeNodes() topology.NodeSet {
-	return e.serving().Free()
+	return e.scheduler.Free()
 }
 
 // Adopt installs one previously committed admission during recovery
@@ -493,14 +367,14 @@ func (e *Engine) FreeNodes() topology.NodeSet {
 // recomputed deterministically, so the adopted tenant is bit-identical to
 // the one the original Place produced. See sched.Scheduler.Adopt.
 func (e *Engine) Adopt(ctx context.Context, r RestoreRecord) (*Assignment, error) {
-	return e.serving().Adopt(ctx, r)
+	return e.scheduler.Adopt(ctx, r)
 }
 
 // ApplyMove re-pins an admitted container to a previously committed
 // intra-machine rebalance decision without re-running the move search.
 // See sched.Scheduler.ApplyMove.
 func (e *Engine) ApplyMove(ctx context.Context, id, classID int, nodes topology.NodeSet) error {
-	return e.serving().ApplyMove(ctx, id, classID, nodes)
+	return e.scheduler.ApplyMove(ctx, id, classID, nodes)
 }
 
 // NewPackingExperiment builds a §7 packing experiment (Figure 5) for one
@@ -511,7 +385,7 @@ func (e *Engine) NewPackingExperiment(ctx context.Context, w Workload, vcpus int
 	if pred == nil {
 		pred, _ = e.Predictor(vcpus)
 	}
-	imps, err := e.placementsShared(ctx, vcpus)
+	imps, err := e.tables.Placements(ctx, vcpus, &e.stats)
 	if err != nil {
 		return nil, err
 	}
@@ -523,7 +397,9 @@ func (e *Engine) Migrate(ctx context.Context, p MigrationProfile, mech migrate.M
 	return migrate.RunCtx(ctx, p, mech, cfg)
 }
 
-// EngineStats reports the Engine's cache effectiveness.
+// EngineStats reports the Engine's cache effectiveness. Every count is this
+// engine's own, of its calls into the table set it shares with the engines
+// of its machine model: cold work another engine already did is a hit here.
 type EngineStats struct {
 	// Enumerations is the number of cold placement enumerations actually
 	// executed; PlacementHits the calls served from cache or by joining
@@ -533,14 +409,20 @@ type EngineStats struct {
 	// PinRuns / PinHits are the same split for pinning requests.
 	PinRuns int64
 	PinHits int64
+	// Prepares and Searches count the scheduler's misses only: placement
+	// observations prepared and scored free-node sets searched.
+	Prepares int64
+	Searches int64
 }
 
 // Stats returns a snapshot of the Engine's cache counters.
 func (e *Engine) Stats() EngineStats {
 	return EngineStats{
-		Enumerations:  e.enumerations.Load(),
-		PlacementHits: e.placementHits.Load(),
-		PinRuns:       e.pinRuns.Load(),
-		PinHits:       e.pinHits.Load(),
+		Enumerations:  e.stats.Enumerations.Load(),
+		PlacementHits: e.stats.PlacementHits.Load(),
+		PinRuns:       e.stats.PinRuns.Load(),
+		PinHits:       e.stats.PinHits.Load(),
+		Prepares:      e.stats.Prepares.Load(),
+		Searches:      e.stats.Searches.Load(),
 	}
 }

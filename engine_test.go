@@ -5,15 +5,20 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/concern"
 	"repro/internal/core"
+	"repro/internal/interconnect"
 	"repro/internal/migrate"
 	"repro/internal/mlearn"
 	"repro/internal/placement"
+	"repro/internal/topology"
 	"repro/internal/workloads"
 )
 
@@ -81,18 +86,42 @@ func TestEnginePlacementsParity(t *testing.T) {
 	}
 }
 
+// machineOfItsOwn returns the AMD machine with one link widened by a
+// process-unique amount: a model no other engine has met, so an engine of it
+// starts with a cold table set however many tests ran before (and -count).
+func machineOfItsOwn() Machine { return amdWidened(ownModels.Add(1)) }
+
+var ownModels atomic.Int64
+
+// amdWidened is the AMD machine with its first link extra MB/s wider.
+func amdWidened(extra int64) Machine {
+	m := AMD()
+	ic := interconnect.NewGraph(m.Topo.NumNodes)
+	for a := range m.Topo.NumNodes {
+		for b := a + 1; b < m.Topo.NumNodes; b++ {
+			if bw := m.IC.LinkBandwidth(topology.NodeID(a), topology.NodeID(b)); bw > 0 {
+				ic.AddLink(topology.NodeID(a), topology.NodeID(b), bw+extra)
+				extra = 0
+			}
+		}
+	}
+	m.IC = ic
+	return m
+}
+
 // TestEngineConcurrentPlacements hammers one Engine from many goroutines
 // (run it under -race) and asserts single-flight behaviour: the expensive
 // enumeration runs exactly once per (machine, vcpus) key while every
 // caller receives the same bit-identical result.
 func TestEngineConcurrentPlacements(t *testing.T) {
 	ctx := context.Background()
-	eng := New(AMD())
-	want, err := placement.Enumerate(concern.FromMachine(AMD()), 16)
+	m := machineOfItsOwn()
+	eng := New(m)
+	want, err := placement.Enumerate(concern.FromMachine(m), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want8, err := placement.Enumerate(concern.FromMachine(AMD()), 8)
+	want8, err := placement.Enumerate(concern.FromMachine(m), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,6 +510,76 @@ func TestEnginePlaceAllocCeiling(t *testing.T) {
 	cycle() // the enumeration, pinning and observation caches
 	if n := testing.AllocsPerRun(200, cycle); n > 4 {
 		t.Fatalf("a warm Engine place+release cycle allocates %.1f times, want <= 4", n)
+	}
+}
+
+// TestNewMachineOfKnownModelIsWarm is what one table set per machine model
+// buys a fleet: once an engine of a model has served a shape, an engine
+// made for another machine of that model previews, places and adopts it
+// without enumerating, pinning, preparing an observation or searching a
+// free set.
+func TestNewMachineOfKnownModelIsWarm(t *testing.T) {
+	ctx := context.Background()
+	extra := ownModels.Add(1)
+	first := trainedEngine(t, ctx, amdWidened(extra), 16)
+	wt, _ := WorkloadByName("WTbtree")
+	serve := func(eng *Engine) EngineStats {
+		t.Helper()
+		if _, err := eng.Preview(ctx, wt, 16); err != nil {
+			t.Fatal(err)
+		}
+		a, err := eng.Place(ctx, wt, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Release(ctx, a.ID); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Adopt(ctx, RestoreRecord{ID: a.ID, Workload: wt, VCPUs: 16, ClassID: a.Class,
+			Nodes: a.Nodes, BasePerf: a.BasePerf, ProbePerf: a.ProbePerf}); err != nil {
+			t.Fatal(err)
+		}
+		return eng.Stats()
+	}
+	if st := serve(first); st.Enumerations == 0 || st.PinRuns == 0 || st.Prepares == 0 || st.Searches == 0 {
+		t.Fatalf("the model's first engine did no cold work: %+v", st)
+	}
+	p, _ := first.Predictor(16)
+	st := serve(New(amdWidened(extra), WithPredictor(16, p)))
+	if st.Enumerations != 0 || st.PinRuns != 0 || st.Prepares != 0 || st.Searches != 0 {
+		t.Fatalf("a second engine of a served model did cold work: %+v", st)
+	}
+	if st.PlacementHits == 0 || st.PinHits == 0 {
+		t.Fatalf("a second engine of a served model counted no hits: %+v", st)
+	}
+}
+
+// TestTableSetRetainsNoPredictor guards what the process-wide table sets may
+// hold: they live as long as the process, so a predictor reachable from one
+// would keep every model the process ever trained. A trained engine that
+// served and was dropped must leave its predictor collectable.
+func TestTableSetRetainsNoPredictor(t *testing.T) {
+	ctx := context.Background()
+	wp := func() weak.Pointer[Predictor] {
+		eng := trainedEngine(t, ctx, AMD(), 16)
+		wt, _ := WorkloadByName("WTbtree")
+		if _, err := eng.Preview(ctx, wt, 16); err != nil {
+			t.Fatal(err)
+		}
+		a, err := eng.Place(ctx, wt, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Release(ctx, a.ID); err != nil {
+			t.Fatal(err)
+		}
+		p, _ := eng.Predictor(16)
+		return weak.Make(p)
+	}()
+	runtime.GC()
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Fatal("a dropped engine's predictor is still reachable: something process-wide holds it")
 	}
 }
 

@@ -10,17 +10,151 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"maps"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/concern"
 	"repro/internal/core"
 	"repro/internal/nperr"
 	"repro/internal/perfsim"
 	"repro/internal/placement"
 	"repro/internal/topology"
 )
+
+// Tables is the part of the fast path that only the machine determines: the
+// important placements per container size, the pinnings, the prepared
+// observations and the scored free sets. It names no predictor or goal, so
+// the schedulers of one machine model may share one set (numaplace keeps one
+// per Machine.Fingerprint); the shape table, keyed by predictor, stays per
+// scheduler. Only NewSharedScheduler shares a set, and its schedulers
+// enumerate and pin through it: seams that answered otherwise would poison it.
+type Tables struct {
+	spec *concern.Spec
+	fp   uint64 // spec.Machine.Fingerprint
+	// mu guards flight, the enumerations in progress.
+	//numalint:locks sched.Tables.mu rank=35
+	mu     sync.Mutex
+	flight map[int]*flight
+	imps   cowCache[int, []placement.Important]
+	pins   cowCache[pinKey, []topology.ThreadID]
+	obs    cowCache[obsKey, *obsEntry]
+	best   cowCache[bestKey, topology.NodeSet]
+}
+
+// maxShapes bounds what a fleet can present: one shape per (workload name,
+// size) — 256 workloads at 8 sizes is ten times the paper's catalog.
+const maxShapes = 256 * 8
+
+// NewTables returns an empty table set for the machine of spec.
+func NewTables(spec *concern.Spec) *Tables {
+	t := &Tables{spec: spec, fp: spec.Machine.Fingerprint(), flight: map[int]*flight{}}
+	t.imps.max = 256
+	t.pins.max = 8192
+	t.obs.max = 2 * maxShapes // base and probe per shape
+	t.best.max = 8192
+	return t
+}
+
+// Stats counts what one holder of a table set asked of it: enumerations and
+// pinnings run on its behalf and found already made, observations prepared
+// and free sets searched. The last two count misses only, so an admission's
+// hit path adds no atomic for them.
+type Stats struct {
+	Enumerations, PlacementHits, PinRuns, PinHits, Prepares, Searches atomic.Int64
+}
+
+// flight is one enumeration in progress, shared by the callers waiting on it.
+type flight struct {
+	done chan struct{}
+	val  []placement.Important
+	err  error
+}
+
+// Placements returns the important placements for v-vCPU containers, shared
+// and read-only. The first caller of a size enumerates while concurrent
+// callers of that size wait for it (singleflight). Failures, cancellation
+// included, are not kept: the next caller retries, and a waiter whose own
+// context is live retries rather than inherit the leader's cancellation.
+func (t *Tables) Placements(ctx context.Context, v int, st *Stats) ([]placement.Important, error) {
+	for {
+		if imps, ok := t.imps.get(v); ok {
+			st.PlacementHits.Add(1)
+			return imps, nil
+		}
+		t.mu.Lock()
+		if imps, ok := t.imps.get(v); ok {
+			t.mu.Unlock()
+			st.PlacementHits.Add(1)
+			return imps, nil
+		}
+		if c, ok := t.flight[v]; ok {
+			t.mu.Unlock()
+			select {
+			case <-c.done:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			if c.err == nil {
+				st.PlacementHits.Add(1)
+				return c.val, nil
+			}
+			if ctx.Err() == nil &&
+				(errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded)) {
+				continue
+			}
+			return nil, c.err
+		}
+		c := &flight{done: make(chan struct{})}
+		t.flight[v] = c
+		t.mu.Unlock()
+
+		st.Enumerations.Add(1)
+		c.val, c.err = placement.EnumerateCtx(ctx, t.spec, v)
+		t.mu.Lock()
+		delete(t.flight, v)
+		if c.err == nil {
+			t.imps.put(v, c.val)
+		}
+		t.mu.Unlock()
+		close(c.done)
+		return c.val, c.err
+	}
+}
+
+// pinKey identifies one memoized pinning. Placements carry at most a
+// couple of per-node concern scores on every supported machine; larger
+// (hand-built) score lists bypass the cache.
+type pinKey struct {
+	v      int
+	nodes  topology.NodeSet
+	nscore int
+	scores [4]int
+}
+
+// Pin returns placement p's pinning of v vCPUs, shared and read-only.
+func (t *Tables) Pin(ctx context.Context, p placement.Placement, v int, st *Stats) ([]topology.ThreadID, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	k := pinKey{v: v, nodes: p.Nodes, nscore: len(p.PerNodeScores)}
+	keyed := k.nscore <= len(k.scores)
+	if keyed {
+		copy(k.scores[:], p.PerNodeScores)
+		if threads, ok := t.pins.get(k); ok {
+			st.PinHits.Add(1)
+			return threads, nil
+		}
+	}
+	st.PinRuns.Add(1)
+	threads, err := placement.Pin(t.spec, p, v)
+	if err == nil && keyed {
+		t.pins.put(k, threads)
+	}
+	return threads, err
+}
 
 // cowCache is a copy-on-write map for read-heavy, write-rare memoization:
 // readers follow one atomic pointer to an immutable map (no locks, no
@@ -85,7 +219,7 @@ type obsEntry struct {
 }
 
 // bestKey identifies one scored free-set search: bestFreeSet is a pure
-// function of the machine (fixed per scheduler), the free mask and the
+// function of the machine (fixed per table set), the free mask and the
 // class size, so the full key is (free, size). Keying by the mask is what
 // makes invalidation structural — every free-set mutation (Admit's CAS
 // commit, Release's union, Rebalance moves, Adopt, ApplyMove) publishes a
@@ -142,22 +276,18 @@ type ScoreClass struct {
 	GoalFrac, Headroom float64         // ServeConfig, defaults resolved
 }
 
-// fastPath bundles the scheduler's admission caches. The zero value is
-// ready to use.
+// fastPath bundles the scheduler's admission caches: the machine's table
+// set, the shape table its predictors key, and the tenant pool.
 type fastPath struct {
-	obs   cowCache[obsKey, *obsEntry]
-	best  cowCache[bestKey, topology.NodeSet]
+	*Tables
 	shape cowCache[shapeKey, *shape]
 	pool  sync.Pool // *tenant with reusable prediction vector
+	st    *Stats
 }
 
-func (f *fastPath) init() {
-	// shape and obs are write-once, bounded by what a fleet can present: one
-	// shape per (workload name, size) — 256 workloads at 8 sizes is ten times
-	// the paper's catalog — and two observations (base, probe) per shape.
-	f.shape.max = 256 * 8
-	f.obs.max = 2 * f.shape.max
-	f.best.max = 8192
+func (f *fastPath) init(t *Tables, st *Stats) {
+	f.Tables, f.st = t, st
+	f.shape.max = maxShapes
 	f.pool.New = func() any { return new(tenant) }
 }
 
@@ -198,6 +328,7 @@ func (s *Scheduler) preparedObs(ctx context.Context, w perfsim.Workload, v int, 
 	if err != nil {
 		return perfsim.Prepared{}, err
 	}
+	s.fast.st.Prepares.Add(1)
 	s.fast.obs.put(k, &obsEntry{w: w, prep: prep})
 	return prep, nil
 }
@@ -241,6 +372,7 @@ func (s *Scheduler) bestSet(free topology.NodeSet, size int) (topology.NodeSet, 
 	k := bestKey{free: free, size: size}
 	nodes, ok := s.fast.best.get(k)
 	if !ok {
+		s.fast.st.Searches.Add(1)
 		if nodes, ok = bestFreeSet(s.machine, free, size); ok {
 			s.fast.best.put(k, nodes)
 		}

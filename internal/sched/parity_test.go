@@ -32,6 +32,13 @@ type parityModel struct {
 
 func trainParityModel(tb testing.TB, m machines.Machine, sizes ...int) *parityModel {
 	tb.Helper()
+	return trainParityModelSeed(tb, m, 1, sizes...)
+}
+
+// trainParityModelSeed is trainParityModel with the training seed given: a
+// second seed trains a second predictor per size for the same machine.
+func trainParityModelSeed(tb testing.TB, m machines.Machine, seed uint64, sizes ...int) *parityModel {
+	tb.Helper()
 	pm := &parityModel{spec: concern.FromMachine(m), imps: map[int][]placement.Important{}, preds: map[int]*core.Predictor{}}
 	ws := append(workloads.Paper(), workloads.CorpusFrom(8, 3, []string{"flat", "bw", "lat"})...)
 	for _, v := range sizes {
@@ -44,7 +51,7 @@ func trainParityModel(tb testing.TB, m machines.Machine, sizes ...int) *parityMo
 			tb.Fatal(err)
 		}
 		pm.preds[v], err = core.Train(ds, core.TrainConfig{
-			Seed: 1, Forest: mlearn.ForestConfig{Trees: 10},
+			Seed: seed, Forest: mlearn.ForestConfig{Trees: 10},
 			SelectionTrees: 4, SelectionFolds: 3,
 		})
 		if err != nil {
@@ -498,6 +505,122 @@ func FuzzSchedulerParity(f *testing.F) {
 			}
 		}
 		if err := l.same(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// sharedLockstep builds two lockstep pairs whose Schedulers share one table
+// set, as two engines of one machine model do, but serve with different
+// predictors (models a and b, trained on the same machine) and different
+// goals. Each Scheduler enumerates and pins through the set; each reference
+// recomputes from its own model, sharing nothing.
+func sharedLockstep(a, b *parityModel, ws []perfsim.Workload, sizes []int) (*Tables, [2]*lockstep) {
+	ts := NewTables(a.spec)
+	var sides [2]*lockstep
+	for i, pm := range [2]*parityModel{a, b} {
+		cfg := ServeConfig{GoalFrac: []float64{0.5, 0.8}[i]}
+		_, ref := pm.pair(cfg)
+		sides[i] = &lockstep{s: NewSharedScheduler(ts, new(Stats), ref.pred, cfg), ref: ref, ws: ws, sizes: sizes}
+	}
+	return ts, sides
+}
+
+// sharedOnce checks that two Schedulers sharing ts did each piece of cold
+// work once between them: every prepared observation and every scored free
+// set in the set was made by exactly one of them.
+func sharedOnce(ts *Tables, sides [2]*lockstep) error {
+	var prepares, searches int64
+	for _, l := range sides {
+		prepares += l.s.fast.st.Prepares.Load()
+		searches += l.s.fast.st.Searches.Load()
+	}
+	if obs := cacheLen(&ts.obs); prepares != obs {
+		return fmt.Errorf("%d observations prepared for %d in the shared set", prepares, obs)
+	}
+	if best := cacheLen(&ts.best); searches != best {
+		return fmt.Errorf("%d free sets searched for %d in the shared set", searches, best)
+	}
+	return nil
+}
+
+func cacheLen[K comparable, V any](c *cowCache[K, V]) int64 {
+	if m := c.m.Load(); m != nil {
+		return int64(len(*m))
+	}
+	return 0
+}
+
+// TestSharedTablesParity drives two Schedulers over one table set — two
+// engines of one model with different predictors and goals — each in
+// lockstep with its own reference, through one 400-op trace that interleaves
+// their operations. An entry one side made that the other then read
+// inexactly — a key missing an input it depends on, a predictor or goal
+// reaching the shared set — makes that side diverge from its oracle.
+func TestSharedTablesParity(t *testing.T) {
+	ctx := context.Background()
+	sizes := []int{16, 8}
+	ts, sides := sharedLockstep(trainParityModel(t, machines.AMD(), sizes...),
+		trainParityModelSeed(t, machines.AMD(), 2, sizes...),
+		workloadsNamed(t, "WTbtree", "gcc", "canneal", "streamcluster", "pca"), sizes)
+	rng := xrand.New(0x5eed)
+	var applied [2][numOps]int
+	for i := 0; i < 400; i++ {
+		side, op := rng.Intn(2), weighted(rng, [numOps]int{42, 26, 12, 8, 6, 6})
+		ok, err := sides[side].step(ctx, op, rng.Intn(1<<16))
+		if err != nil {
+			t.Fatalf("op %d on side %d: %v", i, side, err)
+		}
+		if ok {
+			applied[side][op]++
+		}
+	}
+	t.Logf("applied per side (admit, release, preview, rebalance, adopt, move): %v", applied)
+	for side, l := range sides {
+		if slices.Contains(applied[side][:], 0) {
+			t.Fatalf("degenerate trace on side %d: %v", side, applied[side])
+		}
+		if err := l.same(); err != nil {
+			t.Fatalf("side %d final state: %v", side, err)
+		}
+	}
+	if err := sharedOnce(ts, sides); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzSharedTablesParity is FuzzSchedulerParity over TestSharedTablesParity's
+// two sides: each byte's low bit picks the side, the rest decodes into one
+// operation as there.
+func FuzzSharedTablesParity(f *testing.F) {
+	sizes := []int{16, 8}
+	a := trainParityModel(f, machines.AMD(), sizes...)
+	b := trainParityModelSeed(f, machines.AMD(), 2, sizes...)
+	ws := workloadsNamed(f, "WTbtree", "gcc", "canneal", "streamcluster", "pca")
+	for _, seed := range [][]byte{
+		{0, 1, 12, 13, 24, 25, 36, 37, 6, 7, 2, 3, 14, 15},
+		{0, 0, 1, 1, 60, 61, 8, 9, 10, 11, 4, 5, 22, 23},
+		{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12},
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 64 {
+			ops = ops[:64]
+		}
+		ctx := context.Background()
+		ts, sides := sharedLockstep(a, b, ws, sizes)
+		for i, by := range ops {
+			if _, err := sides[by&1].step(ctx, int(by>>1)%numOps, int(by>>1)/numOps); err != nil {
+				t.Fatalf("op %d (byte %d): %v", i, by, err)
+			}
+		}
+		for side, l := range sides {
+			if err := l.same(); err != nil {
+				t.Fatalf("side %d: %v", side, err)
+			}
+		}
+		if err := sharedOnce(ts, sides); err != nil {
 			t.Fatal(err)
 		}
 	})

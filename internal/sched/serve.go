@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/concern"
 	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/machines"
@@ -103,21 +102,18 @@ type RebalanceReport struct {
 // use.
 type Scheduler struct {
 	machine machines.Machine
-	spec    *concern.Spec
 	// imps resolves the important placements for a container size
-	// (typically a serving engine's memoized enumeration).
+	// (typically the table set's memoized enumeration).
 	imps func(ctx context.Context, v int) ([]placement.Important, error)
 	// pred resolves the trained predictor for a container size, nil if
 	// none is available.
 	pred func(v int) *core.Predictor
-	// pin materializes a placement into a thread assignment (typically a
-	// serving engine's memoized pinner — Admit re-pins the same base and
-	// probe placements on every admission). The result may be shared: the
+	// pin materializes a placement into a thread assignment (typically the
+	// table set's memoized pinner — Admit re-pins the same base and probe
+	// placements on every admission). The result may be shared: the
 	// scheduler only reads it.
 	pin func(ctx context.Context, p placement.Placement, v int) ([]topology.ThreadID, error)
 	cfg ServeConfig
-	// fingerprint is the machine's structural fingerprint (ScoreClass).
-	fingerprint uint64
 
 	// structMu serializes the structural passes — Rebalance, Adopt,
 	// ApplyMove — against the sharded admit/release paths: structural
@@ -168,33 +164,20 @@ type tenant struct {
 	goal      float64
 }
 
-// NewScheduler builds an empty scheduler over the machine described by
-// spec. imps, pred and pin supply the model artifacts per container size;
-// pred may return nil (admissions then fail with nperr.ErrUntrained), and
-// a nil pin falls back to the uncached placement.Pin.
-func NewScheduler(spec *concern.Spec,
-	imps func(ctx context.Context, v int) ([]placement.Important, error),
-	pred func(v int) *core.Predictor,
-	pin func(ctx context.Context, p placement.Placement, v int) ([]topology.ThreadID, error),
-	cfg ServeConfig) *Scheduler {
-	if pin == nil {
-		pin = func(_ context.Context, p placement.Placement, v int) ([]topology.ThreadID, error) {
-			return placement.Pin(spec, p, v)
-		}
+// NewSharedScheduler builds an empty scheduler over table set t, which it
+// shares with every other scheduler built over t: it enumerates and pins
+// through the set, counting into st what it asks of it. pred resolves the
+// predictor per container size; nil makes admissions of that size fail with
+// nperr.ErrUntrained.
+func NewSharedScheduler(t *Tables, st *Stats, pred func(v int) *core.Predictor, cfg ServeConfig) *Scheduler {
+	s := &Scheduler{machine: t.spec.Machine, pred: pred, cfg: cfg}
+	s.imps = func(ctx context.Context, v int) ([]placement.Important, error) { return t.Placements(ctx, v, st) }
+	s.pin = func(ctx context.Context, p placement.Placement, v int) ([]topology.ThreadID, error) {
+		return t.Pin(ctx, p, v, st)
 	}
-	s := &Scheduler{
-		machine: spec.Machine,
-		spec:    spec,
-		imps:    imps,
-		pred:    pred,
-		pin:     pin,
-		cfg:     cfg,
-
-		fingerprint: spec.Machine.Fingerprint(),
-	}
-	s.free.Store(uint64(topology.FullNodeSet(spec.Machine.Topo.NumNodes)))
+	s.free.Store(uint64(topology.FullNodeSet(s.machine.Topo.NumNodes)))
 	s.books.tenants = map[int]*tenant{}
-	s.fast.init()
+	s.fast.init(t, st)
 	return s
 }
 
@@ -498,7 +481,7 @@ func (s *Scheduler) ScoreClass(v int) (class ScoreClass, ok bool) {
 	if p == nil {
 		return ScoreClass{}, false
 	}
-	return ScoreClass{Machine: s.fingerprint, Predictor: p, GoalFrac: s.cfg.goalFrac(), Headroom: s.cfg.headroom()}, true
+	return ScoreClass{Machine: s.fast.fp, Predictor: p, GoalFrac: s.cfg.goalFrac(), Headroom: s.cfg.headroom()}, true
 }
 
 // ScoreRow returns the score row of (w, v) in class, one this scheduler

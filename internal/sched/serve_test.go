@@ -18,6 +18,25 @@ import (
 	"repro/internal/workloads"
 )
 
+// NewScheduler builds a scheduler whose artifacts come from the given seams,
+// over a private table set: a seam may answer otherwise than the set would
+// (a pin source that fails on cue), so nothing made from its answers may
+// reach another scheduler. A nil pin selects the uncached placement.Pin.
+func NewScheduler(spec *concern.Spec,
+	imps func(ctx context.Context, v int) ([]placement.Important, error),
+	pred func(v int) *core.Predictor,
+	pin func(ctx context.Context, p placement.Placement, v int) ([]topology.ThreadID, error),
+	cfg ServeConfig) *Scheduler {
+	if pin == nil {
+		pin = func(_ context.Context, p placement.Placement, v int) ([]topology.ThreadID, error) {
+			return placement.Pin(spec, p, v)
+		}
+	}
+	s := NewSharedScheduler(NewTables(spec), new(Stats), pred, cfg)
+	s.imps, s.pin = imps, pin
+	return s
+}
+
 // newTestScheduler trains a quick predictor on machine m and wraps it in a
 // Scheduler whose artifact sources mimic a serving engine (memoized spec
 // and enumeration).
