@@ -1,3 +1,5 @@
+//go:build unix
+
 // Command clustersim drives a trace of multi-tenant churn — deterministic
 // Poisson-ish container arrivals and departures — over a cluster of
 // heterogeneous machines served by numaplace.Cluster, on the same

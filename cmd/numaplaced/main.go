@@ -1,3 +1,5 @@
+//go:build unix
+
 // Command numaplaced serves a numaplace.Cluster over the wire protocol:
 // an HTTP/JSON daemon remote callers drive through repro/client (or plain
 // curl). On startup it builds one Engine per -machines entry, trains each

@@ -1,3 +1,5 @@
+//go:build unix
+
 // Binary codec for write-ahead frames: a fixed little-endian field walk
 // per record, wrapped in a CRC32C-checked, length-prefixed frame.
 //

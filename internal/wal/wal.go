@@ -1,21 +1,32 @@
+//go:build unix
+
 // Package wal persists fleet state: an append-only, CRC32C-framed event
 // log plus atomically replaced snapshots, together implementing
 // fleet.Persister. The write path is built for the admission hot path —
 // Append encodes into a reused buffer under the log's own lock (zero
-// allocations steady-state, no syscalls), and Commit group-batches the
-// write+fsync so N concurrent admissions share one disk flush. The read
-// path (Open) is built for honest recovery: the longest valid frame prefix
-// is returned and the torn tail a crash left behind is truncated, while
-// structural corruption — frames that verify but do not parse, sequence
-// gaps, a foreign magic — refuses with nperr.ErrLogCorrupt rather than
-// guessing, because a log that lies is worse than no log.
+// allocations steady-state, no syscalls), and Commit copies the buffer
+// into a shared read-write mapping of the log file: its only syscalls are
+// the fsync its policy asks for, which N concurrent admissions share, and
+// a reservation once per reserveChunk of records. The read path (Open) is
+// built for honest recovery: the longest valid frame prefix is returned and
+// the torn tail a crash left behind is truncated, while structural
+// corruption — frames that verify but do not parse, sequence gaps, a
+// foreign magic — refuses with nperr.ErrLogCorrupt rather than guessing,
+// because a log that lies is worse than no log.
 //
 // Crash-safety argument, in order of the moving parts:
 //
-//   - Records reach the OS on every Commit and the disk per FsyncPolicy;
-//     a crash loses at most the un-fsynced suffix, which recovery then
-//     sees as a torn tail. The fleet's in-memory state is always a
-//     superset of the log, never behind it.
+//   - Every Commit copies its records into the mapping, which is the
+//     page cache write(2) would fill, and fsync writes the mapped pages
+//     back per FsyncPolicy; a crash loses at most the un-fsynced suffix,
+//     which recovery then sees as a torn tail. The fleet's in-memory
+//     state is always a superset of the log, never behind it.
+//   - The file grows by reserveChunk of real zero blocks ahead of the
+//     records, so an open log carries a zero tail: a kill leaves it on
+//     disk and recovery truncates it as a torn tail (a zero length field
+//     ends the scan); Close truncates it. A full disk fails the
+//     reservation, and the Commit, instead of faulting a store. Truncating
+//     the file under a running process does fault it (SIGBUS).
 //   - Snapshots are written to a temp file, fsynced, renamed over the
 //     previous snapshot, and the directory fsynced: the snapshot file is
 //     always a complete previous or complete next snapshot, never a blend.
@@ -34,6 +45,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"time"
 
 	"repro/internal/fleet"
@@ -48,11 +60,11 @@ const (
 	// on disk. The group-commit batch amortizes the flush across
 	// concurrent mutations.
 	FsyncAlways FsyncPolicy = iota
-	// FsyncInterval writes to the OS on every Commit and fsyncs from a
-	// background flusher every Options.Interval: a crash loses at most one
+	// FsyncInterval hands records to the OS on every Commit and fsyncs from
+	// a background flusher every Options.Interval: a crash loses at most one
 	// interval of committed mutations, a machine power loss included.
 	FsyncInterval
-	// FsyncNone writes to the OS on every Commit and never fsyncs: a
+	// FsyncNone hands records to the OS on every Commit and never fsyncs: a
 	// process crash loses nothing (the OS has the bytes), an OS crash
 	// loses the page cache. The right trade for tests and simulation.
 	FsyncNone
@@ -115,10 +127,18 @@ type Head struct {
 	RecoveredSeq uint64
 }
 
+// reserveChunk is how far the log file grows at a time. The chunk is
+// written as real zero blocks, not a Truncate hole: a full disk then fails
+// the write that reserves it instead of a later store into the mapping.
+const reserveChunk = 1 << 20
+
+// zeroChunk is what a reservation writes.
+var zeroChunk [reserveChunk]byte
+
 // Log is an open write-ahead log; it implements fleet.Persister. Append is
 // called under the fleet's lock and must stay cheap: it only encodes into
-// an owned buffer. Commit does the syscalls. All methods are safe for
-// concurrent use.
+// an owned buffer. Commit copies that buffer into the mapping and does the
+// syscalls its fsync policy needs. All methods are safe for concurrent use.
 type Log struct {
 	dir      string
 	opts     Options
@@ -126,7 +146,9 @@ type Log struct {
 
 	mu      sync.Mutex
 	f       *os.File
-	buf     []byte // encoded frames awaiting write
+	mapped  []byte // shared mapping of the whole file; nil until a commit reserves
+	off     int    // valid length: the magic plus every frame handed to the OS
+	buf     []byte // encoded frames awaiting the copy
 	scratch []byte // single-record encode buffer (CRC input)
 	lastSeq uint64 // last appended (or recovered) sequence
 	written uint64 // last sequence handed to the OS
@@ -172,10 +194,18 @@ func Open(opts Options) (*Log, *fleet.State, []fleet.Record, error) {
 	switch {
 	case len(buf) == 0:
 		// Fresh log: write the magic now so a crash before the first
-		// append still leaves a recognizable file.
-		if _, err := f.Write(logMagic); err != nil {
+		// append still leaves a recognizable file, and make its directory
+		// entry durable, or a power cut could drop the file and every
+		// record later fsynced into it.
+		if _, err := f.WriteAt(logMagic, 0); err != nil {
 			f.Close()
 			return nil, nil, nil, fmt.Errorf("wal: initializing %s: %w", logPath, err)
+		}
+		if opts.Fsync != FsyncNone {
+			if err := syncDir(opts.Dir); err != nil {
+				f.Close()
+				return nil, nil, nil, fmt.Errorf("wal: fsyncing %s: %w", opts.Dir, err)
+			}
 		}
 	case len(buf) < len(logMagic) || string(buf[:len(logMagic)]) != string(logMagic):
 		f.Close()
@@ -208,21 +238,17 @@ func Open(opts Options) (*Log, *fleet.State, []fleet.Record, error) {
 		}
 	}
 
-	// Truncate the torn tail and position for append.
+	// Truncate the torn tail (a zero tail included); appends land at validLen.
 	if validLen < len(buf) {
 		if err := f.Truncate(int64(validLen)); err != nil {
 			f.Close()
 			return nil, nil, nil, fmt.Errorf("wal: truncating torn tail of %s: %w", logPath, err)
 		}
 	}
-	if _, err := f.Seek(int64(validLen), 0); err != nil {
-		f.Close()
-		return nil, nil, nil, fmt.Errorf("wal: seeking %s: %w", logPath, err)
-	}
 
 	l := &Log{
 		dir: opts.Dir, opts: opts, recovSeq: lastSeq,
-		f: f, lastSeq: lastSeq, written: lastSeq, durable: lastSeq,
+		f: f, off: validLen, lastSeq: lastSeq, written: lastSeq, durable: lastSeq,
 		snapSeq: snapSeq,
 	}
 	if opts.Fsync == FsyncInterval {
@@ -319,7 +345,7 @@ func (l *Log) Append(r fleet.Record) {
 // Commit implements fleet.Persister: hand everything buffered to the OS
 // and wait per the fsync policy. Callers already durable through seq
 // return without touching the file — that skip is what turns N concurrent
-// mutations into one batched write+fsync.
+// mutations into one batched copy+fsync.
 func (l *Log) Commit(seq uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -345,18 +371,56 @@ func (l *Log) Commit(seq uint64) error {
 	return nil
 }
 
-// writeLocked flushes the frame buffer to the OS. Callers hold l.mu.
+// writeLocked hands the frame buffer to the OS: a copy into the mapping at
+// the valid length, reserving room first if the mapping lacks it. Callers
+// hold l.mu.
 func (l *Log) writeLocked() error {
 	if len(l.buf) == 0 {
 		return nil
 	}
-	if _, err := l.f.Write(l.buf); err != nil {
-		l.err = fmt.Errorf("wal: writing log: %w", err)
-		return l.err
+	if need := l.off + len(l.buf); need > len(l.mapped) {
+		if err := l.reserveLocked(need); err != nil {
+			l.err = fmt.Errorf("wal: reserving log: %w", err)
+			return l.err
+		}
 	}
+	l.off += copy(l.mapped[l.off:], l.buf)
 	l.buf = l.buf[:0]
 	l.written = l.lastSeq
 	return nil
+}
+
+// reserveLocked grows the file by zero chunks until it holds need bytes,
+// then maps all of it again. The fill starts past both the old mapping and
+// the valid length, so it never overwrites a frame. Callers hold l.mu.
+func (l *Log) reserveLocked(need int) error {
+	end := max(len(l.mapped), l.off)
+	for end < need {
+		if _, err := l.f.WriteAt(zeroChunk[:], int64(end)); err != nil {
+			return err
+		}
+		end += reserveChunk
+	}
+	if err := l.unmapLocked(); err != nil {
+		return err
+	}
+	m, err := syscall.Mmap(int(l.f.Fd()), 0, end, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
+	if err != nil {
+		return fmt.Errorf("mapping %d bytes: %w", end, err)
+	}
+	l.mapped = m
+	return nil
+}
+
+// unmapLocked drops the mapping; the next commit maps the file again.
+// Callers hold l.mu.
+func (l *Log) unmapLocked() error {
+	if l.mapped == nil {
+		return nil
+	}
+	err := syscall.Munmap(l.mapped)
+	l.mapped = nil
+	return err
 }
 
 // syncLocked fsyncs the log file. Callers hold l.mu.
@@ -433,15 +497,18 @@ func (l *Log) Snapshot(st fleet.State) error {
 
 	// History at or below st.Seq now lives in the snapshot; restart the
 	// log. A crash before (or during) this truncation leaves a pre-
-	// snapshot tail that replay skips by sequence.
+	// snapshot tail that replay skips by sequence. The mapping goes first:
+	// a store past the new end of file would fault, so the next commit
+	// reserves and maps again.
+	if err := l.unmapLocked(); err != nil {
+		l.err = fmt.Errorf("wal: unmapping log after snapshot: %w", err)
+		return l.err
+	}
 	if err := l.f.Truncate(int64(len(logMagic))); err != nil {
 		l.err = fmt.Errorf("wal: truncating log after snapshot: %w", err)
 		return l.err
 	}
-	if _, err := l.f.Seek(int64(len(logMagic)), 0); err != nil {
-		l.err = fmt.Errorf("wal: seeking log after snapshot: %w", err)
-		return l.err
-	}
+	l.off = len(logMagic)
 	if l.opts.Fsync != FsyncNone {
 		if err := l.f.Sync(); err != nil {
 			l.err = fmt.Errorf("wal: fsyncing truncated log: %w", err)
@@ -459,9 +526,10 @@ func (l *Log) Head() Head {
 	return Head{Seq: l.lastSeq, SnapshotSeq: l.snapSeq, RecoveredSeq: l.recovSeq}
 }
 
-// Close flushes, fsyncs and closes the log. Further Appends latch
-// nperr.ErrLogClosed and further Commits return it. Close is idempotent;
-// the first error wins.
+// Close flushes, fsyncs and closes the log, and truncates the file to its
+// valid frames, so a closed log carries no zero tail — after a latched
+// error too. Further Appends latch nperr.ErrLogClosed and further Commits
+// return it. Close is idempotent; the first error wins.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -486,6 +554,17 @@ func (l *Log) Close() error {
 		}
 	} else {
 		err = l.err
+	}
+	if l.mapped != nil || l.err != nil {
+		// By path, not by handle: the valid prefix is cut even when the
+		// handle is what failed.
+		terr := l.unmapLocked()
+		if terr == nil {
+			terr = os.Truncate(filepath.Join(l.dir, "log"), int64(l.off))
+		}
+		if terr != nil && err == nil {
+			err = fmt.Errorf("wal: truncating log to its frames: %w", terr)
+		}
 	}
 	if cerr := l.f.Close(); cerr != nil && err == nil {
 		err = fmt.Errorf("wal: closing log: %w", cerr)

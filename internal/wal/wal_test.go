@@ -1,6 +1,9 @@
+//go:build unix
+
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -410,6 +413,147 @@ func TestCloseSemantics(t *testing.T) {
 	}
 	if len(recs) != 1 {
 		t.Fatalf("recovered %d records, want 1", len(recs))
+	}
+}
+
+// TestMappedLogSurvivesAbandon is what kill -9 leaves of a mapped log: the
+// file copied while the Log is still open, zero tail and all. Both phases,
+// before and after a Snapshot, commit enough to cross a reservation, so a
+// zero fill over live frames or a mapping kept across the Snapshot's
+// truncation loses records here. A clean Close then leaves the frames and
+// nothing else.
+func TestMappedLogSurvivesAbandon(t *testing.T) {
+	dir := t.TempDir()
+	l, _, _, err := Open(Options{Dir: dir, Fsync: FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	// Every frame is at least frameHeader+minRecordPayload bytes: a phase
+	// holds 1.5 chunks of frames or more.
+	perPhase := 3 * reserveChunk / (2 * (frameHeader + minRecordPayload))
+	recs := sampleRecords(2 * perPhase)
+	commit := func(rs []fleet.Record) {
+		for i, r := range rs {
+			l.Append(r)
+			if i%64 == 63 || i == len(rs)-1 {
+				if err := l.Commit(r.Seq); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if len(l.mapped) <= reserveChunk {
+			t.Fatalf("%d records left a %d-byte mapping: no second reservation", len(rs), len(l.mapped))
+		}
+	}
+	commit(recs[:perPhase])
+	if err := l.Snapshot(fleet.State{Seq: uint64(perPhase)}); err != nil {
+		t.Fatal(err)
+	}
+	tail := recs[perPhase:]
+	commit(tail)
+
+	crash := t.TempDir()
+	for _, name := range []string{"log", "snapshot"} {
+		blob, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "log" && len(blob) <= l.off {
+			t.Fatalf("open log is %d bytes for %d of frames: no zero tail to recover past", len(blob), l.off)
+		}
+		if err := os.WriteFile(filepath.Join(crash, name), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rl, st, got, err := Open(Options{Dir: crash, Fsync: FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rl.Close()
+	if st == nil || st.Seq != uint64(perPhase) {
+		t.Fatalf("recovered snapshot %+v, want one at seq %d", st, perPhase)
+	}
+	if !reflect.DeepEqual(got, tail) {
+		t.Fatalf("recovered %d records, want the %d committed after the snapshot", len(got), len(tail))
+	}
+	if fi, err := os.Stat(filepath.Join(crash, "log")); err != nil || fi.Size() != int64(l.off) {
+		t.Fatalf("recovered log: %v, %v; want %d bytes, its valid length", fi.Size(), err, l.off)
+	}
+
+	want := append([]byte(nil), logMagic...)
+	for i := range tail {
+		payload, err := appendRecord(nil, &tail[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = appendFrame(want, payload)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if blob, err := os.ReadFile(filepath.Join(dir, "log")); err != nil || !bytes.Equal(blob, want) {
+		t.Fatalf("closed log is %d bytes (%v), want the %d bytes of its magic and frames", len(blob), err, len(want))
+	}
+}
+
+// TestReserveErrorIsSticky: a reservation that fails — here the handle
+// cannot write — latches as a failed write does. That Commit and every
+// later one return the error, Close still cuts the file to its valid
+// frames, and a reopen recovers everything committed before the failure.
+func TestReserveErrorIsSticky(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "log")
+	l, _, _, err := Open(Options{Dir: dir, Fsync: FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := sampleRecords(2 * reserveChunk / (frameHeader + minRecordPayload))
+	committed := 0
+	for _, r := range recs {
+		l.Append(r)
+		if l.mapped != nil && l.off+len(l.buf) > len(l.mapped) {
+			break // this record's commit must reserve a second chunk
+		}
+		if err := l.Commit(r.Seq); err != nil {
+			t.Fatal(err)
+		}
+		committed++
+	}
+	if committed == len(recs) {
+		t.Fatal("no commit needed a second chunk")
+	}
+
+	ro, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw := l.f
+	l.f = ro
+	if err := rw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	failed := l.Commit(recs[committed].Seq)
+	if failed == nil {
+		t.Fatal("a reservation through a read-only handle succeeded")
+	}
+	l.Append(recs[committed+1])
+	if err := l.Commit(recs[committed+1].Seq); !errors.Is(err, failed) {
+		t.Fatalf("commit after the failure = %v, want the latched %v", err, failed)
+	}
+	if err := l.Close(); !errors.Is(err, failed) {
+		t.Fatalf("Close = %v, want the latched %v", err, failed)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != int64(l.off) {
+		t.Fatalf("closed log: %v, %v; want %d bytes, its valid length", fi.Size(), err, l.off)
+	}
+	rl, _, got, err := Open(Options{Dir: dir, Fsync: FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rl.Close()
+	if !reflect.DeepEqual(got, recs[:committed]) {
+		t.Fatalf("recovered %d records, want the %d committed before the failure", len(got), committed)
 	}
 }
 
