@@ -3,6 +3,7 @@ package numaplace
 import (
 	"context"
 
+	"repro/internal/des"
 	"repro/internal/fleet"
 )
 
@@ -73,13 +74,6 @@ type (
 	ClusterMonitorConfig = fleet.MonitorConfig
 	// ClusterProbeFunc answers one liveness probe: true = responded.
 	ClusterProbeFunc = fleet.ProbeFunc
-	// TimerSource abstracts the monitor's clock: SimTimers for
-	// deterministic simulation, WallTimers for live deployments.
-	TimerSource = fleet.TimerSource
-	// SimTimers schedules monitor ticks on a discrete-event simulation.
-	SimTimers = fleet.SimTimers
-	// WallTimers schedules monitor ticks on the wall clock.
-	WallTimers = fleet.WallTimers
 	// ClusterSubscription is one bounded subscriber of the event feed:
 	// events buffer in a fixed ring, the oldest dropped (and counted) when
 	// the subscriber falls behind — publishing never blocks admissions.
@@ -264,10 +258,10 @@ func (c *Cluster) Subscribe(buf int) *ClusterSubscription { return c.f.Subscribe
 func (c *Cluster) Fleet() *fleet.Fleet { return c.f }
 
 // Monitor builds a health monitor that drives the state machine from
-// periodic liveness probes — deterministic on a simulation clock
-// (SimTimers) or live on the wall clock (WallTimers). Start it with
-// ClusterMonitor.Start; a machine that stops answering rides
-// healthy→suspect→dead and its tenants fail over automatically.
-func (c *Cluster) Monitor(timers TimerSource, cfg ClusterMonitorConfig) (*ClusterMonitor, error) {
-	return c.f.Monitor(timers, cfg)
+// periodic liveness probes, ticking deterministically on the simulation
+// clock sim. Start it with ClusterMonitor.Start; a machine that stops
+// answering rides healthy→suspect→dead and its tenants fail over
+// automatically, and a dead one that answers again is revived.
+func (c *Cluster) Monitor(sim *des.Sim, cfg ClusterMonitorConfig) (*ClusterMonitor, error) {
+	return c.f.Monitor(sim, cfg)
 }

@@ -271,8 +271,7 @@ func buildCluster(ctx context.Context, cfg simConfig, out io.Writer) (*numaplace
 				SelectionTrees: 4, SelectionFolds: 3,
 			}),
 		)
-		ws := append(workloads.Paper(),
-			workloads.CorpusFrom(cfg.corpus, 42, []string{"flat", "bw", "lat", "smt-averse", "cache"})...)
+		ws := workloads.TrainingSet(cfg.corpus, 42)
 		ds, err := eng.Collect(ctx, ws, cfg.vcpus)
 		if err != nil {
 			return nil, nil, fmt.Errorf("collecting on %s: %w", mname, err)
@@ -494,7 +493,7 @@ func run(ctx context.Context, cfg simConfig, out, errw io.Writer) error {
 			}
 			return true
 		}
-		m, err := cl.Monitor(numaplace.SimTimers{Sim: &sim}, numaplace.ClusterMonitorConfig{
+		m, err := cl.Monitor(&sim, numaplace.ClusterMonitorConfig{
 			IntervalSeconds: cfg.probeEvery,
 			Probe:           probe,
 			Until:           func() bool { return runErr == nil && (remaining > 0 || cl.Len() > 0) },
@@ -509,7 +508,6 @@ func run(ctx context.Context, cfg simConfig, out, errw io.Writer) error {
 					runErr = err
 				}
 			},
-			ReviveOnRejoin: true,
 			OnRejoin: func(name string, fenced int, err error) {
 				if err != nil {
 					runErr = err

@@ -159,9 +159,7 @@ func run(ctx context.Context, cfg config) error {
 				SelectionTrees: 4, SelectionFolds: 3,
 			}),
 		)
-		ws := append(workloads.Paper(),
-			workloads.CorpusFrom(corpus, 42, []string{"flat", "bw", "lat", "smt-averse", "cache"})...)
-		ds, err := eng.Collect(ctx, ws, cfg.vcpus)
+		ds, err := eng.Collect(ctx, workloads.TrainingSet(corpus, 42), cfg.vcpus)
 		if err != nil {
 			return fmt.Errorf("collecting on %s: %w", mname, err)
 		}

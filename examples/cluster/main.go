@@ -33,9 +33,7 @@ func main() {
 				SelectionTrees: 4, SelectionFolds: 3,
 			}),
 		)
-		ws := append(numaplace.PaperWorkloads(),
-			workloads.CorpusFrom(20, 42, []string{"flat", "bw", "lat", "smt-averse", "cache"})...)
-		ds, err := eng.Collect(ctx, ws, vcpus)
+		ds, err := eng.Collect(ctx, workloads.TrainingSet(20, 42), vcpus)
 		if err != nil {
 			log.Fatal(err)
 		}

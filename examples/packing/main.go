@@ -27,9 +27,7 @@ func main() {
 		}),
 	)
 
-	ws := append(numaplace.PaperWorkloads(),
-		workloads.CorpusFrom(30, 42, []string{"flat", "bw", "lat", "smt-averse", "cache"})...)
-	ds, err := eng.Collect(ctx, ws, vcpus)
+	ds, err := eng.Collect(ctx, workloads.TrainingSet(30, 42), vcpus)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -43,9 +43,7 @@ func main() {
 
 	// Step 3: train the model on the workload corpus. Train registers the
 	// predictor with the engine for 24-vCPU containers.
-	ws := append(numaplace.PaperWorkloads(),
-		workloads.CorpusFrom(30, 42, []string{"flat", "bw", "lat", "smt-averse", "cache"})...)
-	ds, err := eng.Collect(ctx, ws, 24)
+	ds, err := eng.Collect(ctx, workloads.TrainingSet(30, 42), 24)
 	if err != nil {
 		log.Fatal(err)
 	}

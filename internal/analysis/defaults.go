@@ -12,7 +12,7 @@ var DeterminismScope = []string{
 	"repro/internal/fleet",
 	"repro/internal/perfsim",
 	"repro/cmd/clustersim",
-	"repro/cmd/calibrate",
+	"repro/cmd/paperrepro",
 }
 
 // SentinelScope is the set of packages whose errors cross the facade and

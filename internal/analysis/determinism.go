@@ -1,14 +1,15 @@
-// determinism guards the property that makes clustersim byte-identical
-// and the WAL/trace parity suites meaningful: simulation and control-plane
-// packages draw randomness only from internal/xrand's explicitly seeded
-// generators, never read the wall clock, and never let map iteration
-// order leak into output. Three rules, applied to the packages the driver
-// scopes it to (internal/des, internal/workloads, internal/sched,
-// internal/fleet, internal/perfsim, cmd/clustersim, cmd/calibrate):
+// determinism guards the property that makes clustersim and paperrepro
+// byte-identical and the WAL/trace parity suites meaningful: simulation
+// and control-plane packages draw randomness only from internal/xrand's
+// explicitly seeded generators, never read the wall clock, and never let
+// map iteration order leak into output. Three rules, applied to the
+// packages numalint scopes it to (internal/des, internal/workloads,
+// internal/sched, internal/fleet, internal/perfsim, cmd/clustersim,
+// cmd/paperrepro):
 //
 //   - importing math/rand or math/rand/v2 is banned (use internal/xrand)
 //   - time.Now and time.Since are banned (simulated time comes from the
-//     DES clock or an injected Timers source)
+//     DES clock)
 //   - ranging over a map while appending to an outer slice or writing
 //     output is banned, unless the collected slice is sorted immediately
 //     after the loop (the collect-then-sort idiom stays legal)
@@ -64,7 +65,7 @@ func runDeterminism(pass *Pass) {
 			case *ast.SelectorExpr:
 				if fn, ok := pass.Info.Uses[x.Sel].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "time" {
 					if fn.Name() == "Now" || fn.Name() == "Since" {
-						pass.Report(x.Pos(), "time.%s reads the wall clock; simulated time must come from the DES clock or an injected Timers source", fn.Name())
+						pass.Report(x.Pos(), "time.%s reads the wall clock; simulated time must come from the DES clock", fn.Name())
 					}
 				}
 			case *ast.RangeStmt:

@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/machines"
 	"repro/internal/mlearn"
-	"repro/internal/perfsim"
 	"repro/internal/placement"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -56,18 +55,9 @@ func Quick() Config {
 	return Config{ForestTrees: 25, SelectionTrees: 6, CorpusSize: 20, Trials: 2, Seed: 42}
 }
 
-// trainingSet returns the corpus used for model training: the paper
-// workloads plus synthetic fillers, excluding the SMT-friendly archetype so
-// kmeans remains the only SMT-preferring workload (as in the paper).
-func trainingSet(cfg Config) []perfsim.Workload {
-	corpus := workloads.CorpusFrom(cfg.CorpusSize, cfg.Seed,
-		[]string{"flat", "bw", "lat", "smt-averse", "cache"})
-	return append(workloads.Paper(), corpus...)
-}
-
 // dataset collects the ground-truth matrix for one machine.
 func dataset(ctx context.Context, m machines.Machine, v int, cfg Config, withHPE bool) (*core.Dataset, error) {
-	return core.CollectCtx(ctx, m, trainingSet(cfg), v, core.CollectConfig{
+	return core.CollectCtx(ctx, m, workloads.TrainingSet(cfg.CorpusSize, cfg.Seed), v, core.CollectConfig{
 		Trials: cfg.Trials, WithHPEs: withHPE,
 	})
 }

@@ -304,28 +304,38 @@ func Figure5(ctx context.Context, w io.Writer, m machines.Machine, cfg Config) (
 			return nil, err
 		}
 		exp.Trials = cfg.Trials + 2
-		res := Figure5Result{Machine: m.Topo.Name, Workload: wname}
 		fmt.Fprintf(w, "Figure 5: %s on %s (instances / %% violation)\n", wname, m.Topo.Name)
-		tbl := stats.NewTable("goal", "ML", "Conservative", "Aggressive", "Aggressive(Smart)")
-		for _, goal := range []float64{0.9, 1.0, 1.1} {
-			row := []interface{}{fmt.Sprintf("%.0f%%", goal*100)}
-			for _, kind := range []sched.PolicyKind{sched.ML, sched.Conservative, sched.Aggressive, sched.SmartAggressive} {
-				r, err := exp.RunCtx(ctx, kind, goal)
-				if err != nil {
-					return nil, err
-				}
-				res.Cells = append(res.Cells, Figure5Cell{
-					Policy: kind, GoalFrac: goal,
-					Instances: r.Instances, ViolationPct: r.ViolationPct,
-				})
-				row = append(row, fmt.Sprintf("%d / %.1f%%", r.Instances, r.ViolationPct))
-			}
-			tbl.Row(row...)
+		cells, err := PackingTable(ctx, w, exp)
+		if err != nil {
+			return nil, err
 		}
-		tbl.Render(w)
-		out = append(out, res)
+		out = append(out, Figure5Result{Machine: m.Topo.Name, Workload: wname, Cells: cells})
 	}
 	return out, nil
+}
+
+// PackingTable runs one Figure 5 panel: exp under the four policies at
+// goals of 90, 100 and 110 %, rendered to w as instances / % violation.
+func PackingTable(ctx context.Context, w io.Writer, exp *sched.Experiment) ([]Figure5Cell, error) {
+	var cells []Figure5Cell
+	tbl := stats.NewTable("goal", "ML", "Conservative", "Aggressive", "Aggressive(Smart)")
+	for _, goal := range []float64{0.9, 1.0, 1.1} {
+		row := []interface{}{fmt.Sprintf("%.0f%%", goal*100)}
+		for _, kind := range []sched.PolicyKind{sched.ML, sched.Conservative, sched.Aggressive, sched.SmartAggressive} {
+			r, err := exp.RunCtx(ctx, kind, goal)
+			if err != nil {
+				return nil, err
+			}
+			cells = append(cells, Figure5Cell{
+				Policy: kind, GoalFrac: goal,
+				Instances: r.Instances, ViolationPct: r.ViolationPct,
+			})
+			row = append(row, fmt.Sprintf("%d / %.1f%%", r.Instances, r.ViolationPct))
+		}
+		tbl.Row(row...)
+	}
+	tbl.Render(w)
+	return cells, nil
 }
 
 // Table2Row is one workload's migration comparison.

@@ -374,7 +374,7 @@ func TestMonitorDrivesStateMachine(t *testing.T) {
 	}
 	var trans []transition
 	var rejoined int
-	mon, err := f.Monitor(SimTimers{Sim: &sim}, MonitorConfig{
+	mon, err := f.Monitor(&sim, MonitorConfig{
 		IntervalSeconds: 10,
 		Probe:           alive,
 		OnTransition: func(name string, from, to Health, rep *Report, err error) {
@@ -388,7 +388,6 @@ func TestMonitorDrivesStateMachine(t *testing.T) {
 				}
 			}
 		},
-		ReviveOnRejoin: true,
 		OnRejoin: func(name string, fenced int, err error) {
 			if err != nil {
 				t.Errorf("rejoin of %s: %v", name, err)

@@ -4,36 +4,9 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/des"
 )
-
-// TimerSource abstracts where the health monitor's probe cadence comes
-// from, so the same loop runs deterministically inside a discrete-event
-// simulation (SimTimers) and off the wall clock in a live deployment
-// (WallTimers). After schedules fn once, d seconds from now, and returns
-// a cancel function reporting whether the firing was prevented.
-type TimerSource interface {
-	After(d float64, fn func()) (cancel func() bool)
-}
-
-// SimTimers schedules monitor ticks on a discrete-event simulation:
-// probes fire at exact simulated times, in deterministic order, which is
-// what makes clustersim's failure scenarios byte-identical across runs.
-type SimTimers struct{ Sim *des.Sim }
-
-func (s SimTimers) After(d float64, fn func()) func() bool {
-	return s.Sim.After(d, fn).Cancel
-}
-
-// WallTimers schedules monitor ticks on the wall clock (time.AfterFunc);
-// the live-deployment counterpart of SimTimers.
-type WallTimers struct{}
-
-func (WallTimers) After(d float64, fn func()) func() bool {
-	return time.AfterFunc(time.Duration(d*float64(time.Second)), fn).Stop
-}
 
 // ProbeFunc answers one liveness probe: true means the named backend
 // responded in time, false means the deadline passed. Implementations
@@ -53,14 +26,12 @@ type MonitorConfig struct {
 	Until func() bool
 	// OnTransition observes every health-state change the monitor drives,
 	// with the failover report and error when the transition to Dead ran
-	// one. Called from the timer goroutine (or sim event), in probe order.
+	// one. Called from the tick's sim event, in probe order.
 	OnTransition func(name string, from, to Health, rep *Report, err error)
-	// ReviveOnRejoin revives a dead backend whose probe answers again
-	// (fencing its stale books); without it a recovered machine stays dead
-	// until an explicit Revive. OnRejoin, when non-nil, observes each such
-	// rejoin with the number of fenced orphan records.
-	ReviveOnRejoin bool
-	OnRejoin       func(name string, fenced int, err error)
+	// OnRejoin, when non-nil, observes each dead backend whose probe
+	// answers again and which the monitor therefore revived (fencing its
+	// stale books), with the number of fenced orphan records.
+	OnRejoin func(name string, fenced int, err error)
 }
 
 func (c MonitorConfig) interval() float64 {
@@ -72,31 +43,30 @@ func (c MonitorConfig) interval() float64 {
 
 // Monitor drives the fleet's health state machine from periodic liveness
 // probes: each tick probes every backend in add order, feeding answers to
-// Heartbeat and misses to MissProbe (which runs the automatic failover on
-// a death transition). Build one with Fleet.Monitor, run it with Start,
-// end it with Stop (or a false Until).
+// Heartbeat, misses to MissProbe (which runs the automatic failover on a
+// death transition), and an answer from a dead backend to Revive. Build
+// one with Fleet.Monitor, run it with Start, end it with Stop (or a false
+// Until).
 type Monitor struct {
-	f      *Fleet
-	cfg    MonitorConfig
-	timers TimerSource
+	f   *Fleet
+	cfg MonitorConfig
+	sim *des.Sim
 
 	mu      sync.Mutex
-	cancel  func() bool
+	next    *des.Timer // the pending tick
 	stopped bool
 }
 
-// Monitor builds a health monitor over the fleet. The loop is not started
-// until Start is called.
-func (f *Fleet) Monitor(timers TimerSource, cfg MonitorConfig) (*Monitor, error) {
-	if timers == nil {
-		//numalint:ignore sentinelwrap construction-time misuse, never reaches the wire path
-		return nil, fmt.Errorf("fleet: monitor needs a timer source")
-	}
+// Monitor builds a health monitor over the fleet whose ticks are events on
+// sim: probes fire at exact simulated times, in deterministic order, which
+// is what makes clustersim's failure scenarios byte-identical across runs.
+// The loop is not started until Start is called.
+func (f *Fleet) Monitor(sim *des.Sim, cfg MonitorConfig) (*Monitor, error) {
 	if cfg.Probe == nil {
 		//numalint:ignore sentinelwrap construction-time misuse, never reaches the wire path
 		return nil, fmt.Errorf("fleet: monitor needs a probe function")
 	}
-	return &Monitor{f: f, cfg: cfg, timers: timers}, nil
+	return &Monitor{f: f, cfg: cfg, sim: sim}, nil
 }
 
 // Start schedules the first probe tick, one interval from now. The
@@ -106,10 +76,10 @@ func (f *Fleet) Monitor(timers TimerSource, cfg MonitorConfig) (*Monitor, error)
 func (m *Monitor) Start(ctx context.Context) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.stopped || m.cancel != nil {
+	if m.stopped || m.next != nil {
 		return
 	}
-	m.cancel = m.timers.After(m.cfg.interval(), func() { m.tick(ctx) })
+	m.next = m.sim.After(m.cfg.interval(), func() { m.tick(ctx) })
 }
 
 // Stop ends the loop: the pending tick is cancelled and no further ticks
@@ -118,10 +88,8 @@ func (m *Monitor) Stop() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.stopped = true
-	if m.cancel != nil {
-		m.cancel()
-		m.cancel = nil
-	}
+	m.next.Cancel()
+	m.next = nil
 }
 
 // tick runs one probe round and reschedules itself.
@@ -131,7 +99,7 @@ func (m *Monitor) tick(ctx context.Context) {
 		m.mu.Unlock()
 		return
 	}
-	m.cancel = nil
+	m.next = nil
 	m.mu.Unlock()
 
 	if ctx.Err() != nil {
@@ -148,12 +116,8 @@ func (m *Monitor) tick(ctx context.Context) {
 		}
 		if m.cfg.Probe(name) {
 			if before == Dead {
-				// The machine answers again. Without ReviveOnRejoin it
-				// stays dead (an operator decides); with it, Revive fences
-				// the stale books and readmits it.
-				if !m.cfg.ReviveOnRejoin {
-					continue
-				}
+				// The machine answers again: Revive fences the stale
+				// books and readmits it.
 				fenced, err := m.f.Revive(ctx, name)
 				if m.cfg.OnRejoin != nil {
 					m.cfg.OnRejoin(name, fenced, err)
@@ -180,5 +144,5 @@ func (m *Monitor) tick(ctx context.Context) {
 	if m.stopped {
 		return
 	}
-	m.cancel = m.timers.After(m.cfg.interval(), func() { m.tick(ctx) })
+	m.next = m.sim.After(m.cfg.interval(), func() { m.tick(ctx) })
 }

@@ -195,10 +195,16 @@ func Corpus(n int, seed uint64) []perfsim.Workload {
 	return CorpusFrom(n, seed, Archetypes())
 }
 
-// CorpusFrom is Corpus restricted to the named archetypes. The Figure 4
-// experiment uses a corpus without "smt-friendly" so that kmeans remains
-// the sole SMT-preferring workload, reproducing the paper's observation
-// that its predictions suffer when the training set holds nothing similar.
+// TrainingSet returns the set every predictor here trains on: the paper
+// workloads plus n synthetic ones drawn with seed from every archetype but
+// "smt-friendly". Leaving that one out keeps kmeans the only workload that
+// prefers SMT sharing, reproducing the paper's observation that its
+// predictions suffer when the training set holds nothing similar.
+func TrainingSet(n int, seed uint64) []perfsim.Workload {
+	return append(Paper(), CorpusFrom(n, seed, []string{"flat", "bw", "lat", "smt-averse", "cache"})...)
+}
+
+// CorpusFrom is Corpus restricted to the named archetypes.
 func CorpusFrom(n int, seed uint64, names []string) []perfsim.Workload {
 	type archetype struct {
 		name string
