@@ -320,9 +320,11 @@ func (e *Engine) ScoreClass(vcpus int) (class sched.ScoreClass, ok bool) {
 
 // NotifyClassChange registers the counter the engine adds to after every
 // change of what ScoreClass answers — a predictor registered, by Train or
-// UsePredictor — so that a Cluster can keep the class it read instead of
-// asking per decision; nil unregisters. One counter at a time: an engine
-// serves one cluster.
+// UsePredictor — so that a Cluster can keep the class it read, and the order
+// it ranked from the class's rows, instead of asking per decision; nil
+// unregisters. ScoreRow needs no notification of its own: a class's rows are
+// a function of the class. One counter at a time: an engine serves one
+// cluster.
 func (e *Engine) NotifyClassChange(epoch *atomic.Uint64) { e.classEpoch.Store(epoch) }
 
 func (e *Engine) ScoreRow(ctx context.Context, w Workload, vcpus int, class sched.ScoreClass) ([]sched.Score, error) {

@@ -16,16 +16,16 @@ import (
 
 // Container is one virtual container instance. All state is private: the
 // identity fields are fixed at New, and the thread mapping only changes
-// through Place, so concurrent schedulers cannot corrupt a container by
-// mutating shared slices.
+// through Place. The mapping is shared, not copied: schedulers hand Place the
+// pinning their table set shares read-only, and nobody writes to it.
 type Container struct {
 	id       int
 	workload perfsim.Workload
 	vcpus    int
 
-	// threads is the current vCPU-to-hardware-thread mapping; nil while
-	// unplaced. pinned records whether the mapping was chosen explicitly
-	// (pinned cpuset) or left to the OS.
+	// threads is the current vCPU-to-hardware-thread mapping, read-only; nil
+	// while unplaced. pinned records whether the mapping was chosen
+	// explicitly (pinned cpuset) or left to the OS.
 	threads []topology.ThreadID
 	pinned  bool
 }
@@ -44,12 +44,13 @@ func (c *Container) Workload() perfsim.Workload { return c.workload }
 // VCPUs returns the container's fixed vCPU count.
 func (c *Container) VCPUs() int { return c.vcpus }
 
-// Place installs a thread mapping. The mapping length must equal VCPUs.
+// Place installs a thread mapping. The mapping length must equal VCPUs. The
+// container keeps threads itself, so nobody may write to it afterwards.
 func (c *Container) Place(threads []topology.ThreadID, pinned bool) error {
 	if len(threads) != c.vcpus {
 		return fmt.Errorf("container %d: mapping has %d threads, want %d", c.id, len(threads), c.vcpus)
 	}
-	c.threads = append([]topology.ThreadID(nil), threads...)
+	c.threads = threads
 	c.pinned = pinned
 	return nil
 }
@@ -66,14 +67,9 @@ func (c *Container) Unplace() {
 // Placed reports whether the container currently has a mapping.
 func (c *Container) Placed() bool { return c.threads != nil }
 
-// Threads returns a copy of the current thread mapping (nil while
-// unplaced). Mutating the returned slice does not affect the container.
-func (c *Container) Threads() []topology.ThreadID {
-	if c.threads == nil {
-		return nil
-	}
-	return append([]topology.ThreadID(nil), c.threads...)
-}
+// Threads returns the current thread mapping (nil while unplaced): the slice
+// Place was given, read-only.
+func (c *Container) Threads() []topology.ThreadID { return c.threads }
 
 // Pinned reports whether the current mapping was chosen explicitly (pinned
 // cpuset) rather than left to the OS.

@@ -53,20 +53,21 @@ func TestObserveRecordsHistory(t *testing.T) {
 	}
 }
 
-func TestPlaceCopiesMapping(t *testing.T) {
+// TestPlaceSharesMapping: Place keeps the mapping it is given and Threads
+// returns that very slice — schedulers hand over their table set's shared,
+// read-only pinning, and neither side copies it.
+func TestPlaceSharesMapping(t *testing.T) {
 	w, _ := workloads.ByName("gcc")
 	c := New(4, w, 2)
+	if c.Threads() != nil {
+		t.Fatal("an unplaced container has a mapping")
+	}
 	threads := []topology.ThreadID{5, 6}
 	if err := c.Place(threads, false); err != nil {
 		t.Fatal(err)
 	}
-	threads[0] = 99
-	if c.Threads()[0] == 99 {
-		t.Fatal("Place aliases caller slice")
-	}
-	c.Threads()[0] = 77
-	if c.Threads()[0] == 77 {
-		t.Fatal("Threads aliases internal state")
+	if got := c.Threads(); len(got) != len(threads) || &got[0] != &threads[0] {
+		t.Fatalf("Threads returned %v, not the slice Place was given", got)
 	}
 	if c.Pinned() {
 		t.Fatal("unpinned placement marked pinned")

@@ -10,11 +10,14 @@
 // table holds the prediction per free-node count. So the fleet keeps, under
 // Fleet.mu, every accepting member in the (class, free count) cell it scores
 // as: a bitset over add-order member positions per cell, one view of classes
-// by node count and one per container size met. A decision copies the
-// non-empty cells in the hold it already takes, scores each once — one row per
-// class, not one Preview per machine — sorts that handful, and expands them
-// only as far as the caller asks: the first-try admission touches one member,
-// whatever the size of the fleet.
+// by node count and one per container size met. How those cells rank depends
+// on nothing but the view's classes, the scoring and the workload, so each
+// view memoizes the order per (scoring, workload): a decision copies the
+// non-empty cells in that order in the hold it already takes and expands them
+// only as far as the caller asks — the first-try admission ranks nothing and
+// touches one member, whatever the size of the fleet. Only a decision that
+// finds no order covering the view's classes ranks them: one row per class,
+// not one Preview per machine, fetched without the lock.
 //
 // The invariant: whenever Fleet.mu is free and no admission is in flight,
 // every member that is not dead has free == b.FreeNodes().Len(), and every
@@ -24,10 +27,11 @@
 // accepts changes (relistLocked), Add, Remove and Restore derive the whole
 // index anew (rebuildIndexLocked). An admission in flight between Place's two
 // holds makes its machine's count stale by that one commit, as a Preview's
-// view of the free mask was. Score classes are not polled: a backend bumps
-// routeIndex.epoch after any change of what its ScoreClass answers
-// (ScoreClasser.NotifyClassChange), and the decision that sees the bump drops
-// the size views and reads the classes again before it ranks.
+// view of the free mask was. Score classes and rows are not polled: a backend
+// bumps routeIndex.epoch after any change of what its ScoreClass answers or
+// its ScoreRow returns (ScoreClasser.NotifyClassChange), and the decision that
+// sees the bump drops the size views, and their orders with them, and reads the
+// classes again before it ranks. A view that gains a class starts a fresh memo.
 //
 // The order is exact, not approximate: the one a Preview of every candidate
 // followed by a stable sort and a stable partition returns (the parity tests
@@ -38,6 +42,7 @@ package fleet
 import (
 	"cmp"
 	"context"
+	"maps"
 	"math/bits"
 	"slices"
 	"sync"
@@ -52,13 +57,16 @@ import (
 // equal classes for a container size must answer Preview alike whenever
 // their free-node counts are equal; ScoreRow returns those answers by
 // free-node count (entry n: the Preview's PredictedPerf with n nodes free,
-// or Class < 0 where the Preview fails), shared and read-only. ScoreClass may
-// decline (ok false), as a Backend without the capability does throughout:
-// such a backend is a class of one, scored by its Preview. The fleet asserts
-// the capability once, at Add, and reads the class when it lists the member,
-// not per decision: NotifyClassChange hands the backend the counter it must
-// add to — an atomic add, from any goroutine — after every change of what
-// ScoreClass answers (nil when the fleet lets the backend go).
+// or Class < 0 where the Preview fails), shared and read-only. A row once
+// returned for (class, workload, size) stands until NotifyClassChange's
+// counter next moves: the fleet ranks from it once and remembers the order
+// (an error is not remembered). ScoreClass may decline (ok false), as a
+// Backend without the capability does throughout: such a backend is a class
+// of one, scored by its Preview. The fleet asserts the capability once, at
+// Add, and reads the class when it lists the member, not per decision:
+// NotifyClassChange hands the backend the counter it must add to — an atomic
+// add, from any goroutine — after every change of what ScoreClass answers or
+// ScoreRow returns (nil when the fleet lets the backend go).
 type ScoreClasser interface {
 	ScoreClass(vcpus int) (class sched.ScoreClass, ok bool)
 	ScoreRow(ctx context.Context, w perfsim.Workload, vcpus int, class sched.ScoreClass) ([]sched.Score, error)
@@ -98,6 +106,15 @@ type routeQuery struct {
 	minUtil float64
 }
 
+// orderKey names the order q's cells rank in: by its scoring and, in a size
+// view, its workload.
+func (q *routeQuery) orderKey() orderKey {
+	if q.by == bestPredicted {
+		return orderKey{by: q.by, name: q.w.Name}
+	}
+	return orderKey{by: q.by}
+}
+
 // classKey identifies the members one score row covers: the machine's node
 // count, and in a size view the score class.
 type classKey struct {
@@ -107,10 +124,11 @@ type classKey struct {
 
 // viewClass is one class of a view and its cells: sets holds key.total+1
 // member sets of routeIndex.words words, cell n the accepting members of the
-// class with n nodes free.
+// class with n nodes free; members counts them.
 type viewClass struct {
-	key  classKey
-	sets []uint64
+	key     classKey
+	sets    []uint64
+	members int
 }
 
 func (c *viewClass) cell(free, words int) []uint64 { return c.sets[free*words : (free+1)*words] }
@@ -129,6 +147,88 @@ type routeView struct {
 	classOf []int32 // by member.pos
 	classes []viewClass
 	solos   []uint64
+	memo    *orderMemo // the orders of classes: a fresh one whenever a class is appended
+}
+
+// orderKey names one cell order of a view: the scoring and, in a size view,
+// the workload — by name; the order keeps the full workload and a hit
+// compares it, so namesakes replace each other, never mix.
+type orderKey struct {
+	by   scoreBy
+	name string
+}
+
+// orderCell is one (class, free count) cell of a cell order and its score;
+// out says the class's row has the container fit nowhere there.
+type orderCell struct {
+	class, free, total int32
+	score              float64
+	out                bool
+}
+
+// cellOrder is the ranking of a view's cells for one key: every cell of the
+// classes it covers, by ascending score and, among equal scores, busier
+// first — so equal scores stay together for next's add-order merge and for a
+// move's busier-first tie-break — then the cells left out. It holds scores
+// only, no row and no class token, so it keeps no predictor alive.
+type cellOrder struct {
+	w       perfsim.Workload // bestPredicted: the workload it ranks for
+	covers  []bool           // by view class: the class's cells are all here
+	classes int              // classes with cells here
+	cells   []orderCell
+}
+
+// serves reports whether e orders q's candidates in v: ranked for q's
+// workload, and covering every class of v that has members.
+//
+//numalint:noalloc
+func (e *cellOrder) serves(v *routeView, q *routeQuery) bool {
+	if e == nil || q.by == bestPredicted && e.w != q.w {
+		return false
+	}
+	for i := range v.classes {
+		if v.classes[i].members > 0 && (i >= len(e.covers) || !e.covers[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// maxOrders bounds one view's memo: one order per workload name met at its
+// size — 256 is ten times the paper's catalog.
+const maxOrders = 256
+
+// orderMemo is one view's cell orders by key, copy-on-write as the
+// scheduler's caches are: a decision reads it with one atomic load and
+// installs an order it ranked, without a lock, by swapping in a clone — past
+// maxOrders, a fresh map. Dropping orders is always safe: the next decision
+// of the key ranks again.
+type orderMemo struct {
+	m atomic.Pointer[map[orderKey]*cellOrder]
+}
+
+//numalint:noalloc
+func (o *orderMemo) get(k orderKey) *cellOrder {
+	if m := o.m.Load(); m != nil {
+		return (*m)[k]
+	}
+	return nil
+}
+
+func (o *orderMemo) put(k orderKey, e *cellOrder) {
+	for {
+		old := o.m.Load()
+		var next map[orderKey]*cellOrder
+		if old == nil || len(*old) >= maxOrders {
+			next = make(map[orderKey]*cellOrder, 4)
+		} else {
+			next = maps.Clone(*old)
+		}
+		next[k] = e
+		if o.m.CompareAndSwap(old, &next) {
+			return
+		}
+	}
 }
 
 // routeIndex is the fleet's routing view of its members, guarded by Fleet.mu
@@ -187,7 +287,7 @@ func (f *Fleet) occLocked(workload string) []int32 {
 
 // newView files the accepting members by their classes for vcpus.
 func (ix *routeIndex) newView(members []*member, vcpus int) routeView {
-	v := routeView{vcpus: vcpus, classOf: make([]int32, len(members))}
+	v := routeView{vcpus: vcpus, classOf: make([]int32, len(members)), memo: new(orderMemo)}
 	if vcpus != 0 {
 		v.solos = make([]uint64, ix.words)
 	}
@@ -218,9 +318,11 @@ func (v *routeView) list(m *member, words int) {
 	c := slices.IndexFunc(v.classes, func(c viewClass) bool { return c.key == key })
 	if c < 0 {
 		c = len(v.classes)
-		v.classes = append(v.classes, viewClass{key, make([]uint64, (key.total+1)*words)})
+		v.classes = append(v.classes, viewClass{key: key, sets: make([]uint64, (key.total+1)*words)})
+		v.memo = new(orderMemo)
 	}
 	v.classOf[m.pos] = int32(c)
+	v.classes[c].members++
 	setBit(v.classes[c].cell(m.free, words), m.pos)
 }
 
@@ -231,6 +333,7 @@ func (v *routeView) unlist(m *member, words int) {
 	case solo:
 		clearBit(v.solos, m.pos)
 	default:
+		v.classes[c].members--
 		clearBit(v.classes[c].cell(m.free, words), m.pos)
 	}
 	v.classOf[m.pos] = unlisted
@@ -283,8 +386,9 @@ func (f *Fleet) viewLocked(q *routeQuery) *routeView {
 		return &ix.views[0]
 	}
 	if e := ix.epoch.Load(); e != ix.seen {
-		// Some backend's class may have changed: the size views go, and with
-		// them every class token (a predictor swapped out is let go).
+		// Some backend's class or rows may have changed: the size views go,
+		// and with them every class token (a predictor swapped out is let go)
+		// and every order ranked from its rows.
 		ix.seen = e
 		clear(ix.views[1:])
 		ix.views = ix.views[:1]
@@ -298,18 +402,10 @@ func (f *Fleet) viewLocked(q *routeQuery) *routeView {
 	return &ix.views[len(ix.views)-1]
 }
 
-// snapClass is one class with a candidate in a decision, and its score row.
-type snapClass struct {
-	key     classKey
-	rep     *member       // the first candidate of the class: the one asked for the row
-	row     []sched.Score // bestPredicted, once fetched; nil when the row could not be had
-	fetched bool
-}
-
 // snapCell is one non-empty cell of a decision — or one solo candidate — and
 // its score; its members are s.sets[off : off+s.words].
 type snapCell struct {
-	class       int32 // index into routeScratch.classes; solo
+	class       int32 // index into the view's classes; solo
 	free, total int32
 	off         int32
 	first       int32   // lowest member position of the cell
@@ -317,8 +413,9 @@ type snapCell struct {
 }
 
 // routeScratch is the working set of one decision: the copy of the index's
-// cells that snapshotLocked takes under Fleet.mu, which rank then scores and
-// next expands without it. Nothing in it points into the index.
+// cells that snapshotLocked takes under Fleet.mu, in the order of the view's
+// memo, which rank completes and next expands without it. Nothing in it
+// points into the index.
 type routeScratch struct {
 	mark durable // of the caller's last hold (Place's durability join)
 
@@ -326,12 +423,23 @@ type routeScratch struct {
 	// Add and Remove replace that slice and never write to it.
 	members  []*member
 	words    int
-	classes  []snapClass
-	cells    []snapCell // after rank: the scored ones, best first
+	cells    []snapCell // the first solos cells are solo candidates; after rank, best first
+	solos    int
+	met      int // classes in the order the decision read
 	sets     []uint64
 	one      []uint64 // all zero between uses: the set of one solo member
 	occupied []uint64 // members in failure domains hosting the workload; empty: nothing to spread around
 	excluded []uint64 // bestPredicted: members left out because their preview fails
+
+	// A snapshot that finds no order serving it leaves the ranking to rank:
+	// memo is where the order goes, under key; shadow is the view's classes,
+	// their cells copied to shadowSets; reps holds a member of each to ask for
+	// its row (nil: none).
+	memo       *orderMemo
+	key        orderKey
+	shadow     []viewClass
+	shadowSets []uint64
+	reps       []*member
 
 	// The cursor of next: cells[lo:hi] are the group of equal scores being
 	// expanded, word the member-set word, cur its members not yet returned;
@@ -344,12 +452,13 @@ type routeScratch struct {
 var scratchPool = sync.Pool{New: func() any { return new(routeScratch) }}
 
 // forget drops every reference the scratch holds into the fleet — members,
-// predictors (through class tokens), rows — so that a pooled or idle scratch
-// keeps no removed backend reachable.
+// those asked for rows — so that a pooled or idle scratch keeps no removed
+// backend reachable.
 func (s *routeScratch) forget() {
 	s.members = nil
-	clear(s.classes)
-	s.classes = s.classes[:0]
+	clear(s.reps)
+	s.reps = s.reps[:0]
+	s.memo = nil
 }
 
 // zeroed returns buf resized to n zero words.
@@ -364,30 +473,19 @@ func zeroed(buf []uint64, n int) []uint64 {
 
 // snapshotLocked copies into s the cells q can rank: every non-empty cell of
 // the view — above the move's utilization floor, without the machine the
-// tenant is leaving — and the occupied-domain mask. len(s.cells) == 0 says no
-// member is a candidate. Callers hold f.mu.
+// tenant is leaving — and the occupied-domain mask. With an order in the
+// view's memo that serves q, the cells come in that order, those it leaves out
+// in s.excluded; without one, they come unranked, and s keeps what rank needs
+// to rank them. len(s.cells) == 0 says no member is a candidate. Callers hold
+// f.mu.
 //
 //numalint:noalloc
 func (f *Fleet) snapshotLocked(s *routeScratch, q *routeQuery) {
 	ix := &f.idx
 	v := f.viewLocked(q)
 	s.members, s.words = f.members, ix.words
-	s.classes, s.cells, s.sets = s.classes[:0], s.cells[:0], s.sets[:0]
-	for i := range v.classes {
-		c := &v.classes[i]
-		first := len(s.cells)
-		for free := 0; free <= c.key.total; free++ {
-			s.addCell(snapCell{class: int32(len(s.classes)), free: int32(free), total: int32(c.key.total)},
-				c.cell(free, ix.words), q)
-		}
-		if len(s.cells) > first {
-			rep := s.cells[first].first
-			for _, cell := range s.cells[first+1:] {
-				rep = min(rep, cell.first)
-			}
-			s.classes = append(s.classes, snapClass{key: c.key, rep: f.members[rep]})
-		}
-	}
+	s.cells, s.sets, s.memo = s.cells[:0], s.sets[:0], nil
+	s.excluded = zeroed(s.excluded, ix.words)
 	for i, w := range v.solos {
 		if w != 0 && len(s.one) != ix.words {
 			s.one = zeroed(s.one, ix.words)
@@ -397,6 +495,20 @@ func (f *Fleet) snapshotLocked(s *routeScratch, q *routeQuery) {
 			setBit(s.one, m.pos)
 			s.addCell(snapCell{class: solo, free: int32(m.free), total: int32(m.total)}, s.one, q)
 			clearBit(s.one, m.pos)
+		}
+	}
+	s.solos = len(s.cells)
+	s.key = q.orderKey()
+	if e := v.memo.get(s.key); e.serves(v, q) {
+		s.emit(e, v.classes, q)
+	} else {
+		s.memo = v.memo
+		s.shadowOf(v)
+		for i := range s.shadow {
+			c := &s.shadow[i]
+			for free := 0; free <= c.key.total; free++ {
+				s.addCell(snapCell{class: int32(i), free: int32(free), total: int32(c.key.total)}, c.cell(free, s.words), q)
+			}
 		}
 	}
 	s.occupied = s.occupied[:0]
@@ -424,14 +536,44 @@ func (f *Fleet) snapshotLocked(s *routeScratch, q *routeQuery) {
 	}
 }
 
-// addCell appends cell c with the members of src — for a move, unless its
-// utilization floor leaves the cell out, and without the machine the tenant is
-// leaving — if anybody remains.
+// shadowOf copies v's classes into s — their keys and cells, and the first
+// member found in each — for rank to order them without the lock.
 //
 //numalint:noalloc
-func (s *routeScratch) addCell(c snapCell, src []uint64, q *routeQuery) {
-	if q.moving != nil && !(utilization(int(c.free), int(c.total)) > q.minUtil) {
-		return
+func (s *routeScratch) shadowOf(v *routeView) {
+	s.shadow, s.shadowSets, s.reps = s.shadow[:0], s.shadowSets[:0], s.reps[:0]
+	for _, c := range v.classes {
+		var rep *member
+		for i, w := range c.sets {
+			if w != 0 {
+				rep = s.members[(i%s.words)<<6+bits.TrailingZeros64(w)]
+				break
+			}
+		}
+		s.shadow = append(s.shadow, viewClass{key: c.key})
+		s.shadowSets = append(s.shadowSets, c.sets...)
+		s.reps = append(s.reps, rep)
+	}
+	off := 0
+	for i := range s.shadow {
+		n := len(v.classes[i].sets)
+		s.shadow[i].sets = s.shadowSets[off : off+n]
+		off += n
+	}
+}
+
+// addCell appends cell c with the members of src — for a move, unless its
+// utilization floor leaves the cell out, and without the machine the tenant is
+// leaving — if anybody remains, and reports whether it did.
+//
+//numalint:noalloc
+func (s *routeScratch) addCell(c snapCell, src []uint64, q *routeQuery) bool {
+	if q.moving != nil {
+		u := utilization(int(c.free), int(c.total))
+		if !(u > q.minUtil) {
+			return false
+		}
+		c.then = -u
 	}
 	c.off = int32(len(s.sets))
 	s.sets = append(s.sets, src...)
@@ -443,36 +585,73 @@ func (s *routeScratch) addCell(c snapCell, src []uint64, q *routeQuery) {
 		if w != 0 {
 			c.first = int32(i<<6 + bits.TrailingZeros64(w))
 			s.cells = append(s.cells, c)
-			return
+			return true
 		}
 	}
 	s.sets = s.sets[:c.off]
+	return false
 }
 
-// rank scores the cells of the snapshot for q, leaves out those whose preview
-// fails (rejections reports them), sorts the rest best first and rewinds
-// next. It needs no lock. Only a cancelled ctx fails it.
+// emit appends the cells of classes in e's order, as addCell files them, and
+// moves those e leaves out to s.excluded.
+//
+//numalint:noalloc
+func (s *routeScratch) emit(e *cellOrder, classes []viewClass, q *routeQuery) {
+	for _, oc := range e.cells {
+		c := snapCell{class: oc.class, free: oc.free, total: oc.total, score: oc.score}
+		if !s.addCell(c, classes[oc.class].cell(int(oc.free), s.words), q) || !oc.out {
+			continue
+		}
+		last := s.cells[len(s.cells)-1]
+		for i, w := range s.sets[last.off:] {
+			s.excluded[i] |= w
+		}
+		s.cells, s.sets = s.cells[:len(s.cells)-1], s.sets[:last.off]
+	}
+	s.met = e.classes
+}
+
+// rank completes the snapshot for q. When it found no order, rank ranks the
+// shadowed classes, remembers the order in the view's memo and emits the
+// cells in it. Then it previews the solo candidates, leaves out those whose
+// preview fails (rejections reports them) and, if there were any, sorts the
+// cells best first. It rewinds next. It needs no lock. Only a cancelled ctx
+// fails it.
 //
 //numalint:noalloc
 func (s *routeScratch) rank(ctx context.Context, q *routeQuery) error {
-	s.excluded = zeroed(s.excluded, s.words)
-	n := 0
-	for _, c := range s.cells {
-		ok, err := s.score(ctx, &c, q)
+	if s.memo != nil {
+		e, keep, err := rankCells(ctx, q, s.shadow, s.reps)
 		if err != nil {
 			return err
 		}
-		if !ok {
-			for i, w := range s.sets[c.off : int(c.off)+s.words] {
-				s.excluded[i] |= w
-			}
-			continue
+		if keep {
+			s.memo.put(s.key, e)
 		}
-		s.cells[n] = c
-		n++
+		s.memo = nil
+		s.cells, s.sets = s.cells[:s.solos], s.sets[:s.solos*s.words]
+		s.emit(e, s.shadow, q)
 	}
-	s.cells = s.cells[:n]
-	slices.SortFunc(s.cells, compareCells)
+	if s.solos > 0 {
+		n := 0
+		for i, c := range s.cells {
+			if i < s.solos {
+				pv, err := s.members[c.first].b.Preview(ctx, q.w, q.vcpus)
+				if err != nil {
+					if ctxErr := ctx.Err(); ctxErr != nil {
+						return ctxErr // the caller giving up
+					}
+					setBit(s.excluded, c.first)
+					continue
+				}
+				c.score = -pv.PredictedPerf
+			}
+			s.cells[n] = c
+			n++
+		}
+		s.cells = s.cells[:n]
+		slices.SortFunc(s.cells, compareCells)
+	}
 	s.lo, s.hi, s.word, s.cur, s.late = 0, 0, s.words-1, 0, false
 	return nil
 }
@@ -484,40 +663,58 @@ func compareCells(a, b snapCell) int {
 	return cmp.Compare(a.then, b.then)
 }
 
-// score sets c's score for q; ok is false when c's members are left out: the
-// class's row, or the solo member's Preview, says the container does not fit.
-//
-//numalint:noalloc
-func (s *routeScratch) score(ctx context.Context, c *snapCell, q *routeQuery) (ok bool, err error) {
-	if q.moving != nil {
-		c.then = -utilization(int(c.free), int(c.total))
+// rankCells is where cells are scored and sorted: it orders every cell of
+// classes for q — by utilization, or by the class's score row, asked of
+// reps[i] (nil: the class has no member, and the order does not cover it).
+// keep is false when a row could not be had: every cell of that class is left
+// out, for the decision that ranked it only. Only a cancelled ctx fails it.
+func rankCells(ctx context.Context, q *routeQuery, classes []viewClass, reps []*member) (e *cellOrder, keep bool, err error) {
+	e = &cellOrder{covers: make([]bool, len(classes))}
+	if q.by == bestPredicted {
+		e.w = q.w
 	}
-	switch {
-	case q.by == leastLoaded:
-		c.score = utilization(int(c.free), int(c.total))
-	case q.by == bestPredicted && c.class == solo:
-		pv, err := s.members[c.first].b.Preview(ctx, q.w, q.vcpus)
-		if err != nil {
-			return false, ctx.Err() // left out, unless it is the caller giving up
-		}
-		c.score = -pv.PredictedPerf
-	case q.by == bestPredicted:
-		cl := &s.classes[c.class]
-		if !cl.fetched {
-			cl.fetched = true
-			if cl.row, err = cl.rep.classer.ScoreRow(ctx, q.w, q.vcpus, cl.key.class); err != nil {
+	keep = true
+	for i, c := range classes {
+		var row []sched.Score
+		if q.by == bestPredicted {
+			if reps[i] == nil {
+				continue
+			}
+			if row, err = reps[i].classer.ScoreRow(ctx, q.w, q.vcpus, c.key.class); err != nil {
 				if ctxErr := ctx.Err(); ctxErr != nil {
-					return false, ctxErr
+					return nil, false, ctxErr
 				}
-				cl.row = nil // every preview of the class fails, and says why itself
+				row, keep = nil, false // every preview of the class fails, and says why itself
 			}
 		}
-		if int(c.free) >= len(cl.row) || cl.row[c.free].Class < 0 {
-			return false, nil
+		e.covers[i] = true
+		e.classes++
+		for free := 0; free <= c.key.total; free++ {
+			oc := orderCell{class: int32(i), free: int32(free), total: int32(c.key.total)}
+			switch q.by {
+			case leastLoaded:
+				oc.score = utilization(free, c.key.total)
+			case bestPredicted:
+				if oc.out = free >= len(row) || row[free].Class < 0; !oc.out {
+					oc.score = -row[free].Perf
+				}
+			}
+			e.cells = append(e.cells, oc)
 		}
-		c.score = -cl.row[c.free].Perf
 	}
-	return true, nil
+	slices.SortFunc(e.cells, func(a, b orderCell) int {
+		if a.out != b.out {
+			if a.out {
+				return 1
+			}
+			return -1
+		}
+		if c := cmp.Compare(a.score, b.score); c != 0 {
+			return c
+		}
+		return cmp.Compare(utilization(int(b.free), int(b.total)), utilization(int(a.free), int(a.total)))
+	})
+	return e, keep, nil
 }
 
 // next returns the next candidate — unoccupied domains first, then by

@@ -156,9 +156,10 @@ func (f *Fleet) ranked(ctx context.Context, s *routeScratch, q *routeQuery) ([]*
 
 // CheckRouting compares the index with the fan-out oracle for an admission of
 // (w, vcpus) against f's current, quiescent state: the candidate order and
-// the preview rejections. It returns the number of classes the decision met.
-// Exported for the tests over real Engines (package fleet_test: this package
-// cannot import the root one).
+// the preview rejections. It returns the number of classes in the cell order
+// the decision read from the memo (or ranked and remembered). Exported for
+// the tests over real Engines (package fleet_test: this package cannot import
+// the root one).
 func (f *Fleet) CheckRouting(ctx context.Context, w perfsim.Workload, vcpus int) (classes int, err error) {
 	var s routeScratch
 	q := routeQuery{by: f.cfg.Policy.scoring(), w: w, vcpus: vcpus}
@@ -173,7 +174,7 @@ func (f *Fleet) CheckRouting(ctx context.Context, w perfsim.Workload, vcpus int)
 	if g, w := errorTexts(s.rejections(ctx, &q)), errorTexts(wantErrs); g != w {
 		return 0, fmt.Errorf("rejections %q, a preview fan-out collects %q", g, w)
 	}
-	return len(s.classes), nil
+	return s.met, nil
 }
 
 // moveQuery is the destination query evacuateLocked makes for tenant rec.
@@ -849,8 +850,10 @@ func (rf *routeFleet) perturb(t *testing.T, ctx context.Context, rng *xrand.Spli
 		rf.changed(si, nil)
 	case k < 96:
 		class.rowErr = fmt.Errorf("no row: %w", nperr.ErrMachineMismatch)
+		rf.changed(-1, class)
 	case k < 98:
 		class.rowErr = nil
+		rf.changed(-1, class)
 	default:
 		class.decline = !class.decline
 		rf.changed(-1, class)
@@ -923,6 +926,98 @@ func TestRoutePassIsTheFanOut(t *testing.T) {
 	}
 }
 
+// apply is one of the operations perturb draws, chosen by op and aimed by arg
+// at a member, a tenant, a workload or a class.
+func (rf *routeFleet) apply(t *testing.T, ctx context.Context, op, arg byte) {
+	f, i := rf.f, int(arg)%len(rf.names)
+	name, stub, class := rf.names[i], rf.stubs[i], rf.classes[int(arg)%len(rf.classes)]
+	switch op % 12 {
+	case 0, 1:
+		if adm, err := f.Place(ctx, testWorkload(t, routeWorkloads[int(arg)%len(routeWorkloads)]), 4); err == nil {
+			rf.live = append(rf.live, adm.ID)
+		}
+	case 2:
+		if len(rf.live) > 0 {
+			j := int(arg) % len(rf.live)
+			if err := f.Release(ctx, rf.live[j]); err != nil {
+				t.Fatal(err)
+			}
+			rf.live = append(rf.live[:j], rf.live[j+1:]...)
+		}
+	case 3:
+		f.Drain(ctx, name) // a partial drain is a result
+	case 4:
+		f.Resume(name)
+	case 5:
+		f.MissProbe(ctx, name)
+		f.MissProbe(ctx, name)
+	case 6:
+		f.Heartbeat(name)
+	case 7:
+		f.Fail(ctx, name)
+	case 8:
+		f.Revive(ctx, name)
+	case 9:
+		stub.previewErr = nil
+		if arg&1 == 0 {
+			stub.previewErr = fmt.Errorf("observation failed: %w", nperr.ErrUntrained)
+		}
+		rf.changed(i, nil)
+	case 10:
+		class.rowErr = nil
+		if arg&1 == 0 {
+			class.rowErr = fmt.Errorf("no row: %w", nperr.ErrMachineMismatch)
+		}
+		rf.changed(-1, class)
+	default:
+		class.decline = arg&1 == 0
+		rf.changed(-1, class)
+	}
+}
+
+// FuzzRoutePass holds the index and its memoized cell orders to the preview
+// fan-out over states the input chooses. The first byte seeds a fleet of
+// mixed stubs, built once per policy; each pair of bytes after it is one
+// operation and its aim, applied to all three fleets. After each, every
+// fleet's admission order and rejections, and each resident tenant's
+// destination order, must be the fan-out's.
+func FuzzRoutePass(f *testing.F) {
+	f.Add([]byte{1})
+	f.Add([]byte{6, 0, 0, 1, 1, 0, 2, 9, 3, 0, 4, 2, 0, 7, 1, 8, 1, 0, 5})
+	f.Add([]byte{3, 0, 1, 10, 0, 0, 2, 11, 1, 0, 0, 3, 2, 10, 1, 11, 0, 0, 1, 4, 2, 2, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 129 {
+			return
+		}
+		ctx := context.Background()
+		var fleets []*routeFleet
+		for _, policy := range []Policy{FirstFit, LeastLoaded, BestPredicted} {
+			cfg := Config{Policy: policy, SpreadDomains: data[0]&1 == 1, Health: HealthConfig{FailoverBudgetSeconds: -1}}
+			fleets = append(fleets, newRouteFleet(t, xrand.New(uint64(data[0])), cfg, 1+int(data[0]>>1)%12, false))
+		}
+		for i := 1; i < len(data); i += 2 {
+			op, arg := data[i], byte(0)
+			if i+1 < len(data) {
+				arg = data[i+1]
+			}
+			w := testWorkload(t, routeWorkloads[int(arg)%len(routeWorkloads)])
+			for _, rf := range fleets {
+				rf.apply(t, ctx, op, arg)
+				if _, err := rf.f.CheckRouting(ctx, w, 4); err != nil {
+					t.Fatalf("%s, op %d: %v", rf.f.cfg.Policy, i/2, err)
+				}
+				for _, id := range rf.live {
+					for _, minUtil := range []float64{-1, 0.25} {
+						if err := rf.f.checkDestOrder(ctx, id, minUtil); err != nil {
+							t.Fatalf("%s, op %d: %v", rf.f.cfg.Policy, i/2, err)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 // TestRouteOneRowPerClass pins the point of the pass: a fleet of classed
 // backends is scored from one row per class, whatever its size, and a
 // backend that declines is previewed instead.
@@ -962,15 +1057,18 @@ func TestRouteOneRowPerClass(t *testing.T) {
 }
 
 // TestRouteManyClasses drives the pass far past the few classes a real fleet
-// has: every member its own class, every score distinct.
+// has: every member its own class, every score distinct. One order covers all
+// of them, so each class's row is fetched once, by the first decision.
 func TestRouteManyClasses(t *testing.T) {
 	const classes = 24
 	ctx := context.Background()
 	f := New(Config{Policy: BestPredicted, SpreadDomains: true})
 	m := machines.Intel()
+	var all []*stubClass
 	for i := 0; i < classes; i++ {
 		class := &stubClass{token: sched.ScoreClass{Machine: uint64(i + 1)}, m: m,
 			row: []float64{0, float64(i%7 + 1), float64(i + 1), float64(i + 1), float64(i + 1)}}
+		all = append(all, class)
 		b := &classedStub{rowStub: rowStub{newStub(m, 0), class.row}, class: class}
 		if err := f.Add(fmt.Sprintf("m%d", i), b, InDomain(fmt.Sprintf("rack-%d", i%3))); err != nil {
 			t.Fatal(err)
@@ -987,6 +1085,73 @@ func TestRouteManyClasses(t *testing.T) {
 	}
 	if _, err := f.Place(ctx, w, 4); !errors.Is(err, nperr.ErrFleetFull) {
 		t.Fatalf("a full fleet answered %v", err)
+	}
+	for i, class := range all {
+		if class.rows != 1 {
+			t.Fatalf("class %d: row fetched %d times over %d admissions, want once", i, class.rows, classes*m.Topo.NumNodes)
+		}
+	}
+}
+
+// TestRouteCatchesPoisonedOrder proves the oracles read what the memo holds:
+// in the order the next decision reads, two cells of different scores
+// swapped, or one cell the row leaves out let in, must each fail CheckRouting.
+func TestRouteCatchesPoisonedOrder(t *testing.T) {
+	ctx := context.Background()
+	w := testWorkload(t, "swaptions")
+	for _, p := range []struct {
+		name   string
+		poison func(cells []orderCell, filled func(orderCell) bool) bool
+	}{
+		{"two cells of different scores swapped", func(cells []orderCell, filled func(orderCell) bool) bool {
+			for i, a := range cells {
+				for j := i + 1; j < len(cells); j++ {
+					if b := cells[j]; !a.out && !b.out && a.score != b.score && filled(a) && filled(b) {
+						cells[i], cells[j] = b, a
+						return true
+					}
+				}
+			}
+			return false
+		}},
+		{"a left-out cell let in", func(cells []orderCell, filled func(orderCell) bool) bool {
+			for i, c := range cells {
+				if c.out && filled(c) {
+					cells[i].out = false
+					return true
+				}
+			}
+			return false
+		}},
+	} {
+		t.Run(p.name, func(t *testing.T) {
+			class := &stubClass{token: sched.ScoreClass{Machine: 1}, m: machines.Intel(), row: []float64{0, 1, 2, 3, 4}}
+			f := New(Config{Policy: BestPredicted})
+			for i, free := range []int{0, 4, 1, 2, 0, 4, 2, 1} {
+				stub := newStub(class.m, 0)
+				stub.free = topology.FullNodeSet(free)
+				if err := f.Add(fmt.Sprintf("m%d", i), &classedStub{rowStub: rowStub{stub, class.row}, class: class}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := f.CheckRouting(ctx, w, 4); err != nil {
+				t.Fatal(err) // the decision that ranks the order and remembers it
+			}
+			q := routeQuery{by: bestPredicted, w: w, vcpus: 4}
+			f.mu.Lock()
+			v := f.viewLocked(&q)
+			e := v.memo.get(q.orderKey())
+			poisoned := e != nil && p.poison(e.cells, func(c orderCell) bool {
+				return slices.ContainsFunc(v.classes[c.class].cell(int(c.free), f.idx.words), func(word uint64) bool { return word != 0 })
+			})
+			f.mu.Unlock()
+			if !poisoned {
+				t.Fatal("degenerate setup: no order remembered, or nothing in it to poison")
+			}
+			if _, err := f.CheckRouting(ctx, w, 4); err == nil {
+				t.Fatal("CheckRouting passed a decision read from a poisoned order")
+			}
+		})
 	}
 }
 
@@ -1098,9 +1263,10 @@ func (s *countingStub) Place(ctx context.Context, w perfsim.Workload, vcpus int)
 // TestRouteDecisionIsNotPerMember is the scaling claim as a count: on a warm
 // fleet of 1 024 machines in two classes at half fill, one admission that the
 // first candidate takes calls that candidate — its Place, and the commit's
-// re-read of its free count — and one member per class for the score row. No
-// member is asked its class, its free count or a Preview to be ranked; a
-// decision that sweeps the fleet makes a thousand such calls and fails here
+// re-read of its free count — and nobody else. No member is asked its class,
+// its free count, a score row or a Preview to be ranked: the cell order is
+// the one the view memoized. A decision that sweeps the fleet makes a thousand
+// such calls, and one that ranks makes a row call per class; both fail here
 // without a clock.
 func TestRouteDecisionIsNotPerMember(t *testing.T) {
 	ctx := context.Background()
@@ -1136,12 +1302,8 @@ func TestRouteDecisionIsNotPerMember(t *testing.T) {
 				if _, err := f.Place(ctx, w, 4); err != nil {
 					t.Fatal(err)
 				}
-				rows := 0
-				if policy == BestPredicted {
-					rows = len(classes)
-				}
-				if calls.scoreClass != 0 || calls.preview != 0 || calls.place != 1 || calls.freeNodes > 2 || calls.scoreRow != rows {
-					t.Fatalf("cycle %d: one first-try admission over 1024 machines made %+v backend calls, want 0 ScoreClass, 0 Preview, 1 Place, at most 2 FreeNodes, %d ScoreRow", cycle, calls, rows)
+				if calls.scoreClass != 0 || calls.preview != 0 || calls.place != 1 || calls.freeNodes > 2 || calls.scoreRow != 0 {
+					t.Fatalf("cycle %d: one first-try admission over 1024 machines made %+v backend calls, want 0 ScoreClass, 0 ScoreRow, 0 Preview, 1 Place, at most 2 FreeNodes", cycle, calls)
 				}
 			}
 		})
@@ -1154,12 +1316,7 @@ func (s *routeScratch) refersTo(m *member) bool {
 	if slices.Contains(s.members, m) {
 		return true
 	}
-	for _, c := range s.classes[:cap(s.classes)] {
-		if c.rep == m {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(s.reps[:cap(s.reps)], m)
 }
 
 // removedBackend builds a fleet of three, routes admissions (pooled scratch)

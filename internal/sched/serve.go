@@ -60,7 +60,8 @@ type Assignment struct {
 	Class int
 	// Nodes is the concrete node set the container is pinned to.
 	Nodes topology.NodeSet
-	// Threads is the vCPU-to-hardware-thread pinning.
+	// Threads is the vCPU-to-hardware-thread pinning: the machine model's
+	// memoized one, shared and read-only.
 	Threads []topology.ThreadID
 	// BasePerf is the container's observed baseline throughput and
 	// PredictedPerf the model's prediction for the chosen class.
@@ -488,7 +489,9 @@ func (s *Scheduler) ScoreClass(v int) (class ScoreClass, ok bool) {
 // reported: entry n is what Preview answers with n nodes free, so
 // row[Free().Len()] is this scheduler's Preview and, by ScoreClass's
 // contract, that of every scheduler of the class at its own free count. The
-// row is shared and read-only. An error is the one those Previews return.
+// row is shared and read-only, and stands: the shape table computes it once
+// per predictor pointer, deterministically, so (w, v, class) always gets these
+// values. An error is the one those Previews return.
 func (s *Scheduler) ScoreRow(ctx context.Context, w perfsim.Workload, v int, class ScoreClass) ([]Score, error) {
 	imps, err := s.previewModel(ctx, v, class.Predictor)
 	if err != nil {
