@@ -59,15 +59,18 @@ race:
 # (which `test` already runs): the wire recognisers against encoding/json, the
 # log's batch frame scan against a frame-at-a-time one, the serving scheduler
 # against its from-scratch reference, alone and as two schedulers sharing one
-# machine model's table set, and the fleet's routing index (memoized cell
-# orders included) against a preview fan-out. A finding is written to the
-# package's testdata/fuzz and fails the step.
+# machine model's table set, the fleet's routing index (memoized cell orders
+# included) against a preview fan-out, and the model decoder against hostile
+# bytes (its seeds are whole saved models, so minimizing each new
+# input is capped at 1s; uncapped it eats the budget). A finding is written
+# to the package's testdata/fuzz and fails the step.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzScanFrames$$' -fuzztime 5s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerParity$$' -fuzztime 5s ./internal/sched/
 	$(GO) test -run '^$$' -fuzz '^FuzzSharedTablesParity$$' -fuzztime 5s ./internal/sched/
 	$(GO) test -run '^$$' -fuzz '^FuzzRoutePass$$' -fuzztime 5s ./internal/fleet/
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadPredictor$$' -fuzztime 5s -fuzzminimizetime 1s ./internal/core/
 
 # The micro-benchmarks at the default budget, for reading while you work.
 # They gate nothing: allocation ceilings are ordinary tests in `go test

@@ -151,8 +151,8 @@ func BenchmarkAblationForestSize(b *testing.B) {
 
 // BenchmarkPredictLatency measures the paper's "inference time is
 // negligible (milliseconds)" claim for a trained predictor on the serving
-// hot path: PredictInto through the compiled forest's interval table, which
-// must run allocation-free (mlearn's TestPredictIntoAllocFree holds it to 0).
+// hot path: PredictInto through the forest's interval table, which must run
+// allocation-free (mlearn's TestPredictIntoAllocFree holds it to 0).
 func BenchmarkPredictLatency(b *testing.B) {
 	m := machines.Intel()
 	ws := append(workloads.Paper(), workloads.CorpusFrom(20, 7, []string{"flat", "bw", "lat"})...)
@@ -179,7 +179,7 @@ func BenchmarkPredictLatency(b *testing.B) {
 }
 
 // BenchmarkPredictDataset measures whole-dataset scoring through the
-// compiled forest's tree-outer traversal (the evaluation path), reported
+// forest's tree-outer batch walk (the evaluation path), reported
 // per dataset pass. PredictDatasetInto writes into caller-owned feature and
 // prediction blocks and must run allocation-free (core's
 // TestPredictDatasetIntoAllocFree holds it to 0).
@@ -199,7 +199,7 @@ func BenchmarkPredictDataset(b *testing.B) {
 	n := len(ds.Workloads)
 	xbuf := make([]float64, n*pred.InDim())
 	out := make([]float64, n*pred.NumPlacements)
-	if err := pred.PredictDatasetInto(out, xbuf, ds, nil); err != nil { // warm (compiles the forest)
+	if err := pred.PredictDatasetInto(out, xbuf, ds, nil); err != nil { // warm the caches
 		b.Fatal(err)
 	}
 	b.ResetTimer()

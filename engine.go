@@ -211,18 +211,18 @@ func (e *Engine) Train(ctx context.Context, ds *Dataset) (*Predictor, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Compile before the predictor becomes visible to the serving paths:
-	// the first Place/Predict should not pay the one-time build.
-	pred.Compile()
+	// Warm before the predictor becomes visible to the serving paths: the
+	// first Place/Predict should not pay the one-time build.
+	pred.Warm()
 	e.setPredictor(ds.V, pred)
 	return pred, nil
 }
 
 // UsePredictor registers a trained predictor for a container size (e.g.
 // one loaded with LoadPredictor), replacing any previous registration.
-// The predictor is compiled for serving if it was not already.
+// The predictor is warmed for serving if it was not already.
 func (e *Engine) UsePredictor(vcpus int, p *Predictor) {
-	p.Compile()
+	p.Warm()
 	e.setPredictor(vcpus, p)
 }
 
@@ -276,8 +276,8 @@ func (e *Engine) Predict(vcpus int, perfBase, perfProbe float64) ([]float64, err
 
 // PredictInto is the allocation-free Predict for serving loops: it writes
 // the predicted vector into dst, which must have one entry per important
-// placement (len = Predictor.NumPlacements). Inference runs on the
-// predictor's compiled forest and performs no allocations per call.
+// placement (len = Predictor.NumPlacements). Inference reads the
+// predictor's interval table and performs no allocations per call.
 func (e *Engine) PredictInto(dst []float64, vcpus int, perfBase, perfProbe float64) error {
 	p, ok := e.Predictor(vcpus)
 	if !ok {

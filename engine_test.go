@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"sync"
@@ -646,6 +647,40 @@ func TestFacadePipeline(t *testing.T) {
 	}
 	if !reflect.DeepEqual(vec, v2) {
 		t.Fatal("loaded predictor disagrees")
+	}
+}
+
+// TestEditedModelCannotCrashPlace replays the model-file crash: a saved
+// predictor edited to observe placement 99 of a machine with 13 used to
+// load, register through WithPredictor and panic inside the first Place.
+// The load now refuses it; nothing on the way to Place may panic.
+func TestEditedModelCannotCrashPlace(t *testing.T) {
+	ctx := context.Background()
+	pred, _ := trainedEngine(t, ctx, AMD(), 16).Predictor(16)
+	var buf bytes.Buffer
+	if err := pred.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	edited := bytes.Replace(buf.Bytes(), fmt.Appendf(nil, `"base":%d`, pred.Base), []byte(`"base":99`), 1)
+	if bytes.Equal(edited, buf.Bytes()) {
+		t.Fatal("the saved model has no base field to edit")
+	}
+	wt, _ := WorkloadByName("WTbtree")
+	place := func() (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("loading and placing with the edited model panicked: %v", r)
+			}
+		}()
+		p, err := LoadPredictor(bytes.NewReader(edited))
+		if err != nil {
+			return err
+		}
+		_, err = New(AMD(), WithPredictor(16, p)).Place(ctx, wt, 16)
+		return err
+	}
+	if err := place(); err == nil {
+		t.Fatal("a model observing placement 99 of 13 was served")
 	}
 }
 

@@ -23,6 +23,21 @@ func smallDataset(t *testing.T, withHPE bool) *Dataset {
 	return ds
 }
 
+// predictAll scores the selected dataset rows (nil = all) in one batch
+// into a fresh flat block, row-major.
+func predictAll(t *testing.T, p *Predictor, ds *Dataset, rows []int) []float64 {
+	t.Helper()
+	n := len(ds.Workloads)
+	if rows != nil {
+		n = len(rows)
+	}
+	out := make([]float64, n*p.NumPlacements)
+	if err := p.PredictDatasetInto(out, make([]float64, n*p.InDim()), ds, rows); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func fastTrain() TrainConfig {
 	return TrainConfig{
 		Forest:         mlearn.ForestConfig{Trees: 25},
@@ -125,12 +140,8 @@ func TestTrainPerfVariant(t *testing.T) {
 		t.Fatalf("bad pair (%d, %d)", p.Base, p.Probe)
 	}
 	// Training-set predictions should be reasonably accurate.
-	var pred, actual [][]float64
-	for w := range ds.Workloads {
-		pred = append(pred, p.PredictRow(ds, w))
-		actual = append(actual, ds.RelVector(w, p.Base))
-	}
-	if mape := mlearn.MAPE(pred, actual); mape > 10 {
+	all := predictAll(t, p, ds, nil)
+	if mape := mlearn.MAPEFlat(all, ds.RelMatrix(p.Base), nil); mape > 10 {
 		t.Errorf("training MAPE %v%% too high", mape)
 	}
 	// Runtime interface: predict from two observations.
@@ -142,8 +153,8 @@ func TestTrainPerfVariant(t *testing.T) {
 	if len(vec) != len(ds.Placements) {
 		t.Fatalf("vector length %d", len(vec))
 	}
-	if !reflect.DeepEqual(vec, p.PredictRow(ds, w0)) {
-		t.Error("Predict and PredictRow disagree")
+	if !reflect.DeepEqual(vec, all[w0*len(vec):(w0+1)*len(vec)]) {
+		t.Error("Predict and PredictDatasetInto disagree")
 	}
 }
 
@@ -279,9 +290,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 // TestSaveLoadCompiledParity round-trips a trained predictor through its
-// JSON form and asserts the reloaded compiled forest predicts bit-
-// identically to the original across the serving APIs: single, zero-alloc
-// and whole-dataset batch.
+// JSON form and asserts the reloaded forest dumps and predicts
+// bit-identically to the original across the serving APIs: single,
+// zero-alloc and whole-dataset batch.
 func TestSaveLoadCompiledParity(t *testing.T) {
 	ds := smallDataset(t, false)
 	p, err := Train(ds, fastTrain())
@@ -296,8 +307,8 @@ func TestSaveLoadCompiledParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.forest.Compiled() == nil {
-		t.Fatal("loaded predictor has no compiled forest")
+	if !reflect.DeepEqual(q.forest.Dump(), p.forest.Dump()) {
+		t.Fatal("loaded forest dumps differently")
 	}
 	dp := make([]float64, p.NumPlacements)
 	dq := make([]float64, q.NumPlacements)
@@ -323,36 +334,33 @@ func TestSaveLoadCompiledParity(t *testing.T) {
 			t.Fatalf("probe %v: PredictInto diverged after round trip", probe)
 		}
 	}
-	bp, err := p.PredictDataset(ds, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bq, err := q.PredictDataset(ds, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(bp, bq) {
+	bp := predictAll(t, p, ds, nil)
+	if !reflect.DeepEqual(bp, predictAll(t, q, ds, nil)) {
 		t.Fatal("batch dataset predictions differ after round trip")
 	}
+	k := p.NumPlacements
 	for w := range ds.Workloads {
-		if !reflect.DeepEqual(bp[w], p.PredictRow(ds, w)) {
-			t.Fatalf("row %d: batch and per-row predictions differ", w)
+		if err := q.PredictInto(dq, ds.Perf[w][q.Base], ds.Perf[w][q.Probe]); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(bp[w*k:(w+1)*k], dq) {
+			t.Fatalf("row %d: batch and single predictions differ", w)
 		}
 	}
 }
 
-// TestCompileLeavesNothingForTheFirstPredict asserts Compile builds the
-// form serving reads, not only the SoA arrays: the very first PredictInto
-// on a compiled predictor — the one inside a fresh engine's first
-// admission — allocates nothing. (testing.AllocsPerRun warms its function
-// up first, so the one call is counted by hand the way it counts.)
-func TestCompileLeavesNothingForTheFirstPredict(t *testing.T) {
+// TestWarmLeavesNothingForTheFirstPredict asserts Warm builds what serving
+// reads: the very first PredictInto on a warmed predictor — the one inside
+// a fresh engine's first admission — allocates nothing.
+// (testing.AllocsPerRun warms its function up first, so the one call is
+// counted by hand the way it counts.)
+func TestWarmLeavesNothingForTheFirstPredict(t *testing.T) {
 	p, err := Train(smallDataset(t, false), fastTrain())
 	if err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]float64, p.NumPlacements)
-	p.Compile()
+	p.Warm()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -362,13 +370,13 @@ func TestCompileLeavesNothingForTheFirstPredict(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Fatalf("first PredictInto after Compile allocates %d times, want 0", n)
+		t.Fatalf("first PredictInto after Warm allocates %d times, want 0", n)
 	}
 }
 
 // TestPredictDatasetIntoAllocFree holds whole-dataset scoring into
-// caller-owned blocks (the evaluation path of cmd/trainmodel and Figure 4)
-// to zero allocations once the forest is compiled.
+// caller-owned blocks (the evaluation path of `paperrepro train` and
+// Figure 4) to zero allocations.
 func TestPredictDatasetIntoAllocFree(t *testing.T) {
 	ds := smallDataset(t, true)
 	for _, v := range []Variant{PerfFeatures, HPEFeatures} {
@@ -388,15 +396,6 @@ func TestPredictDatasetIntoAllocFree(t *testing.T) {
 		}); avg != 0 {
 			t.Fatalf("%s: warm PredictDatasetInto allocates %v per pass, want 0", v, avg)
 		}
-	}
-}
-
-func TestLoadPredictorErrors(t *testing.T) {
-	if _, err := LoadPredictor(bytes.NewBufferString("{")); err == nil {
-		t.Error("truncated JSON accepted")
-	}
-	if _, err := LoadPredictor(bytes.NewBufferString(`{"forest":{"trees":[]}}`)); err == nil {
-		t.Error("empty forest accepted")
 	}
 }
 
@@ -425,7 +424,8 @@ func TestCombinedVariantNoBetterThanPerf(t *testing.T) {
 	evaluate := func(variant Variant) float64 {
 		cfg := fastTrain()
 		cfg.Variant = variant
-		var pred, actual [][]float64
+		var total float64
+		count := 0
 		folds, err := mlearn.GroupKFold(ds.Groups, 4)
 		if err != nil {
 			t.Fatal(err)
@@ -435,12 +435,10 @@ func TestCombinedVariantNoBetterThanPerf(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, w := range fold.Test {
-				pred = append(pred, p.PredictRow(ds, w))
-				actual = append(actual, ds.RelVector(w, p.Base))
-			}
+			pred := predictAll(t, p, ds, fold.Test)
+			mlearn.MAPEFlatAccum(pred, ds.RelMatrix(p.Base), fold.Test, &total, &count)
 		}
-		return mlearn.MAPE(pred, actual)
+		return 100 * total / float64(count)
 	}
 	perf := evaluate(PerfFeatures)
 	combined := evaluate(Combined)

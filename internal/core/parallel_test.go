@@ -13,19 +13,15 @@ import (
 )
 
 // trainFingerprint trains with cfg and returns the chosen pair plus the
-// predicted vectors for every workload row — a complete behavioral
-// fingerprint of the model.
-func trainFingerprint(t *testing.T, ds *Dataset, cfg TrainConfig) (int, int, [][]float64) {
+// predicted vectors for every workload row (flat, row-major) — a complete
+// behavioral fingerprint of the model.
+func trainFingerprint(t *testing.T, ds *Dataset, cfg TrainConfig) (int, int, []float64) {
 	t.Helper()
 	p, err := Train(ds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var preds [][]float64
-	for w := range ds.Workloads {
-		preds = append(preds, p.PredictRow(ds, w))
-	}
-	return p.Base, p.Probe, preds
+	return p.Base, p.Probe, predictAll(t, p, ds, nil)
 }
 
 // TestTrainIdenticalAcrossWorkerCounts is the golden-equality guarantee of
@@ -55,12 +51,9 @@ func TestTrainIdenticalAcrossWorkerCounts(t *testing.T) {
 		if b != base || p != probe {
 			t.Fatalf("workers=%d: pair (%d,%d), want (%d,%d)", w, b, p, base, probe)
 		}
-		for r := range want {
-			for c := range want[r] {
-				if got[r][c] != want[r][c] {
-					t.Fatalf("workers=%d: prediction [%d][%d] = %v, want %v (not bit-identical)",
-						w, r, c, got[r][c], want[r][c])
-				}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d: prediction %d = %v, want %v (not bit-identical)", w, i, got[i], want[i])
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/mlearn"
 	"repro/internal/nperr"
@@ -53,7 +54,7 @@ func (p *Predictor) PredictHPE(hpes []float64, perfRatio float64) ([]float64, er
 		return nil, fmt.Errorf("core: PredictHPE requires an HPE variant, have %s", p.Variant)
 	}
 	for _, f := range p.HPEFeats {
-		if f >= len(hpes) {
+		if f < 0 || f >= len(hpes) {
 			return nil, fmt.Errorf("core: counter index %d out of range (%d counters)", f, len(hpes))
 		}
 		x = append(x, hpes[f])
@@ -65,20 +66,13 @@ func (p *Predictor) PredictHPE(hpes []float64, perfRatio float64) ([]float64, er
 	return out, nil
 }
 
-// PredictRow runs the predictor on a dataset row (testing/evaluation).
-func (p *Predictor) PredictRow(ds *Dataset, w int) []float64 {
-	return p.forest.Predict(features(ds, p, w))
-}
-
-// Compile eagerly builds what serving reads — the forest's flat SoA form
-// and, for the single-feature perf variant, the interval table PredictInto
-// answers from (both otherwise built lazily on the first prediction) — so
-// serving entry points pay the one-time build when they register a
-// predictor, not inside the first admission. Safe to call repeatedly and on
-// untrained predictors.
-func (p *Predictor) Compile() {
-	if p != nil && p.forest != nil {
-		p.forest.Compiled().Warm()
+// Warm builds the interval table the perf variant's PredictInto answers
+// from (otherwise built by the first prediction), so serving entry points
+// pay the one-time build when they register a predictor, not inside the
+// first admission. Safe to call repeatedly and on untrained predictors.
+func (p *Predictor) Warm() {
+	if p != nil {
+		p.forest.Warm()
 	}
 }
 
@@ -88,10 +82,10 @@ func (p *Predictor) Compile() {
 func (p *Predictor) InDim() int { return featDim(p) }
 
 // PredictDatasetInto scores the selected dataset rows (nil = all) into dst
-// (flat, row-major, len nrows*NumPlacements) through the compiled forest's
-// tree-outer traversal, using xbuf (len >= nrows*InDim()) as feature
-// scratch. The call is allocation-free after the forest's one-time
-// compilation; row r is bit-identical to PredictRow(ds, rows[r]).
+// (flat, row-major, len nrows*NumPlacements) through the forest's
+// tree-outer batch walk, using xbuf (len >= nrows*InDim()) as feature
+// scratch. The call is allocation-free, and row r is bit-identical to a
+// single prediction from the same observations.
 func (p *Predictor) PredictDatasetInto(dst, xbuf []float64, ds *Dataset, rows []int) error {
 	d := featDim(p)
 	n := len(ds.Workloads)
@@ -103,37 +97,7 @@ func (p *Predictor) PredictDatasetInto(dst, xbuf []float64, ds *Dataset, rows []
 	}
 	X := mlearn.Matrix{Data: xbuf[:n*d], Rows: n, Cols: d}
 	fillFeatures(X, ds, p, rows)
-	c := p.forest.Compiled()
-	if c == nil {
-		return mlearn.ErrEmptyForest
-	}
-	return c.PredictRowsInto(dst, X, nil)
-}
-
-// PredictDataset scores the given dataset rows (nil = all) in one batch,
-// allocating the output vectors in a single contiguous block; row r is
-// bit-identical to PredictRow(ds, rows[r]). Hot loops should pool their
-// buffers and call PredictDatasetInto instead.
-func (p *Predictor) PredictDataset(ds *Dataset, rows []int) ([][]float64, error) {
-	n := len(ds.Workloads)
-	if rows != nil {
-		n = len(rows)
-	}
-	// NumPlacements equals the forest's output dimensionality for every
-	// trained or loaded predictor, and sizing by it keeps the untrained
-	// case on PredictDatasetInto's typed-error path instead of a nil
-	// forest dereference.
-	d := p.NumPlacements
-	xbuf := make([]float64, n*featDim(p))
-	backing := make([]float64, n*d)
-	if err := p.PredictDatasetInto(backing, xbuf, ds, rows); err != nil {
-		return nil, err
-	}
-	out := make([][]float64, n)
-	for r := range out {
-		out[r] = backing[r*d : (r+1)*d]
-	}
-	return out, nil
+	return p.forest.PredictRowsInto(dst, X, nil)
 }
 
 // BestPlacement returns the index of the fastest predicted placement
@@ -168,7 +132,11 @@ func (p *Predictor) Save(w io.Writer) error {
 	})
 }
 
-// LoadPredictor reads a predictor previously written by Save.
+// LoadPredictor reads a predictor previously written by Save. It accepts
+// only what serving can answer: a known variant, observation placements
+// among the forest's outputs, counter indices that are indices, and a
+// forest that takes exactly the variant's features — a model file must not
+// be able to crash the scheduler it is registered with.
 func LoadPredictor(r io.Reader) (*Predictor, error) {
 	var pj predictorJSON
 	if err := json.NewDecoder(r).Decode(&pj); err != nil {
@@ -178,16 +146,25 @@ func LoadPredictor(r io.Reader) (*Predictor, error) {
 	if err != nil {
 		return nil, err
 	}
-	if pj.NumPlacements != f.OutDim() {
-		return nil, fmt.Errorf("core: predictor claims %d placements but forest outputs %d", pj.NumPlacements, f.OutDim())
-	}
 	p := &Predictor{
 		Variant: pj.Variant, Base: pj.Base, Probe: pj.Probe,
 		HPEFeats: pj.HPEFeats, NumPlacements: pj.NumPlacements,
 		forest: f,
 	}
-	// Loaded predictors exist to serve; compile now rather than on the
-	// first prediction.
-	p.Compile()
+	switch {
+	case p.Variant < PerfFeatures || p.Variant > Combined:
+		return nil, fmt.Errorf("core: unknown predictor %s", p.Variant)
+	case p.NumPlacements != f.OutDim():
+		return nil, fmt.Errorf("core: predictor claims %d placements but forest outputs %d", p.NumPlacements, f.OutDim())
+	case p.Base < 0 || p.Base >= p.NumPlacements || p.Probe < 0 || p.Probe >= p.NumPlacements:
+		return nil, fmt.Errorf("core: observation placements (%d, %d) out of range (%d placements)", p.Base, p.Probe, p.NumPlacements)
+	case slices.ContainsFunc(p.HPEFeats, func(c int) bool { return c < 0 }):
+		return nil, fmt.Errorf("core: negative counter index in %v", p.HPEFeats)
+	case featDim(p) != f.InDim():
+		return nil, fmt.Errorf("core: %s predictor takes %d features but forest expects %d", p.Variant, featDim(p), f.InDim())
+	}
+	// Loaded predictors exist to serve; build the interval table now rather
+	// than on the first prediction.
+	p.Warm()
 	return p, nil
 }

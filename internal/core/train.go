@@ -235,14 +235,6 @@ func featureInto(dst []float64, ds *Dataset, p *Predictor, w int) {
 	}
 }
 
-// features builds the model input for workload row w, allocating exactly
-// the needed capacity.
-func features(ds *Dataset, p *Predictor, w int) []float64 {
-	x := make([]float64, featDim(p))
-	featureInto(x, ds, p, w)
-	return x
-}
-
 // rowOf resolves a row selection (nil = every dataset row) without
 // materializing an identity index slice for the all-rows case.
 func rowOf(rows []int, i int) int {
@@ -344,9 +336,8 @@ func cvMAPE(ctx context.Context, ds *Dataset, p *Predictor, cfg TrainConfig, see
 			return nil, err
 		}
 		// Score the whole held-out fold in one batch straight off the
-		// shared feature matrix. Row r is bit-identical to a per-row
-		// Predict; the fold forest hands its tree storage back to the
-		// training pools once scored.
+		// shared feature matrix; the fold forest hands its arrays back to
+		// the training pool once scored.
 		out := getFloats(len(fold.Test) * Y.Cols)
 		err = f.PredictRowsInto(*out, X, fold.Test)
 		f.Recycle()

@@ -9,27 +9,29 @@ import (
 	"repro/internal/xrand"
 )
 
-func trainFlatFixture(t *testing.T, inDim int) (Matrix, Matrix, *Forest) {
+// trainFlatFixture trains a forest on a random tied set, with the frozen
+// legacy forest of the same data as its oracle.
+func trainFlatFixture(t *testing.T, inDim int) (Matrix, Matrix, *Forest, *legacyForest) {
 	t.Helper()
 	rng := xrand.New(99)
 	X, Y := randomSet(rng, 35, inDim, 6)
-	xm, ym := MatrixFrom(X), MatrixFrom(Y)
-	f, err := TrainForestMatrix(xm, ym, nil, ForestConfig{Trees: 12, Seed: 5})
+	cfg := ForestConfig{Trees: 12, Seed: 5}
+	oracle, err := legacyTrainForest(X, Y, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return xm, ym, f
+	return MatrixFrom(X), MatrixFrom(Y), trainRows(t, X, Y, cfg), oracle
 }
 
-// TestPredictRowsIntoMatchesPointer pins the flat batch walk — both the
-// uncompiled pointer path and the compiled SoA path — to predictPointer per
-// row, bit for bit, including a row selection.
+// TestPredictRowsIntoMatchesPointer pins the batch walk to the legacy
+// pointer walk per row, bit for bit, including a row selection, before and
+// after a single-feature forest builds its interval table.
 func TestPredictRowsIntoMatchesPointer(t *testing.T) {
 	for _, inDim := range []int{1, 4} {
-		xm, ym, f := trainFlatFixture(t, inDim)
-		for _, path := range []string{"pointer-walk", "compiled"} {
-			if path == "compiled" {
-				f.Compiled()
+		xm, ym, f, oracle := trainFlatFixture(t, inDim)
+		for _, path := range []string{"cold", "warm"} {
+			if path == "warm" {
+				f.Warm()
 			}
 			for _, sel := range [][]int{nil, {3, 0, 7, 7, 19}} {
 				n := xm.Rows
@@ -42,7 +44,7 @@ func TestPredictRowsIntoMatchesPointer(t *testing.T) {
 				}
 				for i := 0; i < n; i++ {
 					r := rowAt(sel, i)
-					for d, want := range f.predictPointer(xm.Row(r)) {
+					for d, want := range oracle.predictPointer(xm.Row(r)) {
 						if got[i*ym.Cols+d] != want {
 							t.Fatalf("inDim=%d sel=%v: %s PredictRowsInto row %d dim %d = %v, want %v",
 								inDim, sel, path, r, d, got[i*ym.Cols+d], want)
@@ -55,36 +57,27 @@ func TestPredictRowsIntoMatchesPointer(t *testing.T) {
 }
 
 // TestPredictRowsIntoAllocFree gates the zero-allocation contract of the
-// compiled batch-scoring loop.
+// batch walk (the cross-validation fold-scoring path), with and without a
+// row selection.
 func TestPredictRowsIntoAllocFree(t *testing.T) {
-	xm, ym, f := trainFlatFixture(t, 1)
-	c := f.Compiled()
+	xm, ym, f, _ := trainFlatFixture(t, 1)
 	dst := make([]float64, xm.Rows*ym.Cols)
+	sel := []int{4, 1, 1, 30}
 	if avg := testing.AllocsPerRun(50, func() {
-		if err := c.PredictRowsInto(dst, xm, nil); err != nil {
+		if err := f.PredictRowsInto(dst, xm, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.PredictRowsInto(dst[:len(sel)*ym.Cols], xm, sel); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
-		t.Fatalf("compiled PredictRowsInto allocates %v per run, want 0", avg)
-	}
-	// The uncompiled pointer walk must also be allocation-free (the
-	// cross-validation fold-scoring path).
-	f2, err := TrainForestMatrix(xm, ym, nil, ForestConfig{Trees: 12, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if avg := testing.AllocsPerRun(50, func() {
-		if err := f2.PredictRowsInto(dst, xm, nil); err != nil {
-			t.Fatal(err)
-		}
-	}); avg != 0 {
-		t.Fatalf("pointer-walk PredictRowsInto allocates %v per run, want 0", avg)
+		t.Fatalf("PredictRowsInto allocates %v per run, want 0", avg)
 	}
 }
 
 // TestPredictRowsIntoErrors covers the typed-error contract.
 func TestPredictRowsIntoErrors(t *testing.T) {
-	xm, ym, f := trainFlatFixture(t, 2)
+	xm, ym, f, _ := trainFlatFixture(t, 2)
 	var empty Forest
 	if err := empty.PredictRowsInto(nil, xm, nil); err != ErrEmptyForest {
 		t.Fatalf("empty forest: got %v, want ErrEmptyForest", err)
@@ -100,12 +93,32 @@ func TestPredictRowsIntoErrors(t *testing.T) {
 	if err := f.PredictRowsInto(dst[:ym.Cols], xm, []int{xm.Rows}); !isDimErr(err) {
 		t.Fatalf("out-of-range selection: got %v, want ErrDimMismatch", err)
 	}
-	if err := f.Compiled().PredictRowsInto(dst[:ym.Cols], xm, []int{-1}); !isDimErr(err) {
+	if err := f.PredictRowsInto(dst[:ym.Cols], xm, []int{-1}); !isDimErr(err) {
 		t.Fatalf("negative selection: got %v, want ErrDimMismatch", err)
 	}
 }
 
 func isDimErr(err error) bool { return errors.Is(err, ErrDimMismatch) }
+
+// mape is the row-pointer mean absolute percentage error the flat metric
+// replaced, kept as its reference: zero actual values are skipped.
+func mape(pred, actual [][]float64) float64 {
+	var total float64
+	n := 0
+	for i := range pred {
+		for d := range pred[i] {
+			if actual[i][d] == 0 {
+				continue
+			}
+			total += math.Abs(pred[i][d]-actual[i][d]) / math.Abs(actual[i][d])
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return 100 * total / float64(n)
+}
 
 // TestMAPEFlatMatchesMAPE pins the flat metric — including fold-chained
 // accumulation — to the row-pointer MAPE over the same concatenation.
@@ -134,7 +147,7 @@ func TestMAPEFlatMatchesMAPE(t *testing.T) {
 		}
 		MAPEFlatAccum(block, actual, rows, &total, &count)
 	}
-	want := MAPE(catPred, catAct)
+	want := mape(catPred, catAct)
 	got := 100 * total / float64(count)
 	if got != want {
 		t.Fatalf("chained MAPEFlatAccum = %v, MAPE = %v", got, want)
@@ -149,7 +162,7 @@ func TestMAPEFlatMatchesMAPE(t *testing.T) {
 		cp = append(cp, pred[r])
 		ca = append(ca, actual.Row(r))
 	}
-	if got, want := MAPEFlat(block, actual, one), MAPE(cp, ca); got != want {
+	if got, want := MAPEFlat(block, actual, one), mape(cp, ca); got != want {
 		t.Fatalf("MAPEFlat = %v, MAPE = %v", got, want)
 	}
 }
@@ -193,12 +206,12 @@ func TestGroupKFoldPinnedAssignment(t *testing.T) {
 // recycled forest reports empty, while an independently trained forest
 // sharing the warm pools still predicts exactly as before.
 func TestRecycleKeepsServingForestsUsable(t *testing.T) {
-	xm, ym, f := trainFlatFixture(t, 2)
+	xm, ym, f, _ := trainFlatFixture(t, 2)
 	keep, err := TrainForestMatrix(xm, ym, nil, ForestConfig{Trees: 9, Seed: 41})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantVec := keep.Predict(xm.Row(4))
+	wantVec := predict(t, keep, xm.Row(4))
 	f.Recycle()
 	if err := f.PredictRowsInto(make([]float64, ym.Cols), xm, []int{0}); err != ErrEmptyForest {
 		t.Fatalf("recycled forest: got %v, want ErrEmptyForest", err)
@@ -211,7 +224,7 @@ func TestRecycleKeepsServingForestsUsable(t *testing.T) {
 		}
 		tmp.Recycle()
 	}
-	got := keep.Predict(xm.Row(4))
+	got := predict(t, keep, xm.Row(4))
 	for d := range got {
 		if got[d] != wantVec[d] || math.IsNaN(got[d]) {
 			t.Fatalf("retained forest drifted after pool churn: %v vs %v", got, wantVec)

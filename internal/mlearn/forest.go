@@ -1,12 +1,26 @@
 package mlearn
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/xparallel"
 	"repro/internal/xrand"
+)
+
+// Sentinel errors for the inference APIs. Serving paths branch on these
+// with errors.Is instead of recovering panics (the internal/nperr
+// convention; core wraps them with context).
+var (
+	// ErrEmptyForest marks prediction attempted on a forest with no trees
+	// (a zero-value or recycled Forest).
+	ErrEmptyForest = errors.New("mlearn: empty forest")
+
+	// ErrDimMismatch marks an input or output buffer whose length does not
+	// match the forest's dimensionality.
+	ErrDimMismatch = errors.New("mlearn: dimension mismatch")
 )
 
 // ForestConfig controls random forest training.
@@ -32,18 +46,107 @@ func (c ForestConfig) trees() int {
 // the model of the paper's §5 ("we use a multi-output Random Forest
 // regressor ... known for its ability to learn non-linear functions with
 // very little or no tuning").
+//
+// A forest has one form, its flat arrays: training concatenates the grown
+// trees into them, LoadForest builds them, Dump writes from them and every
+// prediction walks them. A trained or loaded forest is immutable and safe
+// for concurrent use.
 type Forest struct {
-	trees  []*Tree
+	*flat  // nil for the zero Forest and once recycled
 	inDim  int
 	outDim int
-	// compiled is the flat SoA inference representation, built lazily on
-	// first use (Compiled): the model-selection grid trains thousands of
-	// ephemeral forests that are scored once by the pointer walk and never
-	// pay compilation, while serving forests compile exactly once. The
-	// pointer trees above remain the construction- and serialization-time
-	// form.
-	compiled    atomic.Pointer[CompiledForest]
-	compileOnce sync.Once
+
+	// stepT is the lazily built interval table of a single-feature forest
+	// (see steptable.go); stepOnce guards its one-time construction.
+	stepT    atomic.Pointer[stepTable]
+	stepOnce sync.Once
+}
+
+// flat holds trees as parallel arrays indexed by node id. A forest's trees
+// are concatenated in tree order: tree i's nodes start at roots[i] (its
+// root first, every child after its parent) and child ids are global. Leaf
+// vectors are packed back to back in node order, and a leaf reuses its
+// left field as its vector's offset in leaves. The grower fills the same
+// layout for one tree, with tree-local ids and no roots.
+type flat struct {
+	roots  []int32 // per-tree root node id
+	feat   []int32 // split feature; -1 marks a leaf
+	thr    []float64
+	left   []int32 // left child; for a leaf, offset of its vector in leaves
+	right  []int32 // right child; 0 for a leaf
+	leaves []float64
+}
+
+// treePool recycles the grower's per-tree scratch; forestPool recycles the
+// arrays of forests handed back by Recycle.
+var (
+	treePool   = sync.Pool{New: func() any { return new(flat) }}
+	forestPool = sync.Pool{New: func() any { return new(flat) }}
+)
+
+// reserve empties s for a tree of at most nodes nodes and leaves leaf
+// floats, keeping its backing where that is large enough.
+func (s *flat) reserve(nodes, leaves int) {
+	s.feat = sized(s.feat, nodes)[:0]
+	s.thr = sized(s.thr, nodes)[:0]
+	s.left = sized(s.left, nodes)[:0]
+	s.right = sized(s.right, nodes)[:0]
+	s.leaves = sized(s.leaves, leaves)[:0]
+}
+
+// addNode appends a leaf-marked node without a vector and returns its id.
+func (s *flat) addNode() int32 {
+	s.feat = append(s.feat, -1)
+	s.thr = append(s.thr, 0)
+	s.left = append(s.left, 0)
+	s.right = append(s.right, 0)
+	return int32(len(s.feat) - 1)
+}
+
+// kept is sized for the arrays a forest keeps: a pooled backing more than
+// twice n is let go, so a forest that serves for the life of the process
+// never holds a larger forest's capacity.
+func kept[T any](b []T, n int) []T {
+	if cap(b) > 2*n {
+		return make([]T, n)
+	}
+	return sized(b, n)
+}
+
+// concat joins grown trees into one forest's arrays in tree order: each
+// tree's node ids shift by its root's id and its leaf offsets by the leaf
+// floats of the trees before it. The arrays come from forestPool.
+func concat(trees []*flat) *flat {
+	nodes, leaves := 0, 0
+	for _, t := range trees {
+		nodes += len(t.feat)
+		leaves += len(t.leaves)
+	}
+	c := forestPool.Get().(*flat)
+	c.roots = kept(c.roots, len(trees))
+	c.feat = kept(c.feat, nodes)
+	c.thr = kept(c.thr, nodes)
+	c.left = kept(c.left, nodes)
+	c.right = kept(c.right, nodes)
+	c.leaves = kept(c.leaves, leaves)
+	base, lbase := int32(0), int32(0)
+	for ti, t := range trees {
+		c.roots[ti] = base
+		copy(c.feat[base:], t.feat)
+		copy(c.thr[base:], t.thr)
+		for i, fx := range t.feat {
+			g := base + int32(i)
+			if fx < 0 {
+				c.left[g], c.right[g] = lbase+t.left[i], 0
+			} else {
+				c.left[g], c.right[g] = base+t.left[i], base+t.right[i]
+			}
+		}
+		copy(c.leaves[lbase:], t.leaves)
+		base += int32(len(t.feat))
+		lbase += int32(len(t.leaves))
+	}
+	return c
 }
 
 // forestScratch is the pooled per-forest presort state: the (value, index)
@@ -59,31 +162,13 @@ var forestScratchPool = sync.Pool{New: func() any { return new(forestScratch) }}
 
 func getForestScratch(n, inDim int) *forestScratch {
 	fs := forestScratchPool.Get().(*forestScratch)
-	if cap(fs.pairs) < n {
-		fs.pairs = make([]sortPair, n)
-	} else {
-		fs.pairs = fs.pairs[:n]
-	}
-	fs.ordBack = intsCap(fs.ordBack, n*inDim)
-	if cap(fs.ord) < inDim {
-		fs.ord = make([][]int, inDim)
-	}
-	fs.ord = fs.ord[:inDim]
+	fs.pairs = sized(fs.pairs, n)
+	fs.ordBack = sized(fs.ordBack, n*inDim)
+	fs.ord = sized(fs.ord, inDim)
 	for f := 0; f < inDim; f++ {
 		fs.ord[f] = fs.ordBack[f*n : (f+1)*n]
 	}
 	return fs
-}
-
-// TrainForest fits a forest on row-pointer (X, Y). It is the
-// compatibility wrapper over TrainForestMatrix: the rows are flattened
-// into strided matrices once, and the grown ensemble is bit-identical to
-// the historical row-pointer training at any worker count.
-func TrainForest(X, Y [][]float64, cfg ForestConfig) (*Forest, error) {
-	if err := validateSet(X, Y); err != nil {
-		return nil, err
-	}
-	return TrainForestMatrix(MatrixFrom(X), MatrixFrom(Y), nil, cfg)
 }
 
 // TrainForestMatrix fits a forest on the selected rows (nil = every row)
@@ -94,7 +179,7 @@ func TrainForest(X, Y [][]float64, cfg ForestConfig) (*Forest, error) {
 // independent random stream from the root seed and its own index, so the
 // ensemble is bit-identical at any worker count (including the serial
 // pool). X and Y are only read during the call and may be pooled or
-// mutated afterwards: trees copy what they keep.
+// mutated afterwards: the forest copies what it keeps.
 func TrainForestMatrix(X, Y Matrix, rows []int, cfg ForestConfig) (*Forest, error) {
 	return TrainForestMatrixOrd(X, Y, rows, nil, cfg)
 }
@@ -130,7 +215,6 @@ func TrainForestMatrixOrd(X, Y Matrix, rows []int, baseOrd [][]int, cfg ForestCo
 			treeCfg.FeatureSubset = 1
 		}
 	}
-	f := &Forest{inDim: inDim, outDim: Y.Cols}
 	root := xrand.Mix(cfg.Seed, 0xF07E57)
 	// Presort the base set once per forest (unless the caller shares one):
 	// every bootstrap tree derives its per-feature sample orders from
@@ -162,71 +246,95 @@ func TrainForestMatrixOrd(X, Y Matrix, rows []int, baseOrd [][]int, cfg ForestCo
 			}
 		}
 	}
-	f.trees = xparallel.Map(cfg.trees(), 0, func(i int) *Tree {
+	trees := xparallel.Map(cfg.trees(), 0, func(i int) *flat {
 		rng := xrand.New(xrand.Mix(root, uint64(i)))
 		return growBootstrapTree(X, Y, rows, n, baseOrd, treeCfg, rng)
 	})
 	if fs != nil {
 		forestScratchPool.Put(fs)
 	}
+	f := &Forest{flat: concat(trees), inDim: inDim, outDim: Y.Cols}
+	for _, t := range trees {
+		treePool.Put(t)
+	}
 	return f, nil
 }
 
-// Compiled returns the forest's flat inference representation, building it
-// on first use (never nil for a non-empty trained or loaded forest). Safe
-// for concurrent callers.
-func (f *Forest) Compiled() *CompiledForest {
-	if f == nil || len(f.trees) == 0 {
-		return nil
-	}
-	if c := f.compiled.Load(); c != nil {
-		return c
-	}
-	f.compileOnce.Do(func() {
-		f.compiled.Store(compile(f.trees, f.inDim, f.outDim))
-	})
-	return f.compiled.Load()
-}
+// empty reports whether the forest has no trees to predict with.
+func (f *Forest) empty() bool { return f == nil || f.flat == nil || len(f.roots) == 0 }
 
-// Predict averages the trees' output vectors for input x. An empty forest
-// (the zero value) yields the zero vector instead of dividing by zero; a
-// dimension mismatch panics — use PredictInto for a typed error.
-func (f *Forest) Predict(x []float64) []float64 {
-	out := make([]float64, f.outDim)
-	if len(f.trees) == 0 {
-		return out
-	}
-	if err := f.PredictInto(out, x); err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// PredictInto is the allocation-free Predict: it writes the averaged
-// output vector for x into dst (len OutDim) via the compiled flat
-// representation, returning ErrEmptyForest / ErrDimMismatch instead of
-// panicking. The result is bit-identical to Predict.
+// PredictInto writes the forest's averaged output vector for input x into
+// dst (len OutDim), returning ErrEmptyForest / ErrDimMismatch instead of
+// panicking. A single-feature forest answers from its interval table
+// (built by the first call, or by Warm); any other walks every tree. The
+// call allocates nothing after that one-time build.
+//
+//numalint:noalloc
 func (f *Forest) PredictInto(dst, x []float64) error {
-	c := f.Compiled()
-	if c == nil {
-		return ErrEmptyForest
+	if err := f.check(dst, x); err != nil {
+		return err
 	}
-	return c.PredictInto(dst, x)
+	n := float64(len(f.roots))
+	if f.inDim == 1 {
+		if st := f.step(); st.sums != nil {
+			row := st.row(x[0], f.outDim)
+			for d := range dst {
+				dst[d] = row[d] / n
+			}
+			return nil
+		}
+	}
+	clear(dst)
+	f.accumulate(dst, x)
+	for d := range dst {
+		dst[d] /= n
+	}
+	return nil
 }
 
-// PredictRowsInto scores the selected rows (nil = every row) of the flat
-// input matrix into dst (row-major, len nrows*OutDim) without allocating.
-// An already-compiled forest serves the batch through the SoA walk; an
-// uncompiled forest is scored by an equivalent pointer walk instead of
-// paying compilation — the right trade for ephemeral cross-validation
-// forests that are trained once and scored once. Results are bit-identical
-// either way (same traversal, accumulation and division sequence).
-func (f *Forest) PredictRowsInto(dst []float64, xs Matrix, sel []int) error {
-	if f == nil || len(f.trees) == 0 {
+// check validates one prediction's buffers against the forest.
+func (f *Forest) check(dst, x []float64) error {
+	if f.empty() {
 		return ErrEmptyForest
 	}
-	if c := f.compiled.Load(); c != nil {
-		return c.PredictRowsInto(dst, xs, sel)
+	if len(x) != f.inDim {
+		return fmt.Errorf("input has %d features, forest expects %d: %w", len(x), f.inDim, ErrDimMismatch)
+	}
+	if len(dst) != f.outDim {
+		return fmt.Errorf("output buffer has %d entries, forest produces %d: %w", len(dst), f.outDim, ErrDimMismatch)
+	}
+	return nil
+}
+
+// accumulate adds every tree's leaf vector for x into dst, one tree at a
+// time in tree order. Callers have validated dimensions.
+func (f *Forest) accumulate(dst, x []float64) {
+	feat, thr, left, right, leaves := f.feat, f.thr, f.left, f.right, f.leaves
+	for _, i := range f.roots {
+		for fx := feat[i]; fx >= 0; fx = feat[i] {
+			if x[fx] <= thr[i] {
+				i = left[i]
+			} else {
+				i = right[i]
+			}
+		}
+		leaf := leaves[left[i] : int(left[i])+len(dst)]
+		for d := range dst {
+			dst[d] += leaf[d]
+		}
+	}
+}
+
+// PredictRowsInto fills dst (flat, row-major, len nrows*OutDim) with the
+// predictions for the selected rows (nil = every row) of the flat input
+// matrix. Traversal is tree-outer/row-inner: each tree's nodes stay hot in
+// cache while every row walks it, the fast order for scoring whole
+// datasets. Sums still run tree by tree in tree order, so row r is
+// bit-identical to PredictInto on row rowAt(sel, r); the call performs no
+// allocations.
+func (f *Forest) PredictRowsInto(dst []float64, xs Matrix, sel []int) error {
+	if f.empty() {
+		return ErrEmptyForest
 	}
 	if xs.Cols != f.inDim {
 		return fmt.Errorf("input rows have %d features, forest expects %d: %w", xs.Cols, f.inDim, ErrDimMismatch)
@@ -243,47 +351,53 @@ func (f *Forest) PredictRowsInto(dst []float64, xs Matrix, sel []int) error {
 	if len(dst) != n*f.outDim {
 		return fmt.Errorf("output buffer has %d entries, want %d: %w", len(dst), n*f.outDim, ErrDimMismatch)
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	for _, t := range f.trees {
+	clear(dst)
+	feat, thr, left, right, leaves, od := f.feat, f.thr, f.left, f.right, f.leaves, f.outDim
+	for _, root := range f.roots {
 		for r := 0; r < n; r++ {
-			v := t.leaf(xs.Row(rowAt(sel, r)))
-			out := dst[r*f.outDim : (r+1)*f.outDim]
+			x := xs.Row(rowAt(sel, r))
+			i := root
+			for fx := feat[i]; fx >= 0; fx = feat[i] {
+				if x[fx] <= thr[i] {
+					i = left[i]
+				} else {
+					i = right[i]
+				}
+			}
+			leaf := leaves[left[i] : int(left[i])+od]
+			out := dst[r*od : (r+1)*od]
 			for d := range out {
-				out[d] += v[d]
+				out[d] += leaf[d]
 			}
 		}
 	}
-	nt := float64(len(f.trees))
+	nt := float64(len(f.roots))
 	for i := range dst {
 		dst[i] /= nt
 	}
 	return nil
 }
 
-// Recycle returns the forest's pooled per-tree storage (node slices and
-// leaf-mean arenas) to the training pools and empties the forest. Callers
-// own the contract: the forest must never be used again, and nothing may
-// retain views into its trees. The cross-validation grid calls this after
-// scoring each ephemeral selection forest, turning the grid's dominant
-// allocation source into pool reuse. Serving and serialized forests are
-// simply never recycled.
+// Recycle hands the forest's arrays to the training pool and empties the
+// forest. Callers own the contract: the forest must never be used again,
+// and nothing may retain views into it. The cross-validation grid calls
+// this after scoring each ephemeral selection forest, so its forests reuse
+// each other's node storage instead of allocating it. Serving and
+// serialized forests are simply never recycled.
 func (f *Forest) Recycle() {
-	for _, t := range f.trees {
-		if t.store == nil {
-			continue
-		}
-		t.store.nodes = t.nodes[:0]
-		treeStorePool.Put(t.store)
-		t.store = nil
-		t.nodes = nil
+	if f.flat != nil {
+		forestPool.Put(f.flat)
+		f.flat = nil
 	}
-	f.trees = nil
 }
 
 // NumTrees returns the ensemble size.
-func (f *Forest) NumTrees() int { return len(f.trees) }
+func (f *Forest) NumTrees() int {
+	if f.empty() {
+		return 0
+	}
+	return len(f.roots)
+}
 
 // InDim returns the expected input dimensionality.
 func (f *Forest) InDim() int { return f.inDim }

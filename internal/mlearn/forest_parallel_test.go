@@ -22,22 +22,16 @@ func TestTrainForestIdenticalAcrossWorkerCounts(t *testing.T) {
 	probes := [][]float64{{0.1, 0.01, 0.9}, {0.5, 0.25, 0.5}, {0.93, 0.86, 0.07}}
 
 	xparallel.SetMaxWorkers(1)
-	serial, err := TrainForest(rngX, rngY, ForestConfig{Trees: 20, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := trainRows(t, rngX, rngY, ForestConfig{Trees: 20, Seed: 5})
 	var want [][]float64
 	for _, p := range probes {
-		want = append(want, serial.Predict(p))
+		want = append(want, predict(t, serial, p))
 	}
 	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		xparallel.SetMaxWorkers(w)
-		f, err := TrainForest(rngX, rngY, ForestConfig{Trees: 20, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
+		f := trainRows(t, rngX, rngY, ForestConfig{Trees: 20, Seed: 5})
 		for pi, p := range probes {
-			got := f.Predict(p)
+			got := predict(t, f, p)
 			for d := range got {
 				if got[d] != want[pi][d] {
 					t.Fatalf("workers=%d: Predict(%v)[%d] = %v, want %v", w, p, d, got[d], want[pi][d])

@@ -1,15 +1,18 @@
 package mlearn
 
 // This file freezes the pre-flat-matrix training implementation — the
-// row-pointer [][]float64 grower exactly as it shipped before the strided
-// data plane — as a test-only reference. The property tests below require
-// the production flat-matrix training to grow byte-identical forests, so
-// any drift in traversal, accumulation or tie handling introduced by the
-// flat refactor fails loudly instead of silently reshuffling models.
+// row-pointer [][]float64 grower, its pointer trees, their Dump and their
+// tree walk, exactly as they shipped — as the one test oracle for Forest.
+// Its Dump bytes guard training and serialization (the production forest
+// must grow and write byte-identical models), and its walk guards
+// PredictInto, PredictRowsInto and the step table (predict_test.go), so
+// any drift in growth, concatenation, serialization, traversal or
+// accumulation fails loudly instead of silently reshuffling models.
 
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -18,9 +21,97 @@ import (
 	"repro/internal/xrand"
 )
 
+// legacyNode is one frozen tree node; leaves have feature == -1.
+type legacyNode struct {
+	feature   int
+	threshold float64
+	left      int32
+	right     int32
+	value     []float64 // leaf prediction (mean of samples)
+}
+
+// legacyTree is the frozen pointer tree: a node slice with the root at 0.
+type legacyTree struct {
+	nodes  []legacyNode
+	inDim  int
+	outDim int
+}
+
+// legacyForest is the frozen forest of pointer trees.
+type legacyForest struct {
+	trees  []*legacyTree
+	inDim  int
+	outDim int
+}
+
+// leaf returns the leaf value reached by x.
+func (t *legacyTree) leaf(x []float64) []float64 {
+	i := int32(0)
+	for {
+		nd := &t.nodes[i]
+		if nd.feature < 0 {
+			return nd.value
+		}
+		if x[nd.feature] <= nd.threshold {
+			i = nd.left
+		} else {
+			i = nd.right
+		}
+	}
+}
+
+// predictPointer is the frozen pointer-chasing walk: every tree's leaf
+// vector summed in tree order, then divided by the tree count.
+func (f *legacyForest) predictPointer(x []float64) []float64 {
+	out := make([]float64, f.outDim)
+	for _, t := range f.trees {
+		p := t.leaf(x)
+		for d := range out {
+			out[d] += p[d]
+		}
+	}
+	for d := range out {
+		out[d] /= float64(len(f.trees))
+	}
+	return out
+}
+
+// dump is the frozen Forest.Dump over pointer trees.
+func (f *legacyForest) dump() *ForestDump {
+	d := &ForestDump{InDim: f.inDim, OutDim: f.outDim}
+	for _, t := range f.trees {
+		td := TreeDump{InDim: t.inDim, OutDim: t.outDim}
+		for _, n := range t.nodes {
+			td.Nodes = append(td.Nodes, NodeDump{
+				Feature: n.feature, Threshold: n.threshold,
+				Left: n.left, Right: n.right, Value: n.value,
+			})
+		}
+		d.Trees = append(d.Trees, td)
+	}
+	return d
+}
+
+// legacyValidateSet is the frozen row-pointer training-set check.
+func legacyValidateSet(X, Y [][]float64) error {
+	if len(X) == 0 || len(X) != len(Y) {
+		return fmt.Errorf("mlearn: bad training set: %d inputs, %d outputs", len(X), len(Y))
+	}
+	inDim, outDim := len(X[0]), len(Y[0])
+	for i := range X {
+		if len(X[i]) != inDim {
+			return fmt.Errorf("mlearn: row %d has %d features, want %d", i, len(X[i]), inDim)
+		}
+		if len(Y[i]) != outDim {
+			return fmt.Errorf("mlearn: row %d has %d outputs, want %d", i, len(Y[i]), outDim)
+		}
+	}
+	return nil
+}
+
 // legacyTrainForest is the frozen row-pointer TrainForest.
-func legacyTrainForest(X, Y [][]float64, cfg ForestConfig) (*Forest, error) {
-	if err := validateSet(X, Y); err != nil {
+func legacyTrainForest(X, Y [][]float64, cfg ForestConfig) (*legacyForest, error) {
+	if err := legacyValidateSet(X, Y); err != nil {
 		return nil, err
 	}
 	inDim := len(X[0])
@@ -31,7 +122,7 @@ func legacyTrainForest(X, Y [][]float64, cfg ForestConfig) (*Forest, error) {
 			treeCfg.FeatureSubset = 1
 		}
 	}
-	f := &Forest{inDim: inDim, outDim: len(Y[0])}
+	f := &legacyForest{inDim: inDim, outDim: len(Y[0])}
 	root := xrand.Mix(cfg.Seed, 0xF07E57)
 	n := len(X)
 	baseOrd := make([][]int, inDim)
@@ -46,7 +137,7 @@ func legacyTrainForest(X, Y [][]float64, cfg ForestConfig) (*Forest, error) {
 			baseOrd[fi][k] = int(p.i)
 		}
 	}
-	trees, err := xparallel.MapErr(cfg.trees(), 0, func(i int) (*Tree, error) {
+	trees, err := xparallel.MapErr(cfg.trees(), 0, func(i int) (*legacyTree, error) {
 		rng := xrand.New(xrand.Mix(root, uint64(i)))
 		bx := make([][]float64, n)
 		by := make([][]float64, n)
@@ -65,29 +156,7 @@ func legacyTrainForest(X, Y [][]float64, cfg ForestConfig) (*Forest, error) {
 	return f, nil
 }
 
-// legacyBuildTree is the frozen row-pointer BuildTree.
-func legacyBuildTree(X, Y [][]float64, cfg TreeConfig, rng *xrand.SplitMix64) (*Tree, error) {
-	g, err := legacyNewGrower(X, Y, cfg, rng)
-	if err != nil {
-		return nil, err
-	}
-	n := len(X)
-	pairs := make([]sortPair, n)
-	for f := 0; f < g.t.inDim; f++ {
-		for i := range pairs {
-			pairs[i] = sortPair{v: X[i][f], i: int32(i)}
-		}
-		sortPairs(pairs)
-		ord := g.ford[f]
-		for k, p := range pairs {
-			ord[k] = int(p.i)
-		}
-	}
-	g.grow(0, n, 1)
-	return g.t, nil
-}
-
-func legacyBuildTreeBootstrap(bX, bY [][]float64, ks []int, baseOrd [][]int, cfg TreeConfig, rng *xrand.SplitMix64) (*Tree, error) {
+func legacyBuildTreeBootstrap(bX, bY [][]float64, ks []int, baseOrd [][]int, cfg TreeConfig, rng *xrand.SplitMix64) (*legacyTree, error) {
 	g, err := legacyNewGrower(bX, bY, cfg, rng)
 	if err != nil {
 		return nil, err
@@ -122,10 +191,10 @@ func legacyBuildTreeBootstrap(bX, bY [][]float64, ks []int, baseOrd [][]int, cfg
 }
 
 func legacyNewGrower(X, Y [][]float64, cfg TreeConfig, rng *xrand.SplitMix64) (*legacyGrower, error) {
-	if err := validateSet(X, Y); err != nil {
+	if err := legacyValidateSet(X, Y); err != nil {
 		return nil, err
 	}
-	t := &Tree{inDim: len(X[0]), outDim: len(Y[0])}
+	t := &legacyTree{inDim: len(X[0]), outDim: len(Y[0])}
 	n := len(X)
 	g := &legacyGrower{
 		X: X, Y: Y, cfg: cfg, rng: rng, t: t,
@@ -139,7 +208,7 @@ func legacyNewGrower(X, Y [][]float64, cfg TreeConfig, rng *xrand.SplitMix64) (*
 		total:    make([]float64, t.outDim),
 		totalSq:  make([]float64, t.outDim),
 	}
-	t.nodes = make([]node, 0, 2*n-1)
+	t.nodes = make([]legacyNode, 0, 2*n-1)
 	g.arena = make([]float64, n*t.outDim)
 	g.sorter.order = make([]int, n)
 	for i := range g.idx {
@@ -157,7 +226,7 @@ type legacyGrower struct {
 	X, Y [][]float64
 	cfg  TreeConfig
 	rng  *xrand.SplitMix64
-	t    *Tree
+	t    *legacyTree
 
 	idx      []int
 	scratch  []int
@@ -184,7 +253,7 @@ func (g *legacyGrower) grow(lo, hi, depth int) int32 {
 	t := g.t
 	idx := g.idx[lo:hi]
 	self := int32(len(t.nodes))
-	t.nodes = append(t.nodes, node{feature: -1})
+	t.nodes = append(t.nodes, legacyNode{feature: -1})
 
 	if len(idx) < 2*g.cfg.minLeaf() || (g.cfg.MaxDepth > 0 && depth >= g.cfg.MaxDepth) || legacyPure(g.Y, idx) {
 		return g.leaf(self, idx)
@@ -384,13 +453,25 @@ func randomSet(rng *xrand.SplitMix64, n, inDim, outDim int) ([][]float64, [][]fl
 	return X, Y
 }
 
-func dumpBytes(t *testing.T, f *Forest) []byte {
+// dumpBytes is the JSON of a forest dump: f.Dump() for a Forest, the
+// frozen dump for the oracle.
+func dumpBytes(t *testing.T, d *ForestDump) []byte {
 	t.Helper()
-	b, err := json.Marshal(f.Dump())
+	b, err := json.Marshal(d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// trainRows fits a forest on row-pointer data through the flat entry point.
+func trainRows(t *testing.T, X, Y [][]float64, cfg ForestConfig) *Forest {
+	t.Helper()
+	f, err := TrainForestMatrix(MatrixFrom(X), MatrixFrom(Y), nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
 // TestFlatTrainingMatchesLegacy grows forests through the production
@@ -415,11 +496,8 @@ func TestFlatTrainingMatchesLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: legacy: %v", ci, err)
 		}
-		got, err := TrainForest(X, Y, tc.cfg)
-		if err != nil {
-			t.Fatalf("case %d: flat: %v", ci, err)
-		}
-		if !bytes.Equal(dumpBytes(t, got), dumpBytes(t, want)) {
+		got := trainRows(t, X, Y, tc.cfg)
+		if !bytes.Equal(dumpBytes(t, got.Dump()), dumpBytes(t, want.dump())) {
 			t.Fatalf("case %d: flat-matrix forest differs from legacy row-pointer forest", ci)
 		}
 	}
@@ -461,49 +539,10 @@ func TestFlatSubsetTrainingMatchesLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(dumpBytes(t, got), dumpBytes(t, want)) {
+		if !bytes.Equal(dumpBytes(t, got.Dump()), dumpBytes(t, want.dump())) {
 			t.Fatalf("trial %d: subset flat training differs from legacy fold materialization", trial)
 		}
 	}
-}
-
-// TestBuildTreeMatchesLegacy covers the plain (non-bootstrap) grower.
-func TestBuildTreeMatchesLegacy(t *testing.T) {
-	rng := xrand.New(23)
-	for trial := 0; trial < 6; trial++ {
-		X, Y := randomSet(rng, 30, 2+trial%3, 5)
-		cfg := TreeConfig{MinLeaf: 1 + trial%2}
-		want, err := legacyBuildTree(X, Y, cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := BuildTree(X, Y, cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wt, err := json.Marshal(ForestDump{Trees: []TreeDump{treeDump(want)}, InDim: want.inDim, OutDim: want.outDim})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gt, err := json.Marshal(ForestDump{Trees: []TreeDump{treeDump(got)}, InDim: got.inDim, OutDim: got.outDim})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gt, wt) {
-			t.Fatalf("trial %d: flat BuildTree differs from legacy", trial)
-		}
-	}
-}
-
-func treeDump(t *Tree) TreeDump {
-	td := TreeDump{InDim: t.inDim, OutDim: t.outDim}
-	for _, n := range t.nodes {
-		td.Nodes = append(td.Nodes, NodeDump{
-			Feature: n.feature, Threshold: n.threshold,
-			Left: n.left, Right: n.right, Value: n.value,
-		})
-	}
-	return td
 }
 
 // TestPooledTrainingDeterministic retrains the same configuration with the
@@ -519,7 +558,14 @@ func TestPooledTrainingDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := dumpBytes(t, first)
+	want := dumpBytes(t, first.Dump())
+	oracle, err := legacyTrainForest(X, Y, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, dumpBytes(t, oracle.dump())) {
+		t.Fatal("cold-pool forest differs from the legacy forest")
+	}
 	// Recycle a throwaway forest to stir the pools with used buffers.
 	scrap, err := TrainForestMatrix(xm, ym, nil, ForestConfig{Trees: 13, Seed: 1234})
 	if err != nil {
@@ -535,7 +581,7 @@ func TestPooledTrainingDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(dumpBytes(t, again), want) {
+		if !bytes.Equal(dumpBytes(t, again.Dump()), want) {
 			t.Fatalf("trial %d: warm-pool retraining changed the forest", trial)
 		}
 		again.Recycle()

@@ -2,36 +2,12 @@ package mlearn
 
 import "math"
 
-// MAPE returns the mean absolute percentage error (in percent) between
-// predicted and actual vectors — the §6 accuracy metric ("the predicted
-// performance is within 4.4% of actual on average"). Zero actual values
-// are skipped.
-func MAPE(pred, actual [][]float64) float64 {
-	var total float64
-	n := 0
-	for i := range pred {
-		for d := range pred[i] {
-			if actual[i][d] == 0 {
-				continue
-			}
-			total += math.Abs(pred[i][d]-actual[i][d]) / math.Abs(actual[i][d])
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return 100 * total / float64(n)
-}
-
 // MAPEFlatAccum adds the absolute-percentage-error terms of pred — a flat
 // row-major prediction block, len(rows)*actual.Cols — against the selected
 // rows (nil = every row) of the flat actual matrix into (*total, *count).
-// Terms accumulate row-major in selection order: exactly the sequence MAPE
-// runs over the same rows concatenated as slices, so chaining several
-// batches (cross-validation folds) through one accumulator stays
-// bit-identical to the historical concatenate-then-MAPE path. Zero actual
-// values are skipped, as in MAPE.
+// Terms accumulate row-major in selection order, so chaining several
+// batches (cross-validation folds) through one accumulator gives the error
+// of their concatenation. Zero actual values are skipped.
 func MAPEFlatAccum(pred []float64, actual Matrix, rows []int, total *float64, count *int) {
 	n := actual.Rows
 	if rows != nil {
@@ -52,7 +28,8 @@ func MAPEFlatAccum(pred []float64, actual Matrix, rows []int, total *float64, co
 
 // MAPEFlat is the single-batch form of MAPEFlatAccum: the mean absolute
 // percentage error (in percent) of the flat prediction block against the
-// selected rows of actual. Bit-identical to MAPE over the same rows.
+// selected rows of actual — the §6 accuracy metric ("the predicted
+// performance is within 4.4% of actual on average").
 func MAPEFlat(pred []float64, actual Matrix, rows []int) float64 {
 	var total float64
 	count := 0

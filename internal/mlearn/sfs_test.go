@@ -1,7 +1,6 @@
 package mlearn
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -30,13 +29,10 @@ func TestSFSFindsInformativeFeatures(t *testing.T) {
 		for i := range y {
 			Y[i] = []float64{y[i]}
 		}
-		tree, err := BuildTree(sub, Y, TreeConfig{MaxDepth: 4}, nil)
-		if err != nil {
-			return math.Inf(-1)
-		}
+		tree := plainForest(sub, Y, TreeConfig{MaxDepth: 4})
 		var sse float64
 		for i := range sub {
-			d := tree.Predict(sub[i])[0] - y[i]
+			d := predict(t, tree, sub[i])[0] - y[i]
 			sse += d * d
 		}
 		return -sse

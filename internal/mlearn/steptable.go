@@ -6,13 +6,13 @@ import (
 )
 
 // stepTableCap bounds the interval table's size (in float64s, 8 MiB): a
-// forest whose table would exceed it keeps using the SoA traversal.
+// forest whose table would exceed it keeps walking its trees.
 const stepTableCap = 1 << 20
 
-// stepTable is the fully-compiled form of a single-feature forest. Every
-// split in such a forest compares the same input entry against a
-// threshold, so the whole ensemble is a step function of that entry: the
-// distinct thresholds partition the real line into intervals on which the
+// stepTable is the lookup table of a single-feature forest. Every split
+// in such a forest compares the same input entry against a threshold, so
+// the whole ensemble is a step function of that entry: the distinct
+// thresholds partition the real line into intervals on which the
 // (undivided) sum of leaf vectors is constant. Prediction reduces to one
 // binary search plus a row copy.
 //
@@ -21,7 +21,7 @@ const stepTableCap = 1 << 20
 // is the open tail). Each row is produced by the regular accumulate walk
 // at a representative input, so every entry carries the exact
 // floating-point value the tree-by-tree accumulation yields — table
-// lookups stay bit-identical to the pointer walk.
+// lookups stay bit-identical to the tree walk.
 //
 // A zero-value stepTable (nil sums) means "disabled": the forest is too
 // large for the cap, or not single-feature.
@@ -30,23 +30,23 @@ type stepTable struct {
 	sums   []float64
 }
 
-// buildStep compiles the interval table for a single-feature forest.
-func (c *CompiledForest) buildStep() *stepTable {
-	if c.inDim != 1 || len(c.roots) == 0 {
+// buildStep builds the interval table for a single-feature forest.
+func (f *Forest) buildStep() *stepTable {
+	if f.inDim != 1 || f.empty() {
 		return &stepTable{}
 	}
 	var bounds []float64
-	for i, f := range c.feat {
-		if f >= 0 {
-			bounds = append(bounds, c.thr[i])
+	for i, fx := range f.feat {
+		if fx >= 0 {
+			bounds = append(bounds, f.thr[i])
 		}
 	}
 	sort.Float64s(bounds)
 	bounds = dedupeSorted(bounds)
-	if (len(bounds)+1)*c.outDim > stepTableCap {
+	if (len(bounds)+1)*f.outDim > stepTableCap {
 		return &stepTable{}
 	}
-	sums := make([]float64, (len(bounds)+1)*c.outDim)
+	sums := make([]float64, (len(bounds)+1)*f.outDim)
 	var x [1]float64
 	for i := 0; i <= len(bounds); i++ {
 		if i < len(bounds) {
@@ -56,7 +56,7 @@ func (c *CompiledForest) buildStep() *stepTable {
 		} else {
 			x[0] = math.Inf(1)
 		}
-		c.accumulate(sums[i*c.outDim:(i+1)*c.outDim], x[:])
+		f.accumulate(sums[i*f.outDim:(i+1)*f.outDim], x[:])
 	}
 	return &stepTable{bounds: bounds, sums: sums}
 }
@@ -84,22 +84,22 @@ func (st *stepTable) row(x float64, outDim int) []float64 {
 // step returns the forest's interval table, building it on first use. The
 // table costs one accumulate walk per interval, which only pays off for
 // forests that serve many single-input predictions (the admission path), so
-// it is built by the first PredictInto or by Warm; batch scoring during
-// training never triggers it.
-func (c *CompiledForest) step() *stepTable {
-	if st := c.stepT.Load(); st != nil {
+// it is built by the first PredictInto or by Warm; batch scoring never
+// reads it.
+func (f *Forest) step() *stepTable {
+	if st := f.stepT.Load(); st != nil {
 		return st
 	}
-	c.stepOnce.Do(func() { c.stepT.Store(c.buildStep()) })
-	return c.stepT.Load()
+	f.stepOnce.Do(func() { f.stepT.Store(f.buildStep()) })
+	return f.stepT.Load()
 }
 
 // Warm builds what PredictInto reads — the interval table of a
 // single-feature forest — so that a forest registered for serving does not
 // pay the build inside its first admission. Safe for concurrent callers and
 // on a nil receiver.
-func (c *CompiledForest) Warm() {
-	if c != nil && c.inDim == 1 {
-		c.step()
+func (f *Forest) Warm() {
+	if f != nil && f.inDim == 1 {
+		f.step()
 	}
 }

@@ -8,7 +8,6 @@
 package mlearn
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -36,98 +35,6 @@ func (c TreeConfig) minLeaf() int {
 	return c.MinLeaf
 }
 
-// node is one tree node; leaves have feature == -1.
-type node struct {
-	feature   int
-	threshold float64
-	left      int32
-	right     int32
-	value     []float64 // leaf prediction (mean of samples)
-}
-
-// Tree is a multi-output CART regression tree. Splits minimize the summed
-// per-output squared error.
-type Tree struct {
-	nodes  []node
-	inDim  int
-	outDim int
-	// store is the pooled backing for nodes and the leaf-mean arena when
-	// the tree was grown in this process; Forest.Recycle returns it to the
-	// training pools. Deserialized trees carry no store.
-	store *treeStore
-}
-
-// treeStore is the retained per-tree storage: the node slice and the arena
-// backing every leaf's mean vector. Both come from a pool so ephemeral
-// cross-validation forests can hand them back (Forest.Recycle) instead of
-// allocating ~5 KB per tree times millions of selection trees.
-type treeStore struct {
-	nodes []node
-	arena []float64
-}
-
-var treeStorePool = sync.Pool{New: func() any { return new(treeStore) }}
-
-// validateSet checks a row-pointer training set's shape, reporting the
-// same errors tree and forest training always raised.
-func validateSet(X, Y [][]float64) error {
-	if len(X) == 0 || len(X) != len(Y) {
-		return fmt.Errorf("mlearn: bad training set: %d inputs, %d outputs", len(X), len(Y))
-	}
-	inDim, outDim := len(X[0]), len(Y[0])
-	for i := range X {
-		if len(X[i]) != inDim {
-			return fmt.Errorf("mlearn: row %d has %d features, want %d", i, len(X[i]), inDim)
-		}
-		if len(Y[i]) != outDim {
-			return fmt.Errorf("mlearn: row %d has %d outputs, want %d", i, len(Y[i]), outDim)
-		}
-	}
-	return nil
-}
-
-// BuildTree grows a tree on (X, Y). All rows of X must share a length, as
-// must all rows of Y. rng drives feature subsampling; pass nil when
-// FeatureSubset is 0. This is the row-pointer compatibility wrapper: the
-// rows are flattened into strided matrices and grown by the flat grower,
-// producing a tree bit-identical to the historical row-pointer induction.
-func BuildTree(X, Y [][]float64, cfg TreeConfig, rng *xrand.SplitMix64) (*Tree, error) {
-	if err := validateSet(X, Y); err != nil {
-		return nil, err
-	}
-	return buildTreeMatrix(MatrixFrom(X), MatrixFrom(Y), cfg, rng)
-}
-
-// buildTreeMatrix grows a plain (non-bootstrap) tree over every row of the
-// flat matrices.
-func buildTreeMatrix(X, Y Matrix, cfg TreeConfig, rng *xrand.SplitMix64) (*Tree, error) {
-	n := X.Rows
-	g := getGrower(X, Y, n, cfg, rng)
-	for i := 0; i < n; i++ {
-		g.setSample(i, i)
-	}
-	// Presort: one sorted sample order per feature, computed once and then
-	// maintained through every partition, so bestSplit never sorts again.
-	// Ties break by sample index, making each order fully deterministic.
-	// Sorting runs over a contiguous (value, index) pair buffer: the
-	// comparator then touches no scattered matrix rows.
-	pairs := g.pairs[:n]
-	for f := 0; f < g.xc; f++ {
-		for i := range pairs {
-			pairs[i] = sortPair{v: X.At(i, f), i: int32(i)}
-		}
-		sortPairs(pairs)
-		ord := g.ford[f]
-		for k, p := range pairs {
-			ord[k] = int(p.i)
-		}
-	}
-	g.grow(0, n, 1)
-	t := g.t
-	putGrower(g)
-	return t, nil
-}
-
 // growBootstrapTree grows one bootstrap tree over the selected rows of the
 // flat matrices (rows nil = every row): rng draws n base positions with
 // replacement, and every feature's presorted order is derived in O(n) from
@@ -137,8 +44,9 @@ func buildTreeMatrix(X, Y Matrix, cfg TreeConfig, rng *xrand.SplitMix64) (*Tree,
 // sort this arranges equal-valued samples differently, which is harmless:
 // tied samples sharing a base row are bit-for-bit interchangeable in every
 // prefix sum, and genuinely tied distinct rows take bestSplit's fallback
-// sort either way.
-func growBootstrapTree(X, Y Matrix, rows []int, n int, baseOrd [][]int, cfg TreeConfig, rng *xrand.SplitMix64) *Tree {
+// sort either way. The tree comes back in pooled scratch (treePool), with
+// tree-local node ids; TrainForestMatrixOrd concatenates it into the forest.
+func growBootstrapTree(X, Y Matrix, rows []int, n int, baseOrd [][]int, cfg TreeConfig, rng *xrand.SplitMix64) *flat {
 	g := getGrower(X, Y, n, cfg, rng)
 	ks := g.ks[:n]
 	for j := 0; j < n; j++ {
@@ -212,7 +120,7 @@ func sortPairs(pairs []sortPair) {
 // are reused across trees and forests: the sample indices are partitioned
 // in place (children are subslices of the parent's idx and ford segments),
 // and the split search reuses the value and prefix-sum buffers, so growing
-// a node allocates nothing beyond its pooled leaf mean.
+// a node allocates nothing: it appends to the pooled tree scratch t.
 //
 // Induction is presort-based (classic presort CART): every feature's
 // sample order is sorted once per tree (or derived from the forest's base
@@ -228,18 +136,16 @@ type grower struct {
 	yoff []int     // sample position -> offset of its output row in y
 	cfg  TreeConfig
 	rng  *xrand.SplitMix64
-	t    *Tree
+	t    *flat // the tree being grown: tree-local ids, leaves in node order
 
-	idx      []int      // sample positions, partitioned in place during growth
-	scratch  []int      // spill buffer for the right half of a partition
-	side     []bool     // per-sample split side of the current node (true = left)
-	features []int      // candidate feature ids (reshuffled per split)
-	ford     [][]int    // per-feature presorted sample orders, partitioned in lockstep with idx
-	fordBack []int      // contiguous backing for ford
-	vals     []float64  // reused buffer for the node's sorted feature values
-	pairs    []sortPair // presort scratch for non-bootstrap trees
-	arena    []float64  // carve cursor into t.store.arena for leaf means
-	sorter   argsort    // order+vals buffers for the tie fallback sort
+	idx      []int     // sample positions, partitioned in place during growth
+	scratch  []int     // spill buffer for the right half of a partition
+	side     []bool    // per-sample split side of the current node (true = left)
+	features []int     // candidate feature ids (reshuffled per split)
+	ford     [][]int   // per-feature presorted sample orders, partitioned in lockstep with idx
+	fordBack []int     // contiguous backing for ford
+	vals     []float64 // reused buffer for the node's sorted feature values
+	sorter   argsort   // order+vals buffers for the tie fallback sort
 	sum      []float64
 	sumsq    []float64
 	total    []float64
@@ -254,23 +160,11 @@ type grower struct {
 
 var growerPool = sync.Pool{New: func() any { return new(grower) }}
 
-func intsCap(b []int, n int) []int {
+// sized returns b resliced to length n, or a fresh slice when b's backing
+// is too small. Pooled scratch is sized through it.
+func sized[T any](b []T, n int) []T {
 	if cap(b) < n {
-		return make([]int, n)
-	}
-	return b[:n]
-}
-
-func int32sCap(b []int32, n int) []int32 {
-	if cap(b) < n {
-		return make([]int32, n)
-	}
-	return b[:n]
-}
-
-func floatsCap(b []float64, n int) []float64 {
-	if cap(b) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return b[:n]
 }
@@ -285,62 +179,42 @@ func getGrower(X, Y Matrix, n int, cfg TreeConfig, rng *xrand.SplitMix64) *growe
 	g.x, g.xc, g.y, g.yc = X.Data, X.Cols, Y.Data, Y.Cols
 	g.cfg, g.rng = cfg, rng
 
-	// Retained tree storage: a binary tree over n samples with >= 1 sample
-	// per leaf has at most 2n-1 nodes and n leaves; pre-sizing the node
-	// slice and carving every leaf mean from one arena removes all
-	// per-node allocations.
-	ts := treeStorePool.Get().(*treeStore)
-	if cap(ts.nodes) < 2*n-1 {
-		ts.nodes = make([]node, 0, 2*n-1)
-	}
-	if cap(ts.arena) < n*outDim {
-		ts.arena = make([]float64, n*outDim)
-	}
-	g.t = &Tree{inDim: inDim, outDim: outDim, store: ts}
-	g.t.nodes = ts.nodes[:0]
-	g.arena = ts.arena[:n*outDim]
+	// The tree's scratch: a binary tree over n samples with >= 1 sample per
+	// leaf has at most 2n-1 nodes and n leaves, so reserving that much
+	// removes every per-node allocation.
+	g.t = treePool.Get().(*flat)
+	g.t.reserve(2*n-1, n*outDim)
 
-	g.xoff = intsCap(g.xoff, n)
-	g.yoff = intsCap(g.yoff, n)
-	g.idx = intsCap(g.idx, n)
+	g.xoff = sized(g.xoff, n)
+	g.yoff = sized(g.yoff, n)
+	g.idx = sized(g.idx, n)
 	for i := range g.idx {
 		g.idx[i] = i
 	}
-	g.scratch = intsCap(g.scratch, n)
-	if cap(g.side) < n {
-		g.side = make([]bool, n)
-	} else {
-		g.side = g.side[:n]
-	}
-	g.features = intsCap(g.features, inDim)
-	g.fordBack = intsCap(g.fordBack, n*inDim)
-	if cap(g.ford) < inDim {
-		g.ford = make([][]int, inDim)
-	}
-	g.ford = g.ford[:inDim]
+	g.scratch = sized(g.scratch, n)
+	g.side = sized(g.side, n)
+	g.features = sized(g.features, inDim)
+	g.fordBack = sized(g.fordBack, n*inDim)
+	g.ford = sized(g.ford, inDim)
 	for f := 0; f < inDim; f++ {
 		g.ford[f] = g.fordBack[f*n : (f+1)*n]
 	}
-	g.vals = floatsCap(g.vals, n)
-	if cap(g.pairs) < n {
-		g.pairs = make([]sortPair, n)
-	} else {
-		g.pairs = g.pairs[:n]
-	}
-	g.sorter.order = intsCap(g.sorter.order, n)
-	g.sum = floatsCap(g.sum, outDim)
-	g.sumsq = floatsCap(g.sumsq, outDim)
-	g.total = floatsCap(g.total, outDim)
-	g.totalSq = floatsCap(g.totalSq, outDim)
-	g.ks = intsCap(g.ks, n)
-	g.starts = int32sCap(g.starts, n+1)
-	g.pos = int32sCap(g.pos, n)
-	g.cursor = int32sCap(g.cursor, n)
+	g.vals = sized(g.vals, n)
+	g.sorter.order = sized(g.sorter.order, n)
+	g.sum = sized(g.sum, outDim)
+	g.sumsq = sized(g.sumsq, outDim)
+	g.total = sized(g.total, outDim)
+	g.totalSq = sized(g.totalSq, outDim)
+	g.ks = sized(g.ks, n)
+	g.starts = sized(g.starts, n+1)
+	g.pos = sized(g.pos, n)
+	g.cursor = sized(g.cursor, n)
 	return g
 }
 
 // putGrower returns a grower to the pool, dropping references to the
-// caller's matrices and the grown tree but keeping every scratch buffer.
+// caller's matrices and the grown tree (the caller owns it) but keeping
+// every scratch buffer.
 func putGrower(g *grower) {
 	g.x, g.y = nil, nil
 	g.t, g.rng = nil, nil
@@ -381,25 +255,12 @@ func (a *argsort) Swap(i, j int) {
 	a.vals[i], a.vals[j] = a.vals[j], a.vals[i]
 }
 
-// newVec carves one zeroed outDim-sized vector from the tree's arena (the
-// arena is pooled, so it may carry a previous tree's values).
-func (g *grower) newVec() []float64 {
-	d := g.t.outDim
-	v := g.arena[:d:d]
-	g.arena = g.arena[d:]
-	for i := range v {
-		v[i] = 0
-	}
-	return v
-}
-
 // grow recursively builds the subtree over the sample segment [lo, hi) of
 // g.idx (and of every g.ford order) and returns its node index.
 func (g *grower) grow(lo, hi, depth int) int32 {
 	t := g.t
 	idx := g.idx[lo:hi]
-	self := int32(len(t.nodes))
-	t.nodes = append(t.nodes, node{feature: -1})
+	self := t.addNode()
 
 	// The mean vector is only materialized when the node actually becomes
 	// a leaf: internal nodes never serve predictions, and their (large)
@@ -444,16 +305,23 @@ func (g *grower) grow(lo, hi, depth int) int32 {
 	}
 	l := g.grow(lo, lo+nl, depth+1)
 	r := g.grow(lo+nl, hi, depth+1)
-	t.nodes[self].feature = feat
-	t.nodes[self].threshold = thr
-	t.nodes[self].left = l
-	t.nodes[self].right = r
+	t.feat[self] = int32(feat)
+	t.thr[self] = thr
+	t.left[self] = l
+	t.right[self] = r
 	return self
 }
 
-// leaf fills node self's prediction vector with the mean of its samples.
+// leaf makes node self a leaf: it appends the mean of the node's samples
+// to the tree's packed leaf vectors and points the node at it. A node
+// becomes a leaf before any later node is added, so leaf vectors are
+// packed in node order.
 func (g *grower) leaf(self int32, idx []int) int32 {
-	m := g.newVec()
+	t := g.t
+	off := len(t.leaves)
+	t.leaves = t.leaves[:off+g.yc]
+	m := t.leaves[off:]
+	clear(m)
 	for _, i := range idx {
 		for d, v := range g.yRow(i) {
 			m[d] += v
@@ -462,7 +330,7 @@ func (g *grower) leaf(self int32, idx []int) int32 {
 	for d := range m {
 		m[d] /= float64(len(idx))
 	}
-	g.t.nodes[self].value = m
+	t.left[self] = int32(off)
 	return self
 }
 
@@ -487,12 +355,11 @@ func partitionBySide(side []bool, seg, scratch []int) {
 // squared error of the two children, using prefix sums over the maintained
 // presorted orders — no sorting happens here.
 func (g *grower) bestSplit(lo, hi int) (int, float64, bool) {
-	t := g.t
-	features := g.features[:t.inDim]
+	features := g.features[:g.xc]
 	for i := range features {
 		features[i] = i
 	}
-	if g.cfg.FeatureSubset > 0 && g.cfg.FeatureSubset < t.inDim {
+	if g.cfg.FeatureSubset > 0 && g.cfg.FeatureSubset < g.xc {
 		if g.rng == nil {
 			g.rng = xrand.New(0)
 		}
@@ -588,66 +455,6 @@ func (g *grower) bestSplit(lo, hi int) (int, float64, bool) {
 	}
 	return bestFeat, bestThr, bestFeat >= 0
 }
-
-// Predict returns the tree's output vector for input x.
-func (t *Tree) Predict(x []float64) []float64 {
-	v := t.leaf(x)
-	out := make([]float64, len(v))
-	copy(out, v)
-	return out
-}
-
-// leaf returns the leaf value reached by x without copying; callers must
-// not mutate the result.
-func (t *Tree) leaf(x []float64) []float64 {
-	if len(x) != t.inDim {
-		panic(fmt.Sprintf("mlearn: input has %d features, tree expects %d", len(x), t.inDim))
-	}
-	i := int32(0)
-	for {
-		nd := &t.nodes[i]
-		if nd.feature < 0 {
-			return nd.value
-		}
-		if x[nd.feature] <= nd.threshold {
-			i = nd.left
-		} else {
-			i = nd.right
-		}
-	}
-}
-
-// Depth returns the maximum depth of the tree (a root-only tree has depth
-// 1). The walk uses an explicit heap stack, so chain-shaped degenerate
-// trees of any depth cannot overflow the goroutine stack.
-func (t *Tree) Depth() int {
-	if len(t.nodes) == 0 {
-		return 0
-	}
-	type frame struct {
-		node  int32
-		depth int32
-	}
-	stack := make([]frame, 1, 64)
-	stack[0] = frame{0, 1}
-	max := 1
-	for len(stack) > 0 {
-		fr := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nd := &t.nodes[fr.node]
-		if nd.feature < 0 {
-			if int(fr.depth) > max {
-				max = int(fr.depth)
-			}
-			continue
-		}
-		stack = append(stack, frame{nd.left, fr.depth + 1}, frame{nd.right, fr.depth + 1})
-	}
-	return max
-}
-
-// NumNodes returns the total node count.
-func (t *Tree) NumNodes() int { return len(t.nodes) }
 
 // sameRow reports whether samples a and b carry interchangeable outputs: a
 // shared storage row (bootstrap duplicates, caught by the offset compare)

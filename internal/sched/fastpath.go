@@ -380,13 +380,13 @@ func (s *Scheduler) bestSet(free topology.NodeSet, size int) (topology.NodeSet, 
 	return nodes, ok
 }
 
-// scanBest returns the index rankClasses would rank first among the classes
-// whose node count fits the free set, or -1 if no candidate fits. It is the
-// allocation-free replacement for sorting the full ranking per admission:
-// rankClasses' comparator is a total order (the index is the final
-// tiebreak), so the first fitting element of the sorted ranking is exactly
-// the minimum fitting candidate under the same comparator, found in one
-// pass.
+// scanBest is the paper's Step 4 rule: among the classes whose node count
+// fits the free set, the cheapest (fewest-node) class predicted to meet the
+// goal, or the fastest predicted class when none does; -1 if no candidate
+// fits. The preference order is total (the index is the final tiebreak), so
+// one allocation-free pass for the minimum replaces sorting the ranking —
+// the sort-based rankClasses in reference_test.go is the oracle that holds
+// the two equal.
 func scanBest(imps []placement.Important, vec []float64, basePerf, goal float64, freeLen int) int {
 	best := -1
 	var bestMeets bool
@@ -409,11 +409,10 @@ func scanBest(imps []placement.Important, vec []float64, basePerf, goal float64,
 	return best
 }
 
-// rankLess reports whether candidate a precedes candidate b in rankClasses'
-// preference order, mirroring its comparator field for field: goal-meeting
-// classes first; among those, fewest nodes; then highest predicted
-// performance. Equal keys keep the earlier index (scanBest only replaces on
-// strict precedence), matching the comparator's ascending-index tiebreak.
+// rankLess reports whether candidate a precedes candidate b in the Step 4
+// preference order: goal-meeting classes first; among those, fewest nodes;
+// then highest predicted performance. Equal keys keep the earlier index
+// (scanBest only replaces on strict precedence).
 func rankLess(aMeets bool, aNodes int, aPerf float64, bMeets bool, bNodes int, bPerf float64) bool {
 	if aMeets != bMeets {
 		return aMeets

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"sort"
 
 	"repro/internal/concern"
 	"repro/internal/container"
@@ -101,6 +102,53 @@ func (r *refScheduler) choose(imps []placement.Important, vec []float64, basePer
 		}
 	}
 	return 0, 0, false
+}
+
+// rankClasses returns placement-class indices in the Step 4 preference
+// order: classes predicted to meet the goal first (fewest nodes, then
+// fastest predicted, then lowest index), followed by the goal-missing
+// classes by descending predicted performance. It is the sort-based
+// statement of the Step 4 rule that scanBest implements in one pass; the
+// reference scheduler walks the whole ranking for the first class that
+// fits the free nodes.
+func rankClasses(imps []placement.Important, vec []float64, basePerf, goal float64) []int {
+	type cand struct {
+		idx   int
+		nodes int
+		perf  float64
+	}
+	cands := make([]cand, 0, len(vec))
+	for i, rel := range vec {
+		if rel <= 0 {
+			continue
+		}
+		// Vector entries are base/perf: predicted perf = base / entry.
+		cands = append(cands, cand{i, imps[i].Nodes.Len(), basePerf / rel})
+	}
+	meets := func(c cand) bool { return c.perf >= goal }
+	sort.Slice(cands, func(a, b int) bool {
+		ca, cb := cands[a], cands[b]
+		if meets(ca) != meets(cb) {
+			return meets(ca)
+		}
+		if meets(ca) {
+			// Goal-meeting classes: cheapest first, fastest within a
+			// node count.
+			if ca.nodes != cb.nodes {
+				return ca.nodes < cb.nodes
+			}
+		}
+		// Best-effort classes: fastest first regardless of cost.
+		if ca.perf != cb.perf {
+			return ca.perf > cb.perf
+		}
+		return ca.idx < cb.idx
+	})
+	out := make([]int, len(cands))
+	for i, c := range cands {
+		out[i] = c.idx
+	}
+	return out
 }
 
 func refFull(free, v int) error {

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/concern"
 	"repro/internal/container"
@@ -107,9 +106,9 @@ func NewExperimentPrepared(spec *concern.Spec, imps []placement.Important, w per
 		return nil, fmt.Errorf("sched: predictor has %d placements, machine yields %d: %w",
 			pred.NumPlacements, len(imps), nperr.ErrMachineMismatch)
 	}
-	// The packing loops predict per admitted instance; compile the forest
-	// up front so the first admission doesn't pay the lazy build.
-	pred.Compile()
+	// The packing loops predict per admitted instance; build the interval
+	// table up front so the first admission doesn't pay the lazy build.
+	pred.Warm()
 	return &Experiment{
 		Machine: spec.Machine, Spec: spec, V: v, Workload: w,
 		Placements: imps, Predictor: pred,
@@ -303,64 +302,11 @@ func (e *Experiment) observePair(c *container.Container, trial int) (float64, fl
 }
 
 // choosePlacement returns the index of the cheapest placement predicted to
-// meet the goal; if none does, the fastest predicted placement.
+// meet the goal; if none does, the fastest predicted placement: the paper's
+// Step 4 rule, the one the serving scheduler scans for (scanBest), with
+// every class fitting the empty machine.
 func (e *Experiment) choosePlacement(vec []float64, basePerf, goal float64) int {
-	return ChooseByVector(e.Placements, vec, basePerf, goal)
-}
-
-// ChooseByVector implements the paper's Step 4 decision rule over a
-// predicted performance vector: the cheapest (fewest-node) placement class
-// predicted to meet the goal, or the fastest predicted class when the goal
-// is unreachable. It is the head of rankClasses' preference order, shared
-// by the batch packing experiment and the incremental serving scheduler.
-func ChooseByVector(imps []placement.Important, vec []float64, basePerf, goal float64) int {
-	return rankClasses(imps, vec, basePerf, goal)[0]
-}
-
-// rankClasses returns placement-class indices in the Step 4 preference
-// order: classes predicted to meet the goal first (fewest nodes, then
-// fastest predicted, then lowest index), followed by the goal-missing
-// classes by descending predicted performance. The serving scheduler
-// walks the whole ranking to find a class that fits the free nodes; the
-// batch policy takes the head.
-func rankClasses(imps []placement.Important, vec []float64, basePerf, goal float64) []int {
-	type cand struct {
-		idx   int
-		nodes int
-		perf  float64
-	}
-	cands := make([]cand, 0, len(vec))
-	for i, rel := range vec {
-		if rel <= 0 {
-			continue
-		}
-		// Vector entries are base/perf: predicted perf = base / entry.
-		cands = append(cands, cand{i, imps[i].Nodes.Len(), basePerf / rel})
-	}
-	meets := func(c cand) bool { return c.perf >= goal }
-	sort.Slice(cands, func(a, b int) bool {
-		ca, cb := cands[a], cands[b]
-		if meets(ca) != meets(cb) {
-			return meets(ca)
-		}
-		if meets(ca) {
-			// Goal-meeting classes: cheapest first, fastest within a
-			// node count.
-			if ca.nodes != cb.nodes {
-				return ca.nodes < cb.nodes
-			}
-		}
-		// Best-effort classes: fastest first regardless of cost.
-		if ca.perf != cb.perf {
-			return ca.perf > cb.perf
-		}
-		return ca.idx < cb.idx
-	})
-	out := make([]int, len(cands))
-	for i, c := range cands {
-		out[i] = c.idx
-	}
-	return out
+	return scanBest(e.Placements, vec, basePerf, goal, e.Machine.Topo.NumNodes)
 }
 
 // placeAggressive fills the machine with unpinned instances.
