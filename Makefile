@@ -9,7 +9,7 @@ CI_STEPS = fmtcheck vet lint build crossbuild test race fuzzsmoke clustersmoke c
 # The packages that carry micro-benchmarks (root plus the wire-facing ones).
 BENCH_PKGS = . ./internal/fleet/ ./internal/wal/ ./internal/wire/
 
-.PHONY: all $(CI_STEPS) bench profile ci
+.PHONY: all $(CI_STEPS) bench loc profile ci
 
 all: build
 
@@ -121,6 +121,15 @@ benchsmoke:
 # benchmark run. ~15 s.
 benchcheck:
 	cd bench && $(GO) test ./...
+
+# The three line counts a simplicity change reports (ROADMAP.md's standing
+# rule), each a `find … | xargs cat | wc -l`: non-test Go outside bench/,
+# test Go outside bench/, and all Go in bench/. Run it at the parent and at
+# the change for the before/after.
+loc:
+	@printf 'non-test Go outside bench/: '; find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+	@printf 'test Go outside bench/:     '; find . -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+	@printf 'Go in bench/:               '; find ./bench -name '*.go' | xargs cat | wc -l
 
 # Emits a CPU profile of the heaviest training pipeline (the Figure 4
 # cross-validation grid) for `go tool pprof repro.test cpu.prof`.

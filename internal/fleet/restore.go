@@ -90,30 +90,41 @@ func (f *Fleet) memberOf(name string) (*member, error) {
 	return m, nil
 }
 
-// adoptLocked installs one recorded admission onto a member's backend and
-// registers the fleet mapping. Callers hold f.mu.
-func (f *Fleet) adoptLocked(ctx context.Context, m *member, id, engineID int, workload string, vcpus, classID int, r *Record, lookup WorkloadLookup) (*tenantRec, error) {
-	if _, dup := f.tenants[id]; dup {
-		return nil, fmt.Errorf("fleet ID %d already mapped: %w", id, nperr.ErrLogCorrupt)
-	}
-	w, ok := lookup(workload)
+// resolve looks up a recorded workload name; a miss means the log was
+// written against another catalog.
+func (lookup WorkloadLookup) resolve(name string) (perfsim.Workload, error) {
+	w, ok := lookup(name)
 	if !ok {
-		return nil, fmt.Errorf("workload %q not in the catalog: %w", workload, nperr.ErrLogCorrupt)
+		return w, fmt.Errorf("workload %q not in the catalog: %w", name, nperr.ErrLogCorrupt)
 	}
-	a, err := m.b.Adopt(ctx, sched.Restore{
-		ID: engineID, Workload: w, VCPUs: vcpus, ClassID: classID,
+	return w, nil
+}
+
+// restoreOf is the backend-local admission a RecPlace or RecMove commits,
+// for a container of workload w with vcpus vCPUs.
+func restoreOf(r *Record, w perfsim.Workload, vcpus int) sched.Restore {
+	return sched.Restore{
+		ID: r.EngineID, Workload: w, VCPUs: vcpus, ClassID: r.ClassID,
 		Nodes: r.Nodes, BasePerf: r.BasePerf, ProbePerf: r.ProbePerf,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("adopting container %d onto %s: %w", id, m.name, err)
 	}
-	rec := &tenantRec{mem: m, engineID: engineID, w: w, vcpus: vcpus, assign: *a}
-	f.tenants[id] = rec
+}
+
+// adoptLocked installs recorded admission r of fleet container id onto
+// member m's backend and registers the fleet mapping. Callers hold f.mu.
+func (f *Fleet) adoptLocked(ctx context.Context, id int, m *member, r sched.Restore) error {
+	if _, dup := f.tenants[id]; dup {
+		return fmt.Errorf("fleet ID %d already mapped: %w", id, nperr.ErrLogCorrupt)
+	}
+	a, err := m.b.Adopt(ctx, r)
+	if err != nil {
+		return fmt.Errorf("adopting container %d onto %s: %w", id, m.name, err)
+	}
+	f.tenants[id] = &tenantRec{mem: m, engineID: r.ID, w: r.Workload, vcpus: r.VCPUs, assign: *a}
 	m.tenants++
 	if id >= f.nextID {
 		f.nextID = id + 1
 	}
-	return rec, nil
+	return nil
 }
 
 // applyStateLocked installs a snapshot. Callers hold f.mu.
@@ -135,8 +146,14 @@ func (f *Fleet) applyStateLocked(ctx context.Context, st *State, lookup Workload
 		if err != nil {
 			return fmt.Errorf("fleet: restoring tenant %d: %w", ts.ID, err)
 		}
-		r := Record{Nodes: ts.Nodes, BasePerf: ts.BasePerf, ProbePerf: ts.ProbePerf}
-		if _, err := f.adoptLocked(ctx, m, ts.ID, ts.EngineID, ts.Workload, ts.VCPUs, ts.ClassID, &r, lookup); err != nil {
+		w, err := lookup.resolve(ts.Workload)
+		if err != nil {
+			return fmt.Errorf("fleet: restoring tenant %d: %w", ts.ID, err)
+		}
+		if err := f.adoptLocked(ctx, ts.ID, m, sched.Restore{
+			ID: ts.EngineID, Workload: w, VCPUs: ts.VCPUs, ClassID: ts.ClassID,
+			Nodes: ts.Nodes, BasePerf: ts.BasePerf, ProbePerf: ts.ProbePerf,
+		}); err != nil {
 			return fmt.Errorf("fleet: restoring tenant %d: %w", ts.ID, err)
 		}
 	}
@@ -160,7 +177,11 @@ func (f *Fleet) applyLocked(ctx context.Context, r *Record, lookup WorkloadLooku
 	}
 	switch r.Type {
 	case RecPlace:
-		if _, err := f.adoptLocked(ctx, m, r.ID, r.EngineID, r.Workload, r.VCPUs, r.ClassID, r, lookup); err != nil {
+		w, err := lookup.resolve(r.Workload)
+		if err != nil {
+			return err
+		}
+		if err := f.adoptLocked(ctx, r.ID, m, restoreOf(r, w, r.VCPUs)); err != nil {
 			return err
 		}
 		f.admitted++
@@ -196,10 +217,7 @@ func (f *Fleet) applyLocked(ctx context.Context, r *Record, lookup WorkloadLooku
 				return fmt.Errorf("moving container %d off %s: %w", r.ID, rec.mem.name, err)
 			}
 		}
-		a, err := d.b.Adopt(ctx, sched.Restore{
-			ID: r.EngineID, Workload: rec.w, VCPUs: rec.vcpus, ClassID: r.ClassID,
-			Nodes: r.Nodes, BasePerf: r.BasePerf, ProbePerf: r.ProbePerf,
-		})
+		a, err := d.b.Adopt(ctx, restoreOf(r, rec.w, rec.vcpus))
 		if err != nil {
 			return fmt.Errorf("adopting moved container %d onto %s: %w", r.ID, d.name, err)
 		}

@@ -306,7 +306,8 @@ func (f *fastPath) getTenant(n int) *tenant {
 
 // putTenant recycles a tenant after release or a failed admission. Only the
 // vector's backing array survives; every other field is cleared so a pooled
-// tenant can never leak a container or stale decision into its next use.
+// tenant can never leak an identity, a pinning or a stale decision into its
+// next use.
 func (f *fastPath) putTenant(t *tenant) {
 	vec := t.vec
 	*t = tenant{vec: vec}
@@ -344,7 +345,7 @@ func (s *Scheduler) previewShape(ctx context.Context, w perfsim.Workload, v int,
 	if err != nil {
 		return nil, err
 	}
-	goal := s.cfg.goalFrac() * obs[0] * (1 + s.cfg.headroom())
+	goal := s.goal(obs[0])
 	sh := &shape{w: w, basePerf: obs[0], byFree: make([]Score, s.machine.Topo.NumNodes+1)}
 	for n := range sh.byFree {
 		c := scanBest(imps, vec, obs[0], goal, n)

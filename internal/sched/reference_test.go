@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"repro/internal/concern"
-	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/migrate"
 	"repro/internal/nperr"
@@ -19,13 +18,12 @@ import (
 
 // refScheduler is the test oracle for Scheduler: the serving rule computed
 // from scratch on every call, out of the batch policy's primitives alone —
-// container.Observe (perfsim.Run) in uncached placement.Pin mappings for
-// the two observations, rankClasses and bestFreeSet for the choice,
-// predictedPerf, admitTrial/previewTrial for the noise streams and
-// migrate.RunCtx for move costs. It keeps its own free mask, tenant map and
-// ID counter and shares no cache, pool, scanBest or shape table with the
-// Scheduler, so a cache that served an inexact answer makes the two
-// disagree. Single-threaded: the parity harness drives it in lockstep.
+// perfsim.Run in uncached placement.Pin mappings for the two observations,
+// rankClasses and bestFreeSet for the choice, predictedPerf,
+// admitTrial/previewTrial for the noise streams and migrate.RunCtx for move
+// costs. It keeps its own free mask, tenant map and ID counter and shares no
+// cache, pool, scanBest or shape table with the Scheduler, so a cache that
+// served an inexact answer makes the two disagree. Single-threaded: the parity harness drives it in lockstep.
 type refScheduler struct {
 	spec    *concern.Spec
 	imps    func(ctx context.Context, v int) ([]placement.Important, error)
@@ -52,16 +50,16 @@ func (r *refScheduler) goal(basePerf float64) float64 {
 	return r.cfg.goalFrac() * basePerf * (1 + r.cfg.headroom())
 }
 
-// model is the checks Admit and Preview share, in the Scheduler's order and
-// with its error text.
-func (r *refScheduler) model(ctx context.Context, v int, verb string) ([]placement.Important, *core.Predictor, error) {
+// model is the checks Admit, Preview and Adopt share, in the Scheduler's
+// order and with its error text.
+func (r *refScheduler) model(ctx context.Context, v int) ([]placement.Important, *core.Predictor, error) {
 	imps, err := r.imps(ctx, v)
 	if err != nil {
 		return nil, nil, err
 	}
 	p := r.pred(v)
 	if p == nil {
-		return nil, nil, fmt.Errorf("sched: %s %d-vCPU container: %w", verb, v, nperr.ErrUntrained)
+		return nil, nil, fmt.Errorf("sched: no predictor for %d-vCPU containers: %w", v, nperr.ErrUntrained)
 	}
 	if p.NumPlacements != len(imps) {
 		return nil, nil, fmt.Errorf("sched: predictor has %d placements, machine yields %d for %d vCPUs: %w",
@@ -70,19 +68,16 @@ func (r *refScheduler) model(ctx context.Context, v int, verb string) ([]placeme
 	return imps, p, nil
 }
 
-// observe pins c into the predictor's Base and Probe placements in turn,
-// observes it there and predicts its vector.
-func (r *refScheduler) observe(c *container.Container, imps []placement.Important, p *core.Predictor, trialBase int) ([2]float64, []float64, error) {
+// observe runs a v-vCPU container of workload w alone in the predictor's
+// Base and Probe placements in turn and predicts its vector.
+func (r *refScheduler) observe(w perfsim.Workload, v int, imps []placement.Important, p *core.Predictor, trialBase int) ([2]float64, []float64, error) {
 	var obs [2]float64
 	for i, pi := range [2]int{p.Base, p.Probe} {
-		threads, err := placement.Pin(r.spec, imps[pi].Placement, c.VCPUs())
+		threads, err := placement.Pin(r.spec, imps[pi].Placement, v)
 		if err != nil {
 			return obs, nil, err
 		}
-		if err := c.Place(threads, true); err != nil {
-			return obs, nil, err
-		}
-		if obs[i], err = c.Observe(r.spec.Machine, trialBase+i); err != nil {
+		if obs[i], err = perfsim.Run(r.spec.Machine, w, threads, trialBase+i); err != nil {
 			return obs, nil, err
 		}
 	}
@@ -155,19 +150,34 @@ func refFull(free, v int) error {
 	return fmt.Errorf("sched: %d free nodes cannot host a %d-vCPU container: %w", free, v, nperr.ErrMachineFull)
 }
 
-func (r *refScheduler) pin(nodes topology.NodeSet, imp placement.Important, v int) ([]topology.ThreadID, error) {
-	return placement.Pin(r.spec, placement.Placement{Nodes: nodes, PerNodeScores: imp.PerNodeScores}, v)
+// pin pins container id's v vCPUs to class imp on nodes; a pinning must hold
+// one thread per vCPU.
+func (r *refScheduler) pin(id int, nodes topology.NodeSet, imp placement.Important, v int) ([]topology.ThreadID, error) {
+	threads, err := placement.Pin(r.spec, placement.Placement{Nodes: nodes, PerNodeScores: imp.PerNodeScores}, v)
+	if err == nil && len(threads) != v {
+		err = fmt.Errorf("sched: container %d: mapping has %d threads, want %d: %w", id, len(threads), v, nperr.ErrMachineMismatch)
+	}
+	return threads, err
+}
+
+// sized is the rule a recorded decision must keep: as many nodes as its
+// class has.
+func sized(id int, nodes topology.NodeSet, imp placement.Important) error {
+	if nodes.Len() != imp.Nodes.Len() {
+		return fmt.Errorf("sched: container %d: %d nodes %v for a %d-node class: %w",
+			id, nodes.Len(), nodes, imp.Nodes.Len(), nperr.ErrLogCorrupt)
+	}
+	return nil
 }
 
 func (r *refScheduler) Admit(ctx context.Context, w perfsim.Workload, v int) (*Assignment, error) {
-	imps, p, err := r.model(ctx, v, "admitting")
+	imps, p, err := r.model(ctx, v)
 	if err != nil {
 		return nil, err
 	}
 	id := r.nextID
 	r.nextID++
-	c := container.New(id, w, v)
-	obs, vec, err := r.observe(c, imps, p, admitTrial(id))
+	obs, vec, err := r.observe(w, v, imps, p, admitTrial(id))
 	if err != nil {
 		return nil, err
 	}
@@ -179,15 +189,13 @@ func (r *refScheduler) Admit(ctx context.Context, w perfsim.Workload, v int) (*A
 	if !ok {
 		return nil, refFull(r.free.Len(), v)
 	}
-	threads, err := r.pin(nodes, imps[choice], v)
+	threads, err := r.pin(id, nodes, imps[choice], v)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.Place(threads, true); err != nil {
-		return nil, err
-	}
 	r.free = r.free.Minus(nodes)
-	t := &tenant{c: c, class: choice, classID: imps[choice].ID, nodes: nodes,
+	t := &tenant{id: id, w: w, vcpus: v, threads: threads,
+		class: choice, classID: imps[choice].ID, nodes: nodes,
 		basePerf: obs[0], probePerf: obs[1], vec: vec, goal: goal}
 	r.tenants[id] = t
 	a := r.assignment(t)
@@ -195,11 +203,11 @@ func (r *refScheduler) Admit(ctx context.Context, w perfsim.Workload, v int) (*A
 }
 
 func (r *refScheduler) Preview(ctx context.Context, w perfsim.Workload, v int) (*Preview, error) {
-	imps, p, err := r.model(ctx, v, "previewing")
+	imps, p, err := r.model(ctx, v)
 	if err != nil {
 		return nil, err
 	}
-	obs, vec, err := r.observe(container.New(0, w, v), imps, p, previewTrial(w, v))
+	obs, vec, err := r.observe(w, v, imps, p, previewTrial(w, v))
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +242,7 @@ func (r *refScheduler) Rebalance(ctx context.Context) (*RebalanceReport, error) 
 			return rep, err
 		}
 		rep.Examined++
-		imps, err := r.imps(ctx, t.c.VCPUs())
+		imps, err := r.imps(ctx, t.vcpus)
 		if err != nil {
 			return rep, err
 		}
@@ -249,19 +257,16 @@ func (r *refScheduler) Rebalance(ctx context.Context) (*RebalanceReport, error) 
 		if !faster && !wider {
 			continue
 		}
-		threads, err := r.pin(nodes, imps[choice], t.c.VCPUs())
+		threads, err := r.pin(id, nodes, imps[choice], t.vcpus)
 		if err != nil {
 			return rep, err
 		}
-		prof := migrate.ProfileFor(t.c.Workload(), t.c.VCPUs())
+		prof := migrate.ProfileFor(t.w, t.vcpus)
 		if nodes == t.nodes {
 			prof.AnonGB, prof.PageCacheGB = 0, 0
 		}
 		res, err := migrate.RunCtx(ctx, prof, migrate.Fast, r.cfg.Migration)
 		if err != nil {
-			return rep, err
-		}
-		if err := t.c.Place(threads, true); err != nil {
 			return rep, err
 		}
 		rep.Moves = append(rep.Moves, RebalanceMove{
@@ -270,23 +275,15 @@ func (r *refScheduler) Rebalance(ctx context.Context) (*RebalanceReport, error) 
 		})
 		rep.TotalSeconds += res.Seconds
 		r.free = avail.Minus(nodes)
-		t.class, t.classID, t.nodes = choice, imps[choice].ID, nodes
+		t.threads, t.class, t.classID, t.nodes = threads, choice, imps[choice].ID, nodes
 	}
 	return rep, nil
 }
 
 func (r *refScheduler) Adopt(ctx context.Context, rec Restore) (*Assignment, error) {
-	imps, err := r.imps(ctx, rec.VCPUs)
+	imps, p, err := r.model(ctx, rec.VCPUs)
 	if err != nil {
 		return nil, err
-	}
-	p := r.pred(rec.VCPUs)
-	if p == nil {
-		return nil, fmt.Errorf("sched: adopting %d-vCPU container %d: %w", rec.VCPUs, rec.ID, nperr.ErrUntrained)
-	}
-	if p.NumPlacements != len(imps) {
-		return nil, fmt.Errorf("sched: predictor has %d placements, machine yields %d for %d vCPUs: %w",
-			p.NumPlacements, len(imps), rec.VCPUs, nperr.ErrMachineMismatch)
 	}
 	choice := slices.IndexFunc(imps, func(imp placement.Important) bool { return imp.ID == rec.ClassID })
 	if choice < 0 {
@@ -306,17 +303,16 @@ func (r *refScheduler) Adopt(ctx context.Context, rec Restore) (*Assignment, err
 	if rec.Nodes.Minus(r.free) != 0 {
 		return nil, fmt.Errorf("sched: adopting container %d: nodes %v not free: %w", rec.ID, rec.Nodes, nperr.ErrLogCorrupt)
 	}
-	threads, err := r.pin(rec.Nodes, imps[choice], rec.VCPUs)
+	if err := sized(rec.ID, rec.Nodes, imps[choice]); err != nil {
+		return nil, err
+	}
+	threads, err := r.pin(rec.ID, rec.Nodes, imps[choice], rec.VCPUs)
 	if err != nil {
 		return nil, err
 	}
-	c := container.New(rec.ID, rec.Workload, rec.VCPUs)
-	if err := c.Place(threads, true); err != nil {
-		return nil, err
-	}
 	r.free = r.free.Minus(rec.Nodes)
-	t := &tenant{c: c, class: choice, classID: rec.ClassID, nodes: rec.Nodes,
-		basePerf: rec.BasePerf, probePerf: rec.ProbePerf, vec: vec, goal: r.goal(rec.BasePerf)}
+	t := &tenant{id: rec.ID, w: rec.Workload, vcpus: rec.VCPUs, threads: threads,
+		class: choice, classID: rec.ClassID, nodes: rec.Nodes, basePerf: rec.BasePerf, probePerf: rec.ProbePerf, vec: vec, goal: r.goal(rec.BasePerf)}
 	r.tenants[rec.ID] = t
 	r.nextID = max(r.nextID, rec.ID+1)
 	a := r.assignment(t)
@@ -331,28 +327,28 @@ func (r *refScheduler) ApplyMove(ctx context.Context, id, classID int, nodes top
 	if !ok {
 		return fmt.Errorf("sched: applying move of container %d: %w", id, nperr.ErrUnknownContainer)
 	}
-	imps, err := r.imps(ctx, t.c.VCPUs())
+	imps, err := r.imps(ctx, t.vcpus)
 	if err != nil {
 		return err
 	}
 	choice := slices.IndexFunc(imps, func(imp placement.Important) bool { return imp.ID == classID })
 	if choice < 0 {
 		return fmt.Errorf("sched: applying move of container %d: class %d not in the %d-vCPU enumeration: %w",
-			id, classID, t.c.VCPUs(), nperr.ErrLogCorrupt)
+			id, classID, t.vcpus, nperr.ErrLogCorrupt)
 	}
 	avail := r.free.Union(t.nodes)
 	if nodes.Minus(avail) != 0 {
 		return fmt.Errorf("sched: applying move of container %d: nodes %v not free: %w", id, nodes, nperr.ErrLogCorrupt)
 	}
-	threads, err := r.pin(nodes, imps[choice], t.c.VCPUs())
+	if err := sized(id, nodes, imps[choice]); err != nil {
+		return err
+	}
+	threads, err := r.pin(id, nodes, imps[choice], t.vcpus)
 	if err != nil {
 		return err
 	}
-	if err := t.c.Place(threads, true); err != nil {
-		return err
-	}
 	r.free = avail.Minus(nodes)
-	t.class, t.classID, t.nodes = choice, classID, nodes
+	t.threads, t.class, t.classID, t.nodes = threads, choice, classID, nodes
 	return nil
 }
 
@@ -367,8 +363,8 @@ func (r *refScheduler) Assignments() []Assignment {
 
 func (r *refScheduler) assignment(t *tenant) Assignment {
 	return Assignment{
-		ID: t.c.ID(), Workload: t.c.Workload().Name, VCPUs: t.c.VCPUs(),
-		Class: t.classID, Nodes: t.nodes, Threads: t.c.Threads(),
+		ID: t.id, Workload: t.w.Name, VCPUs: t.vcpus,
+		Class: t.classID, Nodes: t.nodes, Threads: t.threads,
 		BasePerf: t.basePerf, PredictedPerf: predictedPerf(t.basePerf, t.vec, t.class),
 		ProbePerf: t.probePerf,
 	}

@@ -16,7 +16,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/container"
 	"repro/internal/nperr"
 	"repro/internal/perfsim"
 	"repro/internal/placement"
@@ -53,26 +52,20 @@ func classIndex(imps []placement.Important, classID int) (int, bool) {
 	return 0, false
 }
 
-// Adopt installs one previously committed admission: the recorded class
-// and nodes are taken as decided, the prediction vector is recomputed
-// from the recorded observations, and the container is pinned exactly as
-// Admit would have pinned it. The free set shrinks by r.Nodes and nextID
-// advances past r.ID so post-recovery admissions never reuse a logged
-// identity. Records inconsistent with the machine — unknown class,
-// nodes already allocated, duplicate ID — fail with nperr.ErrLogCorrupt;
-// a missing predictor fails with nperr.ErrUntrained like Admit.
+// Adopt installs one previously committed admission: an Admit whose decision
+// is given. The recorded class and nodes are taken as decided, the
+// prediction vector is recomputed from the recorded observations, and the
+// container is installed exactly as Admit would have installed it. The free
+// set shrinks by r.Nodes and nextID advances past r.ID so post-recovery
+// admissions never reuse a logged identity. Records inconsistent with the
+// machine — unknown class, nodes of another count than the class's, nodes
+// already allocated, duplicate ID — fail with nperr.ErrLogCorrupt; a missing
+// predictor fails with nperr.ErrUntrained like Admit.
 func (s *Scheduler) Adopt(ctx context.Context, r Restore) (_ *Assignment, err error) {
-	imps, err := s.imps(ctx, r.VCPUs)
+	p := s.pred(r.VCPUs)
+	imps, err := s.model(ctx, r.VCPUs, p)
 	if err != nil {
 		return nil, err
-	}
-	p := s.pred(r.VCPUs)
-	if p == nil {
-		return nil, fmt.Errorf("sched: adopting %d-vCPU container %d: %w", r.VCPUs, r.ID, nperr.ErrUntrained)
-	}
-	if p.NumPlacements != len(imps) {
-		return nil, fmt.Errorf("sched: predictor has %d placements, machine yields %d for %d vCPUs: %w",
-			p.NumPlacements, len(imps), r.VCPUs, nperr.ErrMachineMismatch)
 	}
 	choice, ok := classIndex(imps, r.ClassID)
 	if !ok {
@@ -88,6 +81,8 @@ func (s *Scheduler) Adopt(ctx context.Context, r Restore) (_ *Assignment, err er
 			s.fast.putTenant(t)
 		}
 	}()
+	t.id, t.w, t.vcpus = r.ID, r.Workload, r.VCPUs
+	t.basePerf, t.probePerf, t.goal = r.BasePerf, r.ProbePerf, s.goal(r.BasePerf)
 	if err := p.PredictInto(t.vec, r.BasePerf, r.ProbePerf); err != nil {
 		return nil, fmt.Errorf("sched: adopting container %d: %w", r.ID, err)
 	}
@@ -107,25 +102,10 @@ func (s *Scheduler) Adopt(ctx context.Context, r Restore) (_ *Assignment, err er
 	if r.Nodes.Minus(free) != 0 {
 		return nil, fmt.Errorf("sched: adopting container %d: nodes %v not free: %w", r.ID, r.Nodes, nperr.ErrLogCorrupt)
 	}
-	threads, err := s.pin(ctx, placement.Placement{
-		Nodes:         r.Nodes,
-		PerNodeScores: imps[choice].PerNodeScores,
-	}, r.VCPUs)
+	a, _, err := s.install(ctx, t, imps, choice, r.Nodes, free)
 	if err != nil {
 		return nil, err
 	}
-	c := container.New(r.ID, r.Workload, r.VCPUs)
-	if err := c.Place(threads, true); err != nil {
-		return nil, s.discard(c, err)
-	}
-	s.free.Store(uint64(free.Minus(r.Nodes)))
-	t.c, t.class, t.classID, t.nodes = c, choice, r.ClassID, r.Nodes
-	t.basePerf, t.probePerf = r.BasePerf, r.ProbePerf
-	t.goal = s.cfg.goalFrac() * r.BasePerf * (1 + s.cfg.headroom())
-	s.books.Lock()
-	s.books.tenants[r.ID] = t
-	s.insertLive(r.ID)
-	s.books.Unlock()
 	// Advance the ID allocator past every adopted identity; CAS-max
 	// because admissions allocate IDs outside the structural lock.
 	for {
@@ -134,8 +114,7 @@ func (s *Scheduler) Adopt(ctx context.Context, r Restore) (_ *Assignment, err er
 			break
 		}
 	}
-	a := s.assignment(t)
-	return &a, nil
+	return a, nil
 }
 
 // ApplyMove re-pins an admitted container to a previously committed
@@ -156,30 +135,18 @@ func (s *Scheduler) ApplyMove(ctx context.Context, id, classID int, nodes topolo
 	if !ok {
 		return fmt.Errorf("sched: applying move of container %d: %w", id, nperr.ErrUnknownContainer)
 	}
-	imps, err := s.imps(ctx, t.c.VCPUs())
+	imps, err := s.imps(ctx, t.vcpus)
 	if err != nil {
 		return err
 	}
 	choice, ok := classIndex(imps, classID)
 	if !ok {
 		return fmt.Errorf("sched: applying move of container %d: class %d not in the %d-vCPU enumeration: %w",
-			id, classID, t.c.VCPUs(), nperr.ErrLogCorrupt)
+			id, classID, t.vcpus, nperr.ErrLogCorrupt)
 	}
 	avail := topology.NodeSet(s.free.Load()).Union(t.nodes)
 	if nodes.Minus(avail) != 0 {
 		return fmt.Errorf("sched: applying move of container %d: nodes %v not free: %w", id, nodes, nperr.ErrLogCorrupt)
 	}
-	threads, err := s.pin(ctx, placement.Placement{
-		Nodes:         nodes,
-		PerNodeScores: imps[choice].PerNodeScores,
-	}, t.c.VCPUs())
-	if err != nil {
-		return err
-	}
-	if err := t.c.Place(threads, true); err != nil {
-		return err
-	}
-	s.free.Store(uint64(avail.Minus(nodes)))
-	t.class, t.classID, t.nodes = choice, classID, nodes
-	return nil
+	return s.repin(ctx, t, imps, choice, nodes, avail)
 }

@@ -11,7 +11,6 @@ import (
 	"math"
 
 	"repro/internal/concern"
-	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/machines"
 	"repro/internal/nperr"
@@ -249,10 +248,9 @@ func (e *Experiment) placeML(goal float64) ([]perfsim.Tenant, error) {
 	// allocation-free and choosePlacement only reads the vector.
 	vec := make([]float64, e.Predictor.NumPlacements)
 	for id := 0; ; id++ {
-		c := container.New(id, e.Workload, e.V)
 		// Observe in the two input placements (measured alone; the paper
 		// measures in place during the first seconds of execution).
-		basePerf, probePerf, err := e.observePair(c, id)
+		basePerf, probePerf, err := e.observePair(id)
 		if err != nil {
 			return nil, err
 		}
@@ -280,19 +278,16 @@ func (e *Experiment) placeML(goal float64) ([]perfsim.Tenant, error) {
 	return tenants, nil
 }
 
-// observePair measures the container in the predictor's Base and Probe
+// observePair measures instance id alone in the predictor's Base and Probe
 // placements.
-func (e *Experiment) observePair(c *container.Container, trial int) (float64, float64, error) {
+func (e *Experiment) observePair(id int) (float64, float64, error) {
 	var out [2]float64
 	for i, pi := range []int{e.Predictor.Base, e.Predictor.Probe} {
 		threads, err := placement.Pin(e.Spec, e.Placements[pi].Placement, e.V)
 		if err != nil {
 			return 0, 0, err
 		}
-		if err := c.Place(threads, true); err != nil {
-			return 0, 0, err
-		}
-		perf, err := c.Observe(e.Machine, trial*2+i)
+		perf, err := perfsim.Run(e.Machine, e.Workload, threads, id*2+i)
 		if err != nil {
 			return 0, 0, err
 		}

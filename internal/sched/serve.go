@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/machines"
 	"repro/internal/migrate"
@@ -131,8 +130,8 @@ type Scheduler struct {
 	// claim nodes by compare-and-swap against the exact mask they planned
 	// with, retrying the plan when a concurrent admission won the race;
 	// releases return nodes with an atomic union. The mask only ever
-	// excludes committed reservations, so discard-on-failure still leaves
-	// it untouched: an admission CASes only after its pinning succeeded.
+	// excludes committed reservations: an admission CASes only after its
+	// pinning succeeded, so a failed one leaves it untouched.
 	free   atomic.Uint64
 	nextID atomic.Int64
 
@@ -148,14 +147,17 @@ type Scheduler struct {
 	}
 
 	fast fastPath
-
-	// onDiscard, when set (tests only), receives every container abandoned
-	// by a failed admission or adoption.
-	onDiscard func(*container.Container)
 }
 
+// tenant is one admitted container: its identity, the Step 4 decision it runs
+// under and the model inputs behind it. Tenants are pooled (fastPath.pool).
 type tenant struct {
-	c         *container.Container
+	id    int
+	w     perfsim.Workload
+	vcpus int
+	// threads is the vCPU-to-hardware-thread pinning of class on nodes: the
+	// table set's memoized slice, shared and read-only.
+	threads   []topology.ThreadID
 	class     int // index into the enumeration for its vCPU count
 	classID   int // 1-based important-placement ID
 	nodes     topology.NodeSet
@@ -247,12 +249,12 @@ func (s *Scheduler) removeLive(id int) {
 
 func (s *Scheduler) assignment(t *tenant) Assignment {
 	return Assignment{
-		ID:            t.c.ID(),
-		Workload:      t.c.Workload().Name,
-		VCPUs:         t.c.VCPUs(),
+		ID:            t.id,
+		Workload:      t.w.Name,
+		VCPUs:         t.vcpus,
 		Class:         t.classID,
 		Nodes:         t.nodes,
-		Threads:       t.c.Threads(),
+		Threads:       t.threads,
 		BasePerf:      t.basePerf,
 		PredictedPerf: predictedPerf(t.basePerf, t.vec, t.class),
 		ProbePerf:     t.probePerf,
@@ -266,37 +268,97 @@ func predictedPerf(basePerf float64, vec []float64, class int) float64 {
 	return basePerf / vec[class]
 }
 
-// discard abandons a container whose admission or adoption failed: any
-// pinning it holds (from a commit that lost the claim race) is removed so
-// the discarded container never keeps claiming hardware threads, and err is
-// passed through for the caller's return.
-func (s *Scheduler) discard(c *container.Container, err error) error {
-	c.Unplace()
-	if s.onDiscard != nil {
-		s.onDiscard(c)
+// model returns the machine's enumeration for v-vCPU containers once
+// predictor p is known to cover it: the refusals Admit, Adopt, Preview and
+// ScoreRow share.
+func (s *Scheduler) model(ctx context.Context, v int, p *core.Predictor) ([]placement.Important, error) {
+	imps, err := s.imps(ctx, v)
+	if err != nil {
+		return nil, err
 	}
-	return err
+	if p == nil {
+		return nil, fmt.Errorf("sched: no predictor for %d-vCPU containers: %w", v, nperr.ErrUntrained)
+	}
+	if p.NumPlacements != len(imps) {
+		return nil, fmt.Errorf("sched: predictor has %d placements, machine yields %d for %d vCPUs: %w",
+			p.NumPlacements, len(imps), v, nperr.ErrMachineMismatch)
+	}
+	return imps, nil
+}
+
+// goal is the throughput a tenant observed at basePerf must be predicted to
+// reach in its class, headroom included.
+func (s *Scheduler) goal(basePerf float64) float64 {
+	return s.cfg.goalFrac() * basePerf * (1 + s.cfg.headroom())
+}
+
+// pinClass pins tenant t's vCPUs to class imp on nodes: the one place a
+// Step 4 decision becomes threads. Nodes of another count than the class's
+// are a decision no admission makes (a corrupt record); a pinning of another
+// length than t's vCPU count is one no pinner may return.
+func (s *Scheduler) pinClass(ctx context.Context, t *tenant, imp placement.Important, nodes topology.NodeSet) ([]topology.ThreadID, error) {
+	if nodes.Len() != imp.Nodes.Len() {
+		return nil, fmt.Errorf("sched: container %d: %d nodes %v for a %d-node class: %w",
+			t.id, nodes.Len(), nodes, imp.Nodes.Len(), nperr.ErrLogCorrupt)
+	}
+	threads, err := s.pin(ctx, placement.Placement{Nodes: nodes, PerNodeScores: imp.PerNodeScores}, t.vcpus)
+	if err != nil {
+		return nil, err
+	}
+	if len(threads) != t.vcpus {
+		return nil, fmt.Errorf("sched: container %d: mapping has %d threads, want %d: %w",
+			t.id, len(threads), t.vcpus, nperr.ErrMachineMismatch)
+	}
+	return threads, nil
+}
+
+// install commits a Step 4 decision for tenant t, whose identity and model
+// inputs are set: it pins class imps[choice] on nodes, claims the nodes by CAS
+// against free, the mask the decision was planned with, and registers t.
+// claimed is false, and nothing changed, when a concurrent admission moved
+// the mask first: Admit re-plans then, and Adopt, holding structMu
+// exclusively, cannot lose.
+func (s *Scheduler) install(ctx context.Context, t *tenant, imps []placement.Important, choice int, nodes, free topology.NodeSet) (a *Assignment, claimed bool, err error) {
+	threads, err := s.pinClass(ctx, t, imps[choice], nodes)
+	if err != nil {
+		return nil, false, err
+	}
+	if !s.free.CompareAndSwap(uint64(free), uint64(free.Minus(nodes))) {
+		return nil, false, nil
+	}
+	t.threads, t.class, t.classID, t.nodes = threads, choice, imps[choice].ID, nodes
+	s.books.Lock()
+	s.books.tenants[t.id] = t
+	s.insertLive(t.id)
+	as := s.assignment(t)
+	s.books.Unlock()
+	return &as, true, nil
+}
+
+// repin moves live tenant t to class imps[choice] on nodes, avail being the
+// free mask with t's own nodes returned: the one commit Rebalance's moves and
+// ApplyMove share. Callers hold structMu exclusively.
+func (s *Scheduler) repin(ctx context.Context, t *tenant, imps []placement.Important, choice int, nodes, avail topology.NodeSet) error {
+	threads, err := s.pinClass(ctx, t, imps[choice], nodes)
+	if err != nil {
+		return err
+	}
+	s.free.Store(uint64(avail.Minus(nodes)))
+	t.threads, t.class, t.classID, t.nodes = threads, choice, imps[choice].ID, nodes
+	return nil
 }
 
 // Admit observes, predicts and places one new container of workload w with
 // v vCPUs, returning its assignment. It fails with nperr.ErrUntrained when
 // no predictor covers v, nperr.ErrMachineMismatch when the predictor does
 // not match the machine's enumeration, and nperr.ErrMachineFull when no
-// feasible class fits the free nodes. Every failure after the container was
-// created discards it explicitly: any pinning it holds is removed, no tenant
-// is registered, and the free set is untouched.
-func (s *Scheduler) Admit(ctx context.Context, w perfsim.Workload, v int) (*Assignment, error) {
-	imps, err := s.imps(ctx, v)
+// feasible class fits the free nodes. A failed admission registers no
+// tenant and leaves the free set untouched.
+func (s *Scheduler) Admit(ctx context.Context, w perfsim.Workload, v int) (_ *Assignment, err error) {
+	p := s.pred(v)
+	imps, err := s.model(ctx, v, p)
 	if err != nil {
 		return nil, err
-	}
-	p := s.pred(v)
-	if p == nil {
-		return nil, fmt.Errorf("sched: admitting %d-vCPU container: %w", v, nperr.ErrUntrained)
-	}
-	if p.NumPlacements != len(imps) {
-		return nil, fmt.Errorf("sched: predictor has %d placements, machine yields %d for %d vCPUs: %w",
-			p.NumPlacements, len(imps), v, nperr.ErrMachineMismatch)
 	}
 
 	// Phase 1 (unlocked): reserve an identity, then observe the container
@@ -305,63 +367,40 @@ func (s *Scheduler) Admit(ctx context.Context, w perfsim.Workload, v int) (*Assi
 	// and predict its vector. Observation reads no mutable scheduler
 	// state, so concurrent admissions observe in parallel; only node
 	// reservation below needs the shared lock. A failed admission leaves a
-	// gap in the ID space, which every iterator tolerates.
-	id := int(s.nextID.Add(1) - 1)
-	c := container.New(id, w, v)
+	// gap in the ID space, which every iterator tolerates, and hands its
+	// tenant back to the pool.
 	t := s.fast.getTenant(p.NumPlacements)
-	obs, err := s.observePredict(ctx, w, v, imps, p, admitTrial(id), t.vec)
+	defer func() {
+		if err != nil {
+			s.fast.putTenant(t)
+		}
+	}()
+	t.id, t.w, t.vcpus = int(s.nextID.Add(1)-1), w, v
+	obs, err := s.observePredict(ctx, w, v, imps, p, admitTrial(t.id), t.vec)
 	if err != nil {
-		s.fast.putTenant(t)
-		return nil, s.discard(c, err)
+		return nil, err
 	}
-	goal := s.cfg.goalFrac() * obs[0] * (1 + s.cfg.headroom())
+	t.basePerf, t.probePerf, t.goal = obs[0], obs[1], s.goal(obs[0])
 
-	// Phase 2 (shared lock): choose a class that fits the free nodes, pin,
-	// and claim the nodes by CAS against the exact mask the choice was
-	// planned for — losing the race to a concurrent admission re-plans
-	// against the new mask. Any failure in this phase discards the
-	// container before the free mask or tenant table is touched, so a
-	// half-admitted container can never linger pinned and a failed
-	// admission never perturbs the free set.
+	// Phase 2 (shared lock): choose a class that fits the free nodes and
+	// install it against the exact mask the choice was planned for — losing
+	// the race to a concurrent admission re-plans against the new mask.
 	s.structMu.RLock()
 	defer s.structMu.RUnlock()
 	if err := ctx.Err(); err != nil {
-		s.fast.putTenant(t)
-		return nil, s.discard(c, err)
+		return nil, err
 	}
 	for {
 		free := topology.NodeSet(s.free.Load())
-		choice, nodes, ok := s.chooseFitting(imps, t.vec, obs[0], goal, free)
+		choice, nodes, ok := s.chooseFitting(imps, t.vec, t.basePerf, t.goal, free)
 		if !ok {
-			s.fast.putTenant(t)
-			return nil, s.discard(c, errFull{free.Len(), v})
+			return nil, errFull{free.Len(), v}
 		}
-		threads, err := s.pin(ctx, placement.Placement{
-			Nodes:         nodes,
-			PerNodeScores: imps[choice].PerNodeScores,
-		}, v)
-		if err != nil {
-			s.fast.putTenant(t)
-			return nil, s.discard(c, err)
+		a, claimed, err := s.install(ctx, t, imps, choice, nodes, free)
+		if err != nil || claimed {
+			return a, err
 		}
-		if err := c.Place(threads, true); err != nil {
-			s.fast.putTenant(t)
-			return nil, s.discard(c, err)
-		}
-		if !s.free.CompareAndSwap(uint64(free), uint64(free.Minus(nodes))) {
-			continue // lost the claim race; re-plan against the new mask
-		}
-		t.c, t.class, t.classID, t.nodes = c, choice, imps[choice].ID, nodes
-		t.basePerf, t.probePerf, t.goal = obs[0], obs[1], goal
-		break
 	}
-
-	s.books.Lock()
-	s.books.tenants[id] = t
-	s.insertLive(id)
-	a := s.assignment(t)
-	s.books.Unlock()
-	return &a, nil
 }
 
 // admitTrial derives the measurement-noise streams for an admission's two
@@ -386,7 +425,7 @@ func previewTrial(w perfsim.Workload, v int) int {
 // The deterministic part of each observation — the thread pinning and the
 // noise-free performance model — comes from the prepared-observation cache,
 // and only the per-trial noise draw runs per admission: the sample is the
-// one container.Observe would measure in that placement, since
+// one perfsim.Run would measure in that placement, since
 // perfsim.Prepared.At is Run by construction.
 func (s *Scheduler) observePredict(ctx context.Context, w perfsim.Workload, v int,
 	imps []placement.Important, p *core.Predictor, trialBase int, vec []float64) ([2]float64, error) {
@@ -430,7 +469,7 @@ type Preview struct {
 // container's own observation. Failure modes match Admit.
 func (s *Scheduler) Preview(ctx context.Context, w perfsim.Workload, v int) (*Preview, error) {
 	p := s.pred(v)
-	imps, err := s.previewModel(ctx, v, p)
+	imps, err := s.model(ctx, v, p)
 	if err != nil {
 		return nil, err
 	}
@@ -455,24 +494,6 @@ func (s *Scheduler) Preview(ctx context.Context, w perfsim.Workload, v int) (*Pr
 	return nil, errFull{free.Len(), v}
 }
 
-// previewModel returns the machine's enumeration for v-vCPU containers once
-// predictor p is known to cover it: the failures every preview of the size
-// shares.
-func (s *Scheduler) previewModel(ctx context.Context, v int, p *core.Predictor) ([]placement.Important, error) {
-	imps, err := s.imps(ctx, v)
-	if err != nil {
-		return nil, err
-	}
-	if p == nil {
-		return nil, fmt.Errorf("sched: previewing %d-vCPU container: %w", v, nperr.ErrUntrained)
-	}
-	if p.NumPlacements != len(imps) {
-		return nil, fmt.Errorf("sched: predictor has %d placements, machine yields %d for %d vCPUs: %w",
-			p.NumPlacements, len(imps), v, nperr.ErrMachineMismatch)
-	}
-	return imps, nil
-}
-
 // ScoreClass returns the score class this scheduler is in for v-vCPU
 // containers right now; it is read per routing decision, so a predictor
 // registered since takes effect on the next one. ok is false when no
@@ -493,7 +514,7 @@ func (s *Scheduler) ScoreClass(v int) (class ScoreClass, ok bool) {
 // per predictor pointer, deterministically, so (w, v, class) always gets these
 // values. An error is the one those Previews return.
 func (s *Scheduler) ScoreRow(ctx context.Context, w perfsim.Workload, v int, class ScoreClass) ([]Score, error) {
-	imps, err := s.previewModel(ctx, v, class.Predictor)
+	imps, err := s.model(ctx, v, class.Predictor)
 	if err != nil {
 		return nil, err
 	}
@@ -582,7 +603,7 @@ func (s *Scheduler) Rebalance(ctx context.Context) (*RebalanceReport, error) {
 			return rep, err
 		}
 		rep.Examined++
-		imps, err := s.imps(ctx, t.c.VCPUs())
+		imps, err := s.imps(ctx, t.vcpus)
 		if err != nil {
 			return rep, err
 		}
@@ -606,14 +627,7 @@ func (s *Scheduler) Rebalance(ctx context.Context) (*RebalanceReport, error) {
 		if !better {
 			continue
 		}
-		threads, err := s.pin(ctx, placement.Placement{
-			Nodes:         nodes,
-			PerNodeScores: imps[choice].PerNodeScores,
-		}, t.c.VCPUs())
-		if err != nil {
-			return rep, err
-		}
-		prof := migrate.ProfileFor(t.c.Workload(), t.c.VCPUs())
+		prof := migrate.ProfileFor(t.w, t.vcpus)
 		if nodes == t.nodes {
 			// Same node set: the move re-pins threads into different
 			// sharing degrees but no memory changes nodes, so the fast
@@ -624,16 +638,13 @@ func (s *Scheduler) Rebalance(ctx context.Context) (*RebalanceReport, error) {
 		if err != nil {
 			return rep, err
 		}
-		if err := t.c.Place(threads, true); err != nil {
+		mv := RebalanceMove{ID: id, FromClass: t.classID, ToClass: imps[choice].ID,
+			FromNodes: t.nodes, ToNodes: nodes, Seconds: res.Seconds}
+		if err := s.repin(ctx, t, imps, choice, nodes, avail); err != nil {
 			return rep, err
 		}
-		rep.Moves = append(rep.Moves, RebalanceMove{
-			ID: id, FromClass: t.classID, ToClass: imps[choice].ID,
-			FromNodes: t.nodes, ToNodes: nodes, Seconds: res.Seconds,
-		})
+		rep.Moves = append(rep.Moves, mv)
 		rep.TotalSeconds += res.Seconds
-		s.free.Store(uint64(avail.Minus(nodes)))
-		t.class, t.classID, t.nodes = choice, imps[choice].ID, nodes
 	}
 	return rep, nil
 }

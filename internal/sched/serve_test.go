@@ -3,11 +3,11 @@ package sched
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/concern"
-	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/machines"
 	"repro/internal/migrate"
@@ -416,29 +416,21 @@ func TestSchedulerAdmitPhase2FailureDiscards(t *testing.T) {
 	spec = sp
 	wt, _ := workloads.ByName("WTbtree")
 
-	var discarded []*container.Container
-	s.onDiscard = func(c *container.Container) { discarded = append(discarded, c) }
 	full := topology.FullNodeSet(m.Topo.NumNodes)
 
-	// Phase-2 pin failure: the observed container is discarded, unpinned,
-	// and the free set stays untouched.
+	// Phase-2 pin failure: no tenant is registered and the free set stays
+	// untouched.
 	failAfter = pinCalls + 2 // both observation pins succeed, the commit pin fails
 	if _, err := s.Admit(ctx, wt, 16); !errors.Is(err, errBoom) {
 		t.Fatalf("Admit err = %v, want the pin failure", err)
 	}
 	failAfter = 0
-	if len(discarded) != 1 {
-		t.Fatalf("discarded %d containers, want 1", len(discarded))
-	}
-	if discarded[0].Placed() {
-		t.Fatal("discarded container still holds its probe pinning")
-	}
 	if s.Free() != full || s.Len() != 0 {
 		t.Fatalf("failed admission disturbed state: free %s (want %s), len %d (want 0)", s.Free(), full, s.Len())
 	}
 
 	// Cancellation between phase 1 (observation) and phase 2 (commit):
-	// same discard guarantees, and the error is the context's. A workload
+	// same guarantees, and the error is the context's. A workload
 	// the scheduler has not seen keeps the prepared-observation cache cold,
 	// so the cancel really fires from inside this admission's observation.
 	cctx, cancel := context.WithCancel(ctx)
@@ -448,12 +440,6 @@ func TestSchedulerAdmitPhase2FailureDiscards(t *testing.T) {
 		t.Fatalf("Admit err = %v, want context.Canceled", err)
 	}
 	cancelPhase2 = nil
-	if len(discarded) != 2 {
-		t.Fatalf("discarded %d containers, want 2", len(discarded))
-	}
-	if discarded[1].Placed() {
-		t.Fatal("cancelled admission left the container pinned")
-	}
 	if s.Free() != full || s.Len() != 0 {
 		t.Fatalf("cancelled admission disturbed state: free %s, len %d", s.Free(), s.Len())
 	}
@@ -461,11 +447,133 @@ func TestSchedulerAdmitPhase2FailureDiscards(t *testing.T) {
 	// Both failures left gaps in the ID space; admission still works.
 	a, err := s.Admit(ctx, wt, 16)
 	if err != nil {
-		t.Fatalf("Admit after discards: %v", err)
+		t.Fatalf("Admit after failures: %v", err)
 	}
 	if a.ID != 2 {
 		t.Fatalf("third admission got ID %d, want 2 (failed admissions leave gaps)", a.ID)
 	}
+}
+
+// TestShortPinCommitsNothing runs each path that commits a Step 4 decision —
+// Admit and Adopt through install, Rebalance and ApplyMove through repin —
+// against a pinner that hands back one thread too few: each must refuse, and
+// leave the free mask, the books and the tenant's class and nodes as they
+// were.
+func TestShortPinCommitsNothing(t *testing.T) {
+	ctx := context.Background()
+	s, _ := newTestScheduler(t, machines.AMD(), 16, ServeConfig{GoalFrac: 0.5})
+	wt, _ := workloads.ByName("WTbtree")
+	a, err := s.Admit(ctx, wt, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imps, err := s.imps(ctx, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The tenant now sits in a slower class than its best on its own nodes,
+	// so Rebalance wants to move it and ApplyMove has a class to go back to.
+	_, fasterID := demoteTenant(t, s, imps, a.ID)
+	short := false
+	pin := s.pin
+	s.pin = func(ctx context.Context, p placement.Placement, v int) ([]topology.ThreadID, error) {
+		threads, err := pin(ctx, p, v)
+		if short && err == nil {
+			threads = threads[:len(threads)-1]
+		}
+		return threads, err
+	}
+	for _, tc := range []struct {
+		name string
+		op   func() error
+	}{
+		{"Admit", func() error { _, err := s.Admit(ctx, wt, 16); return err }},
+		{"Adopt", func() error {
+			r := restoreOf(a)
+			r.ID, r.Nodes = a.ID+100, shrink(s.Free(), a.Nodes.Len())
+			_, err := s.Adopt(ctx, r)
+			return err
+		}},
+		{"Rebalance", func() error { _, err := s.Rebalance(ctx); return err }},
+		{"ApplyMove", func() error { return s.ApplyMove(ctx, a.ID, fasterID, a.Nodes) }},
+	} {
+		books, free := s.Assignments(), s.Free()
+		short = true
+		err := tc.op()
+		short = false
+		if !errors.Is(err, nperr.ErrMachineMismatch) {
+			t.Errorf("%s with a short pin: err = %v, want ErrMachineMismatch", tc.name, err)
+		}
+		if got := s.Assignments(); !reflect.DeepEqual(got, books) {
+			t.Errorf("%s with a short pin changed the books:\n got %+v\nwant %+v", tc.name, got, books)
+		}
+		if s.Free() != free {
+			t.Errorf("%s with a short pin: free mask %s, was %s", tc.name, s.Free(), free)
+		}
+	}
+	// Healed, the move the short pin refused goes through.
+	if err := s.ApplyMove(ctx, a.ID, fasterID, a.Nodes); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPlaceSharesMapping: an assignment's Threads is the table set's pinning
+// itself, after Admit and Adopt (install) and after a Rebalance or ApplyMove
+// re-pin (repin) — the tenant keeps the slice Tables.Pin returned, and
+// nobody copies it.
+func TestPlaceSharesMapping(t *testing.T) {
+	ctx := context.Background()
+	pm := trainParityModel(t, machines.AMD(), 16)
+	ts, st := NewTables(pm.spec), new(Stats)
+	pred := func(v int) *core.Predictor { return pm.preds[v] }
+	cfg := ServeConfig{GoalFrac: 0.5}
+	s1, s2 := NewSharedScheduler(ts, st, pred, cfg), NewSharedScheduler(ts, st, pred, cfg)
+	imps, err := ts.Placements(ctx, 16, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares := func(what string, s *Scheduler, id int) {
+		t.Helper()
+		a, ok := s.Assignment(id)
+		if !ok {
+			t.Fatalf("%s: container %d not admitted", what, id)
+		}
+		i, _ := classIndex(imps, a.Class)
+		want, err := ts.Pin(ctx, placement.Placement{Nodes: a.Nodes, PerNodeScores: imps[i].PerNodeScores}, a.VCPUs, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a.Threads) != len(want) || &a.Threads[0] != &want[0] {
+			t.Fatalf("%s: Threads %v is not the table set's pinning of class %d on %s", what, a.Threads, a.Class, a.Nodes)
+		}
+	}
+	wt, _ := workloads.ByName("WTbtree")
+	a, err := s1.Admit(ctx, wt, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares("Admit", s1, a.ID)
+	if _, err := s2.Adopt(ctx, restoreOf(a)); err != nil {
+		t.Fatal(err)
+	}
+	shares("Adopt", s2, a.ID)
+
+	// s1's tenant is demoted and Rebalance moves it back; s2's replays the
+	// demotion as a move.
+	demoteTenant(t, s1, imps, a.ID)
+	slower, _ := s1.Assignment(a.ID)
+	rep, err := s1.Rebalance(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Moves) != 1 {
+		t.Fatalf("rebalance made %d moves, want 1", len(rep.Moves))
+	}
+	shares("Rebalance", s1, a.ID)
+	if err := s2.ApplyMove(ctx, a.ID, slower.Class, a.Nodes); err != nil {
+		t.Fatal(err)
+	}
+	shares("ApplyMove", s2, a.ID)
 }
 
 func TestSchedulerPreview(t *testing.T) {
