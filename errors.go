@@ -29,10 +29,6 @@ var (
 	// (Place, the packing policies).
 	ErrMachineFull = nperr.ErrMachineFull
 
-	// ErrNotPlaced: an operation needing a placed container ran on an
-	// unplaced one.
-	ErrNotPlaced = nperr.ErrNotPlaced
-
 	// ErrUnknownContainer: Release was called with an ID the Engine is
 	// not serving.
 	ErrUnknownContainer = nperr.ErrUnknownContainer

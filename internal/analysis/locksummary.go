@@ -10,8 +10,11 @@
 //
 // The in-function model is deliberately linear: statements are visited in
 // source order, Lock pushes, Unlock pops, defer Unlock holds to the end of
-// the function. That matches the repo's lock idiom (Lock; defer Unlock, or
-// strictly bracketed Lock/Unlock pairs) and keeps the checker simple;
+// the function, and a call to a function that returns holding a lock (one
+// that locks and neither unlocks nor defers the unlock) pushes it as a Lock
+// would. That matches the repo's lock idiom (Lock; defer Unlock, strictly
+// bracketed Lock/Unlock pairs, or `defer x.lock().end()` over a helper that
+// returns holding the lock) and keeps the checker simple;
 // branch-sensitive flows can over- or under-approximate and are the reason
 // //numalint:ignore exists.
 package analysis
@@ -43,6 +46,9 @@ type FuncSummary struct {
 	Acquires map[string]AcquireInfo
 	Blocks   bool
 	BlockWhy string
+	// Holds lists the locks the function acquires itself and returns
+	// holding: a call to it acquires them for the caller.
+	Holds []LockID
 }
 
 type evKind int
@@ -196,6 +202,29 @@ func runLockSummary(pass *Pass) (any, error) {
 				}
 			}
 		}
+	}
+	// A function that returns holding a lock acquires it for each caller.
+	for _, d := range res.details {
+		for _, h := range simulate(d, func(event, []heldEntry) {}) {
+			if d.fn != nil && !h.deferred {
+				res.summaries[d.fn].Holds = append(res.summaries[d.fn].Holds, h.lock)
+			}
+		}
+	}
+	for _, d := range res.details {
+		var evs []event
+		for _, ev := range d.events {
+			evs = append(evs, ev)
+			if ev.kind != evCall || ev.callee == nil {
+				continue
+			}
+			if cs := c.summaryOf(res, ev.callee); cs != nil {
+				for _, l := range cs.Holds {
+					evs = append(evs, event{kind: evAcquire, lock: l, pos: ev.pos})
+				}
+			}
+		}
+		d.events = evs
 	}
 	for fn, s := range res.summaries {
 		pass.ExportFact(fn, s)
@@ -390,8 +419,9 @@ type heldEntry struct {
 }
 
 // simulate replays a function's event stream, invoking visit with the
-// held-lock set active at each event (before the event itself applies).
-func simulate(d *funcDetail, visit func(ev event, held []heldEntry)) {
+// held-lock set active at each event (before the event itself applies), and
+// returns the set held at the end.
+func simulate(d *funcDetail, visit func(ev event, held []heldEntry)) []heldEntry {
 	var held []heldEntry
 	for _, ev := range d.events {
 		visit(ev, held)
@@ -414,4 +444,5 @@ func simulate(d *funcDetail, visit func(ev event, held []heldEntry)) {
 			}
 		}
 	}
+	return held
 }

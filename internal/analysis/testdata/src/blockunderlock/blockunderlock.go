@@ -59,3 +59,17 @@ func (s *store) goodOtherLock(data []byte) {
 	defer s.slow.Unlock()
 	_ = os.WriteFile(s.path, data, 0o644)
 }
+
+// held is a hold on store.mu: lock returns holding it, end releases it and
+// only then blocks.
+type held struct{ s *store }
+
+func (s *store) lock() held { s.mu.Lock(); return held{s} }
+
+func (h held) end() { h.s.mu.Unlock(); _ = h.s.log.Commit() }
+
+// badHeld blocks under the hold lock took.
+func (s *store) badHeld(data []byte) {
+	defer s.lock().end()
+	_ = os.WriteFile(s.path, data, 0o644) // want "call to os.WriteFile while store.mu is held"
+}

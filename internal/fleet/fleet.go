@@ -449,17 +449,14 @@ func (f *Fleet) Len() int {
 // ones; dead machines receive nothing at all. Callers hold f.mu.
 func (m *member) accepting() bool { return !m.drained && m.health == Healthy }
 
-// hostLocked books delta (+1 or -1) tenants of the named workload on m: the
-// one place a live fleet's member tenant count and the index's domain
-// occupancy change, called wherever f.tenants or a tenantRec.mem does.
-// Tenants stranded on dead machines provide no availability, so they occupy
-// no domain — a replacement replica may, should, land in the dead machine's
-// domain on a different box; setHealthLocked moves a machine's tenants in and
-// out of the count as it dies and revives. Callers hold f.mu.
-func (f *Fleet) hostLocked(m *member, workload string, delta int) {
-	m.tenants += delta
+// occupyLocked counts delta (+1 or -1) tenants of the named workload into m's
+// failure domain in the routing index, beside each live commit that maps a
+// tenant to m or unmaps it. Tenants stranded on dead machines provide no
+// availability, so they occupy no domain (healthMovedLocked moves a machine's
+// tenants in and out as it dies and revives). Callers hold f.mu.
+func (f *Fleet) occupyLocked(m *member, workload string, delta int32) {
 	if m.health != Dead {
-		f.occLocked(workload)[m.dom] += int32(delta)
+		f.occLocked(workload)[m.dom] += delta
 	}
 }
 
@@ -545,21 +542,17 @@ func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm *
 			continue
 		}
 		id := f.nextID
-		f.nextID++
-		f.tenants[id] = &tenantRec{mem: mem, engineID: a.ID, w: w, vcpus: vcpus, assign: *a}
-		f.hostLocked(mem, w.Name, +1)
-		f.refreeLocked(mem)
-		f.admitted++
-		f.commitLocked(&Record{Type: RecPlace, ID: id, Backend: mem.name,
+		f.commitLocked(f.bookLocked(&Record{Type: RecPlace, ID: id, Backend: mem.name,
 			Workload: w.Name, VCPUs: vcpus, EngineID: a.ID, ClassID: a.Class,
-			Nodes: a.Nodes, BasePerf: a.BasePerf, ProbePerf: a.ProbePerf})
+			Nodes: a.Nodes, BasePerf: a.BasePerf, ProbePerf: a.ProbePerf}, a, &w))
+		f.occupyLocked(mem, w.Name, +1)
+		f.refreeLocked(mem)
 		f.markLocked(&s.mark)
 		f.mu.Unlock()
 		return &Admission{ID: id, Backend: mem.name, Assignment: *a}, nil
 	}
 	f.mu.Lock()
-	f.rejected++
-	f.commitLocked(&Record{Type: RecReject, ID: -1, Workload: w.Name, VCPUs: vcpus})
+	f.commitLocked(f.bookLocked(&Record{Type: RecReject, ID: -1, Workload: w.Name, VCPUs: vcpus}, nil, nil))
 	f.markLocked(&s.mark)
 	f.mu.Unlock()
 	sentinels := []error{nperr.ErrFleetFull}
@@ -585,11 +578,7 @@ func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm *
 // admission can take the freed nodes and be logged ahead of the release that
 // freed them. A failed or cancelled eviction returns with nothing changed.
 func (f *Fleet) Release(ctx context.Context, id int) (err error) {
-	var d durable
-	defer d.join(&err)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	defer f.markLocked(&d)
+	defer f.lock().end(&err)
 	rec, ok := f.tenants[id]
 	if !ok {
 		return fmt.Errorf("fleet: releasing container %d: %w", id, nperr.ErrUnknownContainer)
@@ -600,11 +589,9 @@ func (f *Fleet) Release(ctx context.Context, id int) (err error) {
 		}
 		f.refreeLocked(rec.mem)
 	}
-	delete(f.tenants, id)
-	f.hostLocked(rec.mem, rec.w.Name, -1)
-	f.released++
-	f.commitLocked(&Record{Type: RecRelease, ID: id, Backend: rec.mem.name,
-		Workload: rec.w.Name, VCPUs: rec.vcpus})
+	f.commitLocked(f.bookLocked(&Record{Type: RecRelease, ID: id, Backend: rec.mem.name,
+		Workload: rec.w.Name, VCPUs: rec.vcpus}, nil, nil))
+	f.occupyLocked(rec.mem, rec.w.Name, -1)
 	return nil
 }
 
@@ -726,18 +713,12 @@ func (f *Fleet) moveLocked(ctx context.Context, rep *Report, id int, rec *tenant
 			From: rec.mem.name, To: d.name, Seconds: cost,
 		})
 		rep.TotalSeconds += cost
-		f.hostLocked(rec.mem, rec.w.Name, -1)
-		f.commitLocked(&Record{Type: RecMove, ID: id, Backend: rec.mem.name, Dest: d.name,
+		f.occupyLocked(rec.mem, rec.w.Name, -1)
+		f.commitLocked(f.bookLocked(&Record{Type: RecMove, ID: id, Backend: rec.mem.name, Dest: d.name,
 			Workload: rec.w.Name, VCPUs: rec.vcpus, EngineID: a.ID, ClassID: a.Class,
 			Nodes: a.Nodes, BasePerf: a.BasePerf, ProbePerf: a.ProbePerf,
-			Seconds: cost, Failover: failover})
-		rec.mem, rec.engineID, rec.assign = d, a.ID, *a
-		f.hostLocked(d, rec.w.Name, +1)
-		f.moves++
-		f.migrationSeconds += cost
-		if failover {
-			f.failedOver++
-		}
+			Seconds: cost, Failover: failover}, a, nil))
+		f.occupyLocked(d, rec.w.Name, +1)
 		return true, nil
 	}
 	return false, nil
@@ -746,9 +727,9 @@ func (f *Fleet) moveLocked(ctx context.Context, rep *Report, id int, rec *tenant
 // logIntraLocked commits the records of one backend's intra-machine
 // rebalance pass: one RecIntraMove per committed move (the destination
 // class and nodes, replayed via ApplyMove) followed by one RecIntraPass
-// carrying the pass total, so replay reproduces MigrationSeconds with the
-// same single float addition the live pass made. It also refreshes each
-// moved tenant's recorded assignment from the backend's live books — the
+// carrying the pass total, which its booking adds to MigrationSeconds in one
+// float addition, live and replayed alike. Each moved tenant's recorded
+// assignment is booked from the backend's live books — the
 // snapshot a dead machine's tenants later resolve from must show where a
 // container runs NOW, not where it was first admitted. A moved record the
 // fleet does not map is an admission in flight whose Place still holds the
@@ -769,14 +750,15 @@ func (f *Fleet) logIntraLocked(m *member, intra *sched.RebalanceReport) {
 			m.fences.Add(1)
 			continue
 		}
-		if a, aok := m.b.Assignment(mv.ID); aok {
-			f.tenants[fleetID].assign = a
+		var a *sched.Assignment
+		if moved, ok := m.b.Assignment(mv.ID); ok {
+			a = &moved
 		}
-		f.commitLocked(&Record{Type: RecIntraMove, ID: fleetID, Backend: m.name,
-			EngineID: mv.ID, ClassID: mv.ToClass, Nodes: mv.ToNodes, Seconds: mv.Seconds})
+		f.commitLocked(f.bookLocked(&Record{Type: RecIntraMove, ID: fleetID, Backend: m.name,
+			EngineID: mv.ID, ClassID: mv.ToClass, Nodes: mv.ToNodes, Seconds: mv.Seconds}, a, nil))
 	}
-	f.commitLocked(&Record{Type: RecIntraPass, ID: -1, Backend: m.name,
-		Moves: len(intra.Moves), Seconds: intra.TotalSeconds})
+	f.commitLocked(f.bookLocked(&Record{Type: RecIntraPass, ID: -1, Backend: m.name,
+		Moves: len(intra.Moves), Seconds: intra.TotalSeconds}, nil, nil))
 }
 
 // tenantsOfLocked ranges over the tenants currently mapped to m, by fleet
@@ -862,8 +844,8 @@ func (f *Fleet) summarizeLocked(rt RecordType, backend string, rep *Report) {
 	for _, ip := range rep.Intra {
 		intra += len(ip.Report.Moves)
 	}
-	f.commitLocked(&Record{Type: rt, ID: -1, Backend: backend, Moves: len(rep.Moves), Intra: intra,
-		Examined: rep.Examined, Stranded: rep.Stranded, Seconds: rep.TotalSeconds})
+	f.commitLocked(f.bookLocked(&Record{Type: rt, ID: -1, Backend: backend, Moves: len(rep.Moves), Intra: intra,
+		Examined: rep.Examined, Stranded: rep.Stranded, Seconds: rep.TotalSeconds}, nil, nil))
 }
 
 // Rebalance runs one fleet-wide re-packing pass under a migration-seconds
@@ -879,11 +861,7 @@ func (f *Fleet) summarizeLocked(rt RecordType, backend string, rep *Report) {
 // On error the report of work already committed is returned alongside the
 // error (migration seconds already spent are never discarded).
 func (f *Fleet) Rebalance(ctx context.Context, budgetSeconds float64) (rep *Report, err error) {
-	var d durable
-	defer d.join(&err)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	defer f.markLocked(&d)
+	defer f.lock().end(&err)
 	rep = &Report{BudgetSeconds: budgetSeconds}
 	defer f.summarizeLocked(RecRebalance, "", rep)
 
@@ -904,7 +882,6 @@ func (f *Fleet) Rebalance(ctx context.Context, budgetSeconds float64) (rep *Repo
 		if intra != nil {
 			rep.Intra = append(rep.Intra, IntraPass{Backend: m.name, Report: intra})
 			rep.TotalSeconds += intra.TotalSeconds
-			f.migrationSeconds += intra.TotalSeconds
 			f.logIntraLocked(m, intra)
 		}
 		if err != nil {
@@ -961,11 +938,7 @@ func (f *Fleet) Rebalance(ctx context.Context, budgetSeconds float64) (rep *Repo
 // (Resume reopens it). Draining an unknown backend fails with
 // ErrUnknownBackend.
 func (f *Fleet) Drain(ctx context.Context, name string) (rep *Report, err error) {
-	var d durable
-	defer d.join(&err)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	defer f.markLocked(&d)
+	defer f.lock().end(&err)
 	src, ok := f.byName[name]
 	if !ok {
 		return nil, fmt.Errorf("fleet: draining %q: %w", name, nperr.ErrUnknownBackend)
@@ -976,9 +949,8 @@ func (f *Fleet) Drain(ctx context.Context, name string) (rep *Report, err error)
 		// the death transition) is the recovery path.
 		return nil, fmt.Errorf("fleet: draining %s: %w (use Failover)", name, nperr.ErrBackendDown)
 	}
-	src.drained = true
+	f.commitLocked(f.bookLocked(&Record{Type: RecDrainStart, ID: -1, Backend: name}, nil, nil))
 	f.relistLocked(src)
-	f.commitLocked(&Record{Type: RecDrainStart, ID: -1, Backend: name})
 	rep = &Report{}
 	defer f.summarizeLocked(RecDrainPass, name, rep)
 	var destErrs []error
@@ -998,18 +970,13 @@ func (f *Fleet) Drain(ctx context.Context, name string) (rep *Report, err error)
 
 // Resume reopens a drained backend for admissions.
 func (f *Fleet) Resume(name string) (err error) {
-	var d durable
-	defer d.join(&err)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	defer f.markLocked(&d)
+	defer f.lock().end(&err)
 	m, ok := f.byName[name]
 	if !ok {
 		return fmt.Errorf("fleet: resuming %q: %w", name, nperr.ErrUnknownBackend)
 	}
-	m.drained = false
+	f.commitLocked(f.bookLocked(&Record{Type: RecResume, ID: -1, Backend: name}, nil, nil))
 	f.relistLocked(m)
-	f.commitLocked(&Record{Type: RecResume, ID: -1, Backend: name})
 	return nil
 }
 

@@ -116,24 +116,34 @@ func (f *Fleet) HealthOf(name string) (Health, bool) {
 	return m.health, true
 }
 
-// setHealthLocked moves m to health state to with the given miss count. A
-// change of state is committed and re-lists m in the routing index — a
-// revived machine's free count is read again here, after its fence; one into
-// or out of Dead bumps m.fences — so no death or revival can go unnoticed by
-// an admission in flight. Callers hold f.mu.
+// setHealthLocked moves m to health state to with the given miss count: a
+// change of either commits a RecHealth (from == to when only the count
+// changes, so a replayed miss counts like a live one). A return from Dead is
+// only logged here; Revive books it with its RecRevive. Callers hold f.mu.
 func (f *Fleet) setHealthLocked(m *member, to Health, misses int) {
 	from := m.health
-	m.health, m.misses = to, misses
-	if from == to {
+	if from == to && misses == m.misses {
 		return
 	}
-	f.commitLocked(&Record{Type: RecHealth, ID: -1, Backend: m.name,
-		FromHealth: from, ToHealth: to, Misses: misses})
-	if from == Dead || to == Dead {
+	f.commitLocked(f.bookLocked(&Record{Type: RecHealth, ID: -1, Backend: m.name,
+		FromHealth: from, ToHealth: to, Misses: misses}, nil, nil))
+	f.healthMovedLocked(m, from)
+}
+
+// healthMovedLocked brings the routing index up to m's health after a change
+// from from, if there was one: m is re-listed — a revived machine's free count
+// is read again here, after its fence — and a move into or out of Dead bumps
+// m.fences, so no death or revival can go unnoticed by an admission in flight.
+// Callers hold f.mu.
+func (f *Fleet) healthMovedLocked(m *member, from Health) {
+	if m.health == from {
+		return
+	}
+	if from == Dead || m.health == Dead {
 		m.fences.Add(1)
 		// Its tenants hold their failure domain only while it is not dead.
 		delta := int32(+1)
-		if to == Dead {
+		if m.health == Dead {
 			delta = -1
 		}
 		for _, rec := range f.tenantsOfLocked(m) {
@@ -144,16 +154,13 @@ func (f *Fleet) setHealthLocked(m *member, to Health, misses int) {
 }
 
 // Heartbeat records one answered probe from the named backend: the miss
-// counter resets and a suspect member is restored to Healthy. A dead
+// counter resets and a suspect member is restored to Healthy (a healthy
+// member with no misses commits nothing, so steady probing logs nothing). A dead
 // member stays dead and fails with ErrBackendDown — a machine the fleet
 // has already failed over must be explicitly Revived (which fences its
 // stale state) before it serves again.
 func (f *Fleet) Heartbeat(name string) (h Health, err error) {
-	var d durable
-	defer d.join(&err)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	defer f.markLocked(&d)
+	defer f.lock().end(&err)
 	m, ok := f.byName[name]
 	if !ok {
 		return 0, fmt.Errorf("fleet: heartbeat from %q: %w", name, nperr.ErrUnknownBackend)
@@ -168,16 +175,13 @@ func (f *Fleet) Heartbeat(name string) (h Health, err error) {
 // MissProbe records one missed probe deadline for the named backend and
 // advances its health state machine: SuspectAfter consecutive misses turn
 // a healthy member suspect (no new admissions), DeadAfter misses declare
-// it dead. The suspect→dead transition runs the automatic failover pass
+// it dead. Every miss commits a RecHealth, from == to while the state holds.
+// The suspect→dead transition runs the automatic failover pass
 // under Config.Health.FailoverBudgetSeconds and returns its report; the
 // error then carries ErrNoHealthyBackend if any tenant was stranded.
 // Missed probes on an already-dead member are no-ops.
 func (f *Fleet) MissProbe(ctx context.Context, name string) (h Health, rep *Report, err error) {
-	var d durable
-	defer d.join(&err)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	defer f.markLocked(&d)
+	defer f.lock().end(&err)
 	m, ok := f.byName[name]
 	if !ok {
 		return 0, nil, fmt.Errorf("fleet: missed probe on %q: %w", name, nperr.ErrUnknownBackend)
@@ -185,16 +189,19 @@ func (f *Fleet) MissProbe(ctx context.Context, name string) (h Health, rep *Repo
 	if m.health == Dead {
 		return Dead, nil, nil
 	}
-	m.misses++
+	misses, to := m.misses+1, m.health
 	switch {
-	case m.misses >= f.cfg.Health.deadAfter():
-		f.setHealthLocked(m, Dead, m.misses)
+	case misses >= f.cfg.Health.deadAfter():
+		to = Dead
+	case misses >= f.cfg.Health.suspectAfter():
+		to = Suspect
+	}
+	f.setHealthLocked(m, to, misses)
+	if to == Dead {
 		rep, err := f.failoverLocked(ctx, m, f.cfg.Health.failoverBudget())
 		return Dead, rep, err
-	case m.misses >= f.cfg.Health.suspectAfter():
-		f.setHealthLocked(m, Suspect, m.misses)
 	}
-	return m.health, nil, nil
+	return to, nil, nil
 }
 
 // Fail declares the named backend dead immediately — crash injection, or
@@ -203,11 +210,7 @@ func (f *Fleet) MissProbe(ctx context.Context, name string) (h Health, rep *Repo
 // backend fails with ErrBackendDown; the partial failover report is
 // returned alongside any error, like Rebalance.
 func (f *Fleet) Fail(ctx context.Context, name string) (rep *Report, err error) {
-	var d durable
-	defer d.join(&err)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	defer f.markLocked(&d)
+	defer f.lock().end(&err)
 	m, ok := f.byName[name]
 	if !ok {
 		return nil, fmt.Errorf("fleet: failing %q: %w", name, nperr.ErrUnknownBackend)
@@ -225,11 +228,7 @@ func (f *Fleet) Fail(ctx context.Context, name string) (rep *Report, err error) 
 // non-positive budget removes the bound. Failing over a live backend is
 // an error — Drain is the graceful path.
 func (f *Fleet) Failover(ctx context.Context, name string, budgetSeconds float64) (rep *Report, err error) {
-	var d durable
-	defer d.join(&err)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	defer f.markLocked(&d)
+	defer f.lock().end(&err)
 	m, ok := f.byName[name]
 	if !ok {
 		return nil, fmt.Errorf("fleet: failover of %q: %w", name, nperr.ErrUnknownBackend)
@@ -253,7 +252,6 @@ func (f *Fleet) Failover(ctx context.Context, name string, budgetSeconds float64
 // skips the unreachable source-side Release.
 func (f *Fleet) failoverLocked(ctx context.Context, src *member, budgetSeconds float64) (*Report, error) {
 	rep := &Report{BudgetSeconds: budgetSeconds}
-	f.failovers++
 	defer f.summarizeLocked(RecFailover, src.name, rep)
 	var destErrs []error
 	if err := f.evacuateLocked(ctx, rep, src, budgetSeconds, &destErrs, true); err != nil {
@@ -298,11 +296,7 @@ func (f *Fleet) fenceLocked(ctx context.Context, m *member) (fenced, orphan int,
 // Reviving a live backend is an error; a fencing failure leaves the
 // backend dead so the next Revive retries a clean fence.
 func (f *Fleet) Revive(ctx context.Context, name string) (fencedOut int, err error) {
-	var d durable
-	defer d.join(&err)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	defer f.markLocked(&d)
+	defer f.lock().end(&err)
 	m, ok := f.byName[name]
 	if !ok {
 		return 0, fmt.Errorf("fleet: reviving %q: %w", name, nperr.ErrUnknownBackend)
@@ -315,11 +309,11 @@ func (f *Fleet) Revive(ctx context.Context, name string) (fencedOut int, err err
 	if err != nil {
 		return fenced, fmt.Errorf("fleet: reviving %s: fencing orphan %d: %w", name, orphan, err)
 	}
-	// Replay skips the health record and lets the RecRevive re-run the fencing
-	// pass against the reconstructed engine books (Fenced kept for audit) and
-	// restore health: a log cut between the two leaves the machine dead and
-	// re-revivable, never healthy but unfenced.
+	// The health record books nothing: the RecRevive restores health, and
+	// replay re-runs the fencing pass against the reconstructed engine books
+	// before booking it (Fenced kept for audit).
 	f.setHealthLocked(m, Healthy, 0)
-	f.commitLocked(&Record{Type: RecRevive, ID: -1, Backend: name, Fenced: fenced})
+	f.commitLocked(f.bookLocked(&Record{Type: RecRevive, ID: -1, Backend: name, Fenced: fenced}, nil, nil))
+	f.healthMovedLocked(m, Dead)
 	return fenced, nil
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/topology"
@@ -162,7 +163,8 @@ func requireModel(t *testing.T, m *fleetModel, f *Fleet, stubs []*stubBackend, n
 // released); after every operation the live fleet and its engines equal the
 // model; and for every prefix of the log up to op 600 (membership changes are
 // not logged after it) Restore into fresh stubs succeeds and equals the model
-// at that sequence.
+// at that sequence, and after every operation up to there the fleet restored
+// from the whole log so far has the live fleet's books.
 func TestEveryLogPrefixReplays(t *testing.T) {
 	for _, policy := range []Policy{FirstFit, LeastLoaded, BestPredicted} {
 		t.Run(policy.String(), func(t *testing.T) {
@@ -189,6 +191,16 @@ func TestEveryLogPrefixReplays(t *testing.T) {
 						requireModel(t, model, twin, stubs, names, fmt.Sprintf("restored through record %d (%s)", r.Seq, r.Type))
 					}
 					requireModel(t, model, tr.f, tr.stubs, tr.names, fmt.Sprintf("after op %d (%s %s)", op, what, name))
+					if op >= 600 {
+						return
+					}
+					twin, _, _ := occupancyFleet(t, tr.cfg)
+					if err := twin.Restore(context.Background(), nil, recs, lookupWorkload); err != nil {
+						t.Fatalf("op %d (%s %s): Restore: %v", op, what, name, err)
+					}
+					if got, want := stateOf(twin), stateOf(tr.f); !reflect.DeepEqual(got, want) {
+						t.Fatalf("after op %d (%s %s): the restored books\n%+v\nare not the live ones\n%+v", op, what, name, got, want)
+					}
 				})
 		})
 	}

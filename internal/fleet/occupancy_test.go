@@ -175,11 +175,11 @@ var occupancyWorkloads = []string{"swaptions", "streamcluster", "canneal", "gcc"
 // runOccupancyTrace drives 800 randomized operations through every path that
 // maps, unmaps or remaps a tenant — place, release (including a failed
 // backend release, which must change nothing, and releases of tenants
-// stranded on a dead machine), rebalance, drain/resume, fail, failover and
-// revive, plus, in the last 200, removing an empty machine and adding a new
-// one under its name (membership is not logged: replay checks stop at op
-// 600). before runs ahead of every operation, after behind every one that
-// did something.
+// stranded on a dead machine), rebalance, drain/resume, fail, failover,
+// missed and answered probes (before op 600) and revive, plus, in the last
+// 200, removing an empty machine and adding a new one under its name
+// (membership is not logged: replay checks stop at op 600). before runs ahead
+// of every operation, after behind every one that did something.
 func runOccupancyTrace(t *testing.T, policy Policy, before func(tr *occupancyTrace, op int), after func(tr *occupancyTrace, op int, what, name string)) {
 	runWrappedTrace(t, policy, plainStubs, before, after)
 }
@@ -270,6 +270,12 @@ func runWrappedTrace(t *testing.T, policy Policy, wrap wrapStub, before func(tr 
 			if err := f.Add(name, wrap(i, stubs[i]), InDomain(fmt.Sprintf("rack-%d", i%3))); err != nil {
 				t.Fatal(err)
 			}
+		case k < 96: // below op 600 only: from there on, k < 98 replaces
+			what = "missprobe"
+			f.MissProbe(ctx, name) // a death's failover may strand, as a fail's
+		case k < 97:
+			what = "heartbeat"
+			f.Heartbeat(name) // a dead machine answers ErrBackendDown
 		default:
 			what = "revive"
 			f.Revive(ctx, name)
@@ -286,7 +292,7 @@ func runWrappedTrace(t *testing.T, policy Policy, wrap wrapStub, before func(tr 
 			tr.snapAt = tr.p.snap
 		}
 	}
-	for _, what := range []string{"place", "release", "rolled back", "rebalance", "drain", "resume", "fail", "failover", "revive", "replace"} {
+	for _, what := range []string{"place", "release", "rolled back", "rebalance", "drain", "resume", "fail", "failover", "missprobe", "heartbeat", "revive", "replace"} {
 		if counts[what] == 0 {
 			t.Fatalf("degenerate trace: no %s among %v", what, counts)
 		}

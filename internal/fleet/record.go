@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/perfsim"
+	"repro/internal/sched"
 	"repro/internal/topology"
 )
 
@@ -48,11 +50,11 @@ const (
 	// placement.
 	RecIntraMove
 	// RecIntraPass: one backend's intra-machine pass total (Seconds),
-	// appended after its RecIntraMoves — replay adds the total to
-	// MigrationSeconds in one float addition, exactly like the live pass.
+	// appended after its RecIntraMoves and added to MigrationSeconds whole.
 	RecIntraPass
-	// RecHealth: Backend transitioned FromHealth → ToHealth; Misses is the
-	// consecutive-miss counter at the transition.
+	// RecHealth: Backend's health went FromHealth → ToHealth, or, with the
+	// two equal, only its consecutive-miss counter changed; Misses is the
+	// counter after.
 	RecHealth
 	// RecFailover: summary of one failover pass over Backend's tenants
 	// (Moves rehomed, Stranded left, Seconds spent).
@@ -147,7 +149,7 @@ type Record struct {
 	Nodes     topology.NodeSet
 	BasePerf  float64
 	ProbePerf float64
-	// Misses is the consecutive-miss counter of a RecHealth transition.
+	// Misses is a RecHealth's consecutive-miss counter.
 	Misses int
 	// Pass summaries: Moves counts committed cross-machine moves, Intra
 	// intra-machine moves (RecRebalance only), Examined / Stranded mirror
@@ -330,12 +332,69 @@ func (f *Fleet) commitLocked(rec *Record) {
 	}
 }
 
+// bookLocked is what record r means to the fleet's books — the tenant map and
+// each tenantRec, every member's tenant count, drain flag, health and miss
+// count, the next fleet ID and the seven counters — live and replayed alike:
+// with the snapshot install, it is their only writer (TestBooksHaveOneWriter).
+// a is the assignment a RecPlace or RecMove committed, or the one a
+// RecIntraMove left (nil if the backend lost it); w is a RecPlace's workload,
+// which the record only names. It calls no backend and leaves the routing
+// index to its callers. Pass summaries but RecFailover's book nothing. It
+// returns r. Callers hold f.mu.
+func (f *Fleet) bookLocked(r *Record, a *sched.Assignment, w *perfsim.Workload) *Record {
+	switch r.Type {
+	case RecPlace:
+		m := f.byName[r.Backend]
+		f.tenants[r.ID] = &tenantRec{mem: m, engineID: r.EngineID, w: *w, vcpus: r.VCPUs, assign: *a}
+		m.tenants++
+		f.nextID = max(f.nextID, r.ID+1)
+		f.admitted++
+	case RecReject:
+		f.rejected++
+	case RecRelease:
+		rec := f.tenants[r.ID]
+		delete(f.tenants, r.ID)
+		rec.mem.tenants--
+		f.released++
+	case RecMove:
+		rec, d := f.tenants[r.ID], f.byName[r.Dest]
+		rec.mem.tenants--
+		rec.mem, rec.engineID, rec.assign = d, r.EngineID, *a
+		d.tenants++
+		f.moves++
+		f.migrationSeconds += r.Seconds
+		if r.Failover {
+			f.failedOver++
+		}
+	case RecIntraMove:
+		if a != nil {
+			f.tenants[r.ID].assign = *a
+		}
+	case RecIntraPass:
+		f.migrationSeconds += r.Seconds
+	case RecHealth:
+		// A return from Dead is the RecRevive's, after its fence.
+		if r.FromHealth != Dead {
+			m := f.byName[r.Backend]
+			m.health, m.misses = r.ToHealth, r.Misses
+		}
+	case RecFailover:
+		f.failovers++
+	case RecDrainStart, RecResume:
+		f.byName[r.Backend].drained = r.Type == RecDrainStart
+	case RecRevive:
+		m := f.byName[r.Backend]
+		m.health, m.misses = Healthy, 0
+	}
+	return r
+}
+
 // durable is what a mutating call carries out of its Fleet.mu hold: the
-// persister and the last sequence appended by the time it unlocked. The call
-// defers join BEFORE taking the lock and markLocked right after deferring
-// the unlock, so the mark is the hold's last act and the join runs after the
-// unlock — Commit may block on an fsync and must never do so under the
-// fleet lock.
+// persister and the last sequence appended by the time it unlocked. Commit
+// may block on an fsync and must never do so under the fleet lock, so the
+// mark is the hold's last act and the join runs after the unlock: a verb
+// takes its hold with `defer f.lock().end(&err)`, which does all three in that
+// order.
 type durable struct {
 	p   Persister
 	seq uint64
@@ -352,4 +411,21 @@ func (d *durable) join(err *error) {
 	if cerr := d.p.Commit(d.seq); cerr != nil {
 		*err = errors.Join(*err, fmt.Errorf("fleet: committed state not durable through seq %d: %w", d.seq, cerr))
 	}
+}
+
+// held is a mutating verb's Fleet.mu hold, whose end the verb defers at once.
+type held struct{ f *Fleet }
+
+func (f *Fleet) lock() held {
+	f.mu.Lock()
+	return held{f}
+}
+
+// end marks what the hold appended, unlocks, then waits for it to be durable,
+// joining any failure into *err.
+func (h held) end(err *error) {
+	var d durable
+	h.f.markLocked(&d)
+	h.f.mu.Unlock()
+	d.join(err)
 }

@@ -112,12 +112,12 @@ func churn(t *testing.T, ctx context.Context, f *Fleet) {
 	if _, err := f.Revive(ctx, "a"); err != nil {
 		t.Fatalf("revive: %v", err)
 	}
-	// Health churn that ends mid-state: leave "c" suspect.
-	if _, _, err := f.MissProbe(ctx, "c"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := f.MissProbe(ctx, "c"); err != nil {
-		t.Fatal(err)
+	// Health churn that ends mid-state: leave "c" suspect, the third miss a
+	// change of count alone.
+	for range 3 {
+		if _, _, err := f.MissProbe(ctx, "c"); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := f.Release(ctx, ids[1]); err != nil {
 		t.Fatal(err)
@@ -127,10 +127,21 @@ func churn(t *testing.T, ctx context.Context, f *Fleet) {
 	}
 }
 
-// requireFleetEqual asserts the externally observable state of two fleets
-// matches exactly: assignments, stats, health, and the commit seq.
+// stateOf returns f's books as its snapshot would carry them.
+func stateOf(f *Fleet) State {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.stateLocked()
+}
+
+// requireFleetEqual asserts the state of two fleets matches exactly: their
+// books (as a snapshot carries them), assignments, stats, health, and the
+// commit seq.
 func requireFleetEqual(t *testing.T, want, got *Fleet) {
 	t.Helper()
+	if w, g := stateOf(want), stateOf(got); !reflect.DeepEqual(g, w) {
+		t.Fatalf("State diverged:\n got %+v\nwant %+v", g, w)
+	}
 	if w, g := want.Assignments(), got.Assignments(); !reflect.DeepEqual(g, w) {
 		t.Fatalf("Assignments diverged:\n got %+v\nwant %+v", g, w)
 	}
@@ -284,6 +295,66 @@ func TestRestoreRejectsBadLogs(t *testing.T) {
 	if err := twin5.Restore(ctx, nil, recs, lookupWorkload); err == nil {
 		t.Error("Restore on a fleet with an un-logged commit succeeded, want error")
 	}
+}
+
+// TestProbeMissesSurviveReplay: a missed probe that leaves a member's health
+// as it was still changes its miss count, and so does an answered probe that
+// resets a non-zero count; both are records, so a fleet restored from a
+// snapshot and the log counts the misses the live one counted, and the next
+// miss turns both suspect.
+func TestProbeMissesSurviveReplay(t *testing.T) {
+	ctx := context.Background()
+	cfg := Config{Policy: FirstFit}
+	f, _ := stubFleet(t, cfg)
+	p := &memPersister{}
+	f.SetPersister(p)
+	w := testWorkload(t, "swaptions")
+	for range 3 {
+		if _, err := f.Place(ctx, w, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := f.MissProbe(ctx, "b"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// One miss on a, one admission, and an answer from b that takes back the
+	// miss the snapshot carries.
+	if h, _, err := f.MissProbe(ctx, "a"); err != nil || h != Healthy {
+		t.Fatalf("first miss on a: %s, %v; want healthy", h, err)
+	}
+	if _, err := f.Place(ctx, w, 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Heartbeat("b"); err != nil {
+		t.Fatal(err)
+	}
+	// An answer from a member with nothing to take back commits nothing.
+	seq := f.Seq()
+	if _, err := f.Heartbeat("c"); err != nil || f.Seq() != seq {
+		t.Fatalf("heartbeat on a healthy member with no misses: seq %d -> %d (%v)", seq, f.Seq(), err)
+	}
+
+	twin, _ := stubFleet(t, cfg)
+	if err := twin.Restore(ctx, p.snap, p.records(), lookupWorkload); err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	requireFleetEqual(t, f, twin)
+	for _, ms := range stateOf(twin).Members {
+		if want := map[string]int{"a": 1}[ms.Name]; ms.Misses != want {
+			t.Fatalf("restored %s has %d misses, want %d", ms.Name, ms.Misses, want)
+		}
+	}
+
+	// The second miss turns a suspect on both.
+	for _, fl := range []*Fleet{f, twin} {
+		if h, _, err := fl.MissProbe(ctx, "a"); err != nil || h != Suspect {
+			t.Fatalf("second miss on a (restored %v): %s, %v; want suspect", fl == twin, h, err)
+		}
+	}
+	requireFleetEqual(t, f, twin)
 }
 
 // TestReviveCutBetweenItsRecords: a revival commits its health transition and

@@ -2,10 +2,11 @@
 // tail. Restore runs once, on a freshly built fleet whose backends have
 // been Added (and trained) but never served: the snapshot installs the
 // tenant map and member flags as of its sequence, then each record with a
-// greater sequence replays the mutation it logged — adoption instead of
-// re-admission, recorded moves instead of re-searching — so the recovered
-// fleet's Assignments(), Stats(), free sets and health states are
-// byte-identical to the fleet that wrote the log.
+// greater sequence redoes the backend side of the mutation it logged —
+// adoption instead of re-admission, recorded moves instead of re-searching —
+// and is booked by the same bookLocked the live mutation called, so the
+// recovered fleet's books (its State), Assignments(), Stats(), free sets and
+// health states are those of the fleet that wrote the log.
 //
 // Tenants mapped to a dead member are adopted onto its backend all the
 // same: engines here are in-process models of the machine, and
@@ -72,7 +73,7 @@ func (f *Fleet) Restore(ctx context.Context, st *State, recs []Record, lookup Wo
 			return fmt.Errorf("fleet: replaying record %d (%s) after seq %d: sequence gap: %w",
 				r.Seq, r.Type, f.seq, nperr.ErrLogCorrupt)
 		}
-		if err := f.applyLocked(ctx, r, lookup); err != nil {
+		if err := f.replayLocked(ctx, r, lookup); err != nil {
 			return fmt.Errorf("fleet: replaying record %d (%s): %w", r.Seq, r.Type, err)
 		}
 		f.seq = r.Seq
@@ -90,16 +91,6 @@ func (f *Fleet) memberOf(name string) (*member, error) {
 	return m, nil
 }
 
-// resolve looks up a recorded workload name; a miss means the log was
-// written against another catalog.
-func (lookup WorkloadLookup) resolve(name string) (perfsim.Workload, error) {
-	w, ok := lookup(name)
-	if !ok {
-		return w, fmt.Errorf("workload %q not in the catalog: %w", name, nperr.ErrLogCorrupt)
-	}
-	return w, nil
-}
-
 // restoreOf is the backend-local admission a RecPlace or RecMove commits,
 // for a container of workload w with vcpus vCPUs.
 func restoreOf(r *Record, w perfsim.Workload, vcpus int) sched.Restore {
@@ -109,25 +100,9 @@ func restoreOf(r *Record, w perfsim.Workload, vcpus int) sched.Restore {
 	}
 }
 
-// adoptLocked installs recorded admission r of fleet container id onto
-// member m's backend and registers the fleet mapping. Callers hold f.mu.
-func (f *Fleet) adoptLocked(ctx context.Context, id int, m *member, r sched.Restore) error {
-	if _, dup := f.tenants[id]; dup {
-		return fmt.Errorf("fleet ID %d already mapped: %w", id, nperr.ErrLogCorrupt)
-	}
-	a, err := m.b.Adopt(ctx, r)
-	if err != nil {
-		return fmt.Errorf("adopting container %d onto %s: %w", id, m.name, err)
-	}
-	f.tenants[id] = &tenantRec{mem: m, engineID: r.ID, w: r.Workload, vcpus: r.VCPUs, assign: *a}
-	m.tenants++
-	if id >= f.nextID {
-		f.nextID = id + 1
-	}
-	return nil
-}
-
-// applyStateLocked installs a snapshot. Callers hold f.mu.
+// applyStateLocked installs a snapshot: the member flags, each tenant as the
+// RecPlace of its current home, then the counters and next ID the snapshot
+// carries, which stand for the whole history before it. Callers hold f.mu.
 func (f *Fleet) applyStateLocked(ctx context.Context, st *State, lookup WorkloadLookup) error {
 	for _, ms := range st.Members {
 		m, err := f.memberOf(ms.Name)
@@ -136,144 +111,95 @@ func (f *Fleet) applyStateLocked(ctx context.Context, st *State, lookup Workload
 		}
 		m.drained, m.health, m.misses = ms.Drained, ms.Health, ms.Misses
 	}
-	f.nextID = st.NextID
-	f.admitted, f.rejected, f.released, f.moves = st.Admitted, st.Rejected, st.Released, st.Moves
-	f.failovers, f.failedOver = st.Failovers, st.FailedOver
-	f.migrationSeconds = st.MigrationSeconds
 	for i := range st.Tenants {
 		ts := &st.Tenants[i]
-		m, err := f.memberOf(ts.Backend)
-		if err != nil {
-			return fmt.Errorf("fleet: restoring tenant %d: %w", ts.ID, err)
-		}
-		w, err := lookup.resolve(ts.Workload)
-		if err != nil {
-			return fmt.Errorf("fleet: restoring tenant %d: %w", ts.ID, err)
-		}
-		if err := f.adoptLocked(ctx, ts.ID, m, sched.Restore{
-			ID: ts.EngineID, Workload: w, VCPUs: ts.VCPUs, ClassID: ts.ClassID,
-			Nodes: ts.Nodes, BasePerf: ts.BasePerf, ProbePerf: ts.ProbePerf,
-		}); err != nil {
+		r := Record{Type: RecPlace, ID: ts.ID, Backend: ts.Backend, Workload: ts.Workload,
+			VCPUs: ts.VCPUs, EngineID: ts.EngineID, ClassID: ts.ClassID, Nodes: ts.Nodes,
+			BasePerf: ts.BasePerf, ProbePerf: ts.ProbePerf}
+		if err := f.replayLocked(ctx, &r, lookup); err != nil {
 			return fmt.Errorf("fleet: restoring tenant %d: %w", ts.ID, err)
 		}
 	}
 	// NextID may exceed the highest mapped ID (released tenants); the
 	// snapshot value wins so recovered admissions never reuse an ID.
-	if st.NextID > f.nextID {
-		f.nextID = st.NextID
-	}
+	f.nextID = max(f.nextID, st.NextID)
+	f.admitted, f.rejected, f.released, f.moves = st.Admitted, st.Rejected, st.Released, st.Moves
+	f.failovers, f.failedOver = st.Failovers, st.FailedOver
+	f.migrationSeconds = st.MigrationSeconds
 	return nil
 }
 
-// applyLocked replays one record; m is the machine it names (only a reject
-// and a rebalance summary name none). Callers hold f.mu.
-func (f *Fleet) applyLocked(ctx context.Context, r *Record, lookup WorkloadLookup) error {
-	var m *member
+// replayLocked replays one record: it checks that r fits the fleet, redoes on
+// the backends what the live mutation did — an adoption for an admission, the
+// source's release and the destination's adoption for a move, the recorded
+// intra-machine move, the fence a revival ran — and books r through
+// bookLocked, as the live mutation did. Callers hold f.mu.
+func (f *Fleet) replayLocked(ctx context.Context, r *Record, lookup WorkloadLookup) (err error) {
+	var m, d *member // the machine r names (a reject and a rebalance summary name none), a move's destination
 	if r.Type != RecReject && r.Type != RecRebalance {
-		var err error
 		if m, err = f.memberOf(r.Backend); err != nil {
 			return err
 		}
 	}
+	if r.Type == RecMove {
+		if d, err = f.memberOf(r.Dest); err != nil {
+			return err
+		}
+	}
+	rec, mapped := f.tenants[r.ID]
+	if r.Type == RecRelease || r.Type == RecMove || r.Type == RecIntraMove {
+		if !mapped || rec.mem != m {
+			return fmt.Errorf("container %d is not mapped to %s: %w", r.ID, m.name, nperr.ErrLogCorrupt)
+		}
+	}
+	var (
+		a *sched.Assignment
+		w perfsim.Workload
+	)
 	switch r.Type {
 	case RecPlace:
-		w, err := lookup.resolve(r.Workload)
-		if err != nil {
-			return err
+		if mapped {
+			return fmt.Errorf("container %d already mapped: %w", r.ID, nperr.ErrLogCorrupt)
 		}
-		if err := f.adoptLocked(ctx, r.ID, m, restoreOf(r, w, r.VCPUs)); err != nil {
-			return err
+		var ok bool
+		if w, ok = lookup(r.Workload); !ok { // the log was written against another catalog
+			return fmt.Errorf("workload %q not in the catalog: %w", r.Workload, nperr.ErrLogCorrupt)
 		}
-		f.admitted++
+		if a, err = m.b.Adopt(ctx, restoreOf(r, w, r.VCPUs)); err != nil {
+			return fmt.Errorf("adopting container %d onto %s: %w", r.ID, m.name, err)
+		}
 
-	case RecReject:
-		f.rejected++
-
-	case RecRelease:
-		rec, ok := f.tenants[r.ID]
-		if !ok {
-			return fmt.Errorf("releasing unmapped container %d: %w", r.ID, nperr.ErrLogCorrupt)
-		}
-		delete(f.tenants, r.ID)
-		rec.mem.tenants--
-		f.released++
-		if rec.mem.health != Dead {
-			if err := rec.mem.b.Release(ctx, rec.engineID); err != nil {
-				return fmt.Errorf("releasing container %d from %s: %w", r.ID, rec.mem.name, err)
+	case RecRelease, RecMove:
+		if m.health != Dead {
+			if err := m.b.Release(ctx, rec.engineID); err != nil {
+				return fmt.Errorf("releasing container %d from %s: %w", r.ID, m.name, err)
 			}
 		}
-
-	case RecMove:
-		rec, ok := f.tenants[r.ID]
-		if !ok {
-			return fmt.Errorf("moving unmapped container %d: %w", r.ID, nperr.ErrLogCorrupt)
-		}
-		d, err := f.memberOf(r.Dest)
-		if err != nil {
-			return err
-		}
-		if rec.mem.health != Dead {
-			if err := rec.mem.b.Release(ctx, rec.engineID); err != nil {
-				return fmt.Errorf("moving container %d off %s: %w", r.ID, rec.mem.name, err)
+		if d != nil {
+			if a, err = d.b.Adopt(ctx, restoreOf(r, rec.w, rec.vcpus)); err != nil {
+				return fmt.Errorf("adopting moved container %d onto %s: %w", r.ID, d.name, err)
 			}
-		}
-		a, err := d.b.Adopt(ctx, restoreOf(r, rec.w, rec.vcpus))
-		if err != nil {
-			return fmt.Errorf("adopting moved container %d onto %s: %w", r.ID, d.name, err)
-		}
-		rec.mem.tenants--
-		rec.mem, rec.engineID, rec.assign = d, r.EngineID, *a
-		d.tenants++
-		f.moves++
-		f.migrationSeconds += r.Seconds
-		if r.Failover {
-			f.failedOver++
 		}
 
 	case RecIntraMove:
-		rec, ok := f.tenants[r.ID]
-		if !ok {
-			return fmt.Errorf("intra-moving unmapped container %d: %w", r.ID, nperr.ErrLogCorrupt)
+		if err := m.b.ApplyMove(ctx, r.EngineID, r.ClassID, r.Nodes); err != nil {
+			return fmt.Errorf("intra-move of container %d on %s: %w", r.ID, m.name, err)
 		}
-		if rec.mem.name != r.Backend {
-			return fmt.Errorf("intra-move of container %d names %s, mapped to %s: %w",
-				r.ID, r.Backend, rec.mem.name, nperr.ErrLogCorrupt)
+		if moved, ok := m.b.Assignment(r.EngineID); ok {
+			a = &moved
 		}
-		if err := rec.mem.b.ApplyMove(ctx, r.EngineID, r.ClassID, r.Nodes); err != nil {
-			return fmt.Errorf("intra-move of container %d on %s: %w", r.ID, rec.mem.name, err)
-		}
-		if a, ok := rec.mem.b.Assignment(r.EngineID); ok {
-			rec.assign = a
-		}
-
-	case RecIntraPass:
-		f.migrationSeconds += r.Seconds
-
-	case RecHealth:
-		// A return from Dead is the RecRevive's to make, after its fence.
-		if r.FromHealth != Dead {
-			m.health, m.misses = r.ToHealth, r.Misses
-		}
-
-	case RecFailover:
-		f.failovers++
-
-	case RecRebalance, RecDrainPass:
-		// Pass summaries: audit records; every state change was logged
-		// per-move.
-
-	case RecDrainStart, RecResume:
-		m.drained = r.Type == RecDrainStart
 
 	case RecRevive:
 		if _, orphan, err := f.fenceLocked(ctx, m); err != nil {
 			return fmt.Errorf("re-fencing orphan %d on %s: %w", orphan, m.name, err)
 		}
-		m.health = Healthy
-		m.misses = 0
+
+	case RecReject, RecIntraPass, RecHealth, RecFailover, RecRebalance, RecDrainStart, RecDrainPass, RecResume:
+		// The books alone.
 
 	default:
 		return fmt.Errorf("unknown record type %d: %w", int(r.Type), nperr.ErrLogCorrupt)
 	}
+	f.bookLocked(r, a, &w)
 	return nil
 }

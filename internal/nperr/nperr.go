@@ -29,10 +29,6 @@ var (
 	// cannot host.
 	ErrMachineFull = errors.New("machine full")
 
-	// ErrNotPlaced marks operations that need a placed container (e.g.
-	// observing throughput) invoked on an unplaced one.
-	ErrNotPlaced = errors.New("container not placed")
-
 	// ErrUnknownContainer marks lifecycle operations on container IDs the
 	// scheduler is not tracking.
 	ErrUnknownContainer = errors.New("unknown container")

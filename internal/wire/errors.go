@@ -23,7 +23,6 @@ const (
 	CodeBackendDown      ErrCode = "backend_down"
 	CodeUnknownBackend   ErrCode = "unknown_backend"
 	CodeUnknownContainer ErrCode = "unknown_container"
-	CodeNotPlaced        ErrCode = "not_placed"
 	CodeBackendNotEmpty  ErrCode = "backend_not_empty"
 	CodeMachineFull      ErrCode = "machine_full"
 	CodeMachineMismatch  ErrCode = "machine_mismatch"
@@ -71,7 +70,6 @@ var Table = []mapping{
 	{CodeBackendDown, http.StatusConflict, nperr.ErrBackendDown},
 	{CodeUnknownBackend, http.StatusNotFound, nperr.ErrUnknownBackend},
 	{CodeUnknownContainer, http.StatusNotFound, nperr.ErrUnknownContainer},
-	{CodeNotPlaced, http.StatusNotFound, nperr.ErrNotPlaced},
 	{CodeBackendNotEmpty, http.StatusConflict, nperr.ErrBackendNotEmpty},
 	{CodeMachineFull, http.StatusConflict, nperr.ErrMachineFull},
 	{CodeMachineMismatch, http.StatusConflict, nperr.ErrMachineMismatch},

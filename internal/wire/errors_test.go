@@ -14,7 +14,7 @@ import (
 func TestErrorTableBijective(t *testing.T) {
 	sentinels := []error{
 		nperr.ErrInfeasible, nperr.ErrUntrained, nperr.ErrMachineMismatch,
-		nperr.ErrMachineFull, nperr.ErrNotPlaced, nperr.ErrUnknownContainer,
+		nperr.ErrMachineFull, nperr.ErrUnknownContainer,
 		nperr.ErrBadObservation, nperr.ErrFleetFull, nperr.ErrUnknownBackend,
 		nperr.ErrBackendNotEmpty, nperr.ErrBackendDown, nperr.ErrNoHealthyBackend,
 		nperr.ErrLogCorrupt, nperr.ErrLogClosed,
@@ -110,7 +110,7 @@ func TestStatusChoices(t *testing.T) {
 			if m.Status != http.StatusInternalServerError {
 				t.Errorf("%s: status %d, want 500", m.Code, m.Status)
 			}
-		case CodeUnknownBackend, CodeUnknownContainer, CodeNotPlaced:
+		case CodeUnknownBackend, CodeUnknownContainer:
 			if m.Status != http.StatusNotFound {
 				t.Errorf("%s: status %d, want 404", m.Code, m.Status)
 			}
