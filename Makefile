@@ -131,11 +131,15 @@ loc:
 	@printf 'test Go outside bench/:     '; find . -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 	@printf 'Go in bench/:               '; find ./bench -name '*.go' | xargs cat | wc -l
 
-# Emits a CPU profile of the heaviest training pipeline (the Figure 4
-# cross-validation grid) for `go tool pprof repro.test cpu.prof`.
+# Emits two CPU profiles: cpu.prof of the heaviest training pipeline (the
+# Figure 4 cross-validation grid) and recovery.prof of a restart (wal.Open
+# plus Fleet.Restore over a 10k-record log, BenchmarkRecovery), the profile
+# DESIGN.md's per-record restart table is read from.
 profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkFigure4AMD' -benchtime 1x -count 1 \
 		-cpuprofile cpu.prof -o repro.test .
-	@echo "wrote cpu.prof (inspect with: go tool pprof repro.test cpu.prof)"
+	$(GO) test -run '^$$' -bench 'BenchmarkRecovery' -benchtime 2s -count 1 \
+		-cpuprofile recovery.prof -o wal.test ./internal/wal/
+	@echo "wrote cpu.prof and recovery.prof (inspect with: go tool pprof repro.test cpu.prof; go tool pprof wal.test recovery.prof)"
 
 ci: $(CI_STEPS)

@@ -322,11 +322,11 @@ func TestClusterFailover(t *testing.T) {
 // TestClusterAdmitAllocCeiling bounds what one warm admission allocates on
 // a fleet that looks like a running one: 64 machines of two models sharing
 // one predictor each, best-predicted routing with domain spreading, 60 %
-// full. Routing reads a memoized cell order into reused scratch, so a
-// place+release cycle allocates what the admission itself keeps (its
-// assignment and the fleet's record of it) — not per machine, and no copy of
-// the pinning. The preview fan-out this replaced allocated 110
-// times here.
+// full. Routing reads a memoized cell order into reused scratch and the
+// fleet's record of a tenant is recycled from the last release, so a
+// place+release cycle allocates what the admission hands back (the engine's
+// assignment and the Admission) — not per machine, and no copy of the
+// pinning. The preview fan-out this replaced allocated 110 times here.
 func TestClusterAdmitAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the routing scratch is pooled; sync.Pool is lossy under the race detector")
@@ -372,7 +372,7 @@ func TestClusterAdmitAllocCeiling(t *testing.T) {
 		}
 	}
 	cycle() // the chosen engine's pinning and observation caches
-	if n := testing.AllocsPerRun(200, cycle); n > 3 {
-		t.Fatalf("a warm 64-machine best-predicted place+release cycle allocates %.1f times, want <= 3", n)
+	if n := testing.AllocsPerRun(200, cycle); n > 2 {
+		t.Fatalf("a warm 64-machine best-predicted place+release cycle allocates %.1f times, want <= 2", n)
 	}
 }

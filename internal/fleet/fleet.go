@@ -206,6 +206,10 @@ type tenantRec struct {
 	assign   sched.Assignment
 }
 
+// maxSpare bounds Fleet.spare: enough for the releases between two
+// admissions of a churning fleet, and a fleet that shrinks keeps no more.
+const maxSpare = 64
+
 // Admission describes one fleet admission.
 type Admission struct {
 	// ID is the fleet-wide container identity. It is stable across
@@ -331,6 +335,9 @@ type Fleet struct {
 	byName  map[string]*member
 	nextID  int
 	tenants map[int]*tenantRec
+	// spare holds released tenantRecs, cleared, for bookLocked to reuse at
+	// the next RecPlace: churn and replay allocate none per admission.
+	spare []*tenantRec
 	// domains interns the failure-domain labels ever added ("" included):
 	// the routing index counts tenants and lists members by member.dom.
 	domains map[string]int32
@@ -589,9 +596,9 @@ func (f *Fleet) Release(ctx context.Context, id int) (err error) {
 		}
 		f.refreeLocked(rec.mem)
 	}
+	f.occupyLocked(rec.mem, rec.w.Name, -1)
 	f.commitLocked(f.bookLocked(&Record{Type: RecRelease, ID: id, Backend: rec.mem.name,
 		Workload: rec.w.Name, VCPUs: rec.vcpus}, nil, nil))
-	f.occupyLocked(rec.mem, rec.w.Name, -1)
 	return nil
 }
 

@@ -339,13 +339,22 @@ func (f *Fleet) commitLocked(rec *Record) {
 // a is the assignment a RecPlace or RecMove committed, or the one a
 // RecIntraMove left (nil if the backend lost it); w is a RecPlace's workload,
 // which the record only names. It calls no backend and leaves the routing
-// index to its callers. Pass summaries but RecFailover's book nothing. It
-// returns r. Callers hold f.mu.
+// index to its callers. Pass summaries but RecFailover's book nothing. A
+// RecRelease clears its tenantRec and keeps it, up to maxSpare, for a later
+// RecPlace: no caller may read a released tenant's record after booking the
+// release. It returns r. Callers hold f.mu.
 func (f *Fleet) bookLocked(r *Record, a *sched.Assignment, w *perfsim.Workload) *Record {
 	switch r.Type {
 	case RecPlace:
 		m := f.byName[r.Backend]
-		f.tenants[r.ID] = &tenantRec{mem: m, engineID: r.EngineID, w: *w, vcpus: r.VCPUs, assign: *a}
+		var rec *tenantRec
+		if n := len(f.spare); n > 0 {
+			rec, f.spare = f.spare[n-1], f.spare[:n-1]
+		} else {
+			rec = new(tenantRec)
+		}
+		*rec = tenantRec{mem: m, engineID: r.EngineID, w: *w, vcpus: r.VCPUs, assign: *a}
+		f.tenants[r.ID] = rec
 		m.tenants++
 		f.nextID = max(f.nextID, r.ID+1)
 		f.admitted++
@@ -356,6 +365,10 @@ func (f *Fleet) bookLocked(r *Record, a *sched.Assignment, w *perfsim.Workload) 
 		delete(f.tenants, r.ID)
 		rec.mem.tenants--
 		f.released++
+		if len(f.spare) < maxSpare {
+			*rec = tenantRec{} // pins no member, workload or pinning while spare
+			f.spare = append(f.spare, rec)
+		}
 	case RecMove:
 		rec, d := f.tenants[r.ID], f.byName[r.Dest]
 		rec.mem.tenants--

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"sync"
@@ -460,4 +461,107 @@ func TestFailedMoveLeaksNothing(t *testing.T) {
 			t.Fatalf("%s (backend %d): replay leaves nodes %v free, the live engine %v", bs.Name, i, got, want)
 		}
 	}
+}
+
+// TestRecycledTenantRecsChangeNothing: bookLocked clears a released tenant's
+// record and reuses it at a later admission. A fleet that recycles answers
+// exactly as one that never does (its spare list emptied after every call);
+// the reuse does happen; and the spare list holds at most maxSpare records,
+// each cleared, so none pins the member or pinning it once served.
+func TestRecycledTenantRecsChangeNothing(t *testing.T) {
+	ctx := context.Background()
+	build := func() *Fleet {
+		f := New(Config{Policy: FirstFit})
+		for i := range 10 { // 80 nodes, one per stub tenant: more than maxSpare
+			if err := f.Add(fmt.Sprintf("m%d", i), newStub(machines.AMD(), 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return f
+	}
+	recycling, fresh := build(), build()
+	forget := func() {
+		fresh.mu.Lock()
+		fresh.spare = nil
+		fresh.mu.Unlock()
+	}
+	w := testWorkload(t, "swaptions")
+	place := func() (int, bool) {
+		t.Helper()
+		a, err := recycling.Place(ctx, w, 4)
+		b, ferr := fresh.Place(ctx, w, 4)
+		forget()
+		if errors.Is(err, nperr.ErrFleetFull) && errors.Is(ferr, nperr.ErrFleetFull) {
+			return 0, false
+		}
+		if err != nil || ferr != nil || a.ID != b.ID {
+			t.Fatalf("place: %v / %v", err, ferr)
+		}
+		return a.ID, true
+	}
+	release := func(id int) {
+		t.Helper()
+		if err := recycling.Release(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.Release(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+		forget()
+	}
+	spares := func() []*tenantRec {
+		recycling.mu.Lock()
+		defer recycling.mu.Unlock()
+		if len(recycling.spare) > maxSpare {
+			t.Fatalf("%d spare tenant records, want <= %d", len(recycling.spare), maxSpare)
+		}
+		for _, rec := range recycling.spare {
+			if !reflect.DeepEqual(*rec, tenantRec{}) {
+				t.Fatalf("a spare tenant record holds %+v, want it cleared", *rec)
+			}
+		}
+		return slices.Clone(recycling.spare)
+	}
+
+	var ids []int
+	for id, ok := place(); ok; id, ok = place() {
+		ids = append(ids, id)
+	}
+	if len(ids) <= maxSpare {
+		t.Fatalf("the fleet held %d tenants, want more than %d", len(ids), maxSpare)
+	}
+	for _, id := range ids {
+		release(id)
+	}
+	requireFleetEqual(t, fresh, recycling)
+	spare := spares()
+	if len(spare) != maxSpare {
+		t.Fatalf("%d releases left %d spare tenant records, want %d", len(ids), len(spare), maxSpare)
+	}
+
+	// Place again, then release every other tenant and place once more:
+	// each admission takes the record the last release gave back.
+	ids = ids[:0]
+	for range 40 {
+		id, _ := place()
+		ids = append(ids, id)
+		recycling.mu.Lock()
+		reused := recycling.tenants[id] == spare[len(spare)-1]
+		recycling.mu.Unlock()
+		if !reused {
+			t.Fatalf("tenant %d got a new record with %d spare", id, len(spare))
+		}
+		spare = spare[:len(spare)-1]
+	}
+	requireFleetEqual(t, fresh, recycling)
+	for i, id := range ids {
+		if i%2 == 1 {
+			release(id)
+		}
+	}
+	for range 30 {
+		place()
+	}
+	requireFleetEqual(t, fresh, recycling)
+	spares()
 }

@@ -12,7 +12,11 @@
 // the torn tail a crash left behind is truncated, while structural
 // corruption — frames that verify but do not parse, sequence gaps, a
 // foreign magic — refuses with nperr.ErrLogCorrupt rather than guessing,
-// because a log that lies is worse than no log.
+// because a log that lies is worse than no log. Open scans the file where it
+// lies, through a read-only mapping it drops before returning: a header pass
+// sizes the record slice exactly, then each CRC-checked frame is decoded
+// straight into its slot, its names interned as copies, so a restart copies
+// each record once.
 //
 // Crash-safety argument, in order of the moving parts:
 //
@@ -41,7 +45,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -184,15 +187,12 @@ func Open(opts Options) (*Log, *fleet.State, []fleet.Record, error) {
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("wal: opening %s: %w", logPath, err)
 	}
-	buf, err := readAll(f)
+	recs, validLen, size, err := readLog(f, logPath)
 	if err != nil {
 		f.Close()
-		return nil, nil, nil, fmt.Errorf("wal: reading %s: %w", logPath, err)
+		return nil, nil, nil, err
 	}
-	var recs []fleet.Record
-	validLen := len(logMagic)
-	switch {
-	case len(buf) == 0:
+	if size == 0 {
 		// Fresh log: write the magic now so a crash before the first
 		// append still leaves a recognizable file, and make its directory
 		// entry durable, or a power cut could drop the file and every
@@ -207,17 +207,7 @@ func Open(opts Options) (*Log, *fleet.State, []fleet.Record, error) {
 				return nil, nil, nil, fmt.Errorf("wal: fsyncing %s: %w", opts.Dir, err)
 			}
 		}
-	case len(buf) < len(logMagic) || string(buf[:len(logMagic)]) != string(logMagic):
-		f.Close()
-		return nil, nil, nil, fmt.Errorf("wal: %s is not a write-ahead log: %w", logPath, nperr.ErrLogCorrupt)
-	default:
-		var n int
-		recs, n, err = scanFrames(buf[len(logMagic):])
-		if err != nil {
-			f.Close()
-			return nil, nil, nil, fmt.Errorf("wal: %s: %w", logPath, err)
-		}
-		validLen = len(logMagic) + n
+		validLen = len(logMagic)
 	}
 
 	// Cross-check the log tail against the snapshot: records must connect
@@ -239,7 +229,7 @@ func Open(opts Options) (*Log, *fleet.State, []fleet.Record, error) {
 	}
 
 	// Truncate the torn tail (a zero tail included); appends land at validLen.
-	if validLen < len(buf) {
+	if int64(validLen) < size {
 		if err := f.Truncate(int64(validLen)); err != nil {
 			f.Close()
 			return nil, nil, nil, fmt.Errorf("wal: truncating torn tail of %s: %w", logPath, err)
@@ -259,19 +249,39 @@ func Open(opts Options) (*Log, *fleet.State, []fleet.Record, error) {
 	return l, st, recs, nil
 }
 
-// readAll reads f from its current offset to the end in one buffer sized
-// from the file's length (a file that shrank meanwhile reads short).
-func readAll(f *os.File) ([]byte, error) {
+// readLog scans the log file f (named path) through a read-only mapping and
+// returns the records of its valid frame prefix, that prefix's length, the
+// magic included, and the file's size: 0, with no records, for a fresh
+// file. The mapping is gone when readLog returns; no record views it.
+func readLog(f *os.File, path string) (recs []fleet.Record, validLen int, size int64, err error) {
 	fi, err := f.Stat()
 	if err != nil {
-		return nil, err
+		return nil, 0, 0, fmt.Errorf("wal: reading %s: %w", path, err)
 	}
-	buf := make([]byte, fi.Size())
-	n, err := io.ReadFull(f, buf)
-	if err != nil && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
-		return nil, err
+	size = fi.Size()
+	if size == 0 {
+		return nil, 0, 0, nil
 	}
-	return buf[:n], nil
+	if int64(int(size)) != size {
+		return nil, 0, 0, fmt.Errorf("wal: %s is %d bytes, too large to map: %w", path, size, nperr.ErrLogCorrupt)
+	}
+	buf, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("wal: mapping %s: %w", path, err)
+	}
+	defer func() {
+		if uerr := syscall.Munmap(buf); uerr != nil && err == nil {
+			err = fmt.Errorf("wal: unmapping %s: %w", path, uerr)
+		}
+	}()
+	if len(buf) < len(logMagic) || string(buf[:len(logMagic)]) != string(logMagic) {
+		return nil, 0, size, fmt.Errorf("wal: %s is not a write-ahead log: %w", path, nperr.ErrLogCorrupt)
+	}
+	recs, n, err := scanFrames(buf[len(logMagic):])
+	if err != nil {
+		return nil, 0, size, fmt.Errorf("wal: %s: %w", path, err)
+	}
+	return recs, len(logMagic) + n, size, nil
 }
 
 // readSnapshot loads and decodes the snapshot file; a missing file is a
@@ -296,7 +306,8 @@ func readSnapshot(path string) (*fleet.State, error) {
 	return st, nil
 }
 
-// decodeSnapshotFrame validates and decodes the single snapshot frame.
+// decodeSnapshotFrame validates and decodes the single snapshot frame, which
+// must end the file.
 func decodeSnapshotFrame(body []byte) (*fleet.State, error) {
 	if len(body) < frameHeader {
 		return nil, fmt.Errorf("snapshot frame header short: %w", nperr.ErrLogCorrupt)
@@ -304,6 +315,9 @@ func decodeSnapshotFrame(body []byte) (*fleet.State, error) {
 	n := int(binary.LittleEndian.Uint32(body))
 	if n == 0 || n > maxFrame || frameHeader+n > len(body) {
 		return nil, fmt.Errorf("snapshot frame length %d invalid: %w", n, nperr.ErrLogCorrupt)
+	}
+	if frameHeader+n != len(body) {
+		return nil, fmt.Errorf("snapshot frame followed by %d stray bytes: %w", len(body)-frameHeader-n, nperr.ErrLogCorrupt)
 	}
 	want := binary.LittleEndian.Uint32(body[4:])
 	payload := body[frameHeader : frameHeader+n]
