@@ -57,7 +57,8 @@ race:
 
 # A few seconds of each differential fuzz target on top of its seed corpus
 # (which `test` already runs): the wire recognisers against encoding/json, the
-# log's batch frame scan against a frame-at-a-time one, the serving scheduler
+# log's batch frame scan against a frame-at-a-time one, the snapshot decoder
+# against its own re-encoding, the serving scheduler
 # against its from-scratch reference, alone and as two schedulers sharing one
 # machine model's table set, the fleet's routing index (memoized cell orders
 # included) against a preview fan-out, and the model decoder against hostile
@@ -67,6 +68,7 @@ race:
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzScanFrames$$' -fuzztime 5s ./internal/wal/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 5s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerParity$$' -fuzztime 5s ./internal/sched/
 	$(GO) test -run '^$$' -fuzz '^FuzzSharedTablesParity$$' -fuzztime 5s ./internal/sched/
 	$(GO) test -run '^$$' -fuzz '^FuzzRoutePass$$' -fuzztime 5s ./internal/fleet/

@@ -88,9 +88,9 @@ const (
 	// RouteLeastLoaded admits on the machine with the lowest node
 	// utilization that accepts.
 	RouteLeastLoaded = fleet.LeastLoaded
-	// RouteBestPredicted previews the container on every machine and
-	// admits where the trained predictor promises the highest
-	// performance.
+	// RouteBestPredicted admits where the trained predictor promises the
+	// highest performance, scoring each machine from its model's class row
+	// (Engine.ScoreClass) rather than previewing it.
 	RouteBestPredicted = fleet.BestPredicted
 )
 

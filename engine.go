@@ -299,10 +299,11 @@ func (e *Engine) Place(ctx context.Context, w Workload, vcpus int) (*Assignment,
 // Preview estimates the admission Place would make for a container of
 // workload w right now — the chosen class and its predicted performance
 // against the current free nodes — without reserving anything. Cluster
-// routing (the BestPredicted policy) previews a container on every machine
-// to admit it where the model promises the most. Previews draw a
-// deterministic observation-noise stream from the workload identity, so
-// they are repeatable and leave subsequent admissions bit-identical.
+// routing (the BestPredicted policy) scores engines from their class rows
+// (ScoreClass, ScoreRow) and previews only a backend that has none.
+// Previews draw a deterministic observation-noise stream from the workload
+// identity, so they are repeatable and leave subsequent admissions
+// bit-identical.
 func (e *Engine) Preview(ctx context.Context, w Workload, vcpus int) (*PlacePreview, error) {
 	return e.scheduler.Preview(ctx, w, vcpus)
 }

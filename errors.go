@@ -3,7 +3,7 @@ package numaplace
 import "repro/internal/nperr"
 
 // Sentinel errors returned (wrapped, with context) by the Engine and the
-// deprecated free functions. Match them with errors.Is:
+// Cluster. Match them with errors.Is:
 //
 //	if errors.Is(err, numaplace.ErrMachineFull) { backoffAndRetry() }
 //

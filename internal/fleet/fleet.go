@@ -84,9 +84,10 @@ const (
 	// LeastLoaded tries backends by ascending node utilization (spreading
 	// load), breaking ties in add order.
 	LeastLoaded
-	// BestPredicted previews the container on every backend and admits on
-	// the machine whose predictor promises the highest performance for
-	// the observed workload, falling back down the ranking on failure.
+	// BestPredicted admits on the machine whose predictor promises the
+	// highest performance for the observed workload, falling back down the
+	// ranking on failure. A backend with a score class (ScoreClasser) is
+	// scored from its class's row; only one without is previewed.
 	BestPredicted
 )
 

@@ -121,7 +121,8 @@ func (t RecordType) EventName() string {
 type Record struct {
 	// Seq is the fleet's commit count at this record, assigned by
 	// commitLocked: strictly increasing and contiguous across all record
-	// types, the same number in the log and on the event feed.
+	// types, the same number in the log and on the event feed. In a
+	// State's Records it is the record's position, from 1.
 	Seq  uint64
 	Type RecordType
 	// FromHealth → ToHealth is a RecHealth transition.
@@ -181,39 +182,16 @@ type Persister interface {
 	Snapshot(State) error
 }
 
-// TenantState is one tenant's durable slice of a State snapshot: the
-// fleet mapping plus the committed backend-local assignment, i.e. exactly
-// a RecPlace for its current home.
-type TenantState struct {
-	ID       int
-	Backend  string
-	EngineID int
-	Workload string
-	VCPUs    int
-	// ClassID / Nodes / BasePerf / ProbePerf are the tenant's CURRENT
-	// placement (intra-machine moves included), so adoption lands it where
-	// it runs now, not where it was first admitted.
-	ClassID   int
-	Nodes     topology.NodeSet
-	BasePerf  float64
-	ProbePerf float64
-}
-
-// MemberState is one member's durable slice of a State snapshot. Domain
-// labels and machine shapes are deliberately absent: they are
-// configuration, re-established by Add at boot, and a snapshot must not
-// override what the operator configured.
-type MemberState struct {
-	Name    string
-	Drained bool
-	Health  Health
-	Misses  int
-}
-
 // State is a point-in-time snapshot of everything the fleet would need to
-// serve again: the tenant map, member flags, counters and the commit
-// sequence it covers. Restore(state, nil, …) alone reconstructs the fleet
-// as of Seq; log records with greater sequences replay on top.
+// serve again, written as the shortest log that rebuilds it: a fixed header
+// (the commit sequence it covers, the next ID and the counters) and Records,
+// numbered from 1 — per member in add order, a RecHealth from Healthy to its
+// health with its miss count, and a RecDrainStart if it is drained; then per
+// tenant in ascending fleet-ID order, the RecPlace of where it runs now
+// (intra-machine moves included). Domain labels and machine shapes are
+// absent: they are configuration, re-established by Add at boot.
+// Restore(state, nil, …) alone reconstructs the fleet as of Seq; log records
+// with greater sequences replay on top.
 type State struct {
 	// Seq is the last commit sequence (Record.Seq) covered by this snapshot.
 	Seq uint64
@@ -223,10 +201,8 @@ type State struct {
 	Admitted, Rejected, Released, Moves int64
 	Failovers, FailedOver               int64
 	MigrationSeconds                    float64
-	// Members carries the mutable per-member flags in add order; Tenants
-	// the tenant map in ascending fleet-ID order.
-	Members []MemberState
-	Tenants []TenantState
+	// Records rebuild the members' flags and the tenant map.
+	Records []Record
 }
 
 // SetPersister attaches the durability sink. Attach it once, after Add
@@ -280,22 +256,25 @@ func (f *Fleet) stateLocked() State {
 		FailedOver:       f.failedOver,
 		MigrationSeconds: f.migrationSeconds,
 	}
-	st.Members = make([]MemberState, 0, len(f.members))
+	recs := make([]Record, 0, len(f.members)+len(f.tenants))
 	for _, m := range f.members {
-		st.Members = append(st.Members, MemberState{
-			Name: m.name, Drained: m.drained, Health: m.health, Misses: m.misses,
-		})
+		recs = append(recs, Record{Type: RecHealth, ID: -1, Backend: m.name,
+			FromHealth: Healthy, ToHealth: m.health, Misses: m.misses})
+		if m.drained {
+			recs = append(recs, Record{Type: RecDrainStart, ID: -1, Backend: m.name})
+		}
 	}
-	st.Tenants = make([]TenantState, 0, len(f.tenants))
 	for _, id := range f.tenantIDsLocked() {
 		rec := f.tenants[id]
-		st.Tenants = append(st.Tenants, TenantState{
-			ID: id, Backend: rec.mem.name, EngineID: rec.engineID,
-			Workload: rec.w.Name, VCPUs: rec.vcpus,
+		recs = append(recs, Record{Type: RecPlace, ID: id, Backend: rec.mem.name,
+			EngineID: rec.engineID, Workload: rec.w.Name, VCPUs: rec.vcpus,
 			ClassID: rec.assign.Class, Nodes: rec.assign.Nodes,
-			BasePerf: rec.assign.BasePerf, ProbePerf: rec.assign.ProbePerf,
-		})
+			BasePerf: rec.assign.BasePerf, ProbePerf: rec.assign.ProbePerf})
 	}
+	for i := range recs {
+		recs[i].Seq = uint64(i + 1)
+	}
+	st.Records = recs
 	return st
 }
 

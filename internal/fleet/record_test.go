@@ -277,6 +277,14 @@ func TestRestoreRejectsBadLogs(t *testing.T) {
 		t.Errorf("unknown-workload Restore err = %v, want ErrLogCorrupt", err)
 	}
 
+	// A snapshot naming a member the fleet lacks is corruption.
+	twinSnap, _ := stubFleet(t, cfg)
+	snap := stateOf(f)
+	snap.Records[0].Backend = "zz"
+	if err := twinSnap.Restore(ctx, &snap, nil, lookupWorkload); !errors.Is(err, nperr.ErrLogCorrupt) {
+		t.Errorf("unknown-member snapshot Restore err = %v, want ErrLogCorrupt", err)
+	}
+
 	// Restore refuses a fleet that already served, and one with a
 	// persister attached.
 	if err := f.Restore(ctx, nil, recs, lookupWorkload); err == nil {
@@ -343,9 +351,12 @@ func TestProbeMissesSurviveReplay(t *testing.T) {
 		t.Fatalf("Restore: %v", err)
 	}
 	requireFleetEqual(t, f, twin)
-	for _, ms := range stateOf(twin).Members {
-		if want := map[string]int{"a": 1}[ms.Name]; ms.Misses != want {
-			t.Fatalf("restored %s has %d misses, want %d", ms.Name, ms.Misses, want)
+	for _, r := range stateOf(twin).Records {
+		if r.Type != RecHealth {
+			continue
+		}
+		if want := map[string]int{"a": 1}[r.Backend]; r.Misses != want {
+			t.Fatalf("restored %s has %d misses, want %d", r.Backend, r.Misses, want)
 		}
 	}
 

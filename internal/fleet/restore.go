@@ -1,7 +1,7 @@
 // Recovery: rebuilding a fleet from a snapshot plus a write-ahead record
 // tail. Restore runs once, on a freshly built fleet whose backends have
-// been Added (and trained) but never served: the snapshot installs the
-// tenant map and member flags as of its sequence, then each record with a
+// been Added (and trained) but never served: the snapshot's records rebuild
+// the member flags and tenant map as of its sequence, then each record with a
 // greater sequence redoes the backend side of the mutation it logged —
 // adoption instead of re-admission, recorded moves instead of re-searching —
 // and is booked by the same bookLocked the live mutation called, so the
@@ -100,24 +100,15 @@ func restoreOf(r *Record, w perfsim.Workload, vcpus int) sched.Restore {
 	}
 }
 
-// applyStateLocked installs a snapshot: the member flags, each tenant as the
-// RecPlace of its current home, then the counters and next ID the snapshot
-// carries, which stand for the whole history before it. Callers hold f.mu.
+// applyStateLocked installs a snapshot: each of its records replays as a log
+// record would — the member flags, then each tenant's RecPlace — then the
+// counters and next ID the snapshot carries, which stand for the whole
+// history before it. Callers hold f.mu.
 func (f *Fleet) applyStateLocked(ctx context.Context, st *State, lookup WorkloadLookup) error {
-	for _, ms := range st.Members {
-		m, err := f.memberOf(ms.Name)
-		if err != nil {
-			return fmt.Errorf("fleet: restoring member %q: %w", ms.Name, err)
-		}
-		m.drained, m.health, m.misses = ms.Drained, ms.Health, ms.Misses
-	}
-	for i := range st.Tenants {
-		ts := &st.Tenants[i]
-		r := Record{Type: RecPlace, ID: ts.ID, Backend: ts.Backend, Workload: ts.Workload,
-			VCPUs: ts.VCPUs, EngineID: ts.EngineID, ClassID: ts.ClassID, Nodes: ts.Nodes,
-			BasePerf: ts.BasePerf, ProbePerf: ts.ProbePerf}
-		if err := f.replayLocked(ctx, &r, lookup); err != nil {
-			return fmt.Errorf("fleet: restoring tenant %d: %w", ts.ID, err)
+	for i := range st.Records {
+		r := &st.Records[i]
+		if err := f.replayLocked(ctx, r, lookup); err != nil {
+			return fmt.Errorf("fleet: restoring snapshot record %d (%s): %w", r.Seq, r.Type, err)
 		}
 	}
 	// NextID may exceed the highest mapped ID (released tenants); the

@@ -31,18 +31,19 @@ import (
 )
 
 // logMagic / snapMagic head the two file kinds; the trailing byte versions
-// the format.
+// the format; a version 1 snapshot is not read.
 var (
 	logMagic  = []byte("NPWAL\x00\x00\x01")
-	snapMagic = []byte("NPSNAP\x00\x01")
+	snapMagic = []byte("NPSNAP\x00\x02")
 )
 
 const (
 	// frameHeader is the fixed per-frame overhead: u32 length + u32 CRC.
 	frameHeader = 8
-	// maxFrame caps a payload's encoded size. Records are ~150 bytes and
-	// snapshots grow with tenant count; 1 MiB bounds both with orders of
-	// magnitude to spare, so any larger length field is torn garbage.
+	// maxFrame caps a payload's encoded size. A frame holds one record
+	// (~150 bytes, at most 900) or a snapshot's fixed head, however large
+	// the fleet: 1 MiB bounds both with orders of magnitude to spare, so any
+	// larger length field is torn garbage.
 	maxFrame = 1 << 20
 )
 
@@ -69,51 +70,6 @@ func appendString(dst []byte, s string) ([]byte, error) {
 	dst = append(dst, byte(len(s)))
 	return append(dst, s...), nil
 }
-
-// reader consumes a snapshot payload in the same walk; failed reads latch
-// so a decode is one pass plus a single error check at the end. Strings are
-// copies, never views of buf.
-type reader struct {
-	buf []byte
-	off int
-	bad bool
-}
-
-func (r *reader) uint() uint64 {
-	if r.bad || r.off+8 > len(r.buf) {
-		r.bad = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *reader) int() int       { return int(int64(r.uint())) }
-func (r *reader) float() float64 { return math.Float64frombits(r.uint()) }
-func (r *reader) byte() byte {
-	if r.bad || r.off >= len(r.buf) {
-		r.bad = true
-		return 0
-	}
-	b := r.buf[r.off]
-	r.off++
-	return b
-}
-
-func (r *reader) string() string {
-	n := int(r.byte())
-	if r.bad || r.off+n > len(r.buf) {
-		r.bad = true
-		return ""
-	}
-	s := string(r.buf[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-// done reports whether the walk consumed the payload exactly.
-func (r *reader) done() bool { return !r.bad && r.off == len(r.buf) }
 
 // appendRecord encodes r onto dst (payload only, no frame header).
 //
@@ -273,97 +229,59 @@ func (in *interner) string(b []byte) string {
 	return s
 }
 
-// appendState encodes a snapshot State payload.
+// A snapshot body (the file after snapMagic) is one head frame, then one
+// frame per record of the State, numbered from 1. The head holds the State's
+// fixed fields — Seq, NextID, the six integer counters, MigrationSeconds —
+// and the number of record frames that follow, so a body cut at a frame
+// boundary is as short as any other cut.
+const stateHead = 10 * 8
+
+// appendState encodes st as a snapshot body onto dst.
 func appendState(dst []byte, st *fleet.State) ([]byte, error) {
-	var err error
-	dst = appendUint(dst, st.Seq)
-	dst = appendInt(dst, st.NextID)
-	dst = appendInt(dst, int(st.Admitted))
-	dst = appendInt(dst, int(st.Rejected))
-	dst = appendInt(dst, int(st.Released))
-	dst = appendInt(dst, int(st.Moves))
-	dst = appendInt(dst, int(st.Failovers))
-	dst = appendInt(dst, int(st.FailedOver))
-	dst = appendFloat(dst, st.MigrationSeconds)
-	dst = appendInt(dst, len(st.Members))
-	for i := range st.Members {
-		m := &st.Members[i]
-		if dst, err = appendString(dst, m.Name); err != nil {
-			return dst, err
-		}
-		if m.Drained {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-		dst = append(dst, byte(m.Health))
-		dst = appendInt(dst, m.Misses)
+	head := make([]byte, 0, stateHead)
+	head = appendUint(head, st.Seq)
+	for _, v := range [...]int64{int64(st.NextID), st.Admitted, st.Rejected, st.Released, st.Moves, st.Failovers, st.FailedOver} {
+		head = appendUint(head, uint64(v))
 	}
-	dst = appendInt(dst, len(st.Tenants))
-	for i := range st.Tenants {
-		t := &st.Tenants[i]
-		dst = appendInt(dst, t.ID)
-		if dst, err = appendString(dst, t.Backend); err != nil {
+	head = appendFloat(head, st.MigrationSeconds)
+	head = appendInt(head, len(st.Records))
+	dst = appendFrame(dst, head)
+	var payload []byte
+	for i := range st.Records {
+		var err error
+		if payload, err = appendRecord(payload[:0], &st.Records[i]); err != nil {
 			return dst, err
 		}
-		dst = appendInt(dst, t.EngineID)
-		if dst, err = appendString(dst, t.Workload); err != nil {
-			return dst, err
-		}
-		dst = appendInt(dst, t.VCPUs)
-		dst = appendInt(dst, t.ClassID)
-		dst = appendUint(dst, uint64(t.Nodes))
-		dst = appendFloat(dst, t.BasePerf)
-		dst = appendFloat(dst, t.ProbePerf)
+		dst = appendFrame(dst, payload)
 	}
 	return dst, nil
 }
 
-// decodeState decodes a snapshot payload.
-func decodeState(payload []byte) (*fleet.State, error) {
-	rd := reader{buf: payload}
-	st := &fleet.State{}
-	st.Seq = rd.uint()
-	st.NextID = rd.int()
-	st.Admitted = int64(rd.int())
-	st.Rejected = int64(rd.int())
-	st.Released = int64(rd.int())
-	st.Moves = int64(rd.int())
-	st.Failovers = int64(rd.int())
-	st.FailedOver = int64(rd.int())
-	st.MigrationSeconds = rd.float()
-	nm := rd.int()
-	if rd.bad || nm < 0 || nm > maxFrame/4 {
-		return nil, fmt.Errorf("wal: snapshot member count does not parse: %w", nperr.ErrLogCorrupt)
+// decodeState decodes a snapshot body through the log's own frame scan. The
+// file is published whole by rename, so what a log scan would call a torn
+// tail is corruption here: the head frame must verify, and the record frames
+// must fill the body exactly, as many as the head counts, numbered from 1.
+func decodeState(body []byte) (*fleet.State, error) {
+	n, ok := frameAt(body, 0)
+	if !ok || n != stateHead || crc32.Checksum(body[frameHeader:frameHeader+n], castagnoli) != binary.LittleEndian.Uint32(body[4:]) {
+		return nil, fmt.Errorf("wal: snapshot head frame does not parse: %w", nperr.ErrLogCorrupt)
 	}
-	st.Members = make([]fleet.MemberState, nm)
-	for i := range st.Members {
-		m := &st.Members[i]
-		m.Name = rd.string()
-		m.Drained = rd.byte() != 0
-		m.Health = fleet.Health(rd.byte())
-		m.Misses = rd.int()
+	h := (*[stateHead]byte)(body[frameHeader:])
+	field := func(i int) int64 { return int64(binary.LittleEndian.Uint64(h[8*i:])) }
+	st := &fleet.State{
+		Seq: uint64(field(0)), NextID: int(field(1)),
+		Admitted: field(2), Rejected: field(3), Released: field(4), Moves: field(5),
+		Failovers: field(6), FailedOver: field(7),
+		MigrationSeconds: math.Float64frombits(uint64(field(8))),
 	}
-	nt := rd.int()
-	if rd.bad || nt < 0 || nt > maxFrame/16 {
-		return nil, fmt.Errorf("wal: snapshot tenant count does not parse: %w", nperr.ErrLogCorrupt)
+	recs, m, err := scanFrames(body[frameHeader+stateHead:])
+	if err != nil {
+		return nil, fmt.Errorf("wal: snapshot: %w", err)
 	}
-	st.Tenants = make([]fleet.TenantState, nt)
-	for i := range st.Tenants {
-		t := &st.Tenants[i]
-		t.ID = rd.int()
-		t.Backend = rd.string()
-		t.EngineID = rd.int()
-		t.Workload = rd.string()
-		t.VCPUs = rd.int()
-		t.ClassID = rd.int()
-		t.Nodes = topology.NodeSet(rd.uint())
-		t.BasePerf = rd.float()
-		t.ProbePerf = rd.float()
+	if frameHeader+stateHead+m != len(body) || int64(len(recs)) != field(9) || (len(recs) > 0 && recs[0].Seq != 1) {
+		return nil, fmt.Errorf("wal: snapshot body is not its %d records numbered from 1: %w", field(9), nperr.ErrLogCorrupt)
 	}
-	if !rd.done() {
-		return nil, fmt.Errorf("wal: snapshot payload does not parse: %w", nperr.ErrLogCorrupt)
-	}
+	st.Records = recs
 	return st, nil
 }
 

@@ -41,10 +41,8 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -295,36 +293,13 @@ func readSnapshot(path string) (*fleet.State, error) {
 		return nil, fmt.Errorf("wal: reading %s: %w", path, err)
 	}
 	if len(buf) < len(snapMagic) || string(buf[:len(snapMagic)]) != string(snapMagic) {
-		return nil, fmt.Errorf("wal: %s is not a snapshot: %w", path, nperr.ErrLogCorrupt)
+		return nil, fmt.Errorf("wal: %s is not a version 2 snapshot: %w", path, nperr.ErrLogCorrupt)
 	}
-	// One frame; rename atomicity means it is either whole or absent, so
-	// any framing damage here is corruption, not a torn write.
-	st, err := decodeSnapshotFrame(buf[len(snapMagic):])
+	st, err := decodeState(buf[len(snapMagic):])
 	if err != nil {
 		return nil, fmt.Errorf("wal: %s: %w", path, err)
 	}
 	return st, nil
-}
-
-// decodeSnapshotFrame validates and decodes the single snapshot frame, which
-// must end the file.
-func decodeSnapshotFrame(body []byte) (*fleet.State, error) {
-	if len(body) < frameHeader {
-		return nil, fmt.Errorf("snapshot frame header short: %w", nperr.ErrLogCorrupt)
-	}
-	n := int(binary.LittleEndian.Uint32(body))
-	if n == 0 || n > maxFrame || frameHeader+n > len(body) {
-		return nil, fmt.Errorf("snapshot frame length %d invalid: %w", n, nperr.ErrLogCorrupt)
-	}
-	if frameHeader+n != len(body) {
-		return nil, fmt.Errorf("snapshot frame followed by %d stray bytes: %w", len(body)-frameHeader-n, nperr.ErrLogCorrupt)
-	}
-	want := binary.LittleEndian.Uint32(body[4:])
-	payload := body[frameHeader : frameHeader+n]
-	if crc32.Checksum(payload, castagnoli) != want {
-		return nil, fmt.Errorf("snapshot CRC mismatch: %w", nperr.ErrLogCorrupt)
-	}
-	return decodeState(payload)
 }
 
 // Append implements fleet.Persister: encode the record as a frame into the
@@ -491,11 +466,10 @@ func (l *Log) Snapshot(st fleet.State) error {
 		return err
 	}
 
-	payload, err := appendState(nil, &st)
+	blob, err := appendState(append([]byte(nil), snapMagic...), &st)
 	if err != nil {
 		return fmt.Errorf("wal: encoding snapshot at seq %d: %w", st.Seq, err)
 	}
-	blob := append(append([]byte(nil), snapMagic...), appendFrame(nil, payload)...)
 	tmp := filepath.Join(l.dir, "snapshot.tmp")
 	final := filepath.Join(l.dir, "snapshot")
 	if err := writeFileSync(tmp, blob); err != nil {

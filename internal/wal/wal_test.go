@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -318,21 +319,50 @@ func TestStructuralCorruptionRefuses(t *testing.T) {
 		t.Errorf("disconnected first seq err = %v, want ErrLogCorrupt", err)
 	}
 
-	// A whole snapshot followed by stray bytes: a snapshot is one frame, so
-	// whatever follows it was not written by Snapshot.
-	snapDir := t.TempDir()
-	state, err := appendState(nil, &fleet.State{Seq: 3, NextID: 1})
+	// A snapshot is published whole by rename, so nothing short of the whole
+	// file reads, and nothing reads as a shorter State: the body cut at every
+	// offset (frame boundaries included), a byte flipped in any frame,
+	// records not numbered from 1, stray bytes after the last frame, and the
+	// one-frame version 1 each refuse.
+	st := sampleState()
+	body, err := appendState(nil, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := appendFrame(append([]byte(nil), snapMagic...), state)
-	snap = append(snap, "trailing garbage"...)
-	if err := os.WriteFile(filepath.Join(snapDir, "snapshot"), snap, 0o644); err != nil {
+	whole := append(append([]byte(nil), snapMagic...), body...)
+	snapDir := t.TempDir()
+	refuses := func(what string, blob []byte) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(snapDir, "snapshot"), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, got, _, err := Open(Options{Dir: snapDir, Fsync: FsyncNone})
+		if l != nil {
+			l.Close()
+		}
+		if !errors.Is(err, nperr.ErrLogCorrupt) || got != nil {
+			t.Fatalf("%s: Open = state %+v, err %v; want no state and ErrLogCorrupt", what, got, err)
+		}
+	}
+	for cut := 0; cut < len(whole); cut++ {
+		refuses(fmt.Sprintf("snapshot cut at byte %d", cut), whole[:cut])
+	}
+	for off := 0; off < len(whole); off++ {
+		flipped := append([]byte(nil), whole...)
+		flipped[off] ^= 0xff
+		refuses(fmt.Sprintf("snapshot with byte %d flipped", off), flipped)
+	}
+	renumbered := sampleState()
+	for i := range renumbered.Records {
+		renumbered.Records[i].Seq++
+	}
+	late, err := appendState(append([]byte(nil), snapMagic...), &renumbered)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := Open(Options{Dir: snapDir, Fsync: FsyncNone}); !errors.Is(err, nperr.ErrLogCorrupt) {
-		t.Errorf("snapshot with trailing bytes err = %v, want ErrLogCorrupt", err)
-	}
+	refuses("snapshot records numbered from 2", late)
+	refuses("snapshot with trailing bytes", append(append([]byte(nil), whole...), "trailing garbage"...))
+	refuses("version 1 snapshot", append([]byte("NPSNAP\x00\x01"), body...))
 
 	// Zero-length and oversized frame lengths are torn tails, not errors.
 	zero := append([]byte(nil), logMagic...)
@@ -344,6 +374,23 @@ func TestStructuralCorruptionRefuses(t *testing.T) {
 	over = append(over, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0)
 	if _, _, got, err := Open(Options{Dir: mkdir(over), Fsync: FsyncNone}); err != nil || len(got) != 0 {
 		t.Errorf("oversized frame: err %v, %d records; want clean empty recovery", err, len(got))
+	}
+}
+
+// sampleState is a snapshot of two members, m1 suspect and drained, and one
+// tenant on m0, as Fleet.Checkpoint writes one: a health record per member
+// (and a drain-start after a drained one's), a place per tenant, numbered
+// from 1.
+func sampleState() fleet.State {
+	return fleet.State{
+		Seq: 6, NextID: 4, Admitted: 3, Released: 1, MigrationSeconds: 1.5,
+		Records: []fleet.Record{
+			{Seq: 1, Type: fleet.RecHealth, ID: -1, Backend: "m0", FromHealth: fleet.Healthy, ToHealth: fleet.Healthy},
+			{Seq: 2, Type: fleet.RecHealth, ID: -1, Backend: "m1", FromHealth: fleet.Healthy, ToHealth: fleet.Suspect, Misses: 2},
+			{Seq: 3, Type: fleet.RecDrainStart, ID: -1, Backend: "m1"},
+			{Seq: 4, Type: fleet.RecPlace, ID: 0, Backend: "m0", EngineID: 0, Workload: "swaptions", VCPUs: 16,
+				ClassID: 3, Nodes: topology.NodeSet(0b11), BasePerf: 1.5, ProbePerf: 0.5},
+		},
 	}
 }
 
@@ -360,17 +407,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := l.Commit(6); err != nil {
 		t.Fatal(err)
 	}
-	st := fleet.State{
-		Seq: 6, NextID: 4, Admitted: 3, Released: 1, MigrationSeconds: 1.5,
-		Members: []fleet.MemberState{
-			{Name: "m0", Health: fleet.Healthy},
-			{Name: "m1", Drained: true, Health: fleet.Suspect, Misses: 2},
-		},
-		Tenants: []fleet.TenantState{
-			{ID: 0, Backend: "m0", EngineID: 0, Workload: "swaptions", VCPUs: 16,
-				ClassID: 3, Nodes: topology.NodeSet(0b11), BasePerf: 1.5, ProbePerf: 0.5},
-		},
-	}
+	st := sampleState()
 	if err := l.Snapshot(st); err != nil {
 		t.Fatal(err)
 	}
@@ -410,6 +447,61 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if _, _, _, err := Open(Options{Dir: dir, Fsync: FsyncNone}); !errors.Is(err, nperr.ErrLogCorrupt) {
 		t.Fatalf("mangled snapshot err = %v, want ErrLogCorrupt", err)
+	}
+}
+
+// TestLargeSnapshotReopens: a snapshot is a frame per record, so its size
+// has no cap. 16 000 tenants on 1 024 members, some drained, suspect or dead
+// — 2.5 MB of records, more than maxFrame allows one frame — checkpoint,
+// close and reopen to the State they were.
+func TestLargeSnapshotReopens(t *testing.T) {
+	const members, tenants = 1024, 16000
+	st := fleet.State{Seq: 40000, NextID: tenants + 7, Admitted: 30000, Rejected: 12,
+		Released: 14000, Moves: 900, Failovers: 3, FailedOver: 40, MigrationSeconds: 1234.5}
+	name := func(i int) string { return fmt.Sprintf("machine-%04d", i) }
+	for i := 0; i < members; i++ {
+		r := fleet.Record{Type: fleet.RecHealth, ID: -1, Backend: name(i), FromHealth: fleet.Healthy, ToHealth: fleet.Healthy}
+		switch {
+		case i%97 == 5:
+			r.ToHealth, r.Misses = fleet.Dead, 4
+		case i%13 == 2:
+			r.ToHealth, r.Misses = fleet.Suspect, 2
+		case i%11 == 1:
+			r.Misses = 1
+		}
+		st.Records = append(st.Records, r)
+		if i%37 == 3 {
+			st.Records = append(st.Records, fleet.Record{Type: fleet.RecDrainStart, ID: -1, Backend: name(i)})
+		}
+	}
+	workloads := []string{"swaptions", "WTbtree", "canneal", "postgres-tpcc"}
+	for id := 0; id < tenants; id++ {
+		st.Records = append(st.Records, fleet.Record{Type: fleet.RecPlace, ID: id, Backend: name(id % members),
+			EngineID: id / members, Workload: workloads[id%len(workloads)], VCPUs: 4 << (id % 3),
+			ClassID: id % 7, Nodes: topology.NodeSet(1 << (id % 8)), BasePerf: float64(id) / 3, ProbePerf: float64(id%101) / 7})
+	}
+	for i := range st.Records {
+		st.Records[i].Seq = uint64(i + 1)
+	}
+
+	dir := t.TempDir()
+	l, _, _, err := Open(Options{Dir: dir, Fsync: FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Snapshot(st); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, got, recs, err := Open(Options{Dir: dir, Fsync: FsyncNone})
+	if err != nil {
+		t.Fatalf("reopening a %d-tenant snapshot: %v", tenants, err)
+	}
+	defer l.Close()
+	if got == nil || !reflect.DeepEqual(*got, st) || len(recs) != 0 {
+		t.Fatalf("reopened %d-tenant snapshot diverged (%d records of %d, %d in the log)", tenants, len(got.Records), len(st.Records), len(recs))
 	}
 }
 
@@ -678,6 +770,55 @@ func FuzzScanFrames(f *testing.F) {
 	})
 }
 
+// FuzzReadSnapshot: on any bytes after the magic, decodeState refuses with
+// ErrLogCorrupt or returns a State that re-encodes and decodes to itself.
+// States are compared by their encodings, which carry every field's bits (a
+// NaN equals itself there).
+func FuzzReadSnapshot(f *testing.F) {
+	st := sampleState()
+	body, err := appendState(nil, &st)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(body)
+	f.Add([]byte{})
+	f.Add(body[:frameHeader+stateHead])
+	f.Add(body[:len(body)-1])
+	flipped := append([]byte(nil), body...)
+	flipped[len(flipped)-3] ^= 0xff
+	f.Add(flipped)
+	f.Add(append(append([]byte(nil), body...), 0, 0, 0, 0))
+	for i := range st.Records {
+		st.Records[i].Seq++
+	}
+	late, err := appendState(nil, &st)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(late)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		st, err := decodeState(body)
+		if err != nil {
+			if !errors.Is(err, nperr.ErrLogCorrupt) || st != nil {
+				t.Fatalf("decodeState = %v, %v; want no state and ErrLogCorrupt", st, err)
+			}
+			return
+		}
+		enc, err := appendState(nil, st)
+		if err != nil {
+			t.Fatalf("a decoded state does not encode: %v", err)
+		}
+		back, err := decodeState(enc)
+		if err != nil {
+			t.Fatalf("a decoded state re-encodes to bytes that do not decode: %v", err)
+		}
+		again, err := appendState(nil, back)
+		if err != nil || !bytes.Equal(again, enc) {
+			t.Fatalf("state does not round-trip (%v):\n got %+v\nwant %+v", err, back, st)
+		}
+	})
+}
+
 // scanFramesNaive is scanFrames without its economies — one pass, one frame
 // at a time through the field walk readRecord, every string its own copy,
 // the slice grown by append — and the reference FuzzScanFrames holds it to.
@@ -708,6 +849,51 @@ func scanFramesNaive(buf []byte) ([]fleet.Record, int, error) {
 		off += frameHeader + n
 	}
 }
+
+// reader is the field walk, one bounds-checked read at a time; failed reads
+// latch so a decode is one pass plus a single error check at the end.
+// Strings are copies, never views of buf.
+type reader struct {
+	buf []byte
+	off int
+	bad bool
+}
+
+func (r *reader) uint() uint64 {
+	if r.bad || r.off+8 > len(r.buf) {
+		r.bad = true
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(r.buf[r.off:])
+	r.off += 8
+	return v
+}
+
+func (r *reader) int() int       { return int(int64(r.uint())) }
+func (r *reader) float() float64 { return math.Float64frombits(r.uint()) }
+func (r *reader) byte() byte {
+	if r.bad || r.off >= len(r.buf) {
+		r.bad = true
+		return 0
+	}
+	b := r.buf[r.off]
+	r.off++
+	return b
+}
+
+func (r *reader) string() string {
+	n := int(r.byte())
+	if r.bad || r.off+n > len(r.buf) {
+		r.bad = true
+		return ""
+	}
+	s := string(r.buf[r.off : r.off+n])
+	r.off += n
+	return s
+}
+
+// done reports whether the walk consumed the payload exactly.
+func (r *reader) done() bool { return !r.bad && r.off == len(r.buf) }
 
 // readRecord decodes one record payload a field at a time, each read
 // checking its own bounds: the independent decoder decodeRecordInto is held

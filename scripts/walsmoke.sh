@@ -11,7 +11,10 @@
 # wire, and still shut down gracefully. Beside that, the two surfaces of
 # the one commit stream must agree: the last seq a /v1/events watcher saw
 # is /v1/log/head's, and the successor's first frame carries the recovered
-# seq plus one. CI runs this on every push.
+# seq plus one. Then the successor's SIGTERM checkpoint is reopened: a third
+# daemon on the same -data-dir must recover from the snapshot alone (0
+# records replayed) and serve the successor's assignments byte for byte.
+# CI runs this on every push.
 #
 # The kill lands with live tenants resident and an unsnapshotted tail in
 # the log: recovery must come from the appended records alone. The diff
@@ -53,9 +56,9 @@ start_daemon() {
         addr="$(sed -n 's|^numaplaced: serving on \(http://[^ ]*\)$|\1|p' "$logfile")"
         [ -n "$addr" ] && break
         if ! kill -0 "$daemon_pid" 2>/dev/null; then
-            # A successor that cannot replay its log says so in one line:
-            # lead with it, the full log follows.
-            echo "FAIL: daemon exited before becoming ready: $(grep -m1 'replaying' "$logfile" || true)"
+            # A successor that cannot open or replay its log says so in
+            # one line: lead with it, the full log follows.
+            echo "FAIL: daemon exited before becoming ready: $(grep -m1 'write-ahead log in' "$logfile" || true)"
             cat "$logfile"
             exit 1
         fi
@@ -184,18 +187,50 @@ if [ "$first_seq" != "$((recovered_seq + 1))" ]; then
     exit 1
 fi
 echo "successor's first frame continues the log at seq $((recovered_seq + 1))"
+kill "$feed_pid" 2>/dev/null || true
+feed_pid=""
+curl -sf "$addr/v1/assignments" > "$dir/successor.json"
+
+# stop_daemon: SIGTERM, a zero exit, and the shutdown checkpoint in the named
+# log. Sets $snap_seq to the checkpoint's seq.
+stop_daemon() {
+    kill -TERM "$daemon_pid"
+    if ! wait "$daemon_pid"; then
+        echo "FAIL: daemon exited non-zero on SIGTERM:"
+        cat "$1"
+        exit 1
+    fi
+    daemon_pid=""
+    snap_seq="$(sed -n 's/^numaplaced: checkpointed at seq \([0-9]*\)$/\1/p' "$1")"
+    if [ -z "$snap_seq" ]; then
+        echo "FAIL: daemon log missing shutdown checkpoint:"
+        cat "$1"
+        exit 1
+    fi
+}
 
 # And the successor still owes a graceful exit: checkpoint, close, bye.
-kill -TERM "$daemon_pid"
-if ! wait "$daemon_pid"; then
-    echo "FAIL: successor exited non-zero on SIGTERM:"
-    cat "$dir/daemon2.log"
+stop_daemon "$dir/daemon2.log"
+echo "successor checkpointed at seq $snap_seq"
+
+# The checkpoint is the whole history now: a third daemon recovers from the
+# snapshot alone and serves what the successor served.
+start_daemon "$dir/daemon3.log"
+line="$(grep '^numaplaced: recovered ' "$dir/daemon3.log" || true)"
+echo "$line"
+case "$line" in
+    *" at seq $snap_seq (snapshot $snap_seq) "*": 0 records replayed,"*) ;;
+    *) echo "FAIL: third daemon did not recover from the seq $snap_seq snapshot alone:"
+       cat "$dir/daemon3.log"
+       exit 1 ;;
+esac
+curl -sf "$addr/v1/assignments" > "$dir/third.json"
+if ! cmp -s "$dir/successor.json" "$dir/third.json"; then
+    echo "FAIL: assignments recovered from the snapshot differ from the successor's"
+    echo "--- successor ---"; cat "$dir/successor.json"
+    echo "--- third ---"; cat "$dir/third.json"
     exit 1
 fi
-daemon_pid=""
-if ! grep -q '^numaplaced: checkpointed at seq ' "$dir/daemon2.log"; then
-    echo "FAIL: successor log missing shutdown checkpoint:"
-    cat "$dir/daemon2.log"
-    exit 1
-fi
-echo "wal smoke passed: kill -9 survived, assignments identical, recovered state live"
+echo "snapshot reopened: assignments identical ($(wc -c < "$dir/third.json") bytes)"
+stop_daemon "$dir/daemon3.log"
+echo "wal smoke passed: kill -9 survived, assignments identical, recovered state live, snapshot reopened"
