@@ -43,7 +43,7 @@ func BenchmarkImportantPlacements(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			spec := concern.FromMachine(tc.m)
 			for i := 0; i < b.N; i++ {
-				if _, err := placement.Enumerate(spec, tc.v); err != nil {
+				if _, err := placement.Enumerate(context.Background(), spec, tc.v); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -129,14 +129,14 @@ func BenchmarkAblationNoParetoFilter(b *testing.B) {
 func BenchmarkAblationForestSize(b *testing.B) {
 	m := machines.Intel()
 	ws := append(workloads.Paper(), workloads.CorpusFrom(20, 7, []string{"flat", "bw", "lat"})...)
-	ds, err := core.Collect(m, ws, 24, core.CollectConfig{Trials: 2})
+	ds, err := core.Collect(context.Background(), m, ws, 24, core.CollectConfig{Trials: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, trees := range []int{10, 50, 100} {
 		b.Run(map[int]string{10: "trees-10", 50: "trees-50", 100: "trees-100"}[trees], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, err := core.Train(ds, core.TrainConfig{
+				_, err := core.Train(context.Background(), ds, core.TrainConfig{
 					Forest:         mlearn.ForestConfig{Trees: trees},
 					SelectionTrees: 6, SelectionFolds: 3, Seed: 1,
 					FixedPair: &[2]int{1, 6},
@@ -156,11 +156,11 @@ func BenchmarkAblationForestSize(b *testing.B) {
 func BenchmarkPredictLatency(b *testing.B) {
 	m := machines.Intel()
 	ws := append(workloads.Paper(), workloads.CorpusFrom(20, 7, []string{"flat", "bw", "lat"})...)
-	ds, err := core.Collect(m, ws, 24, core.CollectConfig{Trials: 2})
+	ds, err := core.Collect(context.Background(), m, ws, 24, core.CollectConfig{Trials: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
-	pred, err := core.Train(ds, core.TrainConfig{
+	pred, err := core.Train(context.Background(), ds, core.TrainConfig{
 		Forest: mlearn.ForestConfig{Trees: 100}, FixedPair: &[2]int{1, 6}, Seed: 1,
 	})
 	if err != nil {
@@ -186,11 +186,11 @@ func BenchmarkPredictLatency(b *testing.B) {
 func BenchmarkPredictDataset(b *testing.B) {
 	m := machines.Intel()
 	ws := append(workloads.Paper(), workloads.CorpusFrom(20, 7, []string{"flat", "bw", "lat"})...)
-	ds, err := core.Collect(m, ws, 24, core.CollectConfig{Trials: 2})
+	ds, err := core.Collect(context.Background(), m, ws, 24, core.CollectConfig{Trials: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
-	pred, err := core.Train(ds, core.TrainConfig{
+	pred, err := core.Train(context.Background(), ds, core.TrainConfig{
 		Forest: mlearn.ForestConfig{Trees: 100}, FixedPair: &[2]int{1, 6}, Seed: 1,
 	})
 	if err != nil {

@@ -3,7 +3,6 @@ package numaplace
 import (
 	"context"
 
-	"repro/internal/des"
 	"repro/internal/fleet"
 )
 
@@ -39,7 +38,7 @@ type Cluster struct {
 // Cluster-layer types and policies, re-exported from internal/fleet.
 type (
 	// ClusterConfig tunes a Cluster (routing policy, drain threshold,
-	// migration-cost model).
+	// health thresholds, domain spread).
 	ClusterConfig = fleet.Config
 	// ClusterPolicy selects how Place routes admissions.
 	ClusterPolicy = fleet.Policy
@@ -66,14 +65,6 @@ type (
 	// thresholds for the healthy→suspect→dead transitions and the
 	// migration budget of the automatic failover pass.
 	ClusterHealthConfig = fleet.HealthConfig
-	// ClusterMonitor drives the health state machine from periodic
-	// liveness probes (see Cluster.Monitor).
-	ClusterMonitor = fleet.Monitor
-	// ClusterMonitorConfig tunes a monitor loop: probe cadence, probe
-	// function, transition/rejoin callbacks.
-	ClusterMonitorConfig = fleet.MonitorConfig
-	// ClusterProbeFunc answers one liveness probe: true = responded.
-	ClusterProbeFunc = fleet.ProbeFunc
 	// ClusterSubscription is one bounded subscriber of the event feed:
 	// events buffer in a fixed ring, the oldest dropped (and counted) when
 	// the subscriber falls behind — publishing never blocks admissions.
@@ -256,12 +247,3 @@ func (c *Cluster) Subscribe(buf int) *ClusterSubscription { return c.f.Subscribe
 // Fleet exposes the underlying fleet for serving layers (the wire daemon)
 // that operate on it directly.
 func (c *Cluster) Fleet() *fleet.Fleet { return c.f }
-
-// Monitor builds a health monitor that drives the state machine from
-// periodic liveness probes, ticking deterministically on the simulation
-// clock sim. Start it with ClusterMonitor.Start; a machine that stops
-// answering rides healthy→suspect→dead and its tenants fail over
-// automatically, and a dead one that answers again is revived.
-func (c *Cluster) Monitor(sim *des.Sim, cfg ClusterMonitorConfig) (*ClusterMonitor, error) {
-	return c.f.Monitor(sim, cfg)
-}

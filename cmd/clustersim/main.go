@@ -52,6 +52,7 @@ import (
 	"os"
 	"os/signal"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -173,7 +174,7 @@ func main() {
 	rebalance := flag.Float64("rebalance", 120, "rebalance tick period in simulated seconds (0 disables)")
 	budget := flag.Float64("budget", 60, "migration-seconds budget per rebalance pass")
 	drainBelow := flag.Float64("drain-below", 0.5, "consolidate machines below this utilization during rebalance")
-	probeEvery := flag.Float64("probe-every", 10, "health probe period in simulated seconds (0 disables the monitor)")
+	probeEvery := flag.Float64("probe-every", 10, "health probe period in simulated seconds (0 disables probing, and with it -crash, -slow and -partition)")
 	crash := flag.String("crash", "", "crash scenario: machine@t[,...] — stops answering probes at sim time t, never recovers")
 	slow := flag.String("slow", "", "slow-node scenario: machine@t[,...] — answers only every third probe from sim time t")
 	partition := flag.String("partition", "", "partition scenario: machine@t1:t2[,...] — unreachable in [t1,t2), then rejoins")
@@ -254,15 +255,15 @@ func flagSet(name string) bool {
 // predictions agree decision for decision — the property WAL replay needs.
 // Machines alternate between two racks — the failure domains the -spread
 // routing preference and the per-domain stats report against.
-func buildCluster(ctx context.Context, cfg simConfig, out io.Writer) (*numaplace.Cluster, []string, error) {
+func buildCluster(ctx context.Context, cfg simConfig, out io.Writer) (*numaplace.Cluster, error) {
 	cl := numaplace.NewCluster(numaplace.ClusterConfig{
 		Policy: cfg.policy, DrainBelow: cfg.drainBelow, SpreadDomains: cfg.spread,
 	})
-	names := make([]string, 0, len(cfg.machines))
+	names := machineNames(cfg.machines)
 	for i, mname := range cfg.machines {
 		m, ok := numaplace.MachineByName(mname)
 		if !ok {
-			return nil, nil, fmt.Errorf("unknown machine %q", mname)
+			return nil, fmt.Errorf("unknown machine %q", mname)
 		}
 		eng := numaplace.New(m,
 			numaplace.WithCollectConfig(numaplace.CollectConfig{Trials: cfg.trials}),
@@ -274,26 +275,69 @@ func buildCluster(ctx context.Context, cfg simConfig, out io.Writer) (*numaplace
 		ws := workloads.TrainingSet(cfg.corpus, 42)
 		ds, err := eng.Collect(ctx, ws, cfg.vcpus)
 		if err != nil {
-			return nil, nil, fmt.Errorf("collecting on %s: %w", mname, err)
+			return nil, fmt.Errorf("collecting on %s: %w", mname, err)
 		}
 		pred, err := eng.Train(ctx, ds)
 		if err != nil {
-			return nil, nil, fmt.Errorf("training on %s: %w", mname, err)
+			return nil, fmt.Errorf("training on %s: %w", mname, err)
 		}
-		name := fmt.Sprintf("%s-%d", mname, i)
-		if err := cl.Add(name, eng, numaplace.InDomain(fmt.Sprintf("rack-%d", i%2))); err != nil {
-			return nil, nil, err
+		if err := cl.Add(names[i], eng, numaplace.InDomain(fmt.Sprintf("rack-%d", i%2))); err != nil {
+			return nil, err
 		}
-		names = append(names, name)
 		fmt.Fprintf(out, "trained %-8s %-22s %3d workloads x %2d placements, base/probe %d/%d\n",
-			name, m.Topo.Name, len(ws), pred.NumPlacements, pred.Base, pred.Probe)
+			names[i], m.Topo.Name, len(ws), pred.NumPlacements, pred.Base, pred.Probe)
 	}
-	return cl, names, nil
+	return cl, nil
+}
+
+// machineNames names the fleet's machines: the model and its position in
+// -machines ("amd-0", "intel-1").
+func machineNames(models []string) []string {
+	names := make([]string, len(models))
+	for i, m := range models {
+		names[i] = fmt.Sprintf("%s-%d", m, i)
+	}
+	return names
+}
+
+// checkFaults refuses a fault scenario that would do nothing: faults are
+// probe answers, so they need probing on, and each must name a machine of
+// the fleet.
+func checkFaults(cfg simConfig) error {
+	names := machineNames(cfg.machines)
+	known := func(flag, name string) error {
+		if !slices.Contains(names, name) {
+			return fmt.Errorf("-%s: unknown machine %q (have %s)", flag, name, strings.Join(names, ", "))
+		}
+		return nil
+	}
+	for _, c := range cfg.crash {
+		if err := known("crash", c.name); err != nil {
+			return err
+		}
+	}
+	for _, s := range cfg.slow {
+		if err := known("slow", s.name); err != nil {
+			return err
+		}
+	}
+	for _, p := range cfg.partition {
+		if err := known("partition", p.name); err != nil {
+			return err
+		}
+	}
+	if len(cfg.crash)+len(cfg.slow)+len(cfg.partition) > 0 && cfg.probeEvery <= 0 {
+		return fmt.Errorf("-crash, -slow and -partition act on health probes: they need -probe-every > 0")
+	}
+	return nil
 }
 
 // run executes the churn trace and writes the deterministic report to out;
 // wall-clock admission latencies go to errw.
 func run(ctx context.Context, cfg simConfig, out, errw io.Writer) error {
+	if err := checkFaults(cfg); err != nil {
+		return err
+	}
 	fmt.Fprintf(out, "clustersim: %d x %d-vCPU containers over %s, policy %s, seed %d\n",
 		cfg.n, cfg.vcpus, strings.Join(cfg.machines, "+"), cfg.policy, cfg.seed)
 	fmt.Fprintf(out, "trace: mean inter-arrival %gs, mean lifetime %gs, rebalance every %gs (budget %gs/pass)\n",
@@ -311,10 +355,11 @@ func run(ctx context.Context, cfg simConfig, out, errw io.Writer) error {
 		fmt.Fprintf(out, "scenario: control plane crashes and recovers from its log at t=%gs\n", rt)
 	}
 
-	cl, names, err := buildCluster(ctx, cfg, out)
+	cl, err := buildCluster(ctx, cfg, out)
 	if err != nil {
 		return err
 	}
+	names := machineNames(cfg.machines)
 
 	// The restart scenario persists every fleet mutation to a real
 	// write-ahead log so the mid-trace recovery replays exactly what a
@@ -455,94 +500,96 @@ func run(ctx context.Context, cfg simConfig, out, errw io.Writer) error {
 		sim.After(cfg.rebalanceEvery, tick)
 	}
 
-	// Health monitor: probes every machine each period on the simulation
-	// clock, so failure scenarios ride the deterministic event stream.
-	// Scenario-driven misses advance the healthy→suspect→dead machine
-	// state; death triggers the automatic failover pass, and a healed
-	// partition rejoins via Revive (fencing records failed over in its
-	// absence). All transitions are logged with their simulated times.
-	var failoverStranded int
-	var mon *numaplace.ClusterMonitor
-	slowCount := map[string]int{}
-	// startMonitor builds a monitor over the CURRENT cluster value: the
-	// restart scenario discards the cluster mid-trace, and a monitor wired
-	// to the dead one would probe the past. The slow-scenario probe counter
-	// deliberately lives outside so flakiness phase survives a restart.
-	startMonitor := func() error {
-		probe := func(name string) bool {
-			now := sim.Now()
-			for _, c := range cfg.crash {
-				if c.name == name && now >= c.at {
-					return false
-				}
+	// Health probes: every probeEvery simulated seconds each machine, in add
+	// order, answers or misses per the fault scenarios, on the simulation
+	// clock, so failure scenarios ride the deterministic event stream. An
+	// answer feeds Heartbeat — or Revive, for a dead machine, fencing the
+	// records failed over in its absence — and a miss feeds MissProbe, which
+	// advances healthy→suspect→dead and runs the automatic failover pass at
+	// death. All transitions are logged with their simulated times.
+	var (
+		failoverStranded int
+		probeTimer       *des.Timer
+		probe            func()
+	)
+	slowCount := map[string]int{} // probes of each slow machine since its fault began
+	answers := func(name string) bool {
+		now := sim.Now()
+		for _, c := range cfg.crash {
+			if c.name == name && now >= c.at {
+				return false
 			}
-			for _, p := range cfg.partition {
-				if p.name == name && now >= p.from && now < p.to {
-					return false
-				}
-			}
-			for _, s := range cfg.slow {
-				// Deterministic flakiness: two misses then an answer, on
-				// the machine's own probe counter — enough to oscillate
-				// healthy<->suspect under the default thresholds without
-				// ever reaching dead.
-				if s.name == name && now >= s.at {
-					slowCount[name]++
-					return slowCount[name]%3 == 0
-				}
-			}
-			return true
 		}
-		m, err := cl.Monitor(&sim, numaplace.ClusterMonitorConfig{
-			IntervalSeconds: cfg.probeEvery,
-			Probe:           probe,
-			Until:           func() bool { return runErr == nil && (remaining > 0 || cl.Len() > 0) },
-			OnTransition: func(name string, from, to numaplace.ClusterHealth, rep *numaplace.ClusterReport, err error) {
-				fmt.Fprintf(out, "t=%8.1f  health %-10s %s -> %s\n", sim.Now(), name, from, to)
-				if rep != nil {
-					failoverStranded += rep.Stranded
-					fmt.Fprintf(out, "t=%8.1f  failover %-8s rehomed %d, stranded %d (%.2fs migration)\n",
-						sim.Now(), name, len(rep.Moves), rep.Stranded, rep.TotalSeconds)
-				}
-				if err != nil && !errors.Is(err, numaplace.ErrNoHealthyBackend) {
-					runErr = err
-				}
-			},
-			OnRejoin: func(name string, fenced int, err error) {
+		for _, p := range cfg.partition {
+			if p.name == name && now >= p.from && now < p.to {
+				return false
+			}
+		}
+		for _, s := range cfg.slow {
+			// Deterministic flakiness: two misses then an answer, on the
+			// machine's own probe counter — enough to oscillate
+			// healthy<->suspect under the default thresholds without ever
+			// reaching dead.
+			if s.name == name && now >= s.at {
+				slowCount[name]++
+				return slowCount[name]%3 == 0
+			}
+		}
+		return true
+	}
+	health := func(name string, from, to numaplace.ClusterHealth) {
+		if from != to {
+			fmt.Fprintf(out, "t=%8.1f  health %-10s %s -> %s\n", sim.Now(), name, from, to)
+		}
+	}
+	probeOne := func(name string) error {
+		before, ok := cl.HealthOf(name)
+		if !ok {
+			return nil
+		}
+		if answers(name) {
+			if before != numaplace.ClusterDead {
+				after, err := cl.Heartbeat(name)
 				if err != nil {
-					runErr = err
-					return
+					return err
 				}
-				fmt.Fprintf(out, "t=%8.1f  rejoin %-10s revived, fenced %d stale records\n", sim.Now(), name, fenced)
-			},
-		})
-		if err != nil {
-			return err
+				health(name, before, after)
+				return nil
+			}
+			fenced, err := cl.Revive(ctx, name)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(out, "t=%8.1f  rejoin %-10s revived, fenced %d stale records\n", sim.Now(), name, fenced)
+			health(name, before, numaplace.ClusterHealthy)
+			return nil
 		}
-		mon = m
-		mon.Start(ctx)
-		return nil
+		after, rep, err := cl.MissProbe(ctx, name)
+		health(name, before, after)
+		if rep != nil {
+			failoverStranded += rep.Stranded
+			fmt.Fprintf(out, "t=%8.1f  failover %-8s rehomed %d, stranded %d (%.2fs migration)\n",
+				sim.Now(), name, len(rep.Moves), rep.Stranded, rep.TotalSeconds)
+		}
+		if errors.Is(err, numaplace.ErrNoHealthyBackend) {
+			return nil // stranded tenants are reported, and retried by later passes
+		}
+		return err
+	}
+	probe = func() {
+		if runErr != nil || ctx.Err() != nil || (remaining == 0 && cl.Len() == 0) {
+			return
+		}
+		for _, name := range cl.Names() {
+			if err := probeOne(name); err != nil {
+				runErr = err
+				return
+			}
+		}
+		probeTimer = sim.After(cfg.probeEvery, probe)
 	}
 	if cfg.probeEvery > 0 {
-		for _, spec := range cfg.crash {
-			if _, ok := cl.Engine(spec.name); !ok {
-				return fmt.Errorf("-crash: unknown machine %q (have %s)", spec.name, strings.Join(names, ", "))
-			}
-		}
-		for _, spec := range cfg.slow {
-			if _, ok := cl.Engine(spec.name); !ok {
-				return fmt.Errorf("-slow: unknown machine %q (have %s)", spec.name, strings.Join(names, ", "))
-			}
-		}
-		for _, spec := range cfg.partition {
-			if _, ok := cl.Engine(spec.name); !ok {
-				return fmt.Errorf("-partition: unknown machine %q (have %s)", spec.name, strings.Join(names, ", "))
-			}
-		}
-		if err := startMonitor(); err != nil {
-			return err
-		}
-		defer func() { mon.Stop() }()
+		probeTimer = sim.After(cfg.probeEvery, probe)
 	}
 
 	// Restart scenario: at each configured time the control plane crashes —
@@ -562,15 +609,11 @@ func run(ctx context.Context, cfg simConfig, out, errw io.Writer) error {
 			prevStats := cl.Stats()
 			fmt.Fprintf(out, "t=%8.1f  restart: control plane down with %d tenants at seq %d\n",
 				sim.Now(), len(prevAssign), cl.Fleet().Seq())
-			if mon != nil {
-				mon.Stop()
-				mon = nil
-			}
 			if err := wlog.Close(); err != nil {
 				runErr = err
 				return
 			}
-			cl2, _, err := buildCluster(ctx, cfg, io.Discard)
+			cl2, err := buildCluster(ctx, cfg, io.Discard)
 			if err != nil {
 				runErr = fmt.Errorf("restart at t=%g: rebuilding engines: %w", rt, err)
 				return
@@ -596,10 +639,9 @@ func run(ctx context.Context, cfg simConfig, out, errw io.Writer) error {
 			}
 			cl = cl2
 			if cfg.probeEvery > 0 {
-				if err := startMonitor(); err != nil {
-					runErr = err
-					return
-				}
+				// The successor's probe clock starts when it has recovered.
+				probeTimer.Cancel()
+				probeTimer = sim.After(cfg.probeEvery, probe)
 			}
 			account()
 		})

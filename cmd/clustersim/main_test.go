@@ -5,8 +5,11 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
+	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro"
@@ -208,5 +211,94 @@ func TestClustersimFailureScenarios(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFaultFlagsThatWouldDoNothingAreRefused: faults act through health
+// probes, so a fault with probing off, or one naming a machine the fleet
+// does not have, is an error before anything trains — not a scenario line
+// announcing a fault that never happens.
+func TestFaultFlagsThatWouldDoNothingAreRefused(t *testing.T) {
+	ctx := context.Background()
+	cases := map[string]func(*simConfig){
+		"crash without probes": func(c *simConfig) { c.crash = []eventSpec{{name: "amd-0", at: 600}} },
+		"slow without probes":  func(c *simConfig) { c.slow = []eventSpec{{name: "intel-1", at: 300}} },
+		"partition without probes": func(c *simConfig) {
+			c.partition = []spanSpec{{name: "amd-0", from: 300, to: 700}}
+		},
+		"unknown crash machine without probes": func(c *simConfig) { c.crash = []eventSpec{{name: "amd-7", at: 1}} },
+		"unknown slow machine": func(c *simConfig) {
+			c.probeEvery = 10
+			c.slow = []eventSpec{{name: "intel-0", at: 1}}
+		},
+		"unknown partition machine": func(c *simConfig) {
+			c.probeEvery = 10
+			c.partition = []spanSpec{{name: "nope", from: 1, to: 2}}
+		},
+	}
+	for name, edit := range cases {
+		cfg := quickCfg("first-fit", 10)
+		edit(&cfg)
+		var out bytes.Buffer
+		if err := run(ctx, cfg, &out, io.Discard); err == nil {
+			t.Errorf("%s: run returned nil, want an error; output:\n%s", name, out.String())
+		} else if out.Len() != 0 {
+			t.Errorf("%s: refused after writing output:\n%s", name, out.String())
+		}
+	}
+}
+
+// TestProbeTickPartitionSequence pins what the probe tick does to one
+// partitioned machine, line by line and at the simulated time each happens,
+// at GOMAXPROCS 1 and 4: misses from the first tick inside the partition
+// turn it suspect at the SuspectAfter-th miss and dead, with a failover pass,
+// at the DeadAfter-th; the first tick after the partition heals revives it.
+// The times follow from the probe period and the thresholds alone.
+func TestProbeTickPartitionSequence(t *testing.T) {
+	const (
+		period       = 10.0
+		from, to     = 305.0, 702.0
+		suspectAfter = 2 // fleet.HealthConfig defaults, which clustersim uses
+		deadAfter    = 5
+	)
+	firstMiss := math.Ceil(from/period) * period // ticks fall on multiples of the period
+	at := func(miss int) float64 { return firstMiss + float64(miss-1)*period }
+	rejoin := math.Ceil(to/period) * period
+	want := []string{
+		fmt.Sprintf("t=%8.1f  health amd-0      healthy -> suspect", at(suspectAfter)),
+		fmt.Sprintf("t=%8.1f  health amd-0      suspect -> dead", at(deadAfter)),
+		fmt.Sprintf("t=%8.1f  failover amd-0", at(deadAfter)),
+		fmt.Sprintf("t=%8.1f  rejoin amd-0      revived", rejoin),
+		fmt.Sprintf("t=%8.1f  health amd-0      dead -> healthy", rejoin),
+	}
+
+	ctx := context.Background()
+	for _, procs := range []int{1, 4} {
+		cfg := quickCfg("first-fit", 120)
+		cfg.probeEvery = period
+		cfg.partition = []spanSpec{{name: "amd-0", from: from, to: to}}
+		prev := runtime.GOMAXPROCS(procs)
+		var out bytes.Buffer
+		err := run(ctx, cfg, &out, io.Discard)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+		}
+		var got []string
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.HasPrefix(line, "t=") && (strings.Contains(line, "  health ") ||
+				strings.Contains(line, "  failover ") || strings.Contains(line, "  rejoin ")) {
+				got = append(got, line)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("GOMAXPROCS %d: health lines\n%s\nwant %d lines starting\n%s",
+				procs, strings.Join(got, "\n"), len(want), strings.Join(want, "\n"))
+		}
+		for i := range want {
+			if !strings.HasPrefix(got[i], want[i]) {
+				t.Errorf("GOMAXPROCS %d: line %d = %q, want prefix %q", procs, i, got[i], want[i])
+			}
+		}
 	}
 }

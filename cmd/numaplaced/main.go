@@ -64,14 +64,29 @@ func main() {
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "grace period for in-flight requests on SIGINT/SIGTERM")
 	quick := flag.Bool("quick", false, "reduced training fidelity (CI smoke)")
 	dataDir := flag.String("data-dir", "", "directory for the write-ahead log and snapshots (empty: no persistence)")
-	fsync := flag.String("fsync", "always", "log durability policy: always, interval or none (with -data-dir)")
-	fsyncInterval := flag.Duration("fsync-interval", 50*time.Millisecond, "flush cadence under -fsync interval")
-	snapshotEvery := flag.Duration("snapshot-every", 0, "periodic checkpoint cadence (0: only on shutdown and POST /v1/snapshot)")
+	fsync := flag.String("fsync", "always", "log durability policy: always, interval or none (needs -data-dir)")
+	fsyncInterval := flag.Duration("fsync-interval", 50*time.Millisecond, "flush cadence under -fsync interval (needs -data-dir)")
+	snapshotEvery := flag.Duration("snapshot-every", 0, "periodic checkpoint cadence (0: only on shutdown and POST /v1/snapshot; needs -data-dir)")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "unexpected arguments: %s\n", strings.Join(flag.Args(), " "))
 		flag.Usage()
 		os.Exit(2)
+	}
+	if *dataDir == "" {
+		// The persistence flags tune a log that exists only with -data-dir.
+		var stray []string
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "fsync", "fsync-interval", "snapshot-every":
+				stray = append(stray, "-"+f.Name)
+			}
+		})
+		if len(stray) > 0 {
+			fmt.Fprintf(os.Stderr, "%s need -data-dir\n", strings.Join(stray, ", "))
+			flag.Usage()
+			os.Exit(2)
+		}
 	}
 	if *vcpus <= 0 || *eventsBuffer <= 0 {
 		fmt.Fprintln(os.Stderr, "-vcpus and -events-buffer must be positive")

@@ -324,7 +324,7 @@ func migrateCmd(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	cfg := migrate.Config{Workers: *workers}
 	run := func(w numaplace.Workload, mech migrate.Mechanism) (*migrate.Result, error) {
-		r, err := migrate.RunCtx(ctx, migrate.ProfileFor(w, *vcpus), mech, cfg)
+		r, err := migrate.Run(ctx, migrate.ProfileFor(w, *vcpus), mech, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("%s migration of %s: %w", mech, w.Name, err)
 		}
@@ -487,7 +487,7 @@ func (p params) spec() *concern.Spec {
 // check runs the placement pipeline for the candidate machine and reports
 // whether all paper facts hold; the second return is a failure reason.
 func check(spec *concern.Spec) (bool, string) {
-	imps, err := placement.Enumerate(spec, 16)
+	imps, err := placement.Enumerate(context.Background(), spec, 16)
 	if err != nil {
 		return false, err.Error()
 	}
@@ -591,7 +591,7 @@ func tuneTotal(p params) (params, bool) {
 }
 
 func listPlacements(w io.Writer, spec *concern.Spec) {
-	imps, _ := placement.Enumerate(spec, 16)
+	imps, _ := placement.Enumerate(context.Background(), spec, 16)
 	for _, ip := range imps {
 		fmt.Fprintln(w, " ", ip)
 	}

@@ -39,7 +39,6 @@ type Engine struct {
 	tables  *sched.Tables
 	stats   sched.Stats
 
-	seed       uint64
 	collectCfg CollectConfig
 	trainCfg   TrainConfig
 	serveCfg   ServeConfig
@@ -91,13 +90,6 @@ type (
 // Option configures an Engine at construction.
 type Option func(*Engine)
 
-// WithSeed sets the default RNG seed used when a TrainConfig without a
-// seed is applied (default 1). All stochastic components derive their
-// streams deterministically from it.
-func WithSeed(seed uint64) Option {
-	return func(e *Engine) { e.seed = seed }
-}
-
 // WithPredictor registers a trained predictor for the given container
 // size, e.g. one loaded from disk with LoadPredictor. Place and Predict
 // consult the registry.
@@ -116,8 +108,8 @@ func WithTrainConfig(cfg TrainConfig) Option {
 	return func(e *Engine) { e.trainCfg = cfg }
 }
 
-// WithServeConfig tunes the online scheduler (performance goal fraction,
-// headroom, migration mechanism parameters).
+// WithServeConfig tunes the online scheduler (its performance goal
+// fraction).
 func WithServeConfig(cfg ServeConfig) Option {
 	return func(e *Engine) { e.serveCfg = cfg }
 }
@@ -126,7 +118,7 @@ func WithServeConfig(cfg ServeConfig) Option {
 // derived immediately (it is cheap); everything expensive is computed
 // lazily, once per machine model, on first use.
 func New(m Machine, opts ...Option) *Engine {
-	e := &Engine{machine: m, fp: m.Fingerprint(), seed: 1}
+	e := &Engine{machine: m, fp: m.Fingerprint()}
 	for _, opt := range opts {
 		opt(e)
 	}
@@ -197,17 +189,17 @@ func (e *Engine) Collect(ctx context.Context, ws []Workload, vcpus int) (*Datase
 // different machine (or lacking one) fail with ErrMachineMismatch.
 // Training honours ctx throughout the placement-pair search and
 // cross-validation. A zero TrainConfig.Seed in the Engine's configuration
-// is replaced by the WithSeed default.
+// trains with seed 1.
 func (e *Engine) Train(ctx context.Context, ds *Dataset) (*Predictor, error) {
 	cfg := e.trainCfg
 	if cfg.Seed == 0 {
-		cfg.Seed = e.seed
+		cfg.Seed = 1
 	}
 	if ds.Machine.Topo == nil || ds.Machine.IC == nil || ds.Machine.Fingerprint() != e.fp {
 		return nil, fmt.Errorf("numaplace: dataset was not collected on %s: %w",
 			e.machine.Topo.Name, ErrMachineMismatch)
 	}
-	pred, err := core.TrainCtx(ctx, ds, cfg)
+	pred, err := core.Train(ctx, ds, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -397,7 +389,7 @@ func (e *Engine) NewPackingExperiment(ctx context.Context, w Workload, vcpus int
 
 // Migrate simulates one container migration (§7, Table 2), honouring ctx.
 func (e *Engine) Migrate(ctx context.Context, p MigrationProfile, mech migrate.Mechanism, cfg migrate.Config) (*migrate.Result, error) {
-	return migrate.RunCtx(ctx, p, mech, cfg)
+	return migrate.Run(ctx, p, mech, cfg)
 }
 
 // EngineStats reports the Engine's cache effectiveness. Every count is this

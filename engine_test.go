@@ -47,7 +47,7 @@ func TestEnginePlacementsParity(t *testing.T) {
 		m Machine
 		v int
 	}{{AMD(), 16}, {Intel(), 24}, {Zen(), 16}, {HaswellCoD(), 12}} {
-		want, err := placement.Enumerate(concern.FromMachine(tc.m), tc.v)
+		want, err := placement.Enumerate(ctx, concern.FromMachine(tc.m), tc.v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,11 +118,11 @@ func TestEngineConcurrentPlacements(t *testing.T) {
 	ctx := context.Background()
 	m := machineOfItsOwn()
 	eng := New(m)
-	want, err := placement.Enumerate(concern.FromMachine(m), 16)
+	want, err := placement.Enumerate(ctx, concern.FromMachine(m), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want8, err := placement.Enumerate(concern.FromMachine(m), 8)
+	want8, err := placement.Enumerate(ctx, concern.FromMachine(m), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestEngineCollectTrainParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantDS, err := core.Collect(m, ws, 24, CollectConfig{Trials: 2})
+	wantDS, err := core.Collect(ctx, m, ws, 24, CollectConfig{Trials: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestEngineCollectTrainParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPred, err := core.Train(wantDS, cfg)
+	wantPred, err := core.Train(ctx, wantDS, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func main() {
 			numaplace.PolicyML, numaplace.PolicyConservative,
 			numaplace.PolicyAggressive, numaplace.PolicySmartAggressive,
 		} {
-			r, err := exp.RunCtx(ctx, kind, goal)
+			r, err := exp.Run(ctx, kind, goal)
 			if err != nil {
 				log.Fatal(err)
 			}

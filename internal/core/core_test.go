@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"reflect"
 	"runtime"
@@ -16,7 +17,7 @@ import (
 func smallDataset(t *testing.T, withHPE bool) *Dataset {
 	t.Helper()
 	ws := append(workloads.Paper()[:6], workloads.CorpusFrom(18, 7, []string{"flat", "bw", "lat"})...)
-	ds, err := Collect(machines.Intel(), ws, 24, CollectConfig{Trials: 2, WithHPEs: withHPE})
+	ds, err := Collect(context.Background(), machines.Intel(), ws, 24, CollectConfig{Trials: 2, WithHPEs: withHPE})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +81,11 @@ func TestCollectDeterministic(t *testing.T) {
 }
 
 func TestCollectErrors(t *testing.T) {
-	if _, err := Collect(machines.Intel(), nil, 24, CollectConfig{}); err == nil {
+	if _, err := Collect(context.Background(), machines.Intel(), nil, 24, CollectConfig{}); err == nil {
 		t.Error("empty workload list accepted")
 	}
 	// 25 vCPUs: exceeds one node (24) and 25 is not divisible by 2..4.
-	if _, err := Collect(machines.Intel(), workloads.Paper()[:2], 25, CollectConfig{}); err == nil {
+	if _, err := Collect(context.Background(), machines.Intel(), workloads.Paper()[:2], 25, CollectConfig{}); err == nil {
 		t.Error("infeasible vCPU count accepted")
 	}
 }
@@ -129,7 +130,7 @@ func TestRelVectorConvention(t *testing.T) {
 
 func TestTrainPerfVariant(t *testing.T) {
 	ds := smallDataset(t, false)
-	p, err := Train(ds, fastTrain())
+	p, err := Train(context.Background(), ds, fastTrain())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +161,11 @@ func TestTrainPerfVariant(t *testing.T) {
 
 func TestTrainDeterministic(t *testing.T) {
 	ds := smallDataset(t, false)
-	a, err := Train(ds, fastTrain())
+	a, err := Train(context.Background(), ds, fastTrain())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Train(ds, fastTrain())
+	b, err := Train(context.Background(), ds, fastTrain())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestTrainHPEVariant(t *testing.T) {
 	ds := smallDataset(t, true)
 	cfg := fastTrain()
 	cfg.Variant = HPEFeatures
-	p, err := Train(ds, cfg)
+	p, err := Train(context.Background(), ds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestTrainHPERequiresHPEData(t *testing.T) {
 	ds := smallDataset(t, false)
 	cfg := fastTrain()
 	cfg.Variant = HPEFeatures
-	if _, err := Train(ds, cfg); err == nil {
+	if _, err := Train(context.Background(), ds, cfg); err == nil {
 		t.Error("HPE variant without HPE data accepted")
 	}
 }
@@ -215,7 +216,7 @@ func TestTrainFixedPair(t *testing.T) {
 	ds := smallDataset(t, false)
 	cfg := fastTrain()
 	cfg.FixedPair = &[2]int{1, 6}
-	p, err := Train(ds, cfg)
+	p, err := Train(context.Background(), ds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestTrainFixedPair(t *testing.T) {
 	}
 	for _, bad := range [][2]int{{0, 0}, {-1, 2}, {0, 99}} {
 		cfg.FixedPair = &[2]int{bad[0], bad[1]}
-		if _, err := Train(ds, cfg); err == nil {
+		if _, err := Train(context.Background(), ds, cfg); err == nil {
 			t.Errorf("invalid pair %v accepted", bad)
 		}
 	}
@@ -233,14 +234,14 @@ func TestTrainFixedPair(t *testing.T) {
 func TestTrainErrors(t *testing.T) {
 	ds := smallDataset(t, false)
 	tiny := ds.Subset([]int{0, 1})
-	if _, err := Train(tiny, fastTrain()); err == nil {
+	if _, err := Train(context.Background(), tiny, fastTrain()); err == nil {
 		t.Error("tiny dataset accepted")
 	}
 }
 
 func TestPredictErrors(t *testing.T) {
 	ds := smallDataset(t, false)
-	p, err := Train(ds, fastTrain())
+	p, err := Train(context.Background(), ds, fastTrain())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +268,7 @@ func TestBestPlacement(t *testing.T) {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	ds := smallDataset(t, false)
-	p, err := Train(ds, fastTrain())
+	p, err := Train(context.Background(), ds, fastTrain())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +296,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 // zero-alloc and whole-dataset batch.
 func TestSaveLoadCompiledParity(t *testing.T) {
 	ds := smallDataset(t, false)
-	p, err := Train(ds, fastTrain())
+	p, err := Train(context.Background(), ds, fastTrain())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +356,7 @@ func TestSaveLoadCompiledParity(t *testing.T) {
 // (testing.AllocsPerRun warms its function up first, so the one call is
 // counted by hand the way it counts.)
 func TestWarmLeavesNothingForTheFirstPredict(t *testing.T) {
-	p, err := Train(smallDataset(t, false), fastTrain())
+	p, err := Train(context.Background(), smallDataset(t, false), fastTrain())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +383,7 @@ func TestPredictDatasetIntoAllocFree(t *testing.T) {
 	for _, v := range []Variant{PerfFeatures, HPEFeatures} {
 		cfg := fastTrain()
 		cfg.Variant = v
-		p, err := Train(ds, cfg)
+		p, err := Train(context.Background(), ds, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -431,7 +432,7 @@ func TestCombinedVariantNoBetterThanPerf(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, fold := range folds {
-			p, err := Train(ds.Subset(fold.Train), cfg)
+			p, err := Train(context.Background(), ds.Subset(fold.Train), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

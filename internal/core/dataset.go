@@ -77,24 +77,19 @@ func (c CollectConfig) trials() int {
 
 // Collect runs every workload in every important placement of machine m.
 // This is the reproduction's stand-in for the paper's training runs on the
-// physical testbeds.
-func Collect(m machines.Machine, ws []perfsim.Workload, v int, cfg CollectConfig) (*Dataset, error) {
-	return CollectCtx(context.Background(), m, ws, v, cfg)
-}
-
-// CollectCtx is Collect with cancellation: the context is checked before
-// every (workload, placement) measurement cell, so a cancelled collection
-// returns ctx.Err() promptly.
-func CollectCtx(ctx context.Context, m machines.Machine, ws []perfsim.Workload, v int, cfg CollectConfig) (*Dataset, error) {
+// physical testbeds. The context is checked before every (workload,
+// placement) measurement cell, so a cancelled collection returns ctx.Err()
+// promptly.
+func Collect(ctx context.Context, m machines.Machine, ws []perfsim.Workload, v int, cfg CollectConfig) (*Dataset, error) {
 	spec := concern.FromMachine(m)
-	imps, err := placement.EnumerateCtx(ctx, spec, v)
+	imps, err := placement.Enumerate(ctx, spec, v)
 	if err != nil {
 		return nil, err
 	}
 	return CollectPrepared(ctx, spec, imps, ws, v, cfg)
 }
 
-// CollectPrepared is CollectCtx for callers that already hold the concern
+// CollectPrepared is Collect for callers that already hold the concern
 // spec and important placements (e.g. a serving engine with memoized
 // enumerations); it skips re-deriving them. spec and imps must belong
 // together and to the machine being measured.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -28,11 +29,11 @@ var goldenModels = []struct {
 func goldenPredictor(t testing.TB, v Variant) *Predictor {
 	t.Helper()
 	ws := append(workloads.Paper()[:6], workloads.CorpusFrom(6, 5, []string{"flat", "bw", "lat"})...)
-	ds, err := Collect(machines.Intel(), ws, 24, CollectConfig{Trials: 1, WithHPEs: v != PerfFeatures})
+	ds, err := Collect(context.Background(), machines.Intel(), ws, 24, CollectConfig{Trials: 1, WithHPEs: v != PerfFeatures})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Train(ds, TrainConfig{
+	p, err := Train(context.Background(), ds, TrainConfig{
 		Variant:        v,
 		Forest:         mlearn.ForestConfig{Trees: 6},
 		SelectionTrees: 3,

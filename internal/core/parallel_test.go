@@ -17,7 +17,7 @@ import (
 // behavioral fingerprint of the model.
 func trainFingerprint(t *testing.T, ds *Dataset, cfg TrainConfig) (int, int, []float64) {
 	t.Helper()
-	p, err := Train(ds, cfg)
+	p, err := Train(context.Background(), ds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func trainFingerprint(t *testing.T, ds *Dataset, cfg TrainConfig) (int, int, []f
 func TestTrainIdenticalAcrossWorkerCounts(t *testing.T) {
 	defer xparallel.SetMaxWorkers(xparallel.SetMaxWorkers(1))
 	ws := append(workloads.Paper()[:6], workloads.CorpusFrom(6, 3, []string{"flat", "bw"})...)
-	ds, err := Collect(machines.Intel(), ws, 24, CollectConfig{Trials: 1})
+	ds, err := Collect(context.Background(), machines.Intel(), ws, 24, CollectConfig{Trials: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestTrainIdenticalAcrossWorkerCounts(t *testing.T) {
 func TestCvMAPEIdenticalAcrossWorkerCounts(t *testing.T) {
 	defer xparallel.SetMaxWorkers(xparallel.SetMaxWorkers(1))
 	ws := append(workloads.Paper()[:5], workloads.CorpusFrom(5, 9, []string{"lat"})...)
-	ds, err := Collect(machines.Intel(), ws, 24, CollectConfig{Trials: 1})
+	ds, err := Collect(context.Background(), machines.Intel(), ws, 24, CollectConfig{Trials: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

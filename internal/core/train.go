@@ -105,20 +105,15 @@ type Predictor struct {
 // PerfFeatures variant it searches all placement pairs for the one whose
 // cross-validated accuracy is best ("the training process automatically
 // finds the two of the important placements that give the highest
-// accuracy", §5).
-func Train(ds *Dataset, cfg TrainConfig) (*Predictor, error) {
-	return TrainCtx(context.Background(), ds, cfg)
-}
-
-// TrainCtx is Train with cancellation: the context is threaded through the
-// placement-pair search, SFS and cross-validation fan-outs, so a cancelled
-// training run returns ctx.Err() promptly without fitting the final model.
+// accuracy", §5). The context is threaded through the placement-pair
+// search, SFS and cross-validation fan-outs, so a cancelled training run
+// returns ctx.Err() promptly without fitting the final model.
 //
 // The cross-validation folds are computed once here and shared by every
 // candidate the selection loops evaluate: the split is a pure function of
 // the dataset's groups and the fold count, so recomputing it per candidate
 // (as the O(n²) pair search once did) only burned allocations.
-func TrainCtx(ctx context.Context, ds *Dataset, cfg TrainConfig) (*Predictor, error) {
+func Train(ctx context.Context, ds *Dataset, cfg TrainConfig) (*Predictor, error) {
 	if len(ds.Workloads) < 4 {
 		return nil, fmt.Errorf("core: need at least 4 training workloads, have %d", len(ds.Workloads))
 	}
@@ -323,7 +318,7 @@ func cvMAPE(ctx context.Context, ds *Dataset, p *Predictor, cfg TrainConfig, see
 	// every fold: a fold's presorted orders are the full orders filtered
 	// down to its (ascending) training rows, derived in O(n) each.
 	fullOrd := mlearn.ColumnOrders(X, nil)
-	preds, err := xparallel.MapErrCtx(ctx, len(folds), 0, func(fi int) (*[]float64, error) {
+	preds, err := xparallel.MapErr(ctx, len(folds), func(fi int) (*[]float64, error) {
 		fold := folds[fi]
 		ords := getOrds(d, len(fold.Train), n)
 		mlearn.SubsetOrders(ords.ord, fullOrd, fold.Train, ords.pos)
@@ -375,7 +370,7 @@ func bestPair(ctx context.Context, ds *Dataset, cfg TrainConfig, folds []mlearn.
 			pairs = append(pairs, [2]int{i, j})
 		}
 	}
-	errs, err := xparallel.MapErrCtx(ctx, len(pairs), 0, func(pi int) (float64, error) {
+	errs, err := xparallel.MapErr(ctx, len(pairs), func(pi int) (float64, error) {
 		i, j := pairs[pi][0], pairs[pi][1]
 		cand := &Predictor{Variant: PerfFeatures, Base: i, Probe: j}
 		return cvMAPE(ctx, ds, cand, cfg, xmix(cfg.Seed, uint64(i*n+j)), folds)
@@ -404,7 +399,7 @@ func bestHPEBase(ctx context.Context, ds *Dataset, cfg TrainConfig, folds []mlea
 	for i := range all {
 		all[i] = i
 	}
-	errs, err := xparallel.MapErrCtx(ctx, len(ds.Placements), 0, func(b int) (float64, error) {
+	errs, err := xparallel.MapErr(ctx, len(ds.Placements), func(b int) (float64, error) {
 		cand := &Predictor{Variant: HPEFeatures, Base: b, Probe: b, HPEFeats: all}
 		return cvMAPE(ctx, ds, cand, cfg, xmix(cfg.Seed, 0xBA5E+uint64(b)), folds)
 	})

@@ -57,7 +57,7 @@ func Quick() Config {
 
 // dataset collects the ground-truth matrix for one machine.
 func dataset(ctx context.Context, m machines.Machine, v int, cfg Config, withHPE bool) (*core.Dataset, error) {
-	return core.CollectCtx(ctx, m, workloads.TrainingSet(cfg.CorpusSize, cfg.Seed), v, core.CollectConfig{
+	return core.Collect(ctx, m, workloads.TrainingSet(cfg.CorpusSize, cfg.Seed), v, core.CollectConfig{
 		Trials: cfg.Trials, WithHPEs: withHPE,
 	})
 }
@@ -129,11 +129,11 @@ func PlacementCounts(ctx context.Context, w io.Writer) ([]PlacementResult, error
 		r      PlacementResult
 		report bytes.Buffer
 	}
-	outs, err := xparallel.MapErrCtx(ctx, len(ms), 0, func(i int) (*res, error) {
+	outs, err := xparallel.MapErr(ctx, len(ms), func(i int) (*res, error) {
 		m := ms[i]
 		v := VCPUsFor(m)
 		spec := concern.FromMachine(m)
-		imps, err := placement.EnumerateCtx(ctx, spec, v)
+		imps, err := placement.Enumerate(ctx, spec, v)
 		if err != nil {
 			return nil, err
 		}

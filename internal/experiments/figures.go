@@ -38,11 +38,11 @@ func Figure1(ctx context.Context, w io.Writer) ([]Figure1Result, error) {
 		res    Figure1Result
 		report bytes.Buffer
 	}
-	panels, err := xparallel.MapErrCtx(ctx, len(ms), 0, func(mi int) (*panel, error) {
+	panels, err := xparallel.MapErr(ctx, len(ms), func(mi int) (*panel, error) {
 		m := ms[mi]
 		v := VCPUsFor(m)
 		spec := concern.FromMachine(m)
-		imps, err := placement.EnumerateCtx(ctx, spec, v)
+		imps, err := placement.Enumerate(ctx, spec, v)
 		if err != nil {
 			return nil, err
 		}
@@ -119,8 +119,8 @@ func Figure3(ctx context.Context, w io.Writer, cfg Config) (*Figure3Result, erro
 		v int
 	}
 	jobs := []collectJob{{machines.Intel(), 24}, {machines.AMD(), 16}}
-	dss, err := xparallel.MapErrCtx(ctx, len(jobs), 0, func(i int) (*core.Dataset, error) {
-		return core.CollectCtx(ctx, jobs[i].m, workloads.Paper(), jobs[i].v, core.CollectConfig{Trials: cfg.Trials})
+	dss, err := xparallel.MapErr(ctx, len(jobs), func(i int) (*core.Dataset, error) {
+		return core.Collect(ctx, jobs[i].m, workloads.Paper(), jobs[i].v, core.CollectConfig{Trials: cfg.Trials})
 	})
 	if err != nil {
 		return nil, err
@@ -201,7 +201,7 @@ func Figure4(ctx context.Context, w io.Writer, m machines.Machine, cfg Config) (
 	}
 	// Choose the input pair once on the full set (the deployment-time
 	// choice), then cross-validate with it fixed.
-	full, err := core.TrainCtx(ctx, ds, trainCfg(cfg, core.PerfFeatures))
+	full, err := core.Train(ctx, ds, trainCfg(cfg, core.PerfFeatures))
 	if err != nil {
 		return nil, err
 	}
@@ -210,7 +210,7 @@ func Figure4(ctx context.Context, w io.Writer, m machines.Machine, cfg Config) (
 	// back in paper order.
 	variants := []core.Variant{core.PerfFeatures, core.HPEFeatures}
 	paper := workloads.Paper()
-	mapes, err := xparallel.MapErrCtx(ctx, len(variants)*len(paper), 0, func(cell int) (float64, error) {
+	mapes, err := xparallel.MapErr(ctx, len(variants)*len(paper), func(cell int) (float64, error) {
 		variant := variants[cell/len(paper)]
 		pw := paper[cell%len(paper)]
 		group := core.GroupOf(pw.Name)
@@ -224,7 +224,7 @@ func Figure4(ctx context.Context, w io.Writer, m machines.Machine, cfg Config) (
 		if variant == core.PerfFeatures {
 			tc.FixedPair = &[2]int{full.Base, full.Probe}
 		}
-		pred, err := core.TrainCtx(ctx, ds.Subset(trainRows), tc)
+		pred, err := core.Train(ctx, ds.Subset(trainRows), tc)
 		if err != nil {
 			return 0, err
 		}
@@ -292,14 +292,14 @@ func Figure5(ctx context.Context, w io.Writer, m machines.Machine, cfg Config) (
 	if err != nil {
 		return nil, err
 	}
-	pred, err := core.TrainCtx(ctx, ds, trainCfg(cfg, core.PerfFeatures))
+	pred, err := core.Train(ctx, ds, trainCfg(cfg, core.PerfFeatures))
 	if err != nil {
 		return nil, err
 	}
 	var out []Figure5Result
 	for _, wname := range []string{"WTbtree", "postgres-tpch", "spark-pr-lj"} {
 		wl, _ := workloads.ByName(wname)
-		exp, err := sched.NewExperiment(m, wl, v, pred)
+		exp, err := sched.NewExperiment(ctx, m, wl, v, pred)
 		if err != nil {
 			return nil, err
 		}
@@ -322,7 +322,7 @@ func PackingTable(ctx context.Context, w io.Writer, exp *sched.Experiment) ([]Fi
 	for _, goal := range []float64{0.9, 1.0, 1.1} {
 		row := []interface{}{fmt.Sprintf("%.0f%%", goal*100)}
 		for _, kind := range []sched.PolicyKind{sched.ML, sched.Conservative, sched.Aggressive, sched.SmartAggressive} {
-			r, err := exp.RunCtx(ctx, kind, goal)
+			r, err := exp.Run(ctx, kind, goal)
 			if err != nil {
 				return nil, err
 			}
@@ -354,11 +354,11 @@ func Table2(ctx context.Context, w io.Writer) ([]Table2Row, error) {
 	tbl := stats.NewTable("Benchmark", "Memory(GB)", "Fast(s)", "Linux(s)", "Speedup")
 	for _, wl := range workloads.Paper() {
 		p := migrate.ProfileFor(wl, 16)
-		fast, err := migrate.RunCtx(ctx, p, migrate.Fast, migrate.Config{})
+		fast, err := migrate.Run(ctx, p, migrate.Fast, migrate.Config{})
 		if err != nil {
 			return nil, err
 		}
-		linux, err := migrate.RunCtx(ctx, p, migrate.DefaultLinux, migrate.Config{})
+		linux, err := migrate.Run(ctx, p, migrate.DefaultLinux, migrate.Config{})
 		if err != nil {
 			return nil, err
 		}
@@ -372,7 +372,7 @@ func Table2(ctx context.Context, w io.Writer) ([]Table2Row, error) {
 	}
 	tbl.Render(w)
 	wt, _ := workloads.ByName("WTbtree")
-	th, err := migrate.RunCtx(ctx, migrate.ProfileFor(wt, 16), migrate.Throttled, migrate.Config{})
+	th, err := migrate.Run(ctx, migrate.ProfileFor(wt, 16), migrate.Throttled, migrate.Config{})
 	if err != nil {
 		return nil, err
 	}

@@ -128,9 +128,6 @@ type Config struct {
 	// 0 selects the default 0.5, a negative value disables cross-machine
 	// consolidation.
 	DrainBelow float64
-	// Migration configures the fast-mechanism copies used to cost
-	// cross-machine moves (zero value = calibrated defaults).
-	Migration migrate.Config
 	// Health tunes the per-backend health state machine and the automatic
 	// failover pass (zero value = calibrated defaults; see HealthConfig).
 	Health HealthConfig
@@ -822,7 +819,7 @@ func (f *Fleet) evacuateLocked(ctx context.Context, rep *Report, src *member, bu
 		}
 		moved := false
 		if f.snapshotLocked(dests, &q); len(dests.cells) > 0 {
-			copied, err := migrate.RunCtx(ctx, migrate.ProfileFor(rec.w, rec.vcpus), migrate.Fast, f.cfg.Migration)
+			copied, err := migrate.Run(ctx, migrate.ProfileFor(rec.w, rec.vcpus), migrate.Fast, migrate.Config{})
 			if err != nil {
 				return err
 			}

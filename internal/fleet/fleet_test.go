@@ -352,7 +352,7 @@ func TestFleetRebalanceConsolidates(t *testing.T) {
 
 	// The expected cost of the cross-machine move is exactly the fast
 	// mechanism's copy of the workload's memory profile.
-	want, err := migrate.Run(migrate.ProfileFor(w, 4), migrate.Fast, cfg.Migration)
+	want, err := migrate.Run(ctx, migrate.ProfileFor(w, 4), migrate.Fast, migrate.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

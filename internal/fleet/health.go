@@ -1,19 +1,20 @@
 // Health tracking and autonomous failover for the fleet.
 //
 // Each member carries a three-state health machine (healthy → suspect →
-// dead) driven by an external probe source: Heartbeat records a answered
-// probe, MissProbe a missed one. The fleet owns no timing — a simulation
-// drives probes off internal/des timers, live deployments off the wall
-// clock (see Monitor in probe.go) — so the state machine itself is
-// deterministic. Suspect machines stop receiving new admissions but keep
-// their tenants; the suspect→dead transition triggers an automatic
-// failover pass that rehomes every tenant of the dead machine onto the
-// healthy remainder within a migration-seconds budget, reusing the same
-// costed-move machinery as Rebalance. Tenants the pass cannot rehome
-// (no healthy capacity, exhausted budget) are reported stranded with
-// ErrNoHealthyBackend and stay on the fleet's books — later Failover or
-// Rebalance passes retry them, and Release still works on them — so a
-// machine death never silently loses a tenant record.
+// dead) driven by an external probe source: Heartbeat records an answered
+// probe, MissProbe a missed one, and Revive readmits a dead member that
+// answers again. The fleet owns no timing — clustersim probes on its
+// simulation clock, a numaplaced operator over /v1/heartbeat and
+// /v1/missprobe — so the state machine itself is deterministic. Suspect
+// machines stop receiving new admissions but keep their tenants; the
+// suspect→dead transition triggers an automatic failover pass that rehomes
+// every tenant of the dead machine onto the healthy remainder within a
+// migration-seconds budget, reusing the same costed-move machinery as
+// Rebalance. Tenants the pass cannot rehome (no healthy capacity, exhausted
+// budget) are reported stranded with ErrNoHealthyBackend and stay on the
+// fleet's books — later Failover or Rebalance passes retry them, and
+// Release still works on them — so a machine death never silently loses a
+// tenant record.
 package fleet
 
 import (

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/des"
 	"repro/internal/machines"
 	"repro/internal/nperr"
 	"repro/internal/topology"
@@ -345,94 +344,6 @@ func TestSpreadDomains(t *testing.T) {
 		if mv.Workload == w.Name && mv.To != "b" {
 			t.Fatalf("failover moved %s replica to %s, want b (rack-1 already hosts one)", mv.Workload, mv.To)
 		}
-	}
-}
-
-func TestMonitorDrivesStateMachine(t *testing.T) {
-	ctx := context.Background()
-	f := New(Config{Policy: FirstFit, Health: HealthConfig{SuspectAfter: 2, DeadAfter: 3}})
-	a, b := newStub(machines.Intel(), 1), newStub(machines.Intel(), 1)
-	f.Add("a", a)
-	f.Add("b", b)
-	w := testWorkload(t, "swaptions")
-	if _, err := f.Place(ctx, w, 4); err != nil {
-		t.Fatal(err)
-	}
-
-	// Scripted probe: a stops answering at t>20, answers again at t>80.
-	var sim des.Sim
-	alive := func(name string) bool {
-		if name != "a" {
-			return true
-		}
-		return sim.Now() <= 20 || sim.Now() > 80
-	}
-	type transition struct {
-		name     string
-		from, to Health
-		at       float64
-	}
-	var trans []transition
-	var rejoined int
-	mon, err := f.Monitor(&sim, MonitorConfig{
-		IntervalSeconds: 10,
-		Probe:           alive,
-		OnTransition: func(name string, from, to Health, rep *Report, err error) {
-			trans = append(trans, transition{name, from, to, sim.Now()})
-			if to == Dead {
-				if err != nil {
-					t.Errorf("death failover at t=%v: %v", sim.Now(), err)
-				}
-				if rep == nil || len(rep.Moves) != 1 {
-					t.Errorf("death failover report = %+v, want 1 move", rep)
-				}
-			}
-		},
-		OnRejoin: func(name string, fenced int, err error) {
-			if err != nil {
-				t.Errorf("rejoin of %s: %v", name, err)
-			}
-			rejoined++
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon.Start(ctx)
-	sim.RunUntil(120)
-	mon.Stop()
-
-	// Misses at t=30,40 (suspect), 50 (dead + failover); alive again at
-	// t=90 (revive). Deterministic: one exact transition sequence.
-	want := []transition{
-		{"a", Healthy, Suspect, 40},
-		{"a", Suspect, Dead, 50},
-		{"a", Dead, Healthy, 90},
-	}
-	if len(trans) != len(want) {
-		t.Fatalf("transitions = %+v, want %+v", trans, want)
-	}
-	for i := range want {
-		if trans[i] != want[i] {
-			t.Fatalf("transition %d = %+v, want %+v", i, trans[i], want[i])
-		}
-	}
-	if rejoined != 1 {
-		t.Fatalf("rejoined = %d, want 1", rejoined)
-	}
-	if h, _ := f.HealthOf("a"); h != Healthy {
-		t.Fatalf("final health = %v, want healthy", h)
-	}
-	// Stopping unschedules the pending tick: the queue drains.
-	if sim.Pending() != 0 {
-		t.Fatalf("pending events after Stop = %d, want 0", sim.Pending())
-	}
-	// The tenant survived the crash and the rejoin-fence.
-	if got := len(f.Assignments()); got != 1 {
-		t.Fatalf("tenants after recovery = %d, want 1", got)
-	}
-	if got := len(a.Assignments()) + len(b.Assignments()); got != 1 {
-		t.Fatalf("engine-side records after fencing = %d, want 1", got)
 	}
 }
 

@@ -110,15 +110,6 @@ type Config struct {
 	// Workers is the number of concurrent copy threads used by Fast
 	// (default 8).
 	Workers int
-	// ThrottleMBs caps Throttled migration bandwidth (default 620 MB/s,
-	// which moves WiredTiger's 36.3 GB in roughly a minute as reported).
-	ThrottleMBs float64
-	// LinkBandwidthMBs caps the per-worker copy rate by the interconnect
-	// (default 1800 MB/s per stream, 7000 MB/s aggregate).
-	LinkBandwidthMBs float64
-	// AggregateBandwidthMBs is the machine-level copy ceiling shared by
-	// all workers (default 6300 MB/s).
-	AggregateBandwidthMBs float64
 }
 
 func (c Config) workers() int {
@@ -126,27 +117,6 @@ func (c Config) workers() int {
 		return 8
 	}
 	return c.Workers
-}
-
-func (c Config) throttle() float64 {
-	if c.ThrottleMBs <= 0 {
-		return 620
-	}
-	return c.ThrottleMBs
-}
-
-func (c Config) linkBW() float64 {
-	if c.LinkBandwidthMBs <= 0 {
-		return 1800
-	}
-	return c.LinkBandwidthMBs
-}
-
-func (c Config) aggBW() float64 {
-	if c.AggregateBandwidthMBs <= 0 {
-		return 6300
-	}
-	return c.AggregateBandwidthMBs
 }
 
 // Kernel cost constants (seconds), calibrated against Table 2. They model
@@ -173,6 +143,14 @@ const (
 	fastRmapSec    = 2e-6
 	fastPerTaskSec = 0.004 // freezing and cpuset update are batched
 	fastFreezeSec  = 0.05  // freeze/thaw round trip
+
+	// Copy bandwidths (MB/s): one Fast worker's stream over the
+	// interconnect, the machine-level ceiling all workers share, and the
+	// Throttled cap, which moves WiredTiger's 36.3 GB in roughly a minute as
+	// reported.
+	linkMBs      = 1800
+	aggregateMBs = 6300
+	throttleMBs  = 620
 )
 
 // Result reports one simulated migration.
@@ -192,15 +170,10 @@ type Result struct {
 }
 
 // Run simulates migrating the container described by p with the given
-// mechanism. The simulation is deterministic.
-func Run(p Profile, mech Mechanism, cfg Config) (*Result, error) {
-	return RunCtx(context.Background(), p, mech, cfg)
-}
-
-// RunCtx is Run with cancellation. One simulated migration is fast, but
-// schedulers run many back to back (e.g. a rebalance pass over every
-// admitted container), so the context is honoured before simulating.
-func RunCtx(ctx context.Context, p Profile, mech Mechanism, cfg Config) (*Result, error) {
+// mechanism. The simulation is deterministic. One simulated migration is
+// fast, but schedulers run many back to back (e.g. a rebalance pass over
+// every admitted container), so the context is honoured before simulating.
+func Run(ctx context.Context, p Profile, mech Mechanism, cfg Config) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -213,7 +186,7 @@ func RunCtx(ctx context.Context, p Profile, mech Mechanism, cfg Config) (*Result
 	case Fast:
 		return runFast(p, cfg), nil
 	case Throttled:
-		return runThrottled(p, cfg), nil
+		return runThrottled(p), nil
 	default:
 		return nil, fmt.Errorf("migrate: unknown mechanism %v", mech)
 	}
@@ -270,7 +243,7 @@ func runFast(p Profile, cfg Config) *Result {
 
 	// Effective copy bandwidth: workers stream concurrently, bounded by
 	// the aggregate interconnect ceiling.
-	bw := math.Min(float64(workers)*cfg.linkBW(), cfg.aggBW())
+	bw := math.Min(float64(workers)*linkMBs, aggregateMBs)
 
 	// CPU-side per-operation cost is spread across workers; the frozen
 	// container means no mmap_sem waiters, and batching slashes — but does
@@ -302,10 +275,10 @@ func runFast(p Profile, cfg Config) *Result {
 
 // runThrottled models the latency-sensitive variant: the container keeps
 // running; copy bandwidth is capped so the application slowdown stays low.
-func runThrottled(p Profile, cfg Config) *Result {
+func runThrottled(p Profile) *Result {
 	var sim des.Sim
 	totalGB := p.AnonGB + p.PageCacheGB
-	bw := cfg.throttle()
+	bw := float64(throttleMBs)
 	copySeconds := totalGB * 1024 / bw
 	sim.After(fastPerTaskSec*float64(p.Tasks), func() {})
 	sim.Run()

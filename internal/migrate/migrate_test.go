@@ -1,6 +1,7 @@
 package migrate
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/workloads"
@@ -17,7 +18,7 @@ func profile(t *testing.T, name string) Profile {
 
 func run(t *testing.T, name string, mech Mechanism) *Result {
 	t.Helper()
-	r, err := Run(profile(t, name), mech, Config{})
+	r, err := Run(context.Background(), profile(t, name), mech, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +124,11 @@ func TestThrottledWiredTiger(t *testing.T) {
 func TestMigrationProportionalToMemory(t *testing.T) {
 	small := Profile{Name: "s", AnonGB: 1, PageCacheGB: 1, Tasks: 1, RunningThreads: 16, SharedMappings: 1}
 	big := Profile{Name: "b", AnonGB: 8, PageCacheGB: 8, Tasks: 1, RunningThreads: 16, SharedMappings: 1}
-	rs, err := Run(small, Fast, Config{})
+	rs, err := Run(context.Background(), small, Fast, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := Run(big, Fast, Config{})
+	rb, err := Run(context.Background(), big, Fast, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +143,8 @@ func TestPerTaskOverheadScalesLinux(t *testing.T) {
 	few := Profile{Name: "few", AnonGB: 4, Tasks: 1, RunningThreads: 16, SharedMappings: 1, HugePageFrac: 0.25}
 	many := few
 	many.Tasks = 64
-	rf, _ := Run(few, DefaultLinux, Config{})
-	rm, _ := Run(many, DefaultLinux, Config{})
+	rf, _ := Run(context.Background(), few, DefaultLinux, Config{})
+	rm, _ := Run(context.Background(), many, DefaultLinux, Config{})
 	if rm.Seconds <= rf.Seconds {
 		t.Error("task count did not increase Linux migration time")
 	}
@@ -151,18 +152,18 @@ func TestPerTaskOverheadScalesLinux(t *testing.T) {
 
 func TestWorkerScaling(t *testing.T) {
 	p := Profile{Name: "x", AnonGB: 16, Tasks: 1, RunningThreads: 16, SharedMappings: 1, HugePageFrac: 0.25}
-	r1, _ := Run(p, Fast, Config{Workers: 1})
-	r8, _ := Run(p, Fast, Config{Workers: 8})
+	r1, _ := Run(context.Background(), p, Fast, Config{Workers: 1})
+	r8, _ := Run(context.Background(), p, Fast, Config{Workers: 8})
 	if r8.Seconds >= r1.Seconds {
 		t.Errorf("8 workers (%.2fs) not faster than 1 (%.2fs)", r8.Seconds, r1.Seconds)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if _, err := Run(Profile{AnonGB: -1}, Fast, Config{}); err == nil {
+	if _, err := Run(context.Background(), Profile{AnonGB: -1}, Fast, Config{}); err == nil {
 		t.Error("negative memory accepted")
 	}
-	if _, err := Run(Profile{}, Mechanism(9), Config{}); err == nil {
+	if _, err := Run(context.Background(), Profile{}, Mechanism(9), Config{}); err == nil {
 		t.Error("unknown mechanism accepted")
 	}
 }

@@ -246,7 +246,7 @@ func TrainForestMatrixOrd(X, Y Matrix, rows []int, baseOrd [][]int, cfg ForestCo
 			}
 		}
 	}
-	trees := xparallel.Map(cfg.trees(), 0, func(i int) *flat {
+	trees := xparallel.Map(cfg.trees(), func(i int) *flat {
 		rng := xrand.New(xrand.Mix(root, uint64(i)))
 		return growBootstrapTree(X, Y, rows, n, baseOrd, treeCfg, rng)
 	})

@@ -11,6 +11,7 @@ package mlearn
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -137,7 +138,7 @@ func legacyTrainForest(X, Y [][]float64, cfg ForestConfig) (*legacyForest, error
 			baseOrd[fi][k] = int(p.i)
 		}
 	}
-	trees, err := xparallel.MapErr(cfg.trees(), 0, func(i int) (*legacyTree, error) {
+	trees, err := xparallel.MapErr(context.Background(), cfg.trees(), func(i int) (*legacyTree, error) {
 		rng := xrand.New(xrand.Mix(root, uint64(i)))
 		bx := make([][]float64, n)
 		by := make([][]float64, n)

@@ -98,7 +98,7 @@ func GenPackings(nodeScores []int, all topology.NodeSet) []Packing {
 			firsts = append(firsts, sub.Add(low))
 		})
 	}
-	shards := xparallel.Map(len(firsts), 0, func(i int) []Packing {
+	shards := xparallel.Map(len(firsts), func(i int) []Packing {
 		return genShard(nodeScores, firsts[i], all)
 	})
 	total := 0
@@ -203,7 +203,7 @@ func FilterPackings(spec *concern.Spec, packings []Packing) []Packing {
 		shape  uint64
 		scores []int64
 	}
-	meta := xparallel.Map(len(packings), 0, func(i int) scored {
+	meta := xparallel.Map(len(packings), func(i int) scored {
 		return scored{shape: packings[i].sizeKey(), scores: paretoScoresFlat(spec, packings[i])}
 	})
 
@@ -220,7 +220,7 @@ func FilterPackings(spec *concern.Spec, packings []Packing) []Packing {
 		groups[gi] = append(groups[gi], i)
 	}
 
-	perGroup := xparallel.Map(len(groups), 0, func(gi int) []int {
+	perGroup := xparallel.Map(len(groups), func(gi int) []int {
 		g := groups[gi]
 		// De-duplicate identical score lists keeping the first
 		// representative (the paper's "remove duplicates"). Buckets are
@@ -280,16 +280,11 @@ func FilterPackings(spec *concern.Spec, packings []Packing) []Packing {
 // (Pareto filter + per-node concern enumeration + de-duplication by score
 // vector). The result is the machine's important placements, sorted by
 // ascending node count, then per-node scores, then descending Pareto
-// scores, and numbered from 1 (the numbering used on figure x-axes).
-func Enumerate(spec *concern.Spec, v int) ([]Important, error) {
-	return EnumerateCtx(context.Background(), spec, v)
-}
-
-// EnumerateCtx is Enumerate with cancellation: the pipeline checks ctx
-// between stages and while expanding packings, and returns ctx.Err() if the
-// context is done. Infeasible requests return errors wrapping
-// nperr.ErrInfeasible.
-func EnumerateCtx(ctx context.Context, spec *concern.Spec, v int) ([]Important, error) {
+// scores, and numbered from 1 (the numbering used on figure x-axes). The
+// pipeline checks ctx between stages and while expanding packings, and
+// returns ctx.Err() if the context is done. Infeasible requests return
+// errors wrapping nperr.ErrInfeasible.
+func Enumerate(ctx context.Context, spec *concern.Spec, v int) ([]Important, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -331,14 +326,14 @@ func EnumerateCtx(ctx context.Context, spec *concern.Spec, v int) ([]Important, 
 		p   Placement
 		vec Vector
 	}
-	perPacking, err := xparallel.MapCtx(ctx, len(packings), 0, func(i int) []cand {
+	perPacking, err := xparallel.MapErr(ctx, len(packings), func(i int) ([]cand, error) {
 		var cands []cand
 		for _, part := range packings[i] {
 			for _, p := range expandPerNode(spec, perNodeScores, part) {
 				cands = append(cands, cand{p, VectorOf(spec, p)})
 			}
 		}
-		return cands
+		return cands, nil
 	})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"context"
 	"reflect"
 	"slices"
 	"sort"
@@ -18,7 +19,7 @@ func intelSpec() *concern.Spec { return concern.FromMachine(machines.Intel()) }
 // system (§4): 16 vCPUs yield exactly 13 important placements — two 8-node,
 // eight 4-node and three 2-node.
 func TestAMDImportantPlacements(t *testing.T) {
-	imps, err := Enumerate(amdSpec(), 16)
+	imps, err := Enumerate(context.Background(), amdSpec(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestAMDImportantPlacements(t *testing.T) {
 // TestAMDPackingNarrative checks the specific packing examples in §4.
 func TestAMDPackingNarrative(t *testing.T) {
 	spec := amdSpec()
-	imps, err := Enumerate(spec, 16)
+	imps, err := Enumerate(context.Background(), spec, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestAMDPackingNarrative(t *testing.T) {
 // yield exactly 7 important placements: one 1-node sharing L2, and two each
 // of 2-, 3- and 4-node placements.
 func TestIntelImportantPlacements(t *testing.T) {
-	imps, err := Enumerate(intelSpec(), 24)
+	imps, err := Enumerate(context.Background(), intelSpec(), 24)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestIntelImportantPlacements(t *testing.T) {
 }
 
 func TestEnumerateIDsAndOrdering(t *testing.T) {
-	imps, err := Enumerate(amdSpec(), 16)
+	imps, err := Enumerate(context.Background(), amdSpec(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestEnumerateIDsAndOrdering(t *testing.T) {
 		}
 	}
 	// Deterministic: re-running yields the identical list.
-	again, err := Enumerate(amdSpec(), 16)
+	again, err := Enumerate(context.Background(), amdSpec(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestEnumerateVectorsUnique(t *testing.T) {
 		spec *concern.Spec
 		v    int
 	}{{amdSpec(), 16}, {intelSpec(), 24}, {concern.FromMachine(machines.Zen()), 16}} {
-		imps, err := Enumerate(tc.spec, tc.v)
+		imps, err := Enumerate(context.Background(), tc.spec, tc.v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,21 +173,21 @@ func TestEnumerateVectorsUnique(t *testing.T) {
 }
 
 func TestEnumerateErrors(t *testing.T) {
-	if _, err := Enumerate(amdSpec(), 0); err == nil {
+	if _, err := Enumerate(context.Background(), amdSpec(), 0); err == nil {
 		t.Error("v=0 accepted")
 	}
-	if _, err := Enumerate(amdSpec(), -4); err == nil {
+	if _, err := Enumerate(context.Background(), amdSpec(), -4); err == nil {
 		t.Error("negative v accepted")
 	}
 	// 17 vCPUs: prime > 8 nodes, no balanced feasible node count.
-	if _, err := Enumerate(amdSpec(), 17); err == nil {
+	if _, err := Enumerate(context.Background(), amdSpec(), 17); err == nil {
 		t.Error("v=17 should have no balanced feasible node counts on AMD")
 	}
 	// More vCPUs than hardware threads.
-	if _, err := Enumerate(amdSpec(), 128); err == nil {
+	if _, err := Enumerate(context.Background(), amdSpec(), 128); err == nil {
 		t.Error("v=128 exceeds capacity, should error")
 	}
-	if _, err := Enumerate(&concern.Spec{Machine: machines.AMD()}, 16); err == nil {
+	if _, err := Enumerate(context.Background(), &concern.Spec{Machine: machines.AMD()}, 16); err == nil {
 		t.Error("invalid spec accepted")
 	}
 }
@@ -380,7 +381,7 @@ func TestImportantPlacementsAreSubsetOfBalancedFeasible(t *testing.T) {
 		spec *concern.Spec
 		v    int
 	}{{amdSpec(), 16}, {intelSpec(), 24}, {amdSpec(), 8}, {intelSpec(), 12}} {
-		imps, err := Enumerate(tc.spec, tc.v)
+		imps, err := Enumerate(context.Background(), tc.spec, tc.v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -406,7 +407,7 @@ func TestImportantPlacementsAreSubsetOfBalancedFeasible(t *testing.T) {
 // feasible container size, and every placement remains pinnable.
 func TestEnumerateAcrossVCPUCounts(t *testing.T) {
 	for _, v := range []int{2, 4, 8, 16, 32, 64} {
-		imps, err := Enumerate(amdSpec(), v)
+		imps, err := Enumerate(context.Background(), amdSpec(), v)
 		if err != nil {
 			t.Fatalf("v=%d: %v", v, err)
 		}
@@ -424,7 +425,7 @@ func TestEnumerateAcrossVCPUCounts(t *testing.T) {
 // TestSingleVCPUDegenerateCase: one vCPU has one important placement per
 // distinct single-node interconnect environment at most.
 func TestSingleVCPUDegenerateCase(t *testing.T) {
-	imps, err := Enumerate(intelSpec(), 1)
+	imps, err := Enumerate(context.Background(), intelSpec(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

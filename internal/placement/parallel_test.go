@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -24,9 +25,9 @@ func TestEnumerateIdenticalAcrossWorkerCounts(t *testing.T) {
 		name string
 		run  func() ([]Important, error)
 	}{
-		{"amd-16", func() ([]Important, error) { return Enumerate(amdSpec(), 16) }},
-		{"intel-24", func() ([]Important, error) { return Enumerate(intelSpec(), 24) }},
-		{"amd-8", func() ([]Important, error) { return Enumerate(amdSpec(), 8) }},
+		{"amd-16", func() ([]Important, error) { return Enumerate(context.Background(), amdSpec(), 16) }},
+		{"intel-24", func() ([]Important, error) { return Enumerate(context.Background(), intelSpec(), 24) }},
+		{"amd-8", func() ([]Important, error) { return Enumerate(context.Background(), amdSpec(), 8) }},
 	}
 	for _, c := range cases {
 		xparallel.SetMaxWorkers(1)

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -15,7 +16,7 @@ import (
 func TestPinAMDAllImportantPlacements(t *testing.T) {
 	spec := amdSpec()
 	topo := spec.Machine.Topo
-	imps, err := Enumerate(spec, 16)
+	imps, err := Enumerate(context.Background(), spec, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestPinAMDAllImportantPlacements(t *testing.T) {
 func TestPinIntelAllImportantPlacements(t *testing.T) {
 	spec := intelSpec()
 	topo := spec.Machine.Topo
-	imps, err := Enumerate(spec, 24)
+	imps, err := Enumerate(context.Background(), spec, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestPinDeterministic(t *testing.T) {
 
 func TestPinZen(t *testing.T) {
 	spec := zenSpec()
-	imps, err := Enumerate(spec, 16)
+	imps, err := Enumerate(context.Background(), spec, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +340,7 @@ func TestPinMatchesOracle(t *testing.T) {
 		all := topology.FullNodeSet(spec.Machine.Topo.NumNodes)
 		pinned := 0
 		for _, v := range []int{8, 16, 24, 32} {
-			imps, err := Enumerate(spec, v)
+			imps, err := Enumerate(context.Background(), spec, v)
 			if err != nil {
 				continue // no balanced placement of this size on this machine
 			}
@@ -409,7 +410,7 @@ func TestPinMatchesOracle(t *testing.T) {
 // scratch copy of one node's thread table, and nothing per level.
 func TestPinColdAllocCeiling(t *testing.T) {
 	spec := amdSpec()
-	imps, err := Enumerate(spec, 16)
+	imps, err := Enumerate(context.Background(), spec, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

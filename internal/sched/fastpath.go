@@ -112,7 +112,7 @@ func (t *Tables) Placements(ctx context.Context, v int, st *Stats) ([]placement.
 		t.mu.Unlock()
 
 		st.Enumerations.Add(1)
-		c.val, c.err = placement.EnumerateCtx(ctx, t.spec, v)
+		c.val, c.err = placement.Enumerate(ctx, t.spec, v)
 		t.mu.Lock()
 		delete(t.flight, v)
 		if c.err == nil {
@@ -271,9 +271,9 @@ type Score struct {
 // whenever their free-node counts are equal, so a router may score both from
 // one row.
 type ScoreClass struct {
-	Machine            uint64          // machines.Machine.Fingerprint
-	Predictor          *core.Predictor // serving the size
-	GoalFrac, Headroom float64         // ServeConfig, defaults resolved
+	Machine   uint64          // machines.Machine.Fingerprint
+	Predictor *core.Predictor // serving the size
+	GoalFrac  float64         // ServeConfig's, default resolved
 }
 
 // fastPath bundles the scheduler's admission caches: the machine's table

@@ -43,14 +43,14 @@ func trainParityModelSeed(tb testing.TB, m machines.Machine, seed uint64, sizes 
 	ws := append(workloads.Paper(), workloads.CorpusFrom(8, 3, []string{"flat", "bw", "lat"})...)
 	for _, v := range sizes {
 		var err error
-		if pm.imps[v], err = placement.Enumerate(pm.spec, v); err != nil {
+		if pm.imps[v], err = placement.Enumerate(context.Background(), pm.spec, v); err != nil {
 			tb.Fatal(err)
 		}
 		ds, err := core.CollectPrepared(context.Background(), pm.spec, pm.imps[v], ws, v, core.CollectConfig{Trials: 2})
 		if err != nil {
 			tb.Fatal(err)
 		}
-		pm.preds[v], err = core.Train(ds, core.TrainConfig{
+		pm.preds[v], err = core.Train(context.Background(), ds, core.TrainConfig{
 			Seed: seed, Forest: mlearn.ForestConfig{Trees: 10},
 			SelectionTrees: 4, SelectionFolds: 3,
 		})
@@ -67,7 +67,7 @@ func (pm *parityModel) pair(cfg ServeConfig) (*Scheduler, *refScheduler) {
 		if is, ok := pm.imps[v]; ok {
 			return is, nil
 		}
-		return placement.EnumerateCtx(ctx, pm.spec, v)
+		return placement.Enumerate(ctx, pm.spec, v)
 	}
 	pred := func(v int) *core.Predictor { return pm.preds[v] }
 	return NewScheduler(pm.spec, imps, pred, nil, cfg), newRefScheduler(pm.spec, imps, pred, cfg)
@@ -424,7 +424,7 @@ func TestReferenceCatchesPoisonedCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	free := l.s.Free()
-	class := scanBest(imps, vec, obs[0], cfg.goalFrac()*obs[0]*(1+cfg.headroom()), free.Len())
+	class := scanBest(imps, vec, obs[0], cfg.goalFrac()*obs[0]*(1+headroom), free.Len())
 	if class < 0 {
 		t.Fatal("the next admission fits nowhere")
 	}

@@ -20,7 +20,7 @@ import (
 // from scratch on every call, out of the batch policy's primitives alone —
 // perfsim.Run in uncached placement.Pin mappings for the two observations,
 // rankClasses and bestFreeSet for the choice, predictedPerf,
-// admitTrial/previewTrial for the noise streams and migrate.RunCtx for move
+// admitTrial/previewTrial for the noise streams and migrate.Run for move
 // costs. It keeps its own free mask, tenant map and ID counter and shares no
 // cache, pool, scanBest or shape table with the Scheduler, so a cache that
 // served an inexact answer makes the two disagree. Single-threaded: the parity harness drives it in lockstep.
@@ -47,7 +47,7 @@ func newRefScheduler(spec *concern.Spec,
 func (r *refScheduler) Free() topology.NodeSet { return r.free }
 
 func (r *refScheduler) goal(basePerf float64) float64 {
-	return r.cfg.goalFrac() * basePerf * (1 + r.cfg.headroom())
+	return r.cfg.goalFrac() * basePerf * (1 + headroom)
 }
 
 // model is the checks Admit, Preview and Adopt share, in the Scheduler's
@@ -265,7 +265,7 @@ func (r *refScheduler) Rebalance(ctx context.Context) (*RebalanceReport, error) 
 		if nodes == t.nodes {
 			prof.AnonGB, prof.PageCacheGB = 0, 0
 		}
-		res, err := migrate.RunCtx(ctx, prof, migrate.Fast, r.cfg.Migration)
+		res, err := migrate.Run(ctx, prof, migrate.Fast, migrate.Config{})
 		if err != nil {
 			return rep, err
 		}

@@ -24,7 +24,7 @@ import (
 func twinSchedulers(t *testing.T, m machines.Machine, v int, cfg ServeConfig) (*Scheduler, *Scheduler) {
 	t.Helper()
 	spec := concern.FromMachine(m)
-	imps, err := placement.Enumerate(spec, v)
+	imps, err := placement.Enumerate(context.Background(), spec, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func twinSchedulers(t *testing.T, m machines.Machine, v int, cfg ServeConfig) (*
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := core.Train(ds, core.TrainConfig{
+	pred, err := core.Train(context.Background(), ds, core.TrainConfig{
 		Seed: 1, Forest: mlearn.ForestConfig{Trees: 10},
 		SelectionTrees: 4, SelectionFolds: 3,
 	})
@@ -44,7 +44,7 @@ func twinSchedulers(t *testing.T, m machines.Machine, v int, cfg ServeConfig) (*
 		return NewScheduler(spec,
 			func(ctx context.Context, vv int) ([]placement.Important, error) {
 				if vv != v {
-					return placement.EnumerateCtx(ctx, spec, vv)
+					return placement.Enumerate(ctx, spec, vv)
 				}
 				return imps, nil
 			},

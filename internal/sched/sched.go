@@ -79,18 +79,20 @@ type Experiment struct {
 
 	// Trials is the number of noisy repetitions averaged (default 5).
 	Trials int
-	// Seed drives the simulated Linux mappings.
-	Seed uint64
-	// Headroom is the safety margin the ML policy demands above the goal
-	// (default 0.12): predictions assume exclusive nodes, so the margin
-	// absorbs measurement noise and cross-tenant interconnect sharing.
-	Headroom float64
 }
 
+// headroom is the safety margin the ML policy, batch and serving, demands
+// above the goal: predictions assume exclusive nodes, so the margin absorbs
+// measurement noise and cross-tenant interconnect sharing.
+const headroom = 0.12
+
+// linuxMapSeed drives the simulated Linux mappings of the unpinned policies.
+const linuxMapSeed = 1
+
 // NewExperiment validates and builds an experiment.
-func NewExperiment(m machines.Machine, w perfsim.Workload, v int, pred *core.Predictor) (*Experiment, error) {
+func NewExperiment(ctx context.Context, m machines.Machine, w perfsim.Workload, v int, pred *core.Predictor) (*Experiment, error) {
 	spec := concern.FromMachine(m)
-	imps, err := placement.Enumerate(spec, v)
+	imps, err := placement.Enumerate(ctx, spec, v)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +113,7 @@ func NewExperimentPrepared(spec *concern.Spec, imps []placement.Important, w per
 	return &Experiment{
 		Machine: spec.Machine, Spec: spec, V: v, Workload: w,
 		Placements: imps, Predictor: pred,
-		Trials: 5, Seed: 1, Headroom: 0.12,
+		Trials: 5,
 	}, nil
 }
 
@@ -147,14 +149,9 @@ func (e *Experiment) trials() int {
 }
 
 // Run packs the machine under the given policy with the goal expressed as
-// a fraction of baseline performance and returns the Figure 5 metrics.
-func (e *Experiment) Run(kind PolicyKind, goalFrac float64) (*Result, error) {
-	return e.RunCtx(context.Background(), kind, goalFrac)
-}
-
-// RunCtx is Run with cancellation: the context is checked before the
-// packing phase and before every noisy trial.
-func (e *Experiment) RunCtx(ctx context.Context, kind PolicyKind, goalFrac float64) (*Result, error) {
+// a fraction of baseline performance and returns the Figure 5 metrics. The
+// context is checked before the packing phase and before every noisy trial.
+func (e *Experiment) Run(ctx context.Context, kind PolicyKind, goalFrac float64) (*Result, error) {
 	basePerf, err := e.BaselinePerf()
 	if err != nil {
 		return nil, err
@@ -174,7 +171,7 @@ func (e *Experiment) RunCtx(ctx context.Context, kind PolicyKind, goalFrac float
 		tenantsFn = func(int) ([]perfsim.Tenant, error) { return tenants, nil }
 	case Conservative:
 		tenantsFn = func(trial int) ([]perfsim.Tenant, error) {
-			rng := xrand.New(xrand.Mix(e.Seed, uint64(trial), 0xC095))
+			rng := xrand.New(xrand.Mix(linuxMapSeed, uint64(trial), 0xC095))
 			threads := perfsim.LinuxMap(e.Machine, e.V, nil, rng)
 			if threads == nil {
 				return nil, fmt.Errorf("sched: machine cannot host one instance: %w", nperr.ErrMachineFull)
@@ -257,7 +254,7 @@ func (e *Experiment) placeML(goal float64) ([]perfsim.Tenant, error) {
 		if err := e.Predictor.PredictInto(vec, basePerf, probePerf); err != nil {
 			return nil, err
 		}
-		choice := e.choosePlacement(vec, basePerf, goal*(1+e.Headroom))
+		choice := e.choosePlacement(vec, basePerf, goal*(1+headroom))
 		nodes, ok := bestFreeSet(e.Machine, free, e.Placements[choice].Nodes.Len())
 		if !ok {
 			break // machine full for this class
@@ -306,7 +303,7 @@ func (e *Experiment) choosePlacement(vec []float64, basePerf, goal float64) int 
 
 // placeAggressive fills the machine with unpinned instances.
 func (e *Experiment) placeAggressive(trial int) ([]perfsim.Tenant, error) {
-	rng := xrand.New(xrand.Mix(e.Seed, uint64(trial), 0xA99))
+	rng := xrand.New(xrand.Mix(linuxMapSeed, uint64(trial), 0xA99))
 	busy := map[topology.ThreadID]bool{}
 	var tenants []perfsim.Tenant
 	max := e.Machine.Topo.TotalThreads() / e.V

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -15,11 +16,11 @@ func trainedExperiment(t *testing.T, wname string) *Experiment {
 	t.Helper()
 	m := machines.Intel()
 	ws := append(workloads.Paper(), workloads.CorpusFrom(20, 7, []string{"flat", "bw", "lat"})...)
-	ds, err := core.Collect(m, ws, 24, core.CollectConfig{Trials: 2})
+	ds, err := core.Collect(context.Background(), m, ws, 24, core.CollectConfig{Trials: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := core.Train(ds, core.TrainConfig{
+	pred, err := core.Train(context.Background(), ds, core.TrainConfig{
 		Seed: 1, Forest: mlearn.ForestConfig{Trees: 30},
 		SelectionTrees: 8, SelectionFolds: 3,
 	})
@@ -30,7 +31,7 @@ func trainedExperiment(t *testing.T, wname string) *Experiment {
 	if !ok {
 		t.Fatalf("workload %s missing", wname)
 	}
-	exp, err := NewExperiment(m, w, 24, pred)
+	exp, err := NewExperiment(context.Background(), m, w, 24, pred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestPoliciesFigure5Shape(t *testing.T) {
 	exp := trainedExperiment(t, "WTbtree")
 	results := map[PolicyKind]*Result{}
 	for _, kind := range []PolicyKind{ML, Conservative, Aggressive, SmartAggressive} {
-		r, err := exp.Run(kind, 1.0)
+		r, err := exp.Run(context.Background(), kind, 1.0)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -82,7 +83,7 @@ func TestMLUsesFewestNodesMeetingGoal(t *testing.T) {
 	// ML policy can satisfy a 90% goal with 1-2 nodes per instance and
 	// pack several instances.
 	exp := trainedExperiment(t, "WTbtree")
-	r, err := exp.Run(ML, 0.9)
+	r, err := exp.Run(context.Background(), ML, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +97,11 @@ func TestMLUsesFewestNodesMeetingGoal(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	exp := trainedExperiment(t, "spark-pr-lj")
-	a, err := exp.Run(Aggressive, 1.0)
+	a, err := exp.Run(context.Background(), Aggressive, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := exp.Run(Aggressive, 1.0)
+	b, err := exp.Run(context.Background(), Aggressive, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,15 +113,15 @@ func TestRunDeterministic(t *testing.T) {
 func TestMLRequiresPredictor(t *testing.T) {
 	m := machines.Intel()
 	w, _ := workloads.ByName("WTbtree")
-	exp, err := NewExperiment(m, w, 24, nil)
+	exp, err := NewExperiment(context.Background(), m, w, 24, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exp.Run(ML, 1.0); err == nil {
+	if _, err := exp.Run(context.Background(), ML, 1.0); err == nil {
 		t.Error("ML without predictor accepted")
 	}
 	// Other policies work without one.
-	if _, err := exp.Run(Conservative, 1.0); err != nil {
+	if _, err := exp.Run(context.Background(), Conservative, 1.0); err != nil {
 		t.Errorf("conservative: %v", err)
 	}
 }

@@ -22,13 +22,6 @@ type ServeConfig struct {
 	// GoalFrac is the performance goal for each admitted container as a
 	// fraction of its own observed baseline throughput (default 1.0).
 	GoalFrac float64
-	// Headroom is the safety margin demanded above the goal when choosing
-	// a placement class: 0 selects the default 0.12 (as in the batch ML
-	// policy), a negative value selects no margin at all.
-	Headroom float64
-	// Migration configures the migration mechanism used when Rebalance
-	// moves a container (zero value = calibrated defaults).
-	Migration migrate.Config
 }
 
 func (c ServeConfig) goalFrac() float64 {
@@ -36,17 +29,6 @@ func (c ServeConfig) goalFrac() float64 {
 		return 1.0
 	}
 	return c.GoalFrac
-}
-
-func (c ServeConfig) headroom() float64 {
-	switch {
-	case c.Headroom < 0:
-		return 0
-	case c.Headroom == 0:
-		return 0.12
-	default:
-		return c.Headroom
-	}
 }
 
 // Assignment describes one admitted container: where it runs and what the
@@ -289,7 +271,7 @@ func (s *Scheduler) model(ctx context.Context, v int, p *core.Predictor) ([]plac
 // goal is the throughput a tenant observed at basePerf must be predicted to
 // reach in its class, headroom included.
 func (s *Scheduler) goal(basePerf float64) float64 {
-	return s.cfg.goalFrac() * basePerf * (1 + s.cfg.headroom())
+	return s.cfg.goalFrac() * basePerf * (1 + headroom)
 }
 
 // pinClass pins tenant t's vCPUs to class imp on nodes: the one place a
@@ -503,7 +485,7 @@ func (s *Scheduler) ScoreClass(v int) (class ScoreClass, ok bool) {
 	if p == nil {
 		return ScoreClass{}, false
 	}
-	return ScoreClass{Machine: s.fast.fp, Predictor: p, GoalFrac: s.cfg.goalFrac(), Headroom: s.cfg.headroom()}, true
+	return ScoreClass{Machine: s.fast.fp, Predictor: p, GoalFrac: s.cfg.goalFrac()}, true
 }
 
 // ScoreRow returns the score row of (w, v) in class, one this scheduler
@@ -634,7 +616,7 @@ func (s *Scheduler) Rebalance(ctx context.Context) (*RebalanceReport, error) {
 			// mechanism only freezes the container and updates cpusets.
 			prof.AnonGB, prof.PageCacheGB = 0, 0
 		}
-		res, err := migrate.RunCtx(ctx, prof, migrate.Fast, s.cfg.Migration)
+		res, err := migrate.Run(ctx, prof, migrate.Fast, migrate.Config{})
 		if err != nil {
 			return rep, err
 		}

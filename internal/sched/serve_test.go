@@ -50,7 +50,7 @@ func newTestSchedulerPin(t *testing.T, m machines.Machine, v int, cfg ServeConfi
 	pin func(ctx context.Context, p placement.Placement, vv int) ([]topology.ThreadID, error)) (*Scheduler, *concern.Spec) {
 	t.Helper()
 	spec := concern.FromMachine(m)
-	imps, err := placement.Enumerate(spec, v)
+	imps, err := placement.Enumerate(context.Background(), spec, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func newTestSchedulerPin(t *testing.T, m machines.Machine, v int, cfg ServeConfi
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := core.Train(ds, core.TrainConfig{
+	pred, err := core.Train(context.Background(), ds, core.TrainConfig{
 		Seed: 1, Forest: mlearn.ForestConfig{Trees: 10},
 		SelectionTrees: 4, SelectionFolds: 3,
 	})
@@ -69,7 +69,7 @@ func newTestSchedulerPin(t *testing.T, m machines.Machine, v int, cfg ServeConfi
 	s := NewScheduler(spec,
 		func(ctx context.Context, vv int) ([]placement.Important, error) {
 			if vv != v {
-				return placement.EnumerateCtx(ctx, spec, vv)
+				return placement.Enumerate(ctx, spec, vv)
 			}
 			return imps, nil
 		},
@@ -302,7 +302,7 @@ func TestSchedulerRebalanceAdoptsFasterClassOnSameNodes(t *testing.T) {
 	// mechanism's freeze/thaw plus cpuset bookkeeping.
 	prof := migrate.ProfileFor(wt, 16)
 	prof.AnonGB, prof.PageCacheGB = 0, 0
-	res, err := migrate.Run(prof, migrate.Fast, migrate.Config{})
+	res, err := migrate.Run(ctx, prof, migrate.Fast, migrate.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

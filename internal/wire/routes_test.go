@@ -266,7 +266,7 @@ func TestRoutesDocumented(t *testing.T) {
 }
 
 // TestStatsSeeFleetMutation: /v1/stats reports the fleet as it is, however it
-// got there — a mutation that did not arrive over HTTP (a Monitor tick, the
+// got there — a mutation that did not arrive over HTTP (a probe loop in the
 // embedding program) shows in the next read.
 func TestStatsSeeFleetMutation(t *testing.T) {
 	ctx := context.Background()

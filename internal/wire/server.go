@@ -21,15 +21,11 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/nperr"
-	"repro/internal/perfsim"
 	"repro/internal/workloads"
 )
 
 // Config tunes the server; the zero value is serviceable.
 type Config struct {
-	// Lookup resolves a workload name from a PlaceRequest. Defaults to the
-	// paper catalog (workloads.ByName).
-	Lookup func(name string) (perfsim.Workload, bool)
 	// EventBuffer is the per-/v1/events-subscriber ring size (default
 	// 1024). A subscriber that falls further behind than this loses its
 	// oldest events and is told so via a synthetic "dropped" frame.
@@ -43,13 +39,6 @@ type Config struct {
 	// sequence the snapshot covers. Nil (no persistence) maps to
 	// log_closed.
 	Snapshot func() (uint64, error)
-}
-
-func (c Config) lookup() func(string) (perfsim.Workload, bool) {
-	if c.Lookup != nil {
-		return c.Lookup
-	}
-	return workloads.ByName
 }
 
 func (c Config) eventBuffer() int {
@@ -131,7 +120,7 @@ func (s *Server) routes() []route {
 	f := s.f
 	return []route{
 		{"POST /v1/place", verb(s, func(ctx context.Context, req *PlaceRequest) (any, *fleet.Report, error) {
-			wl, ok := s.cfg.lookup()(req.Workload)
+			wl, ok := workloads.ByName(req.Workload)
 			if !ok {
 				//numalint:ignore sentinelwrap badRequest carries its code (CodeBadRequest); CodeFor classification is bypassed
 				return nil, nil, badRequest{fmt.Errorf("unknown workload %q", req.Workload)}

@@ -12,30 +12,25 @@ import (
 	"sync/atomic"
 )
 
-// maxWorkers overrides the default worker count when positive (see
-// SetMaxWorkers); zero selects GOMAXPROCS.
+// maxWorkers overrides the worker count when positive (see SetMaxWorkers);
+// zero selects GOMAXPROCS.
 var maxWorkers atomic.Int32
 
-// Workers resolves a requested worker count: n > 0 is honored verbatim,
-// anything else selects the package default (SetMaxWorkers override, or
-// GOMAXPROCS).
-func Workers(n int) int {
-	if n > 0 {
-		return n
-	}
+// workers resolves the pool size: the SetMaxWorkers override, or
+// GOMAXPROCS.
+func workers() int {
 	if m := maxWorkers.Load(); m > 0 {
 		return int(m)
 	}
 	return runtime.GOMAXPROCS(0)
 }
 
-// SetMaxWorkers overrides the default worker count used when callers pass a
-// non-positive count; n <= 0 restores the GOMAXPROCS default. It returns the
-// previous override. The setting also sizes the process-wide extra-worker
-// budget, so total concurrency stays near n even when fan-outs nest. All
-// parallelized pipelines in this repository produce identical results for
-// every setting; determinism tests and benchmarks use it to pin the pool
-// size.
+// SetMaxWorkers sets the worker count every fan-out uses; n <= 0 restores
+// the GOMAXPROCS default. It returns the previous override. The setting also
+// sizes the process-wide extra-worker budget, so total concurrency stays near
+// n even when fan-outs nest. All parallelized pipelines in this repository
+// produce identical results for every setting; determinism tests and
+// benchmarks use it to pin the pool size.
 func SetMaxWorkers(n int) int {
 	if n < 0 {
 		n = 0
@@ -43,7 +38,7 @@ func SetMaxWorkers(n int) int {
 	return int(maxWorkers.Swap(int32(n)))
 }
 
-// inFlight counts extra worker goroutines alive across ALL ForEach calls.
+// inFlight counts extra worker goroutines alive across all fan-outs.
 // Fan-outs nest (experiment grid → pair search → CV folds → forest trees);
 // a per-call bound would multiply through the levels, so extra workers are
 // reserved against one process-wide budget instead. Reservation never
@@ -66,28 +61,17 @@ func reserveWorker(limit int32) bool {
 	}
 }
 
-// ForEach runs fn(i) for every i in [0, n). The calling goroutine always
-// participates; up to Workers(workers)-1 extra goroutines join it, subject
-// to the process-wide budget above. Indices are handed out dynamically, so
-// callers must not rely on execution order — only on each index running
-// exactly once. A panic in any fn is re-raised on the calling goroutine
-// after all workers stop.
-func ForEach(n, workers int, fn func(i int)) {
-	forEach(nil, n, workers, fn)
-}
-
-// ForEachCtx is ForEach with cancellation: workers stop pulling new indices
-// once ctx is done and the call returns ctx.Err(). Indices already handed
-// out still complete (fn is never interrupted mid-item), so on a nil error
-// every index ran exactly once, and on cancellation a prefix-closed subset
-// ran — callers must discard partial results when an error is returned.
-func ForEachCtx(ctx context.Context, n, workers int, fn func(i int)) error {
-	forEach(ctx.Done(), n, workers, fn)
-	return ctx.Err()
-}
-
-func forEach(done <-chan struct{}, n, workers int, fn func(i int)) {
-	w := Workers(workers)
+// forEach runs fn(i) for every i in [0, n). The calling goroutine always
+// participates; up to workers()-1 extra goroutines join it, subject to the
+// process-wide budget above. Indices are handed out dynamically, so fn must
+// not rely on execution order — only on each index running exactly once. A
+// panic in any fn is re-raised on the calling goroutine after all workers
+// stop. Workers stop pulling new indices once ctx is done and the call
+// returns ctx.Err(); indices already handed out still complete (fn is never
+// interrupted mid-item), so on a nil error every index ran exactly once.
+func forEach(ctx context.Context, n int, fn func(i int)) error {
+	done := ctx.Done()
+	w := workers()
 	if w > n {
 		w = n
 	}
@@ -96,13 +80,13 @@ func forEach(done <-chan struct{}, n, workers int, fn func(i int)) {
 			if done != nil {
 				select {
 				case <-done:
-					return
+					return ctx.Err()
 				default:
 				}
 			}
 			fn(i)
 		}
-		return
+		return ctx.Err()
 	}
 	var (
 		next     atomic.Int64
@@ -132,13 +116,8 @@ func forEach(done <-chan struct{}, n, workers int, fn func(i int)) {
 			fn(i)
 		}
 	}
-	// The caller is worker zero, so the budget covers the extras only. An
-	// explicit per-call count may raise the budget above the default.
-	limit := int32(Workers(0))
-	if int32(w) > limit {
-		limit = int32(w)
-	}
-	limit--
+	// The caller is worker zero, so the budget covers the extras only.
+	limit := int32(workers()) - 1
 	for g := 1; g < w; g++ {
 		if !reserveWorker(limit) {
 			break
@@ -155,50 +134,27 @@ func forEach(done <-chan struct{}, n, workers int, fn func(i int)) {
 	if r := panicked.Load(); r != nil {
 		panic(*r)
 	}
+	return ctx.Err()
 }
 
 // Map runs fn over [0, n) on the bounded pool and collects the results in
 // index order. The output slice is identical for every worker count.
-func Map[T any](n, workers int, fn func(i int) T) []T {
+func Map[T any](n int, fn func(i int) T) []T {
 	out := make([]T, n)
-	ForEach(n, workers, func(i int) { out[i] = fn(i) })
+	forEach(context.Background(), n, func(i int) { out[i] = fn(i) })
 	return out
 }
 
-// MapErr is Map with error support. All indices run regardless of failures
-// elsewhere in the batch; if any fn returned an error, the one with the
-// lowest index wins (matching what a serial loop that aborts on first error
-// would report) and the results slice is nil.
-func MapErr[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
+// MapErr is Map with errors and cancellation. All indices run regardless of
+// failures elsewhere in the batch; if any fn returned an error, the one with
+// the lowest index wins (matching what a serial loop that aborts on first
+// error would report) and the results slice is nil. Cancellation takes
+// precedence over item errors: once ctx is done the call returns ctx.Err(),
+// because the batch is known incomplete.
+func MapErr[T any](ctx context.Context, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)
-	ForEach(n, workers, func(i int) { out[i], errs[i] = fn(i) })
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// MapCtx is Map with cancellation: it returns (nil, ctx.Err()) if ctx was
-// done before every index completed, and the full ordered result slice
-// otherwise.
-func MapCtx[T any](ctx context.Context, n, workers int, fn func(i int) T) ([]T, error) {
-	out := make([]T, n)
-	if err := ForEachCtx(ctx, n, workers, func(i int) { out[i] = fn(i) }); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MapErrCtx is MapErr with cancellation. Cancellation takes precedence over
-// item errors: once ctx is done the call returns ctx.Err() even if some
-// completed items also failed, because the batch is known incomplete.
-func MapErrCtx[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	errs := make([]error, n)
-	if err := ForEachCtx(ctx, n, workers, func(i int) { out[i], errs[i] = fn(i) }); err != nil {
+	if err := forEach(ctx, n, func(i int) { out[i], errs[i] = fn(i) }); err != nil {
 		return nil, err
 	}
 	for _, err := range errs {

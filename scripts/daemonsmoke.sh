@@ -3,7 +3,9 @@
 # numaplaced on an ephemeral loopback port at reduced training fidelity,
 # drive it with `loadgen -quick -json`, and assert the run was clean —
 # zero request errors, zero dropped event frames — and that SIGTERM
-# produces a graceful, zero-status shutdown. CI runs this on every push.
+# produces a graceful, zero-status shutdown. First, each persistence flag
+# given without -data-dir must be refused with exit 2. CI runs this on
+# every push.
 #
 # Usage: scripts/daemonsmoke.sh
 set -eu
@@ -22,6 +24,22 @@ trap cleanup EXIT
 echo "building numaplaced and loadgen..."
 go build -o "$dir/numaplaced" ./cmd/numaplaced
 go build -o "$dir/loadgen" ./cmd/loadgen
+
+# The persistence flags tune a log that exists only with -data-dir: set
+# without it, each is a usage error (exit 2) before anything trains.
+for flag in "-fsync none" "-fsync-interval 1s" "-snapshot-every 1m"; do
+    if "$dir/numaplaced" -listen 127.0.0.1:0 -quick $flag > "$dir/usage.log" 2>&1; then
+        code=0
+    else
+        code=$?
+    fi
+    if [ "$code" -ne 2 ] || ! grep -q 'need -data-dir' "$dir/usage.log"; then
+        echo "FAIL: numaplaced $flag without -data-dir exited $code, want 2 with usage:"
+        cat "$dir/usage.log"
+        exit 1
+    fi
+done
+echo "persistence flags without -data-dir refused (exit 2)"
 
 # -listen 127.0.0.1:0 picks a free port; the daemon prints the resolved
 # address in its readiness line once the engines finish training.
