@@ -65,7 +65,8 @@ race:
 # against its own re-encoding, the serving scheduler
 # against its from-scratch reference, alone and as two schedulers sharing one
 # machine model's table set, the fleet's routing index (memoized cell orders
-# included) against a preview fan-out, and the model decoder against hostile
+# included) against a preview fan-out, a restart from a damaged log against a
+# replay of each record into the engines, and the model decoder against hostile
 # bytes (its seeds are whole saved models, so minimizing each new
 # input is capped at 1s; uncapped it eats the budget). A finding is written
 # to the package's testdata/fuzz and fails the step.
@@ -76,6 +77,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerParity$$' -fuzztime 5s ./internal/sched/
 	$(GO) test -run '^$$' -fuzz '^FuzzSharedTablesParity$$' -fuzztime 5s ./internal/sched/
 	$(GO) test -run '^$$' -fuzz '^FuzzRoutePass$$' -fuzztime 5s ./internal/fleet/
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreMatchesReplay$$' -fuzztime 5s ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadPredictor$$' -fuzztime 5s -fuzzminimizetime 1s ./internal/core/
 
 # The micro-benchmarks at the default budget, for reading while you work.
@@ -97,9 +99,12 @@ crashsmoke:
 	$(GO) run ./cmd/clustersim -quick -crash amd-0@600
 
 # Restart scenario smoke: the crash trace with a simulated control-plane
-# crash at t=900s, recovered by replaying the fleet log.
+# crash at t=900s, recovered by replaying the fleet log; then restarts at
+# t=300s and t=700s around a crash at t=400s, so the second recovery installs
+# the orphans the dead machine's engine holds.
 restartsmoke:
 	$(GO) run ./cmd/clustersim -quick -crash amd-0@600 -restart 900
+	$(GO) run ./cmd/clustersim -quick -crash amd-0@400 -restart 300,700
 
 # Wire-level end-to-end smoke: build numaplaced and loadgen, start the
 # daemon on an ephemeral loopback port at reduced training fidelity,

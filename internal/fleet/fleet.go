@@ -357,6 +357,12 @@ type Fleet struct {
 	admitted, rejected, released, moves int64
 	failovers, failedOver               int64
 	migrationSeconds                    float64
+
+	// ledgers are the members' ledgers while Restore replays a log tail
+	// into them (ledger.go), nil otherwise. It comes last so that the fields
+	// a commit touches keep their offsets: placed above seq, it measurably
+	// slowed wire_churn.
+	ledgers *ledgerSet
 }
 
 // New builds an empty fleet.
@@ -549,7 +555,7 @@ func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm *
 		id := f.nextID
 		f.commitLocked(f.bookLocked(&Record{Type: RecPlace, ID: id, Backend: mem.name,
 			Workload: w.Name, VCPUs: vcpus, EngineID: a.ID, ClassID: a.Class,
-			Nodes: a.Nodes, BasePerf: a.BasePerf, ProbePerf: a.ProbePerf}, a, &w))
+			Nodes: a.Nodes, BasePerf: a.BasePerf, ProbePerf: a.ProbePerf}, mem, a, &w))
 		f.occupyLocked(mem, w.Name, +1)
 		f.refreeLocked(mem)
 		f.markLocked(&s.mark)
@@ -557,7 +563,7 @@ func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm *
 		return &Admission{ID: id, Backend: mem.name, Assignment: *a}, nil
 	}
 	f.mu.Lock()
-	f.commitLocked(f.bookLocked(&Record{Type: RecReject, ID: -1, Workload: w.Name, VCPUs: vcpus}, nil, nil))
+	f.commitLocked(f.bookLocked(&Record{Type: RecReject, ID: -1, Workload: w.Name, VCPUs: vcpus}, nil, nil, nil))
 	f.markLocked(&s.mark)
 	f.mu.Unlock()
 	sentinels := []error{nperr.ErrFleetFull}
@@ -596,7 +602,7 @@ func (f *Fleet) Release(ctx context.Context, id int) (err error) {
 	}
 	f.occupyLocked(rec.mem, rec.w.Name, -1)
 	f.commitLocked(f.bookLocked(&Record{Type: RecRelease, ID: id, Backend: rec.mem.name,
-		Workload: rec.w.Name, VCPUs: rec.vcpus}, nil, nil))
+		Workload: rec.w.Name, VCPUs: rec.vcpus}, nil, nil, nil))
 	return nil
 }
 
@@ -722,7 +728,7 @@ func (f *Fleet) moveLocked(ctx context.Context, rep *Report, id int, rec *tenant
 		f.commitLocked(f.bookLocked(&Record{Type: RecMove, ID: id, Backend: rec.mem.name, Dest: d.name,
 			Workload: rec.w.Name, VCPUs: rec.vcpus, EngineID: a.ID, ClassID: a.Class,
 			Nodes: a.Nodes, BasePerf: a.BasePerf, ProbePerf: a.ProbePerf,
-			Seconds: cost, Failover: failover}, a, nil))
+			Seconds: cost, Failover: failover}, d, a, nil))
 		f.occupyLocked(d, rec.w.Name, +1)
 		return true, nil
 	}
@@ -760,10 +766,10 @@ func (f *Fleet) logIntraLocked(m *member, intra *sched.RebalanceReport) {
 			a = &moved
 		}
 		f.commitLocked(f.bookLocked(&Record{Type: RecIntraMove, ID: fleetID, Backend: m.name,
-			EngineID: mv.ID, ClassID: mv.ToClass, Nodes: mv.ToNodes, Seconds: mv.Seconds}, a, nil))
+			EngineID: mv.ID, ClassID: mv.ToClass, Nodes: mv.ToNodes, Seconds: mv.Seconds}, nil, a, nil))
 	}
 	f.commitLocked(f.bookLocked(&Record{Type: RecIntraPass, ID: -1, Backend: m.name,
-		Moves: len(intra.Moves), Seconds: intra.TotalSeconds}, nil, nil))
+		Moves: len(intra.Moves), Seconds: intra.TotalSeconds}, nil, nil, nil))
 }
 
 // tenantsOfLocked ranges over the tenants currently mapped to m, by fleet
@@ -850,7 +856,7 @@ func (f *Fleet) summarizeLocked(rt RecordType, backend string, rep *Report) {
 		intra += len(ip.Report.Moves)
 	}
 	f.commitLocked(f.bookLocked(&Record{Type: rt, ID: -1, Backend: backend, Moves: len(rep.Moves), Intra: intra,
-		Examined: rep.Examined, Stranded: rep.Stranded, Seconds: rep.TotalSeconds}, nil, nil))
+		Examined: rep.Examined, Stranded: rep.Stranded, Seconds: rep.TotalSeconds}, nil, nil, nil))
 }
 
 // Rebalance runs one fleet-wide re-packing pass under a migration-seconds
@@ -954,7 +960,7 @@ func (f *Fleet) Drain(ctx context.Context, name string) (rep *Report, err error)
 		// the death transition) is the recovery path.
 		return nil, fmt.Errorf("fleet: draining %s: %w (use Failover)", name, nperr.ErrBackendDown)
 	}
-	f.commitLocked(f.bookLocked(&Record{Type: RecDrainStart, ID: -1, Backend: name}, nil, nil))
+	f.commitLocked(f.bookLocked(&Record{Type: RecDrainStart, ID: -1, Backend: name}, src, nil, nil))
 	f.relistLocked(src)
 	rep = &Report{}
 	defer f.summarizeLocked(RecDrainPass, name, rep)
@@ -980,7 +986,7 @@ func (f *Fleet) Resume(name string) (err error) {
 	if !ok {
 		return fmt.Errorf("fleet: resuming %q: %w", name, nperr.ErrUnknownBackend)
 	}
-	f.commitLocked(f.bookLocked(&Record{Type: RecResume, ID: -1, Backend: name}, nil, nil))
+	f.commitLocked(f.bookLocked(&Record{Type: RecResume, ID: -1, Backend: name}, m, nil, nil))
 	f.relistLocked(m)
 	return nil
 }

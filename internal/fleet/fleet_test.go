@@ -20,13 +20,15 @@ import (
 // node, previews report a fixed predicted performance, and failures are
 // injectable. It lets the routing/consolidation logic be tested exactly,
 // without training real predictors (cluster_test.go at the repo root
-// integrates the fleet with real Engines).
+// integrates the fleet with real Engines). Its classes are its node counts:
+// class c takes c nodes, and an admission takes class 1.
 type stubBackend struct {
 	m    machines.Machine
 	perf float64 // preview PredictedPerf
 
 	mu         sync.Mutex
 	nextID     int
+	adopts     int // Adopt calls, refused ones included
 	free       topology.NodeSet
 	tenants    map[int]sched.Assignment
 	placeErr   error // injected Place failure
@@ -71,8 +73,8 @@ func (s *stubBackend) Place(ctx context.Context, w perfsim.Workload, vcpus int) 
 	node := s.free.Lowest()
 	s.free = s.free.Remove(node)
 	a := sched.Assignment{
-		ID: s.nextID, Workload: w.Name, VCPUs: vcpus,
-		Nodes: topology.NewNodeSet(node), PredictedPerf: s.perf,
+		ID: s.nextID, Workload: w.Name, VCPUs: vcpus, Class: 1,
+		Nodes: topology.NewNodeSet(node), BasePerf: 1, ProbePerf: 1, PredictedPerf: s.perf,
 	}
 	s.nextID++
 	s.tenants[a.ID] = a
@@ -127,15 +129,28 @@ func (s *stubBackend) FreeNodes() topology.NodeSet {
 
 // Adopt installs a recorded admission verbatim: the stub has no model to
 // recompute from, so the assignment is reconstructed from the record (the
-// shape replay relies on — Adopt must land exactly what was logged).
+// shape replay relies on — Adopt must land exactly what was logged). It
+// refuses what sched.Scheduler.Adopt refuses, in its order: a class outside
+// the stub's and non-positive observations before its books, a node count
+// other than the class's after them.
 func (s *stubBackend) Adopt(ctx context.Context, r sched.Restore) (*sched.Assignment, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.adopts++
+	if err := s.checkClass(r.ClassID); err != nil {
+		return nil, fmt.Errorf("stub: adopting container %d: %w", r.ID, err)
+	}
+	if r.BasePerf <= 0 || r.ProbePerf <= 0 {
+		return nil, fmt.Errorf("stub: adopting container %d: observations %v, %v: %w", r.ID, r.BasePerf, r.ProbePerf, nperr.ErrBadObservation)
+	}
 	if _, dup := s.tenants[r.ID]; dup {
 		return nil, fmt.Errorf("stub: adopting container %d: ID already admitted: %w", r.ID, nperr.ErrLogCorrupt)
 	}
 	if r.Nodes.Minus(s.free) != 0 {
 		return nil, fmt.Errorf("stub: adopting container %d: nodes not free: %w", r.ID, nperr.ErrLogCorrupt)
+	}
+	if r.Nodes.Len() != r.ClassID {
+		return nil, fmt.Errorf("stub: adopting container %d: %d nodes for class %d: %w", r.ID, r.Nodes.Len(), r.ClassID, nperr.ErrLogCorrupt)
 	}
 	s.free = s.free.Minus(r.Nodes)
 	a := sched.Assignment{
@@ -157,9 +172,15 @@ func (s *stubBackend) ApplyMove(ctx context.Context, id, classID int, nodes topo
 	if !ok {
 		return nperr.ErrUnknownContainer
 	}
+	if err := s.checkClass(classID); err != nil {
+		return fmt.Errorf("stub: applying move of container %d: %w", id, err)
+	}
 	avail := s.free.Union(a.Nodes)
 	if nodes.Minus(avail) != 0 {
 		return fmt.Errorf("stub: applying move of container %d: nodes not free: %w", id, nperr.ErrLogCorrupt)
+	}
+	if nodes.Len() != classID {
+		return fmt.Errorf("stub: applying move of container %d: %d nodes for class %d: %w", id, nodes.Len(), classID, nperr.ErrLogCorrupt)
 	}
 	s.free = avail.Minus(nodes)
 	a.Class, a.Nodes = classID, nodes
@@ -167,7 +188,15 @@ func (s *stubBackend) ApplyMove(ctx context.Context, id, classID int, nodes topo
 	return nil
 }
 
-func testWorkload(t *testing.T, name string) perfsim.Workload {
+// checkClass refuses a class the stub does not have. Callers hold s.mu.
+func (s *stubBackend) checkClass(class int) error {
+	if class < 1 || class > s.m.Topo.NumNodes {
+		return fmt.Errorf("class %d not among the stub's 1..%d: %w", class, s.m.Topo.NumNodes, nperr.ErrLogCorrupt)
+	}
+	return nil
+}
+
+func testWorkload(t testing.TB, name string) perfsim.Workload {
 	t.Helper()
 	w, ok := workloads.ByName(name)
 	if !ok {

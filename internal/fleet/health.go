@@ -127,7 +127,7 @@ func (f *Fleet) setHealthLocked(m *member, to Health, misses int) {
 		return
 	}
 	f.commitLocked(f.bookLocked(&Record{Type: RecHealth, ID: -1, Backend: m.name,
-		FromHealth: from, ToHealth: to, Misses: misses}, nil, nil))
+		FromHealth: from, ToHealth: to, Misses: misses}, m, nil, nil))
 	f.healthMovedLocked(m, from)
 }
 
@@ -274,11 +274,12 @@ func (f *Fleet) fenceLocked(ctx context.Context, m *member) (fenced, orphan int,
 	for _, rec := range f.tenantsOfLocked(m) {
 		mapped[rec.engineID] = true
 	}
-	for _, a := range m.b.Assignments() {
+	b := f.backendLocked(m)
+	for _, a := range b.Assignments() {
 		if mapped[a.ID] {
 			continue
 		}
-		if err := m.b.Release(ctx, a.ID); err != nil {
+		if err := b.Release(ctx, a.ID); err != nil {
 			return fenced, a.ID, err
 		}
 		fenced++
@@ -314,7 +315,7 @@ func (f *Fleet) Revive(ctx context.Context, name string) (fencedOut int, err err
 	// replay re-runs the fencing pass against the reconstructed engine books
 	// before booking it (Fenced kept for audit).
 	f.setHealthLocked(m, Healthy, 0)
-	f.commitLocked(f.bookLocked(&Record{Type: RecRevive, ID: -1, Backend: name, Fenced: fenced}, nil, nil))
+	f.commitLocked(f.bookLocked(&Record{Type: RecRevive, ID: -1, Backend: name, Fenced: fenced}, m, nil, nil))
 	f.healthMovedLocked(m, Dead)
 	return fenced, nil
 }

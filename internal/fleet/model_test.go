@@ -163,8 +163,9 @@ func requireModel(t *testing.T, m *fleetModel, f *Fleet, stubs []*stubBackend, n
 // released); after every operation the live fleet and its engines equal the
 // model; and for every prefix of the log up to op 600 (membership changes are
 // not logged after it) Restore into fresh stubs succeeds and equals the model
-// at that sequence, and after every operation up to there the fleet restored
-// from the whole log so far has the live fleet's books.
+// at that sequence and equals replayEach's per-record replay (restoreBoth),
+// and after every operation up to there the fleet restored from the whole
+// log so far has the live fleet's books.
 func TestEveryLogPrefixReplays(t *testing.T) {
 	for _, policy := range []Policy{FirstFit, LeastLoaded, BestPredicted} {
 		t.Run(policy.String(), func(t *testing.T) {
@@ -184,11 +185,11 @@ func TestEveryLogPrefixReplays(t *testing.T) {
 						if op >= 600 {
 							continue
 						}
-						twin, stubs, names := occupancyFleet(t, tr.cfg)
-						if err := twin.Restore(context.Background(), nil, recs[:seen+1], lookupWorkload); err != nil {
-							t.Fatalf("op %d (%s %s): Restore through record %d: %v", op, what, name, r.Seq, err)
+						run := restoreBoth(occupancyBuild(t, tr.cfg), nil, recs[:seen+1])
+						if run.err != nil || run.diff != "" {
+							t.Fatalf("op %d (%s %s): Restore through record %d: %v %s", op, what, name, r.Seq, run.err, run.diff)
 						}
-						requireModel(t, model, twin, stubs, names, fmt.Sprintf("restored through record %d (%s)", r.Seq, r.Type))
+						requireModel(t, model, run.f, run.stubs, tr.names, fmt.Sprintf("restored through record %d (%s)", r.Seq, r.Type))
 					}
 					requireModel(t, model, tr.f, tr.stubs, tr.names, fmt.Sprintf("after op %d (%s %s)", op, what, name))
 					if op >= 600 {

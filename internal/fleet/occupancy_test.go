@@ -135,6 +135,14 @@ func occupancyFleet(t *testing.T, cfg Config) (*Fleet, []*stubBackend, []string)
 	return wrappedFleet(t, cfg, plainStubs)
 }
 
+// occupancyBuild is occupancyFleet as a stubBuild.
+func occupancyBuild(t *testing.T, cfg Config) stubBuild {
+	return func() (*Fleet, []*stubBackend) {
+		f, stubs, _ := occupancyFleet(t, cfg)
+		return f, stubs
+	}
+}
+
 // wrapStub is what a trace's fleet adds for its i-th stub.
 type wrapStub func(i int, s *stubBackend) Backend
 

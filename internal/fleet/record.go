@@ -9,10 +9,12 @@
 // the API call that produced it. Re-executing Place against a recovered
 // log would diverge — observation noise streams are keyed by engine-local
 // container IDs and failed admissions consume IDs — and would pay the full
-// observation cost per record; replaying the decision through
-// sched.Scheduler.Adopt is deterministic and microsecond-cheap. What a
-// restart costs per record is measured by numabench's restart_replay
-// workload and budgeted in DESIGN.md ("What a restart costs").
+// observation cost per record. Replaying the decision is deterministic and
+// cheap: a restart adopts each snapshot tenant onto its engine through
+// sched.Scheduler.Adopt, books each later record in a ledger (ledger.go) and
+// adopts each tenant that survives the tail once. What a restart costs per
+// record is measured by numabench's restart_replay workload and budgeted in
+// DESIGN.md ("What a restart costs").
 package fleet
 
 import (
@@ -315,17 +317,19 @@ func (f *Fleet) commitLocked(rec *Record) {
 // each tenantRec, every member's tenant count, drain flag, health and miss
 // count, the next fleet ID and the seven counters — live and replayed alike:
 // with the snapshot install, it is their only writer (TestBooksHaveOneWriter).
-// a is the assignment a RecPlace or RecMove committed, or the one a
-// RecIntraMove left (nil if the backend lost it); w is a RecPlace's workload,
-// which the record only names. It calls no backend and leaves the routing
-// index to its callers. Pass summaries but RecFailover's book nothing. A
-// RecRelease clears its tenantRec and keeps it, up to maxSpare, for a later
-// RecPlace: no caller may read a released tenant's record after booking the
-// release. It returns r. Callers hold f.mu.
-func (f *Fleet) bookLocked(r *Record, a *sched.Assignment, w *perfsim.Workload) *Record {
+// m is the member r books onto, as its caller resolved it: the one a
+// RecPlace, RecHealth, RecDrainStart, RecResume or RecRevive names, a
+// RecMove's destination (the other types book from the tenant map or name no
+// member, and ignore it). a is the assignment a RecPlace or RecMove
+// committed, or the one a RecIntraMove left (nil if the backend lost it); w is
+// a RecPlace's workload, which the record only names. It calls no backend and
+// leaves the routing index to its callers. Pass summaries but RecFailover's
+// book nothing. A RecRelease clears its tenantRec and keeps it, up to
+// maxSpare, for a later RecPlace: no caller may read a released tenant's
+// record after booking the release. It returns r. Callers hold f.mu.
+func (f *Fleet) bookLocked(r *Record, m *member, a *sched.Assignment, w *perfsim.Workload) *Record {
 	switch r.Type {
 	case RecPlace:
-		m := f.byName[r.Backend]
 		var rec *tenantRec
 		if n := len(f.spare); n > 0 {
 			rec, f.spare = f.spare[n-1], f.spare[:n-1]
@@ -349,10 +353,10 @@ func (f *Fleet) bookLocked(r *Record, a *sched.Assignment, w *perfsim.Workload) 
 			f.spare = append(f.spare, rec)
 		}
 	case RecMove:
-		rec, d := f.tenants[r.ID], f.byName[r.Dest]
+		rec := f.tenants[r.ID]
 		rec.mem.tenants--
-		rec.mem, rec.engineID, rec.assign = d, r.EngineID, *a
-		d.tenants++
+		rec.mem, rec.engineID, rec.assign = m, r.EngineID, *a
+		m.tenants++
 		f.moves++
 		f.migrationSeconds += r.Seconds
 		if r.Failover {
@@ -367,15 +371,13 @@ func (f *Fleet) bookLocked(r *Record, a *sched.Assignment, w *perfsim.Workload) 
 	case RecHealth:
 		// A return from Dead is the RecRevive's, after its fence.
 		if r.FromHealth != Dead {
-			m := f.byName[r.Backend]
 			m.health, m.misses = r.ToHealth, r.Misses
 		}
 	case RecFailover:
 		f.failovers++
 	case RecDrainStart, RecResume:
-		f.byName[r.Backend].drained = r.Type == RecDrainStart
+		m.drained = r.Type == RecDrainStart
 	case RecRevive:
-		m := f.byName[r.Backend]
 		m.health, m.misses = Healthy, 0
 	}
 	return r

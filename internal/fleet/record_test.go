@@ -4,14 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/machines"
 	"repro/internal/nperr"
 	"repro/internal/perfsim"
+	"repro/internal/topology"
 	"repro/internal/workloads"
 )
 
@@ -64,7 +67,7 @@ func (p *memPersister) records() []Record {
 func lookupWorkload(name string) (perfsim.Workload, bool) { return workloads.ByName(name) }
 
 // stubFleet builds a three-stub fleet (two AMD + one Intel) under cfg.
-func stubFleet(t *testing.T, cfg Config) (*Fleet, map[string]*stubBackend) {
+func stubFleet(t testing.TB, cfg Config) (*Fleet, map[string]*stubBackend) {
 	t.Helper()
 	stubs := map[string]*stubBackend{
 		"a": newStub(machines.AMD(), 1),
@@ -83,7 +86,7 @@ func stubFleet(t *testing.T, cfg Config) (*Fleet, map[string]*stubBackend) {
 // churn drives a representative mutation mix through f: admissions across
 // all machines, releases, a drain/resume cycle, a crash with automatic
 // failover, a revive, a stranded-release, and a rebalance pass.
-func churn(t *testing.T, ctx context.Context, f *Fleet) {
+func churn(t testing.TB, ctx context.Context, f *Fleet) {
 	t.Helper()
 	w := testWorkload(t, "swaptions")
 	var ids []int
@@ -140,25 +143,42 @@ func stateOf(f *Fleet) State {
 // commit seq.
 func requireFleetEqual(t *testing.T, want, got *Fleet) {
 	t.Helper()
-	if w, g := stateOf(want), stateOf(got); !reflect.DeepEqual(g, w) {
-		t.Fatalf("State diverged:\n got %+v\nwant %+v", g, w)
+	if diff := fleetDiff(want, got); diff != "" {
+		t.Fatal(diff)
 	}
-	if w, g := want.Assignments(), got.Assignments(); !reflect.DeepEqual(g, w) {
-		t.Fatalf("Assignments diverged:\n got %+v\nwant %+v", g, w)
+}
+
+// fleetDiff says how got differs from want in what requireFleetEqual
+// compares, "" if in nothing.
+func fleetDiff(want, got *Fleet) string {
+	if w, g := stateOf(want), stateOf(got); !same(g, w) {
+		return fmt.Sprintf("State diverged:\n got %+v\nwant %+v", g, w)
 	}
-	if w, g := want.Stats(), got.Stats(); !reflect.DeepEqual(g, w) {
-		t.Fatalf("Stats diverged:\n got %+v\nwant %+v", g, w)
+	if w, g := want.Assignments(), got.Assignments(); !same(g, w) {
+		return fmt.Sprintf("Assignments diverged:\n got %+v\nwant %+v", g, w)
+	}
+	if w, g := want.Stats(), got.Stats(); !same(g, w) {
+		return fmt.Sprintf("Stats diverged:\n got %+v\nwant %+v", g, w)
 	}
 	for _, name := range want.Names() {
 		wh, _ := want.HealthOf(name)
 		gh, _ := got.HealthOf(name)
 		if wh != gh {
-			t.Fatalf("health of %s diverged: got %s, want %s", name, gh, wh)
+			return fmt.Sprintf("health of %s diverged: got %s, want %s", name, gh, wh)
 		}
 	}
 	if want.Seq() != got.Seq() {
-		t.Fatalf("Seq diverged: got %d, want %d", got.Seq(), want.Seq())
+		return fmt.Sprintf("Seq diverged: got %d, want %d", got.Seq(), want.Seq())
 	}
+	return ""
+}
+
+// same is reflect.DeepEqual, but for NaN, which DeepEqual holds unequal to
+// itself: an engine takes a NaN observation, so the books may carry one.
+// Two values are the same if they are deeply equal or print alike in Go
+// syntax, which tells apart every other pair of floats.
+func same(a, b any) bool {
+	return reflect.DeepEqual(a, b) || fmt.Sprintf("%#v", a) == fmt.Sprintf("%#v", b)
 }
 
 func TestRestoreReplaysLog(t *testing.T) {
@@ -303,6 +323,62 @@ func TestRestoreRejectsBadLogs(t *testing.T) {
 	}
 	if err := twin5.Restore(ctx, nil, recs, lookupWorkload); err == nil {
 		t.Error("Restore on a fleet with an un-logged commit succeeded, want error")
+	}
+
+	// A wrong record still fails the restart when a valid release of its
+	// tenant follows: with the sentinel and at the record a per-record replay
+	// into the engines fails with, though the tenant does not survive. Each
+	// wrong record repeats a tuple an earlier record had accepted in all but
+	// what is wrong with it.
+	n := topology.NewNodeSet
+	place := func(id, engineID int, nodes topology.NodeSet) Record {
+		return Record{Type: RecPlace, ID: id, Backend: "a", Workload: "swaptions", VCPUs: 4,
+			EngineID: engineID, ClassID: nodes.Len(), Nodes: nodes, BasePerf: 1, ProbePerf: 1}
+	}
+	release := func(id int) Record {
+		return Record{Type: RecRelease, ID: id, Backend: "a", Workload: "swaptions", VCPUs: 4}
+	}
+	intra := func(id, engineID int, nodes topology.NodeSet) Record {
+		return Record{Type: RecIntraMove, ID: id, Backend: "a", EngineID: engineID, ClassID: nodes.Len(), Nodes: nodes}
+	}
+	// Tenant 0 stays on node 0; tenant 1 comes and goes on node 1.
+	head := []Record{place(0, 0, n(0)), place(1, 1, n(1)), release(1)}
+	for _, tc := range []struct {
+		name  string
+		wrong []Record // the records between head and the release of tenant 2
+		want  error
+	}{
+		{"nodes overlapping a live tenant", []Record{place(2, 2, n(0))}, nperr.ErrLogCorrupt},
+		{"an engine ID live twice", []Record{place(2, 0, n(1))}, nperr.ErrLogCorrupt},
+		{"an unknown class", []Record{func() Record { r := place(2, 2, n(1)); r.ClassID = 9; return r }()}, nperr.ErrLogCorrupt},
+		{"a node count other than the class's", []Record{func() Record { r := place(2, 2, n(1, 2)); r.ClassID = 1; return r }()}, nperr.ErrLogCorrupt},
+		{"a BasePerf <= 0", []Record{func() Record { r := place(2, 2, n(1)); r.BasePerf = 0; return r }()}, nperr.ErrBadObservation},
+		{"a BasePerf <= 0 after a NaN one of its tuple", []Record{func() Record { r := place(2, 2, n(1)); r.BasePerf = math.NaN(); return r }(),
+			release(2), func() Record { r := place(2, 2, n(1)); r.BasePerf = 0; return r }()}, nperr.ErrBadObservation},
+		{"an intra-move onto taken nodes", []Record{place(2, 2, n(1)), intra(2, 2, n(0))}, nperr.ErrLogCorrupt},
+		{"an intra-move of a class not the nodes'", []Record{place(2, 2, n(1)), func() Record { r := intra(2, 2, n(1, 2)); r.ClassID = 1; return r }()}, nperr.ErrLogCorrupt},
+		{"an intra-move of an unknown engine ID", []Record{place(2, 2, n(1)), intra(2, 7, n(1))}, nperr.ErrUnknownContainer},
+		{"an intra-move of another tenant's engine ID", []Record{place(2, 2, n(1)), intra(2, 0, n(3))}, nperr.ErrLogCorrupt},
+	} {
+		bad := slices.Concat(head, tc.wrong, []Record{release(2)})
+		for i := range bad {
+			bad[i].Seq = uint64(i + 1)
+		}
+		at := fmt.Sprintf("record %d (%s)", bad[len(bad)-2].Seq, bad[len(bad)-2].Type)
+		run := restoreBoth(stubFleetBuild(t, cfg), nil, bad)
+		if run.diff != "" {
+			t.Errorf("%s: %s", tc.name, run.diff)
+		}
+		if !errors.Is(run.err, tc.want) || !strings.Contains(fmt.Sprint(run.err), at) {
+			t.Errorf("%s: Restore err = %v, want %v at %s", tc.name, run.err, tc.want, at)
+		}
+	}
+	good := slices.Concat(head, []Record{place(2, 2, n(1)), intra(2, 2, n(2)), release(2)})
+	for i := range good {
+		good[i].Seq = uint64(i + 1)
+	}
+	if run := restoreBoth(stubFleetBuild(t, cfg), nil, good); run.err != nil || run.diff != "" {
+		t.Errorf("the log the wrong records were made from: %v %s", run.err, run.diff)
 	}
 }
 

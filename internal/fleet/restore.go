@@ -1,18 +1,27 @@
 // Recovery: rebuilding a fleet from a snapshot plus a write-ahead record
 // tail. Restore runs once, on a freshly built fleet whose backends have
-// been Added (and trained) but never served: the snapshot's records rebuild
-// the member flags and tenant map as of its sequence, then each record with a
-// greater sequence redoes the backend side of the mutation it logged —
-// adoption instead of re-admission, recorded moves instead of re-searching —
-// and is booked by the same bookLocked the live mutation called, so the
-// recovered fleet's books (its State), Assignments(), Stats(), free sets and
-// health states are those of the fleet that wrote the log.
+// been Added (and trained) but never served. The snapshot's records rebuild
+// the member flags and tenant map as of its sequence, each tenant adopted
+// onto its engine. Then each record with a greater sequence redoes the
+// backend side of the mutation it logged — adoption instead of
+// re-admission, recorded moves instead of re-searching — and is booked by
+// the same bookLocked the live mutation called, so the recovered fleet's
+// books (its State), Assignments(), Stats(), free sets and health states are
+// those of the fleet that wrote the log.
+//
+// The tail's backend side goes to ledgers (ledger.go): each member's books
+// beside its engine, which check each record as the engine would and pass
+// every change to a snapshot tenant on to the engine. Most tenants a long
+// tail places leave again before it ends, and the engine adopts only those
+// that do not, once, at the install. Each engine's ID allocator ends where
+// adopting every record would have left it.
 //
 // Tenants mapped to a dead member are adopted onto its backend all the
-// same: engines here are in-process models of the machine, and
-// reconstructing the dead machine's books is what makes the post-recovery
-// Revive fencing pass (and Release of stranded records) behave exactly
-// like the uncrashed fleet's.
+// same, and so are the orphans its engine still holds for tenants that left
+// it while it was dead: engines here are in-process models of the machine,
+// and reconstructing the dead machine's books is what makes the
+// post-recovery Revive fencing pass (and Release of stranded records) behave
+// exactly like the uncrashed fleet's.
 package fleet
 
 import (
@@ -44,6 +53,28 @@ func (f *Fleet) Restore(ctx context.Context, st *State, recs []Record, lookup Wo
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if err := f.unusedLocked(); err != nil {
+		return err
+	}
+	// Nothing routes during replay: the records keep member.tenants exact (the
+	// books check reads it) and the routing index is derived once, from what
+	// they leave behind — whether or not they all apply.
+	defer f.rebuildIndexLocked()
+	if st != nil {
+		if err := f.applyStateLocked(ctx, st, lookup); err != nil {
+			return err
+		}
+	}
+	f.ledgers = &ledgerSet{lookup: lookup, by: make([]*ledger, len(f.members))}
+	defer func() { f.ledgers = nil }()
+	if err := f.replayLogLocked(ctx, recs, lookup); err != nil {
+		return err
+	}
+	return f.installLocked(ctx)
+}
+
+// unusedLocked refuses a fleet Restore may not run on. Callers hold f.mu.
+func (f *Fleet) unusedLocked() error {
 	if f.persister != nil {
 		//numalint:ignore sentinelwrap startup-sequence misuse by the embedding daemon, never reaches the wire path
 		return fmt.Errorf("fleet: restore with a persister attached (attach it after Restore)")
@@ -52,18 +83,54 @@ func (f *Fleet) Restore(ctx context.Context, st *State, recs []Record, lookup Wo
 		//numalint:ignore sentinelwrap startup-sequence misuse by the embedding daemon, never reaches the wire path
 		return fmt.Errorf("fleet: restore into a fleet that already served")
 	}
-	// Nothing routes during replay: the records keep member.tenants exact (the
-	// books check reads it) and the routing index is derived once, from what
-	// they leave behind — whether or not they all apply.
-	defer f.rebuildIndexLocked()
-	snapSeq := uint64(0)
-	if st != nil {
-		if err := f.applyStateLocked(ctx, st, lookup); err != nil {
-			return err
-		}
-		snapSeq = st.Seq
-		f.seq = st.Seq
+	return nil
+}
+
+// backendLocked is the backend a replay drives for m: its ledger while
+// Restore replays a log tail, its Backend otherwise. Callers hold f.mu.
+func (f *Fleet) backendLocked(m *member) Backend {
+	if f.ledgers != nil {
+		return f.ledgers.of(m)
 	}
+	return m.b
+}
+
+// installLocked ends a replay into ledgers: each engine adopts what only its
+// ledger holds — the tenants the tail placed that survive it, and the
+// orphans of a machine that died — and each such surviving tenant's books
+// take the assignment its engine gave it, booked as an intra-move to where
+// it is (the ledger's lacks what only the engine computes: the prediction,
+// the pinning). Callers hold f.mu.
+func (f *Fleet) installLocked(ctx context.Context) error {
+	installed := 0
+	for i, l := range f.ledgers.by {
+		if l == nil {
+			continue
+		}
+		n, err := l.install(ctx)
+		if err != nil {
+			return fmt.Errorf("fleet: restoring %s: %w", f.members[i].name, err)
+		}
+		installed += n
+	}
+	if installed == 0 {
+		return nil
+	}
+	for id, rec := range f.tenants {
+		if l := f.ledgers.by[rec.mem.pos]; l == nil || !l.installed(rec.engineID) {
+			continue
+		}
+		if a, ok := rec.mem.b.Assignment(rec.engineID); ok {
+			f.bookLocked(&Record{Type: RecIntraMove, ID: id}, rec.mem, &a, nil)
+		}
+	}
+	return nil
+}
+
+// replayLogLocked replays, one by one, the records of recs above the fleet's
+// sequence. Callers hold f.mu.
+func (f *Fleet) replayLogLocked(ctx context.Context, recs []Record, lookup WorkloadLookup) error {
+	snapSeq := f.seq
 	for i := range recs {
 		r := &recs[i]
 		if r.Seq <= snapSeq {
@@ -102,8 +169,8 @@ func restoreOf(r *Record, w perfsim.Workload, vcpus int) sched.Restore {
 
 // applyStateLocked installs a snapshot: each of its records replays as a log
 // record would — the member flags, then each tenant's RecPlace — then the
-// counters and next ID the snapshot carries, which stand for the whole
-// history before it. Callers hold f.mu.
+// sequence, counters and next ID the snapshot carries, which stand for the
+// whole history before it. Callers hold f.mu.
 func (f *Fleet) applyStateLocked(ctx context.Context, st *State, lookup WorkloadLookup) error {
 	for i := range st.Records {
 		r := &st.Records[i]
@@ -117,6 +184,7 @@ func (f *Fleet) applyStateLocked(ctx context.Context, st *State, lookup Workload
 	f.admitted, f.rejected, f.released, f.moves = st.Admitted, st.Rejected, st.Released, st.Moves
 	f.failovers, f.failedOver = st.Failovers, st.FailedOver
 	f.migrationSeconds = st.MigrationSeconds
+	f.seq = st.Seq
 	return nil
 }
 
@@ -156,27 +224,30 @@ func (f *Fleet) replayLocked(ctx context.Context, r *Record, lookup WorkloadLook
 		if w, ok = lookup(r.Workload); !ok { // the log was written against another catalog
 			return fmt.Errorf("workload %q not in the catalog: %w", r.Workload, nperr.ErrLogCorrupt)
 		}
-		if a, err = m.b.Adopt(ctx, restoreOf(r, w, r.VCPUs)); err != nil {
+		if a, err = f.backendLocked(m).Adopt(ctx, restoreOf(r, w, r.VCPUs)); err != nil {
 			return fmt.Errorf("adopting container %d onto %s: %w", r.ID, m.name, err)
 		}
 
 	case RecRelease, RecMove:
 		if m.health != Dead {
-			if err := m.b.Release(ctx, rec.engineID); err != nil {
+			if err := f.backendLocked(m).Release(ctx, rec.engineID); err != nil {
 				return fmt.Errorf("releasing container %d from %s: %w", r.ID, m.name, err)
 			}
 		}
 		if d != nil {
-			if a, err = d.b.Adopt(ctx, restoreOf(r, rec.w, rec.vcpus)); err != nil {
+			if a, err = f.backendLocked(d).Adopt(ctx, restoreOf(r, rec.w, rec.vcpus)); err != nil {
 				return fmt.Errorf("adopting moved container %d onto %s: %w", r.ID, d.name, err)
 			}
 		}
 
 	case RecIntraMove:
-		if err := m.b.ApplyMove(ctx, r.EngineID, r.ClassID, r.Nodes); err != nil {
+		if err := f.backendLocked(m).ApplyMove(ctx, r.EngineID, r.ClassID, r.Nodes); err != nil {
 			return fmt.Errorf("intra-move of container %d on %s: %w", r.ID, m.name, err)
 		}
-		if moved, ok := m.b.Assignment(r.EngineID); ok {
+		if r.EngineID != rec.engineID { // the books would take another tenant's assignment
+			return fmt.Errorf("intra-move of container %d names engine ID %d, not its %d: %w", r.ID, r.EngineID, rec.engineID, nperr.ErrLogCorrupt)
+		}
+		if moved, ok := f.backendLocked(m).Assignment(r.EngineID); ok {
 			a = &moved
 		}
 
@@ -191,6 +262,9 @@ func (f *Fleet) replayLocked(ctx context.Context, r *Record, lookup WorkloadLook
 	default:
 		return fmt.Errorf("unknown record type %d: %w", int(r.Type), nperr.ErrLogCorrupt)
 	}
-	f.bookLocked(r, a, &w)
+	if d != nil {
+		m = d // a move books onto its destination
+	}
+	f.bookLocked(r, m, a, &w)
 	return nil
 }

@@ -60,7 +60,13 @@ func classIndex(imps []placement.Important, classID int) (int, bool) {
 // admissions never reuse a logged identity. Records inconsistent with the
 // machine — unknown class, nodes of another count than the class's, nodes
 // already allocated, duplicate ID — fail with nperr.ErrLogCorrupt; a missing
-// predictor fails with nperr.ErrUntrained like Admit.
+// predictor fails with nperr.ErrUntrained like Admit, an observation <= 0
+// with nperr.ErrBadObservation. Beyond the books (the ID and the free
+// nodes), whether Adopt takes r depends only on r.VCPUs, r.ClassID, r.Nodes
+// and whether each observation is <= 0 — never on the workload, the ID or an
+// observation's value: a restart's ledgers (internal/fleet) take a tuple
+// Adopt accepted once as accepted (TestAdoptVerdictIsTheTuple). A new check
+// must keep to those inputs or change the ledgers' verdict key with it.
 func (s *Scheduler) Adopt(ctx context.Context, r Restore) (_ *Assignment, err error) {
 	p := s.pred(r.VCPUs)
 	imps, err := s.model(ctx, r.VCPUs, p)

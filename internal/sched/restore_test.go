@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -215,6 +216,47 @@ func TestAdoptRejectsInconsistentRecords(t *testing.T) {
 	}
 	if !reflect.DeepEqual(s2.Assignments(), books) || s2.Free() != free {
 		t.Errorf("refused records changed the books or the free mask %s (was %s)", s2.Free(), free)
+	}
+}
+
+// TestAdoptVerdictIsTheTuple pins what Adopt's doc promises a restart's
+// ledgers: beyond its books, whether Adopt takes a record depends only on its
+// vCPU count, class, nodes and whether each observation is <= 0. A tuple it
+// took once it takes again under another workload, another ID and other
+// positive or NaN observations; with an observation <= 0 it refuses.
+func TestAdoptVerdictIsTheTuple(t *testing.T) {
+	ctx := context.Background()
+	s1, s2 := twinSchedulers(t, machines.AMD(), 16, ServeConfig{})
+	wt, _ := workloads.ByName("WTbtree")
+	other, _ := workloads.ByName("gcc")
+	a, err := s1.Admit(ctx, wt, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := restoreOf(a)
+	cycle := func(r Restore) error {
+		got, err := s2.Adopt(ctx, r)
+		if err != nil {
+			return err
+		}
+		return s2.Release(ctx, got.ID)
+	}
+	if err := cycle(r); err != nil {
+		t.Fatal(err)
+	}
+	for i, obs := range [][2]float64{{r.BasePerf * 3, r.ProbePerf / 7}, {1e-9, 1e9}, {math.NaN(), 1}, {1, math.NaN()}} {
+		again := r
+		again.ID, again.Workload, again.BasePerf, again.ProbePerf = r.ID+1+i, other, obs[0], obs[1]
+		if err := cycle(again); err != nil {
+			t.Errorf("observations %v under %s, ID %d: %v", obs, other.Name, again.ID, err)
+		}
+	}
+	for i, obs := range [][2]float64{{0, 1}, {1, -1}, {math.Inf(-1), 1}} {
+		bad := r
+		bad.ID, bad.BasePerf, bad.ProbePerf = r.ID+10+i, obs[0], obs[1]
+		if err := cycle(bad); !errors.Is(err, nperr.ErrBadObservation) {
+			t.Errorf("observations %v: err = %v, want ErrBadObservation", obs, err)
+		}
 	}
 }
 

@@ -6,9 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/fleet"
+	"repro/internal/nperr"
 	"repro/internal/workloads"
 	"repro/internal/xrand"
 )
@@ -194,5 +197,68 @@ func TestFleetWALParity(t *testing.T) {
 	}
 	if got, want := restF.Stats(), classedF.Stats(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored stats %+v, original %+v", got, want)
+	}
+}
+
+// TestRestoreRefusesAsTheEngine: a restart judges every record against the
+// real engines, not only the tenants that survive the log. A place record the
+// engine's Adopt would refuse fails Restore into fresh engines with the
+// engine's sentinel, at that record, although the next record releases its
+// tenant: an unknown class, a node count other than the class's, a
+// non-positive observation, a size no predictor covers, nodes a live tenant
+// holds, an engine ID already live.
+func TestRestoreRefusesAsTheEngine(t *testing.T) {
+	ctx := context.Background()
+	trained := trainedEngine(t, ctx, AMD(), 16)
+	p, ok := trained.Predictor(16)
+	if !ok {
+		t.Fatal("trained engine has no 16-vCPU predictor")
+	}
+	fresh := func() *fleet.Fleet {
+		f := fleet.New(fleet.Config{})
+		if err := f.Add("amd-0", New(AMD(), WithPredictor(16, p))); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	live, sink := fresh(), &recSink{}
+	live.SetPersister(sink)
+	w, ok := WorkloadByName("gcc")
+	if !ok {
+		t.Fatal("unknown workload gcc")
+	}
+	if _, err := live.Place(ctx, w, 16); err != nil {
+		t.Fatal(err)
+	}
+	second, err := live.Place(ctx, w, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := live.Release(ctx, second.ID); err != nil {
+		t.Fatal(err)
+	}
+	recs := sink.recs // place, place, release of the second
+	if err := fresh().Restore(ctx, nil, recs, workloads.ByName); err != nil {
+		t.Fatalf("the log the wrong records are made from: %v", err)
+	}
+	first := recs[0]
+	for _, tc := range []struct {
+		name string
+		edit func(r *fleet.Record)
+		want error
+	}{
+		{"an unknown class", func(r *fleet.Record) { r.ClassID = 999 }, nperr.ErrLogCorrupt},
+		{"a node count other than the class's", func(r *fleet.Record) { r.Nodes = r.Nodes.Remove(r.Nodes.Lowest()) }, nperr.ErrLogCorrupt},
+		{"a BasePerf <= 0", func(r *fleet.Record) { r.BasePerf = 0 }, nperr.ErrBadObservation},
+		{"a size no predictor covers", func(r *fleet.Record) { r.VCPUs = 8 }, nperr.ErrUntrained},
+		{"nodes a live tenant holds", func(r *fleet.Record) { r.ClassID, r.Nodes = first.ClassID, first.Nodes }, nperr.ErrLogCorrupt},
+		{"an engine ID already live", func(r *fleet.Record) { r.EngineID = first.EngineID }, nperr.ErrLogCorrupt},
+	} {
+		bad := slices.Clone(recs)
+		tc.edit(&bad[1])
+		err := fresh().Restore(ctx, nil, bad, workloads.ByName)
+		if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), "record 2 (place)") {
+			t.Errorf("%s: Restore err = %v, want %v at record 2", tc.name, err, tc.want)
+		}
 	}
 }
