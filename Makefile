@@ -133,14 +133,16 @@ benchsmoke:
 benchcheck:
 	cd bench && $(GO) test ./...
 
-# The three line counts a simplicity change reports (ROADMAP.md's standing
-# rule), each a `find … | xargs cat | wc -l`: non-test Go outside bench/,
-# test Go outside bench/, and all Go in bench/. Run it at the parent and at
-# the change for the before/after.
+# The line counts a simplicity change reports (ROADMAP.md's standing rule),
+# each a `find … | xargs cat | wc -l`: non-test Go outside bench/, test Go
+# outside bench/, all Go in bench/, and non-test Go in cmd/ + examples/ (the
+# binaries' own assembly). Run it at the parent and at the change for the
+# before/after.
 loc:
 	@printf 'non-test Go outside bench/: '; find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 	@printf 'test Go outside bench/:     '; find . -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 	@printf 'Go in bench/:               '; find ./bench -name '*.go' | xargs cat | wc -l
+	@printf 'non-test Go in cmd/+examples/: '; find ./cmd ./examples -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 # Emits two CPU profiles: cpu.prof of the heaviest training pipeline (the
 # Figure 4 cross-validation grid) and recovery.prof of a restart (wal.Open

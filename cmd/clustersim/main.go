@@ -22,13 +22,11 @@
 // scenario's transitions, failover reports and final accounting are part
 // of the deterministic standard output.
 //
-// Usage:
-//
 // The restart scenario exercises the durability layer end to end inside
 // the simulation: the control plane logs every mutation to a write-ahead
 // log, "crashes" at sim time t (the cluster object and its engines are
-// discarded), rebuilds the engines from scratch with the same seeds, and
-// recovers the fleet by replaying the log. The recovered state must be
+// discarded), rebuilds the engines from the machine models it trained, and
+// recovers the fleet by replaying the log as numaplaced boots. The recovered state must be
 // byte-identical to the pre-crash state — the simulator verifies it and
 // the report says so deterministically.
 //
@@ -60,7 +58,7 @@ import (
 
 	"repro"
 	"repro/internal/des"
-	"repro/internal/mlearn"
+	"repro/internal/recipe"
 	"repro/internal/stats"
 	"repro/internal/wal"
 	"repro/internal/workloads"
@@ -85,10 +83,9 @@ type simConfig struct {
 	slow       []eventSpec // machines answering every 3rd probe from t
 	partition  []spanSpec  // machines unreachable in [from, to)
 	restart    []float64   // control-plane crash+recover times
-	dataDir    string      // WAL directory for -restart ("" = fresh temp dir)
 	spread     bool        // spread workload replicas across racks
 
-	trials, trees, corpus int // training fidelity
+	quick bool // train at the recipe's reduced fidelity
 }
 
 // eventSpec is one "machine@t" scenario entry; spanSpec one "machine@t1:t2".
@@ -164,53 +161,40 @@ func parseSpans(flagName, s string) ([]spanSpec, error) {
 }
 
 func main() {
+	var cfg simConfig
 	machineList := flag.String("machines", "amd,intel", "comma-separated machine models forming the fleet")
 	policyName := flag.String("policy", "best-predicted", "routing policy: first-fit, least-loaded or best-predicted")
-	n := flag.Int("n", 240, "number of container arrivals in the trace")
-	vcpus := flag.Int("vcpus", 16, "vCPUs per container")
-	seed := flag.Uint64("seed", 1, "trace seed (arrivals, workloads, lifetimes)")
-	arrival := flag.Float64("arrival", 15, "mean inter-arrival time in simulated seconds")
-	life := flag.Float64("life", 90, "mean container lifetime in simulated seconds")
-	rebalance := flag.Float64("rebalance", 120, "rebalance tick period in simulated seconds (0 disables)")
-	budget := flag.Float64("budget", 60, "migration-seconds budget per rebalance pass")
-	drainBelow := flag.Float64("drain-below", 0.5, "consolidate machines below this utilization during rebalance")
-	probeEvery := flag.Float64("probe-every", 10, "health probe period in simulated seconds (0 disables probing, and with it -crash, -slow and -partition)")
+	flag.IntVar(&cfg.n, "n", 240, "number of container arrivals in the trace")
+	flag.IntVar(&cfg.vcpus, "vcpus", 16, "vCPUs per container")
+	flag.Uint64Var(&cfg.seed, "seed", 1, "trace seed (arrivals, workloads, lifetimes)")
+	flag.Float64Var(&cfg.meanArrival, "arrival", 15, "mean inter-arrival time in simulated seconds")
+	flag.Float64Var(&cfg.meanLife, "life", 90, "mean container lifetime in simulated seconds")
+	flag.Float64Var(&cfg.rebalanceEvery, "rebalance", 120, "rebalance tick period in simulated seconds (0 disables)")
+	flag.Float64Var(&cfg.budget, "budget", 60, "migration-seconds budget per rebalance pass")
+	flag.Float64Var(&cfg.drainBelow, "drain-below", 0.5, "consolidate machines below this utilization during rebalance")
+	flag.Float64Var(&cfg.probeEvery, "probe-every", 10, "health probe period in simulated seconds (0 disables probing, and with it -crash, -slow and -partition)")
 	crash := flag.String("crash", "", "crash scenario: machine@t[,...] — stops answering probes at sim time t, never recovers")
 	slow := flag.String("slow", "", "slow-node scenario: machine@t[,...] — answers only every third probe from sim time t")
 	partition := flag.String("partition", "", "partition scenario: machine@t1:t2[,...] — unreachable in [t1,t2), then rejoins")
 	restart := flag.String("restart", "", "restart scenario: t[,...] — crash the control plane at sim time t and recover it from its write-ahead log")
-	spread := flag.Bool("spread", false, "spread replicas of a workload across failure domains (racks)")
-	quick := flag.Bool("quick", false, "reduced training fidelity and a 200-container trace (CI smoke)")
+	flag.BoolVar(&cfg.spread, "spread", false, "spread replicas of a workload across failure domains (racks)")
+	flag.BoolVar(&cfg.quick, "quick", false, "reduced training fidelity and a 200-container trace (CI smoke)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	policy, ok := numaplace.ClusterPolicyByName(*policyName)
-	if !ok {
+	var ok bool
+	if cfg.policy, ok = numaplace.ClusterPolicyByName(*policyName); !ok {
 		fmt.Fprintf(os.Stderr, "unknown policy %q\n", *policyName)
 		os.Exit(2)
 	}
-	if *n < 0 || *vcpus <= 0 || *arrival <= 0 || *life <= 0 {
+	if cfg.n < 0 || cfg.vcpus <= 0 || cfg.meanArrival <= 0 || cfg.meanLife <= 0 {
 		fmt.Fprintln(os.Stderr, "-n must be non-negative; -vcpus, -arrival and -life positive")
 		flag.Usage()
 		os.Exit(2)
 	}
-	cfg := simConfig{
-		machines:       strings.Split(*machineList, ","),
-		policy:         policy,
-		n:              *n,
-		vcpus:          *vcpus,
-		seed:           *seed,
-		meanArrival:    *arrival,
-		meanLife:       *life,
-		rebalanceEvery: *rebalance,
-		budget:         *budget,
-		drainBelow:     *drainBelow,
-		probeEvery:     *probeEvery,
-		spread:         *spread,
-		trials:         3, trees: 60, corpus: 30,
-	}
+	cfg.machines = strings.Split(*machineList, ",")
 	scenarioErr := func(err error) {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -226,11 +210,14 @@ func main() {
 	scenarioErr(err)
 	cfg.restart, err = parseTimes("restart", *restart)
 	scenarioErr(err)
-	if *quick {
-		cfg.trials, cfg.trees, cfg.corpus = 2, 10, 10
-		if !flagSet("n") {
-			cfg.n = 200
-		}
+	if cfg.quick { // a 200-container trace, unless -n says otherwise
+		n := cfg.n
+		cfg.n = 200
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "n" {
+				cfg.n = n
+			}
+		})
 	}
 	if err := run(ctx, cfg, os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -238,73 +225,11 @@ func main() {
 	}
 }
 
-// flagSet reports whether the named flag was given explicitly.
-func flagSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
-// buildCluster builds and trains one Engine per configured machine and
-// assembles them into a cluster. Training is fully seeded, so calling this
-// twice (initial boot and a -restart recovery) yields engines whose
-// predictions agree decision for decision — the property WAL replay needs.
-// Machines alternate between two racks — the failure domains the -spread
-// routing preference and the per-domain stats report against.
-func buildCluster(ctx context.Context, cfg simConfig, out io.Writer) (*numaplace.Cluster, error) {
-	cl := numaplace.NewCluster(numaplace.ClusterConfig{
-		Policy: cfg.policy, DrainBelow: cfg.drainBelow, SpreadDomains: cfg.spread,
-	})
-	names := machineNames(cfg.machines)
-	for i, mname := range cfg.machines {
-		m, ok := numaplace.MachineByName(mname)
-		if !ok {
-			return nil, fmt.Errorf("unknown machine %q", mname)
-		}
-		eng := numaplace.New(m,
-			numaplace.WithCollectConfig(numaplace.CollectConfig{Trials: cfg.trials}),
-			numaplace.WithTrainConfig(numaplace.TrainConfig{
-				Seed: 1, Forest: mlearn.ForestConfig{Trees: cfg.trees},
-				SelectionTrees: 4, SelectionFolds: 3,
-			}),
-		)
-		ws := workloads.TrainingSet(cfg.corpus, 42)
-		ds, err := eng.Collect(ctx, ws, cfg.vcpus)
-		if err != nil {
-			return nil, fmt.Errorf("collecting on %s: %w", mname, err)
-		}
-		pred, err := eng.Train(ctx, ds)
-		if err != nil {
-			return nil, fmt.Errorf("training on %s: %w", mname, err)
-		}
-		if err := cl.Add(names[i], eng, numaplace.InDomain(fmt.Sprintf("rack-%d", i%2))); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(out, "trained %-8s %-22s %3d workloads x %2d placements, base/probe %d/%d\n",
-			names[i], m.Topo.Name, len(ws), pred.NumPlacements, pred.Base, pred.Probe)
-	}
-	return cl, nil
-}
-
-// machineNames names the fleet's machines: the model and its position in
-// -machines ("amd-0", "intel-1").
-func machineNames(models []string) []string {
-	names := make([]string, len(models))
-	for i, m := range models {
-		names[i] = fmt.Sprintf("%s-%d", m, i)
-	}
-	return names
-}
-
 // checkFaults refuses a fault scenario that would do nothing: faults are
 // probe answers, so they need probing on, and each must name a machine of
 // the fleet.
 func checkFaults(cfg simConfig) error {
-	names := machineNames(cfg.machines)
+	names := recipe.Names(cfg.machines)
 	known := func(flag, name string) error {
 		if !slices.Contains(names, name) {
 			return fmt.Errorf("-%s: unknown machine %q (have %s)", flag, name, strings.Join(names, ", "))
@@ -355,33 +280,54 @@ func run(ctx context.Context, cfg simConfig, out, errw io.Writer) error {
 		fmt.Fprintf(out, "scenario: control plane crashes and recovers from its log at t=%gs\n", rt)
 	}
 
-	cl, err := buildCluster(ctx, cfg, out)
+	// Each machine model trains once; a -restart rebuilds the engines from
+	// the same predictors, as a restarted daemon retraining with the same
+	// seeds would get.
+	models, err := recipe.Train(ctx, cfg.machines, cfg.vcpus, cfg.quick)
 	if err != nil {
 		return err
 	}
-	names := machineNames(cfg.machines)
-
 	// The restart scenario persists every fleet mutation to a real
-	// write-ahead log so the mid-trace recovery replays exactly what a
-	// restarted daemon would see.
-	var wlog *wal.Log
-	walDir := cfg.dataDir
+	// write-ahead log, in a fresh directory, and boots each control plane
+	// as a daemon does, by recovering its fleet from that log, so the
+	// mid-trace recovery replays exactly what a restarted daemon would see.
+	var (
+		walDir string
+		wlog   *wal.Log
+	)
 	if len(cfg.restart) > 0 {
-		if walDir == "" {
-			d, err := os.MkdirTemp("", "clustersim-wal")
-			if err != nil {
-				return err
-			}
-			defer os.RemoveAll(d)
-			walDir = d
+		if walDir, err = os.MkdirTemp("", "clustersim-wal"); err != nil {
+			return err
 		}
-		l, _, _, err := wal.Open(wal.Options{Dir: walDir, Fsync: wal.FsyncNone})
+		defer os.RemoveAll(walDir)
+	}
+	boot := func() (*numaplace.Cluster, error) {
+		cl, err := models.Build(ctx, numaplace.ClusterConfig{
+			Policy: cfg.policy, DrainBelow: cfg.drainBelow, SpreadDomains: cfg.spread,
+		})
+		if err != nil || walDir == "" {
+			return cl, err
+		}
+		l, _, _, err := recipe.Recover(ctx, cl.Fleet(), wal.Options{Dir: walDir, Fsync: wal.FsyncNone})
 		if err != nil {
-			return fmt.Errorf("opening write-ahead log in %s: %w", walDir, err)
+			return nil, err
 		}
-		defer func() { wlog.Close() }()
 		wlog = l
-		cl.Fleet().SetPersister(wlog)
+		return cl, nil
+	}
+	cl, err := boot()
+	if err != nil {
+		return err
+	}
+	if wlog != nil {
+		defer func() { wlog.Close() }()
+	}
+	names := recipe.Names(cfg.machines)
+	for _, name := range names {
+		eng, _ := cl.Engine(name)
+		pred, _ := eng.Predictor(cfg.vcpus)
+		fmt.Fprintf(out, "trained %-8s %-22s %3d workloads x %2d placements, base/probe %d/%d\n",
+			name, eng.Machine().Topo.Name, models.Workloads, pred.NumPlacements, pred.Base, pred.Probe)
 	}
 
 	// Pre-generate the whole trace so the rng stream is independent of
@@ -426,7 +372,6 @@ func run(ctx context.Context, cfg simConfig, out, errw io.Writer) error {
 	}
 
 	for _, a := range trace {
-		a := a
 		sim.At(a.at, func() {
 			if runErr != nil {
 				return
@@ -594,12 +539,11 @@ func run(ctx context.Context, cfg simConfig, out, errw io.Writer) error {
 
 	// Restart scenario: at each configured time the control plane crashes —
 	// the cluster object and its engines are dropped on the floor — and a
-	// successor rebuilds the engines (same seeds, same training), replays
-	// the write-ahead log into them, and resumes the trace. Recovery is
+	// successor rebuilds the engines from the trained models, replays the
+	// write-ahead log into them, and resumes the trace. Recovery is
 	// verified on the spot: the recovered assignments and stats must equal
 	// the pre-crash ones exactly, and the run fails loudly if they do not.
 	for _, rt := range cfg.restart {
-		rt := rt
 		sim.At(rt, func() {
 			if runErr != nil {
 				return
@@ -613,26 +557,15 @@ func run(ctx context.Context, cfg simConfig, out, errw io.Writer) error {
 				runErr = err
 				return
 			}
-			cl2, err := buildCluster(ctx, cfg, io.Discard)
+			cl2, err := boot()
 			if err != nil {
-				runErr = fmt.Errorf("restart at t=%g: rebuilding engines: %w", rt, err)
+				runErr = fmt.Errorf("restart at t=%g: %w", rt, err)
 				return
 			}
-			l2, st, recs, err := wal.Open(wal.Options{Dir: walDir, Fsync: wal.FsyncNone})
-			if err != nil {
-				runErr = fmt.Errorf("restart at t=%g: reopening log: %w", rt, err)
-				return
-			}
-			if err := cl2.Fleet().Restore(ctx, st, recs, workloads.ByName); err != nil {
-				runErr = fmt.Errorf("restart at t=%g: replaying log: %w", rt, err)
-				return
-			}
-			cl2.Fleet().SetPersister(l2)
-			wlog = l2
 			identical := reflect.DeepEqual(prevAssign, cl2.Assignments()) &&
 				reflect.DeepEqual(prevStats, cl2.Stats())
 			fmt.Fprintf(out, "t=%8.1f  restart: recovered %d tenants at seq %d, state identical: %v\n",
-				sim.Now(), len(cl2.Assignments()), l2.Head().RecoveredSeq, identical)
+				sim.Now(), len(cl2.Assignments()), wlog.Head().RecoveredSeq, identical)
 			if !identical {
 				runErr = fmt.Errorf("restart at t=%g: recovered state diverged from pre-crash state", rt)
 				return

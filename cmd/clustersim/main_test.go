@@ -21,7 +21,7 @@ func quickCfg(policy string, n int) simConfig {
 		n:        n, vcpus: 16, seed: 1,
 		meanArrival: 15, meanLife: 90,
 		rebalanceEvery: 120, budget: 60, drainBelow: 0.9,
-		trials: 2, trees: 8, corpus: 8,
+		quick: true,
 	}
 	p, ok := numaplace.ClusterPolicyByName(policy)
 	if !ok {
@@ -92,7 +92,6 @@ func TestClustersimRestart(t *testing.T) {
 		cfg.probeEvery = 10
 		cfg.crash = []eventSpec{{name: "amd-0", at: 400}}
 		cfg.restart = []float64{300, 700}
-		cfg.dataDir = t.TempDir()
 		return cfg
 	}
 	outputs := make([][]byte, 0, 2)

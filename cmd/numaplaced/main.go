@@ -2,9 +2,10 @@
 
 // Command numaplaced serves a numaplace.Cluster over the wire protocol:
 // an HTTP/JSON daemon remote callers drive through repro/client (or plain
-// curl). On startup it builds one Engine per -machines entry, trains each
-// on the paper catalog plus a synthetic corpus, assembles the cluster
-// under the chosen routing policy, and listens.
+// curl). On startup it trains one predictor per machine model named in
+// -machines (internal/recipe), builds one Engine per entry serving its
+// model's predictor, assembles the cluster under the chosen routing
+// policy, and listens.
 //
 // Routes live under /v1 (see DESIGN.md "Wire protocol"): place, release,
 // rebalance, drain, resume, heartbeat, missprobe, fail, failover, revive,
@@ -46,34 +47,34 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/mlearn"
 	"repro/internal/nperr"
+	"repro/internal/recipe"
 	"repro/internal/wal"
 	"repro/internal/wire"
-	"repro/internal/workloads"
 )
 
 func main() {
-	listen := flag.String("listen", "127.0.0.1:7070", "listen address (host:port; port 0 picks an ephemeral port)")
+	var cfg config
+	flag.StringVar(&cfg.listen, "listen", "127.0.0.1:7070", "listen address (host:port; port 0 picks an ephemeral port)")
 	machineList := flag.String("machines", "amd,intel", "comma-separated machine models forming the fleet")
 	policyName := flag.String("policy", "best-predicted", "routing policy: first-fit, least-loaded or best-predicted")
-	vcpus := flag.Int("vcpus", 16, "vCPUs per container the engines are trained for")
-	drainBelow := flag.Float64("drain-below", 0.5, "consolidate machines below this utilization during rebalance")
-	spread := flag.Bool("spread", false, "spread replicas of a workload across failure domains (racks)")
-	eventsBuffer := flag.Int("events-buffer", 1024, "per-subscriber event ring size on /v1/events")
-	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "grace period for in-flight requests on SIGINT/SIGTERM")
-	quick := flag.Bool("quick", false, "reduced training fidelity (CI smoke)")
-	dataDir := flag.String("data-dir", "", "directory for the write-ahead log and snapshots (empty: no persistence)")
+	flag.IntVar(&cfg.vcpus, "vcpus", 16, "vCPUs per container the engines are trained for")
+	flag.Float64Var(&cfg.drainBelow, "drain-below", 0.5, "consolidate machines below this utilization during rebalance")
+	flag.BoolVar(&cfg.spread, "spread", false, "spread replicas of a workload across failure domains (racks)")
+	flag.IntVar(&cfg.eventsBuffer, "events-buffer", 1024, "per-subscriber event ring size on /v1/events")
+	flag.DurationVar(&cfg.shutdown, "shutdown-timeout", 10*time.Second, "grace period for in-flight requests on SIGINT/SIGTERM")
+	flag.BoolVar(&cfg.quick, "quick", false, "reduced training fidelity (CI smoke)")
+	flag.StringVar(&cfg.dataDir, "data-dir", "", "directory for the write-ahead log and snapshots (empty: no persistence)")
 	fsync := flag.String("fsync", "always", "log durability policy: always, interval or none (needs -data-dir)")
-	fsyncInterval := flag.Duration("fsync-interval", 50*time.Millisecond, "flush cadence under -fsync interval (needs -data-dir)")
-	snapshotEvery := flag.Duration("snapshot-every", 0, "periodic checkpoint cadence (0: only on shutdown and POST /v1/snapshot; needs -data-dir)")
+	flag.DurationVar(&cfg.fsyncInterval, "fsync-interval", 50*time.Millisecond, "flush cadence under -fsync interval (needs -data-dir)")
+	flag.DurationVar(&cfg.snapshotEvery, "snapshot-every", 0, "periodic checkpoint cadence (0: only on shutdown and POST /v1/snapshot; needs -data-dir)")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "unexpected arguments: %s\n", strings.Join(flag.Args(), " "))
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *dataDir == "" {
+	if cfg.dataDir == "" {
 		// The persistence flags tune a log that exists only with -data-dir.
 		var stray []string
 		flag.Visit(func(f *flag.Flag) {
@@ -88,19 +89,19 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if *vcpus <= 0 || *eventsBuffer <= 0 {
+	if cfg.vcpus <= 0 || cfg.eventsBuffer <= 0 {
 		fmt.Fprintln(os.Stderr, "-vcpus and -events-buffer must be positive")
 		flag.Usage()
 		os.Exit(2)
 	}
-	policy, ok := numaplace.ClusterPolicyByName(*policyName)
-	if !ok {
+	cfg.machines = strings.Split(*machineList, ",")
+	var ok bool
+	if cfg.policy, ok = numaplace.ClusterPolicyByName(*policyName); !ok {
 		fmt.Fprintf(os.Stderr, "unknown policy %q\n", *policyName)
 		flag.Usage()
 		os.Exit(2)
 	}
-	fsyncPolicy, ok := wal.PolicyByName(*fsync)
-	if !ok {
+	if cfg.fsync, ok = wal.PolicyByName(*fsync); !ok {
 		fmt.Fprintf(os.Stderr, "unknown fsync policy %q\n", *fsync)
 		flag.Usage()
 		os.Exit(2)
@@ -109,21 +110,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if err := run(ctx, config{
-		listen:        *listen,
-		machines:      strings.Split(*machineList, ","),
-		policy:        policy,
-		vcpus:         *vcpus,
-		drainBelow:    *drainBelow,
-		spread:        *spread,
-		eventsBuffer:  *eventsBuffer,
-		shutdown:      *shutdownTimeout,
-		quick:         *quick,
-		dataDir:       *dataDir,
-		fsync:         fsyncPolicy,
-		fsyncInterval: *fsyncInterval,
-		snapshotEvery: *snapshotEvery,
-	}); err != nil {
+	if err := run(ctx, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		if errors.Is(err, nperr.ErrLogCorrupt) {
 			// Refusing to serve from damaged durable state is deliberate;
@@ -152,40 +139,19 @@ type config struct {
 }
 
 func run(ctx context.Context, cfg config) error {
-	trials, trees, corpus := 3, 60, 30
-	if cfg.quick {
-		trials, trees, corpus = 2, 10, 10
+	models, err := recipe.Train(ctx, cfg.machines, cfg.vcpus, cfg.quick)
+	if err != nil {
+		return err
 	}
-
-	// Build and train one Engine per machine (same recipe as clustersim:
-	// paper catalog + synthetic corpus, machines alternating racks).
-	cl := numaplace.NewCluster(numaplace.ClusterConfig{
+	cl, err := models.Build(ctx, numaplace.ClusterConfig{
 		Policy: cfg.policy, DrainBelow: cfg.drainBelow, SpreadDomains: cfg.spread,
 	})
-	for i, mname := range cfg.machines {
-		m, ok := numaplace.MachineByName(mname)
-		if !ok {
-			return fmt.Errorf("unknown machine %q", mname)
-		}
-		eng := numaplace.New(m,
-			numaplace.WithCollectConfig(numaplace.CollectConfig{Trials: trials}),
-			numaplace.WithTrainConfig(numaplace.TrainConfig{
-				Seed: 1, Forest: mlearn.ForestConfig{Trees: trees},
-				SelectionTrees: 4, SelectionFolds: 3,
-			}),
-		)
-		ds, err := eng.Collect(ctx, workloads.TrainingSet(corpus, 42), cfg.vcpus)
-		if err != nil {
-			return fmt.Errorf("collecting on %s: %w", mname, err)
-		}
-		if _, err := eng.Train(ctx, ds); err != nil {
-			return fmt.Errorf("training on %s: %w", mname, err)
-		}
-		name := fmt.Sprintf("%s-%d", mname, i)
-		if err := cl.Add(name, eng, numaplace.InDomain(fmt.Sprintf("rack-%d", i%2))); err != nil {
-			return err
-		}
-		fmt.Printf("numaplaced: trained %s (%s)\n", name, m.Topo.Name)
+	if err != nil {
+		return err
+	}
+	for _, name := range cl.Names() {
+		eng, _ := cl.Engine(name)
+		fmt.Printf("numaplaced: trained %s (%s)\n", name, eng.Machine().Topo.Name)
 	}
 
 	// Recovery happens after training and before serving: the engines are
@@ -196,22 +162,14 @@ func run(ctx context.Context, cfg config) error {
 	var wlog *wal.Log
 	recovered := 0
 	if cfg.dataDir != "" {
-		t0 := time.Now()
-		l, st, recs, err := wal.Open(wal.Options{
+		l, opened, restored, err := recipe.Recover(ctx, f, wal.Options{
 			Dir: cfg.dataDir, Fsync: cfg.fsync, Interval: cfg.fsyncInterval,
 		})
 		if err != nil {
-			return fmt.Errorf("opening write-ahead log in %s: %w", cfg.dataDir, err)
+			return err
 		}
-		opened := time.Since(t0)
-		if err := f.Restore(ctx, st, recs, workloads.ByName); err != nil {
-			l.Close()
-			return fmt.Errorf("replaying write-ahead log in %s: %w", cfg.dataDir, err)
-		}
-		restored := time.Since(t0) - opened
 		wlog = l
 		recovered = len(f.Assignments())
-		f.SetPersister(wlog)
 		defer wlog.Close()
 		head := wlog.Head()
 		// Recovery time is downtime: say what it cost, per phase.

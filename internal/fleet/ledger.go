@@ -13,12 +13,11 @@
 // nodes and the tenant's own. What the engine checks beyond its books — the
 // class is in the enumeration, the node count is the class's, the pinning
 // exists, a predictor covers the size, no observation is <= 0 — depends only
-// on the vCPU count, the class, the nodes and whether each observation is
-// <= 0 (sched.Scheduler.Adopt). The ledger asks its engine once per such
-// tuple, by Adopt and Release, and remembers only what it accepted: anything
-// else goes to the engine again, so a refusal is the engine's own, at the
-// record that earns it. The install then adopts onto the engine what only
-// the ledger holds.
+// on the record's sched.Restore.Verdict, the key internal/sched keeps beside
+// Adopt. The ledger asks its engine once per key, by Adopt and Release, and
+// remembers only what it accepted: anything else goes to the engine again, so
+// a refusal is the engine's own, at the record that earns it. The install
+// then adopts onto the engine what only the ledger holds.
 package fleet
 
 import (
@@ -60,8 +59,8 @@ type ledger struct {
 	// disjoint and non-empty, so there are at most as many as the machine
 	// has nodes.
 	live []ledgerEntry
-	// accepted are the tuples b adopted.
-	accepted map[verdict]struct{}
+	// accepted are the verdict keys of the records b adopted.
+	accepted map[sched.Verdict]struct{}
 	// seen is an engine ID b has adopted at least as high as any other it
 	// has, and top the highest adoption booked in the ledger alone (ID -1:
 	// none). If top is higher than seen, b adopts and releases it before
@@ -85,38 +84,20 @@ type ledgerEntry struct {
 	onEngine, installed bool
 }
 
-// verdict is what the engine's checks beyond its books depend on: the same
-// tests sched.Scheduler.Adopt applies, so a NaN observation, which it takes,
-// is not a bad one.
-type verdict struct {
-	vcpus, class      int
-	nodes             topology.NodeSet
-	badBase, badProbe bool
-}
-
 // newLedger is the ledger of backend b, holding what b holds; b took each
 // of those tuples.
 func newLedger(b Backend, lookup WorkloadLookup) *ledger {
-	l := &ledger{b: b, lookup: lookup, free: b.FreeNodes(), seen: -1, top: ledgerEntry{id: -1}}
+	l := &ledger{b: b, lookup: lookup, free: b.FreeNodes(), accepted: map[sched.Verdict]struct{}{},
+		seen: -1, top: ledgerEntry{id: -1}}
 	for _, a := range b.Assignments() {
 		l.live = append(l.live, ledgerEntry{id: a.ID, vcpus: a.VCPUs, class: a.Class, nodes: a.Nodes,
 			base: a.BasePerf, probe: a.ProbePerf, workload: a.Workload, onEngine: true})
 		l.seen = max(l.seen, a.ID)
-		l.accept(verdictOf(a.VCPUs, a.Class, a.Nodes, a.BasePerf, a.ProbePerf))
+		r := sched.Restore{VCPUs: a.VCPUs, ClassID: a.Class, Nodes: a.Nodes, BasePerf: a.BasePerf, ProbePerf: a.ProbePerf}
+		l.accepted[r.Verdict()] = struct{}{}
 	}
 	slices.SortFunc(l.live, func(a, b ledgerEntry) int { return a.id - b.id })
 	return l
-}
-
-func verdictOf(vcpus, class int, nodes topology.NodeSet, base, probe float64) verdict {
-	return verdict{vcpus: vcpus, class: class, nodes: nodes, badBase: base <= 0, badProbe: probe <= 0}
-}
-
-func (l *ledger) accept(v verdict) {
-	if l.accepted == nil {
-		l.accepted = map[verdict]struct{}{}
-	}
-	l.accepted[v] = struct{}{}
 }
 
 func (e *ledgerEntry) assignment() sched.Assignment {
@@ -130,20 +111,20 @@ func (l *ledger) find(id int) (int, bool) {
 }
 
 // judge returns nil if the engine takes r beyond its books: at once if it
-// took r's tuple before, else by adopting r on the engine and releasing it
-// again.
+// took r's verdict key before, else by adopting r on the engine and
+// releasing it again.
 func (l *ledger) judge(ctx context.Context, r *sched.Restore) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	v := verdictOf(r.VCPUs, r.ClassID, r.Nodes, r.BasePerf, r.ProbePerf)
+	v := r.Verdict()
 	if _, ok := l.accepted[v]; ok {
 		return nil
 	}
 	if err := l.adoptAndRelease(ctx, r); err != nil {
 		return err
 	}
-	l.accept(v)
+	l.accepted[v] = struct{}{}
 	return nil
 }
 

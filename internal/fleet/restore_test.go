@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/nperr"
+	"repro/internal/perfsim"
 	"repro/internal/sched"
 	"repro/internal/topology"
 )
@@ -189,15 +190,17 @@ func TestRestoreAdoptCallsDoNotGrowWithChurn(t *testing.T) {
 		}
 		type tuple struct {
 			backend string
-			v       verdict
+			v       sched.Verdict
 		}
 		tuples := map[tuple]bool{}
 		for _, r := range recs {
+			rr := restoreOf(&r, perfsim.Workload{}, r.VCPUs)
+			v := rr.Verdict()
 			switch r.Type {
 			case RecPlace:
-				tuples[tuple{r.Backend, verdict{r.VCPUs, r.ClassID, r.Nodes, r.BasePerf <= 0, r.ProbePerf <= 0}}] = true
+				tuples[tuple{r.Backend, v}] = true
 			case RecMove:
-				tuples[tuple{r.Dest, verdict{r.VCPUs, r.ClassID, r.Nodes, r.BasePerf <= 0, r.ProbePerf <= 0}}] = true
+				tuples[tuple{r.Dest, v}] = true
 			}
 		}
 		entries := 0

@@ -41,6 +41,21 @@ type Restore struct {
 	BasePerf, ProbePerf float64
 }
 
+// Verdict is all Adopt's checks beyond its books depend on, so a restart's
+// ledgers (internal/fleet) ask an engine once per Verdict. A NaN
+// observation, which Adopt takes, is not a bad one.
+type Verdict struct {
+	VCPUs, ClassID    int
+	Nodes             topology.NodeSet
+	BadBase, BadProbe bool
+}
+
+// Verdict is r's key to Adopt's verdict.
+func (r *Restore) Verdict() Verdict {
+	return Verdict{VCPUs: r.VCPUs, ClassID: r.ClassID, Nodes: r.Nodes,
+		BadBase: r.BasePerf <= 0, BadProbe: r.ProbePerf <= 0}
+}
+
 // classIndex resolves a recorded 1-based important-placement ID to its
 // index in the enumeration for one container size.
 func classIndex(imps []placement.Important, classID int) (int, bool) {
@@ -62,11 +77,11 @@ func classIndex(imps []placement.Important, classID int) (int, bool) {
 // already allocated, duplicate ID — fail with nperr.ErrLogCorrupt; a missing
 // predictor fails with nperr.ErrUntrained like Admit, an observation <= 0
 // with nperr.ErrBadObservation. Beyond the books (the ID and the free
-// nodes), whether Adopt takes r depends only on r.VCPUs, r.ClassID, r.Nodes
-// and whether each observation is <= 0 — never on the workload, the ID or an
-// observation's value: a restart's ledgers (internal/fleet) take a tuple
-// Adopt accepted once as accepted (TestAdoptVerdictIsTheTuple). A new check
-// must keep to those inputs or change the ledgers' verdict key with it.
+// nodes), whether Adopt takes r depends only on r.Verdict() — never on the
+// workload, the ID or an observation's value: a restart's ledgers
+// (internal/fleet) take a Verdict Adopt accepted once as accepted
+// (TestAdoptVerdictIsTheTuple). A new check must keep to those inputs or add
+// its own to Verdict.
 func (s *Scheduler) Adopt(ctx context.Context, r Restore) (_ *Assignment, err error) {
 	p := s.pred(r.VCPUs)
 	imps, err := s.model(ctx, r.VCPUs, p)

@@ -221,9 +221,9 @@ func TestAdoptRejectsInconsistentRecords(t *testing.T) {
 
 // TestAdoptVerdictIsTheTuple pins what Adopt's doc promises a restart's
 // ledgers: beyond its books, whether Adopt takes a record depends only on its
-// vCPU count, class, nodes and whether each observation is <= 0. A tuple it
-// took once it takes again under another workload, another ID and other
-// positive or NaN observations; with an observation <= 0 it refuses.
+// Verdict. A record under another workload, another ID and other positive or
+// NaN observations has the Verdict of one Adopt took, and Adopt takes it
+// too; an observation <= 0 gives another Verdict, which Adopt refuses.
 func TestAdoptVerdictIsTheTuple(t *testing.T) {
 	ctx := context.Background()
 	s1, s2 := twinSchedulers(t, machines.AMD(), 16, ServeConfig{})
@@ -247,6 +247,9 @@ func TestAdoptVerdictIsTheTuple(t *testing.T) {
 	for i, obs := range [][2]float64{{r.BasePerf * 3, r.ProbePerf / 7}, {1e-9, 1e9}, {math.NaN(), 1}, {1, math.NaN()}} {
 		again := r
 		again.ID, again.Workload, again.BasePerf, again.ProbePerf = r.ID+1+i, other, obs[0], obs[1]
+		if again.Verdict() != r.Verdict() {
+			t.Errorf("observations %v under %s, ID %d: Verdict %+v, want %+v", obs, other.Name, again.ID, again.Verdict(), r.Verdict())
+		}
 		if err := cycle(again); err != nil {
 			t.Errorf("observations %v under %s, ID %d: %v", obs, other.Name, again.ID, err)
 		}
@@ -254,6 +257,9 @@ func TestAdoptVerdictIsTheTuple(t *testing.T) {
 	for i, obs := range [][2]float64{{0, 1}, {1, -1}, {math.Inf(-1), 1}} {
 		bad := r
 		bad.ID, bad.BasePerf, bad.ProbePerf = r.ID+10+i, obs[0], obs[1]
+		if bad.Verdict() == r.Verdict() {
+			t.Errorf("observations %v: Verdict %+v, the accepted record's", obs, bad.Verdict())
+		}
 		if err := cycle(bad); !errors.Is(err, nperr.ErrBadObservation) {
 			t.Errorf("observations %v: err = %v, want ErrBadObservation", obs, err)
 		}

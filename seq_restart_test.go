@@ -1,6 +1,6 @@
 //go:build unix
 
-package numaplace
+package numaplace_test
 
 import (
 	"context"
@@ -11,48 +11,43 @@ import (
 	"reflect"
 	"testing"
 
+	"repro"
 	"repro/internal/fleet"
 	"repro/internal/nperr"
+	"repro/internal/recipe"
 	"repro/internal/wal"
-	"repro/internal/workloads"
 	"repro/internal/xrand"
 )
 
-// restartFleets hands out two-machine fleets on fresh engines that all serve
-// with one pair of trained predictors: what a restarted daemon, retraining
-// with the same seeds, would build.
+// restartFleets hands out two-machine fleets (amd-0, intel-1) built by the
+// daemons' recipe from one pair of models trained once: what a restarted
+// daemon, retraining with the same seeds, would build.
 func restartFleets(t *testing.T, ctx context.Context) func() *fleet.Fleet {
 	t.Helper()
-	trained := map[string]*Engine{"amd-0": trainedEngine(t, ctx, AMD(), 16), "intel-0": trainedEngine(t, ctx, Intel(), 16)}
+	models, err := recipe.Train(ctx, []string{"amd", "intel"}, 16, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return func() *fleet.Fleet {
-		f := fleet.New(fleet.Config{Policy: fleet.LeastLoaded, Health: fleet.HealthConfig{FailoverBudgetSeconds: -1}})
-		for _, name := range []string{"amd-0", "intel-0"} {
-			p, ok := trained[name].Predictor(16)
-			if !ok {
-				t.Fatal("trained engine has no 16-vCPU predictor")
-			}
-			e := New(trained[name].Machine())
-			e.UsePredictor(16, p)
-			if err := f.Add(name, e); err != nil {
-				t.Fatal(err)
-			}
+		cl, err := models.Build(ctx, numaplace.ClusterConfig{
+			Policy: fleet.LeastLoaded, Health: fleet.HealthConfig{FailoverBudgetSeconds: -1},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return f
+		return cl.Fleet()
 	}
 }
 
-// reopen is a daemon's boot: wal.Open, Restore, SetPersister.
+// reopen is a daemon's boot: recipe.Recover, which is wal.Open, Restore,
+// SetPersister.
 func reopen(t *testing.T, ctx context.Context, dir string, f *fleet.Fleet) *wal.Log {
 	t.Helper()
-	l, st, recs, err := wal.Open(wal.Options{Dir: dir, Fsync: wal.FsyncNone})
+	l, _, _, err := recipe.Recover(ctx, f, wal.Options{Dir: dir, Fsync: wal.FsyncNone})
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		t.Fatalf("Recover: %v", err)
 	}
 	t.Cleanup(func() { l.Close() })
-	if err := f.Restore(ctx, st, recs, workloads.ByName); err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	f.SetPersister(l)
 	return l
 }
 
@@ -69,7 +64,7 @@ func TestSeqContinuesAcrossRestart(t *testing.T) {
 	f := build()
 	l := reopen(t, ctx, dir, f)
 
-	gcc, _ := WorkloadByName("gcc")
+	gcc, _ := numaplace.WorkloadByName("gcc")
 	rng := xrand.New(24)
 	var live []int
 	for op := 0; op < 200; op++ {
@@ -78,7 +73,7 @@ func TestSeqContinuesAcrossRestart(t *testing.T) {
 			adm, err := f.Place(ctx, gcc, 16)
 			if err == nil {
 				live = append(live, adm.ID)
-			} else if !errors.Is(err, ErrFleetFull) {
+			} else if !errors.Is(err, numaplace.ErrFleetFull) {
 				t.Fatalf("op %d: Place: %v", op, err)
 			}
 		case k < 70 && len(live) > 0:
@@ -90,9 +85,9 @@ func TestSeqContinuesAcrossRestart(t *testing.T) {
 		case k < 80:
 			f.Rebalance(ctx, 1e6) // stranding is a result
 		case k < 90:
-			f.Fail(ctx, []string{"amd-0", "intel-0"}[rng.Intn(2)]) // so is already dead
+			f.Fail(ctx, []string{"amd-0", "intel-1"}[rng.Intn(2)]) // so is already dead
 		default:
-			f.Revive(ctx, []string{"amd-0", "intel-0"}[rng.Intn(2)]) // and not dead
+			f.Revive(ctx, []string{"amd-0", "intel-1"}[rng.Intn(2)]) // and not dead
 		}
 		if op == 100 {
 			if _, err := f.Checkpoint(); err != nil {
@@ -135,7 +130,7 @@ func TestSeqContinuesAcrossRestart(t *testing.T) {
 		want := sl.Head().RecoveredSeq + 1
 		sub := succ.Subscribe(4)
 		_, perr := succ.Place(ctx, gcc, 16)
-		if perr != nil && !errors.Is(perr, ErrFleetFull) {
+		if perr != nil && !errors.Is(perr, numaplace.ErrFleetFull) {
 			t.Fatalf("cut at %d: Place: %v", cut, perr)
 		}
 		if got := succ.Seq(); got != want {
@@ -170,7 +165,7 @@ func TestSeqContinuesAcrossRestart(t *testing.T) {
 func TestAttachAfterCommits(t *testing.T) {
 	ctx := context.Background()
 	build := restartFleets(t, ctx)
-	gcc, _ := WorkloadByName("gcc")
+	gcc, _ := numaplace.WorkloadByName("gcc")
 	for _, checkpoint := range []bool{true, false} {
 		dir := t.TempDir()
 		f := build()
