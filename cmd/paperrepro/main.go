@@ -373,8 +373,8 @@ func migrateCmd(ctx context.Context, args []string, stdout io.Writer) error {
 // in three bandwidth classes (hence three 2-node placements) plus an
 // even-die and an odd-die clique, so every even-odd cross-package pair is
 // two hops, as in the paper's 0-5 and 3-6 examples. The search derived the
-// constants in internal/machines; "calibrate debug" reports the checked-in
-// parameter set instead.
+// constants in internal/machines; "calibrate debug" checks machines.AMD(),
+// the checked-in machine, instead.
 func calibrate(ctx context.Context, args []string, stdout io.Writer) error {
 	debug := len(args) == 1 && args[0] == "debug"
 	if debug {
@@ -384,10 +384,7 @@ func calibrate(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 	if debug {
-		p := params{wa: 4200, wb: 3400, wc: 3700,
-			e02: 3000, e04: 2500, e06: 1200, e24: 3200, e26: 2600, e46: 2900,
-			o13: 2800, o15: 2400, o17: 1000, o35: 3100, o37: 2300, o57: 3000}
-		spec := p.spec()
+		spec := concern.FromMachine(machines.AMD())
 		ok, why := check(spec)
 		fmt.Fprintln(stdout, "check:", ok, why)
 		packs := placement.FilterPackings(spec, placement.GenPackings(spec.Node.FeasibleScores(16), placement.AllNodes(spec)))

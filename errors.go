@@ -56,6 +56,11 @@ var (
 	// it is reachable again; until then, back off rather than retry.
 	ErrBackendDown = nperr.ErrBackendDown
 
+	// ErrBackendAlive: Failover or Revive named a machine the cluster
+	// holds live; both act only on a dead one (Drain is the graceful
+	// path off a live machine).
+	ErrBackendAlive = nperr.ErrBackendAlive
+
 	// ErrNoHealthyBackend: no healthy, accepting machine could host the
 	// container — returned by Place when every machine is dead, suspect
 	// or draining, and joined into Failover/Fail errors for tenants left

@@ -358,8 +358,8 @@ type Fleet struct {
 	failovers, failedOver               int64
 	migrationSeconds                    float64
 
-	// ledgers are the members' ledgers while Restore replays a log tail
-	// into them (ledger.go), nil otherwise. It comes last so that the fields
+	// ledgers are the members' ledgers while Restore replays into them
+	// (ledger.go), nil otherwise. It comes last so that the fields
 	// a commit touches keep their offsets: placed above seq, it measurably
 	// slowed wire_churn.
 	ledgers *ledgerSet

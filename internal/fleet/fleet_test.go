@@ -37,6 +37,9 @@ type stubBackend struct {
 	// onAssignment, when set, runs at the start of the next Assignment call
 	// (once), outside the stub's lock.
 	onAssignment func()
+	// onCall, when set, runs after each Adopt (adopt true) and Release the
+	// stub takes, with the engine ID, under the stub's lock.
+	onCall func(adopt bool, id int)
 }
 
 func newStub(m machines.Machine, perf float64) *stubBackend {
@@ -93,6 +96,9 @@ func (s *stubBackend) Release(ctx context.Context, id int) error {
 	}
 	s.free = s.free.Union(a.Nodes)
 	delete(s.tenants, id)
+	if s.onCall != nil {
+		s.onCall(false, id)
+	}
 	return nil
 }
 
@@ -161,6 +167,9 @@ func (s *stubBackend) Adopt(ctx context.Context, r sched.Restore) (*sched.Assign
 	s.tenants[r.ID] = a
 	if r.ID >= s.nextID {
 		s.nextID = r.ID + 1
+	}
+	if s.onCall != nil {
+		s.onCall(true, r.ID)
 	}
 	return &a, nil
 }

@@ -235,8 +235,7 @@ func (f *Fleet) Failover(ctx context.Context, name string, budgetSeconds float64
 		return nil, fmt.Errorf("fleet: failover of %q: %w", name, nperr.ErrUnknownBackend)
 	}
 	if m.health != Dead {
-		//numalint:ignore sentinelwrap precondition on the caller's own state machine; no sentinel class fits "not dead"
-		return nil, fmt.Errorf("fleet: failover of %s: backend is %s, not dead (Drain for a graceful move)", name, m.health)
+		return nil, fmt.Errorf("fleet: failover of %s: %w (%s; Drain for a graceful move)", name, nperr.ErrBackendAlive, m.health)
 	}
 	if budgetSeconds <= 0 {
 		budgetSeconds = math.Inf(1)
@@ -304,8 +303,7 @@ func (f *Fleet) Revive(ctx context.Context, name string) (fencedOut int, err err
 		return 0, fmt.Errorf("fleet: reviving %q: %w", name, nperr.ErrUnknownBackend)
 	}
 	if m.health != Dead {
-		//numalint:ignore sentinelwrap precondition on the caller's own state machine; no sentinel class fits "not dead"
-		return 0, fmt.Errorf("fleet: reviving %s: backend is %s, not dead", name, m.health)
+		return 0, fmt.Errorf("fleet: reviving %s: %w (%s)", name, nperr.ErrBackendAlive, m.health)
 	}
 	fenced, orphan, err := f.fenceLocked(ctx, m)
 	if err != nil {

@@ -10,9 +10,9 @@
 // log would diverge — observation noise streams are keyed by engine-local
 // container IDs and failed admissions consume IDs — and would pay the full
 // observation cost per record. Replaying the decision is deterministic and
-// cheap: a restart adopts each snapshot tenant onto its engine through
-// sched.Scheduler.Adopt, books each later record in a ledger (ledger.go) and
-// adopts each tenant that survives the tail once. What a restart costs per
+// cheap: a restart books every record, the snapshot's and the tail's, in a
+// ledger (ledger.go) and adopts each tenant that survives them onto its
+// engine once, through sched.Scheduler.Adopt. What a restart costs per
 // record is measured by numabench's restart_replay workload and budgeted in
 // DESIGN.md ("What a restart costs").
 package fleet

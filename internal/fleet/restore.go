@@ -1,20 +1,19 @@
 // Recovery: rebuilding a fleet from a snapshot plus a write-ahead record
 // tail. Restore runs once, on a freshly built fleet whose backends have
 // been Added (and trained) but never served. The snapshot's records rebuild
-// the member flags and tenant map as of its sequence, each tenant adopted
-// onto its engine. Then each record with a greater sequence redoes the
-// backend side of the mutation it logged — adoption instead of
-// re-admission, recorded moves instead of re-searching — and is booked by
-// the same bookLocked the live mutation called, so the recovered fleet's
-// books (its State), Assignments(), Stats(), free sets and health states are
-// those of the fleet that wrote the log.
+// the member flags and tenant map as of its sequence; then each record with
+// a greater sequence redoes the backend side of the mutation it logged —
+// adoption instead of re-admission, recorded moves instead of re-searching —
+// and is booked by the same bookLocked the live mutation called, so the
+// recovered fleet's books (its State), Assignments(), Stats(), free sets and
+// health states are those of the fleet that wrote the log.
 //
-// The tail's backend side goes to ledgers (ledger.go): each member's books
-// beside its engine, which check each record as the engine would and pass
-// every change to a snapshot tenant on to the engine. Most tenants a long
-// tail places leave again before it ends, and the engine adopts only those
-// that do not, once, at the install. Each engine's ID allocator ends where
-// adopting every record would have left it.
+// The backend side of every record, the snapshot's and the tail's, goes to
+// ledgers (ledger.go): each member's books beside its engine, which check
+// each record as the engine would. Most tenants a long tail places leave
+// again before it ends, and the engine adopts only those that do not, once,
+// at the install. Each engine's ID allocator ends where adopting every
+// record would have left it.
 //
 // Tenants mapped to a dead member are adopted onto its backend all the
 // same, and so are the orphans its engine still holds for tenants that left
@@ -60,13 +59,13 @@ func (f *Fleet) Restore(ctx context.Context, st *State, recs []Record, lookup Wo
 	// books check reads it) and the routing index is derived once, from what
 	// they leave behind — whether or not they all apply.
 	defer f.rebuildIndexLocked()
+	f.ledgers = &ledgerSet{lookup: lookup, by: make([]*ledger, len(f.members))}
+	defer func() { f.ledgers = nil }()
 	if st != nil {
 		if err := f.applyStateLocked(ctx, st, lookup); err != nil {
 			return err
 		}
 	}
-	f.ledgers = &ledgerSet{lookup: lookup, by: make([]*ledger, len(f.members))}
-	defer func() { f.ledgers = nil }()
 	if err := f.replayLogLocked(ctx, recs, lookup); err != nil {
 		return err
 	}
@@ -86,40 +85,31 @@ func (f *Fleet) unusedLocked() error {
 	return nil
 }
 
-// backendLocked is the backend a replay drives for m: its ledger while
-// Restore replays a log tail, its Backend otherwise. Callers hold f.mu.
-func (f *Fleet) backendLocked(m *member) Backend {
+// backendLocked is what a replay drives for m: its ledger while Restore
+// runs, its Backend otherwise. Callers hold f.mu.
+func (f *Fleet) backendLocked(m *member) replayer {
 	if f.ledgers != nil {
 		return f.ledgers.of(m)
 	}
 	return m.b
 }
 
-// installLocked ends a replay into ledgers: each engine adopts what only its
-// ledger holds — the tenants the tail placed that survive it, and the
-// orphans of a machine that died — and each such surviving tenant's books
-// take the assignment its engine gave it, booked as an intra-move to where
-// it is (the ledger's lacks what only the engine computes: the prediction,
-// the pinning). Callers hold f.mu.
+// installLocked ends a replay into ledgers: each engine adopts what its
+// ledger holds — the tenants that survive the replay, and the orphans of a
+// machine that died — and each tenant's books take the assignment its
+// engine gave it, booked as an intra-move to where it is (the ledger's lacks
+// what only the engine computes: the prediction, the pinning). Callers hold
+// f.mu.
 func (f *Fleet) installLocked(ctx context.Context) error {
-	installed := 0
 	for i, l := range f.ledgers.by {
 		if l == nil {
 			continue
 		}
-		n, err := l.install(ctx)
-		if err != nil {
+		if err := l.install(ctx); err != nil {
 			return fmt.Errorf("fleet: restoring %s: %w", f.members[i].name, err)
 		}
-		installed += n
-	}
-	if installed == 0 {
-		return nil
 	}
 	for id, rec := range f.tenants {
-		if l := f.ledgers.by[rec.mem.pos]; l == nil || !l.installed(rec.engineID) {
-			continue
-		}
 		if a, ok := rec.mem.b.Assignment(rec.engineID); ok {
 			f.bookLocked(&Record{Type: RecIntraMove, ID: id}, rec.mem, &a, nil)
 		}
@@ -167,7 +157,7 @@ func restoreOf(r *Record, w perfsim.Workload, vcpus int) sched.Restore {
 	}
 }
 
-// applyStateLocked installs a snapshot: each of its records replays as a log
+// applyStateLocked replays a snapshot: each of its records replays as a log
 // record would — the member flags, then each tenant's RecPlace — then the
 // sequence, counters and next ID the snapshot carries, which stand for the
 // whole history before it. Callers hold f.mu.

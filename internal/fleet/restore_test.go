@@ -223,13 +223,14 @@ func TestRestoreAdoptCallsDoNotGrowWithChurn(t *testing.T) {
 	}
 }
 
-// TestRestoreFromASnapshotAdoptsEachTenantOnce: a restart adopts each
-// snapshot tenant once, as a per-record replay does — the engine holds the
-// snapshot's tenants before the tail replays, and its ledger passes each
-// release on to it. A tail tenant in a tuple a snapshot tenant had costs its
-// install alone: the engine took that tuple already. Any other is judged
-// once more.
-func TestRestoreFromASnapshotAdoptsEachTenantOnce(t *testing.T) {
+// TestRestoreAdoptsOnlyAtTheInstall: a restart from a snapshot and a churned
+// tail leaves nothing on an engine until the install. Before it, each Adopt
+// judges a verdict key and is released again at once; the install then
+// adopts each survivor once, after at most one adopt and release that sets
+// the ID allocator. So Restore adopts at most once per distinct (backend,
+// verdict) tuple of the snapshot and the tail, once per survivor and once
+// per backend, however long the tail.
+func TestRestoreAdoptsOnlyAtTheInstall(t *testing.T) {
 	ctx := context.Background()
 	cfg := Config{Policy: LeastLoaded}
 	f, _ := stubFleet(t, cfg)
@@ -252,50 +253,93 @@ func TestRestoreFromASnapshotAdoptsEachTenantOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	type tuple struct {
-		backend string
-		nodes   topology.NodeSet
-	}
-	held := map[tuple]bool{} // every tenant the stubs admit has class 1 and observations 1
-	for _, r := range p.snap.Records {
-		if r.Type == RecPlace {
-			held[tuple{r.Backend, r.Nodes}] = true
-		}
-	}
-	want := len(ids)
-	for range 10 { // more than the releases freed, fewer than the nodes free
+	for i := range 200 { // every 20th stays
 		adm, err := f.Place(ctx, w, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want++ // its install
-		if !held[tuple{adm.Backend, adm.Assignment.Nodes}] {
-			want++ // its judging
+		if i%20 != 0 {
+			if err := f.Release(ctx, adm.ID); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	run := restoreBoth(stubFleetBuild(t, cfg), p.snap, p.records())
+	type call struct {
+		adopt bool
+		id    int
+	}
+	calls := map[*stubBackend][]call{}
+	build := func() (*Fleet, []*stubBackend) {
+		f, stubs := stubFleetBuild(t, cfg)()
+		for _, s := range stubs {
+			s.onCall = func(adopt bool, id int) { calls[s] = append(calls[s], call{adopt, id}) }
+		}
+		return f, stubs
+	}
+	run := restoreBoth(build, p.snap, p.records())
 	if run.err != nil || run.diff != "" {
 		t.Fatalf("%v %s", run.err, run.diff)
 	}
 	requireFleetEqual(t, f, run.f)
-	calls := 0
-	for _, s := range run.stubs {
-		calls += s.adopts
+
+	type tuple struct {
+		backend string
+		v       sched.Verdict
 	}
-	if calls != want {
-		t.Fatalf("Restore made %d Adopt calls, want %d: one per snapshot tenant and tail survivor, one per tail tuple no snapshot tenant had", calls, want)
+	tuples, placed := map[tuple]bool{}, 0
+	for _, recs := range [][]Record{p.snap.Records, p.records()} {
+		for _, r := range recs {
+			rr := restoreOf(&r, perfsim.Workload{}, r.VCPUs)
+			switch r.Type {
+			case RecPlace:
+				tuples[tuple{r.Backend, rr.Verdict()}] = true
+				placed++
+			case RecMove:
+				tuples[tuple{r.Dest, rr.Verdict()}] = true
+				placed++
+			}
+		}
 	}
-	if want == len(ids)+20 || want == len(ids)+10 {
-		t.Fatalf("every tail tenant is in a new tuple, or none is (%d calls): the log tests neither case", want)
+	adopts, survivors := 0, 0
+	for i, s := range run.stubs {
+		adopts += s.adopts
+		held := s.Assignments()
+		survivors += len(held)
+		log := calls[s]
+		judged := len(log) - len(held)
+		if judged < 0 || judged%2 != 0 {
+			t.Fatalf("stub %d: %d calls for %d entries held: %v", i, len(log), len(held), log)
+		}
+		for j := 0; j < judged; j += 2 {
+			if !log[j].adopt || log[j+1].adopt || log[j+1].id != log[j].id {
+				t.Fatalf("stub %d: calls %d and %d before the install are %v, want an Adopt and the Release of its ID", i, j, j+1, log[j:j+2])
+			}
+		}
+		var got, want []call
+		for j, a := range held {
+			got, want = append(got, log[judged+j]), append(want, call{true, a.ID})
+		}
+		slices.SortFunc(got, func(a, b call) int { return a.id - b.id })
+		slices.SortFunc(want, func(a, b call) int { return a.id - b.id })
+		if !slices.Equal(got, want) {
+			t.Fatalf("stub %d: the install made %v, want an Adopt of each of %v", i, got, want)
+		}
+	}
+	bound := len(tuples) + survivors + len(run.stubs)
+	if adopts > bound {
+		t.Fatalf("Restore made %d Adopt calls, more than tuples + survivors + backends = %d", adopts, bound)
+	}
+	if bound >= placed {
+		t.Fatalf("the bound %d is not below one Adopt per placement (%d): the tail churns too little to test it", bound, placed)
 	}
 }
 
 // TestRestoreSetsTheAllocatorBeforeAMove: a tenant the tail places with the
 // highest engine ID, in a tuple an earlier one had the engine accept, and
-// releases again, leaves its ID in the engine's allocator only. When a
-// snapshot tenant then moves onto nodes it held, the engine adopts and
-// releases that ID first, while those nodes are free — also when the tail
-// tenant had moved off them before its release.
+// releases again, is never adopted by a judging. The install adopts and
+// releases it on the empty engine before any survivor, so the allocator
+// ends past its ID — also when a snapshot tenant then moved onto nodes it
+// held, and when it had moved off them before its release.
 func TestRestoreSetsTheAllocatorBeforeAMove(t *testing.T) {
 	ctx := context.Background()
 	cfg := Config{Policy: FirstFit}

@@ -58,7 +58,7 @@ func AMD() Machine {
 	// and an odd-die clique. Every even-odd cross-package pair (including
 	// the paper's 0-5 and 3-6 examples) is therefore two hops away.
 	//
-	// Bandwidths were derived by cmd/calibrate so that all placement facts
+	// Bandwidths were derived by paperrepro calibrate so that all placement facts
 	// published in §4 hold: 13 important placements for 16 vCPUs,
 	// {2,3,4,5} the best 4-node set, the {0,2,4,6}+{1,3,5,7} packing
 	// surviving, {0,1,4,5}+{2,3,6,7} filtered, three distinct 2-node

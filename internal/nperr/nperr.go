@@ -57,6 +57,11 @@ var (
 	// backend calls until it is revived.
 	ErrBackendDown = errors.New("fleet backend is down")
 
+	// ErrBackendAlive marks operations that need a dead backend — a manual
+	// failover pass, a revival — invoked on one the fleet holds live.
+	// Nothing changes until the machine dies, so retrying is pointless.
+	ErrBackendAlive = errors.New("fleet backend is alive")
+
 	// ErrNoHealthyBackend marks placements — fresh admissions or failover
 	// re-placements off a dead machine — that no healthy, accepting
 	// backend could host. Tenants a failover pass reports stranded carry

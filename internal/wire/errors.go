@@ -31,6 +31,7 @@ const (
 	CodeInfeasible       ErrCode = "infeasible"
 	CodeLogCorrupt       ErrCode = "log_corrupt"
 	CodeLogClosed        ErrCode = "log_closed"
+	CodeBackendAlive     ErrCode = "backend_alive"
 
 	// Generic codes with no sentinel behind them.
 	CodeBadRequest ErrCode = "bad_request" // malformed body / missing field
@@ -76,6 +77,7 @@ var Table = []mapping{
 	{CodeUntrained, http.StatusConflict, nperr.ErrUntrained},
 	{CodeBadObservation, http.StatusUnprocessableEntity, nperr.ErrBadObservation},
 	{CodeInfeasible, http.StatusUnprocessableEntity, nperr.ErrInfeasible},
+	{CodeBackendAlive, http.StatusConflict, nperr.ErrBackendAlive},
 }
 
 // CodeFor classifies an error chain into its wire code and HTTP status.

@@ -17,7 +17,7 @@ func TestErrorTableBijective(t *testing.T) {
 		nperr.ErrMachineFull, nperr.ErrUnknownContainer,
 		nperr.ErrBadObservation, nperr.ErrFleetFull, nperr.ErrUnknownBackend,
 		nperr.ErrBackendNotEmpty, nperr.ErrBackendDown, nperr.ErrNoHealthyBackend,
-		nperr.ErrLogCorrupt, nperr.ErrLogClosed,
+		nperr.ErrLogCorrupt, nperr.ErrLogClosed, nperr.ErrBackendAlive,
 	}
 	if len(Table) != len(sentinels) {
 		t.Fatalf("table has %d entries, want one per sentinel (%d)", len(Table), len(sentinels))

@@ -316,11 +316,11 @@ var golden = map[string]struct {
 	"fail strands":               {503, `{"error":{"code":"no_healthy_backend","status":503,"message":"fleet: failover of m0: 8 of 8 tenants stranded: m1: machine full\nm1: machine full\nm1: machine full\nm1: machine full\nm1: machine full\nm1: machine full\nm1: machine full\nm1: machine full\nno healthy fleet backend available","report":{"moves":[],"intra_moves":0,"examined":8,"stranded":8,"total_seconds":0,"budget_seconds":300}}}`},
 	"failover":                   {200, `{"moves":[{"id":0,"workload":"gcc","vcpus":1,"from":"m0","to":"m1","seconds":0.40555555555555556},{"id":1,"workload":"gcc","vcpus":1,"from":"m0","to":"m1","seconds":0.40555555555555556},{"id":2,"workload":"gcc","vcpus":1,"from":"m0","to":"m1","seconds":0.40555555555555556},{"id":3,"workload":"gcc","vcpus":1,"from":"m0","to":"m1","seconds":0.40555555555555556}],"intra_moves":0,"examined":4,"stranded":0,"total_seconds":1.6222222222222222,"budget_seconds":1000}`},
 	"failover unknown backend":   {404, `{"error":{"code":"unknown_backend","status":404,"message":"fleet: failover of \"nope\": unknown fleet backend"}}`},
-	"failover live backend":      {500, `{"error":{"code":"internal","status":500,"message":"fleet: failover of m0: backend is healthy, not dead (Drain for a graceful move)"}}`},
+	"failover live backend":      {409, `{"error":{"code":"backend_alive","status":409,"message":"fleet: failover of m0: fleet backend is alive (healthy; Drain for a graceful move)"}}`},
 	"failover strands":           {503, `{"error":{"code":"no_healthy_backend","status":503,"message":"fleet: failover of m0: 6 of 8 tenants stranded: m1: machine full\nm1: machine full\nm1: machine full\nm1: machine full\nm1: machine full\nm1: machine full\nno healthy fleet backend available","report":{"moves":[{"id":0,"workload":"gcc","vcpus":1,"from":"m0","to":"m1","seconds":0.40555555555555556},{"id":1,"workload":"gcc","vcpus":1,"from":"m0","to":"m1","seconds":0.40555555555555556}],"intra_moves":0,"examined":8,"stranded":6,"total_seconds":0.8111111111111111,"budget_seconds":1000}}}`},
 	"revive":                     {200, `{"backend":"m0","fenced":1}`},
 	"revive unknown backend":     {404, `{"error":{"code":"unknown_backend","status":404,"message":"fleet: reviving \"nope\": unknown fleet backend"}}`},
-	"revive live backend":        {500, `{"error":{"code":"internal","status":500,"message":"fleet: reviving m0: backend is healthy, not dead"}}`},
+	"revive live backend":        {409, `{"error":{"code":"backend_alive","status":409,"message":"fleet: reviving m0: fleet backend is alive (healthy)"}}`},
 	"snapshot":                   {200, `{"seq":41}`},
 	"snapshot unpersisted":       {503, `{"error":{"code":"log_closed","status":503,"message":"wire: snapshot: persistence not enabled: fleet log closed"}}`},
 	"snapshot fails":             {500, `{"error":{"code":"internal","status":500,"message":"disk gone: short write"}}`},

@@ -8,10 +8,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/client"
@@ -271,6 +273,40 @@ func TestWireErrorRoundTrip(t *testing.T) {
 	}
 	if h, err := c.HealthOf(ctx, "m0"); err != nil || h != "healthy" {
 		t.Fatalf("after revive: %q, %v", h, err)
+	}
+}
+
+// TestWireLiveBackendRefusals: failing over or reviving a live machine is a
+// 409 backend_alive on the first response, errors.Is holds through the
+// client, and a client that retries does not retry it.
+func TestWireLiveBackendRefusals(t *testing.T) {
+	ctx := context.Background()
+	c, f, _ := testDaemon(t, wire.Config{})
+	var werr *client.Error
+	_, err := c.Failover(ctx, "m0", 0)
+	if !errors.Is(err, nperr.ErrBackendAlive) || !errors.As(err, &werr) || werr.Code != wire.CodeBackendAlive || werr.Status != 409 {
+		t.Fatalf("failover of a live machine: %v (%+v), want 409 backend_alive", err, werr)
+	}
+	if _, err := c.Revive(ctx, "m0"); !errors.Is(err, nperr.ErrBackendAlive) || !errors.As(err, &werr) || werr.Status != 409 {
+		t.Fatalf("revive of a live machine: %v (%+v), want 409 backend_alive", err, werr)
+	}
+
+	var requests atomic.Int64
+	ws := wire.NewServer(f, wire.Config{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		ws.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() { ws.Stop(); srv.Close() })
+	retrying := client.New(srv.URL)
+	if _, err := retrying.Failover(ctx, "m0", 0); !errors.Is(err, nperr.ErrBackendAlive) {
+		t.Fatalf("failover through a retrying client: %v", err)
+	}
+	if _, err := retrying.Revive(ctx, "m0"); !errors.Is(err, nperr.ErrBackendAlive) {
+		t.Fatalf("revive through a retrying client: %v", err)
+	}
+	if n := requests.Load(); n != 2 {
+		t.Fatalf("a retrying client sent %d requests for two refusals, want 2", n)
 	}
 }
 

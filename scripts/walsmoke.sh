@@ -14,7 +14,10 @@
 # seq plus one. Then the successor's SIGTERM checkpoint is reopened: a third
 # daemon on the same -data-dir must recover from the snapshot alone (0
 # records replayed) and serve the successor's assignments byte for byte.
-# CI runs this on every push.
+# Last, the third daemon pins a new tenant, churns, releases the pinned
+# tenant the snapshot holds and is killed with -9: a fourth daemon must
+# recover from that snapshot plus the tail above it and serve the third's
+# assignments byte for byte. CI runs this on every push.
 #
 # The kill lands with live tenants resident and an unsnapshotted tail in
 # the log: recovery must come from the appended records alone. The diff
@@ -99,6 +102,7 @@ watch_feed "$dir/feed1"
 # needs free slots to actually admit. Their fleet-wide IDs lead the
 # response object; keep one for the post-restart release probe.
 release_id=""
+pinned_ids=""
 for w in gcc canneal; do
     resp="$(curl -sf -X POST "$addr/v1/place" \
         -d "{\"workload\":\"$w\",\"vcpus\":16}")" || {
@@ -107,6 +111,7 @@ for w in gcc canneal; do
     }
     id="$(printf '%s' "$resp" | sed -n 's/^{"id":\([0-9]*\),.*/\1/p')"
     [ -n "$release_id" ] || release_id="$id"
+    pinned_ids="$pinned_ids $id"
     echo "pinned $w as tenant $id"
 done
 
@@ -232,5 +237,44 @@ if ! cmp -s "$dir/successor.json" "$dir/third.json"; then
     exit 1
 fi
 echo "snapshot reopened: assignments identical ($(wc -c < "$dir/third.json") bytes)"
-stop_daemon "$dir/daemon3.log"
-echo "wal smoke passed: kill -9 survived, assignments identical, recovered state live, snapshot reopened"
+
+# A snapshot plus a tail: the third daemon pins a tenant the snapshot does
+# not hold, churns, releases the pinned tenant the snapshot does hold, and
+# dies by kill -9. The fourth must replay the tail above the snapshot.
+curl -sf -X POST "$addr/v1/place" -d '{"workload":"gcc","vcpus":16}' > /dev/null || {
+    echo "FAIL: pinning a tenant on the third daemon"
+    exit 1
+}
+"$dir/loadgen" -addr "$addr" -quick > /dev/null
+for id in $pinned_ids; do
+    [ "$id" = "$release_id" ] && continue
+    curl -sf -X POST "$addr/v1/release" -d "{\"id\":$id}" > /dev/null || {
+        echo "FAIL: releasing snapshot tenant $id on the third daemon"
+        exit 1
+    }
+    echo "released snapshot tenant $id"
+done
+curl -sf "$addr/v1/assignments" > "$dir/third-tail.json"
+kill -9 "$daemon_pid"
+wait "$daemon_pid" 2>/dev/null || true
+daemon_pid=""
+
+start_daemon "$dir/daemon4.log"
+line="$(grep '^numaplaced: recovered ' "$dir/daemon4.log" || true)"
+echo "$line"
+replayed="$(printf '%s' "$line" | sed -n "s/.* (snapshot $snap_seq) .*: \([0-9]*\) records replayed,.*/\1/p")"
+if [ -z "$replayed" ] || [ "$replayed" -eq 0 ]; then
+    echo "FAIL: fourth daemon did not replay a tail above the seq $snap_seq snapshot:"
+    cat "$dir/daemon4.log"
+    exit 1
+fi
+curl -sf "$addr/v1/assignments" > "$dir/fourth.json"
+if ! cmp -s "$dir/third-tail.json" "$dir/fourth.json"; then
+    echo "FAIL: assignments recovered from the snapshot and its tail differ from the third daemon's"
+    echo "--- third ---"; cat "$dir/third-tail.json"
+    echo "--- fourth ---"; cat "$dir/fourth.json"
+    exit 1
+fi
+echo "snapshot plus $replayed records replayed: assignments identical ($(wc -c < "$dir/fourth.json") bytes)"
+stop_daemon "$dir/daemon4.log"
+echo "wal smoke passed: kill -9 survived, assignments identical, recovered state live, snapshot reopened, snapshot plus tail replayed"
