@@ -101,10 +101,13 @@ crashsmoke:
 # Restart scenario smoke: the crash trace with a simulated control-plane
 # crash at t=900s, recovered by replaying the fleet log; then restarts at
 # t=300s and t=700s around a crash at t=400s, so the second recovery installs
-# the orphans the dead machine's engine holds.
+# the orphans the dead machine's engine holds; then a partition healed before
+# a restart under domain spreading, the one run where the occupied-domain mask
+# routing builds meets a recovered fleet.
 restartsmoke:
 	$(GO) run ./cmd/clustersim -quick -crash amd-0@600 -restart 900
 	$(GO) run ./cmd/clustersim -quick -crash amd-0@400 -restart 300,700
+	$(GO) run ./cmd/clustersim -quick -partition amd-0@300:700 -restart 900 -spread
 
 # Wire-level end-to-end smoke: build numaplaced and loadgen, start the
 # daemon on an ephemeral loopback port at reduced training fidelity,

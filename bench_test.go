@@ -560,12 +560,12 @@ func benchResident(b *testing.B, ctx context.Context, n int, policy ClusterPolic
 	return cl, cycle
 }
 
-// BenchmarkClusterAdmitParallel is the number behind Place's second hold of
-// Fleet.mu (DESIGN.md, "Lock ordering"): the backend admission runs between
-// the two holds, so admissions on different machines overlap. Several
-// goroutines each place the next container of their own seeded mix on the
-// resident fleet and release it again; read it with -cpu 1,2 — the ratio, not
-// either column, is the finding.
+// BenchmarkClusterAdmitParallel is the number behind Place's one hold of
+// Fleet.mu (DESIGN.md, "Lock ordering"): the backend admission runs inside it,
+// so concurrent admissions queue on the fleet lock. Several goroutines each
+// place the next container of their own seeded mix on the resident fleet and
+// release it again; read it with -cpu 1,2 — the ratio, not either column, is
+// the finding.
 func BenchmarkClusterAdmitParallel(b *testing.B) {
 	ctx := context.Background()
 	sizes, models, preds := benchResidentModels(b, ctx)

@@ -27,9 +27,9 @@ import (
 //
 // Lock ordering: the cluster lock is always taken before any Engine lock
 // and Engines never call back into the cluster, so the order is
-// one-directional. Place holds no cluster-wide lock across Engine calls
-// (admissions on distinct machines run in parallel); Rebalance and Drain
-// are atomic fleet-wide passes — concurrent admissions wait rather than
+// one-directional. Every call that changes the cluster — Place included —
+// is one hold of that lock across its Engine calls, so Rebalance and Drain
+// are atomic fleet-wide passes: concurrent admissions wait rather than
 // interleave with a half-applied re-packing.
 type Cluster struct {
 	f *fleet.Fleet
@@ -61,9 +61,8 @@ type (
 	// ClusterHealth is one machine's liveness state (ClusterHealthy,
 	// ClusterSuspect, ClusterDead) as tracked by the cluster.
 	ClusterHealth = fleet.Health
-	// ClusterHealthConfig tunes the health state machine: probe-miss
-	// thresholds for the healthy→suspect→dead transitions and the
-	// migration budget of the automatic failover pass.
+	// ClusterHealthConfig tunes the migration budget of the automatic
+	// failover pass that a machine's death runs.
 	ClusterHealthConfig = fleet.HealthConfig
 	// ClusterSubscription is one bounded subscriber of the event feed:
 	// events buffer in a fixed ring, the oldest dropped (and counted) when
@@ -203,8 +202,8 @@ func (c *Cluster) HealthOf(name string) (ClusterHealth, bool) { return c.f.Healt
 func (c *Cluster) Heartbeat(name string) (ClusterHealth, error) { return c.f.Heartbeat(name) }
 
 // MissProbe records one missed probe deadline and advances the health
-// state machine: ClusterHealthConfig.SuspectAfter consecutive misses
-// close the machine for admissions, DeadAfter declare it dead — which
+// state machine: two consecutive misses close the machine for
+// admissions, five declare it dead — which
 // triggers the automatic failover pass, whose report is returned. The
 // error then wraps ErrNoHealthyBackend if any tenant was left stranded.
 func (c *Cluster) MissProbe(ctx context.Context, name string) (ClusterHealth, *ClusterReport, error) {

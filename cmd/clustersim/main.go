@@ -225,10 +225,34 @@ func main() {
 	}
 }
 
-// checkFaults refuses a fault scenario that would do nothing: faults are
-// probe answers, so they need probing on, and each must name a machine of
-// the fleet.
+// checkFaults refuses a number that is not finite — NaN passes every `<= 0`
+// check and would run some other trace, or one that never ends — and a fault
+// scenario that would do nothing: faults are probe answers, so they need
+// probing on, and each must name a machine of the fleet.
 func checkFaults(cfg simConfig) error {
+	type num struct {
+		flag string
+		v    float64
+	}
+	nums := []num{{"arrival", cfg.meanArrival}, {"life", cfg.meanLife}, {"rebalance", cfg.rebalanceEvery},
+		{"budget", cfg.budget}, {"drain-below", cfg.drainBelow}, {"probe-every", cfg.probeEvery}}
+	for _, c := range cfg.crash {
+		nums = append(nums, num{"crash", c.at})
+	}
+	for _, s := range cfg.slow {
+		nums = append(nums, num{"slow", s.at})
+	}
+	for _, p := range cfg.partition {
+		nums = append(nums, num{"partition", p.from}, num{"partition", p.to})
+	}
+	for _, at := range cfg.restart {
+		nums = append(nums, num{"restart", at})
+	}
+	for _, n := range nums {
+		if math.IsNaN(n.v) || math.IsInf(n.v, 0) {
+			return fmt.Errorf("-%s %g: want a finite number", n.flag, n.v)
+		}
+	}
 	names := recipe.Names(cfg.machines)
 	known := func(flag, name string) error {
 		if !slices.Contains(names, name) {

@@ -234,6 +234,22 @@ func TestFaultFlagsThatWouldDoNothingAreRefused(t *testing.T) {
 			c.probeEvery = 10
 			c.partition = []spanSpec{{name: "nope", from: 1, to: 2}}
 		},
+		"NaN arrival":     func(c *simConfig) { c.meanArrival = math.NaN() },
+		"infinite life":   func(c *simConfig) { c.meanLife = math.Inf(1) },
+		"NaN drain-below": func(c *simConfig) { c.drainBelow = math.NaN() },
+		"NaN crash time": func(c *simConfig) {
+			c.probeEvery = 10
+			c.crash = []eventSpec{{name: "amd-0", at: math.NaN()}}
+		},
+		"NaN probe period with a crash": func(c *simConfig) {
+			c.probeEvery = math.NaN()
+			c.crash = []eventSpec{{name: "amd-0", at: 600}}
+		},
+		"infinite partition end": func(c *simConfig) {
+			c.probeEvery = 10
+			c.partition = []spanSpec{{name: "amd-0", from: 300, to: math.Inf(1)}}
+		},
+		"NaN restart": func(c *simConfig) { c.restart = []float64{math.NaN()} },
 	}
 	for name, edit := range cases {
 		cfg := quickCfg("first-fit", 10)
@@ -250,14 +266,14 @@ func TestFaultFlagsThatWouldDoNothingAreRefused(t *testing.T) {
 // TestProbeTickPartitionSequence pins what the probe tick does to one
 // partitioned machine, line by line and at the simulated time each happens,
 // at GOMAXPROCS 1 and 4: misses from the first tick inside the partition
-// turn it suspect at the SuspectAfter-th miss and dead, with a failover pass,
-// at the DeadAfter-th; the first tick after the partition heals revives it.
+// turn it suspect at the second miss and dead, with a failover pass, at the
+// fifth; the first tick after the partition heals revives it.
 // The times follow from the probe period and the thresholds alone.
 func TestProbeTickPartitionSequence(t *testing.T) {
 	const (
 		period       = 10.0
 		from, to     = 305.0, 702.0
-		suspectAfter = 2 // fleet.HealthConfig defaults, which clustersim uses
+		suspectAfter = 2 // the fleet's thresholds
 		deadAfter    = 5
 	)
 	firstMiss := math.Ceil(from/period) * period // ticks fall on multiples of the period

@@ -78,8 +78,8 @@ func main() {
 			*hold = 0
 		}
 	}
-	if *n <= 0 || *c <= 0 || *vcpus <= 0 || *hold < 0 || *think < 0 || *rate < 0 {
-		fmt.Fprintln(os.Stderr, "-n, -c and -vcpus must be positive; -hold, -think and -rate non-negative")
+	if *n <= 0 || *c <= 0 || *vcpus <= 0 || *hold < 0 || *think < 0 || !(*rate >= 0) || math.IsInf(*rate, 0) {
+		fmt.Fprintln(os.Stderr, "-n, -c and -vcpus must be positive; -hold, -think and -rate non-negative, -rate finite")
 		flag.Usage()
 		os.Exit(2)
 	}

@@ -38,6 +38,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -91,6 +92,12 @@ func main() {
 	}
 	if cfg.vcpus <= 0 || cfg.eventsBuffer <= 0 {
 		fmt.Fprintln(os.Stderr, "-vcpus and -events-buffer must be positive")
+		flag.Usage()
+		os.Exit(2)
+	}
+	if math.IsNaN(cfg.drainBelow) || math.IsInf(cfg.drainBelow, 0) {
+		// NaN would pass as a threshold no utilization is below.
+		fmt.Fprintln(os.Stderr, "-drain-below must be a finite number")
 		flag.Usage()
 		os.Exit(2)
 	}

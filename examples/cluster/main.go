@@ -46,8 +46,8 @@ func main() {
 		fmt.Printf("added %s (%s) to the fleet\n", mc.name, mc.m.Topo.Name)
 	}
 
-	// Admit a mixed set of containers: routing previews each on both
-	// machines and admits where the model promises the most.
+	// Admit a mixed set of containers: routing reads each machine's score
+	// row for the workload and admits where the model promises the most.
 	fmt.Println("\nadmitting containers (best-predicted routing):")
 	var ids []int
 	for _, wname := range []string{"WTbtree", "streamcluster", "swaptions", "postgres-tpch", "canneal"} {

@@ -4,7 +4,10 @@
 // reusable.
 package des
 
-import "container/heap"
+import (
+	"container/heap"
+	"math"
+)
 
 // Sim is a discrete-event simulator. The zero value is ready to use.
 type Sim struct {
@@ -78,8 +81,12 @@ func (h *eventHeap) Pop() interface{} {
 func (s *Sim) Now() float64 { return s.now }
 
 // At schedules fn at absolute time t and returns its cancellation handle.
-// Scheduling in the past panics: it would silently corrupt causality.
+// Scheduling in the past panics: it would silently corrupt causality. So
+// does scheduling at NaN, which compares as neither past nor future.
 func (s *Sim) At(t float64, fn func()) *Timer {
+	if math.IsNaN(t) {
+		panic("des: scheduling event at NaN")
+	}
 	if t < s.now {
 		panic("des: scheduling event in the past")
 	}

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -78,6 +79,26 @@ func TestPastSchedulingPanics(t *testing.T) {
 		}
 	}()
 	s.At(1, func() {})
+}
+
+func TestNaNSchedulingPanics(t *testing.T) {
+	var s Sim
+	for _, at := range []func(){
+		func() { s.At(math.NaN(), func() {}) },
+		func() { s.After(math.NaN(), func() {}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("scheduling at NaN did not panic")
+				}
+			}()
+			at()
+		}()
+	}
+	if s.Step() {
+		t.Error("a NaN event was queued")
+	}
 }
 
 func TestStepOnEmpty(t *testing.T) {

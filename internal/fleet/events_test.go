@@ -279,9 +279,6 @@ func TestEventPublishAllocFree(t *testing.T) {
 // admission path itself: Place+Release on a subscribed fleet allocates no
 // more than on an unsubscribed one.
 func TestEventAdmitHotPathAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the routing scratch is pooled; sync.Pool is lossy under the race detector")
-	}
 	ctx := context.Background()
 	w := testWorkload(t, "gcc")
 	measure := func(f *Fleet) float64 {

@@ -10,12 +10,10 @@
 //
 // Lock ordering: Fleet.mu is acquired before any backend (Engine) lock and
 // backends never call back into the fleet, so the order is one-directional
-// and deadlock-free. Every mutation other than Place is one Fleet.mu hold
-// covering the backend calls, the map change and the record, so capacity is
-// freed and logged in one hold. Place alone admits on a backend
-// without the lock (admissions on distinct machines proceed in parallel) and
-// registers under it after: capacity is taken before it is logged. Replaying
-// any prefix of the log into fresh engines therefore succeeds.
+// and deadlock-free. Every mutation is one Fleet.mu hold covering the routing
+// decision, the backend calls, the map change and the record, so capacity is
+// taken or freed and logged in one hold, and replaying any prefix of the log
+// into fresh engines succeeds.
 package fleet
 
 import (
@@ -27,7 +25,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/machines"
 	"repro/internal/migrate"
@@ -169,12 +166,6 @@ type member struct {
 	// that called the backend (undefined while dead).
 	pos  int32
 	free int
-	// fences counts the member's transitions into and out of Dead and the
-	// intra-machine moves of records the fleet does not map: the events
-	// after which such a record may be, or has been, fenced away, or is no
-	// longer where its admission said. Place compares it across its unlocked
-	// backend call to notice one in between.
-	fences atomic.Uint32
 }
 
 // utilization returns the fraction of the member's NUMA nodes currently
@@ -323,12 +314,10 @@ type Fleet struct {
 	// (commitLocked) under the hold that made it, which is what makes
 	// sequence order equal effect order. It is the outermost lock of the
 	// hierarchy and must never cover blocking work (Persister.Commit runs
-	// strictly after the unlock — see durable).
+	// strictly after the unlock — see held.end).
 	//numalint:locks fleet.mu rank=10 noblock
 	mu sync.Mutex
-	// members is in add order. Add and Remove replace the slice and never
-	// write to it: a routing decision keeps reading the one it saw after the
-	// unlock.
+	// members is in add order.
 	members []*member
 	byName  map[string]*member
 	nextID  int
@@ -342,9 +331,9 @@ type Fleet struct {
 	// idx is the routing index (route.go): who accepts, in which (score
 	// class, free count) cell, and which domains host which workload.
 	idx routeIndex
-	// destScratch is the routing scratch of the passes that hold mu end to
-	// end (destination order of Rebalance, Drain and Failover moves).
-	destScratch routeScratch
+	// scratch is the working set of every routing decision: an admission's
+	// candidates and a move's destinations.
+	scratch routeScratch
 
 	// The commit stream (record.go, events.go): seq is the number of Records
 	// committed, which commitLocked alone advances; each goes to the persister
@@ -416,7 +405,7 @@ func (f *Fleet) Add(name string, b Backend, opts ...AddOption) error {
 		f.domains[m.domain] = dom
 	}
 	m.dom = dom
-	f.members = append(slices.Clip(f.members), m)
+	f.members = append(f.members, m)
 	f.byName[name] = m
 	if m.classer != nil {
 		m.classer.NotifyClassChange(&f.idx.epoch)
@@ -475,25 +464,14 @@ func (f *Fleet) occupyLocked(m *member, workload string, delta int32) {
 // the fleet, routing per the configured policy and falling back down the
 // candidate ranking when a backend rejects. It fails with ErrFleetFull
 // (with every backend's rejection joined in) when no backend admits the
-// container.
+// container. The decision, the backend admission and the record are one
+// hold. A durability failure is returned alongside the admission: the
+// commit stands either way, and hiding it would leak the container.
 func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm *Admission, err error) {
-	// The durability join runs at return, after the per-branch unlocks
-	// below. A durability failure rides along WITH the admission: the
-	// in-memory commit stands either way, and hiding it would leak the
-	// container.
-	s := scratchPool.Get().(*routeScratch)
-	defer scratchPool.Put(s)
-	defer s.forget()
-	defer s.mark.join(&err)
-	// The candidates are one hold's view of the index (marked in s.mark, so
-	// a Place that appends nothing still reports the log's sticky error);
-	// scoring and expanding them asks the backends without the lock.
+	defer f.lock().end(&err)
+	s := &f.scratch
 	q := routeQuery{by: f.cfg.Policy.scoring(), w: w, vcpus: vcpus}
-	f.mu.Lock()
-	f.snapshotLocked(s, &q)
-	f.markLocked(&s.mark)
-	f.mu.Unlock()
-	if err := s.rank(ctx, &q); err != nil {
+	if err := f.routeLocked(ctx, s, &q); err != nil {
 		return nil, err
 	}
 	tried := 0
@@ -503,7 +481,6 @@ func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm *
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		fences := mem.fences.Load()
 		a, err := mem.b.Place(ctx, w, vcpus)
 		if err != nil {
 			// A cancellation surfacing through the backend is the
@@ -514,58 +491,15 @@ func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm *
 			errs = append(errs, fmt.Errorf("%s: %w", mem.name, err))
 			continue
 		}
-		f.mu.Lock()
-		if f.byName[mem.name] != mem {
-			// The backend was removed while the admission ran unlocked:
-			// undo it and fall through to the next candidate. The undo
-			// must not inherit the request's cancellation — a cancelled
-			// undo would strand the container on an engine the fleet no
-			// longer reaches. (A backend that merely started draining
-			// keeps the admission — the next drain or rebalance pass
-			// moves it.)
-			f.mu.Unlock()
-			if rerr := mem.b.Release(context.WithoutCancel(ctx), a.ID); rerr != nil {
-				return nil, fmt.Errorf("fleet: undoing admission on removed backend %s: %w", mem.name, rerr)
-			}
-			// The per-member note rides inside an ErrFleetFull join,
-			// which carries the wire classification for the whole chain.
-			errs = append(errs, fmt.Errorf("%s: removed during admission", mem.name)) //numalint:ignore sentinelwrap joined under ErrFleetFull, which classifies the chain
-			continue
-		}
-		if mem.health == Dead || mem.fences.Load() != fences {
-			// The machine was declared dead while the admission ran
-			// unlocked: the failover pass that just emptied it never saw
-			// this not-yet-registered tenant, so committing would place a
-			// container on a machine the fleet no longer trusts. A dead
-			// backend receives no calls; Revive fences the orphaned record.
-			// A machine revived since — after dying in the window, or dead
-			// already when this candidate list was drawn — is undone here:
-			// its fence ran before the record existed, or released it
-			// already (the backend then answers unknown container, the
-			// outcome wanted). So is an admission an intra-machine pass
-			// moved meanwhile (logIntraLocked): the nodes in hand are stale.
-			if mem.health != Dead {
-				_ = mem.b.Release(context.WithoutCancel(ctx), a.ID)
-				f.refreeLocked(mem)
-			}
-			f.mu.Unlock()
-			errs = append(errs, fmt.Errorf("%s: declared dead during admission: %w", mem.name, nperr.ErrBackendDown))
-			continue
-		}
 		id := f.nextID
 		f.commitLocked(f.bookLocked(&Record{Type: RecPlace, ID: id, Backend: mem.name,
 			Workload: w.Name, VCPUs: vcpus, EngineID: a.ID, ClassID: a.Class,
 			Nodes: a.Nodes, BasePerf: a.BasePerf, ProbePerf: a.ProbePerf}, mem, a, &w))
 		f.occupyLocked(mem, w.Name, +1)
 		f.refreeLocked(mem)
-		f.markLocked(&s.mark)
-		f.mu.Unlock()
 		return &Admission{ID: id, Backend: mem.name, Assignment: *a}, nil
 	}
-	f.mu.Lock()
 	f.commitLocked(f.bookLocked(&Record{Type: RecReject, ID: -1, Workload: w.Name, VCPUs: vcpus}, nil, nil, nil))
-	f.markLocked(&s.mark)
-	f.mu.Unlock()
 	sentinels := []error{nperr.ErrFleetFull}
 	if tried == 0 {
 		// Nothing was even tried: every machine is dead, suspect or
@@ -704,9 +638,9 @@ func (f *Fleet) moveLocked(ctx context.Context, rep *Report, id int, rec *tenant
 		}
 		if rec.mem.health != Dead {
 			// Past the destination's admission the move must not inherit the
-			// request's cancellation (as Place's undo must not). If the source
-			// still cannot let go, the admission is given back: an unmapped,
-			// unlogged record would hold the destination's nodes.
+			// request's cancellation. If the source still cannot let go, the
+			// admission is given back: an unmapped, unlogged record would
+			// hold the destination's nodes.
 			undo := context.WithoutCancel(ctx)
 			if err := rec.mem.b.Release(undo, rec.engineID); err != nil {
 				err = fmt.Errorf("fleet: moving container %d off %s: %w", id, rec.mem.name, err)
@@ -743,9 +677,7 @@ func (f *Fleet) moveLocked(ctx context.Context, rep *Report, id int, rec *tenant
 // assignment is booked from the backend's live books — the
 // snapshot a dead machine's tenants later resolve from must show where a
 // container runs NOW, not where it was first admitted. A moved record the
-// fleet does not map is an admission in flight whose Place still holds the
-// nodes it was admitted to: it is fenced (Place undoes it) and, since replay
-// could not apply it, not logged. Callers hold f.mu.
+// fleet does not map is not the fleet's to log. Callers hold f.mu.
 func (f *Fleet) logIntraLocked(m *member, intra *sched.RebalanceReport) {
 	if len(intra.Moves) == 0 {
 		return
@@ -758,7 +690,6 @@ func (f *Fleet) logIntraLocked(m *member, intra *sched.RebalanceReport) {
 	for _, mv := range intra.Moves {
 		fleetID, ok := byEngine[mv.ID]
 		if !ok {
-			m.fences.Add(1)
 			continue
 		}
 		var a *sched.Assignment
@@ -792,24 +723,21 @@ func (f *Fleet) tenantsOfLocked(m *member) iter.Seq2[int, *tenantRec] {
 // are every accepting member other than src, busiest first — under
 // BestPredicted by the tenant's predicted performance on each first (preview
 // failures left out) — those in failure domains not hosting the tenant's
-// workload before the rest when domain spreading is on. The snapshot says
-// whether there is any; the budget is checked before it is ranked, so no
-// preview is spent on a move that can never commit. Destinations are strictly
-// busier machines only, so consolidation goes uphill and terminates — except
-// off a draining or dead source, which must empty wherever room exists (a
-// negative floor disables the uphill filter). A non-nil
-// destErrs says the pass owes src's emptying: each tenant left behind (no
-// destination, over budget, rejected everywhere) is counted in rep.Stranded
-// and moveLocked collects the rejections there. failover is moveLocked's
-// mark. Callers hold f.mu.
+// workload before the rest when domain spreading is on; a move is priced only
+// once there is one. Destinations are strictly busier machines only, so
+// consolidation goes uphill and terminates — except off a draining or dead
+// source, which must empty wherever room exists (a negative floor disables the
+// uphill filter). A non-nil destErrs says the pass owes src's emptying: each
+// tenant left behind (no destination, over budget, rejected everywhere) is
+// counted in rep.Stranded and moveLocked collects the rejections there.
+// failover is passed on to moveLocked. Callers hold f.mu.
 func (f *Fleet) evacuateLocked(ctx context.Context, rep *Report, src *member, budget float64, destErrs *[]error, failover bool) error {
 	ids := make([]int, 0, src.tenants)
 	for id := range f.tenantsOfLocked(src) {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	dests := &f.destScratch
-	defer dests.forget()
+	dests := &f.scratch
 	for _, id := range ids {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -823,16 +751,16 @@ func (f *Fleet) evacuateLocked(ctx context.Context, rep *Report, src *member, bu
 		if !src.drained && src.health != Dead {
 			q.minUtil = src.utilization()
 		}
+		if err := f.routeLocked(ctx, dests, &q); err != nil {
+			return err
+		}
 		moved := false
-		if f.snapshotLocked(dests, &q); len(dests.cells) > 0 {
+		if len(dests.cells) > 0 {
 			copied, err := migrate.Run(ctx, migrate.ProfileFor(rec.w, rec.vcpus), migrate.Fast, migrate.Config{})
 			if err != nil {
 				return err
 			}
 			if cost := copied.Seconds; rep.TotalSeconds+cost <= budget {
-				if err := dests.rank(ctx, &q); err != nil {
-					return err
-				}
 				if moved, err = f.moveLocked(ctx, rep, id, rec, cost, dests, destErrs, failover); err != nil {
 					return err
 				}
@@ -914,9 +842,8 @@ func (f *Fleet) Rebalance(ctx context.Context, budgetSeconds float64) (rep *Repo
 		if m.tenants == 0 {
 			continue
 		}
-		// Draining members are sources regardless of utilization: a
-		// tenant admitted in the race window while its Drain pass ran is
-		// picked up here, as Place's commit comment promises. Dead
+		// Draining members are sources regardless of utilization: the
+		// tenants their Drain pass could not rehome are retried here. Dead
 		// members are sources too — tenants a failover pass left
 		// stranded (no capacity, exhausted budget) are retried here, and
 		// sort first (util -1) so recovery outranks consolidation.
@@ -1006,7 +933,7 @@ func (f *Fleet) Remove(name string) error {
 		return fmt.Errorf("fleet: removing %s with %d tenants: %w", name, m.tenants, nperr.ErrBackendNotEmpty)
 	}
 	delete(f.byName, name)
-	f.members = slices.DeleteFunc(slices.Clone(f.members), func(mm *member) bool { return mm == m })
+	f.members = slices.DeleteFunc(f.members, func(mm *member) bool { return mm == m })
 	if m.classer != nil {
 		m.classer.NotifyClassChange(nil)
 	}

@@ -37,6 +37,9 @@ type stubBackend struct {
 	// onAssignment, when set, runs at the start of the next Assignment call
 	// (once), outside the stub's lock.
 	onAssignment func()
+	// onPlace, when set, runs at the start of every Place call, outside the
+	// stub's lock.
+	onPlace func()
 	// onCall, when set, runs after each Adopt (adopt true) and Release the
 	// stub takes, with the engine ID, under the stub's lock.
 	onCall func(adopt bool, id int)
@@ -65,6 +68,9 @@ func (s *stubBackend) Preview(ctx context.Context, w perfsim.Workload, vcpus int
 }
 
 func (s *stubBackend) Place(ctx context.Context, w perfsim.Workload, vcpus int) (*sched.Assignment, error) {
+	if s.onPlace != nil {
+		s.onPlace()
+	}
 	if s.placeErr != nil {
 		return nil, s.placeErr
 	}
@@ -212,6 +218,38 @@ func testWorkload(t testing.TB, name string) perfsim.Workload {
 		t.Fatalf("unknown workload %q", name)
 	}
 	return w
+}
+
+// TestPlaceAdmitsUnderTheFleetLock: an admission's backend call, its commit
+// and its record are one Fleet.mu hold, so the lock is taken whenever a
+// backend admits — the first candidate, and one tried after a rejection.
+func TestPlaceAdmitsUnderTheFleetLock(t *testing.T) {
+	ctx := context.Background()
+	f := New(Config{Policy: FirstFit})
+	a, b := newStub(machines.Intel(), 1), newStub(machines.Intel(), 1)
+	calls, free := 0, 0
+	onPlace := func() {
+		calls++
+		if f.mu.TryLock() {
+			free++
+			f.mu.Unlock()
+		}
+	}
+	a.onPlace, b.onPlace = onPlace, onPlace
+	if err := errors.Join(f.Add("a", a), f.Add("b", b)); err != nil {
+		t.Fatal(err)
+	}
+	w := testWorkload(t, "swaptions")
+	if _, err := f.Place(ctx, w, 4); err != nil {
+		t.Fatal(err)
+	}
+	a.placeErr = nperr.ErrMachineFull
+	if adm, err := f.Place(ctx, w, 4); err != nil || adm.Backend != "b" {
+		t.Fatalf("with a refusing, admitted %+v, %v; want b", adm, err)
+	}
+	if calls != 3 || free != 0 {
+		t.Fatalf("%d backend admissions, %d of them with Fleet.mu free; want 3, none", calls, free)
+	}
 }
 
 func TestFleetFirstFitOrder(t *testing.T) {

@@ -57,41 +57,22 @@ func (h Health) String() string {
 	}
 }
 
-// HealthConfig tunes the per-backend health state machine; the zero value
-// selects the calibrated defaults.
+// The health state machine's thresholds, in consecutive missed probes: at
+// suspectAfter a healthy member turns suspect (stops receiving admissions), at
+// deadAfter it is declared dead and its tenants failed over.
+const (
+	suspectAfter = 2
+	deadAfter    = 5
+)
+
+// HealthConfig tunes the automatic failover pass; the zero value selects the
+// calibrated default.
 type HealthConfig struct {
-	// SuspectAfter is the number of consecutive missed probes after which
-	// a healthy member turns suspect (stops receiving admissions).
-	// 0 selects the default of 2.
-	SuspectAfter int
-	// DeadAfter is the number of consecutive missed probes after which a
-	// suspect member is declared dead and its tenants failed over.
-	// 0 selects the default of 5; values <= SuspectAfter are raised to
-	// SuspectAfter+1 so the suspect state is never skipped.
-	DeadAfter int
 	// FailoverBudgetSeconds is the migration-seconds budget of the
 	// automatic failover pass run on the healthy→dead transition:
 	// 0 selects the default 300, a negative value removes the budget
 	// (every tenant with a healthy destination is moved).
 	FailoverBudgetSeconds float64
-}
-
-func (c HealthConfig) suspectAfter() int {
-	if c.SuspectAfter <= 0 {
-		return 2
-	}
-	return c.SuspectAfter
-}
-
-func (c HealthConfig) deadAfter() int {
-	d := c.DeadAfter
-	if d <= 0 {
-		d = 5
-	}
-	if s := c.suspectAfter(); d <= s {
-		d = s + 1
-	}
-	return d
 }
 
 func (c HealthConfig) failoverBudget() float64 {
@@ -133,15 +114,12 @@ func (f *Fleet) setHealthLocked(m *member, to Health, misses int) {
 
 // healthMovedLocked brings the routing index up to m's health after a change
 // from from, if there was one: m is re-listed — a revived machine's free count
-// is read again here, after its fence — and a move into or out of Dead bumps
-// m.fences, so no death or revival can go unnoticed by an admission in flight.
-// Callers hold f.mu.
+// is read again here, after its fence. Callers hold f.mu.
 func (f *Fleet) healthMovedLocked(m *member, from Health) {
 	if m.health == from {
 		return
 	}
 	if from == Dead || m.health == Dead {
-		m.fences.Add(1)
 		// Its tenants hold their failure domain only while it is not dead.
 		delta := int32(+1)
 		if m.health == Dead {
@@ -174,13 +152,13 @@ func (f *Fleet) Heartbeat(name string) (h Health, err error) {
 }
 
 // MissProbe records one missed probe deadline for the named backend and
-// advances its health state machine: SuspectAfter consecutive misses turn
-// a healthy member suspect (no new admissions), DeadAfter misses declare
-// it dead. Every miss commits a RecHealth, from == to while the state holds.
-// The suspect→dead transition runs the automatic failover pass
-// under Config.Health.FailoverBudgetSeconds and returns its report; the
-// error then carries ErrNoHealthyBackend if any tenant was stranded.
-// Missed probes on an already-dead member are no-ops.
+// advances its health state machine: two consecutive misses turn a healthy
+// member suspect (no new admissions), five declare it dead. Every miss
+// commits a RecHealth, from == to while the state holds. The suspect→dead
+// transition runs the automatic failover pass under
+// Config.Health.FailoverBudgetSeconds and returns its report; the error then
+// carries ErrNoHealthyBackend if any tenant was stranded. Missed probes on an
+// already-dead member are no-ops.
 func (f *Fleet) MissProbe(ctx context.Context, name string) (h Health, rep *Report, err error) {
 	defer f.lock().end(&err)
 	m, ok := f.byName[name]
@@ -192,9 +170,9 @@ func (f *Fleet) MissProbe(ctx context.Context, name string) (h Health, rep *Repo
 	}
 	misses, to := m.misses+1, m.health
 	switch {
-	case misses >= f.cfg.Health.deadAfter():
+	case misses >= deadAfter:
 		to = Dead
-	case misses >= f.cfg.Health.suspectAfter():
+	case misses >= suspectAfter:
 		to = Suspect
 	}
 	f.setHealthLocked(m, to, misses)
@@ -219,7 +197,7 @@ func (f *Fleet) Fail(ctx context.Context, name string) (rep *Report, err error) 
 	if m.health == Dead {
 		return nil, fmt.Errorf("fleet: failing %s: already %w", name, nperr.ErrBackendDown)
 	}
-	f.setHealthLocked(m, Dead, f.cfg.Health.deadAfter())
+	f.setHealthLocked(m, Dead, deadAfter)
 	return f.failoverLocked(ctx, m, f.cfg.Health.failoverBudget())
 }
 
@@ -288,13 +266,12 @@ func (f *Fleet) fenceLocked(ctx context.Context, m *member) (fenced, orphan int,
 
 // Revive readmits a dead backend once the machine is reachable again. The
 // backend's books are fenced first: every engine-side assignment the
-// fleet no longer maps to this member (tenants failed over while it was
-// dead, plus admissions that lost the commit race with the death) is
-// released, so the rejoining machine frees the capacity of containers
-// that now run elsewhere. Tenants still mapped here — stranded ones no
-// failover pass could rehome — are kept; they were running on the
-// partitioned machine all along. Returns the number of fenced orphans.
-// Reviving a live backend is an error; a fencing failure leaves the
+// fleet no longer maps to this member (tenants failed over, or released,
+// while it was dead) is released, so the rejoining machine frees the
+// capacity of containers that no longer run there. Tenants still mapped
+// here — stranded ones no failover pass could rehome — are kept; they were
+// running on the partitioned machine all along. Returns the number of fenced
+// orphans. Reviving a live backend is an error; a fencing failure leaves the
 // backend dead so the next Revive retries a clean fence.
 func (f *Fleet) Revive(ctx context.Context, name string) (fencedOut int, err error) {
 	defer f.lock().end(&err)

@@ -14,7 +14,7 @@ import (
 
 func TestHealthStateMachine(t *testing.T) {
 	ctx := context.Background()
-	f := New(Config{Health: HealthConfig{SuspectAfter: 2, DeadAfter: 4}})
+	f := New(Config{})
 	a, b := newStub(machines.Intel(), 1), newStub(machines.Intel(), 1)
 	f.Add("a", a)
 	f.Add("b", b)
@@ -57,18 +57,18 @@ func TestHealthStateMachine(t *testing.T) {
 		t.Fatalf("admission after recovery landed on %s, want a", adm2.Backend)
 	}
 
-	// Ride the machine down to dead: misses 1..3 keep it alive-ish, the
-	// 4th kills it and runs the (empty-after-failover) recovery pass.
+	// Ride the machine down to dead: misses 1..4 keep it alive-ish, the
+	// 5th kills it and runs the (empty-after-failover) recovery pass.
 	var last Health
 	var rep *Report
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 5; i++ {
 		last, rep, err = f.MissProbe(ctx, "a")
 		if err != nil {
 			t.Fatalf("miss %d: %v", i+1, err)
 		}
 	}
 	if last != Dead {
-		t.Fatalf("after DeadAfter misses health = %v, want dead", last)
+		t.Fatalf("after %d misses health = %v, want dead", deadAfter, last)
 	}
 	if rep == nil || rep.Examined != 1 || len(rep.Moves) != 1 {
 		t.Fatalf("death failover report = %+v, want 1 examined / 1 move", rep)
@@ -372,7 +372,7 @@ func TestFailoverRaceStress(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
 			f.Fail(ctx, "a")   // may strand; error expected sometimes
-			f.Revive(ctx, "a") // fences whatever the window orphaned
+			f.Revive(ctx, "a") // fences what failed over while it was dead
 		}
 	}()
 

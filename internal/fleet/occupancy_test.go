@@ -32,7 +32,7 @@ func occupancyWalk(f *Fleet) map[string]map[string]int {
 func occupiedMarks(f *Fleet, workload string, skip *tenantRec) map[string]bool {
 	var s routeScratch
 	q := routeQuery{w: perfsim.Workload{Name: workload}, moving: skip, minUtil: -1}
-	f.snapshotLocked(&s, &q)
+	f.routeLocked(context.Background(), &s, &q) // fails only on a cancelled ctx
 	occ := map[string]bool{}
 	for _, m := range f.members {
 		if len(s.occupied) > 0 && hasBit(s.occupied, m.pos) {

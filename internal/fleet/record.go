@@ -383,31 +383,8 @@ func (f *Fleet) bookLocked(r *Record, m *member, a *sched.Assignment, w *perfsim
 	return r
 }
 
-// durable is what a mutating call carries out of its Fleet.mu hold: the
-// persister and the last sequence appended by the time it unlocked. Commit
-// may block on an fsync and must never do so under the fleet lock, so the
-// mark is the hold's last act and the join runs after the unlock: a verb
-// takes its hold with `defer f.lock().end(&err)`, which does all three in that
-// order.
-type durable struct {
-	p   Persister
-	seq uint64
-}
-
-func (f *Fleet) markLocked(d *durable) { d.p, d.seq = f.persister, f.seq }
-
-// join waits for everything appended up to the mark to reach the persister's
-// durability bar (per its fsync policy) and joins any failure into *err.
-func (d *durable) join(err *error) {
-	if d.p == nil || d.seq == 0 {
-		return
-	}
-	if cerr := d.p.Commit(d.seq); cerr != nil {
-		*err = errors.Join(*err, fmt.Errorf("fleet: committed state not durable through seq %d: %w", d.seq, cerr))
-	}
-}
-
-// held is a mutating verb's Fleet.mu hold, whose end the verb defers at once.
+// held is a mutating verb's Fleet.mu hold, whose end the verb defers at once:
+// `defer f.lock().end(&err)`.
 type held struct{ f *Fleet }
 
 func (f *Fleet) lock() held {
@@ -415,11 +392,17 @@ func (f *Fleet) lock() held {
 	return held{f}
 }
 
-// end marks what the hold appended, unlocks, then waits for it to be durable,
-// joining any failure into *err.
+// end reads the persister and the last sequence the hold appended, unlocks,
+// then waits for everything up to that sequence to reach the persister's
+// durability bar (per its fsync policy), joining any failure into *err. Commit
+// may block on an fsync and must never do so under the fleet lock.
 func (h held) end(err *error) {
-	var d durable
-	h.f.markLocked(&d)
+	p, seq := h.f.persister, h.f.seq
 	h.f.mu.Unlock()
-	d.join(err)
+	if p == nil || seq == 0 {
+		return
+	}
+	if cerr := p.Commit(seq); cerr != nil {
+		*err = errors.Join(*err, fmt.Errorf("fleet: committed state not durable through seq %d: %w", seq, cerr))
+	}
 }

@@ -12,26 +12,24 @@
 // as: a bitset over add-order member positions per cell, one view of classes
 // by node count and one per container size met. How those cells rank depends
 // on nothing but the view's classes, the scoring and the workload, so each
-// view memoizes the order per (scoring, workload): a decision copies the
-// non-empty cells in that order in the hold it already takes and expands them
-// only as far as the caller asks — the first-try admission ranks nothing and
-// touches one member, whatever the size of the fleet. Only a decision that
-// finds no order covering the view's classes ranks them: one row per class,
-// not one Preview per machine, fetched without the lock.
+// view memoizes the order per (scoring, workload). A decision is one call,
+// routeLocked, in the hold of the verb that makes it: it copies the non-empty
+// cells in that order, and next expands them only as far as the caller asks —
+// the first-try admission ranks nothing and touches one member, whatever the
+// size of the fleet. Only a decision that finds no order covering the view's
+// classes ranks them: one row per class, not one Preview per machine.
 //
-// The invariant: whenever Fleet.mu is free and no admission is in flight,
-// every member that is not dead has free == b.FreeNodes().Len(), and every
-// accepting member sits, in every view, in the cell of its ScoreClass and that
-// count. The fleet keeps it where it commits: a free count is re-read from the
-// one backend a hold called (refreeLocked), a member is re-listed when what it
-// accepts changes (relistLocked), Add, Remove and Restore derive the whole
-// index anew (rebuildIndexLocked). An admission in flight between Place's two
-// holds makes its machine's count stale by that one commit, as a Preview's
-// view of the free mask was. Score classes and rows are not polled: a backend
+// The invariant: whenever Fleet.mu is free, every member that is not dead has
+// free == b.FreeNodes().Len(), and every accepting member sits, in every view,
+// in the cell of its ScoreClass and that count. The fleet keeps it where it
+// commits: a free count is re-read from the one backend a hold called
+// (refreeLocked), a member is re-listed when what it accepts changes
+// (relistLocked), Add, Remove and Restore derive the whole index anew
+// (rebuildIndexLocked). Score classes and rows are not polled: a backend
 // bumps routeIndex.epoch after any change of what its ScoreClass answers or
 // its ScoreRow returns (ScoreClasser.NotifyClassChange), and the decision that
 // sees the bump drops the size views, and their orders with them, and reads the
-// classes again before it ranks. A view that gains a class starts a fresh memo.
+// classes again before it ranks.
 //
 // The order is exact, not approximate: the one a Preview of every candidate
 // followed by a stable sort and a stable partition returns (the parity tests
@@ -42,10 +40,8 @@ package fleet
 import (
 	"cmp"
 	"context"
-	"maps"
 	"math/bits"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/perfsim"
@@ -147,7 +143,7 @@ type routeView struct {
 	classOf []int32 // by member.pos
 	classes []viewClass
 	solos   []uint64
-	memo    *orderMemo // the orders of classes: a fresh one whenever a class is appended
+	orders  map[orderKey]*cellOrder // the memo: each key's order of classes
 }
 
 // orderKey names one cell order of a view: the scoring and, in a size view,
@@ -172,10 +168,9 @@ type orderCell struct {
 // move's busier-first tie-break — then the cells left out. It holds scores
 // only, no row and no class token, so it keeps no predictor alive.
 type cellOrder struct {
-	w       perfsim.Workload // bestPredicted: the workload it ranks for
-	covers  []bool           // by view class: the class's cells are all here
-	classes int              // classes with cells here
-	cells   []orderCell
+	w      perfsim.Workload // bestPredicted: the workload it ranks for
+	covers []bool           // by view class: the class's cells are all here
+	cells  []orderCell
 }
 
 // serves reports whether e orders q's candidates in v: ranked for q's
@@ -198,37 +193,13 @@ func (e *cellOrder) serves(v *routeView, q *routeQuery) bool {
 // size — 256 is ten times the paper's catalog.
 const maxOrders = 256
 
-// orderMemo is one view's cell orders by key, copy-on-write as the
-// scheduler's caches are: a decision reads it with one atomic load and
-// installs an order it ranked, without a lock, by swapping in a clone — past
-// maxOrders, a fresh map. Dropping orders is always safe: the next decision
-// of the key ranks again.
-type orderMemo struct {
-	m atomic.Pointer[map[orderKey]*cellOrder]
-}
-
-//numalint:noalloc
-func (o *orderMemo) get(k orderKey) *cellOrder {
-	if m := o.m.Load(); m != nil {
-		return (*m)[k]
+// remember keeps e as v's order for k. Past maxOrders the memo starts afresh:
+// dropping orders is always safe, the next decision of the key ranks again.
+func (v *routeView) remember(k orderKey, e *cellOrder) {
+	if v.orders == nil || len(v.orders) >= maxOrders {
+		v.orders = make(map[orderKey]*cellOrder, 4)
 	}
-	return nil
-}
-
-func (o *orderMemo) put(k orderKey, e *cellOrder) {
-	for {
-		old := o.m.Load()
-		var next map[orderKey]*cellOrder
-		if old == nil || len(*old) >= maxOrders {
-			next = make(map[orderKey]*cellOrder, 4)
-		} else {
-			next = maps.Clone(*old)
-		}
-		next[k] = e
-		if o.m.CompareAndSwap(old, &next) {
-			return
-		}
-	}
+	v.orders[k] = e
 }
 
 // routeIndex is the fleet's routing view of its members, guarded by Fleet.mu
@@ -287,7 +258,7 @@ func (f *Fleet) occLocked(workload string) []int32 {
 
 // newView files the accepting members by their classes for vcpus.
 func (ix *routeIndex) newView(members []*member, vcpus int) routeView {
-	v := routeView{vcpus: vcpus, classOf: make([]int32, len(members)), memo: new(orderMemo)}
+	v := routeView{vcpus: vcpus, classOf: make([]int32, len(members))}
 	if vcpus != 0 {
 		v.solos = make([]uint64, ix.words)
 	}
@@ -319,7 +290,6 @@ func (v *routeView) list(m *member, words int) {
 	if c < 0 {
 		c = len(v.classes)
 		v.classes = append(v.classes, viewClass{key: key, sets: make([]uint64, (key.total+1)*words)})
-		v.memo = new(orderMemo)
 	}
 	v.classOf[m.pos] = int32(c)
 	v.classes[c].members++
@@ -402,9 +372,9 @@ func (f *Fleet) viewLocked(q *routeQuery) *routeView {
 	return &ix.views[len(ix.views)-1]
 }
 
-// snapCell is one non-empty cell of a decision — or one solo candidate — and
+// routeCell is one non-empty cell of a decision — or one solo candidate — and
 // its score; its members are s.sets[off : off+s.words].
-type snapCell struct {
+type routeCell struct {
 	class       int32 // index into the view's classes; solo
 	free, total int32
 	off         int32
@@ -412,34 +382,19 @@ type snapCell struct {
 	score, then float64 // ascending, then breaking ties
 }
 
-// routeScratch is the working set of one decision: the copy of the index's
-// cells that snapshotLocked takes under Fleet.mu, in the order of the view's
-// memo, which rank completes and next expands without it. Nothing in it
-// points into the index.
+// routeScratch is the working set of one decision: the index's cells that
+// routeLocked copies under Fleet.mu, best first, which next expands in the
+// same hold. The fleet keeps one (Fleet.scratch); tests bring their own.
 type routeScratch struct {
-	mark durable // of the caller's last hold (Place's durability join)
-
-	// members is the fleet's member list as of the snapshot, by member.pos:
-	// Add and Remove replace that slice and never write to it.
+	// members is the fleet's member list as of the decision, by member.pos.
 	members  []*member
 	words    int
-	cells    []snapCell // the first solos cells are solo candidates; after rank, best first
+	cells    []routeCell // the first solos cells are solo candidates until ranked
 	solos    int
-	met      int // classes in the order the decision read
 	sets     []uint64
 	one      []uint64 // all zero between uses: the set of one solo member
 	occupied []uint64 // members in failure domains hosting the workload; empty: nothing to spread around
 	excluded []uint64 // bestPredicted: members left out because their preview fails
-
-	// A snapshot that finds no order serving it leaves the ranking to rank:
-	// memo is where the order goes, under key; shadow is the view's classes,
-	// their cells copied to shadowSets; reps holds a member of each to ask for
-	// its row (nil: none).
-	memo       *orderMemo
-	key        orderKey
-	shadow     []viewClass
-	shadowSets []uint64
-	reps       []*member
 
 	// The cursor of next: cells[lo:hi] are the group of equal scores being
 	// expanded, word the member-set word, cur its members not yet returned;
@@ -447,18 +402,6 @@ type routeScratch struct {
 	lo, hi, word int
 	cur          uint64
 	late         bool
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(routeScratch) }}
-
-// forget drops every reference the scratch holds into the fleet — members,
-// those asked for rows — so that a pooled or idle scratch keeps no removed
-// backend reachable.
-func (s *routeScratch) forget() {
-	s.members = nil
-	clear(s.reps)
-	s.reps = s.reps[:0]
-	s.memo = nil
 }
 
 // zeroed returns buf resized to n zero words.
@@ -471,20 +414,21 @@ func zeroed(buf []uint64, n int) []uint64 {
 	return buf
 }
 
-// snapshotLocked copies into s the cells q can rank: every non-empty cell of
-// the view — above the move's utilization floor, without the machine the
-// tenant is leaving — and the occupied-domain mask. With an order in the
-// view's memo that serves q, the cells come in that order, those it leaves out
-// in s.excluded; without one, they come unranked, and s keeps what rank needs
-// to rank them. len(s.cells) == 0 says no member is a candidate. Callers hold
+// routeLocked ranks into s the candidates of q — every member in a non-empty
+// cell of the view, above the move's utilization floor, without the machine the
+// tenant is leaving — and rewinds next. The cells come in the order the view
+// remembers for q, ranked and remembered here first when it has none that
+// serves; the cells it leaves out go to s.excluded, and so do the solo
+// candidates whose preview fails (rejections reports them). len(s.cells) == 0
+// says no member is a candidate. Only a cancelled ctx fails it. Callers hold
 // f.mu.
 //
 //numalint:noalloc
-func (f *Fleet) snapshotLocked(s *routeScratch, q *routeQuery) {
+func (f *Fleet) routeLocked(ctx context.Context, s *routeScratch, q *routeQuery) error {
 	ix := &f.idx
 	v := f.viewLocked(q)
 	s.members, s.words = f.members, ix.words
-	s.cells, s.sets, s.memo = s.cells[:0], s.sets[:0], nil
+	s.cells, s.sets = s.cells[:0], s.sets[:0]
 	s.excluded = zeroed(s.excluded, ix.words)
 	for i, w := range v.solos {
 		if w != 0 && len(s.one) != ix.words {
@@ -493,27 +437,48 @@ func (f *Fleet) snapshotLocked(s *routeScratch, q *routeQuery) {
 		for ; w != 0; w &= w - 1 {
 			m := f.members[i<<6+bits.TrailingZeros64(w)]
 			setBit(s.one, m.pos)
-			s.addCell(snapCell{class: solo, free: int32(m.free), total: int32(m.total)}, s.one, q)
+			s.addCell(routeCell{class: solo, free: int32(m.free), total: int32(m.total)}, s.one, q)
 			clearBit(s.one, m.pos)
 		}
 	}
 	s.solos = len(s.cells)
-	s.key = q.orderKey()
-	if e := v.memo.get(s.key); e.serves(v, q) {
-		s.emit(e, v.classes, q)
-	} else {
-		s.memo = v.memo
-		s.shadowOf(v)
-		for i := range s.shadow {
-			c := &s.shadow[i]
-			for free := 0; free <= c.key.total; free++ {
-				s.addCell(snapCell{class: int32(i), free: int32(free), total: int32(c.key.total)}, c.cell(free, s.words), q)
-			}
+	key := q.orderKey()
+	e := v.orders[key]
+	if !e.serves(v, q) {
+		var keep bool
+		var err error
+		if e, keep, err = rankCells(ctx, q, v, f.members, ix.words); err != nil {
+			return err
+		}
+		if keep {
+			v.remember(key, e)
 		}
 	}
+	s.emit(e, v.classes, q)
+	if s.solos > 0 {
+		n := 0
+		for i, c := range s.cells {
+			if i < s.solos {
+				pv, err := s.members[c.first].b.Preview(ctx, q.w, q.vcpus)
+				if err != nil {
+					if ctxErr := ctx.Err(); ctxErr != nil {
+						return ctxErr // the caller giving up
+					}
+					setBit(s.excluded, c.first)
+					continue
+				}
+				c.score = -pv.PredictedPerf
+			}
+			s.cells[n] = c
+			n++
+		}
+		s.cells = s.cells[:n]
+		slices.SortFunc(s.cells, compareCells)
+	}
+	s.lo, s.hi, s.word, s.cur, s.late = 0, 0, s.words-1, 0, false
 	s.occupied = s.occupied[:0]
 	if !f.cfg.SpreadDomains {
-		return
+		return nil
 	}
 	spare := false // some domain with members hosts no tenant of the workload
 	for d, n := range ix.occ[q.w.Name] {
@@ -534,32 +499,7 @@ func (f *Fleet) snapshotLocked(s *routeScratch, q *routeQuery) {
 	if !spare {
 		s.occupied = s.occupied[:0] // every candidate's domain is occupied: nothing to prefer
 	}
-}
-
-// shadowOf copies v's classes into s — their keys and cells, and the first
-// member found in each — for rank to order them without the lock.
-//
-//numalint:noalloc
-func (s *routeScratch) shadowOf(v *routeView) {
-	s.shadow, s.shadowSets, s.reps = s.shadow[:0], s.shadowSets[:0], s.reps[:0]
-	for _, c := range v.classes {
-		var rep *member
-		for i, w := range c.sets {
-			if w != 0 {
-				rep = s.members[(i%s.words)<<6+bits.TrailingZeros64(w)]
-				break
-			}
-		}
-		s.shadow = append(s.shadow, viewClass{key: c.key})
-		s.shadowSets = append(s.shadowSets, c.sets...)
-		s.reps = append(s.reps, rep)
-	}
-	off := 0
-	for i := range s.shadow {
-		n := len(v.classes[i].sets)
-		s.shadow[i].sets = s.shadowSets[off : off+n]
-		off += n
-	}
+	return nil
 }
 
 // addCell appends cell c with the members of src — for a move, unless its
@@ -567,7 +507,7 @@ func (s *routeScratch) shadowOf(v *routeView) {
 // leaving — if anybody remains, and reports whether it did.
 //
 //numalint:noalloc
-func (s *routeScratch) addCell(c snapCell, src []uint64, q *routeQuery) bool {
+func (s *routeScratch) addCell(c routeCell, src []uint64, q *routeQuery) bool {
 	if q.moving != nil {
 		u := utilization(int(c.free), int(c.total))
 		if !(u > q.minUtil) {
@@ -598,7 +538,7 @@ func (s *routeScratch) addCell(c snapCell, src []uint64, q *routeQuery) bool {
 //numalint:noalloc
 func (s *routeScratch) emit(e *cellOrder, classes []viewClass, q *routeQuery) {
 	for _, oc := range e.cells {
-		c := snapCell{class: oc.class, free: oc.free, total: oc.total, score: oc.score}
+		c := routeCell{class: oc.class, free: oc.free, total: oc.total, score: oc.score}
 		if !s.addCell(c, classes[oc.class].cell(int(oc.free), s.words), q) || !oc.out {
 			continue
 		}
@@ -608,79 +548,36 @@ func (s *routeScratch) emit(e *cellOrder, classes []viewClass, q *routeQuery) {
 		}
 		s.cells, s.sets = s.cells[:len(s.cells)-1], s.sets[:last.off]
 	}
-	s.met = e.classes
 }
 
-// rank completes the snapshot for q. When it found no order, rank ranks the
-// shadowed classes, remembers the order in the view's memo and emits the
-// cells in it. Then it previews the solo candidates, leaves out those whose
-// preview fails (rejections reports them) and, if there were any, sorts the
-// cells best first. It rewinds next. It needs no lock. Only a cancelled ctx
-// fails it.
-//
-//numalint:noalloc
-func (s *routeScratch) rank(ctx context.Context, q *routeQuery) error {
-	if s.memo != nil {
-		e, keep, err := rankCells(ctx, q, s.shadow, s.reps)
-		if err != nil {
-			return err
-		}
-		if keep {
-			s.memo.put(s.key, e)
-		}
-		s.memo = nil
-		s.cells, s.sets = s.cells[:s.solos], s.sets[:s.solos*s.words]
-		s.emit(e, s.shadow, q)
-	}
-	if s.solos > 0 {
-		n := 0
-		for i, c := range s.cells {
-			if i < s.solos {
-				pv, err := s.members[c.first].b.Preview(ctx, q.w, q.vcpus)
-				if err != nil {
-					if ctxErr := ctx.Err(); ctxErr != nil {
-						return ctxErr // the caller giving up
-					}
-					setBit(s.excluded, c.first)
-					continue
-				}
-				c.score = -pv.PredictedPerf
-			}
-			s.cells[n] = c
-			n++
-		}
-		s.cells = s.cells[:n]
-		slices.SortFunc(s.cells, compareCells)
-	}
-	s.lo, s.hi, s.word, s.cur, s.late = 0, 0, s.words-1, 0, false
-	return nil
-}
-
-func compareCells(a, b snapCell) int {
+func compareCells(a, b routeCell) int {
 	if c := cmp.Compare(a.score, b.score); c != 0 {
 		return c
 	}
 	return cmp.Compare(a.then, b.then)
 }
 
-// rankCells is where cells are scored and sorted: it orders every cell of
-// classes for q — by utilization, or by the class's score row, asked of
-// reps[i] (nil: the class has no member, and the order does not cover it).
-// keep is false when a row could not be had: every cell of that class is left
-// out, for the decision that ranked it only. Only a cancelled ctx fails it.
-func rankCells(ctx context.Context, q *routeQuery, classes []viewClass, reps []*member) (e *cellOrder, keep bool, err error) {
-	e = &cellOrder{covers: make([]bool, len(classes))}
+// rankCells is where cells are scored and sorted: it orders every cell of v's
+// classes for q — by utilization, or by the class's score row, asked of the
+// first member found in its cells (a class with none is not covered). keep is
+// false when a row could not be had: every cell of that class is left out, for
+// the decision that ranked it only. Only a cancelled ctx fails it.
+func rankCells(ctx context.Context, q *routeQuery, v *routeView, members []*member, words int) (e *cellOrder, keep bool, err error) {
+	e = &cellOrder{covers: make([]bool, len(v.classes))}
 	if q.by == bestPredicted {
 		e.w = q.w
 	}
 	keep = true
-	for i, c := range classes {
+	for i := range v.classes {
+		c := &v.classes[i]
 		var row []sched.Score
 		if q.by == bestPredicted {
-			if reps[i] == nil {
+			j := slices.IndexFunc(c.sets, func(w uint64) bool { return w != 0 })
+			if j < 0 {
 				continue
 			}
-			if row, err = reps[i].classer.ScoreRow(ctx, q.w, q.vcpus, c.key.class); err != nil {
+			rep := members[(j%words)<<6+bits.TrailingZeros64(c.sets[j])]
+			if row, err = rep.classer.ScoreRow(ctx, q.w, q.vcpus, c.key.class); err != nil {
 				if ctxErr := ctx.Err(); ctxErr != nil {
 					return nil, false, ctxErr
 				}
@@ -688,7 +585,6 @@ func rankCells(ctx context.Context, q *routeQuery, classes []viewClass, reps []*
 			}
 		}
 		e.covers[i] = true
-		e.classes++
 		for free := 0; free <= c.key.total; free++ {
 			oc := orderCell{class: int32(i), free: int32(free), total: int32(c.key.total)}
 			switch q.by {
@@ -762,7 +658,7 @@ type previewErr struct {
 func (e *previewErr) Error() string { return e.name + ": preview: " + e.err.Error() }
 func (e *previewErr) Unwrap() error { return e.err }
 
-// rejections returns why each member rank left out was, in add order, for an
+// rejections returns why each member routeLocked left out was, in add order, for an
 // admission nothing took: each is previewed now, for the error a fan-out would
 // have collected; one that admits meanwhile has nothing to report.
 func (s *routeScratch) rejections(ctx context.Context, q *routeQuery) []error {

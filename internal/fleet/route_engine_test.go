@@ -147,10 +147,10 @@ func TestUsePredictorChangesClassOnNextPlace(t *testing.T) {
 }
 
 // TestRouteConcurrentWithPredictorSwaps races best-predicted admissions and
-// releases (pooled routing scratch held across the unlocked engine
-// admission) against an operator's drains and rebalances (the fleet-owned
-// scratch) and against predictor swaps on live engines (the copy-on-write
-// registry the class is read from), then checks the books: run with -race.
+// releases against an operator's drains and rebalances, all routed through
+// the fleet's one scratch, and against predictor swaps on live engines (the
+// copy-on-write registry the class is read from), then checks the books: run
+// with -race.
 func TestRouteConcurrentWithPredictorSwaps(t *testing.T) {
 	ctx := context.Background()
 	m := numaplace.AMD()

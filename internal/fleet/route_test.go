@@ -134,14 +134,12 @@ func errorTexts(errs []error) string {
 	return strings.Join(texts, "; ")
 }
 
-// ranked runs one decision against f's index — the snapshot under the lock,
-// the ranking and the expansion without it, as Place does — and returns every
-// candidate in the order next yields them.
+// ranked runs one decision against f's index in one hold, as Place does, and
+// returns every candidate in the order next yields them.
 func (f *Fleet) ranked(ctx context.Context, s *routeScratch, q *routeQuery) ([]*member, error) {
 	f.mu.Lock()
-	f.snapshotLocked(s, q)
-	f.mu.Unlock()
-	if err := s.rank(ctx, q); err != nil {
+	defer f.mu.Unlock()
+	if err := f.routeLocked(ctx, s, q); err != nil {
 		return nil, err
 	}
 	var out []*member
@@ -156,8 +154,8 @@ func (f *Fleet) ranked(ctx context.Context, s *routeScratch, q *routeQuery) ([]*
 
 // CheckRouting compares the index with the fan-out oracle for an admission of
 // (w, vcpus) against f's current, quiescent state: the candidate order and
-// the preview rejections. It returns the number of classes in the cell order
-// the decision read from the memo (or ranked and remembered). Exported for
+// the preview rejections. It returns the number of classes the view's memo
+// now holds an order over for the decision (0: none remembered). Exported for
 // the tests over real Engines (package fleet_test: this package cannot import
 // the root one).
 func (f *Fleet) CheckRouting(ctx context.Context, w perfsim.Workload, vcpus int) (classes int, err error) {
@@ -174,7 +172,23 @@ func (f *Fleet) CheckRouting(ctx context.Context, w perfsim.Workload, vcpus int)
 	if g, w := errorTexts(s.rejections(ctx, &q)), errorTexts(wantErrs); g != w {
 		return 0, fmt.Errorf("rejections %q, a preview fan-out collects %q", g, w)
 	}
-	return s.met, nil
+	return f.orderClasses(&q), nil
+}
+
+// orderClasses counts the classes covered by the order q's view remembers
+// for it, 0 when it remembers none.
+func (f *Fleet) orderClasses(q *routeQuery) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := 0
+	if e := f.viewLocked(q).orders[q.orderKey()]; e != nil {
+		for _, covered := range e.covers {
+			if covered {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // moveQuery is the destination query evacuateLocked makes for tenant rec.
@@ -1056,6 +1070,33 @@ func TestRouteOneRowPerClass(t *testing.T) {
 	}
 }
 
+// TestRouteFailedRowIsNotRemembered: a score row that fails is no row, so the
+// order ranked around it serves only the decision that ranked it. Once the
+// failure clears — no class change is owed for it — the next decision asks
+// for the row again and routes onto the class.
+func TestRouteFailedRowIsNotRemembered(t *testing.T) {
+	ctx := context.Background()
+	f := New(Config{Policy: BestPredicted})
+	class := &stubClass{token: sched.ScoreClass{Machine: 1}, m: machines.Intel(), row: []float64{0, 1, 2, 3, 4}}
+	for i := 0; i < 3; i++ {
+		if err := f.Add(fmt.Sprintf("m%d", i), &classedStub{rowStub: rowStub{newStub(class.m, 0), class.row}, class: class}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := testWorkload(t, "swaptions")
+	class.rowErr = fmt.Errorf("no row: %w", nperr.ErrMachineMismatch)
+	if n, err := f.CheckRouting(ctx, w, 4); err != nil || n != 0 {
+		t.Fatalf("with the row failing: %d classes remembered, %v; want none", n, err)
+	}
+	class.rowErr = nil
+	if n, err := f.CheckRouting(ctx, w, 4); err != nil || n != 1 {
+		t.Fatalf("after the row recovered: %d classes remembered, %v; want 1", n, err)
+	}
+	if class.rows != 2 {
+		t.Fatalf("row fetched %d times, want twice: once failing, once again after", class.rows)
+	}
+}
+
 // TestRouteManyClasses drives the pass far past the few classes a real fleet
 // has: every member its own class, every score distinct. One order covers all
 // of them, so each class's row is fetched once, by the first decision.
@@ -1140,7 +1181,7 @@ func TestRouteCatchesPoisonedOrder(t *testing.T) {
 			q := routeQuery{by: bestPredicted, w: w, vcpus: 4}
 			f.mu.Lock()
 			v := f.viewLocked(&q)
-			e := v.memo.get(q.orderKey())
+			e := v.orders[q.orderKey()]
 			poisoned := e != nil && p.poison(e.cells, func(c orderCell) bool {
 				return slices.ContainsFunc(v.classes[c.class].cell(int(c.free), f.idx.words), func(word uint64) bool { return word != 0 })
 			})
@@ -1310,19 +1351,10 @@ func TestRouteDecisionIsNotPerMember(t *testing.T) {
 	}
 }
 
-// refersTo reports whether any slot of the scratch, its spare capacity
-// included, still points at m.
-func (s *routeScratch) refersTo(m *member) bool {
-	if slices.Contains(s.members, m) {
-		return true
-	}
-	return slices.Contains(s.reps[:cap(s.reps)], m)
-}
-
-// removedBackend builds a fleet of three, routes admissions (pooled scratch)
-// and a drain's moves (the fleet's own scratch) past the middle one, removes
-// it and checks that the index, the scratches and the notification let it go.
-// collected is closed when the removed stub is garbage.
+// removedBackend builds a fleet of three, routes admissions and a drain's
+// moves past the middle one, removes it and checks that the index, the
+// fleet's routing scratch and the notification let it go. collected is closed
+// when the removed stub is garbage.
 func removedBackend(t *testing.T, policy Policy) (f *Fleet, collected chan struct{}) {
 	ctx := context.Background()
 	w := testWorkload(t, "swaptions")
@@ -1366,15 +1398,8 @@ func removedBackend(t *testing.T, policy Policy) (f *Fleet, collected chan struc
 	if middle.epoch != nil {
 		t.Fatal("Remove left the backend's class-change notification registered")
 	}
-	if slices.Contains(f.members, gone) || f.destScratch.refersTo(gone) {
+	if slices.Contains(f.members[:cap(f.members)], gone) || slices.Contains(f.scratch.members[:cap(f.scratch.members)], gone) {
 		t.Fatal("Remove left the member in the fleet's list or its routing scratch")
-	}
-	for i := 0; i < 4; i++ { // whatever the pool hands out, admission scratches included
-		s := scratchPool.Get().(*routeScratch)
-		if s.refersTo(gone) {
-			t.Fatal("a pooled routing scratch still points at the removed member")
-		}
-		defer scratchPool.Put(s)
 	}
 	if err := checkIndexEntries(f, 4); err != nil {
 		t.Fatalf("after Remove: %v", err)
