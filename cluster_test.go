@@ -322,14 +322,14 @@ func TestClusterFailover(t *testing.T) {
 // TestClusterAdmitAllocCeiling bounds what one warm admission allocates on
 // a fleet that looks like a running one: 64 machines of two models sharing
 // one predictor each, best-predicted routing with domain spreading, 60 %
-// full. Routing reads a memoized cell order into reused scratch and the
+// full. Routing reads a memoized cell order over the live cells and the
 // fleet's record of a tenant is recycled from the last release, so a
 // place+release cycle allocates what the admission hands back (the engine's
 // assignment and the Admission) — not per machine, and no copy of the
 // pinning. The preview fan-out this replaced allocated 110 times here.
 func TestClusterAdmitAllocCeiling(t *testing.T) {
 	if raceEnabled {
-		t.Skip("the routing scratch is pooled; sync.Pool is lossy under the race detector")
+		t.Skip("the engine's tenants are pooled; sync.Pool is lossy under the race detector")
 	}
 	ctx := context.Background()
 	models := []Machine{AMD(), Intel()}

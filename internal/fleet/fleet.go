@@ -331,8 +331,8 @@ type Fleet struct {
 	// idx is the routing index (route.go): who accepts, in which (score
 	// class, free count) cell, and which domains host which workload.
 	idx routeIndex
-	// scratch is the working set of every routing decision: an admission's
-	// candidates and a move's destinations.
+	// scratch is the cursor of every routing decision over the index: an
+	// admission's candidates and a move's destinations.
 	scratch routeScratch
 
 	// The commit stream (record.go, events.go): seq is the number of Records
@@ -615,17 +615,17 @@ func (f *Fleet) Stats() Stats {
 }
 
 // moveLocked migrates the identified tenant from its current backend onto
-// the first destination (dests, ranked, tried best first) that admits it,
-// remapping the fleet ID and recording the move. A dead source receives no
-// Release call — its books are unreachable and are fenced on Revive; the
-// fleet mapping alone is authoritative. Destination rejections are appended
-// to *destErrs when the caller collects them (Drain and Failover do, so an
-// infra failure — untrained size, pin source down — is distinguishable
-// from a full fleet); a nil destErrs discards them. failover marks moves
-// committed by a failover pass, in the FailedOver counter and in the durable
-// record replay reconstructs it from. Callers hold f.mu.
-func (f *Fleet) moveLocked(ctx context.Context, rep *Report, id int, rec *tenantRec, cost float64, dests *routeScratch, destErrs *[]error, failover bool) (bool, error) {
-	for d := dests.next(); d != nil; d = dests.next() {
+// the first destination that admits it — d, then the rest of dests, best
+// first — remapping the fleet ID and recording the move. A dead source
+// receives no Release call — its books are unreachable and are fenced on
+// Revive; the fleet mapping alone is authoritative. Destination rejections
+// are appended to *destErrs when the caller collects them (Drain and Failover
+// do, so an infra failure — untrained size, pin source down — is
+// distinguishable from a full fleet); a nil destErrs discards them. failover
+// marks moves committed by a failover pass, in the FailedOver counter and in
+// the durable record replay reconstructs it from. Callers hold f.mu.
+func (f *Fleet) moveLocked(ctx context.Context, rep *Report, id int, rec *tenantRec, cost float64, d *member, dests *routeScratch, destErrs *[]error, failover bool) (bool, error) {
+	for ; d != nil; d = dests.next() {
 		a, err := d.b.Place(ctx, rec.w, rec.vcpus)
 		if err != nil {
 			if ctxErr := ctx.Err(); ctxErr != nil {
@@ -755,13 +755,13 @@ func (f *Fleet) evacuateLocked(ctx context.Context, rep *Report, src *member, bu
 			return err
 		}
 		moved := false
-		if len(dests.cells) > 0 {
+		if d := dests.next(); d != nil {
 			copied, err := migrate.Run(ctx, migrate.ProfileFor(rec.w, rec.vcpus), migrate.Fast, migrate.Config{})
 			if err != nil {
 				return err
 			}
 			if cost := copied.Seconds; rep.TotalSeconds+cost <= budget {
-				if moved, err = f.moveLocked(ctx, rep, id, rec, cost, dests, destErrs, failover); err != nil {
+				if moved, err = f.moveLocked(ctx, rep, id, rec, cost, d, dests, destErrs, failover); err != nil {
 					return err
 				}
 			}

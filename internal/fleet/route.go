@@ -13,9 +13,9 @@
 // by node count and one per container size met. How those cells rank depends
 // on nothing but the view's classes, the scoring and the workload, so each
 // view memoizes the order per (scoring, workload). A decision is one call,
-// routeLocked, in the hold of the verb that makes it: it copies the non-empty
-// cells in that order, and next expands them only as far as the caller asks —
-// the first-try admission ranks nothing and touches one member, whatever the
+// routeLocked, in the hold of the verb that makes it, and next walks that
+// order over the live cells only as far as the caller asks — the first-try
+// admission ranks nothing, copies no cell and touches one member, whatever the
 // size of the fleet. Only a decision that finds no order covering the view's
 // classes ranks them: one row per class, not one Preview per machine.
 //
@@ -244,6 +244,7 @@ func (f *Fleet) rebuildIndexLocked() {
 	}
 	clear(ix.views)
 	ix.views = append(ix.views[:0], ix.newView(f.members, 0))
+	f.scratch = routeScratch{} // it aliases the last decision's view and members
 }
 
 // occLocked returns the per-domain tenant counts of the named workload.
@@ -348,8 +349,14 @@ func (f *Fleet) refreeLocked(m *member) {
 	m.free = free
 }
 
+// maxViews bounds the size views, one per container size met: 64 sizes,
+// where BenchmarkClusterAdmitResident's fleets serve four.
+const maxViews = 64
+
 // viewLocked returns the view q ranks from, building the size view on its
-// first use since the classes last changed. Callers hold f.mu.
+// first use since the classes last changed. Past maxViews size views they all
+// go: dropping views is always safe, the next decision of a size builds its
+// view again, and every commit walks the views. Callers hold f.mu.
 func (f *Fleet) viewLocked(q *routeQuery) *routeView {
 	ix := &f.idx
 	if q.by != bestPredicted {
@@ -368,80 +375,71 @@ func (f *Fleet) viewLocked(q *routeQuery) *routeView {
 			return &ix.views[i]
 		}
 	}
+	if len(ix.views) > maxViews {
+		clear(ix.views[1:])
+		ix.views = ix.views[:1]
+	}
 	ix.views = append(ix.views, ix.newView(f.members, q.vcpus))
 	return &ix.views[len(ix.views)-1]
 }
 
-// routeCell is one non-empty cell of a decision — or one solo candidate — and
-// its score; its members are s.sets[off : off+s.words].
-type routeCell struct {
-	class       int32 // index into the view's classes; solo
-	free, total int32
-	off         int32
-	first       int32   // lowest member position of the cell
-	score, then float64 // ascending, then breaking ties
+// rank is what a decision orders candidates by: ascending score and, among
+// equal scores, ascending then — a move's busier-first tie-break, 0 for an
+// admission. Candidates of equal rank are one group, merged in add order.
+type rank struct{ score, then float64 }
+
+func (a rank) compare(b rank) int {
+	if c := cmp.Compare(a.score, b.score); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.then, b.then)
 }
 
-// routeScratch is the working set of one decision: the index's cells that
-// routeLocked copies under Fleet.mu, best first, which next expands in the
-// same hold. The fleet keeps one (Fleet.scratch); tests bring their own.
+// routeSolo is one solo candidate of a decision, scored by its own Preview.
+type routeSolo struct {
+	pos int32
+	rank
+}
+
+// routeScratch is one decision, which next expands in the hold routeLocked
+// set it up in: the view's cells, read where they lie in the order the view
+// remembers for the query, merged with the solo candidates, previewed and
+// ranked per decision. No cell is copied: between two next calls of one
+// decision nothing changes the index — a refused try changes no free count,
+// and the first accepted try ends the decision before its refreeLocked. The
+// fleet keeps one (Fleet.scratch); tests bring their own.
 type routeScratch struct {
 	// members is the fleet's member list as of the decision, by member.pos.
 	members  []*member
 	words    int
-	cells    []routeCell // the first solos cells are solo candidates until ranked
-	solos    int
-	sets     []uint64
-	one      []uint64 // all zero between uses: the set of one solo member
-	occupied []uint64 // members in failure domains hosting the workload; empty: nothing to spread around
-	excluded []uint64 // bestPredicted: members left out because their preview fails
+	classes  []viewClass // the view's
+	order    []orderCell // the order's cells, those it leaves out last
+	moving   int32       // a move: the position of the machine the tenant leaves; -1: an admission
+	minUtil  float64     // a move: cells at or below it hold no candidate
+	solos    []routeSolo // solo candidates whose preview succeeds, by rank
+	failed   []int32     // solo candidates whose preview fails, in add order
+	occupied []uint64    // members in failure domains hosting the workload; empty: nothing to spread around
 
-	// The cursor of next: cells[lo:hi] are the group of equal scores being
-	// expanded, word the member-set word, cur its members not yet returned;
-	// late once the unoccupied domains are through.
-	lo, hi, word int
-	cur          uint64
-	late         bool
+	// The cursor of next: order[lo:hi] and solos[slo:shi] are the group of
+	// equal rank being expanded, word the member-set word, cur its members
+	// not yet returned; late once the unoccupied domains are through.
+	lo, hi, slo, shi, word int
+	cur                    uint64
+	late                   bool
 }
 
-// zeroed returns buf resized to n zero words.
-func zeroed(buf []uint64, n int) []uint64 {
-	if cap(buf) < n {
-		return make([]uint64, n)
-	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
-}
-
-// routeLocked ranks into s the candidates of q — every member in a non-empty
-// cell of the view, above the move's utilization floor, without the machine the
+// routeLocked sets s up to rank the candidates of q — every member in a cell
+// of the view, above the move's utilization floor, without the machine the
 // tenant is leaving — and rewinds next. The cells come in the order the view
 // remembers for q, ranked and remembered here first when it has none that
-// serves; the cells it leaves out go to s.excluded, and so do the solo
-// candidates whose preview fails (rejections reports them). len(s.cells) == 0
-// says no member is a candidate. Only a cancelled ctx fails it. Callers hold
-// f.mu.
+// serves; the solos are previewed here. The cells the order leaves out and
+// the solos whose preview fails are no candidates (rejections reports them).
+// Only a cancelled ctx fails it. Callers hold f.mu.
 //
 //numalint:noalloc
 func (f *Fleet) routeLocked(ctx context.Context, s *routeScratch, q *routeQuery) error {
 	ix := &f.idx
 	v := f.viewLocked(q)
-	s.members, s.words = f.members, ix.words
-	s.cells, s.sets = s.cells[:0], s.sets[:0]
-	s.excluded = zeroed(s.excluded, ix.words)
-	for i, w := range v.solos {
-		if w != 0 && len(s.one) != ix.words {
-			s.one = zeroed(s.one, ix.words)
-		}
-		for ; w != 0; w &= w - 1 {
-			m := f.members[i<<6+bits.TrailingZeros64(w)]
-			setBit(s.one, m.pos)
-			s.addCell(routeCell{class: solo, free: int32(m.free), total: int32(m.total)}, s.one, q)
-			clearBit(s.one, m.pos)
-		}
-	}
-	s.solos = len(s.cells)
 	key := q.orderKey()
 	e := v.orders[key]
 	if !e.serves(v, q) {
@@ -454,28 +452,33 @@ func (f *Fleet) routeLocked(ctx context.Context, s *routeScratch, q *routeQuery)
 			v.remember(key, e)
 		}
 	}
-	s.emit(e, v.classes, q)
-	if s.solos > 0 {
-		n := 0
-		for i, c := range s.cells {
-			if i < s.solos {
-				pv, err := s.members[c.first].b.Preview(ctx, q.w, q.vcpus)
-				if err != nil {
-					if ctxErr := ctx.Err(); ctxErr != nil {
-						return ctxErr // the caller giving up
-					}
-					setBit(s.excluded, c.first)
-					continue
-				}
-				c.score = -pv.PredictedPerf
-			}
-			s.cells[n] = c
-			n++
-		}
-		s.cells = s.cells[:n]
-		slices.SortFunc(s.cells, compareCells)
+	s.members, s.words, s.classes, s.order = f.members, ix.words, v.classes, e.cells
+	s.moving, s.minUtil = -1, q.minUtil
+	if q.moving != nil {
+		s.moving = q.moving.mem.pos
 	}
-	s.lo, s.hi, s.word, s.cur, s.late = 0, 0, s.words-1, 0, false
+	s.solos, s.failed = s.solos[:0], s.failed[:0]
+	for i, w := range v.solos {
+		for ; w != 0; w &= w - 1 {
+			m := f.members[i<<6+bits.TrailingZeros64(w)]
+			r, ok := s.rankOf(0, m.free, m.total)
+			if !ok || m.pos == s.moving {
+				continue
+			}
+			pv, err := m.b.Preview(ctx, q.w, q.vcpus)
+			if err != nil {
+				if ctxErr := ctx.Err(); ctxErr != nil {
+					return ctxErr // the caller giving up
+				}
+				s.failed = append(s.failed, m.pos)
+				continue
+			}
+			r.score = -pv.PredictedPerf
+			s.solos = append(s.solos, routeSolo{m.pos, r})
+		}
+	}
+	slices.SortFunc(s.solos, func(a, b routeSolo) int { return a.compare(b.rank) })
+	s.hi, s.shi, s.word, s.cur, s.late = 0, 0, s.words-1, 0, false
 	s.occupied = s.occupied[:0]
 	if !f.cfg.SpreadDomains {
 		return nil
@@ -490,7 +493,8 @@ func (f *Fleet) routeLocked(ctx context.Context, s *routeScratch, q *routeQuery)
 			continue
 		}
 		if len(s.occupied) == 0 {
-			s.occupied = zeroed(s.occupied, ix.words)
+			s.occupied = slices.Grow(s.occupied[:0], ix.words)[:ix.words]
+			clear(s.occupied)
 		}
 		for i, w := range ix.domains[d] {
 			s.occupied[i] |= w
@@ -500,61 +504,6 @@ func (f *Fleet) routeLocked(ctx context.Context, s *routeScratch, q *routeQuery)
 		s.occupied = s.occupied[:0] // every candidate's domain is occupied: nothing to prefer
 	}
 	return nil
-}
-
-// addCell appends cell c with the members of src — for a move, unless its
-// utilization floor leaves the cell out, and without the machine the tenant is
-// leaving — if anybody remains, and reports whether it did.
-//
-//numalint:noalloc
-func (s *routeScratch) addCell(c routeCell, src []uint64, q *routeQuery) bool {
-	if q.moving != nil {
-		u := utilization(int(c.free), int(c.total))
-		if !(u > q.minUtil) {
-			return false
-		}
-		c.then = -u
-	}
-	c.off = int32(len(s.sets))
-	s.sets = append(s.sets, src...)
-	set := s.sets[c.off:]
-	if q.moving != nil {
-		clearBit(set, q.moving.mem.pos)
-	}
-	for i, w := range set {
-		if w != 0 {
-			c.first = int32(i<<6 + bits.TrailingZeros64(w))
-			s.cells = append(s.cells, c)
-			return true
-		}
-	}
-	s.sets = s.sets[:c.off]
-	return false
-}
-
-// emit appends the cells of classes in e's order, as addCell files them, and
-// moves those e leaves out to s.excluded.
-//
-//numalint:noalloc
-func (s *routeScratch) emit(e *cellOrder, classes []viewClass, q *routeQuery) {
-	for _, oc := range e.cells {
-		c := routeCell{class: oc.class, free: oc.free, total: oc.total, score: oc.score}
-		if !s.addCell(c, classes[oc.class].cell(int(oc.free), s.words), q) || !oc.out {
-			continue
-		}
-		last := s.cells[len(s.cells)-1]
-		for i, w := range s.sets[last.off:] {
-			s.excluded[i] |= w
-		}
-		s.cells, s.sets = s.cells[:len(s.cells)-1], s.sets[:last.off]
-	}
-}
-
-func compareCells(a, b routeCell) int {
-	if c := cmp.Compare(a.score, b.score); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.then, b.then)
 }
 
 // rankCells is where cells are scored and sorted: it orders every cell of v's
@@ -614,26 +563,33 @@ func rankCells(ctx context.Context, q *routeQuery, v *routeView, members []*memb
 }
 
 // next returns the next candidate — unoccupied domains first, then by
-// ascending score, equal scores merged in add order — or nil after the last.
-// It expands a group of equal cells one member-set word at a time, so a caller
-// that stops at the first candidate has touched one.
+// ascending rank, equal ranks merged in add order — or nil after the last.
+// It expands a group one member-set word at a time, ORing the live words of
+// its cells, so a caller that stops at the first candidate has touched one.
 //
 //numalint:noalloc
 func (s *routeScratch) next() *member {
 	for s.cur == 0 {
 		if s.word++; s.word == s.words {
-			s.word, s.lo = 0, s.hi
-			if s.lo == len(s.cells) {
-				if s.late || len(s.occupied) == 0 || len(s.cells) == 0 {
+			s.word = 0
+			if !s.group() {
+				if s.late || len(s.occupied) == 0 {
 					return nil
 				}
-				s.late, s.lo = true, 0
-			}
-			for s.hi = s.lo + 1; s.hi < len(s.cells) && compareCells(s.cells[s.lo], s.cells[s.hi]) == 0; s.hi++ {
+				s.late, s.hi, s.shi = true, 0, 0
+				s.group()
 			}
 		}
-		for _, c := range s.cells[s.lo:s.hi] {
-			s.cur |= s.sets[int(c.off)+s.word]
+		for _, oc := range s.order[s.lo:s.hi] {
+			s.cur |= s.classes[oc.class].sets[int(oc.free)*s.words+s.word]
+		}
+		for _, c := range s.solos[s.slo:s.shi] {
+			if int(c.pos>>6) == s.word {
+				s.cur |= 1 << (c.pos & 63)
+			}
+		}
+		if s.moving >= 0 && int(s.moving>>6) == s.word {
+			s.cur &^= 1 << (s.moving & 63)
 		}
 		if len(s.occupied) != 0 {
 			if s.late {
@@ -648,6 +604,52 @@ func (s *routeScratch) next() *member {
 	return m
 }
 
+// group moves next's cursor to the next group of equal rank, the order's
+// cells and the solos merged, and reports false — the group empty — after
+// the last. The order keeps its left-out cells last and is by rank otherwise;
+// a move passes over the cells at or below its floor (equal ranks share a
+// utilization: a group is all above it or all below).
+//
+//numalint:noalloc
+func (s *routeScratch) group() bool {
+	var r rank
+	cell := false
+	i := s.hi
+	for ; i < len(s.order) && !s.order[i].out; i++ {
+		oc := &s.order[i]
+		if r, cell = s.rankOf(oc.score, int(oc.free), int(oc.total)); cell {
+			break
+		}
+	}
+	s.lo, s.hi, s.slo = i, i, s.shi
+	if s.shi < len(s.solos) && (!cell || s.solos[s.shi].compare(r) < 0) {
+		r, cell = s.solos[s.shi].rank, true
+	}
+	if !cell {
+		return false
+	}
+	for ; s.hi < len(s.order) && !s.order[s.hi].out; s.hi++ {
+		oc := &s.order[s.hi]
+		if c, _ := s.rankOf(oc.score, int(oc.free), int(oc.total)); c.compare(r) != 0 {
+			break
+		}
+	}
+	for s.shi < len(s.solos) && s.solos[s.shi].compare(r) == 0 {
+		s.shi++
+	}
+	return true
+}
+
+// rankOf ranks a candidate by score and, for a move, busier first — free of
+// total nodes free; ok is false at or below the move's floor.
+func (s *routeScratch) rankOf(score float64, free, total int) (r rank, ok bool) {
+	if s.moving < 0 {
+		return rank{score: score}, true
+	}
+	u := utilization(free, total)
+	return rank{score, -u}, u > s.minUtil
+}
+
 // previewErr is one member's failed preview, as the rejection message of a
 // bestPredicted admission reports it. The text is built only when read.
 type previewErr struct {
@@ -658,12 +660,30 @@ type previewErr struct {
 func (e *previewErr) Error() string { return e.name + ": preview: " + e.err.Error() }
 func (e *previewErr) Unwrap() error { return e.err }
 
-// rejections returns why each member routeLocked left out was, in add order, for an
-// admission nothing took: each is previewed now, for the error a fan-out would
-// have collected; one that admits meanwhile has nothing to report.
+// leftOut returns the members an admission's decision left out: those in the
+// cells its order leaves out and the solos whose preview failed.
+func (s *routeScratch) leftOut() []uint64 {
+	set := make([]uint64, s.words)
+	for _, oc := range s.order {
+		if oc.out {
+			for i, w := range s.classes[oc.class].cell(int(oc.free), s.words) {
+				set[i] |= w
+			}
+		}
+	}
+	for _, pos := range s.failed {
+		setBit(set, pos)
+	}
+	return set
+}
+
+// rejections returns why each member the decision left out was, in add order,
+// for an admission nothing took: each is previewed now, for the error a
+// fan-out would have collected; one that admits meanwhile has nothing to
+// report. Every try refused, so the index is still the decision's.
 func (s *routeScratch) rejections(ctx context.Context, q *routeQuery) []error {
 	var errs []error
-	for i, w := range s.excluded {
+	for i, w := range s.leftOut() {
 		for ; w != 0; w &= w - 1 {
 			m := s.members[i<<6+bits.TrailingZeros64(w)]
 			if _, err := m.b.Preview(ctx, q.w, q.vcpus); err != nil {

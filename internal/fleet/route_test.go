@@ -556,7 +556,7 @@ func checkIndexIsTheSweep(ctx context.Context, f *Fleet, workloads []perfsim.Wor
 				return fmt.Errorf("scoring %d of %s: candidates [%s], the sweep ranks [%s]", by, q.w.Name, g, w)
 			}
 			var left []*member
-			for i, set := range s.excluded {
+			for i, set := range s.leftOut() {
 				for ; set != 0; set &= set - 1 {
 					left = append(left, s.members[i<<6+bits.TrailingZeros64(set)])
 				}
@@ -874,6 +874,67 @@ func (rf *routeFleet) perturb(t *testing.T, ctx context.Context, rng *xrand.Spli
 	}
 }
 
+// refuseSome has the Place of every stub refuse picks fail, then checks that
+// an admission of w lands on the first candidate of the fan-out's order that
+// takes it, and that draining name moves its first tenant onto the first
+// destination of the oracle's order that takes it: the refused tries change
+// nothing the rest of their decision reads. A drain it starts it resumes.
+func (rf *routeFleet) refuseSome(ctx context.Context, w perfsim.Workload, name string, refuse func(i int) bool) error {
+	f := rf.f
+	first := func(mems []*member) string {
+		for _, m := range mems {
+			if i := slices.Index(rf.names, m.name); !refuse(i) && rf.stubs[i].FreeNodes().Len() > 0 {
+				return m.name
+			}
+		}
+		return ""
+	}
+	for i, s := range rf.stubs {
+		if refuse(i) {
+			s.placeErr = errors.New("injected place failure")
+		}
+	}
+	defer func() {
+		for _, s := range rf.stubs {
+			s.placeErr = nil
+		}
+	}()
+
+	cands, _ := oracleCandidates(ctx, f, w, 4)
+	want, got := first(cands), ""
+	if adm, err := f.Place(ctx, w, 4); err == nil {
+		got = adm.Backend
+		rf.live = append(rf.live, adm.ID)
+	}
+	if got != want {
+		return fmt.Errorf("some refusing, the admission landed on %q; the first of [%s] that takes it is %q", got, memberNames(cands), want)
+	}
+
+	src, id := f.byName[name], -1
+	for tid, rec := range f.tenants {
+		if rec.mem == src && (id < 0 || tid < id) {
+			id = tid
+		}
+	}
+	if id < 0 || src.health == Dead {
+		return nil
+	}
+	dests := oracleDests(ctx, f, id, -1)
+	want, got = first(dests), ""
+	drained := src.drained
+	rep, _ := f.Drain(ctx, name) // a partial drain is a result
+	if !drained {
+		f.Resume(name)
+	}
+	if rep != nil && len(rep.Moves) > 0 && rep.Moves[0].ID == id {
+		got = rep.Moves[0].To
+	}
+	if got != want {
+		return fmt.Errorf("some refusing, draining %s moved %d onto %q; the first of [%s] that takes it is %q", name, id, got, memberNames(dests), want)
+	}
+	return nil
+}
+
 // TestRoutePassIsTheFanOut checks the index against the preview
 // fan-out over random fleet states: every policy, domain spreading on and
 // off, classed and unclassed backends mixed, equal and all-distinct scores,
@@ -933,6 +994,14 @@ func TestRoutePassIsTheFanOut(t *testing.T) {
 			if errors.Is(err, nperr.ErrNoHealthyBackend) != (len(cands) == 0) || !errors.Is(err, nperr.ErrFleetFull) {
 				t.Fatalf("trial %d step %d: rejection %v carries the wrong sentinels for %d candidates", trial, step, err, len(cands))
 			}
+
+			// Some refuse: the first that takes it does, and a drain's move too.
+			if rng.Intn(2) == 0 {
+				mask := rng.Uint64()
+				if err := rf.refuseSome(ctx, w, rf.names[rng.Intn(len(rf.names))], func(i int) bool { return mask>>(i%64)&1 == 1 }); err != nil {
+					t.Fatalf("trial %d step %d (%s, spread %v): %v", trial, step, cfg.Policy, cfg.SpreadDomains, err)
+				}
+			}
 		}
 	}
 	if states < 2000 {
@@ -945,7 +1014,7 @@ func TestRoutePassIsTheFanOut(t *testing.T) {
 func (rf *routeFleet) apply(t *testing.T, ctx context.Context, op, arg byte) {
 	f, i := rf.f, int(arg)%len(rf.names)
 	name, stub, class := rf.names[i], rf.stubs[i], rf.classes[int(arg)%len(rf.classes)]
-	switch op % 12 {
+	switch op % 13 {
 	case 0, 1:
 		if adm, err := f.Place(ctx, testWorkload(t, routeWorkloads[int(arg)%len(routeWorkloads)]), 4); err == nil {
 			rf.live = append(rf.live, adm.ID)
@@ -983,9 +1052,14 @@ func (rf *routeFleet) apply(t *testing.T, ctx context.Context, op, arg byte) {
 			class.rowErr = fmt.Errorf("no row: %w", nperr.ErrMachineMismatch)
 		}
 		rf.changed(-1, class)
-	default:
+	case 11:
 		class.decline = arg&1 == 0
 		rf.changed(-1, class)
+	default:
+		w := testWorkload(t, routeWorkloads[int(arg)%len(routeWorkloads)])
+		if err := rf.refuseSome(ctx, w, name, func(i int) bool { return arg>>(i%8)&1 == 1 }); err != nil {
+			t.Fatalf("%s: %v", f.cfg.Policy, err)
+		}
 	}
 }
 
@@ -999,6 +1073,7 @@ func FuzzRoutePass(f *testing.F) {
 	f.Add([]byte{1})
 	f.Add([]byte{6, 0, 0, 1, 1, 0, 2, 9, 3, 0, 4, 2, 0, 7, 1, 8, 1, 0, 5})
 	f.Add([]byte{3, 0, 1, 10, 0, 0, 2, 11, 1, 0, 0, 3, 2, 10, 1, 11, 0, 0, 1, 4, 2, 2, 0})
+	f.Add([]byte{9, 0, 0, 1, 3, 12, 5, 0, 6, 12, 2, 3, 1, 12, 170})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 129 {
 			return
@@ -1067,6 +1142,44 @@ func TestRouteOneRowPerClass(t *testing.T) {
 	}
 	if n, err := f.CheckRouting(ctx, w, 4); err != nil || n != 1 {
 		t.Fatalf("with one class declining the pass met %d classes (err %v), want 1", n, err)
+	}
+}
+
+// TestSizeViewsStayBounded: every container size a best-predicted decision
+// meets gets a view of its own, and nothing checks a size before it is
+// routed, so the views are bounded — every commit walks them all. Dropping
+// them loses nothing: a real size afterwards routes as the fan-out does, and
+// remembers its order again.
+func TestSizeViewsStayBounded(t *testing.T) {
+	ctx := context.Background()
+	f := New(Config{Policy: BestPredicted})
+	class := &stubClass{token: sched.ScoreClass{Machine: 1}, m: machines.Intel(), row: []float64{0, 1, 2, 3, 4}}
+	for i := 0; i < 4; i++ {
+		if err := f.Add(fmt.Sprintf("m%d", i), &classedStub{rowStub: rowStub{newStub(class.m, 1), class.row}, class: class}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := testWorkload(t, "swaptions")
+	for vcpus := 1; vcpus <= 5000; vcpus++ {
+		if adm, err := f.Place(ctx, w, vcpus); err == nil {
+			if err := f.Release(ctx, adm.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	f.mu.Lock()
+	views := len(f.idx.views)
+	f.mu.Unlock()
+	if views > maxViews+1 {
+		t.Fatalf("5000 container sizes left %d views, want at most %d", views, maxViews+1)
+	}
+	if err := checkIndexEntries(f, 4); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if n, err := f.CheckRouting(ctx, w, 4); err != nil || n != 1 {
+			t.Fatalf("routing 4 vCPUs after 5000 sizes: %v, the memo covers %d classes, want 1", err, n)
+		}
 	}
 }
 
