@@ -147,15 +147,24 @@ loc:
 	@printf 'Go in bench/:               '; find ./bench -name '*.go' | xargs cat | wc -l
 	@printf 'non-test Go in cmd/+examples/: '; find ./cmd ./examples -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
-# Emits two CPU profiles: cpu.prof of the heaviest training pipeline (the
-# Figure 4 cross-validation grid) and recovery.prof of a restart (wal.Open
-# plus Fleet.Restore over a 10k-record log, BenchmarkRecovery), the profile
-# DESIGN.md's per-record restart table is read from.
+# Emits three CPU profiles and one allocation profile: cpu.prof of the
+# heaviest training pipeline (the Figure 4 cross-validation grid);
+# admit.prof and admit.mem of the resident admission cycle (place the next
+# container, release a random resident one) on a 64-machine fleet at 60 %
+# fill under best-predicted routing with domain spreading
+# (BenchmarkClusterAdmitResident/machines=64/best-predicted, the fleet_resident
+# workload's shape; both include the fleet's build and warm-up, and
+# `-focus 'Fleet\)\.(Place|Release)$'` keeps to the fleet's verbs); and
+# recovery.prof of a restart (wal.Open plus Fleet.Restore over a 10k-record
+# log, BenchmarkRecovery), the profile DESIGN.md's per-record restart table
+# is read from.
 profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkFigure4AMD' -benchtime 1x -count 1 \
 		-cpuprofile cpu.prof -o repro.test .
+	$(GO) test -run '^$$' -bench '^BenchmarkClusterAdmitResident$$/^machines=64$$/^best-predicted$$' \
+		-benchtime 1000000x -count 1 -cpuprofile admit.prof -memprofile admit.mem -o repro.test .
 	$(GO) test -run '^$$' -bench 'BenchmarkRecovery' -benchtime 2s -count 1 \
 		-cpuprofile recovery.prof -o wal.test ./internal/wal/
-	@echo "wrote cpu.prof and recovery.prof (inspect with: go tool pprof repro.test cpu.prof; go tool pprof wal.test recovery.prof)"
+	@echo "wrote cpu.prof, admit.prof, admit.mem and recovery.prof (inspect with: go tool pprof repro.test cpu.prof; go tool pprof repro.test admit.prof; go tool pprof -sample_index alloc_space repro.test admit.mem; go tool pprof wal.test recovery.prof)"
 
 ci: $(CI_STEPS)

@@ -283,9 +283,18 @@ func (e *Engine) PredictInto(dst []float64, vcpus int, perfBase, perfProbe float
 // its full performance vector, and pin it to the cheapest placement class
 // that meets the configured goal on the best free nodes. It fails with
 // ErrUntrained without a predictor for vcpus, and ErrMachineFull when the
-// free nodes cannot host the container.
+// free nodes cannot host the container. The assignment is a fresh
+// allocation; PlaceInto writes it into a slot the caller owns instead.
 func (e *Engine) Place(ctx context.Context, w Workload, vcpus int) (*Assignment, error) {
 	return e.scheduler.Admit(ctx, w, vcpus)
+}
+
+// PlaceInto is Place writing the assignment into *dst: a warm admission
+// allocates nothing, and a Cluster admits through it into the assignment it
+// returns. A failed admission leaves *dst exactly as it was. See
+// sched.Scheduler.AdmitInto.
+func (e *Engine) PlaceInto(ctx context.Context, w Workload, vcpus int, dst *Assignment) error {
+	return e.scheduler.AdmitInto(ctx, w, vcpus, dst)
 }
 
 // Preview estimates the admission Place would make for a container of

@@ -5,12 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 	"weak"
 
 	"repro/internal/concern"
@@ -18,6 +20,7 @@ import (
 	"repro/internal/interconnect"
 	"repro/internal/migrate"
 	"repro/internal/mlearn"
+	"repro/internal/nperr"
 	"repro/internal/placement"
 	"repro/internal/topology"
 	"repro/internal/workloads"
@@ -511,6 +514,154 @@ func TestEnginePlaceAllocCeiling(t *testing.T) {
 	cycle() // the enumeration, pinning and observation caches
 	if n := testing.AllocsPerRun(200, cycle); n > 1 {
 		t.Fatalf("a warm Engine place+release cycle allocates %.1f times, want <= 1", n)
+	}
+}
+
+// TestEnginePlaceIntoAllocCeiling: admitting into a slot the caller owns
+// takes the one allocation Place keeps away too, so a warm place+release
+// cycle through PlaceInto allocates nothing.
+func TestEnginePlaceIntoAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not fixed under the race detector")
+	}
+	ctx := context.Background()
+	eng := trainedEngine(t, ctx, AMD(), 16)
+	wt, _ := WorkloadByName("WTbtree")
+	var a Assignment
+	cycle := func() {
+		if err := eng.PlaceInto(ctx, wt, 16, &a); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Release(ctx, a.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle() // the enumeration, pinning and observation caches
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Fatalf("a warm Engine PlaceInto+Release cycle allocates %.1f times, want 0", n)
+	}
+}
+
+// assignmentBits is a's memory, byte for byte: the slice and string headers
+// and the floats' bit patterns (NaN payloads included), which == and
+// reflect.DeepEqual do not compare.
+func assignmentBits(a *Assignment) []byte {
+	return bytes.Clone(unsafe.Slice((*byte)(unsafe.Pointer(a)), unsafe.Sizeof(*a)))
+}
+
+// sentinelThreads backs a sentinel pinning off the stack, which moves (and
+// its pointers with it) when it grows.
+var sentinelThreads = [3]topology.ThreadID{7, 7, 7}
+
+// TestRefusedPlaceIntoLeavesDst: PlaceInto writes the caller's slot only when
+// the admission succeeds. Refused on a full machine, for an untrained size or
+// for a cancelled request, it leaves a sentinel-filled slot bit for bit as it
+// was, so a caller trying one machine after another may pass the same slot
+// to each.
+func TestRefusedPlaceIntoLeavesDst(t *testing.T) {
+	ctx := context.Background()
+	eng := trainedEngine(t, ctx, AMD(), 16)
+	wt, _ := WorkloadByName("WTbtree")
+	var placed Assignment
+	for {
+		err := eng.PlaceInto(ctx, wt, 16, &placed)
+		if errors.Is(err, ErrMachineFull) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := Assignment{
+		ID: -7, Workload: "sentinel", VCPUs: 99, Class: 42, Nodes: 0b1010,
+		Threads:  sentinelThreads[:],
+		BasePerf: math.Float64frombits(0x7ff8_dead_beef_0001), PredictedPerf: -1, ProbePerf: math.Inf(1),
+	}
+	want := assignmentBits(&dst)
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	for _, tc := range []struct {
+		name  string
+		ctx   context.Context
+		vcpus int
+		is    error
+	}{
+		{"full machine", ctx, 16, ErrMachineFull},
+		{"untrained size", ctx, 8, ErrUntrained},
+		{"cancelled", cancelled, 16, context.Canceled},
+	} {
+		if err := eng.PlaceInto(tc.ctx, wt, tc.vcpus, &dst); !errors.Is(err, tc.is) {
+			t.Fatalf("%s: PlaceInto err = %v, want %v", tc.name, err, tc.is)
+		}
+		if got := assignmentBits(&dst); !bytes.Equal(got, want) {
+			t.Fatalf("%s: a refused PlaceInto wrote its slot:\ngot  %x\nwant %x", tc.name, got, want)
+		}
+	}
+}
+
+// TestEngineApplyMove drives the Engine's replay wrapper directly: a tenant
+// re-pinned to the class and nodes another admission chose holds exactly that
+// admission's assignment (class, nodes, the memoized pinning), the free set
+// follows, and records the machine cannot take fail as the scheduler says.
+func TestEngineApplyMove(t *testing.T) {
+	ctx := context.Background()
+	eng := trainedEngine(t, ctx, AMD(), 16)
+	wt, _ := WorkloadByName("WTbtree")
+	first, err := eng.Place(ctx, wt, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := eng.Place(ctx, wt, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Release(ctx, second.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.ApplyMove(ctx, first.ID, second.Class, second.Nodes); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := eng.Assignment(first.ID)
+	if !ok {
+		t.Fatal("moved tenant is gone")
+	}
+	if got.Class != second.Class || got.Nodes != second.Nodes || !reflect.DeepEqual(got.Threads, second.Threads) {
+		t.Fatalf("after ApplyMove: class %d nodes %v threads %v, want class %d nodes %v threads %v",
+			got.Class, got.Nodes, got.Threads, second.Class, second.Nodes, second.Threads)
+	}
+	full := topology.FullNodeSet(AMD().Topo.NumNodes)
+	if free := eng.FreeNodes(); free != full.Minus(second.Nodes) {
+		t.Fatalf("free nodes after ApplyMove = %v, want %v", free, full.Minus(second.Nodes))
+	}
+
+	other, err := eng.Place(ctx, wt, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		id, cls int
+		nodes   topology.NodeSet
+		is      error
+	}{
+		{"unknown container", 1 << 20, got.Class, first.Nodes, ErrUnknownContainer},
+		{"unknown class", first.ID, 1 << 20, first.Nodes, nperr.ErrLogCorrupt},
+		{"taken nodes", first.ID, got.Class, other.Nodes, nperr.ErrLogCorrupt},
+	} {
+		if err := eng.ApplyMove(ctx, tc.id, tc.cls, tc.nodes); !errors.Is(err, tc.is) {
+			t.Fatalf("%s: ApplyMove err = %v, want %v", tc.name, err, tc.is)
+		}
+	}
+	if again, _ := eng.Assignment(first.ID); !reflect.DeepEqual(again, got) {
+		t.Fatalf("a refused ApplyMove changed the tenant: %+v, want %+v", again, got)
+	}
+	for _, id := range []int{first.ID, other.ID} {
+		if err := eng.Release(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if free := eng.FreeNodes(); free != full {
+		t.Fatalf("free nodes after releasing everything = %v, want %v", free, full)
 	}
 }
 

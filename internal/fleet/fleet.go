@@ -17,6 +17,7 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -38,7 +39,8 @@ import (
 // implemented by numaplace.Engine (and by lightweight fakes in tests). A
 // Backend that also implements ScoreClasser is scored for BestPredicted
 // routing from its score class's row; any other is asked for a Preview per
-// routing decision.
+// routing decision. One that also implements PlacerInto admits into the
+// assignment the fleet hands back; any other's Place result is copied there.
 //
 // A backend added to a fleet is driven only through the fleet; reads are
 // free. The fleet's books — the tenant map, and the routing index's free-node
@@ -69,6 +71,15 @@ type Backend interface {
 	// sched.Scheduler.Adopt / ApplyMove.
 	Adopt(ctx context.Context, r sched.Restore) (*sched.Assignment, error)
 	ApplyMove(ctx context.Context, id, classID int, nodes topology.NodeSet) error
+}
+
+// PlacerInto is the optional capability of a Backend that admits into a slot
+// the caller owns (numaplace.Engine has it): PlaceInto is Place writing the
+// assignment to *dst, and a refused or failed admission leaves *dst exactly
+// as it was. The fleet asserts it once, at Add, and admits through it into
+// the Admission Place returns, so an admission allocates that alone.
+type PlacerInto interface {
+	PlaceInto(ctx context.Context, w perfsim.Workload, vcpus int, dst *sched.Assignment) error
 }
 
 // Policy selects how Place routes an admission across the fleet.
@@ -151,12 +162,14 @@ func (c Config) drainBelow() float64 {
 // member is one named backend plus the fleet's bookkeeping for it; the
 // mutable fields are guarded by Fleet.mu.
 type member struct {
-	name    string
-	b       Backend
-	classer ScoreClasser // b's optional capability, nil without it
-	total   int          // NUMA nodes on the machine
-	domain  string       // failure-domain label ("" = unlabeled)
-	dom     int32        // domain's index in Fleet.domains
+	name string
+	b    Backend
+	// b's optional capabilities, each nil without it
+	classer ScoreClasser
+	placer  PlacerInto
+	total   int    // NUMA nodes on the machine
+	domain  string // failure-domain label ("" = unlabeled)
+	dom     int32  // domain's index in Fleet.domains
 	drained bool
 	health  Health
 	misses  int // consecutive missed probes (reset by Heartbeat)
@@ -166,6 +179,21 @@ type member struct {
 	// that called the backend (undefined while dead).
 	pos  int32
 	free int
+}
+
+// place admits one container onto m's backend, writing its assignment to
+// *dst: in place through PlacerInto, else by copying what Place returns. A
+// refused admission leaves *dst as it was either way.
+func (m *member) place(ctx context.Context, w perfsim.Workload, vcpus int, dst *sched.Assignment) error {
+	if m.placer != nil {
+		return m.placer.PlaceInto(ctx, w, vcpus, dst)
+	}
+	a, err := m.b.Place(ctx, w, vcpus)
+	if err != nil {
+		return err
+	}
+	*dst = *a
+	return nil
 }
 
 // utilization returns the fraction of the member's NUMA nodes currently
@@ -381,8 +409,8 @@ func InDomain(domain string) AddOption {
 
 // Add registers a backend under a unique name. The name is the handle for
 // Drain, Resume, Remove and the health API, and appears in admissions and
-// move records. Backends start healthy. Whether b is a ScoreClasser is
-// decided here, once.
+// move records. Backends start healthy. Whether b is a ScoreClasser and a
+// PlacerInto is decided here, once.
 func (f *Fleet) Add(name string, b Backend, opts ...AddOption) error {
 	if name == "" {
 		//numalint:ignore sentinelwrap setup-time misuse by the embedding daemon, never reaches the wire path
@@ -396,6 +424,7 @@ func (f *Fleet) Add(name string, b Backend, opts ...AddOption) error {
 	}
 	m := &member{name: name, b: b, total: b.Machine().Topo.NumNodes}
 	m.classer, _ = b.(ScoreClasser)
+	m.placer, _ = b.(PlacerInto)
 	for _, opt := range opts {
 		opt(m)
 	}
@@ -466,7 +495,8 @@ func (f *Fleet) occupyLocked(m *member, workload string, delta int32) {
 // (with every backend's rejection joined in) when no backend admits the
 // container. The decision, the backend admission and the record are one
 // hold. A durability failure is returned alongside the admission: the
-// commit stands either way, and hiding it would leak the container.
+// commit stands either way, and hiding it would leak the container. The
+// Admission is the call's one allocation: the backend admits into it.
 func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm *Admission, err error) {
 	defer f.lock().end(&err)
 	s := &f.scratch
@@ -474,6 +504,8 @@ func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm *
 	if err := f.routeLocked(ctx, s, &q); err != nil {
 		return nil, err
 	}
+	adm = new(Admission)
+	a := &adm.Assignment
 	tried := 0
 	var errs []error // per-candidate rejections, in the order tried
 	for mem := s.next(); mem != nil; mem = s.next() {
@@ -481,8 +513,7 @@ func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm *
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		a, err := mem.b.Place(ctx, w, vcpus)
-		if err != nil {
+		if err := mem.place(ctx, w, vcpus, a); err != nil {
 			// A cancellation surfacing through the backend is the
 			// caller giving up, not a capacity rejection.
 			if ctxErr := ctx.Err(); ctxErr != nil {
@@ -497,7 +528,8 @@ func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm *
 			Nodes: a.Nodes, BasePerf: a.BasePerf, ProbePerf: a.ProbePerf}, mem, a, &w))
 		f.occupyLocked(mem, w.Name, +1)
 		f.refreeLocked(mem)
-		return &Admission{ID: id, Backend: mem.name, Assignment: *a}, nil
+		adm.ID, adm.Backend = id, mem.name
+		return adm, nil
 	}
 	f.commitLocked(f.bookLocked(&Record{Type: RecReject, ID: -1, Workload: w.Name, VCPUs: vcpus}, nil, nil, nil))
 	sentinels := []error{nperr.ErrFleetFull}
@@ -572,8 +604,9 @@ func (f *Fleet) Stats() Stats {
 		Failovers:        f.failovers,
 		FailedOver:       f.failedOver,
 		MigrationSeconds: f.migrationSeconds,
+		Backends:         make([]BackendStats, 0, len(f.members)),
+		Domains:          make([]DomainStats, len(f.domains)), // by member.dom, then compacted
 	}
-	domains := make([]DomainStats, len(f.domains)) // by member.dom
 	var usedNodes, totalNodes int
 	for _, m := range f.members {
 		bs := BackendStats{
@@ -585,7 +618,7 @@ func (f *Fleet) Stats() Stats {
 			Tenants:    m.tenants,
 			TotalNodes: m.total,
 		}
-		d := &domains[m.dom]
+		d := &st.Domains[m.dom]
 		d.Domain = m.domain
 		d.Backends++
 		d.Tenants += m.tenants
@@ -604,13 +637,13 @@ func (f *Fleet) Stats() Stats {
 	if totalNodes > 0 {
 		st.Utilization = float64(usedNodes) / float64(totalNodes)
 	}
-	for _, d := range domains {
-		if d.Backends > 0 { // a label outlives the members that carried it
-			d.Utilization = utilization(d.FreeNodes, d.TotalNodes)
-			st.Domains = append(st.Domains, d)
-		}
+	// A label outlives the members that carried it.
+	st.Domains = slices.DeleteFunc(st.Domains, func(d DomainStats) bool { return d.Backends == 0 })
+	for i := range st.Domains {
+		d := &st.Domains[i]
+		d.Utilization = utilization(d.FreeNodes, d.TotalNodes)
 	}
-	sort.Slice(st.Domains, func(i, j int) bool { return st.Domains[i].Domain < st.Domains[j].Domain })
+	slices.SortFunc(st.Domains, func(a, b DomainStats) int { return cmp.Compare(a.Domain, b.Domain) })
 	return st
 }
 
@@ -625,9 +658,9 @@ func (f *Fleet) Stats() Stats {
 // marks moves committed by a failover pass, in the FailedOver counter and in
 // the durable record replay reconstructs it from. Callers hold f.mu.
 func (f *Fleet) moveLocked(ctx context.Context, rep *Report, id int, rec *tenantRec, cost float64, d *member, dests *routeScratch, destErrs *[]error, failover bool) (bool, error) {
+	a := new(sched.Assignment)
 	for ; d != nil; d = dests.next() {
-		a, err := d.b.Place(ctx, rec.w, rec.vcpus)
-		if err != nil {
+		if err := d.place(ctx, rec.w, rec.vcpus, a); err != nil {
 			if ctxErr := ctx.Err(); ctxErr != nil {
 				return false, ctxErr
 			}

@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -738,5 +740,53 @@ func TestFleetConcurrentPlace(t *testing.T) {
 	}
 	if st.Admitted-st.Released != 0 {
 		t.Fatalf("admitted %d != released %d", st.Admitted, st.Released)
+	}
+}
+
+// TestStatsAllocCeiling: Stats allocates its two result slices at their
+// final sizes and sorts the domains in place, so a call costs the same few
+// allocations at any member count — dead members, a label no member carries
+// any more and unlabeled members included.
+func TestStatsAllocCeiling(t *testing.T) {
+	ctx := context.Background()
+	w := testWorkload(t, "gcc")
+	for _, n := range []int{1, 8, 64} {
+		f := New(Config{Policy: LeastLoaded})
+		if err := f.Add("gone", newStub(machines.AMD(), 1), InDomain("rack-gone")); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Remove("gone"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			var opts []AddOption
+			if i%9 != 0 {
+				opts = append(opts, InDomain(fmt.Sprintf("rack-%d", (n-i)%8)))
+			}
+			if err := f.Add(fmt.Sprintf("m%d", i), newStub(machines.AMD(), 1), opts...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < n; i++ {
+			if _, err := f.Place(ctx, w, 4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f.Fail(ctx, "m0") // a one-member fleet strands its tenant: the error says so
+		if h, _ := f.HealthOf("m0"); h != Dead {
+			t.Fatalf("m0 is %v after Fail", h)
+		}
+		st := f.Stats()
+		if len(st.Backends) != n || !slices.IsSortedFunc(st.Domains, func(a, b DomainStats) int { return cmp.Compare(a.Domain, b.Domain) }) {
+			t.Fatalf("%d members: Stats lists %d backends and domains %+v", n, len(st.Backends), st.Domains)
+		}
+		for _, d := range st.Domains {
+			if d.Domain == "rack-gone" || d.Backends == 0 {
+				t.Fatalf("%d members: Stats lists a domain no member carries: %+v", n, d)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { f.Stats() }); allocs > 3 {
+			t.Fatalf("Stats on a %d-member fleet allocates %.1f times, want <= 3", n, allocs)
+		}
 	}
 }

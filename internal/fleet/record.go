@@ -163,7 +163,7 @@ type Record struct {
 	Seconds float64
 }
 
-type Event = Record // bench/ names a Drain buffer's element so; goes with ROADMAP item 3's benchmark PR
+type Event = Record // bench/ names a Drain buffer's element so; goes with ROADMAP item 6b's benchmark PR
 
 // Persister is the pluggable durability sink (internal/wal implements it
 // over an fsync'd file pair; tests implement it in memory).

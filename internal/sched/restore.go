@@ -123,8 +123,8 @@ func (s *Scheduler) Adopt(ctx context.Context, r Restore) (_ *Assignment, err er
 	if r.Nodes.Minus(free) != 0 {
 		return nil, fmt.Errorf("sched: adopting container %d: nodes %v not free: %w", r.ID, r.Nodes, nperr.ErrLogCorrupt)
 	}
-	a, _, err := s.install(ctx, t, imps, choice, r.Nodes, free)
-	if err != nil {
+	a := new(Assignment)
+	if _, err := s.install(ctx, t, imps, choice, r.Nodes, free, a); err != nil {
 		return nil, err
 	}
 	// Advance the ID allocator past every adopted identity; CAS-max

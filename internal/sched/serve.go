@@ -296,25 +296,26 @@ func (s *Scheduler) pinClass(ctx context.Context, t *tenant, imp placement.Impor
 
 // install commits a Step 4 decision for tenant t, whose identity and model
 // inputs are set: it pins class imps[choice] on nodes, claims the nodes by CAS
-// against free, the mask the decision was planned with, and registers t.
-// claimed is false, and nothing changed, when a concurrent admission moved
-// the mask first: Admit re-plans then, and Adopt, holding structMu
-// exclusively, cannot lose.
-func (s *Scheduler) install(ctx context.Context, t *tenant, imps []placement.Important, choice int, nodes, free topology.NodeSet) (a *Assignment, claimed bool, err error) {
+// against free, the mask the decision was planned with, registers t and writes
+// its assignment to *dst. claimed is false, and nothing changed — *dst
+// included — when a concurrent admission moved the mask first: Admit re-plans
+// then, and Adopt, holding structMu exclusively, cannot lose. A failed install
+// leaves *dst as it was too.
+func (s *Scheduler) install(ctx context.Context, t *tenant, imps []placement.Important, choice int, nodes, free topology.NodeSet, dst *Assignment) (claimed bool, err error) {
 	threads, err := s.pinClass(ctx, t, imps[choice], nodes)
 	if err != nil {
-		return nil, false, err
+		return false, err
 	}
 	if !s.free.CompareAndSwap(uint64(free), uint64(free.Minus(nodes))) {
-		return nil, false, nil
+		return false, nil
 	}
 	t.threads, t.class, t.classID, t.nodes = threads, choice, imps[choice].ID, nodes
 	s.books.Lock()
 	s.books.tenants[t.id] = t
 	s.insertLive(t.id)
-	as := s.assignment(t)
+	*dst = s.assignment(t)
 	s.books.Unlock()
-	return &as, true, nil
+	return true, nil
 }
 
 // repin moves live tenant t to class imps[choice] on nodes, avail being the
@@ -331,16 +332,28 @@ func (s *Scheduler) repin(ctx context.Context, t *tenant, imps []placement.Impor
 }
 
 // Admit observes, predicts and places one new container of workload w with
-// v vCPUs, returning its assignment. It fails with nperr.ErrUntrained when
-// no predictor covers v, nperr.ErrMachineMismatch when the predictor does
-// not match the machine's enumeration, and nperr.ErrMachineFull when no
-// feasible class fits the free nodes. A failed admission registers no
-// tenant and leaves the free set untouched.
-func (s *Scheduler) Admit(ctx context.Context, w perfsim.Workload, v int) (_ *Assignment, err error) {
+// v vCPUs, returning its assignment in a fresh allocation: AdmitInto's
+// wrapper for callers that keep what it returns.
+func (s *Scheduler) Admit(ctx context.Context, w perfsim.Workload, v int) (*Assignment, error) {
+	a := new(Assignment)
+	if err := s.AdmitInto(ctx, w, v, a); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// AdmitInto observes, predicts and places one new container of workload w
+// with v vCPUs, writing its assignment to *dst, a slot the caller owns. It
+// fails with nperr.ErrUntrained when no predictor covers v,
+// nperr.ErrMachineMismatch when the predictor does not match the machine's
+// enumeration, and nperr.ErrMachineFull when no feasible class fits the free
+// nodes. A failed admission registers no tenant, leaves the free set
+// untouched and leaves *dst exactly as it was.
+func (s *Scheduler) AdmitInto(ctx context.Context, w perfsim.Workload, v int, dst *Assignment) (err error) {
 	p := s.pred(v)
 	imps, err := s.model(ctx, v, p)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Phase 1 (unlocked): reserve an identity, then observe the container
@@ -360,7 +373,7 @@ func (s *Scheduler) Admit(ctx context.Context, w perfsim.Workload, v int) (_ *As
 	t.id, t.w, t.vcpus = int(s.nextID.Add(1)-1), w, v
 	obs, err := s.observePredict(ctx, w, v, imps, p, admitTrial(t.id), t.vec)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	t.basePerf, t.probePerf, t.goal = obs[0], obs[1], s.goal(obs[0])
 
@@ -370,17 +383,17 @@ func (s *Scheduler) Admit(ctx context.Context, w perfsim.Workload, v int) (_ *As
 	s.structMu.RLock()
 	defer s.structMu.RUnlock()
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	for {
 		free := topology.NodeSet(s.free.Load())
 		choice, nodes, ok := s.chooseFitting(imps, t.vec, t.basePerf, t.goal, free)
 		if !ok {
-			return nil, errFull{free.Len(), v}
+			return errFull{free.Len(), v}
 		}
-		a, claimed, err := s.install(ctx, t, imps, choice, nodes, free)
+		claimed, err := s.install(ctx, t, imps, choice, nodes, free, dst)
 		if err != nil || claimed {
-			return a, err
+			return err
 		}
 	}
 }

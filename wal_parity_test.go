@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -260,5 +261,135 @@ func TestRestoreRefusesAsTheEngine(t *testing.T) {
 		if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), "record 2 (place)") {
 			t.Errorf("%s: Restore err = %v, want %v at record 2", tc.name, err, tc.want)
 		}
+	}
+}
+
+// engineBackend is what a Cluster sees of an Engine short of PlaceInto.
+type engineBackend interface {
+	fleet.Backend
+	fleet.ScoreClasser
+}
+
+// TestPlaceIntoParity drives two fleets through one seeded churn trace of
+// placements, releases, rebalances, drains, resumes, machine failures and
+// revivals: one of plain engines, which admit into the Admission the fleet
+// returns (fleet.PlacerInto), and one of engines wrapped to hide that
+// capability while still forwarding fleet.ScoreClasser, whose every Place
+// result the fleet copies. Admitting in place must change nothing: each
+// operation's result, the Assignments and Stats after it, and the record
+// streams are identical.
+func TestPlaceIntoParity(t *testing.T) {
+	ctx := context.Background()
+	var _ fleet.PlacerInto = (*Engine)(nil)
+	models := []Machine{AMD(), Intel()}
+	preds := make([]*Predictor, len(models))
+	for i, m := range models {
+		preds[i], _ = trainedEngine(t, ctx, m, 16).Predictor(16)
+	}
+	const machines = 6
+	names := make([]string, machines)
+	build := func(wrap bool) (*fleet.Fleet, *recSink) {
+		f := fleet.New(fleet.Config{Policy: fleet.BestPredicted, SpreadDomains: true})
+		for i := range names {
+			names[i] = fmt.Sprintf("m%d", i)
+			var b fleet.Backend = New(models[i%2], WithPredictor(16, preds[i%2]))
+			if wrap {
+				b = struct{ engineBackend }{b.(engineBackend)}
+				if _, ok := b.(fleet.PlacerInto); ok {
+					t.Fatal("the wrapped engine still shows PlaceInto")
+				}
+			}
+			if err := f.Add(names[i], b, fleet.InDomain(fmt.Sprintf("rack-%d", i%3))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sink := &recSink{}
+		f.SetPersister(sink)
+		return f, sink
+	}
+	inF, inSink := build(false)
+	cpF, cpSink := build(true)
+
+	same := func(op int, what string, in, cp any, errIn, errCp error) {
+		t.Helper()
+		if (errIn == nil) != (errCp == nil) || (errIn != nil && errIn.Error() != errCp.Error()) {
+			t.Fatalf("op %d %s: in place err = %v, copied err = %v", op, what, errIn, errCp)
+		}
+		if !reflect.DeepEqual(in, cp) {
+			t.Fatalf("op %d %s diverged:\nin place %+v\ncopied   %+v", op, what, in, cp)
+		}
+		if a, b := inF.Assignments(), cpF.Assignments(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("op %d %s: Assignments diverged:\nin place %+v\ncopied   %+v", op, what, a, b)
+		}
+		if a, b := inF.Stats(), cpF.Stats(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("op %d %s: Stats diverged:\nin place %+v\ncopied   %+v", op, what, a, b)
+		}
+	}
+
+	paper := PaperWorkloads()
+	rng := xrand.New(43)
+	var live []int
+	ops := map[string]int{}
+	for op := 0; op < 400; op++ {
+		name := names[rng.Intn(len(names))]
+		switch k := rng.Intn(100); {
+		case k < 45:
+			w := paper[rng.Intn(len(paper))]
+			a, errIn := inF.Place(ctx, w, 16)
+			b, errCp := cpF.Place(ctx, w, 16)
+			same(op, "Place", a, b, errIn, errCp)
+			if errIn == nil {
+				live = append(live, a.ID)
+				ops["place"]++
+			}
+		case k < 80:
+			if len(live) == 0 {
+				continue
+			}
+			i := rng.Intn(len(live))
+			same(op, "Release", nil, nil, inF.Release(ctx, live[i]), cpF.Release(ctx, live[i]))
+			live = slices.Delete(live, i, i+1)
+			ops["release"]++
+		case k < 86:
+			a, errIn := inF.Rebalance(ctx, 1e6)
+			b, errCp := cpF.Rebalance(ctx, 1e6)
+			same(op, "Rebalance", a, b, errIn, errCp)
+			ops["rebalance"]++
+		case k < 91:
+			a, errIn := inF.Drain(ctx, name)
+			b, errCp := cpF.Drain(ctx, name)
+			same(op, "Drain "+name, a, b, errIn, errCp)
+			same(op, "Resume "+name, nil, nil, inF.Resume(name), cpF.Resume(name))
+			ops["drain"]++
+		case k < 94:
+			a, errIn := inF.Fail(ctx, name)
+			b, errCp := cpF.Fail(ctx, name)
+			same(op, "Fail "+name, a, b, errIn, errCp)
+			ops["fail"]++
+		default:
+			a, errIn := inF.Revive(ctx, name)
+			b, errCp := cpF.Revive(ctx, name)
+			same(op, "Revive "+name, a, b, errIn, errCp)
+			ops["revive"]++
+		}
+	}
+	for _, k := range []string{"place", "release", "rebalance", "drain", "fail", "revive"} {
+		if ops[k] == 0 {
+			t.Fatalf("degenerate trace: no %s took effect (%v)", k, ops)
+		}
+	}
+	if inF.Stats().Moves == 0 {
+		t.Fatal("degenerate trace: no cross-machine move")
+	}
+	ib, err := json.Marshal(inSink.recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, err := json.Marshal(cpSink.recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ib, cb) {
+		t.Fatalf("record streams differ:\nin place %s\ncopied   %s", ib, cb)
 	}
 }
