@@ -15,8 +15,9 @@ all: build
 
 # go vet's default analyzer suite already includes copylocks and
 # structtag module-wide; the second, targeted pass pins exactly those two
-# analyzers on the lock-bearing packages (the Engine, the serving
-# Scheduler, the cluster Fleet and the wire Server must never be copied)
+# analyzers on the lock-bearing packages (the Engine with its machine lock,
+# the Scheduler with its atomic free mask, the cluster Fleet and the wire
+# Server must never be copied)
 # so the guarantee survives even if the default suite is ever narrowed
 # via VETFLAGS or a toolchain change. The nested bench module is vetted on
 # its own: the root ./... never reaches it, and benchcheck's go test runs

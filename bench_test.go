@@ -305,12 +305,10 @@ func BenchmarkEnginePlace(b *testing.B) {
 
 // BenchmarkAdmitThroughput measures sustained admission throughput on one
 // pre-trained engine, serial versus parallel: every iteration is a full
-// Place+Release cycle, so the parallel variant exercises the sharded admit
-// path end to end — concurrent observation, CAS node claiming, lock-free
-// cache hits. With the admission lock split, the parallel variant should
-// beat the serial per-op time whenever GOMAXPROCS > 1. Released nodes return
-// before the next claim, so iterations that lose a claim race retry
-// internally rather than failing.
+// Place+Release cycle. Each call holds the engine's machine lock, so the
+// parallel variant measures what concurrent callers pay to queue on it —
+// it is not expected to beat the serial per-op time. A caller that finds
+// the machine transiently full counts the iteration as back-pressure.
 func BenchmarkAdmitThroughput(b *testing.B) {
 	ctx := context.Background()
 	eng := New(machines.AMD(),

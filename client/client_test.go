@@ -240,3 +240,29 @@ func TestEventStreamBoundsALine(t *testing.T) {
 		t.Fatalf("stream buffered %d bytes of one line, bound is %d", len(es.long), maxLine)
 	}
 }
+
+// countingTransport counts the requests it carries to the next transport.
+type countingTransport struct {
+	n    atomic.Int32
+	next http.RoundTripper
+}
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return c.next.RoundTrip(r)
+}
+
+// TestWithHTTPClientCarriesEveryRequest: the *http.Client WithHTTPClient
+// substitutes is the one every request travels through, retries included.
+func TestWithHTTPClientCarriesEveryRequest(t *testing.T) {
+	srv, attempts := flaky(t, http.StatusBadGateway,
+		`{"error":{"code":"internal","status":502,"message":"transient"}}`, 1)
+	tr := &countingTransport{next: srv.Client().Transport}
+	c := New(srv.URL, WithHTTPClient(&http.Client{Transport: tr}), WithRetries(1), WithBackoff(time.Millisecond))
+	if _, err := c.Stats(context.Background()); err != nil {
+		t.Fatalf("stats through the substituted client: %v", err)
+	}
+	if got, want := tr.n.Load(), attempts.Load(); got != 2 || got != want {
+		t.Fatalf("the substituted client carried %d requests, the server saw %d, want 2 each", got, want)
+	}
+}

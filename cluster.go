@@ -140,8 +140,11 @@ func (c *Cluster) Len() int { return c.f.Len() }
 // Place admits one container onto the cluster, routed per the configured
 // policy; when a machine rejects (full, untrained size), routing falls
 // through to the next candidate. It fails with ErrFleetFull — carrying
-// every machine's rejection — when no machine admits the container.
-func (c *Cluster) Place(ctx context.Context, w Workload, vcpus int) (*ClusterAssignment, error) {
+// every machine's rejection — when no machine admits the container. The
+// admission is returned by value and a warm one allocates nothing. A refusal
+// returns the zero ClusterAssignment; an admission committed in memory whose
+// log commit failed returns the whole assignment beside the error.
+func (c *Cluster) Place(ctx context.Context, w Workload, vcpus int) (ClusterAssignment, error) {
 	return c.f.Place(ctx, w, vcpus)
 }
 

@@ -26,9 +26,10 @@ import (
 // Train, Predict) it serves an incremental admit/evict scheduler: Place,
 // Release and Rebalance.
 //
-// All methods are safe for concurrent use. Methods returning cached slices
-// hand each caller its own copy of the slice header; the Important values
-// inside are shared and must be treated as read-only.
+// All methods are safe for concurrent use: the scheduler's calls serialize
+// on one machine lock, and the caches are the table set's. Methods returning
+// cached slices hand each caller its own copy of the slice header; the
+// Important values inside are shared and must be treated as read-only.
 //
 // An Engine must not be copied after first use (it contains locks; go vet's
 // copylocks check enforces this).
@@ -43,12 +44,20 @@ type Engine struct {
 	trainCfg   TrainConfig
 	serveCfg   ServeConfig
 
+	// mu is the machine lock. Every call that reads or writes the
+	// scheduler's books or free set — Place, PlaceInto, Release, Rebalance,
+	// Adopt, ApplyMove, Assignments and Assignment — holds it once, across
+	// the whole call, and the scheduler under it is single-threaded;
+	// FreeNodes, Preview and the score rows read without it. Registering a
+	// predictor takes it too. Ranked after fleet.mu: a fleet hold may call
+	// into the engine, but no engine path may call back into the fleet.
+	//numalint:locks numaplace.Engine.mu rank=20
+	mu sync.Mutex
 	// The predictor registry is read once per Place, and once per machine
 	// per fleet routing decision to name the engine's score class: it is
 	// one immutable list behind an atomic pointer, replaced under mu. An
 	// engine serves a handful of container sizes, and scanning that many
 	// entries costs a fraction of a map probe.
-	mu         sync.Mutex
 	predictors atomic.Pointer[[]sizePredictor]
 	// classEpoch is the counter of the Cluster the engine was added to,
 	// bumped after every store to predictors (NotifyClassChange).
@@ -286,6 +295,8 @@ func (e *Engine) PredictInto(dst []float64, vcpus int, perfBase, perfProbe float
 // free nodes cannot host the container. The assignment is a fresh
 // allocation; PlaceInto writes it into a slot the caller owns instead.
 func (e *Engine) Place(ctx context.Context, w Workload, vcpus int) (*Assignment, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return e.scheduler.Admit(ctx, w, vcpus)
 }
 
@@ -294,6 +305,8 @@ func (e *Engine) Place(ctx context.Context, w Workload, vcpus int) (*Assignment,
 // returns. A failed admission leaves *dst exactly as it was. See
 // sched.Scheduler.AdmitInto.
 func (e *Engine) PlaceInto(ctx context.Context, w Workload, vcpus int, dst *Assignment) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return e.scheduler.AdmitInto(ctx, w, vcpus, dst)
 }
 
@@ -336,6 +349,8 @@ func (e *Engine) ScoreRow(ctx context.Context, w Workload, vcpus int, class sche
 // Release evicts a previously placed container and returns its nodes to
 // the free pool. Unknown IDs fail with ErrUnknownContainer.
 func (e *Engine) Release(ctx context.Context, id int) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return e.scheduler.Release(ctx, id)
 }
 
@@ -343,12 +358,16 @@ func (e *Engine) Release(ctx context.Context, id int) error {
 // departures, migrating (with the paper's fast mechanism, cost-accounted
 // in the report) those that can now run in a strictly better placement.
 func (e *Engine) Rebalance(ctx context.Context) (*RebalanceReport, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return e.scheduler.Rebalance(ctx)
 }
 
 // Assignments returns a snapshot of all currently placed containers in
 // admission order.
 func (e *Engine) Assignments() []Assignment {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return e.scheduler.Assignments()
 }
 
@@ -357,6 +376,8 @@ func (e *Engine) Assignments() []Assignment {
 // cluster layer uses it to resolve individual fleet-wide IDs without
 // snapshotting every tenant.
 func (e *Engine) Assignment(id int) (Assignment, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return e.scheduler.Assignment(id)
 }
 
@@ -371,6 +392,8 @@ func (e *Engine) FreeNodes() topology.NodeSet {
 // recomputed deterministically, so the adopted tenant is bit-identical to
 // the one the original Place produced. See sched.Scheduler.Adopt.
 func (e *Engine) Adopt(ctx context.Context, r RestoreRecord) (*Assignment, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return e.scheduler.Adopt(ctx, r)
 }
 
@@ -378,6 +401,8 @@ func (e *Engine) Adopt(ctx context.Context, r RestoreRecord) (*Assignment, error
 // intra-machine rebalance decision without re-running the move search.
 // See sched.Scheduler.ApplyMove.
 func (e *Engine) ApplyMove(ctx context.Context, id, classID int, nodes topology.NodeSet) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return e.scheduler.ApplyMove(ctx, id, classID, nodes)
 }
 

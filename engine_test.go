@@ -491,6 +491,94 @@ func TestEngineServing(t *testing.T) {
 	wg.Wait()
 }
 
+// TestEngineConcurrentStress hammers one Engine with concurrent admissions,
+// releases and rebalance passes beside readers of its snapshots, previews and
+// free set. Run under -race it guards the machine lock, the one thing that
+// makes the single-threaded scheduler safe for concurrent use and lets Preview
+// and FreeNodes read without it; every snapshot must book each node at most
+// once, and at the end no tenant may be left and every node must be free.
+func TestEngineConcurrentStress(t *testing.T) {
+	ctx := context.Background()
+	m := AMD()
+	pred, _ := trainedEngine(t, ctx, m, 16).Predictor(16)
+	eng := New(m, WithPredictor(16, pred), WithServeConfig(ServeConfig{GoalFrac: 0.5}))
+	wt, _ := WorkloadByName("WTbtree")
+
+	var writers, readers sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			var mine []int
+			for i := 0; i < 30; i++ {
+				if a, err := eng.Place(ctx, wt, 16); err == nil {
+					mine = append(mine, a.ID)
+				} else if !errors.Is(err, ErrMachineFull) {
+					t.Errorf("Place: %v", err)
+					return
+				}
+				if len(mine) > 1 {
+					if err := eng.Release(ctx, mine[0]); err != nil {
+						t.Errorf("Release: %v", err)
+						return
+					}
+					mine = mine[1:]
+				}
+			}
+			for _, id := range mine {
+				if err := eng.Release(ctx, id); err != nil {
+					t.Errorf("Release: %v", err)
+				}
+			}
+		}()
+	}
+	writers.Add(1)
+	go func() {
+		defer writers.Done()
+		for i := 0; i < 15; i++ {
+			if _, err := eng.Rebalance(ctx); err != nil {
+				t.Errorf("Rebalance: %v", err)
+				return
+			}
+		}
+	}()
+	done := make(chan struct{})
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			var booked topology.NodeSet
+			for _, a := range eng.Assignments() {
+				if a.Nodes.Intersect(booked) != 0 {
+					t.Errorf("snapshot books nodes %s twice (container %d)", a.Nodes.Intersect(booked), a.ID)
+					return
+				}
+				booked = booked.Union(a.Nodes)
+			}
+			if _, err := eng.Preview(ctx, wt, 16); err != nil && !errors.Is(err, ErrMachineFull) {
+				t.Errorf("Preview: %v", err)
+				return
+			}
+			_ = eng.FreeNodes()
+		}
+	}()
+	writers.Wait()
+	close(done)
+	readers.Wait()
+
+	if n := len(eng.Assignments()); n != 0 {
+		t.Fatalf("%d tenants leaked", n)
+	}
+	if free := eng.FreeNodes(); free != topology.FullNodeSet(m.Topo.NumNodes) {
+		t.Fatalf("free = %s after all releases, want the full set", free)
+	}
+}
+
 // TestEnginePlaceAllocCeiling bounds what one warm admission allocates on a
 // single engine: a place+release cycle keeps its assignment, which shares the
 // memoized pinning with the pooled tenant, and nothing per cache probe (the

@@ -1,10 +1,10 @@
 // lockorder enforces the documented mutex hierarchy: locks declared with
 // //numalint:locks carry a rank, and every acquisition — direct or through
 // any statically-resolvable call chain — must happen in strictly ascending
-// rank order. This is the machine-checked form of the PR 8/9 invariant
-// that Fleet.mu (the WAL commit-order lock) is taken before any scheduler
-// lock, that the scheduler's structural lock precedes the books leaf lock,
-// and that no fleet method runs while a scheduler lock is held.
+// rank order. This is the machine-checked form of the invariant that
+// Fleet.mu (the WAL commit-order lock) is taken before any Engine's machine
+// lock, that the machine lock precedes the table set's locks, and that no
+// fleet method runs while a machine lock is held.
 package analysis
 
 import "fmt"

@@ -40,7 +40,7 @@ import (
 // Backend that also implements ScoreClasser is scored for BestPredicted
 // routing from its score class's row; any other is asked for a Preview per
 // routing decision. One that also implements PlacerInto admits into the
-// assignment the fleet hands back; any other's Place result is copied there.
+// fleet's slot; any other's Place result is copied there.
 //
 // A backend added to a fleet is driven only through the fleet; reads are
 // free. The fleet's books — the tenant map, and the routing index's free-node
@@ -77,7 +77,7 @@ type Backend interface {
 // the caller owns (numaplace.Engine has it): PlaceInto is Place writing the
 // assignment to *dst, and a refused or failed admission leaves *dst exactly
 // as it was. The fleet asserts it once, at Add, and admits through it into
-// the Admission Place returns, so an admission allocates that alone.
+// a slot of its own, so a warm admission allocates nothing.
 type PlacerInto interface {
 	PlaceInto(ctx context.Context, w perfsim.Workload, vcpus int, dst *sched.Assignment) error
 }
@@ -380,6 +380,9 @@ type Fleet struct {
 	// a commit touches keep their offsets: placed above seq, it measurably
 	// slowed wire_churn.
 	ledgers *ledgerSet
+	// slot is where a backend admits an admission or a move under way: the
+	// books copy it when the record is booked, and Place returns a copy.
+	slot sched.Assignment
 }
 
 // New builds an empty fleet.
@@ -495,29 +498,30 @@ func (f *Fleet) occupyLocked(m *member, workload string, delta int32) {
 // (with every backend's rejection joined in) when no backend admits the
 // container. The decision, the backend admission and the record are one
 // hold. A durability failure is returned alongside the admission: the
-// commit stands either way, and hiding it would leak the container. The
-// Admission is the call's one allocation: the backend admits into it.
-func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm *Admission, err error) {
+// commit stands either way, and hiding it would leak the container. A
+// refusal returns the zero Admission. The Admission is the caller's copy:
+// the backend admits into the fleet's slot, so a warm admission allocates
+// nothing.
+func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm Admission, err error) {
 	defer f.lock().end(&err)
 	s := &f.scratch
 	q := routeQuery{by: f.cfg.Policy.scoring(), w: w, vcpus: vcpus}
 	if err := f.routeLocked(ctx, s, &q); err != nil {
-		return nil, err
+		return Admission{}, err
 	}
-	adm = new(Admission)
-	a := &adm.Assignment
+	a := &f.slot
 	tried := 0
 	var errs []error // per-candidate rejections, in the order tried
 	for mem := s.next(); mem != nil; mem = s.next() {
 		tried++
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return Admission{}, err
 		}
 		if err := mem.place(ctx, w, vcpus, a); err != nil {
 			// A cancellation surfacing through the backend is the
 			// caller giving up, not a capacity rejection.
 			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, ctxErr
+				return Admission{}, ctxErr
 			}
 			errs = append(errs, fmt.Errorf("%s: %w", mem.name, err))
 			continue
@@ -528,8 +532,7 @@ func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm *
 			Nodes: a.Nodes, BasePerf: a.BasePerf, ProbePerf: a.ProbePerf}, mem, a, &w))
 		f.occupyLocked(mem, w.Name, +1)
 		f.refreeLocked(mem)
-		adm.ID, adm.Backend = id, mem.name
-		return adm, nil
+		return Admission{ID: id, Backend: mem.name, Assignment: *a}, nil
 	}
 	f.commitLocked(f.bookLocked(&Record{Type: RecReject, ID: -1, Workload: w.Name, VCPUs: vcpus}, nil, nil, nil))
 	sentinels := []error{nperr.ErrFleetFull}
@@ -541,7 +544,7 @@ func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm *
 	}
 	// Preview failures come first, as a fan-out would have met them.
 	errs = append(s.rejections(ctx, &q), errs...)
-	return nil, fmt.Errorf("fleet: placing %d-vCPU %q: %w", vcpus, w.Name,
+	return Admission{}, fmt.Errorf("fleet: placing %d-vCPU %q: %w", vcpus, w.Name,
 		errors.Join(append(errs, sentinels...)...))
 }
 
@@ -658,7 +661,7 @@ func (f *Fleet) Stats() Stats {
 // marks moves committed by a failover pass, in the FailedOver counter and in
 // the durable record replay reconstructs it from. Callers hold f.mu.
 func (f *Fleet) moveLocked(ctx context.Context, rep *Report, id int, rec *tenantRec, cost float64, d *member, dests *routeScratch, destErrs *[]error, failover bool) (bool, error) {
-	a := new(sched.Assignment)
+	a := &f.slot
 	for ; d != nil; d = dests.next() {
 		if err := d.place(ctx, rec.w, rec.vcpus, a); err != nil {
 			if ctxErr := ctx.Err(); ctxErr != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -70,16 +71,26 @@ func (s *stubBackend) Preview(ctx context.Context, w perfsim.Workload, vcpus int
 }
 
 func (s *stubBackend) Place(ctx context.Context, w perfsim.Workload, vcpus int) (*sched.Assignment, error) {
+	a := new(sched.Assignment)
+	if err := s.placeInto(w, vcpus, a); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// placeInto is Place writing the assignment to *dst, which a refusal leaves
+// as it was.
+func (s *stubBackend) placeInto(w perfsim.Workload, vcpus int, dst *sched.Assignment) error {
 	if s.onPlace != nil {
 		s.onPlace()
 	}
 	if s.placeErr != nil {
-		return nil, s.placeErr
+		return s.placeErr
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.free.Empty() {
-		return nil, nperr.ErrMachineFull
+		return nperr.ErrMachineFull
 	}
 	node := s.free.Lowest()
 	s.free = s.free.Remove(node)
@@ -89,7 +100,16 @@ func (s *stubBackend) Place(ctx context.Context, w perfsim.Workload, vcpus int) 
 	}
 	s.nextID++
 	s.tenants[a.ID] = a
-	return &a, nil
+	*dst = a
+	return nil
+}
+
+// placerStub is a stubBackend with the PlacerInto capability, as an Engine
+// has it: the fleet admits through it into its own slot.
+type placerStub struct{ *stubBackend }
+
+func (s placerStub) PlaceInto(ctx context.Context, w perfsim.Workload, vcpus int, dst *sched.Assignment) error {
+	return s.placeInto(w, vcpus, dst)
 }
 
 func (s *stubBackend) Release(ctx context.Context, id int) error {
@@ -788,5 +808,61 @@ func TestStatsAllocCeiling(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, func() { f.Stats() }); allocs > 3 {
 			t.Fatalf("Stats on a %d-member fleet allocates %.1f times, want <= 3", n, allocs)
 		}
+	}
+}
+
+// TestPlaceIntoAllocFree: over a backend that admits into the fleet's slot, a
+// warm Place+Release allocates nothing — the Admission comes back by value,
+// and the record of the tenant is the one the last release gave back.
+func TestPlaceIntoAllocFree(t *testing.T) {
+	ctx := context.Background()
+	f := New(Config{})
+	if err := f.Add("m0", placerStub{newStub(machines.AMD(), 1)}); err != nil {
+		t.Fatal(err)
+	}
+	w := testWorkload(t, "gcc")
+	cycle := func() {
+		a, err := f.Place(ctx, w, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Release(ctx, a.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Fatalf("a warm place+release cycle allocates %.1f times, want 0", n)
+	}
+}
+
+// TestAdmissionIsTheCallersCopy: the slot a backend admits into is the
+// fleet's and the next admission overwrites it, so what Place returns must not
+// alias it — nor the books, which a caller's writes must not reach.
+func TestAdmissionIsTheCallersCopy(t *testing.T) {
+	ctx := context.Background()
+	f := New(Config{})
+	if err := f.Add("m0", placerStub{newStub(machines.AMD(), 1)}); err != nil {
+		t.Fatal(err)
+	}
+	a, err := f.Place(ctx, testWorkload(t, "gcc"), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := a
+	b, err := f.Place(ctx, testWorkload(t, "canneal"), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, kept) {
+		t.Fatalf("placing B changed A: %+v, was %+v", a, kept)
+	}
+	if a.ID == b.ID || a.Assignment.Nodes == b.Assignment.Nodes || b.Assignment.Workload != "canneal" {
+		t.Fatalf("A %+v and B %+v are not two admissions", a, b)
+	}
+	want := []Admission{a, b}
+	a.Assignment.Nodes, b.Assignment.Workload = 0, "scribbled"
+	if got := f.Assignments(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("a caller's writes reached the books: %+v, want %+v", got, want)
 	}
 }

@@ -498,16 +498,18 @@ func TestDurabilityErrorRidesAlong(t *testing.T) {
 	w := testWorkload(t, "swaptions")
 
 	// The in-memory admission stands; the durability failure rides along
-	// with it rather than hiding either.
+	// with it rather than hiding either, and the Admission beside it is the
+	// whole one the books hold.
 	adm, err := f.Place(ctx, w, 4)
-	if adm == nil {
-		t.Fatal("Place returned no admission")
-	}
 	if !errors.Is(err, sticky) {
 		t.Fatalf("Place err = %v, want the commit error", err)
 	}
-	if got := len(f.Assignments()); got != 1 {
-		t.Fatalf("tenants = %d, want 1", got)
+	books := f.Assignments()
+	if len(books) != 1 {
+		t.Fatalf("tenants = %d, want 1", len(books))
+	}
+	if !reflect.DeepEqual(adm, books[0]) || adm.Backend == "" || adm.Assignment.Nodes.Len() == 0 || adm.Assignment.VCPUs != 4 {
+		t.Fatalf("Place returned %+v beside the commit error, the books hold %+v", adm, books[0])
 	}
 	if err := f.Release(ctx, adm.ID); !errors.Is(err, sticky) {
 		t.Fatalf("Release err = %v, want the commit error", err)

@@ -166,7 +166,7 @@ func (t *Tables) Pin(ctx context.Context, p placement.Placement, v int, st *Stat
 type cowCache[K comparable, V any] struct {
 	m atomic.Pointer[map[K]V]
 	// mu serializes writers only; it is the innermost lock of the
-	// hierarchy (a cache miss under any scheduler lock may fill here).
+	// hierarchy (a cache miss under the machine lock may fill here).
 	//numalint:locks sched.cowCache.mu rank=40
 	mu  sync.Mutex
 	max int
@@ -221,8 +221,8 @@ type obsEntry struct {
 // bestKey identifies one scored free-set search: bestFreeSet is a pure
 // function of the machine (fixed per table set), the free mask and the
 // class size, so the full key is (free, size). Keying by the mask is what
-// makes invalidation structural — every free-set mutation (Admit's CAS
-// commit, Release's union, Rebalance moves, Adopt, ApplyMove) publishes a
+// makes invalidation structural — every free-set mutation (Admit's
+// install, Release's union, Rebalance moves, Adopt, ApplyMove) publishes a
 // new mask, which by construction cannot hit another mask's entry, and
 // recurring masks (admit/release churn) hit their old entries exactly.
 type bestKey struct {

@@ -290,9 +290,7 @@ func workloadsNamed(tb testing.TB, names ...string) []perfsim.Workload {
 // replayed moves onto random fitting node sets — and asserts every returned
 // assignment, preview, report, error and free mask is deeply identical, as
 // are the final books. A third scheduler then adopts the survivors (the
-// recovery path) and must land on the same books. Run under -race this is
-// also the parity suite's concurrency guard: the caches fill and hit while
-// the trace churns the free mask through every mutator.
+// recovery path) and must land on the same books.
 func TestSchedulerParityTrace(t *testing.T) {
 	ctx := context.Background()
 	model := trainParityModel(t, machines.AMD(), 16)
@@ -419,7 +417,7 @@ func TestReferenceCatchesPoisonedCache(t *testing.T) {
 	// it will choose, computed as Admit computes it.
 	l := resident()
 	vec := make([]float64, p.NumPlacements)
-	obs, err := l.s.observePredict(ctx, w, 16, imps, p, admitTrial(int(l.s.nextID.Load())), vec)
+	obs, err := l.s.observePredict(ctx, w, 16, imps, p, admitTrial(l.s.nextID), vec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +445,7 @@ func TestReferenceCatchesPoisonedCache(t *testing.T) {
 	// The prepared observation of the base placement, replaced by one made
 	// from the first other placement whose sample differs.
 	l = resident()
-	trial := admitTrial(int(l.s.nextID.Load()))
+	trial := admitTrial(l.s.nextID)
 	truth, err := l.s.preparedObs(ctx, w, 16, imps, p.Base)
 	if err != nil {
 		t.Fatal(err)

@@ -108,33 +108,21 @@ func (s *Scheduler) Adopt(ctx context.Context, r Restore) (_ *Assignment, err er
 		return nil, fmt.Errorf("sched: adopting container %d: %w", r.ID, err)
 	}
 
-	s.structMu.Lock()
-	defer s.structMu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s.books.Lock()
-	_, exists := s.books.tenants[r.ID]
-	s.books.Unlock()
-	if exists {
+	if _, exists := s.books.tenants[r.ID]; exists {
 		return nil, fmt.Errorf("sched: adopting container %d: ID already admitted: %w", r.ID, nperr.ErrLogCorrupt)
 	}
-	free := topology.NodeSet(s.free.Load())
-	if r.Nodes.Minus(free) != 0 {
+	if r.Nodes.Minus(s.Free()) != 0 {
 		return nil, fmt.Errorf("sched: adopting container %d: nodes %v not free: %w", r.ID, r.Nodes, nperr.ErrLogCorrupt)
 	}
 	a := new(Assignment)
-	if _, err := s.install(ctx, t, imps, choice, r.Nodes, free, a); err != nil {
+	if err := s.install(ctx, t, imps, choice, r.Nodes, a); err != nil {
 		return nil, err
 	}
-	// Advance the ID allocator past every adopted identity; CAS-max
-	// because admissions allocate IDs outside the structural lock.
-	for {
-		cur := s.nextID.Load()
-		if int64(r.ID) < cur || s.nextID.CompareAndSwap(cur, int64(r.ID)+1) {
-			break
-		}
-	}
+	// Advance the ID allocator past every adopted identity.
+	s.nextID = max(s.nextID, r.ID+1)
 	return a, nil
 }
 
@@ -148,11 +136,7 @@ func (s *Scheduler) ApplyMove(ctx context.Context, id, classID int, nodes topolo
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	s.structMu.Lock()
-	defer s.structMu.Unlock()
-	s.books.Lock()
 	t, ok := s.books.tenants[id]
-	s.books.Unlock()
 	if !ok {
 		return fmt.Errorf("sched: applying move of container %d: %w", id, nperr.ErrUnknownContainer)
 	}
@@ -165,7 +149,7 @@ func (s *Scheduler) ApplyMove(ctx context.Context, id, classID int, nodes topolo
 		return fmt.Errorf("sched: applying move of container %d: class %d not in the %d-vCPU enumeration: %w",
 			id, classID, t.vcpus, nperr.ErrLogCorrupt)
 	}
-	avail := topology.NodeSet(s.free.Load()).Union(t.nodes)
+	avail := s.Free().Union(t.nodes)
 	if nodes.Minus(avail) != 0 {
 		return fmt.Errorf("sched: applying move of container %d: nodes %v not free: %w", id, nodes, nperr.ErrLogCorrupt)
 	}

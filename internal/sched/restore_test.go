@@ -405,7 +405,7 @@ func TestAdoptErrorPathsLeakNothing(t *testing.T) {
 		{name: "pin failure", ctx: ctx, r: fresh(func(*Restore) {}), pinDown: true, want: errPin},
 		{name: "short pin", ctx: ctx, r: fresh(func(*Restore) {}), shortPin: true, want: nperr.ErrMachineMismatch},
 	} {
-		books, free, next := s2.Assignments(), s2.Free(), s2.nextID.Load()
+		books, free, next := s2.Assignments(), s2.Free(), s2.nextID
 		made, pinDown, shortPin = 0, tc.pinDown, tc.shortPin
 		for i := 0; i < 1000; i++ {
 			_, err := s2.Adopt(tc.ctx, tc.r)
@@ -420,7 +420,7 @@ func TestAdoptErrorPathsLeakNothing(t *testing.T) {
 		if s2.Free() != free {
 			t.Errorf("%s: free mask %s, was %s", tc.name, s2.Free(), free)
 		}
-		if got := s2.nextID.Load(); got != next {
+		if got := s2.nextID; got != next {
 			t.Errorf("%s: nextID %d, was %d", tc.name, got, next)
 		}
 		// A collection empties the pool, so a few draws are fair; one per

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -80,8 +79,12 @@ type RebalanceReport struct {
 // one at a time (observe in the predictor's two input placements, predict
 // the full vector, pin to the cheapest class meeting the goal on the best
 // free nodes), released individually, and periodically rebalanced onto
-// better node sets freed by departures. All methods are safe for concurrent
-// use.
+// better node sets freed by departures.
+//
+// A Scheduler is single-threaded: its owner serializes every call that reads
+// or writes its books or free set (numaplace.Engine holds its machine lock
+// across each). Free, Preview, ScoreClass and ScoreRow read no books and may
+// run beside those calls.
 type Scheduler struct {
 	machine machines.Machine
 	// imps resolves the important placements for a container size
@@ -97,33 +100,16 @@ type Scheduler struct {
 	pin func(ctx context.Context, p placement.Placement, v int) ([]topology.ThreadID, error)
 	cfg ServeConfig
 
-	// structMu serializes the structural passes — Rebalance, Adopt,
-	// ApplyMove — against the sharded admit/release paths: structural
-	// passes hold it exclusively, admissions and releases only shared, so
-	// independent admissions proceed in parallel and claim free nodes by
-	// CAS on the atomic free mask below. Tenant-field reads (Assignments,
-	// Assignment) also take it shared, which is what lets Rebalance mutate
-	// live tenants in place. Ranked after fleet.mu: a fleet commit hold
-	// may enter the scheduler, but no scheduler path may call back into
-	// the fleet.
-	//numalint:locks sched.structMu rank=20
-	structMu sync.RWMutex
-	// free is the unallocated node mask (topology.NodeSet bits). Admissions
-	// claim nodes by compare-and-swap against the exact mask they planned
-	// with, retrying the plan when a concurrent admission won the race;
-	// releases return nodes with an atomic union. The mask only ever
-	// excludes committed reservations: an admission CASes only after its
-	// pinning succeeded, so a failed one leaves it untouched.
+	// free is the unallocated node mask (topology.NodeSet bits). Only the
+	// serialized calls store it, after their pinning succeeded, so it only
+	// ever excludes committed reservations; it is atomic so that Free and
+	// Preview may load it without the owner's lock.
 	free   atomic.Uint64
-	nextID atomic.Int64
+	nextID int
 
 	// books is the tenant registry: the live map plus the incrementally
-	// sorted ID slice that replaces per-snapshot sorting. Its mutex is a
-	// leaf lock (never held while acquiring anything else); every map or
-	// slice mutation, and every tenant-pointer fetch, happens under it.
-	//numalint:locks sched.books rank=30
+	// sorted ID slice that replaces per-snapshot sorting.
 	books struct {
-		sync.Mutex
 		tenants map[int]*tenant
 		live    []int // admitted IDs, ascending
 	}
@@ -173,18 +159,12 @@ func (s *Scheduler) Free() topology.NodeSet {
 
 // Len returns the number of admitted containers.
 func (s *Scheduler) Len() int {
-	s.books.Lock()
-	defer s.books.Unlock()
 	return len(s.books.tenants)
 }
 
 // Assignments returns a snapshot of all admitted containers in ascending
 // ID order.
 func (s *Scheduler) Assignments() []Assignment {
-	s.structMu.RLock()
-	defer s.structMu.RUnlock()
-	s.books.Lock()
-	defer s.books.Unlock()
 	out := make([]Assignment, 0, len(s.books.live))
 	for _, id := range s.books.live {
 		out = append(out, s.assignment(s.books.tenants[id]))
@@ -197,10 +177,6 @@ func (s *Scheduler) Assignments() []Assignment {
 // many fleet-wide IDs against large backends use it instead of
 // Assignments; ok is false for IDs the scheduler is not serving.
 func (s *Scheduler) Assignment(id int) (Assignment, bool) {
-	s.structMu.RLock()
-	defer s.structMu.RUnlock()
-	s.books.Lock()
-	defer s.books.Unlock()
 	t, ok := s.books.tenants[id]
 	if !ok {
 		return Assignment{}, false
@@ -211,7 +187,7 @@ func (s *Scheduler) Assignment(id int) (Assignment, bool) {
 // insertLive records a newly admitted ID in the sorted live slice. IDs are
 // allocated monotonically, so the overwhelmingly common case is an append;
 // adoption during recovery replay may interleave lower IDs, handled by a
-// binary-search insert. Callers hold s.books.
+// binary-search insert.
 func (s *Scheduler) insertLive(id int) {
 	if n := len(s.books.live); n == 0 || s.books.live[n-1] < id {
 		s.books.live = append(s.books.live, id)
@@ -221,8 +197,7 @@ func (s *Scheduler) insertLive(id int) {
 	s.books.live = slices.Insert(s.books.live, i, id)
 }
 
-// removeLive drops a released ID from the sorted live slice. Callers hold
-// s.books.
+// removeLive drops a released ID from the sorted live slice.
 func (s *Scheduler) removeLive(id int) {
 	if i, ok := slices.BinarySearch(s.books.live, id); ok {
 		s.books.live = slices.Delete(s.books.live, i, i+1)
@@ -295,32 +270,25 @@ func (s *Scheduler) pinClass(ctx context.Context, t *tenant, imp placement.Impor
 }
 
 // install commits a Step 4 decision for tenant t, whose identity and model
-// inputs are set: it pins class imps[choice] on nodes, claims the nodes by CAS
-// against free, the mask the decision was planned with, registers t and writes
-// its assignment to *dst. claimed is false, and nothing changed — *dst
-// included — when a concurrent admission moved the mask first: Admit re-plans
-// then, and Adopt, holding structMu exclusively, cannot lose. A failed install
-// leaves *dst as it was too.
-func (s *Scheduler) install(ctx context.Context, t *tenant, imps []placement.Important, choice int, nodes, free topology.NodeSet, dst *Assignment) (claimed bool, err error) {
+// inputs are set: it pins class imps[choice] on nodes, takes the nodes from the
+// free mask, registers t and writes its assignment to *dst. A failed install
+// changes nothing, *dst included.
+func (s *Scheduler) install(ctx context.Context, t *tenant, imps []placement.Important, choice int, nodes topology.NodeSet, dst *Assignment) error {
 	threads, err := s.pinClass(ctx, t, imps[choice], nodes)
 	if err != nil {
-		return false, err
+		return err
 	}
-	if !s.free.CompareAndSwap(uint64(free), uint64(free.Minus(nodes))) {
-		return false, nil
-	}
+	s.free.Store(uint64(s.Free().Minus(nodes)))
 	t.threads, t.class, t.classID, t.nodes = threads, choice, imps[choice].ID, nodes
-	s.books.Lock()
 	s.books.tenants[t.id] = t
 	s.insertLive(t.id)
 	*dst = s.assignment(t)
-	s.books.Unlock()
-	return true, nil
+	return nil
 }
 
 // repin moves live tenant t to class imps[choice] on nodes, avail being the
 // free mask with t's own nodes returned: the one commit Rebalance's moves and
-// ApplyMove share. Callers hold structMu exclusively.
+// ApplyMove share.
 func (s *Scheduler) repin(ctx context.Context, t *tenant, imps []placement.Important, choice int, nodes, avail topology.NodeSet) error {
 	threads, err := s.pinClass(ctx, t, imps[choice], nodes)
 	if err != nil {
@@ -356,46 +324,35 @@ func (s *Scheduler) AdmitInto(ctx context.Context, w perfsim.Workload, v int, ds
 		return err
 	}
 
-	// Phase 1 (unlocked): reserve an identity, then observe the container
-	// in the predictor's two input placements (measured alone, like the
-	// paper's in-place observation during the first seconds of execution)
-	// and predict its vector. Observation reads no mutable scheduler
-	// state, so concurrent admissions observe in parallel; only node
-	// reservation below needs the shared lock. A failed admission leaves a
-	// gap in the ID space, which every iterator tolerates, and hands its
-	// tenant back to the pool.
+	// Reserve an identity, then observe the container in the predictor's
+	// two input placements (measured alone, like the paper's in-place
+	// observation during the first seconds of execution) and predict its
+	// vector. A failed admission leaves a gap in the ID space, which every
+	// iterator tolerates, and hands its tenant back to the pool.
 	t := s.fast.getTenant(p.NumPlacements)
 	defer func() {
 		if err != nil {
 			s.fast.putTenant(t)
 		}
 	}()
-	t.id, t.w, t.vcpus = int(s.nextID.Add(1)-1), w, v
+	t.id, t.w, t.vcpus = s.nextID, w, v
+	s.nextID++
 	obs, err := s.observePredict(ctx, w, v, imps, p, admitTrial(t.id), t.vec)
 	if err != nil {
 		return err
 	}
 	t.basePerf, t.probePerf, t.goal = obs[0], obs[1], s.goal(obs[0])
-
-	// Phase 2 (shared lock): choose a class that fits the free nodes and
-	// install it against the exact mask the choice was planned for — losing
-	// the race to a concurrent admission re-plans against the new mask.
-	s.structMu.RLock()
-	defer s.structMu.RUnlock()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	for {
-		free := topology.NodeSet(s.free.Load())
-		choice, nodes, ok := s.chooseFitting(imps, t.vec, t.basePerf, t.goal, free)
-		if !ok {
-			return errFull{free.Len(), v}
-		}
-		claimed, err := s.install(ctx, t, imps, choice, nodes, free, dst)
-		if err != nil || claimed {
-			return err
-		}
+
+	// Choose the class that fits the free nodes and install it.
+	free := s.Free()
+	choice, nodes, ok := s.chooseFitting(imps, t.vec, t.basePerf, t.goal, free)
+	if !ok {
+		return errFull{free.Len(), v}
 	}
+	return s.install(ctx, t, imps, choice, nodes, dst)
 }
 
 // admitTrial derives the measurement-noise streams for an admission's two
@@ -414,8 +371,7 @@ func previewTrial(w perfsim.Workload, v int) int {
 // predictor's Base and Probe placements (observation i draws the
 // trialBase+i noise stream) and predicts the full placement vector into vec
 // (len p.NumPlacements, fully overwritten). It reads no mutable scheduler
-// state, so callers run it unlocked and concurrent observations proceed in
-// parallel.
+// state, so Preview runs it beside the serialized calls.
 //
 // The deterministic part of each observation — the thread pinning and the
 // noise-free performance model — comes from the prepared-observation cache,
@@ -470,10 +426,10 @@ func (s *Scheduler) Preview(ctx context.Context, w perfsim.Workload, v int) (*Pr
 	}
 	// The one read of the free mask. A preview holds no lock, so a commit
 	// landing after this load makes the result stale by that one commit,
-	// which the contract allows: previews are advisory, Admit re-plans
-	// against the live mask and claims it by CAS. Nothing cached depends on
-	// the mask except through this value.
-	free := topology.NodeSet(s.free.Load())
+	// which the contract allows: previews are advisory, and Admit plans
+	// against the mask it finds. Nothing cached depends on the mask except
+	// through this value.
+	free := s.Free()
 	sh, err := s.previewShape(ctx, w, v, imps, p)
 	if err != nil {
 		return nil, err
@@ -537,34 +493,19 @@ func (s *Scheduler) chooseFitting(imps []placement.Important, vec []float64, bas
 	return 0, 0, false
 }
 
-// freeUnion returns nodes to the free mask with an atomic union.
-func (s *Scheduler) freeUnion(nodes topology.NodeSet) {
-	for {
-		old := s.free.Load()
-		if s.free.CompareAndSwap(old, old|uint64(nodes)) {
-			return
-		}
-	}
-}
-
 // Release evicts the container with the given ID and returns its nodes to
 // the free pool. Unknown IDs fail with nperr.ErrUnknownContainer.
 func (s *Scheduler) Release(ctx context.Context, id int) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	s.structMu.RLock()
-	defer s.structMu.RUnlock()
-	s.books.Lock()
 	t, ok := s.books.tenants[id]
 	if !ok {
-		s.books.Unlock()
 		return fmt.Errorf("sched: releasing container %d: %w", id, nperr.ErrUnknownContainer)
 	}
 	delete(s.books.tenants, id)
 	s.removeLive(id)
-	s.books.Unlock()
-	s.freeUnion(t.nodes)
+	s.free.Store(uint64(s.Free().Union(t.nodes)))
 	s.fast.putTenant(t)
 	return nil
 }
@@ -575,23 +516,20 @@ func (s *Scheduler) Release(ctx context.Context, id int) error {
 // available after departures. Each move's migration is simulated with the
 // paper's fast mechanism and its cost accumulated in the report.
 //
-// The pass is deliberately atomic: it holds the scheduler lock end to
-// end so admissions never interleave with a half-applied re-packing.
-// That is cheap in practice — every tenant's enumeration was already
-// resolved at admission (the imps source is cache-warm), and pinning and
-// migration simulation are microsecond-scale — but a Place or Release
-// issued mid-pass waits for the pass to finish.
+// The pass is one serialized call, so admissions never interleave with a
+// half-applied re-packing. That is cheap in practice — every tenant's
+// enumeration was already resolved at admission (the imps source is
+// cache-warm), and pinning and migration simulation are microsecond-scale —
+// but a Place or Release issued mid-pass waits for the pass to finish.
 //
 // On error the report of moves already committed is returned alongside the
 // error: those moves mutated the free set and the tenants, and their
 // migration seconds were really spent, so callers must not discard the
 // partial report.
 func (s *Scheduler) Rebalance(ctx context.Context) (*RebalanceReport, error) {
-	s.structMu.Lock()
-	defer s.structMu.Unlock()
 	rep := &RebalanceReport{}
-	// The exclusive lock blocks every books mutator, so the sorted live
-	// slice is stable for the whole pass and is iterated directly.
+	// Moves change no IDs, so the sorted live slice is stable for the whole
+	// pass and is iterated directly.
 	for _, id := range s.books.live {
 		t := s.books.tenants[id]
 		if err := ctx.Err(); err != nil {
@@ -603,7 +541,7 @@ func (s *Scheduler) Rebalance(ctx context.Context) (*RebalanceReport, error) {
 			return rep, err
 		}
 		// Re-plan with the container's own nodes returned to the pool.
-		avail := topology.NodeSet(s.free.Load()).Union(t.nodes)
+		avail := s.Free().Union(t.nodes)
 		choice, nodes, ok := s.chooseFitting(imps, t.vec, t.basePerf, t.goal, avail)
 		if !ok {
 			continue

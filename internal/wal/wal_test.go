@@ -1026,3 +1026,18 @@ func TestOpenAllocCeiling(t *testing.T) {
 			records, reserveChunk, bytes, ceiling)
 	}
 }
+
+// TestPolicyByName: every fsync policy resolves from the name it prints, and
+// no other name resolves.
+func TestPolicyByName(t *testing.T) {
+	for _, p := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncNone} {
+		if got, ok := PolicyByName(p.String()); !ok || got != p {
+			t.Errorf("PolicyByName(%q) = %v, %v; want %v, true", p.String(), got, ok, p)
+		}
+	}
+	for _, name := range []string{"", "Always", "fsync(3)", "sometimes"} {
+		if got, ok := PolicyByName(name); ok {
+			t.Errorf("PolicyByName(%q) = %v, true; want no policy", name, got)
+		}
+	}
+}

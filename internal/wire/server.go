@@ -126,7 +126,7 @@ func (s *Server) routes() []route {
 				return nil, nil, badRequest{fmt.Errorf("unknown workload %q", req.Workload)}
 			}
 			adm, err := f.Place(ctx, wl, req.VCPUs)
-			return adm, nil, err
+			return &adm, nil, err
 		})},
 		{"POST /v1/release", verb(s, func(ctx context.Context, req *ReleaseRequest) (any, *fleet.Report, error) {
 			return ReleaseResponse{ID: req.ID}, nil, f.Release(ctx, req.ID)
