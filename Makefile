@@ -4,7 +4,7 @@
 
 GO ?= go
 
-CI_STEPS = fmtcheck vet lint build crossbuild test race fuzzsmoke clustersmoke crashsmoke restartsmoke daemonsmoke walsmoke benchsmoke benchcheck
+CI_STEPS = fmtcheck vet lint build crossbuild test race papergolden fuzzsmoke clustersmoke crashsmoke restartsmoke daemonsmoke walsmoke benchsmoke benchcheck
 
 # The packages that carry micro-benchmarks (root plus the wire-facing ones).
 BENCH_PKGS = . ./internal/fleet/ ./internal/wal/ ./internal/wire/
@@ -59,6 +59,16 @@ test:
 # package is covered the day it gains a test, with no list to maintain.
 race:
 	$(GO) test -race ./...
+
+# Full-fidelity paperrepro, every table and figure, must print
+# cmd/paperrepro/testdata/full.golden byte for byte. It is a step of its
+# own, not a test: `test` and `race` would each pay ~12 s for it (far more
+# under the race detector), while `-quick` is held by TestQuickGolden. A
+# change that means to move the output regenerates the golden with
+# `go run ./cmd/paperrepro > cmd/paperrepro/testdata/full.golden`.
+papergolden:
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+		$(GO) run ./cmd/paperrepro > "$$out" && cmp "$$out" cmd/paperrepro/testdata/full.golden
 
 # A few seconds of each differential fuzz target on top of its seed corpus
 # (which `test` already runs): the wire recognisers against encoding/json, the
@@ -148,8 +158,10 @@ loc:
 	@printf 'Go in bench/:               '; find ./bench -name '*.go' | xargs cat | wc -l
 	@printf 'non-test Go in cmd/+examples/: '; find ./cmd ./examples -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
-# Emits three CPU profiles and one allocation profile: cpu.prof of the
+# Emits four CPU profiles and one allocation profile: cpu.prof of the
 # heaviest training pipeline (the Figure 4 cross-validation grid);
+# train.prof of a set-up's Train at the daemon's fidelity on every
+# (machine, size) BenchmarkEngineTrain covers;
 # admit.prof and admit.mem of the resident admission cycle (place the next
 # container, release a random resident one) on a 64-machine fleet at 60 %
 # fill under best-predicted routing with domain spreading
@@ -162,10 +174,12 @@ loc:
 profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkFigure4AMD' -benchtime 1x -count 1 \
 		-cpuprofile cpu.prof -o repro.test .
+	$(GO) test -run '^$$' -bench '^BenchmarkEngineTrain$$' -benchtime 50x -count 1 \
+		-cpuprofile train.prof -o repro.test .
 	$(GO) test -run '^$$' -bench '^BenchmarkClusterAdmitResident$$/^machines=64$$/^best-predicted$$' \
 		-benchtime 1000000x -count 1 -cpuprofile admit.prof -memprofile admit.mem -o repro.test .
 	$(GO) test -run '^$$' -bench 'BenchmarkRecovery' -benchtime 2s -count 1 \
 		-cpuprofile recovery.prof -o wal.test ./internal/wal/
-	@echo "wrote cpu.prof, admit.prof, admit.mem and recovery.prof (inspect with: go tool pprof repro.test cpu.prof; go tool pprof repro.test admit.prof; go tool pprof -sample_index alloc_space repro.test admit.mem; go tool pprof wal.test recovery.prof)"
+	@echo "wrote cpu.prof, train.prof, admit.prof, admit.mem and recovery.prof (inspect with: go tool pprof repro.test cpu.prof; go tool pprof repro.test train.prof; go tool pprof repro.test admit.prof; go tool pprof -sample_index alloc_space repro.test admit.mem; go tool pprof wal.test recovery.prof)"
 
 ci: $(CI_STEPS)

@@ -210,6 +210,84 @@ func BenchmarkPredictDataset(b *testing.B) {
 	}
 }
 
+// --- Training set-up at the daemon's fidelity ---
+
+// setupCases are the (machine, size) pairs the set-up benchmarks train:
+// both machine models at 16 and 32 vCPUs, two of the four sizes numabench's
+// fleets serve.
+var setupCases = []struct {
+	name string
+	m    Machine
+	v    int
+}{
+	{"amd-16", machines.AMD(), 16}, {"amd-32", machines.AMD(), 32},
+	{"intel-16", machines.Intel(), 16}, {"intel-32", machines.Intel(), 32},
+}
+
+// setupEngine is an engine at numaplaced's training fidelity (3 trials,
+// 60 trees, seed 1) with its enumeration for v warmed, and that fidelity's
+// training set (the paper's workloads plus a 30-workload corpus).
+func setupEngine(b *testing.B, m Machine, v int) (*Engine, []Workload) {
+	b.Helper()
+	eng := New(m,
+		WithCollectConfig(CollectConfig{Trials: 3}),
+		WithTrainConfig(TrainConfig{
+			Seed: 1, Forest: mlearn.ForestConfig{Trees: 60},
+			SelectionTrees: 4, SelectionFolds: 3,
+		}),
+	)
+	if _, err := eng.Placements(context.Background(), v); err != nil {
+		b.Fatal(err)
+	}
+	return eng, workloads.TrainingSet(30, 42)
+}
+
+// BenchmarkEngineCollect measures one Collect of a set-up: every training
+// workload in every important placement, 3 trials each, from a warmed
+// enumeration.
+func BenchmarkEngineCollect(b *testing.B) {
+	ctx := context.Background()
+	for _, tc := range setupCases {
+		b.Run(tc.name, func(b *testing.B) {
+			eng, ws := setupEngine(b, tc.m, tc.v)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Collect(ctx, ws, tc.v); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEngineTrain measures one Train of a set-up: the input-pair
+// search, the final forest and the serving warm-up. Each iteration trains
+// a fresh view of the collected dataset (Subset of every row), so the
+// relative-target matrices the dataset memoizes do not carry over from one
+// iteration to the next.
+func BenchmarkEngineTrain(b *testing.B) {
+	ctx := context.Background()
+	for _, tc := range setupCases {
+		b.Run(tc.name, func(b *testing.B) {
+			eng, ws := setupEngine(b, tc.m, tc.v)
+			ds, err := eng.Collect(ctx, ws, tc.v)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rows := make([]int, len(ws))
+			for i := range rows {
+				rows[i] = i
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Train(ctx, ds.Subset(rows)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // --- Engine cache-hit paths ---
 
 // BenchmarkEnginePlacements measures the serving layer's memoization: a

@@ -265,30 +265,25 @@ func TestEngineCancellation(t *testing.T) {
 
 	t.Run("mid-collect", func(t *testing.T) {
 		eng := quickEngine(m)
-		// A corpus big enough that collection takes well over the cancel
-		// delay (thousands of simulated runs).
-		ws := append(PaperWorkloads(), workloads.CorpusFrom(2000, 7,
+		if _, err := eng.Placements(context.Background(), 16); err != nil {
+			t.Fatal(err)
+		}
+		// Collect checks its context before each placement's pinning and
+		// each workload's row. A collection is too fast for a timed cancel
+		// to land inside it reliably, so the context cancels itself at its
+		// 100th check: with 13 placements and 218 workloads that is in
+		// the middle of the rows.
+		ws := append(PaperWorkloads(), workloads.CorpusFrom(200, 7,
 			[]string{"flat", "bw", "lat", "smt-averse", "cache"})...)
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		start := time.Now()
-		go func() {
-			_, err := eng.Collect(ctx, ws, 16)
-			done <- err
-		}()
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-		select {
-		case err := <-done:
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("Collect err = %v, want context.Canceled", err)
-			}
-			// "Promptly": well under the full collection time (seconds).
-			if dt := time.Since(start); dt > 5*time.Second {
-				t.Fatalf("cancelled Collect took %v", dt)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatal("cancelled Collect never returned")
+		parent, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		ctx := &cancelAtCheck{Context: parent, cancel: cancel, n: 100}
+		if _, err := eng.Collect(ctx, ws, 16); !errors.Is(err, context.Canceled) {
+			t.Fatalf("Collect err = %v, want context.Canceled", err)
+		}
+		// "Promptly": the check that saw the cancellation was the last.
+		if got := ctx.calls.Load(); got != ctx.n {
+			t.Fatalf("Collect checked its context %d times, want it to return at check %d", got, ctx.n)
 		}
 		assertEngineUsable(t, eng)
 	})
@@ -331,6 +326,22 @@ func TestEngineCancellation(t *testing.T) {
 		}
 		assertEngineUsable(t, eng)
 	})
+}
+
+// cancelAtCheck is a context that cancels itself at the n-th call of Err,
+// so a cancellation lands at a known point of a loop that checks it.
+type cancelAtCheck struct {
+	context.Context
+	cancel context.CancelFunc
+	n      int64
+	calls  atomic.Int64
+}
+
+func (c *cancelAtCheck) Err() error {
+	if c.calls.Add(1) == c.n {
+		c.cancel()
+	}
+	return c.Context.Err()
 }
 
 // assertEngineUsable verifies the Engine still serves correct results

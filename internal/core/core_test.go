@@ -3,13 +3,18 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/machines"
 	"repro/internal/mlearn"
+	"repro/internal/nperr"
+	"repro/internal/placement"
 	"repro/internal/workloads"
 )
 
@@ -87,6 +92,31 @@ func TestCollectErrors(t *testing.T) {
 	// 25 vCPUs: exceeds one node (24) and 25 is not divisible by 2..4.
 	if _, err := Collect(context.Background(), machines.Intel(), workloads.Paper()[:2], 25, CollectConfig{}); err == nil {
 		t.Error("infeasible vCPU count accepted")
+	}
+
+	// A cancelled context returns ctx.Err() itself, and the first placement
+	// (in order) that cannot be pinned fails the call with
+	// "core: pinning <placement>: <Pin's error>".
+	spec, imps := enumerate(t, machines.AMD(), 16)
+	ws := workloads.Paper()[:3]
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := CollectPrepared(ctx, spec, imps, ws, 16, CollectConfig{}); err != context.Canceled {
+		t.Errorf("cancelled context: err = %v, want context.Canceled", err)
+	}
+	bad := slices.Clone(imps)
+	bad[2].Nodes = 0 // an empty node set cannot be pinned
+	bad[4].Nodes = 0
+	_, pinErr := placement.Pin(spec, bad[2].Placement, 16)
+	if pinErr == nil {
+		t.Fatal("empty node set pinned")
+	}
+	_, err := CollectPrepared(context.Background(), spec, bad, ws, 16, CollectConfig{})
+	if want := fmt.Sprintf("core: pinning %s: %v", bad[2], pinErr); err == nil || err.Error() != want {
+		t.Errorf("unpinnable placement: err = %v, want %s", err, want)
+	}
+	if !errors.Is(err, nperr.ErrInfeasible) {
+		t.Errorf("unpinnable placement: %v does not wrap ErrInfeasible", err)
 	}
 }
 

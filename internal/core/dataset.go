@@ -77,9 +77,11 @@ func (c CollectConfig) trials() int {
 
 // Collect runs every workload in every important placement of machine m.
 // This is the reproduction's stand-in for the paper's training runs on the
-// physical testbeds. The context is checked before every (workload,
-// placement) measurement cell, so a cancelled collection returns ctx.Err()
-// promptly.
+// physical testbeds. Each placement is pinned and its attributes derived
+// once per call; every (workload, placement, trial) cell reads the same
+// value perfsim.Run would. The context is checked before every placement's
+// pinning and every workload's row, so a cancelled collection returns
+// ctx.Err() promptly.
 func Collect(ctx context.Context, m machines.Machine, ws []perfsim.Workload, v int, cfg CollectConfig) (*Dataset, error) {
 	spec := concern.FromMachine(m)
 	imps, err := placement.Enumerate(ctx, spec, v)
@@ -105,28 +107,38 @@ func CollectPrepared(ctx context.Context, spec *concern.Spec, imps []placement.I
 	for _, w := range ws {
 		ds.Groups = append(ds.Groups, GroupOf(w.Name))
 	}
+	// Performance is a function of placement attributes (§3), so each
+	// placement is pinned and its attributes derived once; every workload
+	// and trial is then evaluated from them.
+	attrs := make([]perfsim.Attrs, len(imps))
+	for pi, p := range imps {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		threads, err := placement.Pin(spec, p.Placement, v)
+		if err != nil {
+			return nil, fmt.Errorf("core: pinning %s: %w", p, err)
+		}
+		if attrs[pi], err = perfsim.ComputeAttrs(m, threads); err != nil {
+			return nil, err
+		}
+	}
+	trials := cfg.trials()
 	for _, w := range ws {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		perfRow := make([]float64, len(imps))
 		var hpeRow [][]float64
-		for pi, p := range imps {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			threads, err := placement.Pin(spec, p.Placement, v)
-			if err != nil {
-				return nil, fmt.Errorf("core: pinning %s: %w", p, err)
-			}
+		for pi := range attrs {
+			prep := perfsim.PrepareAttrs(w, attrs[pi])
 			var sum float64
-			for trial := 0; trial < cfg.trials(); trial++ {
-				perf, err := perfsim.Run(m, w, threads, trial)
-				if err != nil {
-					return nil, err
-				}
-				sum += perf
+			for trial := 0; trial < trials; trial++ {
+				sum += prep.At(trial)
 			}
-			perfRow[pi] = sum / float64(cfg.trials())
+			perfRow[pi] = sum / float64(trials)
 			if cfg.WithHPEs {
-				h, err := perfsim.HPEs(m, w, threads, 0)
+				h, err := perfsim.HPEsAttrs(m, w, attrs[pi], 0)
 				if err != nil {
 					return nil, err
 				}

@@ -71,13 +71,18 @@ func allHPENames() []string {
 }
 
 // HPEs synthesizes the counter readings for workload w running on the
-// given thread assignment. Identical (workload, placement, trial) triples
-// return identical readings.
+// given thread assignment: ComputeAttrs followed by HPEsAttrs. Identical
+// (workload, placement, trial) triples return identical readings.
 func HPEs(m machines.Machine, w Workload, threads []topology.ThreadID, trial int) ([]float64, error) {
 	a, err := ComputeAttrs(m, threads)
 	if err != nil {
 		return nil, err
 	}
+	return HPEsAttrs(m, w, a, trial)
+}
+
+// HPEsAttrs is HPEs from the placement's already derived attributes.
+func HPEsAttrs(m machines.Machine, w Workload, a Attrs, trial int) ([]float64, error) {
 	names := HPENames(m)
 
 	// Model internals in this placement.

@@ -41,18 +41,26 @@ type Prepared struct {
 	usedL2   int
 }
 
-// Prepare derives the trial-independent part of Run for one observation.
+// Prepare derives the trial-independent part of Run for one observation:
+// ComputeAttrs followed by PrepareAttrs.
 func Prepare(m machines.Machine, w Workload, threads []topology.ThreadID) (Prepared, error) {
 	a, err := ComputeAttrs(m, threads)
 	if err != nil {
 		return Prepared{}, err
 	}
+	return PrepareAttrs(w, a), nil
+}
+
+// PrepareAttrs is Prepare from a placement's already derived attributes,
+// for callers (training collection) that observe many workloads in the
+// same placement and derive its attributes once.
+func PrepareAttrs(w Workload, a Attrs) Prepared {
 	return Prepared{
 		perf:     Perf(w, a, ExclusiveShares()),
 		nameHash: xrand.HashString(w.Name),
 		nodes:    a.Nodes,
 		usedL2:   a.UsedL2,
-	}, nil
+	}
 }
 
 // At returns the observation for one noise trial. The value is
