@@ -4,7 +4,7 @@
 
 GO ?= go
 
-CI_STEPS = fmtcheck vet lint build crossbuild test race papergolden fuzzsmoke clustersmoke crashsmoke restartsmoke daemonsmoke walsmoke benchsmoke benchcheck
+CI_STEPS = fmtcheck vet lint build crossbuild test race papergolden fuzzsmoke daemonsmoke walsmoke benchsmoke benchcheck
 
 # The packages that carry micro-benchmarks (root plus the wire-facing ones).
 BENCH_PKGS = . ./internal/fleet/ ./internal/wal/ ./internal/wire/
@@ -97,28 +97,6 @@ fuzzsmoke:
 # bench/README.md), which compares a change with its parent.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem $(BENCH_PKGS)
-
-# Deterministic fleet churn smoke: 200 containers over the AMD+Intel
-# cluster at reduced training fidelity.
-clustersmoke:
-	$(GO) run ./cmd/clustersim -quick
-
-# Failure-injection smoke: the same churn trace with amd-0 crashing at
-# t=600s — health probes ride the machine to dead, its tenants fail over,
-# and the report must account for every record (deterministic output).
-crashsmoke:
-	$(GO) run ./cmd/clustersim -quick -crash amd-0@600
-
-# Restart scenario smoke: the crash trace with a simulated control-plane
-# crash at t=900s, recovered by replaying the fleet log; then restarts at
-# t=300s and t=700s around a crash at t=400s, so the second recovery installs
-# the orphans the dead machine's engine holds; then a partition healed before
-# a restart under domain spreading, the one run where the occupied-domain mask
-# routing builds meets a recovered fleet.
-restartsmoke:
-	$(GO) run ./cmd/clustersim -quick -crash amd-0@600 -restart 900
-	$(GO) run ./cmd/clustersim -quick -crash amd-0@400 -restart 300,700
-	$(GO) run ./cmd/clustersim -quick -partition amd-0@300:700 -restart 900 -spread
 
 # Wire-level end-to-end smoke: build numaplaced and loadgen, start the
 # daemon on an ephemeral loopback port at reduced training fidelity,

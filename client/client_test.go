@@ -266,3 +266,44 @@ func TestWithHTTPClientCarriesEveryRequest(t *testing.T) {
 		t.Fatalf("the substituted client carried %d requests, the server saw %d, want 2 each", got, want)
 	}
 }
+
+// TestHealthz: a 200 on GET /v1/healthz is healthy; any other status, or no
+// daemon at all, is an error.
+func TestHealthz(t *testing.T) {
+	var status atomic.Int32
+	status.Store(http.StatusOK)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet || r.URL.Path != "/v1/healthz" {
+			t.Errorf("healthz sent %s %s, want GET /v1/healthz", r.Method, r.URL.Path)
+		}
+		w.WriteHeader(int(status.Load()))
+		w.Write([]byte("ok\n"))
+	}))
+	c := New(srv.URL + "/")
+	if err := c.Healthz(context.Background()); err != nil {
+		t.Fatalf("healthz against a healthy daemon: %v", err)
+	}
+	status.Store(http.StatusServiceUnavailable)
+	if err := c.Healthz(context.Background()); err == nil || err.Error() != "client: healthz: http 503" {
+		t.Fatalf("healthz against a 503: %v, want client: healthz: http 503", err)
+	}
+	srv.Close()
+	if err := c.Healthz(context.Background()); err == nil {
+		t.Fatal("healthz against a closed port succeeded")
+	}
+}
+
+// TestErrorMessage: a daemon rejection reads as its wire code, HTTP status
+// and message.
+func TestErrorMessage(t *testing.T) {
+	srv, _ := flaky(t, http.StatusConflict,
+		`{"error":{"code":"fleet_full","status":409,"message":"no machine fits 4 vCPUs"}}`, 1000)
+	_, err := New(srv.URL, WithRetries(0)).Place(context.Background(), "gcc", 4)
+	var werr *Error
+	if !errors.As(err, &werr) {
+		t.Fatalf("place against a full fleet: %v, want an *Error", err)
+	}
+	if got, want := werr.Error(), "numaplaced: fleet_full (http 409): no machine fits 4 vCPUs"; got != want {
+		t.Fatalf("Error() = %q, want %q", got, want)
+	}
+}

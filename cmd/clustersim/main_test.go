@@ -8,15 +8,18 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro"
 )
 
-func quickCfg(policy string, n int) simConfig {
-	cfg := simConfig{
+func quickCfg(policy string, n int) Scenario {
+	cfg := Scenario{
 		machines: []string{"amd", "intel"},
 		n:        n, vcpus: 16, seed: 1,
 		meanArrival: 15, meanLife: 90,
@@ -87,7 +90,7 @@ func TestClustersimPolicies(t *testing.T) {
 // health-transition records are exercised too.
 func TestClustersimRestart(t *testing.T) {
 	ctx := context.Background()
-	mk := func() simConfig {
+	mk := func() Scenario {
 		cfg := quickCfg("best-predicted", 120)
 		cfg.probeEvery = 10
 		cfg.crash = []eventSpec{{name: "amd-0", at: 400}}
@@ -135,23 +138,23 @@ func TestClustersimRestart(t *testing.T) {
 // unfenced on a live machine.
 func TestClustersimFailureScenarios(t *testing.T) {
 	ctx := context.Background()
-	base := func() simConfig {
+	base := func() Scenario {
 		cfg := quickCfg("first-fit", 120)
 		cfg.probeEvery = 10
 		return cfg
 	}
-	scenarios := map[string]func() simConfig{
-		"crash": func() simConfig {
+	scenarios := map[string]func() Scenario{
+		"crash": func() Scenario {
 			cfg := base()
 			cfg.crash = []eventSpec{{name: "amd-0", at: 300}}
 			return cfg
 		},
-		"slow": func() simConfig {
+		"slow": func() Scenario {
 			cfg := base()
 			cfg.slow = []eventSpec{{name: "intel-1", at: 300}}
 			return cfg
 		},
-		"partition": func() simConfig {
+		"partition": func() Scenario {
 			cfg := base()
 			cfg.partition = []spanSpec{{name: "amd-0", from: 300, to: 700}}
 			cfg.spread = true
@@ -213,53 +216,165 @@ func TestClustersimFailureScenarios(t *testing.T) {
 	}
 }
 
+// runArgs runs clustersim's command line as main does: a command line
+// parseFlags refuses never runs. It returns what the run printed on stdout.
+func runArgs(ctx context.Context, args []string) ([]byte, error) {
+	var out bytes.Buffer
+	sc, err := parseFlags(args)
+	if err == nil {
+		err = run(ctx, sc, &out, io.Discard)
+	}
+	return out.Bytes(), err
+}
+
+// goldenRuns are the scenarios whose standard output testdata pins byte for
+// byte: -quick under each policy, the crash and restart scenarios, a slow
+// machine and a partition. A change that means to move one regenerates its
+// file with `go run ./cmd/clustersim <args> > cmd/clustersim/testdata/<name>.golden`.
+var goldenRuns = []struct{ name, args string }{
+	{"quick-first-fit", "-quick -policy first-fit"},
+	{"quick-least-loaded", "-quick -policy least-loaded"},
+	{"quick-best-predicted", "-quick -policy best-predicted"},
+	{"crash", "-quick -crash amd-0@600"},
+	{"crash-restart", "-quick -crash amd-0@600 -restart 900"},
+	{"crash-restart-twice", "-quick -crash amd-0@400 -restart 300,700"},
+	{"partition-restart-spread", "-quick -partition amd-0@300:700 -restart 900 -spread"},
+	{"slow", "-quick -slow intel-1@300"},
+	{"partition", "-quick -partition amd-0@400:900"},
+}
+
+func golden(t *testing.T, name string) []byte {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// TestGoldenStdout holds each golden run's standard output to its file.
+func TestGoldenStdout(t *testing.T) {
+	for _, g := range goldenRuns {
+		t.Run(g.name, func(t *testing.T) {
+			got, err := runArgs(context.Background(), strings.Fields(g.args))
+			if err != nil {
+				t.Fatalf("clustersim %s: %v", g.args, err)
+			}
+			if want := golden(t, g.name); !bytes.Equal(got, want) {
+				t.Errorf("clustersim %s: stdout differs from testdata/%s.golden:\n--- got ---\n%s\n--- want ---\n%s",
+					g.args, g.name, got, want)
+			}
+		})
+	}
+}
+
+// TestConcurrentScenariosShareNothing runs two different scenarios at once;
+// each must print what it prints alone. Under -race this shows that a run
+// keeps no state at package level.
+func TestConcurrentScenariosShareNothing(t *testing.T) {
+	// -quick under first-fit, and two restarts around a crash.
+	runs := []struct{ name, args string }{goldenRuns[0], goldenRuns[5]}
+	got := make([][]byte, len(runs))
+	errs := make([]error, len(runs))
+	var wg sync.WaitGroup
+	for i, g := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = runArgs(context.Background(), strings.Fields(g.args))
+		}()
+	}
+	wg.Wait()
+	for i, g := range runs {
+		if errs[i] != nil {
+			t.Fatalf("clustersim %s: %v", g.args, errs[i])
+		}
+		if !bytes.Equal(got[i], golden(t, g.name)) {
+			t.Errorf("clustersim %s run beside another: stdout differs from testdata/%s.golden:\n%s", g.args, g.name, got[i])
+		}
+	}
+}
+
+// TestParseFlagsQuickTrace: -quick shortens the trace to 200 containers
+// unless -n is given, whatever its value and position.
+func TestParseFlagsQuickTrace(t *testing.T) {
+	for args, want := range map[string]int{
+		"":               240,
+		"-n 5":           5,
+		"-quick":         200,
+		"-quick -n 0":    0,
+		"-n 0 -quick":    0,
+		"-quick -n 37":   37,
+		"-quick -seed 3": 200,
+		"-quick -n 1000": 1000,
+	} {
+		sc, err := parseFlags(strings.Fields(args))
+		if err != nil {
+			t.Fatalf("%q: %v", args, err)
+		}
+		if sc.n != want {
+			t.Errorf("%q: n = %d, want %d", args, sc.n, want)
+		}
+	}
+	sc, err := parseFlags(nil)
+	if err != nil || sc.policy.String() != "best-predicted" || strings.Join(sc.machines, ",") != "amd,intel" {
+		t.Errorf("defaults: policy %s, machines %v, err %v; want best-predicted over amd,intel", sc.policy, sc.machines, err)
+	}
+}
+
 // TestFaultFlagsThatWouldDoNothingAreRefused: faults act through health
 // probes, so a fault with probing off, or one naming a machine the fleet
 // does not have, is an error before anything trains — not a scenario line
-// announcing a fault that never happens.
+// announcing a fault that never happens. So is a malformed spec, an unknown
+// policy, a number out of range or not finite. Each refusal comes before
+// any output.
 func TestFaultFlagsThatWouldDoNothingAreRefused(t *testing.T) {
 	ctx := context.Background()
-	cases := map[string]func(*simConfig){
-		"crash without probes": func(c *simConfig) { c.crash = []eventSpec{{name: "amd-0", at: 600}} },
-		"slow without probes":  func(c *simConfig) { c.slow = []eventSpec{{name: "intel-1", at: 300}} },
-		"partition without probes": func(c *simConfig) {
-			c.partition = []spanSpec{{name: "amd-0", from: 300, to: 700}}
-		},
-		"unknown crash machine without probes": func(c *simConfig) { c.crash = []eventSpec{{name: "amd-7", at: 1}} },
-		"unknown slow machine": func(c *simConfig) {
-			c.probeEvery = 10
-			c.slow = []eventSpec{{name: "intel-0", at: 1}}
-		},
-		"unknown partition machine": func(c *simConfig) {
-			c.probeEvery = 10
-			c.partition = []spanSpec{{name: "nope", from: 1, to: 2}}
-		},
-		"NaN arrival":     func(c *simConfig) { c.meanArrival = math.NaN() },
-		"infinite life":   func(c *simConfig) { c.meanLife = math.Inf(1) },
-		"NaN drain-below": func(c *simConfig) { c.drainBelow = math.NaN() },
-		"NaN crash time": func(c *simConfig) {
-			c.probeEvery = 10
-			c.crash = []eventSpec{{name: "amd-0", at: math.NaN()}}
-		},
-		"NaN probe period with a crash": func(c *simConfig) {
-			c.probeEvery = math.NaN()
-			c.crash = []eventSpec{{name: "amd-0", at: 600}}
-		},
-		"infinite partition end": func(c *simConfig) {
-			c.probeEvery = 10
-			c.partition = []spanSpec{{name: "amd-0", from: 300, to: math.Inf(1)}}
-		},
-		"NaN restart": func(c *simConfig) { c.restart = []float64{math.NaN()} },
+	cases := map[string]string{
+		"crash without probes":                 "-probe-every 0 -crash amd-0@600",
+		"slow without probes":                  "-probe-every 0 -slow intel-1@300",
+		"partition without probes":             "-probe-every 0 -partition amd-0@300:700",
+		"unknown crash machine without probes": "-probe-every 0 -crash amd-7@1",
+		"unknown slow machine":                 "-slow intel-0@1",
+		"unknown partition machine":            "-partition nope@1:2",
+		"NaN arrival":                          "-arrival NaN",
+		"infinite life":                        "-life +Inf",
+		"NaN drain-below":                      "-drain-below NaN",
+		"NaN crash time":                       "-crash amd-0@NaN",
+		"NaN probe period with a crash":        "-probe-every NaN -crash amd-0@600",
+		"infinite partition end":               "-partition amd-0@300:Inf",
+		"NaN restart":                          "-restart NaN",
+		"crash without a time":                 "-crash amd-0",
+		"crash without a machine":              "-crash @600",
+		"crash at no number":                   "-crash amd-0@soon",
+		"partition without an end":             "-partition amd-0@300",
+		"partition ending at its start":        "-partition amd-0@300:300",
+		"partition ending before its start":    "-partition amd-0@700:300",
+		"partition span not a number":          "-partition amd-0@a:b",
+		"restart not a number":                 "-restart soon",
+		"restart at zero":                      "-restart 0",
+		"restart list with a gap":              "-restart 300,,700",
+		"unknown policy":                       "-policy round-robin",
+		"negative trace":                       "-n -1",
+		"no vCPUs":                             "-vcpus 0",
+		"unknown flag":                         "-crashes amd-0@600",
+		"unknown machine model":                "-machines amd,foo",
+		"empty machine model":                  "-machines amd,",
 	}
-	for name, edit := range cases {
-		cfg := quickCfg("first-fit", 10)
-		edit(&cfg)
-		var out bytes.Buffer
-		if err := run(ctx, cfg, &out, io.Discard); err == nil {
-			t.Errorf("%s: run returned nil, want an error; output:\n%s", name, out.String())
-		} else if out.Len() != 0 {
-			t.Errorf("%s: refused after writing output:\n%s", name, out.String())
+	for name, args := range cases {
+		out, err := runArgs(ctx, strings.Fields("-quick -n 10 "+args))
+		if err == nil {
+			t.Errorf("%s: clustersim %s ran, want a refusal; output:\n%s", name, args, out)
+		} else if len(out) != 0 {
+			t.Errorf("%s: refused after writing output:\n%s", name, out)
 		}
+	}
+	// run refuses a Scenario built in code as parseFlags does.
+	sc := quickCfg("first-fit", 10)
+	sc.meanArrival = math.NaN()
+	var out bytes.Buffer
+	if err := run(ctx, sc, &out, io.Discard); err == nil || out.Len() != 0 {
+		t.Errorf("run of a NaN arrival: err %v, output:\n%s", err, out.String())
 	}
 }
 

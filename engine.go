@@ -144,10 +144,6 @@ func New(m Machine, opts ...Option) *Engine {
 // Machine returns the machine this Engine serves.
 func (e *Engine) Machine() Machine { return e.machine }
 
-// Fingerprint returns the machine's structural fingerprint (the key of the
-// table set this Engine shares with the engines of its machine model).
-func (e *Engine) Fingerprint() uint64 { return e.fp }
-
 // Spec returns the machine's concern specification (Step 1). The returned
 // value is shared and must be treated as read-only.
 func (e *Engine) Spec() *Spec { return e.spec }

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 	"unsafe"
 	"weak"
 
@@ -290,35 +289,24 @@ func TestEngineCancellation(t *testing.T) {
 
 	t.Run("mid-train", func(t *testing.T) {
 		eng := quickEngine(m)
-		// A corpus big enough that the placement-pair search takes well
-		// over the cancel delay even on the flat training data plane
-		// (the 60-row corpus this test started with now trains to
-		// completion in under the 20 ms sleep).
-		ws := append(PaperWorkloads(), workloads.CorpusFrom(600, 7,
-			[]string{"flat", "bw", "lat", "smt-averse", "cache"})...)
-		ds, err := eng.Collect(context.Background(), ws, 16)
+		ds, err := eng.Collect(context.Background(), PaperWorkloads(), 16)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		start := time.Now()
-		go func() {
-			_, err := eng.Train(ctx, ds)
-			done <- err
-		}()
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-		select {
-		case err := <-done:
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("Train err = %v, want context.Canceled", err)
-			}
-			if dt := time.Since(start); dt > 10*time.Second {
-				t.Fatalf("cancelled Train took %v", dt)
-			}
-		case <-time.After(60 * time.Second):
-			t.Fatal("cancelled Train never returned")
+		// The pair search checks its context once per candidate pair, when
+		// the pair's cross-validation returns: AMD's 13 placements make 78
+		// pairs, so the context cancels itself during the search, at its
+		// 30th check. Pool workers still finishing a pair when it cancels
+		// each check once more, so the count past the 30th depends on the
+		// worker count and is not pinned.
+		parent, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		ctx := &cancelAtCheck{Context: parent, cancel: cancel, n: 30}
+		if _, err := eng.Train(ctx, ds); !errors.Is(err, context.Canceled) {
+			t.Fatalf("Train err = %v, want context.Canceled", err)
+		}
+		if got := ctx.calls.Load(); got < ctx.n {
+			t.Fatalf("Train checked its context %d times, want the cancel at check %d", got, ctx.n)
 		}
 		// A cancelled Train must not have registered a predictor.
 		if _, ok := eng.Predictor(16); ok {

@@ -397,9 +397,6 @@ func New(cfg Config) *Fleet {
 	return f
 }
 
-// Policy returns the fleet's routing policy.
-func (f *Fleet) Policy() Policy { return f.cfg.Policy }
-
 // AddOption configures one backend at Add time.
 type AddOption func(*member)
 
