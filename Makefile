@@ -4,7 +4,7 @@
 
 GO ?= go
 
-CI_STEPS = fmtcheck vet lint build crossbuild test race papergolden fuzzsmoke daemonsmoke walsmoke benchsmoke benchcheck
+CI_STEPS = fmtcheck vet lint build crossbuild test race papergolden fuzzsmoke benchsmoke benchcheck
 
 # The packages that carry micro-benchmarks (root plus the wire-facing ones).
 BENCH_PKGS = . ./internal/fleet/ ./internal/wal/ ./internal/wire/
@@ -97,20 +97,6 @@ fuzzsmoke:
 # bench/README.md), which compares a change with its parent.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem $(BENCH_PKGS)
-
-# Wire-level end-to-end smoke: build numaplaced and loadgen, start the
-# daemon on an ephemeral loopback port at reduced training fidelity,
-# drive it with `loadgen -quick`, and require a clean run (zero request
-# errors, zero dropped event frames) plus a graceful SIGTERM shutdown.
-daemonsmoke:
-	sh scripts/daemonsmoke.sh
-
-# Crash-recovery smoke: a live daemon with -data-dir is loaded, killed
-# with SIGKILL while tenants are resident, and restarted on the same log;
-# /v1/assignments must be byte-identical across the crash and the
-# recovered state must accept a release.
-walsmoke:
-	sh scripts/walsmoke.sh
 
 # One-iteration pass over every benchmark: catches benchmark rot (a missing
 # benchmark, setup errors, API drift) without paying for stable timings.

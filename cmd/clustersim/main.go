@@ -398,26 +398,17 @@ func (s *sim) schedule() {
 	}
 }
 
-// handle makes an event of fn that records fleet utilization before fn
-// and, if fn succeeds, after it.
+// handle makes an event of fn that does nothing once a handler has failed
+// the run, and otherwise records fleet utilization before fn and, if fn
+// succeeds, after it.
 func (s *sim) handle(fn func() error) func() {
-	return s.unaccounted(func() error {
-		s.account()
-		err := fn()
-		if err == nil {
-			s.account()
-		}
-		return err
-	})
-}
-
-// unaccounted makes an event of fn that does nothing once a handler has
-// failed the run. Only the probe tick is scheduled this bare: a failover or
-// revival it runs enters the utilization mean at the next event.
-func (s *sim) unaccounted(fn func() error) func() {
 	return func() {
-		if s.err == nil {
-			s.err = fn()
+		if s.err != nil {
+			return
+		}
+		s.account()
+		if s.err = fn(); s.err == nil {
+			s.account()
 		}
 	}
 }
@@ -479,7 +470,7 @@ func (s *sim) rebalance() error {
 
 // armProbe schedules the next health probe one probe period from now.
 func (s *sim) armProbe() {
-	s.probeTimer = s.clock.After(s.sc.probeEvery, s.unaccounted(s.probe))
+	s.probeTimer = s.clock.After(s.sc.probeEvery, s.handle(s.probe))
 }
 
 // probe is the health probe tick: every probe period each machine, in add

@@ -16,8 +16,8 @@
 // appended to a write-ahead log under the directory before the response
 // leaves, and on the next boot the daemon replays the log (plus the newest
 // snapshot) into freshly rebuilt engines, so live admissions survive a
-// kill -9. A log that fails structural validation refuses the boot with a
-// non-zero exit — serving from silently wrong state is worse than not
+// kill -9. A log that fails structural validation refuses the boot with
+// exit 3 — serving from silently wrong state is worse than not
 // serving. GET /v1/log/head reports the durability position; POST
 // /v1/snapshot forces a checkpoint.
 //
@@ -38,12 +38,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -54,70 +56,73 @@ import (
 	"repro/internal/wire"
 )
 
-func main() {
+// parseFlags parses numaplaced's command line into a config. It reports each
+// refusal on stderr itself, with the usage, as the flag package does its own,
+// so its caller only picks the exit status.
+func parseFlags(args []string, stderr io.Writer) (config, error) {
 	var cfg config
-	flag.StringVar(&cfg.listen, "listen", "127.0.0.1:7070", "listen address (host:port; port 0 picks an ephemeral port)")
-	machineList := flag.String("machines", "amd,intel", "comma-separated machine models forming the fleet")
-	policyName := flag.String("policy", "best-predicted", "routing policy: first-fit, least-loaded or best-predicted")
-	flag.IntVar(&cfg.vcpus, "vcpus", 16, "vCPUs per container the engines are trained for")
-	flag.Float64Var(&cfg.drainBelow, "drain-below", 0.5, "consolidate machines below this utilization during rebalance")
-	flag.BoolVar(&cfg.spread, "spread", false, "spread replicas of a workload across failure domains (racks)")
-	flag.IntVar(&cfg.eventsBuffer, "events-buffer", 1024, "per-subscriber event ring size on /v1/events")
-	flag.DurationVar(&cfg.shutdown, "shutdown-timeout", 10*time.Second, "grace period for in-flight requests on SIGINT/SIGTERM")
-	flag.BoolVar(&cfg.quick, "quick", false, "reduced training fidelity (CI smoke)")
-	flag.StringVar(&cfg.dataDir, "data-dir", "", "directory for the write-ahead log and snapshots (empty: no persistence)")
-	fsync := flag.String("fsync", "always", "log durability policy: always, interval or none (needs -data-dir)")
-	flag.DurationVar(&cfg.fsyncInterval, "fsync-interval", 50*time.Millisecond, "flush cadence under -fsync interval (needs -data-dir)")
-	flag.DurationVar(&cfg.snapshotEvery, "snapshot-every", 0, "periodic checkpoint cadence (0: only on shutdown and POST /v1/snapshot; needs -data-dir)")
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "unexpected arguments: %s\n", strings.Join(flag.Args(), " "))
-		flag.Usage()
-		os.Exit(2)
-	}
-	if cfg.dataDir == "" {
-		// The persistence flags tune a log that exists only with -data-dir.
-		var stray []string
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "fsync", "fsync-interval", "snapshot-every":
-				stray = append(stray, "-"+f.Name)
-			}
-		})
-		if len(stray) > 0 {
-			fmt.Fprintf(os.Stderr, "%s need -data-dir\n", strings.Join(stray, ", "))
-			flag.Usage()
-			os.Exit(2)
-		}
-	}
-	if cfg.vcpus <= 0 || cfg.eventsBuffer <= 0 {
-		fmt.Fprintln(os.Stderr, "-vcpus and -events-buffer must be positive")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if math.IsNaN(cfg.drainBelow) || math.IsInf(cfg.drainBelow, 0) {
-		// NaN would pass as a threshold no utilization is below.
-		fmt.Fprintln(os.Stderr, "-drain-below must be a finite number")
-		flag.Usage()
-		os.Exit(2)
+	fs := flag.NewFlagSet("numaplaced", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&cfg.listen, "listen", "127.0.0.1:7070", "listen address (host:port; port 0 picks an ephemeral port)")
+	machineList := fs.String("machines", "amd,intel", "comma-separated machine models forming the fleet")
+	policyName := fs.String("policy", "best-predicted", "routing policy: first-fit, least-loaded or best-predicted")
+	fs.IntVar(&cfg.vcpus, "vcpus", 16, "vCPUs per container the engines are trained for")
+	fs.Float64Var(&cfg.drainBelow, "drain-below", 0.5, "consolidate machines below this utilization during rebalance")
+	fs.BoolVar(&cfg.spread, "spread", false, "spread replicas of a workload across failure domains (racks)")
+	fs.IntVar(&cfg.eventsBuffer, "events-buffer", 1024, "per-subscriber event ring size on /v1/events")
+	fs.DurationVar(&cfg.shutdown, "shutdown-timeout", 10*time.Second, "grace period for in-flight requests on SIGINT/SIGTERM")
+	fs.BoolVar(&cfg.quick, "quick", false, "reduced training fidelity (CI smoke)")
+	fs.StringVar(&cfg.dataDir, "data-dir", "", "directory for the write-ahead log and snapshots (empty: no persistence)")
+	fsync := fs.String("fsync", "always", "log durability policy: always, interval or none (needs -data-dir)")
+	fs.DurationVar(&cfg.fsyncInterval, "fsync-interval", 50*time.Millisecond, "flush cadence under -fsync interval (needs -data-dir)")
+	fs.DurationVar(&cfg.snapshotEvery, "snapshot-every", 0, "periodic checkpoint cadence (0: only on shutdown and POST /v1/snapshot; needs -data-dir)")
+	if err := fs.Parse(args); err != nil {
+		return cfg, err
 	}
 	cfg.machines = strings.Split(*machineList, ",")
-	var ok bool
-	if cfg.policy, ok = numaplace.ClusterPolicyByName(*policyName); !ok {
-		fmt.Fprintf(os.Stderr, "unknown policy %q\n", *policyName)
-		flag.Usage()
-		os.Exit(2)
+	var policyOK, fsyncOK bool
+	cfg.policy, policyOK = numaplace.ClusterPolicyByName(*policyName)
+	cfg.fsync, fsyncOK = wal.PolicyByName(*fsync)
+	var persistence []string // the persistence flags given
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "fsync" || f.Name == "fsync-interval" || f.Name == "snapshot-every" {
+			persistence = append(persistence, "-"+f.Name)
+		}
+	})
+	var err error
+	switch {
+	case fs.NArg() > 0:
+		err = fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
+	case cfg.dataDir == "" && len(persistence) > 0:
+		// The persistence flags tune a log that exists only with -data-dir.
+		err = fmt.Errorf("%s need -data-dir", strings.Join(persistence, ", "))
+	case cfg.vcpus <= 0 || cfg.eventsBuffer <= 0:
+		err = errors.New("-vcpus and -events-buffer must be positive")
+	case math.IsNaN(cfg.drainBelow) || math.IsInf(cfg.drainBelow, 0):
+		// NaN would pass as a threshold no utilization is below.
+		err = errors.New("-drain-below must be a finite number")
+	case !policyOK:
+		err = fmt.Errorf("unknown policy %q", *policyName)
+	case !fsyncOK:
+		err = fmt.Errorf("unknown fsync policy %q", *fsync)
 	}
-	if cfg.fsync, ok = wal.PolicyByName(*fsync); !ok {
-		fmt.Fprintf(os.Stderr, "unknown fsync policy %q\n", *fsync)
-		flag.Usage()
-		os.Exit(2)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		fs.Usage()
 	}
+	return cfg, err
+}
 
+func main() {
+	cfg, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	} else if err != nil {
+		os.Exit(2)
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if err := run(ctx, cfg); err != nil {
+	if err := run(ctx, cfg, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		if errors.Is(err, nperr.ErrLogCorrupt) {
 			// Refusing to serve from damaged durable state is deliberate;
@@ -145,7 +150,10 @@ type config struct {
 	snapshotEvery time.Duration
 }
 
-func run(ctx context.Context, cfg config) error {
+// run trains the fleet, recovers it from -data-dir if one is given, and
+// serves it until ctx is done (main cancels it on SIGINT or SIGTERM); then it
+// shuts down gracefully. It prints the daemon's progress lines to stdout.
+func run(ctx context.Context, cfg config, stdout io.Writer) error {
 	models, err := recipe.Train(ctx, cfg.machines, cfg.vcpus, cfg.quick)
 	if err != nil {
 		return err
@@ -158,7 +166,7 @@ func run(ctx context.Context, cfg config) error {
 	}
 	for _, name := range cl.Names() {
 		eng, _ := cl.Engine(name)
-		fmt.Printf("numaplaced: trained %s (%s)\n", name, eng.Machine().Topo.Name)
+		fmt.Fprintf(stdout, "numaplaced: trained %s (%s)\n", name, eng.Machine().Topo.Name)
 	}
 
 	// Recovery happens after training and before serving: the engines are
@@ -180,7 +188,7 @@ func run(ctx context.Context, cfg config) error {
 		defer wlog.Close()
 		head := wlog.Head()
 		// Recovery time is downtime: say what it cost, per phase.
-		fmt.Printf("numaplaced: recovered %d tenants at seq %d (snapshot %d) from %s: %d records replayed, open %s, restore %s\n",
+		fmt.Fprintf(stdout, "numaplaced: recovered %d tenants at seq %d (snapshot %d) from %s: %d records replayed, open %s, restore %s\n",
 			recovered, head.RecoveredSeq, head.SnapshotSeq, cfg.dataDir, head.RecoveredSeq-head.SnapshotSeq,
 			opened.Round(time.Microsecond), restored.Round(time.Microsecond))
 		wcfg.LogHead = func() wire.LogHead {
@@ -200,9 +208,13 @@ func run(ctx context.Context, cfg config) error {
 	}
 	srv := &http.Server{Handler: ws}
 
-	// Periodic checkpoints bound the log tail a restart must replay.
+	// Periodic checkpoints bound the log tail a restart must replay. The
+	// ticker ends with ctx, before the final checkpoint and the log's close.
+	var ticking sync.WaitGroup
 	if wlog != nil && cfg.snapshotEvery > 0 {
+		ticking.Add(1)
 		go func() {
+			defer ticking.Done()
 			tick := time.NewTicker(cfg.snapshotEvery)
 			defer tick.Stop()
 			for {
@@ -218,8 +230,8 @@ func run(ctx context.Context, cfg config) error {
 		}()
 	}
 
-	// The readiness line load generators and the smoke test poll for.
-	fmt.Printf("numaplaced: serving on http://%s\n", ln.Addr())
+	// The readiness line load generators and the tests poll for.
+	fmt.Fprintf(stdout, "numaplaced: serving on http://%s\n", ln.Addr())
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
@@ -235,7 +247,7 @@ func run(ctx context.Context, cfg config) error {
 	// Only after the last request has drained is the fleet checkpointed and
 	// the log flushed and closed — a mutation racing the final snapshot
 	// would otherwise be stranded in the buffer.
-	fmt.Println("numaplaced: shutting down")
+	fmt.Fprintln(stdout, "numaplaced: shutting down")
 	ws.Stop()
 	sctx, cancel := context.WithTimeout(context.Background(), cfg.shutdown)
 	defer cancel()
@@ -245,16 +257,17 @@ func run(ctx context.Context, cfg config) error {
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
+	ticking.Wait()
 	if wlog != nil {
 		if seq, err := f.Checkpoint(); err != nil {
 			fmt.Fprintf(os.Stderr, "numaplaced: final snapshot: %v (log retained)\n", err)
 		} else {
-			fmt.Printf("numaplaced: checkpointed at seq %d\n", seq)
+			fmt.Fprintf(stdout, "numaplaced: checkpointed at seq %d\n", seq)
 		}
 		if err := wlog.Close(); err != nil {
 			return fmt.Errorf("closing write-ahead log: %w", err)
 		}
 	}
-	fmt.Println("numaplaced: bye")
+	fmt.Fprintln(stdout, "numaplaced: bye")
 	return nil
 }
