@@ -4,7 +4,7 @@
 
 GO ?= go
 
-CI_STEPS = fmtcheck vet lint build crossbuild test race papergolden fuzzsmoke benchsmoke benchcheck
+CI_STEPS = fmtcheck vet lint build crossbuild examples test race papergolden fuzzsmoke benchsmoke benchcheck
 
 # The packages that carry micro-benchmarks (root plus the wire-facing ones).
 BENCH_PKGS = . ./internal/fleet/ ./internal/wal/ ./internal/wire/
@@ -34,6 +34,13 @@ fmtcheck:
 
 build:
 	$(GO) build ./...
+
+# Builds each examples/* program and runs it: a non-zero exit fails the step
+# (`build` only compiles them). They run in milliseconds each.
+examples:
+	@bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && \
+		$(GO) build -o "$$bin/" ./examples/... && \
+		for ex in "$$bin"/*; do echo "$$ex" | sed 's|.*/|examples/|'; "$$ex" > /dev/null || exit 1; done
 
 # The write-ahead log maps its file with syscall.Mmap, which exists on unix
 # only; a non-Linux unix build keeps that path compiling (offline: the

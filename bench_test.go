@@ -621,7 +621,8 @@ func benchResident(b *testing.B, ctx context.Context, n int, policy ClusterPolic
 	// the Previews build (they book nothing), and the cycles then touch every
 	// engine's books — so the timed loop pays for neither.
 	for _, name := range cl.Names() {
-		eng, _ := cl.Engine(name)
+		be, _ := cl.Backend(name)
+		eng := be.(*Engine)
 		for _, w := range paper {
 			for _, v := range sizes {
 				if _, err := eng.Preview(ctx, w, v); err != nil && !errors.Is(err, ErrMachineFull) {
@@ -716,7 +717,7 @@ func BenchmarkFailover(b *testing.B) {
 func BenchmarkWirePlace(b *testing.B) {
 	ctx := context.Background()
 	cl := benchCluster(b, ctx, ClusterConfig{Policy: RouteFirstFit})
-	ws := wire.NewServer(cl.Fleet(), wire.Config{})
+	ws := wire.NewServer(cl, wire.Config{})
 	srv := httptest.NewServer(ws)
 	defer srv.Close()
 	defer ws.Stop()

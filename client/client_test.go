@@ -9,8 +9,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/nperr"
@@ -305,5 +307,34 @@ func TestErrorMessage(t *testing.T) {
 	}
 	if got, want := werr.Error(), "numaplaced: fleet_full (http 409): no machine fits 4 vCPUs"; got != want {
 		t.Fatalf("Error() = %q, want %q", got, want)
+	}
+}
+
+// cutTransport answers every request 200 with body.
+type cutTransport struct{ body func() io.Reader }
+
+func (t cutTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(t.body()), Request: r}, nil
+}
+
+// TestPlaceResponseCutShort: a place response the recogniser declines goes
+// to encoding/json as the bytes read followed by the read's own end — the
+// read's error when it failed, io.EOF when it ended cleanly, so a truncated
+// body reads as io.ErrUnexpectedEOF.
+func TestPlaceResponseCutShort(t *testing.T) {
+	const partial = `{"id":7,"backend":"m0","assignment":{"id":3`
+	errCut := errors.New("connection reset mid-body")
+	for _, tc := range []struct {
+		name string
+		body func() io.Reader
+		want error
+	}{
+		{"ends cleanly", func() io.Reader { return strings.NewReader(partial) }, io.ErrUnexpectedEOF},
+		{"read fails", func() io.Reader { return io.MultiReader(strings.NewReader(partial), iotest.ErrReader(errCut)) }, errCut},
+	} {
+		c := New("http://daemon", WithHTTPClient(&http.Client{Transport: cutTransport{tc.body}}), WithRetries(0))
+		if _, err := c.Place(context.Background(), "gcc", 16); !errors.Is(err, tc.want) {
+			t.Errorf("%s: place = %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }

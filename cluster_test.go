@@ -302,8 +302,8 @@ func TestClusterFailover(t *testing.T) {
 	if h, _ := cl.HealthOf("amd-0"); h != ClusterHealthy {
 		t.Fatalf("health after Revive = %v, want healthy", h)
 	}
-	eng, _ := cl.Engine("amd-0")
-	if used := 8 - eng.FreeNodes().Len(); used != rep.Stranded*2 {
+	b, _ := cl.Backend("amd-0")
+	if used := 8 - b.(*Engine).FreeNodes().Len(); used != rep.Stranded*2 {
 		// Each 16-vCPU container holds 2 AMD nodes; only tenants still
 		// mapped here (stranded, kept) may occupy the revived machine.
 		t.Fatalf("revived machine has %d nodes in use, want %d", used, rep.Stranded*2)

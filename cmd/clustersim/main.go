@@ -349,7 +349,8 @@ func (s *sim) start() error {
 		return err
 	}
 	for _, name := range recipe.Names(s.sc.machines) {
-		eng, _ := s.cl.Engine(name)
+		b, _ := s.cl.Backend(name)
+		eng := b.(*numaplace.Engine)
 		pred, _ := eng.Predictor(s.sc.vcpus)
 		fmt.Fprintf(s.out, "trained %-8s %-22s %3d workloads x %2d placements, base/probe %d/%d\n",
 			name, eng.Machine().Topo.Name, s.models.Workloads, pred.NumPlacements, pred.Base, pred.Probe)
@@ -367,7 +368,7 @@ func (s *sim) boot() (*numaplace.Cluster, error) {
 	if err != nil || s.walDir == "" {
 		return cl, err
 	}
-	s.wlog, _, _, err = recipe.Recover(s.ctx, cl.Fleet(), wal.Options{Dir: s.walDir, Fsync: wal.FsyncNone})
+	s.wlog, _, _, err = recipe.Recover(s.ctx, cl, wal.Options{Dir: s.walDir, Fsync: wal.FsyncNone})
 	return cl, err
 }
 
@@ -570,7 +571,7 @@ func (s *sim) restart() error {
 	prevAssign := s.cl.Assignments()
 	prevStats := s.cl.Stats()
 	fmt.Fprintf(s.out, "t=%8.1f  restart: control plane down with %d tenants at seq %d\n",
-		now, len(prevAssign), s.cl.Fleet().Seq())
+		now, len(prevAssign), s.cl.Seq())
 	if err := s.wlog.Close(); err != nil {
 		return err
 	}
@@ -627,8 +628,8 @@ func (s *sim) report(end float64, errw io.Writer) {
 	// holds stale books — they are fenced on revive).
 	unfenced := -st.Tenants
 	for _, b := range st.Backends {
-		if eng, ok := s.cl.Engine(b.Name); ok && b.Health != numaplace.ClusterDead {
-			unfenced += len(eng.Assignments())
+		if be, ok := s.cl.Backend(b.Name); ok && b.Health != numaplace.ClusterDead {
+			unfenced += len(be.Assignments())
 		}
 	}
 	fmt.Fprintf(out, "unfenced records   %6d on live machines (want 0)\n", unfenced)

@@ -33,7 +33,7 @@ func serve(t *testing.T, refuse string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := wire.NewServer(cl.Fleet(), wire.Config{})
+	ws := wire.NewServer(cl, wire.Config{})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == refuse {
 			http.Error(w, "refused", http.StatusBadRequest)

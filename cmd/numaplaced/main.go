@@ -165,26 +165,25 @@ func run(ctx context.Context, cfg config, stdout io.Writer) error {
 		return err
 	}
 	for _, name := range cl.Names() {
-		eng, _ := cl.Engine(name)
-		fmt.Fprintf(stdout, "numaplaced: trained %s (%s)\n", name, eng.Machine().Topo.Name)
+		b, _ := cl.Backend(name)
+		fmt.Fprintf(stdout, "numaplaced: trained %s (%s)\n", name, b.Machine().Topo.Name)
 	}
 
 	// Recovery happens after training and before serving: the engines are
 	// rebuilt deterministically (fixed seeds, same flags), so replaying the
 	// log against them reconstructs the pre-crash placements exactly.
-	f := cl.Fleet()
 	wcfg := wire.Config{EventBuffer: cfg.eventsBuffer}
 	var wlog *wal.Log
 	recovered := 0
 	if cfg.dataDir != "" {
-		l, opened, restored, err := recipe.Recover(ctx, f, wal.Options{
+		l, opened, restored, err := recipe.Recover(ctx, cl, wal.Options{
 			Dir: cfg.dataDir, Fsync: cfg.fsync, Interval: cfg.fsyncInterval,
 		})
 		if err != nil {
 			return err
 		}
 		wlog = l
-		recovered = len(f.Assignments())
+		recovered = len(cl.Assignments())
 		defer wlog.Close()
 		head := wlog.Head()
 		// Recovery time is downtime: say what it cost, per phase.
@@ -198,10 +197,10 @@ func run(ctx context.Context, cfg config, stdout io.Writer) error {
 				RecoveredTenants: recovered, Persistent: true,
 			}
 		}
-		wcfg.Snapshot = func() (uint64, error) { return f.Checkpoint() }
+		wcfg.Snapshot = func() (uint64, error) { return cl.Checkpoint() }
 	}
 
-	ws := wire.NewServer(f, wcfg)
+	ws := wire.NewServer(cl, wcfg)
 	ln, err := net.Listen("tcp", cfg.listen)
 	if err != nil {
 		return fmt.Errorf("listening on %s: %w", cfg.listen, err)
@@ -222,7 +221,7 @@ func run(ctx context.Context, cfg config, stdout io.Writer) error {
 				case <-ctx.Done():
 					return
 				case <-tick.C:
-					if _, err := f.Checkpoint(); err != nil {
+					if _, err := cl.Checkpoint(); err != nil {
 						fmt.Fprintf(os.Stderr, "numaplaced: periodic snapshot: %v\n", err)
 					}
 				}
@@ -259,7 +258,7 @@ func run(ctx context.Context, cfg config, stdout io.Writer) error {
 	}
 	ticking.Wait()
 	if wlog != nil {
-		if seq, err := f.Checkpoint(); err != nil {
+		if seq, err := cl.Checkpoint(); err != nil {
 			fmt.Fprintf(os.Stderr, "numaplaced: final snapshot: %v (log retained)\n", err)
 		} else {
 			fmt.Fprintf(stdout, "numaplaced: checkpointed at seq %d\n", seq)

@@ -277,7 +277,8 @@ func (f *feed) seq(i int) uint64 {
 
 // churn admits and releases n containers around whatever is resident, from
 // four goroutines, as a quick loadgen pass does; a full fleet's rejection
-// is no error (as loadgen counts it), and every admission is released.
+// (409 fleet_full, never a 503 no_healthy_backend: every machine is up) is
+// no error, as loadgen counts it, and every admission is released.
 func churn(t *testing.T, c *client.Client, n int) {
 	t.Helper()
 	ctx := context.Background()
@@ -287,7 +288,7 @@ func churn(t *testing.T, c *client.Client, n int) {
 		go func() {
 			for i := w; i < n; i += 4 {
 				pr, err := c.Place(ctx, catalog[i%len(catalog)].Name, 16)
-				if errors.Is(err, nperr.ErrFleetFull) || errors.Is(err, nperr.ErrNoHealthyBackend) {
+				if errors.Is(err, nperr.ErrFleetFull) {
 					continue
 				}
 				if err == nil {

@@ -21,6 +21,7 @@ import (
 	"repro/internal/mlearn"
 	"repro/internal/nperr"
 	"repro/internal/placement"
+	"repro/internal/sched"
 	"repro/internal/topology"
 	"repro/internal/workloads"
 )
@@ -885,6 +886,40 @@ func TestFacadePipeline(t *testing.T) {
 	}
 	if !reflect.DeepEqual(vec, v2) {
 		t.Fatal("loaded predictor disagrees")
+	}
+}
+
+// TestPackingExperimentIsSchedExperiment: the Engine's Figure 5 experiment,
+// built from its memoized enumeration and (for a nil predictor) the one it
+// serves, packs exactly as sched.NewExperiment does from scratch on the same
+// machine, workload, size and predictor, under every policy.
+func TestPackingExperimentIsSchedExperiment(t *testing.T) {
+	ctx := context.Background()
+	eng := trainedEngine(t, ctx, AMD(), 16)
+	pred, _ := eng.Predictor(16)
+	w, _ := WorkloadByName("WTbtree")
+	ref, err := sched.NewExperiment(ctx, AMD(), w, 16, pred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*Predictor{nil, pred} {
+		exp, err := eng.NewPackingExperiment(ctx, w, 16, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []sched.PolicyKind{sched.ML, sched.Conservative, sched.Aggressive, sched.SmartAggressive} {
+			got, err := exp.Run(ctx, kind, 0.9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.Run(ctx, kind, 0.9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v (predictor %p): engine packs %+v, sched %+v", kind, p, got, want)
+			}
+		}
 	}
 }
 

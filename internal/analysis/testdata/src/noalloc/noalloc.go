@@ -23,13 +23,18 @@ func hot(name string, n int) {
 	sink(n)       // want "argument boxes int into interface"
 }
 
-// conv trips the allocating conversions.
+type label string
+
+// conv trips the allocating conversions; a string-to-string one copies
+// nothing.
 //
 //numalint:noalloc
-func conv(b []byte, s string) int {
+func conv(b []byte, s string, r rune, l label) int {
 	out := string(b) // want "conversion to string allocates"
 	raw := []byte(s) // want "conversion from string allocates"
-	return len(out) + len(raw)
+	ch := string(r)  // want "conversion to string allocates"
+	same := string(l)
+	return len(out) + len(raw) + len(ch) + len(same)
 }
 
 // closures: a capturing closure escapes; a non-capturing one is free.

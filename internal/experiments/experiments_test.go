@@ -66,8 +66,10 @@ func TestFigure3Categories(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.K < 2 || res.K > 8 {
-		t.Fatalf("k = %d out of range", res.K)
+	// The paper reports six categories (§5); this reproduction's vectors
+	// fall into three, and README states the divergence.
+	if res.K != 3 {
+		t.Fatalf("k = %d, want 3", res.K)
 	}
 	if res.Silhouette < 0.3 {
 		t.Errorf("weak clustering: silhouette %.2f", res.Silhouette)

@@ -146,7 +146,7 @@ func Figure3(ctx context.Context, w io.Writer, cfg Config) (*Figure3Result, erro
 	for i, c := range res.Assign {
 		out.Members[c] = append(out.Members[c], ds.Workloads[i].Name)
 	}
-	fmt.Fprintf(w, "Figure 3: k-means on Intel performance vectors: k=%d (silhouette %.2f)\n", res.K, sil)
+	fmt.Fprintf(w, "Figure 3: k-means on concatenated Intel+AMD performance vectors: k=%d (silhouette %.2f)\n", res.K, sil)
 	for c := 0; c < res.K; c++ {
 		fmt.Fprintf(w, "  category %d: %v\n", c+1, trimNames(out.Members[c], 8))
 	}

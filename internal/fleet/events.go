@@ -57,8 +57,9 @@ type Subscription struct {
 	done  chan struct{} // closed by Close
 }
 
-// Subscribe registers a new subscriber whose ring buffers up to buf records
-// (minimum 1). Records committed before Subscribe are not replayed. Close the
+// Subscribe registers a new subscriber to the commit stream (admissions,
+// rejections, releases, moves, health transitions, pass summaries) whose ring
+// buffers up to buf records (minimum 1). Records committed before Subscribe are not replayed. Close the
 // subscription when done; an abandoned subscription costs one ring copy per
 // record but never blocks the fleet.
 func (f *Fleet) Subscribe(buf int) *Subscription {

@@ -397,6 +397,8 @@ func New(cfg Config) *Fleet {
 	return f
 }
 
+func (f *Fleet) Fleet() *Fleet { return f } // bench/ reaches a Cluster's fleet so; goes with ROADMAP item 6b's benchmark PR
+
 // AddOption configures one backend at Add time.
 type AddOption func(*member)
 
@@ -407,10 +409,13 @@ func InDomain(domain string) AddOption {
 	return func(m *member) { m.domain = domain }
 }
 
-// Add registers a backend under a unique name. The name is the handle for
-// Drain, Resume, Remove and the health API, and appears in admissions and
-// move records. Backends start healthy. Whether b is a ScoreClasser and a
-// PlacerInto is decided here, once.
+// Add registers a backend under a unique name, optionally labeling it with a
+// failure domain (InDomain). The name is the handle for Drain, Resume, Remove
+// and the health API, and appears in admissions and move records. An Engine
+// backend should carry trained (or registered) predictors for the container
+// sizes the fleet will serve; untrained sizes fail admission on that machine
+// and routing falls through to the others. Backends start healthy. Whether b
+// is a ScoreClasser and a PlacerInto is decided here, once.
 func (f *Fleet) Add(name string, b Backend, opts ...AddOption) error {
 	if name == "" {
 		//numalint:ignore sentinelwrap setup-time misuse by the embedding daemon, never reaches the wire path
@@ -491,14 +496,15 @@ func (f *Fleet) occupyLocked(m *member, workload string, delta int32) {
 
 // Place admits one container of workload w with the given vCPU count onto
 // the fleet, routing per the configured policy and falling back down the
-// candidate ranking when a backend rejects. It fails with ErrFleetFull
-// (with every backend's rejection joined in) when no backend admits the
-// container. The decision, the backend admission and the record are one
-// hold. A durability failure is returned alongside the admission: the
-// commit stands either way, and hiding it would leak the container. A
-// refusal returns the zero Admission. The Admission is the caller's copy:
-// the backend admits into the fleet's slot, so a warm admission allocates
-// nothing.
+// candidate ranking when a backend rejects (full, untrained size). It fails
+// with ErrFleetFull (with every backend's rejection joined in) when no
+// backend admits the container, and joins ErrNoHealthyBackend too only when
+// no backend takes admissions at all (each dead, suspect or draining). The
+// decision, the backend admission and the record are one hold. A
+// durability failure is returned alongside the admission: the commit stands
+// either way, and hiding it would leak the container. A refusal returns the
+// zero Admission. The Admission is the caller's copy: the backend admits
+// into the fleet's slot, so a warm admission allocates nothing.
 func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm Admission, err error) {
 	defer f.lock().end(&err)
 	s := &f.scratch
@@ -507,10 +513,8 @@ func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm A
 		return Admission{}, err
 	}
 	a := &f.slot
-	tried := 0
 	var errs []error // per-candidate rejections, in the order tried
 	for mem := s.next(); mem != nil; mem = s.next() {
-		tried++
 		if err := ctx.Err(); err != nil {
 			return Admission{}, err
 		}
@@ -533,10 +537,11 @@ func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm A
 	}
 	f.commitLocked(f.bookLocked(&Record{Type: RecReject, ID: -1, Workload: w.Name, VCPUs: vcpus}, nil, nil, nil))
 	sentinels := []error{nperr.ErrFleetFull}
-	if tried == 0 {
-		// Nothing was even tried: every machine is dead, suspect or
-		// draining. Callers back off on ErrNoHealthyBackend rather than
-		// treating the fleet as merely full.
+	if !slices.ContainsFunc(f.members, (*member).accepting) {
+		// Every machine is dead, suspect or draining. Callers back off on
+		// ErrNoHealthyBackend rather than treating the fleet as merely
+		// full; a fleet of accepting machines none of which fits the
+		// container (routing tries none of them) is only full.
 		sentinels = append(sentinels, nperr.ErrNoHealthyBackend)
 	}
 	// Preview failures come first, as a fan-out would have met them.
@@ -575,8 +580,9 @@ func (f *Fleet) Release(ctx context.Context, id int) (err error) {
 // Assignments snapshots every container served fleet-wide, in ascending
 // fleet-ID order, from the fleet's own books in one hold: the map is the
 // authoritative record, refreshed at every commit, move and replay, so a
-// tenant on a dead machine is listed like any other and none can slip between
-// two looks. The Threads slices are the books' own — read, do not write.
+// tenant stranded on a dead machine is listed like any other, with its last
+// recorded assignment — a machine death never drops a record — and none can
+// slip between two looks. The Threads slices are the books' own — read, do not write.
 func (f *Fleet) Assignments() []Admission {
 	f.mu.Lock()
 	out := make([]Admission, 0, len(f.tenants))
@@ -588,8 +594,9 @@ func (f *Fleet) Assignments() []Admission {
 	return out
 }
 
-// Stats aggregates the fleet's counters, per-backend occupancy and
-// per-failure-domain occupancy. Dead machines contribute their health
+// Stats aggregates the fleet's admission counters, migration spend,
+// per-backend occupancy (health state included) and per-failure-domain
+// occupancy. Dead machines contribute their health
 // state and tenant (stranded-record) count but no capacity: their nodes
 // are written off until revived.
 func (f *Fleet) Stats() Stats {
@@ -823,11 +830,13 @@ func (f *Fleet) summarizeLocked(rt RecordType, backend string, rep *Report) {
 // Rebalance runs one fleet-wide re-packing pass under a migration-seconds
 // budget: first each backend's own intra-machine rebalance (nodes freed by
 // departures), then cross-machine consolidation — tenants of machines
-// utilized below Config.DrainBelow are moved onto strictly busier machines,
-// each move costed as a fast-mechanism copy of the container's memory. A
-// cross-machine move is committed only if it fits the remaining budget;
-// an intra pass is started only while budget remains (its cost is known
-// after the fact, so the final intra pass may overshoot). The pass holds
+// utilized below Config.DrainBelow (and of draining machines, regardless of
+// utilization) are moved onto strictly busier machines, each move costed as
+// a fast-mechanism copy of the container's memory. A cross-machine move is
+// committed only if it fits the remaining budget; an intra pass is started
+// only while budget remains (its cost is known after the fact, so the final
+// intra pass may overshoot: compare Report.TotalSeconds with
+// BudgetSeconds). The pass holds
 // the fleet lock end to end; admissions wait rather than interleave.
 //
 // On error the report of work already committed is returned alongside the
@@ -906,7 +915,7 @@ func (f *Fleet) Rebalance(ctx context.Context, budgetSeconds float64) (rep *Repo
 // copies, destinations ranked like Rebalance). Tenants no other machine
 // can host stay where they are and the partial report is returned with an
 // error wrapping ErrFleetFull; the backend remains draining either way
-// (Resume reopens it). Draining an unknown backend fails with
+// (Resume reopens it; Remove detaches it once empty). Draining an unknown backend fails with
 // ErrUnknownBackend.
 func (f *Fleet) Drain(ctx context.Context, name string) (rep *Report, err error) {
 	defer f.lock().end(&err)

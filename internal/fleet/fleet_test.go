@@ -395,6 +395,64 @@ func TestFleetBestPredictedRouting(t *testing.T) {
 	}
 }
 
+// TestFullFleetIsNotUnhealthy: a fleet whose machines all take admissions but
+// none fits the container is full, under every policy — best-predicted
+// routing tries none of them, and that is no health verdict — so Place
+// refuses with ErrFleetFull alone. Only a fleet none of whose machines takes
+// admissions (all suspect, or all draining) adds ErrNoHealthyBackend, which
+// callers back off on.
+func TestFullFleetIsNotUnhealthy(t *testing.T) {
+	ctx := context.Background()
+	w := testWorkload(t, "swaptions")
+	names := []string{"a", "b"}
+	build := func(t *testing.T, p Policy) *Fleet {
+		t.Helper()
+		f := New(Config{Policy: p})
+		for _, name := range names {
+			if err := f.Add(name, newStub(machines.Intel(), 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return f
+	}
+	refuse := func(t *testing.T, f *Fleet, unhealthy bool) {
+		t.Helper()
+		_, err := f.Place(ctx, w, 4)
+		if !errors.Is(err, nperr.ErrFleetFull) || errors.Is(err, nperr.ErrNoHealthyBackend) != unhealthy {
+			t.Fatalf("refusal %v: want ErrFleetFull, ErrNoHealthyBackend %v", err, unhealthy)
+		}
+	}
+	for _, p := range []Policy{FirstFit, LeastLoaded, BestPredicted} {
+		t.Run(p.String(), func(t *testing.T) {
+			full := build(t, p)
+			for i := 0; i < 2*machines.Intel().Topo.NumNodes; i++ {
+				if _, err := full.Place(ctx, w, 4); err != nil {
+					t.Fatalf("place %d: %v", i, err)
+				}
+			}
+			refuse(t, full, false)
+
+			suspect := build(t, p)
+			for _, name := range names {
+				for i := 0; i < 2; i++ {
+					if _, _, err := suspect.MissProbe(ctx, name); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			refuse(t, suspect, true)
+
+			draining := build(t, p)
+			for _, name := range names {
+				if _, err := draining.Drain(ctx, name); err != nil {
+					t.Fatal(err)
+				}
+			}
+			refuse(t, draining, true)
+		})
+	}
+}
+
 func TestFleetReleaseMapping(t *testing.T) {
 	ctx := context.Background()
 	f := New(Config{})

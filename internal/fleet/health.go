@@ -185,9 +185,12 @@ func (f *Fleet) MissProbe(ctx context.Context, name string) (h Health, rep *Repo
 
 // Fail declares the named backend dead immediately — crash injection, or
 // an operator acting on out-of-band knowledge — and runs the automatic
-// failover pass under Config.Health.FailoverBudgetSeconds. An already-dead
-// backend fails with ErrBackendDown; the partial failover report is
-// returned alongside any error, like Rebalance.
+// failover pass under Config.Health.FailoverBudgetSeconds, rehoming its
+// tenants onto the healthy remainder. Tenants that cannot be rehomed are
+// reported stranded (the error wraps ErrNoHealthyBackend) and stay on the
+// fleet's books for retry. An already-dead backend fails with
+// ErrBackendDown; the partial failover report is returned alongside any
+// error, like Rebalance.
 func (f *Fleet) Fail(ctx context.Context, name string) (rep *Report, err error) {
 	defer f.lock().end(&err)
 	m, ok := f.byName[name]

@@ -60,14 +60,13 @@ func TestRoutePassOnResidentEngines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f := cl.Fleet()
 	rng := xrand.New(7)
 	paper := numaplace.PaperWorkloads()
 	var resident []int
 	place := func(check bool) error {
 		w, v := paper[rng.Intn(len(paper))], sizes[rng.Intn(len(sizes))]
 		if check {
-			if classes, err := f.CheckRouting(ctx, w, v); err != nil || classes != 2 {
+			if classes, err := cl.CheckRouting(ctx, w, v); err != nil || classes != 2 {
 				t.Fatalf("%d-vCPU %s over %d residents: %d classes, %v", v, w.Name, len(resident), classes, err)
 			}
 		}
@@ -119,11 +118,10 @@ func TestUsePredictorChangesClassOnNextPlace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f := cl.Fleet()
 	w, _ := numaplace.WorkloadByName("WTbtree")
 	check := func(when string, want int) {
 		t.Helper()
-		if classes, err := f.CheckRouting(ctx, w, 16); err != nil || classes != want {
+		if classes, err := cl.CheckRouting(ctx, w, 16); err != nil || classes != want {
 			t.Fatalf("%s: %d classes (want %d), %v", when, classes, want, err)
 		}
 		if _, err := cl.Place(ctx, w, 16); err != nil {

@@ -971,13 +971,17 @@ func TestRoutePassIsTheFanOut(t *testing.T) {
 				}
 			}
 
-			// The rejection as Place words it, when every candidate refuses.
+			// The rejection as Place words it, when every candidate refuses:
+			// ErrNoHealthyBackend only when no machine takes admissions at all.
 			cands, errs := oracleCandidates(ctx, f, w, 4)
 			for _, m := range cands {
 				errs = append(errs, fmt.Errorf("%s: %w", m.name, errInjected))
 			}
 			errs = append(errs, nperr.ErrFleetFull)
-			if len(cands) == 0 {
+			noneAccepting := !slices.ContainsFunc(f.Stats().Backends, func(b BackendStats) bool {
+				return b.Health == Healthy && !b.Draining
+			})
+			if noneAccepting {
 				errs = append(errs, nperr.ErrNoHealthyBackend)
 			}
 			want := fmt.Errorf("fleet: placing %d-vCPU %q: %w", 4, w.Name, errors.Join(errs...))
@@ -991,8 +995,8 @@ func TestRoutePassIsTheFanOut(t *testing.T) {
 			if err == nil || err.Error() != want.Error() {
 				t.Fatalf("trial %d step %d (%s): Place rejected with\n%v\nthe fan-out words it\n%v", trial, step, cfg.Policy, err, want)
 			}
-			if errors.Is(err, nperr.ErrNoHealthyBackend) != (len(cands) == 0) || !errors.Is(err, nperr.ErrFleetFull) {
-				t.Fatalf("trial %d step %d: rejection %v carries the wrong sentinels for %d candidates", trial, step, err, len(cands))
+			if errors.Is(err, nperr.ErrNoHealthyBackend) != noneAccepting || !errors.Is(err, nperr.ErrFleetFull) {
+				t.Fatalf("trial %d step %d: rejection %v carries the wrong sentinels (none accepting: %v)", trial, step, err, noneAccepting)
 			}
 
 			// Some refuse: the first that takes it does, and a drain's move too.

@@ -62,9 +62,10 @@ var (
 	// Nothing changes until the machine dies, so retrying is pointless.
 	ErrBackendAlive = errors.New("fleet backend is alive")
 
-	// ErrNoHealthyBackend marks placements — fresh admissions or failover
-	// re-placements off a dead machine — that no healthy, accepting
-	// backend could host. Tenants a failover pass reports stranded carry
+	// ErrNoHealthyBackend marks fresh admissions made while every backend
+	// is dead, suspect or draining (a fleet of accepting backends that are
+	// merely full is ErrFleetFull alone), and failover re-placements off a
+	// dead machine that no healthy, accepting backend could host. Tenants a failover pass reports stranded carry
 	// it; they stay on the fleet's books and are retried by later failover
 	// or rebalance passes.
 	ErrNoHealthyBackend = errors.New("no healthy fleet backend available")

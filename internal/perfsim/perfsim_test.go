@@ -433,3 +433,11 @@ func TestHPEBackendStallConfounded(t *testing.T) {
 		t.Errorf("backend stalls should be confounded (similar magnitude), got %v vs %v", a[idx], b[idx])
 	}
 }
+
+// TestUnknownCounterError: the error HPEs returns for a counter name it has
+// no value for names the counter.
+func TestUnknownCounterError(t *testing.T) {
+	if got, want := errUnknownCounter("llc_misses").Error(), "perfsim: unknown counter llc_misses"; got != want {
+		t.Fatalf("Error() = %q, want %q", got, want)
+	}
+}

@@ -60,11 +60,11 @@ func TestFleetSharesOnePredictorPerModel(t *testing.T) {
 		}
 		held := map[*numaplace.Predictor]bool{}
 		for i, name := range Names(machines) {
-			eng, ok := cl.Engine(name)
+			b, ok := cl.Backend(name)
 			if !ok {
 				t.Fatalf("%d machines: no engine %s", n, name)
 			}
-			p, ok := eng.Predictor(16)
+			p, ok := b.(*numaplace.Engine).Predictor(16)
 			if !ok || p != ms.preds[machines[i]] {
 				t.Errorf("%d machines: %s serves %p, want its model's %p", n, name, p, ms.preds[machines[i]])
 			}

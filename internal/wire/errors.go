@@ -48,7 +48,8 @@ type mapping struct {
 // Table is the complete sentinel mapping, in classification priority
 // order. Order matters because fleet errors are joined chains: a Place
 // rejection wraps ErrFleetFull plus every per-member reason (machine_full,
-// untrained, ...), and an all-dead fleet joins ErrNoHealthyBackend on top.
+// untrained, ...), and a fleet with no machine taking admissions (each dead,
+// suspect or draining) joins ErrNoHealthyBackend on top.
 // The outermost, most actionable sentinel must win, so:
 //
 //   - no_healthy_backend first: it is the only 503 — "back off and retry"

@@ -153,17 +153,25 @@ func (s *stubBackend) ApplyMove(ctx context.Context, id, classID int, nodes topo
 	return nil
 }
 
-// testDaemon stands up a wire server over a two-stub fleet (AMD 8 nodes +
-// Intel 4 nodes = 12 single-node admissions) behind a real HTTP listener.
-func testDaemon(t *testing.T, cfg wire.Config) (*client.Client, *fleet.Fleet, *wire.Server) {
+// stubFleet is a two-stub fleet (AMD 8 nodes + Intel 4 nodes = 12
+// single-node admissions) under the given routing policy.
+func stubFleet(t *testing.T, p fleet.Policy) *fleet.Fleet {
 	t.Helper()
-	f := fleet.New(fleet.Config{Policy: fleet.FirstFit})
+	f := fleet.New(fleet.Config{Policy: p})
 	if err := f.Add("m0", newStub(machines.AMD(), 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Add("m1", newStub(machines.Intel(), 2)); err != nil {
 		t.Fatal(err)
 	}
+	return f
+}
+
+// testDaemon stands up a wire server over a first-fit stubFleet behind a
+// real HTTP listener.
+func testDaemon(t *testing.T, cfg wire.Config) (*client.Client, *fleet.Fleet, *wire.Server) {
+	t.Helper()
+	f := stubFleet(t, fleet.FirstFit)
 	ws := wire.NewServer(f, cfg)
 	srv := httptest.NewServer(ws)
 	t.Cleanup(func() { ws.Stop(); srv.Close() })
@@ -273,6 +281,39 @@ func TestWireErrorRoundTrip(t *testing.T) {
 	}
 	if h, err := c.HealthOf(ctx, "m0"); err != nil || h != "healthy" {
 		t.Fatalf("after revive: %q, %v", h, err)
+	}
+}
+
+// TestWireFullFleetIsNotRetried: a full fleet of healthy machines answers a
+// place with 409 fleet_full under every policy, and a client that retries
+// sends it once — full is not a 503 no_healthy_backend to back off on.
+func TestWireFullFleetIsNotRetried(t *testing.T) {
+	ctx := context.Background()
+	gcc, _ := workloads.ByName("gcc")
+	for _, p := range []fleet.Policy{fleet.FirstFit, fleet.LeastLoaded, fleet.BestPredicted} {
+		t.Run(p.String(), func(t *testing.T) {
+			f := stubFleet(t, p)
+			for i := 0; i < 12; i++ {
+				if _, err := f.Place(ctx, gcc, 1); err != nil {
+					t.Fatalf("place %d: %v", i, err)
+				}
+			}
+			var requests atomic.Int64
+			ws := wire.NewServer(f, wire.Config{})
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				requests.Add(1)
+				ws.ServeHTTP(w, r)
+			}))
+			t.Cleanup(func() { ws.Stop(); srv.Close() })
+			var werr *client.Error
+			_, err := client.New(srv.URL).Place(ctx, "gcc", 1)
+			if !errors.Is(err, nperr.ErrFleetFull) || !errors.As(err, &werr) || werr.Code != wire.CodeFleetFull || werr.Status != 409 {
+				t.Fatalf("place on a full fleet: %v (%+v), want 409 fleet_full", err, werr)
+			}
+			if n := requests.Load(); n != 1 {
+				t.Fatalf("a retrying client sent %d requests for a full fleet, want 1", n)
+			}
+		})
 	}
 }
 

@@ -35,7 +35,7 @@ func restartFleets(t *testing.T, ctx context.Context) func() *fleet.Fleet {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cl.Fleet()
+		return cl
 	}
 }
 
