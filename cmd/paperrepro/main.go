@@ -18,16 +18,12 @@ import (
 	"syscall"
 
 	"repro"
-	"repro/internal/concern"
 	"repro/internal/experiments"
-	"repro/internal/interconnect"
 	"repro/internal/machines"
 	"repro/internal/migrate"
 	"repro/internal/mlearn"
 	"repro/internal/placement"
-	"repro/internal/topology"
 	"repro/internal/workloads"
-	"repro/internal/xrand"
 )
 
 // Each subcommand parses its flags from args and reports on stdout.
@@ -36,7 +32,6 @@ var commands = map[string]func(ctx context.Context, args []string, stdout io.Wri
 	"train":      train,
 	"pack":       pack,
 	"migrate":    migrateCmd,
-	"calibrate":  calibrate,
 }
 
 func main() {
@@ -66,7 +61,6 @@ func usage() string {
   paperrepro train [-machine intel] [-vcpus N] [-trees 100] [-out FILE]
   paperrepro pack [-machine amd] [-workload WTbtree]
   paperrepro migrate [-workload WTbtree] [-workers N] [-vcpus 16] [-paper]
-  paperrepro calibrate [debug]
 `
 }
 
@@ -363,233 +357,4 @@ func migrateCmd(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "throttled WTbtree: %.1fs overhead %.1f%% (paper: 60s, 3-6%%)\n", th.Seconds, th.OverheadPct)
 	return nil
-}
-
-// calibrate searches for AMD link bandwidths that reproduce the placement
-// facts of §4: 13 important placements for 16 vCPUs (two 8-node, eight
-// 4-node, three 2-node); {2,3,4,5} the best 4-node set; {0,2,4,6}+{1,3,5,7}
-// surviving and {0,1,4,5}+{2,3,6,7} filtered; an 8-node aggregate of 35000
-// MB/s. The link structure is fixed: a twisted ladder of intra-package links
-// in three bandwidth classes (hence three 2-node placements) plus an
-// even-die and an odd-die clique, so every even-odd cross-package pair is
-// two hops, as in the paper's 0-5 and 3-6 examples. The search derived the
-// constants in internal/machines; "calibrate debug" checks machines.AMD(),
-// the checked-in machine, instead.
-func calibrate(ctx context.Context, args []string, stdout io.Writer) error {
-	debug := len(args) == 1 && args[0] == "debug"
-	if debug {
-		args = nil
-	}
-	if err := parseFlags(flag.NewFlagSet("calibrate", flag.ContinueOnError), args); err != nil {
-		return err
-	}
-	if debug {
-		spec := concern.FromMachine(machines.AMD())
-		ok, why := check(spec)
-		fmt.Fprintln(stdout, "check:", ok, why)
-		packs := placement.FilterPackings(spec, placement.GenPackings(spec.Node.FeasibleScores(16), placement.AllNodes(spec)))
-		fmt.Fprintln(stdout, "surviving packings:")
-		for _, pk := range packs {
-			fmt.Fprint(stdout, "  ", pk, " ICs:")
-			for _, part := range pk {
-				fmt.Fprint(stdout, " ", spec.Machine.IC.Measure(part))
-			}
-			fmt.Fprintln(stdout)
-		}
-		listPlacements(stdout, spec)
-		return nil
-	}
-	rng := xrand.New(2)
-	grid := func(lo, hi int64) int64 { return lo + 50*rng.Int63n((hi-lo)/50+1) }
-	miss := map[string]int{}
-	for iter := 0; iter < 500_000; iter++ {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("cancelled after %d iters; failure histogram: %v: %w", iter, miss, err)
-		}
-		var p params
-		p.wa = 2400
-		p.wb = grid(1950, 2350)
-		p.wc = grid(1950, 2350)
-		if p.wb == p.wc || p.wb == p.wa || p.wc == p.wa {
-			continue // three distinct 2-node scores needed
-		}
-		// All inter-package links stay below the weakest intra link so the
-		// all-intra pairing dominates every other (2,2,2,2) packing.
-		capBW := min(p.wb, p.wc) - 100
-		g := func(lo, hi int64) int64 { hi = min(hi, capBW); return grid(min(lo, hi), hi) }
-		p.e24 = g(1700, 2100) // feeds the best 4-node set {2,3,4,5}
-		p.o35 = g(1700, 2100)
-		p.e02, p.e46 = g(1350, 1900), g(1350, 1900)
-		p.e04, p.e26 = g(1350, 1900), g(1350, 1900)
-		p.e06 = g(450, 900)
-		p.o13, p.o57 = g(1350, 1900), g(1350, 1900)
-		p.o15, p.o37 = g(1350, 1900), g(1350, 1900)
-		p.o17 = g(450, 900)
-		ok, why := check(p.spec())
-		if !ok {
-			miss[why]++
-			if iter%100_000 == 99_999 {
-				fmt.Fprintf(stdout, "iter %d, failures so far: %v\n", iter+1, miss)
-			}
-			continue
-		}
-		tuned, exact := tuneTotal(p)
-		if !exact {
-			miss["total-stuck"]++
-			fmt.Fprintf(stdout, "stuck at total %d: %+v\n", tuned.graph().Measure(topology.FullNodeSet(8)), tuned)
-			continue
-		}
-		fmt.Fprintf(stdout, "FOUND after %d iters: %+v\n", iter, tuned)
-		listPlacements(stdout, tuned.spec())
-		return nil
-	}
-	return fmt.Errorf("no candidate found; failure histogram: %v", miss)
-}
-
-type params struct {
-	wa int64 // intra-package links 0-1 and 6-7 (fastest class)
-	wb int64 // intra-package link 2-3
-	wc int64 // intra-package link 4-5
-	// Even-die clique.
-	e02, e04, e06, e24, e26, e46 int64
-	// Odd-die clique.
-	o13, o15, o17, o35, o37, o57 int64
-}
-
-func (p params) graph() *interconnect.Graph {
-	g := interconnect.NewGraph(8)
-	type link struct {
-		a, b topology.NodeID
-		bw   int64
-	}
-	for _, l := range []link{
-		{0, 1, p.wa}, {6, 7, p.wa}, {2, 3, p.wb}, {4, 5, p.wc},
-		{0, 2, p.e02}, {0, 4, p.e04}, {0, 6, p.e06},
-		{2, 4, p.e24}, {2, 6, p.e26}, {4, 6, p.e46},
-		{1, 3, p.o13}, {1, 5, p.o15}, {1, 7, p.o17},
-		{3, 5, p.o35}, {3, 7, p.o37}, {5, 7, p.o57},
-	} {
-		g.AddLink(l.a, l.b, l.bw)
-	}
-	return g
-}
-
-// spec returns the concern specification of the AMD machine with p's links.
-func (p params) spec() *concern.Spec {
-	m := machines.AMD()
-	m.IC = p.graph()
-	return concern.FromMachine(m)
-}
-
-// check runs the placement pipeline for the candidate machine and reports
-// whether all paper facts hold; the second return is a failure reason.
-func check(spec *concern.Spec) (bool, string) {
-	imps, err := placement.Enumerate(context.Background(), spec, 16)
-	if err != nil {
-		return false, err.Error()
-	}
-	byNodes := map[int]int{}
-	for _, p := range imps {
-		byNodes[p.Vec.Node]++
-	}
-	if n := byNodes[2]; n != 3 {
-		return false, fmt.Sprintf("2-node count %d", n)
-	}
-	if n := byNodes[4]; n != 8 {
-		return false, fmt.Sprintf("4-node count %d", n)
-	}
-	if len(imps) != 13 {
-		return false, fmt.Sprintf("count %d composition %v", len(imps), byNodes)
-	}
-	best4 := topology.NewNodeSet(2, 3, 4, 5)
-	sets := map[topology.NodeSet]bool{}
-	var maxIC int64
-	for _, p := range imps {
-		if p.Vec.Node == 4 {
-			sets[p.Nodes] = true
-			maxIC = max(maxIC, p.Vec.Pareto[0])
-		}
-	}
-	if !sets[best4] {
-		return false, "missing {2,3,4,5}"
-	}
-	if !sets[topology.NewNodeSet(0, 2, 4, 6)] || !sets[topology.NewNodeSet(1, 3, 5, 7)] {
-		return false, "missing evens/odds"
-	}
-	if !sets[topology.NewNodeSet(0, 1, 6, 7)] {
-		return false, "missing {0,1,6,7}"
-	}
-	if sets[topology.NewNodeSet(0, 1, 4, 5)] || sets[topology.NewNodeSet(2, 3, 6, 7)] {
-		return false, "{0,1,4,5} or {2,3,6,7} survived"
-	}
-	if spec.Machine.IC.Measure(best4) != maxIC {
-		return false, "best 4-node set is not {2,3,4,5}"
-	}
-	return true, ""
-}
-
-// fields returns pointers to every tunable parameter, for local search.
-func (p *params) fields() []*int64 {
-	return []*int64{
-		&p.wa, &p.wb, &p.wc,
-		&p.e02, &p.e04, &p.e06, &p.e24, &p.e26, &p.e46,
-		&p.o13, &p.o15, &p.o17, &p.o35, &p.o37, &p.o57,
-	}
-}
-
-// tuneTotal hill-climbs single-parameter adjustments until the 8-node
-// aggregate is exactly 35000 MB/s while every structural fact still holds.
-func tuneTotal(p params) (params, bool) {
-	// First try a global rescale toward the target: structural facts are
-	// (approximately) scale-invariant, so this usually lands close without
-	// breaking them.
-	if total := p.graph().Measure(topology.FullNodeSet(8)); total != 35000 {
-		q := p
-		for _, f := range q.fields() {
-			*f = (*f*35000/total + 12) / 25 * 25
-		}
-		if ok, _ := check(q.spec()); ok {
-			p = q
-		}
-	}
-	abs := func(x int64) int64 { return max(x, -x) }
-	deltas := []int64{-1000, -500, -200, -100, -50, -25, -10, -5, -2, -1, 1, 2, 5, 10, 25, 50, 100, 200, 500, 1000}
-	for round := 0; round < 12; round++ {
-		total := p.graph().Measure(topology.FullNodeSet(8))
-		if total == 35000 {
-			return p, true
-		}
-		improved := false
-		for _, f := range p.fields() {
-			orig := *f
-			for _, delta := range deltas {
-				*f = orig + delta
-				if *f <= 0 {
-					continue
-				}
-				spec := p.spec()
-				if ok, _ := check(spec); !ok {
-					continue
-				}
-				t := spec.Machine.IC.Measure(topology.FullNodeSet(8))
-				if abs(t-35000) < abs(total-35000) {
-					total = t
-					improved = true
-					orig = *f
-				}
-			}
-			*f = orig
-		}
-		if !improved {
-			return p, false
-		}
-	}
-	return p, p.graph().Measure(topology.FullNodeSet(8)) == 35000
-}
-
-func listPlacements(w io.Writer, spec *concern.Spec) {
-	imps, _ := placement.Enumerate(context.Background(), spec, 16)
-	for _, ip := range imps {
-		fmt.Fprintln(w, " ", ip)
-	}
 }

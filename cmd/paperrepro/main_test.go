@@ -30,7 +30,6 @@ func TestSubcommands(t *testing.T) {
 		{args: "placements -machine intel -vcpus 24",
 			want: []string{"important placements for 24 vCPUs: 7\n"}, suffix: "  #7 {0,1,2,3} c0=24 [24, 4]\n"},
 		{args: "placements -vcpus 17", code: 1, is: numaplace.ErrInfeasible},
-		{args: "calibrate debug", want: []string{"check: true \n", "surviving packings:\n"}, suffix: last13},
 		{args: "placements -machine bogus", code: 2, stderr: `unknown machine "bogus"`},
 		{args: "pack -workload nope", code: 2, stderr: `unknown workload "nope"`},
 		{args: "-only fig9", code: 2, stderr: "table1, counts, fig1, fig3, fig4, fig5, table2"},

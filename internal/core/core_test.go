@@ -220,12 +220,11 @@ func TestTrainHPEVariant(t *testing.T) {
 	if len(p.HPEFeats) == 0 || len(p.HPEFeats) > cfg.MaxHPEFeatures {
 		t.Fatalf("selected %d counters", len(p.HPEFeats))
 	}
-	vec, err := p.PredictHPE(ds.HPE[0][p.Base], 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vec) != len(ds.Placements) {
-		t.Fatalf("vector length %d", len(vec))
+	// Every training target is 1 in the base placement (perf(base) over
+	// itself), so the forest predicts exactly 1 there.
+	vec := predictAll(t, p, ds, []int{0})
+	if vec[p.Base] != 1 {
+		t.Fatalf("base placement predicted %v, want 1", vec[p.Base])
 	}
 	// Perf-style Predict must refuse.
 	if _, err := p.Predict(1, 2); err == nil {
@@ -281,9 +280,50 @@ func TestPredictErrors(t *testing.T) {
 	if _, err := p.Predict(5, -1); err == nil {
 		t.Error("negative observation accepted")
 	}
-	if _, err := p.PredictHPE(nil, 0); err == nil {
-		t.Error("PredictHPE on perf variant accepted")
+}
+
+// TestPredictDatasetMismatch scores datasets a predictor cannot read: one
+// of another machine's placements, and for the HPE variant one without
+// counters or with fewer than it selected. Each is refused with
+// ErrMachineMismatch instead of indexing past the dataset.
+func TestPredictDatasetMismatch(t *testing.T) {
+	refused := func(what string, p *Predictor, ds *Dataset) {
+		t.Helper()
+		n := len(ds.Workloads)
+		err := p.PredictDatasetInto(make([]float64, n*p.NumPlacements), make([]float64, n*p.InDim()), ds, nil)
+		if !errors.Is(err, nperr.ErrMachineMismatch) {
+			t.Errorf("%s: err %v, want ErrMachineMismatch", what, err)
+		}
 	}
+	intel := smallDataset(t, true)
+	amd, err := Collect(context.Background(), machines.AMD(), workloads.Paper()[:6], 16, CollectConfig{Trials: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastTrain()
+	cfg.FixedPair = &[2]int{0, len(amd.Placements) - 1}
+	p, err := Train(context.Background(), amd, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused("an AMD 16-vCPU predictor on an Intel 24-vCPU dataset", p, intel)
+
+	cfg = fastTrain()
+	cfg.Variant = HPEFeatures
+	cfg.FixedPair = &[2]int{1, 6}
+	p, err = Train(context.Background(), intel, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused("the HPE variant on a dataset without counters", p, smallDataset(t, false))
+	few := intel.Subset([]int{0, 1})
+	for w, row := range few.HPE {
+		few.HPE[w] = nil
+		for _, hpes := range row {
+			few.HPE[w] = append(few.HPE[w], hpes[:slices.Max(p.HPEFeats)])
+		}
+	}
+	refused("the HPE variant on a dataset with fewer counters", p, few)
 }
 
 func TestBestPlacement(t *testing.T) {

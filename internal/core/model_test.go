@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +12,9 @@ import (
 
 	"repro/internal/machines"
 	"repro/internal/mlearn"
+	"repro/internal/nperr"
+	"repro/internal/perfsim"
+	"repro/internal/placement"
 	"repro/internal/workloads"
 )
 
@@ -139,17 +143,29 @@ func TestLoadPredictorErrors(t *testing.T) {
 	}
 }
 
-// answer asks a loaded predictor for a vector through every entry point;
-// each must return a vector of the forest's width or an error, and only
-// the perf variant may answer PredictInto.
+// answer asks a loaded predictor for a vector through both entry points:
+// only the perf variant may answer PredictInto, and PredictDatasetInto
+// over a one-row dataset of the predictor's placements with 41 counters
+// each must answer, or refuse a counter past them with
+// ErrMachineMismatch.
 func answer(t *testing.T, p *Predictor) {
 	t.Helper()
 	dst := make([]float64, p.NumPlacements)
 	if err := p.PredictInto(dst, 1000, 1200); err == nil && p.Variant != PerfFeatures {
 		t.Fatalf("%s predictor answered PredictInto", p.Variant)
 	}
-	if vec, err := p.PredictHPE(make([]float64, 41), 1.2); err == nil && len(vec) != p.NumPlacements {
-		t.Fatalf("PredictHPE vector has %d entries, want %d", len(vec), p.NumPlacements)
+	ds := &Dataset{
+		Placements: make([]placement.Important, p.NumPlacements),
+		Workloads:  make([]perfsim.Workload, 1),
+		Perf:       [][]float64{make([]float64, p.NumPlacements)},
+		HPE:        [][][]float64{make([][]float64, p.NumPlacements)},
+	}
+	for i := range ds.Perf[0] {
+		ds.Perf[0][i] = 1000 + float64(i)
+		ds.HPE[0][i] = make([]float64, 41)
+	}
+	if err := p.PredictDatasetInto(dst, make([]float64, p.InDim()), ds, nil); err != nil && !errors.Is(err, nperr.ErrMachineMismatch) {
+		t.Fatalf("%s predictor: PredictDatasetInto: %v", p.Variant, err)
 	}
 }
 

@@ -41,31 +41,6 @@ func (p *Predictor) PredictInto(dst []float64, perfBase, perfProbe float64) erro
 	return nil
 }
 
-// PredictHPE returns the performance vector from counters observed in the
-// Base placement (HPE variant), optionally with the perf ratio for the
-// Combined variant.
-func (p *Predictor) PredictHPE(hpes []float64, perfRatio float64) ([]float64, error) {
-	var x []float64
-	switch p.Variant {
-	case HPEFeatures:
-	case Combined:
-		x = append(x, perfRatio)
-	default:
-		return nil, fmt.Errorf("core: PredictHPE requires an HPE variant, have %s", p.Variant)
-	}
-	for _, f := range p.HPEFeats {
-		if f < 0 || f >= len(hpes) {
-			return nil, fmt.Errorf("core: counter index %d out of range (%d counters)", f, len(hpes))
-		}
-		x = append(x, hpes[f])
-	}
-	out := make([]float64, p.forest.OutDim())
-	if err := p.forest.PredictInto(out, x); err != nil {
-		return nil, fmt.Errorf("core: predicting: %w", err)
-	}
-	return out, nil
-}
-
 // Warm builds the interval table the perf variant's PredictInto answers
 // from (otherwise built by the first prediction), so serving entry points
 // pay the one-time build when they register a predictor, not inside the
@@ -85,12 +60,17 @@ func (p *Predictor) InDim() int { return featDim(p) }
 // (flat, row-major, len nrows*NumPlacements) through the forest's
 // tree-outer batch walk, using xbuf (len >= nrows*InDim()) as feature
 // scratch. The call is allocation-free, and row r is bit-identical to a
-// single prediction from the same observations.
+// single prediction from the same observations. A dataset of other
+// placements, or one without the counters an HPE variant reads, is
+// refused with nperr.ErrMachineMismatch.
 func (p *Predictor) PredictDatasetInto(dst, xbuf []float64, ds *Dataset, rows []int) error {
 	d := featDim(p)
 	n := len(ds.Workloads)
 	if rows != nil {
 		n = len(rows)
+	}
+	if err := p.reads(ds, rows, n); err != nil {
+		return err
 	}
 	if len(xbuf) < n*d {
 		return fmt.Errorf("core: feature scratch has %d entries, need %d: %w", len(xbuf), n*d, mlearn.ErrDimMismatch)
@@ -98,6 +78,31 @@ func (p *Predictor) PredictDatasetInto(dst, xbuf []float64, ds *Dataset, rows []
 	X := mlearn.Matrix{Data: xbuf[:n*d], Rows: n, Cols: d}
 	fillFeatures(X, ds, p, rows)
 	return p.forest.PredictRowsInto(dst, X, nil)
+}
+
+// reads checks that ds holds what p's features read for the n selected
+// rows: the placements p was trained on and, for the HPE variants, every
+// counter p selected, observed in its base placement.
+func (p *Predictor) reads(ds *Dataset, rows []int, n int) error {
+	if len(ds.Placements) != p.NumPlacements {
+		return fmt.Errorf("core: dataset has %d placements, predictor %d: %w", len(ds.Placements), p.NumPlacements, nperr.ErrMachineMismatch)
+	}
+	if p.Variant == PerfFeatures {
+		return nil
+	}
+	if len(ds.HPE) != len(ds.Workloads) {
+		return fmt.Errorf("core: the %s variant reads counters, dataset has none: %w", p.Variant, nperr.ErrMachineMismatch)
+	}
+	last := -1
+	for _, f := range p.HPEFeats {
+		last = max(last, f)
+	}
+	for i := 0; i < n; i++ {
+		if have := len(ds.HPE[rowOf(rows, i)][p.Base]); last >= have {
+			return fmt.Errorf("core: counter index %d out of range (%d counters): %w", last, have, nperr.ErrMachineMismatch)
+		}
+	}
+	return nil
 }
 
 // BestPlacement returns the index of the fastest predicted placement

@@ -184,7 +184,7 @@ func Train(ctx context.Context, ds *Dataset, cfg TrainConfig) (*Predictor, error
 	fillFeatures(X, ds, p, nil)
 	forestCfg := cfg.Forest
 	forestCfg.Seed = xmix(cfg.Seed, 0xF1A1)
-	f, err := mlearn.TrainForestMatrix(X, ds.RelMatrix(p.Base), nil, forestCfg)
+	f, err := mlearn.TrainForest(X, ds.RelMatrix(p.Base), nil, mlearn.ColumnOrders(X, nil), forestCfg)
 	putFloats(xb)
 	if err != nil {
 		return nil, err
@@ -322,7 +322,7 @@ func cvMAPE(ctx context.Context, ds *Dataset, p *Predictor, cfg TrainConfig, see
 		fold := folds[fi]
 		ords := getOrds(d, len(fold.Train), n)
 		mlearn.SubsetOrders(ords.ord, fullOrd, fold.Train, ords.pos)
-		f, err := mlearn.TrainForestMatrixOrd(X, Y, fold.Train, ords.ord, mlearn.ForestConfig{
+		f, err := mlearn.TrainForest(X, Y, fold.Train, ords.ord, mlearn.ForestConfig{
 			Trees: cfg.selectionTrees(),
 			Seed:  xmix(seed, uint64(fi)),
 		})

@@ -58,13 +58,15 @@ func AMD() Machine {
 	// and an odd-die clique. Every even-odd cross-package pair (including
 	// the paper's 0-5 and 3-6 examples) is therefore two hops away.
 	//
-	// Bandwidths were derived by paperrepro calibrate so that all placement facts
-	// published in §4 hold: 13 important placements for 16 vCPUs,
+	// Bandwidths were found by a random search (the former paperrepro
+	// calibrate subcommand, kept in git history) so that all placement facts
+	// published in §4 hold: 13 important placements for 16 vCPUs with
+	// three distinct 2-node scores (placement's TestAMDImportantPlacements),
 	// {2,3,4,5} the best 4-node set, the {0,2,4,6}+{1,3,5,7} packing
-	// surviving, {0,1,4,5}+{2,3,6,7} filtered, three distinct 2-node
-	// scores, and an 8-node aggregate of exactly 35000 MB/s. The three
-	// intra-package bandwidth classes reflect measured (stream-style)
-	// differences between packages.
+	// surviving and {0,1,4,5}+{2,3,6,7} filtered (TestAMDPackingNarrative),
+	// and an 8-node aggregate of exactly 35000 MB/s
+	// (TestAMDMatchesPaperFigure2). The three intra-package bandwidth
+	// classes reflect measured (stream-style) differences between packages.
 	links := []link{
 		// Intra-package links (three measured classes).
 		{0, 1, 2096}, {6, 7, 2096}, {2, 3, 1876}, {4, 5, 1926},

@@ -207,7 +207,7 @@ func TestGroupKFoldPinnedAssignment(t *testing.T) {
 // sharing the warm pools still predicts exactly as before.
 func TestRecycleKeepsServingForestsUsable(t *testing.T) {
 	xm, ym, f, _ := trainFlatFixture(t, 2)
-	keep, err := TrainForestMatrix(xm, ym, nil, ForestConfig{Trees: 9, Seed: 41})
+	keep, err := trainMatrix(xm, ym, nil, ForestConfig{Trees: 9, Seed: 41})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestRecycleKeepsServingForestsUsable(t *testing.T) {
 	}
 	// Churn the pools, then re-check the retained forest.
 	for i := 0; i < 4; i++ {
-		tmp, err := TrainForestMatrix(xm, ym, nil, ForestConfig{Trees: 9, Seed: uint64(i)})
+		tmp, err := trainMatrix(xm, ym, nil, ForestConfig{Trees: 9, Seed: uint64(i)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,9 +27,6 @@ var (
 type ForestConfig struct {
 	// Trees is the ensemble size (default 100).
 	Trees int
-	// Tree configures the individual trees. If Tree.FeatureSubset is 0 a
-	// regression default of max(1, d/3) is applied.
-	Tree TreeConfig
 	// Seed makes training deterministic.
 	Seed uint64
 }
@@ -149,49 +146,22 @@ func concat(trees []*flat) *flat {
 	return c
 }
 
-// forestScratch is the pooled per-forest presort state: the (value, index)
-// sort buffer and the base set's per-feature sorted orders every bootstrap
-// tree derives its own orders from.
-type forestScratch struct {
-	pairs   []sortPair
-	ordBack []int
-	ord     [][]int
-}
-
-var forestScratchPool = sync.Pool{New: func() any { return new(forestScratch) }}
-
-func getForestScratch(n, inDim int) *forestScratch {
-	fs := forestScratchPool.Get().(*forestScratch)
-	fs.pairs = sized(fs.pairs, n)
-	fs.ordBack = sized(fs.ordBack, n*inDim)
-	fs.ord = sized(fs.ord, inDim)
-	for f := 0; f < inDim; f++ {
-		fs.ord[f] = fs.ordBack[f*n : (f+1)*n]
-	}
-	return fs
-}
-
-// TrainForestMatrix fits a forest on the selected rows (nil = every row)
-// of the flat matrices X and Y — the training data plane's native entry
-// point. Cross-validation trains every fold directly on the shared design
-// matrices by passing the fold's row indices; nothing is copied. Trees are
+// TrainForest fits a forest on the selected rows (nil = every row) of the
+// flat matrices X and Y. ord is the presort of those rows: ord[f] lists
+// the positions 0..len(rows)-1 ordered ascending by feature f's value,
+// ties by position — what ColumnOrders(X, rows) produces, or SubsetOrders
+// derives in O(n) from one whole-matrix argsort, so cross-validation
+// sorts each candidate once for all its folds. Every bootstrap tree
+// derives its own sample orders from it (see growBootstrapTree).
+//
+// The trees take the regression defaults, with no tuning knob (§5): fully
+// grown, each split drawn from max(1, d/3) random features. Trees are
 // grown concurrently on the shared worker pool; every tree derives an
 // independent random stream from the root seed and its own index, so the
 // ensemble is bit-identical at any worker count (including the serial
-// pool). X and Y are only read during the call and may be pooled or
+// pool). X, Y and ord are only read during the call and may be pooled or
 // mutated afterwards: the forest copies what it keeps.
-func TrainForestMatrix(X, Y Matrix, rows []int, cfg ForestConfig) (*Forest, error) {
-	return TrainForestMatrixOrd(X, Y, rows, nil, cfg)
-}
-
-// TrainForestMatrixOrd is TrainForestMatrix with caller-supplied presorted
-// base orders: baseOrd[f] must list the positions 0..len(rows)-1 of the
-// selected rows ordered ascending by feature f's value, ties by position —
-// what ColumnOrders(X, rows) produces, or SubsetOrders derives in O(n)
-// from one whole-matrix argsort. Cross-validation trains k folds of the
-// same candidate matrix; sharing the argsort across them removes the
-// dominant per-forest sort. A nil baseOrd computes the presort internally.
-func TrainForestMatrixOrd(X, Y Matrix, rows []int, baseOrd [][]int, cfg ForestConfig) (*Forest, error) {
+func TrainForest(X, Y Matrix, rows []int, ord [][]int, cfg ForestConfig) (*Forest, error) {
 	if !X.ok() || !Y.ok() || X.Rows != Y.Rows {
 		return nil, fmt.Errorf("mlearn: bad training set: %d inputs, %d outputs", X.Rows, Y.Rows)
 	}
@@ -208,51 +178,20 @@ func TrainForestMatrixOrd(X, Y Matrix, rows []int, baseOrd [][]int, cfg ForestCo
 		return nil, fmt.Errorf("mlearn: bad training set: 0 inputs, 0 outputs")
 	}
 	inDim := X.Cols
-	treeCfg := cfg.Tree
-	if treeCfg.FeatureSubset <= 0 {
-		treeCfg.FeatureSubset = inDim / 3
-		if treeCfg.FeatureSubset < 1 {
-			treeCfg.FeatureSubset = 1
+	if len(ord) != inDim {
+		return nil, fmt.Errorf("mlearn: presort covers %d features, want %d", len(ord), inDim)
+	}
+	for fi := range ord {
+		if len(ord[fi]) != n {
+			return nil, fmt.Errorf("mlearn: presort order %d has %d entries, want %d", fi, len(ord[fi]), n)
 		}
 	}
+	m := max(1, inDim/3)
 	root := xrand.Mix(cfg.Seed, 0xF07E57)
-	// Presort the base set once per forest (unless the caller shares one):
-	// every bootstrap tree derives its per-feature sample orders from
-	// these in O(n) instead of sorting its own sample (see
-	// growBootstrapTree). Orders are over base positions (indices into
-	// rows), ties by position, fully deterministic.
-	var fs *forestScratch
-	if baseOrd == nil {
-		fs = getForestScratch(n, inDim)
-		for fi := 0; fi < inDim; fi++ {
-			pairs := fs.pairs
-			for i := range pairs {
-				pairs[i] = sortPair{v: X.At(rowAt(rows, i), fi), i: int32(i)}
-			}
-			sortPairs(pairs)
-			ord := fs.ord[fi]
-			for k, p := range pairs {
-				ord[k] = int(p.i)
-			}
-		}
-		baseOrd = fs.ord
-	} else {
-		if len(baseOrd) != inDim {
-			return nil, fmt.Errorf("mlearn: presort covers %d features, want %d", len(baseOrd), inDim)
-		}
-		for fi := range baseOrd {
-			if len(baseOrd[fi]) != n {
-				return nil, fmt.Errorf("mlearn: presort order %d has %d entries, want %d", fi, len(baseOrd[fi]), n)
-			}
-		}
-	}
 	trees := xparallel.Map(cfg.trees(), func(i int) *flat {
 		rng := xrand.New(xrand.Mix(root, uint64(i)))
-		return growBootstrapTree(X, Y, rows, n, baseOrd, treeCfg, rng)
+		return growBootstrapTree(X, Y, rows, n, ord, m, rng)
 	})
-	if fs != nil {
-		forestScratchPool.Put(fs)
-	}
 	f := &Forest{flat: concat(trees), inDim: inDim, outDim: Y.Cols}
 	for _, t := range trees {
 		treePool.Put(t)

@@ -110,13 +110,29 @@ func legacyValidateSet(X, Y [][]float64) error {
 	return nil
 }
 
+// legacyTreeConfig is the frozen tree configuration the legacy grower
+// reads. The production grower has no knobs: legacyTrainForest leaves
+// every field at its zero value but the defaulted feature subset.
+type legacyTreeConfig struct {
+	MaxDepth      int
+	MinLeaf       int
+	FeatureSubset int
+}
+
+func (c legacyTreeConfig) minLeaf() int {
+	if c.MinLeaf <= 0 {
+		return 1
+	}
+	return c.MinLeaf
+}
+
 // legacyTrainForest is the frozen row-pointer TrainForest.
 func legacyTrainForest(X, Y [][]float64, cfg ForestConfig) (*legacyForest, error) {
 	if err := legacyValidateSet(X, Y); err != nil {
 		return nil, err
 	}
 	inDim := len(X[0])
-	treeCfg := cfg.Tree
+	var treeCfg legacyTreeConfig
 	if treeCfg.FeatureSubset <= 0 {
 		treeCfg.FeatureSubset = inDim / 3
 		if treeCfg.FeatureSubset < 1 {
@@ -157,7 +173,7 @@ func legacyTrainForest(X, Y [][]float64, cfg ForestConfig) (*legacyForest, error
 	return f, nil
 }
 
-func legacyBuildTreeBootstrap(bX, bY [][]float64, ks []int, baseOrd [][]int, cfg TreeConfig, rng *xrand.SplitMix64) (*legacyTree, error) {
+func legacyBuildTreeBootstrap(bX, bY [][]float64, ks []int, baseOrd [][]int, cfg legacyTreeConfig, rng *xrand.SplitMix64) (*legacyTree, error) {
 	g, err := legacyNewGrower(bX, bY, cfg, rng)
 	if err != nil {
 		return nil, err
@@ -191,7 +207,7 @@ func legacyBuildTreeBootstrap(bX, bY [][]float64, ks []int, baseOrd [][]int, cfg
 	return g.t, nil
 }
 
-func legacyNewGrower(X, Y [][]float64, cfg TreeConfig, rng *xrand.SplitMix64) (*legacyGrower, error) {
+func legacyNewGrower(X, Y [][]float64, cfg legacyTreeConfig, rng *xrand.SplitMix64) (*legacyGrower, error) {
 	if err := legacyValidateSet(X, Y); err != nil {
 		return nil, err
 	}
@@ -225,7 +241,7 @@ func legacyNewGrower(X, Y [][]float64, cfg TreeConfig, rng *xrand.SplitMix64) (*
 
 type legacyGrower struct {
 	X, Y [][]float64
-	cfg  TreeConfig
+	cfg  legacyTreeConfig
 	rng  *xrand.SplitMix64
 	t    *legacyTree
 
@@ -465,10 +481,15 @@ func dumpBytes(t *testing.T, d *ForestDump) []byte {
 	return b
 }
 
+// trainMatrix is TrainForest over the selected rows with their presort.
+func trainMatrix(X, Y Matrix, rows []int, cfg ForestConfig) (*Forest, error) {
+	return TrainForest(X, Y, rows, ColumnOrders(X, rows), cfg)
+}
+
 // trainRows fits a forest on row-pointer data through the flat entry point.
 func trainRows(t *testing.T, X, Y [][]float64, cfg ForestConfig) *Forest {
 	t.Helper()
-	f, err := TrainForestMatrix(MatrixFrom(X), MatrixFrom(Y), nil, cfg)
+	f, err := trainMatrix(MatrixFrom(X), MatrixFrom(Y), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,9 +508,7 @@ func TestFlatTrainingMatchesLegacy(t *testing.T) {
 		{8, 1, 3, ForestConfig{Trees: 9, Seed: 1}},
 		{40, 1, 13, ForestConfig{Trees: 15, Seed: 2}},
 		{25, 4, 7, ForestConfig{Trees: 11, Seed: 3}},
-		{30, 9, 5, ForestConfig{Trees: 8, Seed: 4, Tree: TreeConfig{FeatureSubset: 3}}},
-		{50, 2, 6, ForestConfig{Trees: 10, Seed: 5, Tree: TreeConfig{MaxDepth: 4}}},
-		{20, 3, 4, ForestConfig{Trees: 12, Seed: 6, Tree: TreeConfig{MinLeaf: 3}}},
+		{30, 9, 5, ForestConfig{Trees: 8, Seed: 4}}, // three features per split
 	}
 	for ci, tc := range cases {
 		X, Y := randomSet(rng, tc.n, tc.inDim, tc.outDim)
@@ -536,7 +555,7 @@ func TestFlatSubsetTrainingMatchesLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := TrainForestMatrix(xm, ym, rows, cfg)
+		got, err := trainMatrix(xm, ym, rows, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -555,7 +574,7 @@ func TestPooledTrainingDeterministic(t *testing.T) {
 	X, Y := randomSet(rng, 45, 2, 8)
 	xm, ym := MatrixFrom(X), MatrixFrom(Y)
 	cfg := ForestConfig{Trees: 13, Seed: 77}
-	first, err := TrainForestMatrix(xm, ym, nil, cfg)
+	first, err := trainMatrix(xm, ym, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,7 +587,7 @@ func TestPooledTrainingDeterministic(t *testing.T) {
 		t.Fatal("cold-pool forest differs from the legacy forest")
 	}
 	// Recycle a throwaway forest to stir the pools with used buffers.
-	scrap, err := TrainForestMatrix(xm, ym, nil, ForestConfig{Trees: 13, Seed: 1234})
+	scrap, err := trainMatrix(xm, ym, nil, ForestConfig{Trees: 13, Seed: 1234})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,7 +597,7 @@ func TestPooledTrainingDeterministic(t *testing.T) {
 	}
 	scrap.Recycle()
 	for trial := 0; trial < 3; trial++ {
-		again, err := TrainForestMatrix(xm, ym, nil, cfg)
+		again, err := trainMatrix(xm, ym, nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,5 +1,7 @@
 package mlearn
 
+import "slices"
+
 // Matrix is a dense row-major float64 matrix: row i occupies
 // Data[i*Cols : (i+1)*Cols]. It is the training data plane's native
 // layout — one contiguous allocation instead of a slice of row pointers —
@@ -59,10 +61,30 @@ func rowAt(sel []int, i int) int {
 	return sel[i]
 }
 
+// sortPair is one (feature value, sample index) element of the presort.
+type sortPair struct {
+	v float64
+	i int32
+}
+
+// sortPairs orders pairs by value, ties by index (fully deterministic).
+func sortPairs(pairs []sortPair) {
+	slices.SortFunc(pairs, func(a, b sortPair) int {
+		switch {
+		case a.v < b.v:
+			return -1
+		case a.v > b.v:
+			return 1
+		default:
+			return int(a.i - b.i)
+		}
+	})
+}
+
 // ColumnOrders argsorts every column of X over the selected rows (nil =
 // every row): out[f] lists positions 0..n-1 ordered ascending by
 // X.At(rowAt(rows, k), f), ties by position — exactly the presort
-// TrainForestMatrixOrd consumes. Orders share one backing allocation.
+// TrainForest consumes. Orders share one backing allocation.
 func ColumnOrders(X Matrix, rows []int) [][]int {
 	n := X.Rows
 	if rows != nil {

@@ -9,12 +9,11 @@ import (
 	"repro/internal/xrand"
 )
 
-// randomForestCase trains a forest on random data under one configuration,
-// together with the frozen legacy forest of the same data and
-// configuration (the oracle; its dump must equal the forest's), and returns
-// both with a set of probe inputs (training points, perturbed points, and
-// out-of-range points).
-func randomForestCase(t *testing.T, seed uint64, n, inDim, outDim, trees, maxDepth, minLeaf int) (*Forest, *legacyForest, [][]float64) {
+// randomForestCase trains a forest on random data, together with the
+// frozen legacy forest of the same data and configuration (the oracle; its
+// dump must equal the forest's), and returns both with a set of probe
+// inputs (training points, perturbed points, and out-of-range points).
+func randomForestCase(t *testing.T, seed uint64, n, inDim, outDim, trees int) (*Forest, *legacyForest, [][]float64) {
 	t.Helper()
 	rng := xrand.New(seed)
 	X := make([][]float64, n)
@@ -29,11 +28,7 @@ func randomForestCase(t *testing.T, seed uint64, n, inDim, outDim, trees, maxDep
 			Y[i][d] = rng.NormFloat64()
 		}
 	}
-	cfg := ForestConfig{
-		Trees: trees,
-		Tree:  TreeConfig{MaxDepth: maxDepth, MinLeaf: minLeaf},
-		Seed:  seed,
-	}
+	cfg := ForestConfig{Trees: trees, Seed: seed}
 	f := trainRows(t, X, Y, cfg)
 	oracle, err := legacyTrainForest(X, Y, cfg)
 	if err != nil {
@@ -73,20 +68,20 @@ func sameFloat(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNa
 // tree-outer batch walk.
 func TestCompiledParity(t *testing.T) {
 	cases := []struct {
-		seed                                    uint64
-		n, inDim, outDim, trees, depth, minLeaf int
+		seed                    uint64
+		n, inDim, outDim, trees int
 	}{
-		{1, 40, 1, 7, 10, 0, 1},  // single-feature (step-table eligible)
-		{2, 60, 1, 13, 30, 0, 1}, // larger single-feature
-		{3, 50, 3, 5, 9, 0, 1},   // multi-feature
-		{4, 80, 6, 2, 17, 4, 2},  // depth- and leaf-limited
-		{5, 30, 2, 1, 3, 0, 1},   // single output
-		{6, 25, 9, 4, 21, 0, 3},  // wide feature space, feature subsetting
-		{7, 10, 1, 6, 130, 0, 1}, // more trees than samples
-		{8, 100, 4, 8, 50, 6, 1}, // big ensemble
+		{1, 40, 1, 7, 10},  // single-feature (step-table eligible)
+		{2, 60, 1, 13, 30}, // larger single-feature
+		{3, 50, 3, 5, 9},   // multi-feature
+		{4, 80, 6, 2, 17},  // more features, two per split
+		{5, 30, 2, 1, 3},   // single output
+		{6, 25, 9, 4, 21},  // wide feature space, feature subsetting
+		{7, 10, 1, 6, 130}, // more trees than samples
+		{8, 100, 4, 8, 50}, // big ensemble
 	}
 	for _, tc := range cases {
-		f, oracle, probes := randomForestCase(t, tc.seed, tc.n, tc.inDim, tc.outDim, tc.trees, tc.depth, tc.minLeaf)
+		f, oracle, probes := randomForestCase(t, tc.seed, tc.n, tc.inDim, tc.outDim, tc.trees)
 		if f.NumTrees() != tc.trees || f.InDim() != tc.inDim || f.OutDim() != tc.outDim {
 			t.Fatalf("seed %d: forest shape %d/%d/%d, want %d/%d/%d", tc.seed,
 				f.NumTrees(), f.InDim(), f.OutDim(), tc.trees, tc.inDim, tc.outDim)
@@ -138,7 +133,7 @@ func checkRows(t *testing.T, f *Forest, oracle *legacyForest, probes [][]float64
 // single- and multi-feature forests.
 func TestCompiledParityNonFinite(t *testing.T) {
 	for _, inDim := range []int{1, 2, 3, 4} {
-		f, oracle, _ := randomForestCase(t, uint64(40+inDim), 30, inDim, 3, 4, 4, 2)
+		f, oracle, _ := randomForestCase(t, uint64(40+inDim), 30, inDim, 3, 4)
 		var edge [][]float64
 		for _, v := range []float64{0, math.Inf(1), math.Inf(-1), math.NaN(), -1e308, 1e308} {
 			p := make([]float64, inDim)
@@ -182,7 +177,7 @@ func TestEmptyForestTypedErrors(t *testing.T) {
 }
 
 func TestCompiledDimMismatch(t *testing.T) {
-	f, _, _ := randomForestCase(t, 21, 20, 2, 3, 5, 0, 1)
+	f, _, _ := randomForestCase(t, 21, 20, 2, 3, 5)
 	dst := make([]float64, f.OutDim())
 	if err := f.PredictInto(dst, []float64{1}); !errors.Is(err, ErrDimMismatch) {
 		t.Fatalf("short input: %v, want ErrDimMismatch", err)
@@ -195,7 +190,7 @@ func TestCompiledDimMismatch(t *testing.T) {
 // TestPredictIntoAllocFree asserts the serving hot path performs zero
 // allocations per prediction.
 func TestPredictIntoAllocFree(t *testing.T) {
-	f, _, probes := randomForestCase(t, 31, 50, 1, 7, 40, 0, 1)
+	f, _, probes := randomForestCase(t, 31, 50, 1, 7, 40)
 	dst := make([]float64, f.OutDim())
 	f.Warm() // builds the single-feature interval table
 	allocs := testing.AllocsPerRun(100, func() {
@@ -207,7 +202,7 @@ func TestPredictIntoAllocFree(t *testing.T) {
 		t.Fatalf("PredictInto allocates %v per call, want 0", allocs)
 	}
 	// The multi-feature path must also be allocation-free.
-	f2, _, probes2 := randomForestCase(t, 32, 50, 3, 7, 40, 0, 1)
+	f2, _, probes2 := randomForestCase(t, 32, 50, 3, 7, 40)
 	dst2 := make([]float64, f2.OutDim())
 	allocs = testing.AllocsPerRun(100, func() {
 		if err := f2.PredictInto(dst2, probes2[0]); err != nil {

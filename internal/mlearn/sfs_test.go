@@ -1,6 +1,7 @@
 package mlearn
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -17,23 +18,22 @@ func TestSFSFindsInformativeFeatures(t *testing.T) {
 		X = append(X, row)
 		y = append(y, 3*row[1]-2*row[3])
 	}
-	// eval: negative training error of a depth-4 tree on the subset.
+	// eval: negative leave-one-out error of a nearest-neighbour regressor
+	// on the subset. It grows no model: SFS needs only a score.
 	eval := func(subset []int) float64 {
-		sub := make([][]float64, len(X))
-		for i, row := range X {
-			for _, f := range subset {
-				sub[i] = append(sub[i], row[f])
-			}
-		}
-		Y := make([][]float64, len(y))
-		for i := range y {
-			Y[i] = []float64{y[i]}
-		}
-		tree := plainForest(sub, Y, TreeConfig{MaxDepth: 4})
 		var sse float64
-		for i := range sub {
-			d := predict(t, tree, sub[i])[0] - y[i]
-			sse += d * d
+		for i, a := range X {
+			best, nearest := math.Inf(1), 0
+			for j, b := range X {
+				var d float64
+				for _, f := range subset {
+					d += (a[f] - b[f]) * (a[f] - b[f])
+				}
+				if j != i && d < best {
+					best, nearest = d, j
+				}
+			}
+			sse += (y[nearest] - y[i]) * (y[nearest] - y[i])
 		}
 		return -sse
 	}

@@ -9,31 +9,11 @@ package mlearn
 
 import (
 	"math"
-	"slices"
 	"sort"
 	"sync"
 
 	"repro/internal/xrand"
 )
-
-// TreeConfig controls CART tree induction.
-type TreeConfig struct {
-	// MaxDepth limits tree depth; 0 means unlimited.
-	MaxDepth int
-	// MinLeaf is the minimum number of samples in a leaf (default 1).
-	MinLeaf int
-	// FeatureSubset is the number of candidate features examined per
-	// split; 0 tries all features (plain CART). Random forests use a
-	// random subset per split to de-correlate trees.
-	FeatureSubset int
-}
-
-func (c TreeConfig) minLeaf() int {
-	if c.MinLeaf <= 0 {
-		return 1
-	}
-	return c.MinLeaf
-}
 
 // growBootstrapTree grows one bootstrap tree over the selected rows of the
 // flat matrices (rows nil = every row): rng draws n base positions with
@@ -45,9 +25,10 @@ func (c TreeConfig) minLeaf() int {
 // tied samples sharing a base row are bit-for-bit interchangeable in every
 // prefix sum, and genuinely tied distinct rows take bestSplit's fallback
 // sort either way. The tree comes back in pooled scratch (treePool), with
-// tree-local node ids; TrainForestMatrixOrd concatenates it into the forest.
-func growBootstrapTree(X, Y Matrix, rows []int, n int, baseOrd [][]int, cfg TreeConfig, rng *xrand.SplitMix64) *flat {
-	g := getGrower(X, Y, n, cfg, rng)
+// tree-local node ids; TrainForest concatenates it into the forest. Each
+// split draws its m candidate features from rng.
+func growBootstrapTree(X, Y Matrix, rows []int, n int, baseOrd [][]int, m int, rng *xrand.SplitMix64) *flat {
+	g := getGrower(X, Y, n, m, rng)
 	ks := g.ks[:n]
 	for j := 0; j < n; j++ {
 		k := rng.Intn(n)
@@ -86,30 +67,10 @@ func growBootstrapTree(X, Y Matrix, rows []int, n int, baseOrd [][]int, cfg Tree
 			}
 		}
 	}
-	g.grow(0, n, 1)
+	g.grow(0, n)
 	t := g.t
 	putGrower(g)
 	return t
-}
-
-// sortPair is one (feature value, sample index) element of the presort.
-type sortPair struct {
-	v float64
-	i int32
-}
-
-// sortPairs orders pairs by value, ties by index (fully deterministic).
-func sortPairs(pairs []sortPair) {
-	slices.SortFunc(pairs, func(a, b sortPair) int {
-		switch {
-		case a.v < b.v:
-			return -1
-		case a.v > b.v:
-			return 1
-		default:
-			return int(a.i - b.i)
-		}
-	})
 }
 
 // grower holds the scratch state for one tree induction over flat strided
@@ -123,10 +84,10 @@ func sortPairs(pairs []sortPair) {
 // a node allocates nothing: it appends to the pooled tree scratch t.
 //
 // Induction is presort-based (classic presort CART): every feature's
-// sample order is sorted once per tree (or derived from the forest's base
-// presort), then maintained through each node's partition by a stable
-// split of the order segments. bestSplit therefore costs O(features·n)
-// per node instead of the O(features·n log n) a per-node re-sort would.
+// sample order is derived once per tree from the forest's presort, then
+// maintained through each node's partition by a stable split of the order
+// segments. bestSplit therefore costs O(features·n) per node instead of
+// the O(features·n log n) a per-node re-sort would.
 type grower struct {
 	x    []float64 // flat feature storage, row-major
 	xc   int       // feature stride (input dimensionality)
@@ -134,7 +95,7 @@ type grower struct {
 	yc   int       // output stride (output dimensionality)
 	xoff []int     // sample position -> offset of its feature row in x
 	yoff []int     // sample position -> offset of its output row in y
-	cfg  TreeConfig
+	m    int       // candidate features per split; m < xc draws them from rng
 	rng  *xrand.SplitMix64
 	t    *flat // the tree being grown: tree-local ids, leaves in node order
 
@@ -173,11 +134,11 @@ func sized[T any](b []T, n int) []T {
 // given matrices. Every buffer a tree reads is either fully rewritten
 // before use or explicitly cleared here, so pooled garbage can never leak
 // into induction (determinism depends on it).
-func getGrower(X, Y Matrix, n int, cfg TreeConfig, rng *xrand.SplitMix64) *grower {
+func getGrower(X, Y Matrix, n, m int, rng *xrand.SplitMix64) *grower {
 	g := growerPool.Get().(*grower)
 	inDim, outDim := X.Cols, Y.Cols
 	g.x, g.xc, g.y, g.yc = X.Data, X.Cols, Y.Data, Y.Cols
-	g.cfg, g.rng = cfg, rng
+	g.m, g.rng = m, rng
 
 	// The tree's scratch: a binary tree over n samples with >= 1 sample per
 	// leaf has at most 2n-1 nodes and n leaves, so reserving that much
@@ -256,8 +217,9 @@ func (a *argsort) Swap(i, j int) {
 }
 
 // grow recursively builds the subtree over the sample segment [lo, hi) of
-// g.idx (and of every g.ford order) and returns its node index.
-func (g *grower) grow(lo, hi, depth int) int32 {
+// g.idx (and of every g.ford order) and returns its node index. A node
+// becomes a leaf below two samples, when pure, or when no split exists.
+func (g *grower) grow(lo, hi int) int32 {
 	t := g.t
 	idx := g.idx[lo:hi]
 	self := t.addNode()
@@ -265,7 +227,7 @@ func (g *grower) grow(lo, hi, depth int) int32 {
 	// The mean vector is only materialized when the node actually becomes
 	// a leaf: internal nodes never serve predictions, and their (large)
 	// segments dominate the summation cost.
-	if len(idx) < 2*g.cfg.minLeaf() || (g.cfg.MaxDepth > 0 && depth >= g.cfg.MaxDepth) || g.pure(idx) {
+	if len(idx) < 2 || g.pure(idx) {
 		return g.leaf(self, idx)
 	}
 
@@ -289,7 +251,10 @@ func (g *grower) grow(lo, hi, depth int) int32 {
 		}
 	}
 	copy(idx[nl:], g.scratch[:nr])
-	if nl < g.cfg.minLeaf() || nr < g.cfg.minLeaf() {
+	// A threshold is the midpoint of two adjacent distinct values, and
+	// rounding can land it on the upper one: when that is the largest
+	// value every sample falls on one side, and the node stays a leaf.
+	if nl == 0 || nr == 0 {
 		return g.leaf(self, idx)
 	}
 	// Maintain every feature's presorted order through the partition: a
@@ -303,8 +268,8 @@ func (g *grower) grow(lo, hi, depth int) int32 {
 		}
 		partitionBySide(g.side, g.ford[f][lo:hi], g.scratch)
 	}
-	l := g.grow(lo, lo+nl, depth+1)
-	r := g.grow(lo+nl, hi, depth+1)
+	l := g.grow(lo, lo+nl)
+	r := g.grow(lo+nl, hi)
 	t.feat[self] = int32(feat)
 	t.thr[self] = thr
 	t.left[self] = l
@@ -359,19 +324,15 @@ func (g *grower) bestSplit(lo, hi int) (int, float64, bool) {
 	for i := range features {
 		features[i] = i
 	}
-	if g.cfg.FeatureSubset > 0 && g.cfg.FeatureSubset < g.xc {
-		if g.rng == nil {
-			g.rng = xrand.New(0)
-		}
+	if g.m < g.xc {
 		g.rng.Shuffle(len(features), func(i, j int) { features[i], features[j] = features[j], features[i] })
-		features = features[:g.cfg.FeatureSubset]
+		features = features[:g.m]
 	}
 
 	n := hi - lo
 	idx := g.idx[lo:hi]
 	vals := g.vals[:n]
 	sum, sumsq := g.sum, g.sumsq
-	minLeaf := g.cfg.minLeaf()
 	bestGain := math.Inf(-1)
 	bestFeat, bestThr := -1, 0.0
 
@@ -432,9 +393,6 @@ func (g *grower) bestSplit(lo, hi int) (int, float64, bool) {
 			for d, v := range g.yRow(order[k]) {
 				sum[d] += v
 				sumsq[d] += v * v
-			}
-			if k+1 < minLeaf || n-k-1 < minLeaf {
-				continue
 			}
 			if vals[k] == vals[k+1] {
 				continue // cannot split between equal values
