@@ -6,18 +6,15 @@ GO ?= go
 
 CI_STEPS = fmtcheck vet lint build crossbuild examples test race papergolden fuzzsmoke benchsmoke benchcheck
 
-# The packages that carry micro-benchmarks (root plus the wire-facing ones).
-BENCH_PKGS = . ./internal/fleet/ ./internal/wal/ ./internal/wire/
-
 .PHONY: all $(CI_STEPS) bench loc profile ci
 
 all: build
 
 # go vet's default analyzer suite already includes copylocks and
 # structtag module-wide; the second, targeted pass pins exactly those two
-# analyzers on the lock-bearing packages (the Engine with its machine lock,
-# the Scheduler with its atomic free mask, the cluster Fleet and the wire
-# Server must never be copied)
+# analyzers on the lock-bearing packages (the Engine with its embedded
+# Scheduler, the Scheduler with its machine lock and atomic free mask, the
+# cluster Fleet and the wire Server must never be copied)
 # so the guarantee survives even if the default suite is ever narrowed
 # via VETFLAGS or a toolchain change. The nested bench module is vetted on
 # its own: the root ./... never reaches it, and benchcheck's go test runs
@@ -98,17 +95,19 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreMatchesReplay$$' -fuzztime 5s ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadPredictor$$' -fuzztime 5s -fuzzminimizetime 1s ./internal/core/
 
-# The micro-benchmarks at the default budget, for reading while you work.
+# The micro-benchmarks at the default budget, for reading while you work,
+# over every package, as `race` runs: a package that gains a benchmark is
+# covered the day it gains it, with no list to maintain.
 # They gate nothing: allocation ceilings are ordinary tests in `go test
 # ./...`, and timing verdicts come from numabench (`sh bench/run.sh`, see
 # bench/README.md), which compares a change with its parent.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem $(BENCH_PKGS)
+	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 # One-iteration pass over every benchmark: catches benchmark rot (a missing
 # benchmark, setup errors, API drift) without paying for stable timings.
 benchsmoke:
-	$(GO) test -run '^$$' -bench . -benchtime=1x -count 1 $(BENCH_PKGS)
+	$(GO) test -run '^$$' -bench . -benchtime=1x -count 1 ./...
 
 # The repo's benchmark lives in the nested module bench/ (its own go.mod,
 # replacing repro with ../), which `go build ./... && go test ./...` at the

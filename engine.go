@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/concern"
 	"repro/internal/core"
@@ -23,17 +22,21 @@ import (
 // (enumerations, pinnings, and the scheduler's prepared observations and
 // scored free sets) lives in the sched.Tables every engine of the machine's
 // model shares. On top of the batch lifecycle (Placements, Pin, Collect,
-// Train, Predict) it serves an incremental admit/evict scheduler: Place,
-// Release and Rebalance.
+// Train, Predict) it is the machine's incremental admit/evict scheduler:
+// Place, Release, Rebalance and the rest are sched.Scheduler's own methods,
+// with its predictor registry (UsePredictor, Predictor).
 //
 // All methods are safe for concurrent use: the scheduler's calls serialize
-// on one machine lock, and the caches are the table set's. Methods returning
+// on its machine lock, and the caches are the table set's. Methods returning
 // cached slices hand each caller its own copy of the slice header; the
 // Important values inside are shared and must be treated as read-only.
 //
 // An Engine must not be copied after first use (it contains locks; go vet's
 // copylocks check enforces this).
 type Engine struct {
+	// The machine's scheduler, built at New. Its caches are the table set's,
+	// so building it costs its books alone.
+	*scheduler
 	machine Machine
 	fp      uint64
 	spec    *Spec
@@ -42,42 +45,17 @@ type Engine struct {
 
 	collectCfg CollectConfig
 	trainCfg   TrainConfig
-	serveCfg   ServeConfig
-
-	// mu is the machine lock. Every call that reads or writes the
-	// scheduler's books or free set — Place, PlaceInto, Release, Rebalance,
-	// Adopt, ApplyMove, Assignments and Assignment — holds it once, across
-	// the whole call, and the scheduler under it is single-threaded;
-	// FreeNodes, Preview and the score rows read without it. Registering a
-	// predictor takes it too. Ranked after fleet.mu: a fleet hold may call
-	// into the engine, but no engine path may call back into the fleet.
-	//numalint:locks numaplace.Engine.mu rank=20
-	mu sync.Mutex
-	// The predictor registry is read once per Place, and once per machine
-	// per fleet routing decision to name the engine's score class: it is
-	// one immutable list behind an atomic pointer, replaced under mu. An
-	// engine serves a handful of container sizes, and scanning that many
-	// entries costs a fraction of a map probe.
-	predictors atomic.Pointer[[]sizePredictor]
-	// classEpoch is the counter of the Cluster the engine was added to,
-	// bumped after every store to predictors (NotifyClassChange).
-	classEpoch atomic.Pointer[atomic.Uint64]
-	// scheduler serves Place and the rest of the online lifecycle. Its caches
-	// are the table set's, so building it at New costs its books alone.
-	scheduler *sched.Scheduler
 }
+
+// scheduler names sched.Scheduler so that Engine embeds it as an unexported
+// field.
+type scheduler = sched.Scheduler
 
 // tableSets holds one sched.Tables per Machine.Fingerprint for the life of
 // the process, so that engines of one model share them and a machine of a
 // model seen before arrives warm. A set names no predictor, so keeping it
 // keeps no trained model alive.
 var tableSets sync.Map // uint64 -> *sched.Tables
-
-// sizePredictor is one registry entry: the predictor serving a size.
-type sizePredictor struct {
-	vcpus int
-	pred  *Predictor
-}
 
 // Serving-layer types, re-exported from internal/sched.
 type (
@@ -97,47 +75,65 @@ type (
 )
 
 // Option configures an Engine at construction.
-type Option func(*Engine)
+type Option func(*config)
+
+// config is what the options set; New resolves it before it builds the
+// scheduler.
+type config struct {
+	collect CollectConfig
+	train   TrainConfig
+	serve   ServeConfig
+	preds   []sizedPredictor // WithPredictor's, in option order
+}
+
+type sizedPredictor struct {
+	vcpus int
+	pred  *Predictor
+}
 
 // WithPredictor registers a trained predictor for the given container
-// size, e.g. one loaded from disk with LoadPredictor. Place and Predict
-// consult the registry.
+// size, e.g. one loaded from disk with LoadPredictor, as UsePredictor does.
+// Place and Predict consult the registry.
 func WithPredictor(vcpus int, p *Predictor) Option {
-	return func(e *Engine) { e.setPredictor(vcpus, p) }
+	return func(c *config) { c.preds = append(c.preds, sizedPredictor{vcpus, p}) }
 }
 
 // WithCollectConfig sets the ground-truth collection configuration used by
 // Engine.Collect.
 func WithCollectConfig(cfg CollectConfig) Option {
-	return func(e *Engine) { e.collectCfg = cfg }
+	return func(c *config) { c.collect = cfg }
 }
 
 // WithTrainConfig sets the training configuration used by Engine.Train.
 func WithTrainConfig(cfg TrainConfig) Option {
-	return func(e *Engine) { e.trainCfg = cfg }
+	return func(c *config) { c.train = cfg }
 }
 
 // WithServeConfig tunes the online scheduler (its performance goal
 // fraction).
 func WithServeConfig(cfg ServeConfig) Option {
-	return func(e *Engine) { e.serveCfg = cfg }
+	return func(c *config) { c.serve = cfg }
 }
 
 // New builds an Engine for the machine. The concern specification is
 // derived immediately (it is cheap); everything expensive is computed
 // lazily, once per machine model, on first use.
 func New(m Machine, opts ...Option) *Engine {
-	e := &Engine{machine: m, fp: m.Fingerprint()}
+	var c config
 	for _, opt := range opts {
-		opt(e)
+		opt(&c)
 	}
-	e.spec = concern.FromMachine(m)
+	e := &Engine{machine: m, fp: m.Fingerprint(), spec: concern.FromMachine(m),
+		collectCfg: c.collect, trainCfg: c.train}
 	t, ok := tableSets.Load(e.fp)
 	if !ok {
 		t, _ = tableSets.LoadOrStore(e.fp, sched.NewTables(e.spec))
 	}
 	e.tables = t.(*sched.Tables)
-	e.scheduler = sched.NewSharedScheduler(e.tables, &e.stats, e.predictorOrNil, e.serveCfg)
+	e.scheduler = sched.NewSharedScheduler(e.tables, &e.stats, c.serve)
+	for _, sp := range c.preds {
+		e.UsePredictor(sp.vcpus, sp.pred)
+	}
 	return e
 }
 
@@ -208,55 +204,8 @@ func (e *Engine) Train(ctx context.Context, ds *Dataset) (*Predictor, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Warm before the predictor becomes visible to the serving paths: the
-	// first Place/Predict should not pay the one-time build.
-	pred.Warm()
-	e.setPredictor(ds.V, pred)
+	e.UsePredictor(ds.V, pred)
 	return pred, nil
-}
-
-// UsePredictor registers a trained predictor for a container size (e.g.
-// one loaded with LoadPredictor), replacing any previous registration.
-// The predictor is warmed for serving if it was not already.
-func (e *Engine) UsePredictor(vcpus int, p *Predictor) {
-	p.Warm()
-	e.setPredictor(vcpus, p)
-}
-
-// setPredictor publishes a copy of the registry with p serving vcpus.
-func (e *Engine) setPredictor(vcpus int, p *Predictor) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	next := []sizePredictor{{vcpus, p}}
-	if old := e.predictors.Load(); old != nil {
-		for _, sp := range *old {
-			if sp.vcpus != vcpus {
-				next = append(next, sp)
-			}
-		}
-	}
-	e.predictors.Store(&next)
-	if epoch := e.classEpoch.Load(); epoch != nil {
-		epoch.Add(1)
-	}
-}
-
-// Predictor returns the registered predictor for a container size, or
-// false if none has been trained or registered.
-func (e *Engine) Predictor(vcpus int) (*Predictor, bool) {
-	p := e.predictorOrNil(vcpus)
-	return p, p != nil
-}
-
-func (e *Engine) predictorOrNil(vcpus int) *core.Predictor {
-	if reg := e.predictors.Load(); reg != nil {
-		for _, sp := range *reg {
-			if sp.vcpus == vcpus {
-				return sp.pred
-			}
-		}
-	}
-	return nil
 }
 
 // Predict returns the predicted performance vector for a container of the
@@ -281,125 +230,6 @@ func (e *Engine) PredictInto(dst []float64, vcpus int, perfBase, perfProbe float
 		return fmt.Errorf("numaplace: predicting for %d vCPUs: %w", vcpus, ErrUntrained)
 	}
 	return p.PredictInto(dst, perfBase, perfProbe)
-}
-
-// Place admits one container of workload w with the given vCPU count into
-// the machine: observe it in the predictor's two input placements, predict
-// its full performance vector, and pin it to the cheapest placement class
-// that meets the configured goal on the best free nodes. It fails with
-// ErrUntrained without a predictor for vcpus, and ErrMachineFull when the
-// free nodes cannot host the container. The assignment is a fresh
-// allocation; PlaceInto writes it into a slot the caller owns instead.
-func (e *Engine) Place(ctx context.Context, w Workload, vcpus int) (*Assignment, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.scheduler.Admit(ctx, w, vcpus)
-}
-
-// PlaceInto is Place writing the assignment into *dst: a warm admission
-// allocates nothing, and a Cluster admits through it into the assignment it
-// returns. A failed admission leaves *dst exactly as it was. See
-// sched.Scheduler.AdmitInto.
-func (e *Engine) PlaceInto(ctx context.Context, w Workload, vcpus int, dst *Assignment) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.scheduler.AdmitInto(ctx, w, vcpus, dst)
-}
-
-// Preview estimates the admission Place would make for a container of
-// workload w right now — the chosen class and its predicted performance
-// against the current free nodes — without reserving anything. Cluster
-// routing (the BestPredicted policy) scores engines from their class rows
-// (ScoreClass, ScoreRow) and previews only a backend that has none.
-// Previews draw a deterministic observation-noise stream from the workload
-// identity, so they are repeatable and leave subsequent admissions
-// bit-identical.
-func (e *Engine) Preview(ctx context.Context, w Workload, vcpus int) (*PlacePreview, error) {
-	return e.scheduler.Preview(ctx, w, vcpus)
-}
-
-// ScoreClass and ScoreRow let a Cluster score every machine of one model
-// from a single row instead of previewing each: engines reporting equal
-// classes for a size answer Preview identically at equal free-node counts,
-// and a class's row holds that answer per count. The class is read per
-// routing decision — a predictor swapped in by Train or UsePredictor changes
-// it on the next one — and ok is false when Preview must be asked instead
-// (no predictor for the size). See sched.Scheduler.ScoreClass / ScoreRow.
-func (e *Engine) ScoreClass(vcpus int) (class sched.ScoreClass, ok bool) {
-	return e.scheduler.ScoreClass(vcpus)
-}
-
-// NotifyClassChange registers the counter the engine adds to after every
-// change of what ScoreClass answers — a predictor registered, by Train or
-// UsePredictor — so that a Cluster can keep the class it read, and the order
-// it ranked from the class's rows, instead of asking per decision; nil
-// unregisters. ScoreRow needs no notification of its own: a class's rows are
-// a function of the class. One counter at a time: an engine serves one
-// cluster.
-func (e *Engine) NotifyClassChange(epoch *atomic.Uint64) { e.classEpoch.Store(epoch) }
-
-func (e *Engine) ScoreRow(ctx context.Context, w Workload, vcpus int, class sched.ScoreClass) ([]sched.Score, error) {
-	return e.scheduler.ScoreRow(ctx, w, vcpus, class)
-}
-
-// Release evicts a previously placed container and returns its nodes to
-// the free pool. Unknown IDs fail with ErrUnknownContainer.
-func (e *Engine) Release(ctx context.Context, id int) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.scheduler.Release(ctx, id)
-}
-
-// Rebalance re-plans every admitted container against the nodes freed by
-// departures, migrating (with the paper's fast mechanism, cost-accounted
-// in the report) those that can now run in a strictly better placement.
-func (e *Engine) Rebalance(ctx context.Context) (*RebalanceReport, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.scheduler.Rebalance(ctx)
-}
-
-// Assignments returns a snapshot of all currently placed containers in
-// admission order.
-func (e *Engine) Assignments() []Assignment {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.scheduler.Assignments()
-}
-
-// Assignment returns the current assignment of one placed container by
-// its Engine-local ID; ok is false for IDs the Engine is not serving. The
-// cluster layer uses it to resolve individual fleet-wide IDs without
-// snapshotting every tenant.
-func (e *Engine) Assignment(id int) (Assignment, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.scheduler.Assignment(id)
-}
-
-// FreeNodes returns the node set not allocated to any placed container.
-func (e *Engine) FreeNodes() topology.NodeSet {
-	return e.scheduler.Free()
-}
-
-// Adopt installs one previously committed admission during recovery
-// replay: the recorded placement decision is taken as decided and the
-// derived artifacts (prediction vector, goal, thread pinning) are
-// recomputed deterministically, so the adopted tenant is bit-identical to
-// the one the original Place produced. See sched.Scheduler.Adopt.
-func (e *Engine) Adopt(ctx context.Context, r RestoreRecord) (*Assignment, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.scheduler.Adopt(ctx, r)
-}
-
-// ApplyMove re-pins an admitted container to a previously committed
-// intra-machine rebalance decision without re-running the move search.
-// See sched.Scheduler.ApplyMove.
-func (e *Engine) ApplyMove(ctx context.Context, id, classID int, nodes topology.NodeSet) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.scheduler.ApplyMove(ctx, id, classID, nodes)
 }
 
 // NewPackingExperiment builds a §7 packing experiment (Figure 5) for one

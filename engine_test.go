@@ -923,6 +923,39 @@ func TestPackingExperimentIsSchedExperiment(t *testing.T) {
 	}
 }
 
+// TestOptionOrder: New resolves every option before it builds the scheduler
+// and registers WithPredictor's predictors, so WithPredictor and
+// WithServeConfig make one engine in either order — the same score class,
+// goal included, and the same Place — and WithPredictor alone serves at once.
+func TestOptionOrder(t *testing.T) {
+	ctx := context.Background()
+	pred, _ := trainedEngine(t, ctx, AMD(), 16).Predictor(16)
+	wt, _ := WorkloadByName("WTbtree")
+	serve := WithServeConfig(ServeConfig{GoalFrac: 0.5})
+	var classes [2]sched.ScoreClass
+	var places [2]*Assignment
+	for i, e := range []*Engine{New(AMD(), WithPredictor(16, pred), serve), New(AMD(), serve, WithPredictor(16, pred))} {
+		var ok bool
+		if classes[i], ok = e.ScoreClass(16); !ok || classes[i].Predictor != pred || classes[i].GoalFrac != 0.5 {
+			t.Fatalf("engine %d: ScoreClass = %+v, %v; want the predictor at goal 0.5", i, classes[i], ok)
+		}
+		var err error
+		if places[i], err = e.Place(ctx, wt, 16); err != nil {
+			t.Fatalf("engine %d: %v", i, err)
+		}
+	}
+	if classes[0] != classes[1] || !reflect.DeepEqual(places[0], places[1]) {
+		t.Fatalf("option order changed the engine: classes %+v / %+v, places %+v / %+v", classes[0], classes[1], places[0], places[1])
+	}
+	alone := New(AMD(), WithPredictor(16, pred))
+	if class, ok := alone.ScoreClass(16); !ok || class.Predictor != pred || class.GoalFrac != 1 {
+		t.Fatalf("WithPredictor alone: ScoreClass = %+v, %v", class, ok)
+	}
+	if _, err := alone.Place(ctx, wt, 16); err != nil {
+		t.Fatalf("WithPredictor alone: %v", err)
+	}
+}
+
 // TestEditedModelCannotCrashPlace replays the model-file crash: a saved
 // predictor edited to observe placement 99 of a machine with 13 used to
 // load, register through WithPredictor and panic inside the first Place.

@@ -10,9 +10,9 @@ import (
 // give each package exactly one types.Package identity (type errors of the
 // "X is not X" kind are the symptom when it does not), which Import hands
 // out too. The default suite then runs over it as `make lint` does: it
-// reports nothing, and a lock summary sees through calls into a package
-// analyzed before — Engine.Place reaches sched's cache lock only through
-// Scheduler.Admit's exported fact.
+// reports nothing, and a lock summary is found across packages — Engine.Place
+// is the sched.Scheduler.Place the Engine embeds, and the root package reads
+// its summary, machine lock and cache lock, as sched's exported fact.
 func TestLoadRepo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module load in -short mode")
@@ -59,7 +59,9 @@ func TestLoadRepo(t *testing.T) {
 	if !ok {
 		t.Fatal("no lock summary for Engine.Place")
 	}
-	if _, ok := fact.(*FuncSummary).Acquires["repro/internal/sched.sched.cowCache.mu"]; !ok {
-		t.Errorf("Engine.Place's summary misses sched.cowCache.mu: %+v", fact.(*FuncSummary).Acquires)
+	for _, lock := range []string{"sched.Scheduler.mu", "sched.cowCache.mu"} {
+		if _, ok := fact.(*FuncSummary).Acquires["repro/internal/sched."+lock]; !ok {
+			t.Errorf("Engine.Place's summary misses %s: %+v", lock, fact.(*FuncSummary).Acquires)
+		}
 	}
 }

@@ -412,10 +412,12 @@ func InDomain(domain string) AddOption {
 // Add registers a backend under a unique name, optionally labeling it with a
 // failure domain (InDomain). The name is the handle for Drain, Resume, Remove
 // and the health API, and appears in admissions and move records. An Engine
-// backend should carry trained (or registered) predictors for the container
-// sizes the fleet will serve; untrained sizes fail admission on that machine
-// and routing falls through to the others. Backends start healthy. Whether b
-// is a ScoreClasser and a PlacerInto is decided here, once.
+// backend should have a predictor in its scheduler's registry (Train,
+// UsePredictor, WithPredictor) for each container size the fleet will serve;
+// untrained sizes fail admission on that machine and routing falls through
+// to the others. Backends start healthy. Whether b is a ScoreClasser and a
+// PlacerInto is decided here, once; a ScoreClasser is handed the routing
+// index's counter (NotifyClassChange), which its registry adds to.
 func (f *Fleet) Add(name string, b Backend, opts ...AddOption) error {
 	if name == "" {
 		//numalint:ignore sentinelwrap setup-time misuse by the embedding daemon, never reaches the wire path
@@ -504,8 +506,13 @@ func (f *Fleet) occupyLocked(m *member, workload string, delta int32) {
 // durability failure is returned alongside the admission: the commit stands
 // either way, and hiding it would leak the container. A refusal returns the
 // zero Admission. The Admission is the caller's copy: the backend admits
-// into the fleet's slot, so a warm admission allocates nothing.
+// into the fleet's slot, so a warm admission allocates nothing. A vCPU count
+// below 1 is refused with ErrInfeasible before the hold: it commits no
+// record and counts no rejection.
 func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm Admission, err error) {
+	if vcpus <= 0 {
+		return Admission{}, fmt.Errorf("fleet: placing %d-vCPU %q: vCPU count must be positive: %w", vcpus, w.Name, nperr.ErrInfeasible)
+	}
 	defer f.lock().end(&err)
 	s := &f.scratch
 	q := routeQuery{by: f.cfg.Policy.scoring(), w: w, vcpus: vcpus}

@@ -453,6 +453,40 @@ func TestFullFleetIsNotUnhealthy(t *testing.T) {
 	}
 }
 
+// TestNonPositiveVCPUsAreInfeasible: a container of 0 or fewer vCPUs is no
+// placement request at all, under every policy: Place refuses it with
+// ErrInfeasible, not as a full fleet, and commits no record and counts no
+// rejection.
+func TestNonPositiveVCPUsAreInfeasible(t *testing.T) {
+	ctx := context.Background()
+	w := testWorkload(t, "gcc")
+	for _, p := range []Policy{FirstFit, LeastLoaded, BestPredicted} {
+		t.Run(p.String(), func(t *testing.T) {
+			f := New(Config{Policy: p})
+			if err := errors.Join(f.Add("a", newStub(machines.AMD(), 1)), f.Add("b", newStub(machines.Intel(), 2))); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Place(ctx, w, 1); err != nil {
+				t.Fatal(err)
+			}
+			seq, st := f.Seq(), f.Stats()
+			for _, v := range []int{0, -4} {
+				_, err := f.Place(ctx, w, v)
+				if !errors.Is(err, nperr.ErrInfeasible) || errors.Is(err, nperr.ErrFleetFull) {
+					t.Fatalf("Place(%d vCPUs) err = %v, want ErrInfeasible without ErrFleetFull", v, err)
+				}
+			}
+			if got := f.Seq(); got != seq {
+				t.Errorf("refusals moved the record sequence %d -> %d", seq, got)
+			}
+			if got := f.Stats(); got.Rejected != st.Rejected || got.Tenants != st.Tenants {
+				t.Errorf("refusals changed the stats: rejected %d -> %d, tenants %d -> %d",
+					st.Rejected, got.Rejected, st.Tenants, got.Tenants)
+			}
+		})
+	}
+}
+
 func TestFleetReleaseMapping(t *testing.T) {
 	ctx := context.Background()
 	f := New(Config{})

@@ -49,7 +49,9 @@ import (
 )
 
 // ScoreClasser is the optional capability of a Backend that lets the fleet
-// score it without a Preview (numaplace.Engine has it). Backends reporting
+// score it without a Preview (sched.Scheduler has it, and numaplace.Engine,
+// which embeds one, with it; the scheduler's UsePredictor adds to the
+// counter NotifyClassChange registered). Backends reporting
 // equal classes for a container size must answer Preview alike whenever
 // their free-node counts are equal; ScoreRow returns those answers by
 // free-node count (entry n: the Preview's PredictedPerf with n nodes free,

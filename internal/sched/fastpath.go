@@ -221,7 +221,7 @@ type obsEntry struct {
 // bestKey identifies one scored free-set search: bestFreeSet is a pure
 // function of the machine (fixed per table set), the free mask and the
 // class size, so the full key is (free, size). Keying by the mask is what
-// makes invalidation structural — every free-set mutation (Admit's
+// makes invalidation structural — every free-set mutation (Place's
 // install, Release's union, Rebalance moves, Adopt, ApplyMove) publishes a
 // new mask, which by construction cannot hit another mask's entry, and
 // recurring masks (admit/release churn) hit their old entries exactly.
@@ -255,7 +255,7 @@ type shape struct {
 
 // Score is one entry of a score row: what a Preview would answer with a
 // given number of nodes free. Class is the index of the placement class
-// Admit would choose, negative when no class fits (the Preview fails with
+// Place would choose, negative when no class fits (the Preview fails with
 // ErrMachineFull); Perf is the model's prediction there, the Preview's
 // PredictedPerf.
 type Score struct {

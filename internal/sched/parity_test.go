@@ -69,8 +69,8 @@ func (pm *parityModel) pair(cfg ServeConfig) (*Scheduler, *refScheduler) {
 		}
 		return placement.Enumerate(ctx, pm.spec, v)
 	}
-	pred := func(v int) *core.Predictor { return pm.preds[v] }
-	return NewScheduler(pm.spec, imps, pred, nil, cfg), newRefScheduler(pm.spec, imps, pred, cfg)
+	return NewScheduler(pm.spec, imps, pm.preds, nil, cfg),
+		newRefScheduler(pm.spec, imps, func(v int) *core.Predictor { return pm.preds[v] }, cfg)
 }
 
 // newParityPair trains one predictor per size on m and builds a Scheduler
@@ -123,25 +123,25 @@ func (l *lockstep) diff(op string, errS, errR error, got, want any) error {
 	if !reflect.DeepEqual(got, want) {
 		return fmt.Errorf("%s diverged:\nscheduler %+v\nreference %+v", op, got, want)
 	}
-	if l.s.Free() != l.ref.Free() {
-		return fmt.Errorf("after %s: free masks diverged: scheduler %s, reference %s", op, l.s.Free(), l.ref.Free())
+	if l.s.FreeNodes() != l.ref.FreeNodes() {
+		return fmt.Errorf("after %s: free masks diverged: scheduler %s, reference %s", op, l.s.FreeNodes(), l.ref.FreeNodes())
 	}
 	return nil
 }
 
 func (l *lockstep) admit(ctx context.Context, w perfsim.Workload, v int) error {
-	got, errS := l.s.Admit(ctx, w, v)
-	want, errR := l.ref.Admit(ctx, w, v)
+	got, errS := l.s.Place(ctx, w, v)
+	want, errR := l.ref.Place(ctx, w, v)
 	if got != nil {
 		l.live = append(l.live, got.ID)
 	}
-	return l.diff(fmt.Sprintf("Admit(%s, %d)", w.Name, v), errS, errR, got, want)
+	return l.diff(fmt.Sprintf("Place(%s, %d)", w.Name, v), errS, errR, got, want)
 }
 
 func (l *lockstep) preview(ctx context.Context, w perfsim.Workload, v int) (*Preview, error) {
 	got, errS := l.s.Preview(ctx, w, v)
 	want, errR := l.ref.Preview(ctx, w, v)
-	return got, l.diff(fmt.Sprintf("Preview(%s, %d) at %s", w.Name, v, l.s.Free()), errS, errR, got, want)
+	return got, l.diff(fmt.Sprintf("Preview(%s, %d) at %s", w.Name, v, l.s.FreeNodes()), errS, errR, got, want)
 }
 
 func (l *lockstep) release(ctx context.Context, id int) error {
@@ -186,7 +186,7 @@ func (l *lockstep) moveTo(ctx context.Context, id, arg int) (ok bool, err error)
 	}
 	imp := imps[arg%len(imps)]
 	var sets []topology.NodeSet
-	l.s.Free().Union(a.Nodes).Subsets(imp.Nodes.Len(), func(s topology.NodeSet) { sets = append(sets, s) })
+	l.s.FreeNodes().Union(a.Nodes).Subsets(imp.Nodes.Len(), func(s topology.NodeSet) { sets = append(sets, s) })
 	nodes := imp.Nodes
 	if len(sets) > 0 {
 		nodes = sets[arg/len(imps)%len(sets)]
@@ -259,8 +259,8 @@ func (l *lockstep) same() error {
 	if !reflect.DeepEqual(got, want) {
 		return fmt.Errorf("assignments diverged:\nscheduler %+v\nreference %+v", got, want)
 	}
-	if l.s.Free() != l.ref.Free() {
-		return fmt.Errorf("free masks diverged: scheduler %s, reference %s", l.s.Free(), l.ref.Free())
+	if l.s.FreeNodes() != l.ref.FreeNodes() {
+		return fmt.Errorf("free masks diverged: scheduler %s, reference %s", l.s.FreeNodes(), l.ref.FreeNodes())
 	}
 	for _, a := range want {
 		if g, ok := l.s.Assignment(a.ID); !ok || !reflect.DeepEqual(g, a) {
@@ -335,8 +335,8 @@ func TestSchedulerParityTrace(t *testing.T) {
 	if got := restored.Assignments(); !reflect.DeepEqual(got, fa) {
 		t.Fatalf("restored assignments diverged:\nrestored %+v\noriginal %+v", got, fa)
 	}
-	if restored.Free() != s.Free() {
-		t.Fatalf("restored free mask %s, original %s", restored.Free(), s.Free())
+	if restored.FreeNodes() != s.FreeNodes() {
+		t.Fatalf("restored free mask %s, original %s", restored.FreeNodes(), s.FreeNodes())
 	}
 	rf, errF := s.Rebalance(ctx)
 	rr, errR := restored.Rebalance(ctx)
@@ -370,7 +370,7 @@ func TestPreviewParityResident(t *testing.T) {
 		if _, err := l.step(ctx, weighted(rng, [numOps]int{55, 37, 0, 8}), rng.Intn(1<<16)); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
-		masks[uint64(s.Free())] = true
+		masks[uint64(s.FreeNodes())] = true
 		for _, w := range l.ws {
 			for _, v := range sizes {
 				pv, err := l.preview(ctx, w, v)
@@ -396,7 +396,7 @@ func TestPreviewParityResident(t *testing.T) {
 // with anything: a scored free-set entry for the live mask overwritten with
 // another node set of the same size, and a prepared observation overwritten
 // with one made from another placement's threads, must each make the next
-// Admit diverge from the reference.
+// Place diverge from the reference.
 func TestReferenceCatchesPoisonedCache(t *testing.T) {
 	ctx := context.Background()
 	model := trainParityModel(t, machines.AMD(), 16)
@@ -414,14 +414,14 @@ func TestReferenceCatchesPoisonedCache(t *testing.T) {
 	}
 
 	// The scored free set the next admission will look up: the class size
-	// it will choose, computed as Admit computes it.
+	// it will choose, computed as Place computes it.
 	l := resident()
 	vec := make([]float64, p.NumPlacements)
 	obs, err := l.s.observePredict(ctx, w, 16, imps, p, admitTrial(l.s.nextID), vec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	free := l.s.Free()
+	free := l.s.FreeNodes()
 	class := scanBest(imps, vec, obs[0], cfg.goalFrac()*obs[0]*(1+headroom), free.Len())
 	if class < 0 {
 		t.Fatal("the next admission fits nowhere")
@@ -519,7 +519,7 @@ func sharedLockstep(a, b *parityModel, ws []perfsim.Workload, sizes []int) (*Tab
 	for i, pm := range [2]*parityModel{a, b} {
 		cfg := ServeConfig{GoalFrac: []float64{0.5, 0.8}[i]}
 		_, ref := pm.pair(cfg)
-		sides[i] = &lockstep{s: NewSharedScheduler(ts, new(Stats), ref.pred, cfg), ref: ref, ws: ws, sizes: sizes}
+		sides[i] = &lockstep{s: usePredictors(NewSharedScheduler(ts, new(Stats), cfg), pm.preds), ref: ref, ws: ws, sizes: sizes}
 	}
 	return ts, sides
 }
@@ -632,11 +632,11 @@ func TestPreviewWarmAllocs(t *testing.T) {
 	ctx := context.Background()
 	fast, _ := newParityPair(t, machines.AMD(), ServeConfig{GoalFrac: 0.5}, 16)
 	w, _ := workloads.ByName("WTbtree")
-	a, err := fast.Admit(ctx, w, 16)
+	a, err := fast.Place(ctx, w, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	masks := [2]uint64{uint64(fast.Free()), uint64(fast.Free().Union(a.Nodes))}
+	masks := [2]uint64{uint64(fast.FreeNodes()), uint64(fast.FreeNodes().Union(a.Nodes))}
 	for _, m := range masks {
 		fast.free.Store(m)
 		if _, err := fast.Preview(ctx, w, 16); err != nil {

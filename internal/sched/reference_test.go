@@ -44,13 +44,13 @@ func newRefScheduler(spec *concern.Spec,
 	}
 }
 
-func (r *refScheduler) Free() topology.NodeSet { return r.free }
+func (r *refScheduler) FreeNodes() topology.NodeSet { return r.free }
 
 func (r *refScheduler) goal(basePerf float64) float64 {
 	return r.cfg.goalFrac() * basePerf * (1 + headroom)
 }
 
-// model is the checks Admit, Preview and Adopt share, in the Scheduler's
+// model is the checks Place, Preview and Adopt share, in the Scheduler's
 // order and with its error text.
 func (r *refScheduler) model(ctx context.Context, v int) ([]placement.Important, *core.Predictor, error) {
 	imps, err := r.imps(ctx, v)
@@ -170,7 +170,7 @@ func sized(id int, nodes topology.NodeSet, imp placement.Important) error {
 	return nil
 }
 
-func (r *refScheduler) Admit(ctx context.Context, w perfsim.Workload, v int) (*Assignment, error) {
+func (r *refScheduler) Place(ctx context.Context, w perfsim.Workload, v int) (*Assignment, error) {
 	imps, p, err := r.model(ctx, v)
 	if err != nil {
 		return nil, err

@@ -2,13 +2,13 @@
 // state the scheduler once committed — recorded by the fleet's write-ahead
 // log — without re-running admission's observation phase. Observation
 // noise streams are keyed by engine-local container IDs, and failed
-// admissions consume IDs, so re-executing Admit against a recovered log
+// admissions consume IDs, so re-executing Place against a recovered log
 // would draw different streams and diverge; adoption instead replays the
 // committed decision (class, nodes, both model inputs) and recomputes the
 // derived artifacts (prediction vector, goal, thread pinning), all of
 // which are deterministic functions of the recorded values. A tenant
 // adopted from an admission record is therefore bit-identical to the
-// tenant the original Admit produced — same Assignment, same rebalancing
+// tenant the original Place produced — same Assignment, same rebalancing
 // behavior afterwards.
 package sched
 
@@ -23,7 +23,7 @@ import (
 )
 
 // Restore is one committed admission as recorded at its commit point:
-// the identity Admit reserved, the class and concrete nodes it chose, and
+// the identity Place reserved, the class and concrete nodes it chose, and
 // the two observations the model consumed. Everything else an admitted
 // tenant carries is recomputed deterministically from these.
 type Restore struct {
@@ -67,15 +67,15 @@ func classIndex(imps []placement.Important, classID int) (int, bool) {
 	return 0, false
 }
 
-// Adopt installs one previously committed admission: an Admit whose decision
+// Adopt installs one previously committed admission: a Place whose decision
 // is given. The recorded class and nodes are taken as decided, the
 // prediction vector is recomputed from the recorded observations, and the
-// container is installed exactly as Admit would have installed it. The free
+// container is installed exactly as Place would have installed it. The free
 // set shrinks by r.Nodes and nextID advances past r.ID so post-recovery
 // admissions never reuse a logged identity. Records inconsistent with the
 // machine — unknown class, nodes of another count than the class's, nodes
 // already allocated, duplicate ID — fail with nperr.ErrLogCorrupt; a missing
-// predictor fails with nperr.ErrUntrained like Admit, an observation <= 0
+// predictor fails with nperr.ErrUntrained like Place, an observation <= 0
 // with nperr.ErrBadObservation. Beyond the books (the ID and the free
 // nodes), whether Adopt takes r depends only on r.Verdict() — never on the
 // workload, the ID or an observation's value: a restart's ledgers
@@ -83,7 +83,9 @@ func classIndex(imps []placement.Important, classID int) (int, bool) {
 // (TestAdoptVerdictIsTheTuple). A new check must keep to those inputs or add
 // its own to Verdict.
 func (s *Scheduler) Adopt(ctx context.Context, r Restore) (_ *Assignment, err error) {
-	p := s.pred(r.VCPUs)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p := s.predictor(r.VCPUs)
 	imps, err := s.model(ctx, r.VCPUs, p)
 	if err != nil {
 		return nil, err
@@ -93,7 +95,7 @@ func (s *Scheduler) Adopt(ctx context.Context, r Restore) (_ *Assignment, err er
 		return nil, fmt.Errorf("sched: adopting container %d: class %d not in the %d-vCPU enumeration: %w",
 			r.ID, r.ClassID, r.VCPUs, nperr.ErrLogCorrupt)
 	}
-	// The tenant and its prediction vector come from the pool Admit and
+	// The tenant and its prediction vector come from the pool Place and
 	// Release share, so a replay's place/release pairs recycle one tenant;
 	// a record refused from here on hands it straight back.
 	t := s.fast.getTenant(p.NumPlacements)
@@ -114,7 +116,7 @@ func (s *Scheduler) Adopt(ctx context.Context, r Restore) (_ *Assignment, err er
 	if _, exists := s.books.tenants[r.ID]; exists {
 		return nil, fmt.Errorf("sched: adopting container %d: ID already admitted: %w", r.ID, nperr.ErrLogCorrupt)
 	}
-	if r.Nodes.Minus(s.Free()) != 0 {
+	if r.Nodes.Minus(s.FreeNodes()) != 0 {
 		return nil, fmt.Errorf("sched: adopting container %d: nodes %v not free: %w", r.ID, r.Nodes, nperr.ErrLogCorrupt)
 	}
 	a := new(Assignment)
@@ -133,6 +135,8 @@ func (s *Scheduler) Adopt(ctx context.Context, r Restore) (_ *Assignment, err er
 // IDs fail with nperr.ErrUnknownContainer; a class or node set
 // inconsistent with the machine fails with nperr.ErrLogCorrupt.
 func (s *Scheduler) ApplyMove(ctx context.Context, id, classID int, nodes topology.NodeSet) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -149,7 +153,7 @@ func (s *Scheduler) ApplyMove(ctx context.Context, id, classID int, nodes topolo
 		return fmt.Errorf("sched: applying move of container %d: class %d not in the %d-vCPU enumeration: %w",
 			id, classID, t.vcpus, nperr.ErrLogCorrupt)
 	}
-	avail := s.Free().Union(t.nodes)
+	avail := s.FreeNodes().Union(t.nodes)
 	if nodes.Minus(avail) != 0 {
 		return fmt.Errorf("sched: applying move of container %d: nodes %v not free: %w", id, nodes, nperr.ErrLogCorrupt)
 	}

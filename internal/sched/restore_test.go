@@ -49,12 +49,7 @@ func twinSchedulers(t *testing.T, m machines.Machine, v int, cfg ServeConfig) (*
 				}
 				return imps, nil
 			},
-			func(vv int) *core.Predictor {
-				if vv != v {
-					return nil
-				}
-				return pred
-			},
+			map[int]*core.Predictor{v: pred},
 			nil, cfg)
 	}
 	return mk(), mk()
@@ -83,12 +78,12 @@ func TestAdoptReproducesAdmit(t *testing.T) {
 	s1, s2 := twinSchedulers(t, m, 16, ServeConfig{GoalFrac: 0.5})
 	wt, _ := workloads.ByName("WTbtree")
 
-	// Admit a fixed count — deliberately short of full, because a FAILED
+	// Place a fixed count — deliberately short of full, because a FAILED
 	// admission consumes an engine ID that is never recorded (adoption
 	// does not replicate ID gaps; DESIGN.md documents the consequence).
 	var admitted []*Assignment
 	for i := 0; i < 3; i++ {
-		a, err := s1.Admit(ctx, wt, 16)
+		a, err := s1.Place(ctx, wt, 16)
 		if err != nil {
 			t.Skipf("machine packed only %d of 3 admissions: %v", i, err)
 		}
@@ -110,15 +105,15 @@ func TestAdoptReproducesAdmit(t *testing.T) {
 	if !reflect.DeepEqual(s2.Assignments(), s1.Assignments()) {
 		t.Fatal("Assignments() diverged after adoption")
 	}
-	if s2.Free() != s1.Free() {
-		t.Fatalf("free sets diverged: %s vs %s", s2.Free(), s1.Free())
+	if s2.FreeNodes() != s1.FreeNodes() {
+		t.Fatalf("free sets diverged: %s vs %s", s2.FreeNodes(), s1.FreeNodes())
 	}
 
 	// nextID advanced past every adopted identity: the next real admission
 	// on either scheduler draws the same ID and the same noise streams, so
 	// post-recovery behavior stays aligned with the uncrashed original.
-	a1, err1 := s1.Admit(ctx, wt, 16)
-	a2, err2 := s2.Admit(ctx, wt, 16)
+	a1, err1 := s1.Place(ctx, wt, 16)
+	a2, err2 := s2.Place(ctx, wt, 16)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("post-adoption admissions: %v, %v", err1, err2)
 	}
@@ -153,7 +148,7 @@ func TestAdoptRejectsInconsistentRecords(t *testing.T) {
 	s1, s2 := twinSchedulers(t, m, 16, ServeConfig{})
 	wt, _ := workloads.ByName("WTbtree")
 
-	a, err := s1.Admit(ctx, wt, 16)
+	a, err := s1.Place(ctx, wt, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +169,11 @@ func TestAdoptRejectsInconsistentRecords(t *testing.T) {
 	}
 	// Class not in the enumeration.
 	bad := r
-	bad.ID, bad.ClassID, bad.Nodes = r.ID+101, 1<<20, s2.Free()
+	bad.ID, bad.ClassID, bad.Nodes = r.ID+101, 1<<20, s2.FreeNodes()
 	if _, err := s2.Adopt(ctx, bad); !errors.Is(err, nperr.ErrLogCorrupt) {
 		t.Errorf("unknown-class Adopt err = %v, want ErrLogCorrupt", err)
 	}
-	// Untrained size fails like Admit.
+	// Untrained size fails like Place.
 	untr := r
 	untr.ID, untr.VCPUs = r.ID+102, 8
 	if _, err := s2.Adopt(ctx, untr); !errors.Is(err, nperr.ErrUntrained) {
@@ -195,7 +190,7 @@ func TestAdoptRejectsInconsistentRecords(t *testing.T) {
 	if other < 0 {
 		t.Fatal("every class has the record's node count")
 	}
-	books, free := s2.Assignments(), s2.Free()
+	books, free := s2.Assignments(), s2.FreeNodes()
 	sz := r
 	sz.ID, sz.ClassID, sz.Nodes = r.ID+103, imps[other].ID, shrink(free, r.Nodes.Len())
 	if _, err := s2.Adopt(ctx, sz); !errors.Is(err, nperr.ErrLogCorrupt) {
@@ -214,8 +209,8 @@ func TestAdoptRejectsInconsistentRecords(t *testing.T) {
 		t.Errorf("ApplyMove(%d nodes as the %d-node class %d) err = %v, want ErrLogCorrupt",
 			r.Nodes.Len(), imps[other].Nodes.Len(), imps[other].ID, err)
 	}
-	if !reflect.DeepEqual(s2.Assignments(), books) || s2.Free() != free {
-		t.Errorf("refused records changed the books or the free mask %s (was %s)", s2.Free(), free)
+	if !reflect.DeepEqual(s2.Assignments(), books) || s2.FreeNodes() != free {
+		t.Errorf("refused records changed the books or the free mask %s (was %s)", s2.FreeNodes(), free)
 	}
 }
 
@@ -229,7 +224,7 @@ func TestAdoptVerdictIsTheTuple(t *testing.T) {
 	s1, s2 := twinSchedulers(t, machines.AMD(), 16, ServeConfig{})
 	wt, _ := workloads.ByName("WTbtree")
 	other, _ := workloads.ByName("gcc")
-	a, err := s1.Admit(ctx, wt, 16)
+	a, err := s1.Place(ctx, wt, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +269,7 @@ func TestApplyMoveReplaysRebalance(t *testing.T) {
 
 	var admitted []*Assignment
 	for {
-		a, err := s1.Admit(ctx, wt, 16)
+		a, err := s1.Place(ctx, wt, 16)
 		if err != nil {
 			break
 		}
@@ -309,8 +304,8 @@ func TestApplyMoveReplaysRebalance(t *testing.T) {
 	if !reflect.DeepEqual(s2.Assignments(), s1.Assignments()) {
 		t.Fatal("Assignments() diverged after move replay")
 	}
-	if s2.Free() != s1.Free() {
-		t.Fatalf("free sets diverged: %s vs %s", s2.Free(), s1.Free())
+	if s2.FreeNodes() != s1.FreeNodes() {
+		t.Fatalf("free sets diverged: %s vs %s", s2.FreeNodes(), s1.FreeNodes())
 	}
 }
 
@@ -327,7 +322,7 @@ func TestAdoptAllocCeiling(t *testing.T) {
 	ctx := context.Background()
 	s1, s2 := twinSchedulers(t, machines.AMD(), 16, ServeConfig{})
 	wt, _ := workloads.ByName("WTbtree")
-	a, err := s1.Admit(ctx, wt, 16)
+	a, err := s1.Place(ctx, wt, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +350,7 @@ func TestAdoptErrorPathsLeakNothing(t *testing.T) {
 	ctx := context.Background()
 	s1, s2 := twinSchedulers(t, machines.AMD(), 16, ServeConfig{})
 	wt, _ := workloads.ByName("WTbtree")
-	a, err := s1.Admit(ctx, wt, 16)
+	a, err := s1.Place(ctx, wt, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +380,7 @@ func TestAdoptErrorPathsLeakNothing(t *testing.T) {
 	cancel()
 	fresh := func(mut func(*Restore)) Restore {
 		r := good
-		r.ID, r.Nodes = good.ID+100, shrink(s2.Free(), good.Nodes.Len())
+		r.ID, r.Nodes = good.ID+100, shrink(s2.FreeNodes(), good.Nodes.Len())
 		mut(&r)
 		return r
 	}
@@ -405,7 +400,7 @@ func TestAdoptErrorPathsLeakNothing(t *testing.T) {
 		{name: "pin failure", ctx: ctx, r: fresh(func(*Restore) {}), pinDown: true, want: errPin},
 		{name: "short pin", ctx: ctx, r: fresh(func(*Restore) {}), shortPin: true, want: nperr.ErrMachineMismatch},
 	} {
-		books, free, next := s2.Assignments(), s2.Free(), s2.nextID
+		books, free, next := s2.Assignments(), s2.FreeNodes(), s2.nextID
 		made, pinDown, shortPin = 0, tc.pinDown, tc.shortPin
 		for i := 0; i < 1000; i++ {
 			_, err := s2.Adopt(tc.ctx, tc.r)
@@ -414,11 +409,11 @@ func TestAdoptErrorPathsLeakNothing(t *testing.T) {
 			}
 		}
 		pinDown, shortPin = false, false
-		if !reflect.DeepEqual(s2.Assignments(), books) || s2.Len() != len(books) {
+		if !reflect.DeepEqual(s2.Assignments(), books) || len(s2.Assignments()) != len(books) {
 			t.Errorf("%s: books changed: %+v, were %+v", tc.name, s2.Assignments(), books)
 		}
-		if s2.Free() != free {
-			t.Errorf("%s: free mask %s, was %s", tc.name, s2.Free(), free)
+		if s2.FreeNodes() != free {
+			t.Errorf("%s: free mask %s, was %s", tc.name, s2.FreeNodes(), free)
 		}
 		if got := s2.nextID; got != next {
 			t.Errorf("%s: nextID %d, was %d", tc.name, got, next)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -81,29 +82,43 @@ type RebalanceReport struct {
 // free nodes), released individually, and periodically rebalanced onto
 // better node sets freed by departures.
 //
-// A Scheduler is single-threaded: its owner serializes every call that reads
-// or writes its books or free set (numaplace.Engine holds its machine lock
-// across each). Free, Preview, ScoreClass and ScoreRow read no books and may
-// run beside those calls.
+// A Scheduler serves one machine and is safe for concurrent use: every call
+// that reads or writes its books or free set holds its machine lock once,
+// across the whole call, and runs single-threaded under it. FreeNodes,
+// Preview, ScoreClass, ScoreRow and Predictor read no books and run beside
+// those calls.
 type Scheduler struct {
 	machine machines.Machine
 	// imps resolves the important placements for a container size
 	// (typically the table set's memoized enumeration).
 	imps func(ctx context.Context, v int) ([]placement.Important, error)
-	// pred resolves the trained predictor for a container size, nil if
-	// none is available.
-	pred func(v int) *core.Predictor
 	// pin materializes a placement into a thread assignment (typically the
-	// table set's memoized pinner — Admit re-pins the same base and probe
+	// table set's memoized pinner — Place re-pins the same base and probe
 	// placements on every admission). The result may be shared: the
 	// scheduler only reads it.
 	pin func(ctx context.Context, p placement.Placement, v int) ([]topology.ThreadID, error)
 	cfg ServeConfig
 
+	// mu is the machine lock. Place, PlaceInto, Release, Rebalance, Adopt,
+	// ApplyMove, Assignments, Assignment and UsePredictor each hold it once,
+	// across the whole call. Ranked after fleet.mu: a fleet hold may call
+	// into the scheduler, but no scheduler path may call back into the fleet.
+	//numalint:locks sched.Scheduler.mu rank=20
+	mu sync.Mutex
+	// The predictor registry is read once per Place, and once per machine
+	// per fleet routing decision to name the score class: it is one
+	// immutable list behind an atomic pointer, replaced under mu. A machine
+	// serves a handful of container sizes, and scanning that many entries
+	// costs a fraction of a map probe.
+	predictors atomic.Pointer[[]sizePredictor]
+	// classEpoch is the counter NotifyClassChange registered, bumped after
+	// every store to predictors.
+	classEpoch atomic.Pointer[atomic.Uint64]
+
 	// free is the unallocated node mask (topology.NodeSet bits). Only the
-	// serialized calls store it, after their pinning succeeded, so it only
-	// ever excludes committed reservations; it is atomic so that Free and
-	// Preview may load it without the owner's lock.
+	// calls under mu store it, after their pinning succeeded, so it only
+	// ever excludes committed reservations; it is atomic so that FreeNodes
+	// and Preview may load it without the lock.
 	free   atomic.Uint64
 	nextID int
 
@@ -115,6 +130,12 @@ type Scheduler struct {
 	}
 
 	fast fastPath
+}
+
+// sizePredictor is one registry entry: the predictor serving a size.
+type sizePredictor struct {
+	vcpus int
+	pred  *core.Predictor
 }
 
 // tenant is one admitted container: its identity, the Step 4 decision it runs
@@ -137,11 +158,11 @@ type tenant struct {
 
 // NewSharedScheduler builds an empty scheduler over table set t, which it
 // shares with every other scheduler built over t: it enumerates and pins
-// through the set, counting into st what it asks of it. pred resolves the
-// predictor per container size; nil makes admissions of that size fail with
-// nperr.ErrUntrained.
-func NewSharedScheduler(t *Tables, st *Stats, pred func(v int) *core.Predictor, cfg ServeConfig) *Scheduler {
-	s := &Scheduler{machine: t.spec.Machine, pred: pred, cfg: cfg}
+// through the set, counting into st what it asks of it. It serves no size
+// until UsePredictor registers one: admissions of an unregistered size fail
+// with nperr.ErrUntrained.
+func NewSharedScheduler(t *Tables, st *Stats, cfg ServeConfig) *Scheduler {
+	s := &Scheduler{machine: t.spec.Machine, cfg: cfg}
 	s.imps = func(ctx context.Context, v int) ([]placement.Important, error) { return t.Placements(ctx, v, st) }
 	s.pin = func(ctx context.Context, p placement.Placement, v int) ([]topology.ThreadID, error) {
 		return t.Pin(ctx, p, v, st)
@@ -152,19 +173,64 @@ func NewSharedScheduler(t *Tables, st *Stats, pred func(v int) *core.Predictor, 
 	return s
 }
 
-// Free returns the currently unallocated node set.
-func (s *Scheduler) Free() topology.NodeSet {
-	return topology.NodeSet(s.free.Load())
+// UsePredictor registers a trained predictor for v-vCPU containers,
+// replacing any previous registration, after warming it for serving: the
+// first Place should not pay the one-time build. It changes what ScoreClass
+// answers, so it adds to the counter NotifyClassChange registered.
+func (s *Scheduler) UsePredictor(v int, p *core.Predictor) {
+	p.Warm()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	next := []sizePredictor{{v, p}}
+	if old := s.predictors.Load(); old != nil {
+		for _, sp := range *old {
+			if sp.vcpus != v {
+				next = append(next, sp)
+			}
+		}
+	}
+	s.predictors.Store(&next)
+	if epoch := s.classEpoch.Load(); epoch != nil {
+		epoch.Add(1)
+	}
 }
 
-// Len returns the number of admitted containers.
-func (s *Scheduler) Len() int {
-	return len(s.books.tenants)
+// Predictor returns the predictor registered for v-vCPU containers, or
+// false if none is.
+func (s *Scheduler) Predictor(v int) (*core.Predictor, bool) {
+	p := s.predictor(v)
+	return p, p != nil
+}
+
+func (s *Scheduler) predictor(v int) *core.Predictor {
+	if reg := s.predictors.Load(); reg != nil {
+		for _, sp := range *reg {
+			if sp.vcpus == v {
+				return sp.pred
+			}
+		}
+	}
+	return nil
+}
+
+// NotifyClassChange registers the counter the scheduler adds to after every
+// change of what ScoreClass answers — a predictor registered by UsePredictor
+// — so that a fleet can keep the class it read, and the order it ranked from
+// the class's rows, instead of asking per decision; nil unregisters. ScoreRow
+// needs no notification of its own: a class's rows are a function of the
+// class. One counter at a time: a machine serves one fleet.
+func (s *Scheduler) NotifyClassChange(epoch *atomic.Uint64) { s.classEpoch.Store(epoch) }
+
+// FreeNodes returns the currently unallocated node set.
+func (s *Scheduler) FreeNodes() topology.NodeSet {
+	return topology.NodeSet(s.free.Load())
 }
 
 // Assignments returns a snapshot of all admitted containers in ascending
 // ID order.
 func (s *Scheduler) Assignments() []Assignment {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	out := make([]Assignment, 0, len(s.books.live))
 	for _, id := range s.books.live {
 		out = append(out, s.assignment(s.books.tenants[id]))
@@ -177,6 +243,8 @@ func (s *Scheduler) Assignments() []Assignment {
 // many fleet-wide IDs against large backends use it instead of
 // Assignments; ok is false for IDs the scheduler is not serving.
 func (s *Scheduler) Assignment(id int) (Assignment, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	t, ok := s.books.tenants[id]
 	if !ok {
 		return Assignment{}, false
@@ -226,7 +294,7 @@ func predictedPerf(basePerf float64, vec []float64, class int) float64 {
 }
 
 // model returns the machine's enumeration for v-vCPU containers once
-// predictor p is known to cover it: the refusals Admit, Adopt, Preview and
+// predictor p is known to cover it: the refusals Place, Adopt, Preview and
 // ScoreRow share.
 func (s *Scheduler) model(ctx context.Context, v int, p *core.Predictor) ([]placement.Important, error) {
 	imps, err := s.imps(ctx, v)
@@ -278,7 +346,7 @@ func (s *Scheduler) install(ctx context.Context, t *tenant, imps []placement.Imp
 	if err != nil {
 		return err
 	}
-	s.free.Store(uint64(s.Free().Minus(nodes)))
+	s.free.Store(uint64(s.FreeNodes().Minus(nodes)))
 	t.threads, t.class, t.classID, t.nodes = threads, choice, imps[choice].ID, nodes
 	s.books.tenants[t.id] = t
 	s.insertLive(t.id)
@@ -299,26 +367,28 @@ func (s *Scheduler) repin(ctx context.Context, t *tenant, imps []placement.Impor
 	return nil
 }
 
-// Admit observes, predicts and places one new container of workload w with
-// v vCPUs, returning its assignment in a fresh allocation: AdmitInto's
+// Place observes, predicts and places one new container of workload w with
+// v vCPUs, returning its assignment in a fresh allocation: PlaceInto's
 // wrapper for callers that keep what it returns.
-func (s *Scheduler) Admit(ctx context.Context, w perfsim.Workload, v int) (*Assignment, error) {
+func (s *Scheduler) Place(ctx context.Context, w perfsim.Workload, v int) (*Assignment, error) {
 	a := new(Assignment)
-	if err := s.AdmitInto(ctx, w, v, a); err != nil {
+	if err := s.PlaceInto(ctx, w, v, a); err != nil {
 		return nil, err
 	}
 	return a, nil
 }
 
-// AdmitInto observes, predicts and places one new container of workload w
+// PlaceInto observes, predicts and places one new container of workload w
 // with v vCPUs, writing its assignment to *dst, a slot the caller owns. It
 // fails with nperr.ErrUntrained when no predictor covers v,
 // nperr.ErrMachineMismatch when the predictor does not match the machine's
 // enumeration, and nperr.ErrMachineFull when no feasible class fits the free
 // nodes. A failed admission registers no tenant, leaves the free set
 // untouched and leaves *dst exactly as it was.
-func (s *Scheduler) AdmitInto(ctx context.Context, w perfsim.Workload, v int, dst *Assignment) (err error) {
-	p := s.pred(v)
+func (s *Scheduler) PlaceInto(ctx context.Context, w perfsim.Workload, v int, dst *Assignment) (err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p := s.predictor(v)
 	imps, err := s.model(ctx, v, p)
 	if err != nil {
 		return err
@@ -347,7 +417,7 @@ func (s *Scheduler) AdmitInto(ctx context.Context, w perfsim.Workload, v int, ds
 	}
 
 	// Choose the class that fits the free nodes and install it.
-	free := s.Free()
+	free := s.FreeNodes()
 	choice, nodes, ok := s.chooseFitting(imps, t.vec, t.basePerf, t.goal, free)
 	if !ok {
 		return errFull{free.Len(), v}
@@ -371,7 +441,7 @@ func previewTrial(w perfsim.Workload, v int) int {
 // predictor's Base and Probe placements (observation i draws the
 // trialBase+i noise stream) and predicts the full placement vector into vec
 // (len p.NumPlacements, fully overwritten). It reads no mutable scheduler
-// state, so Preview runs it beside the serialized calls.
+// state, so Preview runs it without the machine lock.
 //
 // The deterministic part of each observation — the thread pinning and the
 // noise-free performance model — comes from the prepared-observation cache,
@@ -394,8 +464,8 @@ func (s *Scheduler) observePredict(ctx context.Context, w perfsim.Workload, v in
 	return obs, nil
 }
 
-// Preview describes what Admit would do for a container right now, without
-// admitting it: the class Admit would choose against the current free nodes
+// Preview describes what Place would do for a container right now, without
+// admitting it: the class Place would choose against the current free nodes
 // and the model's prediction there. Routing layers (the fleet's
 // BestPredicted policy) use it to compare machines before committing an
 // admission to one of them.
@@ -412,24 +482,24 @@ type Preview struct {
 }
 
 // Preview observes and predicts one container of workload w with v vCPUs
-// and returns the choice Admit would make against the current free nodes,
+// and returns the choice Place would make against the current free nodes,
 // reserving nothing. The observation draws a deterministic noise stream
 // from the workload identity instead of consuming a container ID, so
 // previews are repeatable and leave subsequent admissions bit-identical;
 // the estimate may therefore differ marginally from the admitted
-// container's own observation. Failure modes match Admit.
+// container's own observation. Failure modes match Place.
 func (s *Scheduler) Preview(ctx context.Context, w perfsim.Workload, v int) (*Preview, error) {
-	p := s.pred(v)
+	p := s.predictor(v)
 	imps, err := s.model(ctx, v, p)
 	if err != nil {
 		return nil, err
 	}
 	// The one read of the free mask. A preview holds no lock, so a commit
 	// landing after this load makes the result stale by that one commit,
-	// which the contract allows: previews are advisory, and Admit plans
+	// which the contract allows: previews are advisory, and Place plans
 	// against the mask it finds. Nothing cached depends on the mask except
 	// through this value.
-	free := s.Free()
+	free := s.FreeNodes()
 	sh, err := s.previewShape(ctx, w, v, imps, p)
 	if err != nil {
 		return nil, err
@@ -450,7 +520,7 @@ func (s *Scheduler) Preview(ctx context.Context, w perfsim.Workload, v int) (*Pr
 // registered since takes effect on the next one. ok is false when no
 // predictor covers v: Preview must be asked instead, and says so.
 func (s *Scheduler) ScoreClass(v int) (class ScoreClass, ok bool) {
-	p := s.pred(v)
+	p := s.predictor(v)
 	if p == nil {
 		return ScoreClass{}, false
 	}
@@ -459,7 +529,7 @@ func (s *Scheduler) ScoreClass(v int) (class ScoreClass, ok bool) {
 
 // ScoreRow returns the score row of (w, v) in class, one this scheduler
 // reported: entry n is what Preview answers with n nodes free, so
-// row[Free().Len()] is this scheduler's Preview and, by ScoreClass's
+// row[FreeNodes().Len()] is this scheduler's Preview and, by ScoreClass's
 // contract, that of every scheduler of the class at its own free count. The
 // row is shared and read-only, and stands: the shape table computes it once
 // per predictor pointer, deterministically, so (w, v, class) always gets these
@@ -496,6 +566,8 @@ func (s *Scheduler) chooseFitting(imps []placement.Important, vec []float64, bas
 // Release evicts the container with the given ID and returns its nodes to
 // the free pool. Unknown IDs fail with nperr.ErrUnknownContainer.
 func (s *Scheduler) Release(ctx context.Context, id int) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -505,7 +577,7 @@ func (s *Scheduler) Release(ctx context.Context, id int) error {
 	}
 	delete(s.books.tenants, id)
 	s.removeLive(id)
-	s.free.Store(uint64(s.Free().Union(t.nodes)))
+	s.free.Store(uint64(s.FreeNodes().Union(t.nodes)))
 	s.fast.putTenant(t)
 	return nil
 }
@@ -516,8 +588,8 @@ func (s *Scheduler) Release(ctx context.Context, id int) error {
 // available after departures. Each move's migration is simulated with the
 // paper's fast mechanism and its cost accumulated in the report.
 //
-// The pass is one serialized call, so admissions never interleave with a
-// half-applied re-packing. That is cheap in practice — every tenant's
+// The pass is one hold of the machine lock, so admissions never interleave
+// with a half-applied re-packing. That is cheap in practice — every tenant's
 // enumeration was already resolved at admission (the imps source is
 // cache-warm), and pinning and migration simulation are microsecond-scale —
 // but a Place or Release issued mid-pass waits for the pass to finish.
@@ -527,6 +599,8 @@ func (s *Scheduler) Release(ctx context.Context, id int) error {
 // migration seconds were really spent, so callers must not discard the
 // partial report.
 func (s *Scheduler) Rebalance(ctx context.Context) (*RebalanceReport, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	rep := &RebalanceReport{}
 	// Moves change no IDs, so the sorted live slice is stable for the whole
 	// pass and is iterated directly.
@@ -541,7 +615,7 @@ func (s *Scheduler) Rebalance(ctx context.Context) (*RebalanceReport, error) {
 			return rep, err
 		}
 		// Re-plan with the container's own nodes returned to the pool.
-		avail := s.Free().Union(t.nodes)
+		avail := s.FreeNodes().Union(t.nodes)
 		choice, nodes, ok := s.chooseFitting(imps, t.vec, t.basePerf, t.goal, avail)
 		if !ok {
 			continue

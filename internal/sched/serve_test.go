@@ -21,9 +21,10 @@ import (
 // over a private table set: a seam may answer otherwise than the set would
 // (a pin source that fails on cue), so nothing made from its answers may
 // reach another scheduler. A nil pin selects the uncached placement.Pin.
+// preds is registered with UsePredictor.
 func NewScheduler(spec *concern.Spec,
 	imps func(ctx context.Context, v int) ([]placement.Important, error),
-	pred func(v int) *core.Predictor,
+	preds map[int]*core.Predictor,
 	pin func(ctx context.Context, p placement.Placement, v int) ([]topology.ThreadID, error),
 	cfg ServeConfig) *Scheduler {
 	if pin == nil {
@@ -31,8 +32,16 @@ func NewScheduler(spec *concern.Spec,
 			return placement.Pin(spec, p, v)
 		}
 	}
-	s := NewSharedScheduler(NewTables(spec), new(Stats), pred, cfg)
+	s := usePredictors(NewSharedScheduler(NewTables(spec), new(Stats), cfg), preds)
 	s.imps, s.pin = imps, pin
+	return s
+}
+
+// usePredictors registers each of preds with s and returns s.
+func usePredictors(s *Scheduler, preds map[int]*core.Predictor) *Scheduler {
+	for v, p := range preds {
+		s.UsePredictor(v, p)
+	}
 	return s
 }
 
@@ -72,12 +81,7 @@ func newTestSchedulerPin(t *testing.T, m machines.Machine, v int, cfg ServeConfi
 			}
 			return imps, nil
 		},
-		func(vv int) *core.Predictor {
-			if vv != v {
-				return nil
-			}
-			return pred
-		},
+		map[int]*core.Predictor{v: pred},
 		pin,
 		cfg)
 	return s, spec
@@ -92,10 +96,10 @@ func TestSchedulerAdmitReleaseLifecycle(t *testing.T) {
 	full := topology.FullNodeSet(m.Topo.NumNodes)
 	var admitted []*Assignment
 	for {
-		a, err := s.Admit(ctx, wt, 16)
+		a, err := s.Place(ctx, wt, 16)
 		if err != nil {
 			if !errors.Is(err, nperr.ErrMachineFull) {
-				t.Fatalf("Admit err = %v, want ErrMachineFull", err)
+				t.Fatalf("Place err = %v, want ErrMachineFull", err)
 			}
 			break
 		}
@@ -118,16 +122,16 @@ func TestSchedulerAdmitReleaseLifecycle(t *testing.T) {
 		}
 		used = used.Union(a.Nodes)
 	}
-	if s.Free() != full.Minus(used) {
-		t.Fatalf("free = %s, want %s", s.Free(), full.Minus(used))
+	if s.FreeNodes() != full.Minus(used) {
+		t.Fatalf("free = %s, want %s", s.FreeNodes(), full.Minus(used))
 	}
-	if s.Len() != len(admitted) {
-		t.Fatalf("Len = %d, want %d", s.Len(), len(admitted))
+	if len(s.Assignments()) != len(admitted) {
+		t.Fatalf("%d assignments, want %d", len(s.Assignments()), len(admitted))
 	}
 
 	// Unknown container size has no predictor.
-	if _, err := s.Admit(ctx, wt, 8); !errors.Is(err, nperr.ErrUntrained) {
-		t.Errorf("Admit(8 vCPUs) err = %v, want ErrUntrained", err)
+	if _, err := s.Place(ctx, wt, 8); !errors.Is(err, nperr.ErrUntrained) {
+		t.Errorf("Place(8 vCPUs) err = %v, want ErrUntrained", err)
 	}
 
 	// Release returns nodes; double release fails typed.
@@ -137,13 +141,13 @@ func TestSchedulerAdmitReleaseLifecycle(t *testing.T) {
 	if err := s.Release(ctx, admitted[0].ID); !errors.Is(err, nperr.ErrUnknownContainer) {
 		t.Errorf("double Release err = %v, want ErrUnknownContainer", err)
 	}
-	if s.Free() != full.Minus(used).Union(admitted[0].Nodes) {
+	if s.FreeNodes() != full.Minus(used).Union(admitted[0].Nodes) {
 		t.Fatal("release did not return nodes")
 	}
 
 	// Admission works again after release.
-	if _, err := s.Admit(ctx, wt, 16); err != nil {
-		t.Fatalf("Admit after release: %v", err)
+	if _, err := s.Place(ctx, wt, 16); err != nil {
+		t.Fatalf("Place after release: %v", err)
 	}
 }
 
@@ -161,7 +165,7 @@ func TestSchedulerRebalanceImproves(t *testing.T) {
 	// survivor may profit from moving.
 	var admitted []*Assignment
 	for {
-		a, err := s.Admit(ctx, wt, 16)
+		a, err := s.Place(ctx, wt, 16)
 		if err != nil {
 			break
 		}
@@ -267,7 +271,7 @@ func TestSchedulerRebalanceAdoptsFasterClassOnSameNodes(t *testing.T) {
 	s, _ := newTestScheduler(t, m, 16, ServeConfig{GoalFrac: 0.5})
 	wt, _ := workloads.ByName("WTbtree")
 
-	a, err := s.Admit(ctx, wt, 16)
+	a, err := s.Place(ctx, wt, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,11 +339,11 @@ func TestSchedulerRebalancePartialReportOnPinFailure(t *testing.T) {
 
 	// Two tenants in 2-node classes, both demoted to a slower same-size
 	// class, so the pass wants to move both.
-	a1, err := s.Admit(ctx, wt, 16)
+	a1, err := s.Place(ctx, wt, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := s.Admit(ctx, wt, 16)
+	a2, err := s.Place(ctx, wt, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,12 +422,12 @@ func TestSchedulerAdmitPhase2FailureDiscards(t *testing.T) {
 	// Phase-2 pin failure: no tenant is registered and the free set stays
 	// untouched.
 	failAfter = pinCalls + 2 // both observation pins succeed, the commit pin fails
-	if _, err := s.Admit(ctx, wt, 16); !errors.Is(err, errBoom) {
-		t.Fatalf("Admit err = %v, want the pin failure", err)
+	if _, err := s.Place(ctx, wt, 16); !errors.Is(err, errBoom) {
+		t.Fatalf("Place err = %v, want the pin failure", err)
 	}
 	failAfter = 0
-	if s.Free() != full || s.Len() != 0 {
-		t.Fatalf("failed admission disturbed state: free %s (want %s), len %d (want 0)", s.Free(), full, s.Len())
+	if s.FreeNodes() != full || len(s.Assignments()) != 0 {
+		t.Fatalf("failed admission disturbed state: free %s (want %s), len %d (want 0)", s.FreeNodes(), full, len(s.Assignments()))
 	}
 
 	// Cancellation between phase 1 (observation) and phase 2 (commit):
@@ -433,18 +437,18 @@ func TestSchedulerAdmitPhase2FailureDiscards(t *testing.T) {
 	cctx, cancel := context.WithCancel(ctx)
 	cancelPhase2 = cancel
 	gcc, _ := workloads.ByName("gcc")
-	if _, err := s.Admit(cctx, gcc, 16); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Admit err = %v, want context.Canceled", err)
+	if _, err := s.Place(cctx, gcc, 16); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Place err = %v, want context.Canceled", err)
 	}
 	cancelPhase2 = nil
-	if s.Free() != full || s.Len() != 0 {
-		t.Fatalf("cancelled admission disturbed state: free %s, len %d", s.Free(), s.Len())
+	if s.FreeNodes() != full || len(s.Assignments()) != 0 {
+		t.Fatalf("cancelled admission disturbed state: free %s, len %d", s.FreeNodes(), len(s.Assignments()))
 	}
 
 	// Both failures left gaps in the ID space; admission still works.
-	a, err := s.Admit(ctx, wt, 16)
+	a, err := s.Place(ctx, wt, 16)
 	if err != nil {
-		t.Fatalf("Admit after failures: %v", err)
+		t.Fatalf("Place after failures: %v", err)
 	}
 	if a.ID != 2 {
 		t.Fatalf("third admission got ID %d, want 2 (failed admissions leave gaps)", a.ID)
@@ -452,7 +456,7 @@ func TestSchedulerAdmitPhase2FailureDiscards(t *testing.T) {
 }
 
 // TestShortPinCommitsNothing runs each path that commits a Step 4 decision —
-// Admit and Adopt through install, Rebalance and ApplyMove through repin —
+// Place and Adopt through install, Rebalance and ApplyMove through repin —
 // against a pinner that hands back one thread too few: each must refuse, and
 // leave the free mask, the books and the tenant's class and nodes as they
 // were.
@@ -460,7 +464,7 @@ func TestShortPinCommitsNothing(t *testing.T) {
 	ctx := context.Background()
 	s, _ := newTestScheduler(t, machines.AMD(), 16, ServeConfig{GoalFrac: 0.5})
 	wt, _ := workloads.ByName("WTbtree")
-	a, err := s.Admit(ctx, wt, 16)
+	a, err := s.Place(ctx, wt, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,17 +488,17 @@ func TestShortPinCommitsNothing(t *testing.T) {
 		name string
 		op   func() error
 	}{
-		{"Admit", func() error { _, err := s.Admit(ctx, wt, 16); return err }},
+		{"Place", func() error { _, err := s.Place(ctx, wt, 16); return err }},
 		{"Adopt", func() error {
 			r := restoreOf(a)
-			r.ID, r.Nodes = a.ID+100, shrink(s.Free(), a.Nodes.Len())
+			r.ID, r.Nodes = a.ID+100, shrink(s.FreeNodes(), a.Nodes.Len())
 			_, err := s.Adopt(ctx, r)
 			return err
 		}},
 		{"Rebalance", func() error { _, err := s.Rebalance(ctx); return err }},
 		{"ApplyMove", func() error { return s.ApplyMove(ctx, a.ID, fasterID, a.Nodes) }},
 	} {
-		books, free := s.Assignments(), s.Free()
+		books, free := s.Assignments(), s.FreeNodes()
 		short = true
 		err := tc.op()
 		short = false
@@ -504,8 +508,8 @@ func TestShortPinCommitsNothing(t *testing.T) {
 		if got := s.Assignments(); !reflect.DeepEqual(got, books) {
 			t.Errorf("%s with a short pin changed the books:\n got %+v\nwant %+v", tc.name, got, books)
 		}
-		if s.Free() != free {
-			t.Errorf("%s with a short pin: free mask %s, was %s", tc.name, s.Free(), free)
+		if s.FreeNodes() != free {
+			t.Errorf("%s with a short pin: free mask %s, was %s", tc.name, s.FreeNodes(), free)
 		}
 	}
 	// Healed, the move the short pin refused goes through.
@@ -515,16 +519,15 @@ func TestShortPinCommitsNothing(t *testing.T) {
 }
 
 // TestPlaceSharesMapping: an assignment's Threads is the table set's pinning
-// itself, after Admit and Adopt (install) and after a Rebalance or ApplyMove
+// itself, after Place and Adopt (install) and after a Rebalance or ApplyMove
 // re-pin (repin) — the tenant keeps the slice Tables.Pin returned, and
 // nobody copies it.
 func TestPlaceSharesMapping(t *testing.T) {
 	ctx := context.Background()
 	pm := trainParityModel(t, machines.AMD(), 16)
 	ts, st := NewTables(pm.spec), new(Stats)
-	pred := func(v int) *core.Predictor { return pm.preds[v] }
 	cfg := ServeConfig{GoalFrac: 0.5}
-	s1, s2 := NewSharedScheduler(ts, st, pred, cfg), NewSharedScheduler(ts, st, pred, cfg)
+	s1, s2 := usePredictors(NewSharedScheduler(ts, st, cfg), pm.preds), usePredictors(NewSharedScheduler(ts, st, cfg), pm.preds)
 	imps, err := ts.Placements(ctx, 16, st)
 	if err != nil {
 		t.Fatal(err)
@@ -545,11 +548,11 @@ func TestPlaceSharesMapping(t *testing.T) {
 		}
 	}
 	wt, _ := workloads.ByName("WTbtree")
-	a, err := s1.Admit(ctx, wt, 16)
+	a, err := s1.Place(ctx, wt, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shares("Admit", s1, a.ID)
+	shares("Place", s1, a.ID)
 	if _, err := s2.Adopt(ctx, restoreOf(a)); err != nil {
 		t.Fatal(err)
 	}
@@ -594,12 +597,12 @@ func TestSchedulerPreview(t *testing.T) {
 	if *pv != *pv2 {
 		t.Fatalf("previews differ: %+v vs %+v", pv, pv2)
 	}
-	if s.Len() != 0 || s.Free() != topology.FullNodeSet(m.Topo.NumNodes) {
+	if len(s.Assignments()) != 0 || s.FreeNodes() != topology.FullNodeSet(m.Topo.NumNodes) {
 		t.Fatal("preview mutated scheduler state")
 	}
 	// The preview matches the class the real admission chooses on the
 	// same free set.
-	a, err := s.Admit(ctx, wt, 16)
+	a, err := s.Place(ctx, wt, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
