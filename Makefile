@@ -6,7 +6,7 @@ GO ?= go
 
 CI_STEPS = fmtcheck vet lint build crossbuild examples test race papergolden fuzzsmoke benchsmoke benchcheck
 
-.PHONY: all $(CI_STEPS) bench loc profile ci
+.PHONY: all $(CI_STEPS) bench bincover loc profile ci
 
 all: build
 
@@ -74,26 +74,21 @@ papergolden:
 	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
 		$(GO) run ./cmd/paperrepro > "$$out" && cmp "$$out" cmd/paperrepro/testdata/full.golden
 
-# A few seconds of each differential fuzz target on top of its seed corpus
-# (which `test` already runs): the wire recognisers against encoding/json, the
-# log's batch frame scan against a frame-at-a-time one, the snapshot decoder
-# against its own re-encoding, the serving scheduler
-# against its from-scratch reference, alone and as two schedulers sharing one
-# machine model's table set, the fleet's routing index (memoized cell orders
-# included) against a preview fan-out, a restart from a damaged log against a
-# replay of each record into the engines, and the model decoder against hostile
-# bytes (its seeds are whole saved models, so minimizing each new
-# input is capped at 1s; uncapped it eats the budget). A finding is written
-# to the package's testdata/fuzz and fails the step.
+# A few seconds of every fuzz target `go test -list` finds, on top of its seed
+# corpus (which `test` already runs), as `race` runs over every package: a
+# package that gains a fuzz target is fuzzed the day it gains it, with no list
+# to maintain. Each target gets 5 s; minimizing a new input is capped at 1 s
+# (some seeds are whole saved models, and uncapped minimizing eats the
+# budget). The cap only bounds how long a finding is shrunk: a finding is
+# written to the package's testdata/fuzz and fails the step.
 fuzzsmoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 5s ./internal/wire/
-	$(GO) test -run '^$$' -fuzz '^FuzzScanFrames$$' -fuzztime 5s ./internal/wal/
-	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 5s ./internal/wal/
-	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerParity$$' -fuzztime 5s ./internal/sched/
-	$(GO) test -run '^$$' -fuzz '^FuzzSharedTablesParity$$' -fuzztime 5s ./internal/sched/
-	$(GO) test -run '^$$' -fuzz '^FuzzRoutePass$$' -fuzztime 5s ./internal/fleet/
-	$(GO) test -run '^$$' -fuzz '^FuzzRestoreMatchesReplay$$' -fuzztime 5s ./internal/fleet/
-	$(GO) test -run '^$$' -fuzz '^FuzzLoadPredictor$$' -fuzztime 5s -fuzzminimizetime 1s ./internal/core/
+	@targets=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$targets"; exit 1; }; \
+		echo "$$targets" | grep -q '^Fuzz' || { echo "fuzzsmoke: no fuzz target found"; exit 1; }; \
+		echo "$$targets" | awk '/^Fuzz/ { f[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2, f[i]; n = 0 }' | \
+		while read -r pkg fz; do \
+			echo "$$pkg $$fz"; \
+			$(GO) test -run '^$$' -fuzz "^$$fz\$$" -fuzztime 5s -fuzzminimizetime 1s "$$pkg" || exit 1; \
+		done
 
 # The micro-benchmarks at the default budget, for reading while you work,
 # over every package, as `race` runs: a package that gains a benchmark is
@@ -151,5 +146,31 @@ profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkRecovery' -benchtime 2s -count 1 \
 		-cpuprofile recovery.prof -o wal.test ./internal/wal/
 	@echo "wrote cpu.prof, train.prof, admit.prof, admit.mem and recovery.prof (inspect with: go tool pprof repro.test cpu.prof; go tool pprof repro.test train.prof; go tool pprof repro.test admit.prof; go tool pprof -sample_index alloc_space repro.test admit.mem; go tool pprof wal.test recovery.prof)"
+
+# Report-only: not a CI step, gates nothing. Which library code does no shipped
+# program reach? Builds paperrepro, clustersim and every example with statement
+# coverage over the whole module, runs each once into one GOCOVERDIR (the full
+# paperrepro and its three subcommands; clustersim -quick under each policy,
+# under a crash with a restart, and under a partition beside a slow machine
+# with spreading; all five examples), adds the numaplaced and loadgen tests
+# (they drive the daemon's own run over HTTP, so no daemon is started here),
+# merges the data and prints every function at 0.0 % and the total. ~1 min.
+bincover:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+		mkdir "$$dir/cov" "$$dir/bin" "$$dir/ex" && export GOCOVERDIR="$$dir/cov" && \
+		$(GO) build -cover -coverpkg=repro/... -o "$$dir/bin/" ./cmd/paperrepro ./cmd/clustersim && \
+		$(GO) build -cover -coverpkg=repro/... -o "$$dir/ex/" ./examples/... && \
+		"$$dir/bin/paperrepro" > /dev/null && \
+		"$$dir/bin/paperrepro" placements -packings > /dev/null && \
+		"$$dir/bin/paperrepro" train -trees 5 -out "$$dir/model.json" > /dev/null && \
+		"$$dir/bin/paperrepro" pack > /dev/null && \
+		for p in first-fit least-loaded best-predicted; do \
+			"$$dir/bin/clustersim" -quick -policy $$p > /dev/null 2>&1 || exit 1; done && \
+		"$$dir/bin/clustersim" -quick -crash amd-0@300 -restart 500 > /dev/null 2>&1 && \
+		"$$dir/bin/clustersim" -quick -partition intel-1@100:300 -slow amd-0@200 -spread > /dev/null 2>&1 && \
+		for ex in "$$dir"/ex/*; do "$$ex" > /dev/null || exit 1; done && \
+		$(GO) test -count 1 -cover -coverpkg=repro/... ./cmd/numaplaced ./cmd/loadgen -args -test.gocoverdir="$$dir/cov" > /dev/null && \
+		$(GO) tool covdata textfmt -i "$$dir/cov" -o "$$dir/cov.txt" && \
+		$(GO) tool cover -func "$$dir/cov.txt" | awk '$$NF == "0.0%" { print } /^total:/ { total = $$0 } END { print total }'
 
 ci: $(CI_STEPS)

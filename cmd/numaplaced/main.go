@@ -44,6 +44,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -80,6 +81,10 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 		return cfg, err
 	}
 	cfg.machines = strings.Split(*machineList, ",")
+	unknown := slices.IndexFunc(cfg.machines, func(m string) bool {
+		_, ok := numaplace.MachineByName(m)
+		return !ok
+	})
 	var policyOK, fsyncOK bool
 	cfg.policy, policyOK = numaplace.ClusterPolicyByName(*policyName)
 	cfg.fsync, fsyncOK = wal.PolicyByName(*fsync)
@@ -101,6 +106,8 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	case math.IsNaN(cfg.drainBelow) || math.IsInf(cfg.drainBelow, 0):
 		// NaN would pass as a threshold no utilization is below.
 		err = errors.New("-drain-below must be a finite number")
+	case unknown >= 0:
+		err = fmt.Errorf("-machines: unknown machine model %q", cfg.machines[unknown])
 	case !policyOK:
 		err = fmt.Errorf("unknown policy %q", *policyName)
 	case !fsyncOK:

@@ -519,7 +519,7 @@ func TestExitCodes(t *testing.T) {
 		{"fsync-interval without a data dir", "-fsync-interval 1s", 2, "-fsync-interval need -data-dir"},
 		{"snapshot-every without a data dir", "-snapshot-every 1m", 2, "-snapshot-every need -data-dir"},
 		{"help", "-h", 0, "Usage of numaplaced"},
-		{"unknown machine", "-machines amd,nope", 1, `unknown machine "nope"`},
+		{"unknown machine", "-machines amd,nope", 2, `-machines: unknown machine model "nope"`},
 		{"log with foreign bytes", "-data-dir " + foreign, 3, filepath.Join(foreign, "log") + " is not a write-ahead log"},
 	}
 	for _, tc := range cases {
@@ -554,6 +554,8 @@ func TestParseFlags(t *testing.T) {
 		"-drain-below NaN":                   "-drain-below must be a finite number",
 		"-drain-below -Inf":                  "-drain-below must be a finite number",
 		"-policy round-robin":                `unknown policy "round-robin"`,
+		"-machines amd,nope":                 `-machines: unknown machine model "nope"`,
+		"-machines amd,":                     `-machines: unknown machine model ""`,
 		"-data-dir d -fsync sometimes":       `unknown fsync policy "sometimes"`,
 		"serve":                              "unexpected arguments: serve",
 		"-listen":                            "flag needs an argument: -listen",

@@ -20,7 +20,6 @@ import (
 	"repro"
 	"repro/internal/experiments"
 	"repro/internal/machines"
-	"repro/internal/migrate"
 	"repro/internal/mlearn"
 	"repro/internal/placement"
 	"repro/internal/workloads"
@@ -31,7 +30,6 @@ var commands = map[string]func(ctx context.Context, args []string, stdout io.Wri
 	"placements": placements,
 	"train":      train,
 	"pack":       pack,
-	"migrate":    migrateCmd,
 }
 
 func main() {
@@ -60,7 +58,6 @@ func usage() string {
   paperrepro placements [-machine amd] [-vcpus 16] [-packings]
   paperrepro train [-machine intel] [-vcpus N] [-trees 100] [-out FILE]
   paperrepro pack [-machine amd] [-workload WTbtree]
-  paperrepro migrate [-workload WTbtree] [-workers N] [-vcpus 16] [-paper]
 `
 }
 
@@ -287,74 +284,4 @@ func pack(ctx context.Context, args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "%s containers (%d vCPUs) on %s\n", w.Name, v, m.Topo.Name)
 	_, err = experiments.PackingTable(ctx, stdout, exp)
 	return err
-}
-
-// paperTable2 is the paper's Table 2 in seconds: fast mechanism, default
-// Linux.
-var paperTable2 = map[string][2]float64{
-	"BLAST": {3.0, 5.9}, "canneal": {0.3, 3.9}, "fluidanimate": {0.3, 2.3},
-	"freqmine": {0.3, 4.2}, "gcc": {0.3, 2.8}, "kmeans": {1.5, 6.5},
-	"pca": {2.8, 10.0}, "postgres-tpch": {5.8, 117.1}, "postgres-tpcc": {14.9, 431.0},
-	"spark-cc": {3.7, 139.9}, "spark-pr-lj": {3.8, 137.0}, "streamcluster": {0.1, 0.4},
-	"swaptions": {0.1, 0.0}, "ft.C": {1.3, 19.4}, "dc.B": {5.4, 51.7},
-	"wc": {3.4, 19.5}, "wr": {3.6, 18.9}, "WTbtree": {6.3, 43.8},
-}
-
-// migrateCmd simulates the memory migration of one container (Table 2)
-// under the three mechanisms; -paper instead prints the fast and default
-// Linux times of every paper workload beside the paper's, for calibrating
-// the migration constants.
-func migrateCmd(ctx context.Context, args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("migrate", flag.ContinueOnError)
-	w := nameFlag(fs, "workload", "WTbtree", numaplace.WorkloadByName)
-	workers := fs.Int("workers", 0, "fast-migration worker threads (0 = default)")
-	vcpus := fs.Int("vcpus", 16, "vCPUs per migrated container")
-	paper := fs.Bool("paper", false, "every paper workload beside the paper's values")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	if *vcpus <= 0 {
-		return usagef("-vcpus must be positive")
-	}
-	cfg := migrate.Config{Workers: *workers}
-	run := func(w numaplace.Workload, mech migrate.Mechanism) (*migrate.Result, error) {
-		r, err := migrate.Run(ctx, migrate.ProfileFor(w, *vcpus), mech, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("%s migration of %s: %w", mech, w.Name, err)
-		}
-		return r, nil
-	}
-	if !*paper {
-		p := migrate.ProfileFor(*w, *vcpus)
-		fmt.Fprintf(stdout, "%s: %.1f GB (%.1f GB page cache), %d tasks\n", w.Name, w.MemoryGB, p.PageCacheGB, p.Tasks)
-		for _, mech := range []migrate.Mechanism{migrate.Fast, migrate.DefaultLinux, migrate.Throttled} {
-			r, err := run(*w, mech)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "  %-14s %7.1f s, moved %5.1f GB (%.1f GB page cache), overhead %.0f%%\n",
-				mech, r.Seconds, r.MovedGB, r.PageCacheGB, r.OverheadPct)
-		}
-		return nil
-	}
-	fmt.Fprintf(stdout, "%-14s %8s %8s | %8s %8s | %8s\n", "workload", "fast", "paper", "linux", "paper", "ratio")
-	for _, w := range workloads.Paper() {
-		fast, err := run(w, migrate.Fast)
-		if err != nil {
-			return err
-		}
-		linux, err := run(w, migrate.DefaultLinux)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "%-14s %8.1f %8.1f | %8.1f %8.1f | %8.1f\n", w.Name, fast.Seconds, paperTable2[w.Name][0],
-			linux.Seconds, paperTable2[w.Name][1], linux.Seconds/fast.Seconds)
-	}
-	wt, _ := workloads.ByName("WTbtree")
-	th, err := run(wt, migrate.Throttled)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "throttled WTbtree: %.1fs overhead %.1f%% (paper: 60s, 3-6%%)\n", th.Seconds, th.OverheadPct)
-	return nil
 }

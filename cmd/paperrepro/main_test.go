@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -66,19 +68,54 @@ func TestSubcommands(t *testing.T) {
 	}
 }
 
+// TestTrainWritesLoadableModel runs the train subcommand end to end: it
+// reports the observed pair and where it wrote the model, and the file it
+// wrote loads and saves back to the same bytes.
+func TestTrainWritesLoadableModel(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.json")
+	var stdout bytes.Buffer
+	if err := run(context.Background(), []string{"train", "-machine", "intel", "-trees", "5", "-out", path}, &stdout); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"intel-xeon-e7-4830v3, 24 vCPUs: observe placements #1 and #7\n",
+		"model written to " + path + "\n",
+	} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("stdout lacks %q:\n%s", want, stdout.String())
+		}
+	}
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := numaplace.LoadPredictor(bytes.NewReader(saved))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := pred.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), saved) {
+		t.Errorf("the loaded model saves %d bytes that differ from the %d written", again.Len(), len(saved))
+	}
+}
+
 // TestQuickGolden holds the full reproduction at -quick to the output
-// recorded in testdata/quick.golden, with one worker and at the default
-// parallelism.
+// recorded in testdata/quick.golden, with one worker (GOMAXPROCS 1) and at
+// the host's default.
 func TestQuickGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/quick.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 0} {
-		prev := numaplace.SetParallelism(workers)
+	host := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(host)
+	for _, workers := range []int{1, host} {
+		runtime.GOMAXPROCS(workers)
 		var out bytes.Buffer
 		err := run(context.Background(), []string{"-quick"}, &out)
-		numaplace.SetParallelism(prev)
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}

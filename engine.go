@@ -248,8 +248,8 @@ func (e *Engine) NewPackingExperiment(ctx context.Context, w Workload, vcpus int
 }
 
 // Migrate simulates one container migration (§7, Table 2), honouring ctx.
-func (e *Engine) Migrate(ctx context.Context, p MigrationProfile, mech migrate.Mechanism, cfg migrate.Config) (*migrate.Result, error) {
-	return migrate.Run(ctx, p, mech, cfg)
+func (e *Engine) Migrate(ctx context.Context, p MigrationProfile, mech migrate.Mechanism) (*migrate.Result, error) {
+	return migrate.Run(ctx, p, mech)
 }
 
 // EngineStats reports the Engine's cache effectiveness. Every count is this

@@ -16,8 +16,6 @@ import (
 
 	"repro/internal/concern"
 	"repro/internal/core"
-	"repro/internal/interconnect"
-	"repro/internal/migrate"
 	"repro/internal/mlearn"
 	"repro/internal/nperr"
 	"repro/internal/placement"
@@ -90,26 +88,18 @@ func TestEnginePlacementsParity(t *testing.T) {
 	}
 }
 
-// machineOfItsOwn returns the AMD machine with one link widened by a
-// process-unique amount: a model no other engine has met, so an engine of it
-// starts with a cold table set however many tests ran before (and -count).
-func machineOfItsOwn() Machine { return amdWidened(ownModels.Add(1)) }
+// machineOfItsOwn returns the AMD machine under a process-unique name: a
+// model no other engine has met, so an engine of it starts with a cold table
+// set however many tests ran before (and -count).
+func machineOfItsOwn() Machine { return amdNamed(ownModels.Add(1)) }
 
 var ownModels atomic.Int64
 
-// amdWidened is the AMD machine with its first link extra MB/s wider.
-func amdWidened(extra int64) Machine {
+// amdNamed is the AMD machine named for n: the topology's name is part of
+// Machine.Fingerprint, which keys the process-wide table sets.
+func amdNamed(n int64) Machine {
 	m := AMD()
-	ic := interconnect.NewGraph(m.Topo.NumNodes)
-	for a := range m.Topo.NumNodes {
-		for b := a + 1; b < m.Topo.NumNodes; b++ {
-			if bw := m.IC.LinkBandwidth(topology.NodeID(a), topology.NodeID(b)); bw > 0 {
-				ic.AddLink(topology.NodeID(a), topology.NodeID(b), bw+extra)
-				extra = 0
-			}
-		}
-	}
-	m.IC = ic
+	m.Topo.Name = fmt.Sprintf("amd-own-%d", n)
 	return m
 }
 
@@ -760,8 +750,8 @@ func TestEngineApplyMove(t *testing.T) {
 // free set.
 func TestNewMachineOfKnownModelIsWarm(t *testing.T) {
 	ctx := context.Background()
-	extra := ownModels.Add(1)
-	first := trainedEngine(t, ctx, amdWidened(extra), 16)
+	own := ownModels.Add(1)
+	first := trainedEngine(t, ctx, amdNamed(own), 16)
 	wt, _ := WorkloadByName("WTbtree")
 	serve := func(eng *Engine) EngineStats {
 		t.Helper()
@@ -785,7 +775,7 @@ func TestNewMachineOfKnownModelIsWarm(t *testing.T) {
 		t.Fatalf("the model's first engine did no cold work: %+v", st)
 	}
 	p, _ := first.Predictor(16)
-	st := serve(New(amdWidened(extra), WithPredictor(16, p)))
+	st := serve(New(amdNamed(own), WithPredictor(16, p)))
 	if st.Enumerations != 0 || st.PinRuns != 0 || st.Prepares != 0 || st.Searches != 0 {
 		t.Fatalf("a second engine of a served model did cold work: %+v", st)
 	}
@@ -997,11 +987,11 @@ func TestFacadeMigration(t *testing.T) {
 	eng := New(AMD())
 	wt, _ := WorkloadByName("postgres-tpcc")
 	p := MigrationProfileFor(wt, 16)
-	fast, err := eng.Migrate(ctx, p, MigrateFast, migrate.Config{})
+	fast, err := eng.Migrate(ctx, p, MigrateFast)
 	if err != nil {
 		t.Fatal(err)
 	}
-	linux, err := eng.Migrate(ctx, p, MigrateDefaultLinux, migrate.Config{})
+	linux, err := eng.Migrate(ctx, p, MigrateDefaultLinux)
 	if err != nil {
 		t.Fatal(err)
 	}

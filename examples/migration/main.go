@@ -10,7 +10,6 @@ import (
 	"log"
 
 	"repro"
-	"repro/internal/migrate"
 )
 
 func main() {
@@ -19,11 +18,11 @@ func main() {
 	fmt.Printf("%-14s %10s %9s %9s %9s\n", "benchmark", "memory(GB)", "fast(s)", "linux(s)", "speedup")
 	for _, w := range numaplace.PaperWorkloads() {
 		p := numaplace.MigrationProfileFor(w, 16)
-		fast, err := eng.Migrate(ctx, p, numaplace.MigrateFast, migrate.Config{})
+		fast, err := eng.Migrate(ctx, p, numaplace.MigrateFast)
 		if err != nil {
 			log.Fatal(err)
 		}
-		linux, err := eng.Migrate(ctx, p, numaplace.MigrateDefaultLinux, migrate.Config{})
+		linux, err := eng.Migrate(ctx, p, numaplace.MigrateDefaultLinux)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -32,7 +31,7 @@ func main() {
 	}
 
 	wt, _ := numaplace.WorkloadByName("WTbtree")
-	th, err := eng.Migrate(ctx, numaplace.MigrationProfileFor(wt, 16), numaplace.MigrateThrottled, migrate.Config{})
+	th, err := eng.Migrate(ctx, numaplace.MigrationProfileFor(wt, 16), numaplace.MigrateThrottled)
 	if err != nil {
 		log.Fatal(err)
 	}

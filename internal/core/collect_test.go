@@ -63,7 +63,11 @@ func TestCollectMatchesRun(t *testing.T) {
 								if !withHPEs {
 									continue
 								}
-								h, err := perfsim.HPEs(m, w, threads, 0)
+								a, err := perfsim.ComputeAttrs(m, threads)
+								if err != nil {
+									t.Fatal(err)
+								}
+								h, err := perfsim.HPEsAttrs(m, w, a, 0)
 								if err != nil {
 									t.Fatal(err)
 								}
@@ -73,7 +77,7 @@ func TestCollectMatchesRun(t *testing.T) {
 								}
 								for i := range h {
 									if math.Float64bits(got[i]) != math.Float64bits(h[i]) {
-										t.Fatalf("%s in %s: HPE %d = %v, HPEs loop %v", w.Name, p, i, got[i], h[i])
+										t.Fatalf("%s in %s: HPE %d = %v, HPEsAttrs loop %v", w.Name, p, i, got[i], h[i])
 									}
 								}
 							}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/machines"
 	"repro/internal/mlearn"
 	"repro/internal/workloads"
-	"repro/internal/xparallel"
 )
 
 // trainFingerprint trains with cfg and returns the chosen pair plus the
@@ -30,7 +29,8 @@ func trainFingerprint(t *testing.T, ds *Dataset, cfg TrainConfig) (int, int, []f
 // GOMAXPROCS — the pair search, CV folds and forest trees all derive
 // per-task seeds instead of sharing a sequential stream.
 func TestTrainIdenticalAcrossWorkerCounts(t *testing.T) {
-	defer xparallel.SetMaxWorkers(xparallel.SetMaxWorkers(1))
+	host := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(host)
 	ws := append(workloads.Paper()[:6], workloads.CorpusFrom(6, 3, []string{"flat", "bw"})...)
 	ds, err := Collect(context.Background(), machines.Intel(), ws, 24, CollectConfig{Trials: 1})
 	if err != nil {
@@ -43,10 +43,9 @@ func TestTrainIdenticalAcrossWorkerCounts(t *testing.T) {
 		Seed:           7,
 	}
 
-	xparallel.SetMaxWorkers(1)
 	base, probe, want := trainFingerprint(t, ds, cfg)
-	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		xparallel.SetMaxWorkers(w)
+	for _, w := range []int{1, 2, host} {
+		runtime.GOMAXPROCS(w)
 		b, p, got := trainFingerprint(t, ds, cfg)
 		if b != base || p != probe {
 			t.Fatalf("workers=%d: pair (%d,%d), want (%d,%d)", w, b, p, base, probe)
@@ -62,7 +61,8 @@ func TestTrainIdenticalAcrossWorkerCounts(t *testing.T) {
 // TestCvMAPEIdenticalAcrossWorkerCounts pins the fold-level determinism the
 // pair search depends on.
 func TestCvMAPEIdenticalAcrossWorkerCounts(t *testing.T) {
-	defer xparallel.SetMaxWorkers(xparallel.SetMaxWorkers(1))
+	host := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(host)
 	ws := append(workloads.Paper()[:5], workloads.CorpusFrom(5, 9, []string{"lat"})...)
 	ds, err := Collect(context.Background(), machines.Intel(), ws, 24, CollectConfig{Trials: 1})
 	if err != nil {
@@ -75,7 +75,6 @@ func TestCvMAPEIdenticalAcrossWorkerCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	xparallel.SetMaxWorkers(1)
 	want, err := cvMAPE(context.Background(), ds, cand, cfg, 99, folds)
 	if err != nil {
 		t.Fatal(err)
@@ -83,8 +82,8 @@ func TestCvMAPEIdenticalAcrossWorkerCounts(t *testing.T) {
 	if math.IsNaN(want) {
 		t.Fatal("serial cvMAPE is NaN")
 	}
-	for _, w := range []int{2, runtime.GOMAXPROCS(0)} {
-		xparallel.SetMaxWorkers(w)
+	for _, w := range []int{2, host} {
+		runtime.GOMAXPROCS(w)
 		got, err := cvMAPE(context.Background(), ds, cand, cfg, 99, folds)
 		if err != nil {
 			t.Fatal(err)

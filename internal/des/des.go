@@ -38,9 +38,6 @@ func (t *Timer) Cancel() bool {
 	return true
 }
 
-// Fired reports whether the event has already executed or been cancelled.
-func (t *Timer) Fired() bool { return t == nil || t.idx < 0 }
-
 type event struct {
 	time float64
 	seq  int64
@@ -126,6 +123,3 @@ func (s *Sim) RunUntil(t float64) {
 		s.now = t
 	}
 }
-
-// Pending returns the number of queued events.
-func (s *Sim) Pending() int { return s.queue.Len() }

@@ -60,8 +60,8 @@ func TestRunUntil(t *testing.T) {
 	if s.Now() != 3 {
 		t.Fatalf("clock %v, want 3", s.Now())
 	}
-	if s.Pending() != 1 {
-		t.Fatalf("pending %d", s.Pending())
+	if s.queue.Len() != 1 {
+		t.Fatalf("pending %d", s.queue.Len())
 	}
 	s.Run()
 	if ran != 2 || s.Now() != 5 {
@@ -112,14 +112,14 @@ func TestCancelBeforeFire(t *testing.T) {
 	var s Sim
 	fired := false
 	tm := s.At(5, func() { fired = true })
-	if s.Pending() != 1 {
-		t.Fatalf("pending %d, want 1", s.Pending())
+	if s.queue.Len() != 1 {
+		t.Fatalf("pending %d, want 1", s.queue.Len())
 	}
 	if !tm.Cancel() {
 		t.Fatal("Cancel before fire returned false")
 	}
-	if s.Pending() != 0 {
-		t.Fatalf("pending %d after cancel, want 0", s.Pending())
+	if s.queue.Len() != 0 {
+		t.Fatalf("pending %d after cancel, want 0", s.queue.Len())
 	}
 	if tm.Cancel() {
 		t.Fatal("second Cancel returned true")
@@ -130,7 +130,7 @@ func TestCancelBeforeFire(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !tm.Fired() {
+	if tm.idx >= 0 {
 		t.Fatal("cancelled timer not reported as done")
 	}
 }
@@ -146,7 +146,7 @@ func TestCancelAfterFire(t *testing.T) {
 	if tm.Cancel() {
 		t.Fatal("Cancel after fire returned true")
 	}
-	if !tm.Fired() {
+	if tm.idx >= 0 {
 		t.Fatal("fired timer not reported as done")
 	}
 	// The no-op cancel must not have corrupted the queue.
@@ -207,8 +207,8 @@ func TestCancelHeapIntegrity(t *testing.T) {
 			want = append(want, i)
 		}
 	}
-	if s.Pending() != len(want) {
-		t.Fatalf("pending %d after cancels, want %d", s.Pending(), len(want))
+	if s.queue.Len() != len(want) {
+		t.Fatalf("pending %d after cancels, want %d", s.queue.Len(), len(want))
 	}
 	s.Run()
 	if !reflect.DeepEqual(fired, want) {

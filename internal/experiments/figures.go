@@ -354,11 +354,11 @@ func Table2(ctx context.Context, w io.Writer) ([]Table2Row, error) {
 	tbl := stats.NewTable("Benchmark", "Memory(GB)", "Fast(s)", "Linux(s)", "Speedup")
 	for _, wl := range workloads.Paper() {
 		p := migrate.ProfileFor(wl, 16)
-		fast, err := migrate.Run(ctx, p, migrate.Fast, migrate.Config{})
+		fast, err := migrate.Run(ctx, p, migrate.Fast)
 		if err != nil {
 			return nil, err
 		}
-		linux, err := migrate.Run(ctx, p, migrate.DefaultLinux, migrate.Config{})
+		linux, err := migrate.Run(ctx, p, migrate.DefaultLinux)
 		if err != nil {
 			return nil, err
 		}
@@ -372,7 +372,7 @@ func Table2(ctx context.Context, w io.Writer) ([]Table2Row, error) {
 	}
 	tbl.Render(w)
 	wt, _ := workloads.ByName("WTbtree")
-	th, err := migrate.Run(ctx, migrate.ProfileFor(wt, 16), migrate.Throttled, migrate.Config{})
+	th, err := migrate.Run(ctx, migrate.ProfileFor(wt, 16), migrate.Throttled)
 	if err != nil {
 		return nil, err
 	}

@@ -146,13 +146,6 @@ func (s *Subscription) Dropped() uint64 {
 	return s.dropped
 }
 
-// Pending returns the number of buffered records awaiting Drain.
-func (s *Subscription) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
 // Wait blocks until at least one record is buffered, the context is done,
 // or the subscription is closed (ErrSubscriptionClosed). A nil return
 // means Drain will yield at least one record.

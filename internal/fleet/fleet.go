@@ -543,18 +543,42 @@ func (f *Fleet) Place(ctx context.Context, w perfsim.Workload, vcpus int) (adm A
 		return Admission{ID: id, Backend: mem.name, Assignment: *a}, nil
 	}
 	f.commitLocked(f.bookLocked(&Record{Type: RecReject, ID: -1, Workload: w.Name, VCPUs: vcpus}, nil, nil, nil))
-	sentinels := []error{nperr.ErrFleetFull}
-	if !slices.ContainsFunc(f.members, (*member).accepting) {
+	// Preview failures come first, as a fan-out would have met them.
+	errs = append(s.rejections(ctx, &q), errs...)
+	switch {
+	case !slices.ContainsFunc(f.members, (*member).accepting):
 		// Every machine is dead, suspect or draining. Callers back off on
 		// ErrNoHealthyBackend rather than treating the fleet as merely
 		// full; a fleet of accepting machines none of which fits the
-		// container (routing tries none of them) is only full.
-		sentinels = append(sentinels, nperr.ErrNoHealthyBackend)
+		// container now is only full, unless none ever could.
+		errs = append(errs, nperr.ErrFleetFull, nperr.ErrNoHealthyBackend)
+	case !neverHosted(f.members, errs):
+		errs = append(errs, nperr.ErrFleetFull)
 	}
-	// Preview failures come first, as a fan-out would have met them.
-	errs = append(s.rejections(ctx, &q), errs...)
-	return Admission{}, fmt.Errorf("fleet: placing %d-vCPU %q: %w", vcpus, w.Name,
-		errors.Join(append(errs, sentinels...)...))
+	return Admission{}, fmt.Errorf("fleet: placing %d-vCPU %q: %w", vcpus, w.Name, errors.Join(errs...))
+}
+
+// neverHosted reports whether errs, the rejections of an admission nothing
+// took, say that no machine of the fleet could ever host it: every member
+// accepts admissions, so the decision asked each (tried or previewed), and
+// each refused it as infeasible. Such a request is ErrInfeasible, not a full
+// fleet a caller should wait on; while any member is dead, suspect or
+// draining, that one might host it later.
+func neverHosted(members []*member, errs []error) bool {
+	if len(errs) != len(members) {
+		return false
+	}
+	for _, m := range members {
+		if !m.accepting() {
+			return false
+		}
+	}
+	for _, err := range errs {
+		if !errors.Is(err, nperr.ErrInfeasible) {
+			return false
+		}
+	}
+	return true
 }
 
 // Release evicts the container with the given fleet ID from whichever
@@ -803,7 +827,7 @@ func (f *Fleet) evacuateLocked(ctx context.Context, rep *Report, src *member, bu
 		}
 		moved := false
 		if d := dests.next(); d != nil {
-			copied, err := migrate.Run(ctx, migrate.ProfileFor(rec.w, rec.vcpus), migrate.Fast, migrate.Config{})
+			copied, err := migrate.Run(ctx, migrate.ProfileFor(rec.w, rec.vcpus), migrate.Fast)
 			if err != nil {
 				return err
 			}

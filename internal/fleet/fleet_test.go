@@ -487,6 +487,50 @@ func TestNonPositiveVCPUsAreInfeasible(t *testing.T) {
 	}
 }
 
+// TestNeverHostedIsInfeasible: a place every machine of the fleet refuses as
+// infeasible is ErrInfeasible without ErrFleetFull under every policy, so a
+// caller does not wait for room that cannot come; it is still a committed,
+// counted rejection. While a member was not asked (draining here) or one
+// refuses for want of room, the fleet is only full.
+func TestNeverHostedIsInfeasible(t *testing.T) {
+	ctx := context.Background()
+	w := testWorkload(t, "gcc")
+	tooWide := fmt.Errorf("stub: too wide: %w", nperr.ErrInfeasible)
+	for _, p := range []Policy{FirstFit, LeastLoaded, BestPredicted} {
+		t.Run(p.String(), func(t *testing.T) {
+			a, b := newStub(machines.AMD(), 1), newStub(machines.Intel(), 2)
+			a.placeErr, a.previewErr, b.placeErr, b.previewErr = tooWide, tooWide, tooWide, tooWide
+			f := New(Config{Policy: p})
+			if err := errors.Join(f.Add("a", a), f.Add("b", b)); err != nil {
+				t.Fatal(err)
+			}
+			seq, rejected := f.Seq(), f.Stats().Rejected
+			_, err := f.Place(ctx, w, 4)
+			if !errors.Is(err, nperr.ErrInfeasible) || errors.Is(err, nperr.ErrFleetFull) {
+				t.Fatalf("err = %v, want ErrInfeasible without ErrFleetFull", err)
+			}
+			if f.Seq() != seq+1 || f.Stats().Rejected != rejected+1 {
+				t.Errorf("the refusal committed %d records and counted %d rejections, want 1 and 1",
+					f.Seq()-seq, f.Stats().Rejected-rejected)
+			}
+
+			if _, err := f.Drain(ctx, "b"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Place(ctx, w, 4); !errors.Is(err, nperr.ErrFleetFull) {
+				t.Fatalf("with b draining: err = %v, want ErrFleetFull", err)
+			}
+			if err := f.Resume("b"); err != nil {
+				t.Fatal(err)
+			}
+			b.placeErr, b.previewErr = nperr.ErrMachineFull, nperr.ErrMachineFull
+			if _, err := f.Place(ctx, w, 4); !errors.Is(err, nperr.ErrFleetFull) {
+				t.Fatalf("with b full: err = %v, want ErrFleetFull", err)
+			}
+		})
+	}
+}
+
 func TestFleetReleaseMapping(t *testing.T) {
 	ctx := context.Background()
 	f := New(Config{})
@@ -542,7 +586,7 @@ func TestFleetRebalanceConsolidates(t *testing.T) {
 
 	// The expected cost of the cross-machine move is exactly the fast
 	// mechanism's copy of the workload's memory profile.
-	want, err := migrate.Run(ctx, migrate.ProfileFor(w, 4), migrate.Fast, migrate.Config{})
+	want, err := migrate.Run(ctx, migrate.ProfileFor(w, 4), migrate.Fast)
 	if err != nil {
 		t.Fatal(err)
 	}

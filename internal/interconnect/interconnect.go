@@ -64,9 +64,6 @@ func NewSymmetric(n int, bwMBs int64) *Graph {
 	return g
 }
 
-// NumNodes returns the number of nodes the graph spans.
-func (g *Graph) NumNodes() int { return g.n }
-
 // AddLink installs a bidirectional direct link between a and b.
 // Adding a link invalidates previously computed routed bandwidths,
 // so all links must be added before the first query.
@@ -86,13 +83,6 @@ func (g *Graph) AddLink(a, b topology.NodeID, bwMBs int64) {
 	g.link[a][b] = bwMBs
 	g.link[b][a] = bwMBs
 }
-
-// HasLink reports whether a and b share a direct link.
-func (g *Graph) HasLink(a, b topology.NodeID) bool { return g.link[a][b] > 0 }
-
-// LinkBandwidth returns the direct link bandwidth between a and b in MB/s,
-// or 0 if they are not directly connected.
-func (g *Graph) LinkBandwidth(a, b topology.NodeID) int64 { return g.link[a][b] }
 
 // Symmetric reports whether every node pair has a direct link of identical
 // bandwidth. On such machines the interconnect concern is unnecessary: all
@@ -174,17 +164,6 @@ func (g *Graph) compute() {
 			g.hops[s][t] = bestHops
 		}
 	}
-}
-
-// PairBandwidth returns the effective bandwidth between a and b in MB/s:
-// the direct link bandwidth, or the discounted bottleneck of the widest
-// route when no direct link exists.
-func (g *Graph) PairBandwidth(a, b topology.NodeID) int64 {
-	if a == b {
-		return 0
-	}
-	g.once.Do(g.compute)
-	return g.pair[a][b]
 }
 
 // Hops returns the number of links on the widest path between a and b

@@ -36,8 +36,8 @@ func TestSymmetricGraph(t *testing.T) {
 			if i == j {
 				continue
 			}
-			if bw := g.PairBandwidth(topology.NodeID(i), topology.NodeID(j)); bw != 9000 {
-				t.Fatalf("PairBandwidth(%d,%d) = %d, want 9000", i, j, bw)
+			if bw := g.Measure(topology.NewNodeSet(topology.NodeID(i), topology.NodeID(j))); bw != 9000 {
+				t.Fatalf("Measure({%d,%d}) = %d, want 9000", i, j, bw)
 			}
 			if h := g.Hops(topology.NodeID(i), topology.NodeID(j)); h != 1 {
 				t.Fatalf("Hops(%d,%d) = %d, want 1", i, j, h)
@@ -54,11 +54,16 @@ func TestSymmetricGraph(t *testing.T) {
 }
 
 func TestAsymmetricDetected(t *testing.T) {
-	if ladder().Symmetric() {
+	g := ladder()
+	if g.Symmetric() {
 		t.Fatal("ladder graph reported symmetric")
 	}
+	// AddLink installs both directions; an unlinked pair reads 0.
+	if g.link[0][1] != 2096 || g.link[1][0] != 2096 || g.link[0][5] != 0 {
+		t.Fatalf("links 0-1 %d, 1-0 %d, 0-5 %d; want 2096, 2096, 0", g.link[0][1], g.link[1][0], g.link[0][5])
+	}
 	// Fully connected but unequal bandwidths is also asymmetric.
-	g := NewGraph(3)
+	g = NewGraph(3)
 	g.AddLink(0, 1, 100)
 	g.AddLink(0, 2, 100)
 	g.AddLink(1, 2, 200)
@@ -71,7 +76,7 @@ func TestPaperTwoHopPairs(t *testing.T) {
 	g := ladder()
 	// The paper's packing example: nodes 0-5 and 3-6 are two hops apart.
 	for _, pair := range [][2]topology.NodeID{{0, 5}, {3, 6}} {
-		if g.HasLink(pair[0], pair[1]) {
+		if g.link[pair[0]][pair[1]] != 0 {
 			t.Errorf("nodes %d-%d should have no direct link", pair[0], pair[1])
 		}
 		if h := g.Hops(pair[0], pair[1]); h != 2 {
@@ -87,8 +92,8 @@ func TestRoutedDiscountPrefersDirectLink(t *testing.T) {
 	g.AddLink(0, 1, 4200)
 	g.AddLink(1, 2, 3000)
 	g.AddLink(0, 2, 2800)
-	if bw := g.PairBandwidth(0, 2); bw != 2800 {
-		t.Fatalf("PairBandwidth(0,2) = %d, want direct 2800", bw)
+	if bw := g.Measure(topology.NewNodeSet(0, 2)); bw != 2800 {
+		t.Fatalf("Measure({0,2}) = %d, want direct 2800", bw)
 	}
 	if h := g.Hops(0, 2); h != 1 {
 		t.Fatalf("Hops(0,2) = %d, want 1", h)
@@ -102,8 +107,8 @@ func TestRoutedBypassOfWeakDirectLink(t *testing.T) {
 	g.AddLink(0, 1, 4000)
 	g.AddLink(1, 2, 3000)
 	g.AddLink(0, 2, 400)
-	if bw := g.PairBandwidth(0, 2); bw != 1500 {
-		t.Fatalf("PairBandwidth(0,2) = %d, want routed 1500", bw)
+	if bw := g.Measure(topology.NewNodeSet(0, 2)); bw != 1500 {
+		t.Fatalf("Measure({0,2}) = %d, want routed 1500", bw)
 	}
 	if h := g.Hops(0, 2); h != 2 {
 		t.Fatalf("Hops(0,2) = %d, want 2", h)
@@ -116,11 +121,11 @@ func TestMultiHopDiscountCompounds(t *testing.T) {
 	g.AddLink(0, 1, 8000)
 	g.AddLink(1, 2, 8000)
 	g.AddLink(2, 3, 8000)
-	if bw := g.PairBandwidth(0, 3); bw != 2000 {
-		t.Fatalf("PairBandwidth(0,3) = %d, want 2000", bw)
+	if bw := g.Measure(topology.NewNodeSet(0, 3)); bw != 2000 {
+		t.Fatalf("Measure({0,3}) = %d, want 2000", bw)
 	}
-	if bw := g.PairBandwidth(0, 2); bw != 4000 {
-		t.Fatalf("PairBandwidth(0,2) = %d, want 4000", bw)
+	if bw := g.Measure(topology.NewNodeSet(0, 2)); bw != 4000 {
+		t.Fatalf("Measure({0,2}) = %d, want 4000", bw)
 	}
 }
 
@@ -128,8 +133,8 @@ func TestDisconnectedPair(t *testing.T) {
 	g := NewGraph(4)
 	g.AddLink(0, 1, 1000)
 	g.AddLink(2, 3, 1000)
-	if bw := g.PairBandwidth(0, 2); bw != 0 {
-		t.Fatalf("PairBandwidth across components = %d, want 0", bw)
+	if bw := g.Measure(topology.NewNodeSet(0, 2)); bw != 0 {
+		t.Fatalf("Measure across components = %d, want 0", bw)
 	}
 	if h := g.Hops(0, 2); h != 0 {
 		t.Fatalf("Hops across components = %d, want 0", h)
@@ -177,11 +182,12 @@ func TestMeasureMonotoneUnderSuperset(t *testing.T) {
 func TestMeasureSymmetryUnderPairSwap(t *testing.T) {
 	// Pair bandwidth is symmetric: Measure must not depend on node order.
 	g := ladder()
+	g.Measure(topology.FullNodeSet(8)) // computes the pair matrix
 	for i := 0; i < 8; i++ {
 		for j := 0; j < 8; j++ {
 			a, b := topology.NodeID(i), topology.NodeID(j)
-			if g.PairBandwidth(a, b) != g.PairBandwidth(b, a) {
-				t.Fatalf("PairBandwidth asymmetric for %d,%d", i, j)
+			if g.pair[a][b] != g.pair[b][a] {
+				t.Fatalf("pair bandwidth asymmetric for %d,%d", i, j)
 			}
 			if g.Hops(a, b) != g.Hops(b, a) {
 				t.Fatalf("Hops asymmetric for %d,%d", i, j)
@@ -199,7 +205,7 @@ func TestAddLinkPanics(t *testing.T) {
 		func(g *Graph) { g.AddLink(0, 1, -5) },
 		func(g *Graph) {
 			g.AddLink(0, 1, 100)
-			g.PairBandwidth(0, 1) // freezes the graph
+			g.Measure(topology.NewNodeSet(0, 1)) // freezes the graph
 			g.AddLink(1, 2, 100)
 		},
 	}
@@ -221,20 +227,4 @@ func TestAddLinkPanics(t *testing.T) {
 		}()
 		NewGraph(0)
 	}()
-}
-
-func TestLinkAccessors(t *testing.T) {
-	g := ladder()
-	if !g.HasLink(0, 1) || g.HasLink(0, 5) {
-		t.Fatal("HasLink wrong")
-	}
-	if bw := g.LinkBandwidth(0, 1); bw != 2096 {
-		t.Fatalf("LinkBandwidth(0,1) = %d, want 2096", bw)
-	}
-	if bw := g.LinkBandwidth(0, 5); bw != 0 {
-		t.Fatalf("LinkBandwidth(0,5) = %d, want 0", bw)
-	}
-	if n := g.NumNodes(); n != 8 {
-		t.Fatalf("NumNodes = %d, want 8", n)
-	}
 }

@@ -8,7 +8,7 @@ import (
 
 func TestAMDMatchesPaperFigure2(t *testing.T) {
 	m := AMD()
-	if m.Topo.NumNodes != 8 || m.Topo.TotalCores() != 64 {
+	if m.Topo.NumNodes != 8 || m.Topo.NumNodes*m.Topo.CoresPerNode != 64 {
 		t.Errorf("AMD shape: %s", m.Topo)
 	}
 	if m.Topo.ThreadsPerL2() != 2 {
@@ -52,7 +52,7 @@ func TestForwardLookingMachines(t *testing.T) {
 		t.Error("Haswell-CoD interconnect must be asymmetric")
 	}
 	// On-die pairs faster than cross-socket.
-	if h.IC.LinkBandwidth(0, 1) <= h.IC.LinkBandwidth(0, 2) {
+	if h.IC.Measure(topology.NewNodeSet(0, 1)) <= h.IC.Measure(topology.NewNodeSet(0, 2)) {
 		t.Error("on-die link should beat QPI")
 	}
 }

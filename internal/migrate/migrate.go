@@ -104,24 +104,12 @@ func (m Mechanism) String() string {
 	}
 }
 
-// Config holds mechanism parameters; zero values select defaults
-// calibrated against Table 2.
-type Config struct {
-	// Workers is the number of concurrent copy threads used by Fast
-	// (default 8).
-	Workers int
-}
-
-func (c Config) workers() int {
-	if c.Workers <= 0 {
-		return 8
-	}
-	return c.Workers
-}
-
 // Kernel cost constants (seconds), calibrated against Table 2. They model
 // mechanisms, not workloads: every workload uses the same constants.
 const (
+	// fastWorkers is the number of concurrent copy threads Fast runs.
+	fastWorkers = 8
+
 	pageKB = 4
 	hugeKB = 2048
 
@@ -173,7 +161,7 @@ type Result struct {
 // mechanism. The simulation is deterministic. One simulated migration is
 // fast, but schedulers run many back to back (e.g. a rebalance pass over
 // every admitted container), so the context is honoured before simulating.
-func Run(ctx context.Context, p Profile, mech Mechanism, cfg Config) (*Result, error) {
+func Run(ctx context.Context, p Profile, mech Mechanism) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -184,7 +172,7 @@ func Run(ctx context.Context, p Profile, mech Mechanism, cfg Config) (*Result, e
 	case DefaultLinux:
 		return runLinux(p), nil
 	case Fast:
-		return runFast(p, cfg), nil
+		return runFast(p, fastWorkers), nil
 	case Throttled:
 		return runThrottled(p), nil
 	default:
@@ -234,12 +222,11 @@ func runLinux(p Profile) *Result {
 	}
 }
 
-// runFast models the paper's mechanism: freeze, parallel workers copying
-// anon + page cache, batched bookkeeping, thaw.
-func runFast(p Profile, cfg Config) *Result {
+// runFast models the paper's mechanism: freeze, the given number of parallel
+// workers copying anon + page cache, batched bookkeeping, thaw.
+func runFast(p Profile, workers int) *Result {
 	var sim des.Sim
 	totalGB := p.AnonGB + p.PageCacheGB
-	workers := cfg.workers()
 
 	// Effective copy bandwidth: workers stream concurrently, bounded by
 	// the aggregate interconnect ceiling.

@@ -20,7 +20,7 @@ func trainFlatFixture(t *testing.T, inDim int) (Matrix, Matrix, *Forest, *legacy
 	if err != nil {
 		t.Fatal(err)
 	}
-	return MatrixFrom(X), MatrixFrom(Y), trainRows(t, X, Y, cfg), oracle
+	return matrixFrom(X), matrixFrom(Y), trainRows(t, X, Y, cfg), oracle
 }
 
 // TestPredictRowsIntoMatchesPointer pins the batch walk to the legacy
@@ -126,7 +126,7 @@ func TestMAPEFlatMatchesMAPE(t *testing.T) {
 	rng := xrand.New(3)
 	actual := NewMatrix(9, 4)
 	for i := range actual.Data {
-		actual.Data[i] = rng.Range(-1, 2)
+		actual.Data[i] = -1 + 3*rng.Float64()
 	}
 	actual.Data[5] = 0 // exercise the skip-zero rule
 	folds := [][]int{{2, 0, 5}, {1, 8}, {3, 4, 6, 7}}
@@ -137,7 +137,7 @@ func TestMAPEFlatMatchesMAPE(t *testing.T) {
 	for _, rows := range folds {
 		block := make([]float64, len(rows)*actual.Cols)
 		for i := range block {
-			block[i] = rng.Range(-1, 2)
+			block[i] = -1 + 3*rng.Float64()
 		}
 		pb := block
 		for ri, r := range rows {

@@ -3,15 +3,14 @@ package mlearn
 import (
 	"runtime"
 	"testing"
-
-	"repro/internal/xparallel"
 )
 
 // TestTrainForestIdenticalAcrossWorkerCounts: with per-tree seeds derived
 // from the root seed, the ensemble is bit-identical however many goroutines
 // grow it.
 func TestTrainForestIdenticalAcrossWorkerCounts(t *testing.T) {
-	defer xparallel.SetMaxWorkers(xparallel.SetMaxWorkers(1))
+	host := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(host)
 	rngX := [][]float64{}
 	rngY := [][]float64{}
 	for i := 0; i < 60; i++ {
@@ -21,14 +20,13 @@ func TestTrainForestIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 	probes := [][]float64{{0.1, 0.01, 0.9}, {0.5, 0.25, 0.5}, {0.93, 0.86, 0.07}}
 
-	xparallel.SetMaxWorkers(1)
 	serial := trainRows(t, rngX, rngY, ForestConfig{Trees: 20, Seed: 5})
 	var want [][]float64
 	for _, p := range probes {
 		want = append(want, predict(t, serial, p))
 	}
-	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		xparallel.SetMaxWorkers(w)
+	for _, w := range []int{1, 2, host} {
+		runtime.GOMAXPROCS(w)
 		f := trainRows(t, rngX, rngY, ForestConfig{Trees: 20, Seed: 5})
 		for pi, p := range probes {
 			got := predict(t, f, p)

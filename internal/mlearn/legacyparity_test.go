@@ -461,7 +461,7 @@ func randomSet(rng *xrand.SplitMix64, n, inDim, outDim int) ([][]float64, [][]fl
 		}
 		Y[i] = make([]float64, outDim)
 		for d := range Y[i] {
-			Y[i][d] = rng.Range(0.5, 2.0)
+			Y[i][d] = 0.5 + 1.5*rng.Float64()
 		}
 		if i > 0 && rng.Intn(4) == 0 {
 			copy(Y[i], Y[i-1]) // equal outputs on distinct rows
@@ -486,10 +486,24 @@ func trainMatrix(X, Y Matrix, rows []int, cfg ForestConfig) (*Forest, error) {
 	return TrainForest(X, Y, rows, ColumnOrders(X, rows), cfg)
 }
 
+// matrixFrom copies a row-pointer matrix into flat storage. All rows must
+// share len(rows[0]); short rows copy partially and long rows truncate.
+func matrixFrom(rows [][]float64) Matrix {
+	cols := 0
+	if len(rows) > 0 {
+		cols = len(rows[0])
+	}
+	m := NewMatrix(len(rows), cols)
+	for i, r := range rows {
+		copy(m.Row(i), r)
+	}
+	return m
+}
+
 // trainRows fits a forest on row-pointer data through the flat entry point.
 func trainRows(t *testing.T, X, Y [][]float64, cfg ForestConfig) *Forest {
 	t.Helper()
-	f, err := trainMatrix(MatrixFrom(X), MatrixFrom(Y), nil, cfg)
+	f, err := trainMatrix(matrixFrom(X), matrixFrom(Y), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +544,7 @@ func TestFlatTrainingMatchesLegacy(t *testing.T) {
 func TestFlatSubsetTrainingMatchesLegacy(t *testing.T) {
 	rng := xrand.New(11)
 	X, Y := randomSet(rng, 60, 3, 9)
-	xm, ym := MatrixFrom(X), MatrixFrom(Y)
+	xm, ym := matrixFrom(X), matrixFrom(Y)
 	for trial := 0; trial < 8; trial++ {
 		var rows []int
 		for i := range X {
@@ -572,7 +586,7 @@ func TestFlatSubsetTrainingMatchesLegacy(t *testing.T) {
 func TestPooledTrainingDeterministic(t *testing.T) {
 	rng := xrand.New(31)
 	X, Y := randomSet(rng, 45, 2, 8)
-	xm, ym := MatrixFrom(X), MatrixFrom(Y)
+	xm, ym := matrixFrom(X), matrixFrom(Y)
 	cfg := ForestConfig{Trees: 13, Seed: 77}
 	first, err := trainMatrix(xm, ym, nil, cfg)
 	if err != nil {

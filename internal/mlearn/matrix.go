@@ -22,21 +22,6 @@ func NewMatrix(rows, cols int) Matrix {
 	return Matrix{Data: make([]float64, rows*cols), Rows: rows, Cols: cols}
 }
 
-// MatrixFrom copies a row-pointer matrix into flat storage. All rows must
-// share len(rows[0]); short rows copy partially and long rows truncate, so
-// callers that accept external data should validate shapes first.
-func MatrixFrom(rows [][]float64) Matrix {
-	cols := 0
-	if len(rows) > 0 {
-		cols = len(rows[0])
-	}
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		copy(m.Row(i), r)
-	}
-	return m
-}
-
 // Row returns the i-th row as a slice view into the backing store.
 func (m Matrix) Row(i int) []float64 {
 	return m.Data[i*m.Cols : (i+1)*m.Cols : (i+1)*m.Cols]

@@ -111,7 +111,7 @@ func TestCompiledParity(t *testing.T) {
 // with the oracle's walk, NaN matching NaN.
 func checkRows(t *testing.T, f *Forest, oracle *legacyForest, probes [][]float64, what string) {
 	t.Helper()
-	xs := MatrixFrom(probes)
+	xs := matrixFrom(probes)
 	rows := make([]float64, len(probes)*f.OutDim())
 	if err := f.PredictRowsInto(rows, xs, nil); err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@ import (
 // returns it as a one-tree forest, so the grower's stopping and split
 // rules can be read off Dump.
 func plainForest(X, Y [][]float64) *Forest {
-	xm, ym := MatrixFrom(X), MatrixFrom(Y)
+	xm, ym := matrixFrom(X), matrixFrom(Y)
 	n := xm.Rows
 	g := getGrower(xm, ym, n, xm.Cols, nil)
 	for i := 0; i < n; i++ {

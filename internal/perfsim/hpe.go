@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/machines"
-	"repro/internal/topology"
 	"repro/internal/xrand"
 )
 
@@ -70,18 +69,9 @@ func allHPENames() []string {
 	}
 }
 
-// HPEs synthesizes the counter readings for workload w running on the
-// given thread assignment: ComputeAttrs followed by HPEsAttrs. Identical
-// (workload, placement, trial) triples return identical readings.
-func HPEs(m machines.Machine, w Workload, threads []topology.ThreadID, trial int) ([]float64, error) {
-	a, err := ComputeAttrs(m, threads)
-	if err != nil {
-		return nil, err
-	}
-	return HPEsAttrs(m, w, a, trial)
-}
-
-// HPEsAttrs is HPEs from the placement's already derived attributes.
+// HPEsAttrs synthesizes the counter readings for workload w running on a
+// placement, from the attributes ComputeAttrs derived for its threads.
+// Identical (workload, placement, trial) triples return identical readings.
 func HPEsAttrs(m machines.Machine, w Workload, a Attrs, trial int) ([]float64, error) {
 	names := HPENames(m)
 

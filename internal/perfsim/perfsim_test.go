@@ -372,14 +372,25 @@ func TestHPECounts(t *testing.T) {
 	}
 }
 
+// hpes is HPEsAttrs over the attributes of threads, as Collect derives them.
+func hpes(t *testing.T, m machines.Machine, w Workload, threads []topology.ThreadID, trial int) []float64 {
+	t.Helper()
+	a, err := ComputeAttrs(m, threads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := HPEsAttrs(m, w, a, trial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 func TestHPEValues(t *testing.T) {
 	m := machines.Intel()
 	w := testWorkload()
 	threads := pin(t, m, 24, topology.NewNodeSet(0, 1), 24)
-	v1, err := HPEs(m, w, threads, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v1 := hpes(t, m, w, threads, 0)
 	if len(v1) != 41 {
 		t.Fatalf("got %d values", len(v1))
 	}
@@ -389,13 +400,13 @@ func TestHPEValues(t *testing.T) {
 		}
 	}
 	// Deterministic per trial.
-	v2, _ := HPEs(m, w, threads, 0)
+	v2 := hpes(t, m, w, threads, 0)
 	for i := range v1 {
 		if v1[i] != v2[i] {
 			t.Fatal("HPEs not deterministic")
 		}
 	}
-	v3, _ := HPEs(m, w, threads, 1)
+	v3 := hpes(t, m, w, threads, 1)
 	same := true
 	for i := range v1 {
 		if v1[i] != v3[i] {
@@ -426,15 +437,15 @@ func TestHPEBackendStallConfounded(t *testing.T) {
 	if idx < 0 {
 		t.Fatal("stall_backend_frac missing")
 	}
-	a, _ := HPEs(m, memBound, threads, 0)
-	b, _ := HPEs(m, latBound, threads, 0)
+	a := hpes(t, m, memBound, threads, 0)
+	b := hpes(t, m, latBound, threads, 0)
 	ratio := a[idx] / b[idx]
 	if ratio < 0.5 || ratio > 2 {
 		t.Errorf("backend stalls should be confounded (similar magnitude), got %v vs %v", a[idx], b[idx])
 	}
 }
 
-// TestUnknownCounterError: the error HPEs returns for a counter name it has
+// TestUnknownCounterError: the error HPEsAttrs returns for a counter name it has
 // no value for names the counter.
 func TestUnknownCounterError(t *testing.T) {
 	if got, want := errUnknownCounter("llc_misses").Error(), "perfsim: unknown counter llc_misses"; got != want {

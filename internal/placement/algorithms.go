@@ -66,12 +66,6 @@ func shapeKey(sorted []int) uint64 {
 	return key
 }
 
-func (p Packing) canonical() Packing {
-	q := append(Packing(nil), p...)
-	slices.Sort(q)
-	return q
-}
-
 // GenPackings implements Algorithm 2: it enumerates every partition of the
 // node set `all` into parts whose sizes appear in nodeScores. Unlike the
 // paper's pseudocode, which enumerates every part ordering and removes

@@ -161,13 +161,12 @@ func TestEnumerateVectorsUnique(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen := map[string]bool{}
-		for _, p := range imps {
-			k := p.Vec.Key()
-			if seen[k] {
-				t.Fatalf("duplicate vector %s", p.Vec)
+		for i, p := range imps {
+			for _, q := range imps[:i] {
+				if p.Vec.Equal(q.Vec) {
+					t.Fatalf("duplicate vector %s", p.Vec)
+				}
 			}
-			seen[k] = true
 		}
 	}
 }
@@ -192,6 +191,14 @@ func TestEnumerateErrors(t *testing.T) {
 	}
 }
 
+// canonical returns p's parts in ascending order, the order GenPackings
+// emits them in.
+func canonical(p Packing) Packing {
+	q := append(Packing(nil), p...)
+	slices.Sort(q)
+	return q
+}
+
 // genPackingsNaive is the paper's Algorithm 2 verbatim: for every allowed
 // size, for every combination of remaining nodes, recurse; duplicates (the
 // same partition reached in different part orders) are removed afterwards.
@@ -208,7 +215,7 @@ func genPackingsNaive(nodeScores []int, all topology.NodeSet) []Packing {
 				remaining := left.Minus(part)
 				next := append(append(Packing(nil), cur...), part)
 				if remaining.Empty() {
-					out = append(out, next.canonical())
+					out = append(out, canonical(next))
 				} else {
 					rec(remaining, next)
 				}
@@ -323,10 +330,10 @@ func TestFilterPackingsKeepsParetoFrontier(t *testing.T) {
 	}
 	// The all-intra-package pairing must survive (it has the three best
 	// pair scores).
-	wantPairs := Packing{
+	wantPairs := canonical(Packing{
 		topology.NewNodeSet(0, 1), topology.NewNodeSet(2, 3),
 		topology.NewNodeSet(4, 5), topology.NewNodeSet(6, 7),
-	}.canonical()
+	})
 	found := false
 	for _, p := range packs {
 		if slices.Equal(p, wantPairs) {

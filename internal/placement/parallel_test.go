@@ -7,20 +7,23 @@ import (
 	"testing"
 
 	"repro/internal/topology"
-	"repro/internal/xparallel"
 )
 
-// workerCounts are the pool sizes the determinism tests sweep: serial, the
-// smallest genuinely parallel pool, and whatever the host offers.
-func workerCounts() []int {
-	return []int{1, 2, runtime.GOMAXPROCS(0)}
+// workerCounts sets GOMAXPROCS (the pool size) to 1 for the serial reference
+// run and returns the sizes the determinism tests sweep: serial, the smallest
+// genuinely parallel pool, and whatever the host offers. The host's setting
+// is restored when the test ends.
+func workerCounts(t *testing.T) []int {
+	host := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(host) })
+	return []int{1, 2, host}
 }
 
 // TestEnumerateIdenticalAcrossWorkerCounts is the golden-equality guarantee
 // of the parallel rewrite: Enumerate emits the exact same placements, score
 // vectors, IDs and ordering at every worker-pool size.
 func TestEnumerateIdenticalAcrossWorkerCounts(t *testing.T) {
-	defer xparallel.SetMaxWorkers(xparallel.SetMaxWorkers(1))
+	counts := workerCounts(t)
 	cases := []struct {
 		name string
 		run  func() ([]Important, error)
@@ -30,13 +33,13 @@ func TestEnumerateIdenticalAcrossWorkerCounts(t *testing.T) {
 		{"amd-8", func() ([]Important, error) { return Enumerate(context.Background(), amdSpec(), 8) }},
 	}
 	for _, c := range cases {
-		xparallel.SetMaxWorkers(1)
+		runtime.GOMAXPROCS(1)
 		want, err := c.run()
 		if err != nil {
 			t.Fatalf("%s serial: %v", c.name, err)
 		}
-		for _, w := range workerCounts() {
-			xparallel.SetMaxWorkers(w)
+		for _, w := range counts {
+			runtime.GOMAXPROCS(w)
 			got, err := c.run()
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", c.name, w, err)
@@ -51,11 +54,11 @@ func TestEnumerateIdenticalAcrossWorkerCounts(t *testing.T) {
 // TestGenPackingsOrderAcrossWorkerCounts pins the enumeration *order*, not
 // just the set: shards must be merged in first-part order.
 func TestGenPackingsOrderAcrossWorkerCounts(t *testing.T) {
-	defer xparallel.SetMaxWorkers(xparallel.SetMaxWorkers(1))
+	counts := workerCounts(t)
 	all := topology.FullNodeSet(8)
 	want := GenPackings([]int{2, 4, 8}, all)
-	for _, w := range workerCounts() {
-		xparallel.SetMaxWorkers(w)
+	for _, w := range counts {
+		runtime.GOMAXPROCS(w)
 		got := GenPackings([]int{2, 4, 8}, all)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("GenPackings order differs at %d workers", w)
@@ -66,12 +69,12 @@ func TestGenPackingsOrderAcrossWorkerCounts(t *testing.T) {
 // TestFilterPackingsIdenticalAcrossWorkerCounts covers the skyline filter's
 // grouping, de-duplication and survivor ordering.
 func TestFilterPackingsIdenticalAcrossWorkerCounts(t *testing.T) {
-	defer xparallel.SetMaxWorkers(xparallel.SetMaxWorkers(1))
+	counts := workerCounts(t)
 	spec := amdSpec()
 	packs := GenPackings([]int{2, 4, 8}, topology.FullNodeSet(8))
 	want := FilterPackings(spec, packs)
-	for _, w := range workerCounts() {
-		xparallel.SetMaxWorkers(w)
+	for _, w := range counts {
+		runtime.GOMAXPROCS(w)
 		got := FilterPackings(spec, packs)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("FilterPackings differs at %d workers", w)

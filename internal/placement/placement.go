@@ -33,21 +33,6 @@ type Vector struct {
 	Pareto  []int64 // Pareto concern scores (e.g. interconnect MB/s)
 }
 
-// Key returns a canonical comparable encoding of the vector for callers
-// that need a map key (the hot-path dedup in Enumerate uses hash+Equal
-// instead). All scores are exact integers, so equality is exact.
-func (v Vector) Key() string {
-	var b strings.Builder
-	for _, s := range v.PerNode {
-		fmt.Fprintf(&b, "%d,", s)
-	}
-	fmt.Fprintf(&b, "|%d|", v.Node)
-	for _, s := range v.Pareto {
-		fmt.Fprintf(&b, "%d,", s)
-	}
-	return b.String()
-}
-
 // Equal reports whether two vectors are identical.
 func (v Vector) Equal(o Vector) bool {
 	return v.Node == o.Node && slices.Equal(v.PerNode, o.PerNode) && slices.Equal(v.Pareto, o.Pareto)

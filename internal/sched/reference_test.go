@@ -265,7 +265,7 @@ func (r *refScheduler) Rebalance(ctx context.Context) (*RebalanceReport, error) 
 		if nodes == t.nodes {
 			prof.AnonGB, prof.PageCacheGB = 0, 0
 		}
-		res, err := migrate.Run(ctx, prof, migrate.Fast, migrate.Config{})
+		res, err := migrate.Run(ctx, prof, migrate.Fast)
 		if err != nil {
 			return rep, err
 		}

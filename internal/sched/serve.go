@@ -641,7 +641,7 @@ func (s *Scheduler) Rebalance(ctx context.Context) (*RebalanceReport, error) {
 			// mechanism only freezes the container and updates cpusets.
 			prof.AnonGB, prof.PageCacheGB = 0, 0
 		}
-		res, err := migrate.Run(ctx, prof, migrate.Fast, migrate.Config{})
+		res, err := migrate.Run(ctx, prof, migrate.Fast)
 		if err != nil {
 			return rep, err
 		}

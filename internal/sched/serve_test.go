@@ -303,7 +303,7 @@ func TestSchedulerRebalanceAdoptsFasterClassOnSameNodes(t *testing.T) {
 	// mechanism's freeze/thaw plus cpuset bookkeeping.
 	prof := migrate.ProfileFor(wt, 16)
 	prof.AnonGB, prof.PageCacheGB = 0, 0
-	res, err := migrate.Run(ctx, prof, migrate.Fast, migrate.Config{})
+	res, err := migrate.Run(ctx, prof, migrate.Fast)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,9 +146,6 @@ func (p Params) validate() error {
 // TotalThreads returns the number of hardware threads on the machine.
 func (t *Topology) TotalThreads() int { return len(t.Threads) }
 
-// TotalCores returns the number of physical cores on the machine.
-func (t *Topology) TotalCores() int { return t.NumNodes * t.CoresPerNode }
-
 // ThreadsPerL2 returns the capacity of one L2 domain in hardware threads
 // (the paper's "L2 Capacity").
 func (t *Topology) ThreadsPerL2() int { return t.CoresPerL2 * t.ThreadsPerCore }
@@ -164,9 +161,6 @@ func (t *Topology) ThreadsPerNode() int { return t.CoresPerNode * t.ThreadsPerCo
 
 // L2PerNode returns the number of L2 domains per node.
 func (t *Topology) L2PerNode() int { return t.CoresPerNode / t.CoresPerL2 }
-
-// NodeOfThread returns the node that hosts thread id.
-func (t *Topology) NodeOfThread(id ThreadID) NodeID { return t.Threads[id].Node }
 
 // String summarizes the machine, e.g.
 // "amd-opteron-6272: 8 nodes x 8 cores x 1 threads (64 hw threads, 32 L2, 8 L3)".

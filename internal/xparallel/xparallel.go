@@ -12,39 +12,13 @@ import (
 	"sync/atomic"
 )
 
-// maxWorkers overrides the worker count when positive (see SetMaxWorkers);
-// zero selects GOMAXPROCS.
-var maxWorkers atomic.Int32
-
-// workers resolves the pool size: the SetMaxWorkers override, or
-// GOMAXPROCS.
-func workers() int {
-	if m := maxWorkers.Load(); m > 0 {
-		return int(m)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// SetMaxWorkers sets the worker count every fan-out uses; n <= 0 restores
-// the GOMAXPROCS default. It returns the previous override. The setting also
-// sizes the process-wide extra-worker budget, so total concurrency stays near
-// n even when fan-outs nest. All parallelized pipelines in this repository
-// produce identical results for every setting; determinism tests and
-// benchmarks use it to pin the pool size.
-func SetMaxWorkers(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	return int(maxWorkers.Swap(int32(n)))
-}
-
 // inFlight counts extra worker goroutines alive across all fan-outs.
 // Fan-outs nest (experiment grid → pair search → CV folds → forest trees);
 // a per-call bound would multiply through the levels, so extra workers are
 // reserved against one process-wide budget instead. Reservation never
 // blocks — when the budget is spent, work simply runs inline on the calling
 // goroutine — so nesting cannot deadlock and total CPU-bound concurrency
-// stays near the configured bound regardless of nesting depth.
+// stays near GOMAXPROCS regardless of nesting depth.
 var inFlight atomic.Int32
 
 // reserveWorker claims one slot of the global worker budget (limit extra
@@ -62,7 +36,7 @@ func reserveWorker(limit int32) bool {
 }
 
 // forEach runs fn(i) for every i in [0, n). The calling goroutine always
-// participates; up to workers()-1 extra goroutines join it, subject to the
+// participates; up to GOMAXPROCS-1 extra goroutines join it, subject to the
 // process-wide budget above. Indices are handed out dynamically, so fn must
 // not rely on execution order — only on each index running exactly once. A
 // panic in any fn is re-raised on the calling goroutine after all workers
@@ -71,10 +45,11 @@ func reserveWorker(limit int32) bool {
 // interrupted mid-item), so on a nil error every index ran exactly once.
 func forEach(ctx context.Context, n int, fn func(i int)) error {
 	done := ctx.Done()
-	w := workers()
-	if w > n {
-		w = n
-	}
+	// The pool size is GOMAXPROCS. Every parallelized pipeline in this
+	// repository produces identical results at every size; the determinism
+	// tests sweep runtime.GOMAXPROCS.
+	procs := runtime.GOMAXPROCS(0)
+	w := min(procs, n)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
 			if done != nil {
@@ -117,7 +92,7 @@ func forEach(ctx context.Context, n int, fn func(i int)) error {
 		}
 	}
 	// The caller is worker zero, so the budget covers the extras only.
-	limit := int32(workers()) - 1
+	limit := int32(procs) - 1
 	for g := 1; g < w; g++ {
 		if !reserveWorker(limit) {
 			break

@@ -11,28 +11,14 @@ import (
 	"testing"
 )
 
-// withWorkers runs fn at each pool size in turn, restoring the setting.
+// withWorkers runs fn at each pool size (GOMAXPROCS) in turn, restoring the
+// setting.
 func withWorkers(t *testing.T, sizes []int, fn func(workers int)) {
 	t.Helper()
-	defer SetMaxWorkers(SetMaxWorkers(0))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, w := range sizes {
-		SetMaxWorkers(w)
+		runtime.GOMAXPROCS(w)
 		fn(w)
-	}
-}
-
-func TestWorkersResolution(t *testing.T) {
-	if got := workers(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("workers() = %d, want GOMAXPROCS", got)
-	}
-	old := SetMaxWorkers(2)
-	defer SetMaxWorkers(old)
-	if got := workers(); got != 2 {
-		t.Errorf("workers() with override = %d, want 2", got)
-	}
-	SetMaxWorkers(-3)
-	if got := workers(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("workers() after reset = %d", got)
 	}
 }
 

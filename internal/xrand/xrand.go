@@ -78,11 +78,6 @@ func (r *SplitMix64) NormFloat64() float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// Range returns a uniform value in [lo, hi).
-func (r *SplitMix64) Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
-}
-
 // Perm returns a random permutation of [0, n).
 func (r *SplitMix64) Perm(n int) []int {
 	p := make([]int, n)
@@ -98,12 +93,4 @@ func (r *SplitMix64) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		swap(i, r.Intn(i+1))
 	}
-}
-
-// Int63n returns a uniform value in [0, n). It panics if n <= 0.
-func (r *SplitMix64) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("xrand: Int63n with non-positive n")
-	}
-	return int64(r.Uint64() % uint64(n))
 }

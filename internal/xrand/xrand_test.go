@@ -63,33 +63,6 @@ func TestIntn(t *testing.T) {
 	r.Intn(0)
 }
 
-// TestInt63n: values stay in [0, n), including n = 1 and n past 32 bits,
-// the same seed gives the same sequence, and n <= 0 panics.
-func TestInt63n(t *testing.T) {
-	a, b := New(11), New(11)
-	for _, n := range []int64{1, 2, 7, 1 << 40, math.MaxInt64} {
-		for i := 0; i < 1000; i++ {
-			v := a.Int63n(n)
-			if v < 0 || v >= n {
-				t.Fatalf("Int63n(%d) = %d", n, v)
-			}
-			if w := b.Int63n(n); w != v {
-				t.Fatalf("same seed diverged at Int63n(%d): %d vs %d", n, v, w)
-			}
-		}
-	}
-	for _, n := range []int64{0, -1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Int63n(%d) did not panic", n)
-				}
-			}()
-			a.Int63n(n)
-		}()
-	}
-}
-
 func TestNormFloat64Moments(t *testing.T) {
 	r := New(11)
 	var sum, sumSq float64
@@ -118,16 +91,6 @@ func TestPermAndShuffle(t *testing.T) {
 			t.Fatalf("bad perm %v", p)
 		}
 		seen[v] = true
-	}
-}
-
-func TestRange(t *testing.T) {
-	r := New(17)
-	for i := 0; i < 1000; i++ {
-		v := r.Range(3, 7)
-		if v < 3 || v >= 7 {
-			t.Fatalf("Range = %v", v)
-		}
 	}
 }
 

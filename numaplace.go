@@ -32,7 +32,6 @@ import (
 	"repro/internal/placement"
 	"repro/internal/sched"
 	"repro/internal/workloads"
-	"repro/internal/xparallel"
 )
 
 // Machine descriptions (paper §2 testbeds and §8 forward-looking systems).
@@ -62,12 +61,6 @@ func MachineByName(name string) (Machine, bool) {
 		return Machine{}, false
 	}
 }
-
-// SetParallelism bounds the worker pool shared by placement enumeration,
-// forest training and the experiment drivers; n <= 0 restores the default
-// (GOMAXPROCS). It returns the previous setting. Results are bit-identical
-// at every setting — parallelism only changes wall-clock time.
-func SetParallelism(n int) int { return xparallel.SetMaxWorkers(n) }
 
 // Spec is a machine's scheduling-concern specification (paper §4).
 type Spec = concern.Spec
