@@ -54,16 +54,11 @@ func TestSymmetricGraph(t *testing.T) {
 }
 
 func TestAsymmetricDetected(t *testing.T) {
-	g := ladder()
-	if g.Symmetric() {
+	if ladder().Symmetric() {
 		t.Fatal("ladder graph reported symmetric")
 	}
-	// AddLink installs both directions; an unlinked pair reads 0.
-	if g.link[0][1] != 2096 || g.link[1][0] != 2096 || g.link[0][5] != 0 {
-		t.Fatalf("links 0-1 %d, 1-0 %d, 0-5 %d; want 2096, 2096, 0", g.link[0][1], g.link[1][0], g.link[0][5])
-	}
 	// Fully connected but unequal bandwidths is also asymmetric.
-	g = NewGraph(3)
+	g := NewGraph(3)
 	g.AddLink(0, 1, 100)
 	g.AddLink(0, 2, 100)
 	g.AddLink(1, 2, 200)
@@ -227,4 +222,21 @@ func TestAddLinkPanics(t *testing.T) {
 		}()
 		NewGraph(0)
 	}()
+}
+
+func TestLinkAccessors(t *testing.T) {
+	// AddLink installs both directions; an unlinked pair reads 0.
+	g := ladder()
+	if bw := g.link[0][1]; bw != 2096 {
+		t.Fatalf("link 0-1 = %d, want 2096", bw)
+	}
+	if bw := g.link[1][0]; bw != 2096 {
+		t.Fatalf("link 1-0 = %d, want 2096", bw)
+	}
+	if bw := g.link[0][5]; bw != 0 {
+		t.Fatalf("link 0-5 = %d, want 0", bw)
+	}
+	if g.n != 8 {
+		t.Fatalf("n = %d, want 8", g.n)
+	}
 }
