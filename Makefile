@@ -126,7 +126,9 @@ loc:
 # Emits four CPU profiles and one allocation profile: cpu.prof of the
 # heaviest training pipeline (the Figure 4 cross-validation grid);
 # train.prof of a set-up's Train at the daemon's fidelity on every
-# (machine, size) BenchmarkEngineTrain covers;
+# (machine, size) BenchmarkEngineTrain covers, at -cpu 1: numabench trains
+# inside its set-up at GOMAXPROCS 1, where setup_s is measured and where the
+# pair search's bound stops the most candidates;
 # admit.prof and admit.mem of the resident admission cycle (place the next
 # container, release a random resident one) on a 64-machine fleet at 60 %
 # fill under best-predicted routing with domain spreading
@@ -139,7 +141,7 @@ loc:
 profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkFigure4AMD' -benchtime 1x -count 1 \
 		-cpuprofile cpu.prof -o repro.test .
-	$(GO) test -run '^$$' -bench '^BenchmarkEngineTrain$$' -benchtime 50x -count 1 \
+	$(GO) test -run '^$$' -bench '^BenchmarkEngineTrain$$' -benchtime 50x -count 1 -cpu 1 \
 		-cpuprofile train.prof -o repro.test .
 	$(GO) test -run '^$$' -bench '^BenchmarkClusterAdmitResident$$/^machines=64$$/^best-predicted$$' \
 		-benchtime 1000000x -count 1 -cpuprofile admit.prof -memprofile admit.mem -o repro.test .

@@ -233,6 +233,12 @@ func train(ctx context.Context, args []string, stdout io.Writer) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
+	if *trees < 1 {
+		return usagef("-trees %d: a forest needs at least one tree", *trees)
+	}
+	if *vcpus < 0 {
+		return usagef("-vcpus %d: a container needs a positive vCPU count (0 takes the paper's)", *vcpus)
+	}
 	v := *vcpus
 	if v == 0 {
 		v = experiments.VCPUsFor(*m)

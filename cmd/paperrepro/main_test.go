@@ -37,6 +37,9 @@ func TestSubcommands(t *testing.T) {
 		{args: "-only fig9", code: 2, stderr: "table1, counts, fig1, fig3, fig4, fig5, table2"},
 		{args: "foo", code: 2, stderr: `unknown subcommand "foo"`},
 		{args: "placements extra", code: 2, stderr: `unexpected argument "extra"`},
+		{args: "train -trees 0", code: 2, stderr: "-trees 0: a forest needs at least one tree"},
+		{args: "train -trees -1", code: 2, stderr: "-trees -1: a forest needs at least one tree"},
+		{args: "train -vcpus -1", code: 2, stderr: "-vcpus -1: a container needs a positive vCPU count"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

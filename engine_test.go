@@ -284,12 +284,12 @@ func TestEngineCancellation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The pair search checks its context once per candidate pair, when
-		// the pair's cross-validation returns: AMD's 13 placements make 78
-		// pairs, so the context cancels itself during the search, at its
-		// 30th check. Pool workers still finishing a pair when it cancels
-		// each check once more, so the count past the 30th depends on the
-		// worker count and is not pinned.
+		// The pair search checks its context before each fold of a
+		// candidate pair's cross-validation: AMD's 13 placements make 78
+		// pairs of up to 3 folds, so the context cancels itself during the
+		// search, at its 30th check. Pool workers still finishing a pair
+		// when it cancels each check once more, so the count past the 30th
+		// depends on the worker count and is not pinned.
 		parent, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		ctx := &cancelAtCheck{Context: parent, cancel: cancel, n: 30}

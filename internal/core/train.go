@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/mlearn"
 	"repro/internal/xparallel"
@@ -155,7 +156,7 @@ func Train(ctx context.Context, ds *Dataset, cfg TrainConfig) (*Predictor, error
 		if err := ensureFolds(); err != nil {
 			return nil, err
 		}
-		base, probe, err := bestPair(ctx, ds, cfg, folds)
+		base, probe, _, err := bestPair(ctx, ds, cfg, folds)
 		if err != nil {
 			return nil, err
 		}
@@ -304,13 +305,26 @@ func getOrds(d, nTr, n int) *ordScratch {
 // from the dataset's cached per-base RelMatrix, and each fold trains
 // directly on its row subset of those shared flat matrices — nothing is
 // copied per fold, and the ephemeral fold forests are recycled after
-// scoring. Folds train and predict concurrently; their predictions fold
-// into the error in fold order, so the result is bit-identical at any
-// worker count.
+// scoring. Predictions fold into the error in fold order, so the result is
+// bit-identical at any worker count.
+//
+// cvMAPE is unbounded: its folds train concurrently, and it returns the
+// exact error.
 func cvMAPE(ctx context.Context, ds *Dataset, p *Predictor, cfg TrainConfig, seed uint64, folds []mlearn.Fold) (float64, error) {
+	var s *search
+	return s.cvMAPE(ctx, ds, p, cfg, seed, folds, 0)
+}
+
+// cvMAPE on a search is bounded: it scores candidate ci of the arg-min
+// search s, training its folds in order. After each fold but the last it
+// stops and returns +Inf once the error so far shows the candidate cannot
+// win (see stops); otherwise it returns the exact error, as the unbounded
+// call does, and publishes it to s. A nil s is the unbounded call.
+func (s *search) cvMAPE(ctx context.Context, ds *Dataset, p *Predictor, cfg TrainConfig, seed uint64, folds []mlearn.Fold, ci int) (float64, error) {
 	n := len(ds.Workloads)
 	d := featDim(p)
 	xb := getFloats(n * d)
+	defer putFloats(xb)
 	X := mlearn.Matrix{Data: *xb, Rows: n, Cols: d}
 	fillFeatures(X, ds, p, nil)
 	Y := ds.RelMatrix(p.Base)
@@ -318,7 +332,7 @@ func cvMAPE(ctx context.Context, ds *Dataset, p *Predictor, cfg TrainConfig, see
 	// every fold: a fold's presorted orders are the full orders filtered
 	// down to its (ascending) training rows, derived in O(n) each.
 	fullOrd := mlearn.ColumnOrders(X, nil)
-	preds, err := xparallel.MapErr(ctx, len(folds), func(fi int) (*[]float64, error) {
+	predict := func(fi int) (*[]float64, error) {
 		fold := folds[fi]
 		ords := getOrds(d, len(fold.Train), n)
 		mlearn.SubsetOrders(ords.ord, fullOrd, fold.Train, ords.pos)
@@ -340,29 +354,123 @@ func cvMAPE(ctx context.Context, ds *Dataset, p *Predictor, cfg TrainConfig, see
 			return nil, err
 		}
 		return out, nil
-	})
-	putFloats(xb)
-	if err != nil {
-		return 0, err
 	}
 	var total float64
 	count := 0
-	for fi, pr := range preds {
-		mlearn.MAPEFlatAccum(*pr, Y, folds[fi].Test, &total, &count)
-		putFloats(pr)
+	if s == nil {
+		preds, err := xparallel.MapErr(ctx, len(folds), predict)
+		if err != nil {
+			return 0, err
+		}
+		for fi, pr := range preds {
+			mlearn.MAPEFlatAccum(*pr, Y, folds[fi].Test, &total, &count)
+			putFloats(pr)
+		}
+	} else {
+		// The error's denominator is known before any forest: the nonzero
+		// actual entries of every test fold (MAPEFlatAccum skips zeros).
+		all := 0
+		for _, fold := range folds {
+			for _, r := range fold.Test {
+				for _, a := range Y.Row(r) {
+					if a != 0 {
+						all++
+					}
+				}
+			}
+		}
+		for fi := range folds {
+			if err := ctx.Err(); err != nil {
+				return 0, err
+			}
+			pr, err := predict(fi)
+			if err != nil {
+				return 0, err
+			}
+			s.forests.Add(1)
+			mlearn.MAPEFlatAccum(*pr, Y, folds[fi].Test, &total, &count)
+			putFloats(pr)
+			if fi < len(folds)-1 && s.stopped(100*total/float64(all), ci) {
+				return math.Inf(1), nil
+			}
+		}
 	}
 	if count == 0 {
 		return 0, nil
 	}
-	return 100 * total / float64(count), nil
+	e := 100 * total / float64(count)
+	if s != nil {
+		s.publish(e, ci)
+	}
+	return e, nil
+}
+
+// search is the state candidates of one arg-min search share: the lowest
+// (error, index) any of them has published, and how many fold forests
+// they trained.
+type search struct {
+	mu      sync.Mutex
+	err     float64 // +Inf until a candidate publishes
+	idx     int     // the publisher of err; past every candidate until then
+	forests atomic.Int64
+}
+
+// publish offers candidate i's exact error; NaN never becomes the best.
+func (s *search) publish(e float64, i int) {
+	s.mu.Lock()
+	if e < s.err || (e == s.err && i < s.idx) {
+		s.err, s.idx = e, i
+	}
+	s.mu.Unlock()
+}
+
+// stopped reports whether candidate i, whose error is at least lb, can no
+// longer win against the best published so far.
+func (s *search) stopped(lb float64, i int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return stops(lb, s.err, s.idx, i)
+}
+
+// stops is the bound's rule. Every term of a candidate's error sum is >= 0
+// (or NaN), and adding a term >= 0 never lowers a floating-point sum, so
+// its final error is >= lb = 100·partial/count: it cannot beat bestErr
+// when lb > bestErr, nor tie it when lb >= bestErr and the best has the
+// lower index, since a tie goes to the lower index. A NaN lb stops
+// nothing.
+func stops(lb, bestErr float64, bestIdx, i int) bool {
+	return lb > bestErr || (lb >= bestErr && bestIdx < i)
+}
+
+// argMinCV scores candidates 0..n-1 by bounded cross-validation,
+// concurrently under one shared search, and returns the index of the
+// lowest error, the lowest index on a tie (-1 when none is below +Inf),
+// and how many fold forests it trained. The winner is picked by a serial
+// scan in index order, so it is the one an exhaustive serial search picks:
+// a stopped candidate scores +Inf, and only a candidate that cannot win is
+// stopped. Which losers stop early depends on timing; the winner does not.
+func argMinCV(ctx context.Context, ds *Dataset, cfg TrainConfig, folds []mlearn.Fold, n int, cand func(i int) (*Predictor, uint64)) (int, int64, error) {
+	s := &search{err: math.Inf(1), idx: n}
+	errs, err := xparallel.MapErr(ctx, n, func(i int) (float64, error) {
+		p, seed := cand(i)
+		return s.cvMAPE(ctx, ds, p, cfg, seed, folds, i)
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	best, bestErr := -1, math.Inf(1)
+	for i, e := range errs {
+		if e < bestErr {
+			bestErr, best = e, i
+		}
+	}
+	return best, s.forests.Load(), nil
 }
 
 // bestPair searches all unordered placement pairs for the one minimizing
 // cross-validated error; the lower-indexed placement acts as the baseline.
-// Candidate pairs are evaluated concurrently over the shared folds; the
-// winner is selected by a serial scan in pair order, so ties resolve
-// exactly as in a serial search.
-func bestPair(ctx context.Context, ds *Dataset, cfg TrainConfig, folds []mlearn.Fold) (int, int, error) {
+// It also returns how many fold forests the search trained.
+func bestPair(ctx context.Context, ds *Dataset, cfg TrainConfig, folds []mlearn.Fold) (int, int, int64, error) {
 	n := len(ds.Placements)
 	var pairs [][2]int
 	for i := 0; i < n; i++ {
@@ -370,25 +478,17 @@ func bestPair(ctx context.Context, ds *Dataset, cfg TrainConfig, folds []mlearn.
 			pairs = append(pairs, [2]int{i, j})
 		}
 	}
-	errs, err := xparallel.MapErr(ctx, len(pairs), func(pi int) (float64, error) {
+	best, forests, err := argMinCV(ctx, ds, cfg, folds, len(pairs), func(pi int) (*Predictor, uint64) {
 		i, j := pairs[pi][0], pairs[pi][1]
-		cand := &Predictor{Variant: PerfFeatures, Base: i, Probe: j}
-		return cvMAPE(ctx, ds, cand, cfg, xmix(cfg.Seed, uint64(i*n+j)), folds)
+		return &Predictor{Variant: PerfFeatures, Base: i, Probe: j}, xmix(cfg.Seed, uint64(i*n+j))
 	})
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
-	bestBase, bestProbe := -1, -1
-	bestErr := math.Inf(1)
-	for pi, e := range errs {
-		if e < bestErr {
-			bestErr, bestBase, bestProbe = e, pairs[pi][0], pairs[pi][1]
-		}
+	if best < 0 {
+		return 0, 0, 0, fmt.Errorf("core: pair search failed")
 	}
-	if bestBase < 0 {
-		return 0, 0, fmt.Errorf("core: pair search failed")
-	}
-	return bestBase, bestProbe, nil
+	return pairs[best][0], pairs[best][1], forests, nil
 }
 
 // bestHPEBase picks the observation placement for the single-placement
@@ -399,20 +499,10 @@ func bestHPEBase(ctx context.Context, ds *Dataset, cfg TrainConfig, folds []mlea
 	for i := range all {
 		all[i] = i
 	}
-	errs, err := xparallel.MapErr(ctx, len(ds.Placements), func(b int) (float64, error) {
-		cand := &Predictor{Variant: HPEFeatures, Base: b, Probe: b, HPEFeats: all}
-		return cvMAPE(ctx, ds, cand, cfg, xmix(cfg.Seed, 0xBA5E+uint64(b)), folds)
+	best, _, err := argMinCV(ctx, ds, cfg, folds, len(ds.Placements), func(b int) (*Predictor, uint64) {
+		return &Predictor{Variant: HPEFeatures, Base: b, Probe: b, HPEFeats: all}, xmix(cfg.Seed, 0xBA5E+uint64(b))
 	})
-	if err != nil {
-		return 0, err
-	}
-	best, bestErr := -1, math.Inf(1)
-	for b, e := range errs {
-		if e < bestErr {
-			bestErr, best = e, b
-		}
-	}
-	return best, nil
+	return best, err
 }
 
 // selectHPEs runs Sequential Forward Selection over the counters.

@@ -224,16 +224,24 @@ func (g *grower) grow(lo, hi int) int32 {
 	idx := g.idx[lo:hi]
 	self := t.addNode()
 
-	// The mean vector is only materialized when the node actually becomes
-	// a leaf: internal nodes never serve predictions, and their (large)
-	// segments dominate the summation cost.
-	if len(idx) < 2 || g.pure(idx) {
-		return g.leaf(self, idx)
+	// A single sample is a leaf of its own row. Any other node makes one
+	// pass over its samples for its output sums, which the split search
+	// and a leaf's mean both read, and which tells whether it is pure.
+	if len(idx) == 1 {
+		m := g.leafVec(self)
+		o := g.yoff[idx[0]]
+		for d, v := range g.y[o : o+g.yc] {
+			m[d] = 0 + v // the bits of summing from zero, then dividing by one
+		}
+		return self
+	}
+	if g.sums(idx) {
+		return g.leaf(self, len(idx))
 	}
 
 	feat, thr, ok := g.bestSplit(lo, hi)
 	if !ok {
-		return g.leaf(self, idx)
+		return g.leaf(self, len(idx))
 	}
 	// Partition the sample indices, recording each sample's side so the
 	// per-feature order partitions below do one boolean lookup instead of
@@ -255,7 +263,7 @@ func (g *grower) grow(lo, hi int) int32 {
 	// rounding can land it on the upper one: when that is the largest
 	// value every sample falls on one side, and the node stays a leaf.
 	if nl == 0 || nr == 0 {
-		return g.leaf(self, idx)
+		return g.leaf(self, len(idx))
 	}
 	// Maintain every feature's presorted order through the partition: a
 	// stable split by the same predicate keeps each child segment sorted.
@@ -277,26 +285,60 @@ func (g *grower) grow(lo, hi int) int32 {
 	return self
 }
 
-// leaf makes node self a leaf: it appends the mean of the node's samples
-// to the tree's packed leaf vectors and points the node at it. A node
-// becomes a leaf before any later node is added, so leaf vectors are
-// packed in node order.
-func (g *grower) leaf(self int32, idx []int) int32 {
+// leaf makes node self a leaf over its n samples: its vector is their
+// mean, total/n from the node's sums (g.total is still the node's own: a
+// node becomes a leaf before any later node is added).
+func (g *grower) leaf(self int32, n int) int32 {
+	m := g.leafVec(self)
+	for d, s := range g.total[:g.yc] {
+		m[d] = s / float64(n)
+	}
+	return self
+}
+
+// leafVec appends a vector to the tree's packed leaf vectors, points leaf
+// self at it and returns it for the caller to fill. Leaves are made in
+// node order, so their vectors are packed in node order.
+func (g *grower) leafVec(self int32) []float64 {
 	t := g.t
 	off := len(t.leaves)
 	t.leaves = t.leaves[:off+g.yc]
-	m := t.leaves[off:]
-	clear(m)
-	for _, i := range idx {
-		for d, v := range g.yRow(i) {
-			m[d] += v
+	t.left[self] = int32(off)
+	return t.leaves[off:]
+}
+
+// sums makes one pass over the node's samples in idx order: g.total and
+// g.totalSq become the sums of their output rows and of the rows' squares,
+// accumulated from zero, and the result reports whether every row equals
+// the first (a pure node).
+func (g *grower) sums(idx []int) bool {
+	yc, y, yoff := g.yc, g.y, g.yoff
+	total, totalSq := g.total[:yc], g.totalSq[:yc]
+	clear(total)
+	clear(totalSq)
+	o := yoff[idx[0]]
+	first := y[o : o+yc]
+	pure := true
+	k := 0
+	// Compare rows with the first only until one differs.
+	for ; k < len(idx) && pure; k++ {
+		o := yoff[idx[k]]
+		for d, v := range y[o : o+yc] {
+			total[d] += v
+			totalSq[d] += v * v
+			if v != first[d] {
+				pure = false
+			}
 		}
 	}
-	for d := range m {
-		m[d] /= float64(len(idx))
+	for _, i := range idx[k:] {
+		o := yoff[i]
+		for d, v := range y[o : o+yc] {
+			total[d] += v
+			totalSq[d] += v * v
+		}
 	}
-	t.left[self] = int32(off)
-	return self
+	return pure
 }
 
 // partitionBySide stably splits seg in place by the recorded split sides:
@@ -318,7 +360,8 @@ func partitionBySide(side []bool, seg, scratch []int) {
 
 // bestSplit scans candidate features for the split minimizing the total
 // squared error of the two children, using prefix sums over the maintained
-// presorted orders — no sorting happens here.
+// presorted orders — no sorting happens here. It reads the node's output
+// sums from g.total and g.totalSq (grow's sums pass).
 func (g *grower) bestSplit(lo, hi int) (int, float64, bool) {
 	features := g.features[:g.xc]
 	for i := range features {
@@ -332,21 +375,11 @@ func (g *grower) bestSplit(lo, hi int) (int, float64, bool) {
 	n := hi - lo
 	idx := g.idx[lo:hi]
 	vals := g.vals[:n]
-	sum, sumsq := g.sum, g.sumsq
+	x, xoff, y, yoff, yc := g.x, g.xoff, g.y, g.yoff, g.yc
+	sum, sumsq := g.sum[:yc], g.sumsq[:yc]
+	total, totalSq := g.total[:yc], g.totalSq[:yc]
 	bestGain := math.Inf(-1)
 	bestFeat, bestThr := -1, 0.0
-
-	// Total (and total squared) output sums are constant across features.
-	total, totalSq := g.total, g.totalSq
-	for d := range total {
-		total[d], totalSq[d] = 0, 0
-	}
-	for _, i := range idx {
-		for d, v := range g.yRow(i) {
-			total[d] += v
-			totalSq[d] += v * v
-		}
-	}
 
 	// Gain compares children only (the parent SSE is constant), so the scan
 	// just minimizes child SSE.
@@ -365,9 +398,9 @@ func (g *grower) bestSplit(lo, hi int) (int, float64, bool) {
 		// the pre-presort implementation.
 		order := g.ford[f][lo:hi]
 		ties := false
-		vals[0] = g.xAt(order[0], f)
+		vals[0] = x[xoff[order[0]]+f]
 		for k := 1; k < n; k++ {
-			v := g.xAt(order[k], f)
+			v := x[xoff[order[k]]+f]
 			vals[k] = v
 			if v == vals[k-1] && !ties && !g.sameRow(order[k-1], order[k]) {
 				ties = true
@@ -380,29 +413,36 @@ func (g *grower) bestSplit(lo, hi int) (int, float64, bool) {
 			sOrder := g.sorter.order[:n]
 			copy(sOrder, idx)
 			for k, i := range sOrder {
-				vals[k] = g.xAt(i, f)
+				vals[k] = x[xoff[i]+f]
 			}
 			g.sorter.order, g.sorter.vals = sOrder, vals
 			sort.Sort(&g.sorter)
 			order = sOrder
 		}
-		for d := range sum {
-			sum[d], sumsq[d] = 0, 0
-		}
+		clear(sum)
+		clear(sumsq)
+		// Each step adds sample k to the left prefix; where a split may
+		// fall (between distinct values) the same pass over its row also
+		// sums the two children's squared errors.
 		for k := 0; k < n-1; k++ {
-			for d, v := range g.yRow(order[k]) {
-				sum[d] += v
-				sumsq[d] += v * v
-			}
+			o := yoff[order[k]]
+			row := y[o : o+yc]
 			if vals[k] == vals[k+1] {
+				for d, v := range row {
+					sum[d] += v
+					sumsq[d] += v * v
+				}
 				continue // cannot split between equal values
 			}
 			nl, nr := float64(k+1), float64(n-k-1)
 			var childSSE float64
-			for d := range sum {
-				rs := total[d] - sum[d]
-				rq := totalSq[d] - sumsq[d]
-				childSSE += (sumsq[d] - sum[d]*sum[d]/nl) + (rq - rs*rs/nr)
+			for d, v := range row {
+				s := sum[d] + v
+				q := sumsq[d] + v*v
+				sum[d], sumsq[d] = s, q
+				rs := total[d] - s
+				rq := totalSq[d] - q
+				childSSE += (q - s*s/nl) + (rq - rs*rs/nr)
 			}
 			if gain := -childSSE; gain > bestGain {
 				bestGain = gain
@@ -426,19 +466,6 @@ func (g *grower) sameRow(a, b int) bool {
 	for d := range ya {
 		if ya[d] != yb[d] {
 			return false
-		}
-	}
-	return true
-}
-
-// pure reports whether every sample in idx carries the same output row.
-func (g *grower) pure(idx []int) bool {
-	first := g.yRow(idx[0])
-	for _, i := range idx[1:] {
-		for d, v := range g.yRow(i) {
-			if v != first[d] {
-				return false
-			}
 		}
 	}
 	return true
