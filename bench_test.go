@@ -615,8 +615,8 @@ func benchResident(b *testing.B, ctx context.Context, n int, policy ClusterPolic
 		release()
 	}
 	// Untimed: let every machine meet every shape, as a running fleet has. The
-	// enumerations, pinnings, observations and scored free sets fill once per
-	// machine model, in the table set its engines share; what grows with the
+	// enumerations, pinnings, observation entries and best free sets fill once
+	// per machine model, in the table set its engines share; what grows with the
 	// fleet is each engine's own shape table, keyed by its predictor, which
 	// the Previews build (they book nothing), and the cycles then touch every
 	// engine's books — so the timed loop pays for neither.

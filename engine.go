@@ -19,8 +19,8 @@ import (
 // predictors — behind singleflight caches, so concurrent callers share one
 // computation instead of repeating it, and every result is bit-identical to
 // the uncached pipeline in internal/…. What depends only on the machine
-// (enumerations, pinnings, and the scheduler's prepared observations and
-// scored free sets) lives in the sched.Tables every engine of the machine's
+// (enumerations, pinnings, and the scheduler's observation entries and best
+// free sets) lives in the sched.Tables every engine of the machine's
 // model shares. On top of the batch lifecycle (Placements, Pin, Collect,
 // Train, Predict) it is the machine's incremental admit/evict scheduler:
 // Place, Release, Rebalance and the rest are sched.Scheduler's own methods,
@@ -37,11 +37,10 @@ type Engine struct {
 	// The machine's scheduler, built at New. Its caches are the table set's,
 	// so building it costs its books alone.
 	*scheduler
-	machine Machine
-	fp      uint64
-	spec    *Spec
-	tables  *sched.Tables
-	stats   sched.Stats
+	fp     uint64
+	spec   *Spec // the table set's: its Machine is Machine()
+	tables *sched.Tables
+	stats  sched.Stats
 
 	collectCfg CollectConfig
 	trainCfg   TrainConfig
@@ -115,21 +114,23 @@ func WithServeConfig(cfg ServeConfig) Option {
 	return func(c *config) { c.serve = cfg }
 }
 
-// New builds an Engine for the machine. The concern specification is
-// derived immediately (it is cheap); everything expensive is computed
-// lazily, once per machine model, on first use.
+// New builds an Engine for the machine. The first engine of a machine model
+// derives the concern specification (it is cheap) and the model's table
+// set; later engines of the model take both, the machine description with
+// them, from that set, so m itself is not kept. Everything expensive is
+// computed lazily, once per machine model, on first use.
 func New(m Machine, opts ...Option) *Engine {
 	var c config
 	for _, opt := range opts {
 		opt(&c)
 	}
-	e := &Engine{machine: m, fp: m.Fingerprint(), spec: concern.FromMachine(m),
-		collectCfg: c.collect, trainCfg: c.train}
-	t, ok := tableSets.Load(e.fp)
+	fp := m.Fingerprint()
+	t, ok := tableSets.Load(fp)
 	if !ok {
-		t, _ = tableSets.LoadOrStore(e.fp, sched.NewTables(e.spec))
+		t, _ = tableSets.LoadOrStore(fp, sched.NewTables(concern.FromMachine(m)))
 	}
-	e.tables = t.(*sched.Tables)
+	e := &Engine{fp: fp, tables: t.(*sched.Tables), collectCfg: c.collect, trainCfg: c.train}
+	e.spec = e.tables.Spec()
 	e.scheduler = sched.NewSharedScheduler(e.tables, &e.stats, c.serve)
 	for _, sp := range c.preds {
 		e.UsePredictor(sp.vcpus, sp.pred)
@@ -137,8 +138,10 @@ func New(m Machine, opts ...Option) *Engine {
 	return e
 }
 
-// Machine returns the machine this Engine serves.
-func (e *Engine) Machine() Machine { return e.machine }
+// Machine returns the machine this Engine serves: the description every
+// engine of its model shares (New keeps the first one it was given), to be
+// treated as read-only.
+func (e *Engine) Machine() Machine { return e.spec.Machine }
 
 // Spec returns the machine's concern specification (Step 1). The returned
 // value is shared and must be treated as read-only.
@@ -198,7 +201,7 @@ func (e *Engine) Train(ctx context.Context, ds *Dataset) (*Predictor, error) {
 	}
 	if ds.Machine.Topo == nil || ds.Machine.IC == nil || ds.Machine.Fingerprint() != e.fp {
 		return nil, fmt.Errorf("numaplace: dataset was not collected on %s: %w",
-			e.machine.Topo.Name, ErrMachineMismatch)
+			e.spec.Machine.Topo.Name, ErrMachineMismatch)
 	}
 	pred, err := core.Train(ctx, ds, cfg)
 	if err != nil {
@@ -264,8 +267,9 @@ type EngineStats struct {
 	// PinRuns / PinHits are the same split for pinning requests.
 	PinRuns int64
 	PinHits int64
-	// Prepares and Searches count the scheduler's misses only: placement
-	// observations prepared and scored free-node sets searched.
+	// Prepares and Searches count the scheduler's misses only: observation
+	// entries prepared (a shape's base and probe observations, one entry)
+	// and best free-node sets searched.
 	Prepares int64
 	Searches int64
 }

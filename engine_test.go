@@ -784,6 +784,24 @@ func TestNewMachineOfKnownModelIsWarm(t *testing.T) {
 	}
 }
 
+// TestEnginesOfOneModelShareTheMachine: engines of one machine model share
+// the first engine's machine description and concern specification, so a
+// fleet of one model holds one topology, not one per engine; an engine of a
+// model no engine has met keeps the machine it was given.
+func TestEnginesOfOneModelShareTheMachine(t *testing.T) {
+	a, b := New(AMD()), New(AMD())
+	if a.Machine().Topo != b.Machine().Topo || a.Machine().IC != b.Machine().IC || a.Spec() != b.Spec() {
+		t.Fatal("two engines of the AMD model hold two machine descriptions")
+	}
+	own := machineOfItsOwn()
+	if got := New(own).Machine(); got.Topo != own.Topo || got.IC != own.IC {
+		t.Fatal("the first engine of a new model does not keep the machine it was given")
+	}
+	if New(own).Machine().Topo == a.Machine().Topo {
+		t.Fatal("an engine of a new model shares another model's topology")
+	}
+}
+
 // TestTableSetRetainsNoPredictor guards what the process-wide table sets may
 // hold: they live as long as the process, so a predictor reachable from one
 // would keep every model the process ever trained. A trained engine that

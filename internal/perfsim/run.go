@@ -19,12 +19,15 @@ const icCoupling = 0.45
 // node ownership and returns its noisy throughput in operations/second.
 // trial selects the noise draw; identical (workload, placement, trial)
 // triples always return the same value.
+//
+// Run derives everything from scratch, the noise seed included, apart from
+// Prepared: TestPreparedAtIsRun holds Prepare(…).At(trial) to it bit for bit.
 func Run(m machines.Machine, w Workload, threads []topology.ThreadID, trial int) (float64, error) {
-	p, err := Prepare(m, w, threads)
+	a, err := ComputeAttrs(m, threads)
 	if err != nil {
 		return 0, err
 	}
-	return p.At(trial), nil
+	return noisy(Perf(w, a, ExclusiveShares()), w, a, trial), nil
 }
 
 // Prepared is a memoizable exclusive-node observation: the deterministic
@@ -35,10 +38,11 @@ func Run(m machines.Machine, w Workload, threads []topology.ThreadID, trial int)
 // second pay the O(vCPUs^2) attribute derivation once instead of per
 // admission. Prepared is immutable after Prepare and safe to share.
 type Prepared struct {
-	perf     float64 // noise-free model output
-	nameHash uint64  // xrand.HashString(w.Name)
-	nodes    topology.NodeSet
-	usedL2   int
+	perf float64 // noise-free model output
+	// seed is the noise seed's trial-independent prefix,
+	// xrand.Mix(xrand.HashString(w.Name), nodes, usedL2): Mix folds left,
+	// so Mix2(seed, trial) is the seed Run mixes from all four words.
+	seed uint64
 }
 
 // Prepare derives the trial-independent part of Run for one observation:
@@ -56,36 +60,34 @@ func Prepare(m machines.Machine, w Workload, threads []topology.ThreadID) (Prepa
 // same placement and derive its attributes once.
 func PrepareAttrs(w Workload, a Attrs) Prepared {
 	return Prepared{
-		perf:     Perf(w, a, ExclusiveShares()),
-		nameHash: xrand.HashString(w.Name),
-		nodes:    a.Nodes,
-		usedL2:   a.UsedL2,
+		perf: Perf(w, a, ExclusiveShares()),
+		seed: xrand.Mix(xrand.HashString(w.Name), uint64(a.Nodes), uint64(a.UsedL2)),
 	}
 }
 
-// At returns the observation for one noise trial. The value is
-// bit-identical to Run with the same (machine, workload, threads, trial):
-// the noise seed mixes exactly the fields noisy consumes, and the prepared
-// perf is the same float the model produces inside Run.
+// At returns the observation for one noise trial, bit-identical to Run with
+// the same (machine, workload, threads, trial): the seed is Run's, folded
+// from the stored prefix, and the prepared perf is the same float the model
+// produces inside Run.
 func (p Prepared) At(trial int) float64 {
-	return applyNoise(p.perf, p.nameHash, p.nodes, p.usedL2, trial)
+	return applyNoise(p.perf, xrand.Mix2(p.seed, uint64(trial)))
 }
 
-// noisy applies deterministic multiplicative measurement noise.
+// noisy applies deterministic multiplicative measurement noise, seeded by
+// the fields of w and a that identify the observation and by the trial.
 func noisy(perf float64, w Workload, a Attrs, trial int) float64 {
-	return applyNoise(perf, xrand.HashString(w.Name), a.Nodes, a.UsedL2, trial)
+	return applyNoise(perf, xrand.Mix(
+		xrand.HashString(w.Name),
+		uint64(a.Nodes),
+		uint64(a.UsedL2),
+		uint64(trial),
+	))
 }
 
 // applyNoise is the shared noise draw: one seeded normal deviate scaled by
 // noiseSD. Every observation path (Run, Prepared.At, SimulateShared) funnels
 // through it so cached and recomputed observations stay bit-identical.
-func applyNoise(perf float64, nameHash uint64, nodes topology.NodeSet, usedL2, trial int) float64 {
-	seed := xrand.Mix(
-		nameHash,
-		uint64(nodes),
-		uint64(usedL2),
-		uint64(trial),
-	)
+func applyNoise(perf float64, seed uint64) float64 {
 	rng := xrand.New(seed)
 	return perf * (1 + noiseSD*rng.NormFloat64())
 }

@@ -25,8 +25,8 @@ import (
 )
 
 // Tables is the part of the fast path that only the machine determines: the
-// important placements per container size, the pinnings, the prepared
-// observations and the scored free sets. It names no predictor or goal, so
+// important placements per container size, the pinnings, the observation
+// entries and the best free sets. It names no predictor or goal, so
 // the schedulers of one machine model may share one set (numaplace keeps one
 // per Machine.Fingerprint); the shape table, keyed by predictor, stays per
 // scheduler. Only NewSharedScheduler shares a set, and its schedulers
@@ -40,8 +40,8 @@ type Tables struct {
 	flight map[int]*flight
 	imps   cowCache[int, []placement.Important]
 	pins   cowCache[pinKey, []topology.ThreadID]
-	obs    cowCache[obsKey, *obsEntry]
-	best   cowCache[bestKey, topology.NodeSet]
+	obs    cowCache[obsKey, *observation]
+	best   bestTable
 }
 
 // maxShapes bounds what a fleet can present: one shape per (workload name,
@@ -53,15 +53,20 @@ func NewTables(spec *concern.Spec) *Tables {
 	t := &Tables{spec: spec, fp: spec.Machine.Fingerprint(), flight: map[int]*flight{}}
 	t.imps.max = 256
 	t.pins.max = 8192
-	t.obs.max = 2 * maxShapes // base and probe per shape
-	t.best.max = 8192
+	t.obs.max = maxShapes
+	t.best.masks = 1 << spec.Machine.Topo.NumNodes
 	return t
 }
 
+// Spec returns the concern specification the set was built for, its
+// machine included: shared and read-only.
+func (t *Tables) Spec() *concern.Spec { return t.spec }
+
 // Stats counts what one holder of a table set asked of it: enumerations and
-// pinnings run on its behalf and found already made, observations prepared
-// and free sets searched. The last two count misses only, so an admission's
-// hit path adds no atomic for them.
+// pinnings run on its behalf and found already made, observation entries
+// prepared (each one a shape's base and probe observations) and free sets
+// searched. The last two count misses only, so an admission's hit path adds
+// no atomic for them.
 type Stats struct {
 	Enumerations, PlacementHits, PinRuns, PinHits, Prepares, Searches atomic.Int64
 }
@@ -198,36 +203,83 @@ func (c *cowCache[K, V]) put(k K, v V) {
 	c.m.Store(&next)
 }
 
-// obsKey identifies one cacheable placement observation: the workload, the
-// container size, and the important-placement index the container is
-// observed in. The thread pinning and the noise-free model output are
-// deterministic functions of exactly these, so the prepared observation is
-// shared across every admission of the same shape; only the per-trial noise
-// draw — keyed by container identity — remains, applied by Prepared.At.
+// obsKey identifies one observation entry: the workload, the container
+// size, and the predictor's two input placements (indices into the size's
+// enumeration) the container is observed in. The thread pinnings and the
+// noise-free model outputs are deterministic functions of exactly these, so
+// the entry is shared across every admission and preview of the shape; only
+// the per-trial noise draw — keyed by container identity — remains, applied
+// by Prepared.At.
 //
 // Here and in shapeKey the workload is keyed by name, so a lookup hashes one
 // short string, not eleven model fields; the entry keeps the full Workload
 // and every hit compares it: namesakes evict each other, never mix.
 type obsKey struct {
-	name  string
-	v, pi int
+	name           string
+	v, base, probe int
 }
 
-type obsEntry struct {
+// observation is one observation entry: the shape's prepared observations
+// in the base and the probe placement, in that order.
+type observation struct {
 	w    perfsim.Workload
-	prep perfsim.Prepared
+	prep [2]perfsim.Prepared
 }
 
-// bestKey identifies one scored free-set search: bestFreeSet is a pure
-// function of the machine (fixed per table set), the free mask and the
-// class size, so the full key is (free, size). Keying by the mask is what
-// makes invalidation structural — every free-set mutation (Place's
-// install, Release's union, Rebalance moves, Adopt, ApplyMove) publishes a
-// new mask, which by construction cannot hit another mask's entry, and
-// recurring masks (admit/release churn) hit their old entries exactly.
-type bestKey struct {
-	free topology.NodeSet
-	size int
+// observed is the observation entry of (w, v, base, probe), or nil: one
+// lock-free probe per admission or preview.
+//
+//numalint:noalloc
+func (t *Tables) observed(w *perfsim.Workload, v, base, probe int) *observation {
+	if e, ok := t.obs.get(obsKey{name: w.Name, v: v, base: base, probe: probe}); ok && e.w == *w {
+		return e
+	}
+	return nil
+}
+
+// bestTable memoizes bestFreeSet, a pure function of the machine (fixed per
+// table set), the free mask and the class size: rows[size][free] holds the
+// answer once searched, as bestKnown|nodes, and 0 before. A row is made on
+// its size's first miss, 1<<NumNodes words (topology.MaxNodes bounds it);
+// readers and writers take no lock. A concurrent miss may search a word
+// twice and store the same answer twice. Keying by the mask makes
+// invalidation structural: every free-set mutation (Place's install,
+// Release's union, Rebalance moves, Adopt, ApplyMove) publishes a new mask,
+// which by construction reads another word, and recurring masks
+// (admit/release churn) read their old words exactly.
+type bestTable struct {
+	rows  [topology.MaxNodes + 1]atomic.Pointer[[]atomic.Uint32]
+	masks int // 1 << NumNodes, a row's length
+}
+
+// bestKnown marks a searched word; the node bits below it are the answer.
+const bestKnown = 1 << topology.MaxNodes
+
+// get is the table's hit path: two atomic loads and an index.
+//
+//numalint:noalloc
+func (b *bestTable) get(free topology.NodeSet, size int) (topology.NodeSet, bool) {
+	if row := b.rows[size].Load(); row != nil {
+		if w := (*row)[free].Load(); w != 0 {
+			return topology.NodeSet(w &^ bestKnown), true
+		}
+	}
+	return 0, false
+}
+
+// put records nodes as the best size-node subset of free, making the size's
+// row if it has none.
+func (b *bestTable) put(free topology.NodeSet, size int, nodes topology.NodeSet) {
+	row := b.rows[size].Load()
+	if row == nil {
+		fresh := make([]atomic.Uint32, b.masks)
+		if b.rows[size].CompareAndSwap(nil, &fresh) {
+			row = &fresh
+		} else {
+			row = b.rows[size].Load()
+		}
+	}
+	(*row)[free].Store(bestKnown | uint32(nodes))
 }
 
 // shapeKey identifies a Preview shape. The predictor pointer is the model
@@ -246,7 +298,7 @@ type shapeKey struct {
 // with free.Len(); a best set exists whenever the size fits). byFree[n] is
 // that choice with n nodes free (Class < 0: nothing fits) and the model's
 // prediction there — a few words, not the prediction vector. A mask change
-// costs one index here plus one best-cache lookup; no entry can go stale.
+// costs one index here plus one best-table read; no entry can go stale.
 type shape struct {
 	w        perfsim.Workload
 	basePerf float64
@@ -314,24 +366,26 @@ func (f *fastPath) putTenant(t *tenant) {
 	f.pool.Put(t)
 }
 
-// preparedObs returns the trial-independent observation of workload w in
-// placement imps[pi], computing and caching it on first use.
-func (s *Scheduler) preparedObs(ctx context.Context, w perfsim.Workload, v int, imps []placement.Important, pi int) (perfsim.Prepared, error) {
-	k := obsKey{name: w.Name, v: v, pi: pi}
-	if e, ok := s.fast.obs.get(k); ok && e.w == w {
-		return e.prep, nil
+// observations returns the observation entry of a v-vCPU container of
+// workload w in predictor p's two input placements, preparing and caching it
+// on first use.
+func (s *Scheduler) observations(ctx context.Context, w *perfsim.Workload, v int, imps []placement.Important, p *core.Predictor) (*observation, error) {
+	if e := s.fast.observed(w, v, p.Base, p.Probe); e != nil {
+		return e, nil
 	}
-	threads, err := s.pin(ctx, imps[pi].Placement, v)
-	if err != nil {
-		return perfsim.Prepared{}, err
-	}
-	prep, err := perfsim.Prepare(s.machine, w, threads)
-	if err != nil {
-		return perfsim.Prepared{}, err
+	e := &observation{w: *w}
+	for i, pi := range [2]int{p.Base, p.Probe} {
+		threads, err := s.pin(ctx, imps[pi].Placement, v)
+		if err != nil {
+			return nil, err
+		}
+		if e.prep[i], err = perfsim.Prepare(s.machine, *w, threads); err != nil {
+			return nil, err
+		}
 	}
 	s.fast.st.Prepares.Add(1)
-	s.fast.obs.put(k, &obsEntry{w: w, prep: prep})
-	return prep, nil
+	s.fast.obs.put(obsKey{name: w.Name, v: v, base: p.Base, probe: p.Probe}, e)
+	return e, nil
 }
 
 // previewShape returns the Preview table of (w, v, p), built on first use.
@@ -365,20 +419,26 @@ func (e errFull) Error() string {
 	return fmt.Sprintf("sched: %d free nodes cannot host a %d-vCPU container: %v", e.free, e.v, e.Unwrap())
 }
 
-// bestSet is the cached bestFreeSet: the highest-bandwidth size-node subset
-// of free, resolved as a lookup for masks seen before.
+// bestSet is the memoized bestFreeSet: the highest-bandwidth size-node
+// subset of free, read from the best-set table for masks seen before.
 //
 //numalint:noalloc
 func (s *Scheduler) bestSet(free topology.NodeSet, size int) (topology.NodeSet, bool) {
-	k := bestKey{free: free, size: size}
-	nodes, ok := s.fast.best.get(k)
-	if !ok {
-		s.fast.st.Searches.Add(1)
-		if nodes, ok = bestFreeSet(s.machine, free, size); ok {
-			s.fast.best.put(k, nodes)
-		}
+	if free.Len() < size {
+		return 0, false
 	}
-	return nodes, ok
+	if nodes, ok := s.fast.best.get(free, size); ok {
+		return nodes, true
+	}
+	return s.searchBest(free, size), true
+}
+
+// searchBest is bestSet's miss: the search, recorded in the table.
+func (s *Scheduler) searchBest(free topology.NodeSet, size int) topology.NodeSet {
+	s.fast.st.Searches.Add(1)
+	nodes, _ := bestFreeSet(s.machine, free, size)
+	s.fast.best.put(free, size, nodes)
+	return nodes
 }
 
 // scanBest is the paper's Step 4 rule: among the classes whose node count

@@ -393,10 +393,10 @@ func TestPreviewParityResident(t *testing.T) {
 }
 
 // TestReferenceCatchesPoisonedCache guards against an oracle that agrees
-// with anything: a scored free-set entry for the live mask overwritten with
-// another node set of the same size, and a prepared observation overwritten
-// with one made from another placement's threads, must each make the next
-// Place diverge from the reference.
+// with anything: the best-set table's word for the live mask overwritten
+// with another node set of the same size, and the shape's observation entry
+// with its base observation made from another placement's threads, must
+// each make the next Place diverge from the reference.
 func TestReferenceCatchesPoisonedCache(t *testing.T) {
 	ctx := context.Background()
 	model := trainParityModel(t, machines.AMD(), 16)
@@ -413,7 +413,7 @@ func TestReferenceCatchesPoisonedCache(t *testing.T) {
 		return l
 	}
 
-	// The scored free set the next admission will look up: the class size
+	// The best-set word the next admission will read: the class size
 	// it will choose, computed as Place computes it.
 	l := resident()
 	vec := make([]float64, p.NumPlacements)
@@ -437,19 +437,20 @@ func TestReferenceCatchesPoisonedCache(t *testing.T) {
 	if other == best {
 		t.Fatalf("%s has one %d-node subset; nothing to poison with", free, size)
 	}
-	l.s.fast.best.put(bestKey{free: free, size: size}, other)
+	l.s.fast.best.put(free, size, other)
 	if err := l.admit(ctx, w, 16); err == nil {
-		t.Fatalf("free-set entry (%s, %d) poisoned with %s in place of %s went undetected", free, size, other, best)
+		t.Fatalf("table word (%s, %d) poisoned with %s in place of %s went undetected", free, size, other, best)
 	}
 
-	// The prepared observation of the base placement, replaced by one made
+	// The observation entry with its base observation replaced by one made
 	// from the first other placement whose sample differs.
 	l = resident()
 	trial := admitTrial(l.s.nextID)
-	truth, err := l.s.preparedObs(ctx, w, 16, imps, p.Base)
+	entry, err := l.s.observations(ctx, &w, 16, imps, p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	truth := entry.prep[0]
 	var poison perfsim.Prepared
 	for j := range imps {
 		threads, err := placement.Pin(model.spec, imps[j].Placement, 16)
@@ -466,9 +467,10 @@ func TestReferenceCatchesPoisonedCache(t *testing.T) {
 	if poison.At(trial) == truth.At(trial) {
 		t.Fatal("every placement observes alike; nothing to poison with")
 	}
-	l.s.fast.obs.put(obsKey{name: w.Name, v: 16, pi: p.Base}, &obsEntry{w: w, prep: poison})
+	poisoned := &observation{w: w, prep: [2]perfsim.Prepared{poison, entry.prep[1]}}
+	l.s.fast.obs.put(obsKey{name: w.Name, v: 16, base: p.Base, probe: p.Probe}, poisoned)
 	if err := l.admit(ctx, w, 16); err == nil {
-		t.Fatal("a prepared observation poisoned with another placement's threads went undetected")
+		t.Fatal("an observation entry poisoned with another placement's threads went undetected")
 	}
 }
 
@@ -525,8 +527,8 @@ func sharedLockstep(a, b *parityModel, ws []perfsim.Workload, sizes []int) (*Tab
 }
 
 // sharedOnce checks that two Schedulers sharing ts did each piece of cold
-// work once between them: every prepared observation and every scored free
-// set in the set was made by exactly one of them.
+// work once between them: every observation entry and every best-set word
+// in the set was made by exactly one of them.
 func sharedOnce(ts *Tables, sides [2]*lockstep) error {
 	var prepares, searches int64
 	for _, l := range sides {
@@ -536,10 +538,25 @@ func sharedOnce(ts *Tables, sides [2]*lockstep) error {
 	if obs := cacheLen(&ts.obs); prepares != obs {
 		return fmt.Errorf("%d observations prepared for %d in the shared set", prepares, obs)
 	}
-	if best := cacheLen(&ts.best); searches != best {
+	if best := tableLen(&ts.best); searches != best {
 		return fmt.Errorf("%d free sets searched for %d in the shared set", searches, best)
 	}
 	return nil
+}
+
+// tableLen counts the searched words of a best-set table.
+func tableLen(b *bestTable) int64 {
+	var n int64
+	for i := range b.rows {
+		if row := b.rows[i].Load(); row != nil {
+			for j := range *row {
+				if (*row)[j].Load() != 0 {
+					n++
+				}
+			}
+		}
+	}
+	return n
 }
 
 func cacheLen[K comparable, V any](c *cowCache[K, V]) int64 {
@@ -677,5 +694,62 @@ func TestCowCacheBound(t *testing.T) {
 	}
 	if _, ok := c.get(0); ok {
 		t.Fatal("key 0 survived 99 later puts into a cache of 8")
+	}
+}
+
+// TestBestTableIsBestFreeSet sweeps the best-set table exhaustively: on
+// every shipped machine, for every free mask and every class size (one past
+// the node count included), bestSet answers what bestFreeSet answers, on the
+// miss that fills the word and on the hit that reads it back, and only
+// fitting sizes are searched, each once.
+func TestBestTableIsBestFreeSet(t *testing.T) {
+	for _, m := range []machines.Machine{machines.AMD(), machines.Intel(), machines.Zen(), machines.HaswellCoD()} {
+		st := new(Stats)
+		s := NewSharedScheduler(NewTables(concern.FromMachine(m)), st, ServeConfig{})
+		n := m.Topo.NumNodes
+		var fitting int64
+		for pass := range 2 {
+			for free := range topology.NodeSet(1 << n) {
+				for size := 0; size <= n+1; size++ {
+					want, wantOK := bestFreeSet(m, free, size)
+					got, ok := s.bestSet(free, size)
+					if got != want || ok != wantOK {
+						t.Fatalf("%s pass %d: bestSet(%s, %d) = %s, %v, want %s, %v",
+							m.Topo.Name, pass, free, size, got, ok, want, wantOK)
+					}
+					if pass == 0 && ok {
+						fitting++
+					}
+				}
+			}
+			if got := st.Searches.Load(); got != fitting {
+				t.Fatalf("%s after pass %d: %d searches for %d fitting (mask, size) pairs", m.Topo.Name, pass, got, fitting)
+			}
+		}
+	}
+}
+
+// TestNamesakesNeverMix admits and previews two workloads of one name but
+// different model parameters in turn, in lockstep with the reference: the
+// observation entry and the shape table key by name, so each hit must
+// confirm the full workload or one namesake would be served the other's
+// observations.
+func TestNamesakesNeverMix(t *testing.T) {
+	ctx := context.Background()
+	w, _ := workloads.ByName("WTbtree")
+	twin := w
+	twin.BaselineOps *= 1.5
+	twin.MemIntensity /= 2
+	s, ref := newParityPair(t, machines.AMD(), ServeConfig{GoalFrac: 0.5}, 16)
+	l := &lockstep{s: s, ref: ref, ws: []perfsim.Workload{w, twin}, sizes: []int{16}}
+	for i := range 12 {
+		for _, op := range []int{opPreview, opAdmit, opRelease} {
+			if _, err := l.step(ctx, op, i); err != nil {
+				t.Fatalf("round %d: %v", i, err)
+			}
+		}
+	}
+	if err := l.same(); err != nil {
+		t.Fatal(err)
 	}
 }

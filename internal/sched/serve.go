@@ -443,20 +443,20 @@ func previewTrial(w perfsim.Workload, v int) int {
 // (len p.NumPlacements, fully overwritten). It reads no mutable scheduler
 // state, so Preview runs it without the machine lock.
 //
-// The deterministic part of each observation — the thread pinning and the
-// noise-free performance model — comes from the prepared-observation cache,
-// and only the per-trial noise draw runs per admission: the sample is the
-// one perfsim.Run would measure in that placement, since
-// perfsim.Prepared.At is Run by construction.
+// The deterministic part of both observations — the thread pinnings and the
+// noise-free performance model — comes from the shape's observation entry,
+// and only the per-trial noise draws run per admission: each sample is the
+// one perfsim.Run would measure in that placement, since perfsim.Prepared.At
+// is Run bit for bit (perfsim's TestPreparedAtIsRun).
 func (s *Scheduler) observePredict(ctx context.Context, w perfsim.Workload, v int,
 	imps []placement.Important, p *core.Predictor, trialBase int, vec []float64) ([2]float64, error) {
 	var obs [2]float64
-	for i, pi := range [2]int{p.Base, p.Probe} {
-		prep, err := s.preparedObs(ctx, w, v, imps, pi)
-		if err != nil {
-			return obs, err
-		}
-		obs[i] = prep.At(trialBase + i)
+	e, err := s.observations(ctx, &w, v, imps, p)
+	if err != nil {
+		return obs, err
+	}
+	for i := range obs {
+		obs[i] = e.prep[i].At(trialBase + i)
 	}
 	if err := p.PredictInto(vec, obs[0], obs[1]); err != nil {
 		return obs, err
@@ -553,7 +553,7 @@ func (s *Scheduler) ScoreRow(ctx context.Context, w perfsim.Workload, v int, cla
 // It finds that class with a single allocation-free scan (the ranking's
 // comparator is a total order, so the first fitting element of the sorted
 // ranking is the minimum fitting candidate) and resolves the concrete node
-// set through the scored free-set cache.
+// set through the best-set table.
 func (s *Scheduler) chooseFitting(imps []placement.Important, vec []float64, basePerf, goal float64, free topology.NodeSet) (int, topology.NodeSet, bool) {
 	if idx := scanBest(imps, vec, basePerf, goal, free.Len()); idx >= 0 {
 		if nodes, ok := s.bestSet(free, imps[idx].Nodes.Len()); ok {

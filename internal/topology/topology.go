@@ -47,6 +47,11 @@ type Node struct {
 	L3      DomainID
 }
 
+// MaxNodes is the most NUMA nodes a machine may have. Every machine in the
+// tree has 4 or 8; the bound lets a table indexed by free-node mask (the
+// serving scheduler's best free sets) cover every mask of a machine.
+const MaxNodes = 16
+
 // Params describes a homogeneous machine; all current systems of interest
 // (and the paper's two testbeds) are homogeneous.
 type Params struct {
@@ -126,8 +131,8 @@ func New(p Params) *Topology {
 
 func (p Params) validate() error {
 	switch {
-	case p.NumNodes <= 0:
-		return fmt.Errorf("NumNodes %d must be positive", p.NumNodes)
+	case p.NumNodes <= 0 || p.NumNodes > MaxNodes:
+		return fmt.Errorf("NumNodes %d must be in [1, %d]", p.NumNodes, MaxNodes)
 	case p.CoresPerNode <= 0:
 		return fmt.Errorf("CoresPerNode %d must be positive", p.CoresPerNode)
 	case p.ThreadsPerCore <= 0:

@@ -125,6 +125,7 @@ func TestThreadInvariants(t *testing.T) {
 func TestNewPanicsOnInvalidParams(t *testing.T) {
 	cases := []Params{
 		{NumNodes: 0, CoresPerNode: 8, ThreadsPerCore: 1, CoresPerL2: 2, L3PerNode: 1},
+		{NumNodes: MaxNodes + 1, CoresPerNode: 8, ThreadsPerCore: 1, CoresPerL2: 2, L3PerNode: 1},
 		{NumNodes: 8, CoresPerNode: 0, ThreadsPerCore: 1, CoresPerL2: 2, L3PerNode: 1},
 		{NumNodes: 8, CoresPerNode: 8, ThreadsPerCore: 0, CoresPerL2: 2, L3PerNode: 1},
 		{NumNodes: 8, CoresPerNode: 8, ThreadsPerCore: 1, CoresPerL2: 3, L3PerNode: 1}, // 3 does not divide 8

@@ -425,7 +425,11 @@ func (l *Log) syncLocked() error {
 	return nil
 }
 
-// flusher is the FsyncInterval background loop.
+// flusher is the FsyncInterval background loop. Each tick hands the buffer
+// to the OS under l.mu, then fsyncs without it, so an Append (taken under
+// the fleet's lock) never waits behind the disk; what the fsync covered is
+// published under l.mu afterwards. Close stops the loop before it closes
+// the file, so the handle outlives every fsync here.
 func (l *Log) flusher() {
 	defer close(l.flushDone)
 	t := time.NewTicker(l.opts.interval())
@@ -435,15 +439,32 @@ func (l *Log) flusher() {
 		case <-l.flushStop:
 			return
 		case <-t.C:
-			l.mu.Lock()
-			if !l.closed && l.err == nil {
-				if err := l.writeLocked(); err == nil {
-					l.syncLocked()
-				}
-			}
-			l.mu.Unlock()
+			l.flush()
 		}
 	}
+}
+
+// flush is one flusher tick.
+func (l *Log) flush() {
+	l.mu.Lock()
+	if l.closed || l.err != nil || l.writeLocked() != nil || l.durable == l.written {
+		l.mu.Unlock()
+		return
+	}
+	target := l.written
+	l.mu.Unlock()
+
+	err := l.f.Sync()
+
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err != nil {
+		if l.err == nil {
+			l.err = fmt.Errorf("wal: fsyncing log: %w", err)
+		}
+		return
+	}
+	l.durable = max(l.durable, target)
 }
 
 // Snapshot implements fleet.Persister: persist st atomically (temp file,

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -698,6 +699,85 @@ func TestFsyncIntervalFlushes(t *testing.T) {
 	}
 	if len(recs) != 1 {
 		t.Fatalf("recovered %d records, want 1", len(recs))
+	}
+}
+
+// TestFsyncIntervalConcurrent runs the FsyncInterval flusher at 1 ms beside
+// an appender that commits every record and checkpoints every 64, with
+// Append, Snapshot and Close serialized by a mutex as the fleet's lock
+// serializes them, and Commit outside it, and closes the log mid-stream. Under -race it checks that the
+// flusher's unlocked fsync shares no state with them unguarded; the log it
+// leaves must reopen to the last snapshot plus every record committed after
+// it, and the first Commit after Close must fail with ErrLogClosed.
+func TestFsyncIntervalConcurrent(t *testing.T) {
+	dir := t.TempDir()
+	l, _, _, err := Open(Options{Dir: dir, Fsync: FsyncInterval, Interval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fleetMu sync.Mutex
+	var committed, snapped uint64
+	done := make(chan error, 1)
+	go func() {
+		for seq := uint64(1); ; seq++ {
+			fleetMu.Lock()
+			l.Append(fleet.Record{Seq: seq, Type: fleet.RecReject, ID: -1})
+			var serr error
+			if seq%64 == 0 {
+				if serr = l.Snapshot(fleet.State{Seq: seq}); serr == nil {
+					snapped = seq
+				}
+			}
+			fleetMu.Unlock()
+			if err := l.Commit(seq); err != nil {
+				if !errors.Is(err, nperr.ErrLogClosed) {
+					done <- fmt.Errorf("commit %d: %w", seq, err)
+					return
+				}
+				done <- nil
+				return
+			}
+			if serr != nil {
+				done <- fmt.Errorf("snapshot at %d: %w", seq, serr)
+				return
+			}
+			committed = seq
+			if seq%16 == 0 {
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+	}()
+	time.Sleep(30 * time.Millisecond)
+	fleetMu.Lock()
+	err = l.Close()
+	fleetMu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if snapped == 0 {
+		t.Fatalf("no snapshot in %d committed records", committed)
+	}
+	l2, st, recs, err := Open(Options{Dir: dir, Fsync: FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if st == nil || st.Seq != snapped {
+		t.Fatalf("reopened snapshot %+v, want seq %d", st, snapped)
+	}
+	// Close writes what was appended before it, so the record whose Commit
+	// lost to Close may be there too.
+	if want := int(committed - snapped); len(recs) != want && len(recs) != want+1 {
+		t.Fatalf("reopened %d records above snapshot %d, want %d or %d (committed through %d)",
+			len(recs), snapped, want, want+1, committed)
+	}
+	for i, r := range recs {
+		if r.Seq != snapped+uint64(i)+1 {
+			t.Fatalf("record %d has seq %d, want %d", i, r.Seq, snapped+uint64(i)+1)
+		}
 	}
 }
 
