@@ -152,7 +152,7 @@ profile:
 # Report-only: not a CI step, gates nothing. Which library code does no shipped
 # program reach? Builds paperrepro, clustersim and every example with statement
 # coverage over the whole module, runs each once into one GOCOVERDIR (the full
-# paperrepro and its three subcommands; clustersim -quick under each policy,
+# and the -quick paperrepro and its three subcommands; clustersim -quick under each policy,
 # under a crash with a restart, and under a partition beside a slow machine
 # with spreading; all five examples), adds the numaplaced and loadgen tests
 # (they drive the daemon's own run over HTTP, so no daemon is started here),
@@ -163,6 +163,7 @@ bincover:
 		$(GO) build -cover -coverpkg=repro/... -o "$$dir/bin/" ./cmd/paperrepro ./cmd/clustersim && \
 		$(GO) build -cover -coverpkg=repro/... -o "$$dir/ex/" ./examples/... && \
 		"$$dir/bin/paperrepro" > /dev/null && \
+		"$$dir/bin/paperrepro" -quick > /dev/null && \
 		"$$dir/bin/paperrepro" placements -packings > /dev/null && \
 		"$$dir/bin/paperrepro" train -trees 5 -out "$$dir/model.json" > /dev/null && \
 		"$$dir/bin/paperrepro" pack > /dev/null && \

@@ -106,6 +106,14 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	case math.IsNaN(cfg.drainBelow) || math.IsInf(cfg.drainBelow, 0):
 		// NaN would pass as a threshold no utilization is below.
 		err = errors.New("-drain-below must be a finite number")
+	case cfg.fsyncInterval <= 0:
+		// The log would quietly flush at its 50ms default instead.
+		err = fmt.Errorf("-fsync-interval %s: must be positive", cfg.fsyncInterval)
+	case cfg.snapshotEvery < 0:
+		// 0 is off; a negative cadence would silently be off too.
+		err = fmt.Errorf("-snapshot-every %s: must not be negative", cfg.snapshotEvery)
+	case cfg.shutdown < 0:
+		err = fmt.Errorf("-shutdown-timeout %s: must not be negative", cfg.shutdown)
 	case unknown >= 0:
 		err = fmt.Errorf("-machines: unknown machine model %q", cfg.machines[unknown])
 	case !policyOK:

@@ -20,7 +20,9 @@ import (
 	"time"
 
 	"repro/client"
+	"repro/internal/fleet"
 	"repro/internal/nperr"
+	"repro/internal/wal"
 	"repro/internal/workloads"
 )
 
@@ -500,8 +502,54 @@ func TestPeriodicSnapshot(t *testing.T) {
 	d.term(t)
 }
 
+// TestIntervalFsync boots on a log flushed by its background flusher
+// (-fsync interval, every 5ms), serves a short churn and is cancelled: the
+// reopened log, its snapshot and tail, holds every record the daemon
+// acknowledged, up to the log head it reported, and the tenants it served.
+func TestIntervalFsync(t *testing.T) {
+	dir := t.TempDir()
+	d := startRun(t, parse(t, "-listen", "127.0.0.1:0", "-quick", "-data-dir", dir, "-fsync", "interval", "-fsync-interval", "5ms"))
+	d.ready(t)
+	place(t, d.c, "gcc")
+	churn(t, d.c, 100)
+	h, err := d.c.LogHead(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenants, err := d.c.Assignments(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.term(t)
+
+	l, st, recs, err := wal.Open(wal.Options{Dir: dir, Fsync: wal.FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if st == nil {
+		t.Fatal("no shutdown snapshot")
+	}
+	seq, placed := st.Seq, 0
+	for _, r := range st.Records {
+		if r.Type == fleet.RecPlace {
+			placed++
+		}
+	}
+	for _, r := range recs {
+		if r.Seq > seq+1 {
+			t.Fatalf("the log skips from seq %d to %d", seq, r.Seq)
+		}
+		seq = max(seq, r.Seq)
+	}
+	if seq != h.Seq || placed != len(tenants) {
+		t.Errorf("reopened log reaches seq %d with %d tenants; the daemon acknowledged seq %d with %d", seq, placed, h.Seq, len(tenants))
+	}
+}
+
 // TestExitCodes runs main in a child for each exit status: usage errors 2
-// (the persistence flags without -data-dir, before anything trains), -h 0,
+// (the persistence flags without -data-dir or with a cadence out of range,
+// before anything trains), -h 0,
 // a startup failure 1, a log that starts with foreign bytes 3 without ever
 // serving, and SIGTERM on a serving daemon 0.
 func TestExitCodes(t *testing.T) {
@@ -520,6 +568,7 @@ func TestExitCodes(t *testing.T) {
 		{"snapshot-every without a data dir", "-snapshot-every 1m", 2, "-snapshot-every need -data-dir"},
 		{"help", "-h", 0, "Usage of numaplaced"},
 		{"unknown machine", "-machines amd,nope", 2, `-machines: unknown machine model "nope"`},
+		{"zero fsync interval", "-data-dir " + t.TempDir() + " -fsync interval -fsync-interval 0", 2, "-fsync-interval 0s: must be positive"},
 		{"log with foreign bytes", "-data-dir " + foreign, 3, filepath.Join(foreign, "log") + " is not a write-ahead log"},
 	}
 	for _, tc := range cases {
@@ -557,6 +606,10 @@ func TestParseFlags(t *testing.T) {
 		"-machines amd,nope":                 `-machines: unknown machine model "nope"`,
 		"-machines amd,":                     `-machines: unknown machine model ""`,
 		"-data-dir d -fsync sometimes":       `unknown fsync policy "sometimes"`,
+		"-data-dir d -fsync-interval -5s":    "-fsync-interval -5s: must be positive",
+		"-data-dir d -fsync-interval 0":      "-fsync-interval 0s: must be positive",
+		"-data-dir d -snapshot-every -1s":    "-snapshot-every -1s: must not be negative",
+		"-shutdown-timeout -3s":              "-shutdown-timeout -3s: must not be negative",
 		"serve":                              "unexpected arguments: serve",
 		"-listen":                            "flag needs an argument: -listen",
 	} {

@@ -49,7 +49,6 @@ func fastTrain() TrainConfig {
 		Forest:         mlearn.ForestConfig{Trees: 25},
 		SelectionTrees: 8,
 		SelectionFolds: 3,
-		MaxHPEFeatures: 3,
 		Seed:           1,
 	}
 }
@@ -217,7 +216,7 @@ func TestTrainHPEVariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.HPEFeats) == 0 || len(p.HPEFeats) > cfg.MaxHPEFeatures {
+	if len(p.HPEFeats) == 0 || len(p.HPEFeats) > maxHPEFeatures {
 		t.Fatalf("selected %d counters", len(p.HPEFeats))
 	}
 	// Every training target is 1 in the base placement (perf(base) over

@@ -42,7 +42,6 @@ func goldenPredictor(t testing.TB, v Variant) *Predictor {
 		Forest:         mlearn.ForestConfig{Trees: 6},
 		SelectionTrees: 3,
 		SelectionFolds: 3,
-		MaxHPEFeatures: 2,
 		Seed:           11,
 	})
 	if err != nil {

@@ -58,8 +58,9 @@ func TestTrainIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestCvMAPEIdenticalAcrossWorkerCounts pins the fold-level determinism the
-// pair search depends on.
+// TestCvMAPEIdenticalAcrossWorkerCounts pins the fold-level determinism
+// every selection search depends on: a candidate's exact error, cvMAPE on
+// a search of that one candidate, is bit-identical at any worker count.
 func TestCvMAPEIdenticalAcrossWorkerCounts(t *testing.T) {
 	host := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(host)
@@ -75,20 +76,13 @@ func TestCvMAPEIdenticalAcrossWorkerCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want, err := cvMAPE(context.Background(), ds, cand, cfg, 99, folds)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := exactCV(t, ds, cand, cfg, 99, folds)
 	if math.IsNaN(want) {
 		t.Fatal("serial cvMAPE is NaN")
 	}
 	for _, w := range []int{2, host} {
 		runtime.GOMAXPROCS(w)
-		got, err := cvMAPE(context.Background(), ds, cand, cfg, 99, folds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
+		if got := exactCV(t, ds, cand, cfg, 99, folds); got != want {
 			t.Fatalf("workers=%d: cvMAPE %v, want %v", w, got, want)
 		}
 	}

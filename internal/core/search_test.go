@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/machines"
@@ -12,8 +13,19 @@ import (
 	"repro/internal/workloads"
 )
 
-// exhaustivePair is the pair search without its bound: the unbounded error
-// of every pair, then a serial arg-min in pair order with strict <.
+// exactCV is a candidate's exact cross-validated error: cvMAPE on a search
+// of that one candidate, which stops nothing.
+func exactCV(tb testing.TB, ds *Dataset, p *Predictor, cfg TrainConfig, seed uint64, folds []mlearn.Fold) float64 {
+	tb.Helper()
+	e, err := (&search{err: math.Inf(1), idx: 1}).cvMAPE(context.Background(), ds, p, cfg, seed, folds, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return e
+}
+
+// exhaustivePair is the pair search without its bound: the exact error of
+// every pair, then a serial arg-min in pair order with strict <.
 func exhaustivePair(t *testing.T, ds *Dataset, cfg TrainConfig, folds []mlearn.Fold) (int, int) {
 	t.Helper()
 	n := len(ds.Placements)
@@ -21,11 +33,7 @@ func exhaustivePair(t *testing.T, ds *Dataset, cfg TrainConfig, folds []mlearn.F
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			cand := &Predictor{Variant: PerfFeatures, Base: i, Probe: j}
-			e, err := cvMAPE(context.Background(), ds, cand, cfg, xmix(cfg.Seed, uint64(i*n+j)), folds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if e < bestErr {
+			if e := exactCV(t, ds, cand, cfg, xmix(cfg.Seed, uint64(i*n+j)), folds); e < bestErr {
 				bestBase, bestProbe, bestErr = i, j, e
 			}
 		}
@@ -134,10 +142,11 @@ func TestStopRule(t *testing.T) {
 }
 
 // amd16 is a set-up's dataset at the daemon's fidelity: AMD at 16 vCPUs,
-// the paper's workloads plus a 30-workload corpus, 3 trials.
-func amd16(tb testing.TB) *Dataset {
+// the paper's workloads plus a 30-workload corpus, 3 trials; with the
+// counters the HPE variants read when withHPEs is set.
+func amd16(tb testing.TB, withHPEs bool) *Dataset {
 	tb.Helper()
-	ds, err := Collect(context.Background(), machines.AMD(), workloads.TrainingSet(30, 42), 16, CollectConfig{Trials: 3})
+	ds, err := Collect(context.Background(), machines.AMD(), workloads.TrainingSet(30, 42), 16, CollectConfig{Trials: 3, WithHPEs: withHPEs})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -154,7 +163,7 @@ var daemonSelection = TrainConfig{SelectionTrees: 4, SelectionFolds: 3, Seed: 1}
 // exhaustive 3 per pair.
 func TestBestPairForestCount(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	ds := amd16(t)
+	ds := amd16(t, false)
 	folds, err := mlearn.GroupKFold(ds.Groups, daemonSelection.selectionFolds())
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +190,7 @@ func TestBestPairForestCount(t *testing.T) {
 // view of the dataset, so its memoized relative-target matrices do not
 // carry over.
 func BenchmarkBestPair(b *testing.B) {
-	ds := amd16(b)
+	ds := amd16(b, false)
 	folds, err := mlearn.GroupKFold(ds.Groups, daemonSelection.selectionFolds())
 	if err != nil {
 		b.Fatal(err)
@@ -194,6 +203,181 @@ func BenchmarkBestPair(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _, n, err := bestPair(context.Background(), ds.Subset(rows), daemonSelection, folds)
+		if err != nil {
+			b.Fatal(err)
+		}
+		forests += n
+	}
+	b.ReportMetric(float64(forests)/float64(b.N), "forests/op")
+}
+
+// greedyHPEs is SFS without its bound, as a serial greedy loop: each round
+// takes the exact error of the set plus each counter not in it, keeps the
+// first lowest (strict <, counter order), and adds it unless a round
+// before it scored no worse; it stops at maxFeats counters.
+func greedyHPEs(t *testing.T, ds *Dataset, base, probe int, cfg TrainConfig, folds []mlearn.Fold, maxFeats int) []int {
+	t.Helper()
+	var set []int
+	var prevErr float64
+	for len(set) < maxFeats {
+		bestF, bestErr := -1, math.Inf(1)
+		for f := range ds.HPE[0][0] {
+			if slices.Contains(set, f) {
+				continue
+			}
+			feats := append(slices.Clone(set), f)
+			slices.Sort(feats)
+			cand := &Predictor{Variant: cfg.Variant, Base: base, Probe: probe, HPEFeats: feats}
+			if e := exactCV(t, ds, cand, cfg, xmix(cfg.Seed, 0x5F5+uint64(len(feats))), folds); e < bestErr {
+				bestF, bestErr = f, e
+			}
+		}
+		if bestF < 0 || (len(set) > 0 && bestErr >= prevErr) {
+			break
+		}
+		set = append(set, bestF)
+		slices.Sort(set)
+		prevErr = bestErr
+	}
+	return set
+}
+
+// uninformative is ds with every workload's throughput row set to the
+// first one's: the targets are one vector, every tree is one leaf, and so
+// every candidate of every SFS round scores the same error.
+func uninformative(ds *Dataset) *Dataset {
+	rows := make([]int, len(ds.Workloads))
+	for i := range rows {
+		rows[i] = i
+	}
+	u := ds.Subset(rows)
+	for w := range u.Perf {
+		u.Perf[w] = ds.Perf[0]
+	}
+	return u
+}
+
+// TestSelectHPEsIsTheGreedyScan holds SFS, run as rounds of the bounded
+// arg-min, to the serial greedy loop over exact errors: for both variants
+// that select counters, three seeds and bases, uncapped and with a cap one
+// below the uncapped set, selectHPEs picks the loop's counters at
+// GOMAXPROCS 1, 2 and 8. The table must hold a run the stop rule ends and
+// one the cap ends. On a dataset where every candidate ties, the lowest
+// counter wins the first round and the second round's equal error stops
+// selection.
+func TestSelectHPEsIsTheGreedyScan(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	ds := smallDataset(t, true)
+	cfg := TrainConfig{SelectionTrees: 4, SelectionFolds: 3}
+	folds, err := mlearn.GroupKFold(ds.Groups, cfg.selectionFolds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(t *testing.T, ds *Dataset, base, probe int, cfg TrainConfig, maxFeats int) []int {
+		t.Helper()
+		runtime.GOMAXPROCS(1)
+		want := greedyHPEs(t, ds, base, probe, cfg, folds, maxFeats)
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			got, _, err := selectHPEs(context.Background(), ds, base, probe, cfg, folds, maxFeats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("GOMAXPROCS %d: selectHPEs picked %v, the greedy loop %v", procs, got, want)
+			}
+		}
+		return want
+	}
+	var stopRule, capped bool
+	for _, v := range []Variant{HPEFeatures, Combined} {
+		for i, seed := range []uint64{1, 7, 42} {
+			base, probe := i, i
+			if v == Combined {
+				probe = i + 3
+			}
+			t.Run(fmt.Sprintf("%s/seed-%d", v, seed), func(t *testing.T) {
+				cfg := cfg
+				cfg.Variant, cfg.Seed = v, seed
+				full := check(t, ds, base, probe, cfg, maxHPEFeatures)
+				stopRule = stopRule || len(full) < maxHPEFeatures
+				if len(full) > 1 {
+					check(t, ds, base, probe, cfg, len(full)-1)
+					capped = true
+				}
+			})
+		}
+	}
+	if !stopRule || !capped {
+		t.Fatalf("the table misses a case: stop rule ended a run %v, a cap ended one %v", stopRule, capped)
+	}
+	t.Run("every candidate ties", func(t *testing.T) {
+		cfg := cfg
+		cfg.Variant, cfg.Seed = HPEFeatures, 1
+		if got := check(t, uninformative(ds), 0, 0, cfg, maxHPEFeatures); !slices.Equal(got, []int{0}) {
+			t.Fatalf("selected %v, want [0]: the lowest counter, then a stop on the equal error", got)
+		}
+	})
+}
+
+// TestSelectHPEsForestCount pins the fold forests one serial SFS trains on
+// amd16's counters: at GOMAXPROCS 1 each round's candidates run in counter
+// order, so the bound stops the same ones every time, and the count sits
+// below the exhaustive 3 per candidate of every round run.
+func TestSelectHPEsForestCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ds := amd16(t, true)
+	cfg := daemonSelection
+	cfg.Variant = HPEFeatures
+	folds, err := mlearn.GroupKFold(ds.Groups, cfg.selectionFolds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 197
+	var feats []int
+	for run := 0; run < 2; run++ {
+		var forests int64
+		feats, forests, err = selectHPEs(context.Background(), ds, 0, 0, cfg, folds, maxHPEFeatures)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if forests != want {
+			t.Fatalf("run %d: %d fold forests, want %d", run, forests, want)
+		}
+	}
+	// Every round ran scores all counters not yet chosen; a run the stop
+	// rule ends ran one round past its last addition.
+	rounds := min(len(feats)+1, maxHPEFeatures)
+	exhaustive := 0
+	for r := range rounds {
+		exhaustive += 3 * (len(ds.HPE[0][0]) - r)
+	}
+	if want >= exhaustive {
+		t.Fatalf("pinned count %d is not below the exhaustive %d (%d rounds)", want, exhaustive, rounds)
+	}
+	t.Logf("fold forests at GOMAXPROCS 1: %d of the exhaustive %d (%d rounds, selected %v)", want, exhaustive, rounds, feats)
+}
+
+// BenchmarkSelectHPEs measures SFS over amd16's counters at the daemon's
+// selection fidelity and reports the fold forests it trains per run beside
+// the time. Each iteration selects on a fresh view of the dataset, so its
+// memoized relative-target matrices do not carry over.
+func BenchmarkSelectHPEs(b *testing.B) {
+	ds := amd16(b, true)
+	cfg := daemonSelection
+	cfg.Variant = HPEFeatures
+	folds, err := mlearn.GroupKFold(ds.Groups, cfg.selectionFolds())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := make([]int, len(ds.Workloads))
+	for i := range rows {
+		rows[i] = i
+	}
+	var forests int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, n, err := selectHPEs(context.Background(), ds.Subset(rows), 0, 0, cfg, folds, maxHPEFeatures)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -47,16 +48,13 @@ type TrainConfig struct {
 	// Forest configures the final model (default: 100 trees).
 	Forest mlearn.ForestConfig
 
-	// SelectionTrees is the (smaller) ensemble size used inside the input-
-	// pair search and SFS loops (default 15).
+	// SelectionTrees is the (smaller) ensemble size of every fold forest
+	// the selection searches train (default 15).
 	SelectionTrees int
 
 	// SelectionFolds is the group k-fold count used during selection
 	// (default 5).
 	SelectionFolds int
-
-	// MaxHPEFeatures caps SFS for the HPE variants (default 8).
-	MaxHPEFeatures int
 
 	// FixedPair forces the input placement pair (indices into
 	// Dataset.Placements; baseline first) instead of searching. Used by
@@ -66,6 +64,9 @@ type TrainConfig struct {
 	// Seed drives all stochastic components.
 	Seed uint64
 }
+
+// maxHPEFeatures caps the counters SFS selects for the HPE variants.
+const maxHPEFeatures = 8
 
 func (c TrainConfig) selectionTrees() int {
 	if c.SelectionTrees <= 0 {
@@ -79,13 +80,6 @@ func (c TrainConfig) selectionFolds() int {
 		return 5
 	}
 	return c.SelectionFolds
-}
-
-func (c TrainConfig) maxHPE() int {
-	if c.MaxHPEFeatures <= 0 {
-		return 8
-	}
-	return c.MaxHPEFeatures
 }
 
 // Predictor is a trained performance model for one machine and vCPU count.
@@ -106,13 +100,15 @@ type Predictor struct {
 // PerfFeatures variant it searches all placement pairs for the one whose
 // cross-validated accuracy is best ("the training process automatically
 // finds the two of the important placements that give the highest
-// accuracy", §5). The context is threaded through the placement-pair
-// search, SFS and cross-validation fan-outs, so a cancelled training run
-// returns ctx.Err() promptly without fitting the final model.
+// accuracy", §5); the HPE variants pick their counters by SFS, round by
+// round. Every candidate the pair search, the HPE base screen and each SFS
+// round scores goes through one bounded arg-min, argMinCV. The context is
+// threaded through them, so a cancelled training run returns ctx.Err()
+// promptly without fitting the final model.
 //
 // The cross-validation folds are computed once here and shared by every
-// candidate the selection loops evaluate: the split is a pure function of
-// the dataset's groups and the fold count, so recomputing it per candidate
+// candidate the searches evaluate: the split is a pure function of the
+// dataset's groups and the fold count, so recomputing it per candidate
 // (as the O(n²) pair search once did) only burned allocations.
 func Train(ctx context.Context, ds *Dataset, cfg TrainConfig) (*Predictor, error) {
 	if len(ds.Workloads) < 4 {
@@ -168,7 +164,7 @@ func Train(ctx context.Context, ds *Dataset, cfg TrainConfig) (*Predictor, error
 		if err := ensureFolds(); err != nil {
 			return nil, err
 		}
-		feats, err := selectHPEs(ctx, ds, p.Base, p.Probe, cfg, folds)
+		feats, _, err := selectHPEs(ctx, ds, p.Base, p.Probe, cfg, folds, maxHPEFeatures)
 		if err != nil {
 			return nil, err
 		}
@@ -298,28 +294,20 @@ func getOrds(d, nTr, n int) *ordScratch {
 	return o
 }
 
-// cvMAPE evaluates a candidate predictor configuration by group k-fold
+// cvMAPE scores candidate ci of the arg-min search s by group k-fold
 // cross-validation over the caller's precomputed folds, returning the mean
 // absolute percentage error. The candidate's feature matrix is built once
 // into pooled scratch and shared read-only by every fold, targets come
 // from the dataset's cached per-base RelMatrix, and each fold trains
 // directly on its row subset of those shared flat matrices — nothing is
 // copied per fold, and the ephemeral fold forests are recycled after
-// scoring. Predictions fold into the error in fold order, so the result is
+// scoring. Folds train and fold into the error in order, so the result is
 // bit-identical at any worker count.
 //
-// cvMAPE is unbounded: its folds train concurrently, and it returns the
-// exact error.
-func cvMAPE(ctx context.Context, ds *Dataset, p *Predictor, cfg TrainConfig, seed uint64, folds []mlearn.Fold) (float64, error) {
-	var s *search
-	return s.cvMAPE(ctx, ds, p, cfg, seed, folds, 0)
-}
-
-// cvMAPE on a search is bounded: it scores candidate ci of the arg-min
-// search s, training its folds in order. After each fold but the last it
-// stops and returns +Inf once the error so far shows the candidate cannot
-// win (see stops); otherwise it returns the exact error, as the unbounded
-// call does, and publishes it to s. A nil s is the unbounded call.
+// After each fold but the last it stops and returns +Inf once the error so
+// far shows the candidate cannot win (see stops); otherwise it returns the
+// exact error and publishes it to s. A search of one candidate,
+// &search{err: +Inf, idx: 1}, stops nothing.
 func (s *search) cvMAPE(ctx context.Context, ds *Dataset, p *Predictor, cfg TrainConfig, seed uint64, folds []mlearn.Fold, ci int) (float64, error) {
 	n := len(ds.Workloads)
 	d := featDim(p)
@@ -332,8 +320,24 @@ func (s *search) cvMAPE(ctx context.Context, ds *Dataset, p *Predictor, cfg Trai
 	// every fold: a fold's presorted orders are the full orders filtered
 	// down to its (ascending) training rows, derived in O(n) each.
 	fullOrd := mlearn.ColumnOrders(X, nil)
-	predict := func(fi int) (*[]float64, error) {
-		fold := folds[fi]
+	// The error's denominator is known before any forest: the nonzero
+	// actual entries of every test fold (MAPEFlatAccum skips zeros).
+	all := 0
+	for _, fold := range folds {
+		for _, r := range fold.Test {
+			for _, a := range Y.Row(r) {
+				if a != 0 {
+					all++
+				}
+			}
+		}
+	}
+	var total float64
+	count := 0
+	for fi, fold := range folds {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
 		ords := getOrds(d, len(fold.Train), n)
 		mlearn.SubsetOrders(ords.ord, fullOrd, fold.Train, ords.pos)
 		f, err := mlearn.TrainForest(X, Y, fold.Train, ords.ord, mlearn.ForestConfig{
@@ -342,66 +346,29 @@ func (s *search) cvMAPE(ctx context.Context, ds *Dataset, p *Predictor, cfg Trai
 		})
 		ordPool.Put(ords)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
+		s.forests.Add(1)
 		// Score the whole held-out fold in one batch straight off the
 		// shared feature matrix; the fold forest hands its arrays back to
 		// the training pool once scored.
-		out := getFloats(len(fold.Test) * Y.Cols)
-		err = f.PredictRowsInto(*out, X, fold.Test)
+		pr := getFloats(len(fold.Test) * Y.Cols)
+		err = f.PredictRowsInto(*pr, X, fold.Test)
 		f.Recycle()
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	var total float64
-	count := 0
-	if s == nil {
-		preds, err := xparallel.MapErr(ctx, len(folds), predict)
 		if err != nil {
 			return 0, err
 		}
-		for fi, pr := range preds {
-			mlearn.MAPEFlatAccum(*pr, Y, folds[fi].Test, &total, &count)
-			putFloats(pr)
-		}
-	} else {
-		// The error's denominator is known before any forest: the nonzero
-		// actual entries of every test fold (MAPEFlatAccum skips zeros).
-		all := 0
-		for _, fold := range folds {
-			for _, r := range fold.Test {
-				for _, a := range Y.Row(r) {
-					if a != 0 {
-						all++
-					}
-				}
-			}
-		}
-		for fi := range folds {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			pr, err := predict(fi)
-			if err != nil {
-				return 0, err
-			}
-			s.forests.Add(1)
-			mlearn.MAPEFlatAccum(*pr, Y, folds[fi].Test, &total, &count)
-			putFloats(pr)
-			if fi < len(folds)-1 && s.stopped(100*total/float64(all), ci) {
-				return math.Inf(1), nil
-			}
+		mlearn.MAPEFlatAccum(*pr, Y, fold.Test, &total, &count)
+		putFloats(pr)
+		if fi < len(folds)-1 && s.stopped(100*total/float64(all), ci) {
+			return math.Inf(1), nil
 		}
 	}
 	if count == 0 {
 		return 0, nil
 	}
 	e := 100 * total / float64(count)
-	if s != nil {
-		s.publish(e, ci)
-	}
+	s.publish(e, ci)
 	return e, nil
 }
 
@@ -445,18 +412,19 @@ func stops(lb, bestErr float64, bestIdx, i int) bool {
 // argMinCV scores candidates 0..n-1 by bounded cross-validation,
 // concurrently under one shared search, and returns the index of the
 // lowest error, the lowest index on a tie (-1 when none is below +Inf),
-// and how many fold forests it trained. The winner is picked by a serial
-// scan in index order, so it is the one an exhaustive serial search picks:
-// a stopped candidate scores +Inf, and only a candidate that cannot win is
-// stopped. Which losers stop early depends on timing; the winner does not.
-func argMinCV(ctx context.Context, ds *Dataset, cfg TrainConfig, folds []mlearn.Fold, n int, cand func(i int) (*Predictor, uint64)) (int, int64, error) {
+// that error, and how many fold forests it trained. The winner is picked
+// by a serial scan in index order, so it is the one an exhaustive serial
+// search picks: a stopped candidate scores +Inf, and only a candidate that
+// cannot win is stopped. Which losers stop early depends on timing; the
+// winner does not, and its error is exact, since it is never stopped.
+func argMinCV(ctx context.Context, ds *Dataset, cfg TrainConfig, folds []mlearn.Fold, n int, cand func(i int) (*Predictor, uint64)) (int, float64, int64, error) {
 	s := &search{err: math.Inf(1), idx: n}
 	errs, err := xparallel.MapErr(ctx, n, func(i int) (float64, error) {
 		p, seed := cand(i)
 		return s.cvMAPE(ctx, ds, p, cfg, seed, folds, i)
 	})
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	best, bestErr := -1, math.Inf(1)
 	for i, e := range errs {
@@ -464,7 +432,7 @@ func argMinCV(ctx context.Context, ds *Dataset, cfg TrainConfig, folds []mlearn.
 			bestErr, best = e, i
 		}
 	}
-	return best, s.forests.Load(), nil
+	return best, bestErr, s.forests.Load(), nil
 }
 
 // bestPair searches all unordered placement pairs for the one minimizing
@@ -478,7 +446,7 @@ func bestPair(ctx context.Context, ds *Dataset, cfg TrainConfig, folds []mlearn.
 			pairs = append(pairs, [2]int{i, j})
 		}
 	}
-	best, forests, err := argMinCV(ctx, ds, cfg, folds, len(pairs), func(pi int) (*Predictor, uint64) {
+	best, _, forests, err := argMinCV(ctx, ds, cfg, folds, len(pairs), func(pi int) (*Predictor, uint64) {
 		i, j := pairs[pi][0], pairs[pi][1]
 		return &Predictor{Variant: PerfFeatures, Base: i, Probe: j}, xmix(cfg.Seed, uint64(i*n+j))
 	})
@@ -499,33 +467,53 @@ func bestHPEBase(ctx context.Context, ds *Dataset, cfg TrainConfig, folds []mlea
 	for i := range all {
 		all[i] = i
 	}
-	best, _, err := argMinCV(ctx, ds, cfg, folds, len(ds.Placements), func(b int) (*Predictor, uint64) {
+	best, _, _, err := argMinCV(ctx, ds, cfg, folds, len(ds.Placements), func(b int) (*Predictor, uint64) {
 		return &Predictor{Variant: HPEFeatures, Base: b, Probe: b, HPEFeats: all}, xmix(cfg.Seed, 0xBA5E+uint64(b))
 	})
 	return best, err
 }
 
-// selectHPEs runs Sequential Forward Selection over the counters.
-func selectHPEs(ctx context.Context, ds *Dataset, base, probe int, cfg TrainConfig, folds []mlearn.Fold) ([]int, error) {
+// selectHPEs picks the model's counters by Sequential Forward Selection
+// (§5): each round adds the one counter whose addition scores best, and
+// selection ends when the best addition does not lower the previous
+// round's error, or when the set holds maxFeats counters. A round is one
+// argMinCV over the counters not yet chosen, in ascending order; each
+// candidate is the set plus that counter, sorted. The first round always
+// adds its winner. It also returns how many fold forests it trained.
+func selectHPEs(ctx context.Context, ds *Dataset, base, probe int, cfg TrainConfig, folds []mlearn.Fold, maxFeats int) ([]int, int64, error) {
 	nHPE := len(ds.HPE[0][0])
-	var evalErr error
-	eval := func(subset []int) float64 {
-		cand := &Predictor{Variant: cfg.Variant, Base: base, Probe: probe, HPEFeats: subset}
-		e, err := cvMAPE(ctx, ds, cand, cfg, xmix(cfg.Seed, 0x5F5+uint64(len(subset))), folds)
-		if err != nil {
-			evalErr = err
-			return math.Inf(-1)
+	var set []int
+	var forests int64
+	prev := math.Inf(1)
+	for len(set) < maxFeats {
+		var rest []int
+		for f := 0; f < nHPE; f++ {
+			if !slices.Contains(set, f) {
+				rest = append(rest, f)
+			}
 		}
-		return -e
+		// A round's candidates share a seed keyed by their counter count.
+		seed := xmix(cfg.Seed, 0x5F5+uint64(len(set)+1))
+		best, e, n, err := argMinCV(ctx, ds, cfg, folds, len(rest), func(i int) (*Predictor, uint64) {
+			feats := append(slices.Clone(set), rest[i])
+			slices.Sort(feats)
+			return &Predictor{Variant: cfg.Variant, Base: base, Probe: probe, HPEFeats: feats}, seed
+		})
+		forests += n
+		if err != nil {
+			return nil, 0, err
+		}
+		if best < 0 || e >= prev {
+			break
+		}
+		set = append(set, rest[best])
+		slices.Sort(set)
+		prev = e
 	}
-	feats := mlearn.SFS(nHPE, cfg.maxHPE(), eval)
-	if evalErr != nil {
-		return nil, evalErr
+	if len(set) == 0 {
+		return nil, 0, fmt.Errorf("core: SFS selected no counters")
 	}
-	if len(feats) == 0 {
-		return nil, fmt.Errorf("core: SFS selected no counters")
-	}
-	return feats, nil
+	return set, forests, nil
 }
 
 func xmix(a, b uint64) uint64 {

@@ -108,7 +108,8 @@ func LoadForest(d *ForestDump) (*Forest, error) {
 
 // GroupKFold assigns each distinct group to one of k folds round-robin
 // (in first-appearance order) and returns the resulting train/test splits.
-// Used where full leave-one-group-out is too slow (input-pair search, SFS).
+// Used where full leave-one-group-out is too slow: every candidate of
+// core's selection searches (the input-pair search, each SFS round).
 func GroupKFold(groups []string, k int) ([]Fold, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("mlearn: k %d < 2", k)

@@ -2,9 +2,10 @@
 // uses, from scratch on the standard library: multi-output CART regression
 // trees, a multi-output Random Forest regressor (§5's model), k-means
 // clustering with silhouette-based selection of k (the workload-category
-// analysis of §5), Sequential Forward Selection (the HPE feature-selection
-// baseline), and leave-one-group-out cross-validation with the accuracy
-// metrics reported in §6.
+// analysis of §5), and leave-one-group-out and group k-fold
+// cross-validation with the accuracy metrics reported in §6. Model
+// selection (the input-pair search, SFS over the counters) lives in
+// internal/core.
 package mlearn
 
 import (
